@@ -23,10 +23,11 @@
 // the same data set) over the same wire protocol it serves, so clients
 // are indifferent to whether they talk to a shard or the coordinator.
 // The data set (or snapshot) is still loaded — for its hyper graph, which
-// the statement router resolves queries against. Repeated statements are
-// answered from an epoch-invalidated result cache without touching the
-// shards (-coord-cache, on by default; -coord-cache-size), and the
-// replicated statement log is bounded (-log-retain).
+// the statement planner resolves queries against. Repeated statements are
+// answered from a table of planned statements and their epoch-invalidated
+// results without touching the shards (-coord-cache-size statements,
+// default 1024; 0 turns the table off), and the replicated statement log
+// is bounded (-log-retain).
 //
 // With -selftune the daemon runs the internal/sibyl self-forecasting
 // engine over its own query stream: per-template arrival counts feed
@@ -85,8 +86,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "shutdown drain deadline before in-flight connections are force-closed")
 	coordinator := flag.Bool("coordinator", false, "route statements to the -shards cluster instead of serving a local engine")
 	shardsFlag := flag.String("shards", "", "comma-separated f2dbd shard addresses (coordinator mode)")
-	coordCache := flag.Bool("coord-cache", true, "coordinator mode: serve repeated statements from the epoch-invalidated result cache instead of fanning out")
-	coordCacheSize := flag.Int("coord-cache-size", 1024, "coordinator mode: result cache and route memo capacity in statements")
+	coordCacheSize := flag.Int("coord-cache-size", 1024, "coordinator mode: statements whose plan and epoch-invalidated result are kept to answer repeats without fanning out (0 = off)")
 	coordLogRetain := flag.Int("log-retain", 0, "coordinator mode: statement-log entries retained for restart realignment (0 = default 4096, negative = unlimited)")
 	selftune := flag.Bool("selftune", false, "run the self-forecasting engine: per-template workload prediction drives cache pre-warming, trough-scheduled maintenance, and adaptive cache sizing")
 	selftuneBucket := flag.Duration("selftune-bucket", time.Second, "self-tuning arrival-count bucket width (and control-loop period)")
@@ -146,12 +146,8 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		cacheSize := 0
-		if *coordCache {
-			cacheSize = *coordCacheSize
-		}
 		co, err = coord.New(planner, addrs, coord.Options{
-			CacheSize: cacheSize,
+			CacheSize: *coordCacheSize,
 			LogRetain: *coordLogRetain,
 			Logf:      logf,
 		})
@@ -159,7 +155,7 @@ func main() {
 			fail(err)
 		}
 		if sib != nil {
-			attachCoordTuning(sib, co, cacheSize)
+			attachCoordTuning(sib, co, *coordCacheSize)
 		}
 		srv = server.NewBackend(co, srvOpts)
 		metrics = []f2db.Collector{co.Metrics().Collector(), srv.Metrics().Collector()}

@@ -41,15 +41,15 @@ func attachEngineTuning(sib *sibyl.Engine, db *f2db.DB, dur *f2db.Durable) {
 			Apply:       func(n int) { db.SetForecastCacheCapacity(n) },
 			Min:         256,
 			Max:         1 << 20,
-			PerTemplate: 8, // distinct (node, horizon, confidence) per template
+			PerTemplate: 8,    // distinct (node, horizon, confidence) per template
 			Current:     4096, // Open's defaultForecastCacheSize
 		},
 	)
 }
 
 // attachCoordTuning is the coordinator-tier equivalent: pre-warm through
-// the routed query path (filling the result cache and route memo ahead of
-// the spike) and size the read cache from the predicted working set.
+// the routed query path (filling the read table ahead of the spike) and
+// size the table from the predicted working set.
 // cacheSize <= 0 means the read cache is disabled; only pre-warming (which
 // still fills the shards' own caches) is attached then.
 func attachCoordTuning(sib *sibyl.Engine, co *coord.Coordinator, cacheSize int) {
@@ -62,12 +62,11 @@ func attachCoordTuning(sib *sibyl.Engine, co *coord.Coordinator, cacheSize int) 
 	}
 	if cacheSize > 0 {
 		acts = append(acts, &sibyl.CacheSizer{
-			Name:        "coord-cache",
-			Apply:       func(n int) { co.SetCacheCapacity(n) },
-			Min:         64,
-			Max:         64 << 10,
-			PerTemplate: 2, // one result entry + one route-memo entry
-			Current:     cacheSize,
+			Name:    "coord-cache",
+			Apply:   func(n int) { co.SetCacheCapacity(n) },
+			Min:     64,
+			Max:     64 << 10,
+			Current: cacheSize,
 		})
 	}
 	sib.Attach(acts...)

@@ -1,59 +1,60 @@
 package coord
 
 import (
-	"container/list"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"cubefc/internal/f2db"
+	"cubefc/internal/lru"
 )
 
 // The coordinator read fast path (DESIGN.md §12). Every query that reaches
-// the cluster tier otherwise pays a full wire fan-out — re-route, scatter,
+// the cluster tier otherwise pays a full wire fan-out — re-plan, scatter,
 // gather — even when the identical statement was answered microseconds ago
 // and no write intervened. Real analytics traffic is dominated by a small
 // set of recurring statement templates, exactly the hit distribution a
-// statement-keyed cache exploits, so the coordinator keeps three layers in
-// front of the shards:
+// statement-keyed table exploits, so the coordinator keeps one in front of
+// the shards: an LRU keyed by the normalized statement text
+// (f2db.NormalizeSQL — the same function the engine's plan cache keys by,
+// so the tiers cannot disagree) whose entry holds everything known about
+// the statement.
 //
-//  1. Result cache: an LRU keyed by the normalized statement text
-//     (f2db.NormalizeSQL — the same function the engine's plan cache keys
-//     by, so the tiers cannot disagree) holding the fully-merged Result.
-//     Each entry carries a write-epoch stamp taken at fill time and is
-//     served only while the stamp is unchanged. Epochs are per write
-//     partition (ShardFor over the statement's base nodes) plus one global
-//     counter: a single-partition INSERT bumps only its partition, so it
-//     invalidates only cached answers whose node set touches that
+//   - The plan (Planner.RouteQuery: member order, per-member sub-SQL) and
+//     the write partitions its nodes touch depend only on the immutable
+//     graph. They are computed on first sight and never invalidated — even
+//     a statement whose answer a write just made stale skips re-planning.
+//
+//   - The fully-merged Result, with the write-epoch stamp it was fetched
+//     under, is served only while the stamp is unchanged. Epochs are per
+//     write partition (ShardFor over the statement's base nodes) plus one
+//     global counter: a single-partition INSERT bumps only its partition,
+//     so it invalidates only cached answers whose node set touches that
 //     partition; multi-partition INSERTs and (conservatively detected)
 //     batch advances bump the global counter, which every stamp includes.
 //     This stays conservative-correct because pending inserts change no
 //     query result until a batch advances time, and the advance always
 //     bumps the global epoch — the per-partition counters only refine how
-//     much of the cache a lone insert throws away.
+//     much a lone insert throws away. A stale result is cleared lazily on
+//     the next lookup of its key, never swept: a write costs a handful of
+//     counter increments, not a table scan. The plan stays.
 //
-//  2. Singleflight coalescing: concurrent identical statements under the
-//     same stamp share one fan-out. The cache-miss thundering herd right
-//     after each write collapses to a single scatter-gather; every waiter
-//     gets the leader's result. A flight records the stamp it started
-//     under and admits only same-stamp waiters — a query that arrives
-//     after a newer write must not be served a fan-out that may predate
-//     it.
+// Beside the table sits the singleflight map: concurrent identical
+// statements under the same stamp share one fan-out. The miss thundering
+// herd right after each write collapses to a single scatter-gather; every
+// waiter gets the leader's result. A flight records the stamp it started
+// under and admits only same-stamp waiters — a query that arrives after a
+// newer write must not be served a fan-out that may predate it.
 //
-//  3. Route memo: the Planner.RouteQuery rewrite (member order, per-member
-//     sub-SQL) depends only on the immutable graph, so it is memoized
-//     without any epoch — even cold statements skip re-parse/re-route. The
-//     memo also carries the statement's touched-partition set, computed
-//     once per template.
-//
-// Stamp/fill protocol. A lookup samples the stamp BEFORE consulting the
-// cache; a flight completes by filling the cache only if the stamp is
-// still the one it started under. The one racy window — a write appended
-// after the fill check but before a reader's lookup — is harmless: the
-// reader's own stamp sample then differs from the entry's and the entry is
-// discarded (counted as an invalidation). Stale entries are dropped
-// lazily on lookup, never swept: a write costs a handful of counter
-// increments, not a cache scan.
+// Stamp/fill protocol. The partition set lives in the entry, so a lookup
+// samples the stamp once the entry is in hand and serves the stored result
+// only if its stamp equals that sample: no relevant write was logged
+// between the fetch that produced the result and the sample. A write whose
+// bump lands after the sample is concurrent with this query, and a query
+// racing a write may see either side. A flight fills the entry only if the
+// stamp is still the one it started under; when it is not, the shards may
+// have answered before or after applying the write, which is correct for
+// the flight's own callers but must not speak for the new stamp.
 //
 // Cached *f2db.Result values are shared by every hit and must be treated
 // as immutable by callers — the wire server only encodes them, and the
@@ -75,8 +76,10 @@ type epochs struct {
 const maxStampParts = 8
 
 // stamp is one sampled epoch view: the global counter plus the counters
-// of the statement's touched partitions, in the route's partition order.
-// Fixed-size so the cache-hit path stays allocation-free.
+// of the statement's touched partitions, in the entry's partition order.
+// Fixed-size, so the hit path stays allocation-free, and unused slots stay
+// zero, so two stamps sampled for the same partition set describe the same
+// write history exactly when they are ==.
 type stamp struct {
 	global uint64
 	n      int
@@ -96,24 +99,13 @@ func (e *epochs) sample(parts []int) stamp {
 	return st
 }
 
-// equal reports whether two stamps sampled for the same partition set
-// describe the same write history.
-func (a stamp) equal(b stamp) bool {
-	if a.global != b.global || a.n != b.n {
-		return false
-	}
-	for i := 0; i < a.n; i++ {
-		if a.parts[i] != b.parts[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// resultEntry is one cached statement answer, valid while the epochs of
-// its touched partitions still match st.
-type resultEntry struct {
-	key string
+// entry is one statement's row in the read table. plan and parts are fixed
+// at creation; st and res are guarded by readCache.mu.
+type entry struct {
+	plan  *f2db.Plan
+	parts []int // sorted distinct ShardFor over plan.Nodes
+	// res is the merged answer fetched under stamp st; nil until the first
+	// fill and again once a lookup finds st out of date.
 	st  stamp
 	res *f2db.Result
 }
@@ -127,58 +119,36 @@ type flight struct {
 	err  error
 }
 
-// routeEntry is one memoized statement rewrite plus its touched-partition
-// set (sorted, distinct ShardFor over the route's nodes).
-type routeEntry struct {
-	key   string
-	route *f2db.Route
-	parts []int
-}
-
-// readCache is the coordinator's statement-keyed read fast path: result
-// LRU + singleflight table + route memo. It is safe for concurrent use.
+// readCache is the coordinator's statement-keyed read fast path: the entry
+// table and the singleflight map, under one lock. It is safe for
+// concurrent use.
 type readCache struct {
 	ep  *epochs
 	met *Metrics
-	cap atomic.Int64 // shared by both LRUs; resized by setCapacity
 
 	mu      sync.Mutex
-	ll      *list.List // front = most recently used
-	items   map[string]*list.Element
+	tab     *lru.Cache[string, *entry]
 	flights map[string]*flight
-
-	rmu    sync.Mutex
-	rll    *list.List
-	ritems map[string]*list.Element
 }
 
-// newReadCache sizes both LRUs at capacity (>= 1).
 func newReadCache(capacity int, ep *epochs, met *Metrics) *readCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	rc := &readCache{
+	return &readCache{
 		ep:      ep,
 		met:     met,
-		ll:      list.New(),
-		items:   make(map[string]*list.Element, capacity),
+		tab:     lru.New[string, *entry](capacity),
 		flights: make(map[string]*flight),
-		rll:     list.New(),
-		ritems:  make(map[string]*list.Element, capacity),
 	}
-	rc.cap.Store(int64(capacity))
-	return rc
 }
 
-// partsFor computes the sorted distinct write partitions a route's node
+// partsFor computes the sorted distinct write partitions a plan's node
 // set touches, given the partition count.
-func partsFor(route *f2db.Route, numParts int) []int {
+func partsFor(plan *f2db.Plan, numParts int) []int {
 	if numParts <= 0 {
 		return nil
 	}
 	seen := make(map[int]bool, numParts)
 	var parts []int
-	for _, n := range route.Nodes {
+	for _, n := range plan.Nodes {
 		p := ShardFor(n, numParts)
 		if !seen[p] {
 			seen[p] = true
@@ -189,73 +159,68 @@ func partsFor(route *f2db.Route, numParts int) []int {
 	return parts
 }
 
-// routeFor returns the memoized route and touched-partition set for the
-// normalized key, planning and memoizing on first sight. Planning errors
-// are returned uncached — they are not on the hot path, and the rejection
-// text must keep matching the planner's (and thus the engine's)
-// byte-for-byte.
-func (rc *readCache) routeFor(key, sql string, p *f2db.Planner) (*f2db.Route, []int, error) {
-	rc.rmu.Lock()
-	if el, ok := rc.ritems[key]; ok {
-		rc.rll.MoveToFront(el)
-		ent := el.Value.(*routeEntry)
-		rc.rmu.Unlock()
-		rc.met.RouteMemoHits.Add(1)
-		return ent.route, ent.parts, nil
+// freshLocked samples the entry's stamp and returns it with the entry's
+// result if that is still current, clearing a result a relevant write has
+// overtaken. Callers hold rc.mu.
+func (rc *readCache) freshLocked(ent *entry) (stamp, *f2db.Result) {
+	st := rc.ep.sample(ent.parts)
+	if ent.res != nil && ent.st != st {
+		ent.res = nil
+		rc.met.CacheInvalidations.Add(1)
 	}
-	rc.rmu.Unlock()
-	route, err := p.RouteQuery(sql)
+	return st, ent.res
+}
+
+// lookup is the hot path: one lock, one table lookup. It returns the
+// statement's entry — planned and inserted on first sight — and the cached
+// result when that is current (a hit; nil otherwise, and the caller goes
+// to fill). Planning errors are returned uncached — they are not on the hot
+// path, and the rejection text must keep matching the planner's (and thus
+// the engine's) byte-for-byte.
+func (rc *readCache) lookup(key, sql string, p *f2db.Planner) (*entry, *f2db.Result, error) {
+	rc.mu.Lock()
+	if ent, ok := rc.tab.Get(key); ok {
+		_, res := rc.freshLocked(ent)
+		rc.mu.Unlock()
+		rc.met.RouteMemoHits.Add(1)
+		if res != nil {
+			rc.met.CacheHits.Add(1)
+		}
+		return ent, res, nil
+	}
+	rc.mu.Unlock()
+	plan, err := p.RouteQuery(sql)
 	if err != nil {
 		return nil, nil, err
 	}
-	parts := partsFor(route, len(rc.ep.parts))
-	rc.rmu.Lock()
-	if el, ok := rc.ritems[key]; ok {
-		// Raced with another planner; use the memoized entry so every
-		// caller of this key shares one parts slice.
-		ent := el.Value.(*routeEntry)
-		route, parts = ent.route, ent.parts
-	} else {
-		if rc.rll.Len() >= int(rc.cap.Load()) {
-			if oldest := rc.rll.Back(); oldest != nil {
-				rc.rll.Remove(oldest)
-				delete(rc.ritems, oldest.Value.(*routeEntry).key)
-			}
-		}
-		rc.ritems[key] = rc.rll.PushFront(&routeEntry{key: key, route: route, parts: parts})
+	ent := &entry{plan: plan, parts: partsFor(plan, len(rc.ep.parts))}
+	rc.mu.Lock()
+	if cur, ok := rc.tab.Get(key); ok {
+		ent = cur // raced with another planner; every caller of the key shares one entry
+	} else if rc.tab.Put(key, ent) {
+		rc.met.CacheEvictions.Add(1)
 	}
-	rc.rmu.Unlock()
-	return route, parts, nil
+	rc.mu.Unlock()
+	return ent, nil, nil
 }
 
-// result serves the statement from the cache when its entry's stamp is
-// current, joins an in-progress same-stamp fan-out when one exists, and
-// otherwise runs fetch (the real fan-out) as the flight leader, publishing
-// the answer to its waiters and — if no relevant write intervened — to the
-// cache. parts is the statement's touched-partition set from routeFor.
-func (rc *readCache) result(key string, parts []int, fetch func() (*f2db.Result, error)) (*f2db.Result, error) {
+// fill is the miss path for an entry lookup returned without a result: it
+// serves a result another flight stored meanwhile, joins an in-progress
+// same-stamp fan-out when one exists, and otherwise runs fetch (the real
+// fan-out) as the flight leader, publishing the answer to its waiters and —
+// if no relevant write intervened — to the entry.
+func (rc *readCache) fill(key string, ent *entry, fetch func() (*f2db.Result, error)) (*f2db.Result, error) {
 	for {
-		// Sample the stamp before consulting the cache: an entry or flight
-		// is usable only if it belongs to this (or a later-sampled) world.
-		st := rc.ep.sample(parts)
 		rc.mu.Lock()
-		if el, ok := rc.items[key]; ok {
-			ent := el.Value.(*resultEntry)
-			if ent.st.equal(st) {
-				rc.ll.MoveToFront(el)
-				rc.mu.Unlock()
-				rc.met.CacheHits.Add(1)
-				return ent.res, nil
-			}
-			// A relevant write landed since the fill; drop the stale entry
-			// lazily.
-			rc.ll.Remove(el)
-			delete(rc.items, key)
-			rc.met.CacheInvalidations.Add(1)
+		st, res := rc.freshLocked(ent)
+		if res != nil {
+			rc.mu.Unlock()
+			rc.met.CacheHits.Add(1)
+			return res, nil
 		}
 		if f, ok := rc.flights[key]; ok {
-			if f.st.equal(st) {
-				rc.mu.Unlock()
+			rc.mu.Unlock()
+			if f.st == st {
 				rc.met.CacheCoalesced.Add(1)
 				<-f.done
 				return f.res, f.err
@@ -263,7 +228,6 @@ func (rc *readCache) result(key string, parts []int, fetch func() (*f2db.Result,
 			// A fan-out from an older stamp is still in flight; its answer
 			// may predate writes this query must observe. Wait it out and
 			// retry rather than racing a second flight under the same key.
-			rc.mu.Unlock()
 			<-f.done
 			continue
 		}
@@ -275,27 +239,13 @@ func (rc *readCache) result(key string, parts []int, fetch func() (*f2db.Result,
 		f.res, f.err = fetch()
 
 		rc.mu.Lock()
-		if rc.flights[key] == f {
-			delete(rc.flights, key)
-		}
-		// Fill only when no relevant write was appended during the fan-out:
-		// if one was, the shards may have answered before or after applying
-		// it, so the result is correct for this caller (a query racing a
-		// write may see either side) but must not speak for the new stamp.
-		if f.err == nil && rc.ep.sample(parts).equal(st) {
-			if el, ok := rc.items[key]; ok {
-				ent := el.Value.(*resultEntry)
-				ent.st, ent.res = st, f.res
-				rc.ll.MoveToFront(el)
-			} else {
-				if rc.ll.Len() >= int(rc.cap.Load()) {
-					if oldest := rc.ll.Back(); oldest != nil {
-						rc.ll.Remove(oldest)
-						delete(rc.items, oldest.Value.(*resultEntry).key)
-						rc.met.CacheEvictions.Add(1)
-					}
-				}
-				rc.items[key] = rc.ll.PushFront(&resultEntry{key: key, st: st, res: f.res})
+		delete(rc.flights, key)
+		if f.err == nil && rc.ep.sample(ent.parts) == st {
+			ent.st, ent.res = st, f.res
+			// Re-seat the entry: it may have been evicted during the
+			// fan-out, and a fill counts as a use.
+			if rc.tab.Put(key, ent) {
+				rc.met.CacheEvictions.Add(1)
 			}
 		}
 		rc.mu.Unlock()
@@ -304,39 +254,21 @@ func (rc *readCache) result(key string, parts []int, fetch func() (*f2db.Result,
 	}
 }
 
-// setCapacity resizes both LRUs, evicting least-recently-used entries when
-// shrinking below current occupancy. It returns the number of result
-// entries evicted (route-memo evictions are not surfaced — the memo holds
-// derived immutable data and rebuilding an entry costs one plan).
-func (rc *readCache) setCapacity(capacity int) (evicted int) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	rc.cap.Store(int64(capacity))
+// setCapacity resizes the table, evicting least-recently-used entries when
+// shrinking below current occupancy, and returns how many.
+func (rc *readCache) setCapacity(capacity int) int {
 	rc.mu.Lock()
-	for rc.ll.Len() > capacity {
-		oldest := rc.ll.Back()
-		rc.ll.Remove(oldest)
-		delete(rc.items, oldest.Value.(*resultEntry).key)
-		evicted++
-		rc.met.CacheEvictions.Add(1)
-	}
+	evicted := rc.tab.Resize(capacity)
 	rc.mu.Unlock()
-	rc.rmu.Lock()
-	for rc.rll.Len() > capacity {
-		oldest := rc.rll.Back()
-		rc.rll.Remove(oldest)
-		delete(rc.ritems, oldest.Value.(*routeEntry).key)
-	}
-	rc.rmu.Unlock()
+	rc.met.CacheEvictions.Add(int64(evicted))
 	return evicted
 }
 
-// len reports the live result-entry count (stats; stale entries linger
-// until their key is next looked up, so this is an upper bound on
-// servable entries).
+// len reports the entry count (stats). Entries whose result a write
+// overtook, or whose fetch failed, hold only a plan, so this is an upper
+// bound on servable answers.
 func (rc *readCache) len() int {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	return rc.ll.Len()
+	return rc.tab.Len()
 }

@@ -67,14 +67,41 @@ func TestNormalizeSQLSharedKeying(t *testing.T) {
 		t.Fatalf("route memo hits = %d, want 1", m.RouteMemoHits.Load())
 	}
 	if co.cache.len() != 1 {
-		t.Fatalf("result cache holds %d entries, want 1", co.cache.len())
+		t.Fatalf("read table holds %d entries, want 1", co.cache.len())
 	}
+
+	// A coordinator hit is one lock and one table lookup: it allocates
+	// nothing (the engine's plan-hit gate is in f2db's TestCachePlanReuse).
+	if n := testing.AllocsPerRun(200, func() { _, _ = co.Query(canon) }); n != 0 {
+		t.Fatalf("coordinator cached hit allocates %v times, want 0", n)
+	}
+}
+
+// Statements standing in for table keys in the readCache unit tests; each
+// is already in NormalizeSQL form, so the text is its own key.
+const (
+	qA = "SELECT time, SUM(sales) FROM facts WHERE region = 'R1'"
+	qE = "SELECT time, SUM(sales) FROM facts WHERE region = 'R2'"
+	qC = "SELECT time, SUM(sales) FROM facts WHERE product = 'P1'"
+	qK = "SELECT time, SUM(sales) FROM facts"
+)
+
+// ask drives the table the way Coordinator.Query does: lookup, then fill
+// on a miss.
+func ask(rc *readCache, p *f2db.Planner, q string, fetch func() (*f2db.Result, error)) (*f2db.Result, error) {
+	ent, res, err := rc.lookup(q, q, p)
+	if err != nil || res != nil {
+		return res, err
+	}
+	return rc.fill(q, ent, fetch)
 }
 
 // TestReadCacheResultLRU pins the result-cache state machine in isolation:
 // miss/fill/hit, epoch invalidation, error pass-through, and LRU eviction
 // at capacity.
 func TestReadCacheResultLRU(t *testing.T) {
+	g, _ := buildCube(t)
+	p := f2db.NewPlanner(g, 0)
 	var epoch atomic.Uint64
 	m := newMetrics(nil)
 	rc := newReadCache(2, &epochs{global: &epoch}, m)
@@ -87,10 +114,10 @@ func TestReadCacheResultLRU(t *testing.T) {
 	}
 	ra := &f2db.Result{Plan: "a"}
 
-	if got, _ := rc.result("a", nil, fetch(ra)); got != ra {
+	if got, _ := ask(rc, p, qA, fetch(ra)); got != ra {
 		t.Fatal("miss did not return the fetched result")
 	}
-	if got, _ := rc.result("a", nil, forbidden); got != ra {
+	if got, _ := ask(rc, p, qA, forbidden); got != ra {
 		t.Fatal("hit did not return the cached result")
 	}
 	if m.CacheMisses.Load() != 1 || m.CacheHits.Load() != 1 {
@@ -101,34 +128,34 @@ func TestReadCacheResultLRU(t *testing.T) {
 	// key refetches.
 	epoch.Add(1)
 	ra2 := &f2db.Result{Plan: "a2"}
-	if got, _ := rc.result("a", nil, fetch(ra2)); got != ra2 {
+	if got, _ := ask(rc, p, qA, fetch(ra2)); got != ra2 {
 		t.Fatal("stale entry served after epoch bump")
 	}
 	if m.CacheInvalidations.Load() != 1 {
 		t.Fatalf("invalidations = %d, want 1", m.CacheInvalidations.Load())
 	}
-	if got, _ := rc.result("a", nil, forbidden); got != ra2 {
+	if got, _ := ask(rc, p, qA, forbidden); got != ra2 {
 		t.Fatal("refilled entry not served at the new epoch")
 	}
 
 	// Errors pass through uncached.
 	boom := errors.New("boom")
-	if _, err := rc.result("e", nil, func() (*f2db.Result, error) { return nil, boom }); err != boom {
+	if _, err := ask(rc, p, qE, func() (*f2db.Result, error) { return nil, boom }); err != boom {
 		t.Fatalf("fetch error not returned: %v", err)
 	}
-	if got, _ := rc.result("e", nil, fetch(ra)); got != ra {
+	if got, _ := ask(rc, p, qE, fetch(ra)); got != ra {
 		t.Fatal("error was cached; refetch did not run")
 	}
 
 	// Capacity 2 with {a, e} resident: filling a third key evicts the LRU
 	// tail (a — e was used more recently).
-	if _, err := rc.result("c", nil, fetch(&f2db.Result{Plan: "c"})); err != nil {
+	if _, err := ask(rc, p, qC, fetch(&f2db.Result{Plan: "c"})); err != nil {
 		t.Fatal(err)
 	}
 	if m.CacheEvictions.Load() != 1 {
 		t.Fatalf("evictions = %d, want 1", m.CacheEvictions.Load())
 	}
-	if got, _ := rc.result("a", nil, fetch(ra)); got != ra {
+	if got, _ := ask(rc, p, qA, fetch(ra)); got != ra {
 		t.Fatal("evicted key did not refetch")
 	}
 	if rc.len() != 2 {
@@ -136,8 +163,11 @@ func TestReadCacheResultLRU(t *testing.T) {
 	}
 }
 
-// TestReadCacheRouteMemo pins the route memo: one plan per statement key,
-// pointer-identical on repeat, with planning errors never memoized.
+// TestReadCacheRouteMemo pins the plan half of a table entry: one plan per
+// statement key, pointer-identical on repeat, planning errors never stored
+// — and a write that overtakes the entry's result clears the result only,
+// so the re-query counts one invalidation and one memo hit and re-plans
+// nothing.
 func TestReadCacheRouteMemo(t *testing.T) {
 	g, _ := buildCube(t)
 	p := f2db.NewPlanner(g, 0)
@@ -147,16 +177,16 @@ func TestReadCacheRouteMemo(t *testing.T) {
 
 	const sql = "SELECT time, SUM(sales) FROM facts GROUP BY time, region"
 	key := f2db.NormalizeSQL(sql)
-	r1, _, err := rc.routeFor(key, sql, p)
+	e1, _, err := rc.lookup(key, sql, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _, err := rc.routeFor(key, sql, p)
+	e2, _, err := rc.lookup(key, sql, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1 != r2 {
-		t.Fatal("memoized route is not pointer-identical")
+	if e1 != e2 || e1.plan != e2.plan {
+		t.Fatal("memoized plan is not pointer-identical")
 	}
 	if m.RouteMemoHits.Load() != 1 {
 		t.Fatalf("route memo hits = %d, want 1", m.RouteMemoHits.Load())
@@ -164,18 +194,42 @@ func TestReadCacheRouteMemo(t *testing.T) {
 
 	const bad = "SELECT time, sales FROM facts WHERE planet = 'X'"
 	for i := 0; i < 2; i++ {
-		if _, _, err := rc.routeFor(f2db.NormalizeSQL(bad), bad, p); err == nil {
+		if _, _, err := rc.lookup(f2db.NormalizeSQL(bad), bad, p); err == nil {
 			t.Fatal("invalid statement routed")
 		}
 	}
-	if m.RouteMemoHits.Load() != 1 {
+	if m.RouteMemoHits.Load() != 1 || rc.len() != 1 {
 		t.Fatal("planning error was memoized")
+	}
+
+	// Fill the entry, then let a write land (an Exec's epoch bump).
+	res := &f2db.Result{Plan: "r"}
+	if got, _ := rc.fill(key, e1, func() (*f2db.Result, error) { return res, nil }); got != res {
+		t.Fatal("fill did not return the fetched result")
+	}
+	if _, got, _ := rc.lookup(key, sql, p); got != res {
+		t.Fatal("filled entry not served")
+	}
+	epoch.Add(1)
+	plan, hits := e1.plan, m.RouteMemoHits.Load()
+	e3, got, err := rc.lookup(key, sql, p)
+	if err != nil || got != nil {
+		t.Fatalf("stale result served after the write: %v, %v", got, err)
+	}
+	if e3 != e1 || e3.plan != plan {
+		t.Fatal("the write made the statement re-plan")
+	}
+	if m.CacheInvalidations.Load() != 1 || m.RouteMemoHits.Load() != hits+1 {
+		t.Fatalf("invalidations=%d memo hits=%d, want 1 and %d",
+			m.CacheInvalidations.Load(), m.RouteMemoHits.Load(), hits+1)
 	}
 }
 
 // TestReadCacheCoalesce: concurrent identical statements at one epoch
 // share a single fetch — the waiters never fan out themselves.
 func TestReadCacheCoalesce(t *testing.T) {
+	g, _ := buildCube(t)
+	p := f2db.NewPlanner(g, 0)
 	var epoch atomic.Uint64
 	m := newMetrics(nil)
 	rc := newReadCache(4, &epochs{global: &epoch}, m)
@@ -185,7 +239,7 @@ func TestReadCacheCoalesce(t *testing.T) {
 
 	leaderGot := make(chan *f2db.Result, 1)
 	go func() {
-		r, _ := rc.result("k", nil, func() (*f2db.Result, error) {
+		r, _ := ask(rc, p, qK, func() (*f2db.Result, error) {
 			fetches.Add(1)
 			<-release
 			return res, nil
@@ -195,7 +249,7 @@ func TestReadCacheCoalesce(t *testing.T) {
 	waitFor(t, "flight registered", func() bool {
 		rc.mu.Lock()
 		defer rc.mu.Unlock()
-		_, ok := rc.flights["k"]
+		_, ok := rc.flights[qK]
 		return ok
 	})
 
@@ -208,7 +262,7 @@ func TestReadCacheCoalesce(t *testing.T) {
 			defer wg.Done()
 			// A nil-safe fetch that must never run: the waiters join the
 			// leader's flight instead.
-			got[i], _ = rc.result("k", nil, func() (*f2db.Result, error) {
+			got[i], _ = ask(rc, p, qK, func() (*f2db.Result, error) {
 				t.Error("waiter fanned out instead of coalescing")
 				return nil, nil
 			})
@@ -235,6 +289,8 @@ func TestReadCacheCoalesce(t *testing.T) {
 // later arrival at the new epoch to wait the old flight out and refetch —
 // it must never be served the possibly-pre-write answer.
 func TestReadCacheStaleFlightRetry(t *testing.T) {
+	g, _ := buildCube(t)
+	p := f2db.NewPlanner(g, 0)
 	var epoch atomic.Uint64
 	m := newMetrics(nil)
 	rc := newReadCache(4, &epochs{global: &epoch}, m)
@@ -243,7 +299,7 @@ func TestReadCacheStaleFlightRetry(t *testing.T) {
 	release := make(chan struct{})
 
 	go func() {
-		_, _ = rc.result("k", nil, func() (*f2db.Result, error) {
+		_, _ = ask(rc, p, qK, func() (*f2db.Result, error) {
 			<-release
 			return old, nil
 		})
@@ -251,14 +307,14 @@ func TestReadCacheStaleFlightRetry(t *testing.T) {
 	waitFor(t, "flight registered", func() bool {
 		rc.mu.Lock()
 		defer rc.mu.Unlock()
-		_, ok := rc.flights["k"]
+		_, ok := rc.flights[qK]
 		return ok
 	})
 	epoch.Add(1) // a write lands mid-flight
 
 	done := make(chan *f2db.Result, 1)
 	go func() {
-		r, _ := rc.result("k", nil, func() (*f2db.Result, error) { return fresh, nil })
+		r, _ := ask(rc, p, qK, func() (*f2db.Result, error) { return fresh, nil })
 		done <- r
 	}()
 	time.Sleep(20 * time.Millisecond) // let the new-epoch caller park on the stale flight
@@ -271,7 +327,7 @@ func TestReadCacheStaleFlightRetry(t *testing.T) {
 	}
 	// The leader must not have filled (epoch moved); the retry did, at the
 	// new epoch.
-	got, _ := rc.result("k", nil, func() (*f2db.Result, error) {
+	got, _ := ask(rc, p, qK, func() (*f2db.Result, error) {
 		t.Fatal("refetch ran; the retry's fill is missing")
 		return nil, nil
 	})
@@ -369,6 +425,11 @@ func TestCoordCacheInvalidationWindow(t *testing.T) {
 	sameResult(t, "post-write hit", r4, w3)
 	if m.CacheHits.Load() != 2 {
 		t.Fatalf("refilled entry not served: hits=%d", m.CacheHits.Load())
+	}
+	// Every query after the first found its plan in the table — the Exec
+	// cost the statement its result, not its plan.
+	if m.RouteMemoHits.Load() != 3 {
+		t.Fatalf("route memo hits = %d, want 3", m.RouteMemoHits.Load())
 	}
 }
 

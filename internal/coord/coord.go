@@ -32,10 +32,11 @@
 // trimmed past a retention window (Options.LogRetain), and a restart
 // whose applied count falls behind the trim horizon is fenced dead.
 //
-// Reads have a statement-keyed fast path (cache.go): a result cache
-// invalidated by the write epoch, singleflight coalescing of identical
-// concurrent misses, and a route memo — hot statements skip the shard
-// fan-out entirely (Options.CacheSize, f2dbd -coord-cache).
+// Reads have a statement-keyed fast path (cache.go): one table holding
+// each statement's plan and its merged result, the result invalidated by
+// the write epoch, plus singleflight coalescing of identical concurrent
+// misses — hot statements skip planning and the shard fan-out entirely
+// (Options.CacheSize, f2dbd -coord-cache-size).
 package coord
 
 import (
@@ -87,11 +88,11 @@ type Options struct {
 	// MaxFanout caps concurrent sub-queries per drill-down statement.
 	// Default 8.
 	MaxFanout int
-	// CacheSize enables the read fast path (cache.go): an LRU of fully
-	// merged query results keyed by normalized statement text and
-	// invalidated by write epoch, with singleflight coalescing and a route
-	// memo of the same capacity. 0 disables caching entirely — every query
-	// pays the shard fan-out.
+	// CacheSize enables the read fast path (cache.go): an LRU of this many
+	// statements keyed by normalized statement text, each entry holding
+	// the statement's plan and its fully merged result, the result
+	// invalidated by write epoch, with singleflight coalescing. 0 disables
+	// caching entirely — every query pays planning and the shard fan-out.
 	CacheSize int
 	// LogRetain bounds the retained statement log: entries applied by
 	// every non-dead shard are trimmed once more than LogRetain of them
@@ -190,8 +191,8 @@ type Coordinator struct {
 	// rejections make it run ahead of the engines, which costs extra
 	// invalidation, never staleness.
 	pendingRows int
-	cond   *sync.Cond
-	log    []*logEntry
+	cond        *sync.Cond
+	log         []*logEntry
 	// trimBase is the absolute index of log[0]: trimmed entries advance
 	// it instead of renumbering, so shard cursors and Exec bookkeeping
 	// stay absolute. trimRows is the cumulative row count through the
@@ -306,9 +307,9 @@ func (c *Coordinator) SetTelemetry(t f2db.QueryTelemetry) {
 	c.tele.Store(&teleSink{t: t})
 }
 
-// SetCacheCapacity resizes the read cache's result and route LRUs,
-// evicting least-recently-used entries when shrinking. Returns the result
-// entries evicted; no-op (returning 0) when caching is disabled.
+// SetCacheCapacity resizes the read table, evicting least-recently-used
+// entries when shrinking. Returns the entries evicted; no-op (returning 0)
+// when caching is disabled.
 func (c *Coordinator) SetCacheCapacity(entries int) int {
 	if c.cache == nil {
 		return 0
@@ -620,13 +621,14 @@ func (c *Coordinator) realignLocked(inserts uint64) (int, bool) {
 // member's owner and gather the groups in member order. Rejections carry
 // the exact engine error a single process would produce.
 //
-// With Options.CacheSize set, hot statements never touch the shards: the
-// route comes from the memo and the merged result from the epoch-guarded
-// result cache, with concurrent identical misses coalesced into one
-// fan-out (cache.go).
+// With Options.CacheSize set, hot statements never touch the shards: one
+// lookup in the read table (cache.go) yields the plan and, while no
+// relevant write intervened, the merged result; concurrent identical
+// misses are coalesced into one fan-out. The uncached path below is kept
+// as the reference the twin tests compare the table against.
 func (c *Coordinator) Query(sql string) (*f2db.Result, error) {
 	if c.cache == nil {
-		route, err := c.planner.RouteQuery(sql)
+		plan, err := c.planner.RouteQuery(sql)
 		if err != nil {
 			return nil, err
 		}
@@ -634,10 +636,10 @@ func (c *Coordinator) Query(sql string) (*f2db.Result, error) {
 		if t := c.tele.Load(); t != nil {
 			t.t.ObserveTemplate(f2db.NormalizeSQL(sql))
 		}
-		return c.runRoute(route, sql)
+		return c.runPlan(plan, sql)
 	}
 	key := f2db.NormalizeSQL(sql)
-	route, parts, err := c.cache.routeFor(key, sql, c.planner)
+	ent, res, err := c.cache.lookup(key, sql, c.planner)
 	if err != nil {
 		return nil, err
 	}
@@ -645,18 +647,21 @@ func (c *Coordinator) Query(sql string) (*f2db.Result, error) {
 	if t := c.tele.Load(); t != nil {
 		t.t.ObserveTemplate(key)
 	}
-	return c.cache.result(key, parts, func() (*f2db.Result, error) {
-		return c.runRoute(route, sql)
+	if res != nil {
+		return res, nil
+	}
+	return c.cache.fill(key, ent, func() (*f2db.Result, error) {
+		return c.runPlan(ent.plan, sql)
 	})
 }
 
-// runRoute executes a planned route against the shards: the uncached
-// fan-out path, and the fetch function behind every cache miss.
-func (c *Coordinator) runRoute(route *f2db.Route, sql string) (*f2db.Result, error) {
-	if route.Explain || len(route.Nodes) == 1 {
-		return c.queryNode(route.Nodes[0], sql)
+// runPlan executes a routed plan against the shards: the uncached fan-out
+// path, and the fetch function behind every table miss.
+func (c *Coordinator) runPlan(plan *f2db.Plan, sql string) (*f2db.Result, error) {
+	if plan.Explain || len(plan.Nodes) == 1 {
+		return c.queryNode(plan.Nodes[0], sql)
 	}
-	return c.scatterGather(route)
+	return c.scatterGather(plan)
 }
 
 // scatterGather fans the per-member sub-queries out in parallel (bounded
@@ -664,8 +669,8 @@ func (c *Coordinator) runRoute(route *f2db.Route, sql string) (*f2db.Result, err
 // result shape. Merging is deterministic: groups are placed by member
 // index, and the first group supplies the convenience fields, exactly as
 // the engine's executor fills them.
-func (c *Coordinator) scatterGather(route *f2db.Route) (*f2db.Result, error) {
-	n := len(route.Nodes)
+func (c *Coordinator) scatterGather(plan *f2db.Plan) (*f2db.Result, error) {
+	n := len(plan.Nodes)
 	c.met.Fanouts.Add(1)
 	c.met.FanoutSubqueries.Add(int64(n))
 	c.met.noteFanWidth(n)
@@ -680,7 +685,7 @@ func (c *Coordinator) scatterGather(route *f2db.Route) (*f2db.Result, error) {
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			results[i], errs[i] = c.queryNode(route.Nodes[i], route.SubSQL[i])
+			results[i], errs[i] = c.queryNode(plan.Nodes[i], plan.SubSQL[i])
 		}(i)
 	}
 	wg.Wait()
@@ -698,7 +703,7 @@ func (c *Coordinator) scatterGather(route *f2db.Route) (*f2db.Result, error) {
 		out.Groups[i] = f2db.Group{
 			Node:    r.Node,
 			NodeKey: r.NodeKey,
-			Member:  route.Members[i],
+			Member:  plan.Members[i],
 			Rows:    r.Rows,
 		}
 	}

@@ -202,7 +202,54 @@ func NewAdvisor(g *cube.Graph, opts Options) (*Advisor, error) {
 // Configuration returns the advisor's current configuration. The advisor
 // may be interrupted at any time and the configuration stays valid
 // (anytime property, Section III-A).
-func (a *Advisor) Configuration() *Configuration { return a.cfg }
+//
+// Emitting it first drops every model that no scheme names as a source.
+// Such a model is left behind when the schemes that used it — its own
+// node's included — all moved to better sources: removing it changes no
+// node's error and lowers the cost, so the acceptance rule (eq. 8) always
+// favours the removal, but tryDeletion examines one victim per iteration
+// and may never reach it. An engine would carry it as a model no query
+// touches, and so never lazily re-estimates.
+func (a *Advisor) Configuration() *Configuration {
+	a.sweepUnusedModels()
+	return a.cfg
+}
+
+// sweepUnusedModels removes the models no scheme reads. While some node
+// still has no scheme (sampled runs resolve those lazily from whatever
+// models exist, Configuration.ResolveScheme) every model is a potential
+// source, so nothing is swept.
+func (a *Advisor) sweepUnusedModels() {
+	if len(a.cfg.Schemes) < a.g.NumNodes() {
+		return
+	}
+	used := make(map[int]bool, len(a.cfg.Models))
+	for _, sc := range a.cfg.Schemes {
+		for _, s := range sc.Sources {
+			used[s] = true
+		}
+	}
+	swept := false
+	for id := range a.cfg.Models {
+		if !used[id] {
+			a.removeModel(id)
+			swept = true
+		}
+	}
+	if swept {
+		a.global = indicator.Rebuild(a.g.NumNodes(), a.locals)
+	}
+}
+
+// removeModel deletes the model at id from the configuration and from the
+// advisor's per-model state. The caller rebuilds the global indicator.
+func (a *Advisor) removeModel(id int) {
+	a.cfg.CostSeconds -= a.cfg.ModelSeconds[id]
+	delete(a.cfg.ModelSeconds, id)
+	delete(a.cfg.Models, id)
+	delete(a.modelFc, id)
+	delete(a.locals, id)
+}
 
 // Alpha returns the current acceptance parameter α.
 func (a *Advisor) Alpha() float64 { return a.alpha }
@@ -852,12 +899,7 @@ func (a *Advisor) tryDeletion(negatives []int) int {
 		return 0
 	}
 
-	// Apply the removal.
-	a.cfg.CostSeconds -= a.cfg.ModelSeconds[victim]
-	delete(a.cfg.ModelSeconds, victim)
-	delete(a.cfg.Models, victim)
-	delete(a.modelFc, victim)
-	delete(a.locals, victim)
+	a.removeModel(victim)
 	a.global = indicator.Rebuild(a.g.NumNodes(), a.locals)
 	for _, ra := range reassign {
 		a.setScheme(ra.scheme, ra.err)

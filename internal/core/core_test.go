@@ -610,3 +610,37 @@ func TestAdvisorDeterministicWithFixedGamma(t *testing.T) {
 		}
 	}
 }
+
+// TestEmittedModelsAreAllSources: every model in a configuration the
+// advisor hands out is read by at least one scheme — a model whose users
+// all moved to better sources is swept, with its cost. Without the sweep
+// four of these seeds leave such a model behind.
+func TestEmittedModelsAreAllSources(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		g := seasonalCube(t, seed)
+		cfg, err := Run(g, Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		used := make(map[int]bool)
+		for _, sc := range cfg.Schemes {
+			for _, s := range sc.Sources {
+				used[s] = true
+			}
+		}
+		var cost float64
+		for id := range cfg.Models {
+			if !used[id] {
+				t.Errorf("seed %d: model at node %d (%s) is no scheme's source", seed, id, g.KeyOf(id))
+			}
+			cost += cfg.ModelSeconds[id]
+		}
+		if len(cfg.ModelSeconds) != len(cfg.Models) || math.Abs(cost-cfg.CostSeconds) > 1e-9 {
+			t.Errorf("seed %d: cost %v over %d entries does not match %d models costing %v",
+				seed, cfg.CostSeconds, len(cfg.ModelSeconds), len(cfg.Models), cost)
+		}
+	}
+}

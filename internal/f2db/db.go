@@ -40,6 +40,7 @@ import (
 	"cubefc/internal/cube"
 	"cubefc/internal/derivation"
 	"cubefc/internal/forecast"
+	"cubefc/internal/lru"
 	"cubefc/internal/optimize"
 )
 
@@ -120,9 +121,10 @@ type DB struct {
 	graph *cube.Graph
 	cfg   *core.Configuration
 
-	// StepDuration is the real-time span of one series step, used to
-	// translate "AS OF now() + '1 day'" into a forecast horizon.
-	stepDuration time.Duration
+	// planner is the statement resolver over graph (route.go). It carries
+	// the step duration — the real-time span of one series step, which
+	// translates "AS OF now() + '1 day'" into a forecast horizon.
+	planner *Planner
 
 	strategy InvalidationStrategy
 	invalid  map[int]bool
@@ -153,11 +155,14 @@ type DB struct {
 	// precomputed at Open so the read path never mutates shared state.
 	baseCounts []int
 
-	// plans is the LRU of parsed-and-resolved SQL plans (nil when
-	// disabled); fc is the epoch-guarded forecast memo table (nil when
-	// disabled). See plancache.go / fccache.go.
-	plans *planCache
-	fc    *fcCache
+	// plans is the LRU of resolved SQL plans keyed by NormalizeSQL text
+	// (nil when disabled), guarded by planMu; the stored plans are
+	// immutable, so a hit may be handed to any number of concurrent
+	// readers. fc is the epoch-guarded forecast memo table (nil when
+	// disabled, see fccache.go).
+	planMu sync.Mutex
+	plans  *lru.Cache[string, *Plan]
+	fc     *fcCache
 	// deps lists, per model node, the targets whose derivation scheme
 	// reads that model (excluding the node itself): re-estimating the
 	// model invalidates exactly these nodes' memoized forecasts.
@@ -247,26 +252,23 @@ func Open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 	if cfg.Graph != g {
 		return nil, fmt.Errorf("f2db: configuration belongs to a different graph")
 	}
-	if opts.StepDuration <= 0 {
-		opts.StepDuration = 24 * time.Hour
-	}
 	if opts.Strategy == nil {
 		opts.Strategy = Never{}
 	}
 	nstripes := resolveStripeCount(opts.Stripes)
 	db := &DB{
-		graph:        g,
-		cfg:          cfg,
-		stepDuration: opts.StepDuration,
-		strategy:     opts.Strategy,
-		invalid:      make(map[int]bool),
-		mstats:       make(map[int]*ModelStats),
-		schemes:      make(map[int]*schemeState),
-		stripes:      make([]writeStripe, nstripes),
-		stripeShift:  stripeShiftFor(nstripes),
-		parallelism:  opts.Parallelism,
-		eager:        opts.EagerReestimate,
-		coldRefit:    opts.ColdRefit,
+		graph:       g,
+		cfg:         cfg,
+		planner:     NewPlanner(g, opts.StepDuration),
+		strategy:    opts.Strategy,
+		invalid:     make(map[int]bool),
+		mstats:      make(map[int]*ModelStats),
+		schemes:     make(map[int]*schemeState),
+		stripes:     make([]writeStripe, nstripes),
+		stripeShift: stripeShiftFor(nstripes),
+		parallelism: opts.Parallelism,
+		eager:       opts.EagerReestimate,
+		coldRefit:   opts.ColdRefit,
 	}
 	if db.parallelism <= 0 {
 		db.parallelism = runtime.GOMAXPROCS(0)
@@ -306,7 +308,7 @@ func Open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 		if size == 0 {
 			size = defaultPlanCacheSize
 		}
-		db.plans = newPlanCache(size)
+		db.plans = lru.New[string, *Plan](size)
 	}
 	if opts.ForecastCacheSize >= 0 {
 		size := opts.ForecastCacheSize

@@ -741,7 +741,7 @@ func TestSnapshotPlanWarmup(t *testing.T) {
 	}
 	// Warming replayed least recently used first, so the restored LRU order
 	// matches the saved engine's exactly.
-	if got, want := db2.plans.keys(), db.plans.keys(); !reflect.DeepEqual(got, want) {
+	if got, want := db2.plans.Keys(), db.plans.Keys(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored LRU order %q, want %q", got, want)
 	}
 	before := db2.Metrics()

@@ -283,7 +283,9 @@ func (db *DB) Metrics() Metrics {
 		SnapshotWrites:     db.met.snapshotWrites.Load(),
 	}
 	if db.plans != nil {
-		m.PlanCacheSize = db.plans.len()
+		db.planMu.Lock()
+		m.PlanCacheSize = db.plans.Len()
+		db.planMu.Unlock()
 	}
 	if db.fc != nil {
 		m.ForecastCacheSize = db.fc.size()

@@ -48,12 +48,13 @@ func assertModelsCurrent(t *testing.T, db *DB) {
 // between its fit and its install. The protocol must drop the stale clone,
 // count a generation retry and install a fit of the new series instead.
 func TestReestimateGenerationConflict(t *testing.T) {
-	db, g, _ := testEngine(t, TimeBased{Every: 1})
+	db, _, cfg := testEngine(t, TimeBased{Every: 1})
+	node := cfg.ModelIDs()[0]
 	if err := db.InsertBatch(fullBatch(db, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if !db.invalid[g.TopID] {
-		t.Fatal("Every=1 should have invalidated the top model")
+	if !db.invalid[node] {
+		t.Fatal("Every=1 should have invalidated the model")
 	}
 	fired := false
 	db.testHookBeforeInstall = func() {
@@ -65,7 +66,7 @@ func TestReestimateGenerationConflict(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	if !db.reestimateNode(g.TopID) {
+	if !db.reestimateNode(node) {
 		t.Fatal("reestimateNode gave up")
 	}
 	db.testHookBeforeInstall = nil
@@ -80,13 +81,13 @@ func TestReestimateGenerationConflict(t *testing.T) {
 	if m.Reestimations != 1 {
 		t.Fatalf("reestimations = %d, want 1 (only the fresh fit installs)", m.Reestimations)
 	}
-	if db.invalid[g.TopID] {
+	if db.invalid[node] {
 		t.Fatal("model still invalid after the retried re-fit")
 	}
 	// The installed model must be the fresh fit, not the stale clone: a
 	// stale install would be one observation behind the graph.
-	if n := observationsConsumed(db.cfg.Models[g.TopID]); n >= 0 && n != db.graph.Length {
-		t.Fatalf("top model consumed %d observations, graph has %d (stale install)", n, db.graph.Length)
+	if n := observationsConsumed(db.cfg.Models[node]); n >= 0 && n != db.graph.Length {
+		t.Fatalf("model consumed %d observations, graph has %d (stale install)", n, db.graph.Length)
 	}
 }
 

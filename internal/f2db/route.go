@@ -7,13 +7,12 @@ import (
 	"cubefc/internal/cube"
 )
 
-// This file is the routing half of the Section V query processor: the
-// statement rewrite (query text → referenced graph nodes) factored out of
-// the engine so a process that holds no series data — the cluster
-// coordinator in internal/coord — can route statements to the shards that
-// do. The Planner shares the parser and the node-resolution code with
-// DB.Query, which guarantees that the node set, the member order and every
-// rejection message match what a single-process engine would produce.
+// This file is the planning half of the Section V query processor: the
+// statement rewrite (query text → referenced graph nodes), done by one
+// resolver that both tiers call. The engine executes the plan; a process
+// that holds no series data — the cluster coordinator in internal/coord —
+// routes by it. One resolver means the node set, the member order and every
+// rejection message are the same in both by construction.
 
 // Planner resolves statements against a hyper graph without an engine.
 // It is immutable after construction and safe for concurrent use.
@@ -31,80 +30,84 @@ func NewPlanner(g *cube.Graph, step time.Duration) *Planner {
 	return &Planner{g: g, step: step}
 }
 
-// Planner returns a routing planner over this engine's graph and step
-// duration — how a coordinator built from a loaded snapshot obtains one
-// without reaching into the engine.
-func (db *DB) Planner() *Planner {
-	return NewPlanner(db.graph, db.stepDuration)
-}
+// Planner returns the engine's own planner — how a coordinator built from a
+// loaded snapshot obtains one without reaching into the engine.
+func (db *DB) Planner() *Planner { return db.planner }
 
-// Route is the routing view of one SELECT: the described node per result
-// group and, for multi-node (drill-down) statements, an equivalent
-// single-node sub-statement per member whose results concatenate — in
-// member order — to the drill-down's groups.
-type Route struct {
+// Plan is a fully resolved SELECT: the parsed statement, the graph nodes
+// it describes, the grouping member per node and the forecast horizon in
+// steps. Every field is immutable once the plan is handed out, so a cached
+// plan is safe to execute or route from any number of goroutines. Planning
+// needs no engine lock: it reads only the graph structure, fixed after
+// construction. Each tier fills the one part only it uses — the engine the
+// rendered node keys, the coordinator the per-member sub-statements — so
+// neither allocates for the other.
+type Plan struct {
+	stmt *selectStmt
 	// Nodes holds the described graph node IDs, one per result group, in
-	// the exact group order DB.Query would produce.
+	// result-group order.
 	Nodes []int
 	// Members holds the grouping member per node ("" for single-node
 	// statements), parallel to Nodes.
 	Members []string
-	// SubSQL holds the per-member single-node rewrite of a drill-down
-	// statement, parallel to Nodes; nil when the statement already
-	// describes a single node (route it verbatim).
+	// SubSQL (RouteQuery only) holds the per-member single-node rewrite of
+	// a drill-down statement, parallel to Nodes; the sub-statements'
+	// results concatenate, in member order, to the drill-down's groups.
+	// nil when the statement describes a single node (route it verbatim).
 	SubSQL []string
-	// Forecast marks AS OF statements; Explain marks EXPLAIN statements
-	// (routed verbatim to the first node's owner, never scattered, so the
-	// answer matches a direct connection).
+	// Forecast marks AS OF statements.
 	Forecast bool
-	// Explain marks EXPLAIN statements.
+	// Explain marks EXPLAIN statements (routed verbatim to the first
+	// node's owner, never scattered, so the answer matches a direct
+	// connection).
 	Explain bool
+
+	horizon int      // forecast steps; 0 for historical and EXPLAIN statements
+	keys    []string // engine only: node coordinate keys, rendered once (Coord.Key is hot)
 }
 
-// RouteQuery plans a SELECT for routing. Errors match DB.Query's planning
-// errors byte-for-byte, so a coordinator rejecting a statement is
-// indistinguishable from a shard rejecting it.
-func (p *Planner) RouteQuery(sql string) (*Route, error) {
+// plan is the single resolver: parse, resolve the described nodes and
+// their members, translate the horizon. Every planning rejection in the
+// system is produced here, in this order.
+func (p *Planner) plan(sql string) (*Plan, error) {
 	stmt, err := parseQuery(sql)
 	if err != nil {
 		return nil, err
 	}
-	// Validate the horizon up front exactly like buildPlan, so malformed
-	// AS OF clauses are rejected at the coordinator instead of fanning out.
-	if stmt.horizon != "" && !stmt.explain {
-		if _, err := parseHorizonIn(p.step, stmt.horizon); err != nil {
-			return nil, err
-		}
-	}
-	r := &Route{Forecast: stmt.horizon != "" && !stmt.explain, Explain: stmt.explain}
-	if stmt.groupLevel == "" {
-		n, err := resolveNodeIn(p.g, stmt)
-		if err != nil {
-			return nil, err
-		}
-		r.Nodes, r.Members = []int{n.ID}, []string{""}
-		return r, nil
-	}
-	nodes, members, err := resolveGroupNodesIn(p.g, stmt)
-	if err != nil {
+	pl := &Plan{stmt: stmt, Explain: stmt.explain, Forecast: stmt.horizon != "" && !stmt.explain}
+	if pl.Nodes, pl.Members, err = resolveNodes(p.g, stmt); err != nil {
 		return nil, err
 	}
-	r.Nodes = make([]int, len(nodes))
-	r.Members = members
-	r.SubSQL = make([]string, len(nodes))
-	for i, n := range nodes {
-		r.Nodes[i] = n.ID
-		sub := *stmt
+	if pl.Forecast {
+		if pl.horizon, err = parseHorizonIn(p.step, stmt.horizon); err != nil {
+			return nil, err
+		}
+	}
+	return pl, nil
+}
+
+// RouteQuery plans a SELECT for routing: the resolved plan plus, for a
+// drill-down, the per-member sub-statements. It is an unmemoised planning
+// call — callers that want a statement planned once keep the plan. Errors
+// are the engine's planning errors byte-for-byte, so a coordinator
+// rejecting a statement is indistinguishable from a shard rejecting it.
+func (p *Planner) RouteQuery(sql string) (*Plan, error) {
+	pl, err := p.plan(sql)
+	if err != nil || pl.stmt.groupLevel == "" {
+		return pl, err
+	}
+	pl.SubSQL = make([]string, len(pl.Nodes))
+	for i, member := range pl.Members {
+		sub := *pl.stmt
 		// Pin the grouped dimension to this member: the drill-down's group
 		// i is exactly the single-node query with the member as an extra
-		// equality predicate (resolveGroupNodesIn matched the node the
-		// same way resolveNodeIn will).
-		sub.preds = append(append([]predicate(nil), stmt.preds...),
-			predicate{attr: stmt.groupLevel, value: members[i]})
+		// equality predicate (resolveNodes matches the node the same way).
+		sub.preds = append(append([]predicate(nil), pl.stmt.preds...),
+			predicate{attr: pl.stmt.groupLevel, value: member})
 		sub.groupLevel = ""
-		r.SubSQL[i] = sub.String()
+		pl.SubSQL[i] = sub.String()
 	}
-	return r, nil
+	return pl, nil
 }
 
 // RouteExec parses an INSERT for routing and reports its row count.

@@ -36,7 +36,9 @@ func (db *DB) SetPlanCacheCapacity(entries int) int {
 	if db.plans == nil {
 		return 0
 	}
-	evicted := db.plans.setCapacity(entries)
+	db.planMu.Lock()
+	evicted := db.plans.Resize(entries)
+	db.planMu.Unlock()
 	db.met.planEvictions.Add(int64(evicted))
 	return evicted
 }

@@ -116,7 +116,7 @@ func saveDatabaseLocked(w io.Writer, db *DB, _ guard) error {
 
 	img := dbImage{
 		Dims:         db.graph.Dims,
-		StepDuration: db.stepDuration,
+		StepDuration: db.planner.step,
 		Pending:      make(map[string]float64, len(pending)),
 		Inserts:      uint64(db.met.inserts.Load()),
 		Batches:      uint64(db.met.batches.Load()),
@@ -136,7 +136,9 @@ func saveDatabaseLocked(w io.Writer, db *DB, _ guard) error {
 		img.Pending[db.graph.Node(id).Key(db.graph.Dims)] = v
 	}
 	if db.plans != nil {
-		img.PlanTexts = db.plans.keys()
+		db.planMu.Lock()
+		img.PlanTexts = db.plans.Keys()
+		db.planMu.Unlock()
 		if len(img.PlanTexts) > planWarmupLimit {
 			img.PlanTexts = img.PlanTexts[:planWarmupLimit]
 		}

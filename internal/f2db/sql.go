@@ -248,115 +248,108 @@ func (db *DB) Query(sql string) (*Result, error) {
 	// Lazy re-estimation: re-fit the invalidated source models of the
 	// plan's nodes off the exclusive lock, then retry under it (see
 	// ForecastNode).
-	ids := make([]int, len(plan.nodes))
-	for i, n := range plan.nodes {
-		ids[i] = n.ID
-	}
-	db.reestimateMany(db.invalidSources(ids))
+	db.reestimateMany(db.invalidSources(plan.Nodes))
 	g = db.wLock()
 	defer db.unlock(g)
 	return db.execPlan(plan, g)
 }
 
-// queryPlan is a fully resolved SELECT: the parsed statement, the graph
-// nodes it describes, the grouping member per node and the forecast horizon
-// in steps. Every field is immutable after construction, so a cached plan
-// is safe to execute from any number of goroutines. Planning needs no
-// engine lock: query rewrite only reads the graph structure and the
-// configuration's scheme table, both fixed while the engine is open.
-type queryPlan struct {
-	stmt    *selectStmt
-	nodes   []*cube.Node
-	keys    []string // pre-rendered node coordinate keys (Coord.Key is hot)
-	members []string
-	horizon int // forecast steps; 0 for historical queries
+// NormalizeSQL canonicalizes a statement text for cache keying: runs of
+// whitespace collapse to single spaces so reformatting a query does not
+// defeat the cache. Case is preserved — member values are case-sensitive
+// and folding keywords only would cost more than the rare duplicate entry.
+//
+// Statements that are already in canonical form — the overwhelmingly common
+// case for programmatic clients replaying identical texts — are returned
+// as-is without allocating. The scan only inspects ASCII whitespace; a text
+// using exotic Unicode spaces merely keys separately from its collapsed
+// form, which costs a duplicate cache entry, not correctness.
+//
+// It is exported because it is the single keying function for every
+// statement table in the system: the engine's plan cache here and the
+// cluster coordinator's read table (internal/coord) key by the same
+// normalized text, so the two tiers can never disagree on whether two
+// statements are "the same".
+func NormalizeSQL(sql string) string {
+	for i := 0; i < len(sql); i++ {
+		switch sql[i] {
+		case '\t', '\n', '\v', '\f', '\r':
+			return strings.Join(strings.Fields(sql), " ")
+		case ' ':
+			if i == 0 || i == len(sql)-1 || sql[i+1] == ' ' {
+				return strings.Join(strings.Fields(sql), " ")
+			}
+		}
+	}
+	return sql
 }
 
 // planQuery returns the resolved plan for a query text, from the plan cache
 // when possible, along with the normalized cache key (the workload-template
 // identity the telemetry hook reports — computed here so the hook never
 // re-normalizes on the hot path; empty when neither the cache nor telemetry
-// needs it). Only successfully planned statements are cached; error results
-// are recomputed (they are not on the hot path).
-func (db *DB) planQuery(sql string) (*queryPlan, string, error) {
+// needs it). Parsing and node resolution dominate the SQL query cost over
+// the forecast derivation, and both depend only on immutable engine state —
+// the query text, the graph structure and the step duration — so a plan is
+// cached without any invalidation protocol. Only successfully planned
+// statements are cached; error results are recomputed (they are not on the
+// hot path).
+func (db *DB) planQuery(sql string) (*Plan, string, error) {
 	var key string
 	if db.plans != nil || db.tele.Load() != nil {
 		key = NormalizeSQL(sql)
 	}
 	if db.plans != nil {
-		if plan, ok := db.plans.get(key); ok {
+		db.planMu.Lock()
+		plan, ok := db.plans.Get(key)
+		db.planMu.Unlock()
+		if ok {
 			db.met.planHits.Add(1)
 			return plan, key, nil
 		}
 	}
-	stmt, err := parseQuery(sql)
+	plan, err := db.planner.plan(sql)
 	if err != nil {
 		return nil, "", err
 	}
-	plan, err := db.buildPlan(stmt)
-	if err != nil {
-		return nil, "", err
+	plan.keys = make([]string, len(plan.Nodes))
+	for i, id := range plan.Nodes {
+		plan.keys[i] = db.graph.KeyOf(id)
 	}
 	if db.plans != nil {
 		db.met.planMisses.Add(1)
-		if db.plans.put(key, plan) {
+		db.planMu.Lock()
+		evicted := db.plans.Put(key, plan)
+		db.planMu.Unlock()
+		if evicted {
 			db.met.planEvictions.Add(1)
 		}
 	}
 	return plan, key, nil
 }
 
-// buildPlan rewrites a parsed SELECT into its plan: the referenced node
-// set (Section V: "a query is rewritten to the referenced node of the time
-// series graph") and the horizon in steps.
-func (db *DB) buildPlan(stmt *selectStmt) (*queryPlan, error) {
-	var err error
-	plan := &queryPlan{stmt: stmt}
-	if stmt.groupLevel != "" {
-		plan.nodes, plan.members, err = resolveGroupNodesIn(db.graph, stmt)
-	} else {
-		var n *cube.Node
-		n, err = resolveNodeIn(db.graph, stmt)
-		plan.nodes, plan.members = []*cube.Node{n}, []string{""}
-	}
-	if err != nil {
-		return nil, err
-	}
-	if stmt.horizon != "" && !stmt.explain {
-		plan.horizon, err = parseHorizonIn(db.stepDuration, stmt.horizon)
-		if err != nil {
-			return nil, err
-		}
-	}
-	plan.keys = make([]string, len(plan.nodes))
-	for i, n := range plan.nodes {
-		plan.keys[i] = n.Key(db.graph.Dims)
-	}
-	return plan, nil
-}
-
 // execPlan executes a resolved plan. Locking contract as
 // forecastIntervalLocked: the guard witnesses the engine lock, and only an
 // exclusive guard may lazily re-estimate.
-func (db *DB) execPlan(plan *queryPlan, g guard) (*Result, error) {
+func (db *DB) execPlan(plan *Plan, g guard) (*Result, error) {
 	stmt := plan.stmt
-	res := &Result{Node: plan.nodes[0].ID, NodeKey: plan.keys[0]}
+	res := &Result{Node: plan.Nodes[0], NodeKey: plan.keys[0]}
 	if stmt.explain || stmt.horizon == "" {
-		res.Plan = db.explainNode(plan.nodes[0].ID)
+		res.Plan = db.explainNode(plan.Nodes[0])
 	}
 	if stmt.explain {
 		return res, nil
 	}
-	res.Forecast = stmt.horizon != ""
-	for i, n := range plan.nodes {
-		rows, err := db.buildRows(n, stmt, plan.horizon, g)
+	res.Forecast = plan.Forecast
+	for i, id := range plan.Nodes {
+		rows, err := db.buildRows(id, stmt, plan.horizon, g)
 		if err != nil {
 			return nil, err
 		}
 		res.Groups = append(res.Groups, Group{
-			Node:    n.ID,
+			Node:    id,
 			NodeKey: plan.keys[i],
-			Member:  plan.members[i],
+			Member:  plan.Members[i],
 			Rows:    rows,
 		})
 	}
@@ -381,20 +374,20 @@ func (db *DB) explainNode(id int) string {
 // historical queries, or the derived forecast (optionally with prediction
 // intervals) for AS OF queries. The AVG aggregate divides the SUM values
 // by the number of base series covered by the node.
-func (db *DB) buildRows(n *cube.Node, stmt *selectStmt, h int, g guard) ([]QueryRow, error) {
+func (db *DB) buildRows(id int, stmt *selectStmt, h int, g guard) ([]QueryRow, error) {
 	scale := 1.0
 	if stmt.agg == "avg" {
-		scale = 1 / float64(db.baseCounts[n.ID])
+		scale = 1 / float64(db.baseCounts[id])
 	}
 	if stmt.horizon == "" {
-		vals := n.Series.Values[:db.graph.Length]
+		vals := db.graph.Node(id).Series.Values[:db.graph.Length]
 		rows := make([]QueryRow, len(vals))
 		for i, v := range vals {
 			rows[i] = QueryRow{T: i, Value: v * scale}
 		}
 		return rows, nil
 	}
-	point, lo, hi, err := db.forecastIntervalLocked(g, n.ID, h, stmt.interval)
+	point, lo, hi, err := db.forecastIntervalLocked(g, id, h, stmt.interval)
 	if err != nil {
 		return nil, err
 	}
@@ -409,25 +402,30 @@ func (db *DB) buildRows(n *cube.Node, stmt *selectStmt, h int, g guard) ([]Query
 	return rows, nil
 }
 
-// resolveGroupNodesIn resolves a GROUP BY <level> query against a graph:
-// the named level must belong to a dimension not constrained in the WHERE
-// clause; one node per member value at that level is returned,
-// member-ordered. Resolution needs only the immutable graph structure — no
-// engine — so the cluster coordinator's Planner shares this exact code
-// path with the engine's query rewrite (bit-identical node sets and member
-// order are what make scatter-gather merges comparable to a single-process
-// run).
-func resolveGroupNodesIn(g *cube.Graph, stmt *selectStmt) ([]*cube.Node, []string, error) {
+// resolveNodes rewrites a parsed SELECT into the graph nodes it describes
+// (Section V: "a query is rewritten to the referenced node of the time
+// series graph") and the grouping member of each. The WHERE clause becomes
+// a graph coordinate: every predicate attribute must name a hierarchy
+// level of some dimension; unconstrained dimensions aggregate to ALL.
+// Without a GROUP BY <level> that coordinate is the one described node;
+// with it, the named level must belong to a dimension the WHERE clause
+// leaves free, and one node per member value at that level is returned,
+// member-ordered. Resolution reads only the immutable graph structure — no
+// engine, no series, and it materializes nothing on a lazy graph — which
+// is what lets a coordinator that holds no data plan with the same code.
+func resolveNodes(g *cube.Graph, stmt *selectStmt) (ids []int, members []string, err error) {
 	dims := g.Dims
 	groupDim, groupLvl := -1, -1
-	for d := range dims {
-		if lvl := dims[d].LevelIndex(stmt.groupLevel); lvl >= 0 && lvl < dims[d].AllLevel() {
-			groupDim, groupLvl = d, lvl
-			break
+	if stmt.groupLevel != "" {
+		for d := range dims {
+			if lvl := dims[d].LevelIndex(stmt.groupLevel); lvl >= 0 && lvl < dims[d].AllLevel() {
+				groupDim, groupLvl = d, lvl
+				break
+			}
 		}
-	}
-	if groupDim < 0 {
-		return nil, nil, fmt.Errorf("f2db: unknown GROUP BY attribute %q", stmt.groupLevel)
+		if groupDim < 0 {
+			return nil, nil, fmt.Errorf("f2db: unknown GROUP BY attribute %q", stmt.groupLevel)
+		}
 	}
 	coord := make(cube.Coord, len(dims))
 	bound := make([]bool, len(dims))
@@ -456,10 +454,16 @@ func resolveGroupNodesIn(g *cube.Graph, stmt *selectStmt) ([]*cube.Node, []strin
 			return nil, nil, fmt.Errorf("f2db: unknown attribute %q in WHERE clause", p.attr)
 		}
 	}
+	if groupDim < 0 {
+		key := coord.Key(dims)
+		id, ok := g.LookupID(key)
+		if !ok {
+			return nil, nil, fmt.Errorf("f2db: no time series for %s", key)
+		}
+		return []int{id}, []string{""}, nil
+	}
 	// Collect the nodes matching the pattern with the grouped dimension
 	// at the requested level.
-	var nodes []*cube.Node
-	var members []string
 	for id := 0; id < g.NumNodes(); id++ {
 		c := g.CoordOf(id)
 		if c[groupDim].Level != groupLvl {
@@ -467,75 +471,35 @@ func resolveGroupNodesIn(g *cube.Graph, stmt *selectStmt) ([]*cube.Node, []strin
 		}
 		match := true
 		for d := range dims {
-			if d == groupDim {
-				continue
-			}
-			if c[d] != coord[d] {
+			if d != groupDim && c[d] != coord[d] {
 				match = false
 				break
 			}
 		}
 		if match {
-			nodes = append(nodes, g.Node(id))
+			ids = append(ids, id)
 			members = append(members, c[groupDim].Value)
 		}
 	}
-	if len(nodes) == 0 {
+	if len(ids) == 0 {
 		return nil, nil, fmt.Errorf("f2db: no time series match GROUP BY %s", stmt.groupLevel)
 	}
-	sort.Sort(byMember{nodes, members})
-	return nodes, members, nil
+	sort.Sort(byMember{ids, members})
+	return ids, members, nil
 }
 
 // byMember sorts parallel node/member slices by member value.
 type byMember struct {
-	nodes   []*cube.Node
+	ids     []int
 	members []string
 }
 
-func (b byMember) Len() int { return len(b.nodes) }
+func (b byMember) Len() int { return len(b.ids) }
 func (b byMember) Swap(i, j int) {
-	b.nodes[i], b.nodes[j] = b.nodes[j], b.nodes[i]
+	b.ids[i], b.ids[j] = b.ids[j], b.ids[i]
 	b.members[i], b.members[j] = b.members[j], b.members[i]
 }
 func (b byMember) Less(i, j int) bool { return b.members[i] < b.members[j] }
-
-// resolveNodeIn rewrites the WHERE clause into a graph coordinate: every
-// predicate attribute must name a hierarchy level of some dimension;
-// unconstrained dimensions aggregate to ALL. Engine-free for the same
-// reason as resolveGroupNodesIn.
-func resolveNodeIn(g *cube.Graph, stmt *selectStmt) (*cube.Node, error) {
-	dims := g.Dims
-	coord := make(cube.Coord, len(dims))
-	bound := make([]bool, len(dims))
-	for d := range dims {
-		coord[d] = cube.Cell{Level: dims[d].AllLevel()}
-	}
-	for _, p := range stmt.preds {
-		found := false
-		for d := range dims {
-			lvl := dims[d].LevelIndex(p.attr)
-			if lvl < 0 || lvl >= dims[d].AllLevel() {
-				continue
-			}
-			if bound[d] {
-				return nil, fmt.Errorf("f2db: dimension %q constrained twice (attribute %q)", dims[d].Name, p.attr)
-			}
-			coord[d] = cube.Cell{Level: lvl, Value: p.value}
-			bound[d] = true
-			found = true
-			break
-		}
-		if !found {
-			return nil, fmt.Errorf("f2db: unknown attribute %q in WHERE clause", p.attr)
-		}
-	}
-	n := g.Lookup(coord)
-	if n == nil {
-		return nil, fmt.Errorf("f2db: no time series for %s", coord.Key(dims))
-	}
-	return n, nil
-}
 
 // parseHorizonIn translates an AS OF interval like "1 day" or "6 steps"
 // into a number of forecast steps using the given step duration.
