@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -10,7 +11,10 @@ import (
 	"testing/quick"
 	"time"
 
+	"cubefc/internal/core"
+	"cubefc/internal/cube"
 	"cubefc/internal/f2db"
+	"cubefc/internal/timeseries"
 )
 
 // TestNormalizeSQLSharedKeying proves both tiers key their caches with the
@@ -74,6 +78,61 @@ func TestNormalizeSQLSharedKeying(t *testing.T) {
 	// nothing (the engine's plan-hit gate is in f2db's TestCachePlanReuse).
 	if n := testing.AllocsPerRun(200, func() { _, _ = co.Query(canon) }); n != 0 {
 		t.Fatalf("coordinator cached hit allocates %v times, want 0", n)
+	}
+}
+
+// TestNormalizeSQLLiterals: two members that differ only in whitespace
+// inside the literal are two statements to the coordinator's read table —
+// each is planned, routed and answered for its own node, cached or not.
+func TestNormalizeSQLLiterals(t *testing.T) {
+	cities := []string{"New York", "New  York"}
+	dims := []cube.Dimension{cube.NewDimension("product", "product"), cube.NewDimension("city", "city")}
+	var base []cube.BaseSeries
+	for i, c := range cities {
+		vals := make([]float64, 36)
+		for j := range vals {
+			vals[j] = float64(100*(i+1)) * (1 + 0.25*math.Sin(2*math.Pi*float64(j%4)/4))
+		}
+		base = append(base, cube.BaseSeries{Members: []string{"P1", c}, Series: timeseries.New(vals, 4)})
+	}
+	g, err := cube.NewGraph(dims, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := core.Run(g, core.Options{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := f2db.Open(g, cfg, f2db.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := f2db.SaveDatabase(&buf, src); err != nil {
+		t.Fatal(err)
+	}
+	s0 := startShardOn(t, buf.Bytes(), "127.0.0.1:0")
+	defer s0.stop(t)
+	opts := testCoordOpts(t)
+	opts.CacheSize = 16
+	co, err := New(f2db.NewPlanner(g, 0), []string{s0.addr}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	for round := 0; round < 2; round++ { // the second round is served from the table
+		for _, c := range cities {
+			res, err := co.Query("SELECT time, SUM(m) FROM facts WHERE city = '" + c + "' GROUP BY time AS OF now() + '2 steps'")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := "*|city=" + c; res.NodeKey != want {
+				t.Fatalf("round %d: city %q answered for node %q", round, c, res.NodeKey)
+			}
+		}
+	}
+	if n := co.cache.len(); n != 2 {
+		t.Fatalf("read table holds %d entries, want 2", n)
 	}
 }
 

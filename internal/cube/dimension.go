@@ -99,20 +99,27 @@ type Coord []Cell
 // Key renders a canonical string key for the coordinate, used for node
 // lookup and configuration storage.
 func (c Coord) Key(dims []Dimension) string {
-	var b strings.Builder
+	var buf [64]byte
+	return string(c.AppendKey(buf[:0], dims))
+}
+
+// AppendKey appends the canonical key of the coordinate to dst and returns
+// the extended slice — Key without the string, for callers that only look
+// the key up (Graph.LookupCoord) and reuse one buffer across lookups.
+func (c Coord) AppendKey(dst []byte, dims []Dimension) []byte {
 	for i, cell := range c {
 		if i > 0 {
-			b.WriteByte('|')
+			dst = append(dst, '|')
 		}
 		if cell.Level >= dims[i].AllLevel() {
-			b.WriteByte('*')
+			dst = append(dst, '*')
 		} else {
-			b.WriteString(dims[i].Levels[cell.Level])
-			b.WriteByte('=')
-			b.WriteString(cell.Value)
+			dst = append(dst, dims[i].Levels[cell.Level]...)
+			dst = append(dst, '=')
+			dst = append(dst, cell.Value...)
 		}
 	}
-	return b.String()
+	return dst
 }
 
 // ParseKey parses a key produced by Coord.Key back into a coordinate.

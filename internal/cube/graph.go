@@ -197,9 +197,19 @@ func (g *Graph) keyIndex() map[string]int {
 	return g.index
 }
 
+// LookupCoord resolves a coordinate to its node ID without materializing
+// the node or rendering a key string: the key bytes go into buf[:0]
+// (returned for reuse, possibly grown) and probe the index directly.
+func (g *Graph) LookupCoord(coord Coord, buf []byte) (id int, ok bool, key []byte) {
+	key = coord.AppendKey(buf[:0], g.Dims)
+	id, ok = g.keyIndex()[string(key)] // no string is allocated for a map probe
+	return id, ok, key
+}
+
 // Lookup resolves a coordinate to its node, or nil if absent.
 func (g *Graph) Lookup(coord Coord) *Node {
-	id, ok := g.keyIndex()[coord.Key(g.Dims)]
+	var buf [64]byte
+	id, ok, _ := g.LookupCoord(coord, buf[:0])
 	if !ok {
 		return nil
 	}
@@ -213,13 +223,6 @@ func (g *Graph) LookupKey(key string) *Node {
 		return nil
 	}
 	return g.Node(id)
-}
-
-// LookupID resolves a canonical key to its node ID without materializing
-// the node; the second result reports whether the key exists.
-func (g *Graph) LookupID(key string) (int, bool) {
-	id, ok := g.keyIndex()[key]
-	return id, ok
 }
 
 // Top returns the all-ALL node.

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -597,36 +596,13 @@ func (db *DB) installModel(g guard, id int, m forecast.Model) {
 // graph and all models and derivation weights are updated incrementally
 // (Section V).
 func (db *DB) Insert(members []string, value float64) error {
-	id, err := db.resolveBase(members)
+	sc := getInsertScratch()
+	id, err := sc.resolveBase(db.graph, members)
+	sc.release()
 	if err != nil {
 		return err
 	}
 	return db.InsertBase(id, value)
-}
-
-// resolveBase maps finest-level member values to their base node ID. The
-// coordinate index is immutable after construction; resolution needs no
-// lock.
-func (db *DB) resolveBase(members []string) (int, error) {
-	return resolveBaseIn(db.graph, members)
-}
-
-// resolveBaseIn is resolveBase against a bare graph, shared with the
-// engine-free routing Planner so a coordinator resolves (and rejects)
-// INSERT rows byte-identically to the engine.
-func resolveBaseIn(g *cube.Graph, members []string) (int, error) {
-	coord := make(cube.Coord, len(g.Dims))
-	for d := range g.Dims {
-		if d >= len(members) {
-			return 0, fmt.Errorf("f2db: insert needs %d member values, got %d", len(g.Dims), len(members))
-		}
-		coord[d] = cube.Cell{Level: 0, Value: members[d]}
-	}
-	n := g.Lookup(coord)
-	if n == nil || !n.IsBase {
-		return 0, fmt.Errorf("f2db: unknown base series %v", members)
-	}
-	return n.ID, nil
 }
 
 // InsertBase is Insert addressed by base node ID (fast path for generated
@@ -691,7 +667,22 @@ func (db *DB) InsertBase(baseID int, value float64) (err error) {
 // in index order. A value for a base series that already has a pending
 // value in the current (incomplete) batch is a duplicate error, exactly as
 // with InsertBase; values applied before the error sticks remain pending.
-func (db *DB) InsertBatch(values map[int]float64) (err error) {
+func (db *DB) InsertBatch(values map[int]float64) error {
+	rows := make([]baseRow, 0, len(values))
+	for id, v := range values {
+		if !db.graph.IsBase(id) {
+			return fmt.Errorf("f2db: InsertBatch: %d is not a base node", id)
+		}
+		rows = append(rows, baseRow{id, v})
+	}
+	sortRows(rows, db.stripeShift)
+	return db.insertSorted(rows)
+}
+
+// insertSorted is the body of InsertBatch and of a multi-row SQL INSERT:
+// rows are distinct base nodes in sortRows order, so each stripe's rows are
+// one contiguous run and a single pass locks every stripe once.
+func (db *DB) insertSorted(rows []baseRow) (err error) {
 	start := time.Now()
 	applied := 0
 	defer func() {
@@ -699,54 +690,39 @@ func (db *DB) InsertBatch(values map[int]float64) (err error) {
 		db.met.batchInserts.Add(1)
 		db.met.maintainNanos.Add(time.Since(start).Nanoseconds())
 	}()
-	groups := make([][]int, len(db.stripes))
-	for id := range values {
-		if !db.graph.IsBase(id) {
-			return fmt.Errorf("f2db: InsertBatch: %d is not a base node", id)
-		}
-		si := stripeIndex(id, db.stripeShift)
-		groups[si] = append(groups[si], id)
-	}
 	numBases := int64(len(db.graph.BaseIDs))
-	for si, group := range groups {
-		if len(group) == 0 {
-			continue
+	for i := 0; i < len(rows); {
+		s := db.stripeFor(rows[i].id)
+		gen := db.advanceGen.Load()
+		dupID := -1
+		s.lock()
+		for ; i < len(rows) && db.stripeFor(rows[i].id) == s; i++ {
+			r := rows[i]
+			if _, dup := s.pending[r.id]; dup {
+				dupID = r.id
+				break
+			}
+			s.pending[r.id] = r.value
+			s.depth.Add(1)
+			db.pendingTotal.Add(1)
+			applied++
 		}
-		sort.Ints(group)
-		s := &db.stripes[si]
-		i := 0
-		for i < len(group) {
-			gen := db.advanceGen.Load()
-			dupID := -1
-			s.lock()
-			for i < len(group) {
-				id := group[i]
-				if _, dup := s.pending[id]; dup {
-					dupID = id
-					break
-				}
-				s.pending[id] = values[id]
-				s.depth.Add(1)
-				db.pendingTotal.Add(1)
-				applied++
-				i++
+		s.mu.Unlock()
+		// >=, not ==: while an advance is mid-sweep, racing next-batch
+		// inserts into already-swept stripes can push the counter past
+		// numBases transiently; exact equality would skip the help-advance.
+		if db.pendingTotal.Load() >= numBases {
+			// Either this call completed the batch, or it ran into its
+			// own earlier value re-offered against an already-complete
+			// batch another inserter has not applied yet: apply (or
+			// help apply) the advance, then continue.
+			if err := db.advanceIfComplete(); err != nil {
+				return err
 			}
-			s.mu.Unlock()
-			// >=, not ==: while an advance is mid-sweep, racing next-batch
-			// inserts into already-swept stripes can push the counter past
-			// numBases transiently; exact equality would skip the help-advance.
-			if db.pendingTotal.Load() >= numBases {
-				// Either this call completed the batch, or it ran into its
-				// own earlier value re-offered against an already-complete
-				// batch another inserter has not applied yet: apply (or
-				// help apply) the advance, then continue.
-				if err := db.advanceIfComplete(); err != nil {
-					return err
-				}
-			}
-			if dupID >= 0 && db.advanceGen.Load() == gen {
-				return fmt.Errorf("f2db: duplicate insert for base node %d in current batch", dupID)
-			}
+		}
+		// A duplicate left i on its row: if the batch advanced, re-offer it.
+		if dupID >= 0 && db.advanceGen.Load() == gen {
+			return fmt.Errorf("f2db: duplicate insert for base node %d in current batch", dupID)
 		}
 	}
 	return nil

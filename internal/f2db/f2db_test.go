@@ -433,15 +433,25 @@ func TestLoadConfigurationGarbage(t *testing.T) {
 }
 
 func TestLexerEdgeCases(t *testing.T) {
-	if _, err := lex("SELECT 'unterminated"); err == nil {
+	kinds := func(src string) (out []tokenKind, err error) {
+		l := lexer{src: src}
+		for {
+			t := l.next()
+			out = append(out, t.kind)
+			if t.kind == tokEOF || t.kind == tokErr {
+				return out, l.err
+			}
+		}
+	}
+	if _, err := kinds("SELECT 'unterminated"); err == nil {
 		t.Fatal("unterminated string should fail")
 	}
-	if _, err := lex("SELECT ???"); err == nil {
+	if _, err := kinds("SELECT ???"); err == nil {
 		t.Fatal("unknown character should fail")
 	}
-	toks, err := lex("a = 'b'")
-	if err != nil || len(toks) != 4 { // ident, punct, string, EOF
-		t.Fatalf("lex = %v, %v", toks, err)
+	got, err := kinds("a = 'b'")
+	if want := []tokenKind{tokIdent, tokPunct, tokString, tokEOF}; err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("lex = %v, %v", got, err)
 	}
 }
 

@@ -2,8 +2,11 @@ package f2db
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -54,6 +57,71 @@ func FuzzParseSQL(f *testing.F) {
 	})
 }
 
+// insertStmt is an INSERT statement collected whole: the target table and
+// one or more (members..., measure) rows. The engine never builds one — it
+// streams rows off the insertScanner — but FuzzParseInsert's round-trip
+// through the canonical renderer below needs the statement in hand.
+type insertStmt struct {
+	table string
+	rows  []insertRow
+}
+
+type insertRow struct {
+	members []string
+	value   float64
+}
+
+// String renders the statement back into the dialect in canonical form:
+// parsing the rendered text yields an identical statement (the round-trip
+// property FuzzParseInsert checks). Measures render with FormatFloat 'f' —
+// never scientific notation, whose '+'/'-' the lexer's ident token cannot
+// re-lex — and a +Inf measure (reachable through ParseFloat accepting the
+// ident "Inf") renders as "Inf" for the same reason.
+func (s *insertStmt) String() string {
+	var b strings.Builder
+	b.WriteString("INSERT INTO ")
+	b.WriteString(s.table)
+	b.WriteString(" VALUES ")
+	for i, row := range s.rows {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString("(")
+		for _, m := range row.members {
+			b.WriteString("'")
+			b.WriteString(m)
+			b.WriteString("', ")
+		}
+		if math.IsInf(row.value, 1) {
+			b.WriteString("Inf")
+		} else {
+			b.WriteString(strconv.FormatFloat(row.value, 'f', -1, 64))
+		}
+		b.WriteString(")")
+	}
+	return b.String()
+}
+
+// parseInsert collects the rows the insertScanner yields into an
+// insertStmt. Purely syntactic: member values are not resolved.
+func parseInsert(sql string) (*insertStmt, error) {
+	var sc insertScanner
+	if err := sc.open(sql); err != nil {
+		return nil, err
+	}
+	stmt := &insertStmt{table: sc.table}
+	for {
+		ok, err := sc.row()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return stmt, nil
+		}
+		stmt.rows = append(stmt.rows, insertRow{members: append([]string(nil), sc.members...), value: sc.value})
+	}
+}
+
 // insertStmtsEqual compares parsed INSERT statements with NaN treated as
 // equal to itself: "NaN" is a lexable ident that ParseFloat accepts, so a
 // NaN measure must round-trip even though NaN != NaN.
@@ -73,14 +141,24 @@ func insertStmtsEqual(a, b *insertStmt) bool {
 	return true
 }
 
-// FuzzParseInsert is the INSERT-path twin of FuzzParseSQL: the parser never
-// panics, and accepted statements round-trip through the canonical renderer
-// (insertStmt.String) to an identical statement and a fixed-point rendering.
+// FuzzParseInsert is the INSERT-path twin of FuzzParseSQL, and the
+// differential fuzz of the INSERT pipeline against its oracle
+// (insert_oracle_test.go). Properties: the scanner never panics; accepted
+// statements round-trip through the canonical renderer (insertStmt.String)
+// to an identical statement and a fixed-point rendering; and on ASCII input
+// (the oracle reads UTF-8 as Latin-1) the pipeline agrees with the oracle —
+// same statement or both reject, same (baseID, value) sequence against the
+// test cube or both reject, and the same error text wherever the two report
+// in the same order: the oracle let a lexical error anywhere outrank every
+// other defect and found repeated rows before later defects, so texts are
+// compared when it lexed cleanly and did not stop at a repeated row.
 // Corpus under testdata/fuzz/FuzzParseInsert.
 func FuzzParseInsert(f *testing.F) {
 	seeds := []string{
 		"INSERT INTO facts VALUES ('holiday', 'NSW', 123.4)",
 		"INSERT INTO facts VALUES ('P1', 'C1', 1), ('P1', 'C2', 2.5), ('P2', 'C1', 0.125)",
+		"INSERT INTO facts VALUES ('P1', 'C1', 1), ('P2', 'C3', Inf), ('P1', 'C1', NaN)",
+		"INSERT INTO facts VALUES ('P1', 'C9', 1), ('P1' 'C1', ?)",
 		"insert into facts values ('a', 0)",
 		"INSERT INTO facts VALUES (42)",
 		"INSERT INTO facts VALUES ('m', NaN)",
@@ -91,14 +169,28 @@ func FuzzParseInsert(f *testing.F) {
 		"INSERT INTO facts VALUES ('a', 1),",
 		"INSERT INTO facts VALUES",
 		"INSERT INTO facts VALUES ('a', 1) trailing",
+		"INSERT INTO città VALUES ('Zürich', 1)",
 		"SELECT time FROM facts",
 		"",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	_, g, _ := testEngine(f, nil)
 	f.Fuzz(func(t *testing.T, sql string) {
 		stmt, err := parseInsert(sql) // must not panic
+		if isASCII(sql) {
+			want, werr := oracleParseInsert(sql)
+			if (err == nil) != (werr == nil) || err == nil && !insertStmtsEqual(stmt, want) {
+				t.Fatalf("%q:\n  oracle:  %+v, %v\n  scanner: %+v, %v", sql, want, werr, stmt, err)
+			}
+			_, lexErr := oracleLex(sql)
+			if err != nil && lexErr == nil && err.Error() != werr.Error() {
+				t.Fatalf("%q:\n  oracle says  %q\n  scanner says %q", sql, werr, err)
+			}
+			_, rerr := oracleRows(g, sql)
+			checkInsertTwin(t, g, sql, werr == nil && !strings.HasPrefix(fmt.Sprint(rerr), "f2db: duplicate row"))
+		}
 		if err != nil {
 			return
 		}
@@ -115,6 +207,15 @@ func FuzzParseInsert(f *testing.F) {
 			t.Fatalf("canonical form not a fixed point: %q -> %q", rendered, again)
 		}
 	})
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzLoadDatabase feeds arbitrary bytes to the snapshot decoder. The only

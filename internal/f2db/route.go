@@ -110,50 +110,26 @@ func (p *Planner) RouteQuery(sql string) (*Plan, error) {
 	return pl, nil
 }
 
-// RouteExec parses an INSERT for routing and reports its row count.
-// Coordinators use the count to realign a restarted shard's replay cursor
-// against the engine's applied-insert counter (wire.Info.Inserts counts
-// accepted rows, so cursor boundaries fall on cumulative row counts).
-func (p *Planner) RouteExec(sql string) (rows int, err error) {
-	stmt, err := parseInsert(sql)
-	if err != nil {
-		return 0, err
-	}
-	return len(stmt.rows), nil
-}
-
-// RouteExecNodes is RouteExec plus full row resolution: it maps every row
-// to its base node ID (in statement order) using the same resolution code
-// and the same checking order as the engine's Exec, so any statement the
-// engine would reject at resolution time is rejected here with the
-// byte-identical error. Coordinators use the node IDs to attribute an
-// INSERT to write partitions before logging it.
+// RouteExecNodes resolves an INSERT for routing — its row count and every
+// row's base node ID, in statement order — through the engine's own INSERT
+// pipeline (insert.go), so any statement the engine would reject is rejected
+// here with the byte-identical error. Coordinators realign a restarted
+// shard's replay cursor by the row count (wire.Info.Inserts counts accepted
+// rows) and attribute the INSERT to write partitions by the node IDs.
 func (p *Planner) RouteExecNodes(sql string) (rows int, bases []int, err error) {
-	stmt, err := parseInsert(sql)
-	if err != nil {
+	sc := getInsertScratch()
+	defer sc.release()
+	if err := sc.resolve(p.g, sql); err != nil {
 		return 0, nil, err
 	}
-	if len(stmt.rows) == 1 {
-		id, err := resolveBaseIn(p.g, stmt.rows[0].members)
-		if err != nil {
-			return 0, nil, err
-		}
-		return 1, []int{id}, nil
+	bases = make([]int, len(sc.rows))
+	for i, r := range sc.rows {
+		bases[i] = r.id
 	}
-	bases = make([]int, 0, len(stmt.rows))
-	seen := make(map[int]bool, len(stmt.rows))
-	for _, row := range stmt.rows {
-		id, err := resolveBaseIn(p.g, row.members)
-		if err != nil {
-			return 0, nil, err
-		}
-		if seen[id] {
-			return 0, nil, fmt.Errorf("f2db: duplicate row for base series %v in INSERT", row.members)
-		}
-		seen[id] = true
-		bases = append(bases, id)
+	if err := sc.rejectDuplicates(p.g, 0); err != nil {
+		return 0, nil, err
 	}
-	return len(stmt.rows), bases, nil
+	return len(bases), bases, nil
 }
 
 // NumBaseSeries reports the graph's base-series count — the number of rows

@@ -114,15 +114,31 @@ func TestRouteErrorsMatchEngine(t *testing.T) {
 	}
 }
 
-// TestRouteExecRowCount: INSERT row counts drive replay-cursor alignment.
-func TestRouteExecRowCount(t *testing.T) {
-	_, g, _ := testEngine(t, nil)
+// TestRouteExecNodes: INSERT row counts drive replay-cursor alignment and
+// the base IDs, in statement order, drive partition attribution; every
+// rejection carries the engine's own text.
+func TestRouteExecNodes(t *testing.T) {
+	db, g, _ := testEngine(t, nil)
 	p := NewPlanner(g, 0)
-	n, err := p.RouteExec("INSERT INTO facts VALUES ('P1', 'C1', 10), ('P1', 'C2', 11), ('P2', 'C1', 12)")
+	n, bases, err := p.RouteExecNodes("INSERT INTO facts VALUES ('P2', 'C1', 12), ('P1', 'C2', 11), ('P1', 'C1', 10)")
 	if err != nil || n != 3 {
-		t.Fatalf("RouteExec: n=%d err=%v", n, err)
+		t.Fatalf("RouteExecNodes: n=%d err=%v", n, err)
 	}
-	if _, err := p.RouteExec("INSERT INTO facts VALUES ()"); err == nil {
-		t.Fatal("malformed INSERT accepted")
+	for i, key := range []string{"product=P2|city=C1", "product=P1|city=C2", "product=P1|city=C1"} {
+		if want := g.LookupKey(key).ID; bases[i] != want {
+			t.Fatalf("row %d routed to node %d, want %d (%s)", i, bases[i], want, key)
+		}
+	}
+	for _, q := range []string{
+		"INSERT INTO facts VALUES ()",
+		"INSERT INTO facts VALUES ('P1', 'C9', 1)",
+		"INSERT INTO facts VALUES ('P1', 1)",
+		"INSERT INTO facts VALUES ('P1', 'C1', 1), ('P2', 'C1', 2), ('P1', 'C1', 3)",
+	} {
+		_, _, rerr := p.RouteExecNodes(q)
+		eerr := db.Exec(q)
+		if rerr == nil || eerr == nil || rerr.Error() != eerr.Error() {
+			t.Fatalf("%s: route says %v, engine says %v", q, rerr, eerr)
+		}
 	}
 }

@@ -2,12 +2,12 @@ package f2db
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 	"unicode"
+	"unicode/utf8"
 
 	"cubefc/internal/cube"
 )
@@ -69,154 +69,23 @@ type Result struct {
 //	INSERT INTO facts VALUES ('<member1>', ..., <measure>)[, (...), ...]
 //
 // with one member value per dimension in schema order. Inserts are batched
-// by the maintenance processor (Section V); a multi-row INSERT takes the
-// batched write path (InsertBatch), which routes the rows to their write
-// stripes and locks each stripe once for the whole statement instead of
-// once per row.
+// by the maintenance processor (Section V). The whole statement is scanned
+// and resolved (insert.go) before any row reaches a write stripe, so a
+// malformed, unknown or repeated row rejects it whole; a multi-row INSERT
+// then locks each stripe once for the statement instead of once per row.
 func (db *DB) Exec(sql string) error {
-	stmt, err := parseInsert(sql)
-	if err != nil {
+	sc := getInsertScratch()
+	defer sc.release()
+	if err := sc.resolve(db.graph, sql); err != nil {
 		return err
 	}
-	if len(stmt.rows) == 1 {
-		return db.Insert(stmt.rows[0].members, stmt.rows[0].value)
+	if len(sc.rows) == 1 {
+		return db.InsertBase(sc.rows[0].id, sc.rows[0].value)
 	}
-	// Multi-row statement: resolve every row to its base node up front so a
-	// malformed row rejects the whole statement, then batch-insert.
-	values := make(map[int]float64, len(stmt.rows))
-	for _, row := range stmt.rows {
-		id, err := db.resolveBase(row.members)
-		if err != nil {
-			return err
-		}
-		if _, dup := values[id]; dup {
-			return fmt.Errorf("f2db: duplicate row for base series %v in INSERT", row.members)
-		}
-		values[id] = row.value
+	if err := sc.rejectDuplicates(db.graph, db.stripeShift); err != nil {
+		return err
 	}
-	return db.InsertBatch(values)
-}
-
-// insertStmt is a parsed INSERT statement: the target table and one or more
-// (members..., measure) rows. Parsing is purely syntactic — member values
-// are resolved against the graph by Exec, not here.
-type insertStmt struct {
-	table string
-	rows  []insertRow
-}
-
-type insertRow struct {
-	members []string
-	value   float64
-}
-
-// String renders the statement back into the dialect in canonical form:
-// parsing the rendered text yields an identical statement (the round-trip
-// property FuzzParseInsert checks). Measures render with FormatFloat 'f' —
-// never scientific notation, whose '+'/'-' the lexer's ident token cannot
-// re-lex — and a +Inf measure (reachable through ParseFloat accepting the
-// ident "Inf") renders as "Inf" for the same reason.
-func (s *insertStmt) String() string {
-	var b strings.Builder
-	b.WriteString("INSERT INTO ")
-	b.WriteString(s.table)
-	b.WriteString(" VALUES ")
-	for i, row := range s.rows {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString("(")
-		for _, m := range row.members {
-			b.WriteString("'")
-			b.WriteString(m)
-			b.WriteString("', ")
-		}
-		if math.IsInf(row.value, 1) {
-			b.WriteString("Inf")
-		} else {
-			b.WriteString(strconv.FormatFloat(row.value, 'f', -1, 64))
-		}
-		b.WriteString(")")
-	}
-	return b.String()
-}
-
-// parseInsert parses an INSERT statement:
-//
-//	INSERT INTO <table> VALUES ('<member1>', ..., <measure>)[, (...), ...]
-//
-// Each row lists one member value per dimension (checked by Exec, not the
-// parser) followed by exactly one numeric measure.
-func parseInsert(sql string) (*insertStmt, error) {
-	toks, err := lex(sql)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	if err := p.expectKw("insert"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKw("into"); err != nil {
-		return nil, err
-	}
-	tbl := p.next()
-	if tbl.kind != tokIdent {
-		return nil, fmt.Errorf("f2db: expected table name, got %q", tbl.text)
-	}
-	if err := p.expectKw("values"); err != nil {
-		return nil, err
-	}
-	stmt := &insertStmt{table: tbl.text}
-	for {
-		if err := p.expectPunct("("); err != nil {
-			return nil, err
-		}
-		var row insertRow
-		haveValue := false
-		for {
-			t := p.next()
-			switch t.kind {
-			case tokString:
-				if haveValue {
-					return nil, fmt.Errorf("f2db: member value %q after measure", t.text)
-				}
-				row.members = append(row.members, t.text)
-			case tokIdent:
-				if haveValue {
-					return nil, fmt.Errorf("f2db: second measure %q in row", t.text)
-				}
-				v, err := strconv.ParseFloat(t.text, 64)
-				if err != nil {
-					return nil, fmt.Errorf("f2db: expected numeric measure, got %q", t.text)
-				}
-				row.value = v
-				haveValue = true
-			default:
-				return nil, fmt.Errorf("f2db: unexpected token %q in VALUES", t.text)
-			}
-			if p.peek().kind == tokPunct && p.peek().text == "," {
-				p.next()
-				continue
-			}
-			break
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		if !haveValue {
-			return nil, fmt.Errorf("f2db: INSERT misses the measure value")
-		}
-		stmt.rows = append(stmt.rows, row)
-		if p.peek().kind == tokPunct && p.peek().text == "," {
-			p.next()
-			continue
-		}
-		break
-	}
-	if p.peek().kind != tokEOF {
-		return nil, fmt.Errorf("f2db: trailing input %q", p.peek().text)
-	}
-	return stmt, nil
+	return db.insertSorted(sc.rows)
 }
 
 // Query parses and executes a (forecast) query. Queries constrained to one
@@ -255,15 +124,18 @@ func (db *DB) Query(sql string) (*Result, error) {
 }
 
 // NormalizeSQL canonicalizes a statement text for cache keying: runs of
-// whitespace collapse to single spaces so reformatting a query does not
-// defeat the cache. Case is preserved — member values are case-sensitive
-// and folding keywords only would cost more than the rare duplicate entry.
+// whitespace between tokens collapse to single spaces so reformatting a
+// query does not defeat the cache. String literals are copied verbatim, by
+// the lexer's own rule (literalEnd): 'New  York' and 'New York' are two
+// members, and the normalized text is itself executed (self-tuning
+// pre-warm), so it must mean what the original meant. Case is preserved —
+// member values are case-sensitive and folding keywords only would cost
+// more than the rare duplicate entry.
 //
-// Statements that are already in canonical form — the overwhelmingly common
-// case for programmatic clients replaying identical texts — are returned
-// as-is without allocating. The scan only inspects ASCII whitespace; a text
-// using exotic Unicode spaces merely keys separately from its collapsed
-// form, which costs a duplicate cache entry, not correctness.
+// Statements already in canonical form — the overwhelmingly common case for
+// programmatic clients replaying identical texts — are returned as-is
+// without allocating. Only ASCII whitespace is collapsed; exotic Unicode
+// spaces merely key separately, a duplicate cache entry, not an error.
 //
 // It is exported because it is the single keying function for every
 // statement table in the system: the engine's plan cache here and the
@@ -273,15 +145,52 @@ func (db *DB) Query(sql string) (*Result, error) {
 func NormalizeSQL(sql string) string {
 	for i := 0; i < len(sql); i++ {
 		switch sql[i] {
+		case '\'':
+			end := literalEnd(sql, i)
+			if end < 0 {
+				return sql // unterminated: no statement, nothing to key
+			}
+			i = end
 		case '\t', '\n', '\v', '\f', '\r':
-			return strings.Join(strings.Fields(sql), " ")
+			return collapseSpace(sql)
 		case ' ':
 			if i == 0 || i == len(sql)-1 || sql[i+1] == ' ' {
-				return strings.Join(strings.Fields(sql), " ")
+				return collapseSpace(sql)
 			}
 		}
 	}
 	return sql
+}
+
+// collapseSpace is NormalizeSQL's slow path: one space between tokens, none
+// at either end, every literal untouched.
+func collapseSpace(sql string) string {
+	var b strings.Builder
+	b.Grow(len(sql))
+	gap := false // whitespace seen since the last byte written
+	for i := 0; i < len(sql); i++ {
+		c := sql[i]
+		switch c {
+		case ' ', '\t', '\n', '\v', '\f', '\r':
+			gap = b.Len() > 0
+			continue
+		}
+		if gap {
+			b.WriteByte(' ')
+			gap = false
+		}
+		if c != '\'' {
+			b.WriteByte(c)
+			continue
+		}
+		end := literalEnd(sql, i)
+		if end < 0 {
+			end = len(sql) - 1
+		}
+		b.WriteString(sql[i : end+1])
+		i = end
+	}
+	return b.String()
 }
 
 // planQuery returns the resolved plan for a query text, from the plan cache
@@ -455,10 +364,10 @@ func resolveNodes(g *cube.Graph, stmt *selectStmt) (ids []int, members []string,
 		}
 	}
 	if groupDim < 0 {
-		key := coord.Key(dims)
-		id, ok := g.LookupID(key)
+		var buf [64]byte
+		id, ok, _ := g.LookupCoord(coord, buf[:0])
 		if !ok {
-			return nil, nil, fmt.Errorf("f2db: no time series for %s", key)
+			return nil, nil, fmt.Errorf("f2db: no time series for %s", coord.Key(dims))
 		}
 		return []int{id}, []string{""}, nil
 	}
@@ -626,79 +535,129 @@ const (
 	tokString
 	tokPunct
 	tokEOF
+	tokErr // malformed input; lexer.err says what
 )
 
-func lex(s string) ([]token, error) {
-	var out []token
-	i := 0
-	for i < len(s) {
-		c := rune(s[i])
+// lexer is the dialect's one tokenizer, under the query parser and the
+// INSERT scanner alike: a cursor over the statement text with one token of
+// look-ahead. Tokens are substrings; nothing is materialized. A token is
+// scanned only when the parser first looks at it, so a statement with
+// several defects reports the first in text order, lexical or not.
+type lexer struct {
+	src   string
+	pos   int   // offset of the first unscanned byte
+	tok   token // the look-ahead token, valid while ahead
+	ahead bool
+	err   error // the lexical error behind a tokErr token
+}
+
+func (l *lexer) peek() token {
+	if !l.ahead {
+		l.tok, l.ahead = l.scan(), true
+	}
+	return l.tok
+}
+
+func (l *lexer) next() token {
+	t := l.peek()
+	l.ahead = false
+	return t
+}
+
+// literalEnd returns the offset of the quote closing the literal that opens
+// at s[i], or -1. The dialect has no escape: a literal runs to the next
+// quote byte (which never occurs inside a multi-byte UTF-8 sequence).
+func literalEnd(s string, i int) int {
+	j := strings.IndexByte(s[i+1:], '\'')
+	if j < 0 {
+		return -1
+	}
+	return i + 1 + j
+}
+
+func isIdentRune(c rune) bool {
+	return unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_' || c == '.'
+}
+
+// scan reads the token at l.pos, decoding UTF-8 outside literals: names and
+// bare members may be non-ASCII, a stray symbol is reported as its rune.
+func (l *lexer) scan() token {
+	s := l.src
+	for l.pos < len(s) {
+		i := l.pos
+		c, w := utf8.DecodeRuneInString(s[i:])
 		switch {
 		case unicode.IsSpace(c):
-			i++
+			l.pos += w
 		case c == '\'':
-			j := i + 1
-			for j < len(s) && s[j] != '\'' {
-				j++
+			end := literalEnd(s, i)
+			if end < 0 {
+				l.err = fmt.Errorf("f2db: unterminated string literal at offset %d", i)
+				return token{kind: tokErr}
 			}
-			if j >= len(s) {
-				return nil, fmt.Errorf("f2db: unterminated string literal at offset %d", i)
-			}
-			out = append(out, token{tokString, s[i+1 : j]})
-			i = j + 1
+			l.pos = end + 1
+			return token{tokString, s[i+1 : end]}
 		case c == ',' || c == '(' || c == ')' || c == '=' || c == '+' || c == '*':
-			out = append(out, token{tokPunct, string(c)})
-			i++
-		case unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_' || c == '.':
-			j := i
-			for j < len(s) && (unicode.IsLetter(rune(s[j])) || unicode.IsDigit(rune(s[j])) || s[j] == '_' || s[j] == '.') {
-				j++
+			l.pos++
+			return token{tokPunct, s[i : i+1]}
+		case isIdentRune(c):
+			j := i + w
+			for j < len(s) {
+				c, w = utf8.DecodeRuneInString(s[j:])
+				if !isIdentRune(c) {
+					break
+				}
+				j += w
 			}
-			out = append(out, token{tokIdent, s[i:j]})
-			i = j
+			l.pos = j
+			return token{tokIdent, s[i:j]}
 		default:
-			return nil, fmt.Errorf("f2db: unexpected character %q at offset %d", c, i)
+			l.err = fmt.Errorf("f2db: unexpected character %q at offset %d", c, i)
+			return token{kind: tokErr}
 		}
 	}
-	out = append(out, token{tokEOF, ""})
-	return out, nil
+	return token{kind: tokEOF}
 }
 
-type parser struct {
-	toks []token
-	pos  int
+// errorf builds a parse error about the token just examined: the lexical
+// error if that token is a tokErr, which no production accepts.
+func (l *lexer) errorf(format string, args ...any) error {
+	if l.err != nil {
+		return l.err
+	}
+	return fmt.Errorf(format, args...)
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
-func (p *parser) isKw(kw string) bool {
-	t := p.peek()
+func (l *lexer) isPunct(ch string) bool {
+	t := l.peek()
+	return t.kind == tokPunct && t.text == ch
+}
+
+func (l *lexer) isKw(kw string) bool {
+	t := l.peek()
 	return t.kind == tokIdent && strings.EqualFold(t.text, kw)
 }
-func (p *parser) expectKw(kw string) error {
-	if !p.isKw(kw) {
-		return fmt.Errorf("f2db: expected %s, got %q", strings.ToUpper(kw), p.peek().text)
+
+func (l *lexer) expectKw(kw string) error {
+	if !l.isKw(kw) {
+		return l.errorf("f2db: expected %s, got %q", strings.ToUpper(kw), l.peek().text)
 	}
-	p.next()
+	l.next()
 	return nil
 }
-func (p *parser) expectPunct(ch string) error {
-	t := p.peek()
-	if t.kind != tokPunct || t.text != ch {
-		return fmt.Errorf("f2db: expected %q, got %q", ch, t.text)
+
+func (l *lexer) expectPunct(ch string) error {
+	if !l.isPunct(ch) {
+		return l.errorf("f2db: expected %q, got %q", ch, l.peek().text)
 	}
-	p.next()
+	l.next()
 	return nil
 }
 
 // parseQuery parses an optional EXPLAIN prefix followed by a SELECT with
 // the AS OF extension.
 func parseQuery(sql string) (*selectStmt, error) {
-	toks, err := lex(sql)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := &lexer{src: sql}
 	stmt := &selectStmt{}
 	if p.isKw("explain") {
 		p.next()
@@ -715,11 +674,11 @@ func parseQuery(sql string) (*selectStmt, error) {
 			stmt.columns = append(stmt.columns, "*")
 		case t.kind == tokIdent:
 			col := t.text
-			if p.peek().kind == tokPunct && p.peek().text == "(" {
+			if p.isPunct("(") {
 				p.next()
 				inner := p.next()
 				if inner.kind != tokIdent {
-					return nil, fmt.Errorf("f2db: expected column inside %s(...)", col)
+					return nil, p.errorf("f2db: expected column inside %s(...)", col)
 				}
 				if err := p.expectPunct(")"); err != nil {
 					return nil, err
@@ -730,15 +689,15 @@ func parseQuery(sql string) (*selectStmt, error) {
 				case "avg":
 					stmt.agg = "avg"
 				default:
-					return nil, fmt.Errorf("f2db: unsupported aggregate %q (SUM and AVG)", col)
+					return nil, p.errorf("f2db: unsupported aggregate %q (SUM and AVG)", col)
 				}
 				col = strings.ToUpper(col) + "(" + inner.text + ")"
 			}
 			stmt.columns = append(stmt.columns, col)
 		default:
-			return nil, fmt.Errorf("f2db: unexpected token %q in select list", t.text)
+			return nil, p.errorf("f2db: unexpected token %q in select list", t.text)
 		}
-		if p.peek().kind == tokPunct && p.peek().text == "," {
+		if p.isPunct(",") {
 			p.next()
 			continue
 		}
@@ -749,7 +708,7 @@ func parseQuery(sql string) (*selectStmt, error) {
 	}
 	tbl := p.next()
 	if tbl.kind != tokIdent {
-		return nil, fmt.Errorf("f2db: expected table name, got %q", tbl.text)
+		return nil, p.errorf("f2db: expected table name, got %q", tbl.text)
 	}
 	stmt.table = tbl.text
 
@@ -758,14 +717,14 @@ func parseQuery(sql string) (*selectStmt, error) {
 		for {
 			attr := p.next()
 			if attr.kind != tokIdent {
-				return nil, fmt.Errorf("f2db: expected attribute in WHERE, got %q", attr.text)
+				return nil, p.errorf("f2db: expected attribute in WHERE, got %q", attr.text)
 			}
 			if err := p.expectPunct("="); err != nil {
 				return nil, err
 			}
 			val := p.next()
 			if val.kind != tokString && val.kind != tokIdent {
-				return nil, fmt.Errorf("f2db: expected value for %s, got %q", attr.text, val.text)
+				return nil, p.errorf("f2db: expected value for %s, got %q", attr.text, val.text)
 			}
 			stmt.preds = append(stmt.preds, predicate{attr: attr.text, value: val.text})
 			if p.isKw("and") {
@@ -784,16 +743,16 @@ func parseQuery(sql string) (*selectStmt, error) {
 		for {
 			col := p.next()
 			if col.kind != tokIdent {
-				return nil, fmt.Errorf("f2db: expected column in GROUP BY, got %q", col.text)
+				return nil, p.errorf("f2db: expected column in GROUP BY, got %q", col.text)
 			}
 			if strings.EqualFold(col.text, "time") {
 				stmt.groupBy = true
 			} else if stmt.groupLevel == "" {
 				stmt.groupLevel = col.text
 			} else {
-				return nil, fmt.Errorf("f2db: at most one non-time GROUP BY attribute is supported, got %q and %q", stmt.groupLevel, col.text)
+				return nil, p.errorf("f2db: at most one non-time GROUP BY attribute is supported, got %q and %q", stmt.groupLevel, col.text)
 			}
-			if p.peek().kind == tokPunct && p.peek().text == "," {
+			if p.isPunct(",") {
 				p.next()
 				continue
 			}
@@ -820,7 +779,7 @@ func parseQuery(sql string) (*selectStmt, error) {
 		}
 		iv := p.next()
 		if iv.kind != tokString {
-			return nil, fmt.Errorf("f2db: expected interval literal after now() +, got %q", iv.text)
+			return nil, p.errorf("f2db: expected interval literal after now() +, got %q", iv.text)
 		}
 		stmt.horizon = iv.text
 	}
@@ -831,16 +790,16 @@ func parseQuery(sql string) (*selectStmt, error) {
 		}
 		lvl := p.next()
 		if lvl.kind != tokIdent {
-			return nil, fmt.Errorf("f2db: expected confidence level after WITH INTERVAL, got %q", lvl.text)
+			return nil, p.errorf("f2db: expected confidence level after WITH INTERVAL, got %q", lvl.text)
 		}
 		v, err := strconv.ParseFloat(lvl.text, 64)
 		if err != nil || v <= 0 || v >= 100 {
-			return nil, fmt.Errorf("f2db: WITH INTERVAL wants a percentage in (0, 100), got %q", lvl.text)
+			return nil, p.errorf("f2db: WITH INTERVAL wants a percentage in (0, 100), got %q", lvl.text)
 		}
 		stmt.interval = v
 	}
 	if p.peek().kind != tokEOF {
-		return nil, fmt.Errorf("f2db: trailing input %q", p.peek().text)
+		return nil, p.errorf("f2db: trailing input %q", p.peek().text)
 	}
 	return stmt, nil
 }
