@@ -493,8 +493,11 @@ func TestCoordCacheInvalidationWindow(t *testing.T) {
 }
 
 // TestCoordCacheQuickInterleavings drives random Exec/Query interleavings
-// (testing/quick picks the seeds) through a cached coordinator and the
-// single-process twin in lockstep; every query answer must stay bit-exact.
+// (testing/quick draws the seeds from a fixed source, so every run replays
+// the same four — drawn from the clock, about one run in 1 200 met no hit
+// or no invalidation and failed the final assertion) through a cached
+// coordinator and the single-process twin in lockstep; every query answer
+// must stay bit-exact.
 func TestCoordCacheQuickInterleavings(t *testing.T) {
 	g, data := buildCube(t)
 	twin := loadEngine(t, data, -1)
@@ -519,6 +522,7 @@ func TestCoordCacheQuickInterleavings(t *testing.T) {
 	}
 	val := 0
 	property := func(seed int64) bool {
+		t.Logf("interleaving seed %d", seed)
 		rng := rand.New(rand.NewSource(seed))
 		for op := 0; op < 12; op++ {
 			if rng.Intn(3) == 0 {
@@ -545,7 +549,7 @@ func TestCoordCacheQuickInterleavings(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 4}); err != nil {
+	if err := quick.Check(property, &quick.Config{MaxCount: 4, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 	m := co.Metrics()

@@ -4,6 +4,14 @@
 // connection arrive strictly in request order, so a FIFO of waiting calls
 // per connection suffices — no request IDs), and transparently reconnects.
 //
+// I/O: each connection writes through one buffered writer and flushes only
+// when no other sender is already waiting for its turn, so a burst of
+// concurrent requests leaves in one write; its read loop reads through one
+// buffered reader into one reusable frame buffer and decodes each response
+// before reading the next, so nothing a caller receives aliases that
+// buffer. In-flight call records (signal channel, timer) are recycled on a
+// per-connection free list rather than allocated per request.
+//
 // Retry policy: every request gets 1+Retries attempts, separated by
 // jittered exponential backoff. Failures where provably zero bytes of the
 // request reached the wire — a failed dial, a connection already known
@@ -12,7 +20,10 @@
 // (Query, Ping, Stats, Info) are retried; Exec (INSERT) is not, because a
 // duplicate insert into the same batch is an engine error and the first
 // attempt may have applied. Server errors (wire.ServerError) are never
-// retried — the server answered.
+// retried — the server answered. A statement too large for one frame
+// fails with wire.ErrFrameTooLarge before any connection is involved: it
+// is not a transport failure, not retryable, and counts against no one's
+// health.
 //
 // Health tracking: consecutive transport failures beyond
 // Options.SickThreshold put the address in a cooldown during which slots
@@ -185,66 +196,36 @@ func (c *Client) Close() error {
 
 // Query executes a SELECT (idempotent; retried on reconnect).
 func (c *Client) Query(sql string) (*f2db.Result, error) {
-	t, payload, err := c.do(wire.TQuery, []byte(sql), true)
-	if err != nil {
-		return nil, err
-	}
-	if t != wire.TResult {
-		return nil, fmt.Errorf("fclient: unexpected %v response to QUERY", t)
-	}
-	return wire.DecodeResult(payload)
+	rp, err := c.do(wire.TQuery, sql, true, wire.TResult)
+	return rp.res, err
 }
 
 // Exec executes an INSERT. Not idempotent: it is retried only on failures
 // where provably nothing was sent (failed dials), never once the frame may
 // have reached the server.
 func (c *Client) Exec(sql string) error {
-	t, _, err := c.do(wire.TExec, []byte(sql), false)
-	if err != nil {
-		return err
-	}
-	if t != wire.TOK {
-		return fmt.Errorf("fclient: unexpected %v response to EXEC", t)
-	}
-	return nil
+	_, err := c.do(wire.TExec, sql, false, wire.TOK)
+	return err
 }
 
 // Ping round-trips a liveness probe (idempotent; retried on reconnect).
 func (c *Client) Ping() error {
-	t, _, err := c.do(wire.TPing, nil, true)
-	if err != nil {
-		return err
-	}
-	if t != wire.TPong {
-		return fmt.Errorf("fclient: unexpected %v response to PING", t)
-	}
-	return nil
+	_, err := c.do(wire.TPing, "", true, wire.TPong)
+	return err
 }
 
 // Stats fetches the server's engine-counter rendering (idempotent).
 func (c *Client) Stats() (string, error) {
-	t, payload, err := c.do(wire.TStats, nil, true)
-	if err != nil {
-		return "", err
-	}
-	if t != wire.TStatsText {
-		return "", fmt.Errorf("fclient: unexpected %v response to STATS", t)
-	}
-	return string(payload), nil
+	rp, err := c.do(wire.TStats, "", true, wire.TStatsText)
+	return rp.text, err
 }
 
 // Info fetches the server's identity snapshot: its start nonce and applied
 // insert/batch counters (idempotent). Cluster coordinators use it to tell
 // a restarted server from a network blip.
 func (c *Client) Info() (wire.Info, error) {
-	t, payload, err := c.do(wire.TInfo, nil, true)
-	if err != nil {
-		return wire.Info{}, err
-	}
-	if t != wire.TInfoData {
-		return wire.Info{}, fmt.Errorf("fclient: unexpected %v response to INFO", t)
-	}
-	return wire.DecodeInfo(payload)
+	rp, err := c.do(wire.TInfo, "", true, wire.TInfoData)
+	return rp.info, err
 }
 
 // Healthy reports whether the address is outside its sick cooldown (new
@@ -283,16 +264,22 @@ func (c *Client) backoff(a int) {
 // do runs one request with pooling, pipelining, backoff and retries. Every
 // request gets 1+Retries attempts; an attempt that fails after the frame
 // may have been written stops a non-idempotent request immediately (see
-// the package doc).
-func (c *Client) do(t wire.Type, payload []byte, idempotent bool) (wire.Type, []byte, error) {
+// the package doc). want is the response type that answers t; anything else
+// the server sends back is an error.
+func (c *Client) do(t wire.Type, sql string, idempotent bool, want wire.Type) (reply, error) {
 	if c.closed.Load() {
-		return 0, nil, ErrClosed
+		return reply{}, ErrClosed
+	}
+	if 1+len(sql) > wire.MaxFrame {
+		// Checked before a connection is picked: writing would fail without
+		// sending a byte, and must not take the pool down with it.
+		return reply{}, wire.ErrFrameTooLarge
 	}
 	attempts := 1 + c.opts.Retries
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if c.closed.Load() {
-			return 0, nil, ErrClosed
+			return reply{}, ErrClosed
 		}
 		if a > 0 {
 			c.backoff(a)
@@ -301,7 +288,7 @@ func (c *Client) do(t wire.Type, payload []byte, idempotent bool) (wire.Type, []
 		cn, err := sl.get(c)
 		if err != nil {
 			if errors.Is(err, ErrClosed) {
-				return 0, nil, ErrClosed
+				return reply{}, ErrClosed
 			}
 			if !errors.Is(err, ErrUnhealthy) {
 				// A refused redial during cooldown is not new evidence
@@ -313,19 +300,15 @@ func (c *Client) do(t wire.Type, payload []byte, idempotent bool) (wire.Type, []
 			lastErr = err
 			continue
 		}
-		rt, rp, sent, err := cn.roundtrip(t, payload, c.opts.RequestTimeout)
+		rp, sent, err := cn.roundtrip(t, sql, c.opts.RequestTimeout)
 		if err == nil {
 			c.noteSuccess()
-			if rt == wire.TError {
-				se, derr := wire.DecodeError(rp)
-				if derr != nil {
-					return 0, nil, derr
-				}
-				// The server processed the request: a retry would re-run
-				// it, so surface the error even for idempotent calls.
-				return 0, nil, se
+			// A server error means the server processed the request: a
+			// retry would re-run it, so surface it even for idempotent calls.
+			if rp.err == nil && rp.t != want {
+				rp.err = fmt.Errorf("fclient: unexpected %v response to %v", rp.t, t)
 			}
-			return rt, rp, nil
+			return rp, rp.err
 		}
 		// Transport failure: this connection is unusable; drop it so the
 		// next acquisition redials.
@@ -335,10 +318,10 @@ func (c *Client) do(t wire.Type, payload []byte, idempotent bool) (wire.Type, []
 		if sent && !idempotent {
 			// The frame may have reached the server; a duplicate INSERT is
 			// an engine error, so surface instead of retrying.
-			return 0, nil, err
+			return reply{}, err
 		}
 	}
-	return 0, nil, lastErr
+	return reply{}, lastErr
 }
 
 // get returns the slot's live connection, dialing a fresh one if the slot
@@ -385,20 +368,38 @@ func (sl *slot) discard(cn *conn) {
 type conn struct {
 	nc      net.Conn
 	bw      *bufio.Writer
-	wmu     sync.Mutex // serializes frame writes and FIFO enqueues
-	pending chan *call // FIFO of calls awaiting responses
+	wmu     sync.Mutex   // serializes frame writes and FIFO enqueues
+	waiting atomic.Int32 // senders queued on wmu: the last of them flushes for all
+	pending chan *call   // FIFO of calls awaiting responses
+	// free recycles call records. At most maxPipeline calls are in flight,
+	// so a free list of that size never turns one away for long.
+	free    chan *call
 	dead    atomic.Bool
 	failOne sync.Once
 	errMu   sync.Mutex
 	err     error
 }
 
-// call is one in-flight request.
+// reply is a response decoded on the read loop, while the frame buffer
+// still holds it.
+type reply struct {
+	t    wire.Type
+	res  *f2db.Result // TResult
+	text string       // TStatsText
+	info wire.Info    // TInfoData
+	// err is the server's answer when that answer is an error (a decoded
+	// TError), or a payload that failed to decode. Either way the server
+	// answered: it is not a transport failure.
+	err error
+}
+
+// call is one in-flight request. A call is signalled exactly once per use
+// — by the read loop or by fail, whichever takes it off the FIFO.
 type call struct {
-	done    chan struct{}
-	t       wire.Type
-	payload []byte
-	err     error
+	sig   chan struct{} // cap 1
+	timer *time.Timer
+	rp    reply
+	err   error // transport failure
 }
 
 func newConn(nc net.Conn) *conn {
@@ -406,8 +407,9 @@ func newConn(nc net.Conn) *conn {
 		nc:      nc,
 		bw:      bufio.NewWriter(nc),
 		pending: make(chan *call, maxPipeline),
+		free:    make(chan *call, maxPipeline),
 	}
-	go c.readLoop()
+	go c.readLoop(wire.NewReader(nc))
 	return c
 }
 
@@ -416,55 +418,79 @@ func newConn(nc net.Conn) *conn {
 // with sent == false (connection already dead, pipeline full) provably put
 // zero bytes on the wire and are safe to retry even for non-idempotent
 // requests.
-func (c *conn) roundtrip(t wire.Type, payload []byte, timeout time.Duration) (_ wire.Type, _ []byte, sent bool, _ error) {
-	ca := &call{done: make(chan struct{})}
+func (c *conn) roundtrip(t wire.Type, sql string, timeout time.Duration) (_ reply, sent bool, _ error) {
+	var ca *call
+	select {
+	case ca = <-c.free:
+	default:
+		ca = &call{sig: make(chan struct{}, 1), timer: time.NewTimer(time.Hour)}
+		ca.timer.Stop()
+	}
+	c.waiting.Add(1)
 	c.wmu.Lock()
+	c.waiting.Add(-1)
 	if c.dead.Load() {
 		c.wmu.Unlock()
-		return 0, nil, false, c.lastErr()
+		return reply{}, false, c.lastErr()
 	}
+	var err error
 	select {
 	case c.pending <- ca:
+		// From here the frame write is attempted: even a write error may
+		// have put a partial frame on the wire.
+		sent = true
+		err = wire.WriteFrameString(c.bw, t, sql)
 	default:
-		c.wmu.Unlock()
-		return 0, nil, false, fmt.Errorf("%w: pipeline full (%d in flight)", errConnBroken, maxPipeline)
 	}
-	// From here the frame write is attempted: even a write error may have
-	// put a partial frame on the wire.
-	err := wire.WriteFrame(c.bw, t, payload)
-	if err == nil {
+	// Flush unless another sender is already queued on wmu: it will write
+	// its frame behind ours and flush both (on every path through here,
+	// this one included), so a burst of senders costs one write. A lone
+	// sender sees nobody waiting and flushes at once.
+	if err == nil && c.waiting.Load() == 0 {
 		err = c.bw.Flush()
 	}
 	c.wmu.Unlock()
 	if err != nil {
-		// The write failed with the call already enqueued; kill the
-		// connection so the read loop fails the FIFO (including ours) and
-		// no later response can be matched to the wrong call.
+		// The write failed with calls enqueued; kill the connection so the
+		// read loop fails the FIFO (including ours) and no later response
+		// can be matched to the wrong call.
 		c.fail(fmt.Errorf("%w: write: %w", errConnBroken, err))
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	if !sent {
+		return reply{}, false, fmt.Errorf("%w: pipeline full (%d in flight)", errConnBroken, maxPipeline)
+	}
+	ca.timer.Reset(timeout)
 	select {
-	case <-ca.done:
-		return ca.t, ca.payload, true, ca.err
-	case <-timer.C:
+	case <-ca.sig:
+		// go.mod predates Go 1.23's timer channels: drain a timer that
+		// fired as the response arrived, or its stale tick fails the
+		// call's next use.
+		if !ca.timer.Stop() {
+			<-ca.timer.C
+		}
+	case <-ca.timer.C:
 		// A pipelined connection that lost one response cannot be reused:
 		// every later response would shift onto the wrong call. Poison it
-		// and wait for the read loop to fail our call deterministically.
+		// and wait for the read loop to fail our call deterministically
+		// (or to deliver the response that arrived in the closing race).
 		c.fail(fmt.Errorf("%w: request timed out after %v", errConnBroken, timeout))
-		<-ca.done
-		if ca.err != nil {
-			return 0, nil, true, ca.err
-		}
-		// The response arrived in the closing race; use it.
-		return ca.t, ca.payload, true, nil
+		<-ca.sig
 	}
+	rp, err := ca.rp, ca.err
+	ca.rp, ca.err = reply{}, nil
+	select {
+	case c.free <- ca:
+	default:
+	}
+	return rp, true, err
 }
 
-// readLoop matches response frames to the call FIFO.
-func (c *conn) readLoop() {
+// readLoop matches response frames to the call FIFO. Each response is
+// decoded here, before the next ReadFrame reuses the buffer it sits in.
+func (c *conn) readLoop(fr *wire.Reader) {
+	var buf []byte
 	for {
-		t, payload, err := wire.ReadFrame(c.nc)
+		t, payload, err := fr.ReadFrame(buf)
 		if err != nil {
 			c.fail(fmt.Errorf("%w: read: %w", errConnBroken, err))
 			return
@@ -475,13 +501,33 @@ func (c *conn) readLoop() {
 		}
 		select {
 		case ca := <-c.pending:
-			ca.t, ca.payload = t, payload
-			close(ca.done)
+			ca.rp = decodeReply(t, payload)
+			ca.sig <- struct{}{}
 		default:
 			c.fail(fmt.Errorf("%w: unsolicited response %v", errConnBroken, t))
 			return
 		}
+		buf = wire.Scratch(payload)
 	}
+}
+
+// decodeReply turns a response frame into values that do not alias payload.
+func decodeReply(t wire.Type, payload []byte) reply {
+	rp := reply{t: t}
+	switch t {
+	case wire.TResult:
+		rp.res, rp.err = wire.DecodeResult(payload)
+	case wire.TStatsText:
+		rp.text = string(payload)
+	case wire.TInfoData:
+		rp.info, rp.err = wire.DecodeInfo(payload)
+	case wire.TError:
+		se, err := wire.DecodeError(payload)
+		if rp.err = err; err == nil {
+			rp.err = se
+		}
+	}
+	return rp
 }
 
 // fail marks the connection dead, closes it and fails every call still in
@@ -501,7 +547,7 @@ func (c *conn) fail(err error) {
 			select {
 			case ca := <-c.pending:
 				ca.err = err
-				close(ca.done)
+				ca.sig <- struct{}{}
 			default:
 				c.wmu.Unlock()
 				return
@@ -520,9 +566,10 @@ func (c *conn) lastErr() error {
 }
 
 // IsRetryable reports whether err is a transport-level failure (as opposed
-// to a server-processed wire.ServerError) — useful for callers layering
-// their own retry policies over Exec.
+// to a server-processed wire.ServerError, or a statement no frame can carry)
+// — useful for callers layering their own retry policies over Exec.
 func IsRetryable(err error) bool {
 	var se *wire.ServerError
-	return err != nil && !errors.As(err, &se) && !errors.Is(err, ErrClosed)
+	return err != nil && !errors.As(err, &se) && !errors.Is(err, ErrClosed) &&
+		!errors.Is(err, wire.ErrFrameTooLarge)
 }

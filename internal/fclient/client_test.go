@@ -1,9 +1,11 @@
 package fclient
 
 import (
+	"bufio"
 	"errors"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,10 +22,11 @@ type fakeServer struct {
 	ln      net.Listener
 	handler func(nc net.Conn, typ wire.Type, payload []byte) bool
 
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
-	open  atomic.Int32
-	wg    sync.WaitGroup
+	mu       sync.Mutex
+	conns    map[net.Conn]struct{}
+	open     atomic.Int32
+	accepted atomic.Int32
+	wg       sync.WaitGroup
 }
 
 // pongHandler answers every request like a healthy server: PONG for PING,
@@ -31,15 +34,22 @@ type fakeServer struct {
 func pongHandler(nc net.Conn, typ wire.Type, payload []byte) bool {
 	switch typ {
 	case wire.TPing:
-		_ = wire.WriteFrame(nc, wire.TPong, payload)
+		writeFrame(nc, wire.TPong, payload)
 	case wire.TExec:
-		_ = wire.WriteFrame(nc, wire.TOK, nil)
+		writeFrame(nc, wire.TOK, nil)
 	case wire.TStats:
-		_ = wire.WriteFrame(nc, wire.TStatsText, []byte("ok"))
+		writeFrame(nc, wire.TStatsText, []byte("ok"))
 	default:
-		_ = wire.WriteFrame(nc, wire.TError, wire.AppendError(nil, wire.CodeBadRequest, "unexpected"))
+		writeFrame(nc, wire.TError, wire.AppendError(nil, wire.CodeBadRequest, "unexpected"))
 	}
 	return true
+}
+
+// writeFrame sends one frame at once, as the fake peers' handlers expect.
+func writeFrame(nc net.Conn, typ wire.Type, payload []byte) {
+	bw := bufio.NewWriter(nc)
+	_ = wire.WriteFrame(bw, typ, payload)
+	_ = bw.Flush()
 }
 
 // startFake serves on addr ("" for an ephemeral port) with the handler.
@@ -71,6 +81,7 @@ func startFakeOn(t *testing.T, ln net.Listener, handler func(net.Conn, wire.Type
 			s.conns[nc] = struct{}{}
 			s.mu.Unlock()
 			s.open.Add(1)
+			s.accepted.Add(1)
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
@@ -81,8 +92,9 @@ func startFakeOn(t *testing.T, ln net.Listener, handler func(net.Conn, wire.Type
 					s.mu.Unlock()
 					s.open.Add(-1)
 				}()
+				fr := wire.NewReader(nc)
 				for {
-					typ, payload, err := wire.ReadFrame(nc)
+					typ, payload, err := fr.ReadFrame(nil)
 					if err != nil {
 						return
 					}
@@ -147,7 +159,7 @@ func deadAddr(t *testing.T) string {
 // exit instead of leaking both.
 func TestDialFailureReleasesResources(t *testing.T) {
 	srv := startFake(t, "", func(nc net.Conn, typ wire.Type, payload []byte) bool {
-		_ = wire.WriteFrame(nc, wire.TError, wire.AppendError(nil, wire.CodeShutdown, "server draining"))
+		writeFrame(nc, wire.TError, wire.AppendError(nil, wire.CodeShutdown, "server draining"))
 		return true
 	})
 	before := runtime.NumGoroutine()
@@ -375,4 +387,115 @@ func TestHealthCooldown(t *testing.T) {
 		t.Fatal("success did not clear health state")
 	}
 	_ = c.Close()
+}
+
+// TestOversizedFrame pins the oversized-statement bug: a statement no frame
+// can carry used to be discovered by the frame writer after the call was
+// enqueued, which failed the connection (and every call in flight on it),
+// was classified retryable, and killed a second connection on the retry.
+// It must instead fail alone, before any connection is involved.
+func TestOversizedFrame(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	srv := startFake(t, "", func(nc net.Conn, typ wire.Type, payload []byte) bool {
+		if typ == wire.TStats { // the in-flight call: held until released
+			once.Do(func() { close(entered) })
+			<-release
+		}
+		return pongHandler(nc, typ, payload)
+	})
+	c, err := Dial(srv.addr(), Options{PoolSize: 1, Retries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	accepted := srv.accepted.Load()
+
+	inFlight := make(chan error, 1)
+	go func() {
+		_, err := c.Stats()
+		inFlight <- err
+	}()
+	<-entered
+
+	huge := strings.Repeat("x", 17<<20)
+	if _, err := c.Query(huge); err != wire.ErrFrameTooLarge {
+		t.Fatalf("oversized Query: got %v, want wire.ErrFrameTooLarge unwrapped", err)
+	}
+	err = c.Exec(huge)
+	if err != wire.ErrFrameTooLarge {
+		t.Fatalf("oversized Exec: got %v, want wire.ErrFrameTooLarge unwrapped", err)
+	}
+	if IsRetryable(err) {
+		t.Fatal("an oversized statement is classified retryable")
+	}
+	if got := c.fails.Load(); got != 0 || !c.Healthy() {
+		t.Fatalf("oversized statement counted against the address: fails=%d", got)
+	}
+
+	close(release)
+	if err := <-inFlight; err != nil {
+		t.Fatalf("call in flight on the same connection died: %v", err)
+	}
+	// The largest statement a frame can carry still goes through (the fake
+	// answers QUERY with a server error, which is an answer).
+	var se *wire.ServerError
+	if _, err := c.Query(huge[:wire.MaxFrame-1]); !errors.As(err, &se) {
+		t.Fatalf("largest legal statement: %v", err)
+	}
+	if got := srv.accepted.Load(); got != accepted {
+		t.Fatalf("server accepted %d connections, want %d: the oversized statement cost a connection", got, accepted)
+	}
+}
+
+// TestFlushOnEveryPath pins the coalesced-flush invariant: a sender that
+// leaves its flush to one queued behind it must get flushed even when that
+// successor writes nothing (here: it finds the pipeline full).
+func TestFlushOnEveryPath(t *testing.T) {
+	seen := make(chan string, 1)
+	srv := startFake(t, "", func(nc net.Conn, typ wire.Type, payload []byte) bool {
+		if typ == wire.TExec {
+			seen <- string(payload)
+		}
+		return true // never answers: the calls below are failed by Close
+	})
+	nc, err := net.Dial("tcp", srv.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cn := newConn(nc)
+	defer cn.fail(ErrClosed)
+	// Fill the pipeline to one below its bound with placeholder calls.
+	for i := 0; i < maxPipeline-1; i++ {
+		cn.pending <- &call{sig: make(chan struct{}, 1)}
+	}
+	// A writes while another sender appears to be queued on wmu, so it
+	// leaves the flush to that sender.
+	cn.waiting.Add(1)
+	go cn.roundtrip(wire.TExec, "A", time.Minute)
+	waitFor(t, "A's frame to be buffered", func() bool {
+		cn.wmu.Lock()
+		defer cn.wmu.Unlock()
+		return cn.bw.Buffered() > 0
+	})
+	select {
+	case got := <-seen:
+		t.Fatalf("frame %q flushed although a sender was queued", got)
+	case <-time.After(50 * time.Millisecond):
+	}
+	// The queued sender arrives, finds the pipeline full and sends nothing
+	// — but must still flush what A left behind.
+	cn.waiting.Add(-1)
+	if _, sent, err := cn.roundtrip(wire.TExec, "B", time.Minute); err == nil || sent {
+		t.Fatalf("B: sent=%v err=%v, want an unsent pipeline-full failure", sent, err)
+	}
+	select {
+	case got := <-seen:
+		if got != "A" {
+			t.Fatalf("server saw %q, want A", got)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("A's frame was never flushed")
+	}
 }

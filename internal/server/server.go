@@ -5,15 +5,20 @@
 // analogue of that server process).
 //
 // Connection model: one goroutine per accepted connection, reading frames
-// sequentially and answering them strictly in order (which is what lets
-// clients pipeline). The accept loop holds a counting semaphore, so at
-// most Options.MaxConns connections are ever live — excess dials queue in
-// the listen backlog instead of exhausting server memory. Slow or stalled
+// sequentially through one buffered reader and answering them strictly in
+// order (which is what lets clients pipeline) through one buffered writer,
+// flushed only when no further request is already in hand — a pipelined
+// burst is answered in one write. The accept loop holds a counting
+// semaphore, so at most Options.MaxConns connections are ever live — excess
+// dials queue in the listen backlog instead of exhausting server memory. Slow or stalled
 // clients are bounded on both directions: reads carry an idle deadline,
 // writes a write deadline. Each request is additionally bounded by a
-// per-request timeout enforced by a watchdog — the engine call keeps
-// running (engine APIs are synchronous and cannot be aborted) but the
-// client gets a CodeTimeout error in-order instead of an unbounded stall.
+// per-request timeout: the engine call runs on the connection's worker
+// goroutine while the connection goroutine waits on it and on one reusable
+// timer. On expiry the engine call keeps running (engine APIs are
+// synchronous and cannot be aborted) but the client gets a CodeTimeout
+// error in-order instead of an unbounded stall, and the connection moves on
+// with a fresh worker and fresh buffers.
 //
 // Shutdown is drain-then-close: Shutdown stops the accept loop, lets every
 // in-flight request (one whose frame was fully read) complete and be
@@ -24,6 +29,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	crand "crypto/rand"
 	"encoding/binary"
@@ -151,8 +157,8 @@ type Server struct {
 	// request is in-flight for drain purposes. Tests use it to hold a
 	// request in-flight across a Shutdown; always nil in production.
 	testHookBeforeHandle func(t wire.Type)
-	// testHookInProcess, when non-nil, runs inside the watchdog-supervised
-	// processing goroutine. Tests use it to stall a request past
+	// testHookInProcess, when non-nil, runs on the connection's worker
+	// goroutine. Tests use it to stall a request past
 	// RequestTimeout; always nil in production.
 	testHookInProcess func(t wire.Type)
 }
@@ -267,7 +273,9 @@ func (s *Server) ListenAndServe(addr string) error {
 // CodeShutdown error frame and closes it.
 func (s *Server) refuse(nc net.Conn) {
 	_ = nc.SetWriteDeadline(time.Now().Add(s.opts.DrainGrace))
-	_ = wire.WriteFrame(nc, wire.TError, wire.AppendError(nil, wire.CodeShutdown, "server draining"))
+	bw := bufio.NewWriter(nc)
+	_ = wire.WriteFrame(bw, wire.TError, wire.AppendError(nil, wire.CodeShutdown, "server draining"))
+	_ = bw.Flush() // best effort: the peer is being turned away either way
 	_ = nc.Close()
 }
 
@@ -310,14 +318,25 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // handle runs one connection's read-dispatch-respond loop.
 func (s *Server) handle(c *conn) {
 	defer c.nc.Close()
-	var respBuf []byte
+	fr, bw := wire.NewReader(c.nc), bufio.NewWriter(c.nc)
+	// An answer written while the next frame was arriving is still owed
+	// when that frame never completes; best effort, the peer may be gone.
+	defer bw.Flush()
+	w := s.startWorker()
+	defer func() { close(w.req) }()
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	// in and out are the request and response scratch buffers. The worker
+	// borrows both for the length of one request; a request that times out
+	// keeps them for good.
+	var in, out []byte
 	for {
 		if s.draining.Load() {
 			_ = c.nc.SetReadDeadline(time.Now().Add(s.opts.DrainGrace))
 		} else {
 			_ = c.nc.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		}
-		t, payload, err := wire.ReadFrame(c.nc)
+		t, payload, err := fr.ReadFrame(in)
 		if err != nil {
 			// EOF, idle timeout, drain-grace expiry, or a broken frame:
 			// all end the connection. Nothing read means nothing owed.
@@ -330,15 +349,51 @@ func (s *Server) handle(c *conn) {
 			s.testHookBeforeHandle(t)
 		}
 		start := time.Now()
-		respType, respPayload := s.dispatch(t, payload, respBuf[:0])
+		timer.Reset(s.opts.RequestTimeout)
+		w.req <- request{t, payload, out}
+		var resp response
+		select {
+		case resp = <-w.resp:
+			// go.mod predates Go 1.23's timer channels: a timer that fired
+			// while the answer won the select must be drained before the
+			// next Reset, or its stale tick times out the next request.
+			if !timer.Stop() {
+				<-timer.C
+			}
+		case <-timer.C:
+			// The engine call cannot be aborted: leave the worker to finish
+			// it into the buffers it holds, and carry on with a new pair so
+			// the straggler never touches memory this connection reuses. A
+			// timed-out request may therefore still take effect server-side
+			// — documented in wire.CodeTimeout.
+			close(w.req)
+			w, payload = s.startWorker(), nil
+			s.met.Timeouts.Add(1)
+			s.met.Errors.Add(1)
+			resp = response{wire.TError, wire.AppendError(nil, wire.CodeTimeout,
+				fmt.Sprintf("request exceeded %v", s.opts.RequestTimeout))}
+		}
 		s.met.RequestLatency.Observe(time.Since(start))
-		respBuf = respPayload // reuse the payload buffer across requests
 		_ = c.nc.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-		if err := wire.WriteFrame(c.nc, respType, respPayload); err != nil {
+		err = wire.WriteFrame(bw, resp.t, resp.payload)
+		// Flush unless the next request is already buffered: its answer
+		// will share the write. A lone request is flushed at once.
+		if err == nil && fr.Buffered() == 0 {
+			err = bw.Flush()
+		}
+		if err != nil {
 			s.logf("conn %s: write: %v", c.nc.RemoteAddr(), err)
 			return
 		}
+		in, out = wire.Scratch(payload), wire.Scratch(resp.payload)
 	}
+}
+
+// request is one frame handed to a connection's worker: its type, its
+// payload and the scratch buffer the response may be appended to.
+type request struct {
+	t            wire.Type
+	payload, buf []byte
 }
 
 // response couples a response frame's type and payload.
@@ -347,27 +402,24 @@ type response struct {
 	payload []byte
 }
 
-// dispatch answers one request, enforcing the per-request timeout with a
-// watchdog: the engine call cannot be aborted (engine APIs are
-// synchronous), but the client receives an in-order CodeTimeout error
-// instead of waiting unboundedly. A timed-out request may therefore still
-// take effect server-side — documented in wire.CodeTimeout.
-func (s *Server) dispatch(t wire.Type, payload, buf []byte) (wire.Type, []byte) {
-	done := make(chan response, 1)
+// worker runs one connection's engine calls, one at a time, so that the
+// connection goroutine stays free to answer CodeTimeout in order. It lives
+// as long as the connection, or until a request times out on it.
+type worker struct {
+	req  chan request
+	resp chan response // cap 1: an abandoned worker parks its late answer here and exits
+}
+
+// startWorker starts a worker; closing its req channel stops it once the
+// request it is running (if any) returns.
+func (s *Server) startWorker() *worker {
+	w := &worker{req: make(chan request), resp: make(chan response, 1)}
 	go func() {
-		done <- s.process(t, payload, buf)
+		for rq := range w.req {
+			w.resp <- s.process(rq.t, rq.payload, rq.buf)
+		}
 	}()
-	timer := time.NewTimer(s.opts.RequestTimeout)
-	defer timer.Stop()
-	select {
-	case r := <-done:
-		return r.t, r.payload
-	case <-timer.C:
-		s.met.Timeouts.Add(1)
-		s.met.Errors.Add(1)
-		return wire.TError, wire.AppendError(nil, wire.CodeTimeout,
-			fmt.Sprintf("request exceeded %v", s.opts.RequestTimeout))
-	}
+	return w
 }
 
 // process computes the response for one request. buf is an optional

@@ -16,8 +16,10 @@ import (
 //   - any payload the decoder accepts re-encodes to the exact bytes it was
 //     decoded from (codec round-trip, the same canonical-form property the
 //     SQL parser fuzzers check);
-//   - a frame ReadFrame accepts from a stream matches DecodeFrame on the
-//     same bytes.
+//   - a frame Reader.ReadFrame accepts from a stream matches DecodeFrame on
+//     the same bytes, and WriteFrame re-frames it byte-identically;
+//   - DecodeResult and the decoder it replaced (oracle_test.go) agree on
+//     every RESULT payload: same accept/reject, same error text, same value.
 //
 // Seed corpus: testdata/fuzz/FuzzDecodeFrame (checked in; valid query,
 // result, error and ping frames plus truncations).
@@ -49,18 +51,22 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("rest grew: %d > %d", len(rest), len(data))
 		}
 		// ReadFrame over the same bytes must agree with DecodeFrame.
-		rTyp, rPayload, rErr := ReadFrame(bytes.NewReader(data))
+		rTyp, rPayload, rErr := NewReader(bytes.NewReader(data)).ReadFrame(nil)
 		if rErr != nil || rTyp != typ || !bytes.Equal(rPayload, payload) {
 			t.Fatalf("ReadFrame disagrees with DecodeFrame: %v %v vs %v", rErr, rTyp, typ)
 		}
-		// Re-framing the decoded frame reproduces its bytes.
+		// Re-framing the decoded frame reproduces its bytes, through the
+		// reference encoder and through the production writer.
 		frame := data[:len(data)-len(rest)]
 		if got := AppendFrame(nil, typ, payload); !bytes.Equal(got, frame) {
 			t.Fatalf("frame re-encode mismatch")
 		}
+		if got := frameBytes(t, typ, payload); !bytes.Equal(got, frame) {
+			t.Fatalf("WriteFrame re-encode mismatch")
+		}
 		switch typ {
 		case TResult:
-			decoded, err := DecodeResult(payload)
+			decoded, err := checkDecodeTwin(t, payload)
 			if err != nil {
 				return
 			}
@@ -82,6 +88,22 @@ func FuzzDecodeFrame(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// FuzzDecodeResult drives the result-decoder differential on bare RESULT
+// payloads (no frame header to get past), seeded with the shapes the
+// benchmark's hot set answers with: 1, 17 and 83 groups.
+func FuzzDecodeResult(f *testing.F) {
+	for _, groups := range []int{1, 17, 83} {
+		payload := AppendResult(nil, shapedResult(groups, 3))
+		f.Add(payload)
+		f.Add(payload[:len(payload)/2])
+	}
+	f.Add(AppendResult(nil, sampleResult()))
+	f.Add([]byte{1, 0, 1, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		checkDecodeTwin(t, payload)
 	})
 }
 

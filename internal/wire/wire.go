@@ -21,11 +21,13 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"strings"
 
 	"cubefc/internal/f2db"
 )
@@ -157,81 +159,99 @@ var (
 	errShortPayload  = errors.New("wire: truncated payload")
 )
 
-// AppendFrame appends a complete frame to dst and returns the extended
-// slice. It is the zero-allocation building block WriteFrame uses.
-func AppendFrame(dst []byte, t Type, payload []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(1+len(payload)))
-	dst = append(dst, byte(t))
-	return append(dst, payload...)
-}
+// ScratchCap bounds the capacity a connection keeps in a reusable frame or
+// response buffer between requests: one multi-megabyte statement or answer
+// must not pin that much per connection for the connection's life.
+const ScratchCap = 64 << 10
 
-// WriteFrame writes one frame. The caller is responsible for flushing any
-// buffered writer it hands in.
-func WriteFrame(w io.Writer, t Type, payload []byte) error {
-	if 1+len(payload) > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
-	hdr[4] = byte(t)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) == 0 {
+// Scratch empties buf for reuse, dropping it once it has grown past
+// ScratchCap. Callers apply it after the last use of the buffer's bytes.
+func Scratch(buf []byte) []byte {
+	if cap(buf) > ScratchCap {
 		return nil
 	}
-	_, err := w.Write(payload)
+	return buf[:0]
+}
+
+// writeHeader starts a frame of n payload bytes. The five bytes are built
+// in w's own free space, so nothing escapes per frame.
+func writeHeader(w *bufio.Writer, t Type, n int) error {
+	if 1+n > MaxFrame {
+		return ErrFrameTooLarge
+	}
+	hdr := binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(1+n))
+	_, err := w.Write(append(hdr, byte(t)))
 	return err
 }
 
-// ReadFrame reads one frame, returning its type and payload. The payload
-// is freshly allocated and owned by the caller. io.EOF is returned
-// unwrapped when the stream ends cleanly between frames; a stream ending
-// mid-frame yields io.ErrUnexpectedEOF.
-func ReadFrame(r io.Reader) (Type, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return 0, nil, io.ErrUnexpectedEOF
-		}
+// WriteFrame buffers one frame in w; the caller decides when to Flush, which
+// is what lets a burst of pipelined frames leave in one write. A payload
+// over MaxFrame is rejected before a byte is buffered.
+func WriteFrame(w *bufio.Writer, t Type, payload []byte) error {
+	err := writeHeader(w, t, len(payload))
+	if err == nil {
+		_, err = w.Write(payload)
+	}
+	return err
+}
+
+// WriteFrameString is WriteFrame for a payload held as a string (a client's
+// SQL text), written without a []byte copy.
+func WriteFrameString(w *bufio.Writer, t Type, payload string) error {
+	err := writeHeader(w, t, len(payload))
+	if err == nil {
+		_, err = w.WriteString(payload)
+	}
+	return err
+}
+
+// Reader reads frames from a stream through one bufio.Reader, so a burst of
+// pipelined frames costs one read.
+type Reader struct {
+	br  *bufio.Reader
+	hdr [5]byte
+}
+
+// NewReader returns a frame reader over r.
+func NewReader(r io.Reader) *Reader { return &Reader{br: bufio.NewReader(r)} }
+
+// Buffered reports how many bytes are read from the stream but not yet
+// consumed: non-zero means the peer has a further frame (or its start)
+// already in hand.
+func (r *Reader) Buffered() int { return r.br.Buffered() }
+
+// ReadFrame reads one frame, returning its type and payload. The payload is
+// read into buf's capacity when it fits and freshly allocated when not;
+// either way the caller owns it, and it stays valid until the caller hands
+// it (or a slice of it) to the next ReadFrame. io.EOF is returned unwrapped
+// when the stream ends cleanly between frames; a stream ending mid-frame
+// yields io.ErrUnexpectedEOF.
+func (r *Reader) ReadFrame(buf []byte) (Type, []byte, error) {
+	if _, err := io.ReadFull(r.br, r.hdr[:4]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(r.hdr[:4])
 	if n == 0 {
 		return 0, nil, errEmptyFrame
 	}
 	if n > MaxFrame {
 		return 0, nil, ErrFrameTooLarge
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	n-- // the type byte is read with the header; buf holds the payload alone
+	if int(n) > cap(buf) {
+		buf = make([]byte, n)
+	}
+	_, err := io.ReadFull(r.br, r.hdr[4:])
+	if err == nil {
+		_, err = io.ReadFull(r.br, buf[:n])
+	}
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return 0, nil, err
 	}
-	return Type(body[0]), body[1:], nil
-}
-
-// DecodeFrame decodes one frame from a byte slice, returning the remainder
-// after the frame. It is the pure-function twin of ReadFrame that the
-// fuzzer drives.
-func DecodeFrame(data []byte) (t Type, payload, rest []byte, err error) {
-	if len(data) < 4 {
-		return 0, nil, nil, io.ErrUnexpectedEOF
-	}
-	n := binary.BigEndian.Uint32(data[:4])
-	if n == 0 {
-		return 0, nil, nil, errEmptyFrame
-	}
-	if n > MaxFrame {
-		return 0, nil, nil, ErrFrameTooLarge
-	}
-	if uint32(len(data)-4) < n {
-		return 0, nil, nil, io.ErrUnexpectedEOF
-	}
-	body := data[4 : 4+n]
-	return Type(body[0]), body[1:], data[4+n:], nil
+	return Type(r.hdr[4]), buf[:n], nil
 }
 
 // --- payload codecs ------------------------------------------------------
@@ -346,18 +366,15 @@ func AppendResult(dst []byte, r *f2db.Result) []byte {
 	return dst
 }
 
-// resultDecoder walks a Result payload.
+// resultDecoder walks a Result payload. DecodeResult runs it twice over the
+// same bytes: a sizing pass that validates everything and totals the string
+// bytes and rows, then a filling pass (fill set) that carves every string
+// out of one slab and every Rows slice out of another.
 type resultDecoder struct {
-	buf []byte
-}
-
-func (d *resultDecoder) byte() (byte, error) {
-	if len(d.buf) < 1 {
-		return 0, errShortPayload
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b, nil
+	buf      []byte
+	fill     bool
+	strBytes int             // sizing pass: total bytes of plan, keys and members
+	strs     strings.Builder // filling pass: the string slab, grown once
 }
 
 func (d *resultDecoder) uvarint() (uint64, error) {
@@ -376,7 +393,7 @@ func (d *resultDecoder) count(min int) (int, error) {
 	}
 	// Reject counts that cannot fit in the remaining bytes so a hostile
 	// payload cannot force a huge allocation.
-	if min > 0 && v > uint64(len(d.buf)/min) {
+	if v > uint64(len(d.buf)/min) {
 		return 0, errShortPayload
 	}
 	return int(v), nil
@@ -390,77 +407,99 @@ func (d *resultDecoder) str() (string, error) {
 	if n > uint64(len(d.buf)) {
 		return "", errShortPayload
 	}
-	s := string(d.buf[:n])
+	b := d.buf[:n]
 	d.buf = d.buf[n:]
-	return s, nil
+	if !d.fill {
+		d.strBytes += len(b)
+		return "", nil
+	}
+	// The slab never reallocates after its one Grow, so a substring of it
+	// taken now stays valid as later strings are appended.
+	start := d.strs.Len()
+	d.strs.Write(b)
+	return d.strs.String()[start:], nil
 }
 
-func (d *resultDecoder) float() (float64, error) {
-	if len(d.buf) < 8 {
-		return 0, errShortPayload
+// walk decodes one whole payload and returns its group and row totals. The
+// filling pass also stores into res.Groups (already sized) and hands each
+// group its rows as a capacity-capped slice of rows, so an append to one
+// group's Rows cannot reach its neighbour's.
+func (d *resultDecoder) walk(res *f2db.Result, rows []f2db.QueryRow) (numGroups, numRows int, err error) {
+	if len(d.buf) < 1 {
+		return 0, 0, errShortPayload
 	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(d.buf[:8]))
-	d.buf = d.buf[8:]
-	return v, nil
-}
-
-// DecodeResult decodes a TResult payload.
-func DecodeResult(payload []byte) (*f2db.Result, error) {
-	d := &resultDecoder{buf: payload}
-	flags, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	res := &f2db.Result{Forecast: flags&resultFlagForecast != 0}
+	res.Forecast = d.buf[0]&resultFlagForecast != 0
+	d.buf = d.buf[1:]
 	if res.Plan, err = d.str(); err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	numGroups, err := d.count(minGroupEnc)
-	if err != nil {
-		return nil, err
+	if numGroups, err = d.count(minGroupEnc); err != nil {
+		return 0, 0, err
 	}
 	if numGroups == 0 {
-		return nil, errors.New("wire: result with zero groups")
+		return 0, 0, errors.New("wire: result with zero groups")
 	}
-	res.Groups = make([]f2db.Group, 0, numGroups)
 	for i := 0; i < numGroups; i++ {
 		var grp f2db.Group
 		node, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return 0, 0, err
 		}
 		grp.Node = int(node)
 		if grp.NodeKey, err = d.str(); err != nil {
-			return nil, err
+			return 0, 0, err
 		}
 		if grp.Member, err = d.str(); err != nil {
-			return nil, err
+			return 0, 0, err
 		}
-		numRows, err := d.count(minRowEnc)
+		n, err := d.count(minRowEnc)
 		if err != nil {
-			return nil, err
+			return 0, 0, err
 		}
-		grp.Rows = make([]f2db.QueryRow, numRows)
-		for j := range grp.Rows {
+		if d.fill {
+			grp.Rows = rows[numRows : numRows+n : numRows+n]
+			res.Groups[i] = grp
+		}
+		numRows += n
+		for j := 0; j < n; j++ {
 			t, err := d.uvarint()
-			if err != nil {
-				return nil, err
+			if err != nil || len(d.buf) < 24 {
+				return 0, 0, errShortPayload
 			}
-			grp.Rows[j].T = int(t)
-			if grp.Rows[j].Value, err = d.float(); err != nil {
-				return nil, err
+			if d.fill {
+				grp.Rows[j] = f2db.QueryRow{
+					T:     int(t),
+					Value: math.Float64frombits(binary.BigEndian.Uint64(d.buf)),
+					Lo:    math.Float64frombits(binary.BigEndian.Uint64(d.buf[8:])),
+					Hi:    math.Float64frombits(binary.BigEndian.Uint64(d.buf[16:])),
+				}
 			}
-			if grp.Rows[j].Lo, err = d.float(); err != nil {
-				return nil, err
-			}
-			if grp.Rows[j].Hi, err = d.float(); err != nil {
-				return nil, err
-			}
+			d.buf = d.buf[24:]
 		}
-		res.Groups = append(res.Groups, grp)
 	}
 	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after result", len(d.buf))
+		return 0, 0, fmt.Errorf("wire: %d trailing bytes after result", len(d.buf))
+	}
+	return numGroups, numRows, nil
+}
+
+// DecodeResult decodes a TResult payload into four objects whatever the
+// group count: the Result, its []Group, one string slab holding the plan,
+// key and member bytes (and nothing of the payload's numeric part, so a
+// retained Result does not pin it) and one []QueryRow slab. The payload is
+// not referenced after return.
+func DecodeResult(payload []byte) (*f2db.Result, error) {
+	var scratch f2db.Result
+	size := resultDecoder{buf: payload}
+	numGroups, numRows, err := size.walk(&scratch, nil)
+	if err != nil {
+		return nil, err
+	}
+	d := resultDecoder{buf: payload, fill: true}
+	d.strs.Grow(size.strBytes)
+	res := &f2db.Result{Groups: make([]f2db.Group, numGroups)}
+	if _, _, err := d.walk(res, make([]f2db.QueryRow, numRows)); err != nil {
+		return nil, err
 	}
 	res.Node = res.Groups[0].Node
 	res.NodeKey = res.Groups[0].NodeKey

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
@@ -40,18 +41,50 @@ func sampleResult() *f2db.Result {
 	}
 }
 
+// frameBytes renders one frame through the production writer.
+func frameBytes(t testing.TB, typ Type, payload []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	if err := WriteFrame(w, typ, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// readOne reads the first frame of data through a fresh Reader.
+func readOne(data []byte) (Type, []byte, error) {
+	return NewReader(bytes.NewReader(data)).ReadFrame(nil)
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	payloads := [][]byte{nil, {}, []byte("SELECT 1"), bytes.Repeat([]byte{0xAB}, 4096)}
+	w := bufio.NewWriter(&buf)
+	payloads := [][]byte{nil, {}, []byte("SELECT 1"), bytes.Repeat([]byte{0xAB}, 4096), bytes.Repeat([]byte{0xCD}, 70_000)}
 	types := []Type{TQuery, TExec, TPing, TStats, TResult, TError}
 	for i, p := range payloads {
-		if err := WriteFrame(&buf, types[i%len(types)], p); err != nil {
+		// Even frames go out as []byte, odd ones as string: one header
+		// encoder, two payload kinds.
+		var err error
+		if i%2 == 0 {
+			err = WriteFrame(w, types[i%len(types)], p)
+		} else {
+			err = WriteFrameString(w, types[i%len(types)], string(p))
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	r := bytes.NewReader(buf.Bytes())
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(bytes.NewReader(buf.Bytes()))
+	var scratch []byte
 	for i, p := range payloads {
-		typ, got, err := ReadFrame(r)
+		typ, got, err := r.ReadFrame(scratch)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -61,9 +94,37 @@ func TestFrameRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, p) {
 			t.Fatalf("frame %d: payload mismatch", i)
 		}
+		// Buffer ownership: a payload that fits the caller's buffer is
+		// read into it, and Scratch drops a buffer grown past ScratchCap.
+		if cap(scratch) >= len(p) && len(p) > 0 && &got[0] != &scratch[:1][0] {
+			t.Fatalf("frame %d: %d-byte payload not read into the %d-byte buffer offered", i, len(p), cap(scratch))
+		}
+		if scratch = Scratch(got); cap(scratch) > ScratchCap {
+			t.Fatalf("frame %d: Scratch kept %d bytes, cap is %d", i, cap(scratch), ScratchCap)
+		}
 	}
-	if _, _, err := ReadFrame(r); err != io.EOF {
+	if _, _, err := r.ReadFrame(scratch); err != io.EOF {
 		t.Fatalf("expected io.EOF at stream end, got %v", err)
+	}
+}
+
+// TestWriteFrameRejectsOversized: the size check runs before a byte is
+// buffered, so the stream stays in sync for the next frame.
+func TestWriteFrameRejectsOversized(t *testing.T) {
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	big := make([]byte, MaxFrame)
+	if err := WriteFrame(w, TQuery, big); err != ErrFrameTooLarge {
+		t.Fatalf("WriteFrame: got %v, want ErrFrameTooLarge", err)
+	}
+	if err := WriteFrameString(w, TQuery, string(big)); err != ErrFrameTooLarge {
+		t.Fatalf("WriteFrameString: got %v, want ErrFrameTooLarge", err)
+	}
+	if w.Buffered() != 0 || buf.Len() != 0 {
+		t.Fatalf("rejected frame left %d buffered, %d written bytes", w.Buffered(), buf.Len())
+	}
+	if err := WriteFrame(w, TQuery, big[:MaxFrame-1]); err != nil {
+		t.Fatalf("largest legal frame: %v", err)
 	}
 }
 
@@ -86,11 +147,11 @@ func TestDecodeFrameMatchesReadFrame(t *testing.T) {
 func TestReadFrameRejectsOversized(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
-	if _, _, err := ReadFrame(bytes.NewReader(hdr[:])); err != ErrFrameTooLarge {
+	if _, _, err := readOne(hdr[:]); err != ErrFrameTooLarge {
 		t.Fatalf("oversized frame: got %v, want ErrFrameTooLarge", err)
 	}
 	binary.BigEndian.PutUint32(hdr[:], 0)
-	if _, _, err := ReadFrame(bytes.NewReader(hdr[:])); err == nil {
+	if _, _, err := readOne(hdr[:]); err == nil {
 		t.Fatal("zero-length frame accepted")
 	}
 }
@@ -98,9 +159,8 @@ func TestReadFrameRejectsOversized(t *testing.T) {
 func TestReadFrameTruncated(t *testing.T) {
 	full := AppendFrame(nil, TQuery, []byte("SELECT"))
 	for cut := 1; cut < len(full); cut++ {
-		_, _, err := ReadFrame(bytes.NewReader(full[:cut]))
-		if err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+		if _, _, err := readOne(full[:cut]); err != io.ErrUnexpectedEOF {
+			t.Fatalf("truncation at %d: got %v, want io.ErrUnexpectedEOF", cut, err)
 		}
 	}
 }
