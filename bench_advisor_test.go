@@ -68,6 +68,7 @@ func BenchmarkAdvisorScale(b *testing.B) {
 			{"sampled-lazy", true, 32},
 		} {
 			b.Run(fmt.Sprintf("nodes=%d/%s", opts.NumNodes(), mode.name), func(b *testing.B) {
+				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					advisorFirstConfig(b, d, mode.lazy, mode.sampleSize)
 				}

@@ -16,6 +16,7 @@ import (
 
 	"cubefc"
 	"cubefc/internal/core"
+	"cubefc/internal/cube"
 	"cubefc/internal/datasets"
 	"cubefc/internal/experiments"
 	"cubefc/internal/f2db"
@@ -293,8 +294,9 @@ func BenchmarkIndicatorLocal(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	targets := g.ClosestNodes(g.TopID, 44)
+	targets := g.ClosestNodes(new(cube.BFSScratch), g.TopID, 44)
 	cfg := indicator.DefaultConfig()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		indicator.ComputeLocal(g, g.TopID, targets, cfg)

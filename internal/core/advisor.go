@@ -85,6 +85,14 @@ type Advisor struct {
 	prober       *asyncProber
 	proberClosed bool
 
+	// bfsFree is the free list of BFS scratches. Every ClosestNodes call
+	// borrows one — rank's goroutines, probe planning and the asynchronous
+	// prober — so at most Parallelism+1 ever exist, and a run's allocations
+	// do not depend on which nodes the probes drew. A plain list, not a
+	// sync.Pool: the garbage collector empties a pool whenever it likes.
+	bfsMu   sync.Mutex
+	bfsFree []*cube.BFSScratch
+
 	// met holds the atomic per-phase counters behind Advisor.Metrics.
 	met advisorMetrics
 }
@@ -391,20 +399,19 @@ func (a *Advisor) installInitialModel() error {
 	if err != nil {
 		return err
 	}
-	a.addModel(top, m, dur)
+	a.addModel(top, m, dur, m.Forecast(a.cfg.TestLen()))
 	return nil
 }
 
 // addModel inserts an accepted model into the configuration: stores it,
-// caches its test forecast, merges its local indicator into the global one
-// and (re-)assigns improving schemes for every node it can serve.
-func (a *Advisor) addModel(id int, m forecast.Model, dur time.Duration) {
+// caches its test forecast fc, merges its local indicator into the global
+// one and (re-)assigns improving schemes for every node it can serve.
+func (a *Advisor) addModel(id int, m forecast.Model, dur time.Duration, fc []float64) {
 	a.cfg.Models[id] = m
 	a.recordSeed(id, m)
 	secs := dur.Seconds()
 	a.cfg.ModelSeconds[id] = secs
 	a.cfg.CostSeconds += secs
-	fc := m.Forecast(a.cfg.TestLen())
 	a.modelFc[id] = fc
 
 	// Local indicator: reuse the ranked candidate's local when present.
@@ -435,12 +442,16 @@ func (a *Advisor) addModel(id int, m forecast.Model, dur time.Duration) {
 	// scheme lazily at query time via Configuration.ResolveScheme, and
 	// later models backfill their indicator neighborhoods as usual.
 	var targets []int
+	// slab backs the one-element Sources of the first model's full-graph
+	// backfill: one allocation instead of one per node.
+	var slab []int
 	if len(a.cfg.Models) == 1 {
 		if a.src == nil {
 			targets = make([]int, a.g.NumNodes())
 			for t := range targets {
 				targets[t] = t
 			}
+			slab = make([]int, len(targets))
 		}
 	} else {
 		targets = make([]int, 0, len(local.Values))
@@ -449,12 +460,19 @@ func (a *Advisor) addModel(id int, m forecast.Model, dur time.Duration) {
 		}
 	}
 	sort.Ints(targets)
-	for _, t := range targets {
+	for i, t := range targets {
 		if t == id {
 			continue
 		}
-		if sc, e, ok := a.evalSingleSource(id, t); ok && e < a.currentErr(t) {
-			a.setScheme(sc, e)
+		if ev, ok := a.evalSingleSource(id, t); ok && ev.err < a.currentErr(t) {
+			var sources []int
+			if slab != nil {
+				sources = slab[i : i+1 : i+1]
+				sources[0] = id
+			} else {
+				sources = []int{id}
+			}
+			a.setScheme(a.mkScheme(t, sources, ev), ev.err)
 		}
 	}
 
@@ -476,52 +494,74 @@ func (a *Advisor) addModel(id int, m forecast.Model, dur time.Duration) {
 		if !complete {
 			continue
 		}
-		if sc, e, ok := a.evalScheme(pid, edge); ok && e < a.currentErr(pid) {
+		if ev, ok := a.evalScheme(pid, edge); ok && ev.err < a.currentErr(pid) {
+			sc := a.mkScheme(pid, append([]int(nil), edge...), ev)
 			sc.Kind = derivation.Aggregation
-			a.setScheme(sc, e)
+			a.setScheme(sc, ev.err)
 		}
 	}
+}
+
+// evaluation is the outcome of evaluating a scheme sources → t without
+// building it: the derivation weight and the clamped test error. Tens of
+// thousands are computed per run and all but a few lose to the node's
+// current scheme, so a derivation.Scheme is built (mkScheme) only for a
+// winner. Sampled mode cannot evaluate without building and hands over the
+// scheme it built, in sampled, instead of k.
+type evaluation struct {
+	k, err  float64
+	sampled *derivation.Scheme
+}
+
+// mkScheme builds the scheme an evaluation of sources → t stands for. It
+// keeps sources: the caller passes a slice the scheme may own.
+func (a *Advisor) mkScheme(t int, sources []int, ev evaluation) derivation.Scheme {
+	if ev.sampled != nil {
+		return *ev.sampled
+	}
+	return derivation.Scheme{Target: t, Sources: sources, K: ev.k, Kind: derivation.Classify(a.g, t, sources)}
 }
 
 // evalSingleSource evaluates the generalized single-source scheme s → t
-// using the cached model forecast of s, returning the scheme and its real
-// test error.
-func (a *Advisor) evalSingleSource(s, t int) (derivation.Scheme, float64, bool) {
-	return a.evalScheme(t, []int{s})
+// using the cached model forecast of s.
+func (a *Advisor) evalSingleSource(s, t int) (evaluation, bool) {
+	src := [1]int{s}
+	return a.evalScheme(t, src[:])
 }
 
-// evalScheme evaluates the scheme sources → t on the test horizon. All
-// sources must have cached forecasts. In sampled mode the scheme is built
-// from a PPS sample of the sources (FlashP-style) and its error is
-// measured against the estimated test values; the scheme's relative
-// sampling bound feeds Advisor.SampleBound.
-func (a *Advisor) evalScheme(t int, sources []int) (derivation.Scheme, float64, bool) {
+// evalScheme evaluates the scheme sources → t on the test horizon, without
+// allocating. All sources must have cached forecasts. In sampled mode the
+// scheme is built from a PPS sample of the sources (FlashP-style) and its
+// error is measured against the estimated test values; the scheme's
+// relative sampling bound feeds Advisor.SampleBound.
+func (a *Advisor) evalScheme(t int, sources []int) (evaluation, bool) {
 	if a.src != nil {
 		return a.evalSchemeSampled(t, sources)
 	}
-	fcs := make([][]float64, len(sources))
-	for i, s := range sources {
+	var buf [8][]float64
+	fcs := buf[:0]
+	for _, s := range sources {
 		fc, ok := a.modelFc[s]
 		if !ok {
-			return derivation.Scheme{}, 0, false
+			return evaluation{}, false
 		}
-		fcs[i] = fc
+		fcs = append(fcs, fc)
 	}
-	sc, err := derivation.NewScheme(a.g, t, sources, a.cfg.TrainLen)
+	k, err := derivation.Weight(a.g, t, sources, a.cfg.TrainLen)
 	if err != nil {
-		return derivation.Scheme{}, 0, false
+		return evaluation{}, false
 	}
-	e, err := a.cfg.SchemeError(sc, fcs)
+	e, err := a.cfg.SchemeError(derivation.Scheme{Target: t, Sources: sources, K: k}, fcs)
 	if err != nil || math.IsNaN(e) {
-		return derivation.Scheme{}, 0, false
+		return evaluation{}, false
 	}
-	return sc, clampErr(e), true
+	return evaluation{k: k, err: clampErr(e)}, true
 }
 
-func (a *Advisor) evalSchemeSampled(t int, sources []int) (derivation.Scheme, float64, bool) {
+func (a *Advisor) evalSchemeSampled(t int, sources []int) (evaluation, bool) {
 	for _, s := range sources {
 		if _, ok := a.modelFc[s]; !ok {
-			return derivation.Scheme{}, 0, false
+			return evaluation{}, false
 		}
 	}
 	sd, err := derivation.NewSampledScheme(a.src, a.g, t, sources, a.cfg.TrainLen, derivation.SampleOptions{
@@ -530,7 +570,7 @@ func (a *Advisor) evalSchemeSampled(t int, sources []int) (derivation.Scheme, fl
 		Seed:       a.opts.Seed,
 	})
 	if err != nil {
-		return derivation.Scheme{}, 0, false
+		return evaluation{}, false
 	}
 	fcs := make([][]float64, len(sd.Scheme.Sources))
 	for i, s := range sd.Scheme.Sources {
@@ -538,11 +578,11 @@ func (a *Advisor) evalSchemeSampled(t int, sources []int) (derivation.Scheme, fl
 	}
 	fc, lo, _, err := sd.ApplyWithBound(fcs)
 	if err != nil {
-		return derivation.Scheme{}, 0, false
+		return evaluation{}, false
 	}
 	e := timeseries.SMAPE(a.testValues(t), fc)
 	if math.IsNaN(e) {
-		return derivation.Scheme{}, 0, false
+		return evaluation{}, false
 	}
 	if !sd.Exact {
 		var num, den float64
@@ -555,7 +595,7 @@ func (a *Advisor) evalSchemeSampled(t int, sources []int) (derivation.Scheme, fl
 			a.boundN++
 		}
 	}
-	return sd.Scheme, clampErr(e), true
+	return evaluation{err: clampErr(e), sampled: &sd.Scheme}, true
 }
 
 // computeLocal builds the local indicator of a node over its |I| closest
@@ -563,11 +603,33 @@ func (a *Advisor) evalSchemeSampled(t int, sources []int) (derivation.Scheme, fl
 // estimator, so scoring a candidate does not materialize its neighborhood's
 // aggregates.
 func (a *Advisor) computeLocal(id int) *indicator.Local {
-	targets := a.g.ClosestNodes(id, a.indK)
+	bfs := a.borrowBFS()
+	defer a.returnBFS(bfs)
+	targets := a.g.ClosestNodes(bfs, id, a.indK)
 	if a.src != nil {
 		return indicator.ComputeLocalFrom(a.src, id, targets, a.opts.Indicator)
 	}
 	return indicator.ComputeLocal(a.g, id, targets, a.opts.Indicator)
+}
+
+// borrowBFS takes a BFS scratch off the free list, or makes one.
+func (a *Advisor) borrowBFS() *cube.BFSScratch {
+	a.bfsMu.Lock()
+	defer a.bfsMu.Unlock()
+	if n := len(a.bfsFree); n > 0 {
+		s := a.bfsFree[n-1]
+		a.bfsFree = a.bfsFree[:n-1]
+		return s
+	}
+	return new(cube.BFSScratch)
+}
+
+// returnBFS puts a borrowed scratch back; whatever ClosestNodes returned
+// from it is dead from here on.
+func (a *Advisor) returnBFS(s *cube.BFSScratch) {
+	a.bfsMu.Lock()
+	a.bfsFree = append(a.bfsFree, s)
+	a.bfsMu.Unlock()
 }
 
 // ErrStopped is returned by Step after the advisor has already terminated.
@@ -811,8 +873,8 @@ func (a *Advisor) acceptModel(id int, m forecast.Model, dur time.Duration) bool 
 		if t == id {
 			continue
 		}
-		if _, e, ok := a.evalSingleSource(id, t); ok && e < a.currentErr(t) {
-			newErrSum += e - a.currentErr(t)
+		if ev, ok := a.evalSingleSource(id, t); ok && ev.err < a.currentErr(t) {
+			newErrSum += ev.err - a.currentErr(t)
 		}
 	}
 
@@ -823,7 +885,7 @@ func (a *Advisor) acceptModel(id int, m forecast.Model, dur time.Duration) bool 
 	costNew := a.normalizedCost(a.cfg.NumModels()+1, a.cfg.CostSeconds+dur.Seconds())
 
 	if a.alpha*errNew+(1-a.alpha)*costNew < a.alpha*errOld+(1-a.alpha)*costOld {
-		a.addModel(id, m, dur)
+		a.addModel(id, m, dur, fc)
 		return true
 	}
 	delete(a.modelFc, id)
@@ -902,14 +964,16 @@ func (a *Advisor) tryDeletion(negatives []int) int {
 	a.removeModel(victim)
 	a.global = indicator.Rebuild(a.g.NumNodes(), a.locals)
 	for _, ra := range reassign {
-		a.setScheme(ra.scheme, ra.err)
+		a.setScheme(a.mkScheme(ra.target, []int{ra.source}, ra.ev), ra.ev.err)
 	}
 	return 1
 }
 
+// reassignment re-derives target from the single source whose evaluation
+// is ev; the scheme is built only if the removal goes ahead.
 type reassignment struct {
-	scheme derivation.Scheme
-	err    float64
+	target, source int
+	ev             evaluation
 }
 
 // planRemoval computes, without mutating state, the scheme reassignments
@@ -931,23 +995,22 @@ func (a *Advisor) planRemoval(victim int) ([]reassignment, float64, bool) {
 	reassign := make([]reassignment, 0, len(affected))
 	remaining := a.cfg.ModelIDs()
 	for _, t := range affected {
-		bestErr := math.Inf(1)
-		var bestScheme derivation.Scheme
-		found := false
+		best := evaluation{err: math.Inf(1)}
+		bestSource := -1
 		for _, s := range remaining {
 			if s == victim {
 				continue
 			}
-			if sc, e, ok := a.evalSingleSource(s, t); ok && e < bestErr {
-				bestErr, bestScheme, found = e, sc, true
+			if ev, ok := a.evalSingleSource(s, t); ok && ev.err < best.err {
+				best, bestSource = ev, s
 			}
 		}
-		if !found {
+		if bestSource < 0 {
 			// A node would become unanswerable; veto the deletion.
 			return nil, 0, false
 		}
-		newErrSum += bestErr - a.currentErr(t)
-		reassign = append(reassign, reassignment{scheme: bestScheme, err: bestErr})
+		newErrSum += best.err - a.currentErr(t)
+		reassign = append(reassign, reassignment{target: t, source: bestSource, ev: best})
 	}
 	return reassign, newErrSum, true
 }

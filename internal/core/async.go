@@ -110,8 +110,8 @@ func (a *Advisor) drainAsyncProbes() {
 			if !valid {
 				continue
 			}
-			if sc, e, ok := a.evalScheme(plan.target, plan.sources); ok && e < a.currentErr(sc.Target) {
-				a.setScheme(sc, e)
+			if ev, ok := a.evalScheme(plan.target, plan.sources); ok && ev.err < a.currentErr(plan.target) {
+				a.setScheme(a.mkScheme(plan.target, plan.sources, ev), ev.err)
 				a.met.probesApplied.Add(1)
 			}
 		default:

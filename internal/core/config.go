@@ -126,11 +126,7 @@ func (c *Configuration) FitModelOn(factory forecast.Factory, s *timeseries.Serie
 // evaluation part of the target series, using the provided per-source
 // forecasts over the test horizon.
 func (c *Configuration) SchemeError(sc derivation.Scheme, sourceForecasts [][]float64) (float64, error) {
-	fc, err := sc.Apply(sourceForecasts)
-	if err != nil {
-		return math.NaN(), err
-	}
-	return timeseries.SMAPE(c.testValues(sc.Target), fc), nil
+	return sc.SMAPE(c.testValues(sc.Target), sourceForecasts)
 }
 
 // ModelIDs returns the sorted node IDs carrying a model.

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"cubefc/internal/derivation"
-)
+import "sync"
 
 // control implements the parameter regulation of Section IV-C.1: γ follows
 // the balance between candidate-selection time and evaluation time, the
@@ -113,9 +109,8 @@ func (a *Advisor) multiSourceProbes() {
 	a.met.probesPlanned.Add(int64(len(plans)))
 
 	type outcome struct {
-		ok     bool
-		scheme derivation.Scheme
-		err    float64
+		ok bool
+		ev evaluation
 	}
 	results := make([]outcome, len(plans))
 	var wg sync.WaitGroup
@@ -126,14 +121,15 @@ func (a *Advisor) multiSourceProbes() {
 		go func(i int, p probe) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			sc, e, ok := a.evalScheme(p.target, p.sources)
-			results[i] = outcome{ok: ok, scheme: sc, err: e}
+			ev, ok := a.evalScheme(p.target, p.sources)
+			results[i] = outcome{ok: ok, ev: ev}
 		}(i, p)
 	}
 	wg.Wait()
-	for _, r := range results {
-		if r.ok && r.err < a.currentErr(r.scheme.Target) {
-			a.setScheme(r.scheme, r.err)
+	for i, r := range results {
+		if p := plans[i]; r.ok && r.ev.err < a.currentErr(p.target) {
+			// The plan's source list is nobody else's: the scheme takes it.
+			a.setScheme(a.mkScheme(p.target, p.sources, r.ev), r.ev.err)
 			a.met.probesApplied.Add(1)
 		}
 	}

@@ -1,0 +1,87 @@
+package core
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"runtime"
+	"testing"
+
+	"cubefc/internal/datasets"
+)
+
+// configDigest folds everything a run decides into one FNV-64a: the sorted
+// model IDs, then per node the scheme's sources, weight bits, kind and the
+// node's error bits.
+func configDigest(cfg *Configuration) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, id := range cfg.ModelIDs() {
+		put(uint64(id))
+	}
+	for t := 0; t < cfg.Graph.NumNodes(); t++ {
+		sc := cfg.Schemes[t]
+		put(uint64(len(sc.Sources)))
+		for _, s := range sc.Sources {
+			put(uint64(s))
+		}
+		put(math.Float64bits(sc.K))
+		put(uint64(sc.Kind))
+		put(math.Float64bits(cfg.Errors[t]))
+	}
+	return h.Sum64()
+}
+
+// goldenOptions is the benchmark's advisor set-up (bench/stack.go): pinned
+// γ, twelve iterations.
+func goldenOptions(seed int64, parallelism int) Options {
+	return Options{FixedGamma: true, Gamma0: 0.5, MaxIterations: 12, Parallelism: parallelism, Seed: seed}
+}
+
+// TestAdvisorGolden pins whole advisor runs bit for bit. The constants were
+// recorded on commit d509a8e981ef080de057f291feea399d25de4d05 — the parent
+// of the change that made scheme evaluation and the indicator kernels
+// streaming — with this very function, so a kernel that reorders one
+// floating-point operation, or a BFS that visits in another order, fails
+// here.
+func TestAdvisorGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests were recorded on amd64; %s may round the parent's own arithmetic differently", runtime.GOARCH)
+	}
+	golden := []struct {
+		nodes       int
+		seed        int64
+		parallelism int
+		want        uint64
+	}{
+		{300, 1, 1, 0x9d2e9bcb93e08469},
+		{300, 1, 2, 0x6cb14de2146f1f87},
+		{300, 2, 1, 0xf6912444f623cb6e},
+		{300, 2, 2, 0x5e2019b89049c318},
+		{300, 3, 1, 0x14057b4c23f176fe},
+		{300, 3, 2, 0xd1e01325f11f2bb4},
+		{1000, 1, 1, 0x66c20c36946a8d9a},
+		{1000, 1, 2, 0x6584e06a36bbb362},
+		{1000, 2, 1, 0x885f7dd195257eb9},
+		{1000, 2, 2, 0xa34325212237e401},
+		{1000, 3, 1, 0x6f79c344a9ea06c1},
+		{1000, 3, 2, 0x256337f0e0f86691},
+	}
+	for _, c := range golden {
+		g, err := datasets.GenCube(1, datasets.CubeGenForNodes(c.nodes, 2)).Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := Run(g, goldenOptions(c.seed, c.parallelism))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := configDigest(cfg); got != c.want {
+			t.Errorf("{%d, %d, %d, %#x}: digest differs from the parent's %#x", c.nodes, c.seed, c.parallelism, got, c.want)
+		}
+	}
+}

@@ -2,7 +2,7 @@ package core
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // planProbeSources selects 2–3 source model nodes for a multi-source probe
@@ -15,18 +15,19 @@ import (
 //
 // The helper only reads the advisor's immutable graph and indK; callers on
 // the async planning path pass a model-ID snapshot rather than touching
-// a.cfg.
+// a.cfg. modelIDs is ascending, as Configuration.ModelIDs returns it.
 func (a *Advisor) planProbeSources(rng *rand.Rand, target int, modelIDs []int) []int {
-	modelSet := make(map[int]bool, len(modelIDs))
-	for _, id := range modelIDs {
-		modelSet[id] = true
-	}
 	// Order model nodes by BFS proximity to the target; fall back to the
 	// full model list for distant targets. Both pools exclude the target.
-	near := a.g.ClosestNodes(target, a.indK)
-	var pool []int
+	// The pool filters the BFS result in place — the scratch is ours until
+	// it goes back — so planning allocates the returned sources and nothing
+	// whose size depends on the drawn target.
+	bfs := a.borrowBFS()
+	defer a.returnBFS(bfs)
+	near := a.g.ClosestNodes(bfs, target, a.indK)
+	pool := near[:0]
 	for _, id := range near {
-		if id != target && modelSet[id] {
+		if _, isModel := slices.BinarySearch(modelIDs, id); isModel && id != target {
 			pool = append(pool, id)
 		}
 	}
@@ -47,24 +48,23 @@ func (a *Advisor) planProbeSources(rng *rand.Rand, target int, modelIDs []int) [
 	}
 	// Geometric preference for close sources: walk the proximity-ordered
 	// pool and pick with decaying probability.
-	chosen := make(map[int]bool, want)
-	for len(chosen) < want {
+	var chosen [3]int
+	n := 0
+	for n < want {
 		for _, id := range pool {
-			if len(chosen) >= want {
+			if n >= want {
 				break
 			}
-			if chosen[id] {
+			if slices.Contains(chosen[:n], id) {
 				continue
 			}
 			if rng.Float64() < 0.5 {
-				chosen[id] = true
+				chosen[n] = id
+				n++
 			}
 		}
 	}
-	srcs := make([]int, 0, len(chosen))
-	for id := range chosen {
-		srcs = append(srcs, id)
-	}
-	sort.Ints(srcs)
+	srcs := slices.Clone(chosen[:n])
+	slices.Sort(srcs)
 	return srcs
 }

@@ -249,7 +249,8 @@ func TestSummingVector(t *testing.T) {
 func TestClosestNodes(t *testing.T) {
 	g := fig1Graph(t)
 	base := g.BaseIDs[0]
-	cn := g.ClosestNodes(base, 5)
+	var bfs BFSScratch
+	cn := g.ClosestNodes(&bfs, base, 5)
 	if len(cn) != 5 {
 		t.Fatalf("ClosestNodes returned %d", len(cn))
 	}
@@ -272,10 +273,10 @@ func TestClosestNodes(t *testing.T) {
 			t.Fatalf("nearest nodes %v should start with direct parents %v", cn, wantParents)
 		}
 	}
-	if got := g.ClosestNodes(base, 0); got != nil {
+	if got := g.ClosestNodes(&bfs, base, 0); got != nil {
 		t.Fatal("k=0 should return nil")
 	}
-	if got := g.ClosestNodes(base, 1000); len(got) != g.NumNodes()-1 {
+	if got := g.ClosestNodes(&bfs, base, 1000); len(got) != g.NumNodes()-1 {
 		t.Fatalf("k>n should return all other nodes, got %d", len(got))
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"math"
 
 	"cubefc/internal/cube"
-	"cubefc/internal/timeseries"
 )
 
 // Kind labels the classical scheme shapes for reporting; the math is the
@@ -111,21 +110,28 @@ func Classify(g *cube.Graph, target int, sources []int) Kind {
 	return General
 }
 
+// sameIDSet reports whether a and b hold the same IDs with the same
+// multiplicities. Both are a handful of elements, so it counts in place.
 func sameIDSet(a, b []int) bool {
 	if len(a) != len(b) || len(a) == 0 {
 		return false
 	}
-	seen := make(map[int]int, len(a))
 	for _, x := range a {
-		seen[x]++
-	}
-	for _, x := range b {
-		seen[x]--
-		if seen[x] < 0 {
+		if countID(a, x) != countID(b, x) {
 			return false
 		}
 	}
 	return true
+}
+
+func countID(ids []int, x int) int {
+	n := 0
+	for _, id := range ids {
+		if id == x {
+			n++
+		}
+	}
+	return n
 }
 
 // Weight computes k_{S→t} = h_t / Σ h_s over the first historyLen
@@ -164,25 +170,37 @@ func historySum(src SeriesSource, id, historyLen int) float64 {
 	return acc
 }
 
+// horizon validates the per-source forecasts against the scheme and returns
+// their common length.
+func (sc *Scheme) horizon(sourceForecasts [][]float64) (int, error) {
+	if len(sourceForecasts) != len(sc.Sources) {
+		return 0, fmt.Errorf("derivation: got %d forecasts for %d sources", len(sourceForecasts), len(sc.Sources))
+	}
+	if len(sourceForecasts) == 0 {
+		return 0, fmt.Errorf("derivation: no source forecasts")
+	}
+	if sc.Weights != nil && len(sc.Weights) != len(sc.Sources) {
+		return 0, fmt.Errorf("derivation: got %d weights for %d sources", len(sc.Weights), len(sc.Sources))
+	}
+	h := len(sourceForecasts[0])
+	for i, fc := range sourceForecasts {
+		if len(fc) != h {
+			return 0, fmt.Errorf("derivation: forecast %d has length %d, want %d", i, len(fc), h)
+		}
+	}
+	return h, nil
+}
+
 // Apply combines source forecasts into the target forecast: element-wise
 // sum scaled by K. All forecasts must have equal length.
 func (sc *Scheme) Apply(sourceForecasts [][]float64) ([]float64, error) {
-	if len(sourceForecasts) != len(sc.Sources) {
-		return nil, fmt.Errorf("derivation: got %d forecasts for %d sources", len(sourceForecasts), len(sc.Sources))
+	h, err := sc.horizon(sourceForecasts)
+	if err != nil {
+		return nil, err
 	}
-	if len(sourceForecasts) == 0 {
-		return nil, fmt.Errorf("derivation: no source forecasts")
-	}
-	h := len(sourceForecasts[0])
 	out := make([]float64, h)
 	if sc.Weights != nil {
-		if len(sc.Weights) != len(sc.Sources) {
-			return nil, fmt.Errorf("derivation: got %d weights for %d sources", len(sc.Weights), len(sc.Sources))
-		}
 		for i, fc := range sourceForecasts {
-			if len(fc) != h {
-				return nil, fmt.Errorf("derivation: forecast %d has length %d, want %d", i, len(fc), h)
-			}
 			w := sc.Weights[i]
 			for j, v := range fc {
 				out[j] += w * v
@@ -190,10 +208,7 @@ func (sc *Scheme) Apply(sourceForecasts [][]float64) ([]float64, error) {
 		}
 		return out, nil
 	}
-	for i, fc := range sourceForecasts {
-		if len(fc) != h {
-			return nil, fmt.Errorf("derivation: forecast %d has length %d, want %d", i, len(fc), h)
-		}
+	for _, fc := range sourceForecasts {
 		for j, v := range fc {
 			out[j] += v
 		}
@@ -202,6 +217,65 @@ func (sc *Scheme) Apply(sourceForecasts [][]float64) ([]float64, error) {
 		out[j] *= sc.K
 	}
 	return out, nil
+}
+
+// SMAPE returns timeseries.SMAPE(actual, forecast) for the forecast Apply
+// would derive from sourceForecasts, bit for bit, without materializing it.
+// It is the one definition of a scheme's error against actuals: the advisor
+// evaluates tens of thousands of candidate schemes per run through it and
+// keeps only the few that win.
+func (sc *Scheme) SMAPE(actual []float64, sourceForecasts [][]float64) (float64, error) {
+	if _, err := sc.horizon(sourceForecasts); err != nil {
+		return math.NaN(), err
+	}
+	return smapeDerived(actual, sourceForecasts, sc.K, sc.Weights), nil
+}
+
+// smapeDerived is timeseries.SMAPE of actual against the derived series
+// d[i] = k·Σ_s series[s][i] (or Σ_s weights[s]·series[s][i] when weights is
+// non-nil), computed in one pass. The arithmetic is that of summing into a
+// zeroed buffer, scaling it and calling timeseries.SMAPE: sources are added
+// in order starting from 0, and float64(sum*k) is an explicit conversion so
+// that no architecture fuses the scaling into the subtraction that follows.
+func smapeDerived(actual []float64, series [][]float64, k float64, weights []float64) float64 {
+	n := len(series[0])
+	if len(actual) < n {
+		n = len(actual)
+	}
+	if n == 0 {
+		return math.NaN()
+	}
+	var acc float64
+	for i := 0; i < n; i++ {
+		var d float64
+		if weights != nil {
+			for s, vals := range series {
+				d += weights[s] * vals[i]
+			}
+		} else {
+			for _, vals := range series {
+				d += vals[i]
+			}
+			d = float64(d * k)
+		}
+		num := math.Abs(actual[i] - d)
+		den := math.Abs(actual[i]) + math.Abs(d)
+		if den == 0 {
+			continue // both zero: perfect forecast for this step
+		}
+		acc += num / den
+	}
+	return acc / float64(n)
+}
+
+// histories appends the history of every source to buf. Callers pass a
+// stack-backed buffer that covers the usual one to eight sources; larger
+// source sets spill to the heap.
+func histories(src SeriesSource, sources []int, buf [][]float64) [][]float64 {
+	for _, s := range sources {
+		buf = append(buf, src.NodeValues(s))
+	}
+	return buf
 }
 
 // HistoricalError evaluates the derivation accuracy of the scheme sources→
@@ -225,16 +299,12 @@ func HistoricalErrorFrom(src SeriesSource, target int, sources []int, historyLen
 	if historyLen > 0 && historyLen < n {
 		n = historyLen
 	}
-	derived := make([]float64, n)
-	for _, s := range sources {
-		for i, v := range src.NodeValues(s)[:n] {
-			derived[i] += v
-		}
+	var buf [8][]float64
+	srcVals := histories(src, sources, buf[:0])
+	for i, sv := range srcVals {
+		srcVals[i] = sv[:n]
 	}
-	for i := range derived {
-		derived[i] *= k
-	}
-	return timeseries.SMAPE(tv[:n], derived), nil
+	return smapeDerived(tv[:n], srcVals, k, nil), nil
 }
 
 // WeightStability measures the similarity indicator of Section III-B: the
@@ -254,35 +324,40 @@ func WeightStabilityFrom(src SeriesSource, target int, sources []int, historyLen
 	if historyLen > 0 && historyLen < n {
 		n = historyLen
 	}
-	ratios := make([]float64, 0, n)
-	srcVals := make([][]float64, len(sources))
-	for i, s := range sources {
-		srcVals[i] = src.NodeValues(s)
-	}
-	for i := 0; i < n; i++ {
+	var buf [8][]float64
+	srcVals := histories(src, sources, buf[:0])
+	// ratio returns the per-step weight x_t[i] / Σ x_s[i]; both passes below
+	// recompute it rather than keep n of them.
+	ratio := func(i int) (float64, bool) {
 		var den float64
 		for _, sv := range srcVals {
 			den += sv[i]
 		}
 		if math.Abs(den) < 1e-12 {
-			continue
+			return 0, false
 		}
-		ratios = append(ratios, tv[i]/den)
-	}
-	if len(ratios) < 2 {
-		return math.Inf(1)
+		return tv[i] / den, true
 	}
 	var mean float64
-	for _, r := range ratios {
-		mean += r
+	usable := 0
+	for i := 0; i < n; i++ {
+		if r, ok := ratio(i); ok {
+			mean += r
+			usable++
+		}
 	}
-	mean /= float64(len(ratios))
+	if usable < 2 {
+		return math.Inf(1)
+	}
+	mean /= float64(usable)
 	var variance float64
-	for _, r := range ratios {
-		d := r - mean
-		variance += d * d
+	for i := 0; i < n; i++ {
+		if r, ok := ratio(i); ok {
+			d := r - mean
+			variance += d * d
+		}
 	}
-	variance /= float64(len(ratios))
+	variance /= float64(usable)
 	if mean == 0 {
 		return math.Inf(1)
 	}

@@ -1,0 +1,300 @@
+package derivation
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+	"testing/quick"
+
+	"cubefc/internal/timeseries"
+)
+
+// The materializing kernels, verbatim from before HistoricalErrorFrom,
+// WeightStabilityFrom and the scheme error went streaming. They are the
+// definition the streaming kernels are held to, bit for bit.
+
+func OracleHistoricalErrorFrom(src SeriesSource, target int, sources []int, historyLen int) (float64, error) {
+	k, err := WeightFrom(src, target, sources, historyLen)
+	if err != nil {
+		return math.NaN(), err
+	}
+	tv := src.NodeValues(target)
+	n := len(tv)
+	if historyLen > 0 && historyLen < n {
+		n = historyLen
+	}
+	derived := make([]float64, n)
+	for _, s := range sources {
+		for i, v := range src.NodeValues(s)[:n] {
+			derived[i] += v
+		}
+	}
+	for i := range derived {
+		derived[i] *= k
+	}
+	return timeseries.SMAPE(tv[:n], derived), nil
+}
+
+func OracleWeightStabilityFrom(src SeriesSource, target int, sources []int, historyLen int) float64 {
+	tv := src.NodeValues(target)
+	n := len(tv)
+	if historyLen > 0 && historyLen < n {
+		n = historyLen
+	}
+	ratios := make([]float64, 0, n)
+	srcVals := make([][]float64, len(sources))
+	for i, s := range sources {
+		srcVals[i] = src.NodeValues(s)
+	}
+	for i := 0; i < n; i++ {
+		var den float64
+		for _, sv := range srcVals {
+			den += sv[i]
+		}
+		if math.Abs(den) < 1e-12 {
+			continue
+		}
+		ratios = append(ratios, tv[i]/den)
+	}
+	if len(ratios) < 2 {
+		return math.Inf(1)
+	}
+	var mean float64
+	for _, r := range ratios {
+		mean += r
+	}
+	mean /= float64(len(ratios))
+	var variance float64
+	for _, r := range ratios {
+		d := r - mean
+		variance += d * d
+	}
+	variance /= float64(len(ratios))
+	if mean == 0 {
+		return math.Inf(1)
+	}
+	return math.Sqrt(variance) / math.Abs(mean)
+}
+
+func oracleApply(sc *Scheme, sourceForecasts [][]float64) ([]float64, error) {
+	if len(sourceForecasts) != len(sc.Sources) {
+		return nil, fmt.Errorf("derivation: got %d forecasts for %d sources", len(sourceForecasts), len(sc.Sources))
+	}
+	if len(sourceForecasts) == 0 {
+		return nil, fmt.Errorf("derivation: no source forecasts")
+	}
+	h := len(sourceForecasts[0])
+	out := make([]float64, h)
+	if sc.Weights != nil {
+		if len(sc.Weights) != len(sc.Sources) {
+			return nil, fmt.Errorf("derivation: got %d weights for %d sources", len(sc.Weights), len(sc.Sources))
+		}
+		for i, fc := range sourceForecasts {
+			if len(fc) != h {
+				return nil, fmt.Errorf("derivation: forecast %d has length %d, want %d", i, len(fc), h)
+			}
+			w := sc.Weights[i]
+			for j, v := range fc {
+				out[j] += w * v
+			}
+		}
+		return out, nil
+	}
+	for i, fc := range sourceForecasts {
+		if len(fc) != h {
+			return nil, fmt.Errorf("derivation: forecast %d has length %d, want %d", i, len(fc), h)
+		}
+		for j, v := range fc {
+			out[j] += v
+		}
+	}
+	for j := range out {
+		out[j] *= sc.K
+	}
+	return out, nil
+}
+
+// oracleSchemeSMAPE is what Configuration.SchemeError used to compute.
+func oracleSchemeSMAPE(sc *Scheme, actual []float64, sourceForecasts [][]float64) (float64, error) {
+	fc, err := oracleApply(sc, sourceForecasts)
+	if err != nil {
+		return math.NaN(), err
+	}
+	return timeseries.SMAPE(actual, fc), nil
+}
+
+// KernelCase is one generated input for the kernel differentials: series 0
+// is the target (history, or the actuals of a scheme error), series 1…m the
+// sources (histories, or per-source forecasts).
+type KernelCase struct {
+	Series     SliceSource
+	Sources    []int
+	HistoryLen int
+	Scheme     Scheme    // over Sources, for Apply / SMAPE
+	Actual     []float64 // deliberately not always the forecasts' length
+	Forecasts  [][]float64
+}
+
+// SliceSource serves node id's history from element id.
+type SliceSource [][]float64
+
+func (s SliceSource) NodeValues(id int) []float64 { return s[id] }
+
+// Generate implements quick.Generator: 1–9 sources (the stack buffer holds
+// eight, so the spill is crossed), lengths 0–64, every historyLen regime,
+// and the value shapes the kernels special-case.
+func (KernelCase) Generate(r *rand.Rand, _ int) reflect.Value {
+	m := 1 + r.Intn(9)
+	n := r.Intn(65)
+	if r.Intn(8) == 0 {
+		n = r.Intn(3) // 0, 1 and 2 observations: NaN and the "< 2 usable steps" exits
+	}
+	c := KernelCase{Series: make(SliceSource, m+1)}
+	shape := r.Intn(6)
+	for id := range c.Series {
+		vals := make([]float64, n)
+		for i := range vals {
+			switch shape {
+			case 0: // all zero
+			case 1: // constant
+				vals[i] = 3.5
+			case 2: // negative
+				vals[i] = -1 - 10*r.Float64()
+			case 3: // mixed sign
+				vals[i] = r.NormFloat64() * 100
+			default: // positive, the usual case
+				vals[i] = 1 + 100*r.Float64()
+			}
+		}
+		c.Series[id] = vals
+	}
+	for s := 1; s <= m; s++ {
+		c.Sources = append(c.Sources, s)
+	}
+	if n > 0 {
+		// Zero-sum steps, which WeightStability skips.
+		for z := r.Intn(4); z > 0; z-- {
+			i := r.Intn(n)
+			for s := 1; s <= m; s++ {
+				c.Series[s][i] = 0
+			}
+			if m > 1 && r.Intn(2) == 0 {
+				c.Series[1][i], c.Series[2][i] = 7.25, -7.25
+			}
+		}
+		switch r.Intn(8) {
+		case 0:
+			c.Series[r.Intn(m+1)][r.Intn(n)] = math.NaN()
+		case 1:
+			c.Series[r.Intn(m+1)][r.Intn(n)] = math.Inf(1 - 2*r.Intn(2))
+		}
+	}
+	switch r.Intn(4) {
+	case 0:
+		c.HistoryLen = -r.Intn(2) // 0 or -1: whole history
+	case 1:
+		c.HistoryLen = n + 1 + r.Intn(5)
+	default:
+		c.HistoryLen = 1 + r.Intn(n+1)
+	}
+
+	c.Scheme = Scheme{Target: 0, Sources: c.Sources, K: r.NormFloat64()}
+	if r.Intn(3) == 0 {
+		c.Scheme.Weights = make([]float64, m)
+		for i := range c.Scheme.Weights {
+			c.Scheme.Weights[i] = r.NormFloat64()
+		}
+	}
+	c.Forecasts = c.Series[1:]
+	c.Actual = c.Series[0]
+	switch r.Intn(12) {
+	case 0: // actuals shorter than the horizon
+		c.Actual = c.Actual[:n/2]
+	case 1: // and longer
+		c.Actual = append(append([]float64(nil), c.Actual...), 1, 2, 3)
+	case 2: // a forecast too few
+		c.Forecasts = c.Forecasts[:m-1]
+	case 3: // ragged forecasts
+		if m > 1 && n > 0 {
+			c.Forecasts = append([][]float64(nil), c.Forecasts...)
+			c.Forecasts[m-1] = c.Forecasts[m-1][:n-1]
+		}
+	case 4: // a weight too many
+		if c.Scheme.Weights != nil {
+			c.Scheme.Weights = append(c.Scheme.Weights, 1)
+		}
+	}
+	return reflect.ValueOf(c)
+}
+
+// sameBits is bit equality with every NaN equal to every other.
+func sameBits(a, b float64) bool {
+	if math.IsNaN(a) || math.IsNaN(b) {
+		return math.IsNaN(a) && math.IsNaN(b)
+	}
+	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+// TestKernelTwin holds the streaming kernels to the materializing ones:
+// the same bits, and an error exactly where those returned one.
+func TestKernelTwin(t *testing.T) {
+	check := func(c KernelCase) bool {
+		ok := true
+		got, gotErr := HistoricalErrorFrom(c.Series, 0, c.Sources, c.HistoryLen)
+		want, wantErr := OracleHistoricalErrorFrom(c.Series, 0, c.Sources, c.HistoryLen)
+		if !sameBits(got, want) || (gotErr == nil) != (wantErr == nil) {
+			t.Errorf("HistoricalErrorFrom = %v, %v; oracle %v, %v", got, gotErr, want, wantErr)
+			ok = false
+		}
+		if got, want := WeightStabilityFrom(c.Series, 0, c.Sources, c.HistoryLen), OracleWeightStabilityFrom(c.Series, 0, c.Sources, c.HistoryLen); !sameBits(got, want) {
+			t.Errorf("WeightStabilityFrom = %v; oracle %v", got, want)
+			ok = false
+		}
+		got, gotErr = c.Scheme.SMAPE(c.Actual, c.Forecasts)
+		want, wantErr = oracleSchemeSMAPE(&c.Scheme, c.Actual, c.Forecasts)
+		if !sameBits(got, want) || (gotErr == nil) != (wantErr == nil) {
+			t.Errorf("Scheme.SMAPE = %v, %v; oracle %v, %v", got, gotErr, want, wantErr)
+			ok = false
+		}
+		fc, gotErr := c.Scheme.Apply(c.Forecasts)
+		wantFc, wantErr := oracleApply(&c.Scheme, c.Forecasts)
+		if len(fc) != len(wantFc) || (gotErr == nil) != (wantErr == nil) {
+			t.Errorf("Apply = %d values, %v; oracle %d values, %v", len(fc), gotErr, len(wantFc), wantErr)
+			return false
+		}
+		for i := range fc {
+			if !sameBits(fc[i], wantFc[i]) {
+				t.Errorf("Apply[%d] = %v; oracle %v", i, fc[i], wantFc[i])
+				ok = false
+			}
+		}
+		if !ok {
+			t.Logf("case: %d sources, %d observations, historyLen %d, weights %v", len(c.Sources), len(c.Series[0]), c.HistoryLen, c.Scheme.Weights != nil)
+		}
+		return ok
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 5000, Rand: rand.New(rand.NewSource(17))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSameIDSet(t *testing.T) {
+	for _, c := range []struct {
+		a, b []int
+		want bool
+	}{
+		{nil, nil, false},
+		{[]int{1}, []int{1}, true},
+		{[]int{1, 2, 3}, []int{3, 1, 2}, true},
+		{[]int{1, 2}, []int{1, 2, 3}, false},
+		{[]int{1, 1, 2}, []int{1, 2, 2}, false},
+		{[]int{1, 1, 2}, []int{2, 1, 1}, true},
+		{[]int{1, 2}, []int{1, 4}, false},
+	} {
+		if got := sameIDSet(c.a, c.b); got != c.want {
+			t.Errorf("sameIDSet(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}

@@ -47,11 +47,12 @@ func Fig8a(scale Scale) (*Table, error) {
 			}
 			fc[id] = m.Forecast(g.Length - trainLen)
 		}
+		var bfs cube.BFSScratch
 		for s := 0; s < g.NumNodes(); s++ {
 			if fc[s] == nil {
 				continue
 			}
-			for _, tgt := range g.ClosestNodes(s, 8) {
+			for _, tgt := range g.ClosestNodes(&bfs, s, 8) {
 				ind := indicator.Combined(g, tgt, []int{s}, icfg)
 				sc, err := derivation.NewScheme(g, tgt, []int{s}, trainLen)
 				if err != nil {

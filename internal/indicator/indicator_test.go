@@ -199,3 +199,16 @@ func TestCombinedQuickNonNegative(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCombinedAllocs is the allocation gate of the indicator cell: the
+// advisor computes one per (candidate, neighbour) pair — some 137 000 per
+// run on a 5 041-node cube — and it allocates nothing.
+func TestCombinedAllocs(t *testing.T) {
+	g := testGraph(t)
+	cfg := DefaultConfig()
+	for _, sources := range [][]int{{1}, {0, 1, 2}} {
+		if n := testing.AllocsPerRun(100, func() { _ = Combined(g, g.TopID, sources, cfg) }); n != 0 {
+			t.Errorf("Combined over %d sources allocates %v times, want 0", len(sources), n)
+		}
+	}
+}

@@ -25,10 +25,10 @@ import (
 // FuzzDecodeSegment holds it to that.
 
 var (
-	segMagic     = [8]byte{'F', '2', 'S', 'E', 'G', '0', '0', '1'}
-	segEndMagic  = [8]byte{'F', '2', 'S', 'E', 'G', 'E', 'N', 'D'}
-	segHeaderLen = 8 + 8 + 8 + 8 + 4 + 4 // magic, fingerprint, fromGen, toGen, count, CRC
-	segTrailerLen = 8 + 8                // index offset, end magic
+	segMagic      = [8]byte{'F', '2', 'S', 'E', 'G', '0', '0', '1'}
+	segEndMagic   = [8]byte{'F', '2', 'S', 'E', 'G', 'E', 'N', 'D'}
+	segHeaderLen  = 8 + 8 + 8 + 8 + 4 + 4 // magic, fingerprint, fromGen, toGen, count, CRC
+	segTrailerLen = 8 + 8                 // index offset, end magic
 )
 
 // Header identifies a segment: the cube fingerprint it belongs to and the
