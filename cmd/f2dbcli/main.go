@@ -28,8 +28,6 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
@@ -38,18 +36,20 @@ import (
 	"cubefc/internal/core"
 	"cubefc/internal/csvload"
 	"cubefc/internal/cube"
+	"cubefc/internal/daemon"
 	"cubefc/internal/experiments"
 	"cubefc/internal/f2db"
 	"cubefc/internal/fclient"
+	"cubefc/internal/metrics"
 	"cubefc/internal/segment"
 	"cubefc/internal/sibyl"
 	"cubefc/internal/workload"
 )
 
-// selftuneStats, when -selftune is on, renders the self-tuning counters
-// appended to every local \stats (the remote shell gets the daemon's own
-// line through server.Options.ExtraStats instead).
-var selftuneStats func() string
+// statsRegs are the registries a local \stats prints: the engine's, then
+// the self-tuning engine's when -selftune is on (a remote shell gets the
+// daemon's own through the wire instead).
+var statsRegs []*metrics.Registry
 
 func main() {
 	dataset := flag.String("dataset", "tourism", "data set: tourism, sales, energy, gen1k, gen10k, cubeN (synthetic cube with ~N nodes, e.g. cube100k)")
@@ -234,50 +234,28 @@ func main() {
 		}
 		db = d
 	}
-	var sibCollectors []f2db.Collector
+	statsRegs = []*metrics.Registry{db.Registry()}
 	if *selftune {
 		sib := sibyl.New(sibyl.Options{
 			Bucket:  *selftuneBucket,
 			Horizon: *selftuneHorizon,
 			Season:  *selftuneSeason,
 		})
-		db.SetTelemetry(sib)
-		sib.Attach(
-			&sibyl.Prewarm{Run: func(sql string) error {
-				_, err := db.Query(sql)
-				return err
-			}},
-			&sibyl.TroughWork{Run: func() {
-				db.ReestimateInvalid()
-				if dur != nil {
-					_ = dur.Compact()
-				}
-			}},
-			&sibyl.CacheSizer{
-				Name:    "plan-cache",
-				Apply:   func(n int) { db.SetPlanCacheCapacity(n) },
-				Min:     64,
-				Max:     64 << 10,
-				Current: 256,
-			},
-			&sibyl.CacheSizer{
-				Name:        "forecast-cache",
-				Apply:       func(n int) { db.SetForecastCacheCapacity(n) },
-				Min:         256,
-				Max:         1 << 20,
-				PerTemplate: 8,
-				Current:     4096,
-			},
-		)
-		selftuneStats = sib.Metrics().StatsLine
-		sibCollectors = append(sibCollectors, sib.Metrics().WritePrometheus)
+		daemon.AttachEngineTuning(sib, db, dur)
+		statsRegs = append(statsRegs, sib.Metrics().Registry())
 		sib.Start()
 		defer sib.Stop()
 	}
 	if *pprofFlag && *metricsAddr == "" {
 		fail(fmt.Errorf("-pprof mounts on the metrics listener; set -metrics too"))
 	}
-	serveMetrics(db, *metricsAddr, *pprofFlag, sibCollectors...)
+	if *metricsAddr != "" {
+		maddr, err := daemon.ServeMetrics(*metricsAddr, *pprofFlag, statsRegs...)
+		if err != nil {
+			fail(err)
+		}
+		fmt.Printf("serving metrics on http://%s/metrics\n", maddr)
+	}
 	if *wlPoints > 0 {
 		if g == nil {
 			fail(fmt.Errorf("-workload needs a data set graph; it does not run against a -db snapshot"))
@@ -354,32 +332,6 @@ func buildGraph(dataset, csvPath, dimSpec string, period int, lazy bool) (*cube.
 	return g, ds.Name, nil
 }
 
-// serveMetrics exposes the engine counters on addr/metrics in Prometheus
-// text format (no-op when addr is empty). Mounting goes through
-// f2db.MountMetrics — the same helper f2dbd uses — so the endpoint cannot
-// drift between the two binaries. The endpoint is lock-free; it never
-// interferes with the interactive session.
-func serveMetrics(db *f2db.DB, addr string, withPprof bool, extra ...f2db.Collector) {
-	if addr == "" {
-		return
-	}
-	mux := http.NewServeMux()
-	f2db.MountMetrics(mux, db, extra...)
-	if withPprof {
-		f2db.MountPprof(mux)
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("serving metrics on http://%s/metrics\n", ln.Addr())
-	go func() {
-		if err := http.Serve(ln, mux); err != nil {
-			fmt.Fprintln(os.Stderr, "f2dbcli: metrics server:", err)
-		}
-	}()
-}
-
 // printWorkload reports a workload run.
 func printWorkload(res workload.RunResult) {
 	fmt.Printf("workload: %d inserts, %d queries in %v (avg query %v)\n",
@@ -404,10 +356,10 @@ func localStmt(db *f2db.DB, stmt string) error {
 		fmt.Println("pong")
 		return nil
 	case stmt == `\stats`:
-		fmt.Printf("pending=%d invalid=%d\n", db.Stats().PendingInserts, db.InvalidCount())
-		fmt.Print(db.Metrics())
-		if selftuneStats != nil {
-			fmt.Print(selftuneStats())
+		for _, r := range statsRegs {
+			if err := r.WriteStats(os.Stdout); err != nil {
+				return err
+			}
 		}
 		return nil
 	case strings.HasPrefix(stmt, `\save `):
@@ -518,19 +470,6 @@ func repl(db *f2db.DB, name string) {
 			return
 		case line == `\help`:
 			printHelp()
-		case line == `\stats`:
-			fmt.Printf("pending=%d invalid=%d\n", db.Stats().PendingInserts, db.InvalidCount())
-			fmt.Print(db.Metrics())
-			if selftuneStats != nil {
-				fmt.Print(selftuneStats())
-			}
-		case strings.HasPrefix(line, `\save `):
-			path := strings.TrimSpace(strings.TrimPrefix(line, `\save `))
-			if err := saveDB(db, path); err != nil {
-				fmt.Println("error:", err)
-				continue
-			}
-			fmt.Printf("database saved to %s (reopen with -db %s)\n", path, path)
 		case line == `\models`:
 			cfgView := db.Configuration()
 			gView := db.Graph()
@@ -553,19 +492,10 @@ func repl(db *f2db.DB, name string) {
 				fmt.Printf("  %-40s %-8s updates=%-4d rolling-err=%.4f%s\n",
 					k, h.Family, h.UpdatesSinceFit, h.RollingError, marker)
 			}
-		case strings.HasPrefix(strings.ToLower(line), "insert"):
-			if err := db.Exec(line); err != nil {
-				fmt.Println("error:", err)
-			} else {
-				fmt.Println("ok")
-			}
 		default:
-			res, err := db.Query(line)
-			if err != nil {
+			if err := localStmt(db, line); err != nil {
 				fmt.Println("error:", err)
-				continue
 			}
-			printResult(res)
 		}
 	}
 }

@@ -49,7 +49,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -58,8 +57,10 @@ import (
 
 	"cubefc/internal/coord"
 	"cubefc/internal/core"
+	"cubefc/internal/daemon"
 	"cubefc/internal/experiments"
 	"cubefc/internal/f2db"
+	"cubefc/internal/metrics"
 	"cubefc/internal/segment"
 	"cubefc/internal/server"
 	"cubefc/internal/sibyl"
@@ -105,6 +106,9 @@ func main() {
 		IdleTimeout:    *idleTimeout,
 		Logf:           logf,
 	}
+	// sidecars are registries of state beside the backend: they follow the
+	// server's on \stats and on -metrics.
+	var sidecars []*metrics.Registry
 	var sib *sibyl.Engine
 	if *selftune {
 		sib = sibyl.New(sibyl.Options{
@@ -113,7 +117,7 @@ func main() {
 			Season:  *selftuneSeason,
 			Logf:    logf,
 		})
-		srvOpts.ExtraStats = sib.Metrics().StatsLine
+		sidecars = append(sidecars, sib.Metrics().Registry())
 	}
 
 	var (
@@ -122,7 +126,7 @@ func main() {
 		ckpt    *f2db.CheckpointScheduler
 		co      *coord.Coordinator
 		srv     *server.Server
-		metrics []f2db.Collector
+		backend *metrics.Registry
 		name    string
 	)
 	if (*checkpointEvery > 0 || *checkpointBatches > 0) && *walDir == "" {
@@ -157,11 +161,7 @@ func main() {
 		if sib != nil {
 			attachCoordTuning(sib, co, *coordCacheSize)
 		}
-		srv = server.NewBackend(co, srvOpts)
-		metrics = []f2db.Collector{co.Metrics().Collector(), srv.Metrics().Collector()}
-		if sib != nil {
-			metrics = append(metrics, sib.Metrics().WritePrometheus)
-		}
+		srv, backend = server.NewBackend(co, srvOpts, sidecars...), co.Metrics().Registry()
 		name = fmt.Sprintf("%s across %d shards", gname, len(addrs))
 	} else {
 		opts := f2db.Options{
@@ -206,7 +206,7 @@ func main() {
 			}
 		}
 		if sib != nil {
-			attachEngineTuning(sib, db, dur)
+			daemon.AttachEngineTuning(sib, db, dur)
 		}
 		if dur != nil && (*checkpointEvery > 0 || *checkpointBatches > 0) {
 			ckpt = f2db.NewCheckpointScheduler(dur, f2db.CheckpointPolicy{
@@ -215,7 +215,7 @@ func main() {
 			}, logf)
 			ckpt.Start()
 		}
-		srv = server.New(db, srvOpts)
+		srv, backend = server.New(db, srvOpts, sidecars...), db.Registry()
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -233,29 +233,12 @@ func main() {
 		fail(fmt.Errorf("-pprof mounts on the metrics listener; set -metrics too"))
 	}
 	if *metricsAddr != "" {
-		mux := http.NewServeMux()
-		if co != nil {
-			f2db.MountCollectors(mux, metrics...)
-		} else {
-			extras := []f2db.Collector{srv.Metrics().Collector()}
-			if sib != nil {
-				extras = append(extras, sib.Metrics().WritePrometheus)
-			}
-			f2db.MountMetrics(mux, db, extras...)
-		}
-		if *pprofFlag {
-			f2db.MountPprof(mux)
-		}
-		mln, err := net.Listen("tcp", *metricsAddr)
+		regs := append([]*metrics.Registry{backend, srv.Metrics().Registry()}, sidecars...)
+		maddr, err := daemon.ServeMetrics(*metricsAddr, *pprofFlag, regs...)
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("f2dbd: metrics on http://%s/metrics\n", mln.Addr())
-		go func() {
-			if err := http.Serve(mln, mux); err != nil {
-				fmt.Fprintln(os.Stderr, "f2dbd: metrics server:", err)
-			}
-		}()
+		fmt.Printf("f2dbd: metrics on http://%s/metrics\n", maddr)
 	}
 
 	if sib != nil {

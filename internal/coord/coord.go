@@ -40,6 +40,7 @@
 package coord
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -443,7 +444,7 @@ func (c *Coordinator) runShard(s *shard) {
 		err := s.client.Exec(e.sql)
 		sm := &c.met.Shards[s.idx]
 		sm.Requests.Add(1)
-		sm.Latency.Observe(time.Since(start))
+		sm.Latency.Observe(time.Since(start).Nanoseconds())
 
 		c.mu.Lock()
 		switch {
@@ -673,7 +674,7 @@ func (c *Coordinator) scatterGather(plan *f2db.Plan) (*f2db.Result, error) {
 	n := len(plan.Nodes)
 	c.met.Fanouts.Add(1)
 	c.met.FanoutSubqueries.Add(int64(n))
-	c.met.noteFanWidth(n)
+	c.met.FanoutWidth.Observe(int64(n))
 
 	results := make([]*f2db.Result, n)
 	errs := make([]error, n)
@@ -738,7 +739,7 @@ func (c *Coordinator) queryNode(node int, sql string) (*f2db.Result, error) {
 			start := time.Now()
 			res, err := s.client.Query(sql)
 			sm.Requests.Add(1)
-			sm.Latency.Observe(time.Since(start))
+			sm.Latency.Observe(time.Since(start).Nanoseconds())
 			if err == nil {
 				return res, nil
 			}
@@ -812,25 +813,21 @@ func (c *Coordinator) CaughtUp() bool {
 
 // --- Backend surface -----------------------------------------------------
 
-// StatsText renders the cluster state for TStats requests.
+// StatsText renders the cluster for TStats requests: the state lines,
+// read under c.mu, then the counters from the registry.
 func (c *Coordinator) StatsText() string {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	var b []byte
+	var b bytes.Buffer
 	servable := 0
 	for _, s := range c.shards {
 		if !s.down && !s.dead && s.cursor == c.logLen() {
 			servable++
 		}
 	}
-	b = fmt.Appendf(b, "coordinator shards=%d servable=%d log=%d retained=%d trimmed=%d\n",
+	fmt.Fprintf(&b, "coordinator shards=%d servable=%d log=%d retained=%d trimmed=%d\n",
 		len(c.shards), servable, c.logLen(), len(c.log), c.trimBase)
 	if c.cache != nil {
-		b = fmt.Appendf(b, "cache: hits=%d misses=%d coalesced=%d evictions=%d invalidations=%d route-hits=%d size=%d epoch=%d part-bumps=%d global-bumps=%d resizes=%d\n",
-			c.met.CacheHits.Load(), c.met.CacheMisses.Load(), c.met.CacheCoalesced.Load(),
-			c.met.CacheEvictions.Load(), c.met.CacheInvalidations.Load(),
-			c.met.RouteMemoHits.Load(), c.cache.len(), c.epoch.Load(),
-			c.met.EpochPartBumps.Load(), c.met.EpochGlobalBumps.Load(), c.met.CacheResizes.Load())
+		fmt.Fprintf(&b, "cache: size=%d epoch=%d\n", c.cache.len(), c.epoch.Load())
 	}
 	for _, s := range c.shards {
 		state := "up"
@@ -842,11 +839,11 @@ func (c *Coordinator) StatsText() string {
 		case s.cursor < c.logLen():
 			state = "lagging"
 		}
-		sm := &c.met.Shards[s.idx]
-		b = fmt.Appendf(b, "shard %d addr=%s state=%s cursor=%d/%d requests=%d errors=%d\n",
-			s.idx, s.addr, state, s.cursor, c.logLen(), sm.Requests.Load(), sm.Errors.Load())
+		fmt.Fprintf(&b, "shard %d addr=%s state=%s cursor=%d/%d\n", s.idx, s.addr, state, s.cursor, c.logLen())
 	}
-	return string(b)
+	c.mu.Unlock()
+	c.met.Registry().WriteStats(&b)
+	return b.String()
 }
 
 // Counts reports the coordinator's applied progress for TInfo: total rows

@@ -8,7 +8,10 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"reflect"
+	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +19,7 @@ import (
 	"cubefc/internal/cube"
 	"cubefc/internal/f2db"
 	"cubefc/internal/fclient"
+	"cubefc/internal/metrics"
 	"cubefc/internal/server"
 	"cubefc/internal/timeseries"
 	"cubefc/internal/wire"
@@ -273,29 +277,86 @@ func TestRealign(t *testing.T) {
 	}
 }
 
-// TestMetricsCollector smoke-checks the Prometheus rendering, including
-// the log2 fan-out width bucketing.
+// TestMetricsCollector checks the Prometheus rendering: the fan-out width
+// is a real histogram whose le is an inclusive bound (a width of 4 counts
+// under le="4"), and the per-shard latency is one family labelled by shard.
 func TestMetricsCollector(t *testing.T) {
 	m := newMetrics([]string{"a:1", "b:2"})
 	m.Queries.Add(3)
 	m.Shards[1].Requests.Add(7)
-	m.noteFanWidth(1)
-	m.noteFanWidth(2)
-	m.noteFanWidth(3) // → le="4"
-	m.noteFanWidth(4) // → le="4"
+	for _, width := range []int64{1, 2, 3, 4} {
+		m.FanoutWidth.Observe(width)
+	}
+	m.Shards[1].Latency.Observe(1000)
 	var buf bytes.Buffer
-	m.Collector()(&buf)
+	if err := m.Registry().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
 	out := buf.String()
 	for _, want := range []string{
 		"coord_queries_total 3",
 		`coord_shard_requests_total{shard="1",addr="b:2"} 7`,
-		`coord_fanout_width{le="1"} 1`,
-		`coord_fanout_width{le="2"} 1`,
-		`coord_fanout_width{le="4"} 2`,
-		"coord_shard0_latency_seconds_count 0",
+		"# TYPE coord_fanout_width histogram",
+		`coord_fanout_width_bucket{le="1"} 1`,
+		`coord_fanout_width_bucket{le="2"} 2`,
+		`coord_fanout_width_bucket{le="4"} 4`,
+		`coord_fanout_width_bucket{le="+Inf"} 4`,
+		"coord_fanout_width_sum 10",
+		"coord_fanout_width_count 4",
+		`coord_shard_latency_seconds_count{shard="0",addr="a:1"} 0`,
+		`coord_shard_latency_seconds_bucket{shard="1",addr="b:2",le="1.024e-06"} 1`,
 	} {
 		if !strings.Contains(out, want) {
-			t.Fatalf("collector output missing %q:\n%s", want, out)
+			t.Fatalf("registry output missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "coord_shard0_latency_seconds") || strings.Contains(out, `le="8"`) {
+		t.Fatalf("registry output still carries a malformed family:\n%s", out)
+	}
+}
+
+// TestRegistryComplete gives every exported atomic.Int64 and
+// metrics.Histogram field of Metrics and ShardMetrics a value of its own
+// and requires each on /metrics and on \stats: a field added without a
+// registration line fails here.
+func TestRegistryComplete(t *testing.T) {
+	m := newMetrics([]string{"a:1"})
+	next := int64(1000)
+	want := map[string]string{}
+	fill := func(prefix string, v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			name := prefix + v.Type().Field(i).Name
+			next++
+			switch f := v.Field(i).Addr().Interface().(type) {
+			case *atomic.Int64:
+				f.Store(next)
+			case *metrics.Histogram:
+				for j := int64(0); j < next; j++ {
+					f.Observe(1)
+				}
+			case *[]ShardMetrics, *string:
+				continue
+			default:
+				t.Fatalf("field %s has type %T: teach this test how to fill it", name, f)
+			}
+			want[name] = fmt.Sprint(next)
+		}
+	}
+	fill("Metrics.", reflect.ValueOf(m).Elem())
+	fill("ShardMetrics.", reflect.ValueOf(&m.Shards[0]).Elem())
+	var page, stats bytes.Buffer
+	if err := m.Registry().WritePrometheus(&page); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Registry().WriteStats(&stats); err != nil {
+		t.Fatal(err)
+	}
+	for name, val := range want {
+		if !regexp.MustCompile(`(?m) ` + val + `$`).MatchString(page.String()) {
+			t.Errorf("%s (= %s) is not on /metrics", name, val)
+		}
+		if !regexp.MustCompile(`=` + val + `\b`).MatchString(stats.String()) {
+			t.Errorf("%s (= %s) is not on \\stats:\n%s", name, val, stats.String())
 		}
 	}
 }

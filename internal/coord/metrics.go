@@ -1,28 +1,24 @@
 package coord
 
 import (
-	"fmt"
-	"io"
+	"strconv"
 	"sync/atomic"
 
-	"cubefc/internal/f2db"
+	"cubefc/internal/metrics"
 )
 
 // Metrics holds the coordinator's live counters. All fields update with
-// atomics only, so scraping never contends with routing. Families render
-// in the engine's Prometheus text format through Collector, mounted on
-// /metrics by the -coordinator daemon via f2db.MountCollectors.
+// atomics only, so scraping never contends with routing.
 type Metrics struct {
 	// Statement mix at the coordinator surface.
 	Queries atomic.Int64
 	Execs   atomic.Int64
 
 	// Scatter-gather shape: drill-down statements fanned out, total
-	// sub-queries issued, and a log₂ width histogram (fanWidth[i] counts
-	// fan-outs of width in (2^(i-1), 2^i]).
+	// sub-queries issued, and a log₂ histogram of fan-out widths.
 	Fanouts          atomic.Int64
 	FanoutSubqueries atomic.Int64
-	fanWidth         [16]atomic.Int64
+	FanoutWidth      metrics.Histogram
 
 	// Failovers counts queries answered by a non-owner shard.
 	Failovers atomic.Int64
@@ -70,7 +66,8 @@ type ShardMetrics struct {
 	// duplicates of an apply that an ambiguous failure had obscured.
 	Replays       atomic.Int64
 	ReplayRejects atomic.Int64
-	Latency       f2db.Histogram
+	// Latency observes request round trips in nanoseconds.
+	Latency metrics.Histogram
 }
 
 func newMetrics(addrs []string) *Metrics {
@@ -81,73 +78,40 @@ func newMetrics(addrs []string) *Metrics {
 	return m
 }
 
-func (m *Metrics) noteFanWidth(n int) {
-	i := 0
-	for v := n - 1; v > 0; v >>= 1 {
-		i++
+// Registry describes every field for /metrics and the counter lines of
+// StatsText.
+func (m *Metrics) Registry() *metrics.Registry {
+	r := &metrics.Registry{}
+	r.Int("coord_queries_total", "SELECT statements routed.", &m.Queries)
+	r.Int("coord_execs_total", "INSERT statements logged and broadcast.", &m.Execs)
+	r.Int("coord_fanouts_total", "Drill-down statements scattered.", &m.Fanouts)
+	r.Int("coord_fanout_subqueries_total", "Sub-queries issued by scatter-gather.", &m.FanoutSubqueries)
+	r.Int("coord_failovers_total", "Queries answered by a non-owner shard.", &m.Failovers)
+	r.Int("coord_log_trimmed_total", "Statement-log entries trimmed after cluster-wide apply.", &m.LogTrimmed)
+	r.Int("coord_shards_down", "Shards currently down (reconnecting).", &m.ShardsDown)
+	r.Int("coord_shards_dead", "Shards abandoned after unalignable restarts.", &m.ShardsDead)
+	r.Histogram("coord_fanout_width", "Sub-queries per scattered statement.", 1, &m.FanoutWidth)
+
+	r.Break(false)
+	r.Int("coord_cache_hits_total", "Statements served from the result cache (no shard fan-out).", &m.CacheHits)
+	r.Int("coord_cache_misses_total", "Result-cache misses that fanned out to the shards.", &m.CacheMisses)
+	r.Int("coord_cache_coalesced_total", "Statements coalesced onto an in-flight identical fan-out.", &m.CacheCoalesced)
+	r.Int("coord_cache_evictions_total", "Result-cache LRU evictions.", &m.CacheEvictions)
+	r.Int("coord_cache_invalidations_total", "Cached results discarded because a write bumped the epoch.", &m.CacheInvalidations)
+	r.Int("coord_route_memo_hits_total", "Statements routed from the memo without re-parsing.", &m.RouteMemoHits)
+	r.Int("coord_cache_resizes_total", "Read-cache capacity changes applied by self-tuning.", &m.CacheResizes)
+	r.Int("coord_epoch_part_bumps_total", "Execs that bumped only their write partition's epoch.", &m.EpochPartBumps)
+	r.Int("coord_epoch_global_bumps_total", "Execs that bumped the global write epoch.", &m.EpochGlobalBumps)
+
+	r.Break(false)
+	for i := range m.Shards {
+		s := &m.Shards[i]
+		shard, addr := metrics.Label("shard", strconv.Itoa(i)), metrics.Label("addr", s.Addr)
+		r.Int("coord_shard_requests_total", "Requests sent per shard.", &s.Requests, shard, addr)
+		r.Int("coord_shard_errors_total", "Transport failures per shard.", &s.Errors, shard, addr)
+		r.Int("coord_shard_replays_total", "Restart recoveries that rewound the replay cursor.", &s.Replays, shard, addr)
+		r.Int("coord_shard_replay_rejects_total", "Re-sent statements rejected as already applied.", &s.ReplayRejects, shard, addr)
+		r.Histogram("coord_shard_latency_seconds", "Request latency per shard.", 1e9, &s.Latency, shard, addr)
 	}
-	if i >= len(m.fanWidth) {
-		i = len(m.fanWidth) - 1
-	}
-	m.fanWidth[i].Add(1)
-}
-
-// Collector returns a Prometheus text-format renderer of the coordinator
-// families, in the same Collector shape the wire server's metrics use so
-// both mount on one endpoint.
-func (m *Metrics) Collector() f2db.Collector {
-	return func(w io.Writer) {
-		counter := func(name, help string, v int64) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-		}
-		gauge := func(name, help string, v int64) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-		}
-		counter("coord_queries_total", "SELECT statements routed.", m.Queries.Load())
-		counter("coord_execs_total", "INSERT statements logged and broadcast.", m.Execs.Load())
-		counter("coord_fanouts_total", "Drill-down statements scattered.", m.Fanouts.Load())
-		counter("coord_fanout_subqueries_total", "Sub-queries issued by scatter-gather.", m.FanoutSubqueries.Load())
-		counter("coord_failovers_total", "Queries answered by a non-owner shard.", m.Failovers.Load())
-		counter("coord_cache_hits_total", "Statements served from the result cache (no shard fan-out).", m.CacheHits.Load())
-		counter("coord_cache_misses_total", "Result-cache misses that fanned out to the shards.", m.CacheMisses.Load())
-		counter("coord_cache_coalesced_total", "Statements coalesced onto an in-flight identical fan-out.", m.CacheCoalesced.Load())
-		counter("coord_cache_evictions_total", "Result-cache LRU evictions.", m.CacheEvictions.Load())
-		counter("coord_cache_invalidations_total", "Cached results discarded because a write bumped the epoch.", m.CacheInvalidations.Load())
-		counter("coord_route_memo_hits_total", "Statements routed from the memo without re-parsing.", m.RouteMemoHits.Load())
-		counter("coord_cache_resizes_total", "Read-cache capacity changes applied by self-tuning.", m.CacheResizes.Load())
-		counter("coord_epoch_part_bumps_total", "Execs that bumped only their write partition's epoch.", m.EpochPartBumps.Load())
-		counter("coord_epoch_global_bumps_total", "Execs that bumped the global write epoch.", m.EpochGlobalBumps.Load())
-		counter("coord_log_trimmed_total", "Statement-log entries trimmed after cluster-wide apply.", m.LogTrimmed.Load())
-		gauge("coord_shards_down", "Shards currently down (reconnecting).", m.ShardsDown.Load())
-		gauge("coord_shards_dead", "Shards abandoned after unalignable restarts.", m.ShardsDead.Load())
-
-		fmt.Fprintf(w, "# HELP coord_fanout_width Fan-outs by log2 width bucket.\n# TYPE coord_fanout_width counter\n")
-		for i := range m.fanWidth {
-			if v := m.fanWidth[i].Load(); v > 0 {
-				fmt.Fprintf(w, "coord_fanout_width{le=\"%d\"} %d\n", 1<<i, v)
-			}
-		}
-
-		perShard := func(name, help string, load func(*ShardMetrics) int64) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-			for i := range m.Shards {
-				fmt.Fprintf(w, "%s{shard=\"%d\",addr=%q} %d\n", name, i, m.Shards[i].Addr, load(&m.Shards[i]))
-			}
-		}
-		perShard("coord_shard_requests_total", "Requests sent per shard.",
-			func(s *ShardMetrics) int64 { return s.Requests.Load() })
-		perShard("coord_shard_errors_total", "Transport failures per shard.",
-			func(s *ShardMetrics) int64 { return s.Errors.Load() })
-		perShard("coord_shard_replays_total", "Restart recoveries that rewound the replay cursor.",
-			func(s *ShardMetrics) int64 { return s.Replays.Load() })
-		perShard("coord_shard_replay_rejects_total", "Re-sent statements rejected as already applied.",
-			func(s *ShardMetrics) int64 { return s.ReplayRejects.Load() })
-
-		for i := range m.Shards {
-			f2db.WritePromHistogram(w,
-				fmt.Sprintf("coord_shard%d_latency_seconds", i),
-				fmt.Sprintf("Request latency to shard %d (%s).", i, m.Shards[i].Addr),
-				m.Shards[i].Latency.Snapshot())
-		}
-	}
+	return r
 }

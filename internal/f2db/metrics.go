@@ -1,117 +1,21 @@
 package f2db
 
 import (
-	"fmt"
-	"math/bits"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"cubefc/internal/derivation"
+	"cubefc/internal/metrics"
 )
 
 // This file is the engine's observability surface. All counters are plain
 // atomics so the hot read path (forecast queries under the shared lock)
 // never funnels through the write lock to record what it did; a Metrics()
 // snapshot is likewise lock-free and safe to call from monitoring
-// goroutines at any rate.
-
-// latencyBucketCount sizes the log-bucketed histogram: bucket i counts
-// observations d with 2^(i-1) ns <= d < 2^i ns (bucket 0 holds sub-ns
-// durations, which cannot occur in practice). 42 buckets reach ~73 minutes,
-// far beyond any plausible query latency.
-const latencyBucketCount = 42
-
-// histogram is a fixed-size log₂-bucketed latency histogram with lock-free
-// updates.
-type histogram struct {
-	count    atomic.Int64
-	sumNanos atomic.Int64
-	buckets  [latencyBucketCount]atomic.Int64
-}
-
-func (h *histogram) observe(d time.Duration) {
-	ns := d.Nanoseconds()
-	if ns < 0 {
-		ns = 0
-	}
-	i := bits.Len64(uint64(ns))
-	if i >= latencyBucketCount {
-		i = latencyBucketCount - 1
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sumNanos.Add(ns)
-}
-
-func (h *histogram) snapshot() LatencySnapshot {
-	s := LatencySnapshot{Count: h.count.Load(), Sum: time.Duration(h.sumNanos.Load())}
-	if s.Count > 0 {
-		s.Mean = s.Sum / time.Duration(s.Count)
-	}
-	for i := range h.buckets {
-		c := h.buckets[i].Load()
-		if c == 0 {
-			continue
-		}
-		le := time.Duration(int64(1) << i)
-		s.Buckets = append(s.Buckets, LatencyBucket{Le: le, Count: c})
-	}
-	return s
-}
-
-// LatencyBucket is one non-empty histogram bucket: Count observations were
-// at most Le (and above half of Le).
-type LatencyBucket struct {
-	Le    time.Duration
-	Count int64
-}
-
-// LatencySnapshot is a point-in-time copy of the query-latency histogram.
-type LatencySnapshot struct {
-	Count   int64
-	Sum     time.Duration
-	Mean    time.Duration
-	Buckets []LatencyBucket // ascending by Le, empty buckets omitted
-}
-
-// Histogram is the exported face of the engine's lock-free log₂-bucketed
-// latency histogram, for serving layers that want their per-request
-// latencies measured and exported exactly like the engine's (the wire
-// server's per-request histogram in internal/server). The zero value is
-// ready to use; all methods are safe for concurrent use.
-type Histogram struct{ h histogram }
-
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) { h.h.observe(d) }
-
-// Snapshot returns a point-in-time copy of the histogram.
-func (h *Histogram) Snapshot() LatencySnapshot { return h.h.snapshot() }
-
-// Quantile returns a conservative (upper-bound) estimate of the q-quantile,
-// q in [0, 1], from the bucket boundaries. Zero when nothing was observed.
-func (s LatencySnapshot) Quantile(q float64) time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(q*float64(s.Count) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for _, b := range s.Buckets {
-		seen += b.Count
-		if seen >= rank {
-			return b.Le
-		}
-	}
-	return s.Buckets[len(s.Buckets)-1].Le
-}
+// goroutines at any rate. Metrics.describe names the snapshot's families
+// once; internal/metrics renders them for /metrics and \stats.
 
 // derivationKinds bounds the per-kind counters; derivation.Kind values are
 // the contiguous range Direct..General.
@@ -132,7 +36,7 @@ type engineMetrics struct {
 	queryNanos           atomic.Int64
 	maintainNanos        atomic.Int64
 	schemeHits           [derivationKinds]atomic.Int64
-	latency              histogram
+	latency              metrics.Histogram
 
 	// Read-fast-path counters: SQL plan cache and forecast memo table.
 	planHits      atomic.Int64
@@ -161,7 +65,7 @@ type engineMetrics struct {
 func (m *engineMetrics) recordQuery(d time.Duration) {
 	m.queries.Add(1)
 	m.queryNanos.Add(d.Nanoseconds())
-	m.latency.observe(d)
+	m.latency.Observe(d.Nanoseconds())
 }
 
 func (m *engineMetrics) recordSchemeHit(k derivation.Kind) {
@@ -193,8 +97,9 @@ type Metrics struct {
 	// SchemeHits counts answered forecasts by derivation kind
 	// ("direct", "aggregation", "disaggregation", "general").
 	SchemeHits map[string]int64
-	// QueryLatency is the log-bucketed per-forecast latency histogram.
-	QueryLatency LatencySnapshot
+	// QueryLatency is the log-bucketed per-forecast latency histogram, in
+	// nanoseconds.
+	QueryLatency metrics.HistogramSnapshot
 
 	// BatchInserts counts InsertBatch calls (Inserts counts individual
 	// values regardless of the API they arrived through).
@@ -261,7 +166,7 @@ func (db *DB) Metrics() Metrics {
 		QueryTime:            time.Duration(db.met.queryNanos.Load()),
 		MaintainTime:         time.Duration(db.met.maintainNanos.Load()),
 		SchemeHits:           make(map[string]int64, derivationKinds),
-		QueryLatency:         db.met.latency.snapshot(),
+		QueryLatency:         db.met.latency.Snapshot(),
 
 		PlanCacheHits:      db.met.planHits.Load(),
 		PlanCacheMisses:    db.met.planMisses.Load(),
@@ -309,50 +214,84 @@ func (db *DB) Metrics() Metrics {
 	return m
 }
 
-// String renders the metrics in the compact form used by the CLI's \stats
-// command.
+// describe registers every family of the snapshot, in \stats line order:
+// a Metrics field not named here reaches neither surface
+// (TestRegistryComplete).
+func (m Metrics) describe(r *metrics.Registry) {
+	r.Value("f2db_queries_total", "Answered node forecasts.", float64(m.Queries))
+	r.Value("f2db_inserts_total", "Base series values inserted.", float64(m.Inserts))
+	r.Value("f2db_insert_batches_total", "InsertBatch calls.", float64(m.BatchInserts))
+	r.Value("f2db_maintenance_batches_total", "Completed time advances.", float64(m.Batches))
+	r.Value("f2db_reestimations_total", "Model parameter re-estimations.", float64(m.Reestimations))
+	r.Value("f2db_reestimate_gen_retries_total", "Off-lock re-fits redone after a generation conflict.", float64(m.ReestimateGenRetries))
+	r.Value("f2db_query_seconds_total", "Engine-side wall time answering queries.", m.QueryTime.Seconds())
+	r.Value("f2db_maintain_seconds_total", "Engine-side wall time on insert maintenance.", m.MaintainTime.Seconds())
+
+	r.Break(false)
+	for k := range derivationKinds {
+		kind := derivation.Kind(k).String()
+		r.Value("f2db_scheme_hits_total", "Answered forecasts by derivation kind.", float64(m.SchemeHits[kind]), metrics.Label("kind", kind))
+	}
+
+	r.Break(false)
+	r.Value("f2db_plan_cache_hits_total", "SQL statements answered from a cached plan.", float64(m.PlanCacheHits))
+	r.Value("f2db_plan_cache_misses_total", "SQL statements parsed and planned.", float64(m.PlanCacheMisses))
+	r.Value("f2db_plan_cache_evictions_total", "Plans evicted from the LRU.", float64(m.PlanCacheEvictions))
+	r.Value("f2db_plan_cache_entries", "Plans currently cached.", float64(m.PlanCacheSize))
+
+	r.Break(false)
+	r.Value("f2db_forecast_cache_hits_total", "Forecasts served from the memo table.", float64(m.ForecastCacheHits))
+	r.Value("f2db_forecast_cache_misses_total", "Forecasts recomputed and memoized.", float64(m.ForecastCacheMisses))
+	r.Value("f2db_forecast_cache_bypasses_total", "Queries that took the lazy re-estimation path.", float64(m.ForecastCacheBypasses))
+	r.Value("f2db_forecast_cache_evictions_total", "Memo entries evicted.", float64(m.ForecastCacheEvictions))
+	r.Value("f2db_forecast_cache_entries", "Memo entries currently held.", float64(m.ForecastCacheSize))
+	r.Value("f2db_epoch_bumps_total", "Node epoch increments by maintenance and re-estimation.", float64(m.EpochBumps))
+	indexed(r, "f2db_forecast_shard_entries", "Memo entries per forecast-cache shard.", "shard", m.ForecastShardEntries)
+
+	// \stats leaves the durability line out on an engine that never logged.
+	r.Break(true)
+	r.Value("f2db_wal_appends_total", "Batches appended to the write-ahead log.", float64(m.WALAppends))
+	r.Value("f2db_wal_syncs_total", "WAL fsyncs issued.", float64(m.WALSyncs))
+	r.Value("f2db_wal_bytes_total", "Bytes appended to the write-ahead log.", float64(m.WALBytes))
+	r.Value("f2db_wal_files", "WAL files currently on disk.", float64(m.WALFiles))
+	r.Value("f2db_wal_replayed_batches_total", "Batches replayed from the WAL at open.", float64(m.WALReplayedBatches))
+	r.Value("f2db_segment_compactions_total", "WAL spans compacted into columnar segments.", float64(m.SegmentCompactions))
+	r.Value("f2db_segment_bytes_total", "Columnar segment bytes written.", float64(m.SegmentBytes))
+	r.Value("f2db_snapshot_writes_total", "Crash-safe snapshot files written.", float64(m.SnapshotWrites))
+
+	r.Break(false)
+	r.Value("f2db_write_stripes", "Write stripes sharding the pending batch.", float64(m.WriteStripes))
+	indexed(r, "f2db_stripe_pending", "Pending-batch depth per write stripe.", "stripe", m.StripePending)
+	indexed(r, "f2db_stripe_lock_contention_total", "Contended stripe-lock acquisitions.", "stripe", m.StripeContention)
+	indexed(r, "f2db_stripe_bases", "Base series routed to each write stripe.", "stripe", m.StripeBases)
+
+	r.HistogramValue("f2db_query_latency_seconds", "Per-forecast latency.", 1e9, m.QueryLatency)
+}
+
+// indexed registers one sample per slice element, labelled by its index.
+func indexed[T int | int64](r *metrics.Registry, name, help, label string, vs []T) {
+	for i, v := range vs {
+		r.Value(name, help, float64(v), metrics.Label(label, strconv.Itoa(i)))
+	}
+}
+
+// String renders the snapshot in the \stats form.
 func (m Metrics) String() string {
-	out := fmt.Sprintf("queries=%d inserts=%d batches=%d reestimations=%d gen-retries=%d\n",
-		m.Queries, m.Inserts, m.Batches, m.Reestimations, m.ReestimateGenRetries)
-	out += fmt.Sprintf("query-time=%v maintenance-time=%v\n", m.QueryTime, m.MaintainTime)
-	out += fmt.Sprintf("plan-cache: hits=%d misses=%d evictions=%d size=%d\n",
-		m.PlanCacheHits, m.PlanCacheMisses, m.PlanCacheEvictions, m.PlanCacheSize)
-	out += fmt.Sprintf("forecast-cache: hits=%d misses=%d bypasses=%d evictions=%d size=%d epoch-bumps=%d\n",
-		m.ForecastCacheHits, m.ForecastCacheMisses, m.ForecastCacheBypasses,
-		m.ForecastCacheEvictions, m.ForecastCacheSize, m.EpochBumps)
-	if m.WALAppends > 0 || m.WALReplayedBatches > 0 || m.SnapshotWrites > 0 {
-		out += fmt.Sprintf("wal: appends=%d syncs=%d bytes=%d files=%d replayed=%d\n",
-			m.WALAppends, m.WALSyncs, m.WALBytes, m.WALFiles, m.WALReplayedBatches)
-		out += fmt.Sprintf("segments: compactions=%d bytes=%d snapshot-writes=%d\n",
-			m.SegmentCompactions, m.SegmentBytes, m.SnapshotWrites)
-	}
-	if m.WriteStripes > 0 {
-		var pending, contention int64
-		for _, p := range m.StripePending {
-			pending += int64(p)
-		}
-		for _, c := range m.StripeContention {
-			contention += c
-		}
-		out += fmt.Sprintf("write-stripes: count=%d pending=%d lock-contention=%d\n",
-			m.WriteStripes, pending, contention)
-	}
-	if len(m.SchemeHits) > 0 {
-		out += "scheme-hits:"
-		for _, kind := range []string{"direct", "aggregation", "disaggregation", "general"} {
-			if c, ok := m.SchemeHits[kind]; ok {
-				out += fmt.Sprintf(" %s=%d", kind, c)
-			}
-		}
-		out += "\n"
-	}
-	if m.QueryLatency.Count > 0 {
-		out += fmt.Sprintf("query-latency: mean=%v p50=%v p95=%v p99=%v max<=%v\n",
-			m.QueryLatency.Mean,
-			m.QueryLatency.Quantile(0.50),
-			m.QueryLatency.Quantile(0.95),
-			m.QueryLatency.Quantile(0.99),
-			m.QueryLatency.Buckets[len(m.QueryLatency.Buckets)-1].Le)
-	}
-	return out
+	var r metrics.Registry
+	m.describe(&r)
+	var b strings.Builder
+	r.WriteStats(&b)
+	return b.String()
+}
+
+// Registry returns the engine's families for /metrics and \stats: a fresh
+// Metrics snapshot at every render, behind the two gauges that are not in
+// it (InvalidCount takes the engine's read lock; the snapshot is lock-free).
+func (db *DB) Registry() *metrics.Registry {
+	return metrics.Dynamic(func(r *metrics.Registry) {
+		r.Value("f2db_pending_inserts", "Values in the current incomplete batch.", float64(db.pendingTotal.Load()))
+		r.Value("f2db_invalid_models", "Models awaiting re-estimation.", float64(db.InvalidCount()))
+		r.Break(false)
+		db.Metrics().describe(r)
+	})
 }

@@ -1,66 +1,16 @@
 package f2db
 
 import (
+	"fmt"
+	"net/http/httptest"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
+
+	"cubefc/internal/metrics"
 )
-
-func TestHistogramBucketsAndQuantile(t *testing.T) {
-	var h histogram
-	// 100 observations at ~1µs, 10 at ~1ms, 1 at ~1s.
-	for i := 0; i < 100; i++ {
-		h.observe(time.Microsecond)
-	}
-	for i := 0; i < 10; i++ {
-		h.observe(time.Millisecond)
-	}
-	h.observe(time.Second)
-
-	s := h.snapshot()
-	if s.Count != 111 {
-		t.Fatalf("count = %d, want 111", s.Count)
-	}
-	var total int64
-	for i := 1; i < len(s.Buckets); i++ {
-		if s.Buckets[i].Le <= s.Buckets[i-1].Le {
-			t.Fatal("buckets not ascending")
-		}
-	}
-	for _, b := range s.Buckets {
-		total += b.Count
-	}
-	if total != s.Count {
-		t.Fatalf("bucket sum %d != count %d", total, s.Count)
-	}
-	// Quantiles are upper bounds: p50 lands in the 1µs bucket (Le ≤ 2µs),
-	// p99 at most in the 1ms bucket, p100 covers the 1s outlier.
-	if q := s.Quantile(0.50); q < time.Microsecond || q > 2*time.Microsecond {
-		t.Fatalf("p50 = %v", q)
-	}
-	if q := s.Quantile(0.99); q < time.Millisecond || q > 2*time.Millisecond {
-		t.Fatalf("p99 = %v", q)
-	}
-	if q := s.Quantile(1); q < time.Second {
-		t.Fatalf("p100 = %v does not cover the outlier", q)
-	}
-}
-
-func TestHistogramEdgeCases(t *testing.T) {
-	var h histogram
-	if q := h.snapshot().Quantile(0.5); q != 0 {
-		t.Fatalf("empty histogram quantile = %v, want 0", q)
-	}
-	h.observe(-time.Second) // clamped, must not panic or corrupt
-	h.observe(100 * time.Hour)
-	s := h.snapshot()
-	if s.Count != 2 {
-		t.Fatalf("count = %d, want 2", s.Count)
-	}
-	if s.Quantile(-1) > s.Quantile(2) {
-		t.Fatal("clamped quantiles out of order")
-	}
-}
 
 func TestMetricsAccounting(t *testing.T) {
 	db, g, _ := testEngine(t, nil)
@@ -94,10 +44,156 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 
 	rendered := db.Metrics().String()
-	for _, want := range []string{"queries=2", "scheme-hits:", "query-latency:"} {
+	for _, want := range []string{"f2db_queries_total=2", "f2db_scheme_hits_total{kind=", "f2db_query_latency_seconds: count=2 mean="} {
 		if !strings.Contains(rendered, want) {
 			t.Fatalf("rendered metrics missing %q:\n%s", want, rendered)
 		}
+	}
+}
+
+func TestMetricsHandlerPrometheus(t *testing.T) {
+	db, g, _ := testEngine(t, nil)
+	q := "SELECT time, SUM(m) FROM facts GROUP BY time AS OF now() + '2 steps'"
+	for i := 0; i < 3; i++ {
+		if _, err := db.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.InsertBatch(fullBatch(db, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range g.BaseIDs[:2] {
+		if err := db.InsertBase(id, 9); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	metrics.Handler(db.Registry()).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Fatalf("content type = %q", ct)
+	}
+	body := rec.Body.String()
+
+	for metric, want := range map[string]string{
+		"f2db_queries_total":               "3",
+		"f2db_inserts_total":               fmt.Sprintf("%d", len(g.BaseIDs)+2),
+		"f2db_insert_batches_total":        "1",
+		"f2db_maintenance_batches_total":   "1",
+		"f2db_plan_cache_hits_total":       "2",
+		"f2db_plan_cache_misses_total":     "1",
+		"f2db_plan_cache_entries":          "1",
+		"f2db_forecast_cache_hits_total":   "2",
+		"f2db_pending_inserts":             "2",
+		"f2db_query_latency_seconds_count": "3",
+	} {
+		re := regexp.MustCompile(`(?m)^` + metric + ` (\S+)$`)
+		match := re.FindStringSubmatch(body)
+		if match == nil {
+			t.Fatalf("metric %s missing from exposition:\n%s", metric, body)
+		}
+		if match[1] != want {
+			t.Errorf("%s = %s, want %s", metric, match[1], want)
+		}
+	}
+
+	// Every exposed family carries HELP and TYPE lines.
+	for _, family := range []string{
+		"f2db_queries_total", "f2db_epoch_bumps_total", "f2db_query_latency_seconds", "f2db_stripe_bases",
+	} {
+		if !strings.Contains(body, "# HELP "+family+" ") {
+			t.Errorf("missing HELP for %s", family)
+		}
+		if !strings.Contains(body, "# TYPE "+family+" ") {
+			t.Errorf("missing TYPE for %s", family)
+		}
+	}
+
+	// The labeled scheme-hit family and the histogram's +Inf bucket are
+	// well-formed.
+	if !regexp.MustCompile(`(?m)^f2db_scheme_hits_total\{kind="[a-z]+"\} \d+$`).MatchString(body) {
+		t.Error("scheme-hit family missing or malformed")
+	}
+	if !regexp.MustCompile(`(?m)^f2db_query_latency_seconds_bucket\{le="\+Inf"\} 3$`).MatchString(body) {
+		t.Error("histogram +Inf bucket missing or wrong")
+	}
+	// Cumulative buckets never decrease.
+	bucketRe := regexp.MustCompile(`(?m)^f2db_query_latency_seconds_bucket\{le="[^+]+"\} (\d+)$`)
+	prev := int64(-1)
+	for _, m := range bucketRe.FindAllStringSubmatch(body, -1) {
+		var v int64
+		fmt.Sscanf(m[1], "%d", &v)
+		if v < prev {
+			t.Fatalf("histogram buckets not cumulative:\n%s", body)
+		}
+		prev = v
+	}
+}
+
+// TestRegistryComplete fills every exported numeric field of a Metrics
+// snapshot with a value of its own and requires each value on both
+// surfaces — the test that fails when a field is added to the snapshot
+// without a row in describe (as StripeBases once was).
+func TestRegistryComplete(t *testing.T) {
+	var m Metrics
+	next := int64(1000)
+	want := map[string]string{}
+	v := reflect.ValueOf(&m).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		name, f := v.Type().Field(i).Name, v.Field(i)
+		next++
+		switch f.Interface().(type) {
+		case time.Duration:
+			f.SetInt(next * int64(time.Second))
+		case int, int64:
+			f.SetInt(next)
+		case []int, []int64:
+			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+			f.Index(0).SetInt(next)
+		case map[string]int64:
+			f.Set(reflect.ValueOf(map[string]int64{"direct": next}))
+		case metrics.HistogramSnapshot:
+			f.Set(reflect.ValueOf(metrics.HistogramSnapshot{Count: next, Sum: 1}))
+		default:
+			t.Fatalf("field %s has type %s: teach this test how to fill it", name, f.Type())
+		}
+		want[name] = fmt.Sprint(next)
+	}
+	var r metrics.Registry
+	m.describe(&r)
+	var page strings.Builder
+	if err := r.WritePrometheus(&page); err != nil {
+		t.Fatal(err)
+	}
+	stats := m.String()
+	for name, val := range want {
+		if !regexp.MustCompile(`(?m) ` + val + `$`).MatchString(page.String()) {
+			t.Errorf("Metrics.%s (= %s) is not on /metrics", name, val)
+		}
+		if !regexp.MustCompile(`=` + val + `\b`).MatchString(stats) {
+			t.Errorf("Metrics.%s (= %s) is not on \\stats:\n%s", name, val, stats)
+		}
+	}
+}
+
+// TestStatsOmitsDurabilityOnlyWhenIdle: the durability line is left out of
+// \stats on an engine that never logged, while /metrics always carries the
+// families.
+func TestStatsOmitsDurabilityOnlyWhenIdle(t *testing.T) {
+	if s := (Metrics{}).String(); strings.Contains(s, "f2db_wal_appends_total") {
+		t.Fatalf("idle engine prints a durability line:\n%s", s)
+	}
+	if s := (Metrics{SnapshotWrites: 1}).String(); !strings.Contains(s, "f2db_wal_appends_total=0") || !strings.Contains(s, "f2db_snapshot_writes_total=1") {
+		t.Fatalf("durable engine misses its durability line:\n%s", s)
+	}
+	var r metrics.Registry
+	Metrics{}.describe(&r)
+	var page strings.Builder
+	if err := r.WritePrometheus(&page); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(page.String(), "f2db_wal_appends_total 0\n") {
+		t.Fatalf("/metrics must carry the durability families at 0:\n%s", page.String())
 	}
 }
 

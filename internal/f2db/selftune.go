@@ -56,6 +56,21 @@ func (db *DB) SetForecastCacheCapacity(entries int) int {
 	return int(evicted)
 }
 
+// CacheCapacities reports the current capacities of the plan cache and the
+// forecast memo (0 for a disabled one) — where a sizer that will later call
+// the two setters above starts from.
+func (db *DB) CacheCapacities() (plans, forecasts int) {
+	if db.plans != nil {
+		db.planMu.Lock()
+		plans = db.plans.Cap()
+		db.planMu.Unlock()
+	}
+	if db.fc != nil {
+		forecasts = int(db.fc.shardCap.Load()) * len(db.fc.shards)
+	}
+	return plans, forecasts
+}
+
 // ReestimateInvalid re-fits every currently invalid model using the
 // off-lock worker pool, exactly as the next queries touching them would
 // have done lazily — run in a predicted workload trough it moves the fit

@@ -109,6 +109,9 @@ func (c *Cache[K, V]) Resize(capacity int) (evicted int) {
 // Len returns the number of entries.
 func (c *Cache[K, V]) Len() int { return len(c.items) }
 
+// Cap returns the capacity.
+func (c *Cache[K, V]) Cap() int { return c.cap }
+
 // Keys returns the keys from most to least recently used.
 func (c *Cache[K, V]) Keys() []K {
 	out := make([]K, 0, len(c.items))

@@ -1,17 +1,15 @@
 package server
 
 import (
-	"fmt"
-	"io"
 	"sync/atomic"
 
-	"cubefc/internal/f2db"
+	"cubefc/internal/metrics"
 )
 
 // Metrics holds the server's per-connection and per-request counters. All
-// fields are atomics (and the latency histogram is the engine's lock-free
-// implementation), so observing a serving process never blocks it — the
-// same discipline as the engine's own counters in f2db/metrics.go.
+// fields are atomics (and the latency histogram is lock-free), so observing
+// a serving process never blocks it — the same discipline as the engine's
+// own counters in f2db/metrics.go.
 type Metrics struct {
 	// ConnsAccepted counts accepted connections; ConnsActive is the live
 	// gauge (bounded by Options.MaxConns).
@@ -28,29 +26,23 @@ type Metrics struct {
 	Errors   atomic.Int64
 	Timeouts atomic.Int64
 	// RequestLatency observes fully-read-frame → computed-response time
-	// per request, in the engine's log₂-bucketed histogram.
-	RequestLatency f2db.Histogram
+	// per request, in nanoseconds.
+	RequestLatency metrics.Histogram
 }
 
-// Collector renders the server families in Prometheus text format; mount
-// it next to the engine's families via f2db.MountMetrics(mux, db,
-// srv.Metrics().Collector()).
-func (m *Metrics) Collector() f2db.Collector {
-	return func(w io.Writer) {
-		counter := func(name, help string, v int64) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-		}
-		counter("f2dbd_connections_accepted_total", "Accepted wire-protocol connections.", m.ConnsAccepted.Load())
-		fmt.Fprintf(w, "# HELP f2dbd_connections_active Live wire-protocol connections.\n# TYPE f2dbd_connections_active gauge\nf2dbd_connections_active %d\n",
-			m.ConnsActive.Load())
-		fmt.Fprintf(w, "# HELP f2dbd_requests_total Requests served, by type.\n# TYPE f2dbd_requests_total counter\n")
-		fmt.Fprintf(w, "f2dbd_requests_total{type=\"query\"} %d\n", m.Queries.Load())
-		fmt.Fprintf(w, "f2dbd_requests_total{type=\"exec\"} %d\n", m.Execs.Load())
-		fmt.Fprintf(w, "f2dbd_requests_total{type=\"ping\"} %d\n", m.Pings.Load())
-		fmt.Fprintf(w, "f2dbd_requests_total{type=\"stats\"} %d\n", m.StatsReqs.Load())
-		fmt.Fprintf(w, "f2dbd_requests_total{type=\"info\"} %d\n", m.InfoReqs.Load())
-		counter("f2dbd_request_errors_total", "Error responses (engine rejections, timeouts, bad requests).", m.Errors.Load())
-		counter("f2dbd_request_timeouts_total", "Requests cut off by the per-request watchdog.", m.Timeouts.Load())
-		f2db.WritePromHistogram(w, "f2dbd_request_latency_seconds", "Per-request serve latency.", m.RequestLatency.Snapshot())
+// Registry describes every field for /metrics and \stats.
+func (m *Metrics) Registry() *metrics.Registry {
+	r := &metrics.Registry{}
+	r.Int("f2dbd_connections_accepted_total", "Accepted wire-protocol connections.", &m.ConnsAccepted)
+	r.Int("f2dbd_connections_active", "Live wire-protocol connections.", &m.ConnsActive)
+	for _, t := range []struct {
+		name string
+		v    *atomic.Int64
+	}{{"query", &m.Queries}, {"exec", &m.Execs}, {"ping", &m.Pings}, {"stats", &m.StatsReqs}, {"info", &m.InfoReqs}} {
+		r.Int("f2dbd_requests_total", "Requests served, by type.", t.v, metrics.Label("type", t.name))
 	}
+	r.Int("f2dbd_request_errors_total", "Error responses (engine rejections, timeouts, bad requests).", &m.Errors)
+	r.Int("f2dbd_request_timeouts_total", "Requests cut off by the per-request watchdog.", &m.Timeouts)
+	r.Histogram("f2dbd_request_latency_seconds", "Per-request serve latency.", 1e9, &m.RequestLatency)
+	return r
 }

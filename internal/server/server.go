@@ -30,17 +30,20 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"cubefc/internal/f2db"
+	"cubefc/internal/metrics"
 	"cubefc/internal/wire"
 )
 
@@ -72,9 +75,9 @@ func (b engineBackend) Query(sql string) (*f2db.Result, error) { return b.db.Que
 func (b engineBackend) Exec(sql string) error { return b.db.Exec(sql) }
 
 func (b engineBackend) StatsText() string {
-	stats := b.db.Stats()
-	return fmt.Sprintf("pending=%d invalid=%d\n", stats.PendingInserts, b.db.InvalidCount()) +
-		b.db.Metrics().String()
+	var sb strings.Builder
+	b.db.Registry().WriteStats(&sb)
+	return sb.String()
 }
 
 func (b engineBackend) Counts() (uint64, uint64) {
@@ -106,12 +109,6 @@ type Options struct {
 	DrainGrace time.Duration
 	// Logf, when non-nil, receives connection-level diagnostics.
 	Logf func(format string, args ...any)
-	// ExtraStats, when non-nil, is appended to every TStats response after
-	// the backend's own text — how the daemon surfaces sidecar state (the
-	// self-tuning engine's counters) through \stats without the wire
-	// protocol or the backend knowing about it. Must be safe for
-	// concurrent use.
-	ExtraStats func() string
 }
 
 func (o *Options) withDefaults() Options {
@@ -139,6 +136,9 @@ type Server struct {
 	backend Backend
 	opts    Options
 	met     Metrics
+	// stats are the registries a TStats answer carries after the backend's
+	// own text: the server's, then the sidecars' the daemon passed in.
+	stats []*metrics.Registry
 	// nonce identifies this server process lifetime for TInfo responses; a
 	// reconnecting peer seeing a different nonce knows the process (and any
 	// purely in-memory state) was replaced.
@@ -164,22 +164,26 @@ type Server struct {
 }
 
 // New returns a server over an embedded engine. Serve must be called to
-// start it.
-func New(db *f2db.DB, opts Options) *Server {
-	return NewBackend(engineBackend{db: db}, opts)
+// start it. sidecars are registries of state the backend does not know
+// about (the self-tuning engine's counters), appended to every TStats
+// answer.
+func New(db *f2db.DB, opts Options, sidecars ...*metrics.Registry) *Server {
+	return NewBackend(engineBackend{db: db}, opts, sidecars...)
 }
 
 // NewBackend returns a server over an arbitrary backend (an engine
-// adapter, or a cluster coordinator). Serve must be called to start it.
-func NewBackend(b Backend, opts Options) *Server {
+// adapter, or a cluster coordinator); see New.
+func NewBackend(b Backend, opts Options, sidecars ...*metrics.Registry) *Server {
 	opts = opts.withDefaults()
-	return &Server{
+	s := &Server{
 		backend: b,
 		opts:    opts,
 		nonce:   newNonce(),
 		sem:     make(chan struct{}, opts.MaxConns),
 		conns:   make(map[*conn]struct{}),
 	}
+	s.stats = append([]*metrics.Registry{s.met.Registry()}, sidecars...)
+	return s
 }
 
 // newNonce draws a random non-zero process-lifetime identifier.
@@ -373,7 +377,7 @@ func (s *Server) handle(c *conn) {
 			resp = response{wire.TError, wire.AppendError(nil, wire.CodeTimeout,
 				fmt.Sprintf("request exceeded %v", s.opts.RequestTimeout))}
 		}
-		s.met.RequestLatency.Observe(time.Since(start))
+		s.met.RequestLatency.Observe(time.Since(start).Nanoseconds())
 		_ = c.nc.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
 		err = wire.WriteFrame(bw, resp.t, resp.payload)
 		// Flush unless the next request is already buffered: its answer
@@ -434,11 +438,11 @@ func (s *Server) process(t wire.Type, payload, buf []byte) response {
 		return response{wire.TPong, append(buf, payload...)}
 	case wire.TStats:
 		s.met.StatsReqs.Add(1)
-		buf = append(buf, s.backend.StatsText()...)
-		if s.opts.ExtraStats != nil {
-			buf = append(buf, s.opts.ExtraStats()...)
+		out := bytes.NewBuffer(append(buf, s.backend.StatsText()...))
+		for _, r := range s.stats {
+			r.WriteStats(out)
 		}
-		return response{wire.TStatsText, buf}
+		return response{wire.TStatsText, out.Bytes()}
 	case wire.TInfo:
 		s.met.InfoReqs.Add(1)
 		inserts, batches := s.backend.Counts()

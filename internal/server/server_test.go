@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"net"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -19,6 +21,7 @@ import (
 	"cubefc/internal/cube"
 	"cubefc/internal/f2db"
 	"cubefc/internal/fclient"
+	"cubefc/internal/metrics"
 	"cubefc/internal/timeseries"
 	"cubefc/internal/wire"
 	"cubefc/internal/workload"
@@ -130,8 +133,11 @@ func TestServerBasic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Stats: %v", err)
 	}
-	if !strings.Contains(text, "pending=") {
-		t.Fatalf("Stats text %q lacks pending counter", text)
+	// The engine's lines, then the server's own, counting this request.
+	for _, want := range []string{"f2db_pending_inserts=0 f2db_invalid_models=0\n", "f2dbd_connections_accepted_total=1 ", `f2dbd_requests_total{type="stats"}=1 `} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("Stats text lacks %q:\n%s", want, text)
+		}
 	}
 
 	gen := workload.New(g, 1)
@@ -547,6 +553,74 @@ func (b stubBackend) Query(sql string) (*f2db.Result, error) {
 func (b stubBackend) Exec(string) error        { return nil }
 func (b stubBackend) StatsText() string        { return "stub\n" }
 func (b stubBackend) Counts() (uint64, uint64) { return 0, 0 }
+
+// TestStatsCarriesSidecars: a TStats answer is the backend's text, the
+// server's registry, then each sidecar registry the daemon passed in.
+func TestStatsCarriesSidecars(t *testing.T) {
+	var hits atomic.Int64
+	hits.Store(41)
+	side := &metrics.Registry{}
+	side.Int("side_hits_total", "Hits.", &hits)
+	srv := NewBackend(stubBackend{}, Options{}, side)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	defer shutdownClean(t, srv, done)
+	cl, err := fclient.Dial(ln.Addr().String(), fclient.Options{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	text, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(text, "stub\nf2dbd_connections_accepted_total=1 ") || !strings.HasSuffix(text, "\nside_hits_total=41\n") {
+		t.Fatalf("Stats text = %q", text)
+	}
+}
+
+// TestRegistryComplete gives every exported atomic.Int64 and
+// metrics.Histogram field of Metrics a value of its own and requires each
+// on /metrics and on \stats: a field added without a registration line
+// fails here.
+func TestRegistryComplete(t *testing.T) {
+	var m Metrics
+	want := map[string]string{}
+	v := reflect.ValueOf(&m).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		val := int64(1001 + i)
+		switch f := v.Field(i).Addr().Interface().(type) {
+		case *atomic.Int64:
+			f.Store(val)
+		case *metrics.Histogram:
+			for j := int64(0); j < val; j++ {
+				f.Observe(1)
+			}
+		default:
+			t.Fatalf("field %s has type %T: teach this test how to fill it", v.Type().Field(i).Name, f)
+		}
+		want[v.Type().Field(i).Name] = fmt.Sprint(val)
+	}
+	var page, stats bytes.Buffer
+	if err := m.Registry().WritePrometheus(&page); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Registry().WriteStats(&stats); err != nil {
+		t.Fatal(err)
+	}
+	for name, val := range want {
+		if !strings.Contains(page.String(), " "+val+"\n") {
+			t.Errorf("Metrics.%s (= %s) is not on /metrics", name, val)
+		}
+		if !strings.Contains(stats.String(), "="+val) {
+			t.Errorf("Metrics.%s (= %s) is not on \\stats: %s", name, val, stats.String())
+		}
+	}
+}
 
 // shapedKey is the statement stubWith answers with a groups-group result.
 func shapedKey(groups int) string { return "SELECT " + strings.Repeat("g", groups) }

@@ -1,9 +1,9 @@
 package sibyl
 
 import (
-	"fmt"
-	"io"
 	"sync/atomic"
+
+	"cubefc/internal/metrics"
 )
 
 // Metrics holds the engine's live counters. All fields are atomics so
@@ -39,39 +39,23 @@ type Metrics struct {
 	ResizeSkips   atomic.Int64
 }
 
-// WritePrometheus renders the sibyl_* metric families in Prometheus text
-// format. Its signature matches the exporter's Collector type so both
-// daemons mount it without this package importing internal/f2db.
-func (m *Metrics) WritePrometheus(w io.Writer) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("sibyl_observed_total", "Query-template arrivals observed by the telemetry hook.", m.Observed.Load())
-	gauge("sibyl_templates", "Workload templates currently tracked.", m.Templates.Load())
-	counter("sibyl_templates_dropped_total", "New templates rejected by the full table.", m.Dropped.Load())
-	counter("sibyl_templates_evicted_total", "Templates evicted by rate decay or replacement.", m.Evicted.Load())
-	counter("sibyl_buckets_total", "Telemetry buckets closed.", m.Buckets.Load())
-	counter("sibyl_refits_total", "Workload-model fits performed.", m.Refits.Load())
-	counter("sibyl_fit_errors_total", "Workload-model fits that failed.", m.FitErrors.Load())
-	counter("sibyl_spikes_total", "Per-template spike predictions.", m.Spikes.Load())
-	counter("sibyl_troughs_total", "Aggregate trough predictions.", m.Troughs.Load())
-	counter("sibyl_prewarms_total", "Spike templates pre-warmed.", m.Prewarms.Load())
-	counter("sibyl_prewarm_errors_total", "Pre-warm executions that failed.", m.PrewarmErrors.Load())
-	counter("sibyl_trough_runs_total", "Trough maintenance runs.", m.TroughRuns.Load())
-	counter("sibyl_trough_skips_total", "Trough runs suppressed by hysteresis.", m.TroughSkips.Load())
-	counter("sibyl_resizes_total", "Cache resizes applied.", m.Resizes.Load())
-	counter("sibyl_resize_skips_total", "Cache resizes suppressed by the dead band.", m.ResizeSkips.Load())
-}
-
-// StatsLine renders the one-line self-tuning summary appended to the
-// \stats output.
-func (m *Metrics) StatsLine() string {
-	return fmt.Sprintf(
-		"selftune: observed=%d templates=%d buckets=%d refits=%d spikes=%d troughs=%d prewarms=%d trough-runs=%d resizes=%d evicted=%d dropped=%d\n",
-		m.Observed.Load(), m.Templates.Load(), m.Buckets.Load(), m.Refits.Load(),
-		m.Spikes.Load(), m.Troughs.Load(), m.Prewarms.Load(), m.TroughRuns.Load(),
-		m.Resizes.Load(), m.Evicted.Load(), m.Dropped.Load())
+// Registry describes every field for /metrics and \stats.
+func (m *Metrics) Registry() *metrics.Registry {
+	r := &metrics.Registry{}
+	r.Int("sibyl_observed_total", "Query-template arrivals observed by the telemetry hook.", &m.Observed)
+	r.Int("sibyl_templates", "Workload templates currently tracked.", &m.Templates)
+	r.Int("sibyl_templates_dropped_total", "New templates rejected by the full table.", &m.Dropped)
+	r.Int("sibyl_templates_evicted_total", "Templates evicted by rate decay or replacement.", &m.Evicted)
+	r.Int("sibyl_buckets_total", "Telemetry buckets closed.", &m.Buckets)
+	r.Int("sibyl_refits_total", "Workload-model fits performed.", &m.Refits)
+	r.Int("sibyl_fit_errors_total", "Workload-model fits that failed.", &m.FitErrors)
+	r.Int("sibyl_spikes_total", "Per-template spike predictions.", &m.Spikes)
+	r.Int("sibyl_troughs_total", "Aggregate trough predictions.", &m.Troughs)
+	r.Int("sibyl_prewarms_total", "Spike templates pre-warmed.", &m.Prewarms)
+	r.Int("sibyl_prewarm_errors_total", "Pre-warm executions that failed.", &m.PrewarmErrors)
+	r.Int("sibyl_trough_runs_total", "Trough maintenance runs.", &m.TroughRuns)
+	r.Int("sibyl_trough_skips_total", "Trough runs suppressed by hysteresis.", &m.TroughSkips)
+	r.Int("sibyl_resizes_total", "Cache resizes applied.", &m.Resizes)
+	r.Int("sibyl_resize_skips_total", "Cache resizes suppressed by the dead band.", &m.ResizeSkips)
+	return r
 }

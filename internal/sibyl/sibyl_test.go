@@ -1,8 +1,12 @@
 package sibyl
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -284,31 +288,55 @@ func TestStatsLineAndPrometheus(t *testing.T) {
 	e := New(Options{})
 	observeN(e, "A", 3)
 	e.Tick()
-	line := e.Metrics().StatsLine()
-	if line == "" || line[len(line)-1] != '\n' {
+	var stats, page bytes.Buffer
+	if err := e.Metrics().Registry().WriteStats(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if line := stats.String(); !strings.HasPrefix(line, "sibyl_observed_total=3 sibyl_templates=1 ") ||
+		strings.Count(line, "\n") != 1 || !strings.HasSuffix(line, "\n") {
 		t.Fatalf("stats line malformed: %q", line)
 	}
-	var sb syncBuffer
-	e.Metrics().WritePrometheus(&sb)
+	if err := e.Metrics().Registry().WritePrometheus(&page); err != nil {
+		t.Fatal(err)
+	}
 	for _, fam := range []string{"sibyl_observed_total 3", "sibyl_templates 1", "sibyl_buckets_total 1"} {
-		if !sb.contains(fam) {
-			t.Fatalf("prometheus output missing %q:\n%s", fam, sb.String())
+		if !strings.Contains(page.String(), fam) {
+			t.Fatalf("prometheus output missing %q:\n%s", fam, page.String())
 		}
 	}
 }
 
-type syncBuffer struct{ b []byte }
-
-func (s *syncBuffer) Write(p []byte) (int, error) { s.b = append(s.b, p...); return len(p), nil }
-func (s *syncBuffer) String() string              { return string(s.b) }
-func (s *syncBuffer) contains(sub string) bool {
-	b, n := s.b, len(sub)
-	for i := 0; i+n <= len(b); i++ {
-		if string(b[i:i+n]) == sub {
-			return true
+// TestRegistryComplete gives every exported atomic.Int64 field of Metrics
+// a value of its own and requires each on /metrics and on \stats: a field
+// added without a registration line fails here (as FitErrors, PrewarmErrors,
+// TroughSkips and ResizeSkips once were missing from \stats).
+func TestRegistryComplete(t *testing.T) {
+	var m Metrics
+	want := map[string]string{}
+	v := reflect.ValueOf(&m).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f, ok := v.Field(i).Addr().Interface().(*atomic.Int64)
+		if !ok {
+			t.Fatalf("field %s has type %s: teach this test how to fill it", v.Type().Field(i).Name, v.Field(i).Type())
+		}
+		f.Store(int64(1001 + i))
+		want[v.Type().Field(i).Name] = fmt.Sprint(1001 + i)
+	}
+	var page, stats bytes.Buffer
+	if err := m.Registry().WritePrometheus(&page); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Registry().WriteStats(&stats); err != nil {
+		t.Fatal(err)
+	}
+	for name, val := range want {
+		if !strings.Contains(page.String(), " "+val+"\n") {
+			t.Errorf("Metrics.%s (= %s) is not on /metrics", name, val)
+		}
+		if !strings.Contains(stats.String(), "="+val) {
+			t.Errorf("Metrics.%s (= %s) is not on \\stats: %s", name, val, stats.String())
 		}
 	}
-	return false
 }
 
 // BenchmarkObserveTemplate measures the telemetry hook on the query hot
