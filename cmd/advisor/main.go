@@ -17,87 +17,56 @@ import (
 	"time"
 
 	"cubefc/internal/core"
-	"cubefc/internal/csvload"
-	"cubefc/internal/cube"
+	"cubefc/internal/daemon"
 	"cubefc/internal/experiments"
 	"cubefc/internal/f2db"
 )
 
+// options are the parsed flags: the shared data source plus the advisor's
+// own run parameters.
+type options struct {
+	src        daemon.Source
+	run        core.Options
+	alpha      float64
+	progress   bool
+	out        string
+	paperScale bool
+}
+
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	o.src.Register(fs)
+	fs.Int64Var(&o.run.Seed, "seed", 42, "RNG seed for the multi-source probes")
+	fs.Float64Var(&o.alpha, "alpha", 0, "pin the acceptance parameter alpha (0 = paper schedule 0.1..1.0)")
+	fs.IntVar(&o.run.MaxModels, "max-models", 0, "stop criterion: maximum number of models (0 = off)")
+	fs.Float64Var(&o.run.TargetError, "target-error", 0, "stop criterion: target overall SMAPE (0 = off)")
+	fs.BoolVar(&o.progress, "progress", false, "print one line per advisor iteration")
+	fs.StringVar(&o.out, "out", "", "save the final configuration to this file")
+	fs.BoolVar(&o.paperScale, "paper-scale", false, "use paper-sized data sets")
+	return o
+}
+
 func main() {
-	dataset := flag.String("dataset", "tourism", "data set: tourism, sales, energy, gen1k, gen10k, cubeN (synthetic cube with ~N nodes, e.g. cube100k)")
-	seed := flag.Int64("seed", 42, "RNG seed for the multi-source probes")
-	alpha := flag.Float64("alpha", 0, "pin the acceptance parameter alpha (0 = paper schedule 0.1..1.0)")
-	maxModels := flag.Int("max-models", 0, "stop criterion: maximum number of models (0 = off)")
-	targetError := flag.Float64("target-error", 0, "stop criterion: target overall SMAPE (0 = off)")
-	progress := flag.Bool("progress", false, "print one line per advisor iteration")
-	sampleSize := flag.Int("sample-size", 0, "estimate indicators and derivations from this many sampled base series per node (0 = exact)")
-	exactMode := flag.Bool("exact", false, "force exact computation even when -sample-size is set")
-	lazy := flag.Bool("lazy", false, "build the cube with on-demand node materialization (large cubes)")
-	out := flag.String("out", "", "save the final configuration to this file")
-	paperScale := flag.Bool("paper-scale", false, "use paper-sized data sets")
-	csvPath := flag.String("csv", "", "load a fact-table CSV instead of a built-in data set")
-	dimSpec := flag.String("dims", "", "dimension spec for -csv, e.g. \"product;location=city<region\"")
-	period := flag.Int("period", 1, "seasonal period for -csv data")
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
 
-	scale := experiments.Quick
-	if *paperScale {
-		scale = experiments.Paper
+	if o.paperScale {
+		o.src.Scale = experiments.Paper
 	}
 	buildStart := time.Now()
-	var g *cube.Graph
-	name := *dataset
-	if *csvPath != "" {
-		specs, err := csvload.ParseSpec(*dimSpec)
-		if err != nil {
-			fail(err)
-		}
-		fh, err := os.Open(*csvPath)
-		if err != nil {
-			fail(err)
-		}
-		dims, base, err := csvload.Load(fh, specs, csvload.Options{Period: *period})
-		cerr := fh.Close()
-		if err != nil {
-			fail(err)
-		}
-		if cerr != nil {
-			fail(cerr)
-		}
-		g, err = cube.NewGraph(dims, base)
-		if err != nil {
-			fail(err)
-		}
-		name = *csvPath
-	} else {
-		ds, err := experiments.LoadDataset(*dataset, scale)
-		if err != nil {
-			fail(err)
-		}
-		if *lazy {
-			g, err = ds.LazyGraph()
-		} else {
-			g, err = ds.Graph()
-		}
-		if err != nil {
-			fail(err)
-		}
-		name = ds.Name
+	g, name, err := o.src.Graph()
+	if err != nil {
+		fail(err)
 	}
 	fmt.Printf("data set %s: %d base series, %d graph nodes, %d observations (graph built in %v)\n",
 		name, len(g.BaseIDs), g.NumNodes(), g.Length, time.Since(buildStart).Round(time.Millisecond))
 
-	opts := core.Options{
-		Seed:        *seed,
-		MaxModels:   *maxModels,
-		TargetError: *targetError,
-		SampleSize:  *sampleSize,
-		Exact:       *exactMode,
+	opts := o.run
+	opts.SampleSize = o.src.SampleSize
+	if o.alpha > 0 {
+		opts.Alpha0, opts.AlphaMax = o.alpha, o.alpha
 	}
-	if *alpha > 0 {
-		opts.Alpha0, opts.AlphaMax = *alpha, *alpha
-	}
-	if *progress {
+	if o.progress {
 		opts.OnIteration = func(s core.Snapshot) {
 			fmt.Printf("  it=%-3d alpha=%.2f gamma=%+.2f cand=%-3d created=%d accepted=%d rejected=%d deleted=%d err=%.4f models=%d\n",
 				s.Iteration, s.Alpha, s.Gamma, s.Candidates, s.Created, s.Accepted, s.Rejected, s.Deleted, s.Error, s.Models)
@@ -105,7 +74,7 @@ func main() {
 	}
 
 	var lastBound float64
-	if *sampleSize > 0 && !*exactMode {
+	if o.src.SampleSize > 0 {
 		prev := opts.OnIteration
 		opts.OnIteration = func(s core.Snapshot) {
 			lastBound = s.SampleBound
@@ -123,14 +92,14 @@ func main() {
 	fmt.Printf("advisor finished in %v: error=%.4f models=%d (%.1f%% of nodes) creation-cost=%.3fs\n",
 		time.Since(start).Round(time.Millisecond), cfg.Error(), cfg.NumModels(),
 		100*float64(cfg.NumModels())/float64(g.NumNodes()), cfg.CostSeconds)
-	if *sampleSize > 0 && !*exactMode {
-		fmt.Printf("sampled estimation: K=%d, mean relative sampling error bound %.4f\n", *sampleSize, lastBound)
+	if o.src.SampleSize > 0 {
+		fmt.Printf("sampled estimation: K=%d, mean relative sampling error bound %.4f\n", o.src.SampleSize, lastBound)
 	}
 
 	cfg.Report().Fprint(os.Stdout)
 
-	if *out != "" {
-		fh, err := os.Create(*out)
+	if o.out != "" {
+		fh, err := os.Create(o.out)
 		if err != nil {
 			fail(err)
 		}
@@ -140,7 +109,7 @@ func main() {
 		if err := fh.Close(); err != nil {
 			fail(err)
 		}
-		fmt.Printf("configuration saved to %s\n", *out)
+		fmt.Printf("configuration saved to %s\n", o.out)
 	}
 }
 

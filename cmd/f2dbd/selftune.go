@@ -6,7 +6,7 @@ import (
 )
 
 // attachCoordTuning is the coordinator-tier counterpart of
-// daemon.AttachEngineTuning: pre-warm through the routed query path
+// (*daemon.Handle).Tune: pre-warm through the routed query path
 // (filling the read table ahead of the spike) and size the table from the
 // predicted working set.
 // cacheSize <= 0 means the read cache is disabled; only pre-warming (which

@@ -112,9 +112,6 @@ type Options struct {
 	// the cube. 0 computes everything exactly — bit-identical to the
 	// pre-sampling advisor.
 	SampleSize int
-	// Exact forces exact computation even when SampleSize is set (CLI
-	// plumbing: a -sample-size default can be overridden by -exact).
-	Exact bool
 	// SampleConfidence is the coverage level of the sampling error bounds
 	// reported in sampled mode (default 0.95).
 	SampleConfidence float64
@@ -184,9 +181,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MultiSourceProbes == 0 {
 		o.MultiSourceProbes = 2 * o.Parallelism
-	}
-	if o.Exact {
-		o.SampleSize = 0
 	}
 	if o.SampleConfidence <= 0 || o.SampleConfidence >= 1 {
 		o.SampleConfidence = 0.95

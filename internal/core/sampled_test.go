@@ -92,25 +92,6 @@ func TestSampledModeIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestExactOptionDisablesSampling(t *testing.T) {
-	opts := Options{SampleSize: 16, Exact: true}.withDefaults()
-	if opts.SampleSize != 0 {
-		t.Fatal("Exact must zero SampleSize")
-	}
-	g := seasonalCube(t, 1)
-	a, err := NewAdvisor(g, Options{SampleSize: 16, Exact: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	if a.Sampled() {
-		t.Fatal("advisor must be exact with Exact set")
-	}
-	if a.SampleBound() != 0 {
-		t.Fatal("exact advisor must report a zero sample bound")
-	}
-}
-
 // TestAdvisorCachesBounded is the regression test for the candLoc/modelFc
 // growth bug: over a long anytime run the candidate-local cache must not
 // retain entries for permanently rejected nodes once the α schedule moved

@@ -1,79 +1,152 @@
-// Package daemon holds the wiring the two serving binaries, cmd/f2dbd and
-// cmd/f2dbcli, would otherwise each carry a copy of.
+// Package daemon is the one place that turns flags into a running
+// process: data source → hyper graph → configuration → engine → durable
+// directory, with self-tuning and the metrics listener beside it. The
+// rule it enforces: a flag two binaries share is declared here, once, or
+// not at all. cmd/advisor registers Source; cmd/f2dbcli and cmd/f2dbd
+// register all four groups and add only what is theirs alone.
 package daemon
 
 import (
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"time"
 
+	"cubefc/internal/experiments"
 	"cubefc/internal/f2db"
 	"cubefc/internal/metrics"
 	"cubefc/internal/sibyl"
 )
 
-// ServeMetrics listens on addr and serves the registries on /metrics in
-// Prometheus text format for the life of the process, with the
-// net/http/pprof handlers under /debug/pprof/ on the same listener if
-// withPprof is set (read-only; a profile costs its sampling overhead only
-// while a request for it is in flight). It returns the bound address.
-func ServeMetrics(addr string, withPprof bool, regs ...*metrics.Registry) (net.Addr, error) {
+// Logf receives the assembly path's progress lines; each binary prefixes
+// and routes them its own way.
+type Logf func(format string, args ...any)
+
+// Source is what is read and how much of it: the fact data the cube is
+// built from, how the hyper graph is built over it, and how much of each
+// node the advisor looks at.
+type Source struct {
+	Dataset    string
+	CSV        string
+	Dims       string
+	Period     int
+	Lazy       bool
+	SampleSize int
+	// Scale sizes the built-in data sets; no flag of this group sets it
+	// (advisor -paper-scale does).
+	Scale experiments.Scale
+}
+
+// Register declares the source flags on fs.
+func (s *Source) Register(fs *flag.FlagSet) {
+	fs.StringVar(&s.Dataset, "dataset", "tourism", "data set: tourism, sales, energy, gen1k, gen10k, cubeN (synthetic cube with ~N nodes, e.g. cube100k)")
+	fs.StringVar(&s.CSV, "csv", "", "load a fact-table CSV instead of a built-in data set")
+	fs.StringVar(&s.Dims, "dims", "", "dimension spec for -csv, e.g. \"product;location=city<region\"")
+	fs.IntVar(&s.Period, "period", 1, "seasonal period for -csv data")
+	fs.BoolVar(&s.Lazy, "lazy", false, "build the cube with on-demand node materialization (large cubes)")
+	fs.IntVar(&s.SampleSize, "sample-size", 0, "advisor: estimate indicators and derivations from this many sampled base series per node (0 = exact)")
+}
+
+// Engine is how the engine over a Source is configured and where its
+// state lives: a saved configuration or snapshot to start from, the
+// estimation knobs, and the durable directory.
+type Engine struct {
+	Config string
+	DB     string
+	// Options and Durable take their flags directly; Open fills in the
+	// fields no flag sets (Strategy, Sync).
+	Options f2db.Options
+	Durable f2db.DurableOptions
+	Fsync   string
+}
+
+// Register declares the engine flags on fs.
+func (e *Engine) Register(fs *flag.FlagSet) {
+	fs.StringVar(&e.Config, "config", "", "load a saved configuration instead of running the advisor")
+	fs.StringVar(&e.DB, "db", "", "open a saved database snapshot (f2dbcli \\save, f2dbd -save) instead of a data set")
+	fs.IntVar(&e.Options.Stripes, "stripes", 0, "write stripes sharding the insert path (0 = near GOMAXPROCS, rounded to a power of two; negative = single stripe)")
+	fs.IntVar(&e.Options.Parallelism, "parallelism", 0, "worker pool size for off-lock model re-estimation (0 = GOMAXPROCS)")
+	fs.BoolVar(&e.Options.EagerReestimate, "eager-reestimate", false, "re-fit invalidated models right after the batch advance instead of lazily on first query")
+	fs.BoolVar(&e.Options.ColdRefit, "cold-refit", false, "disable warm-started re-estimation (full cold parameter search on every re-fit)")
+	fs.StringVar(&e.Durable.Dir, "wal-dir", "", "durable directory (snapshot + write-ahead log + columnar segments); recovers on open, then group-commits every completed batch")
+	fs.StringVar(&e.Fsync, "fsync", "always", "WAL fsync policy with -wal-dir: always, never, or an integer n (fsync every n batches)")
+	fs.IntVar(&e.Durable.CompactEvery, "compact-every", 256, "with -wal-dir: compact the sealed WAL span into a columnar segment every n batches (0 disables)")
+}
+
+// SelfTune configures the internal/sibyl self-forecasting engine.
+type SelfTune struct {
+	On      bool
+	Options sibyl.Options
+}
+
+// Register declares the self-tuning flags on fs.
+func (s *SelfTune) Register(fs *flag.FlagSet) {
+	fs.BoolVar(&s.On, "selftune", false, "run the self-forecasting engine: per-template workload prediction drives cache pre-warming, trough-scheduled maintenance and adaptive cache sizing; counters on \\stats and -metrics")
+	fs.DurationVar(&s.Options.Bucket, "selftune-bucket", time.Second, "self-tuning arrival-count bucket width (and control-loop period)")
+	fs.IntVar(&s.Options.Horizon, "selftune-horizon", 1, "self-tuning forecast horizon in buckets")
+	fs.IntVar(&s.Options.Season, "selftune-season", 0, "self-tuning seasonal period in buckets (0 = non-seasonal smoothing)")
+}
+
+// New returns the configured self-forecasting engine, not yet attached to
+// a tier or started, or nil without -selftune. logf may be nil.
+func (s *SelfTune) New(logf Logf) *sibyl.Engine {
+	if !s.On {
+		return nil
+	}
+	opts := s.Options
+	opts.Logf = logf
+	return sibyl.New(opts)
+}
+
+// Metrics configures the sidecar HTTP listener.
+type Metrics struct {
+	Addr  string
+	Pprof bool
+}
+
+// Register declares the metrics flags on fs.
+func (m *Metrics) Register(fs *flag.FlagSet) {
+	fs.StringVar(&m.Addr, "metrics", "", "serve Prometheus-format metrics on this address (e.g. :9090)")
+	fs.BoolVar(&m.Pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ on the -metrics listener")
+}
+
+// Check rejects -pprof without -metrics; a binary calls it before the
+// expensive part of its start-up.
+func (m *Metrics) Check() error {
+	if m.Pprof && m.Addr == "" {
+		return fmt.Errorf("-pprof mounts on the metrics listener; set -metrics too")
+	}
+	return nil
+}
+
+// Serve does nothing without -metrics; with it, it serves regs on
+// /metrics in Prometheus text format for the life of the process — and
+// with -pprof the net/http/pprof handlers under /debug/pprof/ on the same
+// listener (read-only; a profile costs its sampling overhead only while a
+// request for it is in flight) — and reports where it is bound.
+func (m *Metrics) Serve(logf Logf, regs ...*metrics.Registry) error {
+	if err := m.Check(); err != nil || m.Addr == "" {
+		return err
+	}
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", metrics.Handler(regs...))
-	if withPprof {
+	if m.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", m.Addr)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	go func() {
 		fmt.Fprintln(os.Stderr, "metrics server:", http.Serve(ln, mux))
 	}()
-	return ln.Addr(), nil
-}
-
-// AttachEngineTuning points the self-forecasting engine at a local engine:
-// pre-warm predicted spike templates through the real query path, schedule
-// eager re-estimation (and segment compaction when durable) into predicted
-// troughs, and size the plan cache and forecast memo from the predicted
-// working set, starting from the capacities the engine was opened with.
-// This is the one place that decides what "act on a prediction" means for
-// the engine tier; sibyl itself stays policy-free.
-func AttachEngineTuning(sib *sibyl.Engine, db *f2db.DB, dur *f2db.Durable) {
-	db.SetTelemetry(sib)
-	plans, forecasts := db.CacheCapacities()
-	sib.Attach(
-		&sibyl.Prewarm{Run: func(sql string) error {
-			_, err := db.Query(sql)
-			return err
-		}},
-		&sibyl.TroughWork{Run: func() {
-			db.ReestimateInvalid()
-			if dur != nil {
-				_ = dur.Compact()
-			}
-		}},
-		&sibyl.CacheSizer{
-			Name:    "plan-cache",
-			Apply:   func(n int) { db.SetPlanCacheCapacity(n) },
-			Min:     64,
-			Max:     64 << 10,
-			Current: plans,
-		},
-		&sibyl.CacheSizer{
-			Name:        "forecast-cache",
-			Apply:       func(n int) { db.SetForecastCacheCapacity(n) },
-			Min:         256,
-			Max:         1 << 20,
-			PerTemplate: 8, // distinct (node, horizon, confidence) per template
-			Current:     forecasts,
-		},
-	)
+	logf("serving metrics on http://%s/metrics", ln.Addr())
+	return nil
 }
