@@ -1,32 +1,25 @@
 package cubefc_test
 
 // BenchmarkAdvisorScale measures time-to-first-accepted-configuration of
-// the advisor across cube sizes, comparing the exact/eager baseline (full
-// graph materialization, exact indicators and derivation) against the
-// sampled/lazy pipeline (on-demand node materialization, reservoir-sampled
-// indicators, FlashP-style sampled derivation). Each iteration includes
+// the advisor across cube sizes, comparing the exact advisor (exact
+// indicators and derivation, every node it evaluates materialized) against
+// the sampled one (reservoir-sampled indicators, FlashP-style sampled
+// derivation, a fraction of the cube materialized). Each iteration includes
 // graph construction: that is the cost a fresh cube pays before its first
-// advisor answer. Results are recorded in BENCH_advisor.json.
+// advisor answer.
 
 import (
 	"fmt"
 	"testing"
 
 	"cubefc/internal/core"
-	"cubefc/internal/cube"
 	"cubefc/internal/datasets"
 )
 
-// advisorFirstConfig builds the graph in the requested mode and runs the
-// advisor until its first accepted configuration change (or hard stop).
-func advisorFirstConfig(b *testing.B, d *datasets.Dataset, lazy bool, sampleSize int) {
-	var g *cube.Graph
-	var err error
-	if lazy {
-		g, err = d.LazyGraph()
-	} else {
-		g, err = d.Graph()
-	}
+// advisorFirstConfig builds the graph and runs the advisor until its first
+// accepted configuration change (or hard stop).
+func advisorFirstConfig(b *testing.B, d *datasets.Dataset, sampleSize int) {
+	g, err := d.Graph()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -61,16 +54,15 @@ func BenchmarkAdvisorScale(b *testing.B) {
 		d := datasets.GenCube(1, opts)
 		for _, mode := range []struct {
 			name       string
-			lazy       bool
 			sampleSize int
 		}{
-			{"exact-eager", false, 0},
-			{"sampled-lazy", true, 32},
+			{"exact", 0},
+			{"sampled", 32},
 		} {
 			b.Run(fmt.Sprintf("nodes=%d/%s", opts.NumNodes(), mode.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					advisorFirstConfig(b, d, mode.lazy, mode.sampleSize)
+					advisorFirstConfig(b, d, mode.sampleSize)
 				}
 			})
 		}

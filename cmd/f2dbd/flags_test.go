@@ -2,27 +2,24 @@ package main
 
 import (
 	"flag"
-	"sort"
 	"strings"
 	"testing"
 )
 
 // parentFlags is f2dbd's flag set — name=default, sorted — recorded from
-// cmd/f2dbd/main.go at 0e31511, the parent of the shared assembly path.
-const parentFlags = `addr=:7071 checkpoint-batches=0 checkpoint-every=0s cold-refit=false compact-every=256 config= coord-cache-size=1024 coordinator=false dataset=tourism db= drain-timeout=30s eager-reestimate=false fsync=always idle-timeout=0s log-retain=0 max-conns=0 metrics= parallelism=0 pprof=false request-timeout=0s save= selftune=false selftune-bucket=1s selftune-horizon=1 selftune-season=0 shards= stripes=0 wal-dir=`
+// the binary at 7589261, the parent of the one hyper graph.
+const parentFlags = `addr=:7071 checkpoint-batches=0 checkpoint-every=0s cold-refit=false compact-every=256 config= coord-cache-size=1024 coordinator=false csv= dataset=tourism db= dims= drain-timeout=30s eager-reestimate=false fsync=always idle-timeout=0s lazy=false log-retain=0 max-conns=0 metrics= parallelism=0 period=1 pprof=false request-timeout=0s sample-size=0 save= selftune=false selftune-bucket=1s selftune-horizon=1 selftune-season=0 shards= stripes=0 wal-dir=`
 
-// TestFlagSet pins what the binary accepts: the parent's set plus the five
-// source flags f2dbcli already took, with f2dbcli's defaults.
+// TestFlagSet pins what the binary accepts: the parent's set minus -lazy and
+// -cold-refit.
 func TestFlagSet(t *testing.T) {
-	want := append(strings.Fields(parentFlags), "csv=", "dims=", "period=1", "lazy=false", "sample-size=0")
-	name := func(s string) string { return s[:strings.IndexByte(s, '=')] }
-	sort.Slice(want, func(i, j int) bool { return name(want[i]) < name(want[j]) })
+	want := strings.NewReplacer("cold-refit=false ", "", "lazy=false ", "").Replace(parentFlags)
 	fs := flag.NewFlagSet("f2dbd", flag.ContinueOnError)
 	registerFlags(fs)
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
-	if g, w := strings.Join(got, " "), strings.Join(want, " "); g != w {
-		t.Fatalf("flag set\n got %s\nwant %s", g, w)
+	if s := strings.Join(got, " "); s != want {
+		t.Fatalf("flag set\n got %s\nwant %s", s, want)
 	}
 }
 

@@ -87,7 +87,11 @@ func NewHierarchy(name string, levels []string, parents []map[string]string) (Di
 }
 
 // NewGraph builds the complete time-series hyper graph over the base
-// series, computing every SUM aggregate the dimensions admit.
+// series: every SUM aggregate the dimensions admit is a node, its series
+// computed when it is first asked for. Two base series with the same
+// member values are an error, not summed into one node, and the graph
+// shares the value arrays of base instead of copying them (it never writes
+// them in place; do not write them either once the graph exists).
 func NewGraph(dims []Dimension, base []BaseSeries) (*Graph, error) {
 	return cube.NewGraph(dims, base)
 }

@@ -41,6 +41,23 @@ func buildCube(t testing.TB, seed int64) *cubefc.Graph {
 	return g
 }
 
+// TestPublicNewGraphRejects: what the one graph constructor refuses at the
+// facade — a base entry with no series (it used to be a nil dereference)
+// and two base entries with the same members (they used to be summed).
+func TestPublicNewGraphRejects(t *testing.T) {
+	dims := []cubefc.Dimension{cubefc.NewDimension("product", "product")}
+	ok := cubefc.BaseSeries{Members: []string{"P1"}, Series: cubefc.NewSeries([]float64{1, 2}, 1)}
+	for name, base := range map[string][]cubefc.BaseSeries{
+		"no series":      {ok, {Members: []string{"P2"}}},
+		"no series at 0": {{Members: []string{"P2"}}, ok},
+		"repeated":       {ok, {Members: []string{"P1"}, Series: cubefc.NewSeries([]float64{3, 4}, 1)}},
+	} {
+		if _, err := cubefc.NewGraph(dims, base); err == nil {
+			t.Errorf("%s: NewGraph accepted it", name)
+		}
+	}
+}
+
 func TestPublicAPIEndToEnd(t *testing.T) {
 	g := buildCube(t, 1)
 	cfg, err := cubefc.Advise(g, cubefc.AdvisorOptions{Seed: 1})

@@ -437,7 +437,7 @@ func (a *Advisor) addModel(id int, m forecast.Model, dur time.Duration, fc []flo
 	// and, for the very first model, for the entire graph so the initial
 	// configuration has a valid scheme everywhere. Sampled mode skips the
 	// very first backfill entirely (full-graph or indicator-wide, it would
-	// evaluate — and on a lazy graph materialize — thousands of nodes
+	// evaluate — and make the graph materialize — thousands of nodes
 	// before the advisor has refined anything); uncovered nodes resolve a
 	// scheme lazily at query time via Configuration.ResolveScheme, and
 	// later models backfill their indicator neighborhoods as usual.

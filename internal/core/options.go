@@ -107,10 +107,10 @@ type Options struct {
 	// node, multi-source derivation schemes are built from a PPS sample of
 	// SampleSize sources with a confidence bound, and the initial
 	// full-graph scheme backfill is skipped (uncovered nodes resolve
-	// schemes lazily, Configuration.ResolveScheme). Combined with a lazy
-	// graph (cube.NewLazyGraph) the advisor touches a sub-linear share of
-	// the cube. 0 computes everything exactly — bit-identical to the
-	// pre-sampling advisor.
+	// schemes lazily, Configuration.ResolveScheme), so the advisor touches
+	// — and the graph materializes — a sub-linear share of the cube. 0
+	// computes everything exactly — bit-identical to the pre-sampling
+	// advisor.
 	SampleSize int
 	// SampleConfidence is the coverage level of the sampling error bounds
 	// reported in sampled mode (default 0.95).

@@ -6,7 +6,7 @@ import (
 	"cubefc/internal/datasets"
 )
 
-// sampledTestCube builds a moderately sized multi-dimensional lazy cube.
+// sampledTestCube builds a moderately sized multi-dimensional cube.
 func sampledTestCube(t *testing.T) *datasets.Dataset {
 	t.Helper()
 	return datasets.GenCube(3, datasets.CubeGenOptions{
@@ -18,7 +18,7 @@ func sampledTestCube(t *testing.T) *datasets.Dataset {
 
 func TestSampledAdvisorOnLazyCube(t *testing.T) {
 	d := sampledTestCube(t)
-	g, err := d.LazyGraph()
+	g, err := d.Graph()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSampledAdvisorOnLazyCube(t *testing.T) {
 	// The whole point: the advisor must not have materialized the full
 	// cube.
 	if g.MaterializedNodes() >= g.NumNodes() {
-		t.Fatalf("sampled+lazy advisor materialized all %d nodes", g.NumNodes())
+		t.Fatalf("sampled advisor materialized all %d nodes", g.NumNodes())
 	}
 	// Every node answers a forecast query, resolving schemes on demand.
 	for _, id := range []int{0, g.TopID, g.NumNodes() - 1} {
@@ -57,7 +57,7 @@ func TestSampledAdvisorOnLazyCube(t *testing.T) {
 func TestSampledModeIsDeterministic(t *testing.T) {
 	d := sampledTestCube(t)
 	run := func() map[int]string {
-		g, err := d.LazyGraph()
+		g, err := d.Graph()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,9 +9,9 @@ import (
 	"cubefc/internal/datasets"
 )
 
-// referenceClosest is ClosestNodes as it was before it walked nodes in place:
-// a map, a queue and a fresh adjacency slice per visit from Neighbors.
-func referenceClosest(g *cube.Graph, id, k int) []int {
+// referenceClosest is ClosestNodes as it was before it walked the skeleton in
+// place: a map, a queue and a fresh adjacency slice per visit from Neighbors.
+func referenceClosest(g interface{ Neighbors(int) []int }, id, k int) []int {
 	if k <= 0 {
 		return nil
 	}
@@ -42,11 +42,11 @@ func closestCube(t *testing.T) *datasets.Dataset {
 	return datasets.GenCube(1, datasets.CubeGenForNodes(300, 2))
 }
 
-// halfMaterialized builds the lazy graph and materializes a random half of
-// its nodes, so a BFS crosses both the in-place and the skeleton path.
+// halfMaterialized builds the graph and materializes a random half of its
+// nodes, so a BFS crosses nodes that exist and nodes that do not.
 func halfMaterialized(t *testing.T, d *datasets.Dataset) *cube.Graph {
 	t.Helper()
-	g, err := d.LazyGraph()
+	g, err := d.Graph()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func halfMaterialized(t *testing.T, d *datasets.Dataset) *cube.Graph {
 		}
 	}
 	if m := g.MaterializedNodes(); m == g.NumNodes() {
-		t.Fatalf("all %d nodes materialized; the skeleton path is not exercised", m)
+		t.Fatalf("all %d nodes materialized; nothing is left to materialize under the BFS", m)
 	}
 	return g
 }
@@ -81,31 +81,36 @@ func requireClosest(t *testing.T, g *cube.Graph, s *cube.BFSScratch, want [][]in
 }
 
 // TestClosestNodesTwin: for every node and k ∈ {1, 7, n−1} the in-place BFS
-// returns the reference BFS's nodes in the reference's order — on an eager
-// graph, on a half-materialized lazy graph, and on that lazy graph shared
-// by eight goroutines (each with a scratch of its own) while the rest of
-// it materializes underneath them.
+// returns the nodes, in the order, of the reference BFS over the eager
+// oracle's adjacency — on a fully materialized graph, on a half-materialized
+// one, and on that one shared by eight goroutines (each with a scratch of
+// its own) while the rest of it materializes underneath them.
 func TestClosestNodesTwin(t *testing.T) {
 	d := closestCube(t)
-	eager, err := d.Graph()
+	eager, err := cube.NewEagerOracle(d.Dims, d.Base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ks := []int{1, 7, eager.NumNodes() - 1}
-	want := make([][]int, 0, eager.NumNodes()*len(ks))
-	for id := 0; id < eager.NumNodes(); id++ {
+	ks := []int{1, 7, len(eager.Nodes) - 1}
+	want := make([][]int, 0, len(eager.Nodes)*len(ks))
+	for id := range eager.Nodes {
 		for _, k := range ks {
 			want = append(want, referenceClosest(eager, id, k))
 		}
 	}
+	full, err := d.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full.MaterializeAll()
 	var s cube.BFSScratch
-	requireClosest(t, eager, &s, want, ks)
+	requireClosest(t, full, &s, want, ks)
 
 	lazy := halfMaterialized(t, d)
 	for id := 0; id < lazy.NumNodes(); id++ {
 		for i, k := range ks {
 			if ref := referenceClosest(lazy, id, k); len(ref) != len(want[id*len(ks)+i]) {
-				t.Fatalf("reference BFS disagrees between eager and lazy graph at node %d, k %d", id, k)
+				t.Fatalf("reference BFS disagrees between the oracle and the graph at node %d, k %d", id, k)
 			}
 		}
 	}

@@ -304,17 +304,40 @@ func TestAdvance(t *testing.T) {
 	}
 }
 
+// TestAdvanceValidation: a batch with the wrong count, an aggregate ID or
+// an out-of-range ID is refused before anything is extended — Length and
+// every materialized series stay as they were.
 func TestAdvanceValidation(t *testing.T) {
 	g := fig1Graph(t)
-	if err := g.Advance(map[int]float64{g.BaseIDs[0]: 1}); err == nil {
-		t.Fatal("partial batch should fail")
+	g.MaterializeAll()
+	full := func(swap int) map[int]float64 {
+		m := make(map[int]float64, len(g.BaseIDs))
+		for _, id := range g.BaseIDs[1:] {
+			m[id] = 1
+		}
+		m[swap] = 1
+		return m
 	}
-	bad := make(map[int]float64)
-	for i := range g.BaseIDs {
-		bad[g.TopID+i] = 1 // wrong ids, right count
+	for name, bad := range map[string]map[int]float64{
+		"partial batch": {g.BaseIDs[0]: 1},
+		"aggregate id":  full(g.TopID),
+		"id too large":  full(g.NumNodes()),
+		"negative id":   full(-1),
+	} {
+		if err := g.Advance(bad); err == nil {
+			t.Fatalf("%s should fail", name)
+		}
+		if g.Length != 8 {
+			t.Fatalf("%s: Length = %d after a refused Advance, want 8", name, g.Length)
+		}
+		for id := 0; id < g.NumNodes(); id++ {
+			if n := g.Node(id).Series.Len(); n != 8 {
+				t.Fatalf("%s: node %d has %d observations after a refused Advance, want 8", name, id, n)
+			}
+		}
 	}
-	if err := g.Advance(bad); err == nil {
-		t.Fatal("non-base ids should fail")
+	if err := g.Advance(full(g.BaseIDs[0])); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -330,6 +353,13 @@ func TestNewGraphValidation(t *testing.T) {
 	base[3].Series = timeseries.New([]float64{1, 2}, 4)
 	if _, err := NewGraph(dims, base); err == nil {
 		t.Fatal("length mismatch should fail")
+	}
+	for _, i := range []int{0, 3} {
+		base = fig1Base(8)
+		base[i].Series = nil
+		if _, err := NewGraph(dims, base); err == nil {
+			t.Fatalf("base series %d without a series should fail", i)
+		}
 	}
 }
 

@@ -23,6 +23,8 @@ type Node struct {
 	ChildEdges [][]int
 	// ParentIDs lists, per dimension, the node obtained by rolling this
 	// node up one level along that dimension (-1 when already at ALL).
+	// Like Coord and the edges of ChildEdges it is a view of the graph's
+	// skeleton and must not be written.
 	ParentIDs []int
 	// IsBase marks nodes whose coordinate is at the finest level in every
 	// dimension.
@@ -48,15 +50,13 @@ type BaseSeries struct {
 // a series can contribute to several aggregates, and functional
 // dependencies are encoded through the dimension hierarchies.
 //
-// A graph is built in one of two modes. NewGraph materializes every node
-// (series, parent links, child hyper edges) up front. NewLazyGraph runs
-// the same deterministic enumeration but materializes only the base
-// nodes; aggregate nodes are built on first access through Node (or any
-// accessor that resolves a node). Node IDs, coordinate keys, edge order
-// and aggregate series contents are identical between the two modes — the
-// lazy skeleton records, per node, the covered base nodes in ascending
-// base-ID order, which is exactly the accumulation order of the eager
-// construction, so aggregation sums are bit-for-bit reproducible.
+// Construction enumerates every coordinate into a numeric skeleton —
+// coordinates, covered base nodes, parent table, child index — and
+// materializes only the base nodes; an aggregate node's series is built
+// on first access through Node (or any accessor that resolves a node).
+// Each aggregate sums its covered base series in ascending base-ID order,
+// so series contents are bit-for-bit reproducible whatever the order of
+// access.
 type Graph struct {
 	Dims []Dimension
 	// TopID is the node aggregating over all dimensions; BaseIDs are the
@@ -66,78 +66,48 @@ type Graph struct {
 	Period  int
 	Length  int // number of observations in every node series
 
-	// nodes holds one atomically published slot per node ID. In eager
-	// mode every slot is filled at construction; in lazy mode aggregate
-	// slots start nil and are filled under matMu on first access.
+	// nodes holds one atomically published slot per node ID. Base slots
+	// are filled at construction; aggregate slots start nil and are filled
+	// under matMu on first access.
 	nodes []atomic.Pointer[Node]
 
-	// index maps coordinate keys to node IDs. Eager graphs fill it at
-	// construction; lazy graphs build it on first key lookup (the numeric
-	// skeleton construction never needs string keys).
+	// index maps coordinate keys to node IDs, built on first key lookup
+	// (the packed skeleton construction never needs string keys).
 	index   map[string]int
 	idxOnce sync.Once
 
-	// coverCache memoizes the ancestor closure of base nodes, the hot
-	// path of the eager Advance (one lookup per base series per insert
-	// batch).
-	coverCache map[int][]int
+	// The skeleton, immutable after construction: the coordinate and the
+	// covered base-node IDs (ascending, in CSR form — node id covers
+	// incIDs[incOff[id]:incOff[id+1]]) of every node, the flattened
+	// per-dimension parent IDs (parents[id*D+d], -1 at ALL) and their CSR
+	// inversion: the child edge of (node p, dim d) is
+	// childIDs[childOff[p*D+d]:childOff[p*D+d+1]], ascending. Node.ParentIDs
+	// and Node.ChildEdges alias parents and childIDs.
+	coords   []Coord
+	incOff   []int32
+	incIDs   []int32
+	parents  []int
+	childOff []int32
+	childIDs []int
 
-	// Lazy-mode skeleton, immutable after construction: the coordinate
-	// and the covered base-node IDs (ascending, in CSR form — node id
-	// covers incIDs[incOff[id]:incOff[id+1]]) of every node, plus the
-	// flattened per-dimension parent IDs (parents[id*D+d], -1 at ALL).
-	lazy    bool
-	coords  []Coord
-	incOff  []int32
-	incIDs  []int32
-	parents []int32
-
-	// childIdx is the CSR inversion of parents, built once on first child
-	// edge derivation: the edge of (node p, dim d) is
-	// childIDs[childOff[p*D+d]:childOff[p*D+d+1]], ascending.
-	childOnce sync.Once
-	childOff  []int32
-	childIDs  []int32
-
-	// matMu serializes lazy materialization and the lazy Advance (which
-	// must see a consistent set of materialized series); matIDs lists the
+	// matMu serializes materialization and Advance (which must see a
+	// consistent set of materialized series); matIDs lists the
 	// materialized node IDs, matCount mirrors len(matIDs) for lock-free
 	// metrics reads.
 	matMu    sync.Mutex
 	matIDs   []int
 	matCount atomic.Int64
-
-	// incAll caches, for eager graphs, the per-node covered-base lists on
-	// first CoveredBases/CoveredBaseCall call (lazy graphs read the
-	// skeleton directly).
-	incOnce sync.Once
-	incAll  [][]int
-
-	// adj caches, for lazy graphs, the structural adjacency of
-	// not-yet-materialized nodes (Neighbors derives it from the skeleton;
-	// BFS-heavy callers like the advisor's indicator construction revisit
-	// nodes constantly).
-	adjMu sync.Mutex
-	adj   map[int][]int
 }
 
 // NumNodes returns the total number of nodes in the graph.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
 
-// Lazy reports whether the graph materializes aggregate nodes on demand.
-func (g *Graph) Lazy() bool { return g.lazy }
-
 // MaterializedNodes returns how many nodes currently exist as full Node
-// structures. Eager graphs always report NumNodes().
-func (g *Graph) MaterializedNodes() int {
-	if !g.lazy {
-		return len(g.nodes)
-	}
-	return int(g.matCount.Load())
-}
+// structures.
+func (g *Graph) MaterializedNodes() int { return int(g.matCount.Load()) }
 
-// Node resolves a node ID to its node, materializing it first when the
-// graph is lazy. It is safe for concurrent use.
+// Node resolves a node ID to its node, materializing it first when it has
+// not been touched before. It is safe for concurrent use.
 func (g *Graph) Node(id int) *Node {
 	if n := g.nodes[id].Load(); n != nil {
 		return n
@@ -151,38 +121,24 @@ func (g *Graph) IsBase(id int) bool {
 	if id < 0 || id >= len(g.nodes) {
 		return false
 	}
-	if g.lazy {
-		for _, c := range g.coords[id] {
-			if c.Level != 0 {
-				return false
-			}
+	for _, c := range g.coords[id] {
+		if c.Level != 0 {
+			return false
 		}
-		return true
 	}
-	return g.nodes[id].Load().IsBase
+	return true
 }
 
 // CoordOf returns the coordinate of the node ID without materializing it.
 // The returned coordinate must not be mutated.
-func (g *Graph) CoordOf(id int) Coord {
-	if g.lazy {
-		return g.coords[id]
-	}
-	return g.nodes[id].Load().Coord
-}
+func (g *Graph) CoordOf(id int) Coord { return g.coords[id] }
 
 // KeyOf returns the canonical coordinate key of the node ID without
 // materializing it.
-func (g *Graph) KeyOf(id int) string {
-	if g.lazy {
-		return g.coords[id].Key(g.Dims)
-	}
-	return g.nodes[id].Load().Coord.Key(g.Dims)
-}
+func (g *Graph) KeyOf(id int) string { return g.coords[id].Key(g.Dims) }
 
-// keyIndex returns the coordinate-key index, building it on first use for
-// lazy graphs (whose construction is purely numeric and never renders
-// string keys).
+// keyIndex returns the coordinate-key index, building it on first use
+// unless the string-keyed skeleton construction already did.
 func (g *Graph) keyIndex() map[string]int {
 	g.idxOnce.Do(func() {
 		if g.index != nil {
@@ -229,232 +185,62 @@ func (g *Graph) LookupKey(key string) *Node {
 func (g *Graph) Top() *Node { return g.Node(g.TopID) }
 
 // NewGraph builds the complete hyper graph for the given dimensions and
-// base series, materializing every node up front. All base series must
-// have equal length and the same period. Aggregated series are computed
-// with SUM (Section II-A).
+// base series. All base series must have equal length and the same
+// period, and no two may share a coordinate. Aggregated series are
+// computed with SUM (Section II-A), on first access.
+//
+// The base nodes' series share the input value arrays, capped with a full
+// slice expression: base values are never written in place (the only
+// writer is Append, which reallocates at cap), so the graph neither copies
+// them nor changes what the caller sees.
 func NewGraph(dims []Dimension, base []BaseSeries) (*Graph, error) {
 	if len(base) == 0 {
 		return nil, fmt.Errorf("cube: graph requires at least one base series")
 	}
-	length := base[0].Series.Len()
-	period := base[0].Series.Period
 	for i, b := range base {
+		if b.Series == nil {
+			return nil, fmt.Errorf("cube: base series %d has no series", i)
+		}
 		if len(b.Members) != len(dims) {
 			return nil, fmt.Errorf("cube: base series %d has %d members, want %d", i, len(b.Members), len(dims))
 		}
-		if b.Series.Len() != length {
-			return nil, fmt.Errorf("cube: base series %d has length %d, want %d", i, b.Series.Len(), length)
+		if b.Series.Len() != base[0].Series.Len() {
+			return nil, fmt.Errorf("cube: base series %d has length %d, want %d", i, b.Series.Len(), base[0].Series.Len())
 		}
 	}
+	length, period := base[0].Series.Len(), base[0].Series.Period
+	g := &Graph{Dims: dims, Period: period, Length: length}
 
-	g := &Graph{Dims: dims, Period: period, Length: length, index: make(map[string]int)}
-	var all []*Node
-
-	// ancestorCoords enumerates every coordinate covering a base entry:
-	// the Cartesian product over dimensions of all ancestor cells.
-	perDim := make([][]Cell, len(dims))
-	getNode := func(coord Coord) (*Node, error) {
-		key := coord.Key(dims)
-		if id, ok := g.index[key]; ok {
-			return all[id], nil
-		}
-		depth := 0
-		isBase := true
-		for _, c := range coord {
-			depth += c.Level
-			if c.Level != 0 {
-				isBase = false
-			}
-		}
-		n := &Node{
-			ID:         len(all),
-			Coord:      append(Coord(nil), coord...),
-			Series:     timeseries.New(make([]float64, length), period),
-			ChildEdges: make([][]int, len(dims)),
-			ParentIDs:  make([]int, len(dims)),
-			IsBase:     isBase,
-			Depth:      depth,
-		}
-		for i := range n.ParentIDs {
-			n.ParentIDs[i] = -1
-		}
-		all = append(all, n)
-		g.index[key] = n.ID
-		return n, nil
-	}
-
-	coord := make(Coord, len(dims))
-	var enumerate func(d int, visit func(Coord) error) error
-	enumerate = func(d int, visit func(Coord) error) error {
-		if d == len(dims) {
-			return visit(coord)
-		}
-		for _, cell := range perDim[d] {
-			coord[d] = cell
-			if err := enumerate(d+1, visit); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	for _, b := range base {
-		// Compute the ancestor chain per dimension for this base entry.
-		for d := range dims {
-			dim := &dims[d]
-			cells := make([]Cell, 0, dim.AllLevel()+1)
-			for lvl := 0; lvl <= dim.AllLevel(); lvl++ {
-				v, err := dim.Ancestor(b.Members[d], 0, lvl)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, Cell{Level: lvl, Value: v})
-			}
-			perDim[d] = cells
-		}
-		bs := b.Series
-		err := enumerate(0, func(c Coord) error {
-			n, err := getNode(c)
-			if err != nil {
-				return err
-			}
-			for t, v := range bs.Values {
-				n.Series.Values[t] += v
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Wire parent/child hyper edges: roll each node up one level per
-	// dimension and register it under that parent.
-	for _, n := range all {
-		if n.IsBase {
-			g.BaseIDs = append(g.BaseIDs, n.ID)
-		}
-		for d := range dims {
-			dim := &dims[d]
-			cell := n.Coord[d]
-			if cell.IsAll(dim) {
-				continue
-			}
-			pv, err := dim.Ancestor(cell.Value, cell.Level, cell.Level+1)
-			if err != nil {
-				return nil, err
-			}
-			pc := append(Coord(nil), n.Coord...)
-			pc[d] = Cell{Level: cell.Level + 1, Value: pv}
-			pid, ok := g.index[pc.Key(dims)]
-			if !ok {
-				return nil, fmt.Errorf("cube: internal error: missing parent node %s", pc.Key(dims))
-			}
-			n.ParentIDs[d] = pid
-			parent := all[pid]
-			parent.ChildEdges[d] = append(parent.ChildEdges[d], n.ID)
-		}
-	}
-
-	// Keep edges and base IDs in deterministic order.
-	sort.Ints(g.BaseIDs)
-	for _, n := range all {
-		for d := range n.ChildEdges {
-			sort.Ints(n.ChildEdges[d])
-		}
-	}
-
-	top := make(Coord, len(dims))
-	for d := range dims {
-		top[d] = Cell{Level: dims[d].AllLevel()}
-	}
-	tid, ok := g.index[top.Key(dims)]
-	if !ok {
-		return nil, fmt.Errorf("cube: internal error: missing top node")
-	}
-	g.TopID = tid
-	g.nodes = make([]atomic.Pointer[Node], len(all))
-	for i, n := range all {
-		g.nodes[i].Store(n)
-	}
-	return g, nil
-}
-
-// NewLazyGraph builds the hyper graph in lazy mode: it enumerates every
-// coordinate exactly as NewGraph does — so node IDs, keys and edge order
-// are identical — but materializes only the base nodes. Aggregate nodes
-// (series, edges, parents) are built on first access and their series sum
-// the covered base series in the same order the eager construction
-// accumulates them, keeping the two modes bit-identical.
-//
-// Unlike NewGraph, duplicate base coordinates are rejected: merging them
-// lazily would change the floating-point accumulation order.
-func NewLazyGraph(dims []Dimension, base []BaseSeries) (*Graph, error) {
-	if len(base) == 0 {
-		return nil, fmt.Errorf("cube: graph requires at least one base series")
-	}
-	length := base[0].Series.Len()
-	period := base[0].Series.Period
-	for i, b := range base {
-		if len(b.Members) != len(dims) {
-			return nil, fmt.Errorf("cube: base series %d has %d members, want %d", i, len(b.Members), len(dims))
-		}
-		if b.Series.Len() != length {
-			return nil, fmt.Errorf("cube: base series %d has length %d, want %d", i, b.Series.Len(), length)
-		}
-	}
-
-	g := &Graph{
-		Dims:   dims,
-		Period: period,
-		Length: length,
-		lazy:   true,
-	}
-
-	var baseNodeIDs []int // per input entry, in slice order
-	var err error
-	if len(dims) <= maxPackedDims {
-		baseNodeIDs, err = g.buildSkeletonPacked(base)
-		if err == errPackedOverflow {
-			baseNodeIDs, err = g.buildSkeletonKeys(base)
-		}
-	} else {
+	// baseNodeIDs holds the node ID per input entry, in slice order.
+	baseNodeIDs, err := g.buildSkeletonPacked(base)
+	if err == errPackedOverflow {
 		baseNodeIDs, err = g.buildSkeletonKeys(base)
 	}
 	if err != nil {
 		return nil, err
 	}
 	sort.Ints(g.BaseIDs)
+	g.buildChildIndex()
 
-	// Materialize the base nodes. Their series share the input backing
-	// arrays, capped with a full slice expression: base values are never
-	// mutated in place (the only writer is Append, which reallocates at
-	// cap), so sharing is safe and skips copying every base series.
-	// Remaining allocations are batched across all bases.
+	// Materialize the base nodes, their allocations batched across all of
+	// them.
 	g.nodes = make([]atomic.Pointer[Node], len(g.coords))
 	g.matIDs = make([]int, 0, len(base))
 	D := len(dims)
 	nodeArr := make([]Node, len(base))
 	seriesArr := make([]timeseries.Series, len(base))
-	edgesArr := make([][]int, len(base)*D)
-	pidsArr := make([]int, len(base)*D)
+	edgesArr := make([][]int, len(base)*D) // base nodes have no children
 	for i, b := range base {
 		id := baseNodeIDs[i]
-		vals := b.Series.Values[:length:length]
-		pids := pidsArr[i*D : (i+1)*D : (i+1)*D]
-		for d := 0; d < D; d++ {
-			pids[d] = int(g.parents[id*D+d])
-		}
-		seriesArr[i] = timeseries.Series{Values: vals, Period: period}
+		seriesArr[i] = timeseries.Series{Values: b.Series.Values[:length:length], Period: period}
 		n := &nodeArr[i]
 		*n = Node{
 			ID:         id,
 			Coord:      g.coords[id],
 			Series:     &seriesArr[i],
 			ChildEdges: edgesArr[i*D : (i+1)*D : (i+1)*D],
-			ParentIDs:  pids,
+			ParentIDs:  g.parentsOf(id),
 			IsBase:     true,
-			Depth:      0,
 		}
 		g.nodes[id].Store(n)
 		g.matIDs = append(g.matIDs, id)
@@ -468,24 +254,28 @@ func NewLazyGraph(dims []Dimension, base []BaseSeries) (*Graph, error) {
 // identity is encoded as one uint64 with 16 bits per dimension.
 const maxPackedDims = 4
 
-// errPackedOverflow signals that a dimension exceeded 2^16 distinct cells
-// and the construction must restart on the string-keyed path.
+// errPackedOverflow signals that the cube has more than maxPackedDims
+// dimensions or a dimension exceeded 2^16 distinct cells, and the
+// construction must restart on the string-keyed path.
 var errPackedOverflow = fmt.Errorf("cube: packed skeleton overflow")
 
-// buildSkeletonPacked runs the lazy skeleton enumeration with purely
-// numeric coordinate identities: every distinct (level, value) cell of a
+// buildSkeletonPacked runs the skeleton enumeration with purely numeric
+// coordinate identities: every distinct (level, value) cell of a
 // dimension gets a compact code, each base member's ancestor chain of
 // codes is memoized, and a coordinate is identified either by its index in
 // the dense cell-code space (a direct-address table, when that space is
 // small enough) or by packing its cell codes 16 bits each into one uint64
 // (a hash map). The enumeration order — and therefore every node ID — is
-// identical to the string-keyed path and to the eager construction; only
-// the dedup key representation differs. It also records, per visited
+// identical to the string-keyed path; only the dedup key representation
+// differs. It also records, per visited
 // lattice, the flattened per-dimension parent IDs, which is pure integer
 // arithmetic here (a coordinate's parent along dimension d is the tuple
 // one chain position up in the same base lattice).
 func (g *Graph) buildSkeletonPacked(base []BaseSeries) ([]int, error) {
 	D := len(g.Dims)
+	if D > maxPackedDims {
+		return nil, errPackedOverflow
+	}
 	type dimState struct {
 		cells  []Cell             // code -> cell
 		code   map[Cell]int32     // cell -> code
@@ -654,7 +444,7 @@ func (g *Graph) buildSkeletonPacked(base []BaseSeries) ([]int, error) {
 			for d := 0; d < D; d++ {
 				c[d] = ds[d].cells[codesArr[int(bid)*D+d]]
 			}
-			return nil, fmt.Errorf("cube: lazy graph: duplicate base coordinate %q (series %d)", c.Key(g.Dims), bi)
+			return nil, fmt.Errorf("cube: duplicate base coordinate %q (series %d)", c.Key(g.Dims), bi)
 		}
 		g.BaseIDs = append(g.BaseIDs, int(bid))
 		baseNodeIDs = append(baseNodeIDs, int(bid))
@@ -674,7 +464,7 @@ func (g *Graph) buildSkeletonPacked(base []BaseSeries) ([]int, error) {
 			row := int(id) * D
 			for d := 0; d < D; d++ {
 				if (ti/stride[d])%len(chains[d]) < len(chains[d])-1 {
-					g.parents[row+d] = tupleIDs[ti+stride[d]]
+					g.parents[row+d] = int(tupleIDs[ti+stride[d]])
 				}
 			}
 		}
@@ -797,7 +587,7 @@ func (g *Graph) buildSkeletonKeys(base []BaseSeries) ([]int, error) {
 			}
 		})
 		if dup {
-			return nil, fmt.Errorf("cube: lazy graph: duplicate base coordinate %q (series %d)", g.coords[bid].Key(dims), bi)
+			return nil, fmt.Errorf("cube: duplicate base coordinate %q (series %d)", g.coords[bid].Key(dims), bi)
 		}
 		g.BaseIDs = append(g.BaseIDs, bid)
 		baseNodeIDs = append(baseNodeIDs, bid)
@@ -828,7 +618,7 @@ func (g *Graph) buildSkeletonKeys(base []BaseSeries) ([]int, error) {
 
 	// Fill parents by coordinate roll-up through the (complete) key index.
 	D := len(dims)
-	g.parents = make([]int32, len(g.coords)*D)
+	g.parents = make([]int, len(g.coords)*D)
 	pc := make(Coord, D)
 	for id, c := range g.coords {
 		copy(pc, c)
@@ -849,40 +639,25 @@ func (g *Graph) buildSkeletonKeys(base []BaseSeries) ([]int, error) {
 				return nil, fmt.Errorf("cube: internal error: missing parent node %s", pc.Key(dims))
 			}
 			pc[d] = cell
-			g.parents[id*D+d] = int32(pid)
+			g.parents[id*D+d] = pid
 		}
 	}
 	return baseNodeIDs, nil
 }
 
-// inc returns a lazy node's covered base-node IDs (ascending) from the
+// inc returns a node's covered base-node IDs (ascending) from the
 // skeleton's incidence CSR.
 func (g *Graph) inc(id int) []int32 {
 	return g.incIDs[g.incOff[id]:g.incOff[id+1]]
 }
 
-// parentIDsOf reads, per dimension, the node reached by rolling the
-// coordinate up one level (-1 at ALL) from the skeleton's parent table.
-func (g *Graph) parentIDsOf(id int) []int {
-	D := len(g.Dims)
-	out := make([]int, D)
-	for d := 0; d < D; d++ {
-		out[d] = int(g.parents[id*D+d])
-	}
-	return out
-}
-
-// materialize builds a lazy aggregate node: series summed from the
-// covered base series in ascending base-ID order (the eager accumulation
-// order), parents by coordinate roll-up, child hyper edges derived from
-// the covered bases' member values. It serializes against other
-// materializations and the lazy Advance via matMu and publishes the node
+// materialize builds an aggregate node: its series summed from the covered
+// base series in ascending base-ID order, its parents and child hyper
+// edges views of the skeleton. It serializes against other
+// materializations and Advance via matMu and publishes the node
 // atomically, so concurrent readers either see nil (and take this path)
 // or a fully built node.
 func (g *Graph) materialize(id int) *Node {
-	if !g.lazy {
-		panic(fmt.Sprintf("cube: node %d missing from eager graph", id))
-	}
 	g.matMu.Lock()
 	defer g.matMu.Unlock()
 	if n := g.nodes[id].Load(); n != nil {
@@ -900,16 +675,20 @@ func (g *Graph) materialize(id int) *Node {
 			vals[t] += v
 		}
 	}
-
-	edges := g.childEdgesOf(id)
-
+	D := len(g.Dims)
+	edges := make([][]int, D)
+	for d := range edges {
+		// Dimensions at their finest level keep a nil entry.
+		if lo, hi := g.childOff[id*D+d], g.childOff[id*D+d+1]; lo < hi {
+			edges[d] = g.childIDs[lo:hi:hi]
+		}
+	}
 	n := &Node{
 		ID:         id,
 		Coord:      coord,
 		Series:     timeseries.New(vals, g.Period),
 		ChildEdges: edges,
-		ParentIDs:  g.parentIDsOf(id),
-		IsBase:     false,
+		ParentIDs:  g.parentsOf(id),
 		Depth:      depth,
 	}
 	g.matIDs = append(g.matIDs, id)
@@ -918,58 +697,32 @@ func (g *Graph) materialize(id int) *Node {
 	return n
 }
 
-// ensureChildIndex builds, once, the CSR inversion of the skeleton's
-// parent table: for every (node, dimension) bucket the ascending IDs of
-// the nodes that roll up into it — exactly the child hyper edges the eager
-// wiring produces (eager appends children in ID order and sorts; the
-// inversion scans IDs ascending, so buckets come out sorted for free).
-func (g *Graph) ensureChildIndex() {
-	g.childOnce.Do(func() {
-		D := len(g.Dims)
-		n := len(g.coords)
-		off := make([]int32, n*D+1)
-		for i, p := range g.parents {
-			if p >= 0 {
-				off[int(p)*D+i%D+1]++
-			}
-		}
-		for i := 1; i < len(off); i++ {
-			off[i] += off[i-1]
-		}
-		ids := make([]int32, off[len(off)-1])
-		cur := make([]int32, n*D)
-		copy(cur, off[:n*D])
-		for c := 0; c < n; c++ {
-			for d := 0; d < D; d++ {
-				if p := g.parents[c*D+d]; p >= 0 {
-					b := int(p)*D + d
-					ids[cur[b]] = int32(c)
-					cur[b]++
-				}
-			}
-		}
-		g.childOff, g.childIDs = off, ids
-	})
-}
-
-// childEdgesOf returns a lazy node's child hyper edges — one deduplicated,
-// sorted edge per aggregated dimension — from the child index.
-func (g *Graph) childEdgesOf(id int) [][]int {
-	g.ensureChildIndex()
+// buildChildIndex inverts the parent table into the child index: for
+// every (node, dimension) bucket the IDs of the nodes that roll up into
+// it. The inversion scans IDs ascending, so every edge comes out sorted.
+func (g *Graph) buildChildIndex() {
 	D := len(g.Dims)
-	edges := make([][]int, D)
-	for d := 0; d < D; d++ {
-		lo, hi := g.childOff[id*D+d], g.childOff[id*D+d+1]
-		if lo == hi {
-			continue
+	n := len(g.coords)
+	off := make([]int32, n*D+1)
+	for i, p := range g.parents {
+		if p >= 0 {
+			off[p*D+i%D+1]++
 		}
-		e := make([]int, hi-lo)
-		for i := lo; i < hi; i++ {
-			e[i-lo] = int(g.childIDs[i])
-		}
-		edges[d] = e
 	}
-	return edges
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	ids := make([]int, off[len(off)-1])
+	cur := make([]int32, n*D)
+	copy(cur, off[:n*D])
+	for i, p := range g.parents {
+		if p >= 0 {
+			b := p*D + i%D
+			ids[cur[b]] = i / D
+			cur[b]++
+		}
+	}
+	g.childOff, g.childIDs = off, ids
 }
 
 // Children returns one hyper edge of the node: the child IDs along the
@@ -1006,50 +759,29 @@ func (g *Graph) Covers(t, s *Node) bool {
 
 // Neighbors returns the undirected adjacency of a node: all one-step
 // roll-ups (parents) and one-step drill-downs (children across every
-// aggregated dimension). On a lazy graph the adjacency of a
-// not-yet-materialized node is derived from the skeleton without building
-// the node (neighbor discovery — e.g. the advisor's indicator BFS — must
-// not force series aggregation).
+// aggregated dimension), read from the skeleton — neighbor discovery must
+// not force series aggregation.
 func (g *Graph) Neighbors(id int) []int {
-	if n := g.nodes[id].Load(); n != nil {
-		return flattenAdj(n.ParentIDs, n.ChildEdges)
-	}
-	return g.skeletonNeighbors(id)
-}
-
-// skeletonNeighbors is the adjacency of a not-yet-materialized node of a
-// lazy graph, derived from the skeleton once and cached.
-func (g *Graph) skeletonNeighbors(id int) []int {
-	g.adjMu.Lock()
-	if out, ok := g.adj[id]; ok {
-		g.adjMu.Unlock()
-		return out
-	}
-	g.adjMu.Unlock()
-	out := flattenAdj(g.parentIDsOf(id), g.childEdgesOf(id))
-	// Cache the derived adjacency; it is deterministic, so concurrent
-	// derivations store identical slices and last-write-wins is safe.
-	g.adjMu.Lock()
-	if g.adj == nil {
-		g.adj = make(map[int][]int)
-	}
-	g.adj[id] = out
-	g.adjMu.Unlock()
-	return out
-}
-
-// flattenAdj flattens parents and child edges into the adjacency list.
-func flattenAdj(parents []int, edges [][]int) []int {
 	var out []int
-	for _, p := range parents {
+	for _, p := range g.parentsOf(id) {
 		if p >= 0 {
 			out = append(out, p)
 		}
 	}
-	for _, edge := range edges {
-		out = append(out, edge...)
-	}
-	return out
+	return append(out, g.childrenOf(id)...)
+}
+
+// parentsOf returns the node's per-dimension parent IDs (-1 at ALL).
+func (g *Graph) parentsOf(id int) []int {
+	D := len(g.Dims)
+	return g.parents[id*D : (id+1)*D : (id+1)*D]
+}
+
+// childrenOf returns the node's child edges of every dimension, in
+// dimension order: the buckets of one node are adjacent in the index.
+func (g *Graph) childrenOf(id int) []int {
+	D := len(g.Dims)
+	return g.childIDs[g.childOff[id*D]:g.childOff[(id+1)*D]]
 }
 
 // BFSScratch is the working memory of ClosestNodes: the visited set and the
@@ -1079,8 +811,8 @@ func (s *BFSScratch) add(nb, k int) {
 // indicator of a node s is then constructed by including those nodes which
 // are closest to s in the time series graph". The result is the order
 // Neighbors yields — parents by dimension, then child edges by dimension —
-// walked in place on materialized nodes. It aliases the scratch and is valid
-// until the scratch is used again.
+// walked in place on the skeleton, so it materializes nothing. It aliases
+// the scratch and is valid until the scratch is used again.
 func (g *Graph) ClosestNodes(s *BFSScratch, id, k int) []int {
 	if k <= 0 {
 		return nil
@@ -1095,21 +827,13 @@ func (g *Graph) ClosestNodes(s *BFSScratch, id, k int) []int {
 	// Every discovered node is expanded in discovery order, so the result
 	// is its own queue: head is the next node to expand.
 	for cur, head := id, 0; ; head++ {
-		if n := g.nodes[cur].Load(); n != nil {
-			for _, p := range n.ParentIDs {
-				if p >= 0 {
-					s.add(p, k)
-				}
+		for _, p := range g.parentsOf(cur) {
+			if p >= 0 {
+				s.add(p, k)
 			}
-			for _, edge := range n.ChildEdges {
-				for _, c := range edge {
-					s.add(c, k)
-				}
-			}
-		} else {
-			for _, nb := range g.skeletonNeighbors(cur) {
-				s.add(nb, k)
-			}
+		}
+		for _, c := range g.childrenOf(cur) {
+			s.add(c, k)
 		}
 		if len(s.out) >= k || head >= len(s.out) {
 			return s.out
@@ -1121,111 +845,52 @@ func (g *Graph) ClosestNodes(s *BFSScratch, id, k int) []int {
 // SummingVector returns, for node t, the base-node incidence: the sorted
 // IDs of all base nodes covered by t. The collection over all nodes forms
 // the summing matrix S used by the Combine baseline.
-func (g *Graph) SummingVector(t *Node) []int {
-	if g.lazy {
-		return g.CoveredBases(t.ID)
-	}
-	var out []int
-	for _, bid := range g.BaseIDs {
-		if g.Covers(t, g.Node(bid)) {
-			out = append(out, bid)
-		}
-	}
-	return out
-}
+func (g *Graph) SummingVector(t *Node) []int { return g.CoveredBases(t.ID) }
 
 // CoveredBases returns the sorted base-node IDs whose series contribute
-// to the node's aggregate (the node itself for base nodes). Lazy graphs
-// answer from the construction skeleton without materializing anything;
-// eager graphs compute and cache the full incidence on first use.
+// to the node's aggregate (the node itself for base nodes), without
+// materializing anything.
 func (g *Graph) CoveredBases(id int) []int {
-	if g.lazy {
-		inc := g.inc(id)
-		out := make([]int, len(inc))
-		for i, b := range inc {
-			out[i] = int(b)
-		}
-		return out
+	inc := g.inc(id)
+	out := make([]int, len(inc))
+	for i, b := range inc {
+		out[i] = int(b)
 	}
-	g.ensureIncidence()
-	return g.incAll[id]
+	return out
 }
 
 // CoveredBaseCount returns the number of base series contributing to the
 // node's aggregate — the node's population size for sampling decisions —
 // without materializing the node.
 func (g *Graph) CoveredBaseCount(id int) int {
-	if g.lazy {
-		return int(g.incOff[id+1] - g.incOff[id])
-	}
-	g.ensureIncidence()
-	return len(g.incAll[id])
-}
-
-func (g *Graph) ensureIncidence() {
-	g.incOnce.Do(func() {
-		g.incAll = g.BaseIncidence()
-	})
+	return int(g.incOff[id+1] - g.incOff[id])
 }
 
 // Advance appends one new observation to every base series (values keyed by
-// base node ID) and propagates the SUM aggregation to every covering node.
-// It returns an error unless exactly all base nodes are present, mirroring
-// the batched-insert maintenance of Section V ("we currently batch inserts
-// until a new value is available for each base time series").
+// base node ID) and propagates the SUM aggregation to every materialized
+// node; nodes materialized later sum the already-extended base series and
+// need no catch-up. It returns an error, having changed nothing, unless
+// exactly all base nodes are present, mirroring the batched-insert
+// maintenance of Section V ("we currently batch inserts until a new value
+// is available for each base time series").
 //
-// On a lazy graph only the materialized nodes are extended; nodes
-// materialized later sum the already-extended base series and need no
-// catch-up.
+// Each node's new value sums the batch values of its covered bases in
+// ascending base-ID order, not map order, so aggregate sums are bit-for-bit
+// reproducible no matter how the batch map was assembled (floating-point
+// addition is not associative; a fixed order makes two engines fed the
+// same batches byte-identical). Holding matMu for the whole advance keeps
+// concurrent materializations from reading half-extended base series.
 func (g *Graph) Advance(values map[int]float64) error {
 	if len(values) != len(g.BaseIDs) {
 		return fmt.Errorf("cube: Advance needs a value for all %d base series, got %d", len(g.BaseIDs), len(values))
 	}
-	if g.lazy {
-		return g.advanceLazy(values)
-	}
-	// Zero-extend every node, then add base contributions to all covering
-	// nodes by walking ancestor closures. Contributions are applied in
-	// ascending base-ID order, not map order, so aggregate sums are
-	// bit-for-bit reproducible no matter how the batch map was assembled
-	// (floating-point addition is not associative; a fixed order makes two
-	// engines fed the same batches byte-identical).
-	for i := range g.nodes {
-		g.nodes[i].Load().Series.Append(0)
-	}
-	bids := make([]int, 0, len(values))
-	for bid := range values {
-		if bid < 0 || bid >= len(g.nodes) || !g.IsBase(bid) {
-			return fmt.Errorf("cube: Advance: %d is not a base node", bid)
-		}
-		bids = append(bids, bid)
-	}
-	sort.Ints(bids)
-	t := g.Length
-	for _, bid := range bids {
-		v := values[bid]
-		for _, id := range g.coverClosure(bid) {
-			g.Node(id).Series.Values[t] += v
-		}
-	}
-	g.Length++
-	return nil
-}
-
-// advanceLazy extends every materialized node by one observation. Each
-// node's new value sums the batch values of its covered bases in
-// ascending base-ID order — per node the same addition sequence as the
-// eager Advance, so the two modes stay bit-identical. Holding matMu for
-// the whole advance keeps concurrent materializations from reading
-// half-extended base series.
-func (g *Graph) advanceLazy(values map[int]float64) error {
-	g.matMu.Lock()
-	defer g.matMu.Unlock()
 	for bid := range values {
 		if !g.IsBase(bid) {
 			return fmt.Errorf("cube: Advance: %d is not a base node", bid)
 		}
 	}
+	g.matMu.Lock()
+	defer g.matMu.Unlock()
 	for _, id := range g.matIDs {
 		var v float64
 		for _, b := range g.inc(id) {
@@ -1237,66 +902,23 @@ func (g *Graph) advanceLazy(values map[int]float64) error {
 	return nil
 }
 
-// coverClosure returns the IDs of all nodes covering the given base node
-// (including itself), via BFS over parent links. Results are memoized —
-// the graph structure is immutable after construction.
-func (g *Graph) coverClosure(baseID int) []int {
-	if c, ok := g.coverCache[baseID]; ok {
-		return c
-	}
-	seen := map[int]bool{baseID: true}
-	queue := []int{baseID}
-	out := []int{baseID}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, p := range g.Node(cur).ParentIDs {
-			if p < 0 || seen[p] {
-				continue
-			}
-			seen[p] = true
-			out = append(out, p)
-			queue = append(queue, p)
-		}
-	}
-	if g.coverCache == nil {
-		g.coverCache = make(map[int][]int, len(g.BaseIDs))
-	}
-	g.coverCache[baseID] = out
-	return out
-}
-
 // BaseIncidence returns, for every node ID, the sorted base-node IDs it
-// covers (the rows of the summing matrix S). Lazy graphs answer from the
-// construction skeleton; eager graphs walk each base node's ancestor
-// closure once, so the total work is linear in the number of
-// (base, ancestor) pairs.
+// covers (the rows of the summing matrix S).
 func (g *Graph) BaseIncidence() [][]int {
 	out := make([][]int, len(g.nodes))
-	if g.lazy {
-		for id := range out {
-			out[id] = g.CoveredBases(id)
-		}
-		return out
-	}
-	for _, bid := range g.BaseIDs {
-		for _, id := range g.coverClosure(bid) {
-			out[id] = append(out[id], bid)
-		}
-	}
-	for _, l := range out {
-		sort.Ints(l)
+	for id := range out {
+		out[id] = g.CoveredBases(id)
 	}
 	return out
 }
 
 // NodeValues returns the node's current series values, materializing the
-// node when lazy. It satisfies the derivation.SeriesSource interface —
-// the exact counterpart of the sampling estimator.
+// node first if need be. It satisfies the derivation.SeriesSource
+// interface — the exact counterpart of the sampling estimator.
 func (g *Graph) NodeValues(id int) []float64 { return g.Node(id).Series.Values }
 
-// MaterializeAll forces every node of a lazy graph into existence (used
-// by baselines and tests that compare against the eager construction).
+// MaterializeAll forces every node into existence (used by baselines that
+// read every series, and by tests).
 func (g *Graph) MaterializeAll() {
 	for id := 0; id < len(g.nodes); id++ {
 		g.Node(id)

@@ -3,95 +3,37 @@ package cube
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"cubefc/internal/timeseries"
 )
 
-func lazyFig1Graph(t *testing.T) *Graph {
+func fig1Oracle(t *testing.T) *EagerOracle {
 	t.Helper()
-	g, err := NewLazyGraph(fig1Dims(t), fig1Base(8))
+	o, err := NewEagerOracle(fig1Dims(t), fig1Base(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g
-}
-
-// requireNodesBitIdentical fails unless every node of a and b agrees on
-// key, structure and bit-exact series contents. a is assumed eager; b may
-// be lazy (nodes are resolved through the accessor, which materializes).
-func requireNodesBitIdentical(t *testing.T, a, b *Graph) {
-	t.Helper()
-	if a.NumNodes() != b.NumNodes() {
-		t.Fatalf("node counts differ: %d vs %d", a.NumNodes(), b.NumNodes())
-	}
-	if a.TopID != b.TopID {
-		t.Fatalf("TopID differs: %d vs %d", a.TopID, b.TopID)
-	}
-	if len(a.BaseIDs) != len(b.BaseIDs) {
-		t.Fatalf("BaseIDs differ in length")
-	}
-	for i := range a.BaseIDs {
-		if a.BaseIDs[i] != b.BaseIDs[i] {
-			t.Fatalf("BaseIDs[%d] differ: %d vs %d", i, a.BaseIDs[i], b.BaseIDs[i])
-		}
-	}
-	for id := 0; id < a.NumNodes(); id++ {
-		na, nb := a.Node(id), b.Node(id)
-		if na.Key(a.Dims) != nb.Key(b.Dims) {
-			t.Fatalf("node %d key: %q vs %q", id, na.Key(a.Dims), nb.Key(b.Dims))
-		}
-		if na.IsBase != nb.IsBase || na.Depth != nb.Depth {
-			t.Fatalf("node %d flags differ: base %v/%v depth %d/%d",
-				id, na.IsBase, nb.IsBase, na.Depth, nb.Depth)
-		}
-		if len(na.Series.Values) != len(nb.Series.Values) {
-			t.Fatalf("node %d series length: %d vs %d",
-				id, len(na.Series.Values), len(nb.Series.Values))
-		}
-		for ti, v := range na.Series.Values {
-			if math.Float64bits(v) != math.Float64bits(nb.Series.Values[ti]) {
-				t.Fatalf("node %d t=%d: %v vs %v (not bit-identical)",
-					id, ti, v, nb.Series.Values[ti])
-			}
-		}
-		for d := range a.Dims {
-			if na.ParentIDs[d] != nb.ParentIDs[d] {
-				t.Fatalf("node %d dim %d parent: %d vs %d",
-					id, d, na.ParentIDs[d], nb.ParentIDs[d])
-			}
-			ea, eb := na.ChildEdges[d], nb.ChildEdges[d]
-			if len(ea) != len(eb) {
-				t.Fatalf("node %d dim %d edge length: %d vs %d", id, d, len(ea), len(eb))
-			}
-			for i := range ea {
-				if ea[i] != eb[i] {
-					t.Fatalf("node %d dim %d edge[%d]: %d vs %d", id, d, i, ea[i], eb[i])
-				}
-			}
-		}
-	}
+	return o
 }
 
 func TestLazyGraphBitIdenticalToEager(t *testing.T) {
-	eager := fig1Graph(t)
-	lazy := lazyFig1Graph(t)
-	if !lazy.Lazy() || eager.Lazy() {
-		t.Fatal("Lazy() flags wrong")
-	}
+	eager := fig1Oracle(t)
+	lazy := fig1Graph(t)
 	// Materialize in a scrambled order: bit-identity must not depend on
 	// access order.
 	order := rand.New(rand.NewSource(7)).Perm(lazy.NumNodes())
 	for _, id := range order {
 		lazy.Node(id)
 	}
-	requireNodesBitIdentical(t, eager, lazy)
+	RequireBitIdentical(t, eager, lazy)
 }
 
 func TestLazyAdvanceBitIdenticalToEager(t *testing.T) {
-	eager := fig1Graph(t)
-	lazy := lazyFig1Graph(t)
+	eager := fig1Oracle(t)
+	lazy := fig1Graph(t)
 	// Materialize only part of the graph, advance, then touch the rest:
 	// late-materialized nodes must sum the already-extended base series.
 	lazy.Node(lazy.TopID)
@@ -108,14 +50,11 @@ func TestLazyAdvanceBitIdenticalToEager(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if eager.Length != lazy.Length {
-		t.Fatalf("lengths differ: %d vs %d", eager.Length, lazy.Length)
-	}
-	requireNodesBitIdentical(t, eager, lazy)
+	RequireBitIdentical(t, eager, lazy)
 }
 
 func TestLazyMaterializationIsOnDemand(t *testing.T) {
-	g := lazyFig1Graph(t)
+	g := fig1Graph(t)
 	if got, want := g.MaterializedNodes(), len(g.BaseIDs); got != want {
 		t.Fatalf("MaterializedNodes = %d at construction, want %d (bases only)", got, want)
 	}
@@ -145,20 +84,16 @@ func TestLazyMaterializationIsOnDemand(t *testing.T) {
 }
 
 func TestLazyCoveredBasesMatchEager(t *testing.T) {
-	eager := fig1Graph(t)
-	lazy := lazyFig1Graph(t)
-	for id := 0; id < eager.NumNodes(); id++ {
-		a, b := eager.CoveredBases(id), lazy.CoveredBases(id)
-		if len(a) != len(b) {
-			t.Fatalf("node %d incidence length: %d vs %d", id, len(a), len(b))
+	eager := fig1Oracle(t).BaseIncidence()
+	lazy := fig1Graph(t)
+	all := lazy.BaseIncidence()
+	for id, want := range eager {
+		if !slices.Equal(want, lazy.CoveredBases(id)) || !slices.Equal(want, all[id]) ||
+			!slices.Equal(want, lazy.SummingVector(lazy.Node(id))) {
+			t.Fatalf("node %d incidence: oracle %v, CoveredBases %v, BaseIncidence %v", id, want, lazy.CoveredBases(id), all[id])
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("node %d incidence[%d]: %d vs %d", id, i, a[i], b[i])
-			}
-		}
-		if eager.CoveredBaseCount(id) != lazy.CoveredBaseCount(id) {
-			t.Fatalf("node %d covered-base count differs", id)
+		if lazy.CoveredBaseCount(id) != len(want) {
+			t.Fatalf("node %d covered-base count %d, oracle %d", id, lazy.CoveredBaseCount(id), len(want))
 		}
 	}
 }
@@ -170,8 +105,8 @@ func TestLazyRejectsDuplicateBaseCoordinates(t *testing.T) {
 		Members: base[0].Members,
 		Series:  timeseries.New(make([]float64, 8), 4),
 	})
-	if _, err := NewLazyGraph(dims, base); err == nil {
-		t.Fatal("duplicate base coordinate must be rejected in lazy mode")
+	if _, err := NewGraph(dims, base); err == nil {
+		t.Fatal("duplicate base coordinate must be rejected")
 	}
 }
 
@@ -179,7 +114,7 @@ func TestLazyRejectsDuplicateBaseCoordinates(t *testing.T) {
 // goroutines racing an Advance stream — the CI -race target for the lazy
 // write path.
 func TestLazyConcurrentMaterializeAndAdvance(t *testing.T) {
-	g := lazyFig1Graph(t)
+	g := fig1Graph(t)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {

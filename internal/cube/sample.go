@@ -143,13 +143,7 @@ func (s *SampledSource) estimate(id, pop int) ([]float64, float64) {
 func (s *SampledSource) sampleBases(id, pop int) []int {
 	k := s.cfg.K
 	rng := splitMix64(uint64(s.cfg.Seed) ^ mix64(uint64(id)))
-	var incLazy []int32
-	var incEager []int
-	if s.g.lazy {
-		incLazy = s.g.inc(id)
-	} else {
-		incEager = s.g.CoveredBases(id)
-	}
+	inc := s.g.inc(id)
 	res := make([]int, k)
 	swap := make(map[int]int, k)
 	pos := func(i int) int {
@@ -162,11 +156,7 @@ func (s *SampledSource) sampleBases(id, pop int) []int {
 		j := i + int(rng.next()%uint64(pop-i))
 		pi, pj := pos(i), pos(j)
 		swap[i], swap[j] = pj, pi
-		if incLazy != nil {
-			res[i] = int(incLazy[pj])
-		} else {
-			res[i] = incEager[pj]
-		}
+		res[i] = int(inc[pj])
 	}
 	sortInts(res)
 	return res

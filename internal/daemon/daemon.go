@@ -26,14 +26,12 @@ import (
 type Logf func(format string, args ...any)
 
 // Source is what is read and how much of it: the fact data the cube is
-// built from, how the hyper graph is built over it, and how much of each
-// node the advisor looks at.
+// built from and how much of each node the advisor looks at.
 type Source struct {
 	Dataset    string
 	CSV        string
 	Dims       string
 	Period     int
-	Lazy       bool
 	SampleSize int
 	// Scale sizes the built-in data sets; no flag of this group sets it
 	// (advisor -paper-scale does).
@@ -46,7 +44,6 @@ func (s *Source) Register(fs *flag.FlagSet) {
 	fs.StringVar(&s.CSV, "csv", "", "load a fact-table CSV instead of a built-in data set")
 	fs.StringVar(&s.Dims, "dims", "", "dimension spec for -csv, e.g. \"product;location=city<region\"")
 	fs.IntVar(&s.Period, "period", 1, "seasonal period for -csv data")
-	fs.BoolVar(&s.Lazy, "lazy", false, "build the cube with on-demand node materialization (large cubes)")
 	fs.IntVar(&s.SampleSize, "sample-size", 0, "advisor: estimate indicators and derivations from this many sampled base series per node (0 = exact)")
 }
 
@@ -70,7 +67,6 @@ func (e *Engine) Register(fs *flag.FlagSet) {
 	fs.IntVar(&e.Options.Stripes, "stripes", 0, "write stripes sharding the insert path (0 = near GOMAXPROCS, rounded to a power of two; negative = single stripe)")
 	fs.IntVar(&e.Options.Parallelism, "parallelism", 0, "worker pool size for off-lock model re-estimation (0 = GOMAXPROCS)")
 	fs.BoolVar(&e.Options.EagerReestimate, "eager-reestimate", false, "re-fit invalidated models right after the batch advance instead of lazily on first query")
-	fs.BoolVar(&e.Options.ColdRefit, "cold-refit", false, "disable warm-started re-estimation (full cold parameter search on every re-fit)")
 	fs.StringVar(&e.Durable.Dir, "wal-dir", "", "durable directory (snapshot + write-ahead log + columnar segments); recovers on open, then group-commits every completed batch")
 	fs.StringVar(&e.Fsync, "fsync", "always", "WAL fsync policy with -wal-dir: always, never, or an integer n (fsync every n batches)")
 	fs.IntVar(&e.Durable.CompactEvery, "compact-every", 256, "with -wal-dir: compact the sealed WAL span into a columnar segment every n batches (0 disables)")

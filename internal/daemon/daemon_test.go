@@ -3,10 +3,10 @@ package daemon
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -15,15 +15,22 @@ import (
 	"cubefc/internal/workload"
 )
 
-// parse registers the four groups on a fresh FlagSet — which panics on a
-// name declared twice — and parses args.
-func parse(t *testing.T, args ...string) (*Source, *Engine, *SelfTune, *Metrics) {
-	t.Helper()
+// register declares the four groups on a fresh FlagSet — which panics on
+// a name declared twice.
+func register() (*flag.FlagSet, *Source, *Engine, *SelfTune, *Metrics) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
 	src, eng, tune, met := &Source{}, &Engine{}, &SelfTune{}, &Metrics{}
 	for _, g := range []interface{ Register(*flag.FlagSet) }{src, eng, tune, met} {
 		g.Register(fs)
 	}
+	return fs, src, eng, tune, met
+}
+
+// parse registers the four groups and parses args.
+func parse(t *testing.T, args ...string) (*Source, *Engine, *SelfTune, *Metrics) {
+	t.Helper()
+	fs, src, eng, tune, met := register()
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -31,13 +38,11 @@ func parse(t *testing.T, args ...string) (*Source, *Engine, *SelfTune, *Metrics)
 }
 
 func TestGroupsDeclareEachFlagOnce(t *testing.T) {
-	fs, n := flag.NewFlagSet("test", flag.ContinueOnError), 0
-	for _, g := range []interface{ Register(*flag.FlagSet) }{&Source{}, &Engine{}, &SelfTune{}, &Metrics{}} {
-		g.Register(fs)
-	}
+	fs, _, _, _, _ := register()
+	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 6+9+4+2 {
-		t.Fatalf("the four groups declare %d flags, want 21", n)
+	if n != 5+8+4+2 {
+		t.Fatalf("the four groups declare %d flags, want 19", n)
 	}
 }
 
@@ -52,9 +57,11 @@ const factsCSV = `time,product,city,region,value
 1,P2,C2,R1,41
 `
 
-// TestSourceGraphHonoursLazy fails on the parent for the CSV case: advisor
-// -csv FILE -lazy built the eager graph.
-func TestSourceGraphHonoursLazy(t *testing.T) {
+// TestSourceGraphIsOnDemand: the built-in and the CSV source land on the
+// one graph builder — only the base nodes exist until something asks for an
+// aggregate — and the switches that used to pick a builder and a re-fit mode
+// are not flags any more.
+func TestSourceGraphIsOnDemand(t *testing.T) {
 	csv := filepath.Join(t.TempDir(), "facts.csv")
 	if err := os.WriteFile(csv, []byte(factsCSV), 0o644); err != nil {
 		t.Fatal(err)
@@ -63,22 +70,18 @@ func TestSourceGraphHonoursLazy(t *testing.T) {
 		{"-dataset", "tourism"},
 		{"-csv", csv, "-dims", "product;location=city<region", "-period", "2"},
 	} {
-		eager, _, _, _ := parse(t, args...)
-		lazy, _, _, _ := parse(t, append(args, "-lazy")...)
-		ge, ename, err := eager.Graph()
+		src, _, _, _ := parse(t, args...)
+		g, _, err := src.Graph()
 		if err != nil {
 			t.Fatal(err)
 		}
-		gl, lname, err := lazy.Graph()
-		if err != nil {
-			t.Fatal(err)
+		if got, want := g.MaterializedNodes(), len(g.BaseIDs); got != want || want == g.NumNodes() {
+			t.Errorf("%v: %d of %d nodes materialized at construction, want the %d base nodes", args, got, g.NumNodes(), want)
 		}
-		if ge.Lazy() || !gl.Lazy() {
-			t.Errorf("%v: Lazy() = %v without -lazy, %v with", args, ge.Lazy(), gl.Lazy())
-		}
-		if ename != lname || ge.NumNodes() != gl.NumNodes() || !reflect.DeepEqual(ge.BaseIDs, gl.BaseIDs) {
-			t.Errorf("%v: lazy graph %q (%d nodes, base %v) differs from eager %q (%d nodes, base %v)",
-				args, lname, gl.NumNodes(), gl.BaseIDs, ename, ge.NumNodes(), ge.BaseIDs)
+	}
+	for _, gone := range []string{"-lazy", "-cold-refit"} {
+		if fs, _, _, _, _ := register(); fs.Parse([]string{gone}) == nil {
+			t.Errorf("%s is still a flag", gone)
 		}
 	}
 }

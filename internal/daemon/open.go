@@ -25,19 +25,14 @@ func withFile(path string, read func(*os.File) error) error {
 }
 
 // Graph builds the data cube from the CSV fact table or the built-in data
-// set, eagerly or (-lazy) with on-demand node materialization, and
-// returns it with the name to show for it.
+// set and returns it with the name to show for it.
 func (s *Source) Graph() (*cube.Graph, string, error) {
 	if s.CSV == "" {
 		ds, err := experiments.LoadDataset(s.Dataset, s.Scale)
 		if err != nil {
 			return nil, "", err
 		}
-		build := ds.Graph
-		if s.Lazy {
-			build = ds.LazyGraph
-		}
-		g, err := build()
+		g, err := ds.Graph()
 		return g, ds.Name, err
 	}
 	specs, err := csvload.ParseSpec(s.Dims)
@@ -50,11 +45,7 @@ func (s *Source) Graph() (*cube.Graph, string, error) {
 		if err != nil {
 			return err
 		}
-		build := cube.NewGraph
-		if s.Lazy {
-			build = cube.NewLazyGraph
-		}
-		g, err = build(dims, base)
+		g, err = cube.NewGraph(dims, base)
 		return err
 	})
 	return g, s.CSV, err

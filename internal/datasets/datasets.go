@@ -23,12 +23,6 @@ func (d *Dataset) Graph() (*cube.Graph, error) {
 	return cube.NewGraph(d.Dims, d.Base)
 }
 
-// LazyGraph builds the hyper graph in lazy mode (aggregates materialized
-// on first access) — the construction for benchmark-scale cubes.
-func (d *Dataset) LazyGraph() (*cube.Graph, error) {
-	return cube.NewLazyGraph(d.Dims, d.Base)
-}
-
 // Tourism generates the synthetic stand-in for the Australian domestic
 // tourism data set: 32 base time series along two flat dimensions —
 // purpose of visit (holiday, business, visiting, other) and state (8

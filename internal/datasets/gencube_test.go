@@ -25,19 +25,6 @@ func TestGenCubeShape(t *testing.T) {
 	if g.Period != 4 || g.Length != 24 {
 		t.Fatalf("period/length = %d/%d", g.Period, g.Length)
 	}
-	// Lazy construction must agree on the skeleton.
-	lg, err := d.LazyGraph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lg.NumNodes() != g.NumNodes() || lg.TopID != g.TopID {
-		t.Fatal("lazy construction disagrees with eager")
-	}
-	for id := 0; id < g.NumNodes(); id++ {
-		if g.KeyOf(id) != lg.KeyOf(id) {
-			t.Fatalf("node %d key differs between modes", id)
-		}
-	}
 }
 
 func TestGenCubeDeterministicPerSeed(t *testing.T) {

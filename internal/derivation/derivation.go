@@ -46,7 +46,7 @@ func (k Kind) String() string {
 }
 
 // SeriesSource provides the history of a node's series. The exact source
-// is *cube.Graph (materializing lazy nodes on access); the sampling
+// is *cube.Graph (materializing nodes on first access); the sampling
 // estimator of cube.NewSampledSource answers with reservoir-sampled
 // estimates instead, which turns every derivation quantity below (weights,
 // historical errors, stability) into its sampled counterpart without

@@ -2,6 +2,7 @@ package f2db
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"reflect"
@@ -861,6 +862,31 @@ func TestSnapshotForecastWarmup(t *testing.T) {
 func TestLoadDatabaseGarbage(t *testing.T) {
 	if _, err := LoadDatabase(strings.NewReader("junk"), Options{}); err == nil {
 		t.Fatal("garbage image should fail")
+	}
+}
+
+// TestLoadDatabaseBaseWithoutSeries: gob leaves a pointer field its stream
+// omits nil, so an image can carry a base entry with no series; loading it
+// is an error, not a nil dereference in the graph constructor.
+func TestLoadDatabaseBaseWithoutSeries(t *testing.T) {
+	_, g, _ := testEngine(t, Never{})
+	img := dbImage{Dims: g.Dims}
+	for i, id := range g.BaseIDs {
+		b := cube.BaseSeries{Series: g.Node(id).Series}
+		for _, cell := range g.CoordOf(id) {
+			b.Members = append(b.Members, cell.Value)
+		}
+		if i == 2 {
+			b.Series = nil
+		}
+		img.Base = append(img.Base, b)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&img); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadDatabase(&buf, Options{}); err == nil || !strings.Contains(err.Error(), "base series 2 has no series") {
+		t.Fatalf("LoadDatabase of an image whose base entry 2 has no series: %v", err)
 	}
 }
 

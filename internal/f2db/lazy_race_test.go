@@ -1,6 +1,6 @@
 package f2db_test
 
-// Race coverage for lazy node materialization inside the engine: readers
+// Race coverage for on-demand node materialization inside the engine: readers
 // force on-demand aggregate materialization through forecast queries while
 // concurrent writers advance the cube through the striped write path. Part
 // of the CI race-stress suite:
@@ -19,13 +19,14 @@ import (
 	"cubefc/internal/workload"
 )
 
-// TestLazyMaterializationRace opens a striped engine over a lazy graph
-// whose advisor run (sampled) left most aggregates unmaterialized, then
-// storms it: per round, 8 writers apply disjoint parts of one insert batch
-// while 4 readers issue forecasts on random nodes, materializing them
-// mid-advance. Afterwards every node's forecast must be bit-identical to
-// an eager single-stripe engine that applied the same batches sequentially
-// — materialization timing must never leak into results.
+// TestLazyMaterializationRace opens a striped engine over a graph whose
+// advisor run (sampled) left most aggregates unmaterialized, then storms
+// it: per round, 8 writers apply disjoint parts of one insert batch while 4
+// readers issue forecasts on random nodes, materializing them mid-advance.
+// Afterwards every node's forecast must be bit-identical to a
+// single-stripe engine over a graph that called MaterializeAll up front
+// and applied the same batches sequentially — materialization timing must
+// never leak into results.
 func TestLazyMaterializationRace(t *testing.T) {
 	const (
 		rounds  = 4
@@ -37,7 +38,7 @@ func TestLazyMaterializationRace(t *testing.T) {
 		Length:   24,
 		Period:   4,
 	})
-	lg, err := d.LazyGraph()
+	lg, err := d.Graph()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,6 +46,7 @@ func TestLazyMaterializationRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	eg.MaterializeAll()
 	// Sampled advisor with a pinned γ: deterministic, and its touch set is
 	// a strict subset of the cube, so the storm below actually races
 	// materialization (asserted before the storm starts).
@@ -145,5 +147,39 @@ func TestLazyMaterializationRace(t *testing.T) {
 				t.Fatalf("node %d horizon %d: lazy %v != eager %v", id, h, lfc[h], efc[h])
 			}
 		}
+	}
+}
+
+// TestRoutingHoldsSkeleton: the routing tier (f2dbd -coordinator) plans
+// SELECTs and resolves INSERT rows on the graph's skeleton alone. 2 000
+// rendered statements — forecasts of random nodes, every tenth a multi-row
+// INSERT — materialize no aggregate: the coordinator's copy of the cube
+// stays at its base nodes however much traffic it routes.
+func TestRoutingHoldsSkeleton(t *testing.T) {
+	g, err := datasets.GenCube(1, datasets.CubeGenForNodes(1_000, 2)).Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := f2db.NewPlanner(g, 0)
+	gen := workload.New(g, 3)
+	var inserts []map[int]float64
+	for i := 0; i < 2_000; i++ {
+		if i%10 != 0 {
+			if _, err := p.RouteQuery(gen.QuerySQL(gen.RandomNode(), 1+i%3)); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if len(inserts) == 0 {
+			inserts = workload.SplitBatch(gen.NextBatch(), 8)
+		}
+		rows, bases, err := p.RouteExecNodes(gen.InsertSQL(inserts[0]))
+		if err != nil || rows != len(inserts[0]) || len(bases) != rows {
+			t.Fatalf("RouteExecNodes: %d rows, %d bases, %v; want %d rows", rows, len(bases), err, len(inserts[0]))
+		}
+		inserts = inserts[1:]
+	}
+	if got, want := g.MaterializedNodes(), len(g.BaseIDs); got != want {
+		t.Fatalf("routing materialized %d of %d nodes, want only the %d base nodes", got, g.NumNodes(), want)
 	}
 }

@@ -320,7 +320,7 @@ func (db *DB) buildRows(id int, stmt *selectStmt, h int, g guard) ([]QueryRow, e
 // with it, the named level must belong to a dimension the WHERE clause
 // leaves free, and one node per member value at that level is returned,
 // member-ordered. Resolution reads only the immutable graph structure — no
-// engine, no series, and it materializes nothing on a lazy graph — which
+// engine, no series, and it materializes nothing on the graph — which
 // is what lets a coordinator that holds no data plan with the same code.
 func resolveNodes(g *cube.Graph, stmt *selectStmt) (ids []int, members []string, err error) {
 	dims := g.Dims

@@ -41,7 +41,7 @@ func (w *Generator) RandomNode() int {
 
 // QuerySQL renders a forecast query for the node in the engine's SQL
 // dialect. It reads the coordinate from the graph skeleton (CoordOf), not
-// the node, so rendering queries against a lazy cube never materializes
+// the node, so rendering queries against a cube never materializes
 // the target — materialization happens in whichever engine answers.
 func (w *Generator) QuerySQL(nodeID, steps int) string {
 	sql := "SELECT time, SUM(m) FROM facts"
