@@ -8,10 +8,10 @@ import (
 
 // The coordinator read-path benchmarks, recorded in BENCH_f2db.json. All
 // shards are in-process loopback servers, so the uncached numbers measure
-// protocol + fan-out cost without real network latency — the cache's
+// protocol + shard-hop cost without real network latency — the cache's
 // advantage over a LAN hop is strictly larger than measured here.
 
-// benchQuery is a 2-member drill-down: a miss scatters two sub-queries.
+// benchQuery is a 2-member drill-down: a miss is one shard request.
 const benchQuery = "SELECT time, SUM(sales) FROM facts GROUP BY time, region AS OF now() + '2 steps'"
 
 // benchCluster builds a 2-shard loopback cluster behind a coordinator with
@@ -34,7 +34,7 @@ func benchCluster(b *testing.B, cacheSize int) *Coordinator {
 }
 
 // BenchmarkCoordQueryUncached is the baseline: every repetition of the hot
-// statement re-routes and scatter-gathers over the wire.
+// statement re-routes and crosses the wire to a shard.
 func BenchmarkCoordQueryUncached(b *testing.B) {
 	co := benchCluster(b, 0)
 	if _, err := co.Query(benchQuery); err != nil {

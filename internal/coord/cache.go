@@ -10,9 +10,9 @@ import (
 )
 
 // The coordinator read fast path (DESIGN.md §12). Every query that reaches
-// the cluster tier otherwise pays a full wire fan-out — re-plan, scatter,
-// gather — even when the identical statement was answered microseconds ago
-// and no write intervened. Real analytics traffic is dominated by a small
+// the cluster tier otherwise pays a re-plan and a full shard hop even when
+// the identical statement was answered microseconds ago and no write
+// intervened. Real analytics traffic is dominated by a small
 // set of recurring statement templates, exactly the hit distribution a
 // statement-keyed table exploits, so the coordinator keeps one in front of
 // the shards: an LRU keyed by the normalized statement text
@@ -20,12 +20,12 @@ import (
 // so the tiers cannot disagree) whose entry holds everything known about
 // the statement.
 //
-//   - The plan (Planner.RouteQuery: member order, per-member sub-SQL) and
+//   - The plan (Planner.RouteQuery: described nodes, member order) and
 //     the write partitions its nodes touch depend only on the immutable
 //     graph. They are computed on first sight and never invalidated — even
 //     a statement whose answer a write just made stale skips re-planning.
 //
-//   - The fully-merged Result, with the write-epoch stamp it was fetched
+//   - The shard's Result, with the write-epoch stamp it was fetched
 //     under, is served only while the stamp is unchanged. Epochs are per
 //     write partition (ShardFor over the statement's base nodes) plus one
 //     global counter: a single-partition INSERT bumps only its partition,
@@ -40,11 +40,11 @@ import (
 //     counter increments, not a table scan. The plan stays.
 //
 // Beside the table sits the singleflight map: concurrent identical
-// statements under the same stamp share one fan-out. The miss thundering
-// herd right after each write collapses to a single scatter-gather; every
-// waiter gets the leader's result. A flight records the stamp it started
-// under and admits only same-stamp waiters — a query that arrives after a
-// newer write must not be served a fan-out that may predate it.
+// statements under the same stamp share one shard request. The miss
+// thundering herd right after each write collapses to a single request;
+// every waiter gets the leader's result. A flight records the stamp it
+// started under and admits only same-stamp waiters — a query that arrives
+// after a newer write must not be served an answer that may predate it.
 //
 // Stamp/fill protocol. The partition set lives in the entry, so a lookup
 // samples the stamp once the entry is in hand and serves the stored result
@@ -104,14 +104,14 @@ func (e *epochs) sample(parts []int) stamp {
 type entry struct {
 	plan  *f2db.Plan
 	parts []int // sorted distinct ShardFor over plan.Nodes
-	// res is the merged answer fetched under stamp st; nil until the first
+	// res is the answer fetched under stamp st; nil until the first
 	// fill and again once a lookup finds st out of date.
 	st  stamp
 	res *f2db.Result
 }
 
-// flight is one in-progress fan-out that concurrent identical statements
-// under the same stamp wait on instead of fanning out themselves.
+// flight is one in-progress shard request that concurrent identical
+// statements under the same stamp wait on instead of issuing their own.
 type flight struct {
 	st   stamp
 	done chan struct{}
@@ -206,8 +206,8 @@ func (rc *readCache) lookup(key, sql string, p *f2db.Planner) (*entry, *f2db.Res
 
 // fill is the miss path for an entry lookup returned without a result: it
 // serves a result another flight stored meanwhile, joins an in-progress
-// same-stamp fan-out when one exists, and otherwise runs fetch (the real
-// fan-out) as the flight leader, publishing the answer to its waiters and —
+// same-stamp request when one exists, and otherwise runs fetch (the real
+// shard request) as the flight leader, publishing the answer to its waiters and —
 // if no relevant write intervened — to the entry.
 func (rc *readCache) fill(key string, ent *entry, fetch func() (*f2db.Result, error)) (*f2db.Result, error) {
 	for {
@@ -225,7 +225,7 @@ func (rc *readCache) fill(key string, ent *entry, fetch func() (*f2db.Result, er
 				<-f.done
 				return f.res, f.err
 			}
-			// A fan-out from an older stamp is still in flight; its answer
+			// A request from an older stamp is still in flight; its answer
 			// may predate writes this query must observe. Wait it out and
 			// retry rather than racing a second flight under the same key.
 			<-f.done
@@ -243,7 +243,7 @@ func (rc *readCache) fill(key string, ent *entry, fetch func() (*f2db.Result, er
 		if f.err == nil && rc.ep.sample(ent.parts) == st {
 			ent.st, ent.res = st, f.res
 			// Re-seat the entry: it may have been evicted during the
-			// fan-out, and a fill counts as a use.
+			// request, and a fill counts as a use.
 			if rc.tab.Put(key, ent) {
 				rc.met.CacheEvictions.Add(1)
 			}

@@ -285,7 +285,7 @@ func TestReadCacheRouteMemo(t *testing.T) {
 }
 
 // TestReadCacheCoalesce: concurrent identical statements at one epoch
-// share a single fetch — the waiters never fan out themselves.
+// share a single fetch — the waiters never go to a shard themselves.
 func TestReadCacheCoalesce(t *testing.T) {
 	g, _ := buildCube(t)
 	p := f2db.NewPlanner(g, 0)
@@ -322,7 +322,7 @@ func TestReadCacheCoalesce(t *testing.T) {
 			// A nil-safe fetch that must never run: the waiters join the
 			// leader's flight instead.
 			got[i], _ = ask(rc, p, qK, func() (*f2db.Result, error) {
-				t.Error("waiter fanned out instead of coalescing")
+				t.Error("waiter fetched instead of coalescing")
 				return nil, nil
 			})
 		}(i)
@@ -343,7 +343,7 @@ func TestReadCacheCoalesce(t *testing.T) {
 	}
 }
 
-// TestReadCacheStaleFlightRetry: a write that lands while a fan-out is in
+// TestReadCacheStaleFlightRetry: a write that lands while a fetch is in
 // flight (1) stops the flight from filling the cache and (2) forces a
 // later arrival at the new epoch to wait the old flight out and refetch —
 // it must never be served the possibly-pre-write answer.

@@ -11,12 +11,12 @@
 // and configuration, and the shard map partitions the QUERY space instead:
 // ShardFor lifts the engine's Fibonacci write-stripe hash from stripe
 // level to process level and assigns every graph node an owning shard.
-// Single-node statements are routed to the owner (its plan/memo caches and
-// lazily re-fit models stay hot for exactly its partition); drill-down
-// statements scatter per-member single-node sub-queries to each member's
-// owner in parallel and gather the groups in member order. Replicas make
-// reads fault-tolerant: if an owner is down or lagging, the query fails
-// over to the next caught-up shard in ring order.
+// Every statement goes whole to one shard: the owner of the first node it
+// describes (its plan/memo caches and lazily re-fit models stay hot for
+// its partition). A drill-down is answered by that replica's own GROUP BY
+// executor under one engine read lock, so all of its groups belong to one
+// time point. Replicas make reads fault-tolerant: if an owner is down or
+// lagging, the query fails over to the next caught-up shard in ring order.
 //
 // Writes and recovery. Every INSERT is appended to an ordered statement
 // log; one worker per shard applies the log strictly in order over its
@@ -35,7 +35,7 @@
 // Reads have a statement-keyed fast path (cache.go): one table holding
 // each statement's plan and its merged result, the result invalidated by
 // the write epoch, plus singleflight coalescing of identical concurrent
-// misses — hot statements skip planning and the shard fan-out entirely
+// misses — hot statements skip planning and the shard hop entirely
 // (Options.CacheSize, f2dbd -coord-cache-size).
 package coord
 
@@ -86,14 +86,11 @@ type Options struct {
 	// RecoverBackoff paces reconnection probes to a down shard. Default
 	// 100ms.
 	RecoverBackoff time.Duration
-	// MaxFanout caps concurrent sub-queries per drill-down statement.
-	// Default 8.
-	MaxFanout int
 	// CacheSize enables the read fast path (cache.go): an LRU of this many
 	// statements keyed by normalized statement text, each entry holding
 	// the statement's plan and its fully merged result, the result
 	// invalidated by write epoch, with singleflight coalescing. 0 disables
-	// caching entirely — every query pays planning and the shard fan-out.
+	// caching entirely — every query pays planning and the shard hop.
 	CacheSize int
 	// LogRetain bounds the retained statement log: entries applied by
 	// every non-dead shard are trimmed once more than LogRetain of them
@@ -114,9 +111,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.RecoverBackoff <= 0 {
 		out.RecoverBackoff = 100 * time.Millisecond
-	}
-	if out.MaxFanout <= 0 {
-		out.MaxFanout = 8
 	}
 	if out.LogRetain == 0 {
 		out.LogRetain = 4096
@@ -156,7 +150,7 @@ type shard struct {
 	nonce  uint64
 }
 
-// Coordinator fans a cluster of f2dbd shards behind the engine's
+// Coordinator puts a cluster of f2dbd shards behind the engine's
 // Query/Exec surface. It satisfies server.Backend.
 type Coordinator struct {
 	planner *f2db.Planner
@@ -361,8 +355,8 @@ func (c *Coordinator) Exec(sql string) error {
 	idx := c.logLen()
 	c.log = append(c.log, e)
 	// Bump the write epochs under the same lock hold as the append: any
-	// query that samples the new stamp fans out (queryNode only accepts a
-	// shard caught up with the grown log), so no cached pre-write answer
+	// query that samples the new stamp goes to a shard (queryNode only
+	// accepts one caught up with the grown log), so no cached pre-write answer
 	// can be served to a caller that issued its query after Exec returned.
 	// Pending inserts change no query results until a maintenance batch
 	// advances time, so a single-partition statement bumps only its
@@ -616,17 +610,16 @@ func (c *Coordinator) realignLocked(inserts uint64) (int, bool) {
 
 // --- read path -----------------------------------------------------------
 
-// Query routes a SELECT: single-node statements (and EXPLAIN, whose
-// response shape only the owner should decide) go verbatim to the target
-// node's owner; drill-downs scatter per-member sub-queries to each
-// member's owner and gather the groups in member order. Rejections carry
-// the exact engine error a single process would produce.
+// Query routes a SELECT verbatim to the owner of the first node it
+// describes; that replica's executor answers the whole statement — every
+// group of a drill-down under one engine lock, so from one time point.
+// Rejections carry the exact engine error a single process would produce.
 //
 // With Options.CacheSize set, hot statements never touch the shards: one
 // lookup in the read table (cache.go) yields the plan and, while no
-// relevant write intervened, the merged result; concurrent identical
-// misses are coalesced into one fan-out. The uncached path below is kept
-// as the reference the twin tests compare the table against.
+// relevant write intervened, the result; concurrent identical misses are
+// coalesced into one shard request. The uncached path below is kept as
+// the reference the twin tests compare the table against.
 func (c *Coordinator) Query(sql string) (*f2db.Result, error) {
 	if c.cache == nil {
 		plan, err := c.planner.RouteQuery(sql)
@@ -656,62 +649,16 @@ func (c *Coordinator) Query(sql string) (*f2db.Result, error) {
 	})
 }
 
-// runPlan executes a routed plan against the shards: the uncached fan-out
-// path, and the fetch function behind every table miss.
+// runPlan sends a routed statement to its shard: the uncached path, and
+// the fetch function behind every table miss.
 func (c *Coordinator) runPlan(plan *f2db.Plan, sql string) (*f2db.Result, error) {
-	if plan.Explain || len(plan.Nodes) == 1 {
-		return c.queryNode(plan.Nodes[0], sql)
+	// An EXPLAIN of a drill-down returns no groups and is not counted as one.
+	drill := len(plan.Nodes) > 1 && !plan.Explain
+	if drill {
+		c.met.Fanouts.Add(1)
+		c.met.FanoutWidth.Observe(int64(len(plan.Nodes)))
 	}
-	return c.scatterGather(plan)
-}
-
-// scatterGather fans the per-member sub-queries out in parallel (bounded
-// by MaxFanout) and merges the single-node results into the drill-down
-// result shape. Merging is deterministic: groups are placed by member
-// index, and the first group supplies the convenience fields, exactly as
-// the engine's executor fills them.
-func (c *Coordinator) scatterGather(plan *f2db.Plan) (*f2db.Result, error) {
-	n := len(plan.Nodes)
-	c.met.Fanouts.Add(1)
-	c.met.FanoutSubqueries.Add(int64(n))
-	c.met.FanoutWidth.Observe(int64(n))
-
-	results := make([]*f2db.Result, n)
-	errs := make([]error, n)
-	sem := make(chan struct{}, c.opts.MaxFanout)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i], errs[i] = c.queryNode(plan.Nodes[i], plan.SubSQL[i])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := &f2db.Result{
-		Forecast: results[0].Forecast,
-		Plan:     results[0].Plan,
-		Groups:   make([]f2db.Group, n),
-	}
-	for i, r := range results {
-		out.Groups[i] = f2db.Group{
-			Node:    r.Node,
-			NodeKey: r.NodeKey,
-			Member:  plan.Members[i],
-			Rows:    r.Rows,
-		}
-	}
-	out.Node = out.Groups[0].Node
-	out.NodeKey = out.Groups[0].NodeKey
-	out.Rows = out.Groups[0].Rows
-	return out, nil
+	return c.queryNode(plan.Nodes[0], sql, drill)
 }
 
 // queryNode sends one statement to the owner of the node, failing over in
@@ -719,8 +666,9 @@ func (c *Coordinator) scatterGather(plan *f2db.Plan) (*f2db.Result, error) {
 // up and its replay cursor has caught the log tail — a lagging replica
 // would answer from an older time point. If no shard is servable the call
 // waits (bounded by QueryWait) for one to catch up, which bridges the
-// moment when all replicas are mid-apply.
-func (c *Coordinator) queryNode(node int, sql string) (*f2db.Result, error) {
+// moment when all replicas are mid-apply. drill marks a drill-down
+// statement, whose shard requests (failover retries included) are counted.
+func (c *Coordinator) queryNode(node int, sql string, drill bool) (*f2db.Result, error) {
 	owner := ShardFor(node, len(c.shards))
 	deadline := time.Now().Add(c.opts.QueryWait)
 	for {
@@ -740,6 +688,9 @@ func (c *Coordinator) queryNode(node int, sql string) (*f2db.Result, error) {
 			res, err := s.client.Query(sql)
 			sm.Requests.Add(1)
 			sm.Latency.Observe(time.Since(start).Nanoseconds())
+			if drill {
+				c.met.FanoutSubqueries.Add(1)
+			}
 			if err == nil {
 				return res, nil
 			}

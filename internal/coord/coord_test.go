@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"regexp"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -277,7 +278,7 @@ func TestRealign(t *testing.T) {
 	}
 }
 
-// TestMetricsCollector checks the Prometheus rendering: the fan-out width
+// TestMetricsCollector checks the Prometheus rendering: the drill-down width
 // is a real histogram whose le is an inclusive bound (a width of 4 counts
 // under le="4"), and the per-shard latency is one family labelled by shard.
 func TestMetricsCollector(t *testing.T) {
@@ -362,8 +363,8 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 // TestCoordinatorServes: a 2-shard cluster answers single-node queries,
-// drill-downs (scatter-gather), and inserts, all bit-exact against an
-// in-process twin engine, and rejections carry the twin's exact text.
+// drill-downs (one shard request each), and inserts, all bit-exact against
+// an in-process twin engine, and rejections carry the twin's exact text.
 func TestCoordinatorServes(t *testing.T) {
 	g, data := buildCube(t)
 	twin := loadEngine(t, data, -1)
@@ -432,8 +433,9 @@ func TestCoordinatorServes(t *testing.T) {
 	if inserts, _ := co.Counts(); inserts != 8 {
 		t.Fatalf("Counts: %d inserts, want 8", inserts)
 	}
-	if m := co.Metrics(); m.Fanouts.Load() == 0 || m.FanoutSubqueries.Load() == 0 {
-		t.Fatal("scatter-gather metrics not recorded")
+	if m, width := co.Metrics(), co.met.FanoutWidth.Snapshot(); m.Fanouts.Load() != 2 || m.FanoutSubqueries.Load() != 2 || width.Sum != 4+2 {
+		t.Fatalf("2 drill-downs (4 and 2 groups) must cost one shard request each: fanouts %d, requests %d, groups %d",
+			m.Fanouts.Load(), m.FanoutSubqueries.Load(), width.Sum)
 	}
 }
 
@@ -535,12 +537,142 @@ func TestCoordinatorFailover(t *testing.T) {
 		}
 		sameResult(t, querySQLFor(g, id), got, want)
 	}
+	// Drill-downs go whole to the owner of their first group: those owned by
+	// the dead shard must be answered, whole, by the survivor.
+	orphaned := 0
+	for _, q := range []string{
+		"SELECT time, SUM(sales) FROM facts GROUP BY time, city AS OF now() + '2 steps'",
+		"SELECT time, SUM(sales) FROM facts GROUP BY time, region AS OF now() + '2 steps' WITH INTERVAL 90",
+		"SELECT time, SUM(sales) FROM facts GROUP BY time, product",
+		"SELECT time, SUM(sales) FROM facts WHERE product = 'P1' GROUP BY time, city AS OF now() + '1 steps'",
+		"SELECT time, SUM(sales) FROM facts WHERE product = 'P2' GROUP BY time, region AS OF now() + '1 steps'",
+		"SELECT time, AVG(sales) FROM facts WHERE region = 'R2' GROUP BY time, product AS OF now() + '3 steps'",
+	} {
+		plan, err := f2db.NewPlanner(g, 0).RouteQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ShardFor(plan.Nodes[0], 2) == 1 {
+			orphaned++
+		}
+		got, err := co.Query(q)
+		if err != nil {
+			t.Fatalf("%s during outage: %v", q, err)
+		}
+		want, err := twin.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, q, got, want)
+	}
+	if orphaned == 0 {
+		t.Fatal("no drill-down of the set is owned by the dead shard: pick others")
+	}
 	waitFor(t, "down shard noticed", func() bool { return co.Metrics().ShardsDown.Load() == 1 })
 	if co.Metrics().Failovers.Load() == 0 {
 		t.Fatal("no failovers recorded despite a dead owner")
 	}
 	if stats := co.StatsText(); !strings.Contains(stats, "state=down") {
 		t.Fatalf("StatsText does not show the outage: %q", stats)
+	}
+}
+
+// TestDrillDownOneTimePoint: a drill-down is answered from one time point.
+// A writer completes time points through the coordinator while readers
+// issue drill-downs; every answer's groups must start at the same time
+// index, and the whole answer must be byte-identical to what a twin engine
+// answers at that time point. (A per-member split could not promise this:
+// sub-queries issued either side of a completed time point came back from
+// two.)
+func TestDrillDownOneTimePoint(t *testing.T) {
+	const points = 24
+	drills := []string{
+		"SELECT time, SUM(sales) FROM facts GROUP BY time, city AS OF now() + '2 steps'",
+		"SELECT time, SUM(sales) FROM facts WHERE product = 'P2' GROUP BY time, city AS OF now() + '1 steps' WITH INTERVAL 95",
+		"SELECT time, AVG(sales) FROM facts GROUP BY time, region AS OF now() + '3 steps'",
+		"SELECT time, SUM(sales) FROM facts WHERE region = 'R1' GROUP BY time, product AS OF now() + '2 steps'",
+	}
+	g, data := buildCube(t)
+	// want[q][T] is the twin's encoded answer to drills[q] at the time point
+	// whose forecasts start at time index T.
+	twin := loadEngine(t, data, -1)
+	want := make([]map[int][]byte, len(drills))
+	for q := range want {
+		want[q] = make(map[int][]byte)
+	}
+	for p := 0; p <= points; p++ {
+		if p > 0 {
+			if err := twin.Exec(batchInsertSQL(p * 10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for q, sql := range drills {
+			res, err := twin.Query(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[q][res.Rows[0].T] = wire.AppendResult(nil, res)
+		}
+	}
+
+	for _, cacheSize := range []int{0, 64} {
+		t.Run(fmt.Sprintf("CacheSize=%d", cacheSize), func(t *testing.T) {
+			s0 := startShardOn(t, data, "127.0.0.1:0")
+			s1 := startShardOn(t, data, "127.0.0.1:0")
+			defer s0.stop(t)
+			defer s1.stop(t)
+			opts := testCoordOpts(t)
+			opts.CacheSize = cacheSize
+			co, err := New(f2db.NewPlanner(g, 0), []string{s0.addr, s1.addr}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer co.Close()
+
+			var written atomic.Bool
+			var reads atomic.Int64
+			var wg sync.WaitGroup
+			for r := 0; r < 4; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					for i := r; !written.Load(); i++ {
+						q := i % len(drills)
+						res, err := co.Query(drills[q])
+						if err != nil {
+							t.Errorf("%s: %v", drills[q], err)
+							return
+						}
+						t0 := res.Groups[0].Rows[0].T
+						for _, grp := range res.Groups {
+							if grp.Rows[0].T != t0 {
+								t.Errorf("%s: group %q starts at time %d, group %q at %d: two time points in one answer",
+									drills[q], res.Groups[0].Member, t0, grp.Member, grp.Rows[0].T)
+								return
+							}
+						}
+						if !bytes.Equal(wire.AppendResult(nil, res), want[q][t0]) {
+							t.Errorf("%s: the answer at time %d differs from the twin's", drills[q], t0)
+							return
+						}
+						reads.Add(1)
+					}
+				}(r)
+			}
+			// Each time point lands among reads in flight: the writer moves on
+			// once a few more answers came back.
+			for p := 1; p <= points && !t.Failed(); p++ {
+				seen := reads.Load()
+				if err := co.Exec(batchInsertSQL(p * 10)); err != nil {
+					t.Errorf("time point %d: %v", p, err)
+					break
+				}
+				waitFor(t, "readers to answer across the time point", func() bool { return reads.Load() >= seen+8 || t.Failed() })
+			}
+			written.Store(true)
+			wg.Wait()
+			t.Logf("%d drill-downs answered across %d time points", reads.Load(), points)
+		})
 	}
 }
 
@@ -567,7 +699,7 @@ func querySQLFor(g *cube.Graph, id int) string {
 
 // TestCoordinatorExplainParity: EXPLAIN through the coordinator behaves
 // exactly like EXPLAIN against a shard over a direct connection (both
-// forward the statement verbatim; neither scatters it).
+// forward the statement verbatim).
 func TestCoordinatorExplainParity(t *testing.T) {
 	g, data := buildCube(t)
 	s0 := startShardOn(t, data, "127.0.0.1:0")

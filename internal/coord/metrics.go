@@ -14,8 +14,9 @@ type Metrics struct {
 	Queries atomic.Int64
 	Execs   atomic.Int64
 
-	// Scatter-gather shape: drill-down statements fanned out, total
-	// sub-queries issued, and a log₂ histogram of fan-out widths.
+	// Drill-down shape: drill-down statements forwarded to a shard, shard
+	// requests issued for them (one each, plus failover retries), and a
+	// log₂ histogram of groups per drill-down.
 	Fanouts          atomic.Int64
 	FanoutSubqueries atomic.Int64
 	FanoutWidth      metrics.Histogram
@@ -24,9 +25,9 @@ type Metrics struct {
 	Failovers atomic.Int64
 
 	// Read fast path (cache.go): statements answered from the result
-	// cache without touching a shard, fan-outs actually performed on a
-	// miss, concurrent identical statements coalesced onto an in-flight
-	// fan-out, LRU evictions, entries discarded because a write bumped
+	// cache without touching a shard, shard requests actually performed on
+	// a miss, concurrent identical statements coalesced onto an in-flight
+	// request, LRU evictions, entries discarded because a write bumped
 	// the epoch since their fill, and statements whose routing came from
 	// the memo instead of a re-parse.
 	CacheHits          atomic.Int64
@@ -84,18 +85,18 @@ func (m *Metrics) Registry() *metrics.Registry {
 	r := &metrics.Registry{}
 	r.Int("coord_queries_total", "SELECT statements routed.", &m.Queries)
 	r.Int("coord_execs_total", "INSERT statements logged and broadcast.", &m.Execs)
-	r.Int("coord_fanouts_total", "Drill-down statements scattered.", &m.Fanouts)
-	r.Int("coord_fanout_subqueries_total", "Sub-queries issued by scatter-gather.", &m.FanoutSubqueries)
+	r.Int("coord_fanouts_total", "Drill-down statements forwarded to a shard.", &m.Fanouts)
+	r.Int("coord_fanout_subqueries_total", "Shard requests issued for drill-down statements, failover retries included.", &m.FanoutSubqueries)
 	r.Int("coord_failovers_total", "Queries answered by a non-owner shard.", &m.Failovers)
 	r.Int("coord_log_trimmed_total", "Statement-log entries trimmed after cluster-wide apply.", &m.LogTrimmed)
 	r.Int("coord_shards_down", "Shards currently down (reconnecting).", &m.ShardsDown)
 	r.Int("coord_shards_dead", "Shards abandoned after unalignable restarts.", &m.ShardsDead)
-	r.Histogram("coord_fanout_width", "Sub-queries per scattered statement.", 1, &m.FanoutWidth)
+	r.Histogram("coord_fanout_width", "Groups per drill-down statement.", 1, &m.FanoutWidth)
 
 	r.Break(false)
-	r.Int("coord_cache_hits_total", "Statements served from the result cache (no shard fan-out).", &m.CacheHits)
-	r.Int("coord_cache_misses_total", "Result-cache misses that fanned out to the shards.", &m.CacheMisses)
-	r.Int("coord_cache_coalesced_total", "Statements coalesced onto an in-flight identical fan-out.", &m.CacheCoalesced)
+	r.Int("coord_cache_hits_total", "Statements served from the result cache (no shard request).", &m.CacheHits)
+	r.Int("coord_cache_misses_total", "Result-cache misses that went to a shard.", &m.CacheMisses)
+	r.Int("coord_cache_coalesced_total", "Statements coalesced onto an in-flight identical request.", &m.CacheCoalesced)
 	r.Int("coord_cache_evictions_total", "Result-cache LRU evictions.", &m.CacheEvictions)
 	r.Int("coord_cache_invalidations_total", "Cached results discarded because a write bumped the epoch.", &m.CacheInvalidations)
 	r.Int("coord_route_memo_hits_total", "Statements routed from the memo without re-parsing.", &m.RouteMemoHits)

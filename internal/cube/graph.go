@@ -679,8 +679,8 @@ func (g *Graph) materialize(id int) *Node {
 	edges := make([][]int, D)
 	for d := range edges {
 		// Dimensions at their finest level keep a nil entry.
-		if lo, hi := g.childOff[id*D+d], g.childOff[id*D+d+1]; lo < hi {
-			edges[d] = g.childIDs[lo:hi:hi]
+		if edge := g.ChildrenAlong(id, d); len(edge) > 0 {
+			edges[d] = edge
 		}
 	}
 	n := &Node{
@@ -782,6 +782,16 @@ func (g *Graph) parentsOf(id int) []int {
 func (g *Graph) childrenOf(id int) []int {
 	D := len(g.Dims)
 	return g.childIDs[g.childOff[id*D]:g.childOff[(id+1)*D]]
+}
+
+// ChildrenAlong returns the IDs, ascending, of the nodes that roll up into
+// the node along dimension d — its child hyper edge of that dimension, empty
+// at the finest level — read from the skeleton without materializing
+// anything. The result is a view and must not be written.
+func (g *Graph) ChildrenAlong(id, d int) []int {
+	b := id*len(g.Dims) + d
+	lo, hi := g.childOff[b], g.childOff[b+1]
+	return g.childIDs[lo:hi:hi]
 }
 
 // BFSScratch is the working memory of ClosestNodes: the visited set and the

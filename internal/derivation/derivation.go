@@ -199,24 +199,23 @@ func (sc *Scheme) Apply(sourceForecasts [][]float64) ([]float64, error) {
 		return nil, err
 	}
 	out := make([]float64, h)
-	if sc.Weights != nil {
-		for i, fc := range sourceForecasts {
-			w := sc.Weights[i]
-			for j, v := range fc {
-				out[j] += w * v
-			}
-		}
-		return out, nil
-	}
-	for _, fc := range sourceForecasts {
-		for j, v := range fc {
-			out[j] += v
-		}
-	}
-	for j := range out {
-		out[j] *= sc.K
-	}
+	derive(out, sourceForecasts, sc.K, sc.Weights)
 	return out, nil
+}
+
+// ApplyTo is Apply into a caller-supplied slice of the forecasts' common
+// length. out may be one of the source forecasts: every step reads all of
+// its sources before it is written.
+func (sc *Scheme) ApplyTo(out []float64, sourceForecasts [][]float64) error {
+	h, err := sc.horizon(sourceForecasts)
+	if err != nil {
+		return err
+	}
+	if len(out) != h {
+		return fmt.Errorf("derivation: output has length %d, want %d", len(out), h)
+	}
+	derive(out, sourceForecasts, sc.K, sc.Weights)
+	return nil
 }
 
 // SMAPE returns timeseries.SMAPE(actual, forecast) for the forecast Apply
@@ -231,12 +230,35 @@ func (sc *Scheme) SMAPE(actual []float64, sourceForecasts [][]float64) (float64,
 	return smapeDerived(actual, sourceForecasts, sc.K, sc.Weights), nil
 }
 
-// smapeDerived is timeseries.SMAPE of actual against the derived series
-// d[i] = k·Σ_s series[s][i] (or Σ_s weights[s]·series[s][i] when weights is
-// non-nil), computed in one pass. The arithmetic is that of summing into a
-// zeroed buffer, scaling it and calling timeseries.SMAPE: sources are added
-// in order starting from 0, and float64(sum*k) is an explicit conversion so
-// that no architecture fuses the scaling into the subtraction that follows.
+// derivedAt is step i of the derived series d[i] = k·Σ_s series[s][i] (or
+// Σ_s weights[s]·series[s][i] when weights is non-nil) — the one definition
+// of the derivation arithmetic. Sources are added in order starting from 0,
+// and float64(sum*k) is an explicit conversion so that no architecture
+// fuses the scaling into whatever the caller does with the value next.
+func derivedAt(series [][]float64, i int, k float64, weights []float64) float64 {
+	var d float64
+	if weights != nil {
+		for s, vals := range series {
+			d += weights[s] * vals[i]
+		}
+		return d
+	}
+	for _, vals := range series {
+		d += vals[i]
+	}
+	return float64(d * k)
+}
+
+// derive writes the derived series into out, whose length the caller has
+// checked against every series.
+func derive(out []float64, series [][]float64, k float64, weights []float64) {
+	for i := range out {
+		out[i] = derivedAt(series, i, k, weights)
+	}
+}
+
+// smapeDerived is timeseries.SMAPE of actual against the derived series,
+// computed in one pass without materializing it.
 func smapeDerived(actual []float64, series [][]float64, k float64, weights []float64) float64 {
 	n := len(series[0])
 	if len(actual) < n {
@@ -247,17 +269,7 @@ func smapeDerived(actual []float64, series [][]float64, k float64, weights []flo
 	}
 	var acc float64
 	for i := 0; i < n; i++ {
-		var d float64
-		if weights != nil {
-			for s, vals := range series {
-				d += weights[s] * vals[i]
-			}
-		} else {
-			for _, vals := range series {
-				d += vals[i]
-			}
-			d = float64(d * k)
-		}
+		d := derivedAt(series, i, k, weights)
 		num := math.Abs(actual[i] - d)
 		den := math.Abs(actual[i]) + math.Abs(d)
 		if den == 0 {

@@ -78,6 +78,9 @@ func OracleWeightStabilityFrom(src SeriesSource, target int, sources []int, hist
 	return math.Sqrt(variance) / math.Abs(mean)
 }
 
+// oracleApply is Scheme.Apply as it was while it materialized the sum and
+// scaled it in a second pass — before Apply, ApplyTo and SMAPE shared one
+// per-step kernel.
 func oracleApply(sc *Scheme, sourceForecasts [][]float64) ([]float64, error) {
 	if len(sourceForecasts) != len(sc.Sources) {
 		return nil, fmt.Errorf("derivation: got %d forecasts for %d sources", len(sourceForecasts), len(sc.Sources))
@@ -277,6 +280,116 @@ func TestKernelTwin(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 5000, Rand: rand.New(rand.NewSource(17))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// ApplyCase is one generated input for the ApplyTo differential: 1–6
+// source forecasts of the value shapes a derivation can meet.
+type ApplyCase struct {
+	Scheme    Scheme
+	Forecasts [][]float64
+}
+
+// Generate implements quick.Generator.
+func (ApplyCase) Generate(r *rand.Rand, _ int) reflect.Value {
+	m, h := 1+r.Intn(6), r.Intn(13)
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1, -1}
+	c := ApplyCase{Scheme: Scheme{K: r.NormFloat64()}, Forecasts: make([][]float64, m)}
+	switch r.Intn(5) {
+	case 0:
+		c.Scheme.K = 0
+	case 1:
+		c.Scheme.K = -1 - r.Float64()
+	}
+	for s := range c.Forecasts {
+		c.Scheme.Sources = append(c.Scheme.Sources, s+1)
+		fc := make([]float64, h)
+		for i := range fc {
+			if fc[i] = r.NormFloat64() * 100; r.Intn(6) == 0 {
+				fc[i] = special[r.Intn(len(special))]
+			}
+		}
+		c.Forecasts[s] = fc
+	}
+	if r.Intn(2) == 0 {
+		c.Scheme.Weights = make([]float64, m)
+		for i := range c.Scheme.Weights {
+			if c.Scheme.Weights[i] = r.NormFloat64(); r.Intn(6) == 0 {
+				c.Scheme.Weights[i] = special[r.Intn(len(special))]
+			}
+		}
+	}
+	switch r.Intn(10) {
+	case 0: // ragged forecasts
+		if h > 0 {
+			s := r.Intn(m)
+			c.Forecasts[s] = c.Forecasts[s][:h-1]
+		}
+	case 1: // a forecast too few
+		c.Forecasts = c.Forecasts[:m-1]
+	case 2: // a weight too many
+		if c.Scheme.Weights != nil {
+			c.Scheme.Weights = append(c.Scheme.Weights, 1)
+		}
+	}
+	return reflect.ValueOf(c)
+}
+
+// TestApplyToTwin holds the in-place derivation kernel to the materializing
+// Apply it replaced: the same bits (every NaN equal to every other) into a
+// dirty slice and into one that aliases the first source, and the same error
+// text where that rejected its input.
+func TestApplyToTwin(t *testing.T) {
+	check := func(c ApplyCase) bool {
+		want, wantErr := oracleApply(&c.Scheme, c.Forecasts)
+		h := 0
+		if len(c.Forecasts) > 0 {
+			h = len(c.Forecasts[0])
+		}
+		dirty := make([]float64, h)
+		for i := range dirty {
+			dirty[i] = 42
+		}
+		aliased := append([][]float64(nil), c.Forecasts...)
+		if len(aliased) > 0 {
+			aliased[0] = append([]float64(nil), aliased[0]...)
+		}
+		for name, run := range map[string]func() ([]float64, error){
+			"Apply":           func() ([]float64, error) { return c.Scheme.Apply(c.Forecasts) },
+			"ApplyTo":         func() ([]float64, error) { return dirty, c.Scheme.ApplyTo(dirty, c.Forecasts) },
+			"ApplyTo aliased": func() ([]float64, error) { return aliased[0], c.Scheme.ApplyTo(aliased[0], aliased) },
+		} {
+			if wantErr != nil && len(aliased) == 0 && name == "ApplyTo aliased" {
+				continue // no source to alias
+			}
+			got, err := run()
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Errorf("%s: error %v, oracle %v", name, err, wantErr)
+				return false
+			}
+			if err != nil {
+				continue
+			}
+			if len(got) != len(want) {
+				t.Errorf("%s: %d values, oracle %d", name, len(got), len(want))
+				return false
+			}
+			for i := range want {
+				if !sameBits(got[i], want[i]) {
+					t.Errorf("%s[%d] = %v, oracle %v (K %v, weights %v, sources %v)", name, i, got[i], want[i], c.Scheme.K, c.Scheme.Weights, c.Forecasts)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 5000, Rand: rand.New(rand.NewSource(21))}); err != nil {
+		t.Fatal(err)
+	}
+	// The one rejection of its own: an output of the wrong length.
+	sc := Scheme{Sources: []int{1}, K: 1}
+	if err := sc.ApplyTo(make([]float64, 2), [][]float64{{1, 2, 3}}); err == nil || err.Error() != "derivation: output has length 2, want 3" {
+		t.Fatalf("short output: %v", err)
 	}
 }
 

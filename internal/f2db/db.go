@@ -393,31 +393,34 @@ func (db *DB) assertExclusive(g guard) {
 // lazily (Section V: "we reduce maintenance overhead by delaying parameter
 // reestimation until the model is actually referenced by a query"). The
 // common path runs under the shared read lock; only a query that actually
-// needs a re-estimation upgrades to the write lock.
+// needs a re-estimation upgrades to the write lock. The returned slice is
+// the caller's own: the memo table's copy is cloned here, at the package
+// boundary.
 func (db *DB) ForecastNode(nodeID, h int) ([]float64, error) {
 	g := db.rLock()
 	fc, _, _, err := db.forecastIntervalLocked(g, nodeID, h, 0)
 	db.unlock(g)
-	if err != errNeedsReestimate {
-		return fc, err
+	if err == errNeedsReestimate {
+		// Lazy re-estimation: re-fit the invalidated source models off the
+		// exclusive lock first, so the retry below holds the write lock only
+		// for derivation. If a concurrent advance invalidated the models
+		// again the retry re-fits them under the lock — the pre-stripe
+		// fallback that guarantees progress.
+		db.reestimateMany(db.invalidSources([]int{nodeID}))
+		g = db.wLock()
+		fc, _, _, err = db.forecastIntervalLocked(g, nodeID, h, 0)
+		db.unlock(g)
 	}
-	// Lazy re-estimation: re-fit the invalidated source models off the
-	// exclusive lock first, so the retry below holds the write lock only
-	// for derivation. If a concurrent advance invalidated the models again
-	// the retry re-fits them under the lock — the pre-stripe fallback that
-	// guarantees progress.
-	db.reestimateMany(db.invalidSources([]int{nodeID}))
-	g = db.wLock()
-	defer db.unlock(g)
-	fc, _, _, err = db.forecastIntervalLocked(g, nodeID, h, 0)
-	return fc, err
+	return append([]float64(nil), fc...), err
 }
 
 // forecastIntervalLocked answers a node forecast (with interval bounds when
 // conf > 0) through the memo table: a hit returns the cached slices without
-// touching any model; a miss derives the forecast and memoizes it under the
-// node's current epoch. Metrics (query count, latency, scheme hits, cache
-// counters) are recorded here so hits and misses are accounted uniformly.
+// touching any model; a miss derives the forecast and hands it to the memo
+// table under the node's current epoch. Either way the slices are shared
+// with later hits and must not be written. Metrics (query count, latency,
+// scheme hits, cache counters) are recorded here so hits and misses are
+// accounted uniformly.
 // The guard witnesses the engine lock; only an exclusive guard may
 // re-estimate invalidated source models — under a shared guard the call
 // reports errNeedsReestimate instead, which is metered as a cache bypass
@@ -467,72 +470,66 @@ func (db *DB) forecastIntervalLocked(g guard, nodeID, h int, conf float64) (poin
 	return point, lo, hi, nil
 }
 
-// deriveForecast derives the node forecast from live model state. Locking
-// contract as forecastIntervalLocked; no metrics, no memoization.
-func (db *DB) deriveForecast(g guard, nodeID, h int) (fc []float64, err error) {
+// deriveInterval derives the point forecast of a node from live model state
+// and, when conf > 0 (a percentage, e.g. 95), lower/upper prediction-
+// interval bounds. Locking contract as forecastIntervalLocked; no metrics,
+// no memoization. The returned slices are carved from one fresh allocation
+// the caller owns. The interval assumes independent, normally distributed
+// residuals at the scheme's sources; each source contributes its one-step
+// residual variance grown by its model's horizon profile (ψ weights for
+// ARIMA, class-1 state-space formulas for exponential smoothing):
+//
+//	spread(step) = z · |k| · sqrt( Σ_s σ_s² · scale_s(step)² )
+func (db *DB) deriveInterval(g guard, nodeID, h int, conf float64) (point, lo, hi []float64, err error) {
 	sc, ok := db.cfg.Schemes[nodeID]
 	if !ok {
 		// A sampled advisor run leaves uncovered nodes scheme-less;
 		// resolving one mutates the configuration, so it needs the write
 		// lock — under shared access take the exclusive-retry path.
 		if !g.exclusive {
-			return nil, errNeedsReestimate
+			return nil, nil, nil, errNeedsReestimate
 		}
-		var err error
-		sc, err = db.cfg.ResolveScheme(nodeID)
-		if err != nil {
-			return nil, fmt.Errorf("f2db: node %d: %w", nodeID, err)
+		if sc, err = db.cfg.ResolveScheme(nodeID); err != nil {
+			return nil, nil, nil, fmt.Errorf("f2db: node %d: %w", nodeID, err)
 		}
 	}
-	fcs := make([][]float64, len(sc.Sources))
-	for i, s := range sc.Sources {
+	// The source forecasts' headers stay on the stack for the usual one to
+	// eight sources.
+	var buf [8][]float64
+	fcs := buf[:0]
+	for _, s := range sc.Sources {
 		m, ok := db.cfg.Models[s]
 		if !ok {
-			return nil, fmt.Errorf("f2db: scheme source %d has no model", s)
+			return nil, nil, nil, fmt.Errorf("f2db: scheme source %d has no model", s)
 		}
 		if db.invalid[s] {
 			if !g.exclusive {
-				return nil, errNeedsReestimate
+				return nil, nil, nil, errNeedsReestimate
 			}
 			if err := db.reestimate(g, s, m); err != nil {
-				return nil, err
+				return nil, nil, nil, err
 			}
 		}
-		fcs[i] = m.Forecast(h)
+		fcs = append(fcs, m.Forecast(h))
 	}
 	// Use the incrementally maintained weight.
-	liveSc := sc
 	if st, ok := db.schemes[nodeID]; ok && st.hSources != 0 && sc.Kind != derivation.Direct {
-		liveSc.K = st.hTarget / st.hSources
+		sc.K = st.hTarget / st.hSources
 	}
-	return liveSc.Apply(fcs)
-}
-
-// deriveInterval returns the point forecast of a node and, when conf > 0
-// (a percentage, e.g. 95), lower/upper prediction-interval bounds. Locking
-// contract as forecastIntervalLocked; no metrics, no memoization. The
-// interval assumes independent, normally distributed residuals at the
-// scheme's sources; each source contributes its one-step residual variance
-// grown by its model's horizon profile (ψ weights for ARIMA, class-1
-// state-space formulas for exponential smoothing):
-//
-//	spread(step) = z · |k| · sqrt( Σ_s σ_s² · scale_s(step)² )
-func (db *DB) deriveInterval(g guard, nodeID, h int, conf float64) (point, lo, hi []float64, err error) {
-	point, err = db.deriveForecast(g, nodeID, h)
-	if err != nil || conf <= 0 {
-		return point, nil, nil, err
+	n := h
+	if conf > 0 {
+		n = 3 * h
 	}
-	sc, ok := db.cfg.Schemes[nodeID]
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("f2db: node %d has no derivation scheme", nodeID)
+	out := make([]float64, n)
+	point = out[:h:h]
+	if err := sc.ApplyTo(point, fcs); err != nil {
+		return nil, nil, nil, err
 	}
-	k := sc.K
-	if st, ok := db.schemes[nodeID]; ok && st.hSources != 0 && sc.Kind != derivation.Direct {
-		k = st.hTarget / st.hSources
+	if conf <= 0 {
+		return point, nil, nil, nil
 	}
+	lo, hi = out[h:2*h:2*h], out[2*h:]
 	z := optimize.InvNormCDF(0.5 + conf/200)
-	lo = make([]float64, h)
-	hi = make([]float64, h)
 	for i := range point {
 		var variance float64
 		for _, s := range sc.Sources {
@@ -542,7 +539,7 @@ func (db *DB) deriveInterval(g guard, nodeID, h int, conf float64) (point, lo, h
 				variance += std * std
 			}
 		}
-		spread := z * math.Abs(k) * math.Sqrt(variance)
+		spread := z * math.Abs(sc.K) * math.Sqrt(variance)
 		lo[i] = point[i] - spread
 		hi[i] = point[i] + spread
 	}

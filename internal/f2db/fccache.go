@@ -39,8 +39,9 @@ type fcKey struct {
 }
 
 // fcEntry is one memoized forecast stamped with the node epoch it was
-// computed under. The slices are owned by the cache; they are cloned on the
-// way in and on the way out.
+// computed under. The slices are owned by the cache — put takes ownership
+// of what it is given — and are handed out as they are: read-only for
+// everyone inside the package, cloned where they leave it (ForecastNode).
 type fcEntry struct {
 	epoch  uint64
 	point  []float64
@@ -118,9 +119,10 @@ func (c *fcCache) bumpAll() int64 {
 	return int64(len(c.epochs))
 }
 
-// get returns clones of the memoized forecast slices if an entry exists and
-// its epoch matches the node's current epoch. A stale entry is reported as
-// a miss (and left for the next store to overwrite).
+// get returns the memoized forecast slices — the cache's own, not to be
+// written — if an entry exists and its epoch matches the node's current
+// epoch. A stale entry is reported as a miss (and left for the next store
+// to overwrite).
 func (c *fcCache) get(key fcKey) (point, lo, hi []float64, ok bool) {
 	cur := c.epochs[key.node].Load()
 	sh := c.shardFor(key.node)
@@ -130,21 +132,17 @@ func (c *fcCache) get(key fcKey) (point, lo, hi []float64, ok bool) {
 	if !found || e.epoch != cur {
 		return nil, nil, nil, false
 	}
-	return cloneFloats(e.point), cloneFloats(e.lo), cloneFloats(e.hi), true
+	return e.point, e.lo, e.hi, true
 }
 
-// put memoizes a freshly computed forecast under the node's current epoch.
+// put memoizes a freshly computed forecast under the node's current epoch,
+// taking ownership of the slices: nobody writes them afterwards.
 // The caller must hold the engine lock (shared or exclusive) so the epoch
 // read here is consistent with the state the forecast was derived from:
 // epoch bumps only happen under the exclusive engine lock. Returns the
 // number of entries evicted by the capacity sweep.
 func (c *fcCache) put(key fcKey, point, lo, hi []float64) (evicted int64) {
-	e := fcEntry{
-		epoch: c.epochs[key.node].Load(),
-		point: cloneFloats(point),
-		lo:    cloneFloats(lo),
-		hi:    cloneFloats(hi),
-	}
+	e := fcEntry{epoch: c.epochs[key.node].Load(), point: point, lo: lo, hi: hi}
 	sh := c.shardFor(key.node)
 	shardCap := int(c.shardCap.Load())
 	sh.mu.Lock()
@@ -274,11 +272,4 @@ func (c *fcCache) shardSizes() []int {
 		sh.mu.RUnlock()
 	}
 	return out
-}
-
-func cloneFloats(s []float64) []float64 {
-	if s == nil {
-		return nil
-	}
-	return append([]float64(nil), s...)
 }

@@ -57,6 +57,63 @@ func FuzzParseSQL(f *testing.F) {
 	})
 }
 
+// String renders the statement back into the dialect in canonical form:
+// parsing the rendered text yields an identical statement (the round-trip
+// property FuzzParseSQL checks). Member values are always quoted, GROUP BY
+// emits time before the drill-down level — both normalizations the parser
+// already applies. The engine never renders a statement, so this lives with
+// the tests that do.
+func (s *selectStmt) String() string {
+	var b strings.Builder
+	if s.explain {
+		b.WriteString("EXPLAIN ")
+	}
+	b.WriteString("SELECT ")
+	for i, col := range s.columns {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(col)
+	}
+	b.WriteString(" FROM ")
+	b.WriteString(s.table)
+	for i, p := range s.preds {
+		if i == 0 {
+			b.WriteString(" WHERE ")
+		} else {
+			b.WriteString(" AND ")
+		}
+		b.WriteString(p.attr)
+		b.WriteString(" = '")
+		b.WriteString(p.value)
+		b.WriteString("'")
+	}
+	if s.groupBy || s.groupLevel != "" {
+		b.WriteString(" GROUP BY ")
+		switch {
+		case s.groupBy && s.groupLevel != "":
+			b.WriteString("time, ")
+			b.WriteString(s.groupLevel)
+		case s.groupBy:
+			b.WriteString("time")
+		default:
+			b.WriteString(s.groupLevel)
+		}
+	}
+	if s.horizon != "" {
+		b.WriteString(" AS OF now() + '")
+		b.WriteString(s.horizon)
+		b.WriteString("'")
+	}
+	if s.interval > 0 {
+		b.WriteString(" WITH INTERVAL ")
+		// 'f' (never scientific notation): the lexer's ident token has no
+		// '+'/'-', so "1e-05" would not re-lex.
+		b.WriteString(strconv.FormatFloat(s.interval, 'f', -1, 64))
+	}
+	return b.String()
+}
+
 // insertStmt is an INSERT statement collected whole: the target table and
 // one or more (members..., measure) rows. The engine never builds one — it
 // streams rows off the insertScanner — but FuzzParseInsert's round-trip

@@ -39,9 +39,8 @@ func (db *DB) Planner() *Planner { return db.planner }
 // steps. Every field is immutable once the plan is handed out, so a cached
 // plan is safe to execute or route from any number of goroutines. Planning
 // needs no engine lock: it reads only the graph structure, fixed after
-// construction. Each tier fills the one part only it uses — the engine the
-// rendered node keys, the coordinator the per-member sub-statements — so
-// neither allocates for the other.
+// construction. Only the engine fills the rendered node keys; a coordinator
+// routes by Nodes alone and pays nothing for them.
 type Plan struct {
 	stmt *selectStmt
 	// Nodes holds the described graph node IDs, one per result group, in
@@ -50,16 +49,9 @@ type Plan struct {
 	// Members holds the grouping member per node ("" for single-node
 	// statements), parallel to Nodes.
 	Members []string
-	// SubSQL (RouteQuery only) holds the per-member single-node rewrite of
-	// a drill-down statement, parallel to Nodes; the sub-statements'
-	// results concatenate, in member order, to the drill-down's groups.
-	// nil when the statement describes a single node (route it verbatim).
-	SubSQL []string
 	// Forecast marks AS OF statements.
 	Forecast bool
-	// Explain marks EXPLAIN statements (routed verbatim to the first
-	// node's owner, never scattered, so the answer matches a direct
-	// connection).
+	// Explain marks EXPLAIN statements.
 	Explain bool
 
 	horizon int      // forecast steps; 0 for historical and EXPLAIN statements
@@ -86,29 +78,12 @@ func (p *Planner) plan(sql string) (*Plan, error) {
 	return pl, nil
 }
 
-// RouteQuery plans a SELECT for routing: the resolved plan plus, for a
-// drill-down, the per-member sub-statements. It is an unmemoised planning
-// call — callers that want a statement planned once keep the plan. Errors
-// are the engine's planning errors byte-for-byte, so a coordinator
-// rejecting a statement is indistinguishable from a shard rejecting it.
-func (p *Planner) RouteQuery(sql string) (*Plan, error) {
-	pl, err := p.plan(sql)
-	if err != nil || pl.stmt.groupLevel == "" {
-		return pl, err
-	}
-	pl.SubSQL = make([]string, len(pl.Nodes))
-	for i, member := range pl.Members {
-		sub := *pl.stmt
-		// Pin the grouped dimension to this member: the drill-down's group
-		// i is exactly the single-node query with the member as an extra
-		// equality predicate (resolveNodes matches the node the same way).
-		sub.preds = append(append([]predicate(nil), pl.stmt.preds...),
-			predicate{attr: pl.stmt.groupLevel, value: member})
-		sub.groupLevel = ""
-		pl.SubSQL[i] = sub.String()
-	}
-	return pl, nil
-}
+// RouteQuery plans a SELECT for routing: the statement goes whole to the
+// owner of Nodes[0]. It is an unmemoised planning call — callers that want
+// a statement planned once keep the plan. Errors are the engine's planning
+// errors byte-for-byte, so a coordinator rejecting a statement is
+// indistinguishable from a shard rejecting it.
+func (p *Planner) RouteQuery(sql string) (*Plan, error) { return p.plan(sql) }
 
 // RouteExecNodes resolves an INSERT for routing — its row count and every
 // row's base node ID, in statement order — through the engine's own INSERT

@@ -42,10 +42,11 @@ func TestRouteQueryMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestRouteSubQueriesBitExact: executing each per-member sub-statement of a
-// drill-down against the engine must reproduce the drill-down's groups
-// bit-for-bit — the property the coordinator's scatter-gather merge relies
-// on.
+// TestRouteSubQueriesBitExact: a drill-down's group i is exactly the
+// single-node statement with member i as one more equality predicate, bit
+// for bit — the engine's GROUP BY executor and its single-node path are one
+// derivation. The per-member statements are built here, from the parsed
+// statement, the way a per-member split would render them.
 func TestRouteSubQueriesBitExact(t *testing.T) {
 	db, g, _ := testEngine(t, nil)
 	p := NewPlanner(g, 0)
@@ -58,14 +59,19 @@ func TestRouteSubQueriesBitExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		if route.SubSQL == nil {
+		if len(route.Nodes) < 2 {
 			t.Fatalf("%s: expected a multi-node route", q)
 		}
 		want, err := db.Query(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, sub := range route.SubSQL {
+		for i, member := range route.Members {
+			stmt := *route.stmt
+			stmt.preds = append(append([]predicate(nil), route.stmt.preds...),
+				predicate{attr: route.stmt.groupLevel, value: member})
+			stmt.groupLevel = ""
+			sub := stmt.String()
 			got, err := db.Query(sub)
 			if err != nil {
 				t.Fatalf("%s → %s: %v", q, sub, err)

@@ -2,6 +2,7 @@ package f2db
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -221,10 +222,7 @@ func (db *DB) planQuery(sql string) (*Plan, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	plan.keys = make([]string, len(plan.Nodes))
-	for i, id := range plan.Nodes {
-		plan.keys[i] = db.graph.KeyOf(id)
-	}
+	plan.keys = db.renderKeys(plan.Nodes)
 	if db.plans != nil {
 		db.met.planMisses.Add(1)
 		db.planMu.Lock()
@@ -237,9 +235,34 @@ func (db *DB) planQuery(sql string) (*Plan, string, error) {
 	return plan, key, nil
 }
 
+// renderKeys renders the nodes' coordinate keys into one buffer and returns
+// them as substrings of the one string made from it: a drill-down plan pays
+// for its keys once, not once per group.
+func (db *DB) renderKeys(nodes []int) []string {
+	keys := make([]string, len(nodes))
+	var endBuf [64]int
+	var keyBuf [64]byte
+	ends, buf := endBuf[:0], keyBuf[:0]
+	for i, id := range nodes {
+		buf = db.graph.CoordOf(id).AppendKey(buf, db.graph.Dims)
+		if i == 0 {
+			// Sibling keys differ only in one member value.
+			buf = slices.Grow(buf, (len(buf)+8)*(len(nodes)-1))
+		}
+		ends = append(ends, len(buf))
+	}
+	all, start := string(buf), 0
+	for i, end := range ends {
+		keys[i], start = all[start:end], end
+	}
+	return keys
+}
+
 // execPlan executes a resolved plan. Locking contract as
 // forecastIntervalLocked: the guard witnesses the engine lock, and only an
-// exclusive guard may lazily re-estimate.
+// exclusive guard may lazily re-estimate. Every group is built under that
+// one lock hold, so a drill-down's groups all belong to one time point; their
+// rows are carved from one slab.
 func (db *DB) execPlan(plan *Plan, g guard) (*Result, error) {
 	stmt := plan.stmt
 	res := &Result{Node: plan.Nodes[0], NodeKey: plan.keys[0]}
@@ -250,17 +273,18 @@ func (db *DB) execPlan(plan *Plan, g guard) (*Result, error) {
 		return res, nil
 	}
 	res.Forecast = plan.Forecast
+	per := db.graph.Length
+	if plan.Forecast {
+		per = plan.horizon
+	}
+	slab := make([]QueryRow, per*len(plan.Nodes))
+	res.Groups = make([]Group, len(plan.Nodes))
 	for i, id := range plan.Nodes {
-		rows, err := db.buildRows(id, stmt, plan.horizon, g)
-		if err != nil {
+		rows := slab[i*per : (i+1)*per : (i+1)*per]
+		if err := db.fillRows(rows, id, stmt, g); err != nil {
 			return nil, err
 		}
-		res.Groups = append(res.Groups, Group{
-			Node:    id,
-			NodeKey: plan.keys[i],
-			Member:  plan.Members[i],
-			Rows:    rows,
-		})
+		res.Groups[i] = Group{Node: id, NodeKey: plan.keys[i], Member: plan.Members[i], Rows: rows}
 	}
 	res.Rows = res.Groups[0].Rows
 	return res, nil
@@ -279,28 +303,26 @@ func (db *DB) explainNode(id int) string {
 	return fmt.Sprintf("%s from [%s] weight %.6f", sc.Kind, strings.Join(keys, ", "), sc.K)
 }
 
-// buildRows produces the output rows for one node: the stored history for
-// historical queries, or the derived forecast (optionally with prediction
-// intervals) for AS OF queries. The AVG aggregate divides the SUM values
-// by the number of base series covered by the node.
-func (db *DB) buildRows(id int, stmt *selectStmt, h int, g guard) ([]QueryRow, error) {
+// fillRows writes the output rows for one node: the stored history for
+// historical queries (len(rows) time points), or the derived forecast
+// (optionally with prediction intervals) for AS OF queries (len(rows)
+// steps). The AVG aggregate divides the SUM values by the number of base
+// series covered by the node.
+func (db *DB) fillRows(rows []QueryRow, id int, stmt *selectStmt, g guard) error {
 	scale := 1.0
 	if stmt.agg == "avg" {
 		scale = 1 / float64(db.baseCounts[id])
 	}
 	if stmt.horizon == "" {
-		vals := db.graph.Node(id).Series.Values[:db.graph.Length]
-		rows := make([]QueryRow, len(vals))
-		for i, v := range vals {
+		for i, v := range db.graph.Node(id).Series.Values[:len(rows)] {
 			rows[i] = QueryRow{T: i, Value: v * scale}
 		}
-		return rows, nil
+		return nil
 	}
-	point, lo, hi, err := db.forecastIntervalLocked(g, id, h, stmt.interval)
+	point, lo, hi, err := db.forecastIntervalLocked(g, id, len(rows), stmt.interval)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	rows := make([]QueryRow, len(point))
 	for i, v := range point {
 		rows[i] = QueryRow{T: db.graph.Length + i, Value: v * scale}
 		if lo != nil {
@@ -308,7 +330,7 @@ func (db *DB) buildRows(id int, stmt *selectStmt, h int, g guard) ([]QueryRow, e
 			rows[i].Hi = hi[i] * scale
 		}
 	}
-	return rows, nil
+	return nil
 }
 
 // resolveNodes rewrites a parsed SELECT into the graph nodes it describes
@@ -319,7 +341,8 @@ func (db *DB) buildRows(id int, stmt *selectStmt, h int, g guard) ([]QueryRow, e
 // Without a GROUP BY <level> that coordinate is the one described node;
 // with it, the named level must belong to a dimension the WHERE clause
 // leaves free, and one node per member value at that level is returned,
-// member-ordered. Resolution reads only the immutable graph structure — no
+// member-ordered, found through the skeleton's child index in O(members ×
+// depth). Resolution reads only the immutable graph structure — no
 // engine, no series, and it materializes nothing on the graph — which
 // is what lets a coordinator that holds no data plan with the same code.
 func resolveNodes(g *cube.Graph, stmt *selectStmt) (ids []int, members []string, err error) {
@@ -371,27 +394,26 @@ func resolveNodes(g *cube.Graph, stmt *selectStmt) (ids []int, members []string,
 		}
 		return []int{id}, []string{""}, nil
 	}
-	// Collect the nodes matching the pattern with the grouped dimension
-	// at the requested level.
-	for id := 0; id < g.NumNodes(); id++ {
-		c := g.CoordOf(id)
-		if c[groupDim].Level != groupLvl {
-			continue
+	// The members are the descendants, at the requested level, of the
+	// coordinate with the grouped dimension at ALL: walk that dimension's
+	// child edges down, one level per edge.
+	var buf [64]byte
+	if top, ok, _ := g.LookupCoord(coord, buf[:0]); ok {
+		ids = []int{top}
+	}
+	for lvl := dims[groupDim].AllLevel(); lvl > groupLvl && len(ids) > 0; lvl-- {
+		var next []int
+		for _, id := range ids {
+			next = append(next, g.ChildrenAlong(id, groupDim)...)
 		}
-		match := true
-		for d := range dims {
-			if d != groupDim && c[d] != coord[d] {
-				match = false
-				break
-			}
-		}
-		if match {
-			ids = append(ids, id)
-			members = append(members, c[groupDim].Value)
-		}
+		ids = next
 	}
 	if len(ids) == 0 {
 		return nil, nil, fmt.Errorf("f2db: no time series match GROUP BY %s", stmt.groupLevel)
+	}
+	members = make([]string, len(ids))
+	for i, id := range ids {
+		members[i] = g.CoordOf(id)[groupDim].Value
 	}
 	sort.Sort(byMember{ids, members})
 	return ids, members, nil
@@ -465,62 +487,6 @@ type selectStmt struct {
 	horizon    string  // AS OF interval text, "" for historical queries
 	interval   float64 // WITH INTERVAL <percent> confidence, 0 = off
 	explain    bool
-}
-
-// String renders the statement back into the dialect in canonical form:
-// parsing the rendered text yields an identical statement (the round-trip
-// property FuzzParseSQL checks). Member values are always quoted, GROUP BY
-// emits time before the drill-down level — both normalizations the parser
-// already applies.
-func (s *selectStmt) String() string {
-	var b strings.Builder
-	if s.explain {
-		b.WriteString("EXPLAIN ")
-	}
-	b.WriteString("SELECT ")
-	for i, col := range s.columns {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(col)
-	}
-	b.WriteString(" FROM ")
-	b.WriteString(s.table)
-	for i, p := range s.preds {
-		if i == 0 {
-			b.WriteString(" WHERE ")
-		} else {
-			b.WriteString(" AND ")
-		}
-		b.WriteString(p.attr)
-		b.WriteString(" = '")
-		b.WriteString(p.value)
-		b.WriteString("'")
-	}
-	if s.groupBy || s.groupLevel != "" {
-		b.WriteString(" GROUP BY ")
-		switch {
-		case s.groupBy && s.groupLevel != "":
-			b.WriteString("time, ")
-			b.WriteString(s.groupLevel)
-		case s.groupBy:
-			b.WriteString("time")
-		default:
-			b.WriteString(s.groupLevel)
-		}
-	}
-	if s.horizon != "" {
-		b.WriteString(" AS OF now() + '")
-		b.WriteString(s.horizon)
-		b.WriteString("'")
-	}
-	if s.interval > 0 {
-		b.WriteString(" WITH INTERVAL ")
-		// 'f' (never scientific notation): the lexer's ident token has no
-		// '+'/'-', so "1e-05" would not re-lex.
-		b.WriteString(strconv.FormatFloat(s.interval, 'f', -1, 64))
-	}
-	return b.String()
 }
 
 type token struct {
