@@ -288,7 +288,7 @@ func TestAdvance(t *testing.T) {
 	for i, id := range g.BaseIDs {
 		vals[id] = float64(i + 1)
 	}
-	if err := g.Advance(vals); err != nil {
+	if err := AdvanceMap(g, vals); err != nil {
 		t.Fatal(err)
 	}
 	if g.Length != lenBefore+1 {
@@ -324,7 +324,7 @@ func TestAdvanceValidation(t *testing.T) {
 		"id too large":  full(g.NumNodes()),
 		"negative id":   full(-1),
 	} {
-		if err := g.Advance(bad); err == nil {
+		if err := AdvanceMap(g, bad); err == nil {
 			t.Fatalf("%s should fail", name)
 		}
 		if g.Length != 8 {
@@ -336,7 +336,7 @@ func TestAdvanceValidation(t *testing.T) {
 			}
 		}
 	}
-	if err := g.Advance(full(g.BaseIDs[0])); err != nil {
+	if err := AdvanceMap(g, full(g.BaseIDs[0])); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -548,10 +548,10 @@ func TestAdvanceUsesCoverCache(t *testing.T) {
 		}
 		return out
 	}
-	if err := g.Advance(mk(1)); err != nil {
+	if err := AdvanceMap(g, mk(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Advance(mk(2)); err != nil {
+	if err := AdvanceMap(g, mk(2)); err != nil {
 		t.Fatal(err)
 	}
 	// Both advances must aggregate identically (cache correctness).

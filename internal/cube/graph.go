@@ -77,8 +77,9 @@ type Graph struct {
 	idxOnce sync.Once
 
 	// The skeleton, immutable after construction: the coordinate and the
-	// covered base-node IDs (ascending, in CSR form — node id covers
-	// incIDs[incOff[id]:incOff[id+1]]) of every node, the flattened
+	// covered base nodes of every node — as ordinals into BaseIDs, ascending,
+	// in CSR form: node id covers incIDs[incOff[id]:incOff[id+1]], and a base
+	// node covers exactly its own ordinal — the flattened
 	// per-dimension parent IDs (parents[id*D+d], -1 at ALL) and their CSR
 	// inversion: the child edge of (node p, dim d) is
 	// childIDs[childOff[p*D+d]:childOff[p*D+d+1]], ascending. Node.ParentIDs
@@ -118,15 +119,19 @@ func (g *Graph) Node(id int) *Node {
 // IsBase reports whether the node ID is a base (finest-level) node without
 // materializing it.
 func (g *Graph) IsBase(id int) bool {
+	_, ok := g.BaseOrdinal(id)
+	return ok
+}
+
+// BaseOrdinal returns the position of a base node in BaseIDs — its index in
+// the column Advance takes — and false for any other ID. Every node covers
+// at least one base node, and only a base node's first is itself.
+func (g *Graph) BaseOrdinal(id int) (int, bool) {
 	if id < 0 || id >= len(g.nodes) {
-		return false
+		return 0, false
 	}
-	for _, c := range g.coords[id] {
-		if c.Level != 0 {
-			return false
-		}
-	}
-	return true
+	ord := int(g.incIDs[g.incOff[id]])
+	return ord, g.BaseIDs[ord] == id
 }
 
 // CoordOf returns the coordinate of the node ID without materializing it.
@@ -219,7 +224,6 @@ func NewGraph(dims []Dimension, base []BaseSeries) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Ints(g.BaseIDs)
 	g.buildChildIndex()
 
 	// Materialize the base nodes, their allocations batched across all of
@@ -379,7 +383,7 @@ func (g *Graph) buildSkeletonPacked(base []BaseSeries) ([]int, error) {
 	pairBase := make([]int32, 0, totalPairs)
 	var numNodes int32
 	tupleIDs := make([]int32, 0, maxTuples)
-	var bid int32
+	var bid, ord int32 // the base entry being enumerated: node ID, ordinal
 	var dup bool
 	touch := func(key uint64) {
 		var id int32
@@ -407,7 +411,7 @@ func (g *Graph) buildSkeletonPacked(base []BaseSeries) ([]int, error) {
 		}
 		if !dup {
 			pairNode = append(pairNode, id)
-			pairBase = append(pairBase, bid)
+			pairBase = append(pairBase, ord)
 		}
 		tupleIDs = append(tupleIDs, id)
 	}
@@ -436,7 +440,7 @@ func (g *Graph) buildSkeletonPacked(base []BaseSeries) ([]int, error) {
 		// The first coordinate visited for a base entry is its own
 		// (all-finest) coordinate, so the base node ID is assigned before
 		// any of its ancestors that are new to this enumeration.
-		bid, dup = -1, false
+		bid, ord, dup = -1, int32(bi), false
 		tupleIDs = tupleIDs[:0]
 		visit(0, 0)
 		if dup {
@@ -473,7 +477,8 @@ func (g *Graph) buildSkeletonPacked(base []BaseSeries) ([]int, error) {
 	// Materialize the coordinate table (one Cell arena, one slice header
 	// per node) and the incidence CSR from the collected pairs. The
 	// counting sort is stable, so each node's bucket stays in ascending
-	// base-ID order — base node IDs increase monotonically with input
+	// ordinal order — base node IDs increase monotonically with input order
+	// (BaseIDs is ascending as enumerated), so that is ascending base-ID
 	// order, which fixes the aggregates' accumulation order.
 	n := int(numNodes)
 	cellsArr := make([]Cell, n*D)
@@ -583,7 +588,7 @@ func (g *Graph) buildSkeletonKeys(base []BaseSeries) ([]int, error) {
 				bid = id
 			}
 			if !dup {
-				incidence[id] = append(incidence[id], int32(bid))
+				incidence[id] = append(incidence[id], int32(bi))
 			}
 		})
 		if dup {
@@ -645,8 +650,8 @@ func (g *Graph) buildSkeletonKeys(base []BaseSeries) ([]int, error) {
 	return baseNodeIDs, nil
 }
 
-// inc returns a node's covered base-node IDs (ascending) from the
-// skeleton's incidence CSR.
+// inc returns a node's covered base nodes, as ascending ordinals into
+// BaseIDs, from the skeleton's incidence CSR.
 func (g *Graph) inc(id int) []int32 {
 	return g.incIDs[g.incOff[id]:g.incOff[id+1]]
 }
@@ -670,7 +675,7 @@ func (g *Graph) materialize(id int) *Node {
 	}
 	vals := make([]float64, g.Length)
 	for _, b := range g.inc(id) {
-		bv := g.nodes[int(b)].Load().Series.Values
+		bv := g.nodes[g.BaseIDs[b]].Load().Series.Values
 		for t, v := range bv {
 			vals[t] += v
 		}
@@ -864,7 +869,7 @@ func (g *Graph) CoveredBases(id int) []int {
 	inc := g.inc(id)
 	out := make([]int, len(inc))
 	for i, b := range inc {
-		out[i] = int(b)
+		out[i] = g.BaseIDs[b]
 	}
 	return out
 }
@@ -876,35 +881,32 @@ func (g *Graph) CoveredBaseCount(id int) int {
 	return int(g.incOff[id+1] - g.incOff[id])
 }
 
-// Advance appends one new observation to every base series (values keyed by
-// base node ID) and propagates the SUM aggregation to every materialized
-// node; nodes materialized later sum the already-extended base series and
-// need no catch-up. It returns an error, having changed nothing, unless
-// exactly all base nodes are present, mirroring the batched-insert
-// maintenance of Section V ("we currently batch inserts until a new value
-// is available for each base time series").
+// Advance appends one new observation to every base series — column holds
+// them in BaseIDs order, column[i] for base node BaseIDs[i] — and propagates
+// the SUM aggregation to every materialized node; nodes materialized later
+// sum the already-extended base series and need no catch-up. A column of
+// any other length is refused with nothing changed, mirroring the
+// batched-insert maintenance of Section V ("we currently batch inserts
+// until a new value is available for each base time series"). The column
+// is only read, and not retained.
 //
-// Each node's new value sums the batch values of its covered bases in
-// ascending base-ID order, not map order, so aggregate sums are bit-for-bit
-// reproducible no matter how the batch map was assembled (floating-point
-// addition is not associative; a fixed order makes two engines fed the
-// same batches byte-identical). Holding matMu for the whole advance keeps
-// concurrent materializations from reading half-extended base series.
-func (g *Graph) Advance(values map[int]float64) error {
-	if len(values) != len(g.BaseIDs) {
-		return fmt.Errorf("cube: Advance needs a value for all %d base series, got %d", len(g.BaseIDs), len(values))
-	}
-	for bid := range values {
-		if !g.IsBase(bid) {
-			return fmt.Errorf("cube: Advance: %d is not a base node", bid)
-		}
+// Each node's new value sums the column entries of its covered bases in
+// ascending base-ID order — the order of the incidence CSR — so aggregate
+// sums are bit-for-bit reproducible however the column was filled
+// (floating-point addition is not associative; a fixed order makes two
+// engines fed the same batches byte-identical). Holding matMu for the whole
+// advance keeps concurrent materializations from reading half-extended base
+// series.
+func (g *Graph) Advance(column []float64) error {
+	if len(column) != len(g.BaseIDs) {
+		return fmt.Errorf("cube: Advance needs a value for all %d base series, got %d", len(g.BaseIDs), len(column))
 	}
 	g.matMu.Lock()
 	defer g.matMu.Unlock()
 	for _, id := range g.matIDs {
 		var v float64
 		for _, b := range g.inc(id) {
-			v += values[int(b)]
+			v += column[b]
 		}
 		g.nodes[id].Load().Series.Append(v)
 	}

@@ -46,7 +46,7 @@ func TestLazyAdvanceBitIdenticalToEager(t *testing.T) {
 		if err := eager.Advance(batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := lazy.Advance(batch); err != nil {
+		if err := AdvanceMap(lazy, batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func TestLazyConcurrentMaterializeAndAdvance(t *testing.T) {
 		for _, bid := range g.BaseIDs {
 			batch[bid] = float64(step + bid)
 		}
-		if err := g.Advance(batch); err != nil {
+		if err := AdvanceMap(g, batch); err != nil {
 			t.Fatal(err)
 		}
 	}

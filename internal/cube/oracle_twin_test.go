@@ -49,7 +49,7 @@ func TestGraphTwinOnDatasets(t *testing.T) {
 				if err := o.Advance(batch); err != nil {
 					t.Fatal(err)
 				}
-				if err := g.Advance(batch); err != nil {
+				if err := cube.AdvanceMap(g, batch); err != nil {
 					t.Fatal(err)
 				}
 			}

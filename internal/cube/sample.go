@@ -156,7 +156,7 @@ func (s *SampledSource) sampleBases(id, pop int) []int {
 		j := i + int(rng.next()%uint64(pop-i))
 		pi, pj := pos(i), pos(j)
 		swap[i], swap[j] = pj, pi
-		res[i] = int(inc[pj])
+		res[i] = s.g.BaseIDs[inc[pj]]
 	}
 	sortInts(res)
 	return res

@@ -143,12 +143,13 @@ func stateDigest(t testing.TB, db *DB) string {
 		b.WriteByte('\n')
 	}
 	pend := make(map[int]float64)
-	for i := range db.stripes {
-		db.stripes[i].lock()
-		for id, v := range db.stripes[i].pending {
-			pend[id] = v
+	for ord, id := range db.graph.BaseIDs {
+		s := db.stripeFor(id)
+		s.lock()
+		if db.present[ord] {
+			pend[id] = db.pending[ord]
 		}
-		db.stripes[i].mu.Unlock()
+		s.mu.Unlock()
 	}
 	pids := make([]int, 0, len(pend))
 	for id := range pend {

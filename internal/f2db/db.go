@@ -130,21 +130,28 @@ type DB struct {
 	mstats   map[int]*ModelStats
 	schemes  map[int]*schemeState
 
-	// stripes shard the pending insert batch by base-node hash (see
-	// stripe.go): inserts lock only their stripe, so parallel insert
-	// streams do not contend until a batch completes. Time advances only
-	// once every base series has a value for the next time stamp; the
-	// advance is a cross-stripe barrier taken under the engine write lock.
-	// Lock order: mu before any stripe mutex, never the reverse.
+	// pending is the insert batch being collected, as the dense column it
+	// becomes: pending[i] is the next observation of base node
+	// graph.BaseIDs[i], held once present[i] is set. stripes shard the
+	// column by base-node hash (see stripe.go): a slot is read and written
+	// only under its base node's stripe mutex, so parallel insert streams do
+	// not contend until a batch completes. Time advances only once every
+	// base series has a value for the next time stamp; the advance is a
+	// cross-stripe barrier under the engine write lock and hands the column
+	// on as it stands — a complete batch is frozen (every insert is a
+	// duplicate until the advance clears the marks), so nothing is copied.
+	// Lock order: mu before any stripe mutex, stripes in index order.
+	pending     []float64
+	present     []bool
 	stripes     []writeStripe
 	stripeShift uint
-	// pendingTotal counts values across all stripe buffers; the batch is
+	// pendingTotal counts the slots that hold a value; the batch is
 	// complete exactly when it reaches len(graph.BaseIDs). It is a
 	// completion hint — the authoritative check runs under mu in
 	// advanceIfComplete.
 	pendingTotal atomic.Int64
 	// advanceGen increments (under mu) every time a complete batch is
-	// swapped out of the stripe buffers. Inserters that hit a duplicate
+	// applied and the column released. Inserters that hit a duplicate
 	// use it to distinguish "my value is a genuine duplicate in the
 	// current batch" from "the batch holding the duplicate just advanced;
 	// retry against the fresh one".
@@ -183,20 +190,21 @@ type DB struct {
 	tele atomic.Pointer[teleBox]
 
 	// commitHook, when non-nil, is the group-commit gate: advanceIfComplete
-	// calls it under the write lock with the complete batch and the
-	// generation it creates (the observation index it will occupy), BEFORE
-	// the stripe buffers are swept and the batch applied. The durability
-	// layer (durable.go) installs the WAL append here; an error refuses the
-	// advance with the stripes untouched, so the engine stays consistent and
-	// a later insert retries the commit. Installed once before any
-	// concurrency (OpenDurable) — never mutated on a live engine.
-	commitHook func(gen uint64, batch map[int]float64) error
+	// calls it under the write lock with the complete batch — the pending
+	// column, to be read and not retained — and the generation it creates
+	// (the observation index it will occupy), BEFORE the batch is applied
+	// and the column released. The durability layer (durable.go) installs
+	// the WAL append here; an error refuses the advance with the column
+	// untouched, so the engine stays consistent and a later insert retries
+	// the commit. Installed once before any concurrency (OpenDurable) —
+	// never mutated on a live engine.
+	commitHook func(gen uint64, column []float64) error
 
 	// testHookAfterSweep, when non-nil, runs inside advanceIfComplete after
-	// the stripe sweep but before the pending counter is rebalanced — the
-	// window in which a lock-free insert can race an in-flight advance.
-	// Tests use it to land a racing insert deterministically; always nil in
-	// production.
+	// the presence marks are cleared but before the pending counter is
+	// rebalanced — the window in which a lock-free insert can race an
+	// in-flight advance. Tests use it to land a racing insert
+	// deterministically; always nil in production.
 	testHookAfterSweep func()
 	// testHookBeforeInstall, when non-nil, runs in reestimateNode after the
 	// off-lock fit but before the install lock is taken — the window in
@@ -263,6 +271,8 @@ func Open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 		invalid:     make(map[int]bool),
 		mstats:      make(map[int]*ModelStats),
 		schemes:     make(map[int]*schemeState),
+		pending:     make([]float64, len(g.BaseIDs)),
+		present:     make([]bool, len(g.BaseIDs)),
 		stripes:     make([]writeStripe, nstripes),
 		stripeShift: stripeShiftFor(nstripes),
 		parallelism: opts.Parallelism,
@@ -274,9 +284,6 @@ func Open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 	}
 	for _, id := range g.BaseIDs {
 		db.stripeFor(id).bases++
-	}
-	for i := range db.stripes {
-		db.stripes[i].pending = make(map[int]float64, db.stripes[i].bases)
 	}
 	for id := range cfg.Models {
 		db.mstats[id] = &ModelStats{}
@@ -290,17 +297,11 @@ func Open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 		}
 		db.schemes[id] = st
 	}
-	// Precompute per-node base-series counts (AVG scaling). This also
-	// warms the graph's cover-closure cache before any concurrency, so
-	// maintenance batches never write to it while queries run.
-	incidence := g.BaseIncidence()
-	db.baseCounts = make([]int, len(incidence))
-	for id, bases := range incidence {
-		c := len(bases)
-		if c == 0 {
-			c = 1
-		}
-		db.baseCounts[id] = c
+	// Per-node base-series counts (AVG scaling), precomputed so the read
+	// path never mutates shared state.
+	db.baseCounts = make([]int, g.NumNodes())
+	for id := range db.baseCounts {
+		db.baseCounts[id] = max(g.CoveredBaseCount(id), 1)
 	}
 	if opts.PlanCacheSize >= 0 {
 		size := opts.PlanCacheSize
@@ -615,18 +616,19 @@ func (db *DB) InsertBase(baseID int, value float64) (err error) {
 		}
 		db.met.maintainNanos.Add(time.Since(start).Nanoseconds())
 	}()
-	if !db.graph.IsBase(baseID) {
+	ord, ok := db.graph.BaseOrdinal(baseID)
+	if !ok {
 		return fmt.Errorf("f2db: %d is not a base node", baseID)
 	}
 	s := db.stripeFor(baseID)
 	for {
 		// advanceGen is read before the stripe lock: while we hold the
-		// stripe mutex no advance can swap our stripe's buffer, so a
+		// stripe mutex no advance can release our stripe's slots, so a
 		// duplicate observed under the lock belongs to the generation we
 		// read (or an earlier one — then the recheck below retries).
 		gen := db.advanceGen.Load()
 		s.lock()
-		if _, dup := s.pending[baseID]; dup {
+		if db.present[ord] {
 			s.mu.Unlock()
 			// Either the batch is complete and awaiting its advance
 			// (another inserter won the completion race — help apply it,
@@ -640,7 +642,7 @@ func (db *DB) InsertBase(baseID int, value float64) (err error) {
 			}
 			continue
 		}
-		s.pending[baseID] = value
+		db.pending[ord], db.present[ord] = value, true
 		s.depth.Add(1)
 		total := db.pendingTotal.Add(1)
 		s.mu.Unlock()
@@ -659,6 +661,9 @@ func (db *DB) InsertBase(baseID int, value float64) (err error) {
 // engine write lock. This is the write path for bulk producers — the
 // workload generator, snapshot restore and multi-row SQL INSERTs — where
 // per-value InsertBase locking dominates.
+//
+// The map is the boundary form only: past the stripes a time point is one
+// dense []float64 in BaseIDs order, to the commit gate, the WAL and the graph.
 //
 // Values are applied in ascending node-ID order within each stripe, stripes
 // in index order. A value for a base series that already has a pending
@@ -695,11 +700,12 @@ func (db *DB) insertSorted(rows []baseRow) (err error) {
 		s.lock()
 		for ; i < len(rows) && db.stripeFor(rows[i].id) == s; i++ {
 			r := rows[i]
-			if _, dup := s.pending[r.id]; dup {
+			ord, _ := db.graph.BaseOrdinal(r.id) // callers resolved r.id as a base node
+			if db.present[ord] {
 				dupID = r.id
 				break
 			}
-			s.pending[r.id] = r.value
+			db.pending[ord], db.present[ord] = r.value, true
 			s.depth.Add(1)
 			db.pendingTotal.Add(1)
 			applied++
@@ -727,59 +733,54 @@ func (db *DB) insertSorted(rows []baseRow) (err error) {
 
 // advanceIfComplete applies the pending batch if it is (still) complete.
 // This is the write path's cross-stripe barrier: under the engine write
-// lock it visits every stripe, swaps the buffers out and advances time —
-// no insert can slip in because a complete batch makes every further
-// insert a duplicate until the swap. Safe to race: whichever caller takes
-// the write lock first advances, the rest see an incomplete (fresh) batch
-// and return.
+// lock it commits the pending column, advances time with it and only then
+// clears the presence marks — no insert can slip in because a complete
+// batch makes every further insert a duplicate until they are cleared.
+// Safe to race: whichever caller takes the write lock first advances, the
+// rest see an incomplete (fresh) batch and return.
 func (db *DB) advanceIfComplete() error {
 	g := db.wLock()
 	numBases := int64(len(db.graph.BaseIDs))
+	// With no advance in flight the counter is the number of slots marked
+	// present (an insert between its mark and its increment re-runs this
+	// check itself): at numBases the column is complete, so frozen, and —
+	// every value having been written before its increment — readable
+	// without the stripe locks.
 	if db.pendingTotal.Load() < numBases {
 		db.unlock(g)
 		return nil
 	}
-	// Copy the batch without clearing first: a complete batch freezes the
-	// stripe buffers (every further insert for a held ID is a duplicate
-	// until the sweep below), so the two-pass copy-then-clear sees one
-	// stable image even though each stripe lock is taken twice.
-	batch := make(map[int]float64, numBases)
-	for i := range db.stripes {
-		s := &db.stripes[i]
-		s.lock()
-		for id, v := range s.pending {
-			batch[id] = v
-		}
-		s.mu.Unlock()
-	}
 	// Group commit: the batch must be durable before it is applied. On
-	// error the stripes still hold every value — nothing advanced, nothing
+	// error the column still holds every value — nothing advanced, nothing
 	// was lost, and the insert that triggered the advance reports the
 	// failure to its caller.
 	if db.commitHook != nil {
-		if err := db.commitHook(uint64(db.graph.Length), batch); err != nil {
+		if err := db.commitHook(uint64(db.graph.Length), db.pending); err != nil {
 			db.unlock(g)
 			return err
 		}
 	}
+	err := db.advanceBatch(g, db.pending)
+	// Release the column under all stripe locks at once: a stripe unlocked
+	// early could take a next-batch mark that the clear then erases.
 	for i := range db.stripes {
-		s := &db.stripes[i]
-		s.lock()
-		clear(s.pending)
-		s.depth.Store(0)
-		s.mu.Unlock()
+		db.stripes[i].lock()
+	}
+	clear(db.present)
+	for i := range db.stripes {
+		db.stripes[i].depth.Store(0)
+		db.stripes[i].mu.Unlock()
 	}
 	if db.testHookAfterSweep != nil {
 		db.testHookAfterSweep()
 	}
-	// Decrement by exactly the number of values collected, never reset to
+	// Decrement by exactly the number of values applied, never reset to
 	// zero: inserters hold no engine lock, so a next-batch value can land in
-	// an already-swept stripe (and increment pendingTotal) before we get
-	// here — a Store(0) would erase that increment, permanently undercount
-	// the buffers and stop the completion check from ever firing again.
-	db.pendingTotal.Add(-int64(len(batch)))
+	// a released slot (and increment pendingTotal) before we get here — a
+	// Store(0) would erase that increment, permanently undercount the column
+	// and stop the completion check from ever firing again.
+	db.pendingTotal.Add(-numBases)
 	db.advanceGen.Add(1)
-	err := db.advanceBatch(g, batch)
 	// Eager maintenance: collect the models this advance invalidated while
 	// still under the lock, then re-fit them on the off-lock worker pool so
 	// concurrent queries and inserts are never blocked by the fits.
@@ -794,14 +795,14 @@ func (db *DB) advanceIfComplete() error {
 	return err
 }
 
-// advanceBatch processes a complete batch: appends the new values to every
-// node series, updates model states and derivation weights incrementally,
-// and applies the invalidation strategy. The guard must witness the write
-// lock.
-func (db *DB) advanceBatch(g guard, batch map[int]float64) error {
+// advanceBatch processes a complete batch — one value per base series, in
+// BaseIDs order: appends the new values to every node series, updates model
+// states and derivation weights incrementally, and applies the invalidation
+// strategy. The guard must witness the write lock.
+func (db *DB) advanceBatch(g guard, column []float64) error {
 	db.assertExclusive(g)
 	t := db.graph.Length // index of the new observation after Advance
-	if err := db.graph.Advance(batch); err != nil {
+	if err := db.graph.Advance(column); err != nil {
 		return err
 	}
 	db.met.batches.Add(1)

@@ -97,7 +97,8 @@ type Durable struct {
 	dmu          sync.Mutex
 	compactEvery int
 	sinceCompact int
-	compactFrom  uint64 // generation the next segment starts at
+	compactFrom  uint64          // generation the next segment starts at
+	entries      []segment.Entry // commit's reused WAL form of the column
 
 	// Recovery reports what OpenDurable replayed.
 	Recovery RecoveryInfo
@@ -157,16 +158,29 @@ func OpenDurable(dopts DurableOptions, opts Options, build func() (*DB, error)) 
 		}
 	}
 
-	if err := d.replaySegments(); err != nil {
+	// Every replayed batch is assembled in this one column.
+	column := make([]float64, len(d.db.graph.BaseIDs))
+	if err := d.replaySegments(column); err != nil {
 		return nil, err
 	}
 
 	wal, info, err := segment.OpenWAL(fs, dopts.Dir, d.fingerprint, dopts.Sync, func(gen uint64, entries []segment.Entry) error {
-		batch := make(map[int]float64, len(entries))
-		for _, e := range entries {
-			batch[int(e.ID)] = e.Value
+		// Entries come ID-ascending, as BaseIDs is: the record is a batch of
+		// this database exactly when the two agree position by position.
+		ids := d.db.graph.BaseIDs
+		if len(entries) != len(ids) {
+			return errBatchSize(len(ids), len(entries))
 		}
-		applied, err := d.applyReplayedBatch(gen, batch)
+		for i, e := range entries {
+			if e.ID != int64(ids[i]) {
+				if !d.db.graph.IsBase(int(e.ID)) {
+					return fmt.Errorf("cube: Advance: %d is not a base node", e.ID)
+				}
+				return fmt.Errorf("f2db: replayed batch %d has no value for base node %d", gen, ids[i])
+			}
+			column[i] = e.Value
+		}
+		applied, err := d.applyReplayedBatch(gen, column)
 		if err != nil {
 			return err
 		}
@@ -198,9 +212,16 @@ func OpenDurable(dopts DurableOptions, opts Options, build func() (*DB, error)) 
 // DB returns the underlying engine.
 func (d *Durable) DB() *DB { return d.db }
 
+// errBatchSize refuses a replayed batch without one value per base series,
+// in the words Graph.Advance refuses a column with.
+func errBatchSize(want, got int) error {
+	return fmt.Errorf("cube: Advance needs a value for all %d base series, got %d", want, got)
+}
+
 // replaySegments applies every columnar segment extending past the loaded
-// snapshot, oldest first, generation-checked.
-func (d *Durable) replaySegments() error {
+// snapshot, oldest first, generation-checked, one generation at a time
+// through column.
+func (d *Durable) replaySegments(column []float64) error {
 	names, err := d.fs.ReadDir(d.dir)
 	if err != nil {
 		return err
@@ -239,9 +260,11 @@ func (d *Durable) replaySegments() error {
 		if hdr.FromGen > length {
 			return fmt.Errorf("f2db: recovery gap: segment %s starts at %d, database at %d", sf.name, hdr.FromGen, length)
 		}
-		// Column → batches: resolve each series to its base node once, then
-		// re-assemble one complete batch per generation in the span.
-		cols := make(map[int]segment.Series, len(series))
+		// Column → batches: resolve each series to its base node's ordinal
+		// once, then re-assemble one complete batch per generation in the
+		// span. A series named twice leaves another without values.
+		cols := make([][]float64, len(column))
+		distinct := 0
 		for _, s := range series {
 			n := d.db.graph.LookupKey(s.Key)
 			if n == nil || !n.IsBase {
@@ -253,14 +276,20 @@ func (d *Durable) replaySegments() error {
 			if len(s.Times) > 0 && (uint64(s.Times[0]) != sf.from || s.Times[0] < 0) {
 				return fmt.Errorf("f2db: segment %s: series %q starts at generation %d, span at %d", sf.name, s.Key, s.Times[0], sf.from)
 			}
-			cols[n.ID] = s
+			ord, _ := d.db.graph.BaseOrdinal(n.ID)
+			if cols[ord] == nil {
+				distinct++
+			}
+			cols[ord] = s.Values
+		}
+		if distinct != len(cols) {
+			return fmt.Errorf("f2db: segment %s: %w", sf.name, errBatchSize(len(cols), distinct))
 		}
 		for gen := length; gen < sf.to; gen++ {
-			batch := make(map[int]float64, len(cols))
-			for id, s := range cols {
-				batch[id] = s.Values[gen-sf.from]
+			for ord, vals := range cols {
+				column[ord] = vals[gen-sf.from]
 			}
-			applied, err := d.applyReplayedBatch(gen, batch)
+			applied, err := d.applyReplayedBatch(gen, column)
 			if err != nil {
 				return fmt.Errorf("f2db: segment %s: %w", sf.name, err)
 			}
@@ -275,7 +304,7 @@ func (d *Durable) replaySegments() error {
 // applyReplayedBatch advances the engine by one recovered batch. A batch
 // the engine already holds (snapshot newer than the log) is skipped; a
 // batch from the future is a recovery gap and fails hard.
-func (d *Durable) applyReplayedBatch(gen uint64, batch map[int]float64) (applied bool, err error) {
+func (d *Durable) applyReplayedBatch(gen uint64, column []float64) (applied bool, err error) {
 	db := d.db
 	g := db.wLock()
 	defer db.unlock(g)
@@ -286,7 +315,7 @@ func (d *Durable) applyReplayedBatch(gen uint64, batch map[int]float64) (applied
 	if gen > length {
 		return false, fmt.Errorf("f2db: recovery generation gap: batch %d but database at %d", gen, length)
 	}
-	if err := db.advanceBatch(g, batch); err != nil {
+	if err := db.advanceBatch(g, column); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -297,7 +326,7 @@ func (d *Durable) applyReplayedBatch(gen uint64, batch map[int]float64) (applied
 // WAL (fsyncing per policy) and — every CompactEvery batches — compacts
 // the sealed WAL span into a columnar segment first, so the new batch
 // opens a fresh log file.
-func (d *Durable) commit(gen uint64, batch map[int]float64) error {
+func (d *Durable) commit(gen uint64, column []float64) error {
 	d.dmu.Lock()
 	defer d.dmu.Unlock()
 	if d.compactEvery > 0 && d.sinceCompact >= d.compactEvery && gen > d.compactFrom {
@@ -306,12 +335,16 @@ func (d *Durable) commit(gen uint64, batch map[int]float64) error {
 		}
 		d.sinceCompact = 0
 	}
-	entries := make([]segment.Entry, 0, len(batch))
-	for id, v := range batch {
-		entries = append(entries, segment.Entry{ID: int64(id), Value: v})
+	// BaseIDs is ascending, so the column in its order is the ID-ordered
+	// record the WAL wants.
+	ids := d.db.graph.BaseIDs
+	if d.entries == nil {
+		d.entries = make([]segment.Entry, len(ids))
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
-	if err := d.wal.Append(gen, entries); err != nil {
+	for i, id := range ids {
+		d.entries[i] = segment.Entry{ID: int64(id), Value: column[i]}
+	}
+	if err := d.wal.Append(gen, d.entries); err != nil {
 		return err
 	}
 	d.sinceCompact++
@@ -333,10 +366,10 @@ func (d *Durable) compactLocked(toGen uint64) error {
 	for i := range times {
 		times[i] = int64(from) + int64(i)
 	}
-	series := make([]segment.Series, 0, len(g.BaseIDs))
-	for _, id := range g.BaseIDs {
-		vals := g.NodeValues(id)
-		series = append(series, segment.Series{Key: g.KeyOf(id), Times: times, Values: vals[from:toGen]})
+	keys := d.db.renderKeys(g.BaseIDs) // one string for all of them, gone with the image
+	series := make([]segment.Series, len(g.BaseIDs))
+	for i, id := range g.BaseIDs {
+		series[i] = segment.Series{Key: keys[i], Times: times, Values: g.NodeValues(id)[from:toGen]}
 	}
 	img, err := segment.EncodeSegment(segment.Header{Fingerprint: d.fingerprint, FromGen: from, ToGen: toGen}, series)
 	if err != nil {

@@ -101,13 +101,13 @@ func saveDatabaseLocked(w io.Writer, db *DB, _ guard) error {
 	// stripe count is a runtime tuning knob, not data: the image stays a
 	// flat member-key map, so a snapshot taken with one stripe layout
 	// restores under any other.
+	held := make([]baseRow, 0, db.pendingTotal.Load())
 	for i := range db.stripes {
 		db.stripes[i].lock()
 	}
-	pending := make(map[int]float64, len(db.graph.BaseIDs))
-	for i := range db.stripes {
-		for id, v := range db.stripes[i].pending {
-			pending[id] = v
+	for ord, id := range db.graph.BaseIDs {
+		if db.present[ord] {
+			held = append(held, baseRow{id, db.pending[ord]})
 		}
 	}
 	for i := range db.stripes {
@@ -117,9 +117,12 @@ func saveDatabaseLocked(w io.Writer, db *DB, _ guard) error {
 	img := dbImage{
 		Dims:         db.graph.Dims,
 		StepDuration: db.planner.step,
-		Pending:      make(map[string]float64, len(pending)),
+		Pending:      make(map[string]float64, len(held)),
 		Inserts:      uint64(db.met.inserts.Load()),
 		Batches:      uint64(db.met.batches.Load()),
+	}
+	for _, r := range held {
+		img.Pending[db.graph.KeyOf(r.id)] = r.value
 	}
 	for _, id := range db.graph.BaseIDs {
 		n := db.graph.Node(id)
@@ -131,9 +134,6 @@ func saveDatabaseLocked(w io.Writer, db *DB, _ guard) error {
 			Members: members,
 			Series:  n.Series.Slice(0, db.graph.Length).Clone(),
 		})
-	}
-	for id, v := range pending {
-		img.Pending[db.graph.Node(id).Key(db.graph.Dims)] = v
 	}
 	if db.plans != nil {
 		db.planMu.Lock()

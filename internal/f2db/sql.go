@@ -243,6 +243,9 @@ func (db *DB) renderKeys(nodes []int) []string {
 	var endBuf [64]int
 	var keyBuf [64]byte
 	ends, buf := endBuf[:0], keyBuf[:0]
+	if len(nodes) > len(endBuf) {
+		ends = make([]int, 0, len(nodes))
+	}
 	for i, id := range nodes {
 		buf = db.graph.CoordOf(id).AppendKey(buf, db.graph.Dims)
 		if i == 0 {

@@ -7,11 +7,11 @@ import (
 )
 
 // Write-path striping (DESIGN.md §6): base series are partitioned into N
-// stripes by a hash of their node ID, and every stripe owns its slice of
-// the pending insert batch behind its own mutex. Concurrent insert streams
-// touching different stripes never contend; the engine write lock is only
-// taken when a batch completes and time advances — a cross-stripe barrier
-// that must still see every stripe's buffer at once.
+// stripes by a hash of their node ID, and every stripe's mutex guards its
+// base series' slots of the pending column (DB.pending, DB.present).
+// Concurrent insert streams touching different stripes never contend; the
+// engine write lock is only taken when a batch completes and time advances —
+// a cross-stripe barrier that must still see the whole column at once.
 //
 // The stripe count is fixed at Open (Options.Stripes), a power of two so
 // routing is a multiply and a shift. Stripe membership is deterministic:
@@ -22,15 +22,15 @@ import (
 // hardware thread owns a stripe, more stripes only cost barrier time.
 const maxWriteStripes = 256
 
-// writeStripe is one shard of the pending insert batch.
+// writeStripe is one shard of the pending insert batch: the lock over the
+// pending-column slots of the base series routed to it.
 type writeStripe struct {
-	mu      sync.Mutex
-	pending map[int]float64
+	mu sync.Mutex
 	// bases is the number of base series routed to this stripe (fixed at
-	// Open); the stripe is full when len(pending) == bases.
+	// Open); the stripe is full when depth == bases.
 	bases int
-	// depth mirrors len(pending) so Metrics can report per-stripe queue
-	// depth without taking mu.
+	// depth counts the stripe's slots that hold a value, so Metrics can
+	// report per-stripe queue depth without taking mu.
 	depth atomic.Int64
 	// contention counts lock acquisitions that found the stripe locked.
 	contention atomic.Int64

@@ -56,34 +56,41 @@ func (d *decoder) bytes(n int) ([]byte, error) {
 	return b, nil
 }
 
-// bitWriter packs bits MSB-first into a byte slice.
+// bitWriter packs bits MSB-first onto a byte slice, eight bytes at a time:
+// bits collect right-aligned in a 64-bit accumulator that is appended
+// big-endian whenever it fills.
 type bitWriter struct {
-	buf  []byte
-	cur  byte
-	nCur uint // bits currently in cur
+	buf []byte
+	acc uint64
+	n   uint // bits held in acc, always < 64
 }
 
-func (w *bitWriter) writeBit(b uint64) {
-	w.cur = w.cur<<1 | byte(b&1)
-	w.nCur++
-	if w.nCur == 8 {
-		w.buf = append(w.buf, w.cur)
-		w.cur, w.nCur = 0, 0
-	}
-}
-
+// writeBits appends the low n bits of v (n <= 64), most significant first.
 func (w *bitWriter) writeBits(v uint64, n uint) {
-	for i := n; i > 0; i-- {
-		w.writeBit(v >> (i - 1))
+	if n < 64 {
+		v &= 1<<n - 1
 	}
+	free := 64 - w.n
+	if n < free {
+		w.acc = w.acc<<n | v
+		w.n += n
+		return
+	}
+	rest := n - free // bits of v that do not fit the accumulator any more
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc<<free|v>>rest)
+	w.acc, w.n = v&(1<<rest-1), rest
 }
 
-// finish flushes the partial byte (zero-padded) and returns the stream.
+// finish flushes the held bits (the last byte zero-padded) and returns the
+// stream.
 func (w *bitWriter) finish() []byte {
-	if w.nCur > 0 {
-		w.buf = append(w.buf, w.cur<<(8-w.nCur))
-		w.cur, w.nCur = 0, 0
+	for ; w.n >= 8; w.n -= 8 {
+		w.buf = append(w.buf, byte(w.acc>>(w.n-8)))
 	}
+	if w.n > 0 {
+		w.buf = append(w.buf, byte(w.acc<<(8-w.n)))
+	}
+	w.acc, w.n = 0, 0
 	return w.buf
 }
 
@@ -187,10 +194,9 @@ func appendValuesXOR(b []byte, values []float64) []byte {
 		xor := cur ^ prev
 		prev = cur
 		if xor == 0 {
-			w.writeBit(0)
+			w.writeBits(0, 1)
 			continue
 		}
-		w.writeBit(1)
 		lead := uint(bits.LeadingZeros64(xor))
 		if lead > 63 {
 			lead = 63
@@ -199,13 +205,11 @@ func appendValuesXOR(b []byte, values []float64) []byte {
 		sig := 64 - lead - trail
 		if prevLead <= lead && prevLead+prevSig >= lead+sig {
 			// The previous window still covers every significant bit.
-			w.writeBit(0)
+			w.writeBits(0b10, 2)
 			w.writeBits(xor>>(64-prevLead-prevSig), prevSig)
 			continue
 		}
-		w.writeBit(1)
-		w.writeBits(uint64(lead), 6)
-		w.writeBits(uint64(sig-1), 6)
+		w.writeBits(0b11<<12|uint64(lead)<<6|uint64(sig-1), 14)
 		w.writeBits(xor>>trail, sig)
 		prevLead, prevSig = lead, sig
 	}

@@ -53,63 +53,74 @@ type Series struct {
 // corrupt counts driving allocation.
 const maxSegmentSeries = 16 << 20
 
+// blockFrameLen is the u32 length ‖ u32 CRC-32C prefix of every block.
+const blockFrameLen = 8
+
 // EncodeSegment renders a complete segment image. Series are written in
-// the order given; the index preserves it.
+// the order given; the index preserves it. It allocates per segment, not
+// per series: the image is sized up front for the worst the columns can
+// cost (a byte a timestamp when regularly sampled, 78 bits a value), every
+// block is encoded in place behind its reserved frame, series that share
+// their Times slice share one encoding of it, and the index finds the
+// block offsets by walking the frames.
 func EncodeSegment(hdr Header, series []Series) ([]byte, error) {
 	if len(series) > maxSegmentSeries {
 		return nil, fmt.Errorf("segment: %d series exceeds the format bound", len(series))
 	}
-	buf := make([]byte, 0, 1024)
-	buf = append(buf, segMagic[:]...)
-	buf = binary.LittleEndian.AppendUint64(buf, hdr.Fingerprint)
-	buf = binary.LittleEndian.AppendUint64(buf, hdr.FromGen)
-	buf = binary.LittleEndian.AppendUint64(buf, hdr.ToGen)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(series)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
-
-	type indexEntry struct {
-		key    string
-		offset uint64
-		count  uint64
+	size := segHeaderLen + 2*blockFrameLen + segTrailerLen
+	for _, s := range series {
+		size += blockFrameLen + 2*len(s.Key) + 5*binary.MaxVarintLen32 + 11*len(s.Times)
 	}
-	index := make([]indexEntry, 0, len(series))
-	var scratch []byte
+	buf := make([]byte, segHeaderLen, size)
+	copy(buf, segMagic[:])
+	binary.LittleEndian.PutUint64(buf[8:], hdr.Fingerprint)
+	binary.LittleEndian.PutUint64(buf[16:], hdr.FromGen)
+	binary.LittleEndian.PutUint64(buf[24:], hdr.ToGen)
+	binary.LittleEndian.PutUint32(buf[32:], uint32(len(series)))
+	binary.LittleEndian.PutUint32(buf[segHeaderLen-4:], crc32.Checksum(buf[:segHeaderLen-4], crcTable))
+
+	var ts []byte // the encoded form of tsOf
+	var tsOf []int64
 	for _, s := range series {
 		if len(s.Times) != len(s.Values) {
 			return nil, fmt.Errorf("segment: series %q has %d timestamps but %d values", s.Key, len(s.Times), len(s.Values))
 		}
-		index = append(index, indexEntry{key: s.Key, offset: uint64(len(buf)), count: uint64(len(s.Times))})
-		scratch = scratch[:0]
-		scratch = appendUvarint(scratch, uint64(len(s.Key)))
-		scratch = append(scratch, s.Key...)
-		scratch = appendUvarint(scratch, uint64(len(s.Times)))
-		ts := appendTimesDoD(nil, s.Times)
-		scratch = appendUvarint(scratch, uint64(len(ts)))
-		scratch = append(scratch, ts...)
-		scratch = appendValuesXOR(scratch, s.Values)
-		buf = appendBlock(buf, scratch)
+		if len(s.Times) != len(tsOf) || len(tsOf) > 0 && &s.Times[0] != &tsOf[0] {
+			ts, tsOf = appendTimesDoD(ts[:0], s.Times), s.Times
+		}
+		start := len(buf)
+		buf = append(buf, make([]byte, blockFrameLen)...)
+		buf = appendUvarint(buf, uint64(len(s.Key)))
+		buf = append(buf, s.Key...)
+		buf = appendUvarint(buf, uint64(len(s.Times)))
+		buf = appendUvarint(buf, uint64(len(ts)))
+		buf = append(buf, ts...)
+		buf = appendValuesXOR(buf, s.Values)
+		frameBlock(buf, start)
 	}
 
-	indexOff := uint64(len(buf))
-	scratch = scratch[:0]
-	scratch = appendUvarint(scratch, uint64(len(index)))
-	for _, e := range index {
-		scratch = appendUvarint(scratch, uint64(len(e.key)))
-		scratch = append(scratch, e.key...)
-		scratch = appendUvarint(scratch, e.offset)
-		scratch = appendUvarint(scratch, e.count)
+	indexOff := len(buf)
+	buf = append(buf, make([]byte, blockFrameLen)...)
+	buf = appendUvarint(buf, uint64(len(series)))
+	off := segHeaderLen // of the series' block: each frame says where the next starts
+	for _, s := range series {
+		buf = appendUvarint(buf, uint64(len(s.Key)))
+		buf = append(buf, s.Key...)
+		buf = appendUvarint(buf, uint64(off))
+		buf = appendUvarint(buf, uint64(len(s.Times)))
+		off += blockFrameLen + int(binary.LittleEndian.Uint32(buf[off:]))
 	}
-	buf = appendBlock(buf, scratch)
-	buf = binary.LittleEndian.AppendUint64(buf, indexOff)
-	buf = append(buf, segEndMagic[:]...)
-	return buf, nil
+	frameBlock(buf, indexOff)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(indexOff))
+	return append(buf, segEndMagic[:]...), nil
 }
 
-// appendBlock frames a payload as u32 length ‖ u32 CRC-32C ‖ payload.
-func appendBlock(buf, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	return append(buf, payload...)
+// frameBlock completes the block whose reserved frame starts at start and
+// whose payload runs to the end of buf: u32 length ‖ u32 CRC-32C ‖ payload.
+func frameBlock(buf []byte, start int) {
+	payload := buf[start+blockFrameLen:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
 }
 
 // readBlock validates and returns the framed payload at off.

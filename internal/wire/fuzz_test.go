@@ -102,6 +102,8 @@ func FuzzDecodeResult(f *testing.F) {
 	}
 	f.Add(AppendResult(nil, sampleResult()))
 	f.Add([]byte{1, 0, 1, 0, 0, 0, 0})
+	f.Add(AppendResult(nil, &f2db.Result{Plan: "direct"})) // EXPLAIN: a plan, no groups
+	f.Add([]byte{0, 0, 0})                                 // neither
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		checkDecodeTwin(t, payload)
 	})

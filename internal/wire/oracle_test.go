@@ -119,7 +119,7 @@ func oracleDecodeResult(payload []byte) (*f2db.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if numGroups == 0 {
+	if numGroups == 0 && res.Plan == "" {
 		return nil, errors.New("wire: result with zero groups")
 	}
 	res.Groups = make([]f2db.Group, 0, numGroups)
@@ -162,8 +162,10 @@ func oracleDecodeResult(payload []byte) (*f2db.Result, error) {
 	if len(d.buf) != 0 {
 		return nil, fmt.Errorf("wire: %d trailing bytes after result", len(d.buf))
 	}
-	res.Node = res.Groups[0].Node
-	res.NodeKey = res.Groups[0].NodeKey
-	res.Rows = res.Groups[0].Rows
+	if numGroups > 0 {
+		res.Node = res.Groups[0].Node
+		res.NodeKey = res.Groups[0].NodeKey
+		res.Rows = res.Groups[0].Rows
+	}
 	return res, nil
 }

@@ -104,6 +104,34 @@ func randResult(rng *rand.Rand) *f2db.Result {
 	return res
 }
 
+// TestDecodeResultExplain: an EXPLAIN answer — a plan and no groups — decodes
+// to a result with that plan and nothing else set; with no plan either, a
+// group-less payload is still malformed. Both decoders, identically.
+func TestDecodeResultExplain(t *testing.T) {
+	for _, forecast := range []bool{false, true} {
+		payload := AppendResult(nil, &f2db.Result{Node: 7, NodeKey: "region=R1", Forecast: forecast, Plan: "direct from [region=R1]"})
+		got, err := checkDecodeTwin(t, payload)
+		if err != nil {
+			t.Fatalf("EXPLAIN answer refused: %v", err)
+		}
+		want := &f2db.Result{Forecast: forecast, Plan: "direct from [region=R1]", Groups: []f2db.Group{}}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("EXPLAIN answer decoded as %+v, want %+v", got, want)
+		}
+		for cut := 0; cut < len(payload); cut++ {
+			if _, err := checkDecodeTwin(t, payload[:cut]); err == nil {
+				t.Fatalf("truncation at %d accepted", cut)
+			}
+		}
+		if _, err := checkDecodeTwin(t, append(payload, 0)); err == nil {
+			t.Fatal("trailing byte accepted")
+		}
+	}
+	if _, err := checkDecodeTwin(t, AppendResult(nil, &f2db.Result{})); err == nil || err.Error() != "wire: result with zero groups" {
+		t.Fatalf("a result with neither plan nor groups: %v", err)
+	}
+}
+
 // TestDecodeResultTwin is the differential gate for the slab decoder: on
 // generated results (1–100 groups, 0–8 rows, empty and non-ASCII strings)
 // it must return exactly what the replaced decoder returns — for the valid

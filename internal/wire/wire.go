@@ -322,7 +322,7 @@ func DecodeInfo(payload []byte) (Info, error) {
 //
 //	byte    flags            // bit 0: Forecast
 //	string  plan             // uvarint len + bytes, may be empty
-//	uvarint numGroups        // >= 1 for a well-formed result
+//	uvarint numGroups        // >= 1, or 0 with a non-empty plan (EXPLAIN)
 //	per group:
 //	  uvarint node
 //	  string  nodeKey
@@ -331,7 +331,8 @@ func DecodeInfo(payload []byte) (Info, error) {
 //	  per row: uvarint t, float64 value, float64 lo, float64 hi
 //
 // Result.Node/NodeKey/Rows (the first-group conveniences) are not encoded;
-// DecodeResult reconstructs them from Groups[0].
+// DecodeResult reconstructs them from Groups[0]. A result without groups is
+// an EXPLAIN answer: valid exactly when it carries a plan.
 const (
 	resultFlagForecast = 1 << 0
 
@@ -430,13 +431,15 @@ func (d *resultDecoder) walk(res *f2db.Result, rows []f2db.QueryRow) (numGroups,
 	}
 	res.Forecast = d.buf[0]&resultFlagForecast != 0
 	d.buf = d.buf[1:]
+	planLen, _ := binary.Uvarint(d.buf) // validated by str
 	if res.Plan, err = d.str(); err != nil {
 		return 0, 0, err
 	}
 	if numGroups, err = d.count(minGroupEnc); err != nil {
 		return 0, 0, err
 	}
-	if numGroups == 0 {
+	// Only an EXPLAIN answer has no groups, and it has a plan.
+	if numGroups == 0 && planLen == 0 {
 		return 0, 0, errors.New("wire: result with zero groups")
 	}
 	for i := 0; i < numGroups; i++ {
@@ -501,8 +504,10 @@ func DecodeResult(payload []byte) (*f2db.Result, error) {
 	if _, _, err := d.walk(res, make([]f2db.QueryRow, numRows)); err != nil {
 		return nil, err
 	}
-	res.Node = res.Groups[0].Node
-	res.NodeKey = res.Groups[0].NodeKey
-	res.Rows = res.Groups[0].Rows
+	if numGroups > 0 {
+		res.Node = res.Groups[0].Node
+		res.NodeKey = res.Groups[0].NodeKey
+		res.Rows = res.Groups[0].Rows
+	}
 	return res, nil
 }
