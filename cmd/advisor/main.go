@@ -73,11 +73,11 @@ func main() {
 		}
 	}
 
-	var lastBound float64
+	var last core.Snapshot
 	if o.src.SampleSize > 0 {
 		prev := opts.OnIteration
 		opts.OnIteration = func(s core.Snapshot) {
-			lastBound = s.SampleBound
+			last = s
 			if prev != nil {
 				prev(s)
 			}
@@ -93,7 +93,8 @@ func main() {
 		time.Since(start).Round(time.Millisecond), cfg.Error(), cfg.NumModels(),
 		100*float64(cfg.NumModels())/float64(g.NumNodes()), cfg.CostSeconds)
 	if o.src.SampleSize > 0 {
-		fmt.Printf("sampled estimation: K=%d, mean relative sampling error bound %.4f\n", o.src.SampleSize, lastBound)
+		fmt.Printf("sampled estimation: K=%d, series estimated: mean relative standard error %.4f; source sets sampled: mean bound %.4f\n",
+			o.src.SampleSize, last.SeriesError, last.SampleBound)
 	}
 
 	cfg.Report().Fprint(os.Stdout)

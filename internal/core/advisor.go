@@ -53,15 +53,22 @@ type Advisor struct {
 
 	rejected map[int]bool // nodes marked never to be selected again
 
-	// src is the sampling estimator in sampled mode (Options.SampleSize >
-	// 0): every series read — indicator histories, training series, test
-	// values, derivation weights — goes through it, so large aggregates
-	// are estimated from a reservoir of base series instead of
-	// materialized. nil in exact mode, where all reads take the exact
-	// code paths unchanged.
-	src *cube.SampledSource
+	// hist is where every series read — indicator histories, training
+	// series, test values, derivation weights — comes from: the graph
+	// itself, or sampler when Options.SampleSize is set, which estimates large
+	// aggregates from a reservoir of base series instead of materializing
+	// them. Exact is the source that never samples; nothing below
+	// NewAdvisor branches on which one it is.
+	hist    derivation.SeriesSource
+	sampler *cube.SampledSource // nil unless Options.SampleSize is set
+	// drawAbove is the source-set size above which evalScheme draws a PPS
+	// sample of the sources: cube.ExactUpTo(SampleSize), or no size at all
+	// when nothing is sampled.
+	drawAbove int
 	// boundSum/boundN accumulate the relative sampling bound of every
-	// sampled scheme evaluation (Advisor.SampleBound).
+	// evaluation that drew its sources (Advisor.SampleBound), under boundMu:
+	// the multi-source probes evaluate concurrently.
+	boundMu  sync.Mutex
 	boundSum float64
 	boundN   int
 
@@ -141,9 +148,12 @@ func NewAdvisor(g *cube.Graph, opts Options) (*Advisor, error) {
 		rejected:  make(map[int]bool),
 		alpha:     opts.Alpha0,
 		rng:       rand.New(rand.NewSource(opts.Seed)),
+		hist:      g,
+		drawAbove: math.MaxInt,
 	}
 	if opts.SampleSize > 0 {
-		a.src = cube.NewSampledSource(g, cube.SampleConfig{K: opts.SampleSize, Seed: opts.Seed})
+		a.sampler = cube.NewSampledSource(g, cube.SampleConfig{K: opts.SampleSize, Seed: opts.Seed})
+		a.hist, a.drawAbove = a.sampler, cube.ExactUpTo(opts.SampleSize)
 	}
 	if a.opts.Indicator.HistoryLen <= 0 || a.opts.Indicator.HistoryLen > trainLen {
 		a.opts.Indicator.HistoryLen = trainLen
@@ -200,7 +210,7 @@ func NewAdvisor(g *cube.Graph, opts Options) (*Advisor, error) {
 	// acceptance criterion (eq. 8): error enters relative to the initial
 	// configuration, costs relative to modeling the whole graph, making
 	// both dimensionless and comparable across data sets.
-	a.err0 = a.cfg.Error()
+	a.err0 = a.configError()
 	if a.err0 < 1e-9 {
 		a.err0 = 1e-9
 	}
@@ -268,49 +278,36 @@ func (a *Advisor) Gamma() float64 { return a.gamma }
 // IndicatorSize returns the derived |I| (targets per local indicator).
 func (a *Advisor) IndicatorSize() int { return a.indK }
 
-// Sampled reports whether the advisor runs in sampled-estimation mode.
-func (a *Advisor) Sampled() bool { return a.src != nil }
-
-// SampleBound returns the mean relative sampling error bound across all
-// sampled scheme evaluations so far — the advisor's running estimate of how
-// far its sampled errors may sit from the exact ones. 0 in exact mode.
+// SampleBound returns the mean relative sampling error bound across the
+// scheme evaluations that drew a PPS sample of their sources so far. 0 when
+// none did — every source set was at most cube.ExactUpTo(SampleSize) large.
 func (a *Advisor) SampleBound() float64 {
+	a.boundMu.Lock()
+	defer a.boundMu.Unlock()
 	if a.boundN == 0 {
 		return 0
 	}
 	return a.boundSum / float64(a.boundN)
 }
 
-// testValues returns the evaluation part of a node's series: exact in exact
-// mode, a reservoir estimate in sampled mode.
+// testValues returns the evaluation part of a node's series.
 func (a *Advisor) testValues(id int) []float64 {
-	if a.src == nil {
-		return a.cfg.testValues(id)
-	}
-	return a.src.NodeValues(id)[a.cfg.TrainLen:a.g.Length]
+	return a.hist.NodeValues(id)[a.cfg.TrainLen:a.g.Length]
 }
 
-// fitNode fits the factory's model on the node's training series — the
-// exact series in exact mode, the reservoir estimate in sampled mode (the
-// fitted model then forecasts the estimated aggregate, which the sampling
-// bound accounts for).
+// fitNode fits the factory's model on the training part of the node's
+// series. Where that series is a reservoir estimate the fitted model
+// forecasts the estimated aggregate, which Snapshot.SeriesError accounts
+// for. A Fit only reads its series.
 func (a *Advisor) fitNode(factory forecast.Factory, id int, extraDelay time.Duration) (forecast.Model, time.Duration, error) {
-	if a.src == nil {
-		return a.cfg.FitModel(factory, id, extraDelay)
-	}
-	vals := append([]float64(nil), a.src.NodeValues(id)[:a.cfg.TrainLen]...)
-	return a.cfg.FitModelOn(factory, timeseries.New(vals, a.g.Period), extraDelay)
+	train := a.hist.NodeValues(id)[:a.cfg.TrainLen:a.cfg.TrainLen]
+	return a.cfg.FitModelOn(factory, timeseries.New(train, a.g.Period), extraDelay)
 }
 
-// configError returns the mean configuration error. Exact mode delegates
-// to Configuration.Error (the historical O(N) scan, kept so exact runs
-// report bit-identical values); sampled mode answers in O(1) from the
-// running error sum the advisor maintains anyway — an O(N) scan per
-// iteration would defeat the sub-linear pipeline on large cubes.
+// configError returns the mean configuration error, in O(1) from the running
+// error sum: an O(N) scan per iteration would defeat the sub-linear pipeline
+// on large cubes.
 func (a *Advisor) configError() float64 {
-	if a.src == nil {
-		return a.cfg.Error()
-	}
 	return a.errSum / float64(a.g.NumNodes())
 }
 
@@ -354,11 +351,6 @@ func (a *Advisor) fitWithFallback(id int) (forecast.Model, time.Duration, error)
 	return nil, d, fmt.Errorf("core: no model family fits node %d: %w", id, err)
 }
 
-// warmed wraps a model factory so that freshly constructed models of a
-// warm-startable family are seeded from the parameters of the last accepted
-// model of that family before Fit runs. The seed is one-shot and guarded by
-// the model's own fallback rule, so a stale seed costs at most a bounded
-// warm probe before the cold search runs anyway.
 // warmKey identifies a warm seed: the node whose series was fitted and the
 // model family the parameters belong to.
 type warmKey struct {
@@ -367,7 +359,9 @@ type warmKey struct {
 }
 
 // warmed wraps a factory so the built model seeds its optimizer from the
-// node's previous fit of the same family, when one exists.
+// node's previous fit of the same family, when one exists. The seed is
+// one-shot and guarded by the model's own fallback rule, so a stale seed
+// costs at most a bounded warm probe before the cold search runs anyway.
 func (a *Advisor) warmed(f forecast.Factory, id int) forecast.Factory {
 	return func(period int) forecast.Model {
 		m := f(period)
@@ -435,7 +429,7 @@ func (a *Advisor) addModel(id int, m forecast.Model, dur time.Duration, fc []flo
 
 	// Derivation schemes for every target the local indicator covers —
 	// and, for the very first model, for the entire graph so the initial
-	// configuration has a valid scheme everywhere. Sampled mode skips the
+	// configuration has a valid scheme everywhere. A sampled run skips the
 	// very first backfill entirely (full-graph or indicator-wide, it would
 	// evaluate — and make the graph materialize — thousands of nodes
 	// before the advisor has refined anything); uncovered nodes resolve a
@@ -446,7 +440,7 @@ func (a *Advisor) addModel(id int, m forecast.Model, dur time.Duration, fc []flo
 	// backfill: one allocation instead of one per node.
 	var slab []int
 	if len(a.cfg.Models) == 1 {
-		if a.src == nil {
+		if a.sampler == nil {
 			targets = make([]int, a.g.NumNodes())
 			for t := range targets {
 				targets[t] = t
@@ -479,11 +473,11 @@ func (a *Advisor) addModel(id int, m forecast.Model, dur time.Duration, fc []flo
 	// Aggregation check (Figure 3b): if this model completes a child
 	// hyper edge of one of its parents, evaluate the classical
 	// aggregation scheme for that parent.
-	for d, pid := range a.g.Node(id).ParentIDs {
+	for d, pid := range a.g.ParentsOf(id) {
 		if pid < 0 {
 			continue
 		}
-		edge := a.g.Node(pid).ChildEdges[d]
+		edge := a.g.ChildrenAlong(pid, d)
 		complete := true
 		for _, c := range edge {
 			if _, ok := a.cfg.Models[c]; !ok {
@@ -506,18 +500,18 @@ func (a *Advisor) addModel(id int, m forecast.Model, dur time.Duration, fc []flo
 // building it: the derivation weight and the clamped test error. Tens of
 // thousands are computed per run and all but a few lose to the node's
 // current scheme, so a derivation.Scheme is built (mkScheme) only for a
-// winner. Sampled mode cannot evaluate without building and hands over the
-// scheme it built, in sampled, instead of k.
+// winner. An evaluation that drew its sources has built the scheme already
+// — the sources it picked and their weights — and hands it over in drawn.
 type evaluation struct {
-	k, err  float64
-	sampled *derivation.Scheme
+	k, err float64
+	drawn  *derivation.Scheme
 }
 
 // mkScheme builds the scheme an evaluation of sources → t stands for. It
 // keeps sources: the caller passes a slice the scheme may own.
 func (a *Advisor) mkScheme(t int, sources []int, ev evaluation) derivation.Scheme {
-	if ev.sampled != nil {
-		return *ev.sampled
+	if ev.drawn != nil {
+		return *ev.drawn
 	}
 	return derivation.Scheme{Target: t, Sources: sources, K: ev.k, Kind: derivation.Classify(a.g, t, sources)}
 }
@@ -529,15 +523,13 @@ func (a *Advisor) evalSingleSource(s, t int) (evaluation, bool) {
 	return a.evalScheme(t, src[:])
 }
 
-// evalScheme evaluates the scheme sources → t on the test horizon, without
-// allocating. All sources must have cached forecasts. In sampled mode the
-// scheme is built from a PPS sample of the sources (FlashP-style) and its
-// error is measured against the estimated test values; the scheme's
-// relative sampling bound feeds Advisor.SampleBound.
+// evalScheme evaluates the scheme sources → t on the test horizon: the
+// weight k = h_t / Σ h_s over the training part, SMAPE on the test part
+// (Section IV-B). All sources must have cached forecasts. A source set of at
+// most drawAbove members — every set of an exact run — is evaluated whole and
+// without allocating; a larger one through a PPS sample of its sources
+// (FlashP-style), whose relative sampling bound feeds Advisor.SampleBound.
 func (a *Advisor) evalScheme(t int, sources []int) (evaluation, bool) {
-	if a.src != nil {
-		return a.evalSchemeSampled(t, sources)
-	}
 	var buf [8][]float64
 	fcs := buf[:0]
 	for _, s := range sources {
@@ -547,69 +539,68 @@ func (a *Advisor) evalScheme(t int, sources []int) (evaluation, bool) {
 		}
 		fcs = append(fcs, fc)
 	}
-	k, err := derivation.Weight(a.g, t, sources, a.cfg.TrainLen)
+	sc := derivation.Scheme{Target: t, Sources: sources}
+	var drawn *derivation.SampledScheme
+	var err error
+	if len(sources) > a.drawAbove {
+		drawn, err = derivation.NewSampledScheme(a.hist, a.g, t, sources, a.cfg.TrainLen, derivation.SampleOptions{
+			SampleSize: a.opts.SampleSize,
+			Seed:       a.opts.Seed,
+		})
+		if err == nil {
+			sc = drawn.Scheme
+			fcs = fcs[:0]
+			for _, s := range sc.Sources {
+				fcs = append(fcs, a.modelFc[s])
+			}
+		}
+	} else {
+		sc.K, err = derivation.Weight(a.hist, t, sources, a.cfg.TrainLen)
+	}
 	if err != nil {
 		return evaluation{}, false
 	}
-	e, err := a.cfg.SchemeError(derivation.Scheme{Target: t, Sources: sources, K: k}, fcs)
+	e, err := sc.SMAPE(a.testValues(t), fcs)
 	if err != nil || math.IsNaN(e) {
 		return evaluation{}, false
 	}
-	return evaluation{k: k, err: clampErr(e)}, true
+	ev := evaluation{k: sc.K, err: clampErr(e)}
+	if drawn != nil {
+		a.noteSampleBound(drawn, fcs)
+		ev.drawn = &drawn.Scheme
+	}
+	return ev, true
 }
 
-func (a *Advisor) evalSchemeSampled(t int, sources []int) (evaluation, bool) {
-	for _, s := range sources {
-		if _, ok := a.modelFc[s]; !ok {
-			return evaluation{}, false
-		}
-	}
-	sd, err := derivation.NewSampledScheme(a.src, a.g, t, sources, a.cfg.TrainLen, derivation.SampleOptions{
-		SampleSize: a.opts.SampleSize,
-		Confidence: a.opts.SampleConfidence,
-		Seed:       a.opts.Seed,
-	})
-	if err != nil {
-		return evaluation{}, false
-	}
-	fcs := make([][]float64, len(sd.Scheme.Sources))
-	for i, s := range sd.Scheme.Sources {
-		fcs[i] = a.modelFc[s]
-	}
+// noteSampleBound adds the relative half-width of a drawn scheme's
+// confidence interval — Σ(fc − lo) / Σ|fc| over the test horizon — to the
+// running mean behind Advisor.SampleBound.
+func (a *Advisor) noteSampleBound(sd *derivation.SampledScheme, fcs [][]float64) {
 	fc, lo, _, err := sd.ApplyWithBound(fcs)
 	if err != nil {
-		return evaluation{}, false
+		return
 	}
-	e := timeseries.SMAPE(a.testValues(t), fc)
-	if math.IsNaN(e) {
-		return evaluation{}, false
+	var num, den float64
+	for i := range fc {
+		num += fc[i] - lo[i]
+		den += math.Abs(fc[i])
 	}
-	if !sd.Exact {
-		var num, den float64
-		for i := range fc {
-			num += fc[i] - lo[i]
-			den += math.Abs(fc[i])
-		}
-		if den > 0 {
-			a.boundSum += num / den
-			a.boundN++
-		}
+	if den > 0 {
+		a.boundMu.Lock()
+		a.boundSum += num / den
+		a.boundN++
+		a.boundMu.Unlock()
 	}
-	return evaluation{err: clampErr(e), sampled: &sd.Scheme}, true
 }
 
 // computeLocal builds the local indicator of a node over its |I| closest
-// graph neighbors. Sampled mode reads the histories through the reservoir
-// estimator, so scoring a candidate does not materialize its neighborhood's
+// graph neighbors. The histories come from hist, so under the reservoir
+// estimator scoring a candidate does not materialize its neighborhood's
 // aggregates.
 func (a *Advisor) computeLocal(id int) *indicator.Local {
 	bfs := a.borrowBFS()
 	defer a.returnBFS(bfs)
-	targets := a.g.ClosestNodes(bfs, id, a.indK)
-	if a.src != nil {
-		return indicator.ComputeLocalFrom(a.src, id, targets, a.opts.Indicator)
-	}
-	return indicator.ComputeLocal(a.g, id, targets, a.opts.Indicator)
+	return indicator.ComputeLocal(a.hist, id, a.g.ClosestNodes(bfs, id, a.indK), a.opts.Indicator)
 }
 
 // borrowBFS takes a BFS scratch off the free list, or makes one.
@@ -694,6 +685,7 @@ func (a *Advisor) Step() (done bool, err error) {
 	snap.CostSeconds = a.cfg.CostSeconds
 	snap.SelectionTime = a.lastSelTime
 	snap.EvalTime = a.lastEvalTime
+	snap.SeriesError = a.sampler.MeanRelStd()
 	snap.SampleBound = a.SampleBound()
 	if a.opts.OnIteration != nil {
 		a.opts.OnIteration(snap)

@@ -21,9 +21,9 @@ func genCubeGraph(t *testing.T, nodes int) *cube.Graph {
 
 // TestAdvisorSelfConsistent: what the advisor's allocation-free evaluation
 // wrote into a configuration is what the public API computes for it — every
-// node's weight and error equal derivation.NewScheme and
-// Configuration.SchemeError over the source models' own forecasts, bit for
-// bit.
+// node's weight and error equal derivation.NewScheme and its Scheme.SMAPE
+// against the evaluation part of the node's series, over the source models'
+// own forecasts, bit for bit.
 func TestAdvisorSelfConsistent(t *testing.T) {
 	multi := 0
 	for name, run := range map[string]func() (*Configuration, error){
@@ -53,12 +53,12 @@ func TestAdvisorSelfConsistent(t *testing.T) {
 			if math.Float64bits(sc.K) != math.Float64bits(want.K) {
 				t.Errorf("%s: node %d: K = %v, NewScheme says %v", name, id, sc.K, want.K)
 			}
-			e, err := cfg.SchemeError(want, fcs)
+			e, err := want.SMAPE(cfg.Graph.NodeValues(id)[cfg.TrainLen:], fcs)
 			if err != nil {
 				t.Fatalf("%s: node %d: %v", name, id, err)
 			}
 			if got := cfg.Errors[id]; math.Float64bits(got) != math.Float64bits(clampErr(e)) {
-				t.Errorf("%s: node %d: error %v, SchemeError says %v", name, id, got, clampErr(e))
+				t.Errorf("%s: node %d: error %v, Scheme.SMAPE says %v", name, id, got, clampErr(e))
 			}
 		}
 	}
@@ -69,31 +69,42 @@ func TestAdvisorSelfConsistent(t *testing.T) {
 
 // TestEvalSchemeAllocs is the allocation gate of scheme evaluation: the
 // advisor evaluates some 97 000 candidate schemes per run on a 5 041-node
-// cube and keeps a few hundred, so evaluating one allocates nothing.
+// cube and keeps a few hundred, so evaluating one allocates nothing — with
+// and without the reservoir estimator: source sets of 1 and 3 are within
+// 2·SampleSize and are not drawn from.
 func TestEvalSchemeAllocs(t *testing.T) {
-	g := genCubeGraph(t, 300)
-	adv, err := NewAdvisor(g, goldenOptions(1, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer adv.Close()
-	for adv.cfg.NumModels() < 3 {
-		if done, err := adv.Step(); err != nil || done {
-			t.Fatalf("advisor stopped at %d models (err %v)", adv.cfg.NumModels(), err)
+	for _, sampleSize := range []int{0, 8} {
+		g := genCubeGraph(t, 300)
+		opts := goldenOptions(1, 2)
+		opts.SampleSize = sampleSize
+		adv, err := NewAdvisor(g, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	ids := adv.cfg.ModelIDs()
-	target := 0
-	if n := testing.AllocsPerRun(100, func() {
-		if _, ok := adv.evalSingleSource(ids[0], target%g.NumNodes()); !ok {
-			t.Fatal("single-source evaluation failed")
+		defer adv.Close()
+		for adv.cfg.NumModels() < 3 {
+			if done, err := adv.Step(); err != nil || done {
+				t.Fatalf("SampleSize %d: advisor stopped at %d models (err %v)", sampleSize, adv.cfg.NumModels(), err)
+			}
 		}
-		if _, ok := adv.evalScheme(target%g.NumNodes(), ids[:3]); !ok {
-			t.Fatal("multi-source evaluation failed")
+		ids := adv.cfg.ModelIDs()
+		// Series estimates are cached on first use; the gate is on evaluating,
+		// so every target has been read once.
+		for id := 0; id < g.NumNodes(); id++ {
+			adv.testValues(id)
 		}
-		target++
-	}); n != 0 {
-		t.Fatalf("evaluating a scheme allocates %v times, want 0", n)
+		target := 0
+		if n := testing.AllocsPerRun(100, func() {
+			if _, ok := adv.evalSingleSource(ids[0], target%g.NumNodes()); !ok {
+				t.Fatal("single-source evaluation failed")
+			}
+			if _, ok := adv.evalScheme(target%g.NumNodes(), ids[:3]); !ok {
+				t.Fatal("multi-source evaluation failed")
+			}
+			target++
+		}); n != 0 {
+			t.Fatalf("SampleSize %d: evaluating a scheme allocates %v times, want 0", sampleSize, n)
+		}
 	}
 }
 

@@ -85,31 +85,18 @@ func (c *Configuration) trainSeries(id int) *timeseries.Series {
 	return c.Graph.Node(id).Series.Slice(0, c.TrainLen)
 }
 
-// testValues returns the evaluation part of a node's series.
-func (c *Configuration) testValues(id int) []float64 {
-	return c.Graph.Node(id).Series.Values[c.TrainLen:c.Graph.Length]
-}
-
 // FitModel fits a fresh model from factory on the training part of the
 // node's series and returns it together with the measured creation time.
 // extraDelay is added to simulate more expensive model types (used by the
 // Fig. 8c experiment, which "artificially var[ies] the time that is
 // required to create a single forecast model").
 func (c *Configuration) FitModel(factory forecast.Factory, id int, extraDelay time.Duration) (forecast.Model, time.Duration, error) {
-	start := time.Now()
-	if extraDelay > 0 {
-		time.Sleep(extraDelay)
-	}
-	m := factory(c.Graph.Period)
-	if err := m.Fit(c.trainSeries(id)); err != nil {
-		return nil, time.Since(start), fmt.Errorf("core: fitting %s at node %d: %w", m.Name(), id, err)
-	}
-	return m, time.Since(start), nil
+	return c.FitModelOn(factory, c.trainSeries(id), extraDelay)
 }
 
-// FitModelOn is FitModel over an explicit training series — the sampled
-// advisor's fit path, where the series is a reservoir estimate rather than
-// the node's materialized aggregate.
+// FitModelOn is FitModel over an explicit training series — the advisor's
+// fit path, where the series may be a reservoir estimate rather than the
+// node's materialized aggregate.
 func (c *Configuration) FitModelOn(factory forecast.Factory, s *timeseries.Series, extraDelay time.Duration) (forecast.Model, time.Duration, error) {
 	start := time.Now()
 	if extraDelay > 0 {
@@ -120,13 +107,6 @@ func (c *Configuration) FitModelOn(factory forecast.Factory, s *timeseries.Serie
 		return nil, time.Since(start), fmt.Errorf("core: fitting %s: %w", m.Name(), err)
 	}
 	return m, time.Since(start), nil
-}
-
-// SchemeError evaluates the real forecast error of a scheme on the
-// evaluation part of the target series, using the provided per-source
-// forecasts over the test horizon.
-func (c *Configuration) SchemeError(sc derivation.Scheme, sourceForecasts [][]float64) (float64, error) {
-	return sc.SMAPE(c.testValues(sc.Target), sourceForecasts)
 }
 
 // ModelIDs returns the sorted node IDs carrying a model.
@@ -160,10 +140,8 @@ func (c *Configuration) ResolveScheme(id int) (derivation.Scheme, error) {
 		return derivation.Scheme{}, fmt.Errorf("core: node %d has no derivation scheme and no models exist", id)
 	}
 	src := ids[0]
-	t := c.Graph.Node(id)
 	for _, s := range ids {
-		n := c.Graph.Node(s)
-		if c.Graph.Covers(n, t) || c.Graph.Covers(t, n) {
+		if c.Graph.Covers(s, id) || c.Graph.Covers(id, s) {
 			src = s
 			break
 		}

@@ -69,9 +69,9 @@ type Options struct {
 	// overall error by less than this fraction of the initial
 	// configuration error (default 0.002).
 	MinErrorImprovement float64
-	// Gamma0 overrides the initial preselection parameter γ; when NaN or
-	// unset (0 with AutoGamma true) it is derived so that the expected
-	// number of positive candidates matches Parallelism.
+	// Gamma0 overrides the initial preselection parameter γ; when 0 (unset)
+	// γ is derived so that the expected number of positive candidates
+	// matches Parallelism.
 	Gamma0 float64
 	// FixedGamma disables the γ feedback control (ablation).
 	FixedGamma bool
@@ -101,20 +101,18 @@ type Options struct {
 	MaxModels      int     // stop once the configuration holds this many models
 	MaxCostSeconds float64 // stop once accumulated creation time exceeds this
 
-	// SampleSize, when > 0, switches the advisor to sampled estimation
-	// (FlashP-style): node series and indicator histories are estimated
-	// from a deterministic reservoir of SampleSize covered base series per
-	// node, multi-source derivation schemes are built from a PPS sample of
-	// SampleSize sources with a confidence bound, and the initial
+	// SampleSize, when > 0, makes the advisor read every series through a
+	// reservoir estimator (FlashP-style): a node covering more than
+	// 2·SampleSize base series is estimated from a deterministic sample of
+	// SampleSize of them instead of materialized, and the initial
 	// full-graph scheme backfill is skipped (uncovered nodes resolve
 	// schemes lazily, Configuration.ResolveScheme), so the advisor touches
-	// — and the graph materializes — a sub-linear share of the cube. 0
-	// computes everything exactly — bit-identical to the pre-sampling
-	// advisor.
+	// — and the graph materializes — a sub-linear share of the cube.
+	// Evaluation is the one path of an exact run; only a source set of more
+	// than 2·SampleSize members is evaluated from a PPS sample of
+	// SampleSize of them, with a 0.95 confidence bound. 0 samples nothing —
+	// bit-identical to the pre-sampling advisor.
 	SampleSize int
-	// SampleConfidence is the coverage level of the sampling error bounds
-	// reported in sampled mode (default 0.95).
-	SampleConfidence float64
 
 	// OnIteration, when set, receives a snapshot after every iteration —
 	// the advisor "continuously outputs the forecast error as well as
@@ -142,8 +140,14 @@ type Snapshot struct {
 	Deleted       int
 	SelectionTime time.Duration
 	EvalTime      time.Duration
-	// SampleBound is the mean relative sampling error bound accumulated so
-	// far (0 in exact mode).
+	// SeriesError is the mean relative standard error of the series the
+	// reservoir estimator has estimated so far (cube.SampledSource.
+	// MeanRelStd) — how far the histories the advisor fits and evaluates on
+	// may sit from the exact aggregates. 0 when nothing was estimated.
+	SeriesError float64
+	// SampleBound is the mean relative sampling error bound of the scheme
+	// evaluations that drew a PPS sample of their sources so far
+	// (Advisor.SampleBound). 0 when none did.
 	SampleBound float64
 }
 
@@ -181,9 +185,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MultiSourceProbes == 0 {
 		o.MultiSourceProbes = 2 * o.Parallelism
-	}
-	if o.SampleConfidence <= 0 || o.SampleConfidence >= 1 {
-		o.SampleConfidence = 0.95
 	}
 	if o.Context == nil {
 		o.Context = context.Background()

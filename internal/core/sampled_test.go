@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"cubefc/internal/cube"
 	"cubefc/internal/datasets"
 )
 
@@ -16,35 +17,57 @@ func sampledTestCube(t *testing.T) *datasets.Dataset {
 	})
 }
 
+// materializedAbove counts the materialized nodes that cover more than pop
+// base series. It materializes the rest of them: the graph tells how many
+// nodes exist, not which.
+func materializedAbove(g *cube.Graph, pop int) int {
+	before, large := g.MaterializedNodes(), 0
+	for id := 0; id < g.NumNodes(); id++ {
+		if g.CoveredBaseCount(id) > pop {
+			large++
+			g.Node(id)
+		}
+	}
+	return large - (g.MaterializedNodes() - before)
+}
+
 func TestSampledAdvisorOnLazyCube(t *testing.T) {
 	d := sampledTestCube(t)
 	g, err := d.Graph()
 	if err != nil {
 		t.Fatal(err)
 	}
+	const k = 8
 	cfg, err := Run(g, Options{
 		Seed: 42,
 		// Small reservoir and a tight indicator budget so the advisor's
 		// touch set stays a strict subset of this (deliberately small)
-		// cube; production-scale runs use the defaults.
-		SampleSize:       8,
+		// cube; production-scale runs use the defaults. The pinned, wide
+		// preselection net makes the run reproducible and lets it accept
+		// models beyond the initial one.
+		SampleSize:       k,
 		IndicatorEntries: 2_000,
-		MaxIterations:    6,
+		FixedGamma:       true,
+		Gamma0:           -1,
+		MaxIterations:    40,
 		Parallelism:      2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.NumModels() < 1 {
-		t.Fatal("sampled advisor produced no models")
+	if cfg.NumModels() < 2 {
+		t.Fatalf("sampled advisor ended with %d models; the run never accepted one", cfg.NumModels())
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("sampled configuration invalid: %v", err)
 	}
 	// The whole point: the advisor must not have materialized the full
-	// cube.
+	// cube, and none of the aggregates the reservoir estimates.
 	if g.MaterializedNodes() >= g.NumNodes() {
 		t.Fatalf("sampled advisor materialized all %d nodes", g.NumNodes())
+	}
+	if n := materializedAbove(g, cube.ExactUpTo(k)); n != 0 {
+		t.Fatalf("sampled advisor materialized %d nodes covering more than %d base series", n, cube.ExactUpTo(k))
 	}
 	// Every node answers a forecast query, resolving schemes on demand.
 	for _, id := range []int{0, g.TopID, g.NumNodes() - 1} {
@@ -56,7 +79,7 @@ func TestSampledAdvisorOnLazyCube(t *testing.T) {
 
 func TestSampledModeIsDeterministic(t *testing.T) {
 	d := sampledTestCube(t)
-	run := func() map[int]string {
+	run := func() (uint64, int) {
 		g, err := d.Graph()
 		if err != nil {
 			t.Fatal(err)
@@ -69,26 +92,20 @@ func TestSampledModeIsDeterministic(t *testing.T) {
 			// timing-dependent.
 			FixedGamma:    true,
 			Gamma0:        0.5,
-			MaxIterations: 4,
+			MaxIterations: 12,
 			Parallelism:   2,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := make(map[int]string, len(cfg.Models))
-		for id, m := range cfg.Models {
-			out[id] = m.Name()
-		}
-		return out
+		return configDigest(cfg), cfg.NumModels()
 	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("model counts differ across runs: %d vs %d", len(a), len(b))
+	a, models := run()
+	if models < 2 {
+		t.Fatalf("run ended with %d models; nothing beyond the initial model to compare", models)
 	}
-	for id, name := range a {
-		if b[id] != name {
-			t.Fatalf("model at node %d differs across runs: %s vs %s", id, name, b[id])
-		}
+	if b, _ := run(); a != b {
+		t.Fatalf("configuration differs across runs: digest %#x vs %#x", a, b)
 	}
 }
 

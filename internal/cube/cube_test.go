@@ -218,18 +218,18 @@ func TestCovers(t *testing.T) {
 	g := fig1Graph(t)
 	top := g.Top()
 	base := g.Node(g.BaseIDs[0])
-	if !g.Covers(top, base) {
+	if !g.Covers(top.ID, base.ID) {
 		t.Error("top must cover every base node")
 	}
-	if g.Covers(base, top) {
+	if g.Covers(base.ID, top.ID) {
 		t.Error("base cannot cover top")
 	}
-	if !g.Covers(base, base) {
+	if !g.Covers(base.ID, base.ID) {
 		t.Error("node covers itself")
 	}
 	r1 := g.Lookup(Coord{{Level: 0, Value: "P1"}, {Level: 1, Value: "R1"}})
 	c3 := g.Lookup(Coord{{Level: 0, Value: "P1"}, {Level: 0, Value: "C3"}})
-	if g.Covers(r1, c3) {
+	if g.Covers(r1.ID, c3.ID) {
 		t.Error("R1 must not cover C3 (C3 belongs to R2)")
 	}
 }

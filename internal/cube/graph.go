@@ -243,7 +243,7 @@ func NewGraph(dims []Dimension, base []BaseSeries) (*Graph, error) {
 			Coord:      g.coords[id],
 			Series:     &seriesArr[i],
 			ChildEdges: edgesArr[i*D : (i+1)*D : (i+1)*D],
-			ParentIDs:  g.parentsOf(id),
+			ParentIDs:  g.ParentsOf(id),
 			IsBase:     true,
 		}
 		g.nodes[id].Store(n)
@@ -693,7 +693,7 @@ func (g *Graph) materialize(id int) *Node {
 		Coord:      coord,
 		Series:     timeseries.New(vals, g.Period),
 		ChildEdges: edges,
-		ParentIDs:  g.parentsOf(id),
+		ParentIDs:  g.ParentsOf(id),
 		Depth:      depth,
 	}
 	g.matIDs = append(g.matIDs, id)
@@ -743,11 +743,12 @@ func (g *Graph) Children(n *Node) []int {
 }
 
 // Covers reports whether node t covers (is an ancestor-or-equal of) node s,
-// i.e. whether the series of s contributes to the aggregate of t.
-func (g *Graph) Covers(t, s *Node) bool {
+// i.e. whether the series of s contributes to the aggregate of t. It reads
+// the skeleton's coordinates and materializes neither node.
+func (g *Graph) Covers(t, s int) bool {
 	for d := range g.Dims {
 		dim := &g.Dims[d]
-		tc, sc := t.Coord[d], s.Coord[d]
+		tc, sc := g.coords[t][d], g.coords[s][d]
 		if tc.Level < sc.Level {
 			return false
 		}
@@ -768,7 +769,7 @@ func (g *Graph) Covers(t, s *Node) bool {
 // not force series aggregation.
 func (g *Graph) Neighbors(id int) []int {
 	var out []int
-	for _, p := range g.parentsOf(id) {
+	for _, p := range g.ParentsOf(id) {
 		if p >= 0 {
 			out = append(out, p)
 		}
@@ -776,8 +777,10 @@ func (g *Graph) Neighbors(id int) []int {
 	return append(out, g.childrenOf(id)...)
 }
 
-// parentsOf returns the node's per-dimension parent IDs (-1 at ALL).
-func (g *Graph) parentsOf(id int) []int {
+// ParentsOf returns the node's per-dimension parent IDs (-1 at ALL), read
+// from the skeleton without materializing anything. The result is a view and
+// must not be written.
+func (g *Graph) ParentsOf(id int) []int {
 	D := len(g.Dims)
 	return g.parents[id*D : (id+1)*D : (id+1)*D]
 }
@@ -842,7 +845,7 @@ func (g *Graph) ClosestNodes(s *BFSScratch, id, k int) []int {
 	// Every discovered node is expanded in discovery order, so the result
 	// is its own queue: head is the next node to expand.
 	for cur, head := id, 0; ; head++ {
-		for _, p := range g.parentsOf(cur) {
+		for _, p := range g.ParentsOf(cur) {
 			if p >= 0 {
 				s.add(p, k)
 			}

@@ -8,15 +8,8 @@ import (
 // SampleConfig tunes the reservoir-sampled series estimator.
 type SampleConfig struct {
 	// K is the reservoir size: how many covered base series are sampled
-	// per estimated node.
+	// per estimated node (<= 0 defaults to 64).
 	K int
-	// ExactThreshold is the population size at or below which the
-	// estimator falls back to the exact aggregate (materializing the
-	// node): sampling a node that covers barely more bases than the
-	// reservoir holds costs nearly as much as computing it exactly, and
-	// the exact fallback is what makes sampled results converge to exact
-	// ones as K grows. <= 0 defaults to 2·K.
-	ExactThreshold int
 	// Seed drives the deterministic per-node reservoir: node id's
 	// reservoir is drawn from a generator seeded with Seed ⊕ mix(id), so
 	// repeated runs (and concurrent computations) see identical samples.
@@ -27,11 +20,16 @@ func (c SampleConfig) withDefaults() SampleConfig {
 	if c.K <= 0 {
 		c.K = 64
 	}
-	if c.ExactThreshold <= 0 {
-		c.ExactThreshold = 2 * c.K
-	}
 	return c
 }
+
+// ExactUpTo is the population size up to which a sample of k is not drawn
+// and the exact value is computed instead: sampling a population barely
+// larger than the sample costs nearly as much as reading all of it, and the
+// exact answer below the line is what makes sampled results converge to
+// exact ones as k grows. The reservoir estimator applies it to a node's
+// covered base series, the advisor to a scheme's source set.
+func ExactUpTo(k int) int { return 2 * k }
 
 // SampledSource estimates node series from a reservoir sample of the
 // covered base series instead of materializing the full aggregate: the
@@ -67,7 +65,7 @@ func NewSampledSource(g *Graph, cfg SampleConfig) *SampledSource {
 // deterministic across runs.
 func (s *SampledSource) NodeValues(id int) []float64 {
 	pop := s.g.CoveredBaseCount(id)
-	if pop <= s.cfg.K || pop <= s.cfg.ExactThreshold {
+	if pop <= ExactUpTo(s.cfg.K) {
 		return s.g.Node(id).Series.Values
 	}
 	s.mu.Lock()
@@ -142,7 +140,7 @@ func (s *SampledSource) estimate(id, pop int) ([]float64, float64) {
 // fixed.
 func (s *SampledSource) sampleBases(id, pop int) []int {
 	k := s.cfg.K
-	rng := splitMix64(uint64(s.cfg.Seed) ^ mix64(uint64(id)))
+	rng := SplitMix64(uint64(s.cfg.Seed) ^ mix64(uint64(id)))
 	inc := s.g.inc(id)
 	res := make([]int, k)
 	swap := make(map[int]int, k)
@@ -153,7 +151,7 @@ func (s *SampledSource) sampleBases(id, pop int) []int {
 		return i
 	}
 	for i := 0; i < k; i++ {
-		j := i + int(rng.next()%uint64(pop-i))
+		j := i + int(rng.Next()%uint64(pop-i))
 		pi, pj := pos(i), pos(j)
 		swap[i], swap[j] = pj, pi
 		res[i] = s.g.BaseIDs[inc[pj]]
@@ -163,9 +161,13 @@ func (s *SampledSource) sampleBases(id, pop int) []int {
 }
 
 // MeanRelStd reports the mean relative standard error across all sampled
-// (non-exact) estimates served so far — the basis of the advisor's
-// reported sampling error bound. Zero when everything was exact.
+// (non-exact) estimates served so far — the advisor's reported series
+// error. Zero when everything was exact, and for a nil source, which has
+// estimated nothing.
 func (s *SampledSource) MeanRelStd() float64 {
+	if s == nil {
+		return 0
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.relN == 0 {
@@ -174,19 +176,13 @@ func (s *SampledSource) MeanRelStd() float64 {
 	return s.relSum / float64(s.relN)
 }
 
-// Sampled reports how many node estimates were served from a reservoir
-// (as opposed to the exact fallback).
-func (s *SampledSource) Sampled() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.relN
-}
+// SplitMix64 is the SplitMix64 generator — tiny, fast, and deterministic
+// across platforms; it drives every sampling draw (reservoirs here, the
+// PPS source draw in derivation). The value is the stream's seed.
+type SplitMix64 uint64
 
-// splitMix64 is the SplitMix64 generator — tiny, fast, and deterministic
-// across platforms; used only for reservoir draws.
-type splitMix64 uint64
-
-func (s *splitMix64) next() uint64 {
+// Next returns the stream's next output.
+func (s *SplitMix64) Next() uint64 {
 	*s += 0x9E3779B97F4A7C15
 	z := uint64(*s)
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
@@ -197,8 +193,8 @@ func (s *splitMix64) next() uint64 {
 // mix64 finalizes an integer into a well-spread 64-bit value so per-node
 // seeds differ even for adjacent IDs.
 func mix64(x uint64) uint64 {
-	s := splitMix64(x)
-	return s.next()
+	s := SplitMix64(x)
+	return s.Next()
 }
 
 // sortInts is a tiny insertion sort: reservoirs are small (K entries) and

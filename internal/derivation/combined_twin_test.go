@@ -10,15 +10,15 @@ import (
 	"cubefc/internal/indicator"
 )
 
-// oracleCombined is indicator.CombinedFrom over the materializing kernels.
+// oracleCombined is indicator.Combined over the materializing kernels.
 func oracleCombined(src derivation.SeriesSource, target int, sources []int, cfg indicator.Config) float64 {
-	histErr, err := derivation.OracleHistoricalErrorFrom(src, target, sources, cfg.HistoryLen)
+	histErr, err := derivation.OracleHistoricalError(src, target, sources, cfg.HistoryLen)
 	if err != nil || math.IsNaN(histErr) {
 		return indicator.Worst
 	}
 	v := histErr
 	if cfg.StabilityWeight > 0 {
-		stab := derivation.OracleWeightStabilityFrom(src, target, sources, cfg.HistoryLen)
+		stab := derivation.OracleWeightStability(src, target, sources, cfg.HistoryLen)
 		if math.IsInf(stab, 1) {
 			return indicator.Worst
 		}
@@ -42,9 +42,9 @@ func TestKernelTwinCombined(t *testing.T) {
 		if stability {
 			cfg.StabilityWeight = 0.5
 		}
-		got, want := indicator.CombinedFrom(c.Series, 0, c.Sources, cfg), oracleCombined(c.Series, 0, c.Sources, cfg)
+		got, want := indicator.Combined(c.Series, 0, c.Sources, cfg), oracleCombined(c.Series, 0, c.Sources, cfg)
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("CombinedFrom = %v; oracle %v (%d sources, %d observations, historyLen %d)", got, want, len(c.Sources), len(c.Series[0]), c.HistoryLen)
+			t.Errorf("Combined = %v; oracle %v (%d sources, %d observations, historyLen %d)", got, want, len(c.Sources), len(c.Series[0]), c.HistoryLen)
 			return false
 		}
 		return true

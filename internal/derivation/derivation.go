@@ -50,7 +50,8 @@ func (k Kind) String() string {
 // estimator of cube.NewSampledSource answers with reservoir-sampled
 // estimates instead, which turns every derivation quantity below (weights,
 // historical errors, stability) into its sampled counterpart without
-// touching the formulas.
+// touching the formulas. There is one function per quantity: exact is the
+// source that never samples.
 type SeriesSource interface {
 	NodeValues(id int) []float64
 }
@@ -75,35 +76,29 @@ type Scheme struct {
 // avoid leaking evaluation data into the weight). It classifies the scheme
 // kind from the graph structure.
 func NewScheme(g *cube.Graph, target int, sources []int, historyLen int) (Scheme, error) {
-	return NewSchemeFrom(g, g, target, sources, historyLen)
-}
-
-// NewSchemeFrom is NewScheme with the series histories read from src
-// instead of the graph, so the weight can be computed from sampled
-// estimates while the scheme kind is still classified structurally.
-func NewSchemeFrom(src SeriesSource, g *cube.Graph, target int, sources []int, historyLen int) (Scheme, error) {
-	k, err := WeightFrom(src, target, sources, historyLen)
+	k, err := Weight(g, target, sources, historyLen)
 	if err != nil {
 		return Scheme{}, err
 	}
 	return Scheme{Target: target, Sources: append([]int(nil), sources...), K: k, Kind: Classify(g, target, sources)}, nil
 }
 
-// Classify determines the classical kind of a source set for a target.
+// Classify determines the classical kind of a source set for a target. It
+// reads the graph's skeleton only: classifying a scheme materializes no
+// aggregate.
 func Classify(g *cube.Graph, target int, sources []int) Kind {
 	if len(sources) == 1 {
 		s := sources[0]
 		if s == target {
 			return Direct
 		}
-		if g.Covers(g.Node(s), g.Node(target)) {
+		if g.Covers(s, target) {
 			return Disaggregation
 		}
 	}
 	// Aggregation: sources exactly one child hyper edge of target.
-	tn := g.Node(target)
-	for _, edge := range tn.ChildEdges {
-		if sameIDSet(edge, sources) {
+	for d := range g.Dims {
+		if sameIDSet(g.ChildrenAlong(target, d), sources) {
 			return Aggregation
 		}
 	}
@@ -137,12 +132,7 @@ func countID(ids []int, x int) int {
 // Weight computes k_{S→t} = h_t / Σ h_s over the first historyLen
 // observations (eq. 2 and 3). A historyLen <= 0 or beyond the series length
 // uses the whole history.
-func Weight(g *cube.Graph, target int, sources []int, historyLen int) (float64, error) {
-	return WeightFrom(g, target, sources, historyLen)
-}
-
-// WeightFrom is Weight over an arbitrary series source.
-func WeightFrom(src SeriesSource, target int, sources []int, historyLen int) (float64, error) {
+func Weight(src SeriesSource, target int, sources []int, historyLen int) (float64, error) {
 	if len(sources) == 0 {
 		return 0, fmt.Errorf("derivation: empty source set for target %d", target)
 	}
@@ -296,13 +286,8 @@ func histories(src SeriesSource, sources []int, buf [][]float64) [][]float64 {
 // target and compared against the target's real history with SMAPE. This is
 // the "historical error" indicator of Section III-B. The error is computed
 // over the first historyLen observations (<= 0 means all).
-func HistoricalError(g *cube.Graph, target int, sources []int, historyLen int) (float64, error) {
-	return HistoricalErrorFrom(g, target, sources, historyLen)
-}
-
-// HistoricalErrorFrom is HistoricalError over an arbitrary series source.
-func HistoricalErrorFrom(src SeriesSource, target int, sources []int, historyLen int) (float64, error) {
-	k, err := WeightFrom(src, target, sources, historyLen)
+func HistoricalError(src SeriesSource, target int, sources []int, historyLen int) (float64, error) {
+	k, err := Weight(src, target, sources, historyLen)
 	if err != nil {
 		return math.NaN(), err
 	}
@@ -325,12 +310,7 @@ func HistoricalErrorFrom(src SeriesSource, target int, sources []int, historyLen
 // Constant weights (perfectly similar series) yield 0; strongly fluctuating
 // weights yield large values. Steps with a (near-)zero source sum are
 // skipped; if fewer than two usable steps remain the stability is +Inf.
-func WeightStability(g *cube.Graph, target int, sources []int, historyLen int) float64 {
-	return WeightStabilityFrom(g, target, sources, historyLen)
-}
-
-// WeightStabilityFrom is WeightStability over an arbitrary series source.
-func WeightStabilityFrom(src SeriesSource, target int, sources []int, historyLen int) float64 {
+func WeightStability(src SeriesSource, target int, sources []int, historyLen int) float64 {
 	tv := src.NodeValues(target)
 	n := len(tv)
 	if historyLen > 0 && historyLen < n {

@@ -11,12 +11,12 @@ import (
 	"cubefc/internal/timeseries"
 )
 
-// The materializing kernels, verbatim from before HistoricalErrorFrom,
-// WeightStabilityFrom and the scheme error went streaming. They are the
+// The materializing kernels, verbatim from before HistoricalError,
+// WeightStability and the scheme error went streaming. They are the
 // definition the streaming kernels are held to, bit for bit.
 
-func OracleHistoricalErrorFrom(src SeriesSource, target int, sources []int, historyLen int) (float64, error) {
-	k, err := WeightFrom(src, target, sources, historyLen)
+func OracleHistoricalError(src SeriesSource, target int, sources []int, historyLen int) (float64, error) {
+	k, err := Weight(src, target, sources, historyLen)
 	if err != nil {
 		return math.NaN(), err
 	}
@@ -37,7 +37,7 @@ func OracleHistoricalErrorFrom(src SeriesSource, target int, sources []int, hist
 	return timeseries.SMAPE(tv[:n], derived), nil
 }
 
-func OracleWeightStabilityFrom(src SeriesSource, target int, sources []int, historyLen int) float64 {
+func OracleWeightStability(src SeriesSource, target int, sources []int, historyLen int) float64 {
 	tv := src.NodeValues(target)
 	n := len(tv)
 	if historyLen > 0 && historyLen < n {
@@ -119,7 +119,7 @@ func oracleApply(sc *Scheme, sourceForecasts [][]float64) ([]float64, error) {
 	return out, nil
 }
 
-// oracleSchemeSMAPE is what Configuration.SchemeError used to compute.
+// oracleSchemeSMAPE is what scheme evaluation computed while it materialized.
 func oracleSchemeSMAPE(sc *Scheme, actual []float64, sourceForecasts [][]float64) (float64, error) {
 	fc, err := oracleApply(sc, sourceForecasts)
 	if err != nil {
@@ -245,14 +245,14 @@ func sameBits(a, b float64) bool {
 func TestKernelTwin(t *testing.T) {
 	check := func(c KernelCase) bool {
 		ok := true
-		got, gotErr := HistoricalErrorFrom(c.Series, 0, c.Sources, c.HistoryLen)
-		want, wantErr := OracleHistoricalErrorFrom(c.Series, 0, c.Sources, c.HistoryLen)
+		got, gotErr := HistoricalError(c.Series, 0, c.Sources, c.HistoryLen)
+		want, wantErr := OracleHistoricalError(c.Series, 0, c.Sources, c.HistoryLen)
 		if !sameBits(got, want) || (gotErr == nil) != (wantErr == nil) {
-			t.Errorf("HistoricalErrorFrom = %v, %v; oracle %v, %v", got, gotErr, want, wantErr)
+			t.Errorf("HistoricalError = %v, %v; oracle %v, %v", got, gotErr, want, wantErr)
 			ok = false
 		}
-		if got, want := WeightStabilityFrom(c.Series, 0, c.Sources, c.HistoryLen), OracleWeightStabilityFrom(c.Series, 0, c.Sources, c.HistoryLen); !sameBits(got, want) {
-			t.Errorf("WeightStabilityFrom = %v; oracle %v", got, want)
+		if got, want := WeightStability(c.Series, 0, c.Sources, c.HistoryLen), OracleWeightStability(c.Series, 0, c.Sources, c.HistoryLen); !sameBits(got, want) {
+			t.Errorf("WeightStability = %v; oracle %v", got, want)
 			ok = false
 		}
 		got, gotErr = c.Scheme.SMAPE(c.Actual, c.Forecasts)

@@ -19,30 +19,15 @@ import (
 
 // SampleOptions tunes NewSampledScheme.
 type SampleOptions struct {
-	// SampleSize is the number of PPS draws (with replacement). <= 0
-	// derives exactly.
+	// SampleSize is the number of PPS draws (with replacement), at least 1.
 	SampleSize int
-	// ExactThreshold is the source-population size at or below which the
-	// derivation is exact; <= 0 defaults to 2·SampleSize. Populations at
-	// or below SampleSize are always exact (the sample would cover them).
-	ExactThreshold int
-	// Confidence is the coverage level of the reported bound (default
-	// 0.95).
-	Confidence float64
 	// Seed makes the draw deterministic; the target ID is mixed in so
 	// different targets sample independently.
 	Seed int64
 }
 
-func (o SampleOptions) withDefaults() SampleOptions {
-	if o.ExactThreshold <= 0 {
-		o.ExactThreshold = 2 * o.SampleSize
-	}
-	if o.Confidence <= 0 || o.Confidence >= 1 {
-		o.Confidence = 0.95
-	}
-	return o
-}
+// sampleConfidence is the coverage level of the bound ApplyWithBound reports.
+const sampleConfidence = 0.95
 
 // SampledScheme is a derivation scheme built from a source sample. Its
 // embedded Scheme carries the deduplicated sampled sources with their
@@ -51,18 +36,9 @@ func (o SampleOptions) withDefaults() SampleOptions {
 // additionally reports the confidence interval of the sampled estimate.
 type SampledScheme struct {
 	Scheme Scheme
-	// Population is the size of the full source set the sample stands for.
-	Population int
-	// SampleSize is the number of draws taken (0 when exact).
+	// SampleSize is the number of draws taken.
 	SampleSize int
-	// Exact marks schemes that fell back to exact derivation (small
-	// population or SampleSize <= 0); their bound is zero-width.
-	Exact bool
-	// Confidence is the coverage level of the reported bound.
-	Confidence float64
 
-	k      float64   // derivation weight k_{S→t}
-	z      float64   // normal quantile for the confidence level
 	counts []float64 // per deduped source: number of times drawn
 	probs  []float64 // per deduped source: draw probability
 }
@@ -72,25 +48,16 @@ type SampledScheme struct {
 // exact histories or a cube.SampledSource to estimate them too). The
 // derivation weight uses the target's history against the HT estimate of
 // the total source history, so only the sampled sources are ever touched.
+//
+// It always draws. Whether a source set is worth sampling is the caller's
+// choice, made from its size: at or below cube.ExactUpTo(SampleSize) sources
+// the exact scheme (Weight, NewScheme) costs about the same and has no
+// sampling error.
 func NewSampledScheme(src SeriesSource, g *cube.Graph, target int, sources []int, historyLen int, opts SampleOptions) (*SampledScheme, error) {
-	opts = opts.withDefaults()
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("derivation: empty source set for target %d", target)
 	}
 	pop := len(sources)
-	if opts.SampleSize <= 0 || pop <= opts.SampleSize || pop <= opts.ExactThreshold {
-		sc, err := NewSchemeFrom(src, g, target, sources, historyLen)
-		if err != nil {
-			return nil, err
-		}
-		return &SampledScheme{
-			Scheme:     sc,
-			Population: pop,
-			Exact:      true,
-			Confidence: opts.Confidence,
-			k:          sc.K,
-		}, nil
-	}
 
 	// Draw K sources with probability proportional to covered-base count
 	// (a size proxy readable from the graph skeleton without
@@ -111,11 +78,14 @@ func NewSampledScheme(src SeriesSource, g *cube.Graph, target int, sources []int
 		acc += w
 		cum[i] = acc
 	}
-	rng := sampleRNGSeed(uint64(opts.Seed), uint64(target))
+	// The stream is seeded from the option seed and the target ID; one
+	// output is burnt so adjacent targets decorrelate.
+	rng := cube.SplitMix64(uint64(opts.Seed) ^ (uint64(target)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03))
+	rng.Next()
 	k := opts.SampleSize
 	counts := make([]int, pop)
 	for d := 0; d < k; d++ {
-		u := float64(rng.next()>>11) / (1 << 53) * total
+		u := float64(rng.Next()>>11) / (1 << 53) * total
 		// Binary search the cumulative table.
 		lo, hi := 0, pop-1
 		for lo < hi {
@@ -168,27 +138,17 @@ func NewSampledScheme(src SeriesSource, g *cube.Graph, target int, sources []int
 			Kind:    Classify(g, target, sources),
 			Weights: weights,
 		},
-		Population: pop,
 		SampleSize: k,
-		Confidence: opts.Confidence,
-		k:          kw,
-		z:          optimize.InvNormCDF(1 - (1-opts.Confidence)/2),
 		counts:     cnts,
 		probs:      probs,
 	}, nil
 }
 
-// Apply derives the target forecast from the sampled source forecasts
-// (one per Scheme.Sources entry, in order).
-func (sd *SampledScheme) Apply(sourceForecasts [][]float64) ([]float64, error) {
-	return sd.Scheme.Apply(sourceForecasts)
-}
-
 // ApplyWithBound derives the target forecast and the confidence interval
-// [lo, hi] that, at the configured confidence, contains the value the
-// exact derivation (all sources, same weight formula) would produce. The
-// interval is the normal approximation over the K independent PPS draws;
-// exact schemes return a zero-width interval.
+// [lo, hi] that, at 0.95 confidence, contains the value the exact
+// derivation (all sources, same weight formula) would produce. The interval
+// is the normal approximation over the K independent PPS draws; a single
+// draw has no variance estimate and returns a zero-width interval.
 func (sd *SampledScheme) ApplyWithBound(sourceForecasts [][]float64) (fc, lo, hi []float64, err error) {
 	fc, err = sd.Scheme.Apply(sourceForecasts)
 	if err != nil {
@@ -196,12 +156,13 @@ func (sd *SampledScheme) ApplyWithBound(sourceForecasts [][]float64) (fc, lo, hi
 	}
 	lo = make([]float64, len(fc))
 	hi = make([]float64, len(fc))
-	if sd.Exact || sd.SampleSize < 2 {
+	if sd.SampleSize < 2 {
 		copy(lo, fc)
 		copy(hi, fc)
 		return fc, lo, hi, nil
 	}
 	kf := float64(sd.SampleSize)
+	z := optimize.InvNormCDF(1 - (1-sampleConfidence)/2)
 	for t := range fc {
 		// Per-draw estimates y_i = x_i / p_i; the HT total is their mean.
 		est := 0.0
@@ -214,46 +175,9 @@ func (sd *SampledScheme) ApplyWithBound(sourceForecasts [][]float64) (fc, lo, hi
 			s2 += sd.counts[i] * d * d
 		}
 		s2 /= kf - 1
-		half := sd.z * math.Abs(sd.k) * math.Sqrt(s2/kf)
+		half := z * math.Abs(sd.Scheme.K) * math.Sqrt(s2/kf)
 		lo[t] = fc[t] - half
 		hi[t] = fc[t] + half
 	}
 	return fc, lo, hi, nil
-}
-
-// RelBound returns the mean relative half-width of the bound on the
-// sampled derivation of the given source forecasts — a scalar summary of
-// the sampling uncertainty (0 for exact schemes).
-func (sd *SampledScheme) RelBound(sourceForecasts [][]float64) float64 {
-	fc, lo, _, err := sd.ApplyWithBound(sourceForecasts)
-	if err != nil {
-		return math.NaN()
-	}
-	var num, den float64
-	for t := range fc {
-		num += fc[t] - lo[t]
-		den += math.Abs(fc[t])
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// sampleRNG seeds a SplitMix64 stream from the option seed and target ID.
-type sampleRNG uint64
-
-func (s *sampleRNG) next() uint64 {
-	*s += 0x9E3779B97F4A7C15
-	z := uint64(*s)
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func sampleRNGSeed(seed, target uint64) sampleRNG {
-	s := sampleRNG(seed ^ (target*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03))
-	// Burn one output so adjacent targets decorrelate.
-	s.next()
-	return s
 }

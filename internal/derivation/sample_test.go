@@ -64,65 +64,46 @@ func gather(fcBy map[int][]float64, sources []int) [][]float64 {
 	return out
 }
 
-// TestSampledSchemePropertyQuick checks, for random instances, the two
-// deterministic invariants of the sampled construction: (1) when the
-// sample would cover at least half the population (pop <= 2·SampleSize),
-// the scheme falls back to the exact derivation and applies bit-identically
-// to NewScheme; (2) when it samples, the Horvitz–Thompson weights
-// reproduce the target's history sum exactly — Σᵢ wᵢ·hᵢ = h_t — which is
-// what makes the estimate unbiased and drives convergence as SampleSize
-// grows toward the population.
+// TestSampledSchemePropertyQuick checks, for random instances, the
+// deterministic invariant of the sampled construction: the Horvitz–Thompson
+// weights reproduce the target's history sum exactly — Σᵢ wᵢ·hᵢ = h_t —
+// which is what makes the estimate unbiased and drives convergence as
+// SampleSize grows toward the population. It holds on both sides of
+// cube.ExactUpTo, the line below which the advisor derives exactly instead
+// of calling NewSampledScheme (pop = 2·20 and pop > 2·8), and the scheme is
+// classified from the full source set, like the exact one.
 func TestSampledSchemePropertyQuick(t *testing.T) {
 	prop := func(rawSeed int64) bool {
 		seed := rawSeed % (1 << 30)
 		g := flatGraph(t, seed, 40, 24)
 		sources := g.BaseIDs
 		top := g.TopID
-		rng := rand.New(rand.NewSource(seed + 1))
-		fcBy := sourceForecasts(rng, g, sources, 6)
-
-		// (1) exact fallback: SampleSize ≥ pop/2.
-		sd, err := NewSampledScheme(g, g, top, sources, 20, SampleOptions{SampleSize: 20, Seed: seed})
-		if err != nil || !sd.Exact {
-			return false
-		}
 		exact, err := NewScheme(g, top, sources, 20)
 		if err != nil {
 			return false
-		}
-		exactFc, err := exact.Apply(gather(fcBy, exact.Sources))
-		if err != nil {
-			return false
-		}
-		gotFc, _, _, err := sd.ApplyWithBound(gather(fcBy, sd.Scheme.Sources))
-		if err != nil {
-			return false
-		}
-		for i := range exactFc {
-			if math.Float64bits(exactFc[i]) != math.Float64bits(gotFc[i]) {
-				return false
-			}
-		}
-
-		// (2) sampled: the weighted sampled histories reproduce the
-		// target history exactly.
-		sd8, err := NewSampledScheme(g, g, top, sources, 20, SampleOptions{SampleSize: 8, Seed: seed})
-		if err != nil || sd8.Exact {
-			return false
-		}
-		var whSum float64
-		for i, s := range sd8.Scheme.Sources {
-			var h float64
-			for _, v := range g.Node(s).Series.Values[:20] {
-				h += v
-			}
-			whSum += sd8.Scheme.Weights[i] * h
 		}
 		var ht float64
 		for _, v := range g.Node(top).Series.Values[:20] {
 			ht += v
 		}
-		return math.Abs(whSum-ht) <= 1e-6*math.Abs(ht)
+		for _, k := range []int{20, 8} {
+			sd, err := NewSampledScheme(g, g, top, sources, 20, SampleOptions{SampleSize: k, Seed: seed})
+			if err != nil || sd.Scheme.Kind != exact.Kind || len(sd.Scheme.Sources) > k {
+				return false
+			}
+			var whSum float64
+			for i, s := range sd.Scheme.Sources {
+				var h float64
+				for _, v := range g.Node(s).Series.Values[:20] {
+					h += v
+				}
+				whSum += sd.Scheme.Weights[i] * h
+			}
+			if math.Abs(whSum-ht) > 1e-6*math.Abs(ht) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -132,7 +113,9 @@ func TestSampledSchemePropertyQuick(t *testing.T) {
 // TestSampledSchemeConverges verifies that the sampled derivation
 // converges to the exact one as the sample grows: across many seeds, the
 // mean relative deviation from the exact forecast shrinks when SampleSize
-// quadruples, and hits zero (exact fallback) at the population size.
+// quadruples, and again when it reaches the population size. (It never hits
+// zero: the draw is with replacement. Exactness at small populations is the
+// caller's choice, cube.ExactUpTo.)
 func TestSampledSchemeConverges(t *testing.T) {
 	g := flatGraph(t, 99, 120, 24)
 	sources := g.BaseIDs
@@ -155,7 +138,7 @@ func TestSampledSchemeConverges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fc, err := sd.Apply(gather(fcBy, sd.Scheme.Sources))
+			fc, err := sd.Scheme.Apply(gather(fcBy, sd.Scheme.Sources))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,23 +152,15 @@ func TestSampledSchemeConverges(t *testing.T) {
 		return dev / n
 	}
 
-	dev10, dev40 := meanDev(10), meanDev(40)
-	if dev40 >= dev10 {
-		t.Fatalf("sampled derivation not converging: dev(K=10)=%.4f dev(K=40)=%.4f", dev10, dev40)
-	}
-	// At the population size the fallback makes it exact.
-	sd, err := NewSampledScheme(g, g, top, sources, 20, SampleOptions{SampleSize: len(sources), Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sd.Exact {
-		t.Fatal("SampleSize = population must fall back to exact derivation")
+	dev10, dev40, devPop := meanDev(10), meanDev(40), meanDev(len(sources))
+	if dev40 >= dev10 || devPop >= dev40 {
+		t.Fatalf("sampled derivation not converging: dev(K=10)=%.4f dev(K=40)=%.4f dev(K=%d)=%.4f", dev10, dev40, len(sources), devPop)
 	}
 }
 
 // TestSampledBoundCoverage checks the bound semantics on the synthetic
 // generator's cubes: across many independent draws, the reported interval
-// contains the exact derived value at least roughly at the configured
+// contains the exact derived value at least roughly at the 0.95
 // confidence (the ratio-estimator construction makes the interval
 // conservative in the correlated-forecast regime, so observed coverage
 // typically exceeds it).
@@ -210,12 +185,9 @@ func TestSampledBoundCoverage(t *testing.T) {
 
 	var covered, total int
 	for seed := int64(0); seed < 100; seed++ {
-		sd, err := NewSampledScheme(g, g, top, sources, 24, SampleOptions{SampleSize: 30, Confidence: 0.95, Seed: seed})
+		sd, err := NewSampledScheme(g, g, top, sources, 24, SampleOptions{SampleSize: 30, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if sd.Exact {
-			t.Fatal("expected a sampled scheme (pop=150, K=30)")
 		}
 		_, lo, hi, err := sd.ApplyWithBound(gather(fcBy, sd.Scheme.Sources))
 		if err != nil {

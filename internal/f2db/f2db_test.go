@@ -480,7 +480,7 @@ func TestWeightMaintainedIncrementally(t *testing.T) {
 	for step := 0; step < 8; step++ {
 		for _, id := range g.BaseIDs {
 			v := 10.0
-			if g.Covers(g.Node(target), g.Node(id)) {
+			if g.Covers(target, id) {
 				v = 300.0 // the target's subtree explodes
 			}
 			if err := db.InsertBase(id, v); err != nil {

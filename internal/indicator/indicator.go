@@ -10,7 +10,6 @@ package indicator
 import (
 	"math"
 
-	"cubefc/internal/cube"
 	"cubefc/internal/derivation"
 )
 
@@ -35,24 +34,19 @@ func DefaultConfig() Config { return Config{StabilityWeight: 0.5} }
 
 // Combined computes the single accuracy measure for the scheme sources →
 // target: the historical SMAPE inflated by the normalized weight
-// instability. The result is clamped to [0, Worst].
-func Combined(g *cube.Graph, target int, sources []int, cfg Config) float64 {
-	return CombinedFrom(g, target, sources, cfg)
-}
-
-// CombinedFrom is Combined with the series histories read from an
-// arbitrary source. Passing a sampling estimator (cube.NewSampledSource)
-// yields the reservoir-sampled indicator: the same formula evaluated on
-// estimated aggregate histories, so large nodes are scored without
-// materializing them.
-func CombinedFrom(src derivation.SeriesSource, target int, sources []int, cfg Config) float64 {
-	histErr, err := derivation.HistoricalErrorFrom(src, target, sources, cfg.HistoryLen)
+// instability. The result is clamped to [0, Worst]. Histories are read from
+// src: the graph for exact values, or a sampling estimator
+// (cube.NewSampledSource) for the reservoir-sampled indicator — the same
+// formula evaluated on estimated aggregate histories, so large nodes are
+// scored without materializing them.
+func Combined(src derivation.SeriesSource, target int, sources []int, cfg Config) float64 {
+	histErr, err := derivation.HistoricalError(src, target, sources, cfg.HistoryLen)
 	if err != nil || math.IsNaN(histErr) {
 		return Worst
 	}
 	v := histErr
 	if cfg.StabilityWeight > 0 {
-		stab := derivation.WeightStabilityFrom(src, target, sources, cfg.HistoryLen)
+		stab := derivation.WeightStability(src, target, sources, cfg.HistoryLen)
 		if math.IsInf(stab, 1) {
 			return Worst
 		}
@@ -79,20 +73,14 @@ type Local struct {
 // ComputeLocal builds the local indicator of source over the given targets.
 // Targets not containing the source are fine; the source entry is always
 // added with value 0.
-func ComputeLocal(g *cube.Graph, source int, targets []int, cfg Config) *Local {
-	return ComputeLocalFrom(g, source, targets, cfg)
-}
-
-// ComputeLocalFrom is ComputeLocal over an arbitrary series source (see
-// CombinedFrom).
-func ComputeLocalFrom(src derivation.SeriesSource, source int, targets []int, cfg Config) *Local {
+func ComputeLocal(src derivation.SeriesSource, source int, targets []int, cfg Config) *Local {
 	l := &Local{Source: source, Values: make(map[int]float64, len(targets)+1)}
 	l.Values[source] = 0
 	for _, t := range targets {
 		if t == source {
 			continue
 		}
-		l.Values[t] = CombinedFrom(src, t, []int{source}, cfg)
+		l.Values[t] = Combined(src, t, []int{source}, cfg)
 	}
 	return l
 }
