@@ -6,10 +6,10 @@ import (
 	"cubefc/internal/f2db"
 )
 
-// The coordinator read-path benchmarks, recorded in BENCH_f2db.json. All
-// shards are in-process loopback servers, so the uncached numbers measure
-// protocol + shard-hop cost without real network latency — the cache's
-// advantage over a LAN hop is strictly larger than measured here.
+// The coordinator read-path benchmarks. All shards are in-process loopback
+// servers, so the uncached numbers measure protocol + shard-hop cost without
+// real network latency — the cache's advantage over a LAN hop is strictly
+// larger than measured here.
 
 // benchQuery is a 2-member drill-down: a miss is one shard request.
 const benchQuery = "SELECT time, SUM(sales) FROM facts GROUP BY time, region AS OF now() + '2 steps'"

@@ -87,16 +87,11 @@ type Advisor struct {
 	lastSelTime  time.Duration
 	lastEvalTime time.Duration
 
-	// prober is the optional asynchronous multi-source planning
-	// component (Section IV-C.2).
-	prober       *asyncProber
-	proberClosed bool
-
 	// bfsFree is the free list of BFS scratches. Every ClosestNodes call
-	// borrows one — rank's goroutines, probe planning and the asynchronous
-	// prober — so at most Parallelism+1 ever exist, and a run's allocations
-	// do not depend on which nodes the probes drew. A plain list, not a
-	// sync.Pool: the garbage collector empties a pool whenever it likes.
+	// borrows one — rank's goroutines and probe planning — so at most
+	// Parallelism ever exist, and a run's allocations do not depend on which
+	// nodes the probes drew. A plain list, not a sync.Pool: the garbage
+	// collector empties a pool whenever it likes.
 	bfsMu   sync.Mutex
 	bfsFree []*cube.BFSScratch
 
@@ -111,7 +106,6 @@ func Run(g *cube.Graph, opts Options) (*Configuration, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer a.Close()
 	for {
 		done, err := a.Step()
 		if err != nil {
@@ -123,16 +117,18 @@ func Run(g *cube.Graph, opts Options) (*Configuration, error) {
 	}
 }
 
+// Close does nothing: the advisor owns no goroutine or resource between
+// Steps. It exists only because the frozen bench/stack.go calls it, and goes
+// with the next thaw of bench/ (ROADMAP).
+func (a *Advisor) Close() {}
+
 // NewAdvisor initializes the advisor: it splits the series, derives the
 // indicator size |I| and the initial γ, creates the initial configuration
 // holding a single model at the top node (as in the running example of
 // Figure 4) and seeds all indicators.
 func NewAdvisor(g *cube.Graph, opts Options) (*Advisor, error) {
 	opts = opts.withDefaults()
-	trainLen := int(math.Round(opts.TrainRatio * float64(g.Length)))
-	if trainLen >= g.Length {
-		trainLen = g.Length - 1
-	}
+	trainLen := TrainLen(g.Length)
 	if trainLen < 2 {
 		return nil, fmt.Errorf("core: series too short: %d observations", g.Length)
 	}
@@ -171,7 +167,7 @@ func NewAdvisor(g *cube.Graph, opts Options) (*Advisor, error) {
 		if holders > 1024 {
 			holders = 1024
 		}
-		a.indK = opts.IndicatorEntries / holders
+		a.indK = indicatorEntries / holders
 	}
 	if a.indK < 1 {
 		a.indK = 1
@@ -198,14 +194,9 @@ func NewAdvisor(g *cube.Graph, opts Options) (*Advisor, error) {
 	// Start with all nodes uncovered (worst error), then install the
 	// initial model at the top node.
 	a.errSum = float64(n)
-	if opts.AsyncMultiSource {
-		a.startAsyncProber()
-	}
 	if err := a.installInitialModel(); err != nil {
-		a.Close()
 		return nil, err
 	}
-	a.publishModelSnapshot()
 	// The initial error anchors the error/cost normalization of the
 	// acceptance criterion (eq. 8): error enters relative to the initial
 	// configuration, costs relative to modeling the whole graph, making
@@ -295,15 +286,6 @@ func (a *Advisor) testValues(id int) []float64 {
 	return a.hist.NodeValues(id)[a.cfg.TrainLen:a.g.Length]
 }
 
-// fitNode fits the factory's model on the training part of the node's
-// series. Where that series is a reservoir estimate the fitted model
-// forecasts the estimated aggregate, which Snapshot.SeriesError accounts
-// for. A Fit only reads its series.
-func (a *Advisor) fitNode(factory forecast.Factory, id int, extraDelay time.Duration) (forecast.Model, time.Duration, error) {
-	train := a.hist.NodeValues(id)[:a.cfg.TrainLen:a.cfg.TrainLen]
-	return a.cfg.FitModelOn(factory, timeseries.New(train, a.g.Period), extraDelay)
-}
-
 // configError returns the mean configuration error, in O(1) from the running
 // error sum: an O(N) scan per iteration would defeat the sub-linear pipeline
 // on large cubes.
@@ -328,27 +310,20 @@ func (a *Advisor) setScheme(sc derivation.Scheme, err float64) {
 	a.cfg.Errors[sc.Target] = err
 }
 
-// fitWithFallback fits the configured model family, degrading to simpler
-// families when the training series is too short for the requested one.
+// fitWithFallback fits the configured model family on the training part of
+// the node's series, degrading to simpler families when that series is too
+// short for the requested one (Configuration.FitWithFallback). Where the
+// series is a reservoir estimate the fitted model forecasts the estimated
+// aggregate, which Snapshot.SeriesError accounts for. A Fit only reads its
+// series.
 func (a *Advisor) fitWithFallback(id int) (forecast.Model, time.Duration, error) {
-	m, d, err := a.fitNode(a.warmed(a.opts.ModelFactory, id), id, a.opts.CreationDelay)
-	if err == nil {
-		return m, d, nil
+	train := a.hist.NodeValues(id)[:a.cfg.TrainLen:a.cfg.TrainLen]
+	m, d, err := a.cfg.FitWithFallback(a.opts.ModelFactory, timeseries.New(train, a.g.Period), a.opts.CreationDelay,
+		func(m forecast.Model) { a.warmStart(id, m) })
+	if err != nil {
+		return nil, d, fmt.Errorf("core: no model family fits node %d: %w", id, err)
 	}
-	for _, fb := range []forecast.Factory{
-		func(p int) forecast.Model { return forecast.NewHolt(false) },
-		func(p int) forecast.Model { return forecast.NewSES() },
-		func(p int) forecast.Model { return forecast.NewNaive() },
-	} {
-		var m2 forecast.Model
-		var d2 time.Duration
-		m2, d2, err = a.fitNode(a.warmed(fb, id), id, 0)
-		if err == nil {
-			return m2, d + d2, nil
-		}
-		d += d2
-	}
-	return nil, d, fmt.Errorf("core: no model family fits node %d: %w", id, err)
+	return m, d, nil
 }
 
 // warmKey identifies a warm seed: the node whose series was fitted and the
@@ -358,19 +333,15 @@ type warmKey struct {
 	family string
 }
 
-// warmed wraps a factory so the built model seeds its optimizer from the
-// node's previous fit of the same family, when one exists. The seed is
-// one-shot and guarded by the model's own fallback rule, so a stale seed
-// costs at most a bounded warm probe before the cold search runs anyway.
-func (a *Advisor) warmed(f forecast.Factory, id int) forecast.Factory {
-	return func(period int) forecast.Model {
-		m := f(period)
-		if ws, ok := m.(forecast.WarmStarter); ok {
-			if seed, ok := a.warmSeeds[warmKey{id, m.Name()}]; ok {
-				ws.WarmStart(seed)
-			}
+// warmStart seeds a freshly built model's optimizer from the node's previous
+// fit of the same family, when one exists. The seed is one-shot and guarded
+// by the model's own fallback rule, so a stale seed costs at most a bounded
+// warm probe before the cold search runs anyway.
+func (a *Advisor) warmStart(id int, m forecast.Model) {
+	if ws, ok := m.(forecast.WarmStarter); ok {
+		if seed, ok := a.warmSeeds[warmKey{id, m.Name()}]; ok {
+			ws.WarmStart(seed)
 		}
-		return m
 	}
 }
 
@@ -670,12 +641,7 @@ func (a *Advisor) Step() (done bool, err error) {
 	ctlStart := time.Now()
 	improvement := errBefore - a.configError()
 	a.control(len(ranked), accepted, rejectedN, improvement)
-	if a.opts.AsyncMultiSource {
-		a.publishModelSnapshot()
-		a.drainAsyncProbes()
-	} else {
-		a.multiSourceProbes()
-	}
+	a.multiSourceProbes()
 	a.met.controlNanos.Add(time.Since(ctlStart).Nanoseconds())
 	a.met.iterations.Add(1)
 
@@ -873,8 +839,8 @@ func (a *Advisor) acceptModel(id int, m forecast.Model, dur time.Duration) bool 
 	nodes := float64(a.g.NumNodes())
 	errOld := a.errSum / nodes / a.err0
 	errNew := newErrSum / nodes / a.err0
-	costOld := a.normalizedCost(a.cfg.NumModels(), a.cfg.CostSeconds)
-	costNew := a.normalizedCost(a.cfg.NumModels()+1, a.cfg.CostSeconds+dur.Seconds())
+	costOld := a.normalizedCost(a.cfg.NumModels())
+	costNew := a.normalizedCost(a.cfg.NumModels() + 1)
 
 	if a.alpha*errNew+(1-a.alpha)*costNew < a.alpha*errOld+(1-a.alpha)*costOld {
 		a.addModel(id, m, dur, fc)
@@ -888,24 +854,11 @@ func (a *Advisor) acceptModel(id int, m forecast.Model, dur time.Duration) bool 
 }
 
 // normalizedCost maps the configuration cost into [0, 1] so it is
-// comparable with the SMAPE-based error in eq. 8.
-func (a *Advisor) normalizedCost(models int, seconds float64) float64 {
-	switch a.opts.CostMetric {
-	case CostTime:
-		// Normalize by the estimated cost of modeling every node, using
-		// the running average creation time.
-		if models == 0 {
-			return 0
-		}
-		avg := seconds / float64(models)
-		total := avg * float64(a.g.NumNodes())
-		if total == 0 {
-			return 0
-		}
-		return seconds / total
-	default:
-		return float64(models) / float64(a.g.NumNodes())
-	}
+// comparable with the SMAPE-based error in eq. 8: the model count over the
+// graph size, the proxy the paper's Figure 7 reports ("the number of models
+// in the final configuration representing the model costs").
+func (a *Advisor) normalizedCost(models int) float64 {
+	return float64(models) / float64(a.g.NumNodes())
 }
 
 // tryDeletion examines the lowest-benefit model (the first of the ranked
@@ -947,8 +900,8 @@ func (a *Advisor) tryDeletion(negatives []int) int {
 	nodes := float64(a.g.NumNodes())
 	errOld := a.errSum / nodes / a.err0
 	errNew := newErrSum / nodes / a.err0
-	costOld := a.normalizedCost(a.cfg.NumModels(), a.cfg.CostSeconds)
-	costNew := a.normalizedCost(a.cfg.NumModels()-1, a.cfg.CostSeconds-a.cfg.ModelSeconds[victim])
+	costOld := a.normalizedCost(a.cfg.NumModels())
+	costNew := a.normalizedCost(a.cfg.NumModels() - 1)
 	if a.alpha*errNew+(1-a.alpha)*costNew >= a.alpha*errOld+(1-a.alpha)*costOld {
 		return 0
 	}
@@ -1020,9 +973,6 @@ func (a *Advisor) shouldStop(positives int) bool {
 		return true
 	}
 	if a.opts.MaxModels > 0 && a.cfg.NumModels() >= a.opts.MaxModels {
-		return true
-	}
-	if a.opts.MaxCostSeconds > 0 && a.cfg.CostSeconds >= a.opts.MaxCostSeconds {
 		return true
 	}
 	if positives == 0 && a.alpha >= a.opts.AlphaMax &&

@@ -80,23 +80,23 @@ func (c *Configuration) Error() float64 {
 // TestLen returns the evaluation horizon.
 func (c *Configuration) TestLen() int { return c.Graph.Length - c.TrainLen }
 
-// trainSeries returns the training part of a node's series.
-func (c *Configuration) trainSeries(id int) *timeseries.Series {
-	return c.Graph.Node(id).Series.Slice(0, c.TrainLen)
+// TrainLen returns how many leading observations of a series of the given
+// length models are trained on (trainRatio of it, Section VI-A); the rest is
+// the evaluation part, never empty. The advisor and every baseline split
+// through it, so Figure 7 compares them on the same evaluation part.
+func TrainLen(length int) int {
+	tl := int(math.Round(trainRatio * float64(length)))
+	if tl >= length {
+		tl = length - 1
+	}
+	return tl
 }
 
-// FitModel fits a fresh model from factory on the training part of the
-// node's series and returns it together with the measured creation time.
-// extraDelay is added to simulate more expensive model types (used by the
-// Fig. 8c experiment, which "artificially var[ies] the time that is
-// required to create a single forecast model").
-func (c *Configuration) FitModel(factory forecast.Factory, id int, extraDelay time.Duration) (forecast.Model, time.Duration, error) {
-	return c.FitModelOn(factory, c.trainSeries(id), extraDelay)
-}
-
-// FitModelOn is FitModel over an explicit training series — the advisor's
-// fit path, where the series may be a reservoir estimate rather than the
-// node's materialized aggregate.
+// FitModelOn fits a fresh model from factory on the training series s and
+// returns it together with the measured creation time. extraDelay is added
+// to simulate more expensive model types (used by the Fig. 8c experiment,
+// which "artificially var[ies] the time that is required to create a single
+// forecast model").
 func (c *Configuration) FitModelOn(factory forecast.Factory, s *timeseries.Series, extraDelay time.Duration) (forecast.Model, time.Duration, error) {
 	start := time.Now()
 	if extraDelay > 0 {
@@ -107,6 +107,41 @@ func (c *Configuration) FitModelOn(factory forecast.Factory, s *timeseries.Serie
 		return nil, time.Since(start), fmt.Errorf("core: fitting %s: %w", m.Name(), err)
 	}
 	return m, time.Since(start), nil
+}
+
+// fallbackFamilies are the simpler families a fit degrades through when the
+// training series is too short for the requested one: Holt → SES → Naive.
+var fallbackFamilies = []forecast.Factory{
+	func(int) forecast.Model { return forecast.NewHolt(false) },
+	func(int) forecast.Model { return forecast.NewSES() },
+	func(int) forecast.Model { return forecast.NewNaive() },
+}
+
+// FitWithFallback is FitModelOn degrading through fallbackFamilies until a
+// family fits; the creation time covers every attempt, the delay only the
+// first. prepare, when non-nil, sees every model before it is fitted (the
+// advisor seeds warm starts through it). The error is the last family's.
+func (c *Configuration) FitWithFallback(factory forecast.Factory, s *timeseries.Series, extraDelay time.Duration, prepare func(forecast.Model)) (forecast.Model, time.Duration, error) {
+	prepared := func(f forecast.Factory) forecast.Factory {
+		if prepare == nil {
+			return f
+		}
+		return func(period int) forecast.Model {
+			m := f(period)
+			prepare(m)
+			return m
+		}
+	}
+	m, total, err := c.FitModelOn(prepared(factory), s, extraDelay)
+	for _, fb := range fallbackFamilies {
+		if err == nil {
+			break
+		}
+		var d time.Duration
+		m, d, err = c.FitModelOn(prepared(fb), s, 0)
+		total += d
+	}
+	return m, total, err
 }
 
 // ModelIDs returns the sorted node IDs carrying a model.

@@ -43,7 +43,7 @@ func (a *Advisor) control(candidates, accepted, rejected int, improvement float6
 	// rejects occurred, (2) no candidates were found, or (3) the error
 	// improvement is too small.
 	raise := false
-	if a.rejectsSinceAlpha >= a.opts.RejectsPerAlphaStep {
+	if a.rejectsSinceAlpha >= rejectsPerAlphaStep {
 		raise = true
 	}
 	if candidates == 0 && (a.opts.FixedGamma || a.gamma <= -2+1e-9) {
@@ -51,11 +51,11 @@ func (a *Advisor) control(candidates, accepted, rejected int, improvement float6
 		// the γ feedback is disabled and cannot widen it.
 		raise = true
 	}
-	if accepted > 0 && improvement < a.opts.MinErrorImprovement*a.err0 {
+	if accepted > 0 && improvement < minErrorImprovement*a.err0 {
 		raise = true
 	}
 	if raise {
-		a.alpha += a.opts.AlphaStep
+		a.alpha += alphaStep
 		a.rejectsSinceAlpha = 0
 		a.evictRejected()
 	}
@@ -100,7 +100,7 @@ func (a *Advisor) multiSourceProbes() {
 	plans := make([]probe, 0, probes)
 	for i := 0; i < probes; i++ {
 		t := a.rng.Intn(a.g.NumNodes())
-		srcs := a.planProbeSources(a.rng, t, modelIDs)
+		srcs := a.planProbeSources(t, modelIDs)
 		if srcs == nil {
 			continue
 		}

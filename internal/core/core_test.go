@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cubefc/internal/cube"
+	"cubefc/internal/datasets"
 	"cubefc/internal/derivation"
 	"cubefc/internal/forecast"
 	"cubefc/internal/optimize"
@@ -99,7 +100,7 @@ func TestConfigurationValidate(t *testing.T) {
 func TestFitModelMeasuresDelay(t *testing.T) {
 	g := seasonalCube(t, 1)
 	cfg := NewConfiguration(g, 32)
-	_, dur, err := cfg.FitModel(func(p int) forecast.Model { return forecast.NewNaive() }, 0, 30*time.Millisecond)
+	_, dur, err := cfg.FitModelOn(func(p int) forecast.Model { return forecast.NewNaive() }, g.Node(0).Series.Slice(0, 32), 30*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,23 +471,9 @@ func TestCreationDelayChargesCost(t *testing.T) {
 	}
 }
 
-func TestAsyncMultiSource(t *testing.T) {
-	g := seasonalCube(t, 18)
-	cfg, err := Run(g, Options{Seed: 18, AsyncMultiSource: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Error() <= 0 || cfg.Error() >= 1 {
-		t.Fatalf("error = %v", cfg.Error())
-	}
-}
-
 func TestAdvisorCloseIdempotent(t *testing.T) {
 	g := seasonalCube(t, 19)
-	adv, err := NewAdvisor(g, Options{Seed: 19, AsyncMultiSource: true})
+	adv, err := NewAdvisor(g, Options{Seed: 19})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,12 +482,10 @@ func TestAdvisorCloseIdempotent(t *testing.T) {
 	}
 	adv.Close()
 	adv.Close() // second Close must be a no-op
-	// Close without async prober is also a no-op.
-	adv2, err := NewAdvisor(g, Options{Seed: 19})
-	if err != nil {
+	// A closed advisor owns nothing Close could have torn down: it steps on.
+	if _, err := adv.Step(); err != nil {
 		t.Fatal(err)
 	}
-	adv2.Close()
 }
 
 func TestConfigurationReport(t *testing.T) {
@@ -540,50 +525,19 @@ func TestConfigurationReport(t *testing.T) {
 	}
 }
 
-func TestCostTimeMetric(t *testing.T) {
-	g := seasonalCube(t, 21)
-	cfg, err := Run(g, Options{Seed: 21, CostMetric: CostTime, CreationDelay: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.CostSeconds <= 0 {
-		t.Fatal("wall-clock cost not accumulated")
-	}
-}
-
-func TestMaxCostSecondsStops(t *testing.T) {
-	g := seasonalCube(t, 22)
-	cfg, err := Run(g, Options{Seed: 22, CreationDelay: 5 * time.Millisecond, MaxCostSeconds: 0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With a 5ms delay per model and a 20ms budget, the run must stop
-	// with a handful of models rather than exploring the whole graph.
-	if cfg.NumModels() > 12 {
-		t.Fatalf("cost budget ignored: %d models, %.3fs", cfg.NumModels(), cfg.CostSeconds)
-	}
-}
-
 func TestIndicatorEntriesBudget(t *testing.T) {
-	g := seasonalCube(t, 23)
-	a, err := NewAdvisor(g, Options{IndicatorEntries: 90}) // tiny budget
+	// On a cube with more than 1024 nodes the memory budget, not the graph
+	// size, sets |I|: indicatorEntries / 1024 holders.
+	g, err := datasets.GenCube(1, datasets.CubeGenForNodes(5000, 2)).Graph()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 90 entries / min(nodes,1024)=13 holders → |I| = 6.
-	if a.IndicatorSize() >= g.NumNodes()-1 {
-		t.Fatalf("|I| = %d should be restricted by the memory budget", a.IndicatorSize())
-	}
-	// The restricted advisor still produces a valid configuration.
-	cfg, err := Run(g, Options{Seed: 23, IndicatorEntries: 90})
+	a, err := NewAdvisor(g, Options{Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
+	if got, want := a.IndicatorSize(), 4_000_000/1024; got != want || got >= g.NumNodes()-1 {
+		t.Fatalf("|I| = %d on %d nodes, want %d: the memory budget should restrict it", got, g.NumNodes(), want)
 	}
 }
 
@@ -602,6 +556,16 @@ func TestAdvisorDeterministicWithFixedGamma(t *testing.T) {
 	}
 	if a.Error() != b.Error() || a.NumModels() != b.NumModels() {
 		t.Fatalf("non-deterministic: %v/%d vs %v/%d", a.Error(), a.NumModels(), b.Error(), b.NumModels())
+	}
+	// Creation time reaches no decision once γ is pinned: slower fits
+	// choose the same configuration.
+	opts.CreationDelay = time.Millisecond
+	c, err := Run(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if da, db, dc := configDigest(a), configDigest(b), configDigest(c); da != db || da != dc {
+		t.Fatalf("configurations differ: digests %#x, %#x, delayed %#x", da, db, dc)
 	}
 	am, bm := a.ModelIDs(), b.ModelIDs()
 	for i := range am {

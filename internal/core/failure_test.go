@@ -97,10 +97,19 @@ func TestAdvisorShortSeriesFallback(t *testing.T) {
 func TestGreedyWithFailingFactoryFallsBack(t *testing.T) {
 	g := seasonalCube(t, 33)
 	// Exercised through the hierarchical package in its own tests; here
-	// we only assert the shared fallback helper behavior via FitModel.
+	// we assert the shared helpers: FitModelOn surfaces the fit error,
+	// FitWithFallback degrades to a family that fits.
 	cfg := NewConfiguration(g, 32)
-	_, _, err := cfg.FitModel(func(p int) forecast.Model { return &failingModel{} }, 0, 0)
-	if err == nil {
-		t.Fatal("FitModel must surface the fit error (fallback is the caller's job)")
+	failing := func(p int) forecast.Model { return &failingModel{} }
+	train := g.Node(0).Series.Slice(0, 32)
+	if _, _, err := cfg.FitModelOn(failing, train, 0); err == nil {
+		t.Fatal("FitModelOn must surface the fit error (fallback is FitWithFallback's job)")
+	}
+	m, _, err := cfg.FitWithFallback(failing, train, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Name() != forecast.NewHolt(false).Name() {
+		t.Fatalf("fallback fitted %s, want the first fallback family", m.Name())
 	}
 }

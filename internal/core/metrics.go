@@ -43,7 +43,7 @@ type AdvisorMetrics struct {
 	Rejected    int64
 	Deleted     int64
 	// ProbesPlanned/ProbesApplied cover the multi-source optimization
-	// component (synchronous and asynchronous variants alike).
+	// component.
 	ProbesPlanned int64
 	ProbesApplied int64
 	// SelectionTime, EvalTime and ControlTime accumulate per-phase wall

@@ -54,14 +54,28 @@ func TestAdvisorMetricsAccounting(t *testing.T) {
 			t.Fatalf("String() lacks %q:\n%s", want, s)
 		}
 	}
+	// A negative MultiSourceProbes switches the component off (0 is the
+	// default count).
+	off, err := NewAdvisor(g, Options{Seed: 8, Parallelism: 2, MultiSourceProbes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < steps; i++ {
+		if _, err := off.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.ProbesPlanned == 0 || off.Metrics().ProbesPlanned != 0 {
+		t.Fatalf("probes planned: %d enabled (want > 0), %d disabled (want 0)", m.ProbesPlanned, off.Metrics().ProbesPlanned)
+	}
 }
 
-// TestAdvisorMetricsConcurrentSnapshot reads snapshots while Run drives the
-// search (with the async prober active); run under -race this proves the
-// surface is safe for monitoring goroutines.
+// TestAdvisorMetricsConcurrentSnapshot reads snapshots while the advisor
+// steps; run under -race this proves the surface is safe for monitoring
+// goroutines.
 func TestAdvisorMetricsConcurrentSnapshot(t *testing.T) {
 	g := seasonalCube(t, 9)
-	adv, err := NewAdvisor(g, Options{Seed: 9, Parallelism: 2, MultiSourceProbes: 2, AsyncMultiSource: true})
+	adv, err := NewAdvisor(g, Options{Seed: 9, Parallelism: 2, MultiSourceProbes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

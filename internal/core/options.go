@@ -9,26 +9,42 @@ import (
 	"cubefc/internal/indicator"
 )
 
-// CostMetric selects how model costs enter the acceptance criterion
-// (eq. 8 requires "a normalization so that error and costs are
-// comparable").
-type CostMetric int
-
+// The advisor's fixed parameters. No caller ever set one, so they are not
+// options (Section III-A: "ideally no further parameterization input should
+// be needed when running the advisor"). Each cites the section that
+// introduces the parameter; where the paper names no value, the value is
+// the one every recorded run and golden digest of this repository used.
 const (
-	// CostModels normalizes by model count over graph size — the proxy
-	// the paper's Figure 7 reports ("the number of models in the final
-	// configuration representing the model costs"). Deterministic.
-	CostModels CostMetric = iota
-	// CostTime normalizes by accumulated creation seconds over the
-	// estimated cost of modeling every node (the paper's worst-case
-	// maintenance approximation, Section II-D).
-	CostTime
+	// trainRatio is the training fraction of every series; the rest is the
+	// evaluation part (0.8, Section VI-A).
+	trainRatio = 0.8
+	// indicatorEntries caps the local-indicator entries held in memory; |I|
+	// per local indicator is derived from it unless IndicatorFraction is
+	// set (Section IV-C.1 restricts |I| "so that indicators for all nodes
+	// fit in memory").
+	indicatorEntries = 4_000_000
+	// alphaStep is how far the control phase raises α each time: ten steps
+	// from the default Alpha0 = 0.1 to AlphaMax = 1.0 (Section IV-C.1; the
+	// α values of Fig. 8e/f).
+	alphaStep = 0.1
+	// rejectsPerAlphaStep raises α after this many rejected candidates
+	// (Section IV-C.1, the first of the three conditions control() lists).
+	rejectsPerAlphaStep = 3
+	// minErrorImprovement raises α when an iteration improves the overall
+	// error by less than this fraction of the initial configuration error
+	// (Section IV-C.1, the third condition).
+	minErrorImprovement = 0.002
 )
 
 // Options parameterizes the advisor. The zero value is usable: "ideally no
 // further parameterization input should be needed when running the
 // advisor" (Section III-A); every field has a sensible default applied by
-// Run.
+// Run, and every field is set by some binary, experiment or benchmark. What
+// the paper fixes — the 80 % training split (TrainLen), the indicator
+// memory budget, the α step and its two triggers — is the const block
+// above, not a field. Model cost in eq. 8 is the model count over the graph
+// size (the proxy Figure 7 reports); creation seconds are reported
+// (Configuration.CostSeconds, Snapshot.CostSeconds) and decide nothing.
 type Options struct {
 	// ModelFactory creates the forecast models examined in the
 	// evaluation phase. It is invoked from up to Parallelism goroutines
@@ -37,38 +53,22 @@ type Options struct {
 	// Holt-Winters additive when the graph period permits, otherwise
 	// Holt's linear method.
 	ModelFactory forecast.Factory
-	// TrainRatio is the training fraction of every series (default 0.8,
-	// Section VI-A).
-	TrainRatio float64
 	// Parallelism bounds concurrent model creations; the paper restricts
 	// the number of created candidates per iteration to the number of
 	// available processors (Section IV-B.1). Default runtime.NumCPU().
 	Parallelism int
-	// IndicatorEntries caps the total number of local-indicator entries
-	// held in memory; |I| per local indicator is derived from it
-	// (Section IV-C.1 restricts |I| "so that indicators for all nodes
-	// fit in memory"). Default 4_000_000 entries.
-	IndicatorEntries int
 	// IndicatorFraction, when > 0, fixes |I| to this fraction of the
-	// graph size instead (used by the Fig. 8b experiment).
+	// graph size instead of deriving it from the memory budget (used by
+	// the Fig. 8b experiment).
 	IndicatorFraction float64
 	// Indicator tunes the indicator combination.
 	Indicator indicator.Config
 
-	// Alpha0 is the initial acceptance parameter α (default 0.1); it is
-	// raised by AlphaStep (default 0.1) up to AlphaMax (default 1.0) by
-	// the control phase. Setting Alpha0 = AlphaMax pins α (used by the
-	// Fig. 8e/f sweeps).
-	Alpha0    float64
-	AlphaStep float64
-	AlphaMax  float64
-	// RejectsPerAlphaStep raises α after this many rejected candidates
-	// (default 3).
-	RejectsPerAlphaStep int
-	// MinErrorImprovement raises α when an iteration improves the
-	// overall error by less than this fraction of the initial
-	// configuration error (default 0.002).
-	MinErrorImprovement float64
+	// Alpha0 is the initial acceptance parameter α (default 0.1); the
+	// control phase raises it in steps of 0.1 up to AlphaMax (default 1.0).
+	// Setting Alpha0 = AlphaMax pins α (used by the Fig. 8e/f sweeps).
+	Alpha0   float64
+	AlphaMax float64
 	// Gamma0 overrides the initial preselection parameter γ; when 0 (unset)
 	// γ is derived so that the expected number of positive candidates
 	// matches Parallelism.
@@ -76,30 +76,22 @@ type Options struct {
 	// FixedGamma disables the γ feedback control (ablation).
 	FixedGamma bool
 
-	// CostMetric selects the acceptance-cost normalization.
-	CostMetric CostMetric
 	// CreationDelay is an artificial per-model fitting delay simulating
 	// expensive model types (Fig. 8c/8d).
 	CreationDelay time.Duration
 
 	// MultiSourceProbes is the number of randomized multi-source scheme
 	// probes per iteration performed by the optimization component of
-	// Section IV-C.2 (0 disables it). Default 2 × Parallelism.
+	// Section IV-C.2. 0 means the default, 2 × Parallelism; a negative
+	// value disables the component (ablation).
 	MultiSourceProbes int
-	// AsyncMultiSource runs the multi-source component as a true
-	// background goroutine (the paper's "additional asynchronous
-	// component"): probe plans are generated continuously against model
-	// snapshots and drained at iteration boundaries. Results become
-	// timing dependent; leave off for reproducible runs.
-	AsyncMultiSource bool
 	// DisableDeletion turns off the deletion step (ablation).
 	DisableDeletion bool
 
 	// Stop criteria (Section IV-D). Zero values disable a criterion.
-	MaxIterations  int     // hard iteration bound
-	TargetError    float64 // stop once overall error <= TargetError
-	MaxModels      int     // stop once the configuration holds this many models
-	MaxCostSeconds float64 // stop once accumulated creation time exceeds this
+	MaxIterations int     // hard iteration bound
+	TargetError   float64 // stop once overall error <= TargetError
+	MaxModels     int     // stop once the configuration holds this many models
 
 	// SampleSize, when > 0, makes the advisor read every series through a
 	// reservoir estimator (FlashP-style): a node covering more than
@@ -156,14 +148,8 @@ func (o Options) withDefaults() Options {
 	if o.ModelFactory == nil {
 		o.ModelFactory = DefaultModelFactory
 	}
-	if o.TrainRatio <= 0 || o.TrainRatio >= 1 {
-		o.TrainRatio = 0.8
-	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.NumCPU()
-	}
-	if o.IndicatorEntries <= 0 {
-		o.IndicatorEntries = 4_000_000
 	}
 	if o.Indicator.StabilityWeight == 0 && o.Indicator.HistoryLen == 0 {
 		o.Indicator = indicator.DefaultConfig()
@@ -171,17 +157,8 @@ func (o Options) withDefaults() Options {
 	if o.Alpha0 <= 0 {
 		o.Alpha0 = 0.1
 	}
-	if o.AlphaStep <= 0 {
-		o.AlphaStep = 0.1
-	}
 	if o.AlphaMax <= 0 {
 		o.AlphaMax = 1.0
-	}
-	if o.RejectsPerAlphaStep <= 0 {
-		o.RejectsPerAlphaStep = 3
-	}
-	if o.MinErrorImprovement <= 0 {
-		o.MinErrorImprovement = 0.002
 	}
 	if o.MultiSourceProbes == 0 {
 		o.MultiSourceProbes = 2 * o.Parallelism

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math/rand"
-	"slices"
-)
+import "slices"
 
 // planProbeSources selects 2–3 source model nodes for a multi-source probe
 // targeting node target, preferring sources close to the target (Section
@@ -13,10 +10,8 @@ import (
 // evaluated as a spuriously perfect derivation. Returns nil when fewer than
 // two distinct non-target model nodes exist.
 //
-// The helper only reads the advisor's immutable graph and indK; callers on
-// the async planning path pass a model-ID snapshot rather than touching
-// a.cfg. modelIDs is ascending, as Configuration.ModelIDs returns it.
-func (a *Advisor) planProbeSources(rng *rand.Rand, target int, modelIDs []int) []int {
+// modelIDs is ascending, as Configuration.ModelIDs returns it.
+func (a *Advisor) planProbeSources(target int, modelIDs []int) []int {
 	// Order model nodes by BFS proximity to the target; fall back to the
 	// full model list for distant targets. Both pools exclude the target.
 	// The pool filters the BFS result in place — the scratch is ours until
@@ -42,7 +37,7 @@ func (a *Advisor) planProbeSources(rng *rand.Rand, target int, modelIDs []int) [
 	if len(pool) < 2 {
 		return nil
 	}
-	want := 2 + rng.Intn(2) // 2 or 3 sources
+	want := 2 + a.rng.Intn(2) // 2 or 3 sources
 	if want > len(pool) {
 		want = len(pool)
 	}
@@ -58,7 +53,7 @@ func (a *Advisor) planProbeSources(rng *rand.Rand, target int, modelIDs []int) [
 			if slices.Contains(chosen[:n], id) {
 				continue
 			}
-			if rng.Float64() < 0.5 {
+			if a.rng.Float64() < 0.5 {
 				chosen[n] = id
 				n++
 			}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // TestPlanProbeSourcesExcludesTarget hammers the shared probe planner with
 // every node as target: the target must never appear among its own sources
@@ -20,10 +17,9 @@ func TestPlanProbeSourcesExcludesTarget(t *testing.T) {
 	for i := range modelIDs {
 		modelIDs[i] = i
 	}
-	rng := rand.New(rand.NewSource(30))
 	for trial := 0; trial < 50; trial++ {
 		for target := 0; target < g.NumNodes(); target++ {
-			srcs := adv.planProbeSources(rng, target, modelIDs)
+			srcs := adv.planProbeSources(target, modelIDs)
 			if len(srcs) < 2 || len(srcs) > 3 {
 				t.Fatalf("target %d: %d sources, want 2 or 3", target, len(srcs))
 			}
@@ -40,50 +36,52 @@ func TestPlanProbeSourcesExcludesTarget(t *testing.T) {
 		}
 	}
 	// With a single non-target model there is no viable multi-source set.
-	if srcs := adv.planProbeSources(rng, 3, []int{3, 5}); srcs != nil {
+	if srcs := adv.planProbeSources(3, []int{3, 5}); srcs != nil {
 		t.Fatalf("one usable source should yield no plan, got %v", srcs)
 	}
-	if srcs := adv.planProbeSources(rng, 3, []int{3}); srcs != nil {
+	if srcs := adv.planProbeSources(3, []int{3}); srcs != nil {
 		t.Fatalf("target-only model set should yield no plan, got %v", srcs)
 	}
 }
 
-// TestProbePlanTargetNeverInSources covers the async planning path: every
-// emitted plan either signals "no plan" (target -1) or has a source set
-// that excludes the target.
+// TestProbePlanTargetNeverInSources covers planning the way the control
+// phase does it — a random target against the model set of a run in
+// progress, where the near pool is often too small and the full model list
+// takes over: every plan has a source set that excludes the target.
 func TestProbePlanTargetNeverInSources(t *testing.T) {
 	g := seasonalCube(t, 31)
 	adv, err := NewAdvisor(g, Options{Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
-	modelIDs := make([]int, g.NumNodes())
-	for i := range modelIDs {
-		modelIDs[i] = i
-	}
-	rng := rand.New(rand.NewSource(31))
-	for i := 0; i < 500; i++ {
-		plan := adv.planProbe(rng, modelIDs)
-		if plan.target < 0 {
-			continue
+	for i := 0; i < 3; i++ {
+		if _, err := adv.Step(); err != nil {
+			t.Fatal(err)
 		}
-		for _, s := range plan.sources {
-			if s == plan.target {
-				t.Fatalf("plan %d: target %d in sources %v", i, plan.target, plan.sources)
+	}
+	modelIDs := adv.cfg.ModelIDs()
+	if len(modelIDs) < 3 {
+		t.Fatalf("only %d models after three iterations; nothing to plan against", len(modelIDs))
+	}
+	for i := 0; i < 500; i++ {
+		target := adv.rng.Intn(g.NumNodes())
+		for _, s := range adv.planProbeSources(target, modelIDs) {
+			if s == target {
+				t.Fatalf("plan %d: target %d among its own sources", i, target)
 			}
 		}
 	}
 }
 
 // TestRunSchemesNeverSelfSourced is the end-to-end regression for the probe
-// planner bug: after full advisor runs (both the synchronous and the
-// asynchronous multi-source component), no multi-source scheme may list its
-// own target as a source. Direct schemes (a node deriving from its own
-// model, one source) are the legitimate exception.
+// planner bug: after full advisor runs (default and explicit probe counts),
+// no multi-source scheme may list its own target as a source. Direct schemes
+// (a node deriving from its own model, one source) are the legitimate
+// exception.
 func TestRunSchemesNeverSelfSourced(t *testing.T) {
 	for _, opts := range []Options{
 		{Seed: 32, MultiSourceProbes: 8},
-		{Seed: 33, AsyncMultiSource: true},
+		{Seed: 33},
 	} {
 		cfg, err := Run(seasonalCube(t, opts.Seed), opts)
 		if err != nil {

@@ -38,23 +38,33 @@ func TestSampledAdvisorOnLazyCube(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 8
-	cfg, err := Run(g, Options{
+	adv, err := NewAdvisor(g, Options{
 		Seed: 42,
-		// Small reservoir and a tight indicator budget so the advisor's
+		// Small reservoir and a tight indicator size so the advisor's
 		// touch set stays a strict subset of this (deliberately small)
 		// cube; production-scale runs use the defaults. The pinned, wide
 		// preselection net makes the run reproducible and lets it accept
 		// models beyond the initial one.
-		SampleSize:       k,
-		IndicatorEntries: 2_000,
-		FixedGamma:       true,
-		Gamma0:           -1,
-		MaxIterations:    40,
-		Parallelism:      2,
+		SampleSize:        k,
+		IndicatorFraction: 0.018,
+		FixedGamma:        true,
+		Gamma0:            -1,
+		MaxIterations:     40,
+		Parallelism:       2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// 330 nodes: ⌈0.018 · 329⌉ = 6 targets per local indicator.
+	if adv.IndicatorSize() != 6 {
+		t.Fatalf("|I| = %d on %d nodes, want 6", adv.IndicatorSize(), g.NumNodes())
+	}
+	for done := false; !done; {
+		if done, err = adv.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := adv.Configuration()
 	if cfg.NumModels() < 2 {
 		t.Fatalf("sampled advisor ended with %d models; the run never accepted one", cfg.NumModels())
 	}

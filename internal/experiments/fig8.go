@@ -33,7 +33,7 @@ func Fig8a(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		trainLen := int(math.Round(0.8 * float64(g.Length)))
+		trainLen := core.TrainLen(g.Length)
 		icfg := indicator.Config{StabilityWeight: 0.5, HistoryLen: trainLen}
 
 		var inds, errs []float64

@@ -175,11 +175,9 @@ type DB struct {
 	deps map[int][]int
 
 	// parallelism bounds the off-lock re-estimation worker pool; eager
-	// selects re-fitting right after the invalidating advance, coldRefit
-	// suppresses warm-started fits. See Options.
+	// selects re-fitting right after the invalidating advance. See Options.
 	parallelism int
 	eager       bool
-	coldRefit   bool
 
 	met engineMetrics
 
@@ -229,8 +227,7 @@ type Options struct {
 	// Stripes is the number of write stripes sharding the pending insert
 	// batch and the forecast memo table. 0 picks a power of two near
 	// GOMAXPROCS; other values are rounded up to the next power of two
-	// (capped at 256). Negative forces a single stripe — the pre-striping
-	// global-lock layout, kept for baseline benchmarks.
+	// (capped at 256).
 	Stripes int
 	// Parallelism bounds the worker pool that re-fits invalidated models
 	// off the exclusive lock (eager maintenance and lazy query pre-fits).
@@ -241,10 +238,6 @@ type Options struct {
 	// (the lazy default, Section V). The fits run off the exclusive lock
 	// on the worker pool, so queries and inserts proceed concurrently.
 	EagerReestimate bool
-	// ColdRefit disables warm-started re-estimation: every re-fit runs the
-	// full cold parameter search instead of seeding the optimizer from the
-	// model's previous parameters. Kept for baseline benchmarks.
-	ColdRefit bool
 }
 
 // Default cache capacities applied by Open when the option is zero.
@@ -277,7 +270,6 @@ func Open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 		stripeShift: stripeShiftFor(nstripes),
 		parallelism: opts.Parallelism,
 		eager:       opts.EagerReestimate,
-		coldRefit:   opts.ColdRefit,
 	}
 	if db.parallelism <= 0 {
 		db.parallelism = runtime.GOMAXPROCS(0)
@@ -554,10 +546,8 @@ func (db *DB) deriveInterval(g guard, nodeID, h int, conf float64) (point, lo, h
 // must witness the write lock.
 func (db *DB) reestimate(g guard, id int, m forecast.Model) error {
 	db.assertExclusive(g)
-	if !db.coldRefit {
-		if ws, ok := m.(forecast.WarmStarter); ok {
-			ws.WarmStart(ws.Params())
-		}
+	if ws, ok := m.(forecast.WarmStarter); ok {
+		ws.WarmStart(ws.Params())
 	}
 	if err := m.Fit(db.graph.Node(id).Series); err != nil {
 		return fmt.Errorf("f2db: re-estimating node %d: %w", id, err)

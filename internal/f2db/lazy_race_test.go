@@ -53,13 +53,13 @@ func TestLazyMaterializationRace(t *testing.T) {
 	advOpts := core.Options{
 		Seed:       7,
 		SampleSize: 16,
-		// Tight indicator budget so the advisor's touch set stays a strict
-		// subset of this (deliberately small) cube.
-		IndicatorEntries: 2_000,
-		FixedGamma:       true,
-		Gamma0:           0.5,
-		MaxIterations:    4,
-		Parallelism:      2,
+		// Tight indicator size (|I| = 6 of 330 nodes) so the advisor's touch
+		// set stays a strict subset of this (deliberately small) cube.
+		IndicatorFraction: 0.018,
+		FixedGamma:        true,
+		Gamma0:            0.5,
+		MaxIterations:     4,
+		Parallelism:       2,
 	}
 	lcfg, err := core.Run(lg, advOpts)
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 //  1. Snapshot under the shared lock: clone the node's series and model and
 //     read the batch-advance generation counter.
 //  2. Fit the clone outside any lock, warm-started from the model's own
-//     previous parameters (unless Options.ColdRefit).
+//     previous parameters.
 //  3. Install under the write lock — but only if the generation counter is
 //     unchanged. Every mutation of series or model state happens in
 //     advanceBatch, which increments advanceGen under the same write lock
@@ -139,10 +139,8 @@ func (db *DB) reestimateNode(id int) bool {
 			return false
 		}
 
-		if !db.coldRefit {
-			if ws, ok := clone.(forecast.WarmStarter); ok {
-				ws.WarmStart(ws.Params())
-			}
+		if ws, ok := clone.(forecast.WarmStarter); ok {
+			ws.WarmStart(ws.Params())
 		}
 		if clone.Fit(series) != nil {
 			// Leave the model invalid; the lazy under-lock path will

@@ -4,14 +4,15 @@ import (
 	"testing"
 )
 
-// benchReestimate measures one full re-estimation round over every model in
-// the configuration: all models are invalidated, then re-fitted through the
-// off-lock protocol (clone, fit, generation-checked install).
-func benchReestimate(b *testing.B, cold bool) {
-	db, _ := benchEngineOpts(b, Options{Strategy: TimeBased{Every: 1}, ColdRefit: cold})
+// BenchmarkReestimateWarm measures one full re-estimation round over every
+// model in the configuration: all models are invalidated, then re-fitted
+// through the off-lock protocol (clone, fit seeded from the model's previous
+// parameters, generation-checked install).
+func BenchmarkReestimateWarm(b *testing.B) {
+	db, _ := benchEngineOpts(b, Options{Strategy: TimeBased{Every: 1}})
 	ids := db.Configuration().ModelIDs()
 	// Prime the warm path: the first round starts from advisor-fitted
-	// parameters either way.
+	// parameters.
 	g := db.wLock()
 	for _, id := range ids {
 		db.invalid[id] = true
@@ -28,14 +29,6 @@ func benchReestimate(b *testing.B, cold bool) {
 		db.reestimateMany(ids)
 	}
 }
-
-// BenchmarkReestimateWarm re-fits with the optimizer seeded from each
-// model's previous parameters (the default).
-func BenchmarkReestimateWarm(b *testing.B) { benchReestimate(b, false) }
-
-// BenchmarkReestimateCold is the baseline: every re-fit runs the full cold
-// parameter search (Options.ColdRefit).
-func BenchmarkReestimateCold(b *testing.B) { benchReestimate(b, true) }
 
 // BenchmarkInsertDuringReestimate measures insert latency while a
 // background goroutine keeps the off-lock re-estimation pipeline busy —

@@ -20,66 +20,32 @@ import (
 	"cubefc/internal/timeseries"
 )
 
-// Options parameterizes the baseline builders.
+// Options parameterizes the baseline builders. Everything else is the
+// advisor's: the model family (core.DefaultModelFactory), the train/test
+// split (core.TrainLen) and the fallback chain for short series
+// (Configuration.FitWithFallback) — a baseline that differed in one of them
+// would not be comparable in Figure 7.
 type Options struct {
-	// ModelFactory creates the per-node models (default: the same
-	// triple-exponential-smoothing default the advisor uses).
-	ModelFactory forecast.Factory
-	// TrainRatio splits each series into training and evaluation parts
-	// (default 0.8).
-	TrainRatio float64
 	// CreationDelay adds an artificial per-model fitting delay
 	// (Fig. 8c).
 	CreationDelay time.Duration
 }
 
-func (o Options) withDefaults() Options {
-	if o.ModelFactory == nil {
-		o.ModelFactory = core.DefaultModelFactory
+// fitNode fits the default model family on the node's training series, with
+// fallback to simpler families on short series.
+func fitNode(cfg *core.Configuration, id int, delay time.Duration) (forecast.Model, time.Duration, error) {
+	train := cfg.Graph.Node(id).Series.Slice(0, cfg.TrainLen)
+	m, d, err := cfg.FitWithFallback(core.DefaultModelFactory, train, delay, nil)
+	if err != nil {
+		return nil, 0, fmt.Errorf("hierarchical: cannot fit node %d: %w", id, err)
 	}
-	if o.TrainRatio <= 0 || o.TrainRatio >= 1 {
-		o.TrainRatio = 0.8
-	}
-	return o
-}
-
-func trainLen(g *cube.Graph, ratio float64) int {
-	tl := int(math.Round(ratio * float64(g.Length)))
-	if tl >= g.Length {
-		tl = g.Length - 1
-	}
-	if tl < 1 {
-		tl = 1
-	}
-	return tl
-}
-
-// fitNode fits a model with fallback to simpler families on short series.
-func fitNode(cfg *core.Configuration, factory forecast.Factory, id int, delay time.Duration) (forecast.Model, time.Duration, error) {
-	m, d, err := cfg.FitModel(factory, id, delay)
-	if err == nil {
-		return m, d, nil
-	}
-	for _, fb := range []forecast.Factory{
-		func(p int) forecast.Model { return forecast.NewHolt(false) },
-		func(p int) forecast.Model { return forecast.NewSES() },
-		func(p int) forecast.Model { return forecast.NewNaive() },
-	} {
-		var m2 forecast.Model
-		var d2 time.Duration
-		m2, d2, err = cfg.FitModel(fb, id, 0)
-		if err == nil {
-			return m2, d + d2, nil
-		}
-		d += d2
-	}
-	return nil, 0, fmt.Errorf("hierarchical: cannot fit node %d: %w", id, err)
+	return m, d, nil
 }
 
 // installModel fits and stores a model at the node, returning its
 // test-horizon forecast.
-func installModel(cfg *core.Configuration, factory forecast.Factory, id int, delay time.Duration) ([]float64, error) {
-	m, d, err := fitNode(cfg, factory, id, delay)
+func installModel(cfg *core.Configuration, id int, delay time.Duration) ([]float64, error) {
+	m, d, err := fitNode(cfg, id, delay)
 	if err != nil {
 		return nil, err
 	}
@@ -106,10 +72,9 @@ func setNodeError(cfg *core.Configuration, sc derivation.Scheme, fc []float64) {
 // Direct creates a model for every node and uses it directly (Figure 3a) —
 // the naive approach with maximum model costs.
 func Direct(g *cube.Graph, opts Options) (*core.Configuration, error) {
-	opts = opts.withDefaults()
-	cfg := core.NewConfiguration(g, trainLen(g, opts.TrainRatio))
+	cfg := core.NewConfiguration(g, core.TrainLen(g.Length))
 	for id := 0; id < g.NumNodes(); id++ {
-		fc, err := installModel(cfg, opts.ModelFactory, id, opts.CreationDelay)
+		fc, err := installModel(cfg, id, opts.CreationDelay)
 		if err != nil {
 			return nil, err
 		}
@@ -122,11 +87,10 @@ func Direct(g *cube.Graph, opts Options) (*core.Configuration, error) {
 // aggregated node by summing base forecasts — "arguably the most commonly
 // applied method in forecasting literature".
 func BottomUp(g *cube.Graph, opts Options) (*core.Configuration, error) {
-	opts = opts.withDefaults()
-	cfg := core.NewConfiguration(g, trainLen(g, opts.TrainRatio))
+	cfg := core.NewConfiguration(g, core.TrainLen(g.Length))
 	baseFc := make(map[int][]float64, len(g.BaseIDs))
 	for _, id := range g.BaseIDs {
-		fc, err := installModel(cfg, opts.ModelFactory, id, opts.CreationDelay)
+		fc, err := installModel(cfg, id, opts.CreationDelay)
 		if err != nil {
 			return nil, err
 		}
@@ -158,10 +122,9 @@ func BottomUp(g *cube.Graph, opts Options) (*core.Configuration, error) {
 // the Gross/Sohl variant based on proportions of historical averages that
 // the paper reports as performing best.
 func TopDown(g *cube.Graph, opts Options) (*core.Configuration, error) {
-	opts = opts.withDefaults()
-	cfg := core.NewConfiguration(g, trainLen(g, opts.TrainRatio))
+	cfg := core.NewConfiguration(g, core.TrainLen(g.Length))
 	top := g.TopID
-	topFc, err := installModel(cfg, opts.ModelFactory, top, opts.CreationDelay)
+	topFc, err := installModel(cfg, top, opts.CreationDelay)
 	if err != nil {
 		return nil, err
 	}
@@ -192,8 +155,7 @@ func TopDown(g *cube.Graph, opts Options) (*core.Configuration, error) {
 // costs are maximal, and the regression grows with the number of base
 // series (the paper could not run it on Gen10k within a day).
 func Combine(g *cube.Graph, opts Options) (*core.Configuration, error) {
-	opts = opts.withDefaults()
-	cfg := core.NewConfiguration(g, trainLen(g, opts.TrainRatio))
+	cfg := core.NewConfiguration(g, core.TrainLen(g.Length))
 	h := cfg.TestLen()
 	nodes := g.NumNodes()
 	nb := len(g.BaseIDs)
@@ -207,7 +169,7 @@ func Combine(g *cube.Graph, opts Options) (*core.Configuration, error) {
 	}
 	incidence := g.BaseIncidence()
 	for id := 0; id < g.NumNodes(); id++ {
-		fc, err := installModel(cfg, opts.ModelFactory, id, opts.CreationDelay)
+		fc, err := installModel(cfg, id, opts.CreationDelay)
 		if err != nil {
 			return nil, err
 		}
@@ -264,8 +226,7 @@ func Combine(g *cube.Graph, opts Options) (*core.Configuration, error) {
 // built for evaluation), but their creation time is charged, which is why
 // the approach scales poorly (Figure 9a).
 func Greedy(g *cube.Graph, opts Options) (*core.Configuration, error) {
-	opts = opts.withDefaults()
-	cfg := core.NewConfiguration(g, trainLen(g, opts.TrainRatio))
+	cfg := core.NewConfiguration(g, core.TrainLen(g.Length))
 	nodes := g.NumNodes()
 	h := cfg.TestLen()
 
@@ -275,7 +236,7 @@ func Greedy(g *cube.Graph, opts Options) (*core.Configuration, error) {
 	seconds := make([]float64, nodes)
 	var totalSeconds float64
 	for id := 0; id < g.NumNodes(); id++ {
-		m, d, err := fitNode(cfg, opts.ModelFactory, id, opts.CreationDelay)
+		m, d, err := fitNode(cfg, id, opts.CreationDelay)
 		if err != nil {
 			return nil, err
 		}
@@ -470,8 +431,7 @@ func clamp01Err(e float64) float64 {
 // computed by rescaling each row of S and ŷ by 1/σ̂ and solving the
 // ordinary least-squares problem.
 func CombineWLS(g *cube.Graph, opts Options) (*core.Configuration, error) {
-	opts = opts.withDefaults()
-	cfg := core.NewConfiguration(g, trainLen(g, opts.TrainRatio))
+	cfg := core.NewConfiguration(g, core.TrainLen(g.Length))
 	h := cfg.TestLen()
 	nodes := g.NumNodes()
 	nb := len(g.BaseIDs)
@@ -485,7 +445,7 @@ func CombineWLS(g *cube.Graph, opts Options) (*core.Configuration, error) {
 	}
 	incidence := g.BaseIncidence()
 	for id := 0; id < g.NumNodes(); id++ {
-		m, d, err := fitNode(cfg, opts.ModelFactory, id, opts.CreationDelay)
+		m, d, err := fitNode(cfg, id, opts.CreationDelay)
 		if err != nil {
 			return nil, err
 		}

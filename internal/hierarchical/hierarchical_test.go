@@ -204,14 +204,29 @@ func TestBaselinesOrderingOnCorrelatedCube(t *testing.T) {
 	}
 }
 
+// TestTrainRatioRespected: what Fig. 7 needs — every baseline evaluates on the
+// same part of the series as the advisor, the split of core.TrainLen.
 func TestTrainRatioRespected(t *testing.T) {
 	g := testCube(t, 8)
-	cfg, err := TopDown(g, Options{TrainRatio: 0.5})
+	want := core.TrainLen(g.Length)
+	adv, err := core.Run(g, core.Options{Seed: 8, MaxIterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.TrainLen != 20 {
-		t.Fatalf("train len = %d, want 20", cfg.TrainLen)
+	if adv.TrainLen != want {
+		t.Fatalf("advisor train len = %d, want %d", adv.TrainLen, want)
+	}
+	for name, f := range map[string]func(*cube.Graph, Options) (*core.Configuration, error){
+		"direct": Direct, "bottom-up": BottomUp, "top-down": TopDown,
+		"combine": Combine, "combine-wls": CombineWLS, "greedy": Greedy,
+	} {
+		cfg, err := f(g, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if cfg.TrainLen != want {
+			t.Fatalf("%s: train len = %d, want %d", name, cfg.TrainLen, want)
+		}
 	}
 }
 

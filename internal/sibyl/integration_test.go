@@ -192,7 +192,7 @@ func TestSelfTuningResultInvariance(t *testing.T) {
 // forecast memo — unless the self-tuner predicted the phase change and
 // re-warmed those templates right after the insert. The tuned engine must
 // convert at least 1.5x as many spike-onset first queries into memo hits
-// as the untuned control (the BENCH_f2db.json "selftune" scenario).
+// as the untuned control.
 func TestSpikeOnsetHitRate(t *testing.T) {
 	data := buildSnapshot(t)
 	opts := f2db.Options{Stripes: 4} // Strategy Never: pure caching, no refit noise

@@ -40,7 +40,9 @@ import (
 )
 
 // Options configures the self-forecasting engine. The zero value is
-// usable: every field has a documented default.
+// usable: every field has a documented default. MaxTemplates, HalfLife,
+// MinHistory and EvictBelow are fields rather than constants because the
+// table-bound and eviction tests need small values to reach those branches.
 type Options struct {
 	// Bucket is the telemetry bucket width (and the Start ticker period).
 	// Default 1s.
@@ -53,9 +55,6 @@ type Options struct {
 	// below one arrival per bucket); otherwise the newcomer is dropped
 	// and only counted in the aggregate. Default 512.
 	MaxTemplates int
-	// Window bounds the per-template (and aggregate) bucket history the
-	// models are fitted on. Default 128.
-	Window int
 	// Season, when > 1, fits seasonal Holt-Winters with that period (in
 	// buckets) once a template has two full seasons of history; shorter
 	// histories and Season <= 1 use simple exponential smoothing.
@@ -66,16 +65,6 @@ type Options struct {
 	// template gets a model (its EWMA rate serves as the prediction
 	// until then). Default 4.
 	MinHistory int
-	// SpikeFactor and MinSpikeRate classify spikes: a template spikes
-	// when its next-bucket forecast is at least SpikeFactor times its
-	// current EWMA rate and at least MinSpikeRate arrivals. Defaults 2
-	// and 1.
-	SpikeFactor  float64
-	MinSpikeRate float64
-	// TroughFactor classifies troughs on the aggregate: a trough is
-	// predicted when the aggregate next-bucket forecast is at most
-	// TroughFactor times the aggregate EWMA rate. Default 0.5.
-	TroughFactor float64
 	// EvictBelow is the EWMA rate below which a template old enough to
 	// have MinHistory closed buckets is evicted from the table.
 	// Default 1/64.
@@ -94,23 +83,11 @@ func (o Options) withDefaults() Options {
 	if o.MaxTemplates <= 0 {
 		o.MaxTemplates = 512
 	}
-	if o.Window <= 0 {
-		o.Window = 128
-	}
 	if o.HalfLife <= 0 {
 		o.HalfLife = 8
 	}
 	if o.MinHistory <= 0 {
 		o.MinHistory = 4
-	}
-	if o.SpikeFactor <= 0 {
-		o.SpikeFactor = 2
-	}
-	if o.MinSpikeRate <= 0 {
-		o.MinSpikeRate = 1
-	}
-	if o.TroughFactor <= 0 {
-		o.TroughFactor = 0.5
 	}
 	if o.EvictBelow <= 0 {
 		o.EvictBelow = 1.0 / 64
@@ -222,6 +199,10 @@ func (e *Engine) register(key string) {
 	e.met.Templates.Store(int64(len(e.list)))
 }
 
+// window bounds the per-template (and aggregate) bucket history the models
+// are fitted on.
+const window = 128
+
 // Tick closes the current bucket, updates rates and histories, re-fits
 // the per-template and aggregate models, classifies spikes and troughs,
 // and runs the attached actuators with the resulting Prediction (which
@@ -243,7 +224,7 @@ func (e *Engine) Tick() Prediction {
 		e.aggRate += alpha * (aggCount - e.aggRate)
 	}
 	e.aggSeen++
-	e.aggHist = appendBounded(e.aggHist, aggCount, e.opts.Window)
+	e.aggHist = appendBounded(e.aggHist, aggCount, window)
 	e.aggModel, e.aggPred = e.refit(e.aggModel, e.aggHist, e.aggSeen)
 
 	// Per-template rollover, decay eviction, and re-fit.
@@ -256,7 +237,7 @@ func (e *Engine) Tick() Prediction {
 			t.rate += alpha * (c - t.rate)
 		}
 		t.seen++
-		t.hist = appendBounded(t.hist, c, e.opts.Window)
+		t.hist = appendBounded(t.hist, c, window)
 		if t.seen >= e.opts.MinHistory && t.rate < e.opts.EvictBelow {
 			e.templates.Delete(t.key)
 			e.met.Evicted.Add(1)
@@ -328,6 +309,17 @@ func (e *Engine) refit(prev forecast.Model, hist []float64, seen int) (forecast.
 	return m, pred
 }
 
+// Classification thresholds (DESIGN §13). A template spikes when its
+// next-bucket forecast is at least spikeFactor times its current EWMA rate
+// and at least minSpikeRate arrivals; a trough is predicted when the
+// aggregate next-bucket forecast is at most troughFactor times the
+// aggregate EWMA rate.
+const (
+	spikeFactor  = 2
+	minSpikeRate = 1
+	troughFactor = 0.5
+)
+
 // classifyLocked builds the Prediction snapshot. Caller holds e.mu.
 func (e *Engine) classifyLocked() Prediction {
 	p := Prediction{
@@ -338,7 +330,7 @@ func (e *Engine) classifyLocked() Prediction {
 	if len(e.aggPred) > 0 {
 		p.AggPredicted = e.aggPred[0]
 	}
-	p.Trough = p.AggPredicted <= e.opts.TroughFactor*p.AggRate
+	p.Trough = p.AggPredicted <= troughFactor*p.AggRate
 	p.Templates = make([]TemplateForecast, 0, len(e.list))
 	for _, t := range e.list {
 		tf := TemplateForecast{Key: t.key, Rate: t.rate, Predicted: t.rate}
@@ -346,8 +338,8 @@ func (e *Engine) classifyLocked() Prediction {
 			tf.Predicted = t.pred[0]
 		}
 		tf.Spike = len(t.pred) > 0 &&
-			tf.Predicted >= e.opts.MinSpikeRate &&
-			tf.Predicted >= e.opts.SpikeFactor*math.Max(t.rate, 1e-9)
+			tf.Predicted >= minSpikeRate &&
+			tf.Predicted >= spikeFactor*math.Max(t.rate, 1e-9)
 		if math.Max(tf.Predicted, tf.Rate) >= 1 {
 			p.WorkingSet++
 		}

@@ -174,17 +174,12 @@ type Options struct {
 	// UseSQL routes queries through the SQL parser instead of the direct
 	// node API (slower; exercises the full query processor).
 	UseSQL bool
-	// PerPointInserts routes inserts through InsertBase one value at a
-	// time instead of the batched InsertBatch write path (slower; useful
-	// for comparing the two and for interleaving queries mid-batch).
-	PerPointInserts bool
 	// InsertWriters drives each time advance from this many parallel
 	// insert streams: the batch is split into InsertWriters disjoint parts
 	// applied by concurrent goroutines, exercising the engine's striped
-	// write path. 0 or 1 keeps the single sequential stream. Ignored when
-	// PerPointInserts is set. In remote mode this is the N of "N writer
-	// connections": each stream executes its part as one multi-row INSERT
-	// over its own pooled connection.
+	// write path. 0 or 1 keeps the single sequential stream. In remote mode
+	// this is the N of "N writer connections": each stream executes its
+	// part as one multi-row INSERT over its own pooled connection.
 	InsertWriters int
 
 	// HotQueries, when > 0, draws queries from a fixed recurring "hot set"
@@ -327,21 +322,6 @@ func Run(db *f2db.DB, gen *Generator, opts Options) (RunResult, error) {
 	}
 	for tp := 0; tp < opts.TimePoints; tp++ {
 		batch := gen.NextBatch()
-		if opts.PerPointInserts {
-			// Deterministic insert order, queries interleaved mid-batch.
-			for _, id := range baseIDs {
-				if err := db.InsertBase(id, batch[id]); err != nil {
-					return res, err
-				}
-				res.Inserts++
-				for q := 0; q < opts.QueriesPerInsert; q++ {
-					if err := runQuery(hot.next(gen, tp)); err != nil {
-						return res, err
-					}
-				}
-			}
-			continue
-		}
 		// Batched write path: the engine locks are taken once for the
 		// whole time advance; the query/insert ratio is preserved by
 		// issuing the batch's query share afterwards. With InsertWriters
