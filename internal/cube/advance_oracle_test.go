@@ -18,12 +18,16 @@ func AdvanceMapOracle(g *Graph, values map[int]float64) error {
 	}
 	g.matMu.Lock()
 	defer g.matMu.Unlock()
-	for _, id := range g.matIDs {
+	for id := range g.nodes {
+		n := g.nodes[id].Load()
+		if n == nil {
+			continue
+		}
 		var v float64
 		for _, b := range g.inc(id) {
 			v += values[g.BaseIDs[b]]
 		}
-		g.nodes[id].Load().Series.Append(v)
+		n.Series.Append(v)
 	}
 	g.Length++
 	return nil

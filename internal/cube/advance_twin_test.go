@@ -1,6 +1,7 @@
 package cube_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -16,6 +17,9 @@ import (
 // node's series identical bit for bit — also while other goroutines
 // materialize nodes of the column graph in an order of their own, which under
 // -race is the check that Advance and Node(id) still exclude each other.
+// Before the first Advance and after every one, the column graph's Latest and
+// HistorySum of every node — resident or not — equal the last value and the
+// Series.Sum() of a third, fully materialized twin, bit for bit.
 func TestAdvanceColumnTwin(t *testing.T) {
 	for _, d := range []*datasets.Dataset{
 		datasets.Tourism(1),
@@ -36,6 +40,23 @@ func TestAdvanceColumnTwin(t *testing.T) {
 				o, err := d.Graph()
 				if err != nil {
 					t.Fatal(err)
+				}
+				m, err := d.Graph()
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.MaterializeAll()
+				checkReads := func(when string) {
+					t.Helper()
+					for id := 0; id < g.NumNodes(); id++ {
+						s := m.Node(id).Series
+						if got, want := g.Latest(id), s.Values[len(s.Values)-1]; math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s: node %d Latest %x, materialized twin %x", when, id, math.Float64bits(got), math.Float64bits(want))
+						}
+						if got, want := g.HistorySum(id), s.Sum(); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s: node %d HistorySum %x, materialized twin %x", when, id, math.Float64bits(got), math.Float64bits(want))
+						}
+					}
 				}
 				var wg sync.WaitGroup
 				if concurrent {
@@ -63,6 +84,7 @@ func TestAdvanceColumnTwin(t *testing.T) {
 					{0, math.Copysign(0, -1), 5e-324, -1e300, 1e300, math.Inf(1), math.Inf(-1)},
 				}
 				column := make([]float64, len(g.BaseIDs))
+				checkReads("before the first advance")
 				for step, advances := 0, 0; step < 40; step++ {
 					if rng.Intn(3) == 0 {
 						for i := 0; i < 1+g.NumNodes()/20; i++ {
@@ -87,7 +109,11 @@ func TestAdvanceColumnTwin(t *testing.T) {
 					if err := cube.AdvanceMapOracle(o, values); err != nil {
 						t.Fatal(err)
 					}
+					if err := cube.AdvanceMapOracle(m, values); err != nil {
+						t.Fatal(err)
+					}
 					advances++
+					checkReads(fmt.Sprintf("advance %d", advances))
 				}
 				wg.Wait()
 				if g.Length != o.Length {

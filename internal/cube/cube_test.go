@@ -147,8 +147,8 @@ func TestGraphEncodesFunctionalDependency(t *testing.T) {
 	if n == nil {
 		t.Fatal("missing base node P2/C1")
 	}
-	if n.Key(g.Dims) != "product=P2|city=C1" {
-		t.Fatalf("key = %q", n.Key(g.Dims))
+	if n.Coord.Key(g.Dims) != "product=P2|city=C1" {
+		t.Fatalf("key = %q", n.Coord.Key(g.Dims))
 	}
 }
 
@@ -383,7 +383,7 @@ func TestGraphDeterministicIDs(t *testing.T) {
 		t.Fatal("graph construction not deterministic")
 	}
 	for i := 0; i < a.NumNodes(); i++ {
-		if a.Node(i).Key(a.Dims) != b.Node(i).Key(b.Dims) {
+		if a.Node(i).Coord.Key(a.Dims) != b.Node(i).Coord.Key(b.Dims) {
 			t.Fatalf("node %d key differs", i)
 		}
 	}
@@ -400,7 +400,7 @@ func TestAggregateInvariantProperty(t *testing.T) {
 		}
 		children := g.Children(n)
 		if len(children) == 0 {
-			t.Fatalf("aggregated node %s has no child edge", n.Key(g.Dims))
+			t.Fatalf("aggregated node %s has no child edge", n.Coord.Key(g.Dims))
 		}
 		for i := range n.Series.Values {
 			var sum float64
@@ -408,7 +408,7 @@ func TestAggregateInvariantProperty(t *testing.T) {
 				sum += g.Node(c).Series.Values[i]
 			}
 			if math.Abs(sum-n.Series.Values[i]) > 1e-9 {
-				t.Fatalf("node %s: aggregate mismatch at t=%d", n.Key(g.Dims), i)
+				t.Fatalf("node %s: aggregate mismatch at t=%d", n.Coord.Key(g.Dims), i)
 			}
 		}
 	}

@@ -285,8 +285,8 @@ func RequireBitIdentical(t testing.TB, a *EagerOracle, b *Graph) {
 	}
 	inc := a.BaseIncidence()
 	for id, na := range a.Nodes {
-		if got := b.KeyOf(id); got != na.Key(a.Dims) {
-			t.Fatalf("node %d key before materialization: %q vs %q", id, na.Key(a.Dims), got)
+		if got := b.KeyOf(id); got != na.Coord.Key(a.Dims) {
+			t.Fatalf("node %d key before materialization: %q vs %q", id, na.Coord.Key(a.Dims), got)
 		}
 		if b.IsBase(id) != na.IsBase {
 			t.Fatalf("node %d IsBase before materialization: %v vs %v", id, na.IsBase, b.IsBase(id))
@@ -295,8 +295,8 @@ func RequireBitIdentical(t testing.TB, a *EagerOracle, b *Graph) {
 			t.Fatalf("node %d covered bases: %v vs %v (count %d)", id, inc[id], b.CoveredBases(id), b.CoveredBaseCount(id))
 		}
 		nb := b.Node(id)
-		if na.ID != nb.ID || na.Key(a.Dims) != nb.Key(b.Dims) {
-			t.Fatalf("node %d: %d %q vs %d %q", id, na.ID, na.Key(a.Dims), nb.ID, nb.Key(b.Dims))
+		if na.ID != nb.ID || na.Coord.Key(a.Dims) != nb.Coord.Key(b.Dims) {
+			t.Fatalf("node %d: %d %q vs %d %q", id, na.ID, na.Coord.Key(a.Dims), nb.ID, nb.Coord.Key(b.Dims))
 		}
 		if na.IsBase != nb.IsBase || na.Depth != nb.Depth {
 			t.Fatalf("node %d flags differ: base %v/%v depth %d/%d",

@@ -2,7 +2,6 @@ package cube
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -19,7 +18,7 @@ type Node struct {
 	// ChildEdges contains one hyper edge per dimension that is aggregated
 	// at this node: ChildEdges[d] lists the node IDs whose aggregation
 	// along dimension d yields this node. Dimensions at their finest
-	// level have a nil entry.
+	// level have a nil entry; base nodes share one all-nil view, never written.
 	ChildEdges [][]int
 	// ParentIDs lists, per dimension, the node obtained by rolling this
 	// node up one level along that dimension (-1 when already at ALL).
@@ -34,9 +33,6 @@ type Node struct {
 	// processing and as a tie breaker in distance ordering.
 	Depth int
 }
-
-// Key returns the canonical coordinate key of the node.
-func (n *Node) Key(dims []Dimension) string { return n.Coord.Key(dims) }
 
 // BaseSeries identifies one base time series by its finest-level member
 // values (one per dimension, in dimension order).
@@ -92,12 +88,11 @@ type Graph struct {
 	childIDs []int
 
 	// matMu serializes materialization and Advance (which must see a
-	// consistent set of materialized series); matIDs lists the
-	// materialized node IDs, matCount mirrors len(matIDs) for lock-free
-	// metrics reads.
+	// consistent set of materialized series); matCount counts the
+	// materialized nodes for lock-free metrics reads.
 	matMu    sync.Mutex
-	matIDs   []int
 	matCount atomic.Int64
+	latest   []float64 // every node's newest observation, from Advance (nil before the first)
 }
 
 // NumNodes returns the total number of nodes in the graph.
@@ -177,13 +172,56 @@ func (g *Graph) Lookup(coord Coord) *Node {
 	return g.Node(id)
 }
 
+// LookupID resolves a canonical key to its node ID, materializing nothing.
+func (g *Graph) LookupID(key string) (int, bool) {
+	id, ok := g.keyIndex()[key]
+	return id, ok
+}
+
 // LookupKey resolves a canonical key to its node, or nil if absent.
 func (g *Graph) LookupKey(key string) *Node {
-	id, ok := g.keyIndex()[key]
+	id, ok := g.LookupID(key)
 	if !ok {
 		return nil
 	}
 	return g.Node(id)
+}
+
+// Latest returns the node's newest observation, bit for bit the last value
+// of Node(id).Series, without materializing the node. Like Length it changes
+// only in Advance and must not be read during one.
+func (g *Graph) Latest(id int) float64 {
+	if g.latest != nil {
+		return g.latest[id]
+	}
+	g.matMu.Lock() // no Advance yet
+	defer g.matMu.Unlock()
+	h := g.historyLocked(id)
+	return h[len(h)-1]
+}
+
+// HistorySum returns Node(id).Series.Sum(), bit for bit, without
+// materializing the node. It is safe for concurrent use.
+func (g *Graph) HistorySum(id int) float64 {
+	g.matMu.Lock()
+	defer g.matMu.Unlock()
+	return (&timeseries.Series{Values: g.historyLocked(id)}).Sum()
+}
+
+// historyLocked returns a resident node's series, or else a fresh slice of
+// the values its materialization stores: the covered base series summed per
+// time step in ascending base-ID order. The caller holds matMu.
+func (g *Graph) historyLocked(id int) []float64 {
+	if n := g.nodes[id].Load(); n != nil {
+		return n.Series.Values
+	}
+	vals := make([]float64, g.Length)
+	for _, b := range g.inc(id) {
+		for t, v := range g.nodes[g.BaseIDs[b]].Load().Series.Values[:g.Length] {
+			vals[t] += v
+		}
+	}
+	return vals
 }
 
 // Top returns the all-ALL node.
@@ -229,11 +267,9 @@ func NewGraph(dims []Dimension, base []BaseSeries) (*Graph, error) {
 	// Materialize the base nodes, their allocations batched across all of
 	// them.
 	g.nodes = make([]atomic.Pointer[Node], len(g.coords))
-	g.matIDs = make([]int, 0, len(base))
-	D := len(dims)
 	nodeArr := make([]Node, len(base))
 	seriesArr := make([]timeseries.Series, len(base))
-	edgesArr := make([][]int, len(base)*D) // base nodes have no children
+	noEdges := make([][]int, len(dims)) // base nodes have no children
 	for i, b := range base {
 		id := baseNodeIDs[i]
 		seriesArr[i] = timeseries.Series{Values: b.Series.Values[:length:length], Period: period}
@@ -242,15 +278,13 @@ func NewGraph(dims []Dimension, base []BaseSeries) (*Graph, error) {
 			ID:         id,
 			Coord:      g.coords[id],
 			Series:     &seriesArr[i],
-			ChildEdges: edgesArr[i*D : (i+1)*D : (i+1)*D],
+			ChildEdges: noEdges,
 			ParentIDs:  g.ParentsOf(id),
 			IsBase:     true,
 		}
 		g.nodes[id].Store(n)
-		g.matIDs = append(g.matIDs, id)
 	}
-	sort.Ints(g.matIDs)
-	g.matCount.Store(int64(len(g.matIDs)))
+	g.matCount.Store(int64(len(base)))
 	return g, nil
 }
 
@@ -673,13 +707,7 @@ func (g *Graph) materialize(id int) *Node {
 	for _, c := range coord {
 		depth += c.Level
 	}
-	vals := make([]float64, g.Length)
-	for _, b := range g.inc(id) {
-		bv := g.nodes[g.BaseIDs[b]].Load().Series.Values
-		for t, v := range bv {
-			vals[t] += v
-		}
-	}
+	vals := g.historyLocked(id)
 	D := len(g.Dims)
 	edges := make([][]int, D)
 	for d := range edges {
@@ -696,7 +724,6 @@ func (g *Graph) materialize(id int) *Node {
 		ParentIDs:  g.ParentsOf(id),
 		Depth:      depth,
 	}
-	g.matIDs = append(g.matIDs, id)
 	g.matCount.Add(1)
 	g.nodes[id].Store(n)
 	return n
@@ -885,13 +912,12 @@ func (g *Graph) CoveredBaseCount(id int) int {
 }
 
 // Advance appends one new observation to every base series — column holds
-// them in BaseIDs order, column[i] for base node BaseIDs[i] — and propagates
-// the SUM aggregation to every materialized node; nodes materialized later
-// sum the already-extended base series and need no catch-up. A column of
-// any other length is refused with nothing changed, mirroring the
-// batched-insert maintenance of Section V ("we currently batch inserts
-// until a new value is available for each base time series"). The column
-// is only read, and not retained.
+// them in BaseIDs order, column[i] for base node BaseIDs[i] — computes every
+// node's new SUM aggregate (Latest) and appends it to the materialized ones;
+// nodes materialized later sum the extended base series. A column of any
+// other length is refused with nothing changed, mirroring the batched-insert
+// maintenance of Section V ("we currently batch inserts until a new value is
+// available for each base time series"). The column is only read, not kept.
 //
 // Each node's new value sums the column entries of its covered bases in
 // ascending base-ID order — the order of the incidence CSR — so aggregate
@@ -906,12 +932,18 @@ func (g *Graph) Advance(column []float64) error {
 	}
 	g.matMu.Lock()
 	defer g.matMu.Unlock()
-	for _, id := range g.matIDs {
+	if g.latest == nil {
+		g.latest = make([]float64, len(g.nodes))
+	}
+	for id := range g.latest {
 		var v float64
 		for _, b := range g.inc(id) {
 			v += column[b]
 		}
-		g.nodes[id].Load().Series.Append(v)
+		g.latest[id] = v
+		if n := g.nodes[id].Load(); n != nil {
+			n.Series.Append(v)
+		}
 	}
 	g.Length++
 	return nil

@@ -280,12 +280,18 @@ func Open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 	for id := range cfg.Models {
 		db.mstats[id] = &ModelStats{}
 	}
-	// Initialize incremental weight states from the full history.
+	// Initialize incremental weight states from the full history, once a node.
+	sums := make(map[int]float64)
+	historySum := func(id int) float64 {
+		if _, ok := sums[id]; !ok {
+			sums[id] = g.HistorySum(id)
+		}
+		return sums[id]
+	}
 	for id, sc := range cfg.Schemes {
-		st := &schemeState{}
-		st.hTarget = g.Node(id).Series.Sum()
+		st := &schemeState{hTarget: historySum(id)}
 		for _, s := range sc.Sources {
-			st.hSources += g.Node(s).Series.Sum()
+			st.hSources += historySum(s)
 		}
 		db.schemes[id] = st
 	}
@@ -791,7 +797,6 @@ func (db *DB) advanceIfComplete() error {
 // strategy. The guard must witness the write lock.
 func (db *DB) advanceBatch(g guard, column []float64) error {
 	db.assertExclusive(g)
-	t := db.graph.Length // index of the new observation after Advance
 	if err := db.graph.Advance(column); err != nil {
 		return err
 	}
@@ -800,7 +805,7 @@ func (db *DB) advanceBatch(g guard, column []float64) error {
 	// Model state updates: compare the one-step forecast against the new
 	// actual to maintain the rolling error, then advance the state.
 	for id, m := range db.cfg.Models {
-		actual := db.graph.Node(id).Series.Values[t]
+		actual := db.graph.Latest(id)
 		st := db.mstats[id]
 		if fc := m.Forecast(1); len(fc) == 1 {
 			den := math.Abs(actual) + math.Abs(fc[0])
@@ -816,15 +821,15 @@ func (db *DB) advanceBatch(g guard, column []float64) error {
 		}
 	}
 
-	// Incremental derivation-weight maintenance.
+	// Incremental derivation-weight maintenance; it makes no node resident.
 	for id, sc := range db.cfg.Schemes {
 		st, ok := db.schemes[id]
 		if !ok {
 			continue
 		}
-		st.hTarget += db.graph.Node(id).Series.Values[t]
+		st.hTarget += db.graph.Latest(id)
 		for _, s := range sc.Sources {
-			st.hSources += db.graph.Node(s).Series.Values[t]
+			st.hSources += db.graph.Latest(s)
 		}
 	}
 	// A time advance changes every node's series, every model's state and
@@ -873,7 +878,7 @@ func (db *DB) Health() map[string]ModelHealth {
 			h.UpdatesSinceFit = st.UpdatesSinceFit
 			h.RollingError = st.RollingError
 		}
-		out[db.graph.Node(id).Key(db.graph.Dims)] = h
+		out[db.graph.KeyOf(id)] = h
 	}
 	return out
 }

@@ -266,8 +266,9 @@ func (d *Durable) replaySegments(column []float64) error {
 		cols := make([][]float64, len(column))
 		distinct := 0
 		for _, s := range series {
-			n := d.db.graph.LookupKey(s.Key)
-			if n == nil || !n.IsBase {
+			id, found := d.db.graph.LookupID(s.Key)
+			ord, ok := d.db.graph.BaseOrdinal(id)
+			if !found || !ok {
 				return fmt.Errorf("f2db: segment %s: series %q is not a base node", sf.name, s.Key)
 			}
 			if uint64(len(s.Values)) != sf.to-sf.from {
@@ -276,7 +277,6 @@ func (d *Durable) replaySegments(column []float64) error {
 			if len(s.Times) > 0 && (uint64(s.Times[0]) != sf.from || s.Times[0] < 0) {
 				return fmt.Errorf("f2db: segment %s: series %q starts at generation %d, span at %d", sf.name, s.Key, s.Times[0], sf.from)
 			}
-			ord, _ := d.db.graph.BaseOrdinal(n.ID)
 			if cols[ord] == nil {
 				distinct++
 			}

@@ -947,7 +947,7 @@ func TestGeneratedValidQueriesParse(t *testing.T) {
 			t.Fatalf("generated query %q failed: %v", q, err)
 		}
 		if res.Node != n.ID {
-			t.Fatalf("query %q resolved to %q, want %q", q, res.NodeKey, n.Key(g.Dims))
+			t.Fatalf("query %q resolved to %q, want %q", q, res.NodeKey, n.Coord.Key(g.Dims))
 		}
 	}
 }

@@ -285,10 +285,12 @@ func (m Metrics) String() string {
 }
 
 // Registry returns the engine's families for /metrics and \stats: a fresh
-// Metrics snapshot at every render, behind the two gauges that are not in
-// it (InvalidCount takes the engine's read lock; the snapshot is lock-free).
+// Metrics snapshot at every render, behind the gauges that are not in it
+// (InvalidCount takes the engine's read lock; the snapshot is lock-free).
 func (db *DB) Registry() *metrics.Registry {
 	return metrics.Dynamic(func(r *metrics.Registry) {
+		r.Value("f2db_resident_nodes", "Graph nodes whose series is materialized.", float64(db.graph.MaterializedNodes()))
+		r.Value("f2db_graph_nodes", "Nodes of the time-series hyper graph.", float64(db.graph.NumNodes()))
 		r.Value("f2db_pending_inserts", "Values in the current incomplete batch.", float64(db.pendingTotal.Load()))
 		r.Value("f2db_invalid_models", "Models awaiting re-estimation.", float64(db.InvalidCount()))
 		r.Break(false)

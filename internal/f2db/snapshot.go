@@ -146,7 +146,7 @@ func saveDatabaseLocked(w io.Writer, db *DB, _ guard) error {
 	if db.fc != nil {
 		for _, k := range db.fc.hotKeys(fcWarmupLimit) {
 			img.FcKeys = append(img.FcKeys, fcWarmKey{
-				NodeKey: db.graph.Node(k.node).Key(db.graph.Dims),
+				NodeKey: db.graph.KeyOf(k.node),
 				H:       k.h,
 				Conf:    k.conf,
 			})
@@ -187,11 +187,11 @@ func LoadDatabase(r io.Reader, opts Options) (*DB, error) {
 	// one lock acquisition for the whole image instead of one per value.
 	pending := make(map[int]float64, len(img.Pending))
 	for key, v := range img.Pending {
-		n := g.LookupKey(key)
-		if n == nil {
+		id, ok := g.LookupID(key)
+		if !ok {
 			return nil, fmt.Errorf("f2db: pending insert for unknown node %q", key)
 		}
-		pending[n.ID] = v
+		pending[id] = v
 	}
 	if len(pending) > 0 {
 		if err := db.InsertBatch(pending); err != nil {
@@ -225,11 +225,11 @@ func LoadDatabase(r io.Reader, opts Options) (*DB, error) {
 	// are skipped, not fatal — a cold miss later is the worst outcome.
 	if db.fc != nil {
 		for _, k := range img.FcKeys {
-			n := g.LookupKey(k.NodeKey)
-			if n == nil || k.H < 1 {
+			id, ok := g.LookupID(k.NodeKey)
+			if !ok || k.H < 1 {
 				continue
 			}
-			db.warmForecast(n.ID, k.H, k.Conf)
+			db.warmForecast(id, k.H, k.Conf)
 		}
 	}
 	return db, nil

@@ -301,7 +301,7 @@ func (db *DB) explainNode(id int) string {
 	}
 	keys := make([]string, len(sc.Sources))
 	for i, s := range sc.Sources {
-		keys[i] = db.graph.Node(s).Key(db.graph.Dims)
+		keys[i] = db.graph.KeyOf(s)
 	}
 	return fmt.Sprintf("%s from [%s] weight %.6f", sc.Kind, strings.Join(keys, ", "), sc.K)
 }

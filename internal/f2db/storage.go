@@ -48,17 +48,17 @@ type configImage struct {
 
 // SaveConfiguration serializes a configuration into the two-table layout.
 func SaveConfiguration(w io.Writer, cfg *core.Configuration) error {
-	dims := cfg.Graph.Dims
+	g := cfg.Graph
 	img := configImage{TrainLen: cfg.TrainLen, CostSeconds: cfg.CostSeconds}
 	for id, sc := range cfg.Schemes {
 		row := ConfigRow{
-			NodeKey: cfg.Graph.Node(id).Key(dims),
+			NodeKey: g.KeyOf(id),
 			Weight:  sc.K,
 			Kind:    int(sc.Kind),
 			Error:   cfg.Errors[id],
 		}
 		for _, s := range sc.Sources {
-			row.SourceKeys = append(row.SourceKeys, cfg.Graph.Node(s).Key(dims))
+			row.SourceKeys = append(row.SourceKeys, g.KeyOf(s))
 		}
 		img.Config = append(img.Config, row)
 	}
@@ -68,7 +68,7 @@ func SaveConfiguration(w io.Writer, cfg *core.Configuration) error {
 			return fmt.Errorf("f2db: encoding model at node %d: %w", id, err)
 		}
 		img.Models = append(img.Models, ModelRow{
-			NodeKey:      cfg.Graph.Node(id).Key(dims),
+			NodeKey:      g.KeyOf(id),
 			Blob:         buf.Bytes(),
 			CreationSecs: cfg.ModelSeconds[id],
 		})
@@ -86,11 +86,11 @@ func LoadConfiguration(r io.Reader, g *cube.Graph) (*core.Configuration, error) 
 	cfg := core.NewConfiguration(g, img.TrainLen)
 	cfg.CostSeconds = img.CostSeconds
 	resolve := func(key string) (int, error) {
-		n := g.LookupKey(key)
-		if n == nil {
+		id, ok := g.LookupID(key)
+		if !ok {
 			return 0, fmt.Errorf("f2db: stored node %q not present in graph", key)
 		}
-		return n.ID, nil
+		return id, nil
 	}
 	for _, row := range img.Models {
 		id, err := resolve(row.NodeKey)

@@ -234,14 +234,15 @@ const parentFamilies = `# TYPE coord_cache_coalesced_total counter
 # TYPE sibyl_troughs_total counter
 `
 
-// familyChanges is everything the registry change did to that set: the two
-// malformed families fixed, and the one gauge that was filled but never
-// exported.
+// familyChanges is everything done to that set since: the two malformed
+// families fixed and the one gauge that was filled but never exported (the
+// registry change), then the engine's two resident-set gauges.
 var familyChanges = strings.NewReplacer(
 	"# TYPE coord_fanout_width counter\n", "# TYPE coord_fanout_width histogram\n",
 	"# TYPE coord_shard0_latency_seconds histogram\n", "# TYPE coord_shard_latency_seconds histogram\n",
 	"# TYPE coord_shard1_latency_seconds histogram\n", "",
 	"# TYPE f2db_stripe_lock_contention_total counter\n", "# TYPE f2db_stripe_bases gauge\n# TYPE f2db_stripe_lock_contention_total counter\n",
+	"# TYPE f2db_pending_inserts gauge\n", "# TYPE f2db_graph_nodes gauge\n# TYPE f2db_pending_inserts gauge\n# TYPE f2db_resident_nodes gauge\n",
 )
 
 // typeLines returns the sorted `# TYPE` lines of a page.
