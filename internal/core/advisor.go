@@ -53,12 +53,17 @@ type Advisor struct {
 
 	rejected map[int]bool // nodes marked never to be selected again
 
+	// ids[i] == i: ids[m:m+1:m+1] is the Sources every single-source scheme
+	// reading model m shares, read-only, and ids the first backfill's targets.
+	ids []int
+
 	// hist is where every series read — indicator histories, training
 	// series, test values, derivation weights — comes from: the graph
 	// itself, or sampler when Options.SampleSize is set, which estimates large
 	// aggregates from a reservoir of base series instead of materializing
 	// them. Exact is the source that never samples; nothing below
-	// NewAdvisor branches on which one it is.
+	// NewAdvisor branches on which one it is. A derivation.TrainingSums
+	// wraps either, so each node's training window is summed once per run.
 	hist    derivation.SeriesSource
 	sampler *cube.SampledSource // nil unless Options.SampleSize is set
 	// drawAbove is the source-set size above which evalScheme draws a PPS
@@ -142,15 +147,20 @@ func NewAdvisor(g *cube.Graph, opts Options) (*Advisor, error) {
 		modelFc:   make(map[int][]float64),
 		warmSeeds: make(map[warmKey][]float64),
 		rejected:  make(map[int]bool),
+		ids:       make([]int, g.NumNodes()),
 		alpha:     opts.Alpha0,
 		rng:       rand.New(rand.NewSource(opts.Seed)),
 		hist:      g,
 		drawAbove: math.MaxInt,
 	}
+	for i := range a.ids {
+		a.ids[i] = i
+	}
 	if opts.SampleSize > 0 {
 		a.sampler = cube.NewSampledSource(g, cube.SampleConfig{K: opts.SampleSize, Seed: opts.Seed})
 		a.hist, a.drawAbove = a.sampler, cube.ExactUpTo(opts.SampleSize)
 	}
+	a.hist = derivation.NewTrainingSums(a.hist, trainLen, g.NumNodes())
 	if a.opts.Indicator.HistoryLen <= 0 || a.opts.Indicator.HistoryLen > trainLen {
 		a.opts.Indicator.HistoryLen = trainLen
 	}
@@ -389,7 +399,7 @@ func (a *Advisor) addModel(id int, m forecast.Model, dur time.Duration, fc []flo
 	a.global.Merge(local)
 
 	// Direct scheme at the node itself.
-	direct := derivation.DirectScheme(id)
+	direct := derivation.Scheme{Target: id, Sources: a.ids[id : id+1 : id+1], K: 1, Kind: derivation.Direct}
 	if e := timeseries.SMAPE(a.testValues(id), fc); !math.IsNaN(e) && e < a.currentErr(id) {
 		a.setScheme(direct, e)
 	} else if _, has := a.cfg.Schemes[id]; !has {
@@ -405,39 +415,20 @@ func (a *Advisor) addModel(id int, m forecast.Model, dur time.Duration, fc []flo
 	// evaluate — and make the graph materialize — thousands of nodes
 	// before the advisor has refined anything); uncovered nodes resolve a
 	// scheme lazily at query time via Configuration.ResolveScheme, and
-	// later models backfill their indicator neighborhoods as usual.
-	var targets []int
-	// slab backs the one-element Sources of the first model's full-graph
-	// backfill: one allocation instead of one per node.
-	var slab []int
+	// later models backfill their (ascending) indicator neighborhoods.
+	targets := local.Targets
 	if len(a.cfg.Models) == 1 {
+		targets = nil
 		if a.sampler == nil {
-			targets = make([]int, a.g.NumNodes())
-			for t := range targets {
-				targets[t] = t
-			}
-			slab = make([]int, len(targets))
-		}
-	} else {
-		targets = make([]int, 0, len(local.Values))
-		for t := range local.Values {
-			targets = append(targets, t)
+			targets = a.ids
 		}
 	}
-	sort.Ints(targets)
-	for i, t := range targets {
+	for _, t := range targets {
 		if t == id {
 			continue
 		}
 		if ev, ok := a.evalSingleSource(id, t); ok && ev.err < a.currentErr(t) {
-			var sources []int
-			if slab != nil {
-				sources = slab[i : i+1 : i+1]
-				sources[0] = id
-			} else {
-				sources = []int{id}
-			}
-			a.setScheme(a.mkScheme(t, sources, ev), ev.err)
+			a.setScheme(a.mkScheme(t, direct.Sources, ev), ev.err)
 		}
 	}
 
@@ -479,7 +470,7 @@ type evaluation struct {
 }
 
 // mkScheme builds the scheme an evaluation of sources → t stands for. It
-// keeps sources: the caller passes a slice the scheme may own.
+// keeps sources: the caller passes a slice the scheme may own or share.
 func (a *Advisor) mkScheme(t int, sources []int, ev evaluation) derivation.Scheme {
 	if ev.drawn != nil {
 		return *ev.drawn
@@ -827,7 +818,7 @@ func (a *Advisor) acceptModel(id int, m forecast.Model, dur time.Duration) bool 
 		local = a.computeLocal(id)
 		a.candLoc[id] = local
 	}
-	for t := range local.Values {
+	for _, t := range local.Targets {
 		if t == id {
 			continue
 		}
@@ -909,7 +900,7 @@ func (a *Advisor) tryDeletion(negatives []int) int {
 	a.removeModel(victim)
 	a.global = indicator.Rebuild(a.g.NumNodes(), a.locals)
 	for _, ra := range reassign {
-		a.setScheme(a.mkScheme(ra.target, []int{ra.source}, ra.ev), ra.ev.err)
+		a.setScheme(a.mkScheme(ra.target, a.ids[ra.source:ra.source+1:ra.source+1], ra.ev), ra.ev.err)
 	}
 	return 1
 }

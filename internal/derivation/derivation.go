@@ -12,6 +12,7 @@ package derivation
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"cubefc/internal/cube"
 )
@@ -59,7 +60,8 @@ type SeriesSource interface {
 // Scheme derives the forecast of Target from the models at Sources with
 // derivation weight K. When Weights is non-nil (sampled derivation,
 // len(Weights) == len(Sources)), each source forecast is scaled by its own
-// weight instead and K is informational only.
+// weight instead and K is informational only. Sources is read-only: the
+// advisor hands every single-source scheme reading one model the same slice.
 type Scheme struct {
 	Target  int
 	Sources []int
@@ -147,7 +149,42 @@ func Weight(src SeriesSource, target int, sources []int, historyLen int) (float6
 	return ht / hs, nil
 }
 
+// TrainingSums is src with a lazily filled table of every node's sum over
+// its first n values, the window of every weight in one advisor run, so each
+// node is summed once per run. Fills are atomic (two racing readers store the
+// same bits); other lengths are summed afresh.
+type TrainingSums struct {
+	SeriesSource
+	n      int
+	sums   []atomic.Uint64 // math.Float64bits of the filled sums
+	filled []atomic.Uint32 // bit id%32 of word id/32: sums[id] is filled
+}
+
+// NewTrainingSums returns an empty table over the nodes 0..nodes-1 of src.
+func NewTrainingSums(src SeriesSource, n, nodes int) *TrainingSums {
+	return &TrainingSums{src, n, make([]atomic.Uint64, nodes), make([]atomic.Uint32, (nodes+31)/32)}
+}
+
+// PrefixSum is the sum of the node's first n values (all of them when n <= 0
+// or beyond the series), bit for bit what historySum gives for any source.
+func (ts *TrainingSums) PrefixSum(id, n int) float64 {
+	word, bit := &ts.filled[id/32], uint32(1)<<(id%32)
+	if n == ts.n && word.Load()&bit != 0 {
+		return math.Float64frombits(ts.sums[id].Load())
+	}
+	s := historySum(ts.SeriesSource, id, n)
+	if n == ts.n {
+		ts.sums[id].Store(math.Float64bits(s))
+		for w := word.Load(); !word.CompareAndSwap(w, w|bit); w = word.Load() {
+		}
+	}
+	return s
+}
+
 func historySum(src SeriesSource, id, historyLen int) float64 {
+	if ts, ok := src.(*TrainingSums); ok {
+		return ts.PrefixSum(id, historyLen)
+	}
 	vals := src.NodeValues(id)
 	n := len(vals)
 	if historyLen > 0 && historyLen < n {

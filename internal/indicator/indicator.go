@@ -9,6 +9,7 @@ package indicator
 
 import (
 	"math"
+	"slices"
 
 	"cubefc/internal/derivation"
 )
@@ -63,24 +64,26 @@ func Combined(src derivation.SeriesSource, target int, sources []int, cfg Config
 
 // Local is the local indicator array of a source node s: for every target
 // node in its neighborhood, the expected derivation error of the scheme
-// s → t. The entry for the source itself is zero (a model at a node
-// forecasts that node "perfectly" in indicator terms).
+// s → t. Targets ascend (every walk goes in that one order) and include the
+// source itself, whose entry is zero (a model at a node forecasts that node
+// "perfectly" in indicator terms); Values[i] belongs to Targets[i].
 type Local struct {
-	Source int
-	Values map[int]float64 // target node ID -> indicator value
+	Source  int
+	Targets []int
+	Values  []float64
 }
 
-// ComputeLocal builds the local indicator of source over the given targets.
-// Targets not containing the source are fine; the source entry is always
-// added with value 0.
+// ComputeLocal builds the local indicator of source over the given targets,
+// in any order and with or without the source.
 func ComputeLocal(src derivation.SeriesSource, source int, targets []int, cfg Config) *Local {
-	l := &Local{Source: source, Values: make(map[int]float64, len(targets)+1)}
-	l.Values[source] = 0
-	for _, t := range targets {
-		if t == source {
-			continue
+	l := &Local{Source: source, Targets: append(append(make([]int, 0, len(targets)+1), source), targets...)}
+	slices.Sort(l.Targets)
+	l.Targets = slices.Compact(l.Targets)
+	l.Values = make([]float64, len(l.Targets))
+	for i, t := range l.Targets {
+		if t != source {
+			l.Values[i] = Combined(src, t, []int{source}, cfg)
 		}
-		l.Values[t] = Combined(src, t, []int{source}, cfg)
 	}
 	return l
 }
@@ -115,20 +118,24 @@ func (gi *Global) Clone() *Global {
 
 // Merge lowers the global indicator with a local indicator array.
 func (gi *Global) Merge(l *Local) {
-	for t, v := range l.Values {
-		if v < gi.Values[t] {
+	for i, t := range l.Targets {
+		if v := l.Values[i]; v < gi.Values[t] {
 			gi.Values[t] = v
 			gi.Source[t] = l.Source
 		}
 	}
 }
 
-// Rebuild recomputes a global indicator from scratch over the given locals
-// (needed after removing a local indicator, Section IV-A).
+// Rebuild recomputes a global indicator from scratch over the given locals,
+// keyed by source ID (needed after removing a local indicator, Section
+// IV-A). They merge in ascending source ID: on a tie the lowest names the
+// target, whatever the map's order.
 func Rebuild(n int, locals map[int]*Local) *Global {
 	gi := NewGlobal(n)
-	for _, l := range locals {
-		gi.Merge(l)
+	for id := 0; id < n; id++ {
+		if l, ok := locals[id]; ok {
+			gi.Merge(l)
+		}
 	}
 	return gi
 }
@@ -168,8 +175,8 @@ func (gi *Global) Sum() float64 {
 // indicator l had been merged, without materializing the copy.
 func (gi *Global) MergedSum(l *Local) float64 {
 	acc := gi.Sum()
-	for t, v := range l.Values {
-		if v < gi.Values[t] {
+	for i, t := range l.Targets {
+		if v := l.Values[i]; v < gi.Values[t] {
 			acc += v - gi.Values[t]
 		}
 	}

@@ -3,10 +3,12 @@ package indicator
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"cubefc/internal/cube"
+	"cubefc/internal/datasets"
 	"cubefc/internal/timeseries"
 )
 
@@ -96,8 +98,8 @@ func TestGlobalMergeSemantics(t *testing.T) {
 	if gi.Values[0] != Worst || gi.Source[0] != -1 {
 		t.Fatal("fresh global should be Worst/-1")
 	}
-	l1 := &Local{Source: 0, Values: map[int]float64{0: 0, 1: 0.5, 2: 0.9}}
-	l2 := &Local{Source: 1, Values: map[int]float64{1: 0, 2: 0.3}}
+	l1 := &Local{Source: 0, Targets: []int{0, 1, 2}, Values: []float64{0, 0.5, 0.9}}
+	l2 := &Local{Source: 1, Targets: []int{1, 2}, Values: []float64{0, 0.3}}
 	gi.Merge(l1)
 	gi.Merge(l2)
 	if gi.Values[1] != 0 || gi.Source[1] != 1 {
@@ -113,8 +115,8 @@ func TestGlobalMergeSemantics(t *testing.T) {
 
 func TestMergeKeepsMinimum(t *testing.T) {
 	gi := NewGlobal(1)
-	gi.Merge(&Local{Source: 0, Values: map[int]float64{0: 0.2}})
-	gi.Merge(&Local{Source: 1, Values: map[int]float64{0: 0.6}})
+	gi.Merge(&Local{Source: 0, Targets: []int{0}, Values: []float64{0.2}})
+	gi.Merge(&Local{Source: 1, Targets: []int{0}, Values: []float64{0.6}})
 	if gi.Values[0] != 0.2 || gi.Source[0] != 0 {
 		t.Fatal("Merge must keep the minimum")
 	}
@@ -122,8 +124,8 @@ func TestMergeKeepsMinimum(t *testing.T) {
 
 func TestRebuild(t *testing.T) {
 	locals := map[int]*Local{
-		0: {Source: 0, Values: map[int]float64{0: 0, 1: 0.4}},
-		1: {Source: 1, Values: map[int]float64{1: 0, 2: 0.2}},
+		0: {Source: 0, Targets: []int{0, 1}, Values: []float64{0, 0.4}},
+		1: {Source: 1, Targets: []int{1, 2}, Values: []float64{0, 0.2}},
 	}
 	gi := Rebuild(3, locals)
 	if gi.Values[0] != 0 || gi.Values[1] != 0 || gi.Values[2] != 0.2 {
@@ -161,10 +163,11 @@ func TestMergedSumMatchesCloneMerge(t *testing.T) {
 				gi.Source[i] = 0
 			}
 		}
-		l := &Local{Source: 1, Values: map[int]float64{}}
+		l := &Local{Source: 1}
 		for i := 0; i < n; i++ {
 			if rng.Float64() < 0.5 {
-				l.Values[i] = rng.Float64()
+				l.Targets = append(l.Targets, i)
+				l.Values = append(l.Values, rng.Float64())
 			}
 		}
 		want := gi.Clone()
@@ -209,6 +212,86 @@ func TestCombinedAllocs(t *testing.T) {
 	for _, sources := range [][]int{{1}, {0, 1, 2}} {
 		if n := testing.AllocsPerRun(100, func() { _ = Combined(g, g.TopID, sources, cfg) }); n != 0 {
 			t.Errorf("Combined over %d sources allocates %v times, want 0", len(sources), n)
+		}
+	}
+}
+
+// TestLocalIndicatorOrderFree: a local indicator has one order, its
+// ascending targets, so nothing computed from it depends on map iteration
+// or on the order its targets arrived in. With a map behind Local, MergedSum
+// over a 3 906-entry local gave 26 to 37 distinct sums in 100 calls.
+func TestLocalIndicatorOrderFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n, entries = 5041, 3906
+	gi := NewGlobal(n)
+	for i := range gi.Values {
+		gi.Values[i] = rng.Float64()
+	}
+	big := &Local{Source: 0}
+	for _, tgt := range rng.Perm(n)[:entries] {
+		big.Targets = append(big.Targets, tgt)
+	}
+	slices.Sort(big.Targets)
+	for range big.Targets {
+		big.Values = append(big.Values, rng.Float64())
+	}
+	want := math.Float64bits(gi.MergedSum(big))
+	for i := 0; i < 100; i++ {
+		if got := math.Float64bits(gi.MergedSum(big)); got != want {
+			t.Fatalf("call %d: MergedSum = %x, first call %x", i, got, want)
+		}
+	}
+
+	g, err := datasets.GenCube(1, datasets.CubeGenForNodes(300, 2)).Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := make([]int, g.NumNodes())
+	for i := range targets {
+		targets[i] = i
+	}
+	cfg := DefaultConfig()
+	var locals []*Local
+	for _, src := range []int{g.TopID, 5, 17, 101} {
+		l := ComputeLocal(g, src, targets, cfg)
+		shuffled := slices.Clone(targets)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		s := ComputeLocal(g, src, shuffled, cfg)
+		if !slices.Equal(l.Targets, s.Targets) || !slices.IsSorted(l.Targets) {
+			t.Fatalf("source %d: targets %v over a shuffled list, %v in order", src, s.Targets, l.Targets)
+		}
+		for i := range l.Values {
+			if math.Float64bits(l.Values[i]) != math.Float64bits(s.Values[i]) {
+				t.Fatalf("source %d, target %d: %v over a shuffled list, %v in order", src, l.Targets[i], s.Values[i], l.Values[i])
+			}
+		}
+		locals = append(locals, l)
+	}
+
+	fwd, rev := NewGlobal(g.NumNodes()), NewGlobal(g.NumNodes())
+	for i := range locals {
+		fwd.Merge(locals[i])
+		rev.Merge(locals[len(locals)-1-i])
+	}
+	for tgt := range fwd.Values {
+		if math.Float64bits(fwd.Values[tgt]) != math.Float64bits(rev.Values[tgt]) || fwd.Source[tgt] != rev.Source[tgt] {
+			t.Fatalf("target %d: %v from %d merged forward, %v from %d merged in reverse",
+				tgt, fwd.Values[tgt], fwd.Source[tgt], rev.Values[tgt], rev.Source[tgt])
+		}
+	}
+}
+
+// TestRebuildTieLowestSource: when two locals tie at a target, the rebuilt
+// global names the lower source every time, not whichever the map yields
+// first — the advisor's deletion ranking reads Global.Source.
+func TestRebuildTieLowestSource(t *testing.T) {
+	locals := map[int]*Local{
+		7: {Source: 7, Targets: []int{2, 7}, Values: []float64{0.25, 0}},
+		3: {Source: 3, Targets: []int{2, 3}, Values: []float64{0.25, 0}},
+	}
+	for i := 0; i < 50; i++ {
+		if gi := Rebuild(8, locals); gi.Source[2] != 3 || gi.Values[2] != 0.25 {
+			t.Fatalf("rebuild %d: target 2 = %v from %d, want 0.25 from 3", i, gi.Values[2], gi.Source[2])
 		}
 	}
 }
