@@ -400,12 +400,11 @@ func (a *Advisor) addModel(id int, m forecast.Model, dur time.Duration, fc []flo
 
 	// Direct scheme at the node itself.
 	direct := derivation.Scheme{Target: id, Sources: a.ids[id : id+1 : id+1], K: 1, Kind: derivation.Direct}
-	if e := timeseries.SMAPE(a.testValues(id), fc); !math.IsNaN(e) && e < a.currentErr(id) {
-		a.setScheme(direct, e)
-	} else if _, has := a.cfg.Schemes[id]; !has {
-		// A model node must always carry a scheme; keep the direct one
-		// even when derivation from elsewhere was better so far.
-		a.setScheme(direct, clampErr(timeseries.SMAPE(a.testValues(id), fc)))
+	// A model node must always carry a scheme; keep the direct one even
+	// when derivation from elsewhere was better so far.
+	e := timeseries.SMAPE(a.testValues(id), fc)
+	if _, has := a.cfg.Schemes[id]; !has || !math.IsNaN(e) && e < a.currentErr(id) {
+		a.setScheme(direct, ClampErr(e))
 	}
 
 	// Derivation schemes for every target the local indicator covers —
@@ -526,7 +525,7 @@ func (a *Advisor) evalScheme(t int, sources []int) (evaluation, bool) {
 	if err != nil || math.IsNaN(e) {
 		return evaluation{}, false
 	}
-	ev := evaluation{k: sc.K, err: clampErr(e)}
+	ev := evaluation{k: sc.K, err: ClampErr(e)}
 	if drawn != nil {
 		a.noteSampleBound(drawn, fcs)
 		ev.drawn = &drawn.Scheme
@@ -809,7 +808,7 @@ func (a *Advisor) acceptModel(id int, m forecast.Model, dur time.Duration) bool 
 	a.modelFc[id] = fc // temporarily visible for evalScheme
 	newErrSum := a.errSum
 	if e := timeseries.SMAPE(a.testValues(id), fc); !math.IsNaN(e) {
-		if ce := clampErr(e); ce < a.currentErr(id) {
+		if ce := ClampErr(e); ce < a.currentErr(id) {
 			newErrSum += ce - a.currentErr(id)
 		}
 	}
@@ -976,7 +975,10 @@ func (a *Advisor) shouldStop(positives int) bool {
 	return false
 }
 
-func clampErr(e float64) float64 {
+// ClampErr maps a SMAPE onto a node's error in [0, 1]: an undefined (NaN)
+// error counts as the worst, 1. The advisor and every baseline clamp through
+// it.
+func ClampErr(e float64) float64 {
 	if math.IsNaN(e) {
 		return 1
 	}

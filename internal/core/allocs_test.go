@@ -58,8 +58,8 @@ func TestAdvisorSelfConsistent(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: node %d: %v", name, id, err)
 			}
-			if got := cfg.Errors[id]; math.Float64bits(got) != math.Float64bits(clampErr(e)) {
-				t.Errorf("%s: node %d: error %v, Scheme.SMAPE says %v", name, id, got, clampErr(e))
+			if got := cfg.Errors[id]; math.Float64bits(got) != math.Float64bits(ClampErr(e)) {
+				t.Errorf("%s: node %d: error %v, Scheme.SMAPE says %v", name, id, got, ClampErr(e))
 			}
 		}
 	}

@@ -46,11 +46,11 @@ func (c *Configuration) Report() Report {
 	}
 	byDepth := make(map[int]*acc)
 	for id := 0; id < c.Graph.NumNodes(); id++ {
-		n := c.Graph.Node(id)
-		a := byDepth[n.Depth]
+		depth := c.Graph.DepthOf(id)
+		a := byDepth[depth]
 		if a == nil {
 			a = &acc{}
-			byDepth[n.Depth] = a
+			byDepth[depth] = a
 		}
 		a.nodes++
 		if _, ok := c.Models[id]; ok {

@@ -87,6 +87,41 @@ func TestSampledAdvisorOnLazyCube(t *testing.T) {
 	}
 }
 
+// TestReportKeepsSkeleton: summarizing a sampled run reads every node's
+// depth from the skeleton, so Report materializes nothing the run did not.
+func TestReportKeepsSkeleton(t *testing.T) {
+	g, err := sampledTestCube(t).Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := Run(g, Options{Seed: 7, SampleSize: 8, FixedGamma: true, Gamma0: 0.5, MaxIterations: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := g.MaterializedNodes()
+	if before >= g.NumNodes() {
+		t.Fatalf("the sampled run materialized all %d nodes; nothing left to keep", before)
+	}
+	r := cfg.Report()
+	if after := g.MaterializedNodes(); after != before {
+		t.Fatalf("Report materialized %d nodes (%d → %d of %d)", after-before, before, after, g.NumNodes())
+	}
+	// The depths are the materialized nodes' own.
+	count := make(map[int]int)
+	for id := 0; id < g.NumNodes(); id++ {
+		count[g.Node(id).Depth]++
+	}
+	for _, d := range r.Depths {
+		if count[d.Depth] != d.Nodes {
+			t.Errorf("depth %d: report counts %d nodes, the graph %d", d.Depth, d.Nodes, count[d.Depth])
+		}
+		delete(count, d.Depth)
+	}
+	if len(count) != 0 {
+		t.Errorf("depths missing from the report: %v", count)
+	}
+}
+
 func TestSampledModeIsDeterministic(t *testing.T) {
 	d := sampledTestCube(t)
 	run := func() (uint64, int) {

@@ -133,6 +133,16 @@ func (g *Graph) BaseOrdinal(id int) (int, bool) {
 // The returned coordinate must not be mutated.
 func (g *Graph) CoordOf(id int) Coord { return g.coords[id] }
 
+// DepthOf returns the node's aggregation depth, the sum of its per-dimension
+// levels (Node.Depth), without materializing it.
+func (g *Graph) DepthOf(id int) int {
+	depth := 0
+	for _, c := range g.coords[id] {
+		depth += c.Level
+	}
+	return depth
+}
+
 // KeyOf returns the canonical coordinate key of the node ID without
 // materializing it.
 func (g *Graph) KeyOf(id int) string { return g.coords[id].Key(g.Dims) }
@@ -702,11 +712,6 @@ func (g *Graph) materialize(id int) *Node {
 	if n := g.nodes[id].Load(); n != nil {
 		return n
 	}
-	coord := g.coords[id]
-	depth := 0
-	for _, c := range coord {
-		depth += c.Level
-	}
 	vals := g.historyLocked(id)
 	D := len(g.Dims)
 	edges := make([][]int, D)
@@ -718,11 +723,11 @@ func (g *Graph) materialize(id int) *Node {
 	}
 	n := &Node{
 		ID:         id,
-		Coord:      coord,
+		Coord:      g.coords[id],
 		Series:     timeseries.New(vals, g.Period),
 		ChildEdges: edges,
 		ParentIDs:  g.ParentsOf(id),
-		Depth:      depth,
+		Depth:      g.DepthOf(id),
 	}
 	g.matCount.Add(1)
 	g.nodes[id].Store(n)

@@ -99,6 +99,8 @@ func TestFig7TourismShape(t *testing.T) {
 
 // TestFig8aIndicatorCorrelation verifies that the indicator correlates
 // strongly with the real derivation error (the validity claim of §VI-C).
+// Fig. 8a runs no advisor and reads no clock, so r is the same on every run:
+// 0.8838 on sales and 0.8225 on tourism.
 func TestFig8aIndicatorCorrelation(t *testing.T) {
 	tab, err := Fig8a(Quick)
 	if err != nil {
@@ -109,7 +111,7 @@ func TestFig8aIndicatorCorrelation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r < 0.5 {
+		if r < 0.8 {
 			t.Fatalf("%s: indicator correlation %v too weak", row[0], r)
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"cubefc/internal/derivation"
 	"cubefc/internal/hierarchical"
 	"cubefc/internal/indicator"
-	"cubefc/internal/timeseries"
 )
 
 // Fig8a reproduces the indicator-accuracy correlation of Figure 8a: for
@@ -58,16 +57,12 @@ func Fig8a(scale Scale) (*Table, error) {
 				if err != nil {
 					continue
 				}
-				derived, err := sc.Apply([][]float64{fc[s]})
-				if err != nil {
-					continue
-				}
-				real := timeseries.SMAPE(g.Node(tgt).Series.Values[trainLen:], derived)
-				if math.IsNaN(real) {
+				real, err := sc.SMAPE(g.NodeValues(tgt)[trainLen:], [][]float64{fc[s]})
+				if err != nil || math.IsNaN(real) {
 					continue
 				}
 				inds = append(inds, ind)
-				errs = append(errs, math.Min(real, 1))
+				errs = append(errs, core.ClampErr(real))
 			}
 		}
 		r := pearson(inds, errs)

@@ -41,6 +41,7 @@ import (
 	"cubefc/internal/forecast"
 	"cubefc/internal/lru"
 	"cubefc/internal/optimize"
+	"cubefc/internal/timeseries"
 )
 
 // InvalidationStrategy decides when a model's parameters must be
@@ -58,7 +59,9 @@ type ModelStats struct {
 	// UpdatesSinceFit counts state updates since the last (re-)fit.
 	UpdatesSinceFit int
 	// RollingError is an exponentially smoothed one-step-ahead SMAPE of
-	// the model observed during maintenance.
+	// the model observed during maintenance. As in eq. 4, a step whose
+	// actual and forecast are both 0 is exact and counts 0; a step whose
+	// SMAPE is undefined (NaN) leaves it unchanged.
 	RollingError float64
 }
 
@@ -805,16 +808,12 @@ func (db *DB) advanceBatch(g guard, column []float64) error {
 	// Model state updates: compare the one-step forecast against the new
 	// actual to maintain the rolling error, then advance the state.
 	for id, m := range db.cfg.Models {
-		actual := db.graph.Latest(id)
+		actual := [1]float64{db.graph.Latest(id)}
 		st := db.mstats[id]
-		if fc := m.Forecast(1); len(fc) == 1 {
-			den := math.Abs(actual) + math.Abs(fc[0])
-			if den > 0 {
-				e := math.Abs(actual-fc[0]) / den
-				st.RollingError = 0.9*st.RollingError + 0.1*e
-			}
+		if e := timeseries.SMAPE(actual[:], m.Forecast(1)); !math.IsNaN(e) {
+			st.RollingError = 0.9*st.RollingError + 0.1*e
 		}
-		m.Update(actual)
+		m.Update(actual[0])
 		st.UpdatesSinceFit++
 		if db.strategy.Invalidate(*st) {
 			db.invalid[id] = true

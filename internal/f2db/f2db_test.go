@@ -12,6 +12,7 @@ import (
 	"cubefc/internal/core"
 	"cubefc/internal/cube"
 	"cubefc/internal/derivation"
+	"cubefc/internal/forecast"
 	"cubefc/internal/hierarchical"
 	"cubefc/internal/timeseries"
 )
@@ -355,6 +356,49 @@ func TestThresholdInvalidation(t *testing.T) {
 	if db.InvalidCount() == 0 {
 		t.Fatal("threshold strategy should have invalidated models under erratic data")
 	}
+}
+
+// TestRollingErrorCountsExactSteps: the rolling one-step error follows eq. 4,
+// which counts a step whose actual and forecast are both 0 as exact, so the
+// error of an intermittent series falls while its model forecasts the zeros;
+// a step without a defined error (NaN) leaves it unchanged.
+func TestRollingErrorCountsExactSteps(t *testing.T) {
+	g, err := cube.NewGraph([]cube.Dimension{cube.NewDimension("loc", "loc")}, []cube.BaseSeries{
+		{Members: []string{"A"}, Series: timeseries.New([]float64{4, 0, 4, 0, 4, 0, 4, 4}, 2)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := g.BaseIDs[0]
+	cfg := core.NewConfiguration(g, 6)
+	m := forecast.NewNaive()
+	if err := m.Fit(g.Node(id).Series); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Models[id] = m
+	cfg.Schemes[id] = derivation.DirectScheme(id)
+	db, err := Open(g, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(v, want float64) {
+		t.Helper()
+		if err := db.InsertBase(id, v); err != nil {
+			t.Fatal(err)
+		}
+		if got := db.Health()[g.KeyOf(id)].RollingError; got != want {
+			t.Fatalf("after %v: rolling error %v, want %v", v, got, want)
+		}
+	}
+	// The naive forecast 4 misses the first 0 completely: error 1.
+	want := 0.1
+	step(0, want)
+	// From then on it forecasts every 0 exactly.
+	for i := 0; i < 3; i++ {
+		want = 0.9 * want
+		step(0, want)
+	}
+	step(math.NaN(), want)
 }
 
 func TestNeverStrategy(t *testing.T) {

@@ -17,7 +17,6 @@ import (
 	"cubefc/internal/derivation"
 	"cubefc/internal/forecast"
 	"cubefc/internal/linalg"
-	"cubefc/internal/timeseries"
 )
 
 // Options parameterizes the baseline builders. Everything else is the
@@ -55,27 +54,33 @@ func installModel(cfg *core.Configuration, id int, delay time.Duration) ([]float
 	return m.Forecast(cfg.TestLen()), nil
 }
 
-// setNodeError assigns scheme and test error for a node given its derived
-// forecast.
-func setNodeError(cfg *core.Configuration, sc derivation.Scheme, fc []float64) {
-	e := timeseries.SMAPE(cfg.Graph.Node(sc.Target).Series.Values[cfg.TrainLen:], fc)
-	if math.IsNaN(e) {
-		e = 1
+// nodeError is the test error of the forecast sc derives from the source
+// forecasts in fc (indexed by node ID), clamped by core.ClampErr, and false
+// where the error is undefined.
+func nodeError(cfg *core.Configuration, sc derivation.Scheme, fc [][]float64) (float64, bool) {
+	fcs := make([][]float64, len(sc.Sources))
+	for i, s := range sc.Sources {
+		fcs[i] = fc[s]
 	}
-	if e > 1 {
-		e = 1
-	}
+	e, err := sc.SMAPE(cfg.Graph.NodeValues(sc.Target)[cfg.TrainLen:], fcs)
+	return core.ClampErr(e), err == nil && !math.IsNaN(e)
+}
+
+// setNodeError assigns the node its scheme sc and the error nodeError gives,
+// which is 1 where it is undefined.
+func setNodeError(cfg *core.Configuration, sc derivation.Scheme, fc [][]float64) {
 	cfg.Schemes[sc.Target] = sc
-	cfg.Errors[sc.Target] = e
+	cfg.Errors[sc.Target], _ = nodeError(cfg, sc, fc)
 }
 
 // Direct creates a model for every node and uses it directly (Figure 3a) —
 // the naive approach with maximum model costs.
 func Direct(g *cube.Graph, opts Options) (*core.Configuration, error) {
 	cfg := core.NewConfiguration(g, core.TrainLen(g.Length))
-	for id := 0; id < g.NumNodes(); id++ {
-		fc, err := installModel(cfg, id, opts.CreationDelay)
-		if err != nil {
+	fc := make([][]float64, g.NumNodes())
+	for id := range fc {
+		var err error
+		if fc[id], err = installModel(cfg, id, opts.CreationDelay); err != nil {
 			return nil, err
 		}
 		setNodeError(cfg, derivation.DirectScheme(id), fc)
@@ -88,31 +93,18 @@ func Direct(g *cube.Graph, opts Options) (*core.Configuration, error) {
 // applied method in forecasting literature".
 func BottomUp(g *cube.Graph, opts Options) (*core.Configuration, error) {
 	cfg := core.NewConfiguration(g, core.TrainLen(g.Length))
-	baseFc := make(map[int][]float64, len(g.BaseIDs))
+	fc := make([][]float64, g.NumNodes())
 	for _, id := range g.BaseIDs {
-		fc, err := installModel(cfg, id, opts.CreationDelay)
-		if err != nil {
+		var err error
+		if fc[id], err = installModel(cfg, id, opts.CreationDelay); err != nil {
 			return nil, err
 		}
-		baseFc[id] = fc
 		setNodeError(cfg, derivation.DirectScheme(id), fc)
 	}
-	h := cfg.TestLen()
-	incidence := g.BaseIncidence()
-	for id := 0; id < g.NumNodes(); id++ {
-		n := g.Node(id)
-		if n.IsBase {
-			continue
+	for id := range fc {
+		if !g.IsBase(id) {
+			setNodeError(cfg, derivation.Scheme{Target: id, Sources: g.CoveredBases(id), K: 1, Kind: derivation.Aggregation}, fc)
 		}
-		bases := incidence[id]
-		fc := make([]float64, h)
-		for _, b := range bases {
-			for i, v := range baseFc[b] {
-				fc[i] += v
-			}
-		}
-		sc := derivation.Scheme{Target: id, Sources: bases, K: 1, Kind: derivation.Aggregation}
-		setNodeError(cfg, sc, fc)
 	}
 	return cfg, nil
 }
@@ -124,25 +116,22 @@ func BottomUp(g *cube.Graph, opts Options) (*core.Configuration, error) {
 func TopDown(g *cube.Graph, opts Options) (*core.Configuration, error) {
 	cfg := core.NewConfiguration(g, core.TrainLen(g.Length))
 	top := g.TopID
-	topFc, err := installModel(cfg, top, opts.CreationDelay)
-	if err != nil {
+	fc := make([][]float64, g.NumNodes())
+	var err error
+	if fc[top], err = installModel(cfg, top, opts.CreationDelay); err != nil {
 		return nil, err
 	}
-	setNodeError(cfg, derivation.DirectScheme(top), topFc)
-	for id := 0; id < g.NumNodes(); id++ {
+	setNodeError(cfg, derivation.DirectScheme(top), fc)
+	for id := range fc {
 		if id == top {
 			continue
 		}
 		sc, err := derivation.NewScheme(g, id, []int{top}, cfg.TrainLen)
 		if err != nil {
 			// Zero-history node: fall back to a zero share.
-			sc = derivation.Scheme{Target: id, Sources: []int{top}, K: 0, Kind: derivation.Disaggregation}
+			sc = derivation.Scheme{Target: id, Sources: []int{top}, K: 0}
 		}
 		sc.Kind = derivation.Disaggregation
-		fc, aerr := sc.Apply([][]float64{topFc})
-		if aerr != nil {
-			return nil, aerr
-		}
 		setNodeError(cfg, sc, fc)
 	}
 	return cfg, nil
@@ -153,66 +142,80 @@ func TopDown(g *cube.Graph, opts Options) (*core.Configuration, error) {
 // the summing matrix S by ordinary least squares — the reconciled base
 // forecasts are β̂ = (SᵀS)⁻¹Sᵀŷ and every node is answered by Sβ̂. Model
 // costs are maximal, and the regression grows with the number of base
-// series (the paper could not run it on Gen10k within a day).
+// series (the paper could not run it on Gen10k within a day). It is
+// CombineWLS with every weight 1.
 func Combine(g *cube.Graph, opts Options) (*core.Configuration, error) {
+	return reconcile(g, opts, false)
+}
+
+// CombineWLS is a weighted variant of Combine implementing the MinT-WLS
+// reconciliation of Hyndman et al.'s later work (a documented extension
+// beyond the paper): base-forecast residual variances weight the
+// least-squares reconciliation, so noisy nodes influence the reconciled
+// forecasts less:
+//
+//	β̂ = argmin (ŷ − S·β)ᵀ W⁻¹ (ŷ − S·β),  W = diag(σ̂²)
+//
+// computed by rescaling each row of S and ŷ by 1/σ̂ and solving the
+// ordinary least-squares problem.
+func CombineWLS(g *cube.Graph, opts Options) (*core.Configuration, error) {
+	return reconcile(g, opts, true)
+}
+
+// reconcile fits a model at every node and solves the least-squares
+// reconciliation once per forecast step, each row of S and ŷ scaled by 1/σ̂:
+// the node's residual standard deviation when weighted, else 1, which leaves
+// the problem unscaled since x/1 is x. The QR factorization of the scaled S
+// is reused across steps. β̂ holds the reconciled base forecasts; every
+// node's scheme sums those of its covered bases, which is its row of Sβ̂.
+func reconcile(g *cube.Graph, opts Options, weighted bool) (*core.Configuration, error) {
 	cfg := core.NewConfiguration(g, core.TrainLen(g.Length))
 	h := cfg.TestLen()
 	nodes := g.NumNodes()
-	nb := len(g.BaseIDs)
-
-	// All-nodes forecasts ŷ (rows: nodes) and the summing matrix S.
 	yhat := make([][]float64, nodes)
-	s := linalg.NewMatrix(nodes, nb)
-	basePos := make(map[int]int, nb)
-	for j, b := range g.BaseIDs {
-		basePos[b] = j
-	}
-	incidence := g.BaseIncidence()
-	for id := 0; id < g.NumNodes(); id++ {
-		fc, err := installModel(cfg, id, opts.CreationDelay)
-		if err != nil {
+	sigma := make([]float64, nodes)
+	ws := linalg.NewMatrix(nodes, len(g.BaseIDs))
+	for id := range yhat {
+		var err error
+		if yhat[id], err = installModel(cfg, id, opts.CreationDelay); err != nil {
 			return nil, err
 		}
-		yhat[id] = fc
-		for _, b := range incidence[id] {
-			s.Set(id, basePos[b], 1)
+		sigma[id] = 1
+		if u, ok := cfg.Models[id].(forecast.Uncertainty); weighted && ok && u.ResidualStd() > 0 {
+			sigma[id] = u.ResidualStd()
+		}
+		for _, b := range g.CoveredBases(id) {
+			j, _ := g.BaseOrdinal(b)
+			ws.Set(id, j, 1/sigma[id])
 		}
 	}
-
-	// Solve the OLS reconciliation once per forecast step: β̂ minimizes
-	// ||S·β − ŷ_step||₂. The QR factorization of S is reused across steps.
-	qr, err := linalg.NewQR(s)
+	qr, err := linalg.NewQR(ws)
 	if err != nil {
 		return nil, fmt.Errorf("hierarchical: combine: %w", err)
 	}
 	reconciled := make([][]float64, nodes)
-	for id := range reconciled {
-		reconciled[id] = make([]float64, h)
+	for _, b := range g.BaseIDs {
+		reconciled[b] = make([]float64, h)
 	}
 	rhs := make([]float64, nodes)
 	for step := 0; step < h; step++ {
-		for id := 0; id < nodes; id++ {
-			rhs[id] = yhat[id][step]
+		for id := range rhs {
+			rhs[id] = yhat[id][step] / sigma[id]
 		}
 		beta, err := qr.Solve(rhs)
 		if err != nil {
 			return nil, fmt.Errorf("hierarchical: combine solve: %w", err)
 		}
-		rec, err := s.MulVec(beta)
-		if err != nil {
-			return nil, err
-		}
-		for id := 0; id < nodes; id++ {
-			reconciled[id][step] = rec[id]
+		for j, b := range g.BaseIDs {
+			reconciled[b][step] = beta[j]
 		}
 	}
-	for id := 0; id < g.NumNodes(); id++ {
-		n := g.Node(id)
-		sc := derivation.Scheme{Target: id, Sources: incidence[id], K: 1, Kind: derivation.General}
-		if n.IsBase {
-			sc = derivation.DirectScheme(id)
+	for id := range yhat {
+		sc := derivation.DirectScheme(id)
+		if !g.IsBase(id) {
+			sc = derivation.Scheme{Target: id, Sources: g.CoveredBases(id), K: 1, Kind: derivation.General}
 		}
-		setNodeError(cfg, sc, reconciled[id])
+		setNodeError(cfg, sc, reconciled)
 	}
 	return cfg, nil
 }
@@ -228,14 +231,13 @@ func Combine(g *cube.Graph, opts Options) (*core.Configuration, error) {
 func Greedy(g *cube.Graph, opts Options) (*core.Configuration, error) {
 	cfg := core.NewConfiguration(g, core.TrainLen(g.Length))
 	nodes := g.NumNodes()
-	h := cfg.TestLen()
 
 	// Build every model up front (the defining cost of the approach).
-	fcByNode := make([][]float64, nodes)
+	fc := make([][]float64, nodes)
 	models := make([]forecast.Model, nodes)
 	seconds := make([]float64, nodes)
 	var totalSeconds float64
-	for id := 0; id < g.NumNodes(); id++ {
+	for id := range fc {
 		m, d, err := fitNode(cfg, id, opts.CreationDelay)
 		if err != nil {
 			return nil, err
@@ -243,38 +245,20 @@ func Greedy(g *cube.Graph, opts Options) (*core.Configuration, error) {
 		models[id] = m
 		seconds[id] = d.Seconds()
 		totalSeconds += d.Seconds()
-		fcByNode[id] = m.Forecast(h)
+		fc[id] = m.Forecast(cfg.TestLen())
 	}
 
 	desc := descendants(g)
 
-	// candidateErr evaluates, for a model at s, the error it would give
-	// target t under the traditional schemes.
-	testVals := func(t int) []float64 {
-		return g.Node(t).Series.Values[cfg.TrainLen:]
-	}
+	// evalScheme evaluates, for models at sources, the error they would
+	// give target t under the traditional schemes.
 	evalScheme := func(t int, sources []int) (derivation.Scheme, float64, bool) {
 		sc, err := derivation.NewScheme(g, t, sources, cfg.TrainLen)
 		if err != nil {
-			return derivation.Scheme{}, 0, false
+			return sc, 0, false
 		}
-		fc := make([]float64, h)
-		for _, s := range sources {
-			for i, v := range fcByNode[s] {
-				fc[i] += v
-			}
-		}
-		for i := range fc {
-			fc[i] *= sc.K
-		}
-		e := timeseries.SMAPE(testVals(t), fc)
-		if math.IsNaN(e) {
-			return derivation.Scheme{}, 0, false
-		}
-		if e > 1 {
-			e = 1
-		}
-		return sc, e, true
+		e, ok := nodeError(cfg, sc, fc)
+		return sc, e, ok
 	}
 
 	curErr := func(t int) float64 {
@@ -284,7 +268,27 @@ func Greedy(g *cube.Graph, opts Options) (*core.Configuration, error) {
 		return 1
 	}
 
-	selected := make(map[int]bool, nodes)
+	selected := make([]bool, nodes)
+	// completedEdges calls f for every parent of s with the child edge, s's
+	// among them, that s completes: every other node of it is selected.
+	completedEdges := func(s int, f func(pid int, edge []int)) {
+		for d, pid := range g.ParentsOf(s) {
+			if pid < 0 {
+				continue
+			}
+			edge := g.ChildrenAlong(pid, d)
+			complete := true
+			for _, c := range edge {
+				if c != s && !selected[c] {
+					complete = false
+					break
+				}
+			}
+			if complete {
+				f(pid, edge)
+			}
+		}
+	}
 	for {
 		bestGain := 0.0
 		bestID := -1
@@ -294,8 +298,8 @@ func Greedy(g *cube.Graph, opts Options) (*core.Configuration, error) {
 			}
 			gain := 0.0
 			// Direct benefit at the node itself.
-			if e := timeseries.SMAPE(testVals(s), fcByNode[s]); !math.IsNaN(e) && e < curErr(s) {
-				gain += curErr(s) - math.Min(e, 1)
+			if e, ok := nodeError(cfg, derivation.DirectScheme(s), fc); ok && e < curErr(s) {
+				gain += curErr(s) - e
 			}
 			// Disaggregation benefit for all nodes covered by s.
 			for _, t := range desc[s] {
@@ -305,25 +309,11 @@ func Greedy(g *cube.Graph, opts Options) (*core.Configuration, error) {
 			}
 			// Aggregation benefit for parents whose child edge would be
 			// completed by s.
-			for d, pid := range g.Node(s).ParentIDs {
-				if pid < 0 {
-					continue
-				}
-				edge := g.Node(pid).ChildEdges[d]
-				complete := true
-				for _, c := range edge {
-					if c != s && !selected[c] {
-						complete = false
-						break
-					}
-				}
-				if !complete {
-					continue
-				}
+			completedEdges(s, func(pid int, edge []int) {
 				if _, e, ok := evalScheme(pid, edge); ok && e < curErr(pid) {
 					gain += curErr(pid) - e
 				}
-			}
+			})
 			if gain > bestGain {
 				bestGain = gain
 				bestID = s
@@ -332,46 +322,30 @@ func Greedy(g *cube.Graph, opts Options) (*core.Configuration, error) {
 		if bestID < 0 || bestGain <= 1e-12 {
 			break
 		}
-		// Apply the best model: install it and all improving schemes.
+		// Apply the best model: install it and all improving schemes. A
+		// model node always carries a scheme, the direct one if nothing
+		// better reached it yet.
 		s := bestID
 		selected[s] = true
 		cfg.Models[s] = models[s]
 		cfg.ModelSeconds[s] = seconds[s]
-		if e := timeseries.SMAPE(testVals(s), fcByNode[s]); !math.IsNaN(e) && math.Min(e, 1) < curErr(s) {
-			cfg.Schemes[s] = derivation.DirectScheme(s)
-			cfg.Errors[s] = math.Min(e, 1)
-		} else if _, ok := cfg.Schemes[s]; !ok {
-			cfg.Schemes[s] = derivation.DirectScheme(s)
-			cfg.Errors[s] = clamp01Err(timeseries.SMAPE(testVals(s), fcByNode[s]))
+		direct := derivation.DirectScheme(s)
+		e, ok := nodeError(cfg, direct, fc)
+		if _, has := cfg.Schemes[s]; !has || ok && e < curErr(s) {
+			cfg.Schemes[s], cfg.Errors[s] = direct, e
 		}
 		for _, t := range desc[s] {
 			if sc, e, ok := evalScheme(t, []int{s}); ok && e < curErr(t) {
 				sc.Kind = derivation.Disaggregation
-				cfg.Schemes[t] = sc
-				cfg.Errors[t] = e
+				cfg.Schemes[t], cfg.Errors[t] = sc, e
 			}
 		}
-		for d, pid := range g.Node(s).ParentIDs {
-			if pid < 0 {
-				continue
-			}
-			edge := g.Node(pid).ChildEdges[d]
-			complete := true
-			for _, c := range edge {
-				if !selected[c] {
-					complete = false
-					break
-				}
-			}
-			if !complete {
-				continue
-			}
+		completedEdges(s, func(pid int, edge []int) {
 			if sc, e, ok := evalScheme(pid, edge); ok && e < curErr(pid) {
 				sc.Kind = derivation.Aggregation
-				cfg.Schemes[pid] = sc
-				cfg.Errors[pid] = e
+				cfg.Schemes[pid], cfg.Errors[pid] = sc, e
 			}
-		}
+		})
 	}
 	// All models were created; the configuration keeps only the selected
 	// ones but the total creation cost was paid.
@@ -391,7 +365,7 @@ func descendants(g *cube.Graph) [][]int {
 		for len(queue) > 0 {
 			cur := queue[0]
 			queue = queue[1:]
-			for _, p := range g.Node(cur).ParentIDs {
+			for _, p := range g.ParentsOf(cur) {
 				if p < 0 || seen[p] {
 					continue
 				}
@@ -405,103 +379,4 @@ func descendants(g *cube.Graph) [][]int {
 		sort.Ints(d)
 	}
 	return out
-}
-
-func clamp01Err(e float64) float64 {
-	if math.IsNaN(e) {
-		return 1
-	}
-	if e < 0 {
-		return 0
-	}
-	if e > 1 {
-		return 1
-	}
-	return e
-}
-
-// CombineWLS is a weighted variant of Combine implementing the MinT-WLS
-// reconciliation of Hyndman et al.'s later work (a documented extension
-// beyond the paper): base-forecast residual variances weight the
-// least-squares reconciliation, so noisy nodes influence the reconciled
-// forecasts less:
-//
-//	β̂ = argmin (ŷ − S·β)ᵀ W⁻¹ (ŷ − S·β),  W = diag(σ̂²)
-//
-// computed by rescaling each row of S and ŷ by 1/σ̂ and solving the
-// ordinary least-squares problem.
-func CombineWLS(g *cube.Graph, opts Options) (*core.Configuration, error) {
-	cfg := core.NewConfiguration(g, core.TrainLen(g.Length))
-	h := cfg.TestLen()
-	nodes := g.NumNodes()
-	nb := len(g.BaseIDs)
-
-	yhat := make([][]float64, nodes)
-	sigma := make([]float64, nodes)
-	s := linalg.NewMatrix(nodes, nb)
-	basePos := make(map[int]int, nb)
-	for j, b := range g.BaseIDs {
-		basePos[b] = j
-	}
-	incidence := g.BaseIncidence()
-	for id := 0; id < g.NumNodes(); id++ {
-		m, d, err := fitNode(cfg, id, opts.CreationDelay)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Models[id] = m
-		cfg.ModelSeconds[id] = d.Seconds()
-		cfg.CostSeconds += d.Seconds()
-		yhat[id] = m.Forecast(h)
-		sigma[id] = 1
-		if u, ok := m.(forecast.Uncertainty); ok && u.ResidualStd() > 0 {
-			sigma[id] = u.ResidualStd()
-		}
-		for _, b := range incidence[id] {
-			s.Set(id, basePos[b], 1)
-		}
-	}
-
-	// Row-scale S by 1/σ once; the same scaling applies to every step's
-	// right-hand side.
-	ws := s.Clone()
-	for i := 0; i < nodes; i++ {
-		for j := 0; j < nb; j++ {
-			ws.Set(i, j, ws.At(i, j)/sigma[i])
-		}
-	}
-	qr, err := linalg.NewQR(ws)
-	if err != nil {
-		return nil, fmt.Errorf("hierarchical: combine-wls: %w", err)
-	}
-	reconciled := make([][]float64, nodes)
-	for id := range reconciled {
-		reconciled[id] = make([]float64, h)
-	}
-	rhs := make([]float64, nodes)
-	for step := 0; step < h; step++ {
-		for id := 0; id < nodes; id++ {
-			rhs[id] = yhat[id][step] / sigma[id]
-		}
-		beta, err := qr.Solve(rhs)
-		if err != nil {
-			return nil, fmt.Errorf("hierarchical: combine-wls solve: %w", err)
-		}
-		rec, err := s.MulVec(beta)
-		if err != nil {
-			return nil, err
-		}
-		for id := 0; id < nodes; id++ {
-			reconciled[id][step] = rec[id]
-		}
-	}
-	for id := 0; id < g.NumNodes(); id++ {
-		n := g.Node(id)
-		sc := derivation.Scheme{Target: id, Sources: incidence[id], K: 1, Kind: derivation.General}
-		if n.IsBase {
-			sc = derivation.DirectScheme(id)
-		}
-		setNodeError(cfg, sc, reconciled[id])
-	}
-	return cfg, nil
 }

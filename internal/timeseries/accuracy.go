@@ -1,9 +1,6 @@
 package timeseries
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // SMAPE returns the symmetric mean absolute percentage error between actual
 // and forecast values:
@@ -18,7 +15,7 @@ import (
 // coincide. Time steps where both actual and forecast are zero contribute
 // an error of zero (the forecast is exact).
 func SMAPE(actual, forecast []float64) float64 {
-	n := minLen(actual, forecast)
+	n := min(len(actual), len(forecast))
 	if n == 0 {
 		return math.NaN()
 	}
@@ -32,101 +29,4 @@ func SMAPE(actual, forecast []float64) float64 {
 		acc += num / den
 	}
 	return acc / float64(n)
-}
-
-// MAE returns the mean absolute error.
-func MAE(actual, forecast []float64) float64 {
-	n := minLen(actual, forecast)
-	if n == 0 {
-		return math.NaN()
-	}
-	var acc float64
-	for i := 0; i < n; i++ {
-		acc += math.Abs(actual[i] - forecast[i])
-	}
-	return acc / float64(n)
-}
-
-// RMSE returns the root mean squared error.
-func RMSE(actual, forecast []float64) float64 {
-	n := minLen(actual, forecast)
-	if n == 0 {
-		return math.NaN()
-	}
-	var acc float64
-	for i := 0; i < n; i++ {
-		d := actual[i] - forecast[i]
-		acc += d * d
-	}
-	return math.Sqrt(acc / float64(n))
-}
-
-// MAPE returns the mean absolute percentage error. Steps with a zero actual
-// value are skipped; if every actual value is zero the result is NaN.
-func MAPE(actual, forecast []float64) float64 {
-	n := minLen(actual, forecast)
-	var acc float64
-	var cnt int
-	for i := 0; i < n; i++ {
-		if actual[i] == 0 {
-			continue
-		}
-		acc += math.Abs((actual[i] - forecast[i]) / actual[i])
-		cnt++
-	}
-	if cnt == 0 {
-		return math.NaN()
-	}
-	return acc / float64(cnt)
-}
-
-// MASE returns the mean absolute scaled error of the forecast relative to
-// the in-sample one-step seasonal-naive forecast over train. period <= 1
-// scales by the non-seasonal naive forecast.
-func MASE(train, actual, forecast []float64, period int) float64 {
-	if period < 1 {
-		period = 1
-	}
-	if len(train) <= period {
-		return math.NaN()
-	}
-	var scale float64
-	for i := period; i < len(train); i++ {
-		scale += math.Abs(train[i] - train[i-period])
-	}
-	scale /= float64(len(train) - period)
-	if scale == 0 {
-		return math.NaN()
-	}
-	return MAE(actual, forecast) / scale
-}
-
-// AccuracyReport bundles the standard measures for one forecast evaluation.
-type AccuracyReport struct {
-	SMAPE float64
-	MAE   float64
-	RMSE  float64
-	MAPE  float64
-}
-
-// Evaluate computes all standard accuracy measures at once.
-func Evaluate(actual, forecast []float64) AccuracyReport {
-	return AccuracyReport{
-		SMAPE: SMAPE(actual, forecast),
-		MAE:   MAE(actual, forecast),
-		RMSE:  RMSE(actual, forecast),
-		MAPE:  MAPE(actual, forecast),
-	}
-}
-
-// String renders the report in a compact single line.
-func (r AccuracyReport) String() string {
-	return fmt.Sprintf("SMAPE=%.4f MAE=%.4f RMSE=%.4f MAPE=%.4f", r.SMAPE, r.MAE, r.RMSE, r.MAPE)
-}
-
-func minLen(a, b []float64) int {
-	if len(a) < len(b) {
-		return len(a)
-	}
-	return len(b)
 }

@@ -112,75 +112,9 @@ func TestSMAPESymmetryProperty(t *testing.T) {
 	}
 }
 
-func TestMAE(t *testing.T) {
-	if got := MAE([]float64{1, 2, 3}, []float64{2, 2, 5}); !almostEq(got, 1, 1e-12) {
-		t.Fatalf("MAE = %v, want 1", got)
-	}
-}
-
-func TestRMSE(t *testing.T) {
-	if got := RMSE([]float64{0, 0}, []float64{3, 4}); !almostEq(got, math.Sqrt(12.5), 1e-12) {
-		t.Fatalf("RMSE = %v", got)
-	}
-}
-
-func TestRMSEAtLeastMAE(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 100; i++ {
-		n := 1 + rng.Intn(20)
-		a := make([]float64, n)
-		b := make([]float64, n)
-		for j := range a {
-			a[j] = rng.NormFloat64() * 10
-			b[j] = rng.NormFloat64() * 10
-		}
-		if RMSE(a, b)+1e-9 < MAE(a, b) {
-			t.Fatalf("RMSE < MAE for %v vs %v", a, b)
-		}
-	}
-}
-
-func TestMAPESkipsZeroActuals(t *testing.T) {
-	got := MAPE([]float64{0, 10}, []float64{5, 11})
-	if !almostEq(got, 0.1, 1e-12) {
-		t.Fatalf("MAPE = %v, want 0.1", got)
-	}
-	if !math.IsNaN(MAPE([]float64{0, 0}, []float64{1, 2})) {
-		t.Error("MAPE with all-zero actuals should be NaN")
-	}
-}
-
-func TestMASE(t *testing.T) {
-	train := []float64{1, 2, 3, 4, 5, 6}
-	// In-sample naive (period 1) MAE = 1.
-	got := MASE(train, []float64{7, 8}, []float64{7, 9}, 1)
-	if !almostEq(got, 0.5, 1e-12) {
-		t.Fatalf("MASE = %v, want 0.5", got)
-	}
-}
-
-func TestMASEDegenerate(t *testing.T) {
-	if !math.IsNaN(MASE([]float64{1}, []float64{1}, []float64{1}, 1)) {
-		t.Error("MASE with too-short train should be NaN")
-	}
-	if !math.IsNaN(MASE([]float64{2, 2, 2}, []float64{2}, []float64{2}, 1)) {
-		t.Error("MASE with constant train (zero scale) should be NaN")
-	}
-}
-
-func TestEvaluateAndString(t *testing.T) {
-	r := Evaluate([]float64{1, 2}, []float64{1, 2})
-	if r.SMAPE != 0 || r.MAE != 0 || r.RMSE != 0 {
-		t.Fatalf("Evaluate perfect forecast = %+v", r)
-	}
-	if r.String() == "" {
-		t.Error("String should render something")
-	}
-}
-
 func TestMismatchedLengthsUseShorter(t *testing.T) {
 	// Only the common prefix is compared.
-	if got := MAE([]float64{1, 2, 3}, []float64{1}); got != 0 {
-		t.Fatalf("MAE over shorter prefix = %v, want 0", got)
+	if got := SMAPE([]float64{1, 2, 3}, []float64{1}); got != 0 {
+		t.Fatalf("SMAPE over shorter prefix = %v, want 0", got)
 	}
 }
