@@ -276,18 +276,6 @@ func BenchmarkHoltWintersFit(b *testing.B) {
 	}
 }
 
-func BenchmarkARIMAFit(b *testing.B) {
-	ds := datasets.Sales(42)
-	s := ds.Base[0].Series
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := forecast.NewARIMA(forecast.Order{P: 1, D: 1, Q: 1}, forecast.Order{}, 12)
-		if err := m.Fit(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkIndicatorLocal(b *testing.B) {
 	ds := datasets.Tourism(42)
 	g, err := ds.Graph()

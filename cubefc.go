@@ -13,7 +13,7 @@
 //
 // This package is a thin facade over the implementation packages under
 // internal/: cube (data model and hyper graph), core (the advisor),
-// forecast (exponential smoothing and ARIMA models), derivation
+// forecast (exponential smoothing and other models), derivation
 // (generalized derivation schemes), hierarchical (the baseline approaches
 // of §VI-B) and f2db (the embedded forecast-query engine).
 package cubefc
@@ -57,7 +57,7 @@ type (
 	Snapshot = core.Snapshot
 	// Advisor exposes stepwise (anytime) advisor execution.
 	Advisor = core.Advisor
-	// Model is a forecast model (exponential smoothing, ARIMA, ...).
+	// Model is a forecast model (exponential smoothing, Theta, ...).
 	Model = forecast.Model
 	// DB is the embedded F²DB forecast-query engine.
 	DB = f2db.DB

@@ -21,6 +21,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -156,6 +157,9 @@ func Load(r io.Reader, specs []DimSpec, opts Options) ([]cube.Dimension, []cube.
 		v, err := strconv.ParseFloat(strings.TrimSpace(rec[valueCol]), 64)
 		if err != nil {
 			return nil, nil, fmt.Errorf("csvload: line %d: bad value %q", line, rec[valueCol])
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, nil, fmt.Errorf("csvload: line %d: value %q is not finite", line, rec[valueCol])
 		}
 		// Register functional dependencies and validate consistency.
 		for _, ref := range refs {

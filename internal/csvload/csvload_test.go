@@ -129,11 +129,19 @@ func TestLoadErrors(t *testing.T) {
 		"no data rows":         "time,product,city,region,value\n",
 		"inconsistent FD":      "time,product,city,region,value\n0,P1,C1,R1,1\n0,P2,C1,R2,1\n",
 		"duplicate obs":        "time,product,city,region,value\n0,P1,C1,R1,1\n0,P1,C1,R1,2\n",
+		"NaN value":            "time,product,city,region,value\n0,P1,C1,R1,1\n1,P1,C1,R1,NaN\n",
+		"infinite value":       "time,product,city,region,value\n0,P1,C1,R1,-Inf\n",
 	}
 	for name, data := range cases {
 		if _, _, err := Load(strings.NewReader(data), specs, Options{}); err == nil {
 			t.Errorf("%s: Load should fail", name)
 		}
+	}
+	// A non-finite value is named with its line.
+	data := "time,product,city,region,value\n0,P1,C1,R1,1\n1,P1,C1,R1, +Inf\n"
+	_, _, err := Load(strings.NewReader(data), specs, Options{})
+	if want := `csvload: line 3: value " +Inf" is not finite`; err == nil || err.Error() != want {
+		t.Errorf("got %v, want %s", err, want)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cubefc/internal/core"
+	"cubefc/internal/forecast"
 	"cubefc/internal/indicator"
 )
 
@@ -38,6 +39,16 @@ func Ablations(scale Scale) (*Table, error) {
 		}},
 		{"error-only acceptance (a=1)", func() core.Options {
 			return core.Options{Seed: Seed, Alpha0: 1, AlphaMax: 1}
+		}},
+		// The model family under the "fixed gamma" settings (whose row is
+		// the default HW family): does another family pay its way?
+		{"Theta models (fixed γ)", func() core.Options {
+			return core.Options{Seed: Seed, FixedGamma: true, Gamma0: 1,
+				ModelFactory: func(p int) forecast.Model { return forecast.NewTheta(p) }}
+		}},
+		{"Auto models (fixed γ)", func() core.Options {
+			return core.Options{Seed: Seed, FixedGamma: true, Gamma0: 1,
+				ModelFactory: func(p int) forecast.Model { return forecast.NewAuto(p) }}
 		}},
 	}
 	for _, name := range []string{"tourism", "sales", "energy", "gen1k"} {

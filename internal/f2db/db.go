@@ -478,8 +478,8 @@ func (db *DB) forecastIntervalLocked(g guard, nodeID, h int, conf float64) (poin
 // no memoization. The returned slices are carved from one fresh allocation
 // the caller owns. The interval assumes independent, normally distributed
 // residuals at the scheme's sources; each source contributes its one-step
-// residual variance grown by its model's horizon profile (ψ weights for
-// ARIMA, class-1 state-space formulas for exponential smoothing):
+// residual variance grown by its model's horizon profile (class-1
+// state-space formulas for exponential smoothing):
 //
 //	spread(step) = z · |k| · sqrt( Σ_s σ_s² · scale_s(step)² )
 func (db *DB) deriveInterval(g guard, nodeID, h int, conf float64) (point, lo, hi []float64, err error) {

@@ -3,7 +3,6 @@ package f2db
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"reflect"
 	"strconv"
 	"strings"
@@ -130,10 +129,9 @@ type insertRow struct {
 
 // String renders the statement back into the dialect in canonical form:
 // parsing the rendered text yields an identical statement (the round-trip
-// property FuzzParseInsert checks). Measures render with FormatFloat 'f' —
-// never scientific notation, whose '+'/'-' the lexer's ident token cannot
-// re-lex — and a +Inf measure (reachable through ParseFloat accepting the
-// ident "Inf") renders as "Inf" for the same reason.
+// property FuzzParseInsert checks). Measures (always finite) render with
+// FormatFloat 'f' — never scientific notation, whose '+'/'-' the lexer's
+// ident token cannot re-lex.
 func (s *insertStmt) String() string {
 	var b strings.Builder
 	b.WriteString("INSERT INTO ")
@@ -149,11 +147,7 @@ func (s *insertStmt) String() string {
 			b.WriteString(m)
 			b.WriteString("', ")
 		}
-		if math.IsInf(row.value, 1) {
-			b.WriteString("Inf")
-		} else {
-			b.WriteString(strconv.FormatFloat(row.value, 'f', -1, 64))
-		}
+		b.WriteString(strconv.FormatFloat(row.value, 'f', -1, 64))
 		b.WriteString(")")
 	}
 	return b.String()
@@ -177,25 +171,6 @@ func parseInsert(sql string) (*insertStmt, error) {
 		}
 		stmt.rows = append(stmt.rows, insertRow{members: append([]string(nil), sc.members...), value: sc.value})
 	}
-}
-
-// insertStmtsEqual compares parsed INSERT statements with NaN treated as
-// equal to itself: "NaN" is a lexable ident that ParseFloat accepts, so a
-// NaN measure must round-trip even though NaN != NaN.
-func insertStmtsEqual(a, b *insertStmt) bool {
-	if a.table != b.table || len(a.rows) != len(b.rows) {
-		return false
-	}
-	for i := range a.rows {
-		if !reflect.DeepEqual(a.rows[i].members, b.rows[i].members) {
-			return false
-		}
-		av, bv := a.rows[i].value, b.rows[i].value
-		if av != bv && !(math.IsNaN(av) && math.IsNaN(bv)) {
-			return false
-		}
-	}
-	return true
 }
 
 // FuzzParseInsert is the INSERT-path twin of FuzzParseSQL, and the
@@ -238,7 +213,7 @@ func FuzzParseInsert(f *testing.F) {
 		stmt, err := parseInsert(sql) // must not panic
 		if isASCII(sql) {
 			want, werr := oracleParseInsert(sql)
-			if (err == nil) != (werr == nil) || err == nil && !insertStmtsEqual(stmt, want) {
+			if (err == nil) != (werr == nil) || err == nil && !reflect.DeepEqual(stmt, want) {
 				t.Fatalf("%q:\n  oracle:  %+v, %v\n  scanner: %+v, %v", sql, want, werr, stmt, err)
 			}
 			_, lexErr := oracleLex(sql)
@@ -256,7 +231,7 @@ func FuzzParseInsert(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical form rejected:\n  input:    %q\n  rendered: %q\n  err: %v", sql, rendered, err)
 		}
-		if !insertStmtsEqual(stmt, stmt2) {
+		if !reflect.DeepEqual(stmt, stmt2) {
 			t.Fatalf("round-trip changed the statement:\n  input:    %q\n  rendered: %q\n  first:  %+v\n  second: %+v",
 				sql, rendered, stmt, stmt2)
 		}

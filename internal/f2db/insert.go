@@ -2,6 +2,7 @@ package f2db
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"sync"
@@ -82,6 +83,9 @@ func (s *insertScanner) row() (ok bool, err error) {
 			v, err := strconv.ParseFloat(t.text, 64)
 			if err != nil {
 				return false, l.errorf("f2db: expected numeric measure, got %q", t.text)
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) { // ParseFloat accepts "NaN" and "Inf"
+				return false, l.errorf("f2db: measure %q is not finite", t.text)
 			}
 			s.value = v
 			haveValue = true

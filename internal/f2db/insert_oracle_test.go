@@ -2,6 +2,7 @@ package f2db
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"unicode"
@@ -12,7 +13,8 @@ import (
 // The differential oracle of the INSERT path: the materializing lexer, the
 // token-slice parser and the per-row resolver the engine ran before the
 // pull lexer and the streaming scanner replaced them, moved here verbatim
-// (names prefixed, nothing else touched) so TestInsertScanTwin and
+// (names prefixed, and the later rejection of a non-finite measure added to
+// both) so TestInsertScanTwin and
 // FuzzParseInsert can hold the replacement to them. It reads UTF-8 bytes as
 // Latin-1 runes — the bug the pull lexer fixes — so the comparison is
 // restricted to ASCII statements.
@@ -127,6 +129,9 @@ func oracleParseInsert(sql string) (*insertStmt, error) {
 				v, err := strconv.ParseFloat(t.text, 64)
 				if err != nil {
 					return nil, fmt.Errorf("f2db: expected numeric measure, got %q", t.text)
+				}
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return nil, fmt.Errorf("f2db: measure %q is not finite", t.text)
 				}
 				row.value = v
 				haveValue = true

@@ -14,11 +14,8 @@ import (
 // consumed (fit length plus updates since), or -1 when the family does not
 // track it.
 func observationsConsumed(m forecast.Model) int {
-	switch mm := m.(type) {
-	case *forecast.HoltWinters:
-		return mm.T
-	case *forecast.ARIMA:
-		return len(mm.History)
+	if hw, ok := m.(*forecast.HoltWinters); ok {
+		return hw.T
 	}
 	return -1
 }

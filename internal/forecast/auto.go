@@ -8,10 +8,9 @@ import (
 
 // Auto selects the best model from a candidate portfolio on Fit using a
 // holdout evaluation (last 20% of the training series, at least one
-// observation) scored by SMAPE, falling back to in-sample AIC ordering if
-// the series is too short for a holdout. After selection the winning
-// family is re-fitted on the full series. All other Model methods delegate
-// to the chosen model.
+// observation) scored by SMAPE, falling back to Naive when no candidate
+// backtests. After selection the winning family is re-fitted on the full
+// series. All other Model methods delegate to the chosen model.
 type Auto struct {
 	Period   int
 	Chosen   Model
@@ -29,14 +28,6 @@ func (m *Auto) Name() string {
 	return "auto"
 }
 
-// NParams implements Model.
-func (m *Auto) NParams() int {
-	if m.Chosen == nil {
-		return 0
-	}
-	return m.Chosen.NParams()
-}
-
 // Fitted implements Model.
 func (m *Auto) Fitted() bool { return m.IsFitted }
 
@@ -48,7 +39,6 @@ func (m *Auto) candidates() []Factory {
 		func(p int) Model { return NewHolt(true) },
 		func(p int) Model { return NewNaive() },
 		func(p int) Model { return NewDrift() },
-		func(p int) Model { return NewARIMA(Order{P: 1, D: 1, Q: 1}, Order{}, p) },
 		func(p int) Model { return NewTheta(p) },
 		func(p int) Model { return NewCroston(true) },
 	}

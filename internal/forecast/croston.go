@@ -36,9 +36,6 @@ func (m *Croston) Name() string {
 	return "croston"
 }
 
-// NParams implements Model.
-func (m *Croston) NParams() int { return 1 }
-
 // Fitted implements Model.
 func (m *Croston) Fitted() bool { return m.IsFitted }
 
@@ -164,9 +161,6 @@ func NewTheta(period int) *Theta {
 
 // Name implements Model.
 func (m *Theta) Name() string { return "theta" }
-
-// NParams implements Model.
-func (m *Theta) NParams() int { return 3 }
 
 // Fitted implements Model.
 func (m *Theta) Fitted() bool { return m.IsFitted }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"cubefc/internal/timeseries"
 )
@@ -254,123 +253,6 @@ func TestSESUpdateMatchesRecurrence(t *testing.T) {
 	}
 }
 
-func TestARIMARecoverAR1(t *testing.T) {
-	// Simulate AR(1) with phi = 0.7 and verify CSS recovers it roughly.
-	rng := rand.New(rand.NewSource(3))
-	n := 400
-	vals := make([]float64, n)
-	for i := 1; i < n; i++ {
-		vals[i] = 0.7*vals[i-1] + rng.NormFloat64()
-	}
-	m := NewARIMA(Order{P: 1}, Order{}, 1)
-	if err := m.Fit(timeseries.New(vals, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(m.Phi[0]-0.7) > 0.15 {
-		t.Fatalf("AR(1) estimate = %v, want ≈0.7", m.Phi[0])
-	}
-}
-
-func TestARIMAIntegratedTrend(t *testing.T) {
-	// A deterministic trend is captured by d=1 with constant drift.
-	vals := make([]float64, 60)
-	for i := range vals {
-		vals[i] = 5 + 3*float64(i)
-	}
-	m := NewARIMA(Order{D: 1}, Order{}, 1)
-	if err := m.Fit(timeseries.New(vals, 1)); err != nil {
-		t.Fatal(err)
-	}
-	fc := m.Forecast(3)
-	for i, want := range []float64{5 + 3*60, 5 + 3*61, 5 + 3*62} {
-		if math.Abs(fc[i]-want) > 1 {
-			t.Fatalf("ARIMA(0,1,0)+c forecast = %v, want %v at h=%d", fc, want, i)
-		}
-	}
-}
-
-func TestARIMASeasonalDifference(t *testing.T) {
-	// Pure seasonal pattern: SARIMA (0,0,0)(0,1,0)_4 repeats the season.
-	vals := make([]float64, 32)
-	pattern := []float64{10, 20, 30, 40}
-	for i := range vals {
-		vals[i] = pattern[i%4]
-	}
-	m := NewARIMA(Order{}, Order{D: 1}, 4)
-	if err := m.Fit(timeseries.New(vals, 4)); err != nil {
-		t.Fatal(err)
-	}
-	fc := m.Forecast(4)
-	for i := range fc {
-		if math.Abs(fc[i]-pattern[i]) > 1e-6 {
-			t.Fatalf("seasonal ARIMA forecast = %v, want %v", fc, pattern)
-		}
-	}
-}
-
-func TestARIMAUpdateExtendsHistory(t *testing.T) {
-	s := seasonalSeries(60, 4, 50, 0.2, 5, 0.5, 4)
-	m := NewARIMA(Order{P: 1, D: 1, Q: 1}, Order{}, 4)
-	if err := m.Fit(s); err != nil {
-		t.Fatal(err)
-	}
-	resBefore := len(m.Residuals)
-	m.Update(57)
-	if len(m.History) != 61 {
-		t.Fatalf("history length = %d, want 61", len(m.History))
-	}
-	if len(m.Residuals) != resBefore+1 {
-		t.Fatalf("residuals not extended: %d -> %d", resBefore, len(m.Residuals))
-	}
-}
-
-func TestARIMATooShort(t *testing.T) {
-	m := NewARIMA(Order{P: 2, D: 1, Q: 2}, Order{P: 1, D: 1, Q: 1}, 12)
-	if err := m.Fit(timeseries.New(make([]float64, 10), 12)); !errors.Is(err, ErrTooShort) {
-		t.Fatalf("err = %v, want ErrTooShort", err)
-	}
-}
-
-func TestExpandPoly(t *testing.T) {
-	// (1 - 0.5B)(1 - 0.3B^2) = 1 - 0.5B - 0.3B^2 + 0.15B^3
-	got := expandPoly([]float64{0.5}, []float64{0.3}, 2)
-	want := []float64{0.5, 0.3, -0.15}
-	if len(got) != len(want) {
-		t.Fatalf("expandPoly = %v, want %v", got, want)
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("expandPoly = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestExpandNegPoly(t *testing.T) {
-	// (1 + 0.5B)(1 + 0.3B^2) = 1 + 0.5B + 0.3B^2 + 0.15B^3
-	got := expandNegPoly([]float64{0.5}, []float64{0.3}, 2)
-	want := []float64{0.5, 0.3, 0.15}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("expandNegPoly = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestDifferenceRoundTripLengths(t *testing.T) {
-	f := func(n uint8) bool {
-		ln := int(n%40) + 20
-		vals := make([]float64, ln)
-		for i := range vals {
-			vals[i] = float64(i * i)
-		}
-		d := difference(vals, 1, 1, 4)
-		return len(d) == ln-1-4
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestAutoPicksSeasonalModelOnSeasonalData(t *testing.T) {
 	s := seasonalSeries(60, 6, 100, 0.3, 20, 1, 5)
 	m := NewAuto(6)
@@ -404,8 +286,11 @@ func TestAutoFallsBackOnTinySeries(t *testing.T) {
 	}
 }
 
+// families is every name NewByName accepts.
+var families = []string{"naive", "snaive", "drift", "mean", "ses", "holt", "holt-damped", "hw-add", "hw-mult", "auto", "croston", "croston-sba", "theta"}
+
 func TestNewByNameAllFamilies(t *testing.T) {
-	for _, name := range []string{"naive", "snaive", "drift", "mean", "ses", "holt", "holt-damped", "hw-add", "hw-mult", "arima", "auto", "croston", "croston-sba", "theta"} {
+	for _, name := range families {
 		m, err := NewByName(name, 4)
 		if err != nil {
 			t.Fatalf("NewByName(%q): %v", name, err)
@@ -419,6 +304,58 @@ func TestNewByNameAllFamilies(t *testing.T) {
 	}
 }
 
+// TestFitDegenerateSeriesFinite: on series no optimizer likes, every family
+// either refuses to fit or forecasts, estimates its residual spread and
+// updates in finite numbers. Magnitudes stop at 1e150: near 1e300 the squared
+// residuals overflow and most families report ResidualStd = +Inf (not NaN),
+// which turns WITH INTERVAL bounds into ±Inf — a known limit, not covered.
+func TestFitDegenerateSeriesFinite(t *testing.T) {
+	const period = 4
+	fill := func(n int, f func(i int) float64) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = f(i)
+		}
+		return v
+	}
+	series := map[string]*timeseries.Series{
+		"constant":    timeseries.New(fill(24, func(int) float64 { return 7 }), period),
+		"all zero":    timeseries.New(fill(24, func(int) float64 { return 0 }), period),
+		"negative":    timeseries.New(fill(24, func(i int) float64 { return -100 - float64(i%period) }), period),
+		"alternating": timeseries.New(fill(24, func(i int) float64 { return float64(i%2) * 1e6 }), period),
+		"near 1e150":  timeseries.New(fill(24, func(i int) float64 { return 1e150 * (1 + 0.1*float64(i%period)) }), period),
+		"length 1":    timeseries.New([]float64{5}, period),
+		"length 3":    timeseries.New([]float64{1, 2, 3}, period),
+	}
+	finite := func(vs ...float64) bool {
+		for _, v := range vs {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return false
+			}
+		}
+		return true
+	}
+	for sname, s := range series {
+		for _, name := range families {
+			m, _ := NewByName(name, period)
+			if m.Fit(s) != nil {
+				continue
+			}
+			fc := m.Forecast(3)
+			var std float64
+			if u, ok := m.(Uncertainty); ok {
+				std = u.ResidualStd()
+			}
+			m.Update(1)
+			after := m.Forecast(1)
+			if !finite(append(append(fc, std), after...)...) {
+				t.Errorf("%s on %s: Forecast(3) = %v, ResidualStd = %v, Forecast(1) after Update = %v",
+					m.Name(), sname, fc, std, after)
+			}
+		}
+	}
+}
+
 func TestFactoryByName(t *testing.T) {
 	f, err := FactoryByName("ses")
 	if err != nil {
@@ -429,16 +366,6 @@ func TestFactoryByName(t *testing.T) {
 	}
 	if _, err := FactoryByName("bogus"); err == nil {
 		t.Fatal("unknown factory should fail")
-	}
-}
-
-func TestAIC(t *testing.T) {
-	if !math.IsInf(AIC(0, 10, 2), 1) {
-		t.Error("AIC with zero SSE should be +Inf")
-	}
-	// More parameters at equal SSE must increase AIC.
-	if AIC(10, 100, 2) >= AIC(10, 100, 5) {
-		t.Error("AIC should penalize parameters")
 	}
 }
 
@@ -462,7 +389,6 @@ func TestGobRoundTripAllModels(t *testing.T) {
 		NewNaive(), NewSeasonalNaive(4), NewDrift(), NewMean(),
 		NewSES(), NewHolt(false), NewHolt(true),
 		NewHoltWinters(4, Additive),
-		NewARIMA(Order{P: 1, D: 1, Q: 1}, Order{}, 4),
 		NewAuto(4),
 		NewCroston(true),
 		NewTheta(4),

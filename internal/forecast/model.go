@@ -1,10 +1,9 @@
 // Package forecast implements the time-series forecast models used by the
 // advisor: the exponential-smoothing family (simple, Holt, and the
-// Holt-Winters triple smoothing the paper found to work best, Section VI-A)
-// and multiplicative seasonal ARIMA estimated by conditional sum of squares,
-// plus naive baselines and AIC-based automatic selection. Models support
-// incremental state updates (Update) as required by the F²DB maintenance
-// processor (Section V).
+// Holt-Winters triple smoothing the paper found to work best, Section VI-A),
+// Croston and Theta, naive baselines and holdout-based automatic selection
+// (Auto). Models support incremental state updates (Update) as required by
+// the F²DB maintenance processor (Section V).
 package forecast
 
 import (
@@ -31,8 +30,6 @@ type Model interface {
 	Forecast(h int) []float64
 	// Update advances the state with one new observation.
 	Update(x float64)
-	// NParams reports the number of estimated parameters (for AIC).
-	NParams() int
 	// Fitted reports whether Fit completed successfully.
 	Fitted() bool
 }
@@ -68,7 +65,6 @@ func init() {
 	gob.Register(&SES{})
 	gob.Register(&Holt{})
 	gob.Register(&HoltWinters{})
-	gob.Register(&ARIMA{})
 	gob.Register(&Auto{})
 	gob.Register(&Croston{})
 	gob.Register(&Theta{})
@@ -96,8 +92,6 @@ func NewByName(name string, period int) (Model, error) {
 		return NewHoltWinters(period, Additive), nil
 	case "hw-mult":
 		return NewHoltWinters(period, Multiplicative), nil
-	case "arima":
-		return NewARIMA(Order{P: 1, D: 1, Q: 1}, Order{}, period), nil
 	case "croston":
 		return NewCroston(false), nil
 	case "croston-sba":
@@ -121,15 +115,6 @@ func FactoryByName(name string) (Factory, error) {
 		m, _ := NewByName(name, period)
 		return m
 	}, nil
-}
-
-// AIC computes Akaike's information criterion from a sum of squared errors
-// over n observations with k estimated parameters.
-func AIC(sse float64, n, k int) float64 {
-	if n <= 0 || sse <= 0 {
-		return math.Inf(1)
-	}
-	return float64(n)*math.Log(sse/float64(n)) + 2*float64(k)
 }
 
 // Backtest fits a fresh model from factory on the training part of s (per

@@ -34,9 +34,6 @@ func NewNaive() *Naive { return &Naive{} }
 // Name implements Model.
 func (m *Naive) Name() string { return "naive" }
 
-// NParams implements Model.
-func (m *Naive) NParams() int { return 0 }
-
 // Fitted implements Model.
 func (m *Naive) Fitted() bool { return m.IsFitted }
 
@@ -86,9 +83,6 @@ func NewSeasonalNaive(period int) *SeasonalNaive {
 // Name implements Model.
 func (m *SeasonalNaive) Name() string { return "snaive" }
 
-// NParams implements Model.
-func (m *SeasonalNaive) NParams() int { return 0 }
-
 // Fitted implements Model.
 func (m *SeasonalNaive) Fitted() bool { return m.IsFitted }
 
@@ -136,9 +130,6 @@ func NewDrift() *Drift { return &Drift{} }
 
 // Name implements Model.
 func (m *Drift) Name() string { return "drift" }
-
-// NParams implements Model.
-func (m *Drift) NParams() int { return 1 }
 
 // Fitted implements Model.
 func (m *Drift) Fitted() bool { return m.IsFitted }
@@ -194,9 +185,6 @@ func NewMean() *MeanModel { return &MeanModel{} }
 
 // Name implements Model.
 func (m *MeanModel) Name() string { return "mean" }
-
-// NParams implements Model.
-func (m *MeanModel) NParams() int { return 1 }
 
 // Fitted implements Model.
 func (m *MeanModel) Fitted() bool { return m.IsFitted }

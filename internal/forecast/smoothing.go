@@ -31,9 +31,6 @@ func NewSES() *SES { return &SES{} }
 // Name implements Model.
 func (m *SES) Name() string { return "ses" }
 
-// NParams implements Model.
-func (m *SES) NParams() int { return 1 }
-
 // Fitted implements Model.
 func (m *SES) Fitted() bool { return m.IsFitted }
 
@@ -165,14 +162,6 @@ func (m *Holt) Name() string {
 		return "holt-damped"
 	}
 	return "holt"
-}
-
-// NParams implements Model.
-func (m *Holt) NParams() int {
-	if m.Damped {
-		return 3
-	}
-	return 2
 }
 
 // Fitted implements Model.
@@ -404,9 +393,6 @@ func (m *HoltWinters) Name() string {
 	}
 	return "hw-add"
 }
-
-// NParams implements Model.
-func (m *HoltWinters) NParams() int { return 3 }
 
 // Fitted implements Model.
 func (m *HoltWinters) Fitted() bool { return m.IsFitted }

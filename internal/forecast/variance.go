@@ -96,72 +96,6 @@ func (m *HoltWinters) VarianceScale(h int) float64 {
 	return math.Sqrt(acc)
 }
 
-// VarianceScale implements HorizonVariance for ARIMA via ψ weights:
-// Var(h) = σ²·Σ_{j=0}^{h-1} ψ_j², with the ψ recursion applied to the
-// combined AR × differencing polynomial and the combined MA polynomial.
-func (m *ARIMA) VarianceScale(h int) float64 {
-	psi := m.psiWeights(h)
-	var acc float64
-	for _, p := range psi {
-		acc += p * p
-	}
-	return math.Sqrt(acc)
-}
-
-// psiWeights computes the first h ψ weights of the fitted model, including
-// the integration polynomials (1-B)^d (1-B^m)^D on the AR side.
-func (m *ARIMA) psiWeights(h int) []float64 {
-	// Combined AR polynomial coefficients in "1 - Σ a_i B^i" form.
-	ar := expandPoly(m.Phi, m.SPhi, m.Period)
-	// Multiply in the differencing polynomials.
-	for i := 0; i < m.Ord.D; i++ {
-		ar = mulDiffPoly(ar, 1)
-	}
-	for i := 0; i < m.SOrd.D; i++ {
-		ar = mulDiffPoly(ar, m.Period)
-	}
-	ma := expandNegPoly(m.Theta, m.STheta, m.Period)
-
-	psi := make([]float64, h)
-	if h == 0 {
-		return psi
-	}
-	psi[0] = 1
-	for j := 1; j < h; j++ {
-		var v float64
-		if j-1 < len(ma) {
-			v = ma[j-1]
-		}
-		for i := 0; i < len(ar) && i < j; i++ {
-			v += ar[i] * psi[j-1-i]
-		}
-		psi[j] = v
-	}
-	return psi
-}
-
-// mulDiffPoly multiplies the AR-side polynomial (given as coefficients a_i
-// of 1 - Σ a_i B^i) by the differencing polynomial (1 - B^lag), returning
-// the same representation.
-func mulDiffPoly(a []float64, lag int) []float64 {
-	// Full representation with lag-0 term.
-	full := make([]float64, len(a)+1)
-	full[0] = 1
-	for i, c := range a {
-		full[i+1] = -c
-	}
-	out := make([]float64, len(full)+lag)
-	for i, c := range full {
-		out[i] += c
-		out[i+lag] -= c
-	}
-	res := make([]float64, len(out)-1)
-	for i := 1; i < len(out); i++ {
-		res[i-1] = -out[i]
-	}
-	return res
-}
-
 // VarianceScale implements HorizonVariance by delegating to the chosen
 // model.
 func (m *Auto) VarianceScale(h int) float64 {

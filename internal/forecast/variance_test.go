@@ -66,48 +66,6 @@ func TestHoltWintersVarianceSeasonBump(t *testing.T) {
 	}
 }
 
-func TestARIMAPsiWeightsAR1(t *testing.T) {
-	// AR(1): ψ_j = φ^j.
-	m := &ARIMA{Ord: Order{P: 1}, Period: 1, Phi: []float64{0.6}}
-	psi := m.psiWeights(5)
-	for j, want := range []float64{1, 0.6, 0.36, 0.216, 0.1296} {
-		if math.Abs(psi[j]-want) > 1e-12 {
-			t.Fatalf("psi[%d] = %v, want %v", j, psi[j], want)
-		}
-	}
-}
-
-func TestARIMAPsiWeightsMA1(t *testing.T) {
-	// MA(1): ψ_0 = 1, ψ_1 = θ, ψ_j = 0 beyond.
-	m := &ARIMA{Ord: Order{Q: 1}, Period: 1, Theta: []float64{0.4}}
-	psi := m.psiWeights(4)
-	want := []float64{1, 0.4, 0, 0}
-	for j := range want {
-		if math.Abs(psi[j]-want[j]) > 1e-12 {
-			t.Fatalf("psi = %v, want %v", psi, want)
-		}
-	}
-}
-
-func TestARIMARandomWalkVariance(t *testing.T) {
-	// ARIMA(0,1,0): ψ_j = 1 for all j → Var(h) = σ²·h, like naive.
-	m := &ARIMA{Ord: Order{D: 1}, Period: 1}
-	if got := m.VarianceScale(9); math.Abs(got-3) > 1e-12 {
-		t.Fatalf("random-walk scale(9) = %v, want 3", got)
-	}
-}
-
-func TestMulDiffPoly(t *testing.T) {
-	// (1 - 0.5B)(1 - B) = 1 - 1.5B + 0.5B² → a = [1.5, -0.5].
-	got := mulDiffPoly([]float64{0.5}, 1)
-	want := []float64{1.5, -0.5}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("mulDiffPoly = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestVarianceScaleOfFallback(t *testing.T) {
 	// A model without the interface gets sqrt(h).
 	var m Model = &failsVariance{}
@@ -126,7 +84,6 @@ func (f *failsVariance) Name() string                 { return "x" }
 func (f *failsVariance) Fit(*timeseries.Series) error { return nil }
 func (f *failsVariance) Forecast(h int) []float64     { return make([]float64, h) }
 func (f *failsVariance) Update(float64)               {}
-func (f *failsVariance) NParams() int                 { return 0 }
 func (f *failsVariance) Fitted() bool                 { return true }
 
 func TestAutoVarianceDelegates(t *testing.T) {

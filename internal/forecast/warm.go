@@ -19,7 +19,7 @@ import (
 // Fit keeps its historical cold-start behavior bit for bit.
 
 // WarmStarter is implemented by models whose Fit runs a numerical
-// parameter search that can be seeded (SES, Holt, Holt-Winters, ARIMA).
+// parameter search that can be seeded (SES, Holt, Holt-Winters).
 type WarmStarter interface {
 	// Params returns a copy of the fitted parameter vector in the
 	// model's optimizer coordinates, or nil when the model is unfitted.
@@ -104,16 +104,6 @@ func (s *seed3) valid(dim int) bool {
 		return false
 	}
 	for _, v := range s.v[:s.n] {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
-}
-
-// finiteAll reports whether every value of p is finite.
-func finiteAll(p []float64) bool {
-	for _, v := range p {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return false
 		}

@@ -70,32 +70,3 @@ func BenchmarkFitSESWarm(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkFitARIMACold(b *testing.B) {
-	s, period := benchSeries(b)
-	m := NewARIMA(Order{P: 1, D: 1, Q: 1}, Order{}, period)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.Fit(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFitARIMAWarm(b *testing.B) {
-	s, period := benchSeries(b)
-	m := NewARIMA(Order{P: 1, D: 1, Q: 1}, Order{}, period)
-	if err := m.Fit(s); err != nil {
-		b.Fatal(err)
-	}
-	seed := m.Params()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.WarmStart(seed)
-		if err := m.Fit(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

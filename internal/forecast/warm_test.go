@@ -27,7 +27,6 @@ func warmFamilies(period int) map[string]func() Model {
 	}
 	if period >= 2 {
 		fams["hw-add"] = func() Model { return NewHoltWinters(period, Additive) }
-		fams["arima"] = func() Model { return NewARIMA(Order{P: 1, D: 1, Q: 1}, Order{}, period) }
 	}
 	return fams
 }
@@ -207,7 +206,6 @@ func TestCloneIndependence(t *testing.T) {
 	s := ds.Base[3].Series
 	models := []Model{
 		NewSES(), NewHolt(true), NewHoltWinters(ds.Period, Additive),
-		NewARIMA(Order{P: 1, D: 1, Q: 1}, Order{}, ds.Period),
 		NewNaive(), NewTheta(ds.Period),
 	}
 	for _, m := range models {
