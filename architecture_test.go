@@ -1,0 +1,441 @@
+package cubefc_test
+
+import (
+	"errors"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"regexp"
+	"strings"
+	"testing"
+	"testing/fstest"
+)
+
+// archRules are the repository's structural rules. Each is a function over
+// a file system rooted at the module root: TestArchitecture runs them on the
+// checkout, TestArchitectureRulesCanFail on small trees with one planted
+// violation each.
+var archRules = []struct {
+	name  string
+	check func(fs.FS) error
+}{
+	{"one renderer", oneRenderer},
+	{"one assembly path", oneAssemblyPath},
+	{"one hyper graph", oneHyperGraph},
+	{"one evaluator", oneEvaluator},
+	{"no option without a setter", noGoneNames},
+	{"cited tests exist", citedTestsExist},
+}
+
+func TestArchitecture(t *testing.T) {
+	fsys := os.DirFS(".")
+	for _, r := range archRules {
+		t.Run(r.name, func(t *testing.T) {
+			if err := r.check(fsys); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// goFile is one parsed Go source file under its slash-separated path.
+type goFile struct {
+	path string
+	file *ast.File
+}
+
+// parseGo parses the .go files under roots (files or directories; an absent
+// root is skipped), leaving out test files unless withTests is set, and
+// testdata and dot directories always.
+func parseGo(fsys fs.FS, withTests bool, roots ...string) ([]goFile, error) {
+	fset := token.NewFileSet()
+	var files []goFile
+	for _, root := range roots {
+		err := fs.WalkDir(fsys, root, func(p string, d fs.DirEntry, err error) error {
+			if err != nil {
+				if p == root && errors.Is(err, fs.ErrNotExist) {
+					return nil
+				}
+				return err
+			}
+			if d.IsDir() {
+				if p != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+					return fs.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(p, ".go") || (!withTests && strings.HasSuffix(p, "_test.go")) {
+				return nil
+			}
+			src, err := fs.ReadFile(fsys, p)
+			if err != nil {
+				return err
+			}
+			f, err := parser.ParseFile(fset, p, src, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			files = append(files, goFile{p, f})
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return files, nil
+}
+
+// violations turns a rule's findings into its error.
+func violations(what string, found []string) error {
+	if len(found) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s:\n  %s", what, strings.Join(found, "\n  "))
+}
+
+// oneRenderer: only internal/metrics writes the exposition format, so the
+// only "# HELP" string literal outside tests is in its metrics.go.
+func oneRenderer(fsys fs.FS) error {
+	files, err := parseGo(fsys, false, "internal", "cmd")
+	if err != nil {
+		return err
+	}
+	var in []string
+	for _, f := range files {
+		found := false
+		ast.Inspect(f.file, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING && strings.Contains(lit.Value, "# HELP") {
+				found = true
+			}
+			return !found
+		})
+		if found {
+			in = append(in, f.path)
+		}
+	}
+	if len(in) == 1 && in[0] == "internal/metrics/metrics.go" {
+		return nil
+	}
+	return violations(`"# HELP" literals must be in internal/metrics/metrics.go alone; found in`, in)
+}
+
+// assemblyCalls open or build an engine from its parts; internal/daemon
+// does that for all three binaries.
+var assemblyCalls = map[string]bool{
+	"f2db.OpenDurable":       true,
+	"f2db.LoadDatabase":      true,
+	"f2db.LoadConfiguration": true,
+	"csvload.Load":           true,
+	"sibyl.New":              true,
+}
+
+// oneAssemblyPath: the binaries reach an engine through internal/daemon
+// only; f2dbd's snapshot load in openPlanner is the one exception.
+func oneAssemblyPath(fsys fs.FS) error {
+	files, err := parseGo(fsys, true, "cmd/advisor", "cmd/f2dbcli", "cmd/f2dbd")
+	if err != nil {
+		return err
+	}
+	var uses []string
+	for _, f := range files {
+		ast.Inspect(f.file, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && assemblyCalls[pkg.Name+"."+sel.Sel.Name] {
+					uses = append(uses, f.path+" "+pkg.Name+"."+sel.Sel.Name)
+				}
+			}
+			return true
+		})
+	}
+	if len(uses) == 1 && uses[0] == "cmd/f2dbd/main.go f2db.LoadDatabase" {
+		return nil
+	}
+	return violations("engine assembly outside internal/daemon (want only cmd/f2dbd/main.go f2db.LoadDatabase)", uses)
+}
+
+var graphCtor = regexp.MustCompile(`^New[A-Za-z]*Graph$`)
+
+// oneHyperGraph: internal/cube has one exported graph constructor, and no
+// code outside tests reaches a lazy mode bit or a second builder.
+func oneHyperGraph(fsys fs.FS) error {
+	cube, err := parseGo(fsys, false, "internal/cube")
+	if err != nil {
+		return err
+	}
+	var ctors []string
+	for _, f := range cube {
+		for _, decl := range f.file.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && graphCtor.MatchString(fd.Name.Name) {
+				ctors = append(ctors, f.path+" "+fd.Name.Name)
+			}
+		}
+	}
+	if len(ctors) != 1 {
+		return violations("internal/cube must have one New*Graph constructor; found", ctors)
+	}
+	files, err := parseGo(fsys, false, "internal", "cmd", "examples", "cubefc.go")
+	if err != nil {
+		return err
+	}
+	var found []string
+	for _, f := range files {
+		ast.Inspect(f.file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if n.Name == "NewLazyGraph" || n.Name == "LazyGraph" {
+					found = append(found, f.path+" "+n.Name)
+				}
+			case *ast.SelectorExpr:
+				if n.Sel.Name == "lazy" {
+					found = append(found, f.path+" ."+n.Sel.Name)
+				}
+			}
+			return true
+		})
+	}
+	return violations("a lazy mode or second graph builder", found)
+}
+
+// oneEvaluator: derivation and indicator have no …From twin of a function,
+// there is one scheme evaluator, and core reads the sampling mode in two
+// places only (NewAdvisor and addModel's first backfill).
+func oneEvaluator(fsys fs.FS) error {
+	kernels, err := parseGo(fsys, false, "internal/derivation", "internal/indicator")
+	if err != nil {
+		return err
+	}
+	var found []string
+	for _, f := range kernels {
+		for _, decl := range f.file.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && strings.HasSuffix(fd.Name.Name, "From") {
+				found = append(found, f.path+" "+fd.Name.Name)
+			}
+		}
+	}
+	all, err := parseGo(fsys, true, "internal", "cmd")
+	if err != nil {
+		return err
+	}
+	for _, f := range all {
+		ast.Inspect(f.file, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && id.Name == "evalSchemeSampled" {
+				found = append(found, f.path+" "+id.Name)
+			}
+			return true
+		})
+	}
+	core, err := parseGo(fsys, false, "internal/core")
+	if err != nil {
+		return err
+	}
+	var reads []string
+	for _, f := range core {
+		ast.Inspect(f.file, func(n ast.Node) bool {
+			if be, ok := n.(*ast.BinaryExpr); ok && isSamplingRead(be) {
+				reads = append(reads, f.path)
+			}
+			return true
+		})
+	}
+	if len(reads) > 2 {
+		found = append(found, fmt.Sprintf("%d sampling-mode reads in internal/core, want <= 2: %v", len(reads), reads))
+	}
+	return violations("a second evaluator path", found)
+}
+
+// isSamplingRead reports x.SampleSize > 0 and x.sampler ==/!= nil.
+func isSamplingRead(be *ast.BinaryExpr) bool {
+	last := func(e ast.Expr) string {
+		switch e := e.(type) {
+		case *ast.Ident:
+			return e.Name
+		case *ast.SelectorExpr:
+			return e.Sel.Name
+		}
+		return ""
+	}
+	switch be.Op {
+	case token.GTR:
+		lit, ok := be.Y.(*ast.BasicLit)
+		return last(be.X) == "SampleSize" && ok && lit.Value == "0"
+	case token.EQL, token.NEQ:
+		return last(be.X) == "sampler" && last(be.Y) == "nil"
+	}
+	return false
+}
+
+// goneNames were removed and stay gone: the background prober, the
+// wall-clock cost metric, cold re-fits, per-point workload inserts and
+// eager re-estimation.
+var goneNames = map[string]bool{
+	"AsyncMultiSource": true,
+	"CostTime":         true,
+	"MaxCostSeconds":   true,
+	"ColdRefit":        true,
+	"PerPointInserts":  true,
+	"EagerReestimate":  true,
+}
+
+// noGoneNames: no identifier, tests included, brings a gone name back.
+func noGoneNames(fsys fs.FS) error {
+	files, err := parseGo(fsys, true, "internal", "cmd", "examples", "cubefc.go", "bench_test.go")
+	if err != nil {
+		return err
+	}
+	var found []string
+	for _, f := range files {
+		ast.Inspect(f.file, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && goneNames[id.Name] {
+				found = append(found, f.path+" "+id.Name)
+			}
+			return true
+		})
+	}
+	if _, err := fs.Stat(fsys, "internal/core/async.go"); err == nil {
+		found = append(found, "internal/core/async.go")
+	}
+	return violations("gone names are back", found)
+}
+
+// citedDocs are the documents whose test citations must resolve.
+var citedDocs = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"}
+
+var citedName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
+
+// citedTestsExist: every Test* and Fuzz* name the documents cite is a test
+// function, and every cited Benchmark* name prefixes one (a family).
+func citedTestsExist(fsys fs.FS) error {
+	files, err := parseGo(fsys, true, ".")
+	if err != nil {
+		return err
+	}
+	defined := make(map[string]bool)
+	var benches []string
+	for _, f := range files {
+		if !strings.HasSuffix(f.path, "_test.go") {
+			continue
+		}
+		for _, decl := range f.file.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil {
+				defined[fd.Name.Name] = true
+				if strings.HasPrefix(fd.Name.Name, "Benchmark") {
+					benches = append(benches, fd.Name.Name)
+				}
+			}
+		}
+	}
+	var found []string
+	for _, doc := range citedDocs {
+		data, err := fs.ReadFile(fsys, doc)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		seen := make(map[string]bool)
+		for _, name := range citedName.FindAllString(string(data), -1) {
+			if seen[name] || defined[name] {
+				continue
+			}
+			seen[name] = true
+			ok := false
+			if strings.HasPrefix(name, "Benchmark") {
+				for _, b := range benches {
+					ok = ok || strings.HasPrefix(b, name)
+				}
+			}
+			if !ok {
+				found = append(found, doc+" "+name)
+			}
+		}
+	}
+	return violations("cited tests that do not exist", found)
+}
+
+func src(s string) *fstest.MapFile { return &fstest.MapFile{Data: []byte(s)} }
+
+// TestArchitectureRulesCanFail gives each rule a clean tree it must accept
+// and the same tree with one planted violation it must reject.
+func TestArchitectureRulesCanFail(t *testing.T) {
+	samplingCore := fstest.MapFS{
+		"internal/core/advisor.go": src(`package core
+
+func NewAdvisor(opts Options) *Advisor {
+	if opts.SampleSize > 0 {
+		return nil
+	}
+	return nil
+}
+
+func (a *Advisor) addModel() {
+	if a.sampler == nil {
+		return
+	}
+}
+`),
+		"internal/derivation/derivation.go": src("package derivation\n\nfunc Apply() {}\n"),
+	}
+	for _, c := range []struct {
+		name  string
+		check func(fs.FS) error
+		clean fstest.MapFS
+		plant fstest.MapFS
+	}{
+		{
+			"second HELP literal", oneRenderer,
+			fstest.MapFS{"internal/metrics/metrics.go": src("package metrics\n\nconst help = \"# HELP \"\n")},
+			fstest.MapFS{"internal/server/metrics.go": src("package server\n\nconst up = \"# HELP f2dbd_up\"\n")},
+		},
+		{
+			"LoadDatabase in cmd/advisor", oneAssemblyPath,
+			fstest.MapFS{"cmd/f2dbd/main.go": src("package main\n\nfunc open() { f2db.LoadDatabase(nil, f2db.Options{}) }\n")},
+			fstest.MapFS{"cmd/advisor/main.go": src("package main\n\nfunc run() { f2db.LoadDatabase(nil, f2db.Options{}) }\n")},
+		},
+		{
+			"second New*Graph constructor", oneHyperGraph,
+			fstest.MapFS{"internal/cube/graph.go": src("package cube\n\nfunc NewGraph() {}\n")},
+			fstest.MapFS{"internal/cube/skeleton.go": src("package cube\n\nfunc NewSkeletonGraph() {}\n")},
+		},
+		{
+			"From function in derivation", oneEvaluator, samplingCore,
+			fstest.MapFS{"internal/derivation/from.go": src("package derivation\n\nfunc ApplyFrom() {}\n")},
+		},
+		{
+			"third sampling-mode read in core", oneEvaluator, samplingCore,
+			fstest.MapFS{"internal/core/sampled.go": src("package core\n\nfunc (a *Advisor) sampled() bool { return a.sampler != nil }\n")},
+		},
+		{
+			"gone name", noGoneNames,
+			fstest.MapFS{"internal/f2db/db.go": src("package f2db\n\ntype Options struct{ Parallelism int }\n")},
+			fstest.MapFS{"internal/f2db/db.go": src("package f2db\n\ntype Options struct {\n\tParallelism     int\n\tEagerReestimate bool\n}\n")},
+		},
+		{
+			"cited test missing", citedTestsExist,
+			fstest.MapFS{
+				"DESIGN.md":            src("Pinned by `TestFoo`; timed by `BenchmarkBar`.\n"),
+				"internal/x/x_test.go": src("package x\n\nfunc TestFoo(t *testing.T) {}\n\nfunc BenchmarkBarSmall(b *testing.B) {}\n"),
+			},
+			fstest.MapFS{"README.md": src("See `TestGone`.\n")},
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.check(c.clean); err != nil {
+				t.Fatalf("rule rejects the clean tree: %v", err)
+			}
+			planted := fstest.MapFS{}
+			for p, f := range c.clean {
+				planted[p] = f
+			}
+			for p, f := range c.plant {
+				planted[p] = f
+			}
+			if err := c.check(planted); err == nil {
+				t.Fatal("rule accepts the planted violation")
+			}
+		})
+	}
+}

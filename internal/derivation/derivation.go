@@ -398,33 +398,3 @@ func WeightStability(src SeriesSource, target int, sources []int, historyLen int
 func DirectScheme(target int) Scheme {
 	return Scheme{Target: target, Sources: []int{target}, K: 1, Kind: Direct}
 }
-
-// AggregationScheme returns the scheme deriving target from one of its
-// child hyper edges (Figure 3b). The first non-empty edge is used.
-func AggregationScheme(g *cube.Graph, target, historyLen int) (Scheme, bool) {
-	children := g.Children(g.Node(target))
-	if len(children) == 0 {
-		return Scheme{}, false
-	}
-	sc, err := NewScheme(g, target, children, historyLen)
-	if err != nil {
-		return Scheme{}, false
-	}
-	sc.Kind = Aggregation
-	return sc, true
-}
-
-// DisaggregationScheme returns the scheme deriving target from its parent
-// along the given dimension (Figure 3c).
-func DisaggregationScheme(g *cube.Graph, target, dim, historyLen int) (Scheme, bool) {
-	p := g.Node(target).ParentIDs[dim]
-	if p < 0 {
-		return Scheme{}, false
-	}
-	sc, err := NewScheme(g, target, []int{p}, historyLen)
-	if err != nil {
-		return Scheme{}, false
-	}
-	sc.Kind = Disaggregation
-	return sc, true
-}

@@ -219,33 +219,6 @@ func TestDirectScheme(t *testing.T) {
 	}
 }
 
-func TestAggregationScheme(t *testing.T) {
-	g := testGraph(t)
-	r1 := node(t, g, "region=R1")
-	sc, ok := AggregationScheme(g, r1, 0)
-	if !ok || sc.Kind != Aggregation || len(sc.Sources) != 2 {
-		t.Fatalf("AggregationScheme = %+v, ok=%v", sc, ok)
-	}
-	// Base node has no children.
-	c1 := node(t, g, "city=C1")
-	if _, ok := AggregationScheme(g, c1, 0); ok {
-		t.Fatal("base node should have no aggregation scheme")
-	}
-}
-
-func TestDisaggregationScheme(t *testing.T) {
-	g := testGraph(t)
-	c1 := node(t, g, "city=C1")
-	sc, ok := DisaggregationScheme(g, c1, 0, 0)
-	if !ok || sc.Kind != Disaggregation {
-		t.Fatalf("DisaggregationScheme = %+v, ok=%v", sc, ok)
-	}
-	top := g.TopID
-	if _, ok := DisaggregationScheme(g, top, 0, 0); ok {
-		t.Fatal("top has no parent")
-	}
-}
-
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{Direct: "direct", Aggregation: "aggregation", Disaggregation: "disaggregation", General: "general"} {
 		if k.String() != want {

@@ -177,10 +177,8 @@ type DB struct {
 	// model invalidates exactly these nodes' memoized forecasts.
 	deps map[int][]int
 
-	// parallelism bounds the off-lock re-estimation worker pool; eager
-	// selects re-fitting right after the invalidating advance. See Options.
+	// parallelism bounds the off-lock re-estimation worker pool.
 	parallelism int
-	eager       bool
 
 	met engineMetrics
 
@@ -233,14 +231,9 @@ type Options struct {
 	// (capped at 256).
 	Stripes int
 	// Parallelism bounds the worker pool that re-fits invalidated models
-	// off the exclusive lock (eager maintenance and lazy query pre-fits).
+	// off the exclusive lock (ReestimateInvalid and lazy query pre-fits).
 	// 0 picks GOMAXPROCS.
 	Parallelism int
-	// EagerReestimate re-fits models right after the batch advance that
-	// invalidated them instead of waiting for a query to reference them
-	// (the lazy default, Section V). The fits run off the exclusive lock
-	// on the worker pool, so queries and inserts proceed concurrently.
-	EagerReestimate bool
 }
 
 // Default cache capacities applied by Open when the option is zero.
@@ -272,7 +265,6 @@ func Open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 		stripes:     make([]writeStripe, nstripes),
 		stripeShift: stripeShiftFor(nstripes),
 		parallelism: opts.Parallelism,
-		eager:       opts.EagerReestimate,
 	}
 	if db.parallelism <= 0 {
 		db.parallelism = runtime.GOMAXPROCS(0)
@@ -760,8 +752,19 @@ func (db *DB) advanceIfComplete() error {
 		}
 	}
 	err := db.advanceBatch(g, db.pending)
-	// Release the column under all stripe locks at once: a stripe unlocked
-	// early could take a next-batch mark that the clear then erases.
+	db.releaseColumn(g, numBases)
+	db.unlock(g)
+	return err
+}
+
+// releaseColumn hands the pending column back to inserters after its batch
+// was applied: it clears the presence marks, takes the held values off the
+// pending counter and bumps the advance generation. The guard must witness
+// the write lock.
+func (db *DB) releaseColumn(g guard, held int64) {
+	db.assertExclusive(g)
+	// Clear under all stripe locks at once: a stripe unlocked early could
+	// take a next-batch mark that the clear then erases.
 	for i := range db.stripes {
 		db.stripes[i].lock()
 	}
@@ -773,25 +776,13 @@ func (db *DB) advanceIfComplete() error {
 	if db.testHookAfterSweep != nil {
 		db.testHookAfterSweep()
 	}
-	// Decrement by exactly the number of values applied, never reset to
-	// zero: inserters hold no engine lock, so a next-batch value can land in
-	// a released slot (and increment pendingTotal) before we get here — a
+	// Decrement by exactly the number of values held, never reset to zero:
+	// inserters hold no engine lock, so a next-batch value can land in a
+	// released slot (and increment pendingTotal) before we get here — a
 	// Store(0) would erase that increment, permanently undercount the column
 	// and stop the completion check from ever firing again.
-	db.pendingTotal.Add(-numBases)
+	db.pendingTotal.Add(-held)
 	db.advanceGen.Add(1)
-	// Eager maintenance: collect the models this advance invalidated while
-	// still under the lock, then re-fit them on the off-lock worker pool so
-	// concurrent queries and inserts are never blocked by the fits.
-	var invalid []int
-	if err == nil && db.eager {
-		invalid = db.invalidModelIDs()
-	}
-	db.unlock(g)
-	if len(invalid) > 0 {
-		db.reestimateMany(invalid)
-	}
-	return err
 }
 
 // advanceBatch processes a complete batch — one value per base series, in

@@ -301,9 +301,13 @@ func (d *Durable) replaySegments(column []float64) error {
 	return nil
 }
 
-// applyReplayedBatch advances the engine by one recovered batch. A batch
-// the engine already holds (snapshot newer than the log) is skipped; a
-// batch from the future is a recovery gap and fails hard.
+// applyReplayedBatch advances the engine by one recovered batch, accounted
+// as the live advance was: the rows not already held pending count as
+// inserts, and the pending column is released. Rows are held only when the
+// snapshot was taken mid-batch; they were counted when they arrived and
+// belong to this very batch. A batch the engine already holds (snapshot
+// newer than the log) is skipped; a batch from the future is a recovery gap
+// and fails hard.
 func (d *Durable) applyReplayedBatch(gen uint64, column []float64) (applied bool, err error) {
 	db := d.db
 	g := db.wLock()
@@ -318,6 +322,9 @@ func (d *Durable) applyReplayedBatch(gen uint64, column []float64) (applied bool
 	if err := db.advanceBatch(g, column); err != nil {
 		return false, err
 	}
+	held := db.pendingTotal.Load()
+	db.met.inserts.Add(int64(len(column)) - held)
+	db.releaseColumn(g, held)
 	return true, nil
 }
 

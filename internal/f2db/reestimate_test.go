@@ -99,8 +99,8 @@ func TestReestimateNodeSkipsValidModel(t *testing.T) {
 	}
 }
 
-// TestEagerReestimate: with EagerReestimate the maintenance processor
-// re-fits invalidated models right after the advance — no query needed.
+// TestEagerReestimate: ReestimateInvalid run right after the advance re-fits
+// every model it invalidated — no query needed.
 func TestEagerReestimate(t *testing.T) {
 	src, _, _ := testEngine(t, nil)
 	var buf bytes.Buffer
@@ -108,13 +108,14 @@ func TestEagerReestimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	db, err := LoadDatabase(bytes.NewReader(buf.Bytes()),
-		Options{Strategy: TimeBased{Every: 1}, EagerReestimate: true, Parallelism: 4})
+		Options{Strategy: TimeBased{Every: 1}, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := db.InsertBatch(fullBatch(db, 0)); err != nil {
 		t.Fatal(err)
 	}
+	db.ReestimateInvalid()
 	if got := db.InvalidCount(); got != 0 {
 		t.Fatalf("%d models still invalid after an eager advance", got)
 	}
@@ -125,7 +126,8 @@ func TestEagerReestimate(t *testing.T) {
 }
 
 // TestOffLockReestimateStress is the twin-engine stress test of the off-lock
-// protocol (run with -race): an eager engine takes interleaved inserts from
+// protocol (run with -race): an eager engine — one that calls
+// ReestimateInvalid after each advance — takes interleaved inserts from
 // two workers, concurrent forecast queries and an extra re-estimation racer,
 // while a lazy twin applies the same batches sequentially. The engines must
 // agree on every stored series (no insert lost to a racing re-fit), the
@@ -141,7 +143,7 @@ func TestOffLockReestimateStress(t *testing.T) {
 	}
 	data := buf.Bytes()
 	eager, err := LoadDatabase(bytes.NewReader(data),
-		Options{Strategy: TimeBased{Every: 1}, EagerReestimate: true, Parallelism: 4})
+		Options{Strategy: TimeBased{Every: 1}, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +162,13 @@ func TestOffLockReestimateStress(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, 64)
-	// Two insert workers split every batch. The worker that lands the last
-	// value runs the eager re-fits synchronously inside InsertBase; the
-	// other worker observes the generation bump and immediately starts the
-	// next batch — its inserts race the in-flight off-lock re-estimation,
-	// which is exactly the window under test.
-	for _, part := range [][]int{baseIDs[:half], baseIDs[half:]} {
+	// Two insert workers split every batch. Once the batch has advanced,
+	// the first worker re-fits what it invalidated; the other immediately
+	// starts the next batch — its inserts race the in-flight off-lock
+	// re-estimation, which is exactly the window under test.
+	for w, part := range [][]int{baseIDs[:half], baseIDs[half:]} {
 		wg.Add(1)
-		go func(part []int) {
+		go func(refit bool, part []int) {
 			defer wg.Done()
 			for s := 0; s < steps; s++ {
 				for _, id := range part {
@@ -179,8 +180,11 @@ func TestOffLockReestimateStress(t *testing.T) {
 				for eager.advanceGen.Load() < uint64(s+1) {
 					time.Sleep(50 * time.Microsecond)
 				}
+				if refit {
+					eager.ReestimateInvalid()
+				}
 			}
-		}(part)
+		}(w == 0, part)
 	}
 	// Query workers exercise the read path (and its lazy pre-fit) against
 	// the racing maintenance.
@@ -198,7 +202,7 @@ func TestOffLockReestimateStress(t *testing.T) {
 		}(w)
 	}
 	// Extra re-estimation racer: repeatedly re-fits whatever is invalid,
-	// competing with the eager pool and the lazy query pre-fits.
+	// competing with the eager re-fits and the lazy query pre-fits.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -1,15 +1,12 @@
 // Package optimize implements the numerical optimization routines used for
-// forecast-model parameter estimation (Section IV-B.1 of the paper refers to
-// "standard local (e.g., Hill-Climbing) or global (e.g., Simulated
-// Annealing) optimization algorithms"). All optimizers minimize an
-// objective function f: R^n -> R and are deterministic given their options
-// (stochastic methods take an explicit seed).
+// forecast-model parameter estimation. Section IV-B.1 of the paper leaves
+// this to "standard local (e.g., Hill-Climbing) or global (e.g., Simulated
+// Annealing) optimization algorithms"; the models here estimate with
+// bounded Nelder–Mead (several parameters) and golden-section search (one
+// parameter). Both minimize an objective f: R^n -> R and are deterministic.
 package optimize
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // Objective is a function to be minimized.
 type Objective func(x []float64) float64
@@ -289,193 +286,6 @@ func GoldenSection(f func(float64) float64, a, b, tol float64) (x, fx float64) {
 	}
 	x = (a + b) / 2
 	return x, f(x)
-}
-
-// HillClimbOptions configures coordinate-wise hill climbing.
-type HillClimbOptions struct {
-	Step    float64 // initial step size per coordinate (default 0.1)
-	MinStep float64 // terminate when step falls below (default 1e-6)
-	MaxIter int     // maximum sweeps over all coordinates (default 200)
-	Lower   []float64
-	Upper   []float64 // optional box constraints (nil = unbounded)
-}
-
-// HillClimb minimizes f with a simple coordinate-descent hill climber: each
-// coordinate is probed in both directions with the current step; if no move
-// improves, the step is halved. This is the "standard local" optimizer the
-// paper mentions for parameter estimation.
-func HillClimb(f Objective, x0 []float64, opts HillClimbOptions) Result {
-	if opts.Step <= 0 {
-		opts.Step = 0.1
-	}
-	if opts.MinStep <= 0 {
-		opts.MinStep = 1e-6
-	}
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 200
-	}
-	n := len(x0)
-	x := make([]float64, n)
-	copy(x, x0)
-	clamp := func(j int, v float64) float64 {
-		if opts.Lower != nil && v < opts.Lower[j] {
-			v = opts.Lower[j]
-		}
-		if opts.Upper != nil && v > opts.Upper[j] {
-			v = opts.Upper[j]
-		}
-		return v
-	}
-	evals := 0
-	eval := func(p []float64) float64 { evals++; return f(p) }
-	fx := eval(x)
-	step := opts.Step
-	iters := 0
-	trial := make([]float64, n)
-	for iters < opts.MaxIter && step >= opts.MinStep {
-		improved := false
-		for j := 0; j < n; j++ {
-			for _, dir := range [...]float64{1, -1} {
-				copy(trial, x)
-				trial[j] = clamp(j, x[j]+dir*step)
-				if trial[j] == x[j] {
-					continue
-				}
-				if ft := eval(trial); ft < fx {
-					x[j], fx = trial[j], ft
-					improved = true
-				}
-			}
-		}
-		if !improved {
-			step /= 2
-		}
-		iters++
-	}
-	return Result{X: x, F: fx, Evals: evals, Iters: iters}
-}
-
-// AnnealOptions configures simulated annealing.
-type AnnealOptions struct {
-	Seed    int64   // RNG seed (deterministic runs)
-	T0      float64 // initial temperature (default 1.0)
-	Cooling float64 // geometric cooling factor per iteration (default 0.995)
-	MaxIter int     // iterations (default 2000)
-	Step    float64 // proposal stddev relative to box width or 1.0 (default 0.1)
-	Lower   []float64
-	Upper   []float64 // optional box constraints
-}
-
-// Anneal minimizes f with simulated annealing using Gaussian proposals and
-// geometric cooling — the "standard global" optimizer the paper mentions.
-func Anneal(f Objective, x0 []float64, opts AnnealOptions) Result {
-	if opts.T0 <= 0 {
-		opts.T0 = 1.0
-	}
-	if opts.Cooling <= 0 || opts.Cooling >= 1 {
-		opts.Cooling = 0.995
-	}
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 2000
-	}
-	if opts.Step <= 0 {
-		opts.Step = 0.1
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	n := len(x0)
-	cur := make([]float64, n)
-	copy(cur, x0)
-	evals := 0
-	eval := func(p []float64) float64 {
-		evals++
-		v := f(p)
-		if math.IsNaN(v) {
-			return math.Inf(1)
-		}
-		return v
-	}
-	fcur := eval(cur)
-	best := make([]float64, n)
-	copy(best, cur)
-	fbest := fcur
-
-	width := func(j int) float64 {
-		if opts.Lower != nil && opts.Upper != nil {
-			return opts.Upper[j] - opts.Lower[j]
-		}
-		return 1.0
-	}
-	clamp := func(j int, v float64) float64 {
-		if opts.Lower != nil && v < opts.Lower[j] {
-			v = opts.Lower[j]
-		}
-		if opts.Upper != nil && v > opts.Upper[j] {
-			v = opts.Upper[j]
-		}
-		return v
-	}
-
-	temp := opts.T0
-	prop := make([]float64, n)
-	for it := 0; it < opts.MaxIter; it++ {
-		copy(prop, cur)
-		j := rng.Intn(n)
-		prop[j] = clamp(j, prop[j]+rng.NormFloat64()*opts.Step*width(j))
-		fp := eval(prop)
-		if fp < fcur || rng.Float64() < math.Exp((fcur-fp)/temp) {
-			copy(cur, prop)
-			fcur = fp
-			if fcur < fbest {
-				copy(best, cur)
-				fbest = fcur
-			}
-		}
-		temp *= opts.Cooling
-	}
-	return Result{X: best, F: fbest, Evals: evals, Iters: opts.MaxIter}
-}
-
-// GridSearch minimizes f over the Cartesian product of the given per-
-// coordinate candidate values. It returns the best point; ties are broken
-// in favor of the lexicographically first combination.
-func GridSearch(f Objective, grid [][]float64) Result {
-	n := len(grid)
-	if n == 0 {
-		return Result{X: nil, F: f(nil), Evals: 1, Iters: 1}
-	}
-	for _, g := range grid {
-		if len(g) == 0 {
-			return Result{X: nil, F: math.Inf(1)}
-		}
-	}
-	idx := make([]int, n)
-	x := make([]float64, n)
-	best := make([]float64, n)
-	fbest := math.Inf(1)
-	evals := 0
-	for {
-		for j := 0; j < n; j++ {
-			x[j] = grid[j][idx[j]]
-		}
-		evals++
-		if v := f(x); v < fbest {
-			fbest = v
-			copy(best, x)
-		}
-		// Advance the odometer.
-		j := n - 1
-		for ; j >= 0; j-- {
-			idx[j]++
-			if idx[j] < len(grid[j]) {
-				break
-			}
-			idx[j] = 0
-		}
-		if j < 0 {
-			break
-		}
-	}
-	return Result{X: best, F: fbest, Evals: evals, Iters: evals}
 }
 
 // InvNormCDF approximates the inverse standard-normal CDF (Acklam's

@@ -174,83 +174,3 @@ func TestGoldenSectionBoundaryMinimum(t *testing.T) {
 		t.Fatalf("boundary minimum x = %v, want 2", x)
 	}
 }
-
-func TestHillClimb(t *testing.T) {
-	res := HillClimb(shiftedSphere([]float64{0.4, -0.6}), []float64{0, 0}, HillClimbOptions{})
-	if res.F > 1e-6 {
-		t.Fatalf("HillClimb f = %v (x=%v)", res.F, res.X)
-	}
-}
-
-func TestHillClimbRespectsBounds(t *testing.T) {
-	res := HillClimb(shiftedSphere([]float64{5}), []float64{0},
-		HillClimbOptions{Lower: []float64{-1}, Upper: []float64{1}})
-	if res.X[0] > 1+1e-12 {
-		t.Fatalf("HillClimb violated bound: %v", res.X)
-	}
-	if math.Abs(res.X[0]-1) > 1e-6 {
-		t.Fatalf("bounded minimizer %v, want 1", res.X)
-	}
-}
-
-func TestAnnealFindsGlobalMin(t *testing.T) {
-	// Double-well with the global minimum near x = +2 and a local
-	// minimum near x = -2 (the -0.5x tilt separates them).
-	obj := func(x []float64) float64 {
-		v := x[0]
-		return (v*v-4)*(v*v-4)/16 - 0.5*v
-	}
-	res := Anneal(obj, []float64{-2}, AnnealOptions{Seed: 3, MaxIter: 5000, Step: 0.5,
-		Lower: []float64{-4}, Upper: []float64{4}})
-	if math.Abs(res.X[0]-2) > 0.3 {
-		t.Fatalf("Anneal stuck at %v, want near +2", res.X)
-	}
-}
-
-func TestAnnealDeterministicPerSeed(t *testing.T) {
-	obj := shiftedSphere([]float64{1})
-	a := Anneal(obj, []float64{0}, AnnealOptions{Seed: 7, MaxIter: 500})
-	b := Anneal(obj, []float64{0}, AnnealOptions{Seed: 7, MaxIter: 500})
-	if a.X[0] != b.X[0] || a.F != b.F {
-		t.Fatalf("Anneal not deterministic per seed: %v vs %v", a, b)
-	}
-}
-
-func TestGridSearchExhaustive(t *testing.T) {
-	grid := [][]float64{{-1, 0, 1}, {2, 3}}
-	res := GridSearch(shiftedSphere([]float64{1, 3}), grid)
-	if res.X[0] != 1 || res.X[1] != 3 {
-		t.Fatalf("GridSearch = %v", res.X)
-	}
-	if res.Evals != 6 {
-		t.Fatalf("GridSearch evals = %d, want 6", res.Evals)
-	}
-}
-
-func TestGridSearchEmpty(t *testing.T) {
-	res := GridSearch(func(x []float64) float64 { return 5 }, nil)
-	if res.F != 5 {
-		t.Fatalf("empty GridSearch f = %v", res.F)
-	}
-	res = GridSearch(sphere, [][]float64{{}})
-	if !math.IsInf(res.F, 1) {
-		t.Fatalf("GridSearch with empty axis should return +Inf, got %v", res.F)
-	}
-}
-
-func TestGridSearchFindsSampledMinimumProperty(t *testing.T) {
-	f := func(vals [3]int8) bool {
-		axis := []float64{float64(vals[0]), float64(vals[1]), float64(vals[2])}
-		res := GridSearch(sphere, [][]float64{axis})
-		best := math.Inf(1)
-		for _, v := range axis {
-			if v*v < best {
-				best = v * v
-			}
-		}
-		return res.F == best
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}

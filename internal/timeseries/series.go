@@ -151,54 +151,6 @@ func (s *Series) Scale(f float64) *Series {
 	return &Series{Values: out, Period: s.Period}
 }
 
-// Diff returns the d-times differenced series at the given lag.
-// lag 1 is ordinary differencing, lag = Period is seasonal differencing.
-func (s *Series) Diff(lag, d int) *Series {
-	v := s.Values
-	for ; d > 0; d-- {
-		if len(v) <= lag {
-			return &Series{Values: nil, Period: s.Period}
-		}
-		nv := make([]float64, len(v)-lag)
-		for i := range nv {
-			nv[i] = v[i+lag] - v[i]
-		}
-		v = nv
-	}
-	out := make([]float64, len(v))
-	copy(out, v)
-	return &Series{Values: out, Period: s.Period}
-}
-
-// ACF returns autocorrelation coefficients for lags 1..maxLag.
-func (s *Series) ACF(maxLag int) []float64 {
-	n := len(s.Values)
-	out := make([]float64, maxLag)
-	if n == 0 {
-		return out
-	}
-	m := s.Mean()
-	var c0 float64
-	for _, v := range s.Values {
-		d := v - m
-		c0 += d * d
-	}
-	if c0 == 0 {
-		return out
-	}
-	for lag := 1; lag <= maxLag; lag++ {
-		if lag >= n {
-			break
-		}
-		var ck float64
-		for i := 0; i < n-lag; i++ {
-			ck += (s.Values[i] - m) * (s.Values[i+lag] - m)
-		}
-		out[lag-1] = ck / c0
-	}
-	return out
-}
-
 // SeasonalProfile estimates an additive seasonal profile: the mean
 // deviation from the series mean per seasonal phase. It returns nil when
 // period < 2 or fewer than two full seasons are available.

@@ -143,65 +143,6 @@ func TestScale(t *testing.T) {
 	}
 }
 
-func TestDiff(t *testing.T) {
-	s := New([]float64{1, 4, 9, 16, 25}, 0)
-	d1 := s.Diff(1, 1)
-	want := []float64{3, 5, 7, 9}
-	for i, v := range d1.Values {
-		if v != want[i] {
-			t.Fatalf("Diff(1,1) = %v, want %v", d1.Values, want)
-		}
-	}
-	d2 := s.Diff(1, 2)
-	want2 := []float64{2, 2, 2}
-	for i, v := range d2.Values {
-		if v != want2[i] {
-			t.Fatalf("Diff(1,2) = %v, want %v", d2.Values, want2)
-		}
-	}
-}
-
-func TestDiffSeasonal(t *testing.T) {
-	s := New([]float64{1, 2, 3, 11, 12, 13}, 3)
-	d := s.Diff(3, 1)
-	want := []float64{10, 10, 10}
-	if len(d.Values) != 3 {
-		t.Fatalf("seasonal Diff length = %d", len(d.Values))
-	}
-	for i, v := range d.Values {
-		if v != want[i] {
-			t.Fatalf("seasonal Diff = %v, want %v", d.Values, want)
-		}
-	}
-}
-
-func TestDiffTooShort(t *testing.T) {
-	s := New([]float64{1, 2}, 0)
-	d := s.Diff(5, 1)
-	if d.Len() != 0 {
-		t.Fatalf("Diff beyond length should be empty, got %v", d.Values)
-	}
-}
-
-func TestACFConstantSeries(t *testing.T) {
-	s := New([]float64{5, 5, 5, 5}, 0)
-	acf := s.ACF(2)
-	if acf[0] != 0 || acf[1] != 0 {
-		t.Fatalf("ACF of constant series should be zero, got %v", acf)
-	}
-}
-
-func TestACFAlternating(t *testing.T) {
-	s := New([]float64{1, -1, 1, -1, 1, -1, 1, -1}, 0)
-	acf := s.ACF(2)
-	if acf[0] >= 0 {
-		t.Errorf("lag-1 ACF of alternating series should be negative, got %v", acf[0])
-	}
-	if acf[1] <= 0 {
-		t.Errorf("lag-2 ACF of alternating series should be positive, got %v", acf[1])
-	}
-}
-
 func TestAddPropertySumEqualsSumOfSums(t *testing.T) {
 	f := func(raw []float64) bool {
 		if len(raw) == 0 {
