@@ -28,6 +28,7 @@ var archRules = []struct {
 	{"one evaluator", oneEvaluator},
 	{"no option without a setter", noGoneNames},
 	{"cited tests exist", citedTestsExist},
+	{"legibility budget", legibilityBudget},
 }
 
 func TestArchitecture(t *testing.T) {
@@ -268,8 +269,9 @@ func isSamplingRead(be *ast.BinaryExpr) bool {
 }
 
 // goneNames were removed and stay gone: the background prober, the
-// wall-clock cost metric, cold re-fits, per-point workload inserts and
-// eager re-estimation.
+// wall-clock cost metric, cold re-fits, per-point workload inserts, eager
+// re-estimation, and the model families and name registry no default,
+// fallback or self-tuning path reached.
 var goneNames = map[string]bool{
 	"AsyncMultiSource": true,
 	"CostTime":         true,
@@ -277,6 +279,17 @@ var goneNames = map[string]bool{
 	"ColdRefit":        true,
 	"PerPointInserts":  true,
 	"EagerReestimate":  true,
+	"NewAuto":          true,
+	"Croston":          true,
+	"NewCroston":       true,
+	"NewDrift":         true,
+	"MeanModel":        true,
+	"NewMean":          true,
+	"SeasonalNaive":    true,
+	"NewSeasonalNaive": true,
+	"NewByName":        true,
+	"FactoryByName":    true,
+	"Backtest":         true,
 }
 
 // noGoneNames: no identifier, tests included, brings a gone name back.
@@ -296,6 +309,15 @@ func noGoneNames(fsys fs.FS) error {
 	}
 	if _, err := fs.Stat(fsys, "internal/core/async.go"); err == nil {
 		found = append(found, "internal/core/async.go")
+	}
+	// The Combine baseline's QR lives in internal/hierarchical, its one
+	// caller.
+	linalg, err := parseGo(fsys, true, "internal/linalg")
+	if err != nil {
+		return err
+	}
+	for _, f := range linalg {
+		found = append(found, f.path)
 	}
 	return violations("gone names are back", found)
 }
@@ -356,6 +378,55 @@ func citedTestsExist(fsys fs.FS) error {
 	return violations("cited tests that do not exist", found)
 }
 
+// Legibility budget: non-test Go lines under internal/ and cmd/, and the
+// lines of the two documents a newcomer reads first. A change that needs
+// more re-records the number here and says why in CHANGES.md.
+const goLineBudget = 19285
+
+var docLineBudget = map[string]int{"DESIGN.md": 1518, "README.md": 561}
+
+// legibilityBudget: the program and its main documents stay within their
+// recorded line counts.
+func legibilityBudget(fsys fs.FS) error {
+	goLines := 0
+	for _, root := range []string{"internal", "cmd"} {
+		err := fs.WalkDir(fsys, root, func(p string, d fs.DirEntry, err error) error {
+			if err != nil {
+				if p == root && errors.Is(err, fs.ErrNotExist) {
+					return nil
+				}
+				return err
+			}
+			if d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+				return nil
+			}
+			data, err := fs.ReadFile(fsys, p)
+			goLines += strings.Count(string(data), "\n")
+			return err
+		})
+		if err != nil {
+			return err
+		}
+	}
+	var found []string
+	if goLines > goLineBudget {
+		found = append(found, fmt.Sprintf("internal/ and cmd/: %d non-test Go lines, budget %d", goLines, goLineBudget))
+	}
+	for doc, budget := range docLineBudget {
+		data, err := fs.ReadFile(fsys, doc)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		if n := strings.Count(string(data), "\n"); n > budget {
+			found = append(found, fmt.Sprintf("%s: %d lines, budget %d", doc, n, budget))
+		}
+	}
+	return violations("over the legibility budget", found)
+}
+
 func src(s string) *fstest.MapFile { return &fstest.MapFile{Data: []byte(s)} }
 
 // TestArchitectureRulesCanFail gives each rule a clean tree it must accept
@@ -412,6 +483,34 @@ func (a *Advisor) addModel() {
 			"gone name", noGoneNames,
 			fstest.MapFS{"internal/f2db/db.go": src("package f2db\n\ntype Options struct{ Parallelism int }\n")},
 			fstest.MapFS{"internal/f2db/db.go": src("package f2db\n\ntype Options struct {\n\tParallelism     int\n\tEagerReestimate bool\n}\n")},
+		},
+		{
+			"gone family", noGoneNames,
+			fstest.MapFS{"internal/forecast/naive.go": src("package forecast\n\nfunc NewNaive() {}\n")},
+			fstest.MapFS{"internal/forecast/croston.go": src("package forecast\n\nfunc NewCroston(sba bool) {}\n")},
+		},
+		{
+			"Go file under internal/linalg", noGoneNames,
+			fstest.MapFS{"internal/hierarchical/qr.go": src("package hierarchical\n\nfunc newQR() {}\n")},
+			fstest.MapFS{"internal/linalg/matrix.go": src("package linalg\n")},
+		},
+		{
+			"Go lines over budget", legibilityBudget,
+			fstest.MapFS{
+				"internal/x/x.go":      src("package x\n"),
+				"internal/x/x_test.go": src(strings.Repeat("\n", goLineBudget+1)),
+			},
+			fstest.MapFS{"cmd/y/main.go": src(strings.Repeat("\n", goLineBudget))},
+		},
+		{
+			"DESIGN.md over budget", legibilityBudget,
+			fstest.MapFS{"DESIGN.md": src(strings.Repeat("x\n", docLineBudget["DESIGN.md"]))},
+			fstest.MapFS{"DESIGN.md": src(strings.Repeat("x\n", docLineBudget["DESIGN.md"]+1))},
+		},
+		{
+			"README.md over budget", legibilityBudget,
+			fstest.MapFS{"README.md": src(strings.Repeat("x\n", docLineBudget["README.md"]))},
+			fstest.MapFS{"README.md": src(strings.Repeat("x\n", docLineBudget["README.md"]+1))},
 		},
 		{
 			"cited test missing", citedTestsExist,

@@ -46,10 +46,6 @@ func Ablations(scale Scale) (*Table, error) {
 			return core.Options{Seed: Seed, FixedGamma: true, Gamma0: 1,
 				ModelFactory: func(p int) forecast.Model { return forecast.NewTheta(p) }}
 		}},
-		{"Auto models (fixed γ)", func() core.Options {
-			return core.Options{Seed: Seed, FixedGamma: true, Gamma0: 1,
-				ModelFactory: func(p int) forecast.Model { return forecast.NewAuto(p) }}
-		}},
 	}
 	for _, name := range []string{"tourism", "sales", "energy", "gen1k"} {
 		g, err := loadGraph(name, scale)

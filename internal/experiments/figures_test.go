@@ -175,7 +175,7 @@ func TestAblationsShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const variants = 8
+	const variants = 7
 	if len(tab.Rows) != 4*variants {
 		t.Fatalf("rows = %d, want %d", len(tab.Rows), 4*variants)
 	}

@@ -160,7 +160,7 @@ func missEngine(t testing.TB, opts Options) (*DB, *cube.Graph) {
 		t.Fatal(err)
 	}
 	cfg := core.NewConfiguration(g, g.Length)
-	m := forecast.NewDrift()
+	m := forecast.NewNaive()
 	if err := m.Fit(g.Top().Series); err != nil {
 		t.Fatal(err)
 	}

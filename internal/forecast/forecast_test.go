@@ -22,6 +22,23 @@ func seasonalSeries(n, period int, level, slope, amp, noiseStd float64, seed int
 	return timeseries.New(vals, period)
 }
 
+// allModels returns one unfitted instance of every model family and
+// variant, the seasonal ones at period.
+func allModels(period int) []Model {
+	return []Model{
+		NewNaive(), NewSES(), NewHolt(false), NewHolt(true),
+		NewHoltWinters(period, Additive), NewHoltWinters(period, Multiplicative),
+		NewTheta(period),
+	}
+}
+
+// holdout splits s into its first 80 % (rounded) for training and the rest
+// for testing, the paper's ratio (Section VI-A).
+func holdout(s *timeseries.Series) (train, test *timeseries.Series) {
+	cut := int(math.Round(0.8 * float64(s.Len())))
+	return s.Slice(0, cut), s.Slice(cut, s.Len())
+}
+
 func TestNaive(t *testing.T) {
 	m := NewNaive()
 	if m.Fitted() {
@@ -45,59 +62,6 @@ func TestNaive(t *testing.T) {
 func TestNaiveTooShort(t *testing.T) {
 	if err := NewNaive().Fit(timeseries.New(nil, 0)); !errors.Is(err, ErrTooShort) {
 		t.Fatalf("err = %v, want ErrTooShort", err)
-	}
-}
-
-func TestSeasonalNaive(t *testing.T) {
-	m := NewSeasonalNaive(3)
-	if err := m.Fit(timeseries.New([]float64{1, 2, 3, 4, 5, 6}, 3)); err != nil {
-		t.Fatal(err)
-	}
-	fc := m.Forecast(4)
-	want := []float64{4, 5, 6, 4}
-	for i := range want {
-		if fc[i] != want[i] {
-			t.Fatalf("snaive forecast = %v, want %v", fc, want)
-		}
-	}
-	m.Update(7) // season becomes [5 6 7]
-	if got := m.Forecast(1)[0]; got != 5 {
-		t.Fatalf("after Update forecast = %v, want 5", got)
-	}
-}
-
-func TestSeasonalNaivePeriodOne(t *testing.T) {
-	m := NewSeasonalNaive(0) // degrades to naive
-	if err := m.Fit(timeseries.New([]float64{3, 8}, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if m.Forecast(2)[1] != 8 {
-		t.Fatal("period<=1 seasonal naive should behave like naive")
-	}
-}
-
-func TestDrift(t *testing.T) {
-	m := NewDrift()
-	if err := m.Fit(timeseries.New([]float64{0, 1, 2, 3}, 0)); err != nil {
-		t.Fatal(err)
-	}
-	fc := m.Forecast(2)
-	if math.Abs(fc[0]-4) > 1e-12 || math.Abs(fc[1]-5) > 1e-12 {
-		t.Fatalf("drift forecast = %v, want [4 5]", fc)
-	}
-}
-
-func TestMeanModel(t *testing.T) {
-	m := NewMean()
-	if err := m.Fit(timeseries.New([]float64{2, 4}, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if m.Forecast(1)[0] != 3 {
-		t.Fatal("mean model wrong")
-	}
-	m.Update(9) // mean of {2,4,9} = 5
-	if m.Forecast(1)[0] != 5 {
-		t.Fatalf("mean after update = %v, want 5", m.Forecast(1)[0])
 	}
 }
 
@@ -253,57 +217,6 @@ func TestSESUpdateMatchesRecurrence(t *testing.T) {
 	}
 }
 
-func TestAutoPicksSeasonalModelOnSeasonalData(t *testing.T) {
-	s := seasonalSeries(60, 6, 100, 0.3, 20, 1, 5)
-	m := NewAuto(6)
-	if err := m.Fit(s); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Fitted() || m.Chosen == nil {
-		t.Fatal("auto did not fit")
-	}
-	fc := m.Forecast(6)
-	err := timeseries.SMAPE([]float64{
-		100 + 0.3*60 + 20*math.Sin(2*math.Pi*0/6),
-		100 + 0.3*61 + 20*math.Sin(2*math.Pi*1/6),
-		100 + 0.3*62 + 20*math.Sin(2*math.Pi*2/6),
-		100 + 0.3*63 + 20*math.Sin(2*math.Pi*3/6),
-		100 + 0.3*64 + 20*math.Sin(2*math.Pi*4/6),
-		100 + 0.3*65 + 20*math.Sin(2*math.Pi*5/6),
-	}, fc)
-	if err > 0.1 {
-		t.Fatalf("auto forecast SMAPE = %v (chosen %s)", err, m.Name())
-	}
-}
-
-func TestAutoFallsBackOnTinySeries(t *testing.T) {
-	m := NewAuto(12)
-	if err := m.Fit(timeseries.New([]float64{1, 2, 3}, 12)); err != nil {
-		t.Fatal(err)
-	}
-	if m.Chosen == nil {
-		t.Fatal("auto should have fallen back to a simple model")
-	}
-}
-
-// families is every name NewByName accepts.
-var families = []string{"naive", "snaive", "drift", "mean", "ses", "holt", "holt-damped", "hw-add", "hw-mult", "auto", "croston", "croston-sba", "theta"}
-
-func TestNewByNameAllFamilies(t *testing.T) {
-	for _, name := range families {
-		m, err := NewByName(name, 4)
-		if err != nil {
-			t.Fatalf("NewByName(%q): %v", name, err)
-		}
-		if m == nil {
-			t.Fatalf("NewByName(%q) returned nil", name)
-		}
-	}
-	if _, err := NewByName("nope", 4); err == nil {
-		t.Fatal("unknown family should fail")
-	}
-}
-
 // TestFitDegenerateSeriesFinite: on series no optimizer likes, every family
 // either refuses to fit or forecasts, estimates its residual spread and
 // updates in finite numbers. Magnitudes stop at 1e150: near 1e300 the squared
@@ -336,8 +249,7 @@ func TestFitDegenerateSeriesFinite(t *testing.T) {
 		return true
 	}
 	for sname, s := range series {
-		for _, name := range families {
-			m, _ := NewByName(name, period)
+		for _, m := range allModels(period) {
 			if m.Fit(s) != nil {
 				continue
 			}
@@ -356,44 +268,9 @@ func TestFitDegenerateSeriesFinite(t *testing.T) {
 	}
 }
 
-func TestFactoryByName(t *testing.T) {
-	f, err := FactoryByName("ses")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f(4).Name() != "ses" {
-		t.Fatal("factory produced wrong family")
-	}
-	if _, err := FactoryByName("bogus"); err == nil {
-		t.Fatal("unknown factory should fail")
-	}
-}
-
-func TestBacktest(t *testing.T) {
-	s := seasonalSeries(50, 5, 100, 0, 10, 0.1, 6)
-	err, ferr := Backtest(func(p int) Model { return NewSeasonalNaive(p) }, s, 0.8)
-	if ferr != nil {
-		t.Fatal(ferr)
-	}
-	if err < 0 || err > 0.2 {
-		t.Fatalf("seasonal-naive backtest SMAPE = %v", err)
-	}
-	if _, ferr := Backtest(func(p int) Model { return NewNaive() }, s, 1.0); ferr == nil {
-		t.Fatal("backtest with empty test part should fail")
-	}
-}
-
 func TestGobRoundTripAllModels(t *testing.T) {
 	s := seasonalSeries(48, 4, 100, 0.5, 10, 0.5, 7)
-	models := []Model{
-		NewNaive(), NewSeasonalNaive(4), NewDrift(), NewMean(),
-		NewSES(), NewHolt(false), NewHolt(true),
-		NewHoltWinters(4, Additive),
-		NewAuto(4),
-		NewCroston(true),
-		NewTheta(4),
-	}
-	for _, m := range models {
+	for _, m := range allModels(4) {
 		if err := m.Fit(s); err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
@@ -418,11 +295,14 @@ func TestModelsImproveOnNaiveForStructuredData(t *testing.T) {
 	// Property-style check: on clean seasonal data with trend, HW must
 	// beat the plain naive forecast.
 	s := seasonalSeries(60, 6, 200, 1, 30, 2, 8)
-	hwErr, err1 := Backtest(func(p int) Model { return NewHoltWinters(p, Additive) }, s, 0.8)
-	nvErr, err2 := Backtest(func(p int) Model { return NewNaive() }, s, 0.8)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
+	train, test := holdout(s)
+	smape := func(m Model) float64 {
+		if err := m.Fit(train); err != nil {
+			t.Fatalf("%s: %v", m.Name(), err)
+		}
+		return timeseries.SMAPE(test.Values, m.Forecast(test.Len()))
 	}
+	hwErr, nvErr := smape(NewHoltWinters(s.Period, Additive)), smape(NewNaive())
 	if hwErr >= nvErr {
 		t.Fatalf("HW (%v) should beat naive (%v) on seasonal data", hwErr, nvErr)
 	}

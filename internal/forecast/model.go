@@ -1,16 +1,14 @@
 // Package forecast implements the time-series forecast models used by the
-// advisor: the exponential-smoothing family (simple, Holt, and the
+// advisor: the exponential-smoothing family (simple, Holt and the
 // Holt-Winters triple smoothing the paper found to work best, Section VI-A),
-// Croston and Theta, naive baselines and holdout-based automatic selection
-// (Auto). Models support incremental state updates (Update) as required by
-// the F²DB maintenance processor (Section V).
+// the Theta method and the naive forecast that ends the fallback chain for
+// short series. Models support incremental state updates (Update) as
+// required by the F²DB maintenance processor (Section V).
 package forecast
 
 import (
 	"encoding/gob"
 	"errors"
-	"fmt"
-	"math"
 
 	"cubefc/internal/timeseries"
 )
@@ -52,84 +50,14 @@ type Factory func(period int) Model
 // requested model.
 var ErrTooShort = errors.New("forecast: series too short for model")
 
-// ErrNotFitted is returned by operations requiring a fitted model.
-var ErrNotFitted = errors.New("forecast: model is not fitted")
-
 func init() {
 	// Register concrete types so model configurations can be serialized
 	// by the F²DB configuration storage via encoding/gob.
 	gob.Register(&Naive{})
-	gob.Register(&SeasonalNaive{})
-	gob.Register(&Drift{})
-	gob.Register(&MeanModel{})
 	gob.Register(&SES{})
 	gob.Register(&Holt{})
 	gob.Register(&HoltWinters{})
-	gob.Register(&Auto{})
-	gob.Register(&Croston{})
 	gob.Register(&Theta{})
-}
-
-// NewByName creates an unfitted model by family name. It is the inverse of
-// Model.Name and is used by configuration storage and the CLI tools.
-func NewByName(name string, period int) (Model, error) {
-	switch name {
-	case "naive":
-		return NewNaive(), nil
-	case "snaive":
-		return NewSeasonalNaive(period), nil
-	case "drift":
-		return NewDrift(), nil
-	case "mean":
-		return NewMean(), nil
-	case "ses":
-		return NewSES(), nil
-	case "holt":
-		return NewHolt(false), nil
-	case "holt-damped":
-		return NewHolt(true), nil
-	case "hw-add":
-		return NewHoltWinters(period, Additive), nil
-	case "hw-mult":
-		return NewHoltWinters(period, Multiplicative), nil
-	case "croston":
-		return NewCroston(false), nil
-	case "croston-sba":
-		return NewCroston(true), nil
-	case "theta":
-		return NewTheta(period), nil
-	case "auto":
-		return NewAuto(period), nil
-	default:
-		return nil, fmt.Errorf("forecast: unknown model family %q", name)
-	}
-}
-
-// FactoryByName returns a Factory for a family name, failing fast on
-// unknown names.
-func FactoryByName(name string) (Factory, error) {
-	if _, err := NewByName(name, 1); err != nil {
-		return nil, err
-	}
-	return func(period int) Model {
-		m, _ := NewByName(name, period)
-		return m
-	}, nil
-}
-
-// Backtest fits a fresh model from factory on the training part of s (per
-// ratio) and returns the SMAPE of its forecasts over the test part.
-func Backtest(factory Factory, s *timeseries.Series, ratio float64) (float64, error) {
-	train, test := s.Split(ratio)
-	if test.Len() == 0 {
-		return math.NaN(), errors.New("forecast: empty test part in backtest")
-	}
-	m := factory(s.Period)
-	if err := m.Fit(train); err != nil {
-		return math.NaN(), err
-	}
-	fc := m.Forecast(test.Len())
-	return timeseries.SMAPE(test.Values, fc), nil
 }
 
 // clamp01 keeps smoothing parameters inside (lo, hi) to protect the state

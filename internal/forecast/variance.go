@@ -27,30 +27,6 @@ func VarianceScaleOf(m Model, h int) float64 {
 // Var(h) = σ²·h.
 func (m *Naive) VarianceScale(h int) float64 { return math.Sqrt(float64(h)) }
 
-// VarianceScale implements HorizonVariance: each season repeats the
-// random-walk step once per period: Var(h) = σ²·(⌊(h-1)/m⌋ + 1).
-func (m *SeasonalNaive) VarianceScale(h int) float64 {
-	p := m.Period
-	if p < 1 {
-		p = 1
-	}
-	return math.Sqrt(float64((h-1)/p + 1))
-}
-
-// VarianceScale implements HorizonVariance for the drift forecast:
-// Var(h) = σ²·h·(1 + h/(n-1)).
-func (m *Drift) VarianceScale(h int) float64 {
-	n := m.N
-	if n < 2 {
-		n = 2
-	}
-	return math.Sqrt(float64(h) * (1 + float64(h)/float64(n-1)))
-}
-
-// VarianceScale implements HorizonVariance for the mean forecast, whose
-// variance is horizon independent.
-func (m *MeanModel) VarianceScale(int) float64 { return 1 }
-
 // VarianceScale implements HorizonVariance for simple exponential
 // smoothing (class-1 state-space result): Var(h) = σ²·(1 + (h-1)·α²).
 func (m *SES) VarianceScale(h int) float64 {
@@ -94,13 +70,4 @@ func (m *HoltWinters) VarianceScale(h int) float64 {
 		acc += c * c
 	}
 	return math.Sqrt(acc)
-}
-
-// VarianceScale implements HorizonVariance by delegating to the chosen
-// model.
-func (m *Auto) VarianceScale(h int) float64 {
-	if m.Chosen == nil {
-		return math.Sqrt(float64(h))
-	}
-	return VarianceScaleOf(m.Chosen, h)
 }

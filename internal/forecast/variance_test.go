@@ -14,17 +14,6 @@ func TestNaiveVarianceScale(t *testing.T) {
 	}
 }
 
-func TestSeasonalNaiveVarianceScale(t *testing.T) {
-	m := NewSeasonalNaive(4)
-	// Horizons 1..4 repeat once, 5..8 twice.
-	if m.VarianceScale(4) != 1 {
-		t.Fatalf("scale(4) = %v, want 1", m.VarianceScale(4))
-	}
-	if math.Abs(m.VarianceScale(5)-math.Sqrt2) > 1e-12 {
-		t.Fatalf("scale(5) = %v, want sqrt(2)", m.VarianceScale(5))
-	}
-}
-
 func TestSESVarianceScale(t *testing.T) {
 	m := &SES{Alpha: 0.5}
 	// Var(3) = 1 + 2·0.25 = 1.5.
@@ -85,14 +74,3 @@ func (f *failsVariance) Fit(*timeseries.Series) error { return nil }
 func (f *failsVariance) Forecast(h int) []float64     { return make([]float64, h) }
 func (f *failsVariance) Update(float64)               {}
 func (f *failsVariance) Fitted() bool                 { return true }
-
-func TestAutoVarianceDelegates(t *testing.T) {
-	a := &Auto{Chosen: &SES{Alpha: 0.5}}
-	if a.VarianceScale(3) != (&SES{Alpha: 0.5}).VarianceScale(3) {
-		t.Fatal("auto must delegate variance scale")
-	}
-	empty := &Auto{}
-	if math.Abs(empty.VarianceScale(4)-2) > 1e-12 {
-		t.Fatal("unfitted auto falls back to sqrt(h)")
-	}
-}

@@ -42,7 +42,7 @@ func TestWarmVsColdEquivalence(t *testing.T) {
 			var meanDiff float64
 			for _, b := range ds.Base {
 				s := b.Series
-				train, test := s.Split(0.8)
+				train, test := holdout(s)
 				prefix := train.Slice(0, train.Len()-ds.Period)
 				if prefix.Len() < 2*ds.Period+2 {
 					continue
@@ -204,11 +204,7 @@ func TestWarmStartRejectsBadSeeds(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	ds := datasets.Tourism(6)
 	s := ds.Base[3].Series
-	models := []Model{
-		NewSES(), NewHolt(true), NewHoltWinters(ds.Period, Additive),
-		NewNaive(), NewTheta(ds.Period),
-	}
-	for _, m := range models {
+	for _, m := range allModels(ds.Period) {
 		if err := m.Fit(s); err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}

@@ -16,7 +16,6 @@ import (
 	"cubefc/internal/cube"
 	"cubefc/internal/derivation"
 	"cubefc/internal/forecast"
-	"cubefc/internal/linalg"
 )
 
 // Options parameterizes the baseline builders. Everything else is the
@@ -174,7 +173,7 @@ func reconcile(g *cube.Graph, opts Options, weighted bool) (*core.Configuration,
 	nodes := g.NumNodes()
 	yhat := make([][]float64, nodes)
 	sigma := make([]float64, nodes)
-	ws := linalg.NewMatrix(nodes, len(g.BaseIDs))
+	ws := newMatrix(nodes, len(g.BaseIDs))
 	for id := range yhat {
 		var err error
 		if yhat[id], err = installModel(cfg, id, opts.CreationDelay); err != nil {
@@ -186,10 +185,10 @@ func reconcile(g *cube.Graph, opts Options, weighted bool) (*core.Configuration,
 		}
 		for _, b := range g.CoveredBases(id) {
 			j, _ := g.BaseOrdinal(b)
-			ws.Set(id, j, 1/sigma[id])
+			ws.set(id, j, 1/sigma[id])
 		}
 	}
-	qr, err := linalg.NewQR(ws)
+	qr, err := newQR(ws)
 	if err != nil {
 		return nil, fmt.Errorf("hierarchical: combine: %w", err)
 	}
@@ -202,7 +201,7 @@ func reconcile(g *cube.Graph, opts Options, weighted bool) (*core.Configuration,
 		for id := range rhs {
 			rhs[id] = yhat[id][step] / sigma[id]
 		}
-		beta, err := qr.Solve(rhs)
+		beta, err := qr.solve(rhs)
 		if err != nil {
 			return nil, fmt.Errorf("hierarchical: combine solve: %w", err)
 		}

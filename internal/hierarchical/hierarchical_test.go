@@ -15,6 +15,12 @@ import (
 // testCube builds a small two-level cube with correlated siblings.
 func testCube(t *testing.T, seed int64) *cube.Graph {
 	t.Helper()
+	return scaledTestCube(t, seed, 1)
+}
+
+// scaledTestCube is testCube with every observation multiplied by scale.
+func scaledTestCube(t *testing.T, seed int64, scale float64) *cube.Graph {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	loc, err := cube.NewHierarchy("location", []string{"city", "region"},
 		[]map[string]string{{"C1": "R1", "C2": "R1", "C3": "R2", "C4": "R2"}})
@@ -27,7 +33,7 @@ func testCube(t *testing.T, seed int64) *cube.Graph {
 		level := 10 + 5*float64(i)
 		for tt := range vals {
 			season := 1 + 0.3*math.Sin(2*math.Pi*float64(tt%4)/4)
-			vals[tt] = level * season * (1 + 0.05*rng.NormFloat64())
+			vals[tt] = level * season * (1 + 0.05*rng.NormFloat64()) * scale
 		}
 		base = append(base, cube.BaseSeries{Members: []string{c}, Series: timeseries.New(vals, 4)})
 	}
@@ -316,5 +322,24 @@ func TestCombineWLS(t *testing.T) {
 	}
 	if wls.Error() > ols.Error()*1.25 {
 		t.Fatalf("combine-wls error %v much worse than OLS %v", wls.Error(), ols.Error())
+	}
+}
+
+// TestCombineWLSScaleInvariant: SMAPE is scale free and WLS divides every
+// row by its node's σ̂, so multiplying the whole cube by a constant must
+// leave the reconciled error where it is, and no scale may make the QR
+// solve call the scaled summing matrix singular.
+func TestCombineWLSScaleInvariant(t *testing.T) {
+	var want float64
+	for i, scale := range []float64{1, 1e-9, 1e12, 1e15, 1e100} {
+		cfg, err := CombineWLS(scaledTestCube(t, 11, scale), Options{})
+		if err != nil {
+			t.Fatalf("scale %g: %v", scale, err)
+		}
+		if i == 0 {
+			want = cfg.Error()
+		} else if math.Abs(cfg.Error()-want) > 1e-6 {
+			t.Errorf("scale %g: error %v, want %v (scale 1)", scale, cfg.Error(), want)
+		}
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"cubefc/internal/datasets"
 	"cubefc/internal/derivation"
 	"cubefc/internal/forecast"
-	"cubefc/internal/linalg"
 	"cubefc/internal/timeseries"
 )
 
@@ -154,7 +153,7 @@ func oracleCombine(g *cube.Graph, opts Options) (*core.Configuration, error) {
 
 	// All-nodes forecasts ŷ (rows: nodes) and the summing matrix S.
 	yhat := make([][]float64, nodes)
-	s := linalg.NewMatrix(nodes, nb)
+	s := newMatrix(nodes, nb)
 	basePos := make(map[int]int, nb)
 	for j, b := range g.BaseIDs {
 		basePos[b] = j
@@ -167,13 +166,13 @@ func oracleCombine(g *cube.Graph, opts Options) (*core.Configuration, error) {
 		}
 		yhat[id] = fc
 		for _, b := range incidence[id] {
-			s.Set(id, basePos[b], 1)
+			s.set(id, basePos[b], 1)
 		}
 	}
 
 	// Solve the OLS reconciliation once per forecast step: β̂ minimizes
 	// ||S·β − ŷ_step||₂. The QR factorization of S is reused across steps.
-	qr, err := linalg.NewQR(s)
+	qr, err := newQR(s)
 	if err != nil {
 		return nil, fmt.Errorf("hierarchical: combine: %w", err)
 	}
@@ -186,11 +185,11 @@ func oracleCombine(g *cube.Graph, opts Options) (*core.Configuration, error) {
 		for id := 0; id < nodes; id++ {
 			rhs[id] = yhat[id][step]
 		}
-		beta, err := qr.Solve(rhs)
+		beta, err := qr.solve(rhs)
 		if err != nil {
 			return nil, fmt.Errorf("hierarchical: combine solve: %w", err)
 		}
-		rec, err := s.MulVec(beta)
+		rec, err := mulVec(s, beta)
 		if err != nil {
 			return nil, err
 		}
@@ -430,7 +429,7 @@ func oracleCombineWLS(g *cube.Graph, opts Options) (*core.Configuration, error) 
 
 	yhat := make([][]float64, nodes)
 	sigma := make([]float64, nodes)
-	s := linalg.NewMatrix(nodes, nb)
+	s := newMatrix(nodes, nb)
 	basePos := make(map[int]int, nb)
 	for j, b := range g.BaseIDs {
 		basePos[b] = j
@@ -450,19 +449,20 @@ func oracleCombineWLS(g *cube.Graph, opts Options) (*core.Configuration, error) 
 			sigma[id] = u.ResidualStd()
 		}
 		for _, b := range incidence[id] {
-			s.Set(id, basePos[b], 1)
+			s.set(id, basePos[b], 1)
 		}
 	}
 
 	// Row-scale S by 1/σ once; the same scaling applies to every step's
 	// right-hand side.
-	ws := s.Clone()
+	ws := newMatrix(nodes, nb)
+	copy(ws.data, s.data)
 	for i := 0; i < nodes; i++ {
 		for j := 0; j < nb; j++ {
-			ws.Set(i, j, ws.At(i, j)/sigma[i])
+			ws.set(i, j, ws.at(i, j)/sigma[i])
 		}
 	}
-	qr, err := linalg.NewQR(ws)
+	qr, err := newQR(ws)
 	if err != nil {
 		return nil, fmt.Errorf("hierarchical: combine-wls: %w", err)
 	}
@@ -475,11 +475,11 @@ func oracleCombineWLS(g *cube.Graph, opts Options) (*core.Configuration, error) 
 		for id := 0; id < nodes; id++ {
 			rhs[id] = yhat[id][step] / sigma[id]
 		}
-		beta, err := qr.Solve(rhs)
+		beta, err := qr.solve(rhs)
 		if err != nil {
 			return nil, fmt.Errorf("hierarchical: combine-wls solve: %w", err)
 		}
-		rec, err := s.MulVec(beta)
+		rec, err := mulVec(s, beta)
 		if err != nil {
 			return nil, err
 		}
@@ -567,4 +567,21 @@ func TestBaselinesTwin(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mulVec returns m·x for a vector x of length m.cols.
+func mulVec(m *matrix, x []float64) ([]float64, error) {
+	if len(x) != m.cols {
+		return nil, fmt.Errorf("mulVec dimension mismatch %dx%d · %d", m.rows, m.cols, len(x))
+	}
+	out := make([]float64, m.rows)
+	for i := 0; i < m.rows; i++ {
+		row := m.data[i*m.cols : (i+1)*m.cols]
+		var acc float64
+		for j, v := range row {
+			acc += v * x[j]
+		}
+		out[i] = acc
+	}
+	return out, nil
 }

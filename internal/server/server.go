@@ -264,15 +264,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// ListenAndServe listens on addr and serves.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // refuse answers a connection accepted mid-shutdown with a single
 // CodeShutdown error frame and closes it.
 func (s *Server) refuse(nc net.Conn) {

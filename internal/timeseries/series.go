@@ -1,14 +1,10 @@
 // Package timeseries provides the time-series substrate used throughout
-// cubefc: the Series type, descriptive statistics, train/test splitting and
+// cubefc: the Series type, descriptive statistics, seasonal profiles and
 // the forecast-accuracy measures of Section II-D of the paper (most notably
 // SMAPE, eq. 4).
 package timeseries
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
+import "math"
 
 // Series is an equidistant time series. Values are ordered by time; the
 // absolute timestamps are irrelevant to the advisor, only the ordering and
@@ -79,77 +75,6 @@ func (s *Series) Variance() float64 {
 
 // Std returns the population standard deviation.
 func (s *Series) Std() float64 { return math.Sqrt(s.Variance()) }
-
-// Min returns the minimum observation (inf for empty series).
-func (s *Series) Min() float64 {
-	m := math.Inf(1)
-	for _, v := range s.Values {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the maximum observation (-inf for empty series).
-func (s *Series) Max() float64 {
-	m := math.Inf(-1)
-	for _, v := range s.Values {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Split divides the series into a training and a testing part. ratio is the
-// fraction of observations assigned to training (the paper uses 0.8,
-// Section VI-A). The returned series share the underlying array.
-func (s *Series) Split(ratio float64) (train, test *Series) {
-	if ratio < 0 {
-		ratio = 0
-	}
-	if ratio > 1 {
-		ratio = 1
-	}
-	cut := int(math.Round(ratio * float64(len(s.Values))))
-	if cut < 0 {
-		cut = 0
-	}
-	if cut > len(s.Values) {
-		cut = len(s.Values)
-	}
-	return s.Slice(0, cut), s.Slice(cut, len(s.Values))
-}
-
-// Add returns the element-wise sum of the given series. All series must
-// have the same length; the result inherits the period of the first.
-// This implements the SUM aggregation of the data model (Section II-A).
-func Add(series ...*Series) (*Series, error) {
-	if len(series) == 0 {
-		return nil, errors.New("timeseries: Add requires at least one series")
-	}
-	n := series[0].Len()
-	out := make([]float64, n)
-	for i, s := range series {
-		if s.Len() != n {
-			return nil, fmt.Errorf("timeseries: length mismatch: series 0 has %d observations, series %d has %d", n, i, s.Len())
-		}
-		for j, v := range s.Values {
-			out[j] += v
-		}
-	}
-	return &Series{Values: out, Period: series[0].Period}, nil
-}
-
-// Scale returns a copy of s with every observation multiplied by f.
-func (s *Series) Scale(f float64) *Series {
-	out := make([]float64, len(s.Values))
-	for i, v := range s.Values {
-		out[i] = v * f
-	}
-	return &Series{Values: out, Period: s.Period}
-}
 
 // SeasonalProfile estimates an additive seasonal profile: the mean
 // deviation from the series mean per seasonal phase. It returns nil when
