@@ -410,11 +410,14 @@ func TestCoordinatorServes(t *testing.T) {
 	}
 
 	// Rejections: the coordinator's planner and the shard engines share the
-	// parser, so the texts match the twin's byte-for-byte.
+	// parser, so the texts match the twin's byte-for-byte. The last two
+	// once crashed an engine.
 	for _, q := range []string{
 		"SELECT time, sales FROM facts WHERE planet = 'X'",
 		"SELECT time, sales FROM facts WHERE city = 'C9'",
 		"SELECT time, sales FROM facts AS OF now() + 'someday'",
+		"SELECT time, sales FROM facts AS OF now() + '2 steps' WITH INTERVAL NaN",
+		"SELECT time, sales FROM facts AS OF now() + '9223372036854775807 steps'",
 	} {
 		_, cerr := co.Query(q)
 		_, terr := twin.Query(q)

@@ -374,7 +374,9 @@ func (a *Advisor) installInitialModel() error {
 	if err != nil {
 		return err
 	}
-	a.addModel(top, m, dur, m.Forecast(a.cfg.TestLen()))
+	fc := make([]float64, a.cfg.TestLen())
+	m.Forecast(fc)
+	a.addModel(top, m, dur, fc)
 	return nil
 }
 
@@ -801,8 +803,8 @@ func (a *Advisor) evaluate(ranked []int) (created, accepted, rejected int) {
 // installed; on rejection with no error improvement at all, the node is
 // marked so it is never selected again (Section IV-B.2).
 func (a *Advisor) acceptModel(id int, m forecast.Model, dur time.Duration) bool {
-	testLen := a.cfg.TestLen()
-	fc := m.Forecast(testLen)
+	fc := make([]float64, a.cfg.TestLen())
+	m.Forecast(fc)
 
 	// Candidate error sum: apply all improving schemes hypothetically.
 	a.modelFc[id] = fc // temporarily visible for evalScheme

@@ -45,7 +45,8 @@ func TestAdvisorSelfConsistent(t *testing.T) {
 			}
 			fcs := make([][]float64, len(sc.Sources))
 			for i, s := range sc.Sources {
-				fcs[i] = cfg.Models[s].Forecast(cfg.TestLen())
+				fcs[i] = make([]float64, cfg.TestLen())
+				cfg.Models[s].Forecast(fcs[i])
 			}
 			want, err := derivation.NewScheme(cfg.Graph, id, sc.Sources, cfg.TrainLen)
 			if err != nil {

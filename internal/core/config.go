@@ -204,7 +204,8 @@ func (c *Configuration) Forecast(nodeID, h int) ([]float64, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: scheme source %d of node %d has no model", s, nodeID)
 		}
-		fcs[i] = m.Forecast(h)
+		fcs[i] = make([]float64, h)
+		m.Forecast(fcs[i])
 	}
 	return sc.Apply(fcs)
 }

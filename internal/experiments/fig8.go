@@ -44,7 +44,8 @@ func Fig8a(scale Scale) (*Table, error) {
 			if err := m.Fit(g.Node(id).Series.Slice(0, trainLen)); err != nil {
 				continue
 			}
-			fc[id] = m.Forecast(g.Length - trainLen)
+			fc[id] = make([]float64, g.Length-trainLen)
+			m.Forecast(fc[id])
 		}
 		var bfs cube.BFSScratch
 		for s := 0; s < g.NumNodes(); s++ {

@@ -132,6 +132,9 @@ type DB struct {
 	invalid  map[int]bool
 	mstats   map[int]*ModelStats
 	schemes  map[int]*schemeState
+	// step1 receives each model's one-step forecast in advanceBatch, under
+	// the write lock: a stack array would escape through the interface call.
+	step1 [1]float64
 
 	// pending is the insert batch being collected, as the dense column it
 	// becomes: pending[i] is the next observation of base node
@@ -467,11 +470,11 @@ func (db *DB) forecastIntervalLocked(g guard, nodeID, h int, conf float64) (poin
 // deriveInterval derives the point forecast of a node from live model state
 // and, when conf > 0 (a percentage, e.g. 95), lower/upper prediction-
 // interval bounds. Locking contract as forecastIntervalLocked; no metrics,
-// no memoization. The returned slices are carved from one fresh allocation
-// the caller owns. The interval assumes independent, normally distributed
-// residuals at the scheme's sources; each source contributes its one-step
-// residual variance grown by its model's horizon profile (class-1
-// state-space formulas for exponential smoothing):
+// no memoization. The returned slices and the source forecasts are carved
+// from one fresh allocation the caller owns. The interval assumes
+// independent, normally distributed residuals at the scheme's sources; each
+// source contributes its one-step residual variance grown by its model's
+// horizon profile (class-1 state-space formulas for exponential smoothing):
 //
 //	spread(step) = z · |k| · sqrt( Σ_s σ_s² · scale_s(step)² )
 func (db *DB) deriveInterval(g guard, nodeID, h int, conf float64) (point, lo, hi []float64, err error) {
@@ -487,11 +490,16 @@ func (db *DB) deriveInterval(g guard, nodeID, h int, conf float64) (point, lo, h
 			return nil, nil, nil, fmt.Errorf("f2db: node %d: %w", nodeID, err)
 		}
 	}
+	n := h
+	if conf > 0 {
+		n = 3 * h
+	}
+	out := make([]float64, n+len(sc.Sources)*h)
 	// The source forecasts' headers stay on the stack for the usual one to
 	// eight sources.
 	var buf [8][]float64
 	fcs := buf[:0]
-	for _, s := range sc.Sources {
+	for i, s := range sc.Sources {
 		m, ok := db.cfg.Models[s]
 		if !ok {
 			return nil, nil, nil, fmt.Errorf("f2db: scheme source %d has no model", s)
@@ -504,17 +512,14 @@ func (db *DB) deriveInterval(g guard, nodeID, h int, conf float64) (point, lo, h
 				return nil, nil, nil, err
 			}
 		}
-		fcs = append(fcs, m.Forecast(h))
+		fc := out[n+i*h : n+(i+1)*h]
+		m.Forecast(fc)
+		fcs = append(fcs, fc)
 	}
 	// Use the incrementally maintained weight.
 	if st, ok := db.schemes[nodeID]; ok && st.hSources != 0 && sc.Kind != derivation.Direct {
 		sc.K = st.hTarget / st.hSources
 	}
-	n := h
-	if conf > 0 {
-		n = 3 * h
-	}
-	out := make([]float64, n)
 	point = out[:h:h]
 	if err := sc.ApplyTo(point, fcs); err != nil {
 		return nil, nil, nil, err
@@ -522,7 +527,7 @@ func (db *DB) deriveInterval(g guard, nodeID, h int, conf float64) (point, lo, h
 	if conf <= 0 {
 		return point, nil, nil, nil
 	}
-	lo, hi = out[h:2*h:2*h], out[2*h:]
+	lo, hi = out[h:2*h:2*h], out[2*h:3*h:3*h]
 	z := optimize.InvNormCDF(0.5 + conf/200)
 	for i := range point {
 		var variance float64
@@ -801,7 +806,8 @@ func (db *DB) advanceBatch(g guard, column []float64) error {
 	for id, m := range db.cfg.Models {
 		actual := [1]float64{db.graph.Latest(id)}
 		st := db.mstats[id]
-		if e := timeseries.SMAPE(actual[:], m.Forecast(1)); !math.IsNaN(e) {
+		m.Forecast(db.step1[:])
+		if e := timeseries.SMAPE(actual[:], db.step1[:]); !math.IsNaN(e) {
 			st.RollingError = 0.9*st.RollingError + 0.1*e
 		}
 		m.Update(actual[0])

@@ -373,7 +373,7 @@ func (d *Durable) compactLocked(toGen uint64) error {
 	for i := range times {
 		times[i] = int64(from) + int64(i)
 	}
-	keys := d.db.renderKeys(g.BaseIDs) // one string for all of them, gone with the image
+	keys := d.db.renderKeys(nil, g.BaseIDs) // one string for all of them, gone with the image
 	series := make([]segment.Series, len(g.BaseIDs))
 	for i, id := range g.BaseIDs {
 		series[i] = segment.Series{Key: keys[i], Times: times, Values: g.NodeValues(id)[from:toGen]}

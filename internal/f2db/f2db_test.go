@@ -77,7 +77,8 @@ func TestForecastNodeUsesFullHistoryWeight(t *testing.T) {
 		sc := cfg.Schemes[id]
 		fcs := make([][]float64, len(sc.Sources))
 		for i, s := range sc.Sources {
-			fcs[i] = cfg.Models[s].Forecast(3)
+			fcs[i] = make([]float64, 3)
+			cfg.Models[s].Forecast(fcs[i])
 		}
 		live := sc
 		if sc.Kind != derivation.Direct {
@@ -176,20 +177,24 @@ func TestQueryErrors(t *testing.T) {
 		"SELECT FROM facts",                  // missing select list
 		"SELECT time FROM",                   // missing table
 		"SELECT time FROM facts WHERE x 'y'", // missing =
-		"SELECT time FROM facts WHERE bogus = 'y'",                        // unknown attribute
-		"SELECT time FROM facts WHERE city = 'C1' AND city = 'C2'",        // dim twice
-		"SELECT time FROM facts WHERE city = 'nope'",                      // unknown member
-		"SELECT time FROM facts GROUP BY bogus",                           // unknown group attribute
-		"SELECT time FROM facts GROUP BY city, product",                   // two non-time groups
-		"SELECT time FROM facts WHERE city = 'C1' GROUP BY city",          // grouped and constrained
-		"SELECT time FROM facts AS OF now() + '1 parsec'",                 // unknown unit
-		"SELECT time FROM facts AS OF now() + 'soon'",                     // malformed interval
-		"SELECT time FROM facts AS OF now() + '0 steps'",                  // non-positive count
-		"SELECT MAX(m) FROM facts",                                        // unsupported aggregate
-		"SELECT time FROM facts AS OF now() + '1 step' WITH INTERVAL 200", // bad confidence
-		"SELECT time FROM facts AS OF now() + '1 step' WITH INTERVAL abc", // non-numeric
-		"SELECT time FROM facts trailing",                                 // trailing input
-		"SELECT time FROM facts WHERE city = 'C1' ; DROP",                 // junk char
+		"SELECT time FROM facts WHERE bogus = 'y'",                         // unknown attribute
+		"SELECT time FROM facts WHERE city = 'C1' AND city = 'C2'",         // dim twice
+		"SELECT time FROM facts WHERE city = 'nope'",                       // unknown member
+		"SELECT time FROM facts GROUP BY bogus",                            // unknown group attribute
+		"SELECT time FROM facts GROUP BY city, product",                    // two non-time groups
+		"SELECT time FROM facts WHERE city = 'C1' GROUP BY city",           // grouped and constrained
+		"SELECT time FROM facts AS OF now() + '1 parsec'",                  // unknown unit
+		"SELECT time FROM facts AS OF now() + 'soon'",                      // malformed interval
+		"SELECT time FROM facts AS OF now() + '0 steps'",                   // non-positive count
+		"SELECT MAX(m) FROM facts",                                         // unsupported aggregate
+		"SELECT time FROM facts AS OF now() + '1 step' WITH INTERVAL 200",  // bad confidence
+		"SELECT time FROM facts AS OF now() + '1 step' WITH INTERVAL abc",  // non-numeric
+		"SELECT time FROM facts trailing",                                  // trailing input
+		"SELECT time FROM facts WHERE city = 'C1' ; DROP",                  // junk char
+		"SELECT time FROM facts AS OF now() + '1 step' WITH INTERVAL NaN",  // NaN confidence
+		"SELECT time FROM facts AS OF now() + '9223372036854775807 steps'", // makeslice overflow
+		"SELECT time FROM facts AS OF now() + '99999999999 years'",         // int overflow
+		"SELECT time FROM facts AS OF now() + '10001 steps'",               // over maxHorizon
 	}
 	for _, q := range bad {
 		if _, err := db.Query(q); err == nil {
@@ -954,7 +959,7 @@ func TestParserNeverPanics(t *testing.T) {
 					t.Fatalf("panic on %q: %v", q, r)
 				}
 			}()
-			_, _ = parseQuery(q)
+			_ = parseQuery(q, new(selectStmt))
 		}()
 	}
 }

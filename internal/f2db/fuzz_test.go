@@ -32,18 +32,25 @@ func FuzzParseSQL(f *testing.F) {
 		"SELECT time, SUM(m) FROM facts GROUP BY region",
 		"'unterminated",
 		"SELECT \x00 FROM facts",
+		"SELECT time, SUM(m) FROM facts AS OF now() + '2 steps' WITH INTERVAL NaN",
+		"SELECT time, SUM(m) FROM facts AS OF now() + '9223372036854775807 steps'",
+		"SELECT time, SUM(m) FROM facts AS OF now() + '99999999999 years'",
+		"SELECT time , sum( m ),m FROM facts AS OF now() + ' 3\u00a0Weeks '",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
-		stmt, err := parseQuery(sql) // must not panic
-		if err != nil {
+		stmt := new(selectStmt)
+		if err := parseQuery(sql, stmt); err != nil { // must not panic
 			return
 		}
+		if stmt.horizon != "" {
+			checkHorizonTwin(t, stmt.horizon)
+		}
 		rendered := stmt.String()
-		stmt2, err := parseQuery(rendered)
-		if err != nil {
+		stmt2 := new(selectStmt)
+		if err := parseQuery(rendered, stmt2); err != nil {
 			t.Fatalf("canonical form rejected:\n  input:    %q\n  rendered: %q\n  err: %v", sql, rendered, err)
 		}
 		if !reflect.DeepEqual(stmt, stmt2) {
@@ -58,22 +65,17 @@ func FuzzParseSQL(f *testing.F) {
 
 // String renders the statement back into the dialect in canonical form:
 // parsing the rendered text yields an identical statement (the round-trip
-// property FuzzParseSQL checks). Member values are always quoted, GROUP BY
-// emits time before the drill-down level — both normalizations the parser
-// already applies. The engine never renders a statement, so this lives with
-// the tests that do.
+// property FuzzParseSQL checks). The select list is rendered as written.
+// Member values are always quoted, GROUP BY emits time before the
+// drill-down level — both normalizations the parser already applies. The
+// engine never renders a statement, so this lives with the tests that do.
 func (s *selectStmt) String() string {
 	var b strings.Builder
 	if s.explain {
 		b.WriteString("EXPLAIN ")
 	}
 	b.WriteString("SELECT ")
-	for i, col := range s.columns {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(col)
-	}
+	b.WriteString(s.list)
 	b.WriteString(" FROM ")
 	b.WriteString(s.table)
 	for i, p := range s.preds {

@@ -42,7 +42,7 @@ func (db *DB) Planner() *Planner { return db.planner }
 // construction. Only the engine fills the rendered node keys; a coordinator
 // routes by Nodes alone and pays nothing for them.
 type Plan struct {
-	stmt *selectStmt
+	stmt selectStmt
 	// Nodes holds the described graph node IDs, one per result group, in
 	// result-group order.
 	Nodes []int
@@ -56,22 +56,28 @@ type Plan struct {
 
 	horizon int      // forecast steps; 0 for historical and EXPLAIN statements
 	keys    []string // engine only: node coordinate keys, rendered once (Coord.Key is hot)
+	// oneNode, oneMember and oneKey back Nodes, Members and keys of a
+	// one-node plan, so that planning it allocates nothing but the Plan.
+	oneNode           [1]int
+	oneMember, oneKey [1]string
 }
 
 // plan is the single resolver: parse, resolve the described nodes and
 // their members, translate the horizon. Every planning rejection in the
-// system is produced here, in this order.
+// system is produced here, in this order. The statement is parsed into the
+// Plan itself, so a plan of one node is one allocation.
 func (p *Planner) plan(sql string) (*Plan, error) {
-	stmt, err := parseQuery(sql)
-	if err != nil {
+	pl := new(Plan)
+	if err := parseQuery(sql, &pl.stmt); err != nil {
 		return nil, err
 	}
-	pl := &Plan{stmt: stmt, Explain: stmt.explain, Forecast: stmt.horizon != "" && !stmt.explain}
-	if pl.Nodes, pl.Members, err = resolveNodes(p.g, stmt); err != nil {
+	pl.Explain, pl.Forecast = pl.stmt.explain, pl.stmt.horizon != "" && !pl.stmt.explain
+	if err := pl.resolve(p.g); err != nil {
 		return nil, err
 	}
 	if pl.Forecast {
-		if pl.horizon, err = parseHorizonIn(p.step, stmt.horizon); err != nil {
+		var err error
+		if pl.horizon, err = parseHorizonIn(p.step, pl.stmt.horizon); err != nil {
 			return nil, err
 		}
 	}

@@ -5,6 +5,24 @@ import (
 	"testing"
 )
 
+// TestRouteQueryAllocs: planning a single-node statement allocates the Plan
+// and nothing else — the statement is parsed into it and its node, member
+// and key slices are its own arrays.
+func TestRouteQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	_, g, _ := testEngine(t, nil)
+	p := NewPlanner(g, 0)
+	const q = "SELECT time, SUM(sales) FROM facts WHERE product = 'P1' AND city = 'C2' GROUP BY time AS OF now() + '3 days' WITH INTERVAL 95"
+	if pl, err := p.RouteQuery(q); err != nil || len(pl.Nodes) != 1 {
+		t.Fatalf("%s: %v", q, err)
+	}
+	if n := testing.AllocsPerRun(50, func() { _, _ = p.RouteQuery(q) }); n != 1 {
+		t.Fatalf("RouteQuery allocates %v times for one node, want 1 (the Plan)", n)
+	}
+}
+
 // TestRouteQueryMatchesEngine: the planner must describe exactly the nodes
 // (and member order) the engine's own rewrite produces.
 func TestRouteQueryMatchesEngine(t *testing.T) {
@@ -67,7 +85,7 @@ func TestRouteSubQueriesBitExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, member := range route.Members {
-			stmt := *route.stmt
+			stmt := route.stmt
 			stmt.preds = append(append([]predicate(nil), route.stmt.preds...),
 				predicate{attr: route.stmt.groupLevel, value: member})
 			stmt.groupLevel = ""
@@ -99,7 +117,9 @@ func TestRouteSubQueriesBitExact(t *testing.T) {
 }
 
 // TestRouteErrorsMatchEngine: planning rejections must carry the same
-// message the engine would produce.
+// message the engine would produce. The last three once crashed the engine:
+// a NaN confidence level sized no interval and then sliced one, and an
+// unbounded horizon overflowed or asked for every row up front.
 func TestRouteErrorsMatchEngine(t *testing.T) {
 	db, g, _ := testEngine(t, nil)
 	p := NewPlanner(g, 0)
@@ -108,13 +128,13 @@ func TestRouteErrorsMatchEngine(t *testing.T) {
 		"SELECT time, sales FROM facts WHERE city = 'C9'",
 		"SELECT time, sales FROM facts AS OF now() + 'someday'",
 		"SELECT time, SUM(sales) FROM facts GROUP BY time, region WHERE",
+		"SELECT time, SUM(sales) FROM facts AS OF now() + '2 steps' WITH INTERVAL NaN",
+		"SELECT time, SUM(sales) FROM facts AS OF now() + '9223372036854775807 steps'",
+		"SELECT time, SUM(sales) FROM facts AS OF now() + '99999999999 years'",
 	} {
 		_, rerr := p.RouteQuery(q)
 		_, eerr := db.Query(q)
-		if (rerr == nil) != (eerr == nil) {
-			t.Fatalf("%s: route err %v, engine err %v", q, rerr, eerr)
-		}
-		if rerr != nil && rerr.Error() != eerr.Error() {
+		if rerr == nil || eerr == nil || rerr.Error() != eerr.Error() {
 			t.Fatalf("%s: route says %q, engine says %q", q, rerr, eerr)
 		}
 	}

@@ -222,7 +222,7 @@ func (db *DB) planQuery(sql string) (*Plan, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	plan.keys = db.renderKeys(plan.Nodes)
+	plan.keys = db.renderKeys(plan.oneKey[:0], plan.Nodes)
 	if db.plans != nil {
 		db.met.planMisses.Add(1)
 		db.planMu.Lock()
@@ -236,10 +236,10 @@ func (db *DB) planQuery(sql string) (*Plan, string, error) {
 }
 
 // renderKeys renders the nodes' coordinate keys into one buffer and returns
-// them as substrings of the one string made from it: a drill-down plan pays
-// for its keys once, not once per group.
-func (db *DB) renderKeys(nodes []int) []string {
-	keys := make([]string, len(nodes))
+// them, in keys' memory when it has room, as substrings of the one string
+// made from it: a drill-down plan pays for its keys once, not once per group.
+func (db *DB) renderKeys(keys []string, nodes []int) []string {
+	keys = slices.Grow(keys[:0], len(nodes))[:len(nodes)]
 	var endBuf [64]int
 	var keyBuf [64]byte
 	ends, buf := endBuf[:0], keyBuf[:0]
@@ -267,7 +267,7 @@ func (db *DB) renderKeys(nodes []int) []string {
 // one lock hold, so a drill-down's groups all belong to one time point; their
 // rows are carved from one slab.
 func (db *DB) execPlan(plan *Plan, g guard) (*Result, error) {
-	stmt := plan.stmt
+	stmt := &plan.stmt
 	res := &Result{Node: plan.Nodes[0], NodeKey: plan.keys[0]}
 	if stmt.explain || stmt.horizon == "" {
 		res.Plan = db.explainNode(plan.Nodes[0])
@@ -336,11 +336,12 @@ func (db *DB) fillRows(rows []QueryRow, id int, stmt *selectStmt, g guard) error
 	return nil
 }
 
-// resolveNodes rewrites a parsed SELECT into the graph nodes it describes
-// (Section V: "a query is rewritten to the referenced node of the time
-// series graph") and the grouping member of each. The WHERE clause becomes
-// a graph coordinate: every predicate attribute must name a hierarchy
-// level of some dimension; unconstrained dimensions aggregate to ALL.
+// resolve rewrites the plan's parsed SELECT into the graph nodes it
+// describes (Section V: "a query is rewritten to the referenced node of the
+// time series graph") and the grouping member of each: Nodes and Members.
+// The WHERE clause becomes a graph coordinate: every predicate attribute
+// must name a hierarchy level of some dimension; unconstrained dimensions
+// aggregate to ALL.
 // Without a GROUP BY <level> that coordinate is the one described node;
 // with it, the named level must belong to a dimension the WHERE clause
 // leaves free, and one node per member value at that level is returned,
@@ -348,7 +349,9 @@ func (db *DB) fillRows(rows []QueryRow, id int, stmt *selectStmt, g guard) error
 // depth). Resolution reads only the immutable graph structure — no
 // engine, no series, and it materializes nothing on the graph — which
 // is what lets a coordinator that holds no data plan with the same code.
-func resolveNodes(g *cube.Graph, stmt *selectStmt) (ids []int, members []string, err error) {
+// One node of a cube of up to eight dimensions resolves without allocating.
+func (pl *Plan) resolve(g *cube.Graph) error {
+	stmt := &pl.stmt
 	dims := g.Dims
 	groupDim, groupLvl := -1, -1
 	if stmt.groupLevel != "" {
@@ -359,13 +362,12 @@ func resolveNodes(g *cube.Graph, stmt *selectStmt) (ids []int, members []string,
 			}
 		}
 		if groupDim < 0 {
-			return nil, nil, fmt.Errorf("f2db: unknown GROUP BY attribute %q", stmt.groupLevel)
+			return fmt.Errorf("f2db: unknown GROUP BY attribute %q", stmt.groupLevel)
 		}
 	}
-	coord := make(cube.Coord, len(dims))
-	bound := make([]bool, len(dims))
+	coord := make(cube.Coord, 0, 8) // on the stack up to eight dimensions
 	for d := range dims {
-		coord[d] = cube.Cell{Level: dims[d].AllLevel()}
+		coord = append(coord, cube.Cell{Level: dims[d].AllLevel()})
 	}
 	for _, p := range stmt.preds {
 		found := false
@@ -375,32 +377,33 @@ func resolveNodes(g *cube.Graph, stmt *selectStmt) (ids []int, members []string,
 				continue
 			}
 			if d == groupDim {
-				return nil, nil, fmt.Errorf("f2db: dimension %q is both grouped and constrained", dims[d].Name)
+				return fmt.Errorf("f2db: dimension %q is both grouped and constrained", dims[d].Name)
 			}
-			if bound[d] {
-				return nil, nil, fmt.Errorf("f2db: dimension %q constrained twice (attribute %q)", dims[d].Name, p.attr)
+			if coord[d].Level < dims[d].AllLevel() {
+				return fmt.Errorf("f2db: dimension %q constrained twice (attribute %q)", dims[d].Name, p.attr)
 			}
 			coord[d] = cube.Cell{Level: lvl, Value: p.value}
-			bound[d] = true
 			found = true
 			break
 		}
 		if !found {
-			return nil, nil, fmt.Errorf("f2db: unknown attribute %q in WHERE clause", p.attr)
+			return fmt.Errorf("f2db: unknown attribute %q in WHERE clause", p.attr)
 		}
 	}
+	var buf [64]byte
 	if groupDim < 0 {
-		var buf [64]byte
 		id, ok, _ := g.LookupCoord(coord, buf[:0])
 		if !ok {
-			return nil, nil, fmt.Errorf("f2db: no time series for %s", coord.Key(dims))
+			return fmt.Errorf("f2db: no time series for %s", coord.Key(dims))
 		}
-		return []int{id}, []string{""}, nil
+		pl.oneNode[0] = id
+		pl.Nodes, pl.Members = pl.oneNode[:], pl.oneMember[:]
+		return nil
 	}
 	// The members are the descendants, at the requested level, of the
 	// coordinate with the grouped dimension at ALL: walk that dimension's
 	// child edges down, one level per edge.
-	var buf [64]byte
+	var ids []int
 	if top, ok, _ := g.LookupCoord(coord, buf[:0]); ok {
 		ids = []int{top}
 	}
@@ -412,14 +415,15 @@ func resolveNodes(g *cube.Graph, stmt *selectStmt) (ids []int, members []string,
 		ids = next
 	}
 	if len(ids) == 0 {
-		return nil, nil, fmt.Errorf("f2db: no time series match GROUP BY %s", stmt.groupLevel)
+		return fmt.Errorf("f2db: no time series match GROUP BY %s", stmt.groupLevel)
 	}
-	members = make([]string, len(ids))
+	members := make([]string, len(ids))
 	for i, id := range ids {
 		members[i] = g.CoordOf(id)[groupDim].Value
 	}
 	sort.Sort(byMember{ids, members})
-	return ids, members, nil
+	pl.Nodes, pl.Members = ids, members
+	return nil
 }
 
 // byMember sorts parallel node/member slices by member value.
@@ -435,22 +439,49 @@ func (b byMember) Swap(i, j int) {
 }
 func (b byMember) Less(i, j int) bool { return b.members[i] < b.members[j] }
 
+// maxHorizon bounds an AS OF horizon, in steps: a query's rows are
+// allocated before they are derived.
+const maxHorizon = 10_000
+
 // parseHorizonIn translates an AS OF interval like "1 day" or "6 steps"
-// into a number of forecast steps using the given step duration.
+// into a number of forecast steps using the given step duration. It reads
+// the interval as strings.Fields and strings.ToLower would, without their
+// copies, and rejects a horizon of more than maxHorizon steps.
 func parseHorizonIn(step time.Duration, interval string) (int, error) {
-	fields := strings.Fields(strings.TrimSpace(interval))
-	if len(fields) != 2 {
+	var f [3]string // a third field makes the interval malformed
+	n, rest := 0, interval
+	for ; n < len(f); n++ {
+		if rest = strings.TrimLeftFunc(rest, unicode.IsSpace); rest == "" {
+			break
+		}
+		end := strings.IndexFunc(rest, unicode.IsSpace)
+		if end < 0 {
+			end = len(rest)
+		}
+		f[n], rest = rest[:end], rest[end:]
+	}
+	if n != 2 {
 		return 0, fmt.Errorf("f2db: malformed AS OF interval %q (want '<n> <unit>')", interval)
 	}
-	n, err := strconv.Atoi(fields[0])
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("f2db: malformed AS OF count %q", fields[0])
+	count, err := strconv.Atoi(f[0])
+	if err != nil || count <= 0 {
+		return 0, fmt.Errorf("f2db: malformed AS OF count %q", f[0])
 	}
-	unit := strings.TrimSuffix(strings.ToLower(fields[1]), "s")
+	var lower [len("quarters")]byte // the longest unit; a longer field is none
+	unit := lower[:0]
+	for _, r := range f[1] {
+		if r = unicode.ToLower(r); r >= utf8.RuneSelf || len(unit) == len(lower) {
+			unit = nil
+			break
+		}
+		unit = append(unit, byte(r))
+	}
+	if len(unit) > 0 && unit[len(unit)-1] == 's' {
+		unit = unit[:len(unit)-1]
+	}
 	var d time.Duration
-	switch unit {
+	switch string(unit) {
 	case "step":
-		return n, nil
 	case "hour":
 		d = time.Hour
 	case "day":
@@ -464,13 +495,16 @@ func parseHorizonIn(step time.Duration, interval string) (int, error) {
 	case "year":
 		d = 365 * 24 * time.Hour
 	default:
-		return 0, fmt.Errorf("f2db: unknown AS OF unit %q", fields[1])
+		return 0, fmt.Errorf("f2db: unknown AS OF unit %q", f[1])
 	}
-	steps := int(float64(n) * float64(d) / float64(step))
-	if steps < 1 {
-		steps = 1
+	steps := float64(count)
+	if d != 0 {
+		steps = steps * float64(d) / float64(step)
 	}
-	return steps, nil
+	if steps > maxHorizon {
+		return 0, fmt.Errorf("f2db: AS OF interval %q is more than %d steps", interval, maxHorizon)
+	}
+	return max(int(steps), 1), nil
 }
 
 // --- parsing ------------------------------------------------------------
@@ -481,14 +515,15 @@ type predicate struct {
 }
 
 type selectStmt struct {
-	columns    []string
+	list       string // the select list as written (validated, not interpreted)
 	table      string
 	preds      []predicate
-	groupBy    bool    // GROUP BY time present
-	groupLevel string  // GROUP BY <hierarchy level> (drill-down), "" if none
-	agg        string  // "sum" (default), "avg"
-	horizon    string  // AS OF interval text, "" for historical queries
-	interval   float64 // WITH INTERVAL <percent> confidence, 0 = off
+	predBuf    [4]predicate // backs preds for up to four predicates
+	groupBy    bool         // GROUP BY time present
+	groupLevel string       // GROUP BY <hierarchy level> (drill-down), "" if none
+	agg        string       // "sum" (default), "avg"
+	horizon    string       // AS OF interval text, "" for historical queries
+	interval   float64      // WITH INTERVAL <percent> confidence, 0 = off
 	explain    bool
 }
 
@@ -624,48 +659,54 @@ func (l *lexer) expectPunct(ch string) error {
 }
 
 // parseQuery parses an optional EXPLAIN prefix followed by a SELECT with
-// the AS OF extension.
-func parseQuery(sql string) (*selectStmt, error) {
-	p := &lexer{src: sql}
-	stmt := &selectStmt{}
+// the AS OF extension into stmt, which must not move while it is in use:
+// its predicates live in its own predBuf. Every field is a substring of sql
+// or a constant, so parsing allocates nothing but its errors.
+func parseQuery(sql string, stmt *selectStmt) error {
+	p := lexer{src: sql}
+	*stmt = selectStmt{}
+	stmt.preds = stmt.predBuf[:0]
 	if p.isKw("explain") {
 		p.next()
 		stmt.explain = true
 	}
 	if err := p.expectKw("select"); err != nil {
-		return nil, err
+		return err
 	}
-	// Select list: idents, optional aggregate function call, or *.
+	// Select list: idents, optional aggregate function call, or *. After
+	// next, p.pos is the end of the token just consumed.
+	start := -1
 	for {
 		t := p.next()
+		end := p.pos
+		if start < 0 {
+			start = end - len(t.text)
+		}
 		switch {
 		case t.kind == tokPunct && t.text == "*":
-			stmt.columns = append(stmt.columns, "*")
 		case t.kind == tokIdent:
-			col := t.text
 			if p.isPunct("(") {
 				p.next()
-				inner := p.next()
-				if inner.kind != tokIdent {
-					return nil, p.errorf("f2db: expected column inside %s(...)", col)
+				if inner := p.next(); inner.kind != tokIdent {
+					return p.errorf("f2db: expected column inside %s(...)", t.text)
 				}
 				if err := p.expectPunct(")"); err != nil {
-					return nil, err
+					return err
 				}
-				switch strings.ToLower(col) {
-				case "sum":
+				end = p.pos
+				switch {
+				case strings.EqualFold(t.text, "sum"):
 					stmt.agg = "sum"
-				case "avg":
+				case strings.EqualFold(t.text, "avg"):
 					stmt.agg = "avg"
 				default:
-					return nil, p.errorf("f2db: unsupported aggregate %q (SUM and AVG)", col)
+					return p.errorf("f2db: unsupported aggregate %q (SUM and AVG)", t.text)
 				}
-				col = strings.ToUpper(col) + "(" + inner.text + ")"
 			}
-			stmt.columns = append(stmt.columns, col)
 		default:
-			return nil, p.errorf("f2db: unexpected token %q in select list", t.text)
+			return p.errorf("f2db: unexpected token %q in select list", t.text)
 		}
+		stmt.list = sql[start:end]
 		if p.isPunct(",") {
 			p.next()
 			continue
@@ -673,11 +714,11 @@ func parseQuery(sql string) (*selectStmt, error) {
 		break
 	}
 	if err := p.expectKw("from"); err != nil {
-		return nil, err
+		return err
 	}
 	tbl := p.next()
 	if tbl.kind != tokIdent {
-		return nil, p.errorf("f2db: expected table name, got %q", tbl.text)
+		return p.errorf("f2db: expected table name, got %q", tbl.text)
 	}
 	stmt.table = tbl.text
 
@@ -686,14 +727,14 @@ func parseQuery(sql string) (*selectStmt, error) {
 		for {
 			attr := p.next()
 			if attr.kind != tokIdent {
-				return nil, p.errorf("f2db: expected attribute in WHERE, got %q", attr.text)
+				return p.errorf("f2db: expected attribute in WHERE, got %q", attr.text)
 			}
 			if err := p.expectPunct("="); err != nil {
-				return nil, err
+				return err
 			}
 			val := p.next()
 			if val.kind != tokString && val.kind != tokIdent {
-				return nil, p.errorf("f2db: expected value for %s, got %q", attr.text, val.text)
+				return p.errorf("f2db: expected value for %s, got %q", attr.text, val.text)
 			}
 			stmt.preds = append(stmt.preds, predicate{attr: attr.text, value: val.text})
 			if p.isKw("and") {
@@ -707,19 +748,19 @@ func parseQuery(sql string) (*selectStmt, error) {
 	if p.isKw("group") {
 		p.next()
 		if err := p.expectKw("by"); err != nil {
-			return nil, err
+			return err
 		}
 		for {
 			col := p.next()
 			if col.kind != tokIdent {
-				return nil, p.errorf("f2db: expected column in GROUP BY, got %q", col.text)
+				return p.errorf("f2db: expected column in GROUP BY, got %q", col.text)
 			}
 			if strings.EqualFold(col.text, "time") {
 				stmt.groupBy = true
 			} else if stmt.groupLevel == "" {
 				stmt.groupLevel = col.text
 			} else {
-				return nil, p.errorf("f2db: at most one non-time GROUP BY attribute is supported, got %q and %q", stmt.groupLevel, col.text)
+				return p.errorf("f2db: at most one non-time GROUP BY attribute is supported, got %q and %q", stmt.groupLevel, col.text)
 			}
 			if p.isPunct(",") {
 				p.next()
@@ -732,43 +773,44 @@ func parseQuery(sql string) (*selectStmt, error) {
 	if p.isKw("as") {
 		p.next()
 		if err := p.expectKw("of"); err != nil {
-			return nil, err
+			return err
 		}
 		if err := p.expectKw("now"); err != nil {
-			return nil, err
+			return err
 		}
 		if err := p.expectPunct("("); err != nil {
-			return nil, err
+			return err
 		}
 		if err := p.expectPunct(")"); err != nil {
-			return nil, err
+			return err
 		}
 		if err := p.expectPunct("+"); err != nil {
-			return nil, err
+			return err
 		}
 		iv := p.next()
 		if iv.kind != tokString {
-			return nil, p.errorf("f2db: expected interval literal after now() +, got %q", iv.text)
+			return p.errorf("f2db: expected interval literal after now() +, got %q", iv.text)
 		}
 		stmt.horizon = iv.text
 	}
 	if p.isKw("with") {
 		p.next()
 		if err := p.expectKw("interval"); err != nil {
-			return nil, err
+			return err
 		}
 		lvl := p.next()
 		if lvl.kind != tokIdent {
-			return nil, p.errorf("f2db: expected confidence level after WITH INTERVAL, got %q", lvl.text)
+			return p.errorf("f2db: expected confidence level after WITH INTERVAL, got %q", lvl.text)
 		}
+		// Written so that NaN fails it too.
 		v, err := strconv.ParseFloat(lvl.text, 64)
-		if err != nil || v <= 0 || v >= 100 {
-			return nil, p.errorf("f2db: WITH INTERVAL wants a percentage in (0, 100), got %q", lvl.text)
+		if err != nil || !(v > 0 && v < 100) {
+			return p.errorf("f2db: WITH INTERVAL wants a percentage in (0, 100), got %q", lvl.text)
 		}
 		stmt.interval = v
 	}
 	if p.peek().kind != tokEOF {
-		return nil, p.errorf("f2db: trailing input %q", p.peek().text)
+		return p.errorf("f2db: trailing input %q", p.peek().text)
 	}
-	return stmt, nil
+	return nil
 }

@@ -32,6 +32,31 @@ func allModels(period int) []Model {
 	}
 }
 
+// forecastN returns m's forecasts for horizons 1..h in a fresh slice.
+func forecastN(m Model, h int) []float64 {
+	out := make([]float64, h)
+	m.Forecast(out)
+	return out
+}
+
+// TestForecastAllocs: every family writes its forecast into the caller's
+// slice and allocates nothing of its own.
+func TestForecastAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	s := seasonalSeries(48, 4, 100, 0.5, 10, 1, 1)
+	out := make([]float64, 12)
+	for _, m := range allModels(4) {
+		if err := m.Fit(s); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(20, func() { m.Forecast(out) }); n != 0 {
+			t.Errorf("%s: Forecast allocates %v times, want 0", m.Name(), n)
+		}
+	}
+}
+
 // holdout splits s into its first 80 % (rounded) for training and the rest
 // for testing, the paper's ratio (Section VI-A).
 func holdout(s *timeseries.Series) (train, test *timeseries.Series) {
@@ -47,14 +72,14 @@ func TestNaive(t *testing.T) {
 	if err := m.Fit(timeseries.New([]float64{1, 2, 7}, 0)); err != nil {
 		t.Fatal(err)
 	}
-	fc := m.Forecast(3)
+	fc := forecastN(m, 3)
 	for _, v := range fc {
 		if v != 7 {
 			t.Fatalf("naive forecast = %v, want all 7", fc)
 		}
 	}
 	m.Update(9)
-	if m.Forecast(1)[0] != 9 {
+	if forecastN(m, 1)[0] != 9 {
 		t.Fatal("naive Update not applied")
 	}
 }
@@ -70,8 +95,8 @@ func TestSESConstantSeries(t *testing.T) {
 	if err := m.Fit(timeseries.New([]float64{5, 5, 5, 5, 5}, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(m.Forecast(3)[2]-5) > 1e-9 {
-		t.Fatalf("SES constant forecast = %v", m.Forecast(3))
+	if math.Abs(forecastN(m, 3)[2]-5) > 1e-9 {
+		t.Fatalf("SES constant forecast = %v", forecastN(m, 3))
 	}
 }
 
@@ -88,7 +113,7 @@ func TestSESTracksLevelShift(t *testing.T) {
 	if err := m.Fit(timeseries.New(vals, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if fc := m.Forecast(1)[0]; math.Abs(fc-20) > 1 {
+	if fc := forecastN(m, 1)[0]; math.Abs(fc-20) > 1 {
 		t.Fatalf("SES after level shift forecasts %v, want ≈20", fc)
 	}
 }
@@ -102,7 +127,7 @@ func TestHoltLinearTrend(t *testing.T) {
 	if err := m.Fit(timeseries.New(vals, 0)); err != nil {
 		t.Fatal(err)
 	}
-	fc := m.Forecast(3)
+	fc := forecastN(m, 3)
 	for i, want := range []float64{3 + 2*40, 3 + 2*41, 3 + 2*42} {
 		if math.Abs(fc[i]-want) > 0.5 {
 			t.Fatalf("Holt forecast = %v, want ≈%v at h=%d", fc, want, i+1)
@@ -119,7 +144,7 @@ func TestHoltDampedFlattens(t *testing.T) {
 	if err := m.Fit(timeseries.New(vals, 0)); err != nil {
 		t.Fatal(err)
 	}
-	fc := m.Forecast(100)
+	fc := forecastN(m, 100)
 	growthLate := fc[99] - fc[98]
 	growthEarly := fc[1] - fc[0]
 	if growthLate >= growthEarly {
@@ -139,7 +164,7 @@ func TestHoltWintersAdditive(t *testing.T) {
 	if err := m.Fit(s); err != nil {
 		t.Fatal(err)
 	}
-	fc := m.Forecast(4)
+	fc := forecastN(m, 4)
 	for i := 0; i < 4; i++ {
 		tIdx := 48 + i
 		want := 100 + 0.5*float64(tIdx) + 10*math.Sin(2*math.Pi*float64(tIdx%4)/4)
@@ -159,7 +184,7 @@ func TestHoltWintersMultiplicative(t *testing.T) {
 	if err := m.Fit(timeseries.New(vals, 4)); err != nil {
 		t.Fatal(err)
 	}
-	fc := m.Forecast(4)
+	fc := forecastN(m, 4)
 	for i := 0; i < 4; i++ {
 		tIdx := 48 + i
 		want := (50 + float64(tIdx)) * (1 + 0.3*math.Sin(2*math.Pi*float64(tIdx%4)/4))
@@ -253,13 +278,13 @@ func TestFitDegenerateSeriesFinite(t *testing.T) {
 			if m.Fit(s) != nil {
 				continue
 			}
-			fc := m.Forecast(3)
+			fc := forecastN(m, 3)
 			var std float64
 			if u, ok := m.(Uncertainty); ok {
 				std = u.ResidualStd()
 			}
 			m.Update(1)
-			after := m.Forecast(1)
+			after := forecastN(m, 1)
 			if !finite(append(append(fc, std), after...)...) {
 				t.Errorf("%s on %s: Forecast(3) = %v, ResidualStd = %v, Forecast(1) after Update = %v",
 					m.Name(), sname, fc, std, after)
@@ -282,7 +307,7 @@ func TestGobRoundTripAllModels(t *testing.T) {
 		if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
 			t.Fatalf("%s decode: %v", m.Name(), err)
 		}
-		a, b := m.Forecast(5), back.Forecast(5)
+		a, b := forecastN(m, 5), forecastN(back, 5)
 		for i := range a {
 			if math.Abs(a[i]-b[i]) > 1e-9 {
 				t.Fatalf("%s: forecast changed after gob round trip: %v vs %v", m.Name(), a, b)
@@ -300,7 +325,7 @@ func TestModelsImproveOnNaiveForStructuredData(t *testing.T) {
 		if err := m.Fit(train); err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
-		return timeseries.SMAPE(test.Values, m.Forecast(test.Len()))
+		return timeseries.SMAPE(test.Values, forecastN(m, test.Len()))
 	}
 	hwErr, nvErr := smape(NewHoltWinters(s.Period, Additive)), smape(NewNaive())
 	if hwErr >= nvErr {

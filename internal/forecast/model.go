@@ -23,9 +23,9 @@ type Model interface {
 	// Fit estimates the parameters on the given series and initializes
 	// the forecasting state at the end of the series.
 	Fit(s *timeseries.Series) error
-	// Forecast returns point forecasts for horizons 1..h from the
-	// current state.
-	Forecast(h int) []float64
+	// Forecast writes the point forecasts for horizons 1..len(out) from
+	// the current state into out.
+	Forecast(out []float64)
 	// Update advances the state with one new observation.
 	Update(x float64)
 	// Fitted reports whether Fit completed successfully.

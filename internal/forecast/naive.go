@@ -47,12 +47,10 @@ func (m *Naive) Fit(s *timeseries.Series) error {
 func (m *Naive) ResidualStd() float64 { return m.ResidStd }
 
 // Forecast implements Model.
-func (m *Naive) Forecast(h int) []float64 {
-	out := make([]float64, h)
+func (m *Naive) Forecast(out []float64) {
 	for i := range out {
 		out[i] = m.Last
 	}
-	return out
 }
 
 // Update implements Model.

@@ -118,12 +118,10 @@ func (m *SES) Fit(s *timeseries.Series) error {
 func (m *SES) ResidualStd() float64 { return m.ResidStd }
 
 // Forecast implements Model.
-func (m *SES) Forecast(h int) []float64 {
-	out := make([]float64, h)
+func (m *SES) Forecast(out []float64) {
 	for i := range out {
 		out[i] = m.Level
 	}
-	return out
 }
 
 // Update implements Model.
@@ -294,8 +292,7 @@ func (m *Holt) Fit(s *timeseries.Series) error {
 func (m *Holt) ResidualStd() float64 { return m.ResidStd }
 
 // Forecast implements Model.
-func (m *Holt) Forecast(h int) []float64 {
-	out := make([]float64, h)
+func (m *Holt) Forecast(out []float64) {
 	phiSum := 0.0
 	phiPow := 1.0
 	for i := range out {
@@ -310,7 +307,6 @@ func (m *Holt) Forecast(h int) []float64 {
 			out[i] = m.Level + float64(i+1)*m.Trend
 		}
 	}
-	return out
 }
 
 // Update implements Model.
@@ -565,9 +561,8 @@ func (m *HoltWinters) Fit(s *timeseries.Series) error {
 func (m *HoltWinters) ResidualStd() float64 { return m.ResidStd }
 
 // Forecast implements Model.
-func (m *HoltWinters) Forecast(h int) []float64 {
-	out := make([]float64, h)
-	for i := 1; i <= h; i++ {
+func (m *HoltWinters) Forecast(out []float64) {
+	for i := 1; i <= len(out); i++ {
 		si := (m.T + i - 1) % m.Period
 		if m.Mode == Multiplicative {
 			out[i-1] = (m.Level + float64(i)*m.Trend) * m.Season[si]
@@ -575,7 +570,6 @@ func (m *HoltWinters) Forecast(h int) []float64 {
 			out[i-1] = m.Level + float64(i)*m.Trend + m.Season[si]
 		}
 	}
-	return out
 }
 
 // Update implements Model.

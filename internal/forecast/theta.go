@@ -97,20 +97,17 @@ func (m *Theta) Fit(s *timeseries.Series) error {
 func (m *Theta) ResidualStd() float64 { return m.ResidStd }
 
 // Forecast implements Model: average of the extrapolated trend line and
-// the SES forecast of the θ=2 line, re-seasonalized.
-func (m *Theta) Forecast(h int) []float64 {
-	out := make([]float64, h)
-	sesFc := m.SES.Forecast(h)
-	for i := 0; i < h; i++ {
+// the SES forecast of the θ=2 line (flat at its level), re-seasonalized.
+func (m *Theta) Forecast(out []float64) {
+	for i := range out {
 		t := m.N + i
 		trend := m.Intercept + m.Slope*float64(t)
-		v := (trend + sesFc[i]) / 2
+		v := (trend + m.SES.Level) / 2
 		if len(m.Seasonal) > 0 {
 			v += m.Seasonal[t%m.Period]
 		}
 		out[i] = v
 	}
-	return out
 }
 
 // Update implements Model: the trend line stays fixed (re-estimation is a

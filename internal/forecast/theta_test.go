@@ -17,7 +17,7 @@ func TestThetaLinearTrend(t *testing.T) {
 	if err := m.Fit(timeseries.New(vals, 1)); err != nil {
 		t.Fatal(err)
 	}
-	fc := m.Forecast(3)
+	fc := forecastN(m, 3)
 	for i, want := range []float64{5 + 2*40, 5 + 2*41, 5 + 2*42} {
 		// Theta averages trend and SES level, so it under-extrapolates a
 		// pure trend slightly; allow a modest band.
@@ -36,7 +36,7 @@ func TestThetaSeasonal(t *testing.T) {
 	if err := m.Fit(timeseries.New(vals, 4)); err != nil {
 		t.Fatal(err)
 	}
-	fc := m.Forecast(4)
+	fc := forecastN(m, 4)
 	for i := 0; i < 4; i++ {
 		want := 100 + 10*math.Sin(2*math.Pi*float64((48+i)%4)/4)
 		if math.Abs(fc[i]-want) > 3 {

@@ -71,6 +71,6 @@ type failsVariance struct{}
 
 func (f *failsVariance) Name() string                 { return "x" }
 func (f *failsVariance) Fit(*timeseries.Series) error { return nil }
-func (f *failsVariance) Forecast(h int) []float64     { return make([]float64, h) }
+func (f *failsVariance) Forecast([]float64)           {}
 func (f *failsVariance) Update(float64)               {}
 func (f *failsVariance) Fitted() bool                 { return true }

@@ -62,8 +62,8 @@ func TestWarmVsColdEquivalence(t *testing.T) {
 					t.Fatalf("%s/%s: warm re-fit: %v", ds.Name, name, err)
 				}
 
-				coldS := timeseries.SMAPE(test.Values, cold.Forecast(test.Len()))
-				warmS := timeseries.SMAPE(test.Values, warm.Forecast(test.Len()))
+				coldS := timeseries.SMAPE(test.Values, forecastN(cold, test.Len()))
+				warmS := timeseries.SMAPE(test.Values, forecastN(warm, test.Len()))
 				if math.IsNaN(warmS) || warmS > coldS+warmSMAPETolSeries {
 					t.Errorf("%s/%s series %v: warm SMAPE %.4f vs cold %.4f (tol %.2f)",
 						ds.Name, name, b.Members, warmS, coldS, warmSMAPETolSeries)
@@ -212,8 +212,8 @@ func TestCloneIndependence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
-		wantFC := m.Forecast(4)
-		gotFC := c.Forecast(4)
+		wantFC := forecastN(m, 4)
+		gotFC := forecastN(c, 4)
 		for i := range wantFC {
 			if wantFC[i] != gotFC[i] {
 				t.Fatalf("%s: clone forecast %v != original %v", m.Name(), gotFC, wantFC)
@@ -223,7 +223,7 @@ func TestCloneIndependence(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			c.Update(1e6)
 		}
-		after := m.Forecast(4)
+		after := forecastN(m, 4)
 		for i := range wantFC {
 			if wantFC[i] != after[i] {
 				t.Fatalf("%s: mutating the clone changed the original (%v -> %v)",

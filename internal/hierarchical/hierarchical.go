@@ -50,7 +50,9 @@ func installModel(cfg *core.Configuration, id int, delay time.Duration) ([]float
 	cfg.Models[id] = m
 	cfg.ModelSeconds[id] = d.Seconds()
 	cfg.CostSeconds += d.Seconds()
-	return m.Forecast(cfg.TestLen()), nil
+	fc := make([]float64, cfg.TestLen())
+	m.Forecast(fc)
+	return fc, nil
 }
 
 // nodeError is the test error of the forecast sc derives from the source
@@ -244,7 +246,8 @@ func Greedy(g *cube.Graph, opts Options) (*core.Configuration, error) {
 		models[id] = m
 		seconds[id] = d.Seconds()
 		totalSeconds += d.Seconds()
-		fc[id] = m.Forecast(cfg.TestLen())
+		fc[id] = make([]float64, cfg.TestLen())
+		m.Forecast(fc[id])
 	}
 
 	desc := descendants(g)

@@ -43,7 +43,9 @@ func oracleInstallModel(cfg *core.Configuration, id int, delay time.Duration) ([
 	cfg.Models[id] = m
 	cfg.ModelSeconds[id] = d.Seconds()
 	cfg.CostSeconds += d.Seconds()
-	return m.Forecast(cfg.TestLen()), nil
+	fc := make([]float64, cfg.TestLen())
+	m.Forecast(fc)
+	return fc, nil
 }
 
 // oracleSetNodeError assigns scheme and test error for a node given its derived
@@ -234,7 +236,8 @@ func oracleGreedy(g *cube.Graph, opts Options) (*core.Configuration, error) {
 		models[id] = m
 		seconds[id] = d.Seconds()
 		totalSeconds += d.Seconds()
-		fcByNode[id] = m.Forecast(h)
+		fcByNode[id] = make([]float64, h)
+		m.Forecast(fcByNode[id])
 	}
 
 	desc := oracleDescendants(g)
@@ -443,7 +446,8 @@ func oracleCombineWLS(g *cube.Graph, opts Options) (*core.Configuration, error) 
 		cfg.Models[id] = m
 		cfg.ModelSeconds[id] = d.Seconds()
 		cfg.CostSeconds += d.Seconds()
-		yhat[id] = m.Forecast(h)
+		yhat[id] = make([]float64, h)
+		m.Forecast(yhat[id])
 		sigma[id] = 1
 		if u, ok := m.(forecast.Uncertainty); ok && u.ResidualStd() > 0 {
 			sigma[id] = u.ResidualStd()

@@ -8,8 +8,9 @@ package lru
 
 // Cache is a fixed-capacity map that evicts the least recently used entry.
 // The recency list is intrusive (each map value is its own list node), so
-// an insert costs one allocation and a hit none. Not safe for concurrent
-// use; callers hold their own lock.
+// a hit costs no allocation, and neither does an insert into a full cache:
+// it reuses the evicted entry's node. Not safe for concurrent use; callers
+// hold their own lock.
 type Cache[K comparable, V any] struct {
 	cap   int
 	items map[K]*node[K, V]
@@ -44,11 +45,12 @@ func (c *Cache[K, V]) pushFront(n *node[K, V]) {
 	n.prev.next, n.next.prev = n, n
 }
 
-// evictOldest removes the least recently used entry.
-func (c *Cache[K, V]) evictOldest() {
+// evictOldest removes the least recently used entry and returns its node.
+func (c *Cache[K, V]) evictOldest() *node[K, V] {
 	n := c.root.prev
 	c.unlink(n)
 	delete(c.items, n.key)
+	return n
 }
 
 // Get returns the value stored under k and marks it most recently used.
@@ -72,11 +74,14 @@ func (c *Cache[K, V]) Put(k K, v V) (evicted bool) {
 		c.pushFront(n)
 		return false
 	}
+	var n *node[K, V]
 	if len(c.items) >= c.cap {
-		c.evictOldest()
+		n = c.evictOldest()
 		evicted = true
+	} else {
+		n = new(node[K, V])
 	}
-	n := &node[K, V]{key: k, val: v}
+	n.key, n.val = k, v
 	c.items[k] = n
 	c.pushFront(n)
 	return evicted

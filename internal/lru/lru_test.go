@@ -166,12 +166,26 @@ func TestQuickAgainstOracle(t *testing.T) {
 	}
 }
 
-// TestHitDoesNotAllocate: the intrusive list is what keeps a hit free.
+// TestHitDoesNotAllocate: the intrusive list is what keeps a hit free, and
+// reusing the victim's node what keeps an insert into a full cache free.
 func TestHitDoesNotAllocate(t *testing.T) {
 	c := New[string, *int](4)
 	c.Put("k", new(int))
 	c.Put("j", new(int))
 	if n := testing.AllocsPerRun(100, func() { c.Get("k"); c.Get("j") }); n != 0 {
 		t.Fatalf("Get allocates %v times per run, want 0", n)
+	}
+	keys, v := []string{"a", "b", "c", "d", "e", "f", "g", "h"}, new(int)
+	for _, k := range keys[:4] {
+		c.Put(k, v)
+	}
+	i := 4 // keys[i] is never cached: the cache holds the four before it
+	if n := testing.AllocsPerRun(100, func() {
+		if !c.Put(keys[i%len(keys)], v) {
+			t.Fatal("a Put of a new key into a full cache evicted nothing")
+		}
+		i++
+	}); n != 0 {
+		t.Fatalf("Put at capacity allocates %v times per run, want 0", n)
 	}
 }

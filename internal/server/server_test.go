@@ -154,14 +154,21 @@ func TestServerBasic(t *testing.T) {
 	}
 
 	// A broken statement surfaces as a typed server error, not a transport
-	// failure, and must not kill the connection.
-	_, err = cl.Query("SELECT nonsense")
-	var se *wire.ServerError
-	if !errors.As(err, &se) || se.Code != wire.CodeQuery {
-		t.Fatalf("bad query returned %v, want CodeQuery ServerError", err)
-	}
-	if err := cl.Ping(); err != nil {
-		t.Fatalf("Ping after server error: %v", err)
+	// failure, and must not kill the connection. The last two once killed
+	// the process: a NaN confidence level and an unbounded horizon.
+	for _, q := range []string{
+		"SELECT nonsense",
+		"SELECT time, SUM(m) FROM facts AS OF now() + '2 steps' WITH INTERVAL NaN",
+		"SELECT time, SUM(m) FROM facts AS OF now() + '9223372036854775807 steps'",
+	} {
+		_, err = cl.Query(q)
+		var se *wire.ServerError
+		if !errors.As(err, &se) || se.Code != wire.CodeQuery {
+			t.Fatalf("%s: returned %v, want CodeQuery ServerError", q, err)
+		}
+		if err := cl.Ping(); err != nil {
+			t.Fatalf("Ping after server error: %v", err)
+		}
 	}
 }
 

@@ -300,7 +300,8 @@ func (e *Engine) refit(prev forecast.Model, hist []float64, seen int) (forecast.
 		e.met.FitErrors.Add(1)
 		return prev, nil
 	}
-	pred := m.Forecast(e.opts.Horizon)
+	pred := make([]float64, e.opts.Horizon)
+	m.Forecast(pred)
 	for i := range pred {
 		if math.IsNaN(pred[i]) || pred[i] < 0 {
 			pred[i] = 0
