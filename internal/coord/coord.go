@@ -133,6 +133,9 @@ type logEntry struct {
 	serverErr error
 }
 
+// logChunk is how many log entries one allocation holds.
+const logChunk = 64
+
 // shard is one f2dbd replica and its replay state. All fields except the
 // immutable ones are guarded by the coordinator mutex.
 type shard struct {
@@ -188,6 +191,9 @@ type Coordinator struct {
 	pendingRows int
 	cond        *sync.Cond
 	log         []*logEntry
+	// chunk is the unused rest of the newest allocation of logChunk entries,
+	// which Exec carves log entries from.
+	chunk []logEntry
 	// trimBase is the absolute index of log[0]: trimmed entries advance
 	// it instead of renumbering, so shard cursors and Exec bookkeeping
 	// stay absolute. trimRows is the cumulative row count through the
@@ -321,25 +327,22 @@ func (c *Coordinator) SetCacheCapacity(entries int) int {
 // current shard is authoritative (replicas are deterministic) and is
 // returned as-is.
 func (c *Coordinator) Exec(sql string) error {
-	rows, bases, err := c.planner.RouteExecNodes(sql)
+	// Attribute the statement to its write partition as its rows resolve: a
+	// single-partition INSERT only needs its partition epoch bumped.
+	part, multi := -1, false
+	rows, err := c.planner.RouteExecNodes(sql, func(id int) {
+		if p := ShardFor(id, len(c.shards)); part == -1 {
+			part = p
+		} else if p != part {
+			multi = true
+		}
+	})
 	if err != nil {
 		// Same resolution code as the shard engines: the rejection text
 		// matches what any shard would answer, and a statement the engines
 		// would reject never reaches the log (so the logged row counts the
 		// realignment protocol fences against stay exact).
 		return err
-	}
-	// Attribute the statement to its write partition: a single-partition
-	// INSERT only needs its partition epoch bumped.
-	part, multi := -1, false
-	for _, id := range bases {
-		p := ShardFor(id, len(c.shards))
-		if part == -1 {
-			part = p
-		} else if p != part {
-			multi = true
-			break
-		}
 	}
 	c.met.Execs.Add(1)
 	c.mu.Lock()
@@ -351,7 +354,12 @@ func (c *Coordinator) Exec(sql string) error {
 	if n := len(c.log); n > 0 {
 		prev = c.log[n-1].cumRows
 	}
-	e := &logEntry{sql: sql, rows: rows, cumRows: prev + uint64(rows)}
+	if len(c.chunk) == 0 {
+		c.chunk = make([]logEntry, logChunk)
+	}
+	e := &c.chunk[0]
+	c.chunk = c.chunk[1:]
+	*e = logEntry{sql: sql, rows: rows, cumRows: prev + uint64(rows)}
 	idx := c.logLen()
 	c.log = append(c.log, e)
 	// Bump the write epochs under the same lock hold as the append: any
@@ -496,9 +504,11 @@ func (c *Coordinator) maybeTrimLocked() {
 	}
 	k := trimTo - c.trimBase
 	c.trimRows = c.log[k-1].cumRows
-	// Nil the dropped slots so the entries free immediately; the head of
-	// the backing array is reclaimed when append next reallocates.
+	// Drop the statements (a waiting Exec reads only applied and serverErr)
+	// and nil the slots: a chunk is freed once trimming has passed all of
+	// it, the head of the backing array when append next reallocates.
 	for i := 0; i < k; i++ {
+		c.log[i].sql = ""
 		c.log[i] = nil
 	}
 	c.log = c.log[k:]

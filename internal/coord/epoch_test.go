@@ -35,12 +35,13 @@ func TestPerPartitionEpochIsolation(t *testing.T) {
 	byPart := map[int]row{}
 	for _, p := range []string{"P1", "P2"} {
 		for _, c := range []string{"C1", "C2", "C3", "C4"} {
-			_, bases, err := planner.RouteExecNodes(
-				fmt.Sprintf("INSERT INTO facts VALUES ('%s','%s',1)", p, c))
+			part := -1
+			_, err := planner.RouteExecNodes(
+				fmt.Sprintf("INSERT INTO facts VALUES ('%s','%s',1)", p, c),
+				func(id int) { part = ShardFor(id, 2) })
 			if err != nil {
 				t.Fatal(err)
 			}
-			part := ShardFor(bases[0], 2)
 			if _, ok := byPart[part]; !ok {
 				byPart[part] = row{p, c}
 			}

@@ -27,7 +27,7 @@ func AdvanceMapOracle(g *Graph, values map[int]float64) error {
 		for _, b := range g.inc(id) {
 			v += values[g.BaseIDs[b]]
 		}
-		n.Series.Append(v)
+		n.Series.Values = append(n.Series.Values, v)
 	}
 	g.Length++
 	return nil

@@ -202,7 +202,7 @@ func (g *EagerOracle) Advance(values map[int]float64) error {
 		return fmt.Errorf("cube: Advance needs a value for all %d base series, got %d", len(g.BaseIDs), len(values))
 	}
 	for _, n := range g.Nodes {
-		n.Series.Append(0)
+		n.Series.Values = append(n.Series.Values, 0)
 	}
 	bids := make([]int, 0, len(values))
 	for bid := range values {

@@ -206,7 +206,7 @@ func (g *Graph) Latest(id int) float64 {
 	}
 	g.matMu.Lock() // no Advance yet
 	defer g.matMu.Unlock()
-	h := g.historyLocked(id)
+	h := g.historyLocked(id, g.Length)
 	return h[len(h)-1]
 }
 
@@ -215,17 +215,17 @@ func (g *Graph) Latest(id int) float64 {
 func (g *Graph) HistorySum(id int) float64 {
 	g.matMu.Lock()
 	defer g.matMu.Unlock()
-	return (&timeseries.Series{Values: g.historyLocked(id)}).Sum()
+	return (&timeseries.Series{Values: g.historyLocked(id, g.Length)}).Sum()
 }
 
 // historyLocked returns a resident node's series, or else a fresh slice of
-// the values its materialization stores: the covered base series summed per
-// time step in ascending base-ID order. The caller holds matMu.
-func (g *Graph) historyLocked(id int) []float64 {
+// the given capacity summing its covered base series per time step in
+// ascending base-ID order, as materialize stores it. The caller holds matMu.
+func (g *Graph) historyLocked(id, capacity int) []float64 {
 	if n := g.nodes[id].Load(); n != nil {
 		return n.Series.Values
 	}
-	vals := make([]float64, g.Length)
+	vals := make([]float64, g.Length, capacity)
 	for _, b := range g.inc(id) {
 		for t, v := range g.nodes[g.BaseIDs[b]].Load().Series.Values[:g.Length] {
 			vals[t] += v
@@ -243,9 +243,9 @@ func (g *Graph) Top() *Node { return g.Node(g.TopID) }
 // computed with SUM (Section II-A), on first access.
 //
 // The base nodes' series share the input value arrays, capped with a full
-// slice expression: base values are never written in place (the only
-// writer is Append, which reallocates at cap), so the graph neither copies
-// them nor changes what the caller sees.
+// slice expression: no value below a series' length is ever written (Advance
+// appends within capacity, or moves a full series to fresh memory first), so
+// the graph neither copies them nor changes what the caller sees.
 func NewGraph(dims []Dimension, base []BaseSeries) (*Graph, error) {
 	if len(base) == 0 {
 		return nil, fmt.Errorf("cube: graph requires at least one base series")
@@ -701,7 +701,8 @@ func (g *Graph) inc(id int) []int32 {
 }
 
 // materialize builds an aggregate node: its series summed from the covered
-// base series in ascending base-ID order, its parents and child hyper
+// base series in ascending base-ID order, with the capacity the base series
+// have (so it fills when they do, see Advance), its parents and child hyper
 // edges views of the skeleton. It serializes against other
 // materializations and Advance via matMu and publishes the node
 // atomically, so concurrent readers either see nil (and take this path)
@@ -712,7 +713,7 @@ func (g *Graph) materialize(id int) *Node {
 	if n := g.nodes[id].Load(); n != nil {
 		return n
 	}
-	vals := g.historyLocked(id)
+	vals := g.historyLocked(id, cap(g.nodes[g.BaseIDs[0]].Load().Series.Values))
 	D := len(g.Dims)
 	edges := make([][]int, D)
 	for d := range edges {
@@ -931,6 +932,12 @@ func (g *Graph) CoveredBaseCount(id int) int {
 // engines fed the same batches byte-identical). Holding matMu for the whole
 // advance keeps concurrent materializations from reading half-extended base
 // series.
+//
+// Every resident series holds Length values in the bases' capacity, so all
+// fill at one time point and then move to rows of one allocation, each capped
+// at its end so no node's append reaches another's values: a time point
+// allocates once per graph. Nothing below a series' length is written, so a
+// reader holding an older slice is unaffected.
 func (g *Graph) Advance(column []float64) error {
 	if len(column) != len(g.BaseIDs) {
 		return fmt.Errorf("cube: Advance needs a value for all %d base series, got %d", len(g.BaseIDs), len(column))
@@ -940,6 +947,11 @@ func (g *Graph) Advance(column []float64) error {
 	if g.latest == nil {
 		g.latest = make([]float64, len(g.nodes))
 	}
+	var rows []float64
+	stride := growCap(g.Length)
+	if base := g.nodes[g.BaseIDs[0]].Load().Series.Values; len(base) == cap(base) {
+		rows = make([]float64, int(g.matCount.Load())*stride)
+	}
 	for id := range g.latest {
 		var v float64
 		for _, b := range g.inc(id) {
@@ -947,11 +959,25 @@ func (g *Graph) Advance(column []float64) error {
 		}
 		g.latest[id] = v
 		if n := g.nodes[id].Load(); n != nil {
-			n.Series.Append(v)
+			vals := n.Series.Values
+			if len(vals) == cap(vals) {
+				vals, rows = append(rows[:0:stride], vals...), rows[stride:]
+			}
+			n.Series.Values = append(vals, v)
 		}
 	}
 	g.Length++
 	return nil
+}
+
+// growCap is the capacity a full series of n values grows to: double while
+// short, then a quarter more, as append grows a slice — geometric, so a
+// series is copied O(log n) times however long it runs.
+func growCap(n int) int {
+	if n < 256 {
+		return max(2*n, 8)
+	}
+	return n + (n+3*256)/4
 }
 
 // BaseIncidence returns, for every node ID, the sorted base-node IDs it

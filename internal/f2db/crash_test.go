@@ -555,9 +555,8 @@ func TestDurableCheckpoint(t *testing.T) {
 // count) and the pending column. One crash follows whole batches; the other
 // follows a batch that a checkpoint cut in half and that then completed, so
 // recovery loads its first half as pending and replays the whole batch.
-// Snapshots do not carry per-model maintenance state, so the digest is
-// compared with a twin that loaded the same snapshot and took the same
-// inserts; the counters are compared with the live engine itself.
+// The digest is compared with a twin that loaded the same snapshot and took
+// the same inserts; the counters are compared with the live engine itself.
 func TestRecoveredWriteStateMatchesLive(t *testing.T) {
 	base, _, ids, _ := crashFixture(t)
 	batches := makeBatches(ids, 5, 21)

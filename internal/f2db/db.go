@@ -102,10 +102,12 @@ type Stats struct {
 }
 
 // schemeState tracks the running history sums behind a derivation weight so
-// the weight can be maintained incrementally (Section V).
+// the weight can be maintained incrementally (Section V); a scheme backfilled
+// after Open is not tracked and keeps the weight it was derived with.
 type schemeState struct {
 	hTarget  float64
 	hSources float64
+	tracked  bool
 }
 
 // DB is the embedded F²DB engine.
@@ -131,7 +133,7 @@ type DB struct {
 	strategy InvalidationStrategy
 	invalid  map[int]bool
 	mstats   map[int]*ModelStats
-	schemes  map[int]*schemeState
+	schemes  []schemeState // by node ID
 	// step1 receives each model's one-step forecast in advanceBatch, under
 	// the write lock: a stack array would escape through the interface call.
 	step1 [1]float64
@@ -262,7 +264,7 @@ func Open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 		strategy:    opts.Strategy,
 		invalid:     make(map[int]bool),
 		mstats:      make(map[int]*ModelStats),
-		schemes:     make(map[int]*schemeState),
+		schemes:     make([]schemeState, g.NumNodes()),
 		pending:     make([]float64, len(g.BaseIDs)),
 		present:     make([]bool, len(g.BaseIDs)),
 		stripes:     make([]writeStripe, nstripes),
@@ -287,11 +289,11 @@ func Open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 		return sums[id]
 	}
 	for id, sc := range cfg.Schemes {
-		st := &schemeState{hTarget: historySum(id)}
+		st := &db.schemes[id]
+		st.hTarget, st.tracked = historySum(id), true
 		for _, s := range sc.Sources {
 			st.hSources += historySum(s)
 		}
-		db.schemes[id] = st
 	}
 	// Per-node base-series counts (AVG scaling), precomputed so the read
 	// path never mutates shared state.
@@ -517,7 +519,7 @@ func (db *DB) deriveInterval(g guard, nodeID, h int, conf float64) (point, lo, h
 		fcs = append(fcs, fc)
 	}
 	// Use the incrementally maintained weight.
-	if st, ok := db.schemes[nodeID]; ok && st.hSources != 0 && sc.Kind != derivation.Direct {
+	if st := &db.schemes[nodeID]; st.hSources != 0 && sc.Kind != derivation.Direct {
 		sc.K = st.hTarget / st.hSources
 	}
 	point = out[:h:h]
@@ -819,8 +821,8 @@ func (db *DB) advanceBatch(g guard, column []float64) error {
 
 	// Incremental derivation-weight maintenance; it makes no node resident.
 	for id, sc := range db.cfg.Schemes {
-		st, ok := db.schemes[id]
-		if !ok {
+		st := &db.schemes[id]
+		if !st.tracked {
 			continue
 		}
 		st.hTarget += db.graph.Latest(id)

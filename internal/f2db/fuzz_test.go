@@ -275,6 +275,21 @@ func FuzzLoadDatabase(f *testing.F) {
 		flipped[pos] ^= 0xff
 		f.Add(flipped)
 	}
+	// An image whose models carry maintenance state: two time points under
+	// TimeBased{Every: 2} leave every model invalid with a rolling error.
+	aged, g, _ := testEngine(f, TimeBased{Every: 2})
+	for k := 0; k < 2; k++ {
+		for _, id := range g.BaseIDs {
+			if err := aged.InsertBase(id, float64(30+k)); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	buf.Reset()
+	if err := SaveDatabase(&buf, aged); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append([]byte(nil), buf.Bytes()...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
 			return // bound decode cost; the seed image is ~20 KiB

@@ -91,26 +91,27 @@ func (p *Planner) plan(sql string) (*Plan, error) {
 // indistinguishable from a shard rejecting it.
 func (p *Planner) RouteQuery(sql string) (*Plan, error) { return p.plan(sql) }
 
-// RouteExecNodes resolves an INSERT for routing — its row count and every
-// row's base node ID, in statement order — through the engine's own INSERT
-// pipeline (insert.go), so any statement the engine would reject is rejected
-// here with the byte-identical error. Coordinators realign a restarted
-// shard's replay cursor by the row count (wire.Info.Inserts counts accepted
-// rows) and attribute the INSERT to write partitions by the node IDs.
-func (p *Planner) RouteExecNodes(sql string) (rows int, bases []int, err error) {
+// RouteExecNodes resolves an INSERT for routing through the engine's own
+// INSERT pipeline (insert.go), so any statement the engine would reject is
+// rejected here with the byte-identical error. It returns the row count —
+// coordinators realign a restarted shard's replay cursor by it
+// (wire.Info.Inserts counts accepted rows) — and passes every row's base
+// node ID, in statement order, to visit, by which they attribute the INSERT
+// to write partitions. A statement that repeats a row is rejected after its
+// rows were visited: what visit gathered counts only when err is nil.
+func (p *Planner) RouteExecNodes(sql string, visit func(base int)) (rows int, err error) {
 	sc := getInsertScratch()
 	defer sc.release()
 	if err := sc.resolve(p.g, sql); err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	bases = make([]int, len(sc.rows))
-	for i, r := range sc.rows {
-		bases[i] = r.id
+	for _, r := range sc.rows {
+		visit(r.id)
 	}
 	if err := sc.rejectDuplicates(p.g, 0); err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	return len(bases), bases, nil
+	return len(sc.rows), nil
 }
 
 // NumBaseSeries reports the graph's base-series count — the number of rows

@@ -146,8 +146,9 @@ func TestRouteErrorsMatchEngine(t *testing.T) {
 func TestRouteExecNodes(t *testing.T) {
 	db, g, _ := testEngine(t, nil)
 	p := NewPlanner(g, 0)
-	n, bases, err := p.RouteExecNodes("INSERT INTO facts VALUES ('P2', 'C1', 12), ('P1', 'C2', 11), ('P1', 'C1', 10)")
-	if err != nil || n != 3 {
+	var bases []int
+	n, err := p.RouteExecNodes("INSERT INTO facts VALUES ('P2', 'C1', 12), ('P1', 'C2', 11), ('P1', 'C1', 10)", func(id int) { bases = append(bases, id) })
+	if err != nil || n != 3 || len(bases) != 3 {
 		t.Fatalf("RouteExecNodes: n=%d err=%v", n, err)
 	}
 	for i, key := range []string{"product=P2|city=C1", "product=P1|city=C2", "product=P1|city=C1"} {
@@ -161,7 +162,7 @@ func TestRouteExecNodes(t *testing.T) {
 		"INSERT INTO facts VALUES ('P1', 1)",
 		"INSERT INTO facts VALUES ('P1', 'C1', 1), ('P2', 'C1', 2), ('P1', 'C1', 3)",
 	} {
-		_, _, rerr := p.RouteExecNodes(q)
+		_, rerr := p.RouteExecNodes(q, func(int) {})
 		eerr := db.Exec(q)
 		if rerr == nil || eerr == nil || rerr.Error() != eerr.Error() {
 			t.Fatalf("%s: route says %v, engine says %v", q, rerr, eerr)

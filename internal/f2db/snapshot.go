@@ -49,6 +49,18 @@ type dbImage struct {
 	// older snapshots load with zeroed counters, the previous behavior.
 	Inserts uint64
 	Batches uint64
+	// Models is every model's maintenance state, so a reopened engine
+	// re-estimates the models the saved one would have. Older snapshots
+	// lack it and load with every model fresh and valid, as they did.
+	Models []modelState
+}
+
+// modelState is one model's persisted maintenance state, keyed like
+// fcWarmKey by the node's canonical coordinate key.
+type modelState struct {
+	NodeKey string
+	ModelStats
+	Invalid bool
 }
 
 // fcWarmKey is one persisted memo-table key. The node is stored by its
@@ -124,6 +136,9 @@ func saveDatabaseLocked(w io.Writer, db *DB, _ guard) error {
 	for _, r := range held {
 		img.Pending[db.graph.KeyOf(r.id)] = r.value
 	}
+	for _, id := range db.cfg.ModelIDs() {
+		img.Models = append(img.Models, modelState{db.graph.KeyOf(id), *db.mstats[id], db.invalid[id]})
+	}
 	for _, id := range db.graph.BaseIDs {
 		n := db.graph.Node(id)
 		members := make([]string, len(n.Coord))
@@ -182,6 +197,14 @@ func LoadDatabase(r io.Reader, opts Options) (*DB, error) {
 	db, err := Open(g, cfg, opts)
 	if err != nil {
 		return nil, err
+	}
+	for _, m := range img.Models {
+		id, ok := g.LookupID(m.NodeKey)
+		if !ok || db.mstats[id] == nil {
+			return nil, fmt.Errorf("f2db: maintenance state for %q, which has no model", m.NodeKey)
+		}
+		*db.mstats[id] = m.ModelStats
+		db.invalid[id] = m.Invalid
 	}
 	// Restore the half-filled insert batch through the batched write path:
 	// one lock acquisition for the whole image instead of one per value.

@@ -3,6 +3,7 @@ package f2db
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -99,36 +100,47 @@ func TestCompactAllocs(t *testing.T) {
 // a constant whatever the number of series: InsertBatch's sorted copy of its
 // map, and now and then MemFS growing the log file. Before the column it also
 // built a map and an entry slice of one element per base series and sorted
-// the slice. Series.Append growth is kept out by measuring inside the
-// capacity the warm-up call's reallocation left.
+// the slice. A time point at which every series is full and grows adds one
+// allocation, the rows Graph.Advance carves for all of them; it used to add
+// one per series. Each kind of time point is averaged over its calls.
 func TestDurableAdvanceAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const runs = 8 // fewer than the 47 appends a doubled 48-point series has room for
-	measure := func(nodes int) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	measure := func(nodes int) (still, grows float64) {
 		dur, ids := cubeDurable(t, nodes)
-		batches := make([]map[int]float64, runs+2)
-		for k := range batches {
-			batches[k] = timePoint(ids, k)
-		}
+		var calls, mallocs [2]uint64 // by whether the time point grows the series
 		k := 0
-		advance := func() {
-			if err := dur.DB().InsertBatch(batches[k]); err != nil {
+		for ; calls[1] < 2; k++ {
+			batch := timePoint(ids, k)
+			kind := 0
+			if v := dur.DB().graph.NodeValues(ids[0]); len(v) == cap(v) {
+				kind = 1
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := dur.DB().InsertBatch(batch)
+			runtime.ReadMemStats(&after)
+			if err != nil {
 				t.Fatal(err)
 			}
-			k++
+			if k > 0 { // the first time point also makes Latest's table
+				calls[kind]++
+				mallocs[kind] += after.Mallocs - before.Mallocs
+			}
 		}
-		advance() // every series reallocates on its first Append after open
-		n := testing.AllocsPerRun(runs, advance)
 		if got, want := dur.DB().Metrics().WALAppends, int64(k); got != want {
 			t.Fatalf("%d WAL appends for %d time points", got, want)
 		}
-		return n
+		return float64(mallocs[0]) / float64(calls[0]), float64(mallocs[1]) / float64(calls[1])
 	}
-	small, large := measure(1_000), measure(10_000)
-	if small > 4 || large > 4 {
-		t.Fatalf("a time point allocates %v objects for 676 series and %v for 6 889; want ≤ 4 for both", small, large)
+	for _, nodes := range []int{1_000, 10_000} {
+		still, grows := measure(nodes)
+		t.Logf("%d nodes: a time point allocates %v objects, one that grows every series %v", nodes, still, grows)
+		if still > 4 || grows > 5 {
+			t.Fatalf("%d nodes: a time point allocates %v objects and one that grows every series %v; want ≤ 4 and ≤ 5", nodes, still, grows)
+		}
 	}
 }
 

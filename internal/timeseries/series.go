@@ -32,9 +32,6 @@ func (s *Series) Clone() *Series {
 	return &Series{Values: v, Period: s.Period}
 }
 
-// Append adds a new observation at the end of the series.
-func (s *Series) Append(x float64) { s.Values = append(s.Values, x) }
-
 // Slice returns a view [from, to) of the series sharing the same period.
 func (s *Series) Slice(from, to int) *Series {
 	return &Series{Values: s.Values[from:to], Period: s.Period}

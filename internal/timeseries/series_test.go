@@ -53,12 +53,8 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestAppendAndSlice(t *testing.T) {
-	s := New([]float64{1, 2}, 2)
-	s.Append(3)
-	if s.Len() != 3 || s.Values[2] != 3 {
-		t.Fatalf("Append failed: %v", s.Values)
-	}
+func TestSlice(t *testing.T) {
+	s := New([]float64{1, 2, 3}, 2)
 	sl := s.Slice(1, 3)
 	if sl.Len() != 2 || sl.Values[0] != 2 || sl.Period != 2 {
 		t.Fatalf("Slice = %+v", sl)
