@@ -381,7 +381,7 @@ func citedTestsExist(fsys fs.FS) error {
 // Legibility budget: non-test Go lines under internal/ and cmd/, and the
 // lines of the two documents a newcomer reads first. A change that needs
 // more re-records the number here and says why in CHANGES.md.
-const goLineBudget = 19400
+const goLineBudget = 19497
 
 var docLineBudget = map[string]int{"DESIGN.md": 1518, "README.md": 561}
 

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"sync"
+
 	"cubefc/internal/coord"
 	"cubefc/internal/sibyl"
+	"cubefc/internal/wire"
 )
 
 // attachCoordTuning is the coordinator-tier counterpart of
@@ -13,9 +16,15 @@ import (
 // still fills the shards' own caches) is attached then.
 func attachCoordTuning(sib *sibyl.Engine, co *coord.Coordinator, cacheSize int) {
 	co.SetTelemetry(sib)
+	// The warm-up throws its answers away, so they all land in one buffer.
+	var mu sync.Mutex
+	var buf []byte
 	acts := []sibyl.Actuator{
-		&sibyl.Prewarm{Run: func(sql string) error {
-			_, err := co.Query(sql)
+		&sibyl.Prewarm{Run: func(sql string) (err error) {
+			mu.Lock()
+			defer mu.Unlock()
+			buf, err = co.AppendQuery(buf[:0], sql)
+			buf = wire.Scratch(buf)
 			return err
 		}},
 	}

@@ -1,7 +1,7 @@
 package coord
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -39,12 +39,14 @@ import (
 //     the next lookup of its key, never swept: a write costs a handful of
 //     counter increments, not a table scan. The plan stays.
 //
-// Beside the table sits the singleflight map: concurrent identical
+// Each entry also carries its own singleflight: concurrent identical
 // statements under the same stamp share one shard request. The miss
 // thundering herd right after each write collapses to a single request;
-// every waiter gets the leader's result. A flight records the stamp it
+// every waiter gets the leader's answer. A flight records the stamp it
 // started under and admits only same-stamp waiters — a query that arrives
 // after a newer write must not be served an answer that may predate it.
+// Waiters sleep on one condition variable over the table mutex, so neither
+// a flight nor a wait allocates.
 //
 // Stamp/fill protocol. The partition set lives in the entry, so a lookup
 // samples the stamp once the entry is in hand and serves the stored result
@@ -56,9 +58,10 @@ import (
 // have answered before or after applying the write, which is correct for
 // the flight's own callers but must not speak for the new stamp.
 //
-// Cached *f2db.Result values are shared by every hit and must be treated
-// as immutable by callers — the wire server only encodes them, and the
-// engine's own results are already shared read-only structures.
+// A result is the shard's encoded RESULT payload, relayed as it arrived
+// (fclient.QueryRaw checks it with wire.CheckResult, so it is exactly what
+// encoding the decoded answer again would give). Cached payloads are shared
+// by every hit and never written after the fill: callers copy them out.
 
 // epochs is the cache's view of the coordinator's write-epoch counters:
 // one global counter (bumped by multi-partition statements and whenever a
@@ -100,70 +103,69 @@ func (e *epochs) sample(parts []int) stamp {
 }
 
 // entry is one statement's row in the read table. plan and parts are fixed
-// at creation; st and res are guarded by readCache.mu.
+// at creation; every other field is guarded by readCache.mu.
 type entry struct {
-	plan  *f2db.Plan
-	parts []int // sorted distinct ShardFor over plan.Nodes
-	// res is the answer fetched under stamp st; nil until the first
-	// fill and again once a lookup finds st out of date.
+	plan   *f2db.Plan
+	parts  [maxStampParts]int // parts[:nparts]: distinct ShardFor over plan.Nodes
+	nparts int
+	// res is the answer fetched under stamp st; nil until the first fill
+	// and again once a lookup finds st out of date.
 	st  stamp
-	res *f2db.Result
-}
-
-// flight is one in-progress shard request that concurrent identical
-// statements under the same stamp wait on instead of issuing their own.
-type flight struct {
-	st   stamp
-	done chan struct{}
-	res  *f2db.Result
-	err  error
+	res []byte
+	// The entry's flight: flying while a shard request for it is out,
+	// started under stamp flSt. flights counts the flights ever started, and
+	// flRes/flErr hold the outcome of the latest once it has landed — what
+	// its waiters return.
+	flying  bool
+	flSt    stamp
+	flights uint64
+	flRes   []byte
+	flErr   error
 }
 
 // readCache is the coordinator's statement-keyed read fast path: the entry
-// table and the singleflight map, under one lock. It is safe for
-// concurrent use.
+// table, whose entries carry their own flights, under one lock. It is safe
+// for concurrent use.
 type readCache struct {
 	ep  *epochs
 	met *Metrics
 
-	mu      sync.Mutex
-	tab     *lru.Cache[string, *entry]
-	flights map[string]*flight
+	mu sync.Mutex
+	// landed is signalled, over mu, whenever a flight lands.
+	landed sync.Cond
+	tab    *lru.Cache[string, *entry]
 }
 
 func newReadCache(capacity int, ep *epochs, met *Metrics) *readCache {
-	return &readCache{
-		ep:      ep,
-		met:     met,
-		tab:     lru.New[string, *entry](capacity),
-		flights: make(map[string]*flight),
-	}
+	rc := &readCache{ep: ep, met: met, tab: lru.New[string, *entry](capacity)}
+	rc.landed.L = &rc.mu
+	return rc
 }
 
-// partsFor computes the sorted distinct write partitions a plan's node
-// set touches, given the partition count.
-func partsFor(plan *f2db.Plan, numParts int) []int {
-	if numParts <= 0 {
-		return nil
-	}
-	seen := make(map[int]bool, numParts)
-	var parts []int
+// newEntry builds a statement's entry: its plan and the distinct write
+// partitions the plan's nodes touch, given the partition count. A statement
+// touching more than maxStampParts partitions keeps none and is stamped
+// with the global counter alone.
+func newEntry(plan *f2db.Plan, numParts int) *entry {
+	ent := &entry{plan: plan}
 	for _, n := range plan.Nodes {
-		p := ShardFor(n, numParts)
-		if !seen[p] {
-			seen[p] = true
-			parts = append(parts, p)
+		if p := ShardFor(n, numParts); numParts > 0 && !slices.Contains(ent.parts[:ent.nparts], p) {
+			if ent.nparts == maxStampParts {
+				ent.nparts = 0
+				break
+			}
+			ent.parts[ent.nparts] = p
+			ent.nparts++
 		}
 	}
-	sort.Ints(parts)
-	return parts
+	return ent
 }
 
 // freshLocked samples the entry's stamp and returns it with the entry's
 // result if that is still current, clearing a result a relevant write has
 // overtaken. Callers hold rc.mu.
-func (rc *readCache) freshLocked(ent *entry) (stamp, *f2db.Result) {
-	st := rc.ep.sample(ent.parts)
+func (rc *readCache) freshLocked(ent *entry) (stamp, []byte) {
+	st := rc.ep.sample(ent.parts[:ent.nparts])
 	if ent.res != nil && ent.st != st {
 		ent.res = nil
 		rc.met.CacheInvalidations.Add(1)
@@ -173,11 +175,11 @@ func (rc *readCache) freshLocked(ent *entry) (stamp, *f2db.Result) {
 
 // lookup is the hot path: one lock, one table lookup. It returns the
 // statement's entry — planned and inserted on first sight — and the cached
-// result when that is current (a hit; nil otherwise, and the caller goes
+// payload when that is current (a hit; nil otherwise, and the caller goes
 // to fill). Planning errors are returned uncached — they are not on the hot
 // path, and the rejection text must keep matching the planner's (and thus
 // the engine's) byte-for-byte.
-func (rc *readCache) lookup(key, sql string, p *f2db.Planner) (*entry, *f2db.Result, error) {
+func (rc *readCache) lookup(key, sql string, p *f2db.Planner) (*entry, []byte, error) {
 	rc.mu.Lock()
 	if ent, ok := rc.tab.Get(key); ok {
 		_, res := rc.freshLocked(ent)
@@ -193,7 +195,7 @@ func (rc *readCache) lookup(key, sql string, p *f2db.Planner) (*entry, *f2db.Res
 	if err != nil {
 		return nil, nil, err
 	}
-	ent := &entry{plan: plan, parts: partsFor(plan, len(rc.ep.parts))}
+	ent := newEntry(plan, len(rc.ep.parts))
 	rc.mu.Lock()
 	if cur, ok := rc.tab.Get(key); ok {
 		ent = cur // raced with another planner; every caller of the key shares one entry
@@ -205,53 +207,62 @@ func (rc *readCache) lookup(key, sql string, p *f2db.Planner) (*entry, *f2db.Res
 }
 
 // fill is the miss path for an entry lookup returned without a result: it
-// serves a result another flight stored meanwhile, joins an in-progress
-// same-stamp request when one exists, and otherwise runs fetch (the real
-// shard request) as the flight leader, publishing the answer to its waiters and —
-// if no relevant write intervened — to the entry.
-func (rc *readCache) fill(key string, ent *entry, fetch func() (*f2db.Result, error)) (*f2db.Result, error) {
+// serves a result another flight stored meanwhile, joins the entry's
+// in-progress same-stamp flight when there is one, and otherwise runs fetch
+// (the real shard request) as the flight's leader, handing the answer to
+// its waiters and — if no relevant write intervened — to the entry. fetch
+// returns a payload nobody else holds; from here on it is shared and
+// read-only.
+func (rc *readCache) fill(key string, ent *entry, fetch func() ([]byte, error)) ([]byte, error) {
+	rc.mu.Lock()
+	var st stamp
 	for {
-		rc.mu.Lock()
-		st, res := rc.freshLocked(ent)
-		if res != nil {
+		var res []byte
+		if st, res = rc.freshLocked(ent); res != nil {
 			rc.mu.Unlock()
 			rc.met.CacheHits.Add(1)
 			return res, nil
 		}
-		if f, ok := rc.flights[key]; ok {
+		if !ent.flying {
+			break
+		}
+		// Join a same-stamp flight. A flight from an older stamp may answer
+		// from before writes this query must observe: wait it out and look
+		// again rather than racing a second flight on the entry.
+		n, join := ent.flights, ent.flSt == st
+		if join {
+			rc.met.CacheCoalesced.Add(1)
+		}
+		for ent.flying && ent.flights == n {
+			rc.landed.Wait()
+		}
+		if join && ent.flights == n {
+			res, err := ent.flRes, ent.flErr
 			rc.mu.Unlock()
-			if f.st == st {
-				rc.met.CacheCoalesced.Add(1)
-				<-f.done
-				return f.res, f.err
-			}
-			// A request from an older stamp is still in flight; its answer
-			// may predate writes this query must observe. Wait it out and
-			// retry rather than racing a second flight under the same key.
-			<-f.done
-			continue
+			return res, err
 		}
-		f := &flight{st: st, done: make(chan struct{})}
-		rc.flights[key] = f
-		rc.mu.Unlock()
-		rc.met.CacheMisses.Add(1)
-
-		f.res, f.err = fetch()
-
-		rc.mu.Lock()
-		delete(rc.flights, key)
-		if f.err == nil && rc.ep.sample(ent.parts) == st {
-			ent.st, ent.res = st, f.res
-			// Re-seat the entry: it may have been evicted during the
-			// request, and a fill counts as a use.
-			if rc.tab.Put(key, ent) {
-				rc.met.CacheEvictions.Add(1)
-			}
-		}
-		rc.mu.Unlock()
-		close(f.done)
-		return f.res, f.err
+		// A later flight overtook ours before this waiter woke: look again.
 	}
+	ent.flying, ent.flSt = true, st
+	ent.flights++
+	rc.mu.Unlock()
+	rc.met.CacheMisses.Add(1)
+
+	res, err := fetch()
+
+	rc.mu.Lock()
+	ent.flying, ent.flRes, ent.flErr = false, res, err
+	if err == nil && rc.ep.sample(ent.parts[:ent.nparts]) == st {
+		ent.st, ent.res = st, res
+		// Re-seat the entry: it may have been evicted during the request,
+		// and a fill counts as a use.
+		if rc.tab.Put(key, ent) {
+			rc.met.CacheEvictions.Add(1)
+		}
+	}
+	rc.mu.Unlock()
+	rc.landed.Broadcast()
+	return res, err
 }
 
 // setCapacity resizes the table, evicting least-recently-used entries when

@@ -74,9 +74,11 @@ func TestNormalizeSQLSharedKeying(t *testing.T) {
 		t.Fatalf("read table holds %d entries, want 1", co.cache.len())
 	}
 
-	// A coordinator hit is one lock and one table lookup: it allocates
-	// nothing (the engine's plan-hit gate is in f2db's TestCachePlanReuse).
-	if n := testing.AllocsPerRun(200, func() { _, _ = co.Query(canon) }); n != 0 {
+	// A coordinator hit is one lock, one table lookup and one copy into the
+	// caller's buffer: it allocates nothing (the engine's plan-hit gate is
+	// in f2db's TestCachePlanReuse).
+	buf := make([]byte, 0, 4<<10)
+	if n := testing.AllocsPerRun(200, func() { buf, _ = co.AppendQuery(buf[:0], canon) }); n != 0 {
 		t.Fatalf("coordinator cached hit allocates %v times, want 0", n)
 	}
 }
@@ -145,14 +147,20 @@ const (
 	qK = "SELECT time, SUM(sales) FROM facts"
 )
 
-// ask drives the table the way Coordinator.Query does: lookup, then fill
-// on a miss.
-func ask(rc *readCache, p *f2db.Planner, q string, fetch func() (*f2db.Result, error)) (*f2db.Result, error) {
+// ask drives the table the way Coordinator.AppendQuery does: lookup, then
+// fill on a miss.
+func ask(rc *readCache, p *f2db.Planner, q string, fetch func() ([]byte, error)) ([]byte, error) {
 	ent, res, err := rc.lookup(q, q, p)
 	if err != nil || res != nil {
 		return res, err
 	}
 	return rc.fill(q, ent, fetch)
+}
+
+// same reports whether two payloads are one slice — the table hands out
+// the bytes it holds, never a copy.
+func same(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // TestReadCacheResultLRU pins the result-cache state machine in isolation:
@@ -164,19 +172,19 @@ func TestReadCacheResultLRU(t *testing.T) {
 	var epoch atomic.Uint64
 	m := newMetrics(nil)
 	rc := newReadCache(2, &epochs{global: &epoch}, m)
-	fetch := func(r *f2db.Result) func() (*f2db.Result, error) {
-		return func() (*f2db.Result, error) { return r, nil }
+	fetch := func(r []byte) func() ([]byte, error) {
+		return func() ([]byte, error) { return r, nil }
 	}
-	forbidden := func() (*f2db.Result, error) {
+	forbidden := func() ([]byte, error) {
 		t.Fatal("fetch ran on what must be a cache hit")
 		return nil, nil
 	}
-	ra := &f2db.Result{Plan: "a"}
+	ra := []byte("a")
 
-	if got, _ := ask(rc, p, qA, fetch(ra)); got != ra {
+	if got, _ := ask(rc, p, qA, fetch(ra)); !same(got, ra) {
 		t.Fatal("miss did not return the fetched result")
 	}
-	if got, _ := ask(rc, p, qA, forbidden); got != ra {
+	if got, _ := ask(rc, p, qA, forbidden); !same(got, ra) {
 		t.Fatal("hit did not return the cached result")
 	}
 	if m.CacheMisses.Load() != 1 || m.CacheHits.Load() != 1 {
@@ -186,35 +194,35 @@ func TestReadCacheResultLRU(t *testing.T) {
 	// A write bumps the epoch: the entry is stale, dropped lazily, and the
 	// key refetches.
 	epoch.Add(1)
-	ra2 := &f2db.Result{Plan: "a2"}
-	if got, _ := ask(rc, p, qA, fetch(ra2)); got != ra2 {
+	ra2 := []byte("a2")
+	if got, _ := ask(rc, p, qA, fetch(ra2)); !same(got, ra2) {
 		t.Fatal("stale entry served after epoch bump")
 	}
 	if m.CacheInvalidations.Load() != 1 {
 		t.Fatalf("invalidations = %d, want 1", m.CacheInvalidations.Load())
 	}
-	if got, _ := ask(rc, p, qA, forbidden); got != ra2 {
+	if got, _ := ask(rc, p, qA, forbidden); !same(got, ra2) {
 		t.Fatal("refilled entry not served at the new epoch")
 	}
 
 	// Errors pass through uncached.
 	boom := errors.New("boom")
-	if _, err := ask(rc, p, qE, func() (*f2db.Result, error) { return nil, boom }); err != boom {
+	if _, err := ask(rc, p, qE, func() ([]byte, error) { return nil, boom }); err != boom {
 		t.Fatalf("fetch error not returned: %v", err)
 	}
-	if got, _ := ask(rc, p, qE, fetch(ra)); got != ra {
+	if got, _ := ask(rc, p, qE, fetch(ra)); !same(got, ra) {
 		t.Fatal("error was cached; refetch did not run")
 	}
 
 	// Capacity 2 with {a, e} resident: filling a third key evicts the LRU
 	// tail (a — e was used more recently).
-	if _, err := ask(rc, p, qC, fetch(&f2db.Result{Plan: "c"})); err != nil {
+	if _, err := ask(rc, p, qC, fetch([]byte("c"))); err != nil {
 		t.Fatal(err)
 	}
 	if m.CacheEvictions.Load() != 1 {
 		t.Fatalf("evictions = %d, want 1", m.CacheEvictions.Load())
 	}
-	if got, _ := ask(rc, p, qA, fetch(ra)); got != ra {
+	if got, _ := ask(rc, p, qA, fetch(ra)); !same(got, ra) {
 		t.Fatal("evicted key did not refetch")
 	}
 	if rc.len() != 2 {
@@ -262,11 +270,11 @@ func TestReadCacheRouteMemo(t *testing.T) {
 	}
 
 	// Fill the entry, then let a write land (an Exec's epoch bump).
-	res := &f2db.Result{Plan: "r"}
-	if got, _ := rc.fill(key, e1, func() (*f2db.Result, error) { return res, nil }); got != res {
+	res := []byte("r")
+	if got, _ := rc.fill(key, e1, func() ([]byte, error) { return res, nil }); !same(got, res) {
 		t.Fatal("fill did not return the fetched result")
 	}
-	if _, got, _ := rc.lookup(key, sql, p); got != res {
+	if _, got, _ := rc.lookup(key, sql, p); !same(got, res) {
 		t.Fatal("filled entry not served")
 	}
 	epoch.Add(1)
@@ -292,13 +300,13 @@ func TestReadCacheCoalesce(t *testing.T) {
 	var epoch atomic.Uint64
 	m := newMetrics(nil)
 	rc := newReadCache(4, &epochs{global: &epoch}, m)
-	res := &f2db.Result{Plan: "x"}
+	res := []byte("x")
 	release := make(chan struct{})
 	var fetches atomic.Int64
 
-	leaderGot := make(chan *f2db.Result, 1)
+	leaderGot := make(chan []byte, 1)
 	go func() {
-		r, _ := ask(rc, p, qK, func() (*f2db.Result, error) {
+		r, _ := ask(rc, p, qK, func() ([]byte, error) {
 			fetches.Add(1)
 			<-release
 			return res, nil
@@ -308,20 +316,20 @@ func TestReadCacheCoalesce(t *testing.T) {
 	waitFor(t, "flight registered", func() bool {
 		rc.mu.Lock()
 		defer rc.mu.Unlock()
-		_, ok := rc.flights[qK]
-		return ok
+		ent, ok := rc.tab.Get(qK)
+		return ok && ent.flying
 	})
 
 	const waiters = 8
 	var wg sync.WaitGroup
-	got := make([]*f2db.Result, waiters)
+	got := make([][]byte, waiters)
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			// A nil-safe fetch that must never run: the waiters join the
 			// leader's flight instead.
-			got[i], _ = ask(rc, p, qK, func() (*f2db.Result, error) {
+			got[i], _ = ask(rc, p, qK, func() ([]byte, error) {
 				t.Error("waiter fetched instead of coalescing")
 				return nil, nil
 			})
@@ -330,11 +338,11 @@ func TestReadCacheCoalesce(t *testing.T) {
 	waitFor(t, "waiters coalesced", func() bool { return m.CacheCoalesced.Load() == waiters })
 	close(release)
 	wg.Wait()
-	if r := <-leaderGot; r != res {
+	if r := <-leaderGot; !same(r, res) {
 		t.Fatal("leader returned wrong result")
 	}
 	for i := range got {
-		if got[i] != res {
+		if !same(got[i], res) {
 			t.Fatalf("waiter %d got a different result", i)
 		}
 	}
@@ -353,12 +361,12 @@ func TestReadCacheStaleFlightRetry(t *testing.T) {
 	var epoch atomic.Uint64
 	m := newMetrics(nil)
 	rc := newReadCache(4, &epochs{global: &epoch}, m)
-	old := &f2db.Result{Plan: "old"}
-	fresh := &f2db.Result{Plan: "new"}
+	old := []byte("old")
+	fresh := []byte("new")
 	release := make(chan struct{})
 
 	go func() {
-		_, _ = ask(rc, p, qK, func() (*f2db.Result, error) {
+		_, _ = ask(rc, p, qK, func() ([]byte, error) {
 			<-release
 			return old, nil
 		})
@@ -366,19 +374,19 @@ func TestReadCacheStaleFlightRetry(t *testing.T) {
 	waitFor(t, "flight registered", func() bool {
 		rc.mu.Lock()
 		defer rc.mu.Unlock()
-		_, ok := rc.flights[qK]
-		return ok
+		ent, ok := rc.tab.Get(qK)
+		return ok && ent.flying
 	})
 	epoch.Add(1) // a write lands mid-flight
 
-	done := make(chan *f2db.Result, 1)
+	done := make(chan []byte, 1)
 	go func() {
-		r, _ := ask(rc, p, qK, func() (*f2db.Result, error) { return fresh, nil })
+		r, _ := ask(rc, p, qK, func() ([]byte, error) { return fresh, nil })
 		done <- r
 	}()
 	time.Sleep(20 * time.Millisecond) // let the new-epoch caller park on the stale flight
 	close(release)
-	if r := <-done; r != fresh {
+	if r := <-done; !same(r, fresh) {
 		t.Fatal("new-epoch caller was served the stale flight's answer")
 	}
 	if m.CacheCoalesced.Load() != 0 {
@@ -386,11 +394,11 @@ func TestReadCacheStaleFlightRetry(t *testing.T) {
 	}
 	// The leader must not have filled (epoch moved); the retry did, at the
 	// new epoch.
-	got, _ := ask(rc, p, qK, func() (*f2db.Result, error) {
+	got, _ := ask(rc, p, qK, func() ([]byte, error) {
 		t.Fatal("refetch ran; the retry's fill is missing")
 		return nil, nil
 	})
-	if got != fresh {
+	if !same(got, fresh) {
 		t.Fatal("cache holds the stale answer")
 	}
 }

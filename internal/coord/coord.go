@@ -32,11 +32,14 @@
 // trimmed past a retention window (Options.LogRetain), and a restart
 // whose applied count falls behind the trim horizon is fenced dead.
 //
-// Reads have a statement-keyed fast path (cache.go): one table holding
-// each statement's plan and its merged result, the result invalidated by
-// the write epoch, plus singleflight coalescing of identical concurrent
-// misses — hot statements skip planning and the shard hop entirely
-// (Options.CacheSize, f2dbd -coord-cache-size).
+// A read crosses the coordinator as the shard's bytes: the owning shard's
+// encoded RESULT payload is checked (wire.CheckResult), relayed and cached
+// as it arrived, never decoded (AppendQuery). Reads have a statement-keyed
+// fast path (cache.go): one table holding each statement's plan and that
+// payload, the payload invalidated by the write epoch, and in each entry a
+// singleflight coalescing identical concurrent misses — hot statements skip
+// planning and the shard hop entirely (Options.CacheSize, f2dbd
+// -coord-cache-size).
 package coord
 
 import (
@@ -49,6 +52,7 @@ import (
 
 	"cubefc/internal/f2db"
 	"cubefc/internal/fclient"
+	"cubefc/internal/wire"
 )
 
 // ErrClosed is returned by requests on a closed coordinator.
@@ -88,7 +92,7 @@ type Options struct {
 	RecoverBackoff time.Duration
 	// CacheSize enables the read fast path (cache.go): an LRU of this many
 	// statements keyed by normalized statement text, each entry holding
-	// the statement's plan and its fully merged result, the result
+	// the statement's plan and the shard's encoded answer, the answer
 	// invalidated by write epoch, with singleflight coalescing. 0 disables
 	// caching entirely — every query pays planning and the shard hop.
 	CacheSize int
@@ -242,7 +246,7 @@ func New(planner *f2db.Planner, addrs []string, opts Options) (*Coordinator, err
 			// Dial failed cleanly (the fclient pool is closed); build an
 			// undialed client for the worker's recovery loop to probe.
 			c.logf("shard %d (%s): unreachable at start: %v", i, addr, err)
-			cl = mustClient(addr, opts.Client)
+			cl = fclient.NewClient(addr, opts.Client)
 			s.down = true
 		} else if info, err := cl.Info(); err == nil {
 			s.nonce = info.Nonce
@@ -265,12 +269,6 @@ func New(planner *f2db.Planner, addrs []string, opts Options) (*Coordinator, err
 		go c.runShard(s)
 	}
 	return c, nil
-}
-
-// mustClient builds a client without Dial's verification ping. It uses
-// NewClient, fclient's constructor for lazily-connecting clients.
-func mustClient(addr string, opts fclient.Options) *fclient.Client {
-	return fclient.NewClient(addr, opts)
 }
 
 // Close stops the workers and closes every shard client. Pending log
@@ -620,48 +618,62 @@ func (c *Coordinator) realignLocked(inserts uint64) (int, bool) {
 
 // --- read path -----------------------------------------------------------
 
-// Query routes a SELECT verbatim to the owner of the first node it
-// describes; that replica's executor answers the whole statement — every
-// group of a drill-down under one engine lock, so from one time point.
-// Rejections carry the exact engine error a single process would produce.
+// AppendQuery routes a SELECT verbatim to the owner of the first node it
+// describes and appends that replica's encoded RESULT payload to dst. The
+// replica's executor answers the whole statement — every group of a
+// drill-down under one engine lock, so from one time point — and the
+// coordinator passes its bytes on unchanged: a front server writes them
+// straight into its response frame. Rejections carry the exact engine error
+// a single process would produce.
 //
 // With Options.CacheSize set, hot statements never touch the shards: one
 // lookup in the read table (cache.go) yields the plan and, while no
-// relevant write intervened, the result; concurrent identical misses are
+// relevant write intervened, the payload; concurrent identical misses are
 // coalesced into one shard request. The uncached path below is kept as
 // the reference the twin tests compare the table against.
-func (c *Coordinator) Query(sql string) (*f2db.Result, error) {
+func (c *Coordinator) AppendQuery(dst []byte, sql string) ([]byte, error) {
 	if c.cache == nil {
 		plan, err := c.planner.RouteQuery(sql)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		c.met.Queries.Add(1)
 		if t := c.tele.Load(); t != nil {
 			t.t.ObserveTemplate(f2db.NormalizeSQL(sql))
 		}
-		return c.runPlan(plan, sql)
+		res, err := c.runPlan(plan, sql)
+		return append(dst, res...), err
 	}
 	key := f2db.NormalizeSQL(sql)
 	ent, res, err := c.cache.lookup(key, sql, c.planner)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	c.met.Queries.Add(1)
 	if t := c.tele.Load(); t != nil {
 		t.t.ObserveTemplate(key)
 	}
-	if res != nil {
-		return res, nil
+	if res == nil {
+		res, err = c.cache.fill(key, ent, func() ([]byte, error) {
+			return c.runPlan(ent.plan, sql)
+		})
 	}
-	return c.cache.fill(key, ent, func() (*f2db.Result, error) {
-		return c.runPlan(ent.plan, sql)
-	})
+	return append(dst, res...), err
+}
+
+// Query is AppendQuery decoded, for in-process callers: it satisfies
+// server.Backend, but a front server uses AppendQuery and never decodes.
+func (c *Coordinator) Query(sql string) (*f2db.Result, error) {
+	res, err := c.AppendQuery(nil, sql)
+	if err != nil {
+		return nil, err
+	}
+	return wire.DecodeResult(res)
 }
 
 // runPlan sends a routed statement to its shard: the uncached path, and
 // the fetch function behind every table miss.
-func (c *Coordinator) runPlan(plan *f2db.Plan, sql string) (*f2db.Result, error) {
+func (c *Coordinator) runPlan(plan *f2db.Plan, sql string) ([]byte, error) {
 	// An EXPLAIN of a drill-down returns no groups and is not counted as one.
 	drill := len(plan.Nodes) > 1 && !plan.Explain
 	if drill {
@@ -678,7 +690,7 @@ func (c *Coordinator) runPlan(plan *f2db.Plan, sql string) (*f2db.Result, error)
 // waits (bounded by QueryWait) for one to catch up, which bridges the
 // moment when all replicas are mid-apply. drill marks a drill-down
 // statement, whose shard requests (failover retries included) are counted.
-func (c *Coordinator) queryNode(node int, sql string, drill bool) (*f2db.Result, error) {
+func (c *Coordinator) queryNode(node int, sql string, drill bool) ([]byte, error) {
 	owner := ShardFor(node, len(c.shards))
 	deadline := time.Now().Add(c.opts.QueryWait)
 	for {
@@ -695,7 +707,7 @@ func (c *Coordinator) queryNode(node int, sql string, drill bool) (*f2db.Result,
 			tried = true
 			sm := &c.met.Shards[s.idx]
 			start := time.Now()
-			res, err := s.client.Query(sql)
+			res, err := s.client.QueryRaw(sql)
 			sm.Requests.Add(1)
 			sm.Latency.Observe(time.Since(start).Nanoseconds())
 			if drill {

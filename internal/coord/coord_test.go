@@ -3,6 +3,7 @@ package coord
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -738,5 +739,92 @@ func TestCoordinatorExplainParity(t *testing.T) {
 	}
 	if got := co.Metrics().Failovers.Load(); got != 0 {
 		t.Fatalf("EXPLAIN caused %d failovers", got)
+	}
+}
+
+// garbledBackend serves an engine, but while garble is set it answers every
+// query with its RESULT payload cut three bytes short: frames arrive whole,
+// the answers inside them do not decode.
+type garbledBackend struct {
+	db     *f2db.DB
+	garble atomic.Bool
+}
+
+func (b *garbledBackend) Query(sql string) (*f2db.Result, error) { return b.db.Query(sql) }
+func (b *garbledBackend) Exec(sql string) error                  { return b.db.Exec(sql) }
+func (b *garbledBackend) StatsText() string                      { return "" }
+func (b *garbledBackend) Counts() (uint64, uint64) {
+	st := b.db.Stats()
+	return uint64(st.Inserts), uint64(st.Batches)
+}
+
+func (b *garbledBackend) AppendQuery(dst []byte, sql string) ([]byte, error) {
+	res, err := b.db.Query(sql)
+	if err != nil {
+		return dst, err
+	}
+	out := wire.AppendResult(dst, res)
+	if b.garble.Load() {
+		out = out[:len(out)-3]
+	}
+	return out, nil
+}
+
+// TestShardAnswersGarbage: a shard whose RESULT frame carries a truncated
+// payload gets a non-retryable error back to the caller at once — no
+// failover, no shard marked down, nothing cached — and once the shard
+// answers properly the same statement gets the real answer.
+func TestShardAnswersGarbage(t *testing.T) {
+	g, data := buildCube(t)
+	b := &garbledBackend{db: loadEngine(t, data, 4)}
+	b.garble.Store(true)
+	srv := server.NewBackend(b, server.Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	defer (&testShard{srv: srv, done: done}).stop(t)
+	opts := testCoordOpts(t)
+	opts.CacheSize = 16
+	co, err := New(f2db.NewPlanner(g, 0), []string{ln.Addr().String()}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+
+	q := querySQLFor(g, g.BaseIDs[0])
+	start := time.Now()
+	if _, err := co.AppendQuery(nil, q); err == nil || fclient.IsRetryable(err) || !errors.Is(err, fclient.ErrMalformed) {
+		t.Fatalf("garbled answer: err = %v, want a non-retryable fclient.ErrMalformed", err)
+	}
+	if d := time.Since(start); d > opts.QueryWait/2 {
+		t.Fatalf("garbled answer took %v: the coordinator retried it", d)
+	}
+	m := co.Metrics()
+	if m.ShardsDown.Load() != 0 || m.Failovers.Load() != 0 || m.Shards[0].Requests.Load() != 1 {
+		t.Fatalf("down=%d failovers=%d requests=%d, want 0, 0 and 1",
+			m.ShardsDown.Load(), m.Failovers.Load(), m.Shards[0].Requests.Load())
+	}
+	co.cache.mu.Lock()
+	ent, ok := co.cache.tab.Get(f2db.NormalizeSQL(q))
+	if !ok || ent.res != nil || ent.flying {
+		t.Fatalf("entry after a garbled answer: present %v, holds a result or a flight", ok)
+	}
+	co.cache.mu.Unlock()
+
+	b.garble.Store(false)
+	got, err := co.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := b.db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "after the shard was fixed", got, want)
+	if m.CacheMisses.Load() != 2 {
+		t.Fatalf("misses = %d, want 2: the garbled answer was cached", m.CacheMisses.Load())
 	}
 }

@@ -273,9 +273,6 @@ func (a *Advisor) removeModel(id int) {
 // Alpha returns the current acceptance parameter α.
 func (a *Advisor) Alpha() float64 { return a.alpha }
 
-// Gamma returns the current preselection parameter γ.
-func (a *Advisor) Gamma() float64 { return a.gamma }
-
 // IndicatorSize returns the derived |I| (targets per local indicator).
 func (a *Advisor) IndicatorSize() int { return a.indK }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 )
@@ -70,13 +69,4 @@ func (a *Advisor) Metrics() AdvisorMetrics {
 		EvalTime:      time.Duration(a.met.evalNanos.Load()),
 		ControlTime:   time.Duration(a.met.controlNanos.Load()),
 	}
-}
-
-// String renders the metrics in a compact single-glance form.
-func (m AdvisorMetrics) String() string {
-	return fmt.Sprintf(
-		"iterations=%d candidates=%d built=%d accepted=%d rejected=%d deleted=%d probes=%d/%d\n"+
-			"selection-time=%v eval-time=%v control-time=%v\n",
-		m.Iterations, m.Candidates, m.ModelsBuilt, m.Accepted, m.Rejected, m.Deleted,
-		m.ProbesApplied, m.ProbesPlanned, m.SelectionTime, m.EvalTime, m.ControlTime)
 }

@@ -5,10 +5,7 @@
 // graph containing every aggregation possibility of the data instance.
 package cube
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Dimension describes one categorical dimension together with its
 // functional-dependency hierarchy. Levels are ordered finest first, e.g.
@@ -120,29 +117,4 @@ func (c Coord) AppendKey(dst []byte, dims []Dimension) []byte {
 		}
 	}
 	return dst
-}
-
-// ParseKey parses a key produced by Coord.Key back into a coordinate.
-func ParseKey(key string, dims []Dimension) (Coord, error) {
-	parts := strings.Split(key, "|")
-	if len(parts) != len(dims) {
-		return nil, fmt.Errorf("cube: key %q has %d parts, want %d", key, len(parts), len(dims))
-	}
-	coord := make(Coord, len(dims))
-	for i, p := range parts {
-		if p == "*" {
-			coord[i] = Cell{Level: dims[i].AllLevel()}
-			continue
-		}
-		eq := strings.IndexByte(p, '=')
-		if eq < 0 {
-			return nil, fmt.Errorf("cube: malformed key part %q", p)
-		}
-		lvl := dims[i].LevelIndex(p[:eq])
-		if lvl < 0 || lvl >= dims[i].AllLevel() {
-			return nil, fmt.Errorf("cube: unknown level %q in dimension %q", p[:eq], dims[i].Name)
-		}
-		coord[i] = Cell{Level: lvl, Value: p[eq+1:]}
-	}
-	return coord, nil
 }

@@ -213,9 +213,17 @@ func (g *Graph) Latest(id int) float64 {
 // HistorySum returns Node(id).Series.Sum(), bit for bit, without
 // materializing the node. It is safe for concurrent use.
 func (g *Graph) HistorySum(id int) float64 {
+	return (&timeseries.Series{Values: g.History(id)}).Sum()
+}
+
+// History returns Node(id).Series.Values, bit for bit, without
+// materializing the node: a resident node's own values, which the caller
+// must not write, or a fresh sum of its base series. Like Latest it must
+// not be read during an Advance.
+func (g *Graph) History(id int) []float64 {
 	g.matMu.Lock()
 	defer g.matMu.Unlock()
-	return (&timeseries.Series{Values: g.historyLocked(id, g.Length)}).Sum()
+	return g.historyLocked(id, g.Length)
 }
 
 // historyLocked returns a resident node's series, or else a fresh slice of
@@ -794,20 +802,6 @@ func (g *Graph) Covers(t, s int) bool {
 		}
 	}
 	return true
-}
-
-// Neighbors returns the undirected adjacency of a node: all one-step
-// roll-ups (parents) and one-step drill-downs (children across every
-// aggregated dimension), read from the skeleton — neighbor discovery must
-// not force series aggregation.
-func (g *Graph) Neighbors(id int) []int {
-	var out []int
-	for _, p := range g.ParentsOf(id) {
-		if p >= 0 {
-			out = append(out, p)
-		}
-	}
-	return append(out, g.childrenOf(id)...)
 }
 
 // ParentsOf returns the node's per-dimension parent IDs (-1 at ALL), read

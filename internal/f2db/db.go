@@ -248,8 +248,30 @@ const (
 )
 
 // Open creates an engine over the graph and loads the model configuration
-// produced by the advisor (or one of the baselines).
+// produced by the advisor (or one of the baselines). Those models were fitted
+// on values[:cfg.TrainLen], so Open catches each one up, in place, by
+// Update-ing it over the rest of its series: forecasts start after the
+// newest value. Maintenance statistics start at zero all the same. An open
+// engine's models are current: reopen them with LoadDatabase, which does not
+// catch up again.
 func Open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
+	if cfg.TrainLen > g.Length {
+		return nil, fmt.Errorf("f2db: configuration trained on %d points, the graph holds %d", cfg.TrainLen, g.Length)
+	}
+	db, err := open(g, cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	for id, m := range cfg.Models {
+		for _, v := range g.History(id)[cfg.TrainLen:] {
+			m.Update(v)
+		}
+	}
+	return db, nil
+}
+
+// open is Open without the catch-up, for models that are already current.
+func open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 	if cfg.Graph != g {
 		return nil, fmt.Errorf("f2db: configuration belongs to a different graph")
 	}
@@ -280,19 +302,23 @@ func Open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 	for id := range cfg.Models {
 		db.mstats[id] = &ModelStats{}
 	}
-	// Initialize incremental weight states from the full history, once a node.
-	sums := make(map[int]float64)
-	historySum := func(id int) float64 {
-		if _, ok := sums[id]; !ok {
-			sums[id] = g.HistorySum(id)
-		}
-		return sums[id]
-	}
+	// Initialize incremental weight states from the full history, summed
+	// time point by time point in the order advanceBatch adds each new one,
+	// so an engine opened on a longer history holds bit for bit the sums of
+	// one advanced to it. Sources carry models, so their histories are few.
+	hist := make(map[int][]float64)
 	for id, sc := range cfg.Schemes {
 		st := &db.schemes[id]
-		st.hTarget, st.tracked = historySum(id), true
+		st.hTarget, st.tracked = g.HistorySum(id), true
 		for _, s := range sc.Sources {
-			st.hSources += historySum(s)
+			if hist[s] == nil {
+				hist[s] = g.History(s)
+			}
+		}
+		for t := 0; t < g.Length; t++ {
+			for _, s := range sc.Sources {
+				st.hSources += hist[s][t]
+			}
 		}
 	}
 	// Per-node base-series counts (AVG scaling), precomputed so the read

@@ -22,6 +22,29 @@ import (
 // seed images from the same engine.
 func testEngine(t testing.TB, strategy InvalidationStrategy) (*DB, *cube.Graph, *core.Configuration) {
 	t.Helper()
+	g, cfg := testConfig(t, 36)
+	db, err := Open(g, cfg, Options{Strategy: strategy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, g, cfg
+}
+
+// testConfig builds testEngine's cube cut to its first length points (at
+// most 36) and runs the advisor on it.
+func testConfig(t testing.TB, length int) (*cube.Graph, *core.Configuration) {
+	t.Helper()
+	g := testCube(t, length)
+	cfg, err := core.Run(g, core.Options{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, cfg
+}
+
+// testCube builds testEngine's cube cut to its first length points.
+func testCube(t testing.TB, length int) *cube.Graph {
+	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	loc, err := cube.NewHierarchy("location", []string{"city", "region"},
 		[]map[string]string{{"C1": "R1", "C2": "R1", "C3": "R2", "C4": "R2"}})
@@ -38,22 +61,14 @@ func testEngine(t testing.TB, strategy InvalidationStrategy) (*DB, *cube.Graph, 
 				season := 1 + 0.25*math.Sin(2*math.Pi*float64(i%4)/4)
 				vals[i] = level * season * (1 + 0.05*rng.NormFloat64())
 			}
-			base = append(base, cube.BaseSeries{Members: []string{p, c}, Series: timeseries.New(vals, 4)})
+			base = append(base, cube.BaseSeries{Members: []string{p, c}, Series: timeseries.New(vals[:length], 4)})
 		}
 	}
 	g, err := cube.NewGraph(dims, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := core.Run(g, core.Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := Open(g, cfg, Options{Strategy: strategy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db, g, cfg
+	return g
 }
 
 func TestOpenValidation(t *testing.T) {
@@ -65,20 +80,31 @@ func TestOpenValidation(t *testing.T) {
 		t.Fatal("foreign configuration should be rejected")
 	}
 	_ = other
+	// A configuration trained on more points than the graph holds cannot
+	// be caught up to it: an error, not a panic.
+	if _, err := Open(g, core.NewConfiguration(g, g.Length+1), Options{}); err == nil {
+		t.Fatal("configuration trained past the graph's end should be rejected")
+	}
 }
 
 func TestForecastNodeUsesFullHistoryWeight(t *testing.T) {
 	// The engine refreshes derivation weights over the full available
 	// history (the advisor's stored weights only saw the training part),
-	// so the engine forecast equals the scheme applied with the
-	// full-history weight.
-	db, g, cfg := testEngine(t, nil)
+	// and forecasts from models caught up over the test window, so the
+	// engine forecast equals the scheme applied with the full-history
+	// weight to the advisor's models Update-d over values[TrainLen:].
+	g, cfg := testConfig(t, 36)
+	caught := caughtUpClones(t, g, cfg)
+	db, err := Open(g, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, id := range []int{g.TopID, g.BaseIDs[0]} {
 		sc := cfg.Schemes[id]
 		fcs := make([][]float64, len(sc.Sources))
 		for i, s := range sc.Sources {
 			fcs[i] = make([]float64, 3)
-			cfg.Models[s].Forecast(fcs[i])
+			caught[s].Forecast(fcs[i])
 		}
 		live := sc
 		if sc.Kind != derivation.Direct {
@@ -99,6 +125,120 @@ func TestForecastNodeUsesFullHistoryWeight(t *testing.T) {
 		for i := range want {
 			if math.Abs(want[i]-got[i]) > 1e-9 {
 				t.Fatalf("node %d: engine forecast %v != expected %v", id, got, want)
+			}
+		}
+	}
+}
+
+// caughtUpClones clones the configuration's models and Updates each clone
+// over its node's values past cfg.TrainLen: what Open must make of them.
+func caughtUpClones(t *testing.T, g *cube.Graph, cfg *core.Configuration) map[int]forecast.Model {
+	t.Helper()
+	out := make(map[int]forecast.Model, len(cfg.Models))
+	for id, m := range cfg.Models {
+		c, err := forecast.Clone(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range g.History(id)[cfg.TrainLen:] {
+			c.Update(v)
+		}
+		out[id] = c
+	}
+	return out
+}
+
+// TestOpenCatchesUp: Open leaves every model bit-identical (its gob image,
+// parameters and state) to a clone of the advisor's model Update-d over the
+// test window, with its maintenance statistics at zero; LoadDatabase of the
+// opened engine's snapshot catches up nothing a second time.
+func TestOpenCatchesUp(t *testing.T) {
+	g, cfg := testConfig(t, 36)
+	if cfg.TestLen() == 0 {
+		t.Fatal("the advisor left no test window to catch up")
+	}
+	caught := caughtUpClones(t, g, cfg)
+	db, err := Open(g, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := func(m forecast.Model) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&m); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for id, m := range db.cfg.Models {
+		if !bytes.Equal(image(m), image(caught[id])) {
+			t.Fatalf("node %d: the opened model is not its caught-up clone", id)
+		}
+		if *db.mstats[id] != (ModelStats{}) {
+			t.Fatalf("node %d: catching up moved the maintenance statistics: %+v", id, *db.mstats[id])
+		}
+	}
+	var snap bytes.Buffer
+	if err := SaveDatabase(&snap, db); err != nil {
+		t.Fatal(err)
+	}
+	re, err := LoadDatabase(&snap, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, m := range re.cfg.Models {
+		if !bytes.Equal(image(m), image(caught[id])) {
+			t.Fatalf("node %d: LoadDatabase caught the model up again", id)
+		}
+	}
+}
+
+// TestAdvanceEqualsReopen: the cube's first 32 points, opened and advanced
+// through points 32–35 under Never, answers every node bit for bit like the
+// whole 36-point cube opened with the same fitted models — cloned before
+// either Open. Catching up on Open and advancing are the same Updates.
+func TestAdvanceEqualsReopen(t *testing.T) {
+	short, cfg := testConfig(t, 32)
+	var img bytes.Buffer
+	if err := SaveConfiguration(&img, cfg); err != nil {
+		t.Fatal(err)
+	}
+	open := func(g *cube.Graph) *DB {
+		c, err := LoadConfiguration(bytes.NewReader(img.Bytes()), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := Open(g, c, Options{Strategy: Never{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	long := testCube(t, 36)
+	advanced, reopened := open(short), open(long)
+	for p := 32; p < 36; p++ {
+		batch := make(map[int]float64, len(long.BaseIDs))
+		for _, id := range long.BaseIDs {
+			batch[id] = long.NodeValues(id)[p]
+		}
+		if err := advanced.InsertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if short.Length != long.Length {
+		t.Fatalf("advanced cube has %d points, want %d", short.Length, long.Length)
+	}
+	for id := 0; id < long.NumNodes(); id++ {
+		a, err := advanced.ForecastNode(id, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := reopened.ForecastNode(id, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for h := range a {
+			if math.Float64bits(a[h]) != math.Float64bits(b[h]) {
+				t.Fatalf("node %s, step %d: advanced %v, reopened %v", long.KeyOf(id), h+1, a, b)
 			}
 		}
 	}

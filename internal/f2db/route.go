@@ -119,9 +119,6 @@ func (p *Planner) RouteExecNodes(sql string, visit func(base int)) (rows int, er
 // advances for cache invalidation).
 func (p *Planner) NumBaseSeries() int { return len(p.g.BaseIDs) }
 
-// NumNodes reports the graph's node count (shard-map sizing).
-func (p *Planner) NumNodes() int { return p.g.NumNodes() }
-
 // NodeKey renders a node's canonical coordinate key, for diagnostics.
 func (p *Planner) NodeKey(id int) string {
 	if id < 0 || id >= p.g.NumNodes() {

@@ -194,7 +194,8 @@ func LoadDatabase(r io.Reader, opts Options) (*DB, error) {
 	if opts.StepDuration <= 0 {
 		opts.StepDuration = img.StepDuration
 	}
-	db, err := Open(g, cfg, opts)
+	// The image's models are current at its length: no catch-up.
+	db, err := open(g, cfg, opts)
 	if err != nil {
 		return nil, err
 	}

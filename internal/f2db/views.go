@@ -18,8 +18,8 @@ import (
 type GraphView struct{ db *DB }
 
 // Graph returns a read-only view of the underlying time-series hyper
-// graph. Structural accessors (NumNodes, TopID, BaseIDs, NodeKey, IsBase,
-// Period) never block; Length and NodeValues take the engine's shared read
+// graph. Structural accessors (NumNodes, TopID, BaseIDs, NodeKey, IsBase)
+// never block; Length and NodeValues take the engine's shared read
 // lock so they are consistent with concurrent maintenance.
 func (db *DB) Graph() GraphView { return GraphView{db: db} }
 
@@ -52,9 +52,6 @@ func (v GraphView) NodeKey(id int) string {
 	}
 	return g.KeyOf(id)
 }
-
-// Period returns the seasonal period of the node series.
-func (v GraphView) Period() int { return v.db.graph.Period }
 
 // Length returns the current number of observations in every node series.
 func (v GraphView) Length() int {
@@ -120,9 +117,6 @@ func (v ConfigView) Scheme(id int) (derivation.Scheme, bool) {
 	sc.Sources = append([]int(nil), sc.Sources...)
 	return sc, true
 }
-
-// TrainLen returns the number of observations the models were trained on.
-func (v ConfigView) TrainLen() int { return v.db.cfg.TrainLen }
 
 // Explain renders the derivation plan of a node, like the SQL EXPLAIN
 // prefix.

@@ -7,9 +7,10 @@
 // I/O: each connection writes through one buffered writer and flushes only
 // when no other sender is already waiting for its turn, so a burst of
 // concurrent requests leaves in one write; its read loop reads through one
-// buffered reader into one reusable frame buffer and decodes each response
-// before reading the next, so nothing a caller receives aliases that
-// buffer. In-flight call records (signal channel, timer) are recycled on a
+// buffered reader into one reusable frame buffer and decodes (QueryRaw:
+// checks and copies) each response before reading the next, so nothing a
+// caller receives aliases that buffer. In-flight call records (signal
+// channel, timer) are recycled on a
 // per-connection free list rather than allocated per request.
 //
 // Retry policy: every request gets 1+Retries attempts, separated by
@@ -19,8 +20,9 @@
 // Exec. Once the frame may have been written, only idempotent requests
 // (Query, Ping, Stats, Info) are retried; Exec (INSERT) is not, because a
 // duplicate insert into the same batch is an engine error and the first
-// attempt may have applied. Server errors (wire.ServerError) are never
-// retried — the server answered. A statement too large for one frame
+// attempt may have applied. Server errors (wire.ServerError) and answers
+// that do not decode (ErrMalformed) are never retried — the server
+// answered. A statement too large for one frame
 // fails with wire.ErrFrameTooLarge before any connection is involved: it
 // is not a transport failure, not retryable, and counts against no one's
 // health.
@@ -117,6 +119,10 @@ var ErrClosed = errors.New("fclient: client closed")
 // probe the address again.
 var ErrUnhealthy = errors.New("fclient: address unhealthy, in cooldown")
 
+// ErrMalformed wraps an answer that arrived whole but does not decode: the
+// stream is still in step, so it is not a transport failure.
+var ErrMalformed = errors.New("fclient: malformed response")
+
 // errConnBroken marks transport-level failures eligible for reconnect.
 var errConnBroken = errors.New("fclient: connection broken")
 
@@ -196,27 +202,34 @@ func (c *Client) Close() error {
 
 // Query executes a SELECT (idempotent; retried on reconnect).
 func (c *Client) Query(sql string) (*f2db.Result, error) {
-	rp, err := c.do(wire.TQuery, sql, true, wire.TResult)
+	rp, err := c.do(wire.TQuery, sql, false, true, wire.TResult)
 	return rp.res, err
+}
+
+// QueryRaw is Query returning the RESULT payload, checked with
+// wire.CheckResult and copied but not decoded, for a tier that relays it.
+func (c *Client) QueryRaw(sql string) ([]byte, error) {
+	rp, err := c.do(wire.TQuery, sql, true, true, wire.TResult)
+	return rp.raw, err
 }
 
 // Exec executes an INSERT. Not idempotent: it is retried only on failures
 // where provably nothing was sent (failed dials), never once the frame may
 // have reached the server.
 func (c *Client) Exec(sql string) error {
-	_, err := c.do(wire.TExec, sql, false, wire.TOK)
+	_, err := c.do(wire.TExec, sql, false, false, wire.TOK)
 	return err
 }
 
 // Ping round-trips a liveness probe (idempotent; retried on reconnect).
 func (c *Client) Ping() error {
-	_, err := c.do(wire.TPing, "", true, wire.TPong)
+	_, err := c.do(wire.TPing, "", false, true, wire.TPong)
 	return err
 }
 
 // Stats fetches the server's engine-counter rendering (idempotent).
 func (c *Client) Stats() (string, error) {
-	rp, err := c.do(wire.TStats, "", true, wire.TStatsText)
+	rp, err := c.do(wire.TStats, "", false, true, wire.TStatsText)
 	return rp.text, err
 }
 
@@ -224,7 +237,7 @@ func (c *Client) Stats() (string, error) {
 // insert/batch counters (idempotent). Cluster coordinators use it to tell
 // a restarted server from a network blip.
 func (c *Client) Info() (wire.Info, error) {
-	rp, err := c.do(wire.TInfo, "", true, wire.TInfoData)
+	rp, err := c.do(wire.TInfo, "", false, true, wire.TInfoData)
 	return rp.info, err
 }
 
@@ -264,9 +277,10 @@ func (c *Client) backoff(a int) {
 // do runs one request with pooling, pipelining, backoff and retries. Every
 // request gets 1+Retries attempts; an attempt that fails after the frame
 // may have been written stops a non-idempotent request immediately (see
-// the package doc). want is the response type that answers t; anything else
-// the server sends back is an error.
-func (c *Client) do(t wire.Type, sql string, idempotent bool, want wire.Type) (reply, error) {
+// the package doc). raw asks for a RESULT as checked bytes. want is the
+// response type that answers t; anything else the server sends back is an
+// error.
+func (c *Client) do(t wire.Type, sql string, raw, idempotent bool, want wire.Type) (reply, error) {
 	if c.closed.Load() {
 		return reply{}, ErrClosed
 	}
@@ -300,7 +314,7 @@ func (c *Client) do(t wire.Type, sql string, idempotent bool, want wire.Type) (r
 			lastErr = err
 			continue
 		}
-		rp, sent, err := cn.roundtrip(t, sql, c.opts.RequestTimeout)
+		rp, sent, err := cn.roundtrip(t, sql, raw, c.opts.RequestTimeout)
 		if err == nil {
 			c.noteSuccess()
 			// A server error means the server processed the request: a
@@ -385,6 +399,7 @@ type conn struct {
 type reply struct {
 	t    wire.Type
 	res  *f2db.Result // TResult
+	raw  []byte       // TResult for QueryRaw
 	text string       // TStatsText
 	info wire.Info    // TInfoData
 	// err is the server's answer when that answer is an error (a decoded
@@ -398,6 +413,7 @@ type reply struct {
 type call struct {
 	sig   chan struct{} // cap 1
 	timer *time.Timer
+	raw   bool // deliver a RESULT as bytes (QueryRaw)
 	rp    reply
 	err   error // transport failure
 }
@@ -418,7 +434,7 @@ func newConn(nc net.Conn) *conn {
 // with sent == false (connection already dead, pipeline full) provably put
 // zero bytes on the wire and are safe to retry even for non-idempotent
 // requests.
-func (c *conn) roundtrip(t wire.Type, sql string, timeout time.Duration) (_ reply, sent bool, _ error) {
+func (c *conn) roundtrip(t wire.Type, sql string, raw bool, timeout time.Duration) (_ reply, sent bool, _ error) {
 	var ca *call
 	select {
 	case ca = <-c.free:
@@ -426,6 +442,7 @@ func (c *conn) roundtrip(t wire.Type, sql string, timeout time.Duration) (_ repl
 		ca = &call{sig: make(chan struct{}, 1), timer: time.NewTimer(time.Hour)}
 		ca.timer.Stop()
 	}
+	ca.raw = raw
 	c.waiting.Add(1)
 	c.wmu.Lock()
 	c.waiting.Add(-1)
@@ -501,7 +518,7 @@ func (c *conn) readLoop(fr *wire.Reader) {
 		}
 		select {
 		case ca := <-c.pending:
-			ca.rp = decodeReply(t, payload)
+			ca.rp = decodeReply(t, payload, ca.raw)
 			ca.sig <- struct{}{}
 		default:
 			c.fail(fmt.Errorf("%w: unsolicited response %v", errConnBroken, t))
@@ -512,20 +529,29 @@ func (c *conn) readLoop(fr *wire.Reader) {
 }
 
 // decodeReply turns a response frame into values that do not alias payload.
-func decodeReply(t wire.Type, payload []byte) reply {
+func decodeReply(t wire.Type, payload []byte, raw bool) reply {
 	rp := reply{t: t}
 	switch t {
 	case wire.TResult:
-		rp.res, rp.err = wire.DecodeResult(payload)
+		if !raw {
+			rp.res, rp.err = wire.DecodeResult(payload)
+		} else if rp.err = wire.CheckResult(payload); rp.err == nil {
+			rp.raw = append([]byte(nil), payload...)
+		}
 	case wire.TStatsText:
 		rp.text = string(payload)
 	case wire.TInfoData:
 		rp.info, rp.err = wire.DecodeInfo(payload)
 	case wire.TError:
 		se, err := wire.DecodeError(payload)
-		if rp.err = err; err == nil {
+		if err == nil {
 			rp.err = se
+			return rp
 		}
+		rp.err = err
+	}
+	if rp.err != nil {
+		rp.err = fmt.Errorf("%w: %v %w", ErrMalformed, t, rp.err)
 	}
 	return rp
 }
@@ -566,10 +592,11 @@ func (c *conn) lastErr() error {
 }
 
 // IsRetryable reports whether err is a transport-level failure (as opposed
-// to a server-processed wire.ServerError, or a statement no frame can carry)
+// to a server-processed wire.ServerError, a malformed answer, or a statement
+// no frame can carry)
 // — useful for callers layering their own retry policies over Exec.
 func IsRetryable(err error) bool {
 	var se *wire.ServerError
 	return err != nil && !errors.As(err, &se) && !errors.Is(err, ErrClosed) &&
-		!errors.Is(err, wire.ErrFrameTooLarge)
+		!errors.Is(err, wire.ErrFrameTooLarge) && !errors.Is(err, ErrMalformed)
 }

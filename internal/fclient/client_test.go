@@ -473,7 +473,7 @@ func TestFlushOnEveryPath(t *testing.T) {
 	// A writes while another sender appears to be queued on wmu, so it
 	// leaves the flush to that sender.
 	cn.waiting.Add(1)
-	go cn.roundtrip(wire.TExec, "A", time.Minute)
+	go cn.roundtrip(wire.TExec, "A", false, time.Minute)
 	waitFor(t, "A's frame to be buffered", func() bool {
 		cn.wmu.Lock()
 		defer cn.wmu.Unlock()
@@ -487,7 +487,7 @@ func TestFlushOnEveryPath(t *testing.T) {
 	// The queued sender arrives, finds the pipeline full and sends nothing
 	// — but must still flush what A left behind.
 	cn.waiting.Add(-1)
-	if _, sent, err := cn.roundtrip(wire.TExec, "B", time.Minute); err == nil || sent {
+	if _, sent, err := cn.roundtrip(wire.TExec, "B", false, time.Minute); err == nil || sent {
 		t.Fatalf("B: sent=%v err=%v, want an unsent pipeline-full failure", sent, err)
 	}
 	select {

@@ -39,13 +39,14 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // appendRecord appends one framed record to buf and returns the extended
 // slice.
 func appendRecord(buf []byte, typ byte, payload []byte) []byte {
-	var hdr [recordHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	crc := crc32.Update(0, crcTable, []byte{typ})
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = append(buf, 0, 0, 0, 0, typ)
+	// The CRC covers the type byte where it already sits in buf, so no
+	// one-byte slice is allocated per record.
+	crc := crc32.Update(0, crcTable, buf[start+8:])
 	crc = crc32.Update(crc, crcTable, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	hdr[8] = typ
-	buf = append(buf, hdr[:]...)
+	binary.LittleEndian.PutUint32(buf[start+4:], crc)
 	return append(buf, payload...)
 }
 

@@ -521,24 +521,6 @@ func (w *WAL) RemoveBelow(gen uint64) error {
 	return nil
 }
 
-// Sync flushes the active file regardless of policy.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.failed != nil {
-		return w.failed
-	}
-	if w.f == nil {
-		return nil
-	}
-	if err := w.f.Sync(); err != nil {
-		return w.poison(err)
-	}
-	w.syncs++
-	w.sinceSync = 0
-	return nil
-}
-
 // Close syncs and closes the active file. The WAL is unusable afterwards.
 func (w *WAL) Close() error {
 	w.mu.Lock()

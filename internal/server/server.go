@@ -134,8 +134,10 @@ func (o *Options) withDefaults() Options {
 // Server serves one backend over one listener.
 type Server struct {
 	backend Backend
-	opts    Options
-	met     Metrics
+	// query answers TQuery by appending the encoded RESULT to dst.
+	query func(dst []byte, sql string) ([]byte, error)
+	opts  Options
+	met   Metrics
 	// stats are the registries a TStats answer carries after the backend's
 	// own text: the server's, then the sidecars' the daemon passed in.
 	stats []*metrics.Registry
@@ -172,7 +174,10 @@ func New(db *f2db.DB, opts Options, sidecars ...*metrics.Registry) *Server {
 }
 
 // NewBackend returns a server over an arbitrary backend (an engine
-// adapter, or a cluster coordinator); see New.
+// adapter, or a cluster coordinator); see New. A backend with an
+// AppendQuery method (the coordinator, which holds its shard's answers
+// encoded) answers queries through it; any other has Query's answers
+// encoded.
 func NewBackend(b Backend, opts Options, sidecars ...*metrics.Registry) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
@@ -183,6 +188,19 @@ func NewBackend(b Backend, opts Options, sidecars ...*metrics.Registry) *Server 
 		conns:   make(map[*conn]struct{}),
 	}
 	s.stats = append([]*metrics.Registry{s.met.Registry()}, sidecars...)
+	if a, ok := b.(interface {
+		AppendQuery(dst []byte, sql string) ([]byte, error)
+	}); ok {
+		s.query = a.AppendQuery
+	} else {
+		s.query = func(dst []byte, sql string) ([]byte, error) {
+			res, err := b.Query(sql)
+			if err != nil {
+				return dst, err
+			}
+			return wire.AppendResult(dst, res), nil
+		}
+	}
 	return s
 }
 
@@ -444,12 +462,11 @@ func (s *Server) process(t wire.Type, payload, buf []byte) response {
 		})}
 	case wire.TQuery:
 		s.met.Queries.Add(1)
-		res, err := s.backend.Query(string(payload))
+		out, err := s.query(buf, string(payload))
 		if err != nil {
 			s.met.Errors.Add(1)
 			return response{wire.TError, wire.AppendError(buf, wire.CodeQuery, err.Error())}
 		}
-		out := wire.AppendResult(buf, res)
 		if len(out)+1 > wire.MaxFrame {
 			s.met.Errors.Add(1)
 			return response{wire.TError, wire.AppendError(nil, wire.CodeTooLarge,

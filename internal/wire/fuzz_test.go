@@ -70,16 +70,11 @@ func FuzzDecodeFrame(f *testing.F) {
 			if err != nil {
 				return
 			}
-			re := AppendResult(nil, decoded)
-			if !bytes.Equal(re, payload) {
-				// NaN bit patterns survive Float64bits round trips, so any
-				// accepted payload must re-encode byte-identically — unless
-				// uvarints were non-minimal, which AppendUvarint normalizes.
-				// Accept only if a second decode yields the same value.
-				decoded2, err2 := DecodeResult(re)
-				if err2 != nil || !resultsEqual(decoded, decoded2) {
-					t.Fatalf("result round trip diverges")
-				}
+			// NaN bit patterns survive Float64bits round trips and
+			// non-minimal uvarints are rejected, so an accepted payload
+			// re-encodes byte-identically: a relay may pass it on unchanged.
+			if re := AppendResult(nil, decoded); !bytes.Equal(re, payload) {
+				t.Fatalf("result round trip diverges: %x → %x", payload, re)
 			}
 		case TError:
 			if se, err := DecodeError(payload); err == nil {
@@ -93,7 +88,9 @@ func FuzzDecodeFrame(f *testing.F) {
 
 // FuzzDecodeResult drives the result-decoder differential on bare RESULT
 // payloads (no frame header to get past), seeded with the shapes the
-// benchmark's hot set answers with: 1, 17 and 83 groups.
+// benchmark's hot set answers with: 1, 17 and 83 groups, and with payloads
+// that decode under a lax reading but re-encode differently. It checks that
+// an accepted payload re-encodes to its own bytes.
 func FuzzDecodeResult(f *testing.F) {
 	for _, groups := range []int{1, 17, 83} {
 		payload := AppendResult(nil, shapedResult(groups, 3))
@@ -104,8 +101,19 @@ func FuzzDecodeResult(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 0, 0, 0, 0})
 	f.Add(AppendResult(nil, &f2db.Result{Plan: "direct"})) // EXPLAIN: a plan, no groups
 	f.Add([]byte{0, 0, 0})                                 // neither
+	explain := AppendResult(nil, &f2db.Result{Plan: "direct"})
+	f.Add(append([]byte{0x03}, explain[1:]...))          // an unknown flag bit
+	f.Add(append([]byte{0, 0x86, 0x00}, explain[2:]...)) // plan length 6 in two bytes
+	f.Add([]byte{0, 1, 'x', 0x80, 0x00})                 // zero groups in two bytes
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		checkDecodeTwin(t, payload)
+		res, err := checkDecodeTwin(t, payload)
+		if err != nil {
+			return
+		}
+		// Accepted ⇒ AppendResult(nil, DecodeResult(p)) == p.
+		if re := AppendResult(nil, res); !bytes.Equal(re, payload) {
+			t.Fatalf("accepted payload re-encodes differently: %x → %x", payload, re)
+		}
 	})
 }
 

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -41,6 +42,18 @@ func checkDecodeTwin(t testing.TB, payload []byte) (*f2db.Result, error) {
 	want, wantErr := oracleDecodeResult(payload)
 	if !bytes.Equal(in, payload) {
 		t.Fatalf("decoder wrote into its input")
+	}
+	if cerr := CheckResult(payload); (cerr == nil) != (err == nil) || (err != nil && cerr.Error() != err.Error()) {
+		t.Fatalf("CheckResult says %v, DecodeResult %v (payload %x)", cerr, err, payload)
+	}
+	if errors.Is(err, errNonCanonical) {
+		// The oracle predates canonical form, so it reads on past the first
+		// non-canonical field: it may reject later for another reason, or
+		// accept a payload whose re-encoding changes the bytes.
+		if wantErr == nil && bytes.Equal(AppendResult(nil, want), payload) {
+			t.Fatalf("canonical payload rejected as non-canonical: %x", payload)
+		}
+		return nil, err
 	}
 	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 		t.Fatalf("accept/reject differs: got %v, oracle %v (payload %x)", err, wantErr, payload)

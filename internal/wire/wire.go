@@ -157,6 +157,8 @@ var (
 	ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrame")
 	errEmptyFrame    = errors.New("wire: zero-length frame")
 	errShortPayload  = errors.New("wire: truncated payload")
+	// errNonCanonical: a RESULT payload AppendResult would not reproduce.
+	errNonCanonical = errors.New("wire: non-canonical result encoding")
 )
 
 // ScratchCap bounds the capacity a connection keeps in a reusable frame or
@@ -320,7 +322,7 @@ func DecodeInfo(payload []byte) (Info, error) {
 
 // Result payload layout:
 //
-//	byte    flags            // bit 0: Forecast
+//	byte    flags            // bit 0: Forecast; the other bits are zero
 //	string  plan             // uvarint len + bytes, may be empty
 //	uvarint numGroups        // >= 1, or 0 with a non-empty plan (EXPLAIN)
 //	per group:
@@ -330,6 +332,8 @@ func DecodeInfo(payload []byte) (Info, error) {
 //	  uvarint numRows
 //	  per row: uvarint t, float64 value, float64 lo, float64 hi
 //
+// Every uvarint is minimal, as binary.AppendUvarint writes it, so a payload
+// has one encoding and a relay may pass it on unchanged.
 // Result.Node/NodeKey/Rows (the first-group conveniences) are not encoded;
 // DecodeResult reconstructs them from Groups[0]. A result without groups is
 // an EXPLAIN answer: valid exactly when it carries a plan.
@@ -383,6 +387,9 @@ func (d *resultDecoder) uvarint() (uint64, error) {
 	if n <= 0 {
 		return 0, errShortPayload
 	}
+	if n > 1 && d.buf[n-1] == 0 { // AppendUvarint stops a byte earlier
+		return 0, errNonCanonical
+	}
 	d.buf = d.buf[n:]
 	return v, nil
 }
@@ -429,6 +436,9 @@ func (d *resultDecoder) walk(res *f2db.Result, rows []f2db.QueryRow) (numGroups,
 	if len(d.buf) < 1 {
 		return 0, 0, errShortPayload
 	}
+	if d.buf[0]&^resultFlagForecast != 0 {
+		return 0, 0, errNonCanonical
+	}
 	res.Forecast = d.buf[0]&resultFlagForecast != 0
 	d.buf = d.buf[1:]
 	planLen, _ := binary.Uvarint(d.buf) // validated by str
@@ -466,8 +476,11 @@ func (d *resultDecoder) walk(res *f2db.Result, rows []f2db.QueryRow) (numGroups,
 		numRows += n
 		for j := 0; j < n; j++ {
 			t, err := d.uvarint()
-			if err != nil || len(d.buf) < 24 {
-				return 0, 0, errShortPayload
+			if err == nil && len(d.buf) < 24 {
+				err = errShortPayload
+			}
+			if err != nil {
+				return 0, 0, err
 			}
 			if d.fill {
 				grp.Rows[j] = f2db.QueryRow{
@@ -484,6 +497,16 @@ func (d *resultDecoder) walk(res *f2db.Result, rows []f2db.QueryRow) (numGroups,
 		return 0, 0, fmt.Errorf("wire: %d trailing bytes after result", len(d.buf))
 	}
 	return numGroups, numRows, nil
+}
+
+// CheckResult validates a TResult payload without allocating. It accepts
+// exactly what DecodeResult accepts: the payloads p that
+// AppendResult(nil, DecodeResult(p)) reproduces byte for byte.
+func CheckResult(payload []byte) error {
+	var scratch f2db.Result
+	d := resultDecoder{buf: payload}
+	_, _, err := d.walk(&scratch, nil)
+	return err
 }
 
 // DecodeResult decodes a TResult payload into four objects whatever the

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"reflect"
@@ -256,5 +257,30 @@ func TestTypePredicates(t *testing.T) {
 	}
 	if Type(0x7F).String() == "" {
 		t.Fatal("unknown type has empty String")
+	}
+}
+
+// TestCheckResultCanonical: CheckResult and DecodeResult reject the two
+// payloads a lax decoder accepts but AppendResult does not reproduce — an
+// unknown flag bit and a uvarint with a redundant continuation byte — and
+// accept their canonical forms.
+func TestCheckResultCanonical(t *testing.T) {
+	valid := AppendResult(nil, sampleResult())
+	if err := CheckResult(valid); err != nil {
+		t.Fatalf("canonical payload rejected: %v", err)
+	}
+	flags := append([]byte{valid[0] | 0x02}, valid[1:]...)
+	long := append([]byte{valid[0]}, valid[1]|0x80, 0x00) // the plan length, padded to two bytes
+	long = append(long, valid[2:]...)
+	if valid[1] >= 0x80 {
+		t.Fatalf("sample plan too long for the padding trick: %d", valid[1])
+	}
+	for name, p := range map[string][]byte{"flag bit": flags, "padded uvarint": long} {
+		if err := CheckResult(p); !errors.Is(err, errNonCanonical) {
+			t.Errorf("%s: CheckResult = %v, want %v", name, err, errNonCanonical)
+		}
+		if _, err := DecodeResult(p); !errors.Is(err, errNonCanonical) {
+			t.Errorf("%s: DecodeResult = %v, want %v", name, err, errNonCanonical)
+		}
 	}
 }
