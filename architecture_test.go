@@ -270,8 +270,9 @@ func isSamplingRead(be *ast.BinaryExpr) bool {
 
 // goneNames were removed and stay gone: the background prober, the
 // wall-clock cost metric, cold re-fits, per-point workload inserts, eager
-// re-estimation, and the model families and name registry no default,
-// fallback or self-tuning path reached.
+// re-estimation, the model families and name registry no default,
+// fallback or self-tuning path reached, and the generation-checked re-fit
+// with its retries, under-lock fallback and second durability lock.
 var goneNames = map[string]bool{
 	"AsyncMultiSource": true,
 	"CostTime":         true,
@@ -290,6 +291,15 @@ var goneNames = map[string]bool{
 	"NewByName":        true,
 	"FactoryByName":    true,
 	"Backtest":         true,
+
+	"reestimate":            true,
+	"reestimateNode":        true,
+	"reestimateMany":        true,
+	"reestimateMaxRetries":  true,
+	"invalidSources":        true,
+	"testHookBeforeInstall": true,
+	"saveDatabaseLocked":    true,
+	"dmu":                   true,
 }
 
 // noGoneNames: no identifier, tests included, brings a gone name back.
@@ -381,9 +391,9 @@ func citedTestsExist(fsys fs.FS) error {
 // Legibility budget: non-test Go lines under internal/ and cmd/, and the
 // lines of the two documents a newcomer reads first. A change that needs
 // more re-records the number here and says why in CHANGES.md.
-const goLineBudget = 19497
+const goLineBudget = 19418
 
-var docLineBudget = map[string]int{"DESIGN.md": 1518, "README.md": 561}
+var docLineBudget = map[string]int{"DESIGN.md": 1510, "README.md": 558}
 
 // legibilityBudget: the program and its main documents stay within their
 // recorded line counts.

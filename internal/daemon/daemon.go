@@ -65,7 +65,6 @@ func (e *Engine) Register(fs *flag.FlagSet) {
 	fs.StringVar(&e.Config, "config", "", "load a saved configuration instead of running the advisor")
 	fs.StringVar(&e.DB, "db", "", "open a saved database snapshot (f2dbcli \\save, f2dbd -save) instead of a data set")
 	fs.IntVar(&e.Options.Stripes, "stripes", 0, "write stripes sharding the insert path (0 = near GOMAXPROCS, rounded to a power of two)")
-	fs.IntVar(&e.Options.Parallelism, "parallelism", 0, "worker pool size for off-lock model re-estimation (0 = GOMAXPROCS)")
 	fs.StringVar(&e.Durable.Dir, "wal-dir", "", "durable directory (snapshot + write-ahead log + columnar segments); recovers on open, then group-commits every completed batch")
 	fs.StringVar(&e.Fsync, "fsync", "always", "WAL fsync policy with -wal-dir: always, never, or an integer n (fsync every n batches)")
 	fs.IntVar(&e.Durable.CompactEvery, "compact-every", 256, "with -wal-dir: compact the sealed WAL span into a columnar segment every n batches (0 disables)")

@@ -72,7 +72,7 @@ func TestFig7TourismShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := strconv.Atoi(row[2])
+		m, err := strconv.Atoi(row[3])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestOriginHeldOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	smape, err := HeldOut(ds, "Advisor", ds.Period, hierarchical.Options{},
+	smape, err := HeldOut(ds, "Advisor", []int{1}, hierarchical.Options{},
 		core.Options{Seed: Seed, FixedGamma: true, Gamma0: 0.5})
 	if err != nil {
 		t.Fatal(err)

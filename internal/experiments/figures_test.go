@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -186,6 +187,34 @@ func TestAblationsShape(t *testing.T) {
 		}
 		if m, _ := strconv.Atoi(row[3]); m < 1 {
 			t.Fatalf("%s/%s: no models", row[0], row[1])
+		}
+	}
+}
+
+// TestFig7HeldOut: Fig. 7's held-out column is finite for every approach,
+// and the approaches that do not select on the test window — Direct and
+// BottomUp — score within 10 % of their in-sample error held out.
+func TestFig7HeldOut(t *testing.T) {
+	for _, name := range []string{"tourism", "sales"} {
+		tab, err := Fig7(name, Quick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range tab.Rows {
+			in, err := strconv.ParseFloat(row[1], 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held, err := strconv.ParseFloat(row[2], 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.IsNaN(held) || math.IsInf(held, 0) {
+				t.Fatalf("%s %s: held-out error %v", name, row[0], held)
+			}
+			if move := math.Abs(held-in) / in; (row[0] == "Direct" || row[0] == "BottomUp") && move > 0.10 {
+				t.Errorf("%s %s: in-sample %v, held out %v — moved %.1f %%", name, row[0], in, held, 100*move)
+			}
 		}
 	}
 }

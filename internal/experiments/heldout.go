@@ -9,21 +9,39 @@ import (
 	"cubefc/internal/timeseries"
 )
 
-// HeldOut scores what an engine serves on data the approach never saw: it
-// removes the last h values of every base series, runs the approach on the
-// rest, opens an engine on the configuration and returns the mean SMAPE,
-// over every node, of the engine's h-step forecast against the removed
-// values.
-func HeldOut(ds *datasets.Dataset, approach string, h int, hopts hierarchical.Options, aopts core.Options) (float64, error) {
+// RollingOrigins are the origins Fig. 7's held-out column scores: one, two
+// and three seasons before the end of the data.
+var RollingOrigins = []int{1, 2, 3}
+
+// HeldOut scores what an engine serves on data the approach never saw. For
+// each rolling origin k in origins it removes the last k seasons of every
+// base series, runs the approach on the rest, opens an engine on the
+// configuration and takes the mean SMAPE, over every node, of the engine's
+// one-season forecast against the season that follows the cut. It returns
+// the mean over the origins.
+func HeldOut(ds *datasets.Dataset, approach string, origins []int, hopts hierarchical.Options, aopts core.Options) (float64, error) {
 	full, err := ds.Graph()
 	if err != nil {
 		return 0, err
 	}
-	cut := make([]cube.BaseSeries, len(ds.Base))
-	for i, b := range ds.Base {
-		cut[i] = cube.BaseSeries{Members: b.Members, Series: b.Series.Slice(0, b.Series.Len()-h).Clone()}
+	var total float64
+	for _, k := range origins {
+		smape, err := heldOutAt(ds, full, approach, k*ds.Period, ds.Period, hopts, aopts)
+		if err != nil {
+			return 0, err
+		}
+		total += smape
 	}
-	g, err := cube.NewGraph(ds.Dims, cut)
+	return total / float64(len(origins)), nil
+}
+
+// heldOutAt is one origin of HeldOut: cut values removed, h steps scored.
+func heldOutAt(ds *datasets.Dataset, full *cube.Graph, approach string, cut, h int, hopts hierarchical.Options, aopts core.Options) (float64, error) {
+	base := make([]cube.BaseSeries, len(ds.Base))
+	for i, b := range ds.Base {
+		base[i] = cube.BaseSeries{Members: b.Members, Series: b.Series.Slice(0, b.Series.Len()-cut).Clone()}
+	}
+	g, err := cube.NewGraph(ds.Dims, base)
 	if err != nil {
 		return 0, err
 	}
@@ -37,7 +55,7 @@ func HeldOut(ds *datasets.Dataset, approach string, h int, hopts hierarchical.Op
 		var fc []float64
 		if fc, err = db.ForecastNode(id, h); err == nil {
 			// Both graphs enumerate the same dimensions and members alike.
-			sum += timeseries.SMAPE(full.History(id)[full.Length-h:], fc)
+			sum += timeseries.SMAPE(full.History(id)[g.Length:g.Length+h], fc)
 		}
 	}
 	return sum / float64(g.NumNodes()), err

@@ -628,7 +628,7 @@ func TestRecoveredWriteStateMatchesLive(t *testing.T) {
 
 // TestDurableConcurrentInserts hammers a durable engine from parallel
 // inserters with a concurrent forecast reader — the group-commit gate runs
-// under the engine write lock inside the advance, and this (under -race)
+// under the maintenance lock inside the advance, and this (under -race)
 // is the proof the WAL hook does not break the striped write path's
 // synchronization. The run then survives a process kill bit-identically.
 func TestDurableConcurrentInserts(t *testing.T) {
@@ -709,6 +709,73 @@ func TestDurableConcurrentInserts(t *testing.T) {
 		t.Fatalf("recovered concurrent run diverges from twin: %s", digestDiff(rd, td))
 	}
 	if err := d2.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// syncProbeFS is a MemFS whose files try the engine's shared lock at every
+// fsync once db is set: a probe that cannot take it found the write lock
+// held, so a reader would have waited out that fsync.
+type syncProbeFS struct {
+	*segment.MemFS
+	db             *DB
+	syncs, blocked int
+}
+
+func (p *syncProbeFS) Create(name string) (segment.File, error) {
+	f, err := p.MemFS.Create(name)
+	return probeFile{f, p}, err
+}
+
+func (p *syncProbeFS) Append(name string) (segment.File, error) {
+	f, err := p.MemFS.Append(name)
+	return probeFile{f, p}, err
+}
+
+type probeFile struct {
+	segment.File
+	p *syncProbeFS
+}
+
+func (f probeFile) Sync() error {
+	if db := f.p.db; db != nil {
+		f.p.syncs++
+		if db.mu.TryRLock() {
+			db.mu.RUnlock()
+		} else {
+			f.p.blocked++
+		}
+	}
+	return f.File.Sync()
+}
+
+// TestFsyncAdmitsReaders: no fsync — of a WAL append, a compaction or a
+// checkpoint — holds the engine's exclusive lock, so readers keep
+// answering while it runs.
+func TestFsyncAdmitsReaders(t *testing.T) {
+	base, _, ids, _ := crashFixture(t)
+	fs := &syncProbeFS{MemFS: base.Clone()}
+	d, err := OpenDurable(DurableOptions{Dir: crashDir, FS: fs, CompactEvery: 3}, crashEngineOpts(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.db = d.DB()
+	for _, batch := range makeBatches(ids, 8, 3) {
+		if err := d.DB().InsertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if fs.syncs == 0 {
+		t.Fatal("the probe saw no fsync")
+	}
+	if fs.blocked != 0 {
+		t.Fatalf("%d of %d fsyncs held the engine's write lock", fs.blocked, fs.syncs)
+	}
+	t.Logf("%d fsyncs, none under the write lock", fs.syncs)
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

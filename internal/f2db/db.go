@@ -14,23 +14,27 @@
 // striped (stripe.go): base series are partitioned by node-ID hash into
 // power-of-two stripes, each owning its slice of the pending insert batch
 // behind its own mutex, so parallel insert streams only contend when they
-// hit the same stripe. The exclusive engine lock is reserved for the two
-// cross-stripe events — the batch time advance (model state updates,
-// derivation-weight updates, invalidation) and model re-estimation. The
-// one crossing point between readers and writers is lazy re-estimation
-// (Section V delays parameter re-estimation until a query references the
-// model): a query that hits an invalidated model retries once holding the
-// write lock. Lock ownership is witnessed by a guard value produced only
-// by the acquire helpers, so exclusive-only paths assert their lock
-// instead of trusting a convention. Engine counters are atomics (see
-// metrics.go), so observing the engine never blocks it.
+// hit the same stripe. Every state change — the batch time advance, a model
+// re-fit, a checkpoint or compaction, replay — holds the maintenance lock,
+// so while it is held no series or model changes. The exclusive engine
+// lock covers only the in-memory apply (advancing the batch, installing
+// fitted models, resolving a scheme); the WAL fsync, compaction and every
+// model fit run under the maintenance lock alone while readers keep
+// answering from the previous state. The one crossing point between
+// readers and maintenance is lazy re-estimation (Section V delays parameter
+// re-estimation until a query references the model): a query that hits an
+// invalidated model drops its shared lock, takes the maintenance lock,
+// re-fits what it needs and answers before releasing it. Lock ownership on
+// the write side is witnessed by a guard value produced only by the acquire
+// helpers, so exclusive-only paths assert their lock instead of trusting a
+// convention. Engine counters are atomics (see metrics.go), so observing
+// the engine never blocks it.
 package f2db
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,10 +116,15 @@ type schemeState struct {
 
 // DB is the embedded F²DB engine.
 type DB struct {
+	// maint serializes every state change: the batch advance (with its WAL
+	// append and fsync), every model re-fit, the durability layer's
+	// checkpoint, compaction and close, and replay. Lock order: maint before
+	// mu before any stripe mutex.
+	maint sync.Mutex
 	// mu separates shared readers (forecast queries, health and stats
-	// snapshots) from exclusive writers (batch time advance, lazy
-	// re-estimation, snapshot restore). Acquire it through rLock/wLock so
-	// lock ownership is witnessed by a guard (see below).
+	// snapshots) from the exclusive in-memory apply of a state change, which
+	// always runs under maint too. Acquire it through rLock/wLock so lock
+	// ownership is witnessed by a guard (see below).
 	mu sync.RWMutex
 	// writeHeld is set while some goroutine holds mu exclusively; it backs
 	// assertExclusive, the runtime check that write-only paths really run
@@ -145,17 +154,17 @@ type DB struct {
 	// only under its base node's stripe mutex, so parallel insert streams do
 	// not contend until a batch completes. Time advances only once every
 	// base series has a value for the next time stamp; the advance is a
-	// cross-stripe barrier under the engine write lock and hands the column
+	// cross-stripe barrier under maint and hands the column
 	// on as it stands — a complete batch is frozen (every insert is a
 	// duplicate until the advance clears the marks), so nothing is copied.
-	// Lock order: mu before any stripe mutex, stripes in index order.
+	// Lock order: maint, then mu, then stripes in index order.
 	pending     []float64
 	present     []bool
 	stripes     []writeStripe
 	stripeShift uint
 	// pendingTotal counts the slots that hold a value; the batch is
 	// complete exactly when it reaches len(graph.BaseIDs). It is a
-	// completion hint — the authoritative check runs under mu in
+	// completion hint — the authoritative check runs under maint in
 	// advanceIfComplete.
 	pendingTotal atomic.Int64
 	// advanceGen increments (under mu) every time a complete batch is
@@ -182,9 +191,6 @@ type DB struct {
 	// model invalidates exactly these nodes' memoized forecasts.
 	deps map[int][]int
 
-	// parallelism bounds the off-lock re-estimation worker pool.
-	parallelism int
-
 	met engineMetrics
 
 	// tele, when non-nil, is the workload telemetry sink (selftune.go):
@@ -194,7 +200,7 @@ type DB struct {
 	tele atomic.Pointer[teleBox]
 
 	// commitHook, when non-nil, is the group-commit gate: advanceIfComplete
-	// calls it under the write lock with the complete batch — the pending
+	// calls it under maint, without mu, with the complete batch — the pending
 	// column, to be read and not retained — and the generation it creates
 	// (the observation index it will occupy), BEFORE the batch is applied
 	// and the column released. The durability layer (durable.go) installs
@@ -210,12 +216,6 @@ type DB struct {
 	// in-flight advance. Tests use it to land a racing insert
 	// deterministically; always nil in production.
 	testHookAfterSweep func()
-	// testHookBeforeInstall, when non-nil, runs in reestimateNode after the
-	// off-lock fit but before the install lock is taken — the window in
-	// which a batch advance makes the fitted clone stale. Tests use it to
-	// force a generation conflict deterministically; always nil in
-	// production.
-	testHookBeforeInstall func()
 }
 
 // Options configures Open.
@@ -235,10 +235,6 @@ type Options struct {
 	// GOMAXPROCS; other values are rounded up to the next power of two
 	// (capped at 256).
 	Stripes int
-	// Parallelism bounds the worker pool that re-fits invalidated models
-	// off the exclusive lock (ReestimateInvalid and lazy query pre-fits).
-	// 0 picks GOMAXPROCS.
-	Parallelism int
 }
 
 // Default cache capacities applied by Open when the option is zero.
@@ -291,10 +287,6 @@ func open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 		present:     make([]bool, len(g.BaseIDs)),
 		stripes:     make([]writeStripe, nstripes),
 		stripeShift: stripeShiftFor(nstripes),
-		parallelism: opts.Parallelism,
-	}
-	if db.parallelism <= 0 {
-		db.parallelism = runtime.GOMAXPROCS(0)
 	}
 	for _, id := range g.BaseIDs {
 		db.stripeFor(id).bases++
@@ -369,15 +361,17 @@ func (db *DB) Stats() Stats {
 }
 
 // errNeedsReestimate signals that a forecast under shared (read) access hit
-// a model awaiting re-estimation; the caller retries once holding the
-// write lock. It never escapes the package API.
+// a model awaiting re-estimation or a node without a scheme; the caller
+// re-fits or resolves under maint and retries once (refitFor). It never
+// escapes the package API.
 var errNeedsReestimate = errors.New("f2db: model awaits re-estimation")
 
 // guard witnesses ownership of the engine lock. It can only be produced by
 // rLock/wLock, so a function taking a guard provably runs under the lock,
 // and one requiring exclusivity can assert it instead of trusting a bool
 // threaded by convention — the stripe refactor must not be able to
-// double-lock or race silently.
+// double-lock or race silently. The read path takes rLock and passes no
+// guard on: under the shared lock it never writes.
 type guard struct{ exclusive bool }
 
 // rLock takes the shared engine lock and returns its witness.
@@ -404,7 +398,7 @@ func (db *DB) unlock(g guard) {
 }
 
 // assertExclusive panics unless the guard witnesses the write lock and the
-// write lock is actually held. Write-only paths (reestimate, advanceBatch)
+// write lock is actually held. Write-only paths (installModel, advanceBatch)
 // call it so a future refactor that drops the lock fails loudly instead of
 // racing.
 func (db *DB) assertExclusive(g guard) {
@@ -416,24 +410,23 @@ func (db *DB) assertExclusive(g guard) {
 // ForecastNode answers a forecast for the node over horizon h steps using
 // the stored scheme and live model states, re-estimating invalid models
 // lazily (Section V: "we reduce maintenance overhead by delaying parameter
-// reestimation until the model is actually referenced by a query"). The
-// common path runs under the shared read lock; only a query that actually
-// needs a re-estimation upgrades to the write lock. The returned slice is
-// the caller's own: the memo table's copy is cloned here, at the package
+// reestimation until the model is actually referenced by a query"). It runs
+// under the shared read lock; only a query that actually needs a
+// re-estimation takes the maintenance lock (refitFor). The returned slice
+// is the caller's own: the memo table's copy is cloned here, at the package
 // boundary.
 func (db *DB) ForecastNode(nodeID, h int) ([]float64, error) {
 	g := db.rLock()
-	fc, _, _, err := db.forecastIntervalLocked(g, nodeID, h, 0)
+	fc, _, _, err := db.forecastIntervalLocked(nodeID, h, 0, false)
 	db.unlock(g)
 	if err == errNeedsReestimate {
-		// Lazy re-estimation: re-fit the invalidated source models off the
-		// exclusive lock first, so the retry below holds the write lock only
-		// for derivation. If a concurrent advance invalidated the models
-		// again the retry re-fits them under the lock — the pre-stripe
-		// fallback that guarantees progress.
-		db.reestimateMany(db.invalidSources([]int{nodeID}))
-		g = db.wLock()
-		fc, _, _, err = db.forecastIntervalLocked(g, nodeID, h, 0)
+		db.maint.Lock()
+		defer db.maint.Unlock()
+		if err := db.refitFor([]int{nodeID}); err != nil {
+			return nil, err
+		}
+		g = db.rLock()
+		fc, _, _, err = db.forecastIntervalLocked(nodeID, h, 0, true)
 		db.unlock(g)
 	}
 	return append([]float64(nil), fc...), err
@@ -445,17 +438,17 @@ func (db *DB) ForecastNode(nodeID, h int) ([]float64, error) {
 // table under the node's current epoch. Either way the slices are shared
 // with later hits and must not be written. Metrics (query count, latency,
 // scheme hits, cache counters) are recorded here so hits and misses are
-// accounted uniformly.
-// The guard witnesses the engine lock; only an exclusive guard may
-// re-estimate invalidated source models — under a shared guard the call
-// reports errNeedsReestimate instead, which is metered as a cache bypass
-// (the query bypasses the memo table to take the lazy re-estimation path),
-// not a miss.
-func (db *DB) forecastIntervalLocked(g guard, nodeID, h int, conf float64) (point, lo, hi []float64, err error) {
+// accounted uniformly. The caller holds the shared lock. A source model
+// awaiting re-estimation (or a node without a scheme) reports
+// errNeedsReestimate, metered as a cache bypass — the query bypasses the
+// memo table to take the lazy re-estimation path — and not a miss; the
+// retry after refitFor passes retry, so its recomputation continues that
+// bypass instead of counting a miss.
+func (db *DB) forecastIntervalLocked(nodeID, h int, conf float64, retry bool) (point, lo, hi []float64, err error) {
 	start := time.Now()
 	defer func() {
 		if err == errNeedsReestimate {
-			return // retried under the write lock; that attempt is counted
+			return // retried after refitFor; that attempt is counted
 		}
 		db.met.recordQuery(time.Since(start))
 		if err == nil {
@@ -471,7 +464,7 @@ func (db *DB) forecastIntervalLocked(g guard, nodeID, h int, conf float64) (poin
 			return p, l, u, nil
 		}
 	}
-	point, lo, hi, err = db.deriveInterval(g, nodeID, h, conf)
+	point, lo, hi, err = db.deriveInterval(nodeID, h, conf)
 	if err == errNeedsReestimate {
 		if db.fc != nil {
 			db.met.fcBypasses.Add(1)
@@ -482,10 +475,7 @@ func (db *DB) forecastIntervalLocked(g guard, nodeID, h int, conf float64) (poin
 		return nil, nil, nil, err
 	}
 	if db.fc != nil {
-		if !g.exclusive {
-			// The exclusive retry continues a bypass already metered
-			// above; only genuine shared-path recomputations count as
-			// misses.
+		if !retry {
 			db.met.fcMisses.Add(1)
 		}
 		if ev := db.fc.put(key, point, lo, hi); ev > 0 {
@@ -505,18 +495,12 @@ func (db *DB) forecastIntervalLocked(g guard, nodeID, h int, conf float64) (poin
 // horizon profile (class-1 state-space formulas for exponential smoothing):
 //
 //	spread(step) = z · |k| · sqrt( Σ_s σ_s² · scale_s(step)² )
-func (db *DB) deriveInterval(g guard, nodeID, h int, conf float64) (point, lo, hi []float64, err error) {
+func (db *DB) deriveInterval(nodeID, h int, conf float64) (point, lo, hi []float64, err error) {
 	sc, ok := db.cfg.Schemes[nodeID]
 	if !ok {
 		// A sampled advisor run leaves uncovered nodes scheme-less;
-		// resolving one mutates the configuration, so it needs the write
-		// lock — under shared access take the exclusive-retry path.
-		if !g.exclusive {
-			return nil, nil, nil, errNeedsReestimate
-		}
-		if sc, err = db.cfg.ResolveScheme(nodeID); err != nil {
-			return nil, nil, nil, fmt.Errorf("f2db: node %d: %w", nodeID, err)
-		}
+		// resolving one mutates the configuration, which refitFor does.
+		return nil, nil, nil, errNeedsReestimate
 	}
 	n := h
 	if conf > 0 {
@@ -533,12 +517,7 @@ func (db *DB) deriveInterval(g guard, nodeID, h int, conf float64) (point, lo, h
 			return nil, nil, nil, fmt.Errorf("f2db: scheme source %d has no model", s)
 		}
 		if db.invalid[s] {
-			if !g.exclusive {
-				return nil, nil, nil, errNeedsReestimate
-			}
-			if err := db.reestimate(g, s, m); err != nil {
-				return nil, nil, nil, err
-			}
+			return nil, nil, nil, errNeedsReestimate
 		}
 		fc := out[n+i*h : n+(i+1)*h]
 		m.Forecast(fc)
@@ -571,23 +550,6 @@ func (db *DB) deriveInterval(g guard, nodeID, h int, conf float64) (point, lo, h
 		hi[i] = point[i] + spread
 	}
 	return point, lo, hi, nil
-}
-
-// reestimate re-fits a model's parameters on the node's full current
-// history while holding the write lock. It is the fallback of the off-lock
-// protocol (reestimateNode): lazy queries whose off-lock pre-fit lost a
-// generation race land here, where no advance can interleave. The guard
-// must witness the write lock.
-func (db *DB) reestimate(g guard, id int, m forecast.Model) error {
-	db.assertExclusive(g)
-	if ws, ok := m.(forecast.WarmStarter); ok {
-		ws.WarmStart(ws.Params())
-	}
-	if err := m.Fit(db.graph.Node(id).Series); err != nil {
-		return fmt.Errorf("f2db: re-estimating node %d: %w", id, err)
-	}
-	db.installModel(g, id, m)
-	return nil
 }
 
 // installModel publishes a freshly fitted model: stores it, clears the
@@ -756,14 +718,17 @@ func (db *DB) insertSorted(rows []baseRow) (err error) {
 }
 
 // advanceIfComplete applies the pending batch if it is (still) complete.
-// This is the write path's cross-stripe barrier: under the engine write
-// lock it commits the pending column, advances time with it and only then
-// clears the presence marks — no insert can slip in because a complete
-// batch makes every further insert a duplicate until they are cleared.
-// Safe to race: whichever caller takes the write lock first advances, the
-// rest see an incomplete (fresh) batch and return.
+// This is the write path's cross-stripe barrier: under maint it commits the
+// pending column, then under the engine write lock advances time with it
+// and only then clears the presence marks — no insert can slip in because a
+// complete batch makes every further insert a duplicate until they are
+// cleared. Readers keep answering from the previous time point while the
+// commit fsyncs. Safe to race: whichever caller takes maint first advances,
+// the rest see an incomplete (fresh) batch and return. An advance that
+// arrives during a re-fit waits for it.
 func (db *DB) advanceIfComplete() error {
-	g := db.wLock()
+	db.maint.Lock()
+	defer db.maint.Unlock()
 	numBases := int64(len(db.graph.BaseIDs))
 	// With no advance in flight the counter is the number of slots marked
 	// present (an insert between its mark and its increment re-runs this
@@ -771,7 +736,6 @@ func (db *DB) advanceIfComplete() error {
 	// every value having been written before its increment — readable
 	// without the stripe locks.
 	if db.pendingTotal.Load() < numBases {
-		db.unlock(g)
 		return nil
 	}
 	// Group commit: the batch must be durable before it is applied. On
@@ -780,10 +744,10 @@ func (db *DB) advanceIfComplete() error {
 	// failure to its caller.
 	if db.commitHook != nil {
 		if err := db.commitHook(uint64(db.graph.Length), db.pending); err != nil {
-			db.unlock(g)
 			return err
 		}
 	}
+	g := db.wLock()
 	err := db.advanceBatch(g, db.pending)
 	db.releaseColumn(g, numBases)
 	db.unlock(g)

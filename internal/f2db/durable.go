@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 
 	"cubefc/internal/cube"
 	"cubefc/internal/segment"
@@ -83,6 +82,9 @@ type RecoveryInfo struct {
 }
 
 // Durable couples an engine with its write-ahead log and segment store.
+// Every method that touches the log or the compaction state below runs
+// under the engine's maintenance lock (DB.maint): commit inside the batch
+// advance, the others by taking it.
 type Durable struct {
 	db          *DB
 	fs          segment.FS
@@ -90,11 +92,6 @@ type Durable struct {
 	wal         *segment.WAL
 	fingerprint uint64
 
-	// dmu guards the compaction state below. Lock order: engine mu (write)
-	// before dmu, never the reverse — commit runs inside the batch advance
-	// with the write lock held, and Checkpoint takes the write lock first
-	// for the same reason.
-	dmu          sync.Mutex
 	compactEvery int
 	sinceCompact int
 	compactFrom  uint64          // generation the next segment starts at
@@ -153,7 +150,7 @@ func OpenDurable(dopts DurableOptions, opts Options, build func() (*DB, error)) 
 	// Anchor a fresh build with an initial snapshot before anything else:
 	// from here on recovery is always snapshot + replay, never a re-build.
 	if d.Recovery.FreshBuild {
-		if err := d.writeSnapshot(guard{}); err != nil {
+		if err := d.writeSnapshot(); err != nil {
 			return nil, err
 		}
 	}
@@ -310,6 +307,8 @@ func (d *Durable) replaySegments(column []float64) error {
 // and fails hard.
 func (d *Durable) applyReplayedBatch(gen uint64, column []float64) (applied bool, err error) {
 	db := d.db
+	db.maint.Lock()
+	defer db.maint.Unlock()
 	g := db.wLock()
 	defer db.unlock(g)
 	length := uint64(db.graph.Length)
@@ -329,13 +328,11 @@ func (d *Durable) applyReplayedBatch(gen uint64, column []float64) (applied bool
 }
 
 // commit is the engine's group-commit gate (DB.commitHook): it runs inside
-// the batch advance under the engine write lock, appends the batch to the
-// WAL (fsyncing per policy) and — every CompactEvery batches — compacts
-// the sealed WAL span into a columnar segment first, so the new batch
-// opens a fresh log file.
+// the batch advance under maint but not the engine lock, so readers keep
+// answering while it appends the batch to the WAL (fsyncing per policy)
+// and — every CompactEvery batches — compacts the sealed WAL span into a
+// columnar segment first, so the new batch opens a fresh log file.
 func (d *Durable) commit(gen uint64, column []float64) error {
-	d.dmu.Lock()
-	defer d.dmu.Unlock()
 	if d.compactEvery > 0 && d.sinceCompact >= d.compactEvery && gen > d.compactFrom {
 		if err := d.compactLocked(gen); err != nil {
 			return err
@@ -361,9 +358,9 @@ func (d *Durable) commit(gen uint64, column []float64) error {
 
 // compactLocked encodes history [compactFrom, toGen) into a segment,
 // fsyncs it into place, then seals and prunes the WAL span it replaces.
-// Runs under the engine write lock and dmu; toGen equals the engine's
-// current length (the committing batch is not yet applied, so history
-// holds exactly the generations below toGen). Ordering is
+// Runs under maint, which holds the series still; toGen equals the
+// engine's current length (a committing batch is not yet applied, so
+// history holds exactly the generations below toGen). Ordering is
 // segment-then-prune: a crash between the two leaves the span in both
 // artifacts, which recovery's generation check de-duplicates.
 func (d *Durable) compactLocked(toGen uint64) error {
@@ -400,15 +397,13 @@ func (d *Durable) compactLocked(toGen uint64) error {
 // Compact eagerly folds the sealed WAL span into a columnar segment,
 // without waiting for the commit-path CompactEvery counter. The
 // self-tuning control plane calls it in predicted workload troughs so the
-// encode cost lands in idle buckets. It takes the engine write lock (the
-// same locking regime the commit-path compaction runs under) and is a
-// no-op when there is no sealed history to fold.
+// encode cost lands in idle buckets. It takes maint (the lock the
+// commit-path compaction runs under) and is a no-op when there is no
+// sealed history to fold.
 func (d *Durable) Compact() error {
 	db := d.db
-	g := db.wLock()
-	defer db.unlock(g)
-	d.dmu.Lock()
-	defer d.dmu.Unlock()
+	db.maint.Lock()
+	defer db.maint.Unlock()
 	gen := uint64(db.graph.Length)
 	if gen <= d.compactFrom {
 		return nil
@@ -422,20 +417,18 @@ func (d *Durable) Compact() error {
 }
 
 // Checkpoint writes a full snapshot at the current generation, then prunes
-// every WAL file and segment the snapshot supersedes. It takes the engine
-// write lock for the duration — queries and inserts wait — which buys the
+// every WAL file and segment the snapshot supersedes. It holds maint for
+// the duration — queries proceed, a batch advance waits — which buys the
 // guarantee that the snapshot, the rotation point and the prune bound are
 // one consistent generation.
 func (d *Durable) Checkpoint() error {
 	db := d.db
-	g := db.wLock()
-	defer db.unlock(g)
+	db.maint.Lock()
+	defer db.maint.Unlock()
 	gen := uint64(db.graph.Length)
-	if err := d.writeSnapshot(g); err != nil {
+	if err := d.writeSnapshot(); err != nil {
 		return err
 	}
-	d.dmu.Lock()
-	defer d.dmu.Unlock()
 	if err := d.wal.Rotate(gen); err != nil {
 		return err
 	}
@@ -451,14 +444,13 @@ func (d *Durable) Checkpoint() error {
 	return nil
 }
 
-// writeSnapshot serializes the engine (under the caller-held engine lock)
-// and writes it through the crash-safe file protocol: tmp file, fsync,
-// rename into place, fsync the directory. Either the old snapshot or the
-// new one survives a crash — never a torn mixture, never a rename whose
-// directory entry evaporates.
-func (d *Durable) writeSnapshot(g guard) error {
+// writeSnapshot serializes the engine and writes it through the crash-safe
+// file protocol: tmp file, fsync, rename into place, fsync the directory.
+// Either the old snapshot or the new one survives a crash — never a torn
+// mixture, never a rename whose directory entry evaporates.
+func (d *Durable) writeSnapshot() error {
 	var buf bytes.Buffer
-	if err := saveDatabaseLocked(&buf, d.db, g); err != nil {
+	if err := SaveDatabase(&buf, d.db); err != nil {
 		return err
 	}
 	if err := segment.WriteFileSync(d.fs, d.dir, snapshotFileName, buf.Bytes()); err != nil {
@@ -494,14 +486,14 @@ func (d *Durable) removeSegmentsBelow(gen uint64) error {
 // Checkpoint first for a clean shutdown that starts the next process from
 // a snapshot.
 func (d *Durable) Close() error {
-	d.dmu.Lock()
-	defer d.dmu.Unlock()
+	d.db.maint.Lock()
+	defer d.db.maint.Unlock()
 	return d.wal.Close()
 }
 
 // mirrorWALStats copies the WAL's counters into the engine metrics, from
-// which Metrics() and the Prometheus exporter read them. Callers hold dmu
-// or are still single-threaded in OpenDurable.
+// which Metrics() and the Prometheus exporter read them. Callers hold
+// maint or are still single-threaded in OpenDurable.
 func (d *Durable) mirrorWALStats() {
 	appends, syncs, bytes, files := d.wal.Stats()
 	d.db.met.walAppends.Store(appends)

@@ -29,14 +29,10 @@ type engineMetrics struct {
 	batchInserts  atomic.Int64
 	batches       atomic.Int64
 	reestimations atomic.Int64
-	// reestimateGenRetries counts off-lock re-fits dropped because a batch
-	// advance bumped the generation counter while the fit ran (the fit is
-	// redone on a fresh snapshot).
-	reestimateGenRetries atomic.Int64
-	queryNanos           atomic.Int64
-	maintainNanos        atomic.Int64
-	schemeHits           [derivationKinds]atomic.Int64
-	latency              metrics.Histogram
+	queryNanos    atomic.Int64
+	maintainNanos atomic.Int64
+	schemeHits    [derivationKinds]atomic.Int64
+	latency       metrics.Histogram
 
 	// Read-fast-path counters: SQL plan cache and forecast memo table.
 	planHits      atomic.Int64
@@ -84,9 +80,9 @@ type Metrics struct {
 	Queries int64
 	// Inserts, Batches and Reestimations mirror the maintenance
 	// processor: raw inserts, completed time advances, and model
-	// re-fits (lazy or maintenance-triggered). ReestimateGenRetries
-	// counts off-lock re-fits discarded because a concurrent batch
-	// advance made the fitted snapshot stale (the fit was redone).
+	// re-fits (lazy or maintenance-triggered). ReestimateGenRetries is
+	// always 0: a re-fit holds the maintenance lock, so no advance can
+	// make it stale. It stays for the benchmark harness that reads it.
 	Inserts              int64
 	Batches              int64
 	Reestimations        int64
@@ -157,16 +153,15 @@ type Metrics struct {
 // hits and the query-latency histogram.
 func (db *DB) Metrics() Metrics {
 	m := Metrics{
-		Queries:              db.met.queries.Load(),
-		Inserts:              db.met.inserts.Load(),
-		BatchInserts:         db.met.batchInserts.Load(),
-		Batches:              db.met.batches.Load(),
-		Reestimations:        db.met.reestimations.Load(),
-		ReestimateGenRetries: db.met.reestimateGenRetries.Load(),
-		QueryTime:            time.Duration(db.met.queryNanos.Load()),
-		MaintainTime:         time.Duration(db.met.maintainNanos.Load()),
-		SchemeHits:           make(map[string]int64, derivationKinds),
-		QueryLatency:         db.met.latency.Snapshot(),
+		Queries:       db.met.queries.Load(),
+		Inserts:       db.met.inserts.Load(),
+		BatchInserts:  db.met.batchInserts.Load(),
+		Batches:       db.met.batches.Load(),
+		Reestimations: db.met.reestimations.Load(),
+		QueryTime:     time.Duration(db.met.queryNanos.Load()),
+		MaintainTime:  time.Duration(db.met.maintainNanos.Load()),
+		SchemeHits:    make(map[string]int64, derivationKinds),
+		QueryLatency:  db.met.latency.Snapshot(),
 
 		PlanCacheHits:      db.met.planHits.Load(),
 		PlanCacheMisses:    db.met.planMisses.Load(),
@@ -223,7 +218,6 @@ func (m Metrics) describe(r *metrics.Registry) {
 	r.Value("f2db_insert_batches_total", "InsertBatch calls.", float64(m.BatchInserts))
 	r.Value("f2db_maintenance_batches_total", "Completed time advances.", float64(m.Batches))
 	r.Value("f2db_reestimations_total", "Model parameter re-estimations.", float64(m.Reestimations))
-	r.Value("f2db_reestimate_gen_retries_total", "Off-lock re-fits redone after a generation conflict.", float64(m.ReestimateGenRetries))
 	r.Value("f2db_query_seconds_total", "Engine-side wall time answering queries.", m.QueryTime.Seconds())
 	r.Value("f2db_maintain_seconds_total", "Engine-side wall time on insert maintenance.", m.MaintainTime.Seconds())
 

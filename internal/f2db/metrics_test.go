@@ -141,6 +141,9 @@ func TestRegistryComplete(t *testing.T) {
 	v := reflect.ValueOf(&m).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		name, f := v.Type().Field(i).Name, v.Field(i)
+		if name == "ReestimateGenRetries" {
+			continue // always 0 and on neither surface; kept for the benchmark harness
+		}
 		next++
 		switch f.Interface().(type) {
 		case time.Duration:

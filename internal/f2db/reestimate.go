@@ -1,42 +1,27 @@
 package f2db
 
 import (
+	"errors"
+	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
 	"cubefc/internal/forecast"
 )
 
-// Off-lock model re-estimation. Re-fitting a model is by far the most
-// expensive maintenance step (a full numerical parameter search), and doing
-// it under the exclusive engine lock stalls every concurrent query and
-// batch advance for its whole duration. The protocol here moves the fit off
-// the lock:
-//
-//  1. Snapshot under the shared lock: clone the node's series and model and
-//     read the batch-advance generation counter.
-//  2. Fit the clone outside any lock, warm-started from the model's own
-//     previous parameters.
-//  3. Install under the write lock — but only if the generation counter is
-//     unchanged. Every mutation of series or model state happens in
-//     advanceBatch, which increments advanceGen under the same write lock
-//     before touching either; so an unchanged generation proves the live
-//     series and model still equal the snapshot, making the fitted clone a
-//     current replacement, never a stale one. On a mismatch the worker
-//     drops the clone and re-fits from a fresh snapshot.
-//
-// A model someone else re-fitted in the meantime (invalid flag cleared at
-// the same generation) is left alone. Workers that keep losing the
-// generation race give up after reestimateMaxRetries and leave the model
-// invalid — the lazy query path then re-fits it under the write lock, where
-// no advance can interleave, so progress is always guaranteed.
-
-// reestimateMaxRetries bounds how often an off-lock re-fit restarts after a
-// generation conflict before leaving the model to the under-lock fallback.
-const reestimateMaxRetries = 3
+// Model re-estimation under the maintenance lock. Re-fitting a model is by
+// far the most expensive maintenance step (a full numerical parameter
+// search). It runs holding db.maint and not the engine lock: while maint is
+// held no batch advances and no other re-fit installs, so the live series
+// and model stay exactly as the fit reads them. A re-fit therefore fits a
+// clone of the model on the live series, warm-started from the model's own
+// previous parameters, and installs it under the write lock with nothing
+// to re-check; readers keep answering from the old model until then.
 
 // invalidModelIDs returns the sorted node IDs whose models currently await
-// re-estimation. The caller must hold the engine lock (either mode).
+// re-estimation. The caller holds maint or the engine lock (either mode).
 func (db *DB) invalidModelIDs() []int {
 	var ids []int
 	for id, bad := range db.invalid {
@@ -51,121 +36,94 @@ func (db *DB) invalidModelIDs() []int {
 	return ids
 }
 
-// invalidSources returns the sorted IDs of invalidated models among the
-// derivation-scheme sources of the given nodes — exactly the models a query
-// over those nodes would have to re-estimate lazily. Takes the shared lock.
-func (db *DB) invalidSources(nodes []int) []int {
-	g := db.rLock()
-	defer db.unlock(g)
+// refitFor makes a lazy query's nodes answerable under the shared lock: it
+// resolves a scheme for every scheme-less node and re-fits every invalid
+// model among their sources. The caller holds maint, which keeps them so
+// until it is released.
+func (db *DB) refitFor(nodes []int) error {
 	var ids []int
-	seen := make(map[int]bool)
 	for _, n := range nodes {
 		sc, ok := db.cfg.Schemes[n]
 		if !ok {
-			continue
-		}
-		for _, s := range sc.Sources {
-			if !db.invalid[s] || seen[s] {
-				continue
-			}
-			if _, ok := db.cfg.Models[s]; ok {
-				seen[s] = true
-				ids = append(ids, s)
+			g := db.wLock()
+			var err error
+			sc, err = db.cfg.ResolveScheme(n)
+			db.unlock(g)
+			if err != nil {
+				return fmt.Errorf("f2db: node %d: %w", n, err)
 			}
 		}
+		ids = append(ids, sc.Sources...)
 	}
-	sort.Ints(ids)
-	return ids
+	_, err := db.refit(ids)
+	return err
 }
 
-// reestimateMany re-fits the models at the given nodes using the off-lock
-// protocol, fanned out over a worker pool bounded by Options.Parallelism.
-// The caller must hold no engine or stripe lock. Nodes whose re-fit keeps
-// colliding with concurrent advances (or whose fit fails) stay invalid for
-// the lazy under-lock path.
-func (db *DB) reestimateMany(ids []int) {
-	if len(ids) == 0 {
-		return
-	}
-	workers := db.parallelism
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	if workers <= 1 {
-		for _, id := range ids {
-			db.reestimateNode(id)
-		}
-		return
-	}
-	work := make(chan int, len(ids))
+// refit re-fits the invalid models among ids and installs them under one
+// write-lock hold. The caller holds maint and no other engine or stripe
+// lock. Several fits run on a pool sized by GOMAXPROCS; a single one runs
+// on the caller's goroutine. It returns how many models it installed and
+// every fit error; a model whose fit failed stays invalid.
+func (db *DB) refit(ids []int) (int, error) {
+	var todo []int
 	for _, id := range ids {
-		work <- id
+		if _, ok := db.cfg.Models[id]; ok && db.invalid[id] {
+			todo = append(todo, id)
+		}
 	}
-	close(work)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for id := range work {
-				db.reestimateNode(id)
-			}
-		}()
+	if len(todo) == 0 {
+		return 0, nil
 	}
-	wg.Wait()
+	slices.Sort(todo)
+	todo = slices.Compact(todo)
+	fitted := make([]forecast.Model, len(todo))
+	errs := make([]error, len(todo))
+	fit := func(i int) { fitted[i], errs[i] = db.fitClone(todo[i]) }
+	if workers := min(runtime.GOMAXPROCS(0), len(todo)); workers <= 1 {
+		for i := range todo {
+			fit(i)
+		}
+	} else {
+		work := make(chan int, len(todo))
+		for i := range todo {
+			work <- i
+		}
+		close(work)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range work {
+					fit(i)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	installed, g := 0, db.wLock()
+	defer db.unlock(g)
+	for i, id := range todo {
+		if errs[i] == nil {
+			db.installModel(g, id, fitted[i])
+			installed++
+		}
+	}
+	return installed, errors.Join(errs...)
 }
 
-// reestimateNode runs the off-lock re-estimation protocol for one model.
-// It reports whether the model is valid on return — either because this
-// call installed a fresh fit, or because someone else did. A false return
-// leaves the model invalid (fit error or too many generation conflicts).
-func (db *DB) reestimateNode(id int) bool {
-	for attempt := 0; attempt < reestimateMaxRetries; attempt++ {
-		g := db.rLock()
-		if !db.invalid[id] {
-			db.unlock(g)
-			return true
-		}
-		m, ok := db.cfg.Models[id]
-		if !ok {
-			db.unlock(g)
-			return false
-		}
-		gen := db.advanceGen.Load()
-		series := db.graph.Node(id).Series.Clone()
-		clone, err := forecast.Clone(m)
-		db.unlock(g)
-		if err != nil {
-			return false
-		}
-
-		if ws, ok := clone.(forecast.WarmStarter); ok {
-			ws.WarmStart(ws.Params())
-		}
-		if clone.Fit(series) != nil {
-			// Leave the model invalid; the lazy under-lock path will
-			// surface the fit error to the query that needs the model.
-			return false
-		}
-		if db.testHookBeforeInstall != nil {
-			db.testHookBeforeInstall()
-		}
-
-		wg := db.wLock()
-		if db.advanceGen.Load() != gen {
-			// A batch advanced while we fitted: the clone was estimated on
-			// a superseded series/state snapshot. Installing it would
-			// silently discard the newest observations, so drop it and
-			// re-fit from a fresh snapshot.
-			db.unlock(wg)
-			db.met.reestimateGenRetries.Add(1)
-			continue
-		}
-		if db.invalid[id] {
-			db.installModel(wg, id, clone)
-		}
-		db.unlock(wg)
-		return true
+// fitClone fits a clone of the model at id on the node's live series,
+// warm-started from the model's own parameters. The caller holds maint.
+func (db *DB) fitClone(id int) (forecast.Model, error) {
+	m, err := forecast.Clone(db.cfg.Models[id])
+	if err != nil {
+		return nil, err
 	}
-	return false
+	if ws, ok := m.(forecast.WarmStarter); ok {
+		ws.WarmStart(ws.Params())
+	}
+	if err := m.Fit(db.graph.Node(id).Series); err != nil {
+		return nil, fmt.Errorf("f2db: re-estimating node %d: %w", id, err)
+	}
+	return m, nil
 }

@@ -4,37 +4,45 @@ import (
 	"testing"
 )
 
-// BenchmarkReestimateWarm measures one full re-estimation round over every
-// model in the configuration: all models are invalidated, then re-fitted
-// through the off-lock protocol (clone, fit seeded from the model's previous
-// parameters, generation-checked install).
-func BenchmarkReestimateWarm(b *testing.B) {
-	db, _ := benchEngineOpts(b, Options{Strategy: TimeBased{Every: 1}})
-	ids := db.Configuration().ModelIDs()
-	// Prime the warm path: the first round starts from advisor-fitted
-	// parameters.
+// invalidateAll marks every model as awaiting re-estimation, as an advance
+// under TimeBased{Every: 1} does.
+func invalidateAll(db *DB, ids []int) {
 	g := db.wLock()
 	for _, id := range ids {
 		db.invalid[id] = true
 	}
 	db.unlock(g)
-	db.reestimateMany(ids)
+}
+
+// BenchmarkReestimateWarm measures one full re-estimation round over every
+// model in the configuration: all models are invalidated, then re-fitted
+// by refit under the maintenance lock (clone, fit seeded from the model's
+// previous parameters, install).
+func BenchmarkReestimateWarm(b *testing.B) {
+	db, _ := benchEngineOpts(b, Options{Strategy: TimeBased{Every: 1}})
+	ids := db.Configuration().ModelIDs()
+	// Prime the warm path: the first round starts from advisor-fitted
+	// parameters.
+	db.maint.Lock()
+	defer db.maint.Unlock()
+	invalidateAll(db, ids)
+	if _, err := db.refit(ids); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := db.wLock()
-		for _, id := range ids {
-			db.invalid[id] = true
+		invalidateAll(db, ids)
+		if _, err := db.refit(ids); err != nil {
+			b.Fatal(err)
 		}
-		db.unlock(g)
-		db.reestimateMany(ids)
 	}
 }
 
 // BenchmarkInsertDuringReestimate measures insert latency while a
-// background goroutine keeps the off-lock re-estimation pipeline busy —
-// the scenario the off-lock protocol exists for: before it, every re-fit
-// held the exclusive engine lock and stalled the write path for the whole
-// parameter search.
+// background goroutine keeps re-fitting every model under the maintenance
+// lock. It mostly times inserts that do not complete a batch: they touch
+// only their stripe and proceed while the fits hold the lock. One insert in
+// every len(BaseIDs) completes the batch and waits for the fit in flight.
 func BenchmarkInsertDuringReestimate(b *testing.B) {
 	db, g := benchEngineOpts(b, Options{Strategy: TimeBased{Every: 1}})
 	ids := db.Configuration().ModelIDs()
@@ -48,12 +56,10 @@ func BenchmarkInsertDuringReestimate(b *testing.B) {
 				return
 			default:
 			}
-			gd := db.wLock()
-			for _, id := range ids {
-				db.invalid[id] = true
-			}
-			db.unlock(gd)
-			db.reestimateMany(ids)
+			db.maint.Lock()
+			invalidateAll(db, ids)
+			_, _ = db.refit(ids)
+			db.maint.Unlock()
 		}
 	}()
 	bases := g.BaseIDs

@@ -20,14 +20,14 @@ func observationsConsumed(m forecast.Model) int {
 	return -1
 }
 
-// assertModelsCurrent verifies that no stale model survived a generation
-// race. An engine re-fit trains on the full series at fit time and every
+// assertModelsCurrent verifies that every model is fitted to the current
+// series. An engine re-fit trains on the full series at fit time and every
 // later advance feeds the model exactly one Update, so a model the engine
 // has re-estimated at least once must have consumed exactly graph.Length
-// observations; a stale install — a clone fitted on a pre-advance snapshot
-// slipping in after the generation bump — stays one short forever. Only
-// valid once every model has been engine-re-fitted (advisor-built models
-// start at the training length, not the graph length).
+// observations; a stale install — a fit of a series some advance has since
+// grown — stays one short forever. Only valid once every model has been
+// engine-re-fitted (advisor-built models start at the training length, not
+// the graph length).
 func assertModelsCurrent(t *testing.T, db *DB) {
 	t.Helper()
 	g := db.rLock()
@@ -40,59 +40,59 @@ func assertModelsCurrent(t *testing.T, db *DB) {
 	}
 }
 
-// TestReestimateGenerationConflict forces the off-lock race window
-// deterministically: a full batch advances time while a re-fit is in flight
-// between its fit and its install. The protocol must drop the stale clone,
-// count a generation retry and install a fit of the new series instead.
-func TestReestimateGenerationConflict(t *testing.T) {
-	db, _, cfg := testEngine(t, TimeBased{Every: 1})
-	node := cfg.ModelIDs()[0]
+// TestAdvanceWaitsForRefit: while a re-fit holds the maintenance lock, a
+// batch-completing insert waits for it instead of voiding it, and readers
+// keep answering from valid models. Once the lock is released the advance
+// applies and every model is current.
+func TestAdvanceWaitsForRefit(t *testing.T) {
+	db, g, _ := testEngine(t, TimeBased{Every: 1})
 	if err := db.InsertBatch(fullBatch(db, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if !db.invalid[node] {
-		t.Fatal("Every=1 should have invalidated the model")
+	if db.ReestimateInvalid() == 0 {
+		t.Fatal("Every=1 should have invalidated the models")
 	}
-	fired := false
-	db.testHookBeforeInstall = func() {
-		if fired {
-			return
-		}
-		fired = true
-		if err := db.InsertBatch(fullBatch(db, 1)); err != nil {
-			t.Error(err)
-		}
-	}
-	if !db.reestimateNode(node) {
-		t.Fatal("reestimateNode gave up")
-	}
-	db.testHookBeforeInstall = nil
+	length := db.Graph().Length()
 
-	if !fired {
-		t.Fatal("install hook never ran")
+	db.maint.Lock() // a re-fit in flight
+	done := make(chan error, 1)
+	go func() { done <- db.InsertBatch(fullBatch(db, 1)) }()
+	for db.pendingTotal.Load() < int64(len(db.graph.BaseIDs)) {
+		time.Sleep(50 * time.Microsecond)
 	}
-	m := db.Metrics()
-	if m.ReestimateGenRetries != 1 {
-		t.Fatalf("generation retries = %d, want 1", m.ReestimateGenRetries)
+	for i := 0; i < 20; i++ {
+		if _, err := db.Query("SELECT time, SUM(m) FROM facts GROUP BY time AS OF now() + '2 steps'"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.ForecastNode(g.BaseIDs[i%len(g.BaseIDs)], 3); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("the batch advanced while the maintenance lock was held (err %v)", err)
+		default:
+		}
 	}
-	if m.Reestimations != 1 {
-		t.Fatalf("reestimations = %d, want 1 (only the fresh fit installs)", m.Reestimations)
+	if got := db.Graph().Length(); got != length {
+		t.Fatalf("length %d while the maintenance lock was held, want %d", got, length)
 	}
-	if db.invalid[node] {
-		t.Fatal("model still invalid after the retried re-fit")
+	db.maint.Unlock()
+
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
-	// The installed model must be the fresh fit, not the stale clone: a
-	// stale install would be one observation behind the graph.
-	if n := observationsConsumed(db.cfg.Models[node]); n >= 0 && n != db.graph.Length {
-		t.Fatalf("model consumed %d observations, graph has %d (stale install)", n, db.graph.Length)
+	if got := db.Graph().Length(); got != length+1 {
+		t.Fatalf("length %d after the advance, want %d", got, length+1)
 	}
+	assertModelsCurrent(t, db)
 }
 
-// TestReestimateNodeSkipsValidModel: re-estimating a valid model is a no-op.
+// TestReestimateNodeSkipsValidModel: re-estimating a valid engine is a
+// no-op.
 func TestReestimateNodeSkipsValidModel(t *testing.T) {
-	db, g, _ := testEngine(t, nil)
-	if !db.reestimateNode(g.TopID) {
-		t.Fatal("reestimateNode on a valid model should report success")
+	db, _, _ := testEngine(t, nil)
+	if n := db.ReestimateInvalid(); n != 0 {
+		t.Fatalf("ReestimateInvalid re-fitted %d models of a valid engine", n)
 	}
 	if got := db.Metrics().Reestimations; got != 0 {
 		t.Fatalf("reestimations = %d, want 0", got)
@@ -108,7 +108,7 @@ func TestEagerReestimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	db, err := LoadDatabase(bytes.NewReader(buf.Bytes()),
-		Options{Strategy: TimeBased{Every: 1}, Parallelism: 4})
+		Options{Strategy: TimeBased{Every: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,16 +125,15 @@ func TestEagerReestimate(t *testing.T) {
 	assertModelsCurrent(t, db)
 }
 
-// TestOffLockReestimateStress is the twin-engine stress test of the off-lock
-// protocol (run with -race): an eager engine — one that calls
-// ReestimateInvalid after each advance — takes interleaved inserts from
-// two workers, concurrent forecast queries and an extra re-estimation racer,
-// while a lazy twin applies the same batches sequentially. The engines must
-// agree on every stored series (no insert lost to a racing re-fit), the
-// eager engine must quiesce with zero invalid models and no model may be a
-// stale install. Model parameters are NOT compared across the twins: the
-// racing engine may skip a superseded fit (generation conflict) that the
-// sequential twin performed, which is correct but not bit-identical.
+// TestOffLockReestimateStress is the twin-engine stress test of re-fits
+// racing the write and read paths (run with -race): an eager engine — one
+// that calls ReestimateInvalid after each advance — takes interleaved
+// inserts from two workers, concurrent forecast queries and an extra
+// re-estimation racer, while a sequential twin applies the same batches and
+// calls ReestimateInvalid after each. Every re-fit holds the maintenance
+// lock, so each model is fitted exactly once per advance on the series of
+// that advance, whoever fits it: the engines must agree bit for bit on
+// every series, every model's maintenance state and every node's forecast.
 func TestOffLockReestimateStress(t *testing.T) {
 	src, _, _ := testEngine(t, nil)
 	var buf bytes.Buffer
@@ -143,11 +142,11 @@ func TestOffLockReestimateStress(t *testing.T) {
 	}
 	data := buf.Bytes()
 	eager, err := LoadDatabase(bytes.NewReader(data),
-		Options{Strategy: TimeBased{Every: 1}, Parallelism: 4})
+		Options{Strategy: TimeBased{Every: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, err := LoadDatabase(bytes.NewReader(data), Options{Strategy: TimeBased{Every: 1}})
+	twin, err := LoadDatabase(bytes.NewReader(data), Options{Strategy: TimeBased{Every: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +163,8 @@ func TestOffLockReestimateStress(t *testing.T) {
 	errCh := make(chan error, 64)
 	// Two insert workers split every batch. Once the batch has advanced,
 	// the first worker re-fits what it invalidated; the other immediately
-	// starts the next batch — its inserts race the in-flight off-lock
-	// re-estimation, which is exactly the window under test.
+	// starts the next batch — its inserts race the in-flight re-estimation,
+	// which is exactly the window under test.
 	for w, part := range [][]int{baseIDs[:half], baseIDs[half:]} {
 		wg.Add(1)
 		go func(refit bool, part []int) {
@@ -186,7 +185,7 @@ func TestOffLockReestimateStress(t *testing.T) {
 			}
 		}(w == 0, part)
 	}
-	// Query workers exercise the read path (and its lazy pre-fit) against
+	// Query workers exercise the read path (and its lazy re-fit) against
 	// the racing maintenance.
 	numNodes := eager.Graph().NumNodes()
 	for w := 0; w < 3; w++ {
@@ -202,15 +201,12 @@ func TestOffLockReestimateStress(t *testing.T) {
 		}(w)
 	}
 	// Extra re-estimation racer: repeatedly re-fits whatever is invalid,
-	// competing with the eager re-fits and the lazy query pre-fits.
+	// competing with the eager re-fits and the lazy query re-fits.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			g := eager.rLock()
-			ids := eager.invalidModelIDs()
-			eager.unlock(g)
-			eager.reestimateMany(ids)
+			eager.ReestimateInvalid()
 			time.Sleep(100 * time.Microsecond)
 		}
 	}()
@@ -220,46 +216,36 @@ func TestOffLockReestimateStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The lazy twin applies the identical batches sequentially.
+	// The twin applies the identical batches sequentially.
 	for s := 0; s < steps; s++ {
-		if err := lazy.InsertBatch(batches[s]); err != nil {
+		if err := twin.InsertBatch(batches[s]); err != nil {
 			t.Fatal(err)
 		}
+		twin.ReestimateInvalid()
 	}
 
-	ev, lv := eager.Graph(), lazy.Graph()
-	if ev.Length() != lv.Length() {
-		t.Fatalf("graph lengths diverged: eager %d, lazy %d", ev.Length(), lv.Length())
+	if got := eager.InvalidCount(); got != 0 {
+		t.Fatalf("%d models still invalid after the last re-fit", got)
+	}
+	assertModelsCurrent(t, eager)
+	if e, w := stateDigest(t, eager), stateDigest(t, twin); e != w {
+		t.Fatalf("racing engine and sequential twin diverged: %s", digestDiff(e, w))
 	}
 	for id := 0; id < numNodes; id++ {
-		e, l := ev.NodeValues(id), lv.NodeValues(id)
-		if len(e) != len(l) {
-			t.Fatalf("node %d: series lengths %d vs %d", id, len(e), len(l))
-		}
-		for i := range e {
-			if math.Abs(e[i]-l[i]) > 1e-9*(1+math.Abs(l[i])) {
-				t.Fatalf("node %d step %d: eager %v != lazy %v (insert lost to a racing re-fit?)", id, i, e[i], l[i])
-			}
-		}
-	}
-
-	// Quiesce: a full query sweep clears any model left invalid by
-	// exhausted generation retries, then no model may be stale.
-	for id := 0; id < numNodes; id++ {
-		fc, err := eager.ForecastNode(id, 2)
+		e, err := eager.ForecastNode(id, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, v := range fc {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("node %d: non-finite forecast %v", id, fc)
+		w, err := twin.ForecastNode(id, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range e {
+			if math.Float64bits(e[i]) != math.Float64bits(w[i]) {
+				t.Fatalf("node %d step %d: racing engine %v, twin %v", id, i, e[i], w[i])
 			}
 		}
 	}
-	if got := eager.InvalidCount(); got != 0 {
-		t.Fatalf("%d models still invalid after the final sweep", got)
-	}
-	assertModelsCurrent(t, eager)
 	if eager.Metrics().Reestimations == 0 {
 		t.Fatal("stress run re-estimated nothing")
 	}

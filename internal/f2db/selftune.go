@@ -71,18 +71,14 @@ func (db *DB) CacheCapacities() (plans, forecasts int) {
 	return plans, forecasts
 }
 
-// ReestimateInvalid re-fits every currently invalid model using the
-// off-lock worker pool, exactly as the next queries touching them would
-// have done lazily — run in a predicted workload trough it moves the fit
-// cost off the query path without changing any result. It returns the
-// number of models re-estimated.
+// ReestimateInvalid re-fits every currently invalid model under the
+// maintenance lock, exactly as the next queries touching them would have
+// done lazily — run in a predicted workload trough it moves the fit cost
+// off the query path without changing any result. It returns the number of
+// models re-estimated.
 func (db *DB) ReestimateInvalid() int {
-	g := db.rLock()
-	ids := db.invalidModelIDs()
-	db.unlock(g)
-	if len(ids) == 0 {
-		return 0
-	}
-	db.reestimateMany(ids)
-	return len(ids)
+	db.maint.Lock()
+	defer db.maint.Unlock()
+	n, _ := db.refit(db.invalidModelIDs())
+	return n
 }

@@ -87,19 +87,13 @@ const fcWarmupLimit = 256
 
 // SaveDatabase serializes the whole engine state. It holds the shared read
 // lock for the duration: concurrent queries proceed, maintenance waits.
+// Durable.Checkpoint calls it holding maint, so no advance can slip between
+// the snapshot and the generation it records.
 func SaveDatabase(w io.Writer, db *DB) error {
 	g := db.rLock()
 	defer db.unlock(g)
-	return saveDatabaseLocked(w, db, g)
-}
-
-// saveDatabaseLocked is SaveDatabase under a caller-held engine lock
-// (shared or exclusive — the guard only witnesses that one is held). The
-// durability layer uses it to capture a snapshot and its generation under
-// a single exclusive acquisition, so no advance can slip between them.
-func saveDatabaseLocked(w io.Writer, db *DB, _ guard) error {
 	// Copy the in-flight batch under ALL stripe locks at once, acquired in
-	// index order (lock order: mu before any stripe mutex; nothing else
+	// index order (lock order: maint, mu, then stripes; nothing else
 	// ever holds two stripe locks, so ordered acquisition cannot deadlock).
 	// Holding the shared engine lock pins the batch advance (it needs mu
 	// exclusively), and holding every stripe lock makes the copy one
@@ -264,6 +258,6 @@ func LoadDatabase(r io.Reader, opts Options) (*DB, error) {
 // re-estimation simply stays cold).
 func (db *DB) warmForecast(node, h int, conf float64) {
 	g := db.rLock()
-	_, _, _, _ = db.forecastIntervalLocked(g, node, h, conf)
+	_, _, _, _ = db.forecastIntervalLocked(node, h, conf, false)
 	db.unlock(g)
 }

@@ -99,8 +99,8 @@ func (db *DB) Exec(sql string) error {
 // by the whitespace-normalized query text and shared across goroutines.
 //
 // Queries execute under the engine's shared read lock and run concurrently
-// with each other; only a query that needs a lazy model re-estimation
-// retries under the exclusive write lock.
+// with each other; only a query that needs a lazy model re-estimation takes
+// the maintenance lock and retries (see ForecastNode).
 func (db *DB) Query(sql string) (*Result, error) {
 	plan, key, err := db.planQuery(sql)
 	if err != nil {
@@ -110,18 +110,19 @@ func (db *DB) Query(sql string) (*Result, error) {
 		t.t.ObserveTemplate(key)
 	}
 	g := db.rLock()
-	res, err := db.execPlan(plan, g)
+	res, err := db.execPlan(plan, false)
 	db.unlock(g)
 	if err != errNeedsReestimate {
 		return res, err
 	}
-	// Lazy re-estimation: re-fit the invalidated source models of the
-	// plan's nodes off the exclusive lock, then retry under it (see
-	// ForecastNode).
-	db.reestimateMany(db.invalidSources(plan.Nodes))
-	g = db.wLock()
+	db.maint.Lock()
+	defer db.maint.Unlock()
+	if err := db.refitFor(plan.Nodes); err != nil {
+		return nil, err
+	}
+	g = db.rLock()
 	defer db.unlock(g)
-	return db.execPlan(plan, g)
+	return db.execPlan(plan, true)
 }
 
 // NormalizeSQL canonicalizes a statement text for cache keying: runs of
@@ -261,12 +262,11 @@ func (db *DB) renderKeys(keys []string, nodes []int) []string {
 	return keys
 }
 
-// execPlan executes a resolved plan. Locking contract as
-// forecastIntervalLocked: the guard witnesses the engine lock, and only an
-// exclusive guard may lazily re-estimate. Every group is built under that
-// one lock hold, so a drill-down's groups all belong to one time point; their
-// rows are carved from one slab.
-func (db *DB) execPlan(plan *Plan, g guard) (*Result, error) {
+// execPlan executes a resolved plan under the caller's shared lock; retry
+// as forecastIntervalLocked. Every group is built under that one lock hold,
+// so a drill-down's groups all belong to one time point; their rows are
+// carved from one slab.
+func (db *DB) execPlan(plan *Plan, retry bool) (*Result, error) {
 	stmt := &plan.stmt
 	res := &Result{Node: plan.Nodes[0], NodeKey: plan.keys[0]}
 	if stmt.explain || stmt.horizon == "" {
@@ -284,7 +284,7 @@ func (db *DB) execPlan(plan *Plan, g guard) (*Result, error) {
 	res.Groups = make([]Group, len(plan.Nodes))
 	for i, id := range plan.Nodes {
 		rows := slab[i*per : (i+1)*per : (i+1)*per]
-		if err := db.fillRows(rows, id, stmt, g); err != nil {
+		if err := db.fillRows(rows, id, stmt, retry); err != nil {
 			return nil, err
 		}
 		res.Groups[i] = Group{Node: id, NodeKey: plan.keys[i], Member: plan.Members[i], Rows: rows}
@@ -311,7 +311,7 @@ func (db *DB) explainNode(id int) string {
 // (optionally with prediction intervals) for AS OF queries (len(rows)
 // steps). The AVG aggregate divides the SUM values by the number of base
 // series covered by the node.
-func (db *DB) fillRows(rows []QueryRow, id int, stmt *selectStmt, g guard) error {
+func (db *DB) fillRows(rows []QueryRow, id int, stmt *selectStmt, retry bool) error {
 	scale := 1.0
 	if stmt.agg == "avg" {
 		scale = 1 / float64(db.baseCounts[id])
@@ -322,7 +322,7 @@ func (db *DB) fillRows(rows []QueryRow, id int, stmt *selectStmt, g guard) error
 		}
 		return nil
 	}
-	point, lo, hi, err := db.forecastIntervalLocked(g, id, len(rows), stmt.interval)
+	point, lo, hi, err := db.forecastIntervalLocked(id, len(rows), stmt.interval, retry)
 	if err != nil {
 		return err
 	}

@@ -197,7 +197,6 @@ const parentFamilies = `# TYPE coord_cache_coalesced_total counter
 # TYPE f2db_queries_total counter
 # TYPE f2db_query_latency_seconds histogram
 # TYPE f2db_query_seconds_total counter
-# TYPE f2db_reestimate_gen_retries_total counter
 # TYPE f2db_reestimations_total counter
 # TYPE f2db_scheme_hits_total counter
 # TYPE f2db_segment_bytes_total counter
