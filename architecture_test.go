@@ -271,8 +271,9 @@ func isSamplingRead(be *ast.BinaryExpr) bool {
 // goneNames were removed and stay gone: the background prober, the
 // wall-clock cost metric, cold re-fits, per-point workload inserts, eager
 // re-estimation, the model families and name registry no default,
-// fallback or self-tuning path reached, and the generation-checked re-fit
-// with its retries, under-lock fallback and second durability lock.
+// fallback or self-tuning path reached, the generation-checked re-fit
+// with its retries, under-lock fallback and second durability lock, and
+// the write stripes with their advance generation and per-node memo epochs.
 var goneNames = map[string]bool{
 	"AsyncMultiSource": true,
 	"CostTime":         true,
@@ -300,6 +301,16 @@ var goneNames = map[string]bool{
 	"testHookBeforeInstall": true,
 	"saveDatabaseLocked":    true,
 	"dmu":                   true,
+
+	"writeStripe":        true,
+	"stripeIndex":        true,
+	"stripeShiftFor":     true,
+	"resolveStripeCount": true,
+	"maxWriteStripes":    true,
+	"advanceGen":         true,
+	"testHookAfterSweep": true,
+	"bumpAll":            true,
+	"shardFor":           true,
 }
 
 // noGoneNames: no identifier, tests included, brings a gone name back.
@@ -391,9 +402,9 @@ func citedTestsExist(fsys fs.FS) error {
 // Legibility budget: non-test Go lines under internal/ and cmd/, and the
 // lines of the two documents a newcomer reads first. A change that needs
 // more re-records the number here and says why in CHANGES.md.
-const goLineBudget = 19418
+const goLineBudget = 19119
 
-var docLineBudget = map[string]int{"DESIGN.md": 1510, "README.md": 558}
+var docLineBudget = map[string]int{"DESIGN.md": 1453, "README.md": 555}
 
 // legibilityBudget: the program and its main documents stay within their
 // recorded line counts.

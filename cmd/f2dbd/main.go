@@ -223,7 +223,7 @@ func openPlanner(o *options) (*f2db.Planner, string, error) {
 			return nil, "", err
 		}
 		defer fh.Close()
-		db, err := f2db.LoadDatabase(fh, f2db.Options{Strategy: f2db.Never{}, Stripes: -1})
+		db, err := f2db.LoadDatabase(fh, f2db.Options{Strategy: f2db.Never{}})
 		if err != nil {
 			return nil, "", err
 		}

@@ -40,7 +40,7 @@ func (l *resultLog) add(i int, res *f2db.Result) {
 // through log replay.
 func TestClusterKillRestartTwin(t *testing.T) {
 	g, data := buildCube(t)
-	twin := loadEngine(t, data, -1)
+	twin := loadEngine(t, data)
 
 	shards := make([]*testShard, 3)
 	addrs := make([]string, 3)

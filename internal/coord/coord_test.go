@@ -72,9 +72,9 @@ func buildCube(t testing.TB) (*cube.Graph, []byte) {
 }
 
 // loadEngine loads a fresh replica engine from the snapshot bytes.
-func loadEngine(t testing.TB, data []byte, stripes int) *f2db.DB {
+func loadEngine(t testing.TB, data []byte) *f2db.DB {
 	t.Helper()
-	db, err := f2db.LoadDatabase(bytes.NewReader(data), f2db.Options{Strategy: f2db.Never{}, Stripes: stripes})
+	db, err := f2db.LoadDatabase(bytes.NewReader(data), f2db.Options{Strategy: f2db.Never{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ type testShard struct {
 // port; a concrete addr rebinds a restarted shard to its old one).
 func startShardOn(t testing.TB, data []byte, addr string) *testShard {
 	t.Helper()
-	db := loadEngine(t, data, 4)
+	db := loadEngine(t, data)
 	srv := server.New(db, server.Options{})
 	var ln net.Listener
 	var err error
@@ -367,7 +367,7 @@ func TestRegistryComplete(t *testing.T) {
 // an in-process twin engine, and rejections carry the twin's exact text.
 func TestCoordinatorServes(t *testing.T) {
 	g, data := buildCube(t)
-	twin := loadEngine(t, data, -1)
+	twin := loadEngine(t, data)
 	s0 := startShardOn(t, data, "127.0.0.1:0")
 	s1 := startShardOn(t, data, "127.0.0.1:0")
 	defer s0.stop(t)
@@ -505,7 +505,7 @@ func TestCoordinatorBackend(t *testing.T) {
 // shard-state metrics reflect the outage.
 func TestCoordinatorFailover(t *testing.T) {
 	g, data := buildCube(t)
-	twin := loadEngine(t, data, -1)
+	twin := loadEngine(t, data)
 	s0 := startShardOn(t, data, "127.0.0.1:0")
 	s1 := startShardOn(t, data, "127.0.0.1:0")
 	defer s0.stop(t)
@@ -598,7 +598,7 @@ func TestDrillDownOneTimePoint(t *testing.T) {
 	g, data := buildCube(t)
 	// want[q][T] is the twin's encoded answer to drills[q] at the time point
 	// whose forecasts start at time index T.
-	twin := loadEngine(t, data, -1)
+	twin := loadEngine(t, data)
 	want := make([]map[int][]byte, len(drills))
 	for q := range want {
 		want[q] = make(map[int][]byte)
@@ -776,7 +776,7 @@ func (b *garbledBackend) AppendQuery(dst []byte, sql string) ([]byte, error) {
 // answers properly the same statement gets the real answer.
 func TestShardAnswersGarbage(t *testing.T) {
 	g, data := buildCube(t)
-	b := &garbledBackend{db: loadEngine(t, data, 4)}
+	b := &garbledBackend{db: loadEngine(t, data)}
 	b.garble.Store(true)
 	srv := server.NewBackend(b, server.Options{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -19,7 +19,7 @@ import (
 // replays only the tail, and converges bit-exact with the twin.
 func TestLogTrimBounded(t *testing.T) {
 	g, data := buildCube(t)
-	twin := loadEngine(t, data, -1)
+	twin := loadEngine(t, data)
 	s0 := startShardOn(t, data, "127.0.0.1:0")
 	s1 := startShardOn(t, data, "127.0.0.1:0")
 	defer s0.stop(t)
@@ -125,7 +125,7 @@ func TestLogTrimBounded(t *testing.T) {
 // serving reads and writes, and trimming no longer waits for it.
 func TestLogTrimFencing(t *testing.T) {
 	g, data := buildCube(t)
-	twin := loadEngine(t, data, -1)
+	twin := loadEngine(t, data)
 	s0 := startShardOn(t, data, "127.0.0.1:0")
 	s1 := startShardOn(t, data, "127.0.0.1:0")
 	defer s0.stop(t)

@@ -196,7 +196,7 @@ func TestCacheEpochInvalidationOnInsert(t *testing.T) {
 		t.Fatal("warm-up repeats never hit the memo table")
 	}
 	if m.EpochBumps == 0 {
-		t.Fatal("insert batches bumped no epochs")
+		t.Fatal("insert batches bumped no generations")
 	}
 	if m.BatchInserts != 4 {
 		t.Fatalf("batch inserts = %d, want 4", m.BatchInserts)
@@ -228,10 +228,10 @@ func TestCacheBypassOnLazyReestimate(t *testing.T) {
 		t.Fatal("query did not trigger lazy re-estimation")
 	}
 	if after.EpochBumps <= before.EpochBumps {
-		t.Fatal("re-estimation bumped no epochs")
+		t.Fatal("re-estimation bumped no generation")
 	}
-	// The re-estimated forecast was memoized under the new epoch: the next
-	// call is a plain hit.
+	// The re-estimated forecast was memoized under the new generation: the
+	// next call is a plain hit.
 	if _, err := db.ForecastNode(g.TopID, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -473,13 +473,12 @@ func TestCacheThrashEviction(t *testing.T) {
 }
 
 func TestCacheForecastCapacitySweep(t *testing.T) {
-	// Single shard so the capacity is one shared budget, as the sweep
-	// semantics under test assume.
-	c := newFcCache(4, 2, 1)
+	c := newFcCache(2)
 	c.put(fcKey{node: 0, h: 1}, []float64{1}, nil, nil)
+	// A generation bump stales node 0's entry, so the capacity sweep can
+	// reclaim it; node 1's is stamped with the new generation.
+	c.gen.Add(1)
 	c.put(fcKey{node: 1, h: 1}, []float64{2}, nil, nil)
-	// Staling node 0 lets the capacity sweep reclaim its entry.
-	c.bump(0)
 	if ev := c.put(fcKey{node: 2, h: 1}, []float64{3}, nil, nil); ev != 1 {
 		t.Fatalf("evicted = %d, want 1 (the stale entry)", ev)
 	}
@@ -494,8 +493,8 @@ func TestCacheForecastCapacitySweep(t *testing.T) {
 		t.Fatal("entry written after reset is missing")
 	}
 	// Stale entries are invisible to get even before any sweep.
-	c.bump(3)
+	c.gen.Add(1)
 	if _, _, _, ok := c.get(fcKey{node: 3, h: 1}); ok {
-		t.Fatal("stale-epoch entry served")
+		t.Fatal("stale-generation entry served")
 	}
 }

@@ -30,9 +30,8 @@ const crashDir = "db"
 // crashEngineOpts pins the options every engine in this file opens with.
 // Strategy Never keeps model re-fits out of the picture (a lazy re-fit
 // triggered on one side but not the other would diverge states that are
-// both individually correct); a fixed stripe count keeps the two sides'
-// stripe layout identical regardless of GOMAXPROCS.
-func crashEngineOpts() Options { return Options{Strategy: Never{}, Stripes: 4} }
+// both individually correct).
+func crashEngineOpts() Options { return Options{Strategy: Never{}} }
 
 // crashFixture builds a MemFS holding a freshly initialized durable
 // directory (advisor run + initial snapshot, WAL empty) and returns it with
@@ -143,14 +142,13 @@ func stateDigest(t testing.TB, db *DB) string {
 		b.WriteByte('\n')
 	}
 	pend := make(map[int]float64)
+	db.lockPending()
 	for ord, id := range db.graph.BaseIDs {
-		s := db.stripeFor(id)
-		s.lock()
 		if db.present[ord] {
 			pend[id] = db.pending[ord]
 		}
-		s.mu.Unlock()
 	}
+	db.pendMu.Unlock()
 	pids := make([]int, 0, len(pend))
 	for id := range pend {
 		pids = append(pids, id)
@@ -354,7 +352,7 @@ func TestCrashRecoveryQuickProperty(t *testing.T) {
 		}
 		// Half-fill the next batch; never completes, so it never commits.
 		// Errors are expected when the kill already poisoned the engine
-		// mid-batch (its stripes still hold the refused batch).
+		// mid-batch (its pending column still holds the refused batch).
 		for _, id := range ids[:len(ids)/2] {
 			_ = d0.DB().InsertBase(id, 7)
 		}
@@ -629,7 +627,7 @@ func TestRecoveredWriteStateMatchesLive(t *testing.T) {
 // TestDurableConcurrentInserts hammers a durable engine from parallel
 // inserters with a concurrent forecast reader — the group-commit gate runs
 // under the maintenance lock inside the advance, and this (under -race)
-// is the proof the WAL hook does not break the striped write path's
+// is the proof the WAL hook does not break the write path's
 // synchronization. The run then survives a process kill bit-identically.
 func TestDurableConcurrentInserts(t *testing.T) {
 	base, snap, ids, baseGen := crashFixture(t)

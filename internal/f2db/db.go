@@ -10,17 +10,16 @@
 //
 // Concurrency model: the engine distinguishes readers from maintenance.
 // Forecast queries (Query, ForecastNode, Health, Stats, Explain) take
-// shared read access and run concurrently on all cores. The write path is
-// striped (stripe.go): base series are partitioned by node-ID hash into
-// power-of-two stripes, each owning its slice of the pending insert batch
-// behind its own mutex, so parallel insert streams only contend when they
-// hit the same stripe. Every state change — the batch time advance, a model
-// re-fit, a checkpoint or compaction, replay — holds the maintenance lock,
-// so while it is held no series or model changes. The exclusive engine
-// lock covers only the in-memory apply (advancing the batch, installing
-// fitted models, resolving a scheme); the WAL fsync, compaction and every
-// model fit run under the maintenance lock alone while readers keep
-// answering from the previous state. The one crossing point between
+// shared read access and run concurrently on all cores. Inserts fill the
+// pending column under one mutex of its own, so an insert that does not
+// complete a batch waits for neither readers nor maintenance. Every state
+// change — the batch time advance, a model re-fit, a checkpoint or
+// compaction, replay — holds the maintenance lock, so while it is held no
+// series or model changes. The exclusive engine lock covers only the
+// in-memory apply (advancing the batch, installing fitted models, resolving
+// a scheme); the WAL fsync, compaction and every model fit run under the
+// maintenance lock alone while readers keep answering from the previous
+// state. The one crossing point between
 // readers and maintenance is lazy re-estimation (Section V delays parameter
 // re-estimation until a query references the model): a query that hits an
 // invalidated model drops its shared lock, takes the maintenance lock,
@@ -119,7 +118,7 @@ type DB struct {
 	// maint serializes every state change: the batch advance (with its WAL
 	// append and fsync), every model re-fit, the durability layer's
 	// checkpoint, compaction and close, and replay. Lock order: maint before
-	// mu before any stripe mutex.
+	// mu before pendMu.
 	maint sync.Mutex
 	// mu separates shared readers (forecast queries, health and stats
 	// snapshots) from the exclusive in-memory apply of a state change, which
@@ -149,30 +148,19 @@ type DB struct {
 
 	// pending is the insert batch being collected, as the dense column it
 	// becomes: pending[i] is the next observation of base node
-	// graph.BaseIDs[i], held once present[i] is set. stripes shard the
-	// column by base-node hash (see stripe.go): a slot is read and written
-	// only under its base node's stripe mutex, so parallel insert streams do
-	// not contend until a batch completes. Time advances only once every
-	// base series has a value for the next time stamp; the advance is a
-	// cross-stripe barrier under maint and hands the column
-	// on as it stands — a complete batch is frozen (every insert is a
-	// duplicate until the advance clears the marks), so nothing is copied.
-	// Lock order: maint, then mu, then stripes in index order.
-	pending     []float64
-	present     []bool
-	stripes     []writeStripe
-	stripeShift uint
-	// pendingTotal counts the slots that hold a value; the batch is
-	// complete exactly when it reaches len(graph.BaseIDs). It is a
-	// completion hint — the authoritative check runs under maint in
-	// advanceIfComplete.
+	// graph.BaseIDs[i], held once present[i] is set. pendMu guards both, and
+	// pendingTotal counts the slots that hold a value (written under pendMu,
+	// read lock-free by Stats). Time advances only once every base series has
+	// a value for the next time stamp, and the advance hands the column on as
+	// it stands: a complete batch is frozen — every insert is a duplicate, or
+	// helps apply the advance and retries — until releaseColumn clears it, so
+	// nothing is copied. Lock order: maint, then mu, then pendMu.
+	pendMu       sync.Mutex
+	pending      []float64
+	present      []bool
 	pendingTotal atomic.Int64
-	// advanceGen increments (under mu) every time a complete batch is
-	// applied and the column released. Inserters that hit a duplicate
-	// use it to distinguish "my value is a genuine duplicate in the
-	// current batch" from "the batch holding the duplicate just advanced;
-	// retry against the fresh one".
-	advanceGen atomic.Uint64
+	// pendContention counts pendMu acquisitions that found it held.
+	pendContention atomic.Int64
 
 	// baseCounts holds the number of base series per node (AVG queries),
 	// precomputed at Open so the read path never mutates shared state.
@@ -181,15 +169,11 @@ type DB struct {
 	// plans is the LRU of resolved SQL plans keyed by NormalizeSQL text
 	// (nil when disabled), guarded by planMu; the stored plans are
 	// immutable, so a hit may be handed to any number of concurrent
-	// readers. fc is the epoch-guarded forecast memo table (nil when
+	// readers. fc is the generation-stamped forecast memo table (nil when
 	// disabled, see fccache.go).
 	planMu sync.Mutex
 	plans  *lru.Cache[string, *Plan]
 	fc     *fcCache
-	// deps lists, per model node, the targets whose derivation scheme
-	// reads that model (excluding the node itself): re-estimating the
-	// model invalidates exactly these nodes' memoized forecasts.
-	deps map[int][]int
 
 	met engineMetrics
 
@@ -209,13 +193,6 @@ type DB struct {
 	// the commit. Installed once before any concurrency (OpenDurable) —
 	// never mutated on a live engine.
 	commitHook func(gen uint64, column []float64) error
-
-	// testHookAfterSweep, when non-nil, runs inside advanceIfComplete after
-	// the presence marks are cleared but before the pending counter is
-	// rebalanced — the window in which a lock-free insert can race an
-	// in-flight advance. Tests use it to land a racing insert
-	// deterministically; always nil in production.
-	testHookAfterSweep func()
 }
 
 // Options configures Open.
@@ -227,14 +204,9 @@ type Options struct {
 	// PlanCacheSize bounds the LRU of parsed-and-resolved SQL query plans.
 	// 0 selects the default (256); a negative value disables plan caching.
 	PlanCacheSize int
-	// ForecastCacheSize bounds the epoch-invalidated forecast memo table.
+	// ForecastCacheSize bounds the generation-invalidated forecast memo table.
 	// 0 selects the default (4096); a negative value disables memoization.
 	ForecastCacheSize int
-	// Stripes is the number of write stripes sharding the pending insert
-	// batch and the forecast memo table. 0 picks a power of two near
-	// GOMAXPROCS; other values are rounded up to the next power of two
-	// (capped at 256).
-	Stripes int
 }
 
 // Default cache capacities applied by Open when the option is zero.
@@ -274,22 +246,16 @@ func open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 	if opts.Strategy == nil {
 		opts.Strategy = Never{}
 	}
-	nstripes := resolveStripeCount(opts.Stripes)
 	db := &DB{
-		graph:       g,
-		cfg:         cfg,
-		planner:     NewPlanner(g, opts.StepDuration),
-		strategy:    opts.Strategy,
-		invalid:     make(map[int]bool),
-		mstats:      make(map[int]*ModelStats),
-		schemes:     make([]schemeState, g.NumNodes()),
-		pending:     make([]float64, len(g.BaseIDs)),
-		present:     make([]bool, len(g.BaseIDs)),
-		stripes:     make([]writeStripe, nstripes),
-		stripeShift: stripeShiftFor(nstripes),
-	}
-	for _, id := range g.BaseIDs {
-		db.stripeFor(id).bases++
+		graph:    g,
+		cfg:      cfg,
+		planner:  NewPlanner(g, opts.StepDuration),
+		strategy: opts.Strategy,
+		invalid:  make(map[int]bool),
+		mstats:   make(map[int]*ModelStats),
+		schemes:  make([]schemeState, g.NumNodes()),
+		pending:  make([]float64, len(g.BaseIDs)),
+		present:  make([]bool, len(g.BaseIDs)),
 	}
 	for id := range cfg.Models {
 		db.mstats[id] = &ModelStats{}
@@ -331,17 +297,7 @@ func open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 		if size == 0 {
 			size = defaultForecastCacheSize
 		}
-		db.fc = newFcCache(g.NumNodes(), size, nstripes)
-		// Invert the scheme table: deps[s] = targets deriving from model
-		// s, so a re-estimation of s invalidates exactly those epochs.
-		db.deps = make(map[int][]int, len(cfg.Models))
-		for t, sc := range cfg.Schemes {
-			for _, s := range sc.Sources {
-				if s != t {
-					db.deps[s] = append(db.deps[s], t)
-				}
-			}
-		}
+		db.fc = newFcCache(size)
 	}
 	return db, nil
 }
@@ -369,9 +325,9 @@ var errNeedsReestimate = errors.New("f2db: model awaits re-estimation")
 // guard witnesses ownership of the engine lock. It can only be produced by
 // rLock/wLock, so a function taking a guard provably runs under the lock,
 // and one requiring exclusivity can assert it instead of trusting a bool
-// threaded by convention — the stripe refactor must not be able to
-// double-lock or race silently. The read path takes rLock and passes no
-// guard on: under the shared lock it never writes.
+// threaded by convention, so a refactor cannot double-lock or race
+// silently. The read path takes rLock and passes no guard on: under the
+// shared lock it never writes.
 type guard struct{ exclusive bool }
 
 // rLock takes the shared engine lock and returns its witness.
@@ -435,7 +391,7 @@ func (db *DB) ForecastNode(nodeID, h int) ([]float64, error) {
 // forecastIntervalLocked answers a node forecast (with interval bounds when
 // conf > 0) through the memo table: a hit returns the cached slices without
 // touching any model; a miss derives the forecast and hands it to the memo
-// table under the node's current epoch. Either way the slices are shared
+// table under the current generation. Either way the slices are shared
 // with later hits and must not be written. Metrics (query count, latency,
 // scheme hits, cache counters) are recorded here so hits and misses are
 // accounted uniformly. The caller holds the shared lock. A source model
@@ -495,6 +451,9 @@ func (db *DB) forecastIntervalLocked(nodeID, h int, conf float64, retry bool) (p
 // horizon profile (class-1 state-space formulas for exponential smoothing):
 //
 //	spread(step) = z · |k| · sqrt( Σ_s σ_s² · scale_s(step)² )
+//
+// A sum of squares that overflows is taken again in units of the largest
+// σ_s · scale_s(step), so finite deviations give finite bounds.
 func (db *DB) deriveInterval(nodeID, h int, conf float64) (point, lo, hi []float64, err error) {
 	sc, ok := db.cfg.Schemes[nodeID]
 	if !ok {
@@ -537,26 +496,41 @@ func (db *DB) deriveInterval(nodeID, h int, conf float64) (point, lo, hi []float
 	lo, hi = out[h:2*h:2*h], out[2*h:3*h:3*h]
 	z := optimize.InvNormCDF(0.5 + conf/200)
 	for i := range point {
-		var variance float64
+		var variance, top float64
 		for _, s := range sc.Sources {
-			m := db.cfg.Models[s]
-			if u, ok := m.(forecast.Uncertainty); ok {
-				std := u.ResidualStd() * forecast.VarianceScaleOf(m, i+1)
-				variance += std * std
-			}
+			std := residualStd(db.cfg.Models[s], i+1)
+			variance += std * std
+			top = max(top, math.Abs(std))
 		}
-		spread := z * math.Abs(sc.K) * math.Sqrt(variance)
+		root := math.Sqrt(variance)
+		if math.IsInf(variance, 1) && !math.IsInf(top, 1) {
+			variance = 0
+			for _, s := range sc.Sources {
+				r := residualStd(db.cfg.Models[s], i+1) / top
+				variance += r * r
+			}
+			root = top * math.Sqrt(variance)
+		}
+		spread := z * math.Abs(sc.K) * root
 		lo[i] = point[i] - spread
 		hi[i] = point[i] + spread
 	}
 	return point, lo, hi, nil
 }
 
+// residualStd is a model's residual standard deviation grown to the given
+// forecast step; 0 for a model that reports no uncertainty.
+func residualStd(m forecast.Model, step int) float64 {
+	if u, ok := m.(forecast.Uncertainty); ok {
+		return u.ResidualStd() * forecast.VarianceScaleOf(m, step)
+	}
+	return 0
+}
+
 // installModel publishes a freshly fitted model: stores it, clears the
-// invalid flag, resets the maintenance statistics and bumps the epoch of
-// the model node and of every node whose derivation scheme reads the model,
-// invalidating their memoized forecasts. The guard must witness the write
-// lock.
+// invalid flag, resets the maintenance statistics and bumps the memo
+// generation, invalidating every memoized forecast. The guard must witness
+// the write lock.
 func (db *DB) installModel(g guard, id int, m forecast.Model) {
 	db.assertExclusive(g)
 	db.cfg.Models[id] = m
@@ -565,12 +539,16 @@ func (db *DB) installModel(g guard, id int, m forecast.Model) {
 	st.UpdatesSinceFit = 0
 	st.RollingError = 0
 	db.met.reestimations.Add(1)
+	db.bumpMemo()
+}
+
+// bumpMemo stales every memoized forecast by advancing the memo generation.
+// The caller holds the write lock, so no reader derives against the old
+// state and stamps the new generation.
+func (db *DB) bumpMemo() {
 	if db.fc != nil {
-		bumped := db.fc.bump(id)
-		for _, t := range db.deps[id] {
-			bumped += db.fc.bump(t)
-		}
-		db.met.epochBumps.Add(bumped)
+		db.fc.gen.Add(1)
+		db.met.epochBumps.Add(1)
 	}
 }
 
@@ -590,10 +568,9 @@ func (db *DB) Insert(members []string, value float64) error {
 }
 
 // InsertBase is Insert addressed by base node ID (fast path for generated
-// workloads). Incomplete-batch inserts only touch the stripe owning the
-// base series; the engine write lock is taken once per completed batch, so
-// parallel insert streams neither interfere with concurrent readers nor —
-// when they land on different stripes — with each other.
+// workloads). An insert that does not complete the batch holds only the
+// pending lock; the engine write lock is taken once per completed batch, so
+// insert streams never block concurrent readers.
 func (db *DB) InsertBase(baseID int, value float64) (err error) {
 	start := time.Now()
 	defer func() {
@@ -606,33 +583,26 @@ func (db *DB) InsertBase(baseID int, value float64) (err error) {
 	if !ok {
 		return fmt.Errorf("f2db: %d is not a base node", baseID)
 	}
-	s := db.stripeFor(baseID)
+	numBases := int64(len(db.graph.BaseIDs))
 	for {
-		// advanceGen is read before the stripe lock: while we hold the
-		// stripe mutex no advance can release our stripe's slots, so a
-		// duplicate observed under the lock belongs to the generation we
-		// read (or an earlier one — then the recheck below retries).
-		gen := db.advanceGen.Load()
-		s.lock()
+		db.lockPending()
 		if db.present[ord] {
-			s.mu.Unlock()
-			// Either the batch is complete and awaiting its advance
-			// (another inserter won the completion race — help apply it,
-			// then retry), or the value really is a duplicate within the
-			// current, incomplete batch.
+			// The slot is taken: a duplicate, unless the batch is complete
+			// and awaiting its advance — then help apply it and retry.
+			frozen := db.pendingTotal.Load() == numBases
+			db.pendMu.Unlock()
+			if !frozen {
+				return fmt.Errorf("f2db: duplicate insert for base node %d in current batch", baseID)
+			}
 			if err := db.advanceIfComplete(); err != nil {
 				return err
-			}
-			if db.advanceGen.Load() == gen {
-				return fmt.Errorf("f2db: duplicate insert for base node %d in current batch", baseID)
 			}
 			continue
 		}
 		db.pending[ord], db.present[ord] = value, true
-		s.depth.Add(1)
 		total := db.pendingTotal.Add(1)
-		s.mu.Unlock()
-		if total < int64(len(db.graph.BaseIDs)) {
+		db.pendMu.Unlock()
+		if total < numBases {
 			return nil
 		}
 		return db.advanceIfComplete()
@@ -640,21 +610,20 @@ func (db *DB) InsertBase(baseID int, value float64) (err error) {
 }
 
 // InsertBatch adds new measure values for many base series (keyed by base
-// node ID) in one call. Values are routed to their write stripes and each
-// stripe's lock is taken once for its whole group, so concurrent InsertBatch
-// calls over disjoint stripes proceed in parallel; whenever the pending
-// batch becomes complete, time advances under a single acquisition of the
-// engine write lock. This is the write path for bulk producers — the
-// workload generator, snapshot restore and multi-row SQL INSERTs — where
-// per-value InsertBase locking dominates.
+// node ID) in one call, taking the pending lock once for all of them;
+// whenever the pending batch becomes complete, time advances under a single
+// acquisition of the engine write lock. This is the write path for bulk
+// producers — the workload generator, snapshot restore and multi-row SQL
+// INSERTs — where per-value InsertBase locking dominates.
 //
-// The map is the boundary form only: past the stripes a time point is one
-// dense []float64 in BaseIDs order, to the commit gate, the WAL and the graph.
+// The map is the boundary form only: past the pending lock a time point is
+// one dense []float64 in BaseIDs order, to the commit gate, the WAL and the
+// graph.
 //
-// Values are applied in ascending node-ID order within each stripe, stripes
-// in index order. A value for a base series that already has a pending
-// value in the current (incomplete) batch is a duplicate error, exactly as
-// with InsertBase; values applied before the error sticks remain pending.
+// Values are applied in ascending node-ID order. A value for a base series
+// that already has a pending value in the current (incomplete) batch is a
+// duplicate error, exactly as with InsertBase; values applied before the
+// error stay pending.
 func (db *DB) InsertBatch(values map[int]float64) error {
 	rows := make([]baseRow, 0, len(values))
 	for id, v := range values {
@@ -663,13 +632,15 @@ func (db *DB) InsertBatch(values map[int]float64) error {
 		}
 		rows = append(rows, baseRow{id, v})
 	}
-	sortRows(rows, db.stripeShift)
+	sortRows(rows)
 	return db.insertSorted(rows)
 }
 
 // insertSorted is the body of InsertBatch and of a multi-row SQL INSERT:
-// rows are distinct base nodes in sortRows order, so each stripe's rows are
-// one contiguous run and a single pass locks every stripe once.
+// rows are distinct base nodes in ascending ID order. They land under one
+// hold of the pending lock — a snapshot sees all of them or none — unless
+// they complete the batch, which is applied before the rest land in the
+// next one.
 func (db *DB) insertSorted(rows []baseRow) (err error) {
 	start := time.Now()
 	applied := 0
@@ -680,62 +651,56 @@ func (db *DB) insertSorted(rows []baseRow) (err error) {
 	}()
 	numBases := int64(len(db.graph.BaseIDs))
 	for i := 0; i < len(rows); {
-		s := db.stripeFor(rows[i].id)
-		gen := db.advanceGen.Load()
-		dupID := -1
-		s.lock()
-		for ; i < len(rows) && db.stripeFor(rows[i].id) == s; i++ {
-			r := rows[i]
-			ord, _ := db.graph.BaseOrdinal(r.id) // callers resolved r.id as a base node
+		db.lockPending()
+		for ; i < len(rows); i++ {
+			ord, _ := db.graph.BaseOrdinal(rows[i].id) // callers resolved rows[i].id as a base node
 			if db.present[ord] {
-				dupID = r.id
 				break
 			}
-			db.pending[ord], db.present[ord] = r.value, true
-			s.depth.Add(1)
+			db.pending[ord], db.present[ord] = rows[i].value, true
 			db.pendingTotal.Add(1)
 			applied++
 		}
-		s.mu.Unlock()
-		// >=, not ==: while an advance is mid-sweep, racing next-batch
-		// inserts into already-swept stripes can push the counter past
-		// numBases transiently; exact equality would skip the help-advance.
-		if db.pendingTotal.Load() >= numBases {
-			// Either this call completed the batch, or it ran into its
-			// own earlier value re-offered against an already-complete
-			// batch another inserter has not applied yet: apply (or
-			// help apply) the advance, then continue.
-			if err := db.advanceIfComplete(); err != nil {
-				return err
+		complete := db.pendingTotal.Load() == numBases
+		db.pendMu.Unlock()
+		if !complete {
+			if i < len(rows) {
+				return fmt.Errorf("f2db: duplicate insert for base node %d in current batch", rows[i].id)
 			}
+			return nil
 		}
-		// A duplicate left i on its row: if the batch advanced, re-offer it.
-		if dupID >= 0 && db.advanceGen.Load() == gen {
-			return fmt.Errorf("f2db: duplicate insert for base node %d in current batch", dupID)
+		// This call completed the batch, or met a complete one another
+		// inserter has not applied yet: apply it, then place the rest.
+		if err := db.advanceIfComplete(); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
+// lockPending acquires the pending lock, counting contended acquisitions.
+func (db *DB) lockPending() {
+	if db.pendMu.TryLock() {
+		return
+	}
+	db.pendContention.Add(1)
+	db.pendMu.Lock()
+}
+
 // advanceIfComplete applies the pending batch if it is (still) complete.
-// This is the write path's cross-stripe barrier: under maint it commits the
-// pending column, then under the engine write lock advances time with it
-// and only then clears the presence marks — no insert can slip in because a
-// complete batch makes every further insert a duplicate until they are
-// cleared. Readers keep answering from the previous time point while the
-// commit fsyncs. Safe to race: whichever caller takes maint first advances,
-// the rest see an incomplete (fresh) batch and return. An advance that
-// arrives during a re-fit waits for it.
+// Under maint it commits the pending column, then under the engine write
+// lock advances time with it and only then releases the column — no insert
+// can slip in, because a complete batch makes every further insert a
+// duplicate or a helper of this advance. Readers keep answering from the
+// previous time point while the commit fsyncs. Safe to race: whichever
+// caller takes maint first advances, the rest see an incomplete (fresh)
+// batch and return. An advance that arrives during a re-fit waits for it.
 func (db *DB) advanceIfComplete() error {
 	db.maint.Lock()
 	defer db.maint.Unlock()
-	numBases := int64(len(db.graph.BaseIDs))
-	// With no advance in flight the counter is the number of slots marked
-	// present (an insert between its mark and its increment re-runs this
-	// check itself): at numBases the column is complete, so frozen, and —
-	// every value having been written before its increment — readable
-	// without the stripe locks.
-	if db.pendingTotal.Load() < numBases {
+	// A complete column is frozen until releaseColumn, which runs under
+	// maint: it is readable without the pending lock.
+	if db.pendingTotal.Load() < int64(len(db.graph.BaseIDs)) {
 		return nil
 	}
 	// Group commit: the batch must be durable before it is applied. On
@@ -749,37 +714,20 @@ func (db *DB) advanceIfComplete() error {
 	}
 	g := db.wLock()
 	err := db.advanceBatch(g, db.pending)
-	db.releaseColumn(g, numBases)
+	db.releaseColumn(g)
 	db.unlock(g)
 	return err
 }
 
 // releaseColumn hands the pending column back to inserters after its batch
-// was applied: it clears the presence marks, takes the held values off the
-// pending counter and bumps the advance generation. The guard must witness
-// the write lock.
-func (db *DB) releaseColumn(g guard, held int64) {
+// was applied: it clears the presence marks and the count in one hold of
+// the pending lock. The guard must witness the write lock.
+func (db *DB) releaseColumn(g guard) {
 	db.assertExclusive(g)
-	// Clear under all stripe locks at once: a stripe unlocked early could
-	// take a next-batch mark that the clear then erases.
-	for i := range db.stripes {
-		db.stripes[i].lock()
-	}
+	db.lockPending()
 	clear(db.present)
-	for i := range db.stripes {
-		db.stripes[i].depth.Store(0)
-		db.stripes[i].mu.Unlock()
-	}
-	if db.testHookAfterSweep != nil {
-		db.testHookAfterSweep()
-	}
-	// Decrement by exactly the number of values held, never reset to zero:
-	// inserters hold no engine lock, so a next-batch value can land in a
-	// released slot (and increment pendingTotal) before we get here — a
-	// Store(0) would erase that increment, permanently undercount the column
-	// and stop the completion check from ever firing again.
-	db.pendingTotal.Add(-held)
-	db.advanceGen.Add(1)
+	db.pendingTotal.Store(0)
+	db.pendMu.Unlock()
 }
 
 // advanceBatch processes a complete batch — one value per base series, in
@@ -821,11 +769,8 @@ func (db *DB) advanceBatch(g guard, column []float64) error {
 		}
 	}
 	// A time advance changes every node's series, every model's state and
-	// the live derivation weights: every memoized forecast is stale. One
-	// atomic increment per node invalidates them all without a sweep.
-	if db.fc != nil {
-		db.met.epochBumps.Add(db.fc.bumpAll())
-	}
+	// the live derivation weights: every memoized forecast is stale.
+	db.bumpMemo()
 	return nil
 }
 

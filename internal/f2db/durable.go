@@ -321,9 +321,8 @@ func (d *Durable) applyReplayedBatch(gen uint64, column []float64) (applied bool
 	if err := db.advanceBatch(g, column); err != nil {
 		return false, err
 	}
-	held := db.pendingTotal.Load()
-	db.met.inserts.Add(int64(len(column)) - held)
-	db.releaseColumn(g, held)
+	db.met.inserts.Add(int64(len(column)) - db.pendingTotal.Load())
+	db.releaseColumn(g)
 	return true, nil
 }
 

@@ -833,6 +833,28 @@ func TestPredictionIntervals(t *testing.T) {
 	}
 }
 
+// TestIntervalHugeResidual: a residual deviation whose square overflows
+// still answers WITH INTERVAL with finite bounds around the forecast.
+func TestIntervalHugeResidual(t *testing.T) {
+	g := testCube(t, 36)
+	cfg := core.NewConfiguration(g, g.Length)
+	cfg.Models[g.TopID] = &forecast.Naive{Last: 100, ResidStd: 1e200, IsFitted: true}
+	cfg.Schemes[g.TopID] = derivation.DirectScheme(g.TopID)
+	db, err := Open(g, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query("SELECT time, SUM(m) FROM facts GROUP BY time AS OF now() + '2 steps' WITH INTERVAL 95")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res.Rows {
+		if math.IsInf(r.Lo, 0) || math.IsInf(r.Hi, 0) || !(r.Lo < r.Value && r.Value < r.Hi) {
+			t.Fatalf("row %d: interval [%v, %v] around %v, want finite bounds bracketing it", i, r.Lo, r.Hi, r.Value)
+		}
+	}
+}
+
 func TestIntervalAbsentByDefault(t *testing.T) {
 	db, _, _ := testEngine(t, nil)
 	res, err := db.Query("SELECT time, SUM(m) FROM facts GROUP BY time AS OF now() + '2 steps'")

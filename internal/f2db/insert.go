@@ -189,16 +189,10 @@ func (sc *insertScratch) resolve(g *cube.Graph, sql string) error {
 	}
 }
 
-// sortRows orders rows by write stripe, then node ID — the order the
-// stripes are locked and filled in (shift 0: by ID alone) — and reports
-// whether some node occurs twice.
-func sortRows(rows []baseRow, shift uint) (dup bool) {
-	slices.SortFunc(rows, func(a, b baseRow) int {
-		if sa, sb := stripeIndex(a.id, shift), stripeIndex(b.id, shift); sa != sb {
-			return sa - sb
-		}
-		return a.id - b.id
-	})
+// sortRows orders rows by node ID, the order they fill the pending column
+// in, and reports whether some node occurs twice.
+func sortRows(rows []baseRow) (dup bool) {
+	slices.SortFunc(rows, func(a, b baseRow) int { return a.id - b.id })
 	for i := 1; i < len(rows); i++ {
 		if rows[i].id == rows[i-1].id {
 			return true
@@ -207,14 +201,14 @@ func sortRows(rows []baseRow, shift uint) (dup bool) {
 	return false
 }
 
-// rejectDuplicates sorts the resolved rows for the stripes (statement order
-// is lost) and rejects a statement that names one base series twice. Found
+// rejectDuplicates sorts the resolved rows by node ID (statement order is
+// lost) and rejects a statement that names one base series twice. Found
 // on the sorted rows, after everything scanned and resolved, a repeat is
 // reported after any other defect. The error names the first row, in text
 // order, that repeats an earlier one; finding it re-scans the statement
 // with a set — the error path may allocate, rows need not carry members.
-func (sc *insertScratch) rejectDuplicates(g *cube.Graph, shift uint) error {
-	if !sortRows(sc.rows, shift) {
+func (sc *insertScratch) rejectDuplicates(g *cube.Graph) error {
+	if !sortRows(sc.rows) {
 		return nil
 	}
 	seen := make(map[int]bool, len(sc.rows))

@@ -74,7 +74,7 @@ func pipelineRows(g *cube.Graph, sql string) ([]baseRow, error) {
 		return nil, err
 	}
 	rows := append([]baseRow(nil), sc.rows...)
-	if err := sc.rejectDuplicates(g, 0); err != nil {
+	if err := sc.rejectDuplicates(g); err != nil {
 		return nil, err
 	}
 	return rows, nil
@@ -283,22 +283,21 @@ func TestExecInsertAllocs(t *testing.T) {
 // pendingValues counts the values held in the pending column, by walking
 // its presence marks.
 func pendingValues(db *DB) (n int) {
-	for ord, id := range db.graph.BaseIDs {
-		s := db.stripeFor(id)
-		s.lock()
-		if db.present[ord] {
+	db.lockPending()
+	defer db.pendMu.Unlock()
+	for _, p := range db.present {
+		if p {
 			n++
 		}
-		s.mu.Unlock()
 	}
 	return n
 }
 
-// TestExecInsertAtomic: no row reaches a stripe unless the whole statement
+// TestExecInsertAtomic: no row reaches the pending column unless the whole statement
 // scanned and resolved — a defect in the last row leaves the engine as if
 // the statement had never been sent.
 func TestExecInsertAtomic(t *testing.T) {
-	db, g := gridEngine(t, [2]string{"product", "city"}, numbered("P", 8), numbered("C", 8), Options{Stripes: 4})
+	db, g := gridEngine(t, [2]string{"product", "city"}, numbered("P", 8), numbered("C", 8), Options{})
 	good := insertSQL(g, g.BaseIDs[:40], 1)
 	for _, last := range []string{
 		", ('P0', 'nowhere', 1)", // unknown
@@ -311,7 +310,7 @@ func TestExecInsertAtomic(t *testing.T) {
 			t.Fatalf("statement ending %q accepted", last)
 		}
 		if db.pendingTotal.Load() != 0 || pendingValues(db) != 0 || db.Metrics().Inserts != 0 {
-			t.Fatalf("statement ending %q left pendingTotal=%d, %d values in the stripes, %d inserts counted",
+			t.Fatalf("statement ending %q left pendingTotal=%d, %d values pending, %d inserts counted",
 				last, db.pendingTotal.Load(), pendingValues(db), db.Metrics().Inserts)
 		}
 	}
@@ -319,7 +318,7 @@ func TestExecInsertAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if db.pendingTotal.Load() != 40 || pendingValues(db) != 40 {
-		t.Fatalf("accepted statement: pendingTotal=%d, %d values in the stripes, want 40", db.pendingTotal.Load(), pendingValues(db))
+		t.Fatalf("accepted statement: pendingTotal=%d, %d values pending, want 40", db.pendingTotal.Load(), pendingValues(db))
 	}
 }
 
@@ -329,8 +328,8 @@ func TestExecInsertAtomic(t *testing.T) {
 func TestExecInsertConcurrentScratch(t *testing.T) {
 	const writers, points, perStmt = 4, 3, 7
 	levels := [2]string{"product", "city"}
-	db, g := gridEngine(t, levels, numbered("P", 12), numbered("C", 12), Options{Stripes: 4})
-	twin, _ := gridEngine(t, levels, numbered("P", 12), numbered("C", 12), Options{Stripes: -1})
+	db, g := gridEngine(t, levels, numbered("P", 12), numbered("C", 12), Options{})
+	twin, _ := gridEngine(t, levels, numbered("P", 12), numbered("C", 12), Options{})
 	p := NewPlanner(g, 0)
 	for point := 0; point < points; point++ {
 		var stmts []string

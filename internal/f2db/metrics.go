@@ -1,7 +1,6 @@
 package f2db
 
 import (
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -109,11 +108,11 @@ type Metrics struct {
 	PlanCacheEvictions int64
 	PlanCacheSize      int
 
-	// Forecast-memo counters: forecasts served from the epoch-guarded
+	// Forecast-memo counters: forecasts served from the generation-stamped
 	// memo table, recomputations, queries that bypassed the table to take
-	// the lazy re-estimation path, evicted entries, and epoch increments
-	// performed by maintenance/re-estimation. ForecastCacheSize is the
-	// current entry count (live and stale).
+	// the lazy re-estimation path, evicted entries, and memo generation
+	// bumps (one per time advance and one per installed re-fit).
+	// ForecastCacheSize is the current entry count (live and stale).
 	ForecastCacheHits      int64
 	ForecastCacheMisses    int64
 	ForecastCacheBypasses  int64
@@ -121,18 +120,9 @@ type Metrics struct {
 	ForecastCacheSize      int
 	EpochBumps             int64
 
-	// Write-stripe gauges (see stripe.go). WriteStripes is the stripe
-	// count fixed at Open; StripePending is the current pending-batch
-	// depth per stripe; StripeContention counts stripe-lock acquisitions
-	// that found the lock held (writer-writer contention — the quantity
-	// striping exists to shrink); StripeBases is the number of base series
-	// routed to each stripe (hash balance). ForecastShardEntries is the
-	// per-shard memo-table occupancy (nil when memoization is disabled).
-	WriteStripes         int
-	StripePending        []int
-	StripeContention     []int64
-	StripeBases          []int
-	ForecastShardEntries []int
+	// StripeContention has one element: the pending-lock acquisitions that
+	// found the lock held (writer-writer contention on the insert path).
+	StripeContention []int64
 
 	// Durability counters (zero on a non-durable engine): WAL record
 	// appends, fsyncs and bytes written, live WAL file count, batches
@@ -172,6 +162,7 @@ func (db *DB) Metrics() Metrics {
 		ForecastCacheBypasses:  db.met.fcBypasses.Load(),
 		ForecastCacheEvictions: db.met.fcEvictions.Load(),
 		EpochBumps:             db.met.epochBumps.Load(),
+		StripeContention:       []int64{db.pendContention.Load()},
 
 		WALAppends:         db.met.walAppends.Load(),
 		WALSyncs:           db.met.walSyncs.Load(),
@@ -189,17 +180,6 @@ func (db *DB) Metrics() Metrics {
 	}
 	if db.fc != nil {
 		m.ForecastCacheSize = db.fc.size()
-		m.ForecastShardEntries = db.fc.shardSizes()
-	}
-	m.WriteStripes = len(db.stripes)
-	m.StripePending = make([]int, len(db.stripes))
-	m.StripeContention = make([]int64, len(db.stripes))
-	m.StripeBases = make([]int, len(db.stripes))
-	for i := range db.stripes {
-		s := &db.stripes[i]
-		m.StripePending[i] = int(s.depth.Load())
-		m.StripeContention[i] = s.contention.Load()
-		m.StripeBases[i] = s.bases
 	}
 	for i := 0; i < derivationKinds; i++ {
 		if c := db.met.schemeHits[i].Load(); c > 0 {
@@ -239,8 +219,7 @@ func (m Metrics) describe(r *metrics.Registry) {
 	r.Value("f2db_forecast_cache_bypasses_total", "Queries that took the lazy re-estimation path.", float64(m.ForecastCacheBypasses))
 	r.Value("f2db_forecast_cache_evictions_total", "Memo entries evicted.", float64(m.ForecastCacheEvictions))
 	r.Value("f2db_forecast_cache_entries", "Memo entries currently held.", float64(m.ForecastCacheSize))
-	r.Value("f2db_epoch_bumps_total", "Node epoch increments by maintenance and re-estimation.", float64(m.EpochBumps))
-	indexed(r, "f2db_forecast_shard_entries", "Memo entries per forecast-cache shard.", "shard", m.ForecastShardEntries)
+	r.Value("f2db_epoch_bumps_total", "Memo generation bumps by time advances and re-fits.", float64(m.EpochBumps))
 
 	// \stats leaves the durability line out on an engine that never logged.
 	r.Break(true)
@@ -254,19 +233,13 @@ func (m Metrics) describe(r *metrics.Registry) {
 	r.Value("f2db_snapshot_writes_total", "Crash-safe snapshot files written.", float64(m.SnapshotWrites))
 
 	r.Break(false)
-	r.Value("f2db_write_stripes", "Write stripes sharding the pending batch.", float64(m.WriteStripes))
-	indexed(r, "f2db_stripe_pending", "Pending-batch depth per write stripe.", "stripe", m.StripePending)
-	indexed(r, "f2db_stripe_lock_contention_total", "Contended stripe-lock acquisitions.", "stripe", m.StripeContention)
-	indexed(r, "f2db_stripe_bases", "Base series routed to each write stripe.", "stripe", m.StripeBases)
+	var contention int64 // a zero Metrics has no element
+	for _, n := range m.StripeContention {
+		contention += n
+	}
+	r.Value("f2db_pending_lock_contention_total", "Contended pending-lock acquisitions.", float64(contention))
 
 	r.HistogramValue("f2db_query_latency_seconds", "Per-forecast latency.", 1e9, m.QueryLatency)
-}
-
-// indexed registers one sample per slice element, labelled by its index.
-func indexed[T int | int64](r *metrics.Registry, name, help, label string, vs []T) {
-	for i, v := range vs {
-		r.Value(name, help, float64(v), metrics.Label(label, strconv.Itoa(i)))
-	}
 }
 
 // String renders the snapshot in the \stats form.

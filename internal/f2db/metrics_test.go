@@ -99,7 +99,7 @@ func TestMetricsHandlerPrometheus(t *testing.T) {
 
 	// Every exposed family carries HELP and TYPE lines.
 	for _, family := range []string{
-		"f2db_queries_total", "f2db_epoch_bumps_total", "f2db_query_latency_seconds", "f2db_stripe_bases",
+		"f2db_queries_total", "f2db_epoch_bumps_total", "f2db_query_latency_seconds", "f2db_pending_lock_contention_total",
 	} {
 		if !strings.Contains(body, "# HELP "+family+" ") {
 			t.Errorf("missing HELP for %s", family)

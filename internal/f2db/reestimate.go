@@ -60,10 +60,10 @@ func (db *DB) refitFor(nodes []int) error {
 }
 
 // refit re-fits the invalid models among ids and installs them under one
-// write-lock hold. The caller holds maint and no other engine or stripe
-// lock. Several fits run on a pool sized by GOMAXPROCS; a single one runs
-// on the caller's goroutine. It returns how many models it installed and
-// every fit error; a model whose fit failed stays invalid.
+// write-lock hold. The caller holds maint and no other engine lock. Several
+// fits run on a pool sized by GOMAXPROCS; a single one runs on the caller's
+// goroutine. It returns how many models it installed and every fit error;
+// a model whose fit failed stays invalid.
 func (db *DB) refit(ids []int) (int, error) {
 	var todo []int
 	for _, id := range ids {

@@ -40,8 +40,8 @@ func BenchmarkReestimateWarm(b *testing.B) {
 
 // BenchmarkInsertDuringReestimate measures insert latency while a
 // background goroutine keeps re-fitting every model under the maintenance
-// lock. It mostly times inserts that do not complete a batch: they touch
-// only their stripe and proceed while the fits hold the lock. One insert in
+// lock. It mostly times inserts that do not complete a batch: they take
+// only the pending lock and proceed while the fits hold the lock. One insert in
 // every len(BaseIDs) completes the batch and waits for the fit in flight.
 func BenchmarkInsertDuringReestimate(b *testing.B) {
 	db, g := benchEngineOpts(b, Options{Strategy: TimeBased{Every: 1}})

@@ -176,7 +176,7 @@ func TestOffLockReestimateStress(t *testing.T) {
 						return
 					}
 				}
-				for eager.advanceGen.Load() < uint64(s+1) {
+				for eager.met.batches.Load() < int64(s+1) {
 					time.Sleep(50 * time.Microsecond)
 				}
 				if refit {

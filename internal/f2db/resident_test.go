@@ -26,8 +26,9 @@ import (
 // Health entry and Explain plan agrees bit for bit, and the fresh graph has
 // made resident exactly its base nodes and the non-base nodes that carry a
 // model; after the tenth, so do the two engines a SaveDatabase →
-// LoadDatabase round trip restores. Run striped (4 concurrent writers) and
-// single-stripe.
+// LoadDatabase round trip restores. The fresh graph's engine takes each
+// time point from 8 concurrent writers in one case and from one writer in
+// the other, the materialized one's sequentially.
 func TestResidentSetTwin(t *testing.T) {
 	d := datasets.Sales(1)
 	ag, err := d.Graph()
@@ -52,9 +53,15 @@ func TestResidentSetTwin(t *testing.T) {
 		}
 	}
 
-	for _, stripes := range []int{8, -1} {
-		t.Run(fmt.Sprintf("stripes=%d", stripes), func(t *testing.T) {
-			opts := f2db.Options{Strategy: f2db.TimeBased{Every: 3}, Stripes: stripes}
+	// The case names are those of the pending column's former stripe layouts
+	// (8 stripes, one stripe); on the one pending lock they vary the number of
+	// concurrent writers that take each time point instead.
+	for _, c := range []struct {
+		name    string
+		writers int
+	}{{"stripes=8", 8}, {"stripes=-1", 1}} {
+		t.Run(c.name, func(t *testing.T) {
+			opts := f2db.Options{Strategy: f2db.TimeBased{Every: 3}}
 			open := func(materialize bool) (*f2db.DB, *cube.Graph) {
 				g, err := d.Graph()
 				if err != nil {
@@ -87,7 +94,7 @@ func TestResidentSetTwin(t *testing.T) {
 
 			for i, batch := range batches {
 				var wg sync.WaitGroup
-				parts := workload.SplitBatch(batch, 4)
+				parts := workload.SplitBatch(batch, c.writers)
 				errs := make([]error, len(parts))
 				for w, part := range parts {
 					wg.Add(1)

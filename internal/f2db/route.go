@@ -108,7 +108,7 @@ func (p *Planner) RouteExecNodes(sql string, visit func(base int)) (rows int, er
 	for _, r := range sc.rows {
 		visit(r.id)
 	}
-	if err := sc.rejectDuplicates(p.g, 0); err != nil {
+	if err := sc.rejectDuplicates(p.g); err != nil {
 		return 0, err
 	}
 	return len(sc.rows), nil

@@ -43,10 +43,9 @@ func (db *DB) SetPlanCacheCapacity(entries int) int {
 	return evicted
 }
 
-// SetForecastCacheCapacity resizes the forecast memo table (re-sliced
-// across its shards), evicting stale entries first and then live entries
-// in deterministic key order. It returns the eviction count and is a
-// no-op when memoization is disabled.
+// SetForecastCacheCapacity resizes the forecast memo table, evicting stale
+// entries first and then live entries in deterministic key order. It
+// returns the eviction count and is a no-op when memoization is disabled.
 func (db *DB) SetForecastCacheCapacity(entries int) int {
 	if db.fc == nil {
 		return 0
@@ -66,7 +65,9 @@ func (db *DB) CacheCapacities() (plans, forecasts int) {
 		db.planMu.Unlock()
 	}
 	if db.fc != nil {
-		forecasts = int(db.fc.shardCap.Load()) * len(db.fc.shards)
+		db.fc.mu.RLock()
+		forecasts = db.fc.capacity
+		db.fc.mu.RUnlock()
 	}
 	return plans, forecasts
 }

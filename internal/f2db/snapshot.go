@@ -92,33 +92,18 @@ const fcWarmupLimit = 256
 func SaveDatabase(w io.Writer, db *DB) error {
 	g := db.rLock()
 	defer db.unlock(g)
-	// Copy the in-flight batch under ALL stripe locks at once, acquired in
-	// index order (lock order: maint, mu, then stripes; nothing else
-	// ever holds two stripe locks, so ordered acquisition cannot deadlock).
-	// Holding the shared engine lock pins the batch advance (it needs mu
-	// exclusively), and holding every stripe lock makes the copy one
-	// point-in-time cut across stripes rather than a stripe-by-stripe walk
-	// that concurrent inserts could interleave with. Note the guarantee is
-	// per *value*, not per InsertBatch call: a striped InsertBatch applies
-	// its values stripe group by stripe group without holding all its locks
-	// at once, so a snapshot racing an InsertBatch may capture some of that
-	// call's values and not others — weaker than the old single pending-map
-	// lock, which made the copy atomic with an entire InsertBatch call. The
-	// stripe count is a runtime tuning knob, not data: the image stays a
-	// flat member-key map, so a snapshot taken with one stripe layout
-	// restores under any other.
+	// Copy the in-flight batch under the pending lock (lock order: maint,
+	// mu, then pendMu). The shared engine lock pins the batch advance, and
+	// the rows of a statement that does not complete a batch land under one
+	// hold of the pending lock, so the copy holds them all or none.
 	held := make([]baseRow, 0, db.pendingTotal.Load())
-	for i := range db.stripes {
-		db.stripes[i].lock()
-	}
+	db.lockPending()
 	for ord, id := range db.graph.BaseIDs {
 		if db.present[ord] {
 			held = append(held, baseRow{id, db.pending[ord]})
 		}
 	}
-	for i := range db.stripes {
-		db.stripes[i].mu.Unlock()
-	}
+	db.pendMu.Unlock()
 
 	img := dbImage{
 		Dims:         db.graph.Dims,

@@ -71,9 +71,10 @@ type Result struct {
 //
 // with one member value per dimension in schema order. Inserts are batched
 // by the maintenance processor (Section V). The whole statement is scanned
-// and resolved (insert.go) before any row reaches a write stripe, so a
+// and resolved (insert.go) before any row reaches the pending column, so a
 // malformed, unknown or repeated row rejects it whole; a multi-row INSERT
-// then locks each stripe once for the statement instead of once per row.
+// then takes the pending lock once for the statement instead of once per
+// row.
 func (db *DB) Exec(sql string) error {
 	sc := getInsertScratch()
 	defer sc.release()
@@ -83,7 +84,7 @@ func (db *DB) Exec(sql string) error {
 	if len(sc.rows) == 1 {
 		return db.InsertBase(sc.rows[0].id, sc.rows[0].value)
 	}
-	if err := sc.rejectDuplicates(db.graph, db.stripeShift); err != nil {
+	if err := sc.rejectDuplicates(db.graph); err != nil {
 		return err
 	}
 	return db.insertSorted(sc.rows)

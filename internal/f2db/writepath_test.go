@@ -16,12 +16,12 @@ import (
 )
 
 // Gates and the twin of the durable write path (DESIGN.md §6, §8): a time
-// point is one dense column from the stripes to the graph, and a compaction
+// point is one dense column from the pending lock to the graph, and a compaction
 // encodes into one buffer.
 
 // cubeDurable opens a durable engine over MemFS on a synthetic two-dimension
 // cube of about the given node count, every node materialized, with an empty
-// configuration: what is measured is the write path — stripes, commit gate,
+// configuration: what is measured is the write path — pending lock, commit gate,
 // WAL, Graph.Advance, compaction — not model maintenance.
 func cubeDurable(t testing.TB, nodes int) (*Durable, []int) {
 	t.Helper()
@@ -96,7 +96,7 @@ func TestCompactAllocs(t *testing.T) {
 }
 
 // TestDurableAdvanceAllocs: one full time point through InsertBatch on a
-// durable engine — stripes, commit gate, WAL append, Graph.Advance — allocates
+// durable engine — pending lock, commit gate, WAL append, Graph.Advance — allocates
 // a constant whatever the number of series: InsertBatch's sorted copy of its
 // map, and now and then MemFS growing the log file. Before the column it also
 // built a map and an entry slice of one element per base series and sorted
@@ -145,14 +145,12 @@ func TestDurableAdvanceAllocs(t *testing.T) {
 }
 
 // mapPendingOracle is the pending batch as the engine kept it before the
-// dense column: a map keyed by base node ID (the stripes' maps, merged behind
-// one lock), complete when it holds every base series, handed on whole when
+// dense column: a map keyed by base node ID behind one lock, complete when it holds every base series, handed on whole when
 // it is. Rows are offered one at a time in the engine's order (sortRows); a
 // row whose base series already holds a value in the batch being collected
 // is the duplicate error, and the rows before it stay.
 type mapPendingOracle struct {
 	mu       sync.Mutex
-	shift    uint
 	bases    int
 	pending  map[int]float64
 	advanced []map[int]float64
@@ -160,7 +158,7 @@ type mapPendingOracle struct {
 
 func (o *mapPendingOracle) insert(rows []baseRow) error {
 	rows = slices.Clone(rows)
-	sortRows(rows, o.shift)
+	sortRows(rows)
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	for _, r := range rows {
@@ -190,8 +188,8 @@ func rowsSQL(g *cube.Graph, rows []baseRow) string {
 	return b.String()
 }
 
-// TestStripedInsertTwin holds the striped dense column against the single-map
-// oracle under eight racing inserters, through all three entry points (Exec,
+// TestStripedInsertTwin holds the dense column against the single-map oracle
+// under eight racing inserters, through all three entry points (Exec,
 // InsertBatch, InsertBase). Each round has racing phases whose statements
 // commute — disjoint fills; statements that run into a duplicate after some
 // of their rows stuck; the rows those left out — and then one statement that
@@ -201,10 +199,14 @@ func rowsSQL(g *cube.Graph, rows []baseRow) string {
 // and the advances — their number and every value of each — at the end.
 func TestStripedInsertTwin(t *testing.T) {
 	const inserters, rounds = 8, 12
-	db, g := gridEngine(t, [2]string{"product", "city"}, numbered("P", 16), numbered("C", 16), Options{Stripes: 8})
+	db, g := gridEngine(t, [2]string{"product", "city"}, numbered("P", 16), numbered("C", 16), Options{})
 	ids := g.BaseIDs
 	len0 := g.Length
-	o := &mapPendingOracle{shift: db.stripeShift, bases: len(ids), pending: make(map[int]float64, len(ids))}
+	o := &mapPendingOracle{bases: len(ids), pending: make(map[int]float64, len(ids))}
+	// The lowest eighth of the base IDs supplies each batch's last values.
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
+	lastCut := sorted[len(ids)/8]
 
 	// phase offers stmts[w] from inserter w, all inserters racing, after the
 	// oracle took the same statements one after the other, and compares.
@@ -258,10 +260,9 @@ func TestStripedInsertTwin(t *testing.T) {
 		}
 		held := 0
 		for ord, id := range ids {
-			s := db.stripeFor(id)
-			s.lock()
+			db.lockPending()
 			present, v := db.present[ord], db.pending[ord]
-			s.mu.Unlock()
+			db.pendMu.Unlock()
 			ov, ok := o.pending[id]
 			if present != ok || present && math.Float64bits(v) != math.Float64bits(ov) {
 				t.Fatalf("%s: base node %d holds (%v, %v), oracle (%v, %v)", name, id, v, present, ov, ok)
@@ -277,8 +278,8 @@ func TestStripedInsertTwin(t *testing.T) {
 
 	value := func(round, id int) float64 { return float64(round*1000+id) + 0.25 }
 	for round := 0; round < rounds; round++ {
-		// The last values of the batch are those of stripe 0, which sorts
-		// first in a statement; every inserter also keeps three of its own
+		// The last values of the batch are those of the lowest IDs, which
+		// sort first in a statement; every inserter also keeps three of its own
 		// back for the statement that runs into a duplicate.
 		var last []baseRow
 		own := make([][]baseRow, inserters)
@@ -287,7 +288,7 @@ func TestStripedInsertTwin(t *testing.T) {
 				continue // arrived with the statement that completed the previous batch
 			}
 			r := baseRow{id, value(round, id)}
-			if stripeIndex(id, db.stripeShift) == 0 {
+			if id < lastCut {
 				last = append(last, r)
 			} else {
 				own[i%inserters] = append(own[i%inserters], r)
@@ -306,7 +307,7 @@ func TestStripedInsertTwin(t *testing.T) {
 		phase("fill", fills)
 
 		// A kept-back row, a value another inserter filled in, the other
-		// kept-back rows: in stripe order some of the fresh rows stick
+		// kept-back rows: in ID order some of the fresh rows stick
 		// before the duplicate refuses the rest. Then a plain duplicate.
 		dups := make([][]stmt, inserters)
 		for w := range dups {
@@ -334,11 +335,11 @@ func TestStripedInsertTwin(t *testing.T) {
 		}
 		phase("rest", rest)
 		if len(o.pending) != len(ids)-len(last) {
-			t.Fatalf("round %d: oracle holds %d values before the last statement, want all but stripe 0's %d", round, len(o.pending), len(last))
+			t.Fatalf("round %d: oracle holds %d values before the last statement, want all but the lowest IDs' %d", round, len(o.pending), len(last))
 		}
 
-		// The completing statement: stripe 0's values, then next-round values
-		// for a few series of later stripes, which the batch that is
+		// The completing statement: the lowest IDs' values, then next-round
+		// values for a few series of higher IDs, which the batch that is
 		// complete by then refuses until it has been applied.
 		closing := slices.Clone(last)
 		for _, r := range own[round%inserters][:4] {
@@ -435,7 +436,7 @@ func TestReplayRejectsForeignIDs(t *testing.T) {
 }
 
 // BenchmarkDurableTimePoint: one full time point of the 6 889-series cube
-// through InsertBatch on a durable engine over MemFS — stripes, commit gate,
+// through InsertBatch on a durable engine over MemFS — pending lock, commit gate,
 // WAL append, Graph.Advance over every materialized node; no compaction.
 func BenchmarkDurableTimePoint(b *testing.B) {
 	dur, ids := cubeDurable(b, 10_000)

@@ -235,13 +235,24 @@ const parentFamilies = `# TYPE coord_cache_coalesced_total counter
 
 // familyChanges is everything done to that set since: the two malformed
 // families fixed and the one gauge that was filled but never exported (the
-// registry change), then the engine's two resident-set gauges.
+// registry change), then the engine's two resident-set gauges. The write
+// stripes and memo shards went later (pendingLockFamilies).
 var familyChanges = strings.NewReplacer(
 	"# TYPE coord_fanout_width counter\n", "# TYPE coord_fanout_width histogram\n",
 	"# TYPE coord_shard0_latency_seconds histogram\n", "# TYPE coord_shard_latency_seconds histogram\n",
 	"# TYPE coord_shard1_latency_seconds histogram\n", "",
 	"# TYPE f2db_stripe_lock_contention_total counter\n", "# TYPE f2db_stripe_bases gauge\n# TYPE f2db_stripe_lock_contention_total counter\n",
 	"# TYPE f2db_pending_inserts gauge\n", "# TYPE f2db_graph_nodes gauge\n# TYPE f2db_pending_inserts gauge\n# TYPE f2db_resident_nodes gauge\n",
+)
+
+// pendingLockFamilies folds the per-stripe and per-shard families into the
+// one pending-lock counter, applied after familyChanges.
+var pendingLockFamilies = strings.NewReplacer(
+	"# TYPE f2db_forecast_shard_entries gauge\n", "",
+	"# TYPE f2db_stripe_bases gauge\n", "",
+	"# TYPE f2db_stripe_lock_contention_total counter\n", "# TYPE f2db_pending_lock_contention_total counter\n",
+	"# TYPE f2db_stripe_pending gauge\n", "",
+	"# TYPE f2db_write_stripes gauge\n", "",
 )
 
 // typeLines returns the sorted `# TYPE` lines of a page.
@@ -286,7 +297,7 @@ func TestFamilySet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := f2db.Options{Strategy: f2db.Never{}, Stripes: 2}
+	opts := f2db.Options{Strategy: f2db.Never{}}
 	dur, err := f2db.OpenDurable(f2db.DurableOptions{Dir: "d", FS: segment.NewMemFS()}, opts,
 		func() (*f2db.DB, error) { return f2db.Open(g, cfg, opts) })
 	if err != nil {
@@ -315,7 +326,7 @@ func TestFamilySet(t *testing.T) {
 		if err := lint(page); err != nil {
 			t.Fatalf("%s: %v\n%s", when, err, page)
 		}
-		if got, want := typeLines(page), typeLines(familyChanges.Replace(parentFamilies)); got != want {
+		if got, want := typeLines(page), typeLines(pendingLockFamilies.Replace(familyChanges.Replace(parentFamilies))); got != want {
 			t.Fatalf("%s: family set differs from the parent's plus the listed changes\n--- got\n%s--- want\n%s", when, got, want)
 		}
 		return page
@@ -335,8 +346,7 @@ func TestFamilySet(t *testing.T) {
 		"coord_fanout_width_sum 4",
 		"coord_fanout_width_count 1",
 		`coord_shard_latency_seconds_count{shard="1",addr="` + addr + `"}`,
-		`f2db_stripe_bases{stripe="0"}`,
-		`f2db_stripe_bases{stripe="1"}`,
+		"\nf2db_pending_lock_contention_total 0\n",
 	} {
 		if !strings.Contains(page, want) {
 			t.Errorf("page misses %q\n%s", want, page)

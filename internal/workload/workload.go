@@ -176,10 +176,11 @@ type Options struct {
 	UseSQL bool
 	// InsertWriters drives each time advance from this many parallel
 	// insert streams: the batch is split into InsertWriters disjoint parts
-	// applied by concurrent goroutines, exercising the engine's striped
-	// write path. 0 or 1 keeps the single sequential stream. In remote mode
-	// this is the N of "N writer connections": each stream executes its
-	// part as one multi-row INSERT over its own pooled connection.
+	// applied by concurrent goroutines, exercising the engine's pending
+	// lock under concurrent writers. 0 or 1 keeps the single sequential
+	// stream. In remote mode this is the N of "N writer connections": each
+	// stream executes its part as one multi-row INSERT over its own pooled
+	// connection.
 	InsertWriters int
 
 	// HotQueries, when > 0, draws queries from a fixed recurring "hot set"
@@ -326,7 +327,7 @@ func Run(db *f2db.DB, gen *Generator, opts Options) (RunResult, error) {
 		// whole time advance; the query/insert ratio is preserved by
 		// issuing the batch's query share afterwards. With InsertWriters
 		// > 1 the advance is driven by parallel streams over disjoint
-		// parts of the batch (the striped write path's target workload).
+		// parts of the batch (concurrent writers on the pending lock).
 		if opts.InsertWriters > 1 {
 			parts := SplitBatch(batch, opts.InsertWriters)
 			errs := make([]error, len(parts))
