@@ -273,7 +273,9 @@ func isSamplingRead(be *ast.BinaryExpr) bool {
 // re-estimation, the model families and name registry no default,
 // fallback or self-tuning path reached, the generation-checked re-fit
 // with its retries, under-lock fallback and second durability lock, and
-// the write stripes with their advance generation and per-node memo epochs.
+// the write stripes with their advance generation and per-node memo epochs,
+// and the coordinator's per-partition write epochs with their
+// batch-completion guess.
 var goneNames = map[string]bool{
 	"AsyncMultiSource": true,
 	"CostTime":         true,
@@ -311,6 +313,12 @@ var goneNames = map[string]bool{
 	"testHookAfterSweep": true,
 	"bumpAll":            true,
 	"shardFor":           true,
+
+	"partEpochs":     true,
+	"pendingRows":    true,
+	"maxStampParts":  true,
+	"EpochPartBumps": true,
+	"NumBaseSeries":  true,
 }
 
 // noGoneNames: no identifier, tests included, brings a gone name back.
@@ -402,9 +410,9 @@ func citedTestsExist(fsys fs.FS) error {
 // Legibility budget: non-test Go lines under internal/ and cmd/, and the
 // lines of the two documents a newcomer reads first. A change that needs
 // more re-records the number here and says why in CHANGES.md.
-const goLineBudget = 19119
+const goLineBudget = 18996
 
-var docLineBudget = map[string]int{"DESIGN.md": 1453, "README.md": 555}
+var docLineBudget = map[string]int{"DESIGN.md": 1450, "README.md": 554}
 
 // legibilityBudget: the program and its main documents stay within their
 // recorded line counts.

@@ -1,7 +1,6 @@
 package coord
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -20,24 +19,20 @@ import (
 // so the tiers cannot disagree) whose entry holds everything known about
 // the statement.
 //
-//   - The plan (Planner.RouteQuery: described nodes, member order) and
-//     the write partitions its nodes touch depend only on the immutable
-//     graph. They are computed on first sight and never invalidated — even
-//     a statement whose answer a write just made stale skips re-planning.
+//   - The plan (Planner.RouteQuery: described nodes, member order)
+//     depends only on the immutable graph. It is computed on first sight
+//     and never invalidated — even a statement whose answer a write just
+//     made stale skips re-planning.
 //
-//   - The shard's Result, with the write-epoch stamp it was fetched
-//     under, is served only while the stamp is unchanged. Epochs are per
-//     write partition (ShardFor over the statement's base nodes) plus one
-//     global counter: a single-partition INSERT bumps only its partition,
-//     so it invalidates only cached answers whose node set touches that
-//     partition; multi-partition INSERTs and (conservatively detected)
-//     batch advances bump the global counter, which every stamp includes.
-//     This stays conservative-correct because pending inserts change no
-//     query result until a batch advances time, and the advance always
-//     bumps the global epoch — the per-partition counters only refine how
-//     much a lone insert throws away. A stale result is cleared lazily on
-//     the next lookup of its key, never swept: a write costs a handful of
-//     counter increments, not a table scan. The plan stays.
+//   - The shard's Result is served only while the write epoch it was
+//     fetched under is unchanged. The coordinator keeps one epoch, bumped
+//     by every logged INSERT in the same lock hold as the log append, so it
+//     equals the absolute log length. Pending inserts change no answer
+//     until a batch advances time, but every statement that could complete
+//     a batch is a logged INSERT, so no answer outlives the write that
+//     changed it. A stale result is cleared lazily on the next lookup of
+//     its key, never swept: a write costs one counter increment, not a
+//     table scan. The plan stays.
 //
 // Each entry also carries its own singleflight: concurrent identical
 // statements under the same stamp share one shard request. The miss
@@ -48,76 +43,35 @@ import (
 // Waiters sleep on one condition variable over the table mutex, so neither
 // a flight nor a wait allocates.
 //
-// Stamp/fill protocol. The partition set lives in the entry, so a lookup
-// samples the stamp once the entry is in hand and serves the stored result
-// only if its stamp equals that sample: no relevant write was logged
-// between the fetch that produced the result and the sample. A write whose
-// bump lands after the sample is concurrent with this query, and a query
-// racing a write may see either side. A flight fills the entry only if the
-// stamp is still the one it started under; when it is not, the shards may
-// have answered before or after applying the write, which is correct for
-// the flight's own callers but must not speak for the new stamp.
+// Stamp/fill protocol. A lookup samples the epoch once the entry is in hand
+// and serves the stored result only if its stamp equals that sample: no
+// write was logged between the fetch that produced the result and the
+// sample. A write whose bump lands after the sample is concurrent with this
+// query, and a query racing a write may see either side. A flight fills the
+// entry only if the epoch is still the one it started under; when it is
+// not, the shards may have answered before or after applying the write,
+// which is correct for the flight's own callers but must not speak for the
+// new epoch.
 //
 // A result is the shard's encoded RESULT payload, relayed as it arrived
 // (fclient.QueryRaw checks it with wire.CheckResult, so it is exactly what
 // encoding the decoded answer again would give). Cached payloads are shared
 // by every hit and never written after the fill: callers copy them out.
 
-// epochs is the cache's view of the coordinator's write-epoch counters:
-// one global counter (bumped by multi-partition statements and whenever a
-// batch advance may have completed) plus one counter per write partition.
-// parts may be empty, collapsing the scheme to the global counter only.
-type epochs struct {
-	global *atomic.Uint64
-	parts  []atomic.Uint64
-}
-
-// maxStampParts bounds the inline per-partition sample in a stamp; a
-// statement touching more partitions is stamped with the global counter
-// only (still correct — results only change on advances, which bump it —
-// just coarser). Sized above any realistic shard count.
-const maxStampParts = 8
-
-// stamp is one sampled epoch view: the global counter plus the counters
-// of the statement's touched partitions, in the entry's partition order.
-// Fixed-size, so the hit path stays allocation-free, and unused slots stay
-// zero, so two stamps sampled for the same partition set describe the same
-// write history exactly when they are ==.
-type stamp struct {
-	global uint64
-	n      int
-	parts  [maxStampParts]uint64
-}
-
-// sample reads the current stamp for a partition set.
-func (e *epochs) sample(parts []int) stamp {
-	st := stamp{global: e.global.Load()}
-	if len(e.parts) == 0 || len(parts) == 0 || len(parts) > maxStampParts {
-		return st
-	}
-	st.n = len(parts)
-	for i, p := range parts {
-		st.parts[i] = e.parts[p].Load()
-	}
-	return st
-}
-
-// entry is one statement's row in the read table. plan and parts are fixed
-// at creation; every other field is guarded by readCache.mu.
+// entry is one statement's row in the read table. plan is fixed at
+// creation; every other field is guarded by readCache.mu.
 type entry struct {
-	plan   *f2db.Plan
-	parts  [maxStampParts]int // parts[:nparts]: distinct ShardFor over plan.Nodes
-	nparts int
-	// res is the answer fetched under stamp st; nil until the first fill
+	plan *f2db.Plan
+	// res is the answer fetched under epoch st; nil until the first fill
 	// and again once a lookup finds st out of date.
-	st  stamp
+	st  uint64
 	res []byte
 	// The entry's flight: flying while a shard request for it is out,
-	// started under stamp flSt. flights counts the flights ever started, and
+	// started under epoch flSt. flights counts the flights ever started, and
 	// flRes/flErr hold the outcome of the latest once it has landed — what
 	// its waiters return.
 	flying  bool
-	flSt    stamp
+	flSt    uint64
 	flights uint64
 	flRes   []byte
 	flErr   error
@@ -127,8 +81,8 @@ type entry struct {
 // table, whose entries carry their own flights, under one lock. It is safe
 // for concurrent use.
 type readCache struct {
-	ep  *epochs
-	met *Metrics
+	epoch *atomic.Uint64
+	met   *Metrics
 
 	mu sync.Mutex
 	// landed is signalled, over mu, whenever a flight lands.
@@ -136,36 +90,17 @@ type readCache struct {
 	tab    *lru.Cache[string, *entry]
 }
 
-func newReadCache(capacity int, ep *epochs, met *Metrics) *readCache {
-	rc := &readCache{ep: ep, met: met, tab: lru.New[string, *entry](capacity)}
+func newReadCache(capacity int, epoch *atomic.Uint64, met *Metrics) *readCache {
+	rc := &readCache{epoch: epoch, met: met, tab: lru.New[string, *entry](capacity)}
 	rc.landed.L = &rc.mu
 	return rc
 }
 
-// newEntry builds a statement's entry: its plan and the distinct write
-// partitions the plan's nodes touch, given the partition count. A statement
-// touching more than maxStampParts partitions keeps none and is stamped
-// with the global counter alone.
-func newEntry(plan *f2db.Plan, numParts int) *entry {
-	ent := &entry{plan: plan}
-	for _, n := range plan.Nodes {
-		if p := ShardFor(n, numParts); numParts > 0 && !slices.Contains(ent.parts[:ent.nparts], p) {
-			if ent.nparts == maxStampParts {
-				ent.nparts = 0
-				break
-			}
-			ent.parts[ent.nparts] = p
-			ent.nparts++
-		}
-	}
-	return ent
-}
-
-// freshLocked samples the entry's stamp and returns it with the entry's
-// result if that is still current, clearing a result a relevant write has
-// overtaken. Callers hold rc.mu.
-func (rc *readCache) freshLocked(ent *entry) (stamp, []byte) {
-	st := rc.ep.sample(ent.parts[:ent.nparts])
+// freshLocked samples the epoch and returns it with the entry's result if
+// that is still current, clearing a result a write has overtaken. Callers
+// hold rc.mu.
+func (rc *readCache) freshLocked(ent *entry) (uint64, []byte) {
+	st := rc.epoch.Load()
 	if ent.res != nil && ent.st != st {
 		ent.res = nil
 		rc.met.CacheInvalidations.Add(1)
@@ -195,7 +130,7 @@ func (rc *readCache) lookup(key, sql string, p *f2db.Planner) (*entry, []byte, e
 	if err != nil {
 		return nil, nil, err
 	}
-	ent := newEntry(plan, len(rc.ep.parts))
+	ent := &entry{plan: plan}
 	rc.mu.Lock()
 	if cur, ok := rc.tab.Get(key); ok {
 		ent = cur // raced with another planner; every caller of the key shares one entry
@@ -210,12 +145,12 @@ func (rc *readCache) lookup(key, sql string, p *f2db.Planner) (*entry, []byte, e
 // serves a result another flight stored meanwhile, joins the entry's
 // in-progress same-stamp flight when there is one, and otherwise runs fetch
 // (the real shard request) as the flight's leader, handing the answer to
-// its waiters and — if no relevant write intervened — to the entry. fetch
+// its waiters and — if no write intervened — to the entry. fetch
 // returns a payload nobody else holds; from here on it is shared and
 // read-only.
 func (rc *readCache) fill(key string, ent *entry, fetch func() ([]byte, error)) ([]byte, error) {
 	rc.mu.Lock()
-	var st stamp
+	var st uint64
 	for {
 		var res []byte
 		if st, res = rc.freshLocked(ent); res != nil {
@@ -252,7 +187,7 @@ func (rc *readCache) fill(key string, ent *entry, fetch func() ([]byte, error)) 
 
 	rc.mu.Lock()
 	ent.flying, ent.flRes, ent.flErr = false, res, err
-	if err == nil && rc.ep.sample(ent.parts[:ent.nparts]) == st {
+	if err == nil && rc.epoch.Load() == st {
 		ent.st, ent.res = st, res
 		// Re-seat the entry: it may have been evicted during the request,
 		// and a fill counts as a use.

@@ -171,7 +171,7 @@ func TestReadCacheResultLRU(t *testing.T) {
 	p := f2db.NewPlanner(g, 0)
 	var epoch atomic.Uint64
 	m := newMetrics(nil)
-	rc := newReadCache(2, &epochs{global: &epoch}, m)
+	rc := newReadCache(2, &epoch, m)
 	fetch := func(r []byte) func() ([]byte, error) {
 		return func() ([]byte, error) { return r, nil }
 	}
@@ -240,7 +240,7 @@ func TestReadCacheRouteMemo(t *testing.T) {
 	p := f2db.NewPlanner(g, 0)
 	var epoch atomic.Uint64
 	m := newMetrics(nil)
-	rc := newReadCache(4, &epochs{global: &epoch}, m)
+	rc := newReadCache(4, &epoch, m)
 
 	const sql = "SELECT time, SUM(sales) FROM facts GROUP BY time, region"
 	key := f2db.NormalizeSQL(sql)
@@ -299,7 +299,7 @@ func TestReadCacheCoalesce(t *testing.T) {
 	p := f2db.NewPlanner(g, 0)
 	var epoch atomic.Uint64
 	m := newMetrics(nil)
-	rc := newReadCache(4, &epochs{global: &epoch}, m)
+	rc := newReadCache(4, &epoch, m)
 	res := []byte("x")
 	release := make(chan struct{})
 	var fetches atomic.Int64
@@ -360,7 +360,7 @@ func TestReadCacheStaleFlightRetry(t *testing.T) {
 	p := f2db.NewPlanner(g, 0)
 	var epoch atomic.Uint64
 	m := newMetrics(nil)
-	rc := newReadCache(4, &epochs{global: &epoch}, m)
+	rc := newReadCache(4, &epoch, m)
 	old := []byte("old")
 	fresh := []byte("new")
 	release := make(chan struct{})

@@ -27,7 +27,9 @@
 // (wire.TInfo) and realigned: its engine rebuilt from the snapshot reports
 // how many rows it has applied (snapshots persist the counter), and the
 // cursor resumes at the matching statement boundary, replaying only the
-// tail — deterministic, so the replica converges to the exact same state.
+// tail — deterministic, so the replica converges to the exact same state
+// unless a statement every replica rejected shifted the boundaries
+// (realignLocked).
 // The log is bounded: entries applied by every participating shard are
 // trimmed past a retention window (Options.LogRetain), and a restart
 // whose applied count falls behind the trim horizon is fenced dead.
@@ -157,43 +159,28 @@ type shard struct {
 }
 
 // Coordinator puts a cluster of f2dbd shards behind the engine's
-// Query/Exec surface. It satisfies server.Backend.
+// Query/Exec surface. It satisfies server.Backend. Every logged INSERT
+// bumps its one write epoch, which stales every cached answer (cache.go).
 type Coordinator struct {
 	planner *f2db.Planner
 	opts    Options
 	met     *Metrics
 
-	// epoch is the global write epoch: incremented when an Exec touches
-	// more than one write partition and whenever enough rows accumulated
-	// that a maintenance batch may have advanced time on the shards (the
-	// event that actually changes query results). partEpochs holds one
-	// counter per write partition (ShardFor over base nodes, one partition
-	// per shard); a single-partition Exec bumps only its partition, so
-	// cached answers for other partitions survive the insert. The read
-	// cache serves an entry only while every counter its statement touches
-	// matches the fill-time stamp (cache.go); cache may be nil (caching
-	// disabled).
-	epoch      atomic.Uint64
-	partEpochs []atomic.Uint64
-	cache      *readCache
+	// epoch is the write epoch: every logged Exec bumps it once, in the
+	// same c.mu hold as the log append, so it equals logLen(). The read
+	// cache serves an answer only while the epoch matches the one it was
+	// fetched under (cache.go); cache may be nil (caching disabled).
+	epoch atomic.Uint64
+	cache *readCache
 
 	// tele, when non-nil, receives each query's normalized template text —
 	// the coordinator-tier attach point for the sibyl workload forecaster
 	// (same contract as f2db.DB.SetTelemetry).
 	tele atomic.Pointer[teleSink]
 
-	// numBases is the shard graph's base-series count: every numBases
-	// accepted rows, a maintenance batch may have completed on the shards.
-	numBases int
-
-	mu sync.Mutex
-	// pendingRows counts accepted rows modulo numBases (guarded by mu). It
-	// conservatively over-approximates batch completion — apply-time
-	// rejections make it run ahead of the engines, which costs extra
-	// invalidation, never staleness.
-	pendingRows int
-	cond        *sync.Cond
-	log         []*logEntry
+	mu   sync.Mutex
+	cond *sync.Cond
+	log  []*logEntry
 	// chunk is the unused rest of the newest allocation of logChunk entries,
 	// which Exec carves log entries from.
 	chunk []logEntry
@@ -233,10 +220,8 @@ func New(planner *f2db.Planner, addrs []string, opts Options) (*Coordinator, err
 		met:     newMetrics(addrs),
 	}
 	c.cond = sync.NewCond(&c.mu)
-	c.numBases = planner.NumBaseSeries()
-	c.partEpochs = make([]atomic.Uint64, len(addrs))
 	if opts.CacheSize > 0 {
-		c.cache = newReadCache(opts.CacheSize, &epochs{global: &c.epoch, parts: c.partEpochs}, c.met)
+		c.cache = newReadCache(opts.CacheSize, &c.epoch, c.met)
 	}
 	for i, addr := range addrs {
 		s := &shard{idx: i, addr: addr}
@@ -249,14 +234,6 @@ func New(planner *f2db.Planner, addrs []string, opts Options) (*Coordinator, err
 			s.down = true
 		} else if info, err := cl.Info(); err == nil {
 			s.nonce = info.Nonce
-			// Seed the batch-completion tracker with the engine's actual
-			// mid-batch backlog (accepted rows beyond the completed
-			// batches), so the conservative advance detection in Exec is
-			// aligned even when the shards start mid-batch. Replicas are
-			// identical; the first reachable shard speaks for all.
-			if c.numBases > 0 && c.pendingRows == 0 {
-				c.pendingRows = int(info.Inserts - info.Batches*uint64(c.numBases))
-			}
 		} else {
 			s.down = true
 		}
@@ -324,16 +301,7 @@ func (c *Coordinator) SetCacheCapacity(entries int) int {
 // current shard is authoritative (replicas are deterministic) and is
 // returned as-is.
 func (c *Coordinator) Exec(sql string) error {
-	// Attribute the statement to its write partition as its rows resolve: a
-	// single-partition INSERT only needs its partition epoch bumped.
-	part, multi := -1, false
-	rows, err := c.planner.RouteExecNodes(sql, func(id int) {
-		if p := ShardFor(id, len(c.shards)); part == -1 {
-			part = p
-		} else if p != part {
-			multi = true
-		}
-	})
+	rows, err := c.planner.RouteExecNodes(sql)
 	if err != nil {
 		// Same resolution code as the shard engines: the rejection text
 		// matches what any shard would answer, and a statement the engines
@@ -359,28 +327,12 @@ func (c *Coordinator) Exec(sql string) error {
 	*e = logEntry{sql: sql, rows: rows, cumRows: prev + uint64(rows)}
 	idx := c.logLen()
 	c.log = append(c.log, e)
-	// Bump the write epochs under the same lock hold as the append: any
-	// query that samples the new stamp goes to a shard (queryNode only
+	// Bump the write epoch under the same lock hold as the append: any
+	// query that samples the new epoch goes to a shard (queryNode only
 	// accepts one caught up with the grown log), so no cached pre-write answer
 	// can be served to a caller that issued its query after Exec returned.
-	// Pending inserts change no query results until a maintenance batch
-	// advances time, so a single-partition statement bumps only its
-	// partition counter; once enough rows accumulated that a batch may
-	// have completed on the shards — and for multi-partition statements —
-	// the global counter (part of every stamp) is bumped instead.
-	c.pendingRows += rows
-	advanced := false
-	for c.numBases > 0 && c.pendingRows >= c.numBases {
-		c.pendingRows -= c.numBases
-		advanced = true
-	}
-	if advanced || multi || part < 0 || len(c.partEpochs) == 0 {
-		c.epoch.Add(1)
-		c.met.EpochGlobalBumps.Add(1)
-	} else {
-		c.partEpochs[part].Add(1)
-		c.met.EpochPartBumps.Add(1)
-	}
+	c.epoch.Add(1)
+	c.met.EpochGlobalBumps.Add(1)
 	c.cond.Broadcast()
 	for {
 		if c.closed {
@@ -591,9 +543,14 @@ func (c *Coordinator) recoverShard(s *shard) bool {
 // index of the next statement to apply. Snapshots persist the counter, so
 // a shard restarted from a mid-history snapshot reports exactly the rows
 // its image contains and lands on the matching statement boundary. Counts
-// that fall inside a statement (a partial apply, impossible for
-// deterministic replicas), beyond the log, or behind the trim horizon
-// (the entries it would need are gone) are unalignable. Callers hold c.mu.
+// that fall inside a statement, beyond the log, or behind the trim horizon
+// (the entries it would need are gone) are unalignable. The boundaries are
+// only as exact as cumRows, and cumRows also counts the rows of statements
+// every replica rejected at apply time (a row already pending from an
+// earlier statement passes the planner). After such a rejection an
+// engine's count can equal an earlier boundary: the cursor then realigns a
+// statement early and replays one the image already holds, which the
+// engine may accept into its next batch (ROADMAP item 5). Callers hold c.mu.
 func (c *Coordinator) realignLocked(inserts uint64) (int, bool) {
 	// Valid boundaries are the trim horizon itself and each retained
 	// entry's cumRows; with an untrimmed log the horizon is 0 rows at
@@ -627,7 +584,7 @@ func (c *Coordinator) realignLocked(inserts uint64) (int, bool) {
 //
 // With Options.CacheSize set, hot statements never touch the shards: one
 // lookup in the read table (cache.go) yields the plan and, while no
-// relevant write intervened, the payload; concurrent identical misses are
+// write intervened, the payload; concurrent identical misses are
 // coalesced into one shard request. The uncached path below is kept as
 // the reference the twin tests compare the table against.
 func (c *Coordinator) AppendQuery(dst []byte, sql string) ([]byte, error) {

@@ -2,17 +2,20 @@ package coord
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"cubefc/internal/f2db"
 )
 
-// TestPerPartitionEpochIsolation pins the write-epoch refinement: a
-// single-partition INSERT bumps only its partition's epoch, so cached
-// answers over the other partition keep serving hits, while answers over
-// the written partition are invalidated. Multi-partition statements and
-// batch completions fall back to the global epoch and invalidate
-// everything.
+// TestPerPartitionEpochIsolation pins that the read table has no
+// per-partition isolation: every logged INSERT bumps the one write epoch,
+// so a row written in one partition invalidates a cached answer over
+// another. The sequence defeats any guess from row counts at which INSERT
+// completes a batch: one row, its duplicate (rejected by every replica,
+// yet rows), six more rows, a query of a partition-0 cell, then the eighth
+// row, in partition 1, which completes the batch on the shards. The
+// coordinator must then answer as the shards do.
 func TestPerPartitionEpochIsolation(t *testing.T) {
 	g, data := buildCube(t)
 	s1 := startShardOn(t, data, "127.0.0.1:0")
@@ -20,125 +23,103 @@ func TestPerPartitionEpochIsolation(t *testing.T) {
 	s2 := startShardOn(t, data, "127.0.0.1:0")
 	defer s2.stop(t)
 
-	planner := f2db.NewPlanner(g, 0)
 	opts := testCoordOpts(t)
 	opts.CacheSize = 64
-	co, err := New(planner, []string{s1.addr, s2.addr}, opts)
+	co, err := New(f2db.NewPlanner(g, 0), []string{s1.addr, s2.addr}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer co.Close()
 
-	// Map every (product, city) pair to its write partition and pick one
-	// base row per partition.
-	type row struct{ p, c string }
-	byPart := map[int]row{}
-	for _, p := range []string{"P1", "P2"} {
-		for _, c := range []string{"C1", "C2", "C3", "C4"} {
-			part := -1
-			_, err := planner.RouteExecNodes(
-				fmt.Sprintf("INSERT INTO facts VALUES ('%s','%s',1)", p, c),
-				func(id int) { part = ShardFor(id, 2) })
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := byPart[part]; !ok {
-				byPart[part] = row{p, c}
-			}
+	// The query reads a base cell of partition 0; the last row of the batch
+	// is a base of partition 1, and the first row any other base.
+	query, last := -1, -1
+	for _, id := range g.BaseIDs {
+		switch p := ShardFor(id, 2); {
+		case p == 0 && query < 0:
+			query = id
+		case p == 1 && last < 0:
+			last = id
 		}
 	}
-	if len(byPart) != 2 {
-		t.Fatalf("cube maps to %d partitions, want 2", len(byPart))
+	if query < 0 || last < 0 {
+		t.Fatal("the cube's bases do not cover both partitions")
 	}
-	rowA, rowB := byPart[0], byPart[1]
-	qA := fmt.Sprintf("SELECT time, SUM(m) FROM facts WHERE product = '%s' AND city = '%s'", rowA.p, rowA.c)
-	qB := fmt.Sprintf("SELECT time, SUM(m) FROM facts WHERE product = '%s' AND city = '%s'", rowB.p, rowB.c)
-
-	// Fill and verify both cache entries.
-	resA, err := co.Query(qA)
-	if err != nil {
-		t.Fatal(err)
+	first := g.BaseIDs[0]
+	if first == last {
+		first = g.BaseIDs[1]
 	}
-	resB, err := co.Query(qB)
-	if err != nil {
-		t.Fatal(err)
+	rowSQL := func(ids []int, v int) string {
+		rows := make([]string, len(ids))
+		for i, id := range ids {
+			rows[i] = fmt.Sprintf("('%s', '%s', %d)", g.Node(id).Coord[0].Value, g.Node(id).Coord[1].Value, v+i)
+		}
+		return "INSERT INTO facts VALUES " + strings.Join(rows, ", ")
 	}
-	hits0 := co.met.CacheHits.Load()
-	if _, err := co.Query(qA); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := co.Query(qB); err != nil {
-		t.Fatal(err)
-	}
-	if got := co.met.CacheHits.Load() - hits0; got != 2 {
-		t.Fatalf("warm cache hit %d times, want 2", got)
-	}
-
-	// A single-row INSERT into partition B: partition bump only, no batch
-	// advance (1 of 8 rows pending).
-	if err := co.Exec(fmt.Sprintf("INSERT INTO facts VALUES ('%s','%s',500)", rowB.p, rowB.c)); err != nil {
-		t.Fatal(err)
-	}
-	if got := co.met.EpochPartBumps.Load(); got != 1 {
-		t.Fatalf("partition bumps = %d, want 1", got)
-	}
-	if got := co.met.EpochGlobalBumps.Load(); got != 0 {
-		t.Fatalf("global bumps = %d, want 0", got)
-	}
-
-	// Partition A's entry still serves hits; partition B's is invalidated
-	// — but the refetched answer is unchanged, because a pending insert
-	// changes no query result until the batch advances.
-	hits1, inv1 := co.met.CacheHits.Load(), co.met.CacheInvalidations.Load()
-	gotA, err := co.Query(qA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "partition A after foreign insert", gotA, resA)
-	if got := co.met.CacheHits.Load() - hits1; got != 1 {
-		t.Fatalf("partition A entry hit %d times after a partition-B insert, want 1", got)
-	}
-	gotB, err := co.Query(qB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "partition B pending insert", gotB, resB)
-	if got := co.met.CacheInvalidations.Load() - inv1; got != 1 {
-		t.Fatalf("invalidations = %d after a partition-B insert, want 1", got)
-	}
-
-	// The remaining 7 rows in one statement span both partitions and
-	// complete the batch: global bump, everything invalidated.
-	var rows []string
-	for _, p := range []string{"P1", "P2"} {
-		for _, c := range []string{"C1", "C2", "C3", "C4"} {
-			if p == rowB.p && c == rowB.c {
-				continue
-			}
-			rows = append(rows, fmt.Sprintf("('%s','%s',501)", p, c))
+	var six []int
+	for _, id := range g.BaseIDs {
+		if id != first && id != last {
+			six = append(six, id)
 		}
 	}
-	ins := "INSERT INTO facts VALUES " + rows[0]
-	for _, r := range rows[1:] {
-		ins += ", " + r
+	q := querySQLFor(g, query)
+
+	bumps := co.met.EpochGlobalBumps.Load()
+	exec := func(sql string, logged, rejected bool) {
+		t.Helper()
+		if err := co.Exec(sql); (err != nil) != rejected {
+			t.Fatalf("%s: err = %v, want rejected %v", sql, err, rejected)
+		}
+		want := bumps
+		if logged {
+			want++
+		}
+		if bumps = co.met.EpochGlobalBumps.Load(); bumps != want {
+			t.Fatalf("%s: %d epoch bumps, want %d", sql, bumps, want)
+		}
 	}
-	if err := co.Exec(ins); err != nil {
-		t.Fatal(err)
+	ask := func() *f2db.Result {
+		t.Helper()
+		res, err := co.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if got := co.met.EpochGlobalBumps.Load(); got != 1 {
-		t.Fatalf("global bumps = %d after batch completion, want 1", got)
+
+	before := ask()
+	hits := co.met.CacheHits.Load()
+	sameResult(t, "warm hit", ask(), before)
+	if co.met.CacheHits.Load() != hits+1 {
+		t.Fatal("a repeated query missed the warm table")
 	}
-	inv2, miss2 := co.met.CacheInvalidations.Load(), co.met.CacheMisses.Load()
-	if _, err := co.Query(qA); err != nil {
-		t.Fatal(err)
+
+	// One row completes no batch: the answer is invalidated, and the
+	// refetched one is unchanged, since a pending row changes no answer.
+	exec(rowSQL([]int{first}, 500), true, false)
+	inv := co.met.CacheInvalidations.Load()
+	sameResult(t, "after a non-completing insert", ask(), before)
+	if co.met.CacheInvalidations.Load() != inv+1 {
+		t.Fatal("a logged insert did not invalidate the cached answer")
 	}
-	if _, err := co.Query(qB); err != nil {
-		t.Fatal(err)
-	}
-	if got := co.met.CacheInvalidations.Load() - inv2; got != 2 {
-		t.Fatalf("invalidations = %d after global bump, want 2", got)
-	}
-	if got := co.met.CacheMisses.Load() - miss2; got != 2 {
-		t.Fatalf("misses = %d after global bump, want 2", got)
+	// Its duplicate is logged and rejected by every replica; a statement the
+	// planner rejects is never logged and bumps nothing.
+	exec(rowSQL([]int{first}, 501), true, true)
+	exec("INSERT INTO facts VALUES ('P1', 'C9', 1)", false, true)
+	exec(rowSQL(six, 600), true, false)
+	sameResult(t, "seven of eight rows pending", ask(), before)
+
+	// The eighth row completes the batch on the shards.
+	exec(rowSQL([]int{last}, 700), true, false)
+	waitFor(t, "both shards caught up", co.CaughtUp)
+	for i, db := range []*f2db.DB{s1.db, s2.db} {
+		want, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Groups[0].Rows[0].T == before.Groups[0].Rows[0].T {
+			t.Fatalf("shard %d did not advance time", i)
+		}
+		sameResult(t, fmt.Sprintf("coordinator vs shard %d after the batch", i), ask(), want)
 	}
 }

@@ -39,10 +39,7 @@ type Metrics struct {
 	// CacheResizes counts SetCacheCapacity calls (the self-tuning sizer).
 	CacheResizes atomic.Int64
 
-	// Write-epoch attribution: Execs that bumped only their partition's
-	// epoch versus those that bumped the global epoch (multi-partition
-	// statements and conservative batch-advance detections).
-	EpochPartBumps   atomic.Int64
+	// EpochGlobalBumps counts write-epoch bumps: one per logged Exec.
 	EpochGlobalBumps atomic.Int64
 
 	// LogTrimmed counts statement-log entries dropped after every
@@ -101,8 +98,7 @@ func (m *Metrics) Registry() *metrics.Registry {
 	r.Int("coord_cache_invalidations_total", "Cached results discarded because a write bumped the epoch.", &m.CacheInvalidations)
 	r.Int("coord_route_memo_hits_total", "Statements routed from the memo without re-parsing.", &m.RouteMemoHits)
 	r.Int("coord_cache_resizes_total", "Read-cache capacity changes applied by self-tuning.", &m.CacheResizes)
-	r.Int("coord_epoch_part_bumps_total", "Execs that bumped only their write partition's epoch.", &m.EpochPartBumps)
-	r.Int("coord_epoch_global_bumps_total", "Execs that bumped the global write epoch.", &m.EpochGlobalBumps)
+	r.Int("coord_epoch_global_bumps_total", "Write-epoch bumps: one per logged Exec.", &m.EpochGlobalBumps)
 
 	r.Break(false)
 	for i := range m.Shards {

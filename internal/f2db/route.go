@@ -95,29 +95,18 @@ func (p *Planner) RouteQuery(sql string) (*Plan, error) { return p.plan(sql) }
 // INSERT pipeline (insert.go), so any statement the engine would reject is
 // rejected here with the byte-identical error. It returns the row count —
 // coordinators realign a restarted shard's replay cursor by it
-// (wire.Info.Inserts counts accepted rows) — and passes every row's base
-// node ID, in statement order, to visit, by which they attribute the INSERT
-// to write partitions. A statement that repeats a row is rejected after its
-// rows were visited: what visit gathered counts only when err is nil.
-func (p *Planner) RouteExecNodes(sql string, visit func(base int)) (rows int, err error) {
+// (wire.Info.Inserts counts accepted rows).
+func (p *Planner) RouteExecNodes(sql string) (rows int, err error) {
 	sc := getInsertScratch()
 	defer sc.release()
 	if err := sc.resolve(p.g, sql); err != nil {
 		return 0, err
-	}
-	for _, r := range sc.rows {
-		visit(r.id)
 	}
 	if err := sc.rejectDuplicates(p.g); err != nil {
 		return 0, err
 	}
 	return len(sc.rows), nil
 }
-
-// NumBaseSeries reports the graph's base-series count — the number of rows
-// that complete one maintenance batch (coordinators use it to track batch
-// advances for cache invalidation).
-func (p *Planner) NumBaseSeries() int { return len(p.g.BaseIDs) }
 
 // NodeKey renders a node's canonical coordinate key, for diagnostics.
 func (p *Planner) NodeKey(id int) string {

@@ -140,21 +140,14 @@ func TestRouteErrorsMatchEngine(t *testing.T) {
 	}
 }
 
-// TestRouteExecNodes: INSERT row counts drive replay-cursor alignment and
-// the base IDs, in statement order, drive partition attribution; every
-// rejection carries the engine's own text.
+// TestRouteExecNodes: INSERT row counts drive replay-cursor alignment;
+// every rejection carries the engine's own text.
 func TestRouteExecNodes(t *testing.T) {
 	db, g, _ := testEngine(t, nil)
 	p := NewPlanner(g, 0)
-	var bases []int
-	n, err := p.RouteExecNodes("INSERT INTO facts VALUES ('P2', 'C1', 12), ('P1', 'C2', 11), ('P1', 'C1', 10)", func(id int) { bases = append(bases, id) })
-	if err != nil || n != 3 || len(bases) != 3 {
+	n, err := p.RouteExecNodes("INSERT INTO facts VALUES ('P2', 'C1', 12), ('P1', 'C2', 11), ('P1', 'C1', 10)")
+	if err != nil || n != 3 {
 		t.Fatalf("RouteExecNodes: n=%d err=%v", n, err)
-	}
-	for i, key := range []string{"product=P2|city=C1", "product=P1|city=C2", "product=P1|city=C1"} {
-		if want := g.LookupKey(key).ID; bases[i] != want {
-			t.Fatalf("row %d routed to node %d, want %d (%s)", i, bases[i], want, key)
-		}
 	}
 	for _, q := range []string{
 		"INSERT INTO facts VALUES ()",
@@ -162,7 +155,7 @@ func TestRouteExecNodes(t *testing.T) {
 		"INSERT INTO facts VALUES ('P1', 1)",
 		"INSERT INTO facts VALUES ('P1', 'C1', 1), ('P2', 'C1', 2), ('P1', 'C1', 3)",
 	} {
-		_, rerr := p.RouteExecNodes(q, func(int) {})
+		_, rerr := p.RouteExecNodes(q)
 		eerr := db.Exec(q)
 		if rerr == nil || eerr == nil || rerr.Error() != eerr.Error() {
 			t.Fatalf("%s: route says %v, engine says %v", q, rerr, eerr)
