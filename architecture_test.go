@@ -274,8 +274,9 @@ func isSamplingRead(be *ast.BinaryExpr) bool {
 // fallback or self-tuning path reached, the generation-checked re-fit
 // with its retries, under-lock fallback and second durability lock, and
 // the write stripes with their advance generation and per-node memo epochs,
-// and the coordinator's per-partition write epochs with their
-// batch-completion guess.
+// the coordinator's per-partition write epochs with their
+// batch-completion guess, and fclient's health machine and backoff with
+// the network tier's option fields nothing set.
 var goneNames = map[string]bool{
 	"AsyncMultiSource": true,
 	"CostTime":         true,
@@ -319,6 +320,17 @@ var goneNames = map[string]bool{
 	"maxStampParts":  true,
 	"EpochPartBumps": true,
 	"NumBaseSeries":  true,
+
+	"SickThreshold":  true,
+	"SickCooldown":   true,
+	"BackoffBase":    true,
+	"BackoffMax":     true,
+	"ErrUnhealthy":   true,
+	"RecoverBackoff": true,
+	"QueryWait":      true,
+	"DrainGrace":     true,
+	"noteFailure":    true,
+	"sickUntil":      true,
 }
 
 // noGoneNames: no identifier, tests included, brings a gone name back.
@@ -410,9 +422,9 @@ func citedTestsExist(fsys fs.FS) error {
 // Legibility budget: non-test Go lines under internal/ and cmd/, and the
 // lines of the two documents a newcomer reads first. A change that needs
 // more re-records the number here and says why in CHANGES.md.
-const goLineBudget = 18996
+const goLineBudget = 18882
 
-var docLineBudget = map[string]int{"DESIGN.md": 1450, "README.md": 554}
+var docLineBudget = map[string]int{"DESIGN.md": 1448, "README.md": 553}
 
 // legibilityBudget: the program and its main documents stay within their
 // recorded line counts.

@@ -34,6 +34,11 @@
 // trimmed past a retention window (Options.LogRetain), and a restart
 // whose applied count falls behind the trim horizon is fenced dead.
 //
+// Shard health is decided here alone. A shard whose request fails at the
+// transport is marked down, reads fail over, and its worker probes Info
+// every 100 ms (recoverBackoff); the shard's fclient only retries once, on
+// a fresh connection, and keeps no cooldown of its own.
+//
 // A read crosses the coordinator as the shard's bytes: the owning shard's
 // encoded RESULT payload is checked (wire.CheckResult), relayed and cached
 // as it arrived, never decoded (AppendQuery). Reads have a statement-keyed
@@ -61,7 +66,7 @@ import (
 var ErrClosed = errors.New("coord: coordinator closed")
 
 // ErrNoShards is returned when no shard is servable for a query and none
-// became servable within Options.QueryWait.
+// became servable within queryWait.
 var ErrNoShards = errors.New("coord: no servable shard")
 
 // fibMult is the Fibonacci hashing multiplier, 2⁶⁴/φ: consecutive node IDs
@@ -79,18 +84,17 @@ func ShardFor(id, n int) int {
 	return int((h >> 32) * uint64(n) >> 32)
 }
 
+const (
+	// queryWait bounds how long a query waits for some shard to become
+	// servable (e.g. mid-batch, when every shard is momentarily applying
+	// the statement log tail).
+	queryWait = 5 * time.Second
+	// recoverBackoff paces the Info probes to a down shard.
+	recoverBackoff = 100 * time.Millisecond
+)
+
 // Options tunes a coordinator.
 type Options struct {
-	// Client tunes every per-shard fclient (pool size, timeouts, backoff,
-	// health). Retries defaults to 1 like fclient's own default.
-	Client fclient.Options
-	// QueryWait bounds how long a query waits for some shard to become
-	// servable (e.g. mid-batch, when every shard is momentarily applying
-	// the statement log tail). Default 5s.
-	QueryWait time.Duration
-	// RecoverBackoff paces reconnection probes to a down shard. Default
-	// 100ms.
-	RecoverBackoff time.Duration
 	// CacheSize enables the read fast path (cache.go): an LRU of this many
 	// statements keyed by normalized statement text, each entry holding
 	// the statement's plan and the shard's encoded answer, the answer
@@ -111,12 +115,6 @@ type Options struct {
 
 func (o *Options) withDefaults() Options {
 	out := *o
-	if out.QueryWait <= 0 {
-		out.QueryWait = 5 * time.Second
-	}
-	if out.RecoverBackoff <= 0 {
-		out.RecoverBackoff = 100 * time.Millisecond
-	}
 	if out.LogRetain == 0 {
 		out.LogRetain = 4096
 	}
@@ -207,8 +205,9 @@ func (c *Coordinator) entry(i int) *logEntry { return c.log[i-c.trimBase] }
 // New connects to the shards and starts their replay workers. The planner
 // must be built over the same hyper graph (and step duration) the shards
 // serve — f2db.NewPlanner over the data set's graph, or DB.Planner from a
-// loaded snapshot. Shards that are unreachable at construction start in
-// the down state and are picked up by their worker's recovery loop.
+// loaded snapshot. Each shard's first Info decides its start: one that
+// answers is up at cursor 0 with its nonce recorded; one that does not
+// starts down and is picked up by its worker's recovery loop.
 func New(planner *f2db.Planner, addrs []string, opts Options) (*Coordinator, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("coord: no shard addresses")
@@ -224,20 +223,14 @@ func New(planner *f2db.Planner, addrs []string, opts Options) (*Coordinator, err
 		c.cache = newReadCache(opts.CacheSize, &c.epoch, c.met)
 	}
 	for i, addr := range addrs {
-		s := &shard{idx: i, addr: addr}
-		cl, err := fclient.Dial(addr, opts.Client)
-		if err != nil {
-			// Dial failed cleanly (the fclient pool is closed); build an
-			// undialed client for the worker's recovery loop to probe.
-			c.logf("shard %d (%s): unreachable at start: %v", i, addr, err)
-			cl = fclient.NewClient(addr, opts.Client)
-			s.down = true
-		} else if info, err := cl.Info(); err == nil {
+		s := &shard{idx: i, addr: addr, client: fclient.NewClient(addr, fclient.Options{})}
+		if info, err := s.client.Info(); err == nil {
 			s.nonce = info.Nonce
 		} else {
+			c.logf("shard %d (%s): unreachable at start: %v", i, addr, err)
 			s.down = true
+			c.met.ShardsDown.Add(1)
 		}
-		s.client = cl
 		c.shards = append(c.shards, s)
 	}
 	for _, s := range c.shards {
@@ -476,12 +469,15 @@ func (c *Coordinator) markDownLocked(s *shard, cause error) {
 	}
 }
 
-// recoverShard probes a down shard until it answers an Info, then brings
-// it back: same nonce → the process (and its engine state) survived, the
-// cursor stands; new nonce → the process restarted from the snapshot, so
-// the cursor realigns to the statement boundary matching the engine's
-// applied-row counter. Returns false when the coordinator closed or the
-// shard was abandoned.
+// recoverShard probes a down shard every recoverBackoff until it answers an
+// Info, then brings it back: same nonce → the process (and its engine
+// state) survived, the cursor stands; no recorded nonce → first contact
+// with a shard that was down at New, accepted at its cursor exactly as New
+// accepts a reachable one (the trim horizon was held there, so the log
+// still starts at it); new nonce → the process restarted from the
+// snapshot, so the cursor realigns to the statement boundary matching the
+// engine's applied-row counter. Returns false when the coordinator closed
+// or the shard was abandoned.
 func (c *Coordinator) recoverShard(s *shard) bool {
 	for {
 		c.mu.Lock()
@@ -492,7 +488,7 @@ func (c *Coordinator) recoverShard(s *shard) bool {
 		c.mu.Unlock()
 		info, err := s.client.Info()
 		if err != nil {
-			time.Sleep(c.opts.RecoverBackoff)
+			time.Sleep(recoverBackoff)
 			continue
 		}
 		c.mu.Lock()
@@ -500,10 +496,12 @@ func (c *Coordinator) recoverShard(s *shard) bool {
 			c.mu.Unlock()
 			return false
 		}
-		if s.nonce != 0 && info.Nonce == s.nonce {
-			// Same process: a network blip, not a restart. The in-doubt
-			// statement (if any) is re-sent from the unchanged cursor; a
-			// duplicate rejection is absorbed as a replay confirmation.
+		if s.nonce == 0 || info.Nonce == s.nonce {
+			// First contact, or the same process after a network blip. The
+			// in-doubt statement (if any) is re-sent from the unchanged
+			// cursor; a duplicate rejection is absorbed as a replay
+			// confirmation.
+			s.nonce = info.Nonce
 			s.down = false
 		} else {
 			cursor, ok := c.realignLocked(info.Inserts)
@@ -643,12 +641,12 @@ func (c *Coordinator) runPlan(plan *f2db.Plan, sql string) ([]byte, error) {
 // ring order to the next servable shard. A shard is servable when it is
 // up and its replay cursor has caught the log tail — a lagging replica
 // would answer from an older time point. If no shard is servable the call
-// waits (bounded by QueryWait) for one to catch up, which bridges the
+// waits (bounded by queryWait) for one to catch up, which bridges the
 // moment when all replicas are mid-apply. drill marks a drill-down
 // statement, whose shard requests (failover retries included) are counted.
 func (c *Coordinator) queryNode(node int, sql string, drill bool) ([]byte, error) {
 	owner := ShardFor(node, len(c.shards))
-	deadline := time.Now().Add(c.opts.QueryWait)
+	deadline := time.Now().Add(queryWait)
 	for {
 		var lastErr error
 		tried := false
@@ -697,7 +695,7 @@ func (c *Coordinator) queryNode(node int, sql string, drill bool) ([]byte, error
 }
 
 // waitProgress blocks briefly until some shard state changes (bounded so a
-// wedged cluster cannot hang queries past QueryWait checks).
+// wedged cluster cannot hang queries past queryWait checks).
 func (c *Coordinator) waitProgress() {
 	done := make(chan struct{})
 	go func() {

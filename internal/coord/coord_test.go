@@ -137,25 +137,8 @@ func (ts *testShard) stop(t testing.TB) {
 	<-ts.done
 }
 
-// testClientOpts keeps reconnect probing fast under the race detector.
-func testClientOpts() fclient.Options {
-	return fclient.Options{
-		PoolSize:      2,
-		Retries:       1,
-		BackoffBase:   2 * time.Millisecond,
-		BackoffMax:    20 * time.Millisecond,
-		SickThreshold: 3,
-		SickCooldown:  50 * time.Millisecond,
-	}
-}
-
 func testCoordOpts(t testing.TB) Options {
-	return Options{
-		Client:         testClientOpts(),
-		RecoverBackoff: 10 * time.Millisecond,
-		QueryWait:      10 * time.Second,
-		Logf:           t.Logf,
-	}
+	return Options{Logf: t.Logf}
 }
 
 // waitFor polls cond for up to 10s.
@@ -799,7 +782,7 @@ func TestShardAnswersGarbage(t *testing.T) {
 	if _, err := co.AppendQuery(nil, q); err == nil || fclient.IsRetryable(err) || !errors.Is(err, fclient.ErrMalformed) {
 		t.Fatalf("garbled answer: err = %v, want a non-retryable fclient.ErrMalformed", err)
 	}
-	if d := time.Since(start); d > opts.QueryWait/2 {
+	if d := time.Since(start); d > queryWait/2 {
 		t.Fatalf("garbled answer took %v: the coordinator retried it", d)
 	}
 	m := co.Metrics()
@@ -827,4 +810,107 @@ func TestShardAnswersGarbage(t *testing.T) {
 	if m.CacheMisses.Load() != 2 {
 		t.Fatalf("misses = %d, want 2: the garbled answer was cached", m.CacheMisses.Load())
 	}
+}
+
+// TestShardUnreachableAtStart: the coordinator alone decides a shard's
+// health, with no client options tuned.
+//  1. A shard down when New runs is counted down at once, and on first
+//     contact it is accepted at its cursor — its snapshot already holds a
+//     batch the empty log knows nothing of, which is no restart to realign.
+//     It replays what was logged while it was away and answers every node
+//     exactly as a twin does.
+//  2. A shard restarted after an outage is served again within one probe
+//     interval of coming back: no fclient state delays the probe.
+func TestShardUnreachableAtStart(t *testing.T) {
+	g, data := buildCube(t)
+	seed := loadEngine(t, data)
+	if err := seed.Exec(batchInsertSQL(0)); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := f2db.SaveDatabase(&snap, seed); err != nil {
+		t.Fatal(err)
+	}
+	twin := loadEngine(t, snap.Bytes())
+
+	s0 := startShardOn(t, snap.Bytes(), "127.0.0.1:0")
+	defer s0.stop(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr1 := ln.Addr().String()
+	_ = ln.Close()
+	co, err := New(f2db.NewPlanner(g, 0), []string{s0.addr, addr1}, Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	m := co.Metrics()
+	if got := m.ShardsDown.Load(); got != 1 {
+		t.Fatalf("ShardsDown = %d right after New, want 1", got)
+	}
+	exec := func(v int) {
+		t.Helper()
+		if err := co.Exec(batchInsertSQL(v)); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.Exec(batchInsertSQL(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exec(10)
+
+	s1 := startShardOn(t, snap.Bytes(), addr1)
+	defer s1.stop(t)
+	waitFor(t, "shard 1 to catch up", co.CaughtUp)
+	if dead, down := m.ShardsDead.Load(), m.ShardsDown.Load(); dead != 0 || down != 0 {
+		t.Fatalf("after first contact: ShardsDead = %d, ShardsDown = %d, want 0 and 0", dead, down)
+	}
+	exec(20)
+	waitFor(t, "shard 1 to apply the next batch", co.CaughtUp)
+	direct, err := fclient.Dial(addr1, fclient.Options{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+	for id := 0; id < g.NumNodes(); id++ {
+		q := querySQLFor(g, id)
+		got, err := direct.Query(q)
+		if err != nil {
+			t.Fatalf("shard 1, node %d: %v", id, err)
+		}
+		want, err := twin.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, "shard 1 "+q, got, want)
+	}
+
+	// A second cluster: shard 1 goes away for 300 ms and comes back as a
+	// fresh process.
+	r0 := startShardOn(t, data, "127.0.0.1:0")
+	defer r0.stop(t)
+	r1 := startShardOn(t, data, "127.0.0.1:0")
+	co2, err := New(f2db.NewPlanner(g, 0), []string{r0.addr, r1.addr}, Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co2.Close()
+	r1.stop(t)
+	if err := co2.Exec(batchInsertSQL(30)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the down mark", func() bool { return co2.Metrics().ShardsDown.Load() == 1 })
+	time.Sleep(300 * time.Millisecond)
+	r1 = startShardOn(t, data, r1.addr)
+	defer r1.stop(t)
+	back := time.Now()
+	for !co2.CaughtUp() {
+		if d := time.Since(back); d > 400*time.Millisecond {
+			t.Fatalf("restarted shard not caught up %v after it came back", d)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Logf("restarted shard caught up %v after it came back", time.Since(back))
 }

@@ -13,8 +13,8 @@
 // channel, timer) are recycled on a
 // per-connection free list rather than allocated per request.
 //
-// Retry policy: every request gets 1+Retries attempts, separated by
-// jittered exponential backoff. Failures where provably zero bytes of the
+// Retry policy: every request gets two attempts, the second at once on a
+// freshly dialed connection. Failures where provably zero bytes of the
 // request reached the wire — a failed dial, a connection already known
 // dead, a full pipeline — are safe to retry for ANY request, including
 // Exec. Once the frame may have been written, only idempotent requests
@@ -24,22 +24,17 @@
 // that do not decode (ErrMalformed) are never retried — the server
 // answered. A statement too large for one frame
 // fails with wire.ErrFrameTooLarge before any connection is involved: it
-// is not a transport failure, not retryable, and counts against no one's
-// health.
+// is not a transport failure and not retryable.
 //
-// Health tracking: consecutive transport failures beyond
-// Options.SickThreshold put the address in a cooldown during which slots
-// fail fast with ErrUnhealthy instead of redialing (existing live
-// connections keep being used). After Options.SickCooldown the next
-// request is allowed through as a probe; its outcome either clears the
-// counter or starts a new cooldown.
+// The client keeps no health state: whether an address is worth asking
+// again is the caller's decision (the cluster coordinator marks a shard
+// down and paces its own probes).
 package fclient
 
 import (
 	"bufio"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -49,75 +44,25 @@ import (
 	"cubefc/internal/wire"
 )
 
-// Options tunes a client. The zero value selects the documented defaults.
+// Options tunes a client. The zero value selects the documented default.
 type Options struct {
 	// PoolSize is the number of pooled connections requests are spread
 	// over round-robin. Default 4.
 	PoolSize int
-	// DialTimeout bounds one connection attempt. Default 5s.
-	DialTimeout time.Duration
-	// RequestTimeout bounds one request round trip. A request that times
-	// out poisons its connection (a pipelined stream with one lost
-	// response cannot be resynchronized), failing other calls in flight
-	// on it; they surface transport errors and retry if idempotent.
-	// Default 30s.
-	RequestTimeout time.Duration
-	// Retries is how many extra attempts a request gets after a transport
-	// failure (see the package doc for which failures are retryable for
-	// non-idempotent requests). Default 1. Server errors
-	// (wire.ServerError) are never retried — the server answered.
-	Retries int
-	// BackoffBase is the delay before the first retry; each further retry
-	// doubles it, capped at BackoffMax, with ±50% jitter. Defaults 25ms
-	// and 1s.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// SickThreshold is the consecutive transport-failure count at which
-	// the address enters cooldown and redials fail fast with ErrUnhealthy.
-	// Default 3.
-	SickThreshold int
-	// SickCooldown is how long redials fail fast once the address is
-	// sick. Default 1s.
-	SickCooldown time.Duration
 }
 
-func (o *Options) withDefaults() Options {
-	out := *o
-	if out.PoolSize <= 0 {
-		out.PoolSize = 4
-	}
-	if out.DialTimeout <= 0 {
-		out.DialTimeout = 5 * time.Second
-	}
-	if out.RequestTimeout <= 0 {
-		out.RequestTimeout = 30 * time.Second
-	}
-	if out.Retries < 0 {
-		out.Retries = 0
-	}
-	if out.BackoffBase <= 0 {
-		out.BackoffBase = 25 * time.Millisecond
-	}
-	if out.BackoffMax <= 0 {
-		out.BackoffMax = time.Second
-	}
-	if out.SickThreshold <= 0 {
-		out.SickThreshold = 3
-	}
-	if out.SickCooldown <= 0 {
-		out.SickCooldown = time.Second
-	}
-	return out
-}
+const (
+	// dialTimeout bounds one connection attempt.
+	dialTimeout = 5 * time.Second
+	// requestTimeout bounds one request round trip. A request that times
+	// out poisons its connection (a pipelined stream with one lost
+	// response cannot be resynchronized), failing other calls in flight on
+	// it; they surface transport errors and retry if idempotent.
+	requestTimeout = 30 * time.Second
+)
 
 // ErrClosed is returned by requests on a closed client.
 var ErrClosed = errors.New("fclient: client closed")
-
-// ErrUnhealthy is returned (wrapped) when a redial is refused because the
-// address is in its sick cooldown. It is a transport-level failure:
-// IsRetryable reports true, and a later attempt (after the cooldown) will
-// probe the address again.
-var ErrUnhealthy = errors.New("fclient: address unhealthy, in cooldown")
 
 // ErrMalformed wraps an answer that arrived whole but does not decode: the
 // stream is still in step, so it is not a transport failure.
@@ -134,20 +79,13 @@ const maxPipeline = 512
 // use by any number of goroutines.
 type Client struct {
 	addr   string
-	opts   Options
 	slots  []slot
 	next   atomic.Uint64
 	closed atomic.Bool
 
-	// Health state: consecutive transport failures and the cooldown
-	// deadline (UnixNano; 0 = healthy) they arm once past SickThreshold.
-	fails     atomic.Int32
-	sickUntil atomic.Int64
-
-	// now and sleep are the clock; tests substitute them to drive the
-	// backoff and cooldown logic deterministically.
-	now   func() time.Time
-	sleep func(time.Duration)
+	// dial opens one connection to addr; tests substitute it to act
+	// between a request's two attempts.
+	dial func(addr string) (net.Conn, error)
 }
 
 // slot is one pool position: a lazily (re)dialed connection.
@@ -172,16 +110,24 @@ func Dial(addr string, opts Options) (*Client, error) {
 
 // NewClient creates a client without verifying connectivity: connections
 // are dialed lazily on first use. Callers that tolerate an initially-down
-// server (the cluster coordinator's recovery loop) use it instead of Dial.
+// server (the cluster coordinator, whose first Info decides whether a
+// shard starts up or down) use it instead of Dial.
 func NewClient(addr string, opts Options) *Client {
-	c := &Client{
-		addr:  addr,
-		opts:  opts.withDefaults(),
-		now:   time.Now,
-		sleep: time.Sleep,
+	n := opts.PoolSize
+	if n <= 0 {
+		n = 4
 	}
-	c.slots = make([]slot, c.opts.PoolSize)
-	return c
+	return &Client{addr: addr, slots: make([]slot, n), dial: dialTCP}
+}
+
+// dialTCP opens one connection with Nagle off: frames are already
+// coalesced in the connection's buffered writer.
+func dialTCP(addr string) (net.Conn, error) {
+	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
+	if tc, ok := nc.(*net.TCPConn); ok {
+		_ = tc.SetNoDelay(true)
+	}
+	return nc, err
 }
 
 // Close closes every pooled connection. In-flight requests fail with
@@ -241,45 +187,12 @@ func (c *Client) Info() (wire.Info, error) {
 	return rp.info, err
 }
 
-// Healthy reports whether the address is outside its sick cooldown (new
-// connections may be dialed). It does not probe the network.
-func (c *Client) Healthy() bool {
-	until := c.sickUntil.Load()
-	return until == 0 || c.now().UnixNano() >= until
-}
-
-// noteFailure records one transport failure; crossing SickThreshold arms
-// (or re-arms, for the half-open probe that fails) the cooldown.
-func (c *Client) noteFailure() {
-	if int(c.fails.Add(1)) >= c.opts.SickThreshold {
-		c.sickUntil.Store(c.now().Add(c.opts.SickCooldown).UnixNano())
-	}
-}
-
-// noteSuccess clears the failure streak and any cooldown.
-func (c *Client) noteSuccess() {
-	c.fails.Store(0)
-	c.sickUntil.Store(0)
-}
-
-// backoff sleeps before retry attempt a (a >= 1): exponential from
-// BackoffBase, capped at BackoffMax, with ±50% jitter so a fleet of
-// clients retrying a recovered server does not stampede it.
-func (c *Client) backoff(a int) {
-	d := c.opts.BackoffBase << (a - 1)
-	if d <= 0 || d > c.opts.BackoffMax {
-		d = c.opts.BackoffMax
-	}
-	d = d/2 + time.Duration(rand.Int63n(int64(d)))
-	c.sleep(d)
-}
-
-// do runs one request with pooling, pipelining, backoff and retries. Every
-// request gets 1+Retries attempts; an attempt that fails after the frame
-// may have been written stops a non-idempotent request immediately (see
-// the package doc). raw asks for a RESULT as checked bytes. want is the
-// response type that answers t; anything else the server sends back is an
-// error.
+// do runs one request with pooling, pipelining and its one retry. Both
+// attempts use one pool slot, so a retry redials; an attempt that fails
+// after the frame may have been written stops a non-idempotent request
+// immediately (see the package doc). raw asks for a RESULT as checked
+// bytes. want is the response type that answers t; anything else the
+// server sends back is an error.
 func (c *Client) do(t wire.Type, sql string, raw, idempotent bool, want wire.Type) (reply, error) {
 	if c.closed.Load() {
 		return reply{}, ErrClosed
@@ -289,34 +202,21 @@ func (c *Client) do(t wire.Type, sql string, raw, idempotent bool, want wire.Typ
 		// sending a byte, and must not take the pool down with it.
 		return reply{}, wire.ErrFrameTooLarge
 	}
-	attempts := 1 + c.opts.Retries
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		if c.closed.Load() {
-			return reply{}, ErrClosed
-		}
-		if a > 0 {
-			c.backoff(a)
-		}
-		sl := &c.slots[c.next.Add(1)%uint64(len(c.slots))]
-		cn, err := sl.get(c)
-		if err != nil {
+	sl := &c.slots[c.next.Add(1)%uint64(len(c.slots))]
+	var err error
+	for a := 0; a < 2; a++ {
+		var cn *conn
+		if cn, err = sl.get(c); err != nil {
 			if errors.Is(err, ErrClosed) {
 				return reply{}, ErrClosed
 			}
-			if !errors.Is(err, ErrUnhealthy) {
-				// A refused redial during cooldown is not new evidence
-				// against the address; only real dial failures count.
-				c.noteFailure()
-			}
 			// Dial-time failure: zero bytes were sent, so retrying is safe
 			// for any request, Exec included.
-			lastErr = err
 			continue
 		}
-		rp, sent, err := cn.roundtrip(t, sql, raw, c.opts.RequestTimeout)
-		if err == nil {
-			c.noteSuccess()
+		var rp reply
+		var sent bool
+		if rp, sent, err = cn.roundtrip(t, sql, raw, requestTimeout); err == nil {
 			// A server error means the server processed the request: a
 			// retry would re-run it, so surface it even for idempotent calls.
 			if rp.err == nil && rp.t != want {
@@ -325,17 +225,15 @@ func (c *Client) do(t wire.Type, sql string, raw, idempotent bool, want wire.Typ
 			return rp, rp.err
 		}
 		// Transport failure: this connection is unusable; drop it so the
-		// next acquisition redials.
+		// retry redials.
 		sl.discard(cn)
-		c.noteFailure()
-		lastErr = err
 		if sent && !idempotent {
 			// The frame may have reached the server; a duplicate INSERT is
 			// an engine error, so surface instead of retrying.
 			return reply{}, err
 		}
 	}
-	return reply{}, lastErr
+	return reply{}, err
 }
 
 // get returns the slot's live connection, dialing a fresh one if the slot
@@ -352,15 +250,9 @@ func (sl *slot) get(c *Client) (*conn, error) {
 	if sl.c != nil && !sl.c.dead.Load() {
 		return sl.c, nil
 	}
-	if !c.Healthy() {
-		return nil, fmt.Errorf("%w: %w", errConnBroken, ErrUnhealthy)
-	}
-	nc, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
+	nc, err := c.dial(c.addr)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", errConnBroken, err)
-	}
-	if tc, ok := nc.(*net.TCPConn); ok {
-		_ = tc.SetNoDelay(true)
 	}
 	cn := newConn(nc)
 	sl.c = cn

@@ -133,14 +133,6 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// newTestClient builds a client without Dial's verification Ping so unit
-// tests can target addresses with nothing listening.
-func newTestClient(addr string, opts Options) *Client {
-	c := &Client{addr: addr, opts: opts.withDefaults(), now: time.Now, sleep: func(time.Duration) {}}
-	c.slots = make([]slot, c.opts.PoolSize)
-	return c
-}
-
 // deadAddr returns an address that refuses connections.
 func deadAddr(t *testing.T) string {
 	t.Helper()
@@ -178,7 +170,7 @@ func TestDialFailureReleasesResources(t *testing.T) {
 func TestCloseRedialRace(t *testing.T) {
 	srv := startFake(t, "", pongHandler)
 	for iter := 0; iter < 50; iter++ {
-		c, err := Dial(srv.addr(), Options{PoolSize: 2, Retries: 0})
+		c, err := Dial(srv.addr(), Options{PoolSize: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,13 +209,13 @@ func TestCloseRedialRace(t *testing.T) {
 }
 
 // TestExecRetriesDialFailure: a dial-time failure sends zero bytes, so
-// Exec must consume a retry instead of surfacing it. The server is down
-// for the first attempt and brought back (by the backoff sleep hook)
-// before the second.
+// Exec must use up its retry instead of surfacing it. The server is down
+// for the first attempt and brought back (by the dial hook) before the
+// second.
 func TestExecRetriesDialFailure(t *testing.T) {
 	srv := startFake(t, "", pongHandler)
 	addr := srv.addr()
-	c, err := Dial(addr, Options{PoolSize: 1, Retries: 1})
+	c, err := Dial(addr, Options{PoolSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,21 +226,26 @@ func TestExecRetriesDialFailure(t *testing.T) {
 		defer c.slots[0].mu.Unlock()
 		return c.slots[0].c == nil || c.slots[0].c.dead.Load()
 	})
-	var restartOnce sync.Once
-	c.sleep = func(time.Duration) {
-		restartOnce.Do(func() {
-			// Bring the server back between attempt 1 and attempt 2.
-			srv2 := startFake(t, addr, pongHandler)
-			_ = srv2
-		})
+	var dials atomic.Int32
+	c.dial = func(addr string) (net.Conn, error) {
+		if dials.Add(1) > 1 {
+			return dialTCP(addr)
+		}
+		nc, err := dialTCP(addr)
+		// Bring the server back between attempt 1 and attempt 2.
+		startFake(t, addr, pongHandler)
+		return nc, err
 	}
 	if err := c.Exec("INSERT INTO facts VALUES (0, 'P1', 'C1', 1)"); err != nil {
 		t.Fatalf("Exec after dial-failure retry: %v", err)
 	}
+	if n := dials.Load(); n != 2 {
+		t.Fatalf("Exec dialed %d times, want 2", n)
+	}
 }
 
 // TestExecNotRetriedAfterSend: once the frame may have been written, Exec
-// must not be retried even with a retry budget left.
+// must not be retried although the request has a second attempt left.
 func TestExecNotRetriedAfterSend(t *testing.T) {
 	var execSeen atomic.Int32
 	srv := startFake(t, "", func(nc net.Conn, typ wire.Type, payload []byte) bool {
@@ -258,7 +255,7 @@ func TestExecNotRetriedAfterSend(t *testing.T) {
 		}
 		return pongHandler(nc, typ, payload)
 	})
-	c, err := Dial(srv.addr(), Options{PoolSize: 1, Retries: 3})
+	c, err := Dial(srv.addr(), Options{PoolSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,100 +272,47 @@ func TestExecNotRetriedAfterSend(t *testing.T) {
 	}
 }
 
-// TestBackoffSchedule verifies the jittered exponential delays between
-// attempts using the sleep hook as a fake clock sink.
+// TestBackoffSchedule pins the attempt schedule: a request gets exactly
+// two attempts, so one Ping and one Exec against a dead address each dial
+// twice and then surface a retryable transport error.
 func TestBackoffSchedule(t *testing.T) {
-	opts := Options{
-		PoolSize:      1,
-		Retries:       3,
-		BackoffBase:   100 * time.Millisecond,
-		BackoffMax:    350 * time.Millisecond,
-		SickThreshold: 100, // keep health out of this test's way
-		DialTimeout:   200 * time.Millisecond,
+	c := NewClient(deadAddr(t), Options{PoolSize: 1})
+	defer c.Close()
+	var dials atomic.Int32
+	c.dial = func(addr string) (net.Conn, error) {
+		dials.Add(1)
+		return dialTCP(addr)
 	}
-	c := newTestClient(deadAddr(t), opts)
-	var sleeps []time.Duration
-	c.sleep = func(d time.Duration) { sleeps = append(sleeps, d) }
-	if err := c.Ping(); err == nil {
-		t.Fatal("ping succeeded against a dead address")
-	}
-	if len(sleeps) != 3 {
-		t.Fatalf("got %d backoff sleeps, want 3 (one per retry)", len(sleeps))
-	}
-	// Attempt a sleeps base<<(a-1) capped at max, jittered to [d/2, 3d/2).
-	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 350 * time.Millisecond}
-	for i, d := range sleeps {
-		lo, hi := want[i]/2, want[i]*3/2
-		if d < lo || d >= hi {
-			t.Fatalf("backoff %d: slept %v, want in [%v, %v)", i+1, d, lo, hi)
+	for _, req := range []struct {
+		name string
+		do   func() error
+	}{
+		{"Ping", c.Ping},
+		{"Exec", func() error { return c.Exec("INSERT INTO facts VALUES (0, 'P1', 'C1', 1)") }},
+	} {
+		dials.Store(0)
+		if err := req.do(); err == nil || !IsRetryable(err) {
+			t.Fatalf("%s against a dead address: %v, want a retryable failure", req.name, err)
+		}
+		if n := dials.Load(); n != 2 {
+			t.Fatalf("%s dialed %d times, want 2", req.name, n)
 		}
 	}
 }
 
-// TestHealthCooldown drives the sick/cooldown state machine with a fake
-// clock: failures past the threshold arm the cooldown, redials fail fast
-// with ErrUnhealthy while it lasts, and a successful probe after the
-// cooldown clears the state.
+// TestHealthCooldown pins that the client keeps no health state: after a
+// run of failures against a dead address, the very next request once a
+// server listens there is served — no cooldown refuses it. Shard health is
+// the coordinator's to decide.
 func TestHealthCooldown(t *testing.T) {
 	addr := deadAddr(t)
-	opts := Options{
-		PoolSize:      1,
-		Retries:       0,
-		SickThreshold: 2,
-		SickCooldown:  10 * time.Second,
-		DialTimeout:   200 * time.Millisecond,
+	c := NewClient(addr, Options{PoolSize: 1})
+	defer c.Close()
+	for i := 0; i < 5; i++ {
+		if err := c.Ping(); err == nil || !IsRetryable(err) {
+			t.Fatalf("ping %d against a dead address: %v, want a retryable failure", i, err)
+		}
 	}
-	c := newTestClient(addr, opts)
-	var clockMu sync.Mutex
-	now := time.Unix(1_000_000, 0)
-	c.now = func() time.Time {
-		clockMu.Lock()
-		defer clockMu.Unlock()
-		return now
-	}
-	advance := func(d time.Duration) {
-		clockMu.Lock()
-		now = now.Add(d)
-		clockMu.Unlock()
-	}
-
-	if err := c.Ping(); err == nil || errors.Is(err, ErrUnhealthy) {
-		t.Fatalf("first failure: %v", err)
-	}
-	if !c.Healthy() {
-		t.Fatal("sick after one failure, threshold is 2")
-	}
-	if err := c.Ping(); err == nil {
-		t.Fatal("second ping succeeded")
-	}
-	if c.Healthy() {
-		t.Fatal("still healthy after hitting the threshold")
-	}
-	err := c.Ping()
-	if !errors.Is(err, ErrUnhealthy) {
-		t.Fatalf("redial during cooldown: got %v, want ErrUnhealthy", err)
-	}
-	if !IsRetryable(err) {
-		t.Fatal("ErrUnhealthy must classify as retryable")
-	}
-	if got := c.fails.Load(); got != 2 {
-		t.Fatalf("fast-fail counted as a failure: fails=%d, want 2", got)
-	}
-
-	advance(11 * time.Second)
-	if !c.Healthy() {
-		t.Fatal("cooldown did not expire")
-	}
-	// A failed probe re-arms the cooldown immediately.
-	if err := c.Ping(); err == nil || errors.Is(err, ErrUnhealthy) {
-		t.Fatalf("probe: %v", err)
-	}
-	if c.Healthy() {
-		t.Fatal("failed probe should re-arm the cooldown")
-	}
-
-	// Bring a real server up; a successful probe clears everything.
-	advance(11 * time.Second)
 	var srv *fakeServer
 	for attempt := 0; attempt < 20 && srv == nil; attempt++ {
 		if ln, err := net.Listen("tcp", addr); err == nil {
@@ -381,12 +325,8 @@ func TestHealthCooldown(t *testing.T) {
 		t.Skipf("could not rebind %s", addr)
 	}
 	if err := c.Ping(); err != nil {
-		t.Fatalf("probe against recovered server: %v", err)
+		t.Fatalf("first ping after the server came up: %v", err)
 	}
-	if c.fails.Load() != 0 || !c.Healthy() {
-		t.Fatal("success did not clear health state")
-	}
-	_ = c.Close()
 }
 
 // TestOversizedFrame pins the oversized-statement bug: a statement no frame
@@ -405,7 +345,7 @@ func TestOversizedFrame(t *testing.T) {
 		}
 		return pongHandler(nc, typ, payload)
 	})
-	c, err := Dial(srv.addr(), Options{PoolSize: 1, Retries: 1})
+	c, err := Dial(srv.addr(), Options{PoolSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,9 +369,6 @@ func TestOversizedFrame(t *testing.T) {
 	}
 	if IsRetryable(err) {
 		t.Fatal("an oversized statement is classified retryable")
-	}
-	if got := c.fails.Load(); got != 0 || !c.Healthy() {
-		t.Fatalf("oversized statement counted against the address: fails=%d", got)
 	}
 
 	close(release)

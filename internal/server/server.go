@@ -100,13 +100,6 @@ type Options struct {
 	// IdleTimeout bounds the wait for the next request frame on an idle
 	// connection. Default 5m.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds writing one response to a slow client.
-	// Default 30s.
-	WriteTimeout time.Duration
-	// DrainGrace is the per-read deadline applied while draining, so
-	// frames a client had already pipelined are still served but an idle
-	// connection closes promptly. Default 250ms.
-	DrainGrace time.Duration
 	// Logf, when non-nil, receives connection-level diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -122,14 +115,17 @@ func (o *Options) withDefaults() Options {
 	if out.IdleTimeout <= 0 {
 		out.IdleTimeout = 5 * time.Minute
 	}
-	if out.WriteTimeout <= 0 {
-		out.WriteTimeout = 30 * time.Second
-	}
-	if out.DrainGrace <= 0 {
-		out.DrainGrace = 250 * time.Millisecond
-	}
 	return out
 }
+
+const (
+	// writeTimeout bounds writing one response to a slow client.
+	writeTimeout = 30 * time.Second
+	// drainGrace is the per-read deadline applied while draining, so frames
+	// a client had already pipelined are still served but an idle
+	// connection closes promptly.
+	drainGrace = 250 * time.Millisecond
+)
 
 // Server serves one backend over one listener.
 type Server struct {
@@ -285,7 +281,7 @@ func (s *Server) Serve(ln net.Listener) error {
 // refuse answers a connection accepted mid-shutdown with a single
 // CodeShutdown error frame and closes it.
 func (s *Server) refuse(nc net.Conn) {
-	_ = nc.SetWriteDeadline(time.Now().Add(s.opts.DrainGrace))
+	_ = nc.SetWriteDeadline(time.Now().Add(drainGrace))
 	bw := bufio.NewWriter(nc)
 	_ = wire.WriteFrame(bw, wire.TError, wire.AppendError(nil, wire.CodeShutdown, "server draining"))
 	_ = bw.Flush() // best effort: the peer is being turned away either way
@@ -293,7 +289,7 @@ func (s *Server) refuse(nc net.Conn) {
 }
 
 // Shutdown drains the server: stop accepting, answer every in-flight
-// request, give each connection DrainGrace to flush pipelined frames, then
+// request, give each connection drainGrace to flush pipelined frames, then
 // close. It returns nil when every connection finished cleanly, or the
 // context error if the deadline force-closed stragglers.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -305,7 +301,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// Nudge connections blocked in an idle read: shorten their read
 	// deadline to the drain grace so the handler loop observes the drain.
 	for c := range s.conns {
-		_ = c.nc.SetReadDeadline(time.Now().Add(s.opts.DrainGrace))
+		_ = c.nc.SetReadDeadline(time.Now().Add(drainGrace))
 	}
 	s.mu.Unlock()
 
@@ -345,7 +341,7 @@ func (s *Server) handle(c *conn) {
 	var in, out []byte
 	for {
 		if s.draining.Load() {
-			_ = c.nc.SetReadDeadline(time.Now().Add(s.opts.DrainGrace))
+			_ = c.nc.SetReadDeadline(time.Now().Add(drainGrace))
 		} else {
 			_ = c.nc.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		}
@@ -387,7 +383,7 @@ func (s *Server) handle(c *conn) {
 				fmt.Sprintf("request exceeded %v", s.opts.RequestTimeout))}
 		}
 		s.met.RequestLatency.Observe(time.Since(start).Nanoseconds())
-		_ = c.nc.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
+		_ = c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		err = wire.WriteFrame(bw, resp.t, resp.payload)
 		// Flush unless the next request is already buffered: its answer
 		// will share the write. A lone request is flushed at once.

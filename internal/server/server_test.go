@@ -334,7 +334,7 @@ func TestServerShutdownDrainsInFlight(t *testing.T) {
 	go func() { done <- srv.Serve(ln) }()
 	addr := ln.Addr().String()
 
-	clq, err := fclient.Dial(addr, fclient.Options{PoolSize: 1, Retries: 0})
+	clq, err := fclient.Dial(addr, fclient.Options{PoolSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestServerShutdownDrainsInFlight(t *testing.T) {
 		t.Fatalf("in-flight query resolved before release: %+v", r)
 	default:
 	}
-	if _, err := fclient.Dial(addr, fclient.Options{PoolSize: 1, Retries: 0}); err == nil {
+	if _, err := fclient.Dial(addr, fclient.Options{PoolSize: 1}); err == nil {
 		t.Fatal("dial during drain succeeded, want refusal")
 	}
 
@@ -463,7 +463,7 @@ func TestClientRetryOnReconnect(t *testing.T) {
 	srv1, addr, done1 := startServer(t, db, Options{})
 
 	// Pin the listen address so the second server can reuse it.
-	cl, err := fclient.Dial(addr, fclient.Options{PoolSize: 1, Retries: 1, RequestTimeout: 2 * time.Second})
+	cl, err := fclient.Dial(addr, fclient.Options{PoolSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +519,7 @@ func TestServerMaxConns(t *testing.T) {
 	// cannot be served until the first connection is released.
 	pinged := make(chan error, 1)
 	go func() {
-		c2, err := fclient.Dial(addr, fclient.Options{PoolSize: 1, RequestTimeout: 5 * time.Second})
+		c2, err := fclient.Dial(addr, fclient.Options{PoolSize: 1})
 		if err == nil {
 			defer c2.Close()
 		}
