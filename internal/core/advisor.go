@@ -100,6 +100,8 @@ type Advisor struct {
 	bfsMu   sync.Mutex
 	bfsFree []*cube.BFSScratch
 
+	fits []fitResult // evaluate's, one per fit goroutine, reused with their wins
+
 	// met holds the atomic per-phase counters behind Advisor.Metrics.
 	met advisorMetrics
 }
@@ -150,6 +152,7 @@ func NewAdvisor(g *cube.Graph, opts Options) (*Advisor, error) {
 		ids:       make([]int, g.NumNodes()),
 		alpha:     opts.Alpha0,
 		rng:       rand.New(rand.NewSource(opts.Seed)),
+		fits:      make([]fitResult, opts.Parallelism),
 		hist:      g,
 		drawAbove: math.MaxInt,
 	}
@@ -364,7 +367,9 @@ func (a *Advisor) recordSeed(id int, m forecast.Model) {
 }
 
 // installInitialModel creates the first model at the top node, derives every
-// node from it (disaggregation, Figure 3c) and seeds the indicators.
+// node from it (disaggregation, Figure 3c) and seeds the indicators. A
+// sampled run skips that backfill, which would materialize thousands of
+// nodes: uncovered nodes resolve a scheme lazily (ResolveScheme).
 func (a *Advisor) installInitialModel() error {
 	top := a.g.TopID
 	m, dur, err := a.fitWithFallback(top)
@@ -373,14 +378,19 @@ func (a *Advisor) installInitialModel() error {
 	}
 	fc := make([]float64, a.cfg.TestLen())
 	m.Forecast(fc)
-	a.addModel(top, m, dur, fc)
+	var wins []reassignment
+	if a.sampler == nil {
+		wins = a.improvements(top, fc, a.ids, make([]reassignment, 0, len(a.ids)))
+	}
+	a.addModel(top, m, dur, fc, wins)
 	return nil
 }
 
 // addModel inserts an accepted model into the configuration: stores it,
 // caches its test forecast fc, merges its local indicator into the global
-// one and (re-)assigns improving schemes for every node it can serve.
-func (a *Advisor) addModel(id int, m forecast.Model, dur time.Duration, fc []float64) {
+// one and assigns the improving single-source schemes wins — acceptModel's,
+// exact because installing the model changes no other node's error.
+func (a *Advisor) addModel(id int, m forecast.Model, dur time.Duration, fc []float64, wins []reassignment) {
 	a.cfg.Models[id] = m
 	a.recordSeed(id, m)
 	secs := dur.Seconds()
@@ -406,29 +416,7 @@ func (a *Advisor) addModel(id int, m forecast.Model, dur time.Duration, fc []flo
 		a.setScheme(direct, ClampErr(e))
 	}
 
-	// Derivation schemes for every target the local indicator covers —
-	// and, for the very first model, for the entire graph so the initial
-	// configuration has a valid scheme everywhere. A sampled run skips the
-	// very first backfill entirely (full-graph or indicator-wide, it would
-	// evaluate — and make the graph materialize — thousands of nodes
-	// before the advisor has refined anything); uncovered nodes resolve a
-	// scheme lazily at query time via Configuration.ResolveScheme, and
-	// later models backfill their (ascending) indicator neighborhoods.
-	targets := local.Targets
-	if len(a.cfg.Models) == 1 {
-		targets = nil
-		if a.sampler == nil {
-			targets = a.ids
-		}
-	}
-	for _, t := range targets {
-		if t == id {
-			continue
-		}
-		if ev, ok := a.evalSingleSource(id, t); ok && ev.err < a.currentErr(t) {
-			a.setScheme(a.mkScheme(t, direct.Sources, ev), ev.err)
-		}
-	}
+	a.reassign(wins)
 
 	// Aggregation check (Figure 3b): if this model completes a child
 	// hyper edge of one of its parents, evaluate the classical
@@ -448,6 +436,7 @@ func (a *Advisor) addModel(id int, m forecast.Model, dur time.Duration, fc []flo
 		if !complete {
 			continue
 		}
+		a.met.schemeEvals.Add(1)
 		if ev, ok := a.evalScheme(pid, edge); ok && ev.err < a.currentErr(pid) {
 			sc := a.mkScheme(pid, append([]int(nil), edge...), ev)
 			sc.Kind = derivation.Aggregation
@@ -477,18 +466,13 @@ func (a *Advisor) mkScheme(t int, sources []int, ev evaluation) derivation.Schem
 }
 
 // evalSingleSource evaluates the generalized single-source scheme s → t
-// using the cached model forecast of s.
-func (a *Advisor) evalSingleSource(s, t int) (evaluation, bool) {
-	src := [1]int{s}
-	return a.evalScheme(t, src[:])
+// with fc, the test forecast of a model at s.
+func (a *Advisor) evalSingleSource(s, t int, fc []float64) (evaluation, bool) {
+	src, fcs := [1]int{s}, [1][]float64{fc}
+	return a.evalForecasts(t, src[:], fcs[:])
 }
 
-// evalScheme evaluates the scheme sources → t on the test horizon: the
-// weight k = h_t / Σ h_s over the training part, SMAPE on the test part
-// (Section IV-B). All sources must have cached forecasts. A source set of at
-// most drawAbove members — every set of an exact run — is evaluated whole and
-// without allocating; a larger one through a PPS sample of its sources
-// (FlashP-style), whose relative sampling bound feeds Advisor.SampleBound.
+// evalScheme is evalForecasts over the sources' cached model forecasts.
 func (a *Advisor) evalScheme(t int, sources []int) (evaluation, bool) {
 	var buf [8][]float64
 	fcs := buf[:0]
@@ -499,6 +483,16 @@ func (a *Advisor) evalScheme(t int, sources []int) (evaluation, bool) {
 		}
 		fcs = append(fcs, fc)
 	}
+	return a.evalForecasts(t, sources, fcs)
+}
+
+// evalForecasts evaluates sources → t, the sources forecasting fcs, on the
+// test horizon: the weight k = h_t / Σ h_s over the training part, SMAPE on
+// the test part (Section IV-B). A set of at most drawAbove sources — every
+// set of an exact run — is evaluated whole and without allocating; a larger
+// one through a PPS sample of its sources (FlashP-style, with their cached
+// forecasts), whose relative sampling bound feeds Advisor.SampleBound.
+func (a *Advisor) evalForecasts(t int, sources []int, fcs [][]float64) (evaluation, bool) {
 	sc := derivation.Scheme{Target: t, Sources: sources}
 	var drawn *derivation.SampledScheme
 	var err error
@@ -560,7 +554,9 @@ func (a *Advisor) noteSampleBound(sd *derivation.SampledScheme, fcs [][]float64)
 func (a *Advisor) computeLocal(id int) *indicator.Local {
 	bfs := a.borrowBFS()
 	defer a.returnBFS(bfs)
-	return indicator.ComputeLocal(a.hist, id, a.g.ClosestNodes(bfs, id, a.indK), a.opts.Indicator)
+	l := indicator.ComputeLocal(a.hist, id, a.g.ClosestNodes(bfs, id, a.indK), a.opts.Indicator)
+	a.met.indicatorCells.Add(int64(len(l.Targets) - 1)) // every target but the source itself
+	return l
 }
 
 // borrowBFS takes a BFS scratch off the free list, or makes one.
@@ -744,34 +740,33 @@ func (a *Advisor) rank(positives []int) []int {
 // (n bounded by the processor count, Section IV-B.1) and applies the
 // acceptance criterion (eq. 7/8) to each in rank order.
 func (a *Advisor) evaluate(ranked []int) (created, accepted, rejected int) {
-	n := a.opts.Parallelism
-	if n > len(ranked) {
-		n = len(ranked)
-	}
+	n := min(a.opts.Parallelism, len(ranked))
 	if n == 0 {
 		return 0, 0, 0
 	}
-	chosen := ranked[:n]
 
-	type fitResult struct {
-		id  int
-		m   forecast.Model
-		dur time.Duration
-		err error
-	}
-	results := make([]fitResult, len(chosen))
+	// Each goroutine fits its candidate and evaluates the single-source
+	// schemes over its local indicator (rank left it in candLoc) against the
+	// errors as they stand: acceptance in rank order only lowers errors, so a
+	// scheme that loses now loses then.
+	results := a.fits[:n]
 	var wg sync.WaitGroup
-	for i, id := range chosen {
+	for i, id := range ranked[:n] {
 		wg.Add(1)
-		go func(i, id int) {
+		go func(r *fitResult, id int) {
 			defer wg.Done()
-			m, dur, err := a.fitWithFallback(id)
-			results[i] = fitResult{id: id, m: m, dur: dur, err: err}
-		}(i, id)
+			*r = fitResult{id: id, wins: r.wins[:0]}
+			if r.m, r.dur, r.err = a.fitWithFallback(id); r.err == nil {
+				r.fc = make([]float64, a.cfg.TestLen())
+				r.m.Forecast(r.fc)
+				r.wins = a.improvements(id, r.fc, a.candLoc[id].Targets, r.wins)
+			}
+		}(&results[i], id)
 	}
 	wg.Wait()
 
-	for _, r := range results {
+	for i := range results {
+		r := &results[i]
 		if a.opts.MaxModels > 0 && a.cfg.NumModels() >= a.opts.MaxModels {
 			break // model budget exhausted mid-iteration
 		}
@@ -785,7 +780,7 @@ func (a *Advisor) evaluate(ranked []int) (created, accepted, rejected int) {
 		// warm-starts from this fit's optimum.
 		a.recordSeed(r.id, r.m)
 		created++
-		if a.acceptModel(r.id, r.m, r.dur) {
+		if a.acceptModel(r) {
 			accepted++
 		} else {
 			rejected++
@@ -795,33 +790,51 @@ func (a *Advisor) evaluate(ranked []int) (created, accepted, rejected int) {
 	return created, accepted, rejected
 }
 
+// fitResult is a candidate fitted by evaluate: its model or fit error, test
+// forecast and the single-source schemes that beat the errors before.
+type fitResult struct {
+	id   int
+	m    forecast.Model
+	dur  time.Duration
+	err  error
+	fc   []float64
+	wins []reassignment
+}
+
+// improvements evaluates the single-source scheme s → t, fc forecasting s,
+// for every target t but s and appends to wins those that beat t's current
+// error. It only reads the advisor: the fit goroutines run it side by side.
+func (a *Advisor) improvements(s int, fc []float64, targets []int, wins []reassignment) []reassignment {
+	for _, t := range targets {
+		if t == s {
+			continue
+		}
+		if ev, ok := a.evalSingleSource(s, t, fc); ok && ev.err < a.currentErr(t) {
+			wins = append(wins, reassignment{t, s, ev})
+		}
+	}
+	a.met.schemeEvals.Add(int64(len(targets) - 1)) // every target holds s once
+	return wins
+}
+
 // acceptModel evaluates the real benefit of the fitted model and applies
 // the generalized acceptance criterion (eq. 8). On acceptance the model is
 // installed; on rejection with no error improvement at all, the node is
 // marked so it is never selected again (Section IV-B.2).
-func (a *Advisor) acceptModel(id int, m forecast.Model, dur time.Duration) bool {
-	fc := make([]float64, a.cfg.TestLen())
-	m.Forecast(fc)
-
+func (a *Advisor) acceptModel(r *fitResult) bool {
+	id := r.id
 	// Candidate error sum: apply all improving schemes hypothetically.
-	a.modelFc[id] = fc // temporarily visible for evalScheme
 	newErrSum := a.errSum
-	if e := timeseries.SMAPE(a.testValues(id), fc); !math.IsNaN(e) {
+	if e := timeseries.SMAPE(a.testValues(id), r.fc); !math.IsNaN(e) {
 		if ce := ClampErr(e); ce < a.currentErr(id) {
 			newErrSum += ce - a.currentErr(id)
 		}
 	}
-	local, ok := a.candLoc[id]
-	if !ok {
-		local = a.computeLocal(id)
-		a.candLoc[id] = local
-	}
-	for _, t := range local.Targets {
-		if t == id {
-			continue
-		}
-		if ev, ok := a.evalSingleSource(id, t); ok && ev.err < a.currentErr(t) {
-			newErrSum += ev.err - a.currentErr(t)
+	wins := r.wins[:0]
+	for _, w := range r.wins {
+		if cur := a.currentErr(w.target); w.ev.err < cur {
+			newErrSum += w.ev.err - cur
+			wins = append(wins, w)
 		}
 	}
 
@@ -832,10 +845,9 @@ func (a *Advisor) acceptModel(id int, m forecast.Model, dur time.Duration) bool 
 	costNew := a.normalizedCost(a.cfg.NumModels() + 1)
 
 	if a.alpha*errNew+(1-a.alpha)*costNew < a.alpha*errOld+(1-a.alpha)*costOld {
-		a.addModel(id, m, dur, fc)
+		a.addModel(id, r.m, r.dur, r.fc, wins)
 		return true
 	}
-	delete(a.modelFc, id)
 	if errNew >= errOld {
 		a.rejected[id] = true
 	}
@@ -897,17 +909,21 @@ func (a *Advisor) tryDeletion(negatives []int) int {
 
 	a.removeModel(victim)
 	a.global = indicator.Rebuild(a.g.NumNodes(), a.locals)
-	for _, ra := range reassign {
-		a.setScheme(a.mkScheme(ra.target, a.ids[ra.source:ra.source+1:ra.source+1], ra.ev), ra.ev.err)
-	}
+	a.reassign(reassign)
 	return 1
 }
 
 // reassignment re-derives target from the single source whose evaluation
-// is ev; the scheme is built only if the removal goes ahead.
+// is ev; the scheme is built only when it is applied (reassign).
 type reassignment struct {
 	target, source int
 	ev             evaluation
+}
+
+func (a *Advisor) reassign(rs []reassignment) {
+	for _, r := range rs {
+		a.setScheme(a.mkScheme(r.target, a.ids[r.source:r.source+1:r.source+1], r.ev), r.ev.err)
+	}
 }
 
 // planRemoval computes, without mutating state, the scheme reassignments
@@ -931,11 +947,12 @@ func (a *Advisor) planRemoval(victim int) ([]reassignment, float64, bool) {
 	for _, t := range affected {
 		best := evaluation{err: math.Inf(1)}
 		bestSource := -1
+		a.met.schemeEvals.Add(int64(len(remaining) - 1)) // every model but the victim
 		for _, s := range remaining {
 			if s == victim {
 				continue
 			}
-			if ev, ok := a.evalSingleSource(s, t); ok && ev.err < best.err {
+			if ev, ok := a.evalSingleSource(s, t, a.modelFc[s]); ok && ev.err < best.err {
 				best, bestSource = ev, s
 			}
 		}

@@ -97,7 +97,7 @@ func TestEvalSchemeAllocs(t *testing.T) {
 		}
 		target := 0
 		if n := testing.AllocsPerRun(100, func() {
-			if _, ok := adv.evalSingleSource(ids[0], target%g.NumNodes()); !ok {
+			if _, ok := adv.evalSingleSource(ids[0], target%g.NumNodes(), adv.modelFc[ids[0]]); !ok {
 				t.Fatal("single-source evaluation failed")
 			}
 			if _, ok := adv.evalScheme(target%g.NumNodes(), ids[:3]); !ok {

@@ -107,6 +107,7 @@ func (a *Advisor) multiSourceProbes() {
 		plans = append(plans, probe{target: t, sources: srcs})
 	}
 	a.met.probesPlanned.Add(int64(len(plans)))
+	a.met.schemeEvals.Add(int64(len(plans)))
 
 	type outcome struct {
 		ok bool

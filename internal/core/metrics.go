@@ -14,14 +14,16 @@ import (
 
 // advisorMetrics holds the live counters.
 type advisorMetrics struct {
-	iterations    atomic.Int64
-	candidates    atomic.Int64 // ranked candidates across all iterations
-	modelsBuilt   atomic.Int64 // models fitted during evaluation (created)
-	accepted      atomic.Int64
-	rejected      atomic.Int64
-	deleted       atomic.Int64
-	probesPlanned atomic.Int64 // multi-source probe plans generated
-	probesApplied atomic.Int64 // probes that improved a scheme
+	iterations     atomic.Int64
+	candidates     atomic.Int64 // ranked candidates across all iterations
+	modelsBuilt    atomic.Int64 // models fitted during evaluation (created)
+	accepted       atomic.Int64
+	rejected       atomic.Int64
+	deleted        atomic.Int64
+	probesPlanned  atomic.Int64 // multi-source probe plans generated
+	probesApplied  atomic.Int64 // probes that improved a scheme
+	indicatorCells atomic.Int64 // added once per local indicator
+	schemeEvals    atomic.Int64 // added once per evaluation loop
 
 	selectionNanos atomic.Int64
 	evalNanos      atomic.Int64
@@ -45,6 +47,10 @@ type AdvisorMetrics struct {
 	// component.
 	ProbesPlanned int64
 	ProbesApplied int64
+	// IndicatorCells counts indicator.Combined calls, SchemeEvals scheme
+	// evaluations; a seeded run with a fixed γ repeats both exactly.
+	IndicatorCells int64
+	SchemeEvals    int64
 	// SelectionTime, EvalTime and ControlTime accumulate per-phase wall
 	// time across all iterations.
 	SelectionTime time.Duration
@@ -57,16 +63,18 @@ type AdvisorMetrics struct {
 // long-running configuration search).
 func (a *Advisor) Metrics() AdvisorMetrics {
 	return AdvisorMetrics{
-		Iterations:    a.met.iterations.Load(),
-		Candidates:    a.met.candidates.Load(),
-		ModelsBuilt:   a.met.modelsBuilt.Load(),
-		Accepted:      a.met.accepted.Load(),
-		Rejected:      a.met.rejected.Load(),
-		Deleted:       a.met.deleted.Load(),
-		ProbesPlanned: a.met.probesPlanned.Load(),
-		ProbesApplied: a.met.probesApplied.Load(),
-		SelectionTime: time.Duration(a.met.selectionNanos.Load()),
-		EvalTime:      time.Duration(a.met.evalNanos.Load()),
-		ControlTime:   time.Duration(a.met.controlNanos.Load()),
+		Iterations:     a.met.iterations.Load(),
+		Candidates:     a.met.candidates.Load(),
+		ModelsBuilt:    a.met.modelsBuilt.Load(),
+		Accepted:       a.met.accepted.Load(),
+		Rejected:       a.met.rejected.Load(),
+		Deleted:        a.met.deleted.Load(),
+		ProbesPlanned:  a.met.probesPlanned.Load(),
+		ProbesApplied:  a.met.probesApplied.Load(),
+		IndicatorCells: a.met.indicatorCells.Load(),
+		SchemeEvals:    a.met.schemeEvals.Load(),
+		SelectionTime:  time.Duration(a.met.selectionNanos.Load()),
+		EvalTime:       time.Duration(a.met.evalNanos.Load()),
+		ControlTime:    time.Duration(a.met.controlNanos.Load()),
 	}
 }

@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"cubefc/internal/datasets"
+)
 
 func TestAdvisorMetricsAccounting(t *testing.T) {
 	g := seasonalCube(t, 8)
@@ -94,5 +98,33 @@ func TestAdvisorMetricsConcurrentSnapshot(t *testing.T) {
 	final := <-got
 	if final.Iterations > adv.Metrics().Iterations {
 		t.Fatal("snapshot ran ahead of the advisor")
+	}
+}
+
+// TestAdvisorWorkCounts pins the advisor's exact work counts on the
+// benchmark's cube and options (bench/stack.go, two workers): indicator
+// cells computed and schemes evaluated. Both repeat run to run; a change
+// that moves one does more or less work, whatever the clock says.
+func TestAdvisorWorkCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a whole advisor run on the 5 041-node cube")
+	}
+	g, err := datasets.GenCube(1, datasets.CubeGenForNodes(5000, 2)).Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAdvisor(g, goldenOptions(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for done := false; !done; {
+		if done, err = a.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := a.Metrics()
+	t.Logf("nodes %d, cells %d, evaluations %d", g.NumNodes(), m.IndicatorCells, m.SchemeEvals)
+	if m.IndicatorCells != 136710 || m.SchemeEvals != 124930 {
+		t.Errorf("%d indicator cells and %d scheme evaluations, want 136710 and 124930", m.IndicatorCells, m.SchemeEvals)
 	}
 }

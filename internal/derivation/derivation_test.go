@@ -119,7 +119,7 @@ func TestHistoricalErrorZeroForProportionalSeries(t *testing.T) {
 	g := testGraph(t)
 	c1 := node(t, g, "city=C1")
 	top := g.TopID
-	e, err := HistoricalError(g, c1, []int{top}, 0)
+	e, _, err := HistoricalIndicators(g, c1, []int{top}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestHistoricalErrorPositiveForDissimilar(t *testing.T) {
 	}
 	na := g.LookupKey("loc=A").ID
 	nb := g.LookupKey("loc=B").ID
-	e, err := HistoricalError(g, na, []int{nb}, 0)
+	e, _, err := HistoricalIndicators(g, na, []int{nb}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestWeightStability(t *testing.T) {
 	g := testGraph(t)
 	c1 := node(t, g, "city=C1")
 	top := g.TopID
-	if s := WeightStability(g, c1, []int{top}, 0); s > 1e-12 {
+	if _, s, _ := HistoricalIndicators(g, c1, []int{top}, 0); s > 1e-12 {
 		t.Fatalf("stability = %v, want 0 for constant share", s)
 	}
 }
@@ -162,7 +162,7 @@ func TestWeightStabilityFluctuating(t *testing.T) {
 	b := cube.BaseSeries{Members: []string{"B"}, Series: timeseries.New([]float64{9, 1, 9, 1, 9, 1}, 0)}
 	g, _ := cube.NewGraph([]cube.Dimension{loc}, []cube.BaseSeries{a, b})
 	na := g.LookupKey("loc=A").ID
-	s := WeightStability(g, na, []int{g.TopID}, 0)
+	_, s, _ := HistoricalIndicators(g, na, []int{g.TopID}, 0)
 	if s < 0.5 {
 		t.Fatalf("stability = %v, want large for fluctuating share", s)
 	}
@@ -172,7 +172,7 @@ func TestWeightStabilityDegenerate(t *testing.T) {
 	loc := cube.NewDimension("loc", "loc")
 	a := cube.BaseSeries{Members: []string{"A"}, Series: timeseries.New([]float64{0, 0}, 0)}
 	g, _ := cube.NewGraph([]cube.Dimension{loc}, []cube.BaseSeries{a})
-	if s := WeightStability(g, g.TopID, []int{g.TopID}, 0); !math.IsInf(s, 1) {
+	if _, s, _ := HistoricalIndicators(g, g.TopID, []int{g.TopID}, 0); !math.IsInf(s, 1) {
 		t.Fatalf("stability of all-zero series = %v, want +Inf", s)
 	}
 }
@@ -292,7 +292,7 @@ func TestHistoricalErrorPrefixMonotonicityProperty(t *testing.T) {
 	g := testGraph(t)
 	c2 := node(t, g, "city=C2")
 	for _, hl := range []int{2, 4, 6, 8, 10, 0} {
-		e, err := HistoricalError(g, c2, []int{g.TopID}, hl)
+		e, _, err := HistoricalIndicators(g, c2, []int{g.TopID}, hl)
 		if err != nil {
 			t.Fatal(err)
 		}

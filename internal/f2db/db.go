@@ -10,12 +10,12 @@
 //
 // Concurrency model: the engine distinguishes readers from maintenance.
 // Forecast queries (Query, ForecastNode, Health, Stats, Explain) take
-// shared read access and run concurrently on all cores. Inserts fill the
-// pending column under one mutex of its own, so an insert that does not
-// complete a batch waits for neither readers nor maintenance. Every state
-// change — the batch time advance, a model re-fit, a checkpoint or
-// compaction, replay — holds the maintenance lock, so while it is held no
-// series or model changes. The exclusive engine lock covers only the
+// shared read access and run concurrently on all cores. Every state
+// change — an insert statement with the advances it completes, a model
+// re-fit, a checkpoint or compaction, replay — holds the maintenance lock,
+// so while it is held no series, model or pending value changes, and an
+// insert statement applies whole or not at all; no insert waits for
+// readers. The exclusive engine lock covers only the
 // in-memory apply (advancing the batch, installing fitted models, resolving
 // a scheme); the WAL fsync, compaction and every model fit run under the
 // maintenance lock alone while readers keep answering from the previous
@@ -152,9 +152,9 @@ type DB struct {
 	// pendingTotal counts the slots that hold a value (written under pendMu,
 	// read lock-free by Stats). Time advances only once every base series has
 	// a value for the next time stamp, and the advance hands the column on as
-	// it stands: a complete batch is frozen — every insert is a duplicate, or
-	// helps apply the advance and retries — until releaseColumn clears it, so
-	// nothing is copied. Lock order: maint, then mu, then pendMu.
+	// it stands, so nothing is copied. Only insert statements write it, each
+	// under maint; pendMu makes each batch's rows of one statement land at
+	// once for snapshots. Lock order: maint, then mu, then pendMu.
 	pendMu       sync.Mutex
 	pending      []float64
 	present      []bool
@@ -568,53 +568,21 @@ func (db *DB) Insert(members []string, value float64) error {
 }
 
 // InsertBase is Insert addressed by base node ID (fast path for generated
-// workloads). An insert that does not complete the batch holds only the
-// pending lock; the engine write lock is taken once per completed batch, so
-// insert streams never block concurrent readers.
-func (db *DB) InsertBase(baseID int, value float64) (err error) {
-	start := time.Now()
-	defer func() {
-		if err == nil {
-			db.met.inserts.Add(1)
-		}
-		db.met.maintainNanos.Add(time.Since(start).Nanoseconds())
-	}()
-	ord, ok := db.graph.BaseOrdinal(baseID)
-	if !ok {
+// workloads): a statement of one row.
+func (db *DB) InsertBase(baseID int, value float64) error {
+	if !db.graph.IsBase(baseID) {
 		return fmt.Errorf("f2db: %d is not a base node", baseID)
 	}
-	numBases := int64(len(db.graph.BaseIDs))
-	for {
-		db.lockPending()
-		if db.present[ord] {
-			// The slot is taken: a duplicate, unless the batch is complete
-			// and awaiting its advance — then help apply it and retry.
-			frozen := db.pendingTotal.Load() == numBases
-			db.pendMu.Unlock()
-			if !frozen {
-				return fmt.Errorf("f2db: duplicate insert for base node %d in current batch", baseID)
-			}
-			if err := db.advanceIfComplete(); err != nil {
-				return err
-			}
-			continue
-		}
-		db.pending[ord], db.present[ord] = value, true
-		total := db.pendingTotal.Add(1)
-		db.pendMu.Unlock()
-		if total < numBases {
-			return nil
-		}
-		return db.advanceIfComplete()
-	}
+	row := [1]baseRow{{baseID, value}}
+	return db.applyRows(row[:])
 }
 
 // InsertBatch adds new measure values for many base series (keyed by base
-// node ID) in one call, taking the pending lock once for all of them;
-// whenever the pending batch becomes complete, time advances under a single
-// acquisition of the engine write lock. This is the write path for bulk
-// producers — the workload generator, snapshot restore and multi-row SQL
-// INSERTs — where per-value InsertBase locking dominates.
+// node ID) in one statement; whenever the pending batch becomes complete,
+// time advances under a single acquisition of the engine write lock. This
+// is the write path for bulk producers — the workload generator, snapshot
+// restore and multi-row SQL INSERTs — where per-value InsertBase locking
+// dominates.
 //
 // The map is the boundary form only: past the pending lock a time point is
 // one dense []float64 in BaseIDs order, to the commit gate, the WAL and the
@@ -622,8 +590,8 @@ func (db *DB) InsertBase(baseID int, value float64) (err error) {
 //
 // Values are applied in ascending node-ID order. A value for a base series
 // that already has a pending value in the current (incomplete) batch is a
-// duplicate error, exactly as with InsertBase; values applied before the
-// error stay pending.
+// duplicate error, exactly as with InsertBase, and rejects the whole
+// statement.
 func (db *DB) InsertBatch(values map[int]float64) error {
 	rows := make([]baseRow, 0, len(values))
 	for id, v := range values {
@@ -637,45 +605,57 @@ func (db *DB) InsertBatch(values map[int]float64) error {
 }
 
 // insertSorted is the body of InsertBatch and of a multi-row SQL INSERT:
-// rows are distinct base nodes in ascending ID order. They land under one
-// hold of the pending lock — a snapshot sees all of them or none — unless
-// they complete the batch, which is applied before the rest land in the
-// next one.
-func (db *DB) insertSorted(rows []baseRow) (err error) {
-	start := time.Now()
-	applied := 0
+// rows are distinct base nodes in ascending ID order.
+func (db *DB) insertSorted(rows []baseRow) error {
+	db.met.batchInserts.Add(1)
+	return db.applyRows(rows)
+}
+
+// applyRows runs one insert statement of distinct base rows in ascending ID
+// order, holding maint from validation to return, so no other statement,
+// advance or re-fit interleaves. The rows fill the batch's empty slots in
+// order; the one that completes it advances time, and the rest land in the
+// next. A row before that point whose slot is taken repeats a pending value
+// and rejects the statement: validation finds it before any row lands, so a
+// rejected statement changes nothing. Each batch's rows land under one hold
+// of the pending lock — a snapshot sees all of them or none — and count as
+// inserts; only a failed commit returns an error after some did.
+func (db *DB) applyRows(rows []baseRow) error {
+	start, applied := time.Now(), 0
+	db.maint.Lock()
 	defer func() {
+		db.maint.Unlock()
 		db.met.inserts.Add(int64(applied))
-		db.met.batchInserts.Add(1)
 		db.met.maintainNanos.Add(time.Since(start).Nanoseconds())
 	}()
+	// A batch left complete by a failed commit is applied first.
+	if err := db.advanceIfComplete(); err != nil {
+		return err
+	}
 	numBases := int64(len(db.graph.BaseIDs))
-	for i := 0; i < len(rows); {
-		db.lockPending()
-		for ; i < len(rows); i++ {
-			ord, _ := db.graph.BaseOrdinal(rows[i].id) // callers resolved rows[i].id as a base node
-			if db.present[ord] {
-				break
-			}
-			db.pending[ord], db.present[ord] = rows[i].value, true
+	db.lockPending()
+	for i, free := 0, numBases-db.pendingTotal.Load(); i < len(rows) && free > 0; i, free = i+1, free-1 {
+		if ord, _ := db.graph.BaseOrdinal(rows[i].id); db.present[ord] { // callers resolved rows[i].id as a base node
+			db.pendMu.Unlock()
+			return fmt.Errorf("f2db: duplicate insert for base node %d in current batch", rows[i].id)
+		}
+	}
+	for {
+		for ; applied < len(rows) && db.pendingTotal.Load() < numBases; applied++ {
+			ord, _ := db.graph.BaseOrdinal(rows[applied].id)
+			db.pending[ord], db.present[ord] = rows[applied].value, true
 			db.pendingTotal.Add(1)
-			applied++
 		}
 		complete := db.pendingTotal.Load() == numBases
 		db.pendMu.Unlock()
 		if !complete {
-			if i < len(rows) {
-				return fmt.Errorf("f2db: duplicate insert for base node %d in current batch", rows[i].id)
-			}
 			return nil
 		}
-		// This call completed the batch, or met a complete one another
-		// inserter has not applied yet: apply it, then place the rest.
-		if err := db.advanceIfComplete(); err != nil {
+		if err := db.advanceIfComplete(); err != nil || applied == len(rows) {
 			return err
 		}
+		db.lockPending()
 	}
-	return nil
 }
 
 // lockPending acquires the pending lock, counting contended acquisitions.
@@ -687,19 +667,14 @@ func (db *DB) lockPending() {
 	db.pendMu.Lock()
 }
 
-// advanceIfComplete applies the pending batch if it is (still) complete.
-// Under maint it commits the pending column, then under the engine write
-// lock advances time with it and only then releases the column — no insert
-// can slip in, because a complete batch makes every further insert a
-// duplicate or a helper of this advance. Readers keep answering from the
-// previous time point while the commit fsyncs. Safe to race: whichever
-// caller takes maint first advances, the rest see an incomplete (fresh)
-// batch and return. An advance that arrives during a re-fit waits for it.
+// advanceIfComplete applies the pending batch if it is complete. The
+// caller holds maint, under which it commits the pending column, then under
+// the engine write lock advances time with it and only then releases the
+// column. Readers keep answering from the previous time point while the
+// commit fsyncs.
 func (db *DB) advanceIfComplete() error {
-	db.maint.Lock()
-	defer db.maint.Unlock()
-	// A complete column is frozen until releaseColumn, which runs under
-	// maint: it is readable without the pending lock.
+	// Only a statement under maint fills the column: it is readable without
+	// the pending lock.
 	if db.pendingTotal.Load() < int64(len(db.graph.BaseIDs)) {
 		return nil
 	}

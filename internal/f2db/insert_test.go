@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -318,6 +319,86 @@ func TestExecInsertAtomic(t *testing.T) {
 	}
 	if db.pendingTotal.Load() != 40 || pendingValues(db) != 40 {
 		t.Fatalf("accepted statement: pendingTotal=%d, %d values pending, want 40", db.pendingTotal.Load(), pendingValues(db))
+	}
+
+	// At run time too: on a 4 × 4 grid with base 12 pending, a statement
+	// for bases 1, 2 and 12 repeats a pending value after two fresh rows,
+	// and changes nothing.
+	db, g = gridEngine(t, [2]string{"product", "city"}, numbered("P", 4), numbered("C", 4), Options{})
+	b := slices.Clone(g.BaseIDs)
+	slices.Sort(b)
+	if err := db.Exec(insertSQL(g, b[12:13], 1)); err != nil {
+		t.Fatal(err)
+	}
+	before := engineState(db)
+	err := db.Exec(insertSQL(g, []int{b[1], b[2], b[12]}, 2))
+	if want := fmt.Sprintf("f2db: duplicate insert for base node %d in current batch", b[12]); fmt.Sprint(err) != want {
+		t.Fatalf("runtime duplicate: %v, want %q", err, want)
+	}
+	if after := engineState(db); after != before {
+		t.Fatalf("a rejected statement changed the engine:\n%s\nwas\n%s", after, before)
+	}
+}
+
+// engineState renders everything an insert statement may change: the
+// pending values and their presence marks, the pending count, the insert and
+// batch counters, and every base series.
+func engineState(db *DB) string {
+	db.lockPending()
+	defer db.pendMu.Unlock()
+	m := db.Metrics()
+	var b strings.Builder
+	fmt.Fprintf(&b, "pending %v\npresent %v\ntotal %d inserts %d batches %d\n", db.pending, db.present, db.pendingTotal.Load(), m.Inserts, m.Batches)
+	for _, id := range db.graph.BaseIDs {
+		fmt.Fprintf(&b, "%d %v\n", id, db.graph.NodeValues(id))
+	}
+	return b.String()
+}
+
+// TestRejectedInsertReplicaTwin feeds two replicas the same statements —
+// one that repeats a pending value after fresh rows, its retry without the
+// duplicate, and a statement that completes the batch and puts its last rows
+// into the next one — and a reference engine only the statements that were
+// accepted. After every statement the replicas return the same error and
+// agree with each other, and with the reference, on all engine state.
+func TestRejectedInsertReplicaTwin(t *testing.T) {
+	levels := [2]string{"product", "city"}
+	a, g := gridEngine(t, levels, numbered("P", 4), numbered("C", 4), Options{})
+	b, _ := gridEngine(t, levels, numbered("P", 4), numbered("C", 4), Options{})
+	ref, _ := gridEngine(t, levels, numbered("P", 4), numbered("C", 4), Options{})
+	ids := slices.Clone(g.BaseIDs)
+	slices.Sort(ids)
+	for i, stmt := range []struct {
+		ids    []int
+		reject bool
+	}{
+		{ids[12:13], false},
+		{[]int{ids[1], ids[2], ids[12]}, true},
+		{ids[1:3], false},
+		{ids[1:3], true},
+		{ids[13:], false},
+		// Completes the batch with base 11, then puts bases 12 and 13 into
+		// the next one.
+		{slices.Concat(ids[:1], ids[3:14]), false},
+		{[]int{ids[0], ids[13]}, true},
+		{ids[0:1], false},
+	} {
+		sql := insertSQL(g, stmt.ids, float64(10*i))
+		errA, errB := a.Exec(sql), b.Exec(sql)
+		if fmt.Sprint(errA) != fmt.Sprint(errB) || (errA != nil) != stmt.reject {
+			t.Fatalf("statement %d: replicas return %v and %v, want rejected %v", i, errA, errB, stmt.reject)
+		}
+		if !stmt.reject {
+			if err := ref.Exec(sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if sa, sb, sr := engineState(a), engineState(b), engineState(ref); sa != sb || sa != sr {
+			t.Fatalf("statement %d: replicas\n%s\nand\n%s\nreference\n%s", i, sa, sb, sr)
+		}
+	}
+	if got := a.graph.Length; got != 9 {
+		t.Fatalf("replicas at length %d, want 9: one advance", got)
 	}
 }
 

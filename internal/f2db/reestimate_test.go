@@ -41,9 +41,9 @@ func assertModelsCurrent(t *testing.T, db *DB) {
 }
 
 // TestAdvanceWaitsForRefit: while a re-fit holds the maintenance lock, a
-// batch-completing insert waits for it instead of voiding it, and readers
-// keep answering from valid models. Once the lock is released the advance
-// applies and every model is current.
+// batch-completing insert statement waits for it, none of its rows landed,
+// instead of voiding it, and readers keep answering from valid models. Once
+// the lock is released the advance applies and every model is current.
 func TestAdvanceWaitsForRefit(t *testing.T) {
 	db, g, _ := testEngine(t, TimeBased{Every: 1})
 	if err := db.InsertBatch(fullBatch(db, 0)); err != nil {
@@ -57,10 +57,11 @@ func TestAdvanceWaitsForRefit(t *testing.T) {
 	db.maint.Lock() // a re-fit in flight
 	done := make(chan error, 1)
 	go func() { done <- db.InsertBatch(fullBatch(db, 1)) }()
-	for db.pendingTotal.Load() < int64(len(db.graph.BaseIDs)) {
-		time.Sleep(50 * time.Microsecond)
-	}
+	time.Sleep(10 * time.Millisecond) // the statement reaches the lock
 	for i := 0; i < 20; i++ {
+		if n := db.pendingTotal.Load(); n != 0 {
+			t.Fatalf("%d rows landed while the maintenance lock was held", n)
+		}
 		if _, err := db.Query("SELECT time, SUM(m) FROM facts GROUP BY time AS OF now() + '2 steps'"); err != nil {
 			t.Fatal(err)
 		}

@@ -71,10 +71,9 @@ type Result struct {
 //
 // with one member value per dimension in schema order. Inserts are batched
 // by the maintenance processor (Section V). The whole statement is scanned
-// and resolved (insert.go) before any row reaches the pending column, so a
-// malformed, unknown or repeated row rejects it whole; a multi-row INSERT
-// then takes the pending lock once for the statement instead of once per
-// row.
+// and resolved (insert.go), then checked against the pending values, before
+// any row reaches the pending column, so a malformed, unknown or repeated
+// row, or one that repeats a pending value, rejects it whole.
 func (db *DB) Exec(sql string) error {
 	sc := getInsertScratch()
 	defer sc.release()

@@ -2,6 +2,7 @@ package f2db
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"slices"
@@ -146,9 +147,10 @@ func TestDurableAdvanceAllocs(t *testing.T) {
 
 // mapPendingOracle is the pending batch as the engine kept it before the
 // dense column: a map keyed by base node ID behind one lock, complete when it holds every base series, handed on whole when
-// it is. Rows are offered one at a time in the engine's order (sortRows); a
-// row whose base series already holds a value in the batch being collected
-// is the duplicate error, and the rows before it stay.
+// it is. Rows are offered one at a time in the engine's order (sortRows) to
+// a copy; a row whose base series already holds a value in the batch being
+// collected is the duplicate error, and the copy is dropped, so a rejected
+// statement changes nothing.
 type mapPendingOracle struct {
 	mu       sync.Mutex
 	bases    int
@@ -161,16 +163,18 @@ func (o *mapPendingOracle) insert(rows []baseRow) error {
 	sortRows(rows)
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	pending, advanced := maps.Clone(o.pending), o.advanced
 	for _, r := range rows {
-		if _, dup := o.pending[r.id]; dup {
+		if _, dup := pending[r.id]; dup {
 			return fmt.Errorf("f2db: duplicate insert for base node %d in current batch", r.id)
 		}
-		o.pending[r.id] = r.value
-		if len(o.pending) == o.bases {
-			o.advanced = append(o.advanced, o.pending)
-			o.pending = make(map[int]float64, o.bases)
+		pending[r.id] = r.value
+		if len(pending) == o.bases {
+			advanced = append(advanced, pending)
+			pending = make(map[int]float64, o.bases)
 		}
 	}
+	o.pending, o.advanced = pending, advanced
 	return nil
 }
 
@@ -191,8 +195,8 @@ func rowsSQL(g *cube.Graph, rows []baseRow) string {
 // TestStripedInsertTwin holds the dense column against the single-map oracle
 // under eight racing inserters, through all three entry points (Exec,
 // InsertBatch, InsertBase). Each round has racing phases whose statements
-// commute — disjoint fills; statements that run into a duplicate after some
-// of their rows stuck; the rows those left out — and then one statement that
+// commute — disjoint fills; statements that run into a duplicate, which
+// change nothing; the rows those left out — and then one statement that
 // supplies the batch's last values, completes it in mid-statement and puts
 // its remaining rows into the next batch. Every statement must return what
 // the oracle returns for it, the held values must agree after every phase,
@@ -307,8 +311,8 @@ func TestStripedInsertTwin(t *testing.T) {
 		phase("fill", fills)
 
 		// A kept-back row, a value another inserter filled in, the other
-		// kept-back rows: in ID order some of the fresh rows stick
-		// before the duplicate refuses the rest. Then a plain duplicate.
+		// kept-back rows: in ID order some of the fresh rows come before
+		// the duplicate, and none of them sticks. Then a plain duplicate.
 		dups := make([][]stmt, inserters)
 		for w := range dups {
 			other := own[(w+1)%inserters]

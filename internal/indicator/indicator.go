@@ -41,13 +41,12 @@ func DefaultConfig() Config { return Config{StabilityWeight: 0.5} }
 // formula evaluated on estimated aggregate histories, so large nodes are
 // scored without materializing them.
 func Combined(src derivation.SeriesSource, target int, sources []int, cfg Config) float64 {
-	histErr, err := derivation.HistoricalError(src, target, sources, cfg.HistoryLen)
+	histErr, stab, err := derivation.HistoricalIndicators(src, target, sources, cfg.HistoryLen)
 	if err != nil || math.IsNaN(histErr) {
 		return Worst
 	}
 	v := histErr
 	if cfg.StabilityWeight > 0 {
-		stab := derivation.WeightStability(src, target, sources, cfg.HistoryLen)
 		if math.IsInf(stab, 1) {
 			return Worst
 		}
