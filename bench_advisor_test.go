@@ -1,11 +1,8 @@
 package cubefc_test
 
 // BenchmarkAdvisorScale measures time-to-first-accepted-configuration of
-// the advisor across cube sizes, comparing the exact advisor (exact
-// indicators and derivation, every node it evaluates materialized) against
-// the sampled one (reservoir-sampled indicators, FlashP-style sampled
-// derivation, a fraction of the cube materialized). Each iteration includes
-// graph construction: that is the cost a fresh cube pays before its first
+// the advisor across cube sizes. Each iteration includes graph
+// construction: that is the cost a fresh cube pays before its first
 // advisor answer.
 
 import (
@@ -18,7 +15,7 @@ import (
 
 // advisorFirstConfig builds the graph and runs the advisor until its first
 // accepted configuration change (or hard stop).
-func advisorFirstConfig(b *testing.B, d *datasets.Dataset, sampleSize int) {
+func advisorFirstConfig(b *testing.B, d *datasets.Dataset) {
 	g, err := d.Graph()
 	if err != nil {
 		b.Fatal(err)
@@ -27,7 +24,6 @@ func advisorFirstConfig(b *testing.B, d *datasets.Dataset, sampleSize int) {
 	a, err := core.NewAdvisor(g, core.Options{
 		Seed:        42,
 		Parallelism: 2,
-		SampleSize:  sampleSize,
 		OnIteration: func(s core.Snapshot) { accepted += s.Accepted },
 	})
 	if err != nil {
@@ -52,19 +48,11 @@ func BenchmarkAdvisorScale(b *testing.B) {
 	for _, nodes := range []int{1_000, 10_000, 100_000} {
 		opts := datasets.CubeGenForNodes(nodes, 2)
 		d := datasets.GenCube(1, opts)
-		for _, mode := range []struct {
-			name       string
-			sampleSize int
-		}{
-			{"exact", 0},
-			{"sampled", 32},
-		} {
-			b.Run(fmt.Sprintf("nodes=%d/%s", opts.NumNodes(), mode.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					advisorFirstConfig(b, d, mode.sampleSize)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("nodes=%d", opts.NumNodes()), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				advisorFirstConfig(b, d)
+			}
+		})
 	}
 }

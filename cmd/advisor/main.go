@@ -62,7 +62,6 @@ func main() {
 		name, len(g.BaseIDs), g.NumNodes(), g.Length, time.Since(buildStart).Round(time.Millisecond))
 
 	opts := o.run
-	opts.SampleSize = o.src.SampleSize
 	if o.alpha > 0 {
 		opts.Alpha0, opts.AlphaMax = o.alpha, o.alpha
 	}
@@ -70,17 +69,6 @@ func main() {
 		opts.OnIteration = func(s core.Snapshot) {
 			fmt.Printf("  it=%-3d alpha=%.2f gamma=%+.2f cand=%-3d created=%d accepted=%d rejected=%d deleted=%d err=%.4f models=%d\n",
 				s.Iteration, s.Alpha, s.Gamma, s.Candidates, s.Created, s.Accepted, s.Rejected, s.Deleted, s.Error, s.Models)
-		}
-	}
-
-	var last core.Snapshot
-	if o.src.SampleSize > 0 {
-		prev := opts.OnIteration
-		opts.OnIteration = func(s core.Snapshot) {
-			last = s
-			if prev != nil {
-				prev(s)
-			}
 		}
 	}
 
@@ -92,10 +80,6 @@ func main() {
 	fmt.Printf("advisor finished in %v: error=%.4f models=%d (%.1f%% of nodes) creation-cost=%.3fs\n",
 		time.Since(start).Round(time.Millisecond), cfg.Error(), cfg.NumModels(),
 		100*float64(cfg.NumModels())/float64(g.NumNodes()), cfg.CostSeconds)
-	if o.src.SampleSize > 0 {
-		fmt.Printf("sampled estimation: K=%d, series estimated: mean relative standard error %.4f; source sets sampled: mean bound %.4f\n",
-			o.src.SampleSize, last.SeriesError, last.SampleBound)
-	}
 
 	cfg.Report().Fprint(os.Stdout)
 

@@ -58,24 +58,10 @@ type Advisor struct {
 	ids []int
 
 	// hist is where every series read — indicator histories, training
-	// series, test values, derivation weights — comes from: the graph
-	// itself, or sampler when Options.SampleSize is set, which estimates large
-	// aggregates from a reservoir of base series instead of materializing
-	// them. Exact is the source that never samples; nothing below
-	// NewAdvisor branches on which one it is. A derivation.TrainingSums
-	// wraps either, so each node's training window is summed once per run.
-	hist    derivation.SeriesSource
-	sampler *cube.SampledSource // nil unless Options.SampleSize is set
-	// drawAbove is the source-set size above which evalScheme draws a PPS
-	// sample of the sources: cube.ExactUpTo(SampleSize), or no size at all
-	// when nothing is sampled.
-	drawAbove int
-	// boundSum/boundN accumulate the relative sampling bound of every
-	// evaluation that drew its sources (Advisor.SampleBound), under boundMu:
-	// the multi-source probes evaluate concurrently.
-	boundMu  sync.Mutex
-	boundSum float64
-	boundN   int
+	// series, test values, derivation weights — comes from: the graph,
+	// wrapped in a derivation.TrainingSums so each node's training window is
+	// summed once per run.
+	hist *derivation.TrainingSums
 
 	alpha   float64
 	gamma   float64
@@ -153,17 +139,11 @@ func NewAdvisor(g *cube.Graph, opts Options) (*Advisor, error) {
 		alpha:     opts.Alpha0,
 		rng:       rand.New(rand.NewSource(opts.Seed)),
 		fits:      make([]fitResult, opts.Parallelism),
-		hist:      g,
-		drawAbove: math.MaxInt,
+		hist:      derivation.NewTrainingSums(g, trainLen, g.NumNodes()),
 	}
 	for i := range a.ids {
 		a.ids[i] = i
 	}
-	if opts.SampleSize > 0 {
-		a.sampler = cube.NewSampledSource(g, cube.SampleConfig{K: opts.SampleSize, Seed: opts.Seed})
-		a.hist, a.drawAbove = a.sampler, cube.ExactUpTo(opts.SampleSize)
-	}
-	a.hist = derivation.NewTrainingSums(a.hist, trainLen, g.NumNodes())
 	if a.opts.Indicator.HistoryLen <= 0 || a.opts.Indicator.HistoryLen > trainLen {
 		a.opts.Indicator.HistoryLen = trainLen
 	}
@@ -238,9 +218,9 @@ func (a *Advisor) Configuration() *Configuration {
 }
 
 // sweepUnusedModels removes the models no scheme reads. While some node
-// still has no scheme (sampled runs resolve those lazily from whatever
-// models exist, Configuration.ResolveScheme) every model is a potential
-// source, so nothing is swept.
+// still has no scheme (one no model could be evaluated for, which the engine
+// resolves at Open from whatever models exist, Configuration.ResolveScheme)
+// every model is a potential source, so nothing is swept.
 func (a *Advisor) sweepUnusedModels() {
 	if len(a.cfg.Schemes) < a.g.NumNodes() {
 		return
@@ -279,18 +259,6 @@ func (a *Advisor) Alpha() float64 { return a.alpha }
 // IndicatorSize returns the derived |I| (targets per local indicator).
 func (a *Advisor) IndicatorSize() int { return a.indK }
 
-// SampleBound returns the mean relative sampling error bound across the
-// scheme evaluations that drew a PPS sample of their sources so far. 0 when
-// none did — every source set was at most cube.ExactUpTo(SampleSize) large.
-func (a *Advisor) SampleBound() float64 {
-	a.boundMu.Lock()
-	defer a.boundMu.Unlock()
-	if a.boundN == 0 {
-		return 0
-	}
-	return a.boundSum / float64(a.boundN)
-}
-
 // testValues returns the evaluation part of a node's series.
 func (a *Advisor) testValues(id int) []float64 {
 	return a.hist.NodeValues(id)[a.cfg.TrainLen:a.g.Length]
@@ -322,10 +290,8 @@ func (a *Advisor) setScheme(sc derivation.Scheme, err float64) {
 
 // fitWithFallback fits the configured model family on the training part of
 // the node's series, degrading to simpler families when that series is too
-// short for the requested one (Configuration.FitWithFallback). Where the
-// series is a reservoir estimate the fitted model forecasts the estimated
-// aggregate, which Snapshot.SeriesError accounts for. A Fit only reads its
-// series.
+// short for the requested one (Configuration.FitWithFallback). A Fit only
+// reads its series.
 func (a *Advisor) fitWithFallback(id int) (forecast.Model, time.Duration, error) {
 	train := a.hist.NodeValues(id)[:a.cfg.TrainLen:a.cfg.TrainLen]
 	m, d, err := a.cfg.FitWithFallback(a.opts.ModelFactory, timeseries.New(train, a.g.Period), a.opts.CreationDelay,
@@ -367,9 +333,7 @@ func (a *Advisor) recordSeed(id int, m forecast.Model) {
 }
 
 // installInitialModel creates the first model at the top node, derives every
-// node from it (disaggregation, Figure 3c) and seeds the indicators. A
-// sampled run skips that backfill, which would materialize thousands of
-// nodes: uncovered nodes resolve a scheme lazily (ResolveScheme).
+// node from it (disaggregation, Figure 3c) and seeds the indicators.
 func (a *Advisor) installInitialModel() error {
 	top := a.g.TopID
 	m, dur, err := a.fitWithFallback(top)
@@ -378,11 +342,7 @@ func (a *Advisor) installInitialModel() error {
 	}
 	fc := make([]float64, a.cfg.TestLen())
 	m.Forecast(fc)
-	var wins []reassignment
-	if a.sampler == nil {
-		wins = a.improvements(top, fc, a.ids, make([]reassignment, 0, len(a.ids)))
-	}
-	a.addModel(top, m, dur, fc, wins)
+	a.addModel(top, m, dur, fc, a.improvements(top, fc, a.ids, make([]reassignment, 0, len(a.ids))))
 	return nil
 }
 
@@ -449,19 +409,14 @@ func (a *Advisor) addModel(id int, m forecast.Model, dur time.Duration, fc []flo
 // building it: the derivation weight and the clamped test error. Tens of
 // thousands are computed per run and all but a few lose to the node's
 // current scheme, so a derivation.Scheme is built (mkScheme) only for a
-// winner. An evaluation that drew its sources has built the scheme already
-// — the sources it picked and their weights — and hands it over in drawn.
+// winner.
 type evaluation struct {
 	k, err float64
-	drawn  *derivation.Scheme
 }
 
 // mkScheme builds the scheme an evaluation of sources → t stands for. It
 // keeps sources: the caller passes a slice the scheme may own or share.
 func (a *Advisor) mkScheme(t int, sources []int, ev evaluation) derivation.Scheme {
-	if ev.drawn != nil {
-		return *ev.drawn
-	}
 	return derivation.Scheme{Target: t, Sources: sources, K: ev.k, Kind: derivation.Classify(a.g, t, sources)}
 }
 
@@ -488,69 +443,22 @@ func (a *Advisor) evalScheme(t int, sources []int) (evaluation, bool) {
 
 // evalForecasts evaluates sources → t, the sources forecasting fcs, on the
 // test horizon: the weight k = h_t / Σ h_s over the training part, SMAPE on
-// the test part (Section IV-B). A set of at most drawAbove sources — every
-// set of an exact run — is evaluated whole and without allocating; a larger
-// one through a PPS sample of its sources (FlashP-style, with their cached
-// forecasts), whose relative sampling bound feeds Advisor.SampleBound.
+// the test part (Section IV-B). It allocates nothing.
 func (a *Advisor) evalForecasts(t int, sources []int, fcs [][]float64) (evaluation, bool) {
-	sc := derivation.Scheme{Target: t, Sources: sources}
-	var drawn *derivation.SampledScheme
-	var err error
-	if len(sources) > a.drawAbove {
-		drawn, err = derivation.NewSampledScheme(a.hist, a.g, t, sources, a.cfg.TrainLen, derivation.SampleOptions{
-			SampleSize: a.opts.SampleSize,
-			Seed:       a.opts.Seed,
-		})
-		if err == nil {
-			sc = drawn.Scheme
-			fcs = fcs[:0]
-			for _, s := range sc.Sources {
-				fcs = append(fcs, a.modelFc[s])
-			}
-		}
-	} else {
-		sc.K, err = derivation.Weight(a.hist, t, sources, a.cfg.TrainLen)
-	}
+	k, err := derivation.Weight(a.hist, t, sources, a.cfg.TrainLen)
 	if err != nil {
 		return evaluation{}, false
 	}
+	sc := derivation.Scheme{Target: t, Sources: sources, K: k}
 	e, err := sc.SMAPE(a.testValues(t), fcs)
 	if err != nil || math.IsNaN(e) {
 		return evaluation{}, false
 	}
-	ev := evaluation{k: sc.K, err: ClampErr(e)}
-	if drawn != nil {
-		a.noteSampleBound(drawn, fcs)
-		ev.drawn = &drawn.Scheme
-	}
-	return ev, true
-}
-
-// noteSampleBound adds the relative half-width of a drawn scheme's
-// confidence interval — Σ(fc − lo) / Σ|fc| over the test horizon — to the
-// running mean behind Advisor.SampleBound.
-func (a *Advisor) noteSampleBound(sd *derivation.SampledScheme, fcs [][]float64) {
-	fc, lo, _, err := sd.ApplyWithBound(fcs)
-	if err != nil {
-		return
-	}
-	var num, den float64
-	for i := range fc {
-		num += fc[i] - lo[i]
-		den += math.Abs(fc[i])
-	}
-	if den > 0 {
-		a.boundMu.Lock()
-		a.boundSum += num / den
-		a.boundN++
-		a.boundMu.Unlock()
-	}
+	return evaluation{k: k, err: ClampErr(e)}, true
 }
 
 // computeLocal builds the local indicator of a node over its |I| closest
-// graph neighbors. The histories come from hist, so under the reservoir
-// estimator scoring a candidate does not materialize its neighborhood's
-// aggregates.
+// graph neighbors.
 func (a *Advisor) computeLocal(id int) *indicator.Local {
 	bfs := a.borrowBFS()
 	defer a.returnBFS(bfs)
@@ -636,8 +544,6 @@ func (a *Advisor) Step() (done bool, err error) {
 	snap.CostSeconds = a.cfg.CostSeconds
 	snap.SelectionTime = a.lastSelTime
 	snap.EvalTime = a.lastEvalTime
-	snap.SeriesError = a.sampler.MeanRelStd()
-	snap.SampleBound = a.SampleBound()
 	if a.opts.OnIteration != nil {
 		a.opts.OnIteration(snap)
 	}

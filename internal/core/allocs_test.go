@@ -70,43 +70,37 @@ func TestAdvisorSelfConsistent(t *testing.T) {
 }
 
 // TestEvalSchemeAllocs is the allocation gate of scheme evaluation: the
-// advisor evaluates some 97 000 candidate schemes per run on a 5 041-node
-// cube and keeps a few hundred, so evaluating one allocates nothing — with
-// and without the reservoir estimator: source sets of 1 and 3 are within
-// 2·SampleSize and are not drawn from.
+// advisor evaluates some 125 000 candidate schemes per run on a 5 041-node
+// cube and keeps a few hundred, so evaluating one allocates nothing.
 func TestEvalSchemeAllocs(t *testing.T) {
-	for _, sampleSize := range []int{0, 8} {
-		g := genCubeGraph(t, 300)
-		opts := goldenOptions(1, 2)
-		opts.SampleSize = sampleSize
-		adv, err := NewAdvisor(g, opts)
-		if err != nil {
-			t.Fatal(err)
+	g := genCubeGraph(t, 300)
+	adv, err := NewAdvisor(g, goldenOptions(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer adv.Close()
+	for adv.cfg.NumModels() < 3 {
+		if done, err := adv.Step(); err != nil || done {
+			t.Fatalf("advisor stopped at %d models (err %v)", adv.cfg.NumModels(), err)
 		}
-		defer adv.Close()
-		for adv.cfg.NumModels() < 3 {
-			if done, err := adv.Step(); err != nil || done {
-				t.Fatalf("SampleSize %d: advisor stopped at %d models (err %v)", sampleSize, adv.cfg.NumModels(), err)
-			}
+	}
+	ids := adv.cfg.ModelIDs()
+	// Nodes materialize on first read; the gate is on evaluating, so every
+	// target has been read once.
+	for id := 0; id < g.NumNodes(); id++ {
+		adv.testValues(id)
+	}
+	target := 0
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := adv.evalSingleSource(ids[0], target%g.NumNodes(), adv.modelFc[ids[0]]); !ok {
+			t.Fatal("single-source evaluation failed")
 		}
-		ids := adv.cfg.ModelIDs()
-		// Series estimates are cached on first use; the gate is on evaluating,
-		// so every target has been read once.
-		for id := 0; id < g.NumNodes(); id++ {
-			adv.testValues(id)
+		if _, ok := adv.evalScheme(target%g.NumNodes(), ids[:3]); !ok {
+			t.Fatal("multi-source evaluation failed")
 		}
-		target := 0
-		if n := testing.AllocsPerRun(100, func() {
-			if _, ok := adv.evalSingleSource(ids[0], target%g.NumNodes(), adv.modelFc[ids[0]]); !ok {
-				t.Fatal("single-source evaluation failed")
-			}
-			if _, ok := adv.evalScheme(target%g.NumNodes(), ids[:3]); !ok {
-				t.Fatal("multi-source evaluation failed")
-			}
-			target++
-		}); n != 0 {
-			t.Fatalf("SampleSize %d: evaluating a scheme allocates %v times, want 0", sampleSize, n)
-		}
+		target++
+	}); n != 0 {
+		t.Fatalf("evaluating a scheme allocates %v times, want 0", n)
 	}
 }
 
@@ -159,65 +153,60 @@ func TestAdvisorRunAllocs(t *testing.T) {
 }
 
 // TestTrainingSumMemoTwin: the advisor's table of training sums answers every
-// node of the 1 089-node cube with the bits the direct loop sums, on the
-// exact graph and under the reservoir estimator, when four readers fill it
-// concurrently (CI runs it under -race too). After a run, every
-// single-source scheme reading model m shares one Sources array.
+// node of the 1 089-node cube with the bits the direct loop sums when four
+// readers fill it concurrently (CI runs it under -race too). After a run,
+// every single-source scheme reading model m shares one Sources array.
 func TestTrainingSumMemoTwin(t *testing.T) {
-	for _, sampleSize := range []int{0, 8} {
-		g := genCubeGraph(t, 1000)
-		opts := goldenOptions(1, 2)
-		opts.SampleSize = sampleSize
-		adv, err := NewAdvisor(g, opts)
-		if err != nil {
-			t.Fatal(err)
+	g := genCubeGraph(t, 1000)
+	opts := goldenOptions(1, 2)
+	adv, err := NewAdvisor(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := adv.cfg.TrainLen
+	direct := func(id int) float64 {
+		var acc float64
+		for _, v := range g.NodeValues(id)[:n] {
+			acc += v
 		}
-		n := adv.cfg.TrainLen
-		src := adv.hist.(*derivation.TrainingSums).SeriesSource
-		direct := func(id int) float64 {
-			var acc float64
-			for _, v := range src.NodeValues(id)[:n] {
-				acc += v
-			}
-			return acc
-		}
-		fresh := derivation.NewTrainingSums(src, n, g.NumNodes())
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < g.NumNodes(); i++ {
-					id := (i + w*g.NumNodes()/4) % g.NumNodes() // four starting points
-					for _, ps := range []*derivation.TrainingSums{fresh, adv.hist.(*derivation.TrainingSums)} {
-						if got, want := ps.PrefixSum(id, n), direct(id); math.Float64bits(got) != math.Float64bits(want) {
-							t.Errorf("SampleSize %d, node %d: memoized sum %v, direct loop %v", sampleSize, id, got, want)
-						}
+		return acc
+	}
+	fresh := derivation.NewTrainingSums(g, n, g.NumNodes())
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < g.NumNodes(); i++ {
+				id := (i + w*g.NumNodes()/4) % g.NumNodes() // four starting points
+				for _, ps := range []*derivation.TrainingSums{fresh, adv.hist} {
+					if got, want := ps.PrefixSum(id, n), direct(id); math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("node %d: memoized sum %v, direct loop %v", id, got, want)
 					}
 				}
-			}(w)
-		}
-		wg.Wait()
+			}
+		}(w)
+	}
+	wg.Wait()
 
-		cfg, err := Run(g, opts)
-		if err != nil {
-			t.Fatal(err)
+	cfg, err := Run(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, schemes := map[int]*int{}, 0
+	for _, sc := range cfg.Schemes {
+		if len(sc.Sources) != 1 {
+			continue
 		}
-		shared, schemes := map[int]*int{}, 0
-		for _, sc := range cfg.Schemes {
-			if len(sc.Sources) != 1 {
-				continue
-			}
-			schemes++
-			m := sc.Sources[0]
-			if p, ok := shared[m]; !ok {
-				shared[m] = &sc.Sources[0]
-			} else if p != &sc.Sources[0] {
-				t.Fatalf("SampleSize %d: two schemes reading model %d hold two Sources arrays", sampleSize, m)
-			}
+		schemes++
+		m := sc.Sources[0]
+		if p, ok := shared[m]; !ok {
+			shared[m] = &sc.Sources[0]
+		} else if p != &sc.Sources[0] {
+			t.Fatalf("two schemes reading model %d hold two Sources arrays", m)
 		}
-		if schemes <= len(shared) {
-			t.Fatalf("SampleSize %d: %d single-source schemes over %d models; no sharing to check", sampleSize, schemes, len(shared))
-		}
+	}
+	if schemes <= len(shared) {
+		t.Fatalf("%d single-source schemes over %d models; no sharing to check", schemes, len(shared))
 	}
 }

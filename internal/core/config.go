@@ -155,14 +155,12 @@ func (c *Configuration) ModelIDs() []int {
 }
 
 // ResolveScheme returns the node's derivation scheme, deriving and
-// backfilling one on demand when the node has none. Sampled advisor runs
-// skip the initial full-graph scheme backfill, so nodes the advisor never
-// touched reach their first query scheme-less; they are served by a
-// single-source scheme from the first configured model (in sorted model
-// order) that covers the node or is covered by it, falling back to the
-// first model. Exact advisor runs assign a scheme to every node up front,
-// so this never triggers there. Not safe for concurrent use — callers
-// serialize through the engine lock.
+// backfilling one when the node has none: a single-source scheme from the
+// first configured model (in sorted model order) that covers the node or is
+// covered by it, falling back to the first model. The advisor assigns a
+// scheme to every node it can evaluate one for; f2db's Open resolves the
+// rest, which only an image saved by an older engine or degenerate data
+// leave. Not safe for concurrent use.
 func (c *Configuration) ResolveScheme(id int) (derivation.Scheme, error) {
 	if sc, ok := c.Schemes[id]; ok {
 		return sc, nil
@@ -191,8 +189,8 @@ func (c *Configuration) ResolveScheme(id int) (derivation.Scheme, error) {
 
 // Forecast answers a forecast query for the node over horizon h using the
 // assigned scheme and the live model states. It is the query-time
-// calculation of Section II-C (eq. 1). Scheme-less nodes (possible after a
-// sampled advisor run) resolve one on demand.
+// calculation of Section II-C (eq. 1). A scheme-less node resolves one
+// (ResolveScheme).
 func (c *Configuration) Forecast(nodeID, h int) ([]float64, error) {
 	sc, err := c.ResolveScheme(nodeID)
 	if err != nil {

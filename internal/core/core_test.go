@@ -608,3 +608,79 @@ func TestEmittedModelsAreAllSources(t *testing.T) {
 		}
 	}
 }
+
+// TestAdvisorCachesBounded is the regression test for the candLoc/modelFc
+// growth bug: over a long anytime run the candidate-local cache must not
+// retain entries for permanently rejected nodes once the α schedule moved
+// past them, and the forecast cache must track the model set exactly.
+func TestAdvisorCachesBounded(t *testing.T) {
+	g := seasonalCube(t, 2)
+	a, err := NewAdvisor(g, Options{Seed: 1, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	for i := 0; i < 500; i++ {
+		done, err := a.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			break
+		}
+	}
+	if len(a.modelFc) != a.cfg.NumModels() {
+		t.Fatalf("modelFc holds %d forecasts for %d models", len(a.modelFc), a.cfg.NumModels())
+	}
+	// Termination goes through an α raise, which evicts rejected nodes.
+	for id := range a.candLoc {
+		if a.rejected[id] {
+			t.Fatalf("candLoc retains rejected node %d after α moved on", id)
+		}
+	}
+	for k := range a.warmSeeds {
+		if a.rejected[k.node] {
+			t.Fatalf("warmSeeds retains rejected node %d after α moved on", k.node)
+		}
+	}
+	// Caches must stay within the graph size even after hundreds of
+	// iterations (the unbounded-growth failure mode accumulated one local
+	// indicator per candidate per iteration).
+	if len(a.candLoc) > g.NumNodes() {
+		t.Fatalf("candLoc grew to %d entries on a %d-node graph", len(a.candLoc), g.NumNodes())
+	}
+}
+
+func TestResolveSchemeBackfill(t *testing.T) {
+	g := seasonalCube(t, 3)
+	cfg, err := Run(g, Options{Seed: 1, MaxIterations: 2, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Drop a scheme to simulate a node no model could be evaluated for,
+	// then resolve it back.
+	victim := -1
+	for id := range cfg.Schemes {
+		if _, hasModel := cfg.Models[id]; !hasModel {
+			victim = id
+			break
+		}
+	}
+	if victim < 0 {
+		t.Skip("no derived-only node in configuration")
+	}
+	delete(cfg.Schemes, victim)
+	sc, err := cfg.ResolveScheme(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Target != victim || len(sc.Sources) == 0 {
+		t.Fatalf("resolved scheme malformed: %+v", sc)
+	}
+	if _, ok := cfg.Schemes[victim]; !ok {
+		t.Fatal("ResolveScheme must backfill the configuration")
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -85,53 +85,3 @@ func TestAdvisorGolden(t *testing.T) {
 		}
 	}
 }
-
-// TestAdvisorSampledGolden pins sampled runs the same way. The constants
-// were recorded on commit 91b8c5476596d8475c24c8aa105c22cc2263e060, the
-// parent of the change that made exact evaluation the case of the sampled
-// evaluator that never draws. draws is the number of evaluations that took
-// a PPS sample of their sources: K = 1, seed 2 on the 720-node cube is the
-// one run with source sets larger than 2K.
-func TestAdvisorSampledGolden(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("digests were recorded on amd64; %s may round the parent's own arithmetic differently", runtime.GOARCH)
-	}
-	small, large := [][]int{{24, 5}, {8, 2}}, [][]int{{40, 4}, {12, 3}}
-	golden := []struct {
-		cards      [][]int
-		sampleSize int
-		seed       int64
-		want       uint64
-		draws      int
-	}{
-		{small, 8, 1, 0x825939bfd9585b3f, 0},
-		{small, 2, 2, 0xe8c8dd1358b0ab49, 0},
-		{small, 1, 3, 0x6bf879a21f9227a9, 0},
-		{large, 4, 1, 0x3d376a99f1e5c460, 0},
-		{large, 1, 2, 0x3a11d2adba350790, 21},
-	}
-	for _, c := range golden {
-		g, err := datasets.GenCube(3, datasets.CubeGenOptions{DimCards: c.cards, Length: 36, Period: 4}).Graph()
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := goldenOptions(c.seed, 2)
-		opts.SampleSize = c.sampleSize
-		a, err := NewAdvisor(g, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for done := false; !done; {
-			if done, err = a.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got := configDigest(a.Configuration()); got != c.want {
-			t.Errorf("{%v, %d, %d, %#x}: digest differs from the parent's %#x", c.cards, c.sampleSize, c.seed, got, c.want)
-		}
-		if a.boundN != c.draws {
-			t.Errorf("{%v, %d, %d}: %d evaluations drew their sources, the parent's run %d", c.cards, c.sampleSize, c.seed, a.boundN, c.draws)
-		}
-		a.Close()
-	}
-}

@@ -93,19 +93,6 @@ type Options struct {
 	TargetError   float64 // stop once overall error <= TargetError
 	MaxModels     int     // stop once the configuration holds this many models
 
-	// SampleSize, when > 0, makes the advisor read every series through a
-	// reservoir estimator (FlashP-style): a node covering more than
-	// 2·SampleSize base series is estimated from a deterministic sample of
-	// SampleSize of them instead of materialized, and the initial
-	// full-graph scheme backfill is skipped (uncovered nodes resolve
-	// schemes lazily, Configuration.ResolveScheme), so the advisor touches
-	// — and the graph materializes — a sub-linear share of the cube.
-	// Evaluation is the one path of an exact run; only a source set of more
-	// than 2·SampleSize members is evaluated from a PPS sample of
-	// SampleSize of them, with a 0.95 confidence bound. 0 samples nothing —
-	// bit-identical to the pre-sampling advisor.
-	SampleSize int
-
 	// OnIteration, when set, receives a snapshot after every iteration —
 	// the advisor "continuously outputs the forecast error as well as
 	// the model costs of the current best configuration" (Section IV-D).
@@ -132,15 +119,6 @@ type Snapshot struct {
 	Deleted       int
 	SelectionTime time.Duration
 	EvalTime      time.Duration
-	// SeriesError is the mean relative standard error of the series the
-	// reservoir estimator has estimated so far (cube.SampledSource.
-	// MeanRelStd) — how far the histories the advisor fits and evaluates on
-	// may sit from the exact aggregates. 0 when nothing was estimated.
-	SeriesError float64
-	// SampleBound is the mean relative sampling error bound of the scheme
-	// evaluations that drew a PPS sample of their sources so far
-	// (Advisor.SampleBound). 0 when none did.
-	SampleBound float64
 }
 
 // withDefaults fills unset options.

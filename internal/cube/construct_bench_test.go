@@ -10,8 +10,8 @@ import (
 // BenchmarkConstruct isolates graph construction at the 10^5-node scale:
 // skeleton enumeration (packed codes, incidence CSR, parent table, child
 // index) plus base-node materialization, without any advisor work on top.
-// It is the dominant cost of the sampled pipeline's time-to-first-answer,
-// so regressions here show up directly in BenchmarkAdvisorScale.
+// Every advisor run on a fresh cube pays it before its first answer, so
+// regressions here show up directly in BenchmarkAdvisorScale.
 func BenchmarkConstruct(b *testing.B) {
 	opts := datasets.CubeGenForNodes(100_000, 2)
 	d := datasets.GenCube(1, opts)

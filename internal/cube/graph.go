@@ -905,8 +905,7 @@ func (g *Graph) CoveredBases(id int) []int {
 }
 
 // CoveredBaseCount returns the number of base series contributing to the
-// node's aggregate — the node's population size for sampling decisions —
-// without materializing the node.
+// node's aggregate without materializing the node.
 func (g *Graph) CoveredBaseCount(id int) int {
 	return int(g.incOff[id+1] - g.incOff[id])
 }
@@ -986,7 +985,7 @@ func (g *Graph) BaseIncidence() [][]int {
 
 // NodeValues returns the node's current series values, materializing the
 // node first if need be. It satisfies the derivation.SeriesSource
-// interface — the exact counterpart of the sampling estimator.
+// interface.
 func (g *Graph) NodeValues(id int) []float64 { return g.Node(id).Series.Values }
 
 // MaterializeAll forces every node into existence (used by baselines that

@@ -25,14 +25,12 @@ import (
 // and routes them its own way.
 type Logf func(format string, args ...any)
 
-// Source is what is read and how much of it: the fact data the cube is
-// built from and how much of each node the advisor looks at.
+// Source is what is read: the fact data the cube is built from.
 type Source struct {
-	Dataset    string
-	CSV        string
-	Dims       string
-	Period     int
-	SampleSize int
+	Dataset string
+	CSV     string
+	Dims    string
+	Period  int
 	// Scale sizes the built-in data sets; no flag of this group sets it
 	// (advisor -paper-scale does).
 	Scale experiments.Scale
@@ -44,7 +42,6 @@ func (s *Source) Register(fs *flag.FlagSet) {
 	fs.StringVar(&s.CSV, "csv", "", "load a fact-table CSV instead of a built-in data set")
 	fs.StringVar(&s.Dims, "dims", "", "dimension spec for -csv, e.g. \"product;location=city<region\"")
 	fs.IntVar(&s.Period, "period", 1, "seasonal period for -csv data")
-	fs.IntVar(&s.SampleSize, "sample-size", 0, "advisor: estimate indicators and derivations from this many sampled base series per node (0 = exact)")
 }
 
 // Engine is how the engine over a Source is configured and where its

@@ -41,8 +41,8 @@ func TestGroupsDeclareEachFlagOnce(t *testing.T) {
 	fs, _, _, _, _ := register()
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 5+5+4+2 {
-		t.Fatalf("the four groups declare %d flags, want 16", n)
+	if n != 4+5+4+2 {
+		t.Fatalf("the four groups declare %d flags, want 15", n)
 	}
 }
 

@@ -96,7 +96,7 @@ func (e *Engine) Open(src *Source, logf Logf) (*Handle, error) {
 			})
 		} else {
 			logf("running advisor ...")
-			cfg, err = core.Run(h.Graph, core.Options{Seed: 42, SampleSize: src.SampleSize})
+			cfg, err = core.Run(h.Graph, core.Options{Seed: 42})
 		}
 		if err != nil {
 			return nil, err

@@ -15,8 +15,8 @@ import (
 // deep hierarchy), GenCube spans several dimensions, so the node count —
 // the product over dimensions of (members across levels + ALL) — grows
 // multiplicatively while the base count stays the product of the finest
-// cardinalities; exactly the regime where on-demand materialization and
-// sampled estimation pay off.
+// cardinalities; exactly the regime where on-demand materialization pays
+// off.
 type CubeGenOptions struct {
 	// DimCards holds, per dimension, the member count per named level,
 	// finest level first and strictly non-increasing (e.g. {{40, 8}, {25,

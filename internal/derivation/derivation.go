@@ -46,31 +46,20 @@ func (k Kind) String() string {
 	}
 }
 
-// SeriesSource provides the history of a node's series. The exact source
-// is *cube.Graph (materializing nodes on first access); the sampling
-// estimator of cube.NewSampledSource answers with reservoir-sampled
-// estimates instead, which turns every derivation quantity below (weights,
-// historical errors, stability) into its sampled counterpart without
-// touching the formulas. There is one function per quantity: exact is the
-// source that never samples.
+// SeriesSource provides the history of a node's series: *cube.Graph, which
+// materializes a node on first access, or a TrainingSums over it.
 type SeriesSource interface {
 	NodeValues(id int) []float64
 }
 
 // Scheme derives the forecast of Target from the models at Sources with
-// derivation weight K. When Weights is non-nil (sampled derivation,
-// len(Weights) == len(Sources)), each source forecast is scaled by its own
-// weight instead and K is informational only. Sources is read-only: the
-// advisor hands every single-source scheme reading one model the same slice.
+// derivation weight K. Sources is read-only: the advisor hands every
+// single-source scheme reading one model the same slice.
 type Scheme struct {
 	Target  int
 	Sources []int
 	K       float64
 	Kind    Kind
-	// Weights holds per-source multipliers for sampled schemes: the
-	// Horvitz–Thompson inflation of each sampled source times the
-	// derivation weight. Nil for exact schemes.
-	Weights []float64
 }
 
 // NewScheme builds a scheme for target derived from sources over the first
@@ -206,9 +195,6 @@ func (sc *Scheme) horizon(sourceForecasts [][]float64) (int, error) {
 	if len(sourceForecasts) == 0 {
 		return 0, fmt.Errorf("derivation: no source forecasts")
 	}
-	if sc.Weights != nil && len(sc.Weights) != len(sc.Sources) {
-		return 0, fmt.Errorf("derivation: got %d weights for %d sources", len(sc.Weights), len(sc.Sources))
-	}
 	h := len(sourceForecasts[0])
 	for i, fc := range sourceForecasts {
 		if len(fc) != h {
@@ -226,7 +212,7 @@ func (sc *Scheme) Apply(sourceForecasts [][]float64) ([]float64, error) {
 		return nil, err
 	}
 	out := make([]float64, h)
-	derive(out, sourceForecasts, sc.K, sc.Weights)
+	derive(out, sourceForecasts, sc.K)
 	return out, nil
 }
 
@@ -241,7 +227,7 @@ func (sc *Scheme) ApplyTo(out []float64, sourceForecasts [][]float64) error {
 	if len(out) != h {
 		return fmt.Errorf("derivation: output has length %d, want %d", len(out), h)
 	}
-	derive(out, sourceForecasts, sc.K, sc.Weights)
+	derive(out, sourceForecasts, sc.K)
 	return nil
 }
 
@@ -254,22 +240,15 @@ func (sc *Scheme) SMAPE(actual []float64, sourceForecasts [][]float64) (float64,
 	if _, err := sc.horizon(sourceForecasts); err != nil {
 		return math.NaN(), err
 	}
-	return smapeDerived(actual, sourceForecasts, sc.K, sc.Weights), nil
+	return smapeDerived(actual, sourceForecasts, sc.K), nil
 }
 
-// derivedAt is step i of the derived series d[i] = k·Σ_s series[s][i] (or
-// Σ_s weights[s]·series[s][i] when weights is non-nil) — the one definition
-// of the derivation arithmetic. Sources are added in order starting from 0,
+// derivedAt is step i of the derived series d[i] = k·Σ_s series[s][i], the
+// one definition of the derivation arithmetic. Sources are added in order starting from 0,
 // and float64(sum*k) is an explicit conversion so that no architecture
 // fuses the scaling into whatever the caller does with the value next.
-func derivedAt(series [][]float64, i int, k float64, weights []float64) float64 {
+func derivedAt(series [][]float64, i int, k float64) float64 {
 	var d float64
-	if weights != nil {
-		for s, vals := range series {
-			d += weights[s] * vals[i]
-		}
-		return d
-	}
 	for _, vals := range series {
 		d += vals[i]
 	}
@@ -278,15 +257,15 @@ func derivedAt(series [][]float64, i int, k float64, weights []float64) float64 
 
 // derive writes the derived series into out, whose length the caller has
 // checked against every series.
-func derive(out []float64, series [][]float64, k float64, weights []float64) {
+func derive(out []float64, series [][]float64, k float64) {
 	for i := range out {
-		out[i] = derivedAt(series, i, k, weights)
+		out[i] = derivedAt(series, i, k)
 	}
 }
 
 // smapeDerived is timeseries.SMAPE of actual against the derived series,
 // computed in one pass without materializing it.
-func smapeDerived(actual []float64, series [][]float64, k float64, weights []float64) float64 {
+func smapeDerived(actual []float64, series [][]float64, k float64) float64 {
 	n := len(series[0])
 	if len(actual) < n {
 		n = len(actual)
@@ -296,7 +275,7 @@ func smapeDerived(actual []float64, series [][]float64, k float64, weights []flo
 	}
 	var acc float64
 	for i := 0; i < n; i++ {
-		d := derivedAt(series, i, k, weights)
+		d := derivedAt(series, i, k)
 		num := math.Abs(actual[i] - d)
 		den := math.Abs(actual[i]) + math.Abs(d)
 		if den == 0 {

@@ -91,21 +91,6 @@ func oracleApply(sc *Scheme, sourceForecasts [][]float64) ([]float64, error) {
 	}
 	h := len(sourceForecasts[0])
 	out := make([]float64, h)
-	if sc.Weights != nil {
-		if len(sc.Weights) != len(sc.Sources) {
-			return nil, fmt.Errorf("derivation: got %d weights for %d sources", len(sc.Weights), len(sc.Sources))
-		}
-		for i, fc := range sourceForecasts {
-			if len(fc) != h {
-				return nil, fmt.Errorf("derivation: forecast %d has length %d, want %d", i, len(fc), h)
-			}
-			w := sc.Weights[i]
-			for j, v := range fc {
-				out[j] += w * v
-			}
-		}
-		return out, nil
-	}
 	for i, fc := range sourceForecasts {
 		if len(fc) != h {
 			return nil, fmt.Errorf("derivation: forecast %d has length %d, want %d", i, len(fc), h)
@@ -205,12 +190,6 @@ func (KernelCase) Generate(r *rand.Rand, _ int) reflect.Value {
 	}
 
 	c.Scheme = Scheme{Target: 0, Sources: c.Sources, K: r.NormFloat64()}
-	if r.Intn(3) == 0 {
-		c.Scheme.Weights = make([]float64, m)
-		for i := range c.Scheme.Weights {
-			c.Scheme.Weights[i] = r.NormFloat64()
-		}
-	}
 	c.Forecasts = c.Series[1:]
 	c.Actual = c.Series[0]
 	switch r.Intn(12) {
@@ -224,10 +203,6 @@ func (KernelCase) Generate(r *rand.Rand, _ int) reflect.Value {
 		if m > 1 && n > 0 {
 			c.Forecasts = append([][]float64(nil), c.Forecasts...)
 			c.Forecasts[m-1] = c.Forecasts[m-1][:n-1]
-		}
-	case 4: // a weight too many
-		if c.Scheme.Weights != nil {
-			c.Scheme.Weights = append(c.Scheme.Weights, 1)
 		}
 	}
 	return reflect.ValueOf(c)
@@ -284,7 +259,7 @@ func TestKernelTwin(t *testing.T) {
 			}
 		}
 		if !ok {
-			t.Logf("case: %d sources, %d observations, historyLen %d, weights %v", len(c.Sources), len(c.Series[0]), c.HistoryLen, c.Scheme.Weights != nil)
+			t.Logf("case: %d sources, %d observations, historyLen %d", len(c.Sources), len(c.Series[0]), c.HistoryLen)
 		}
 		return ok
 	}
@@ -321,14 +296,6 @@ func (ApplyCase) Generate(r *rand.Rand, _ int) reflect.Value {
 		}
 		c.Forecasts[s] = fc
 	}
-	if r.Intn(2) == 0 {
-		c.Scheme.Weights = make([]float64, m)
-		for i := range c.Scheme.Weights {
-			if c.Scheme.Weights[i] = r.NormFloat64(); r.Intn(6) == 0 {
-				c.Scheme.Weights[i] = special[r.Intn(len(special))]
-			}
-		}
-	}
 	switch r.Intn(10) {
 	case 0: // ragged forecasts
 		if h > 0 {
@@ -337,10 +304,6 @@ func (ApplyCase) Generate(r *rand.Rand, _ int) reflect.Value {
 		}
 	case 1: // a forecast too few
 		c.Forecasts = c.Forecasts[:m-1]
-	case 2: // a weight too many
-		if c.Scheme.Weights != nil {
-			c.Scheme.Weights = append(c.Scheme.Weights, 1)
-		}
 	}
 	return reflect.ValueOf(c)
 }
@@ -386,7 +349,7 @@ func TestApplyToTwin(t *testing.T) {
 			}
 			for i := range want {
 				if !sameBits(got[i], want[i]) {
-					t.Errorf("%s[%d] = %v, oracle %v (K %v, weights %v, sources %v)", name, i, got[i], want[i], c.Scheme.K, c.Scheme.Weights, c.Forecasts)
+					t.Errorf("%s[%d] = %v, oracle %v (K %v, sources %v)", name, i, got[i], want[i], c.Scheme.K, c.Forecasts)
 					return false
 				}
 			}

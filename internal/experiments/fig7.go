@@ -31,8 +31,8 @@ const Seed = 42
 
 // LoadDataset builds one of the evaluation data sets by name: "tourism",
 // "sales", "energy", "gen<k>" (e.g. "gen10k"), or "cube<N>" for the
-// synthetic benchmark cube sized to ~N hyper-graph nodes (e.g. "cube100k"
-// — pair it with sampled estimation; see DESIGN.md §9).
+// synthetic benchmark cube sized to ~N hyper-graph nodes (e.g. "cube100k";
+// see DESIGN.md §9).
 func LoadDataset(name string, scale Scale) (*datasets.Dataset, error) {
 	if n, ok := parseCubeName(name); ok {
 		return datasets.GenCube(Seed, datasets.CubeGenForNodes(n, 2)), nil

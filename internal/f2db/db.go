@@ -105,12 +105,10 @@ type Stats struct {
 }
 
 // schemeState tracks the running history sums behind a derivation weight so
-// the weight can be maintained incrementally (Section V); a scheme backfilled
-// after Open is not tracked and keeps the weight it was derived with.
+// the weight can be maintained incrementally (Section V).
 type schemeState struct {
 	hTarget  float64
 	hSources float64
-	tracked  bool
 }
 
 // DB is the embedded F²DB engine.
@@ -260,6 +258,13 @@ func open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 	for id := range cfg.Models {
 		db.mstats[id] = &ModelStats{}
 	}
+	// A node without a scheme (from an image an older engine saved, or one no
+	// model could be evaluated for) gets one now, so every scheme is tracked
+	// from the start. One that cannot be derived stays without and answers
+	// with an error.
+	for id := 0; id < g.NumNodes(); id++ {
+		cfg.ResolveScheme(id)
+	}
 	// Initialize incremental weight states from the full history, summed
 	// time point by time point in the order advanceBatch adds each new one,
 	// so an engine opened on a longer history holds bit for bit the sums of
@@ -267,7 +272,7 @@ func open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 	hist := make(map[int][]float64)
 	for id, sc := range cfg.Schemes {
 		st := &db.schemes[id]
-		st.hTarget, st.tracked = g.HistorySum(id), true
+		st.hTarget = g.HistorySum(id)
 		for _, s := range sc.Sources {
 			if hist[s] == nil {
 				hist[s] = g.History(s)
@@ -317,9 +322,8 @@ func (db *DB) Stats() Stats {
 }
 
 // errNeedsReestimate signals that a forecast under shared (read) access hit
-// a model awaiting re-estimation or a node without a scheme; the caller
-// re-fits or resolves under maint and retries once (refitFor). It never
-// escapes the package API.
+// a model awaiting re-estimation; the caller re-fits under maint and retries
+// once (refitFor). It never escapes the package API.
 var errNeedsReestimate = errors.New("f2db: model awaits re-estimation")
 
 // guard witnesses ownership of the engine lock. It can only be produced by
@@ -395,8 +399,7 @@ func (db *DB) ForecastNode(nodeID, h int) ([]float64, error) {
 // with later hits and must not be written. Metrics (query count, latency,
 // scheme hits, cache counters) are recorded here so hits and misses are
 // accounted uniformly. The caller holds the shared lock. A source model
-// awaiting re-estimation (or a node without a scheme) reports
-// errNeedsReestimate, metered as a cache bypass — the query bypasses the
+// awaiting re-estimation reports errNeedsReestimate, metered as a cache bypass — the query bypasses the
 // memo table to take the lazy re-estimation path — and not a miss; the
 // retry after refitFor passes retry, so its recomputation continues that
 // bypass instead of counting a miss.
@@ -457,9 +460,7 @@ func (db *DB) forecastIntervalLocked(nodeID, h int, conf float64, retry bool) (p
 func (db *DB) deriveInterval(nodeID, h int, conf float64) (point, lo, hi []float64, err error) {
 	sc, ok := db.cfg.Schemes[nodeID]
 	if !ok {
-		// A sampled advisor run leaves uncovered nodes scheme-less;
-		// resolving one mutates the configuration, which refitFor does.
-		return nil, nil, nil, errNeedsReestimate
+		return nil, nil, nil, fmt.Errorf("f2db: node %d has no derivation scheme", nodeID)
 	}
 	n := h
 	if conf > 0 {
@@ -735,9 +736,6 @@ func (db *DB) advanceBatch(g guard, column []float64) error {
 	// Incremental derivation-weight maintenance; it makes no node resident.
 	for id, sc := range db.cfg.Schemes {
 		st := &db.schemes[id]
-		if !st.tracked {
-			continue
-		}
 		st.hTarget += db.graph.Latest(id)
 		for _, s := range sc.Sources {
 			st.hSources += db.graph.Latest(s)

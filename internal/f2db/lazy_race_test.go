@@ -8,20 +8,22 @@ package f2db_test
 //	go test -race -run LazyMaterialization ./internal/f2db/
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"cubefc/internal/core"
+	"cubefc/internal/cube"
 	"cubefc/internal/datasets"
 	"cubefc/internal/f2db"
 	"cubefc/internal/workload"
 )
 
-// TestLazyMaterializationRace opens an engine over a graph whose
-// advisor run (sampled) left most aggregates unmaterialized, then storms
-// it: per round, 8 writers apply disjoint parts of one insert batch while 4
+// TestLazyMaterializationRace opens an engine over a skeleton graph that
+// loaded its configuration from an advisor run on another graph, as a shard
+// does, so most aggregates are unmaterialized, then storms it: per round, 8 writers apply disjoint parts of one insert batch while 4
 // readers issue forecasts on random nodes, materializing them mid-advance.
 // Afterwards every node's forecast must be bit-identical to a
 // engine over a graph that called MaterializeAll up front
@@ -38,37 +40,37 @@ func TestLazyMaterializationRace(t *testing.T) {
 		Length:   24,
 		Period:   4,
 	})
-	lg, err := d.Graph()
+	ag, err := d.Graph()
 	if err != nil {
 		t.Fatal(err)
 	}
-	eg, err := d.Graph()
+	// Pinned γ: deterministic.
+	cfg, err := core.Run(ag, core.Options{Seed: 7, FixedGamma: true, Gamma0: 0.5, MaxIterations: 4, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eg.MaterializeAll()
-	// Sampled advisor with a pinned γ: deterministic, and its touch set is
-	// a strict subset of the cube, so the storm below actually races
-	// materialization (asserted before the storm starts).
-	advOpts := core.Options{
-		Seed:       7,
-		SampleSize: 16,
-		// Tight indicator size (|I| = 6 of 330 nodes) so the advisor's touch
-		// set stays a strict subset of this (deliberately small) cube.
-		IndicatorFraction: 0.018,
-		FixedGamma:        true,
-		Gamma0:            0.5,
-		MaxIterations:     4,
-		Parallelism:       2,
-	}
-	lcfg, err := core.Run(lg, advOpts)
-	if err != nil {
+	var img bytes.Buffer
+	if err := f2db.SaveConfiguration(&img, cfg); err != nil {
 		t.Fatal(err)
 	}
-	ecfg, err := core.Run(eg, advOpts)
-	if err != nil {
-		t.Fatal(err)
+	// lg stays a skeleton, so the storm below actually races materialization
+	// (asserted before the storm starts); eg is materialized up front.
+	load := func(materialize bool) (*cube.Graph, *core.Configuration) {
+		g, err := d.Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if materialize {
+			g.MaterializeAll()
+		}
+		cfg, err := f2db.LoadConfiguration(bytes.NewReader(img.Bytes()), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, cfg
 	}
+	lg, lcfg := load(false)
+	eg, ecfg := load(true)
 	ldb, err := f2db.Open(lg, lcfg, f2db.Options{Strategy: f2db.Never{}})
 	if err != nil {
 		t.Fatal(err)

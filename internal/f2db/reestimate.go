@@ -37,23 +37,12 @@ func (db *DB) invalidModelIDs() []int {
 }
 
 // refitFor makes a lazy query's nodes answerable under the shared lock: it
-// resolves a scheme for every scheme-less node and re-fits every invalid
-// model among their sources. The caller holds maint, which keeps them so
-// until it is released.
+// re-fits every invalid model among their sources. The caller holds maint,
+// which keeps them so until it is released.
 func (db *DB) refitFor(nodes []int) error {
 	var ids []int
 	for _, n := range nodes {
-		sc, ok := db.cfg.Schemes[n]
-		if !ok {
-			g := db.wLock()
-			var err error
-			sc, err = db.cfg.ResolveScheme(n)
-			db.unlock(g)
-			if err != nil {
-				return fmt.Errorf("f2db: node %d: %w", n, err)
-			}
-		}
-		ids = append(ids, sc.Sources...)
+		ids = append(ids, db.cfg.Schemes[n].Sources...)
 	}
 	_, err := db.refit(ids)
 	return err

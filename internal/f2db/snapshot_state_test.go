@@ -3,6 +3,7 @@ package f2db_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -118,4 +119,72 @@ func TestSnapshotKeepsMaintenanceState(t *testing.T) {
 		defer re.Close()
 		same(t, re.DB(), live)
 	})
+}
+
+// TestResolvedSchemeSurvivesReload: a node without a scheme is resolved once,
+// when the engine opens, and from then on it is tracked like every other
+// scheme. An exact run of the 1 089-node cube has 50 derived-only schemes
+// dropped; every node's forecast must read the same bits before and after a
+// SaveDatabase/LoadDatabase round trip, and no query may bypass the memo
+// table to resolve a scheme. When the first query resolved the scheme, it
+// kept its training-window weight until a reload tracked it, and every
+// dropped node answered differently after the reload.
+func TestResolvedSchemeSurvivesReload(t *testing.T) {
+	g, err := datasets.GenCube(1, datasets.CubeGenForNodes(1_000, 2)).Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := core.Run(g, core.Options{Seed: 1, FixedGamma: true, Gamma0: 0.5, MaxIterations: 12, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := 0
+	for id := 0; id < g.NumNodes() && dropped < 50; id++ {
+		if _, hasModel := cfg.Models[id]; !hasModel {
+			delete(cfg.Schemes, id)
+			delete(cfg.Errors, id)
+			dropped++
+		}
+	}
+	if dropped < 50 {
+		t.Fatalf("only %d derived-only nodes to drop", dropped)
+	}
+	db, err := f2db.Open(g, cfg, f2db.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forecasts := func(db *f2db.DB) [][]float64 {
+		out := make([][]float64, g.NumNodes())
+		for id := range out {
+			if out[id], err = db.ForecastNode(id, 3); err != nil {
+				t.Fatalf("ForecastNode(%d): %v", id, err)
+			}
+		}
+		return out
+	}
+	before := forecasts(db)
+	var img bytes.Buffer
+	if err := f2db.SaveDatabase(&img, db); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := f2db.LoadDatabase(&img, f2db.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, differ := forecasts(loaded), 0
+	for id := range before {
+		for h := range before[id] {
+			if math.Float64bits(before[id][h]) != math.Float64bits(after[id][h]) {
+				differ++
+				t.Logf("node %d step %d: %v before the reload, %v after", id, h, before[id][h], after[id][h])
+				break
+			}
+		}
+	}
+	if differ != 0 {
+		t.Errorf("%d nodes answer differently after a reload", differ)
+	}
+	if n := db.Metrics().ForecastCacheBypasses; n != 0 {
+		t.Errorf("%d queries bypassed the memo table to resolve a scheme", n)
+	}
 }

@@ -529,8 +529,7 @@ func baselineDigest(cfg *core.Configuration) uint64 {
 }
 
 // TestBaselinesTwin holds every builder to its oracle bit for bit on the
-// three named data sets, a 300-base GenX set and the 330-node GenCube of the
-// sampled advisor goldens.
+// three named data sets, a 300-base GenX set and a 330-node GenCube.
 func TestBaselinesTwin(t *testing.T) {
 	sets := map[string]*datasets.Dataset{
 		"tourism": datasets.Tourism(42),

@@ -36,10 +36,7 @@ func DefaultConfig() Config { return Config{StabilityWeight: 0.5} }
 // Combined computes the single accuracy measure for the scheme sources →
 // target: the historical SMAPE inflated by the normalized weight
 // instability. The result is clamped to [0, Worst]. Histories are read from
-// src: the graph for exact values, or a sampling estimator
-// (cube.NewSampledSource) for the reservoir-sampled indicator — the same
-// formula evaluated on estimated aggregate histories, so large nodes are
-// scored without materializing them.
+// src.
 func Combined(src derivation.SeriesSource, target int, sources []int, cfg Config) float64 {
 	histErr, stab, err := derivation.HistoricalIndicators(src, target, sources, cfg.HistoryLen)
 	if err != nil || math.IsNaN(histErr) {
