@@ -239,8 +239,9 @@ func oneEvaluator(fsys fs.FS) error {
 // the coordinator's per-partition write epochs with their
 // batch-completion guess, fclient's health machine and backoff with
 // the network tier's option fields nothing set, the two indicator
-// kernels HistoricalIndicators replaced, and the sampled advisor: its
-// option, reservoir estimator, PPS-drawn schemes and error figures.
+// kernels HistoricalIndicators replaced, the sampled advisor: its
+// option, reservoir estimator, PPS-drawn schemes and error figures, and the
+// pending lock with its contention counter and the engine-lock witness.
 var goneNames = map[string]bool{
 	"AsyncMultiSource": true,
 	"CostTime":         true,
@@ -310,6 +311,14 @@ var goneNames = map[string]bool{
 	"SampleBound":      true,
 	"SeriesError":      true,
 	"MeanRelStd":       true,
+
+	"pendMu":          true,
+	"lockPending":     true,
+	"pendContention":  true,
+	"assertExclusive": true,
+	"writeHeld":       true,
+	"rLock":           true,
+	"wLock":           true,
 }
 
 // noGoneNames: no identifier, tests included, brings a gone name back.
@@ -401,9 +410,9 @@ func citedTestsExist(fsys fs.FS) error {
 // Legibility budget: non-test Go lines under internal/ and cmd/, and the
 // lines of the two documents a newcomer reads first. A change that needs
 // more re-records the number here and says why in CHANGES.md.
-const goLineBudget = 18303
+const goLineBudget = 18218
 
-var docLineBudget = map[string]int{"DESIGN.md": 1389, "README.md": 541}
+var docLineBudget = map[string]int{"DESIGN.md": 1385, "README.md": 541}
 
 // legibilityBudget: the program and its main documents stay within their
 // recorded line counts.

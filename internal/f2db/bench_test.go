@@ -262,7 +262,7 @@ func BenchmarkInsertBatch(b *testing.B) {
 
 // BenchmarkInsertParallel is the write-path scaling benchmark: one full
 // maintenance batch per op, driven by 1/2/4/8 concurrent writer goroutines
-// over disjoint parts of the batch, all through the one pending lock. The
+// over disjoint parts of the batch, all through the maintenance lock. The
 // advisor runs once; every sub-benchmark reopens the same snapshot so all
 // variants insert into identical engines.
 func BenchmarkInsertParallel(b *testing.B) {

@@ -142,13 +142,13 @@ func stateDigest(t testing.TB, db *DB) string {
 		b.WriteByte('\n')
 	}
 	pend := make(map[int]float64)
-	db.lockPending()
+	db.maint.Lock()
 	for ord, id := range db.graph.BaseIDs {
 		if db.present[ord] {
 			pend[id] = db.pending[ord]
 		}
 	}
-	db.pendMu.Unlock()
+	db.maint.Unlock()
 	pids := make([]int, 0, len(pend))
 	for id := range pend {
 		pids = append(pids, id)

@@ -23,11 +23,8 @@
 // readers and maintenance is lazy re-estimation (Section V delays parameter
 // re-estimation until a query references the model): a query that hits an
 // invalidated model drops its shared lock, takes the maintenance lock,
-// re-fits what it needs and answers before releasing it. Lock ownership on
-// the write side is witnessed by a guard value produced only by the acquire
-// helpers, so exclusive-only paths assert their lock instead of trusting a
-// convention. Engine counters are atomics (see metrics.go), so observing
-// the engine never blocks it.
+// re-fits what it needs and answers before releasing it. Engine counters are
+// atomics (see metrics.go), so observing the engine never blocks it.
 package f2db
 
 import (
@@ -115,18 +112,13 @@ type schemeState struct {
 type DB struct {
 	// maint serializes every state change: the batch advance (with its WAL
 	// append and fsync), every model re-fit, the durability layer's
-	// checkpoint, compaction and close, and replay. Lock order: maint before
-	// mu before pendMu.
+	// checkpoint, compaction and close, replay and snapshots. Lock order:
+	// maint before mu.
 	maint sync.Mutex
 	// mu separates shared readers (forecast queries, health and stats
 	// snapshots) from the exclusive in-memory apply of a state change, which
-	// always runs under maint too. Acquire it through rLock/wLock so lock
-	// ownership is witnessed by a guard (see below).
+	// always runs under maint too.
 	mu sync.RWMutex
-	// writeHeld is set while some goroutine holds mu exclusively; it backs
-	// assertExclusive, the runtime check that write-only paths really run
-	// under the write lock.
-	writeHeld atomic.Bool
 
 	graph *cube.Graph
 	cfg   *core.Configuration
@@ -146,19 +138,14 @@ type DB struct {
 
 	// pending is the insert batch being collected, as the dense column it
 	// becomes: pending[i] is the next observation of base node
-	// graph.BaseIDs[i], held once present[i] is set. pendMu guards both, and
-	// pendingTotal counts the slots that hold a value (written under pendMu,
+	// graph.BaseIDs[i], held once present[i] is set. maint guards both, and
+	// pendingTotal counts the slots that hold a value (written under maint,
 	// read lock-free by Stats). Time advances only once every base series has
 	// a value for the next time stamp, and the advance hands the column on as
-	// it stands, so nothing is copied. Only insert statements write it, each
-	// under maint; pendMu makes each batch's rows of one statement land at
-	// once for snapshots. Lock order: maint, then mu, then pendMu.
-	pendMu       sync.Mutex
+	// it stands, so nothing is copied.
 	pending      []float64
 	present      []bool
 	pendingTotal atomic.Int64
-	// pendContention counts pendMu acquisitions that found it held.
-	pendContention atomic.Int64
 
 	// baseCounts holds the number of base series per node (AVG queries),
 	// precomputed at Open so the read path never mutates shared state.
@@ -326,47 +313,6 @@ func (db *DB) Stats() Stats {
 // once (refitFor). It never escapes the package API.
 var errNeedsReestimate = errors.New("f2db: model awaits re-estimation")
 
-// guard witnesses ownership of the engine lock. It can only be produced by
-// rLock/wLock, so a function taking a guard provably runs under the lock,
-// and one requiring exclusivity can assert it instead of trusting a bool
-// threaded by convention, so a refactor cannot double-lock or race
-// silently. The read path takes rLock and passes no guard on: under the
-// shared lock it never writes.
-type guard struct{ exclusive bool }
-
-// rLock takes the shared engine lock and returns its witness.
-func (db *DB) rLock() guard {
-	db.mu.RLock()
-	return guard{}
-}
-
-// wLock takes the exclusive engine lock and returns its witness.
-func (db *DB) wLock() guard {
-	db.mu.Lock()
-	db.writeHeld.Store(true)
-	return guard{exclusive: true}
-}
-
-// unlock releases the lock a guard witnesses.
-func (db *DB) unlock(g guard) {
-	if g.exclusive {
-		db.writeHeld.Store(false)
-		db.mu.Unlock()
-		return
-	}
-	db.mu.RUnlock()
-}
-
-// assertExclusive panics unless the guard witnesses the write lock and the
-// write lock is actually held. Write-only paths (installModel, advanceBatch)
-// call it so a future refactor that drops the lock fails loudly instead of
-// racing.
-func (db *DB) assertExclusive(g guard) {
-	if !g.exclusive || !db.writeHeld.Load() {
-		panic("f2db: internal error: write path entered without the exclusive engine lock")
-	}
-}
-
 // ForecastNode answers a forecast for the node over horizon h steps using
 // the stored scheme and live model states, re-estimating invalid models
 // lazily (Section V: "we reduce maintenance overhead by delaying parameter
@@ -376,18 +322,18 @@ func (db *DB) assertExclusive(g guard) {
 // is the caller's own: the memo table's copy is cloned here, at the package
 // boundary.
 func (db *DB) ForecastNode(nodeID, h int) ([]float64, error) {
-	g := db.rLock()
+	db.mu.RLock()
 	fc, _, _, err := db.forecastIntervalLocked(nodeID, h, 0, false)
-	db.unlock(g)
+	db.mu.RUnlock()
 	if err == errNeedsReestimate {
 		db.maint.Lock()
 		defer db.maint.Unlock()
 		if err := db.refitFor([]int{nodeID}); err != nil {
 			return nil, err
 		}
-		g = db.rLock()
+		db.mu.RLock()
 		fc, _, _, err = db.forecastIntervalLocked(nodeID, h, 0, true)
-		db.unlock(g)
+		db.mu.RUnlock()
 	}
 	return append([]float64(nil), fc...), err
 }
@@ -530,10 +476,9 @@ func residualStd(m forecast.Model, step int) float64 {
 
 // installModel publishes a freshly fitted model: stores it, clears the
 // invalid flag, resets the maintenance statistics and bumps the memo
-// generation, invalidating every memoized forecast. The guard must witness
-// the write lock.
-func (db *DB) installModel(g guard, id int, m forecast.Model) {
-	db.assertExclusive(g)
+// generation, invalidating every memoized forecast. The caller holds maint
+// and mu exclusively.
+func (db *DB) installModel(id int, m forecast.Model) {
 	db.cfg.Models[id] = m
 	db.invalid[id] = false
 	st := db.mstats[id]
@@ -585,7 +530,7 @@ func (db *DB) InsertBase(baseID int, value float64) error {
 // restore and multi-row SQL INSERTs — where per-value InsertBase locking
 // dominates.
 //
-// The map is the boundary form only: past the pending lock a time point is
+// The map is the boundary form only: in the pending column a time point is
 // one dense []float64 in BaseIDs order, to the commit gate, the WAL and the
 // graph.
 //
@@ -602,12 +547,6 @@ func (db *DB) InsertBatch(values map[int]float64) error {
 		rows = append(rows, baseRow{id, v})
 	}
 	sortRows(rows)
-	return db.insertSorted(rows)
-}
-
-// insertSorted is the body of InsertBatch and of a multi-row SQL INSERT:
-// rows are distinct base nodes in ascending ID order.
-func (db *DB) insertSorted(rows []baseRow) error {
 	db.met.batchInserts.Add(1)
 	return db.applyRows(rows)
 }
@@ -618,15 +557,16 @@ func (db *DB) insertSorted(rows []baseRow) error {
 // order; the one that completes it advances time, and the rest land in the
 // next. A row before that point whose slot is taken repeats a pending value
 // and rejects the statement: validation finds it before any row lands, so a
-// rejected statement changes nothing. Each batch's rows land under one hold
-// of the pending lock — a snapshot sees all of them or none — and count as
-// inserts; only a failed commit returns an error after some did.
+// rejected statement changes nothing. The rows land under maint alone — a
+// snapshot, which takes maint, sees all of them or none — and count as
+// inserts before maint is released; only a failed commit returns an error
+// after some landed.
 func (db *DB) applyRows(rows []baseRow) error {
 	start, applied := time.Now(), 0
 	db.maint.Lock()
 	defer func() {
-		db.maint.Unlock()
 		db.met.inserts.Add(int64(applied))
+		db.maint.Unlock()
 		db.met.maintainNanos.Add(time.Since(start).Nanoseconds())
 	}()
 	// A batch left complete by a failed commit is applied first.
@@ -634,10 +574,8 @@ func (db *DB) applyRows(rows []baseRow) error {
 		return err
 	}
 	numBases := int64(len(db.graph.BaseIDs))
-	db.lockPending()
 	for i, free := 0, numBases-db.pendingTotal.Load(); i < len(rows) && free > 0; i, free = i+1, free-1 {
 		if ord, _ := db.graph.BaseOrdinal(rows[i].id); db.present[ord] { // callers resolved rows[i].id as a base node
-			db.pendMu.Unlock()
 			return fmt.Errorf("f2db: duplicate insert for base node %d in current batch", rows[i].id)
 		}
 	}
@@ -647,25 +585,10 @@ func (db *DB) applyRows(rows []baseRow) error {
 			db.pending[ord], db.present[ord] = rows[applied].value, true
 			db.pendingTotal.Add(1)
 		}
-		complete := db.pendingTotal.Load() == numBases
-		db.pendMu.Unlock()
-		if !complete {
-			return nil
-		}
 		if err := db.advanceIfComplete(); err != nil || applied == len(rows) {
 			return err
 		}
-		db.lockPending()
 	}
-}
-
-// lockPending acquires the pending lock, counting contended acquisitions.
-func (db *DB) lockPending() {
-	if db.pendMu.TryLock() {
-		return
-	}
-	db.pendContention.Add(1)
-	db.pendMu.Lock()
 }
 
 // advanceIfComplete applies the pending batch if it is complete. The
@@ -674,8 +597,6 @@ func (db *DB) lockPending() {
 // column. Readers keep answering from the previous time point while the
 // commit fsyncs.
 func (db *DB) advanceIfComplete() error {
-	// Only a statement under maint fills the column: it is readable without
-	// the pending lock.
 	if db.pendingTotal.Load() < int64(len(db.graph.BaseIDs)) {
 		return nil
 	}
@@ -688,30 +609,26 @@ func (db *DB) advanceIfComplete() error {
 			return err
 		}
 	}
-	g := db.wLock()
-	err := db.advanceBatch(g, db.pending)
-	db.releaseColumn(g)
-	db.unlock(g)
+	db.mu.Lock()
+	err := db.advanceBatch(db.pending)
+	db.releaseColumn()
+	db.mu.Unlock()
 	return err
 }
 
 // releaseColumn hands the pending column back to inserters after its batch
-// was applied: it clears the presence marks and the count in one hold of
-// the pending lock. The guard must witness the write lock.
-func (db *DB) releaseColumn(g guard) {
-	db.assertExclusive(g)
-	db.lockPending()
+// was applied: it clears the presence marks and the count. The caller holds
+// maint and mu exclusively.
+func (db *DB) releaseColumn() {
 	clear(db.present)
 	db.pendingTotal.Store(0)
-	db.pendMu.Unlock()
 }
 
 // advanceBatch processes a complete batch — one value per base series, in
 // BaseIDs order: appends the new values to every node series, updates model
 // states and derivation weights incrementally, and applies the invalidation
-// strategy. The guard must witness the write lock.
-func (db *DB) advanceBatch(g guard, column []float64) error {
-	db.assertExclusive(g)
+// strategy. The caller holds maint and mu exclusively.
+func (db *DB) advanceBatch(column []float64) error {
 	if err := db.graph.Advance(column); err != nil {
 		return err
 	}
@@ -749,8 +666,8 @@ func (db *DB) advanceBatch(g guard, column []float64) error {
 
 // InvalidCount returns how many models currently await re-estimation.
 func (db *DB) InvalidCount() int {
-	g := db.rLock()
-	defer db.unlock(g)
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	c := 0
 	for _, v := range db.invalid {
 		if v {
@@ -774,8 +691,8 @@ type ModelHealth struct {
 
 // Health returns a snapshot of every model's maintenance state.
 func (db *DB) Health() map[string]ModelHealth {
-	g := db.rLock()
-	defer db.unlock(g)
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	out := make(map[string]ModelHealth, len(db.cfg.Models))
 	for id, m := range db.cfg.Models {
 		st := db.mstats[id]

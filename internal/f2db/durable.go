@@ -309,8 +309,8 @@ func (d *Durable) applyReplayedBatch(gen uint64, column []float64) (applied bool
 	db := d.db
 	db.maint.Lock()
 	defer db.maint.Unlock()
-	g := db.wLock()
-	defer db.unlock(g)
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	length := uint64(db.graph.Length)
 	if gen < length {
 		return false, nil
@@ -318,11 +318,11 @@ func (d *Durable) applyReplayedBatch(gen uint64, column []float64) (applied bool
 	if gen > length {
 		return false, fmt.Errorf("f2db: recovery generation gap: batch %d but database at %d", gen, length)
 	}
-	if err := db.advanceBatch(g, column); err != nil {
+	if err := db.advanceBatch(column); err != nil {
 		return false, err
 	}
 	db.met.inserts.Add(int64(len(column)) - db.pendingTotal.Load())
-	db.releaseColumn(g)
+	db.releaseColumn()
 	return true, nil
 }
 
@@ -446,10 +446,11 @@ func (d *Durable) Checkpoint() error {
 // writeSnapshot serializes the engine and writes it through the crash-safe
 // file protocol: tmp file, fsync, rename into place, fsync the directory.
 // Either the old snapshot or the new one survives a crash — never a torn
-// mixture, never a rename whose directory entry evaporates.
+// mixture, never a rename whose directory entry evaporates. The caller holds
+// maint or is still single-threaded in OpenDurable.
 func (d *Durable) writeSnapshot() error {
 	var buf bytes.Buffer
-	if err := SaveDatabase(&buf, d.db); err != nil {
+	if err := d.db.saveDatabase(&buf); err != nil {
 		return err
 	}
 	if err := segment.WriteFileSync(d.fs, d.dir, snapshotFileName, buf.Bytes()); err != nil {

@@ -7,8 +7,10 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"cubefc/internal/core"
 	"cubefc/internal/cube"
@@ -283,8 +285,8 @@ func TestExecInsertAllocs(t *testing.T) {
 // pendingValues counts the values held in the pending column, by walking
 // its presence marks.
 func pendingValues(db *DB) (n int) {
-	db.lockPending()
-	defer db.pendMu.Unlock()
+	db.maint.Lock()
+	defer db.maint.Unlock()
 	for _, p := range db.present {
 		if p {
 			n++
@@ -344,8 +346,8 @@ func TestExecInsertAtomic(t *testing.T) {
 // pending values and their presence marks, the pending count, the insert and
 // batch counters, and every base series.
 func engineState(db *DB) string {
-	db.lockPending()
-	defer db.pendMu.Unlock()
+	db.maint.Lock()
+	defer db.maint.Unlock()
 	m := db.Metrics()
 	var b strings.Builder
 	fmt.Fprintf(&b, "pending %v\npresent %v\ntotal %d inserts %d batches %d\n", db.pending, db.present, db.pendingTotal.Load(), m.Inserts, m.Batches)
@@ -399,6 +401,45 @@ func TestRejectedInsertReplicaTwin(t *testing.T) {
 	}
 	if got := a.graph.Length; got != 9 {
 		t.Fatalf("replicas at length %d, want 9: one advance", got)
+	}
+}
+
+// TestInsertCountUnderMaint: a statement counts its rows as inserts before
+// it releases maint, so the next holder of maint never sees a landed row
+// that is not yet counted. One goroutine inserts row by row while the test
+// keeps taking maint and checks inserts = batches × bases + pending — the
+// count a snapshot records and a restarted shard reports.
+func TestInsertCountUnderMaint(t *testing.T) {
+	db, g := gridEngine(t, [2]string{"product", "city"}, numbered("P", 8), numbered("C", 8), Options{})
+	var stop atomic.Bool
+	done := make(chan error, 1)
+	go func() {
+		for v := 0.0; !stop.Load(); v++ {
+			for _, id := range g.BaseIDs {
+				if err := db.InsertBase(id, v); err != nil {
+					done <- err
+					return
+				}
+			}
+		}
+		done <- nil
+	}()
+	bases := int64(len(g.BaseIDs))
+	checks, lagging := 0, 0
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); checks++ {
+		db.maint.Lock()
+		inserts, batches, pending := db.met.inserts.Load(), db.met.batches.Load(), db.pendingTotal.Load()
+		db.maint.Unlock()
+		if inserts != batches*bases+pending {
+			lagging++
+		}
+	}
+	stop.Store(true)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if lagging > 0 {
+		t.Fatalf("%d of %d checks under maint saw landed rows not yet counted as inserts", lagging, checks)
 	}
 }
 

@@ -120,8 +120,9 @@ type Metrics struct {
 	ForecastCacheSize      int
 	EpochBumps             int64
 
-	// StripeContention has one element: the pending-lock acquisitions that
-	// found the lock held (writer-writer contention on the insert path).
+	// StripeContention is always empty: insert statements serialize on the
+	// maintenance lock, which has no contention counter. It stays for the
+	// benchmark harness that reads it.
 	StripeContention []int64
 
 	// Durability counters (zero on a non-durable engine): WAL record
@@ -162,7 +163,6 @@ func (db *DB) Metrics() Metrics {
 		ForecastCacheBypasses:  db.met.fcBypasses.Load(),
 		ForecastCacheEvictions: db.met.fcEvictions.Load(),
 		EpochBumps:             db.met.epochBumps.Load(),
-		StripeContention:       []int64{db.pendContention.Load()},
 
 		WALAppends:         db.met.walAppends.Load(),
 		WALSyncs:           db.met.walSyncs.Load(),
@@ -233,12 +233,6 @@ func (m Metrics) describe(r *metrics.Registry) {
 	r.Value("f2db_snapshot_writes_total", "Crash-safe snapshot files written.", float64(m.SnapshotWrites))
 
 	r.Break(false)
-	var contention int64 // a zero Metrics has no element
-	for _, n := range m.StripeContention {
-		contention += n
-	}
-	r.Value("f2db_pending_lock_contention_total", "Contended pending-lock acquisitions.", float64(contention))
-
 	r.HistogramValue("f2db_query_latency_seconds", "Per-forecast latency.", 1e9, m.QueryLatency)
 }
 

@@ -458,72 +458,9 @@ func TestStripeSnapshotMidBatch(t *testing.T) {
 	}
 }
 
-// TestStripeGuardWitness: exclusive-only paths must refuse to run without
-// the write lock — the guard replaces the old exclusive-flag convention
-// with an assertion that fails loudly.
-func TestStripeGuardWitness(t *testing.T) {
-	db, _, _ := testEngine(t, nil)
-
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: assertExclusive did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("zero guard", func() { db.assertExclusive(guard{}) })
-	mustPanic("read guard", func() {
-		g := db.rLock()
-		defer db.unlock(g)
-		db.assertExclusive(g)
-	})
-	// Forged exclusive guard without the lock held: the writeHeld check
-	// catches it.
-	mustPanic("forged guard", func() { db.assertExclusive(guard{exclusive: true}) })
-
-	g := db.wLock()
-	db.assertExclusive(g) // must not panic
-	db.unlock(g)
-}
-
-// TestStripeMetrics: an insert that finds the pending lock held counts one
-// contended acquisition, on Metrics and on the registry; an uncontended one
-// counts none.
-func TestStripeMetrics(t *testing.T) {
-	db, _, _ := testEngine(t, nil)
-	ids := db.Graph().BaseIDs()
-	if err := db.InsertBase(ids[0], 47); err != nil {
-		t.Fatal(err)
-	}
-	if c := db.Metrics().StripeContention; len(c) != 1 || c[0] != 0 {
-		t.Fatalf("contention %v after an uncontended insert, want [0]", c)
-	}
-	db.pendMu.Lock()
-	done := make(chan error)
-	go func() { done <- db.InsertBase(ids[1], 48) }()
-	for db.pendContention.Load() == 0 {
-		runtime.Gosched()
-	}
-	db.pendMu.Unlock()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if c := db.Metrics().StripeContention; len(c) != 1 || c[0] != 1 {
-		t.Fatalf("contention %v after one contended insert, want [1]", c)
-	}
-	if s := db.Metrics().String(); !strings.Contains(s, "f2db_pending_lock_contention_total=1") {
-		t.Fatalf("\\stats misses the contention count:\n%s", s)
-	}
-	if p := db.Stats().PendingInserts; p != 2 {
-		t.Fatalf("pending = %d, want 2", p)
-	}
-}
-
 // TestPendingSnapshotAtomic: SaveDatabase racing multi-row INSERTs that do
 // not complete a batch holds each statement's rows all or none — a
-// statement lands under one hold of the pending lock. Each round four
+// statement and a snapshot each hold the maintenance lock. Each round four
 // writers send disjoint 8-row statements covering all but the last 8 base
 // series, each waiting for the next snapshot before its next statement so
 // that every snapshot races statements in flight; then the rest completes

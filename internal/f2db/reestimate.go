@@ -90,11 +90,12 @@ func (db *DB) refit(ids []int) (int, error) {
 		}
 		wg.Wait()
 	}
-	installed, g := 0, db.wLock()
-	defer db.unlock(g)
+	installed := 0
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	for i, id := range todo {
 		if errs[i] == nil {
-			db.installModel(g, id, fitted[i])
+			db.installModel(id, fitted[i])
 			installed++
 		}
 	}

@@ -7,11 +7,11 @@ import (
 // invalidateAll marks every model as awaiting re-estimation, as an advance
 // under TimeBased{Every: 1} does.
 func invalidateAll(db *DB, ids []int) {
-	g := db.wLock()
+	db.mu.Lock()
 	for _, id := range ids {
 		db.invalid[id] = true
 	}
-	db.unlock(g)
+	db.mu.Unlock()
 }
 
 // BenchmarkReestimateWarm measures one full re-estimation round over every
@@ -40,9 +40,8 @@ func BenchmarkReestimateWarm(b *testing.B) {
 
 // BenchmarkInsertDuringReestimate measures insert latency while a
 // background goroutine keeps re-fitting every model under the maintenance
-// lock. It mostly times inserts that do not complete a batch: they take
-// only the pending lock and proceed while the fits hold the lock. One insert in
-// every len(BaseIDs) completes the batch and waits for the fit in flight.
+// lock. Every insert statement takes that lock too, so each one waits for
+// the fit in flight.
 func BenchmarkInsertDuringReestimate(b *testing.B) {
 	db, g := benchEngineOpts(b, Options{Strategy: TimeBased{Every: 1}})
 	ids := db.Configuration().ModelIDs()

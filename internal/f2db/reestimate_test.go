@@ -30,8 +30,8 @@ func observationsConsumed(m forecast.Model) int {
 // the graph length).
 func assertModelsCurrent(t *testing.T, db *DB) {
 	t.Helper()
-	g := db.rLock()
-	defer db.unlock(g)
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	length := db.graph.Length
 	for id, m := range db.cfg.Models {
 		if n := observationsConsumed(m); n >= 0 && n != length {

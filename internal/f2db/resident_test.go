@@ -54,7 +54,7 @@ func TestResidentSetTwin(t *testing.T) {
 	}
 
 	// The case names are those of the pending column's former stripe layouts
-	// (8 stripes, one stripe); on the one pending lock they vary the number of
+	// (8 stripes, one stripe); on the one maintenance lock they vary the number of
 	// concurrent writers that take each time point instead.
 	for _, c := range []struct {
 		name    string

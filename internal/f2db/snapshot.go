@@ -85,26 +85,27 @@ const planWarmupLimit = 64
 // low milliseconds on the evaluation cubes.
 const fcWarmupLimit = 256
 
-// SaveDatabase serializes the whole engine state. It holds the shared read
-// lock for the duration: concurrent queries proceed, maintenance waits.
-// Durable.Checkpoint calls it holding maint, so no advance can slip between
-// the snapshot and the generation it records.
+// SaveDatabase serializes the whole engine state. It holds maint for the
+// duration: concurrent queries proceed, while an insert statement, advance
+// or re-fit in flight finishes first and the next one waits, so the image
+// holds each statement's rows all or none. No writer takes mu without
+// maint, so the image needs no mu.
 func SaveDatabase(w io.Writer, db *DB) error {
-	g := db.rLock()
-	defer db.unlock(g)
-	// Copy the in-flight batch under the pending lock (lock order: maint,
-	// mu, then pendMu). The shared engine lock pins the batch advance, and
-	// the rows of a statement that does not complete a batch land under one
-	// hold of the pending lock, so the copy holds them all or none.
+	db.maint.Lock()
+	defer db.maint.Unlock()
+	return db.saveDatabase(w)
+}
+
+// saveDatabase is SaveDatabase for a caller that holds maint, such as
+// Durable.Checkpoint: no advance can slip between the snapshot and the
+// generation it records.
+func (db *DB) saveDatabase(w io.Writer) error {
 	held := make([]baseRow, 0, db.pendingTotal.Load())
-	db.lockPending()
 	for ord, id := range db.graph.BaseIDs {
 		if db.present[ord] {
 			held = append(held, baseRow{id, db.pending[ord]})
 		}
 	}
-	db.pendMu.Unlock()
-
 	img := dbImage{
 		Dims:         db.graph.Dims,
 		StepDuration: db.planner.step,
@@ -242,7 +243,7 @@ func LoadDatabase(r io.Reader, opts Options) (*DB, error) {
 // lock, ignoring failures (snapshot warmup; a model awaiting
 // re-estimation simply stays cold).
 func (db *DB) warmForecast(node, h int, conf float64) {
-	g := db.rLock()
+	db.mu.RLock()
 	_, _, _, _ = db.forecastIntervalLocked(node, h, conf, false)
-	db.unlock(g)
+	db.mu.RUnlock()
 }

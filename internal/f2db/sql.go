@@ -86,7 +86,8 @@ func (db *DB) Exec(sql string) error {
 	if err := sc.rejectDuplicates(db.graph); err != nil {
 		return err
 	}
-	return db.insertSorted(sc.rows)
+	db.met.batchInserts.Add(1)
+	return db.applyRows(sc.rows)
 }
 
 // Query parses and executes a (forecast) query. Queries constrained to one
@@ -109,9 +110,9 @@ func (db *DB) Query(sql string) (*Result, error) {
 	if t := db.tele.Load(); t != nil {
 		t.t.ObserveTemplate(key)
 	}
-	g := db.rLock()
+	db.mu.RLock()
 	res, err := db.execPlan(plan, false)
-	db.unlock(g)
+	db.mu.RUnlock()
 	if err != errNeedsReestimate {
 		return res, err
 	}
@@ -120,8 +121,8 @@ func (db *DB) Query(sql string) (*Result, error) {
 	if err := db.refitFor(plan.Nodes); err != nil {
 		return nil, err
 	}
-	g = db.rLock()
-	defer db.unlock(g)
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	return db.execPlan(plan, true)
 }
 

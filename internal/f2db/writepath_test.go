@@ -17,12 +17,12 @@ import (
 )
 
 // Gates and the twin of the durable write path (DESIGN.md §6, §8): a time
-// point is one dense column from the pending lock to the graph, and a compaction
+// point is one dense column from the pending batch to the graph, and a compaction
 // encodes into one buffer.
 
 // cubeDurable opens a durable engine over MemFS on a synthetic two-dimension
 // cube of about the given node count, every node materialized, with an empty
-// configuration: what is measured is the write path — pending lock, commit gate,
+// configuration: what is measured is the write path — pending column, commit gate,
 // WAL, Graph.Advance, compaction — not model maintenance.
 func cubeDurable(t testing.TB, nodes int) (*Durable, []int) {
 	t.Helper()
@@ -97,7 +97,7 @@ func TestCompactAllocs(t *testing.T) {
 }
 
 // TestDurableAdvanceAllocs: one full time point through InsertBatch on a
-// durable engine — pending lock, commit gate, WAL append, Graph.Advance — allocates
+// durable engine — pending column, commit gate, WAL append, Graph.Advance — allocates
 // a constant whatever the number of series: InsertBatch's sorted copy of its
 // map, and now and then MemFS growing the log file. Before the column it also
 // built a map and an entry slice of one element per base series and sorted
@@ -264,9 +264,9 @@ func TestStripedInsertTwin(t *testing.T) {
 		}
 		held := 0
 		for ord, id := range ids {
-			db.lockPending()
+			db.maint.Lock()
 			present, v := db.present[ord], db.pending[ord]
-			db.pendMu.Unlock()
+			db.maint.Unlock()
 			ov, ok := o.pending[id]
 			if present != ok || present && math.Float64bits(v) != math.Float64bits(ov) {
 				t.Fatalf("%s: base node %d holds (%v, %v), oracle (%v, %v)", name, id, v, present, ov, ok)
@@ -440,7 +440,7 @@ func TestReplayRejectsForeignIDs(t *testing.T) {
 }
 
 // BenchmarkDurableTimePoint: one full time point of the 6 889-series cube
-// through InsertBatch on a durable engine over MemFS — pending lock, commit gate,
+// through InsertBatch on a durable engine over MemFS — pending column, commit gate,
 // WAL append, Graph.Advance over every materialized node; no compaction.
 func BenchmarkDurableTimePoint(b *testing.B) {
 	dur, ids := cubeDurable(b, 10_000)

@@ -327,7 +327,7 @@ func Run(db *f2db.DB, gen *Generator, opts Options) (RunResult, error) {
 		// whole time advance; the query/insert ratio is preserved by
 		// issuing the batch's query share afterwards. With InsertWriters
 		// > 1 the advance is driven by parallel streams over disjoint
-		// parts of the batch (concurrent writers on the pending lock).
+		// parts of the batch (concurrent writers on the maintenance lock).
 		if opts.InsertWriters > 1 {
 			parts := SplitBatch(batch, opts.InsertWriters)
 			errs := make([]error, len(parts))
