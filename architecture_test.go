@@ -240,8 +240,10 @@ func oneEvaluator(fsys fs.FS) error {
 // batch-completion guess, fclient's health machine and backoff with
 // the network tier's option fields nothing set, the two indicator
 // kernels HistoricalIndicators replaced, the sampled advisor: its
-// option, reservoir estimator, PPS-drawn schemes and error figures, and the
-// pending lock with its contention counter and the engine-lock witness.
+// option, reservoir estimator, PPS-drawn schemes and error figures, the
+// pending lock with its contention counter and the engine-lock witness,
+// the read table's singleflight, and the generator and self-tuning option
+// fields no program set.
 var goneNames = map[string]bool{
 	"AsyncMultiSource": true,
 	"CostTime":         true,
@@ -319,6 +321,18 @@ var goneNames = map[string]bool{
 	"writeHeld":       true,
 	"rLock":           true,
 	"wLock":           true,
+
+	"GenXOptions":   true,
+	"SeasonalShare": true,
+	"MaxTemplates":  true,
+	"HalfLife":      true,
+	"MinHistory":    true,
+	"EvictBelow":    true,
+	"MaxPerTick":    true,
+	"MinGap":        true,
+	"Hysteresis":    true,
+	"flSt":          true,
+	"flRes":         true,
 }
 
 // noGoneNames: no identifier, tests included, brings a gone name back.
@@ -410,9 +424,9 @@ func citedTestsExist(fsys fs.FS) error {
 // Legibility budget: non-test Go lines under internal/ and cmd/, and the
 // lines of the two documents a newcomer reads first. A change that needs
 // more re-records the number here and says why in CHANGES.md.
-const goLineBudget = 18218
+const goLineBudget = 18084
 
-var docLineBudget = map[string]int{"DESIGN.md": 1385, "README.md": 541}
+var docLineBudget = map[string]int{"DESIGN.md": 1382, "README.md": 541}
 
 // legibilityBudget: the program and its main documents stay within their
 // recorded line counts.

@@ -164,7 +164,7 @@ func BenchmarkFig8fModelFraction(b *testing.B) {
 // cmd/experiments -fig 9a -scale paper).
 func BenchmarkFig9aScalability(b *testing.B) {
 	for _, x := range []int{200, 1000} {
-		ds := datasets.GenX(42, x, datasets.GenXOptions{})
+		ds := datasets.GenX(42, x)
 		g, err := ds.Graph()
 		if err != nil {
 			b.Fatal(err)
@@ -190,7 +190,7 @@ func BenchmarkFig9bQueryInsert(b *testing.B) {
 		b.Run(fmt.Sprintf("ratio=%d", ratio), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				ds := datasets.GenX(42, 300, datasets.GenXOptions{})
+				ds := datasets.GenX(42, 300)
 				g, err := ds.Graph()
 				if err != nil {
 					b.Fatal(err)
@@ -255,7 +255,7 @@ func BenchmarkAblationNoDeletion(b *testing.B) {
 // --- Micro-benchmarks ------------------------------------------------------
 
 func BenchmarkGraphBuild(b *testing.B) {
-	ds := datasets.GenX(42, 1000, datasets.GenXOptions{})
+	ds := datasets.GenX(42, 1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ds.Graph(); err != nil {
@@ -329,7 +329,7 @@ func BenchmarkForecastNodeDirect(b *testing.B) {
 }
 
 func BenchmarkInsertBatch(b *testing.B) {
-	ds := datasets.GenX(42, 200, datasets.GenXOptions{})
+	ds := datasets.GenX(42, 200)
 	g, err := ds.Graph()
 	if err != nil {
 		b.Fatal(err)

@@ -78,7 +78,7 @@ func load(name string, seed int64) (*datasets.Dataset, error) {
 			if err != nil || x < 1 {
 				return nil, fmt.Errorf("datagen: malformed genX data set %q", name)
 			}
-			return datasets.GenX(seed, x, datasets.GenXOptions{}), nil
+			return datasets.GenX(seed, x), nil
 		}
 		return nil, fmt.Errorf("datagen: unknown data set %q", name)
 	}

@@ -117,7 +117,7 @@ func run(o *options) error {
 			}
 		}()
 		regs := []*metrics.Registry{h.DB.Registry()}
-		if sib := o.tune.New(nil); sib != nil {
+		if sib := o.tune.New(); sib != nil {
 			h.Tune(sib)
 			regs = append(regs, sib.Metrics().Registry())
 			sib.Start()

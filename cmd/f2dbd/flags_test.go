@@ -11,9 +11,10 @@ import (
 const parentFlags = `addr=:7071 checkpoint-batches=0 checkpoint-every=0s cold-refit=false compact-every=256 config= coord-cache-size=1024 coordinator=false csv= dataset=tourism db= dims= drain-timeout=30s eager-reestimate=false fsync=always idle-timeout=0s lazy=false log-retain=0 max-conns=0 metrics= parallelism=0 period=1 pprof=false request-timeout=0s sample-size=0 save= selftune=false selftune-bucket=1s selftune-horizon=1 selftune-season=0 shards= stripes=0 wal-dir=`
 
 // TestFlagSet pins what the binary accepts: the parent's set minus -lazy,
-// -cold-refit, -eager-reestimate, -parallelism, -stripes and -sample-size.
+// -cold-refit, -eager-reestimate, -parallelism, -stripes, -sample-size and
+// -selftune-horizon.
 func TestFlagSet(t *testing.T) {
-	want := strings.NewReplacer("cold-refit=false ", "", "lazy=false ", "", "eager-reestimate=false ", "", "parallelism=0 ", "", "stripes=0 ", "", "sample-size=0 ", "").Replace(parentFlags)
+	want := strings.NewReplacer("cold-refit=false ", "", "lazy=false ", "", "eager-reestimate=false ", "", "parallelism=0 ", "", "stripes=0 ", "", "sample-size=0 ", "", "selftune-horizon=1 ", "").Replace(parentFlags)
 	fs := flag.NewFlagSet("f2dbd", flag.ContinueOnError)
 	registerFlags(fs)
 	var got []string

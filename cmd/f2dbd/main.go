@@ -116,7 +116,7 @@ func main() {
 	// sidecars are registries of state beside the backend: they follow the
 	// server's on \stats and on -metrics.
 	var sidecars []*metrics.Registry
-	sib := o.tune.New(logf)
+	sib := o.tune.New()
 	if sib != nil {
 		sidecars = append(sidecars, sib.Metrics().Registry())
 	}
@@ -169,7 +169,7 @@ func main() {
 	}
 	if sib != nil {
 		sib.Start()
-		logf("self-tuning every %s (horizon %d, season %d)", sib.Bucket(), o.tune.Options.Horizon, o.tune.Options.Season)
+		logf("self-tuning every %s (season %d)", sib.Bucket(), o.tune.Options.Season)
 	}
 
 	errc := make(chan error, 1)

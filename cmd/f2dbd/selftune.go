@@ -30,7 +30,6 @@ func attachCoordTuning(sib *sibyl.Engine, co *coord.Coordinator, cacheSize int) 
 	}
 	if cacheSize > 0 {
 		acts = append(acts, &sibyl.CacheSizer{
-			Name:    "coord-cache",
 			Apply:   func(n int) { co.SetCacheCapacity(n) },
 			Min:     64,
 			Max:     64 << 10,

@@ -34,23 +34,18 @@ import (
 //     its key, never swept: a write costs one counter increment, not a
 //     table scan. The plan stays.
 //
-// Each entry also carries its own singleflight: concurrent identical
-// statements under the same stamp share one shard request. The miss
-// thundering herd right after each write collapses to a single request;
-// every waiter gets the leader's answer. A flight records the stamp it
-// started under and admits only same-stamp waiters — a query that arrives
-// after a newer write must not be served an answer that may predate it.
-// Waiters sleep on one condition variable over the table mutex, so neither
-// a flight nor a wait allocates.
+// Concurrent identical misses each ask a shard. In traced runs of every
+// benchmark workload no miss ever found a same-epoch request for its
+// statement in flight, so a singleflight that joins them saved nothing.
 //
 // Stamp/fill protocol. A lookup samples the epoch once the entry is in hand
 // and serves the stored result only if its stamp equals that sample: no
 // write was logged between the fetch that produced the result and the
 // sample. A write whose bump lands after the sample is concurrent with this
-// query, and a query racing a write may see either side. A flight fills the
-// entry only if the epoch is still the one it started under; when it is
+// query, and a query racing a write may see either side. A fetch fills the
+// entry only if the epoch is still the one sampled before it; when it is
 // not, the shards may have answered before or after applying the write,
-// which is correct for the flight's own callers but must not speak for the
+// which is correct for the fetch's own caller but must not speak for the
 // new epoch.
 //
 // A result is the shard's encoded RESULT payload, relayed as it arrived
@@ -66,34 +61,20 @@ type entry struct {
 	// and again once a lookup finds st out of date.
 	st  uint64
 	res []byte
-	// The entry's flight: flying while a shard request for it is out,
-	// started under epoch flSt. flights counts the flights ever started, and
-	// flRes/flErr hold the outcome of the latest once it has landed — what
-	// its waiters return.
-	flying  bool
-	flSt    uint64
-	flights uint64
-	flRes   []byte
-	flErr   error
 }
 
 // readCache is the coordinator's statement-keyed read fast path: the entry
-// table, whose entries carry their own flights, under one lock. It is safe
-// for concurrent use.
+// table under one lock. It is safe for concurrent use.
 type readCache struct {
 	epoch *atomic.Uint64
 	met   *Metrics
 
-	mu sync.Mutex
-	// landed is signalled, over mu, whenever a flight lands.
-	landed sync.Cond
-	tab    *lru.Cache[string, *entry]
+	mu  sync.Mutex
+	tab *lru.Cache[string, *entry]
 }
 
 func newReadCache(capacity int, epoch *atomic.Uint64, met *Metrics) *readCache {
-	rc := &readCache{epoch: epoch, met: met, tab: lru.New[string, *entry](capacity)}
-	rc.landed.L = &rc.mu
-	return rc
+	return &readCache{epoch: epoch, met: met, tab: lru.New[string, *entry](capacity)}
 }
 
 // freshLocked samples the epoch and returns it with the entry's result if
@@ -142,51 +123,22 @@ func (rc *readCache) lookup(key, sql string, p *f2db.Planner) (*entry, []byte, e
 }
 
 // fill is the miss path for an entry lookup returned without a result: it
-// serves a result another flight stored meanwhile, joins the entry's
-// in-progress same-stamp flight when there is one, and otherwise runs fetch
-// (the real shard request) as the flight's leader, handing the answer to
-// its waiters and — if no write intervened — to the entry. fetch
-// returns a payload nobody else holds; from here on it is shared and
-// read-only.
+// serves a result another fill stored meanwhile, and otherwise runs fetch
+// (the real shard request) and — if no write intervened — stores the answer
+// in the entry. fetch returns a payload nobody else holds; from here on it
+// is shared and read-only.
 func (rc *readCache) fill(key string, ent *entry, fetch func() ([]byte, error)) ([]byte, error) {
 	rc.mu.Lock()
-	var st uint64
-	for {
-		var res []byte
-		if st, res = rc.freshLocked(ent); res != nil {
-			rc.mu.Unlock()
-			rc.met.CacheHits.Add(1)
-			return res, nil
-		}
-		if !ent.flying {
-			break
-		}
-		// Join a same-stamp flight. A flight from an older stamp may answer
-		// from before writes this query must observe: wait it out and look
-		// again rather than racing a second flight on the entry.
-		n, join := ent.flights, ent.flSt == st
-		if join {
-			rc.met.CacheCoalesced.Add(1)
-		}
-		for ent.flying && ent.flights == n {
-			rc.landed.Wait()
-		}
-		if join && ent.flights == n {
-			res, err := ent.flRes, ent.flErr
-			rc.mu.Unlock()
-			return res, err
-		}
-		// A later flight overtook ours before this waiter woke: look again.
-	}
-	ent.flying, ent.flSt = true, st
-	ent.flights++
+	st, res := rc.freshLocked(ent)
 	rc.mu.Unlock()
+	if res != nil {
+		rc.met.CacheHits.Add(1)
+		return res, nil
+	}
 	rc.met.CacheMisses.Add(1)
 
 	res, err := fetch()
-
 	rc.mu.Lock()
-	ent.flying, ent.flRes, ent.flErr = false, res, err
 	if err == nil && rc.epoch.Load() == st {
 		ent.st, ent.res = st, res
 		// Re-seat the entry: it may have been evicted during the request,
@@ -196,7 +148,6 @@ func (rc *readCache) fill(key string, ent *entry, fetch func() ([]byte, error)) 
 		}
 	}
 	rc.mu.Unlock()
-	rc.landed.Broadcast()
 	return res, err
 }
 

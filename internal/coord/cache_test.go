@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"cubefc/internal/core"
 	"cubefc/internal/cube"
@@ -292,70 +291,11 @@ func TestReadCacheRouteMemo(t *testing.T) {
 	}
 }
 
-// TestReadCacheCoalesce: concurrent identical statements at one epoch
-// share a single fetch — the waiters never go to a shard themselves.
-func TestReadCacheCoalesce(t *testing.T) {
-	g, _ := buildCube(t)
-	p := f2db.NewPlanner(g, 0)
-	var epoch atomic.Uint64
-	m := newMetrics(nil)
-	rc := newReadCache(4, &epoch, m)
-	res := []byte("x")
-	release := make(chan struct{})
-	var fetches atomic.Int64
-
-	leaderGot := make(chan []byte, 1)
-	go func() {
-		r, _ := ask(rc, p, qK, func() ([]byte, error) {
-			fetches.Add(1)
-			<-release
-			return res, nil
-		})
-		leaderGot <- r
-	}()
-	waitFor(t, "flight registered", func() bool {
-		rc.mu.Lock()
-		defer rc.mu.Unlock()
-		ent, ok := rc.tab.Get(qK)
-		return ok && ent.flying
-	})
-
-	const waiters = 8
-	var wg sync.WaitGroup
-	got := make([][]byte, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// A nil-safe fetch that must never run: the waiters join the
-			// leader's flight instead.
-			got[i], _ = ask(rc, p, qK, func() ([]byte, error) {
-				t.Error("waiter fetched instead of coalescing")
-				return nil, nil
-			})
-		}(i)
-	}
-	waitFor(t, "waiters coalesced", func() bool { return m.CacheCoalesced.Load() == waiters })
-	close(release)
-	wg.Wait()
-	if r := <-leaderGot; !same(r, res) {
-		t.Fatal("leader returned wrong result")
-	}
-	for i := range got {
-		if !same(got[i], res) {
-			t.Fatalf("waiter %d got a different result", i)
-		}
-	}
-	if fetches.Load() != 1 || m.CacheMisses.Load() != 1 {
-		t.Fatalf("fetches=%d misses=%d, want 1 and 1", fetches.Load(), m.CacheMisses.Load())
-	}
-}
-
-// TestReadCacheStaleFlightRetry: a write that lands while a fetch is in
-// flight (1) stops the flight from filling the cache and (2) forces a
-// later arrival at the new epoch to wait the old flight out and refetch —
-// it must never be served the possibly-pre-write answer.
-func TestReadCacheStaleFlightRetry(t *testing.T) {
+// TestReadCacheStaleFill: a write that lands while a fetch is out leaves
+// the fetch's caller its answer but keeps that answer out of the entry — it
+// may predate the write. The next miss, at the new epoch, fetches and
+// fills, and the hit after it serves the fresh answer.
+func TestReadCacheStaleFill(t *testing.T) {
 	g, _ := buildCube(t)
 	p := f2db.NewPlanner(g, 0)
 	var epoch atomic.Uint64
@@ -363,43 +303,34 @@ func TestReadCacheStaleFlightRetry(t *testing.T) {
 	rc := newReadCache(4, &epoch, m)
 	old := []byte("old")
 	fresh := []byte("new")
-	release := make(chan struct{})
 
-	go func() {
-		_, _ = ask(rc, p, qK, func() ([]byte, error) {
-			<-release
-			return old, nil
-		})
-	}()
-	waitFor(t, "flight registered", func() bool {
-		rc.mu.Lock()
-		defer rc.mu.Unlock()
-		ent, ok := rc.tab.Get(qK)
-		return ok && ent.flying
+	got, err := ask(rc, p, qK, func() ([]byte, error) {
+		epoch.Add(1) // a write lands while the fetch is out
+		return old, nil
 	})
-	epoch.Add(1) // a write lands mid-flight
+	if err != nil || !same(got, old) {
+		t.Fatalf("the fetch's caller got %q, %v; want its own answer", got, err)
+	}
+	rc.mu.Lock()
+	ent, ok := rc.tab.Get(qK)
+	stored := ok && ent.res != nil
+	rc.mu.Unlock()
+	if stored {
+		t.Fatal("an answer fetched across a write was stored")
+	}
 
-	done := make(chan []byte, 1)
-	go func() {
-		r, _ := ask(rc, p, qK, func() ([]byte, error) { return fresh, nil })
-		done <- r
-	}()
-	time.Sleep(20 * time.Millisecond) // let the new-epoch caller park on the stale flight
-	close(release)
-	if r := <-done; !same(r, fresh) {
-		t.Fatal("new-epoch caller was served the stale flight's answer")
+	fetches := 0
+	if got, _ = ask(rc, p, qK, func() ([]byte, error) { fetches++; return fresh, nil }); !same(got, fresh) || fetches != 1 {
+		t.Fatalf("miss at the new epoch got %q after %d fetches; want the fresh answer from 1", got, fetches)
 	}
-	if m.CacheCoalesced.Load() != 0 {
-		t.Fatal("new-epoch caller coalesced onto a stale flight")
-	}
-	// The leader must not have filled (epoch moved); the retry did, at the
-	// new epoch.
-	got, _ := ask(rc, p, qK, func() ([]byte, error) {
-		t.Fatal("refetch ran; the retry's fill is missing")
+	if got, _ = ask(rc, p, qK, func() ([]byte, error) {
+		t.Fatal("refetch ran; the new-epoch fill is missing")
 		return nil, nil
-	})
-	if !same(got, fresh) {
-		t.Fatal("cache holds the stale answer")
+	}); !same(got, fresh) {
+		t.Fatal("the hit did not serve the fresh answer")
+	}
+	if m.CacheMisses.Load() != 2 || m.CacheHits.Load() != 1 {
+		t.Fatalf("misses=%d hits=%d, want 2 and 1", m.CacheMisses.Load(), m.CacheHits.Load())
 	}
 }
 

@@ -43,8 +43,7 @@
 // encoded RESULT payload is checked (wire.CheckResult), relayed and cached
 // as it arrived, never decoded (AppendQuery). Reads have a statement-keyed
 // fast path (cache.go): one table holding each statement's plan and that
-// payload, the payload invalidated by the write epoch, and in each entry a
-// singleflight coalescing identical concurrent misses — hot statements skip
+// payload, the payload invalidated by the write epoch — hot statements skip
 // planning and the shard hop entirely (Options.CacheSize, f2dbd
 // -coord-cache-size).
 package coord
@@ -98,7 +97,7 @@ type Options struct {
 	// CacheSize enables the read fast path (cache.go): an LRU of this many
 	// statements keyed by normalized statement text, each entry holding
 	// the statement's plan and the shard's encoded answer, the answer
-	// invalidated by write epoch, with singleflight coalescing. 0 disables
+	// invalidated by write epoch. 0 disables
 	// caching entirely — every query pays planning and the shard hop.
 	CacheSize int
 	// LogRetain bounds the retained statement log: entries applied by
@@ -582,8 +581,7 @@ func (c *Coordinator) realignLocked(inserts uint64) (int, bool) {
 //
 // With Options.CacheSize set, hot statements never touch the shards: one
 // lookup in the read table (cache.go) yields the plan and, while no
-// write intervened, the payload; concurrent identical misses are
-// coalesced into one shard request. The uncached path below is kept as
+// write intervened, the payload. The uncached path below is kept as
 // the reference the twin tests compare the table against.
 func (c *Coordinator) AppendQuery(dst []byte, sql string) ([]byte, error) {
 	if c.cache == nil {
@@ -773,9 +771,10 @@ func (c *Coordinator) StatsText() string {
 	return b.String()
 }
 
-// Counts reports the coordinator's applied progress for TInfo: total rows
-// across fully-settled log entries, and 0 batches (batch accounting lives
-// in the shard engines).
+// Counts reports the coordinator's progress for TInfo: the cumulative row
+// count of the last appended log entry (rows logged, whether or not every
+// shard has applied them yet), and 0 batches (batch accounting lives in the
+// shard engines).
 func (c *Coordinator) Counts() (inserts, batches uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -26,18 +26,20 @@ type Metrics struct {
 
 	// Read fast path (cache.go): statements answered from the result
 	// cache without touching a shard, shard requests actually performed on
-	// a miss, concurrent identical statements coalesced onto an in-flight
-	// request, LRU evictions, entries discarded because a write bumped
+	// a miss, LRU evictions, entries discarded because a write bumped
 	// the epoch since their fill, and statements whose routing came from
 	// the memo instead of a re-parse.
 	CacheHits          atomic.Int64
 	CacheMisses        atomic.Int64
-	CacheCoalesced     atomic.Int64
 	CacheEvictions     atomic.Int64
 	CacheInvalidations atomic.Int64
 	RouteMemoHits      atomic.Int64
 	// CacheResizes counts SetCacheCapacity calls (the self-tuning sizer).
 	CacheResizes atomic.Int64
+	// CacheCoalesced is always 0: the read table has no singleflight, so
+	// no miss joins another's request. It stays for the benchmark harness
+	// that reads it.
+	CacheCoalesced atomic.Int64
 
 	// EpochGlobalBumps counts write-epoch bumps: one per logged Exec.
 	EpochGlobalBumps atomic.Int64
@@ -93,7 +95,6 @@ func (m *Metrics) Registry() *metrics.Registry {
 	r.Break(false)
 	r.Int("coord_cache_hits_total", "Statements served from the result cache (no shard request).", &m.CacheHits)
 	r.Int("coord_cache_misses_total", "Result-cache misses that went to a shard.", &m.CacheMisses)
-	r.Int("coord_cache_coalesced_total", "Statements coalesced onto an in-flight identical request.", &m.CacheCoalesced)
 	r.Int("coord_cache_evictions_total", "Result-cache LRU evictions.", &m.CacheEvictions)
 	r.Int("coord_cache_invalidations_total", "Cached results discarded because a write bumped the epoch.", &m.CacheInvalidations)
 	r.Int("coord_route_memo_hits_total", "Statements routed from the memo without re-parsing.", &m.RouteMemoHits)

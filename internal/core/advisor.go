@@ -497,11 +497,6 @@ func (a *Advisor) Step() (done bool, err error) {
 	if a.alphaExhausted {
 		return true, ErrStopped
 	}
-	select {
-	case <-a.opts.Context.Done():
-		return true, nil
-	default:
-	}
 	a.iter++
 	snap := Snapshot{Iteration: a.iter, Alpha: a.alpha, Gamma: a.gamma}
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -220,19 +219,6 @@ func TestAdvisorTargetError(t *testing.T) {
 	// Initial config already satisfies such a loose target.
 	if cfg.NumModels() > 3 {
 		t.Fatalf("loose target error should stop early, got %d models", cfg.NumModels())
-	}
-}
-
-func TestAdvisorContextCancel(t *testing.T) {
-	g := seasonalCube(t, 6)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already canceled: Run must return promptly with the initial config
-	cfg, err := Run(g, Options{Seed: 6, Context: ctx})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.NumModels() != 1 {
-		t.Fatalf("canceled advisor should keep the initial configuration, got %d models", cfg.NumModels())
 	}
 }
 

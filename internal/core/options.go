@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"runtime"
 	"time"
 
@@ -97,8 +96,6 @@ type Options struct {
 	// the advisor "continuously outputs the forecast error as well as
 	// the model costs of the current best configuration" (Section IV-D).
 	OnIteration func(Snapshot)
-	// Context cancels the advisor between iterations (anytime operation).
-	Context context.Context
 
 	// Seed drives the randomized multi-source probes.
 	Seed int64
@@ -140,9 +137,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MultiSourceProbes == 0 {
 		o.MultiSourceProbes = 2 * o.Parallelism
-	}
-	if o.Context == nil {
-		o.Context = context.Background()
 	}
 	return o
 }

@@ -76,19 +76,16 @@ type SelfTune struct {
 func (s *SelfTune) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&s.On, "selftune", false, "run the self-forecasting engine: per-template workload prediction drives cache pre-warming, trough-scheduled maintenance and adaptive cache sizing; counters on \\stats and -metrics")
 	fs.DurationVar(&s.Options.Bucket, "selftune-bucket", time.Second, "self-tuning arrival-count bucket width (and control-loop period)")
-	fs.IntVar(&s.Options.Horizon, "selftune-horizon", 1, "self-tuning forecast horizon in buckets")
 	fs.IntVar(&s.Options.Season, "selftune-season", 0, "self-tuning seasonal period in buckets (0 = non-seasonal smoothing)")
 }
 
 // New returns the configured self-forecasting engine, not yet attached to
-// a tier or started, or nil without -selftune. logf may be nil.
-func (s *SelfTune) New(logf Logf) *sibyl.Engine {
+// a tier or started, or nil without -selftune.
+func (s *SelfTune) New() *sibyl.Engine {
 	if !s.On {
 		return nil
 	}
-	opts := s.Options
-	opts.Logf = logf
-	return sibyl.New(opts)
+	return sibyl.New(s.Options)
 }
 
 // Metrics configures the sidecar HTTP listener.

@@ -41,8 +41,8 @@ func TestGroupsDeclareEachFlagOnce(t *testing.T) {
 	fs, _, _, _, _ := register()
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 4+5+4+2 {
-		t.Fatalf("the four groups declare %d flags, want 15", n)
+	if n != 4+5+3+2 {
+		t.Fatalf("the four groups declare %d flags, want 14", n)
 	}
 }
 
@@ -195,11 +195,11 @@ func TestPprofNeedsMetrics(t *testing.T) {
 
 func TestSelfTuneOff(t *testing.T) {
 	_, _, tune, _ := parse(t, "-selftune-season", "4")
-	if sib := tune.New(nil); sib != nil {
+	if sib := tune.New(); sib != nil {
 		t.Fatal("New without -selftune built an engine")
 	}
 	_, _, tune, _ = parse(t, "-selftune", "-selftune-bucket", "200ms")
-	sib := tune.New(nil)
+	sib := tune.New()
 	if sib == nil || sib.Bucket().Milliseconds() != 200 {
 		t.Fatalf("New with -selftune -selftune-bucket 200ms = %v", sib)
 	}
@@ -215,7 +215,7 @@ func TestCloseStopsWhatWasStarted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sib := tune.New(t.Logf)
+	sib := tune.New()
 	h.Tune(sib)
 	h.Checkpoints(f2db.CheckpointPolicy{EveryBatches: 1}, t.Logf)
 	sib.Start()

@@ -157,14 +157,12 @@ func (h *Handle) Tune(sib *sibyl.Engine) {
 			}
 		}},
 		&sibyl.CacheSizer{
-			Name:    "plan-cache",
 			Apply:   func(n int) { db.SetPlanCacheCapacity(n) },
 			Min:     64,
 			Max:     64 << 10,
 			Current: plans,
 		},
 		&sibyl.CacheSizer{
-			Name:        "forecast-cache",
 			Apply:       func(n int) { db.SetForecastCacheCapacity(n) },
 			Min:         256,
 			Max:         1 << 20,

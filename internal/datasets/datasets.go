@@ -222,35 +222,18 @@ func GenLevels(x int) int {
 	}
 }
 
-// GenXOptions sizes the GenX generator.
-type GenXOptions struct {
-	// Length is the observations per series (default 48).
-	Length int
-	// Period is the seasonal period of the SARIMA process (default 12).
-	Period int
-	// GroupShare blends a per-parent-group SARIMA component into each
-	// base series (default 0.35): siblings under the same level-1 parent
-	// share a common signal, as aggregates of real processes do, which
-	// is what derivation schemes exploit. Set to 0 for fully independent
-	// series.
-	GroupShare float64
-	// Independent forces GroupShare to zero.
-	Independent bool
-}
-
 // GenX generates the synthetic data set of the paper: x base time series
-// from a SARIMA process, summed up a hierarchy whose depth follows
-// GenLevels. The hierarchy is a single dimension with GenLevels(x)-1 named
-// levels plus ALL, children distributed evenly across parents.
-func GenX(seed int64, x int, opts GenXOptions) *Dataset {
+// of 48 observations from a SARIMA process of period 12, summed up a
+// hierarchy whose depth follows GenLevels. The hierarchy is a single
+// dimension with GenLevels(x)-1 named levels plus ALL, children distributed
+// evenly across parents. Each base series blends a per-parent-group SARIMA
+// component (weight groupShare) into its own noise: siblings under the same
+// level-1 parent share a common signal, as aggregates of real processes do,
+// which is what derivation schemes exploit.
+func GenX(seed int64, x int) *Dataset {
+	const length, period = 48, 12
 	if x < 1 {
 		x = 1
-	}
-	if opts.Length <= 0 {
-		opts.Length = 48
-	}
-	if opts.Period <= 0 {
-		opts.Period = 12
 	}
 	rng := rand.New(rand.NewSource(seed))
 	levels := GenLevels(x)
@@ -292,20 +275,12 @@ func GenX(seed int64, x int, opts GenXOptions) *Dataset {
 		panic(err) // static construction cannot fail
 	}
 
-	share := opts.GroupShare
-	if share <= 0 {
-		share = 0.35
-	}
-	if opts.Independent {
-		share = 0
-	}
-
 	proc := &SARIMAProcess{
 		AR:     []float64{0.55},
 		MA:     []float64{0.2},
 		SMA:    []float64{-0.4},
 		SD:     1,
-		Period: opts.Period,
+		Period: period,
 		Sigma:  6,
 		Level:  60,
 	}
@@ -315,10 +290,8 @@ func GenX(seed int64, x int, opts GenXOptions) *Dataset {
 		numGroups = counts[1]
 	}
 	groupSignal := make([][]float64, numGroups)
-	if share > 0 {
-		for gid := range groupSignal {
-			groupSignal[gid] = proc.Generate(rng, opts.Length)
-		}
+	for gid := range groupSignal {
+		groupSignal[gid] = proc.Generate(rng, length)
 	}
 	groupOf := func(i int) int {
 		if named > 1 {
@@ -329,27 +302,22 @@ func GenX(seed int64, x int, opts GenXOptions) *Dataset {
 
 	base := make([]cube.BaseSeries, x)
 	for i := 0; i < x; i++ {
-		var vals []float64
-		if share > 0 {
-			// Shared group structure plus unforecastable idiosyncratic
-			// white noise: the regime in which derivation schemes pay
-			// off (a base node's own model can only chase the noise).
-			gs := groupSignal[groupOf(i)]
-			scale := 0.5 + rng.Float64()
-			vals = make([]float64, opts.Length)
-			for t := range vals {
-				vals[t] = scale * (share*gs[t] + (1-share)*(proc.Level+rng.NormFloat64()*3*proc.Sigma))
-				if vals[t] < 0 {
-					vals[t] = 0
-				}
+		// Shared group structure plus unforecastable idiosyncratic white
+		// noise: the regime in which derivation schemes pay off (a base
+		// node's own model can only chase the noise).
+		gs := groupSignal[groupOf(i)]
+		scale := 0.5 + rng.Float64()
+		vals := make([]float64, length)
+		for t := range vals {
+			vals[t] = scale * (groupShare*gs[t] + (1-groupShare)*(proc.Level+rng.NormFloat64()*3*proc.Sigma))
+			if vals[t] < 0 {
+				vals[t] = 0
 			}
-		} else {
-			vals = proc.Generate(rng, opts.Length)
 		}
 		base[i] = cube.BaseSeries{
 			Members: []string{memberName(0, i)},
-			Series:  timeseries.New(vals, opts.Period),
+			Series:  timeseries.New(vals, period),
 		}
 	}
-	return &Dataset{Name: fmt.Sprintf("gen%d", x), Dims: []cube.Dimension{dim}, Base: base, Period: opts.Period}
+	return &Dataset{Name: fmt.Sprintf("gen%d", x), Dims: []cube.Dimension{dim}, Base: base, Period: period}
 }

@@ -102,7 +102,7 @@ func TestGenLevelsRule(t *testing.T) {
 }
 
 func TestGenXShape(t *testing.T) {
-	ds := GenX(1, 100, GenXOptions{})
+	ds := GenX(1, 100)
 	if len(ds.Base) != 100 {
 		t.Fatalf("genx base = %d", len(ds.Base))
 	}
@@ -124,7 +124,7 @@ func TestGenXShape(t *testing.T) {
 
 func TestGenXLevelsGrow(t *testing.T) {
 	for _, x := range []int{50, 1_500, 12_000} {
-		ds := GenX(1, x, GenXOptions{Length: 30})
+		ds := GenX(1, x)
 		want := GenLevels(x) - 1
 		if len(ds.Dims[0].Levels) != want {
 			t.Fatalf("gen%d named levels = %d, want %d", x, len(ds.Dims[0].Levels), want)
@@ -133,8 +133,8 @@ func TestGenXLevelsGrow(t *testing.T) {
 }
 
 func TestGenXDeterministicPerSeed(t *testing.T) {
-	a := GenX(7, 50, GenXOptions{})
-	b := GenX(7, 50, GenXOptions{})
+	a := GenX(7, 50)
+	b := GenX(7, 50)
 	for i := range a.Base {
 		for j := range a.Base[i].Series.Values {
 			if a.Base[i].Series.Values[j] != b.Base[i].Series.Values[j] {
@@ -142,7 +142,7 @@ func TestGenXDeterministicPerSeed(t *testing.T) {
 			}
 		}
 	}
-	c := GenX(8, 50, GenXOptions{})
+	c := GenX(8, 50)
 	same := true
 	for j := range a.Base[0].Series.Values {
 		if a.Base[0].Series.Values[j] != c.Base[0].Series.Values[j] {
@@ -156,40 +156,13 @@ func TestGenXDeterministicPerSeed(t *testing.T) {
 }
 
 func TestGenXNonNegative(t *testing.T) {
-	ds := GenX(3, 200, GenXOptions{})
+	ds := GenX(3, 200)
 	for _, b := range ds.Base {
 		for _, v := range b.Series.Values {
 			if v < 0 {
 				t.Fatal("generated measure below zero")
 			}
 		}
-	}
-}
-
-func TestGenXIndependentOption(t *testing.T) {
-	dep := GenX(1, 40, GenXOptions{})
-	ind := GenX(1, 40, GenXOptions{Independent: true})
-	// With group sharing, siblings correlate strongly; without, less so.
-	corr := func(ds *Dataset) float64 {
-		a := ds.Base[0].Series.Values
-		b := ds.Base[1].Series.Values
-		var ma, mb float64
-		for i := range a {
-			ma += a[i]
-			mb += b[i]
-		}
-		ma /= float64(len(a))
-		mb /= float64(len(b))
-		var sab, saa, sbb float64
-		for i := range a {
-			sab += (a[i] - ma) * (b[i] - mb)
-			saa += (a[i] - ma) * (a[i] - ma)
-			sbb += (b[i] - mb) * (b[i] - mb)
-		}
-		return sab / math.Sqrt(saa*sbb)
-	}
-	if corr(dep) <= corr(ind) {
-		t.Fatalf("grouped correlation %v should exceed independent %v", corr(dep), corr(ind))
 	}
 }
 

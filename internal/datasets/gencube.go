@@ -27,15 +27,19 @@ type CubeGenOptions struct {
 	Length int
 	// Period is the seasonal period of the seasonal component (default 12).
 	Period int
-	// SeasonalShare is the fraction of base series carrying a seasonal
-	// signal; the rest are trend-plus-noise (default 0.7). The mix makes
-	// the advisor's model-placement decisions non-trivial: seasonal
-	// groups aggregate into cleanly seasonal nodes, mixed groups don't.
-	SeasonalShare float64
-	// GroupShare blends a per-group shared signal into siblings along the
-	// first dimension (default 0.35, as in GenX); 0 disables it.
-	GroupShare float64
 }
+
+// The seasonality mix of GenCube's base series. A seasonalShare fraction
+// carries a seasonal signal; the rest are trend-plus-noise. The mix makes
+// the advisor's model-placement decisions non-trivial: seasonal groups
+// aggregate into cleanly seasonal nodes, mixed groups don't. A seasonal
+// base blends a per-group shared signal along the first dimension into its
+// own noise with weight groupShare; GenX blends its groups' signals with the
+// same weight.
+const (
+	seasonalShare = 0.7
+	groupShare    = 0.35
+)
 
 func (o CubeGenOptions) withDefaults() CubeGenOptions {
 	if len(o.DimCards) == 0 {
@@ -46,12 +50,6 @@ func (o CubeGenOptions) withDefaults() CubeGenOptions {
 	}
 	if o.Period <= 0 {
 		o.Period = 12
-	}
-	if o.SeasonalShare <= 0 || o.SeasonalShare > 1 {
-		o.SeasonalShare = 0.7
-	}
-	if o.GroupShare <= 0 {
-		o.GroupShare = 0.35
 	}
 	return o
 }
@@ -115,8 +113,8 @@ func CubeGenForNodes(targetNodes, dims int) CubeGenOptions {
 // GenCube generates a multi-dimensional synthetic cube: one hierarchy per
 // DimCards entry, base series at the Cartesian product of the finest
 // members, values from a seasonal SARIMA process or a trend-plus-noise
-// process according to SeasonalShare, with optional shared group structure
-// along the first dimension. Generation is deterministic per seed.
+// process according to seasonalShare, with shared group structure along
+// the first dimension. Generation is deterministic per seed.
 func GenCube(seed int64, opts CubeGenOptions) *Dataset {
 	opts = opts.withDefaults()
 	rng := rand.New(rand.NewSource(seed))
@@ -180,12 +178,12 @@ func GenCube(seed int64, opts CubeGenOptions) *Dataset {
 		}
 		vals := make([]float64, opts.Length)
 		scale := 0.5 + rng.Float64()
-		if rng.Float64() < opts.SeasonalShare {
+		if rng.Float64() < seasonalShare {
 			// Seasonal base: shared group signal plus idiosyncratic noise.
 			gs := groupSignal[gid]
 			for t := range vals {
-				vals[t] = scale * (opts.GroupShare*gs[t] +
-					(1-opts.GroupShare)*(seasonal.Level+rng.NormFloat64()*2*seasonal.Sigma))
+				vals[t] = scale * (groupShare*gs[t] +
+					(1-groupShare)*(seasonal.Level+rng.NormFloat64()*2*seasonal.Sigma))
 				if vals[t] < 0 {
 					vals[t] = 0
 				}

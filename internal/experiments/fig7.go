@@ -48,12 +48,12 @@ func LoadDataset(name string, scale Scale) (*datasets.Dataset, error) {
 		}
 		return datasets.Energy(Seed, datasets.EnergyOptions{Customers: 30, Days: 40}), nil
 	case "gen1k":
-		return datasets.GenX(Seed, 1000, datasets.GenXOptions{}), nil
+		return datasets.GenX(Seed, 1000), nil
 	case "gen10k":
 		if scale == Paper {
-			return datasets.GenX(Seed, 10000, datasets.GenXOptions{}), nil
+			return datasets.GenX(Seed, 10000), nil
 		}
-		return datasets.GenX(Seed, 2000, datasets.GenXOptions{}), nil
+		return datasets.GenX(Seed, 2000), nil
 	default:
 		return nil, fmt.Errorf("experiments: unknown data set %q", name)
 	}

@@ -34,7 +34,7 @@ func Fig9a(scale Scale) (*Table, error) {
 	}
 	graphs := make([]*genGraph, len(sizes))
 	for i, x := range sizes {
-		ds := datasets.GenX(Seed, x, datasets.GenXOptions{})
+		ds := datasets.GenX(Seed, x)
 		g, err := ds.Graph()
 		if err != nil {
 			return nil, err
@@ -91,7 +91,7 @@ func Fig9b(scale Scale) (*Table, error) {
 	if scale == Paper {
 		x = 10_000
 	}
-	ds := datasets.GenX(Seed, x, datasets.GenXOptions{})
+	ds := datasets.GenX(Seed, x)
 	g, err := ds.Graph()
 	if err != nil {
 		return nil, err
@@ -110,7 +110,7 @@ func Fig9b(scale Scale) (*Table, error) {
 		for _, ratio := range ratios {
 			// Fresh graph and configuration per run so maintenance
 			// effects do not accumulate across ratios.
-			dsr := datasets.GenX(Seed, x, datasets.GenXOptions{})
+			dsr := datasets.GenX(Seed, x)
 			gr, err := dsr.Graph()
 			if err != nil {
 				return nil, err

@@ -535,7 +535,7 @@ func TestBaselinesTwin(t *testing.T) {
 		"tourism": datasets.Tourism(42),
 		"sales":   datasets.Sales(42),
 		"energy":  datasets.Energy(42, datasets.EnergyOptions{Customers: 30, Days: 40}),
-		"gen300":  datasets.GenX(42, 300, datasets.GenXOptions{}),
+		"gen300":  datasets.GenX(42, 300),
 		"gencube": datasets.GenCube(3, datasets.CubeGenOptions{DimCards: [][]int{{24, 5}, {8, 2}}, Length: 36, Period: 4}),
 	}
 	type builder func(*cube.Graph, Options) (*core.Configuration, error)

@@ -262,9 +262,15 @@ var oneEpochFamilies = strings.NewReplacer(
 )
 
 // oneWriterFamilies drops the pending-lock counter: insert statements
-// serialize on the maintenance lock alone. Applied last.
+// serialize on the maintenance lock alone.
 var oneWriterFamilies = strings.NewReplacer(
 	"# TYPE f2db_pending_lock_contention_total counter\n", "",
+)
+
+// oneFlightFamilies drops the coalesced-request counter: the read table has
+// no singleflight. Applied last.
+var oneFlightFamilies = strings.NewReplacer(
+	"# TYPE coord_cache_coalesced_total counter\n", "",
 )
 
 // typeLines returns the sorted `# TYPE` lines of a page.
@@ -338,7 +344,7 @@ func TestFamilySet(t *testing.T) {
 		if err := lint(page); err != nil {
 			t.Fatalf("%s: %v\n%s", when, err, page)
 		}
-		if got, want := typeLines(page), typeLines(oneWriterFamilies.Replace(oneEpochFamilies.Replace(pendingLockFamilies.Replace(familyChanges.Replace(parentFamilies))))); got != want {
+		if got, want := typeLines(page), typeLines(oneFlightFamilies.Replace(oneWriterFamilies.Replace(oneEpochFamilies.Replace(pendingLockFamilies.Replace(familyChanges.Replace(parentFamilies)))))); got != want {
 			t.Fatalf("%s: family set differs from the parent's plus the listed changes\n--- got\n%s--- want\n%s", when, got, want)
 		}
 		return page

@@ -55,19 +55,25 @@ type Prewarm struct {
 	// Run executes one normalized statement (e.g. db.Query or co.Query
 	// adapted to drop the result).
 	Run func(sql string) error
-	// MaxPerTick bounds warm-up work per bucket. Default 16.
-	MaxPerTick int
 }
+
+// The actuators' fixed tuning (DESIGN §13): Prewarm runs at most
+// prewarmBudget statements per bucket; TroughWork runs at most once per
+// troughGap buckets; CacheSizer over-provisions by sizerSlack and skips a
+// resize within a relative dead band of sizerHysteresis.
+const (
+	prewarmBudget   = 16
+	troughGap       = 8
+	sizerSlack      = 1.25
+	sizerHysteresis = 0.25
+)
 
 // Act runs the spike templates, hottest predicted first.
 func (pw *Prewarm) Act(p Prediction, m *Metrics) {
 	if pw.Run == nil {
 		return
 	}
-	budget := pw.MaxPerTick
-	if budget <= 0 {
-		budget = 16
-	}
+	budget := prewarmBudget
 	for _, tf := range p.Templates {
 		if !tf.Spike {
 			continue
@@ -89,11 +95,9 @@ func (pw *Prewarm) Act(p Prediction, m *Metrics) {
 // bucket-count hysteresis so a long trough does not re-run the work
 // every tick.
 type TroughWork struct {
-	// Run performs the maintenance. It is called at most once per MinGap
-	// buckets, and only on ticks whose Prediction says Trough.
+	// Run performs the maintenance. It is called at most once per
+	// troughGap buckets, and only on ticks whose Prediction says Trough.
 	Run func()
-	// MinGap is the minimum number of buckets between runs. Default 8.
-	MinGap int
 
 	ran  bool
 	last int64
@@ -105,11 +109,7 @@ func (tw *TroughWork) Act(p Prediction, m *Metrics) {
 	if tw.Run == nil || !p.Trough {
 		return
 	}
-	gap := tw.MinGap
-	if gap <= 0 {
-		gap = 8
-	}
-	if tw.ran && p.Bucket-tw.last < int64(gap) {
+	if tw.ran && p.Bucket-tw.last < troughGap {
 		m.TroughSkips.Add(1)
 		return
 	}
@@ -119,12 +119,10 @@ func (tw *TroughWork) Act(p Prediction, m *Metrics) {
 }
 
 // CacheSizer resizes one cache from the predicted working-set size:
-// target = WorkingSet · PerTemplate · Slack, clamped to [Min, Max].
+// target = WorkingSet · PerTemplate · sizerSlack, clamped to [Min, Max].
 // A relative hysteresis band suppresses resizes that would churn the
 // cache for marginal gains.
 type CacheSizer struct {
-	// Name labels the sizer in logs.
-	Name string
 	// Apply resizes the cache (e.g. DB.SetPlanCacheCapacity).
 	Apply func(entries int)
 	// Min and Max clamp the target; Min also guards cold start (a zero
@@ -135,11 +133,6 @@ type CacheSizer struct {
 	// occupy (1 for plan-style caches, the typical distinct-forecast
 	// fanout for the memo). Default 1.
 	PerTemplate int
-	// Slack is the over-provisioning factor. Default 1.25.
-	Slack float64
-	// Hysteresis is the relative dead band: a resize is skipped when
-	// |target − current| ≤ Hysteresis · current. Default 0.25.
-	Hysteresis float64
 	// Current must be initialized to the cache's starting capacity; the
 	// sizer tracks its own applied values afterwards.
 	Current int
@@ -154,15 +147,7 @@ func (cs *CacheSizer) Act(p Prediction, m *Metrics) {
 	if per <= 0 {
 		per = 1
 	}
-	slack := cs.Slack
-	if slack <= 0 {
-		slack = 1.25
-	}
-	hys := cs.Hysteresis
-	if hys <= 0 {
-		hys = 0.25
-	}
-	target := int(float64(p.WorkingSet) * float64(per) * slack)
+	target := int(float64(p.WorkingSet) * float64(per) * sizerSlack)
 	min := cs.Min
 	if min <= 0 {
 		min = 1
@@ -173,7 +158,7 @@ func (cs *CacheSizer) Act(p Prediction, m *Metrics) {
 	if cs.Max > 0 && target > cs.Max {
 		target = cs.Max
 	}
-	if cs.Current > 0 && math.Abs(float64(target-cs.Current)) <= hys*float64(cs.Current) {
+	if cs.Current > 0 && math.Abs(float64(target-cs.Current)) <= sizerHysteresis*float64(cs.Current) {
 		m.ResizeSkips.Add(1)
 		return
 	}

@@ -115,13 +115,13 @@ func TestSelfTuningResultInvariance(t *testing.T) {
 	tuned := loadTwin(t, data, opts)
 	plain := loadTwin(t, data, opts)
 
-	sib := sibyl.New(sibyl.Options{Season: 4, MinHistory: 2})
+	sib := sibyl.New(sibyl.Options{Season: 4})
 	sib.Attach(
 		&sibyl.Prewarm{Run: func(sql string) error {
 			_, err := tuned.Query(sql)
 			return err
 		}},
-		&sibyl.TroughWork{Run: func() { tuned.ReestimateInvalid() }, MinGap: 1},
+		&sibyl.TroughWork{Run: func() { tuned.ReestimateInvalid() }},
 		&sibyl.CacheSizer{
 			Apply: func(n int) { tuned.SetPlanCacheCapacity(n) },
 			Min:   4, Max: 512, Current: 256,
@@ -203,7 +203,7 @@ func TestSpikeOnsetHitRate(t *testing.T) {
 	all := append(baseQueries(1), baseQueries(2)...) // 16 templates
 	phase := func(p int) []string { return all[p*4 : (p+1)*4] }
 
-	sib := sibyl.New(sibyl.Options{Season: phases, MinHistory: 2})
+	sib := sibyl.New(sibyl.Options{Season: phases})
 	sib.Attach(&sibyl.Prewarm{Run: func(sql string) error {
 		_, err := tuned.Query(sql)
 		return err

@@ -4,7 +4,7 @@
 // per normalized SQL template (the same f2db.NormalizeSQL key the plan
 // cache and the coordinator's read cache use) into fixed-width time
 // buckets; one warm-started SES or Holt-Winters model per hot template —
-// plus one aggregate-QPS model — forecasts the next buckets; predictions
+// plus one aggregate-QPS model — forecasts the next bucket; predictions
 // are turned into actions (cache pre-warming, trough-scheduled
 // maintenance, adaptive cache sizing) by pluggable Actuators.
 //
@@ -40,60 +40,31 @@ import (
 )
 
 // Options configures the self-forecasting engine. The zero value is
-// usable: every field has a documented default. MaxTemplates, HalfLife,
-// MinHistory and EvictBelow are fields rather than constants because the
-// table-bound and eviction tests need small values to reach those branches.
+// usable: every field has a documented default.
 type Options struct {
 	// Bucket is the telemetry bucket width (and the Start ticker period).
 	// Default 1s.
 	Bucket time.Duration
-	// Horizon is the number of future buckets forecast each tick.
-	// Default 1.
-	Horizon int
-	// MaxTemplates bounds the template table. When full, a new template
-	// may replace the coldest tracked one (if that one's rate has decayed
-	// below one arrival per bucket); otherwise the newcomer is dropped
-	// and only counted in the aggregate. Default 512.
-	MaxTemplates int
 	// Season, when > 1, fits seasonal Holt-Winters with that period (in
 	// buckets) once a template has two full seasons of history; shorter
 	// histories and Season <= 1 use simple exponential smoothing.
 	Season int
-	// HalfLife is the EWMA rate half-life in buckets. Default 8.
-	HalfLife float64
-	// MinHistory is the number of closed buckets required before a
-	// template gets a model (its EWMA rate serves as the prediction
-	// until then). Default 4.
-	MinHistory int
-	// EvictBelow is the EWMA rate below which a template old enough to
-	// have MinHistory closed buckets is evicted from the table.
-	// Default 1/64.
-	EvictBelow float64
-	// Logf, when non-nil, receives one line per actuation decision.
-	Logf func(format string, args ...any)
 }
 
-func (o Options) withDefaults() Options {
-	if o.Bucket <= 0 {
-		o.Bucket = time.Second
-	}
-	if o.Horizon <= 0 {
-		o.Horizon = 1
-	}
-	if o.MaxTemplates <= 0 {
-		o.MaxTemplates = 512
-	}
-	if o.HalfLife <= 0 {
-		o.HalfLife = 8
-	}
-	if o.MinHistory <= 0 {
-		o.MinHistory = 4
-	}
-	if o.EvictBelow <= 0 {
-		o.EvictBelow = 1.0 / 64
-	}
-	return o
-}
+// The template table's bounds (DESIGN §13). The table holds at most
+// maxTemplates templates; when full, a new template may replace the
+// coldest tracked one (if that one's rate has decayed below one arrival
+// per bucket), and otherwise the newcomer is dropped and only counted in
+// the aggregate. Rates are EWMAs with a halfLife in buckets. A template
+// gets a model once it has minHistory closed buckets (its EWMA rate serves
+// as the prediction until then) and is evicted once, that old, its rate
+// falls below evictBelow.
+const (
+	maxTemplates = 512
+	halfLife     = 8
+	minHistory   = 4
+	evictBelow   = 1.0 / 64
+)
 
 // template is one tracked workload template. cur is the open bucket's
 // arrival counter (lock-free); everything else belongs to the control
@@ -106,7 +77,7 @@ type template struct {
 	hist  []float64
 	seen  int // closed buckets since registration
 	model forecast.Model
-	pred  []float64 // last forecast for buckets +1..+Horizon, nil if none
+	pred  []float64 // last next-bucket forecast (one element), nil if none
 }
 
 // Engine is the self-forecasting engine. Create with New, feed with
@@ -114,6 +85,12 @@ type template struct {
 type Engine struct {
 	opts Options
 	met  Metrics
+	// The table bounds, copied from the constants above so the in-package
+	// tests can shrink them to reach the eviction branches.
+	maxTemplates int
+	halfLife     float64
+	minHistory   int
+	evictBelow   float64
 
 	templates sync.Map // template key -> *template
 
@@ -135,7 +112,11 @@ type Engine struct {
 
 // New returns an engine with no attached actuators.
 func New(opts Options) *Engine {
-	return &Engine{opts: opts.withDefaults()}
+	if opts.Bucket <= 0 {
+		opts.Bucket = time.Second
+	}
+	return &Engine{opts: opts, maxTemplates: maxTemplates, halfLife: halfLife,
+		minHistory: minHistory, evictBelow: evictBelow}
 }
 
 // Attach adds actuators to run after each Tick, in order. Actuators run
@@ -173,7 +154,7 @@ func (e *Engine) register(key string) {
 		v.(*template).cur.Add(1)
 		return
 	}
-	if len(e.list) >= e.opts.MaxTemplates {
+	if len(e.list) >= e.maxTemplates {
 		// Replace the coldest template only if it has genuinely gone
 		// cold; otherwise the newcomer is dropped (its arrival still
 		// counts in the aggregate).
@@ -212,7 +193,7 @@ func (e *Engine) Tick() Prediction {
 	e.mu.Lock()
 	e.bucket++
 	e.met.Buckets.Add(1)
-	alpha := 1 - math.Pow(0.5, 1/e.opts.HalfLife)
+	alpha := 1 - math.Pow(0.5, 1/e.halfLife)
 
 	// Aggregate QPS stream: delta of the global observation counter.
 	obs := e.met.Observed.Load()
@@ -238,7 +219,7 @@ func (e *Engine) Tick() Prediction {
 		}
 		t.seen++
 		t.hist = appendBounded(t.hist, c, window)
-		if t.seen >= e.opts.MinHistory && t.rate < e.opts.EvictBelow {
+		if t.seen >= e.minHistory && t.rate < e.evictBelow {
 			e.templates.Delete(t.key)
 			e.met.Evicted.Add(1)
 			continue
@@ -275,7 +256,7 @@ func (e *Engine) Tick() Prediction {
 // model is kept and the prediction is nil (callers fall back to the EWMA
 // rate).
 func (e *Engine) refit(prev forecast.Model, hist []float64, seen int) (forecast.Model, []float64) {
-	if seen < e.opts.MinHistory || len(hist) < 2 {
+	if seen < e.minHistory || len(hist) < 2 {
 		return prev, nil
 	}
 	period := 1
@@ -300,7 +281,7 @@ func (e *Engine) refit(prev forecast.Model, hist []float64, seen int) (forecast.
 		e.met.FitErrors.Add(1)
 		return prev, nil
 	}
-	pred := make([]float64, e.opts.Horizon)
+	pred := make([]float64, 1)
 	m.Forecast(pred)
 	for i := range pred {
 		if math.IsNaN(pred[i]) || pred[i] < 0 {

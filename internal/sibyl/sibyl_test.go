@@ -59,7 +59,8 @@ func TestBucketRollover(t *testing.T) {
 }
 
 func TestTemplateTableBound(t *testing.T) {
-	e := New(Options{MaxTemplates: 2, HalfLife: 1, MinHistory: 2, EvictBelow: 0.25})
+	e := New(Options{})
+	e.maxTemplates, e.halfLife, e.minHistory, e.evictBelow = 2, 1, 2, 0.25
 	// Make A and B genuinely hot (rate >= 1 after a tick)...
 	observeN(e, "A", 8)
 	observeN(e, "B", 8)
@@ -74,8 +75,8 @@ func TestTemplateTableBound(t *testing.T) {
 		t.Fatal("dropped template must not enter the table")
 	}
 
-	// Let B go cold: HalfLife 1 halves its rate every empty bucket, so it
-	// falls below EvictBelow and is decay-evicted.
+	// Let B go cold: a half-life of 1 halves its rate every empty bucket,
+	// so it falls below evictBelow and is decay-evicted.
 	for i := 0; i < 8; i++ {
 		observeN(e, "A", 8)
 		e.Tick()
@@ -97,7 +98,8 @@ func TestTemplateTableBound(t *testing.T) {
 }
 
 func TestColdVictimReplacement(t *testing.T) {
-	e := New(Options{MaxTemplates: 2})
+	e := New(Options{})
+	e.maxTemplates = 2
 	// Neither A nor B has closed a bucket; both rates are 0 (< 1), so the
 	// newcomer replaces the coldest (tie broken by key: A).
 	e.ObserveTemplate("A")
@@ -158,11 +160,11 @@ func TestSeasonalSpikeForecast(t *testing.T) {
 
 // TestTroughSchedulingHysteresis drives the aggregate from busy to idle
 // and checks TroughWork runs in the predicted troughs but no more than
-// once per MinGap buckets.
+// once per troughGap buckets.
 func TestTroughSchedulingHysteresis(t *testing.T) {
 	e := New(Options{})
 	runs := 0
-	e.Attach(&TroughWork{Run: func() { runs++ }, MinGap: 4})
+	e.Attach(&TroughWork{Run: func() { runs++ }})
 	for i := 0; i < 8; i++ {
 		observeN(e, "Q", 20)
 		p := e.Tick()
@@ -173,8 +175,9 @@ func TestTroughSchedulingHysteresis(t *testing.T) {
 	if runs != 0 {
 		t.Fatalf("maintenance ran %d times during steady load", runs)
 	}
+	const idle = 2*troughGap + 1
 	troughs := 0
-	for i := 0; i < 9; i++ {
+	for i := 0; i < idle; i++ {
 		if e.Tick().Trough {
 			troughs++
 		}
@@ -183,10 +186,10 @@ func TestTroughSchedulingHysteresis(t *testing.T) {
 		t.Fatal("no trough predicted after traffic stopped")
 	}
 	if runs < 2 {
-		t.Fatalf("maintenance ran %d times over 9 idle buckets, want >= 2", runs)
+		t.Fatalf("maintenance ran %d times over %d idle buckets, want >= 2", runs, idle)
 	}
 	if runs > 3 {
-		t.Fatalf("maintenance ran %d times over 9 idle buckets; MinGap 4 allows at most 3", runs)
+		t.Fatalf("maintenance ran %d times over %d idle buckets; a gap of %d allows at most 3", runs, idle, troughGap)
 	}
 	if e.met.TroughSkips.Load() == 0 {
 		t.Fatal("hysteresis skips not counted")
@@ -201,20 +204,20 @@ func TestPrewarmBudget(t *testing.T) {
 			return fmt.Errorf("boom")
 		}
 		return nil
-	}, MaxPerTick: 2}
-	p := Prediction{Templates: []TemplateForecast{
-		{Key: "S0", Predicted: 9, Spike: true},
-		{Key: "S1", Predicted: 8, Spike: true},
-		{Key: "S2", Predicted: 7, Spike: true},
-		{Key: "S3", Predicted: 99, Spike: false},
 	}}
+	// One spike more than the budget, hottest first, and a hotter template
+	// that does not spike.
+	p := Prediction{Templates: []TemplateForecast{{Key: "HOT", Predicted: 999, Spike: false}}}
+	for i := 0; i <= prewarmBudget; i++ {
+		p.Templates = append(p.Templates, TemplateForecast{Key: fmt.Sprintf("S%d", i), Predicted: float64(100 - i), Spike: true})
+	}
 	var m Metrics
 	pw.Act(p, &m)
-	if len(ran) != 2 || ran[0] != "S0" || ran[1] != "S1" {
-		t.Fatalf("ran %v, want hottest two spikes [S0 S1]", ran)
+	if len(ran) != prewarmBudget || ran[0] != "S0" || ran[prewarmBudget-1] != fmt.Sprintf("S%d", prewarmBudget-1) {
+		t.Fatalf("ran %v, want the hottest %d spikes S0..S%d", ran, prewarmBudget, prewarmBudget-1)
 	}
-	if m.Prewarms.Load() != 1 || m.PrewarmErrors.Load() != 1 {
-		t.Fatalf("prewarms/errors = %d/%d, want 1/1", m.Prewarms.Load(), m.PrewarmErrors.Load())
+	if m.Prewarms.Load() != prewarmBudget-1 || m.PrewarmErrors.Load() != 1 {
+		t.Fatalf("prewarms/errors = %d/%d, want %d/1", m.Prewarms.Load(), m.PrewarmErrors.Load(), prewarmBudget-1)
 	}
 }
 
@@ -225,18 +228,16 @@ func TestCacheSizer(t *testing.T) {
 		Min:         10,
 		Max:         100,
 		PerTemplate: 2,
-		Slack:       1.5,
-		Hysteresis:  0.25,
 		Current:     10,
 	}
 	var m Metrics
-	// WorkingSet 20 → target 20·2·1.5 = 60: outside the ±25% band of 10.
+	// WorkingSet 20 → target 20·2·1.25 = 50: outside the ±25% band of 10.
 	cs.Act(Prediction{WorkingSet: 20}, &m)
-	if len(applied) != 1 || applied[0] != 60 {
-		t.Fatalf("applied %v, want [60]", applied)
+	if len(applied) != 1 || applied[0] != 50 {
+		t.Fatalf("applied %v, want [50]", applied)
 	}
-	// 22 → target 66: within 25% of 60, skipped.
-	cs.Act(Prediction{WorkingSet: 22}, &m)
+	// 24 → target 60: within 25% of 50, skipped.
+	cs.Act(Prediction{WorkingSet: 24}, &m)
 	if len(applied) != 1 {
 		t.Fatalf("resize inside the dead band applied: %v", applied)
 	}
@@ -263,7 +264,7 @@ func TestCacheSizer(t *testing.T) {
 // -race this proves the ingest/control-loop split is sound.
 func TestStartStopRaceStress(t *testing.T) {
 	e := New(Options{Bucket: time.Millisecond})
-	e.Attach(&TroughWork{Run: func() {}, MinGap: 1})
+	e.Attach(&TroughWork{Run: func() {}})
 	e.Start()
 	e.Start() // idempotent
 	var wg sync.WaitGroup

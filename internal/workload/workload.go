@@ -176,9 +176,9 @@ type Options struct {
 	UseSQL bool
 	// InsertWriters drives each time advance from this many parallel
 	// insert streams: the batch is split into InsertWriters disjoint parts
-	// applied by concurrent goroutines, exercising the engine's pending
-	// lock under concurrent writers. 0 or 1 keeps the single sequential
-	// stream. In remote mode this is the N of "N writer connections": each
+	// applied by concurrent goroutines, which the engine serializes on its
+	// maintenance lock. 0 or 1 keeps the single sequential stream. In
+	// remote mode this is the N of "N writer connections": each
 	// stream executes its part as one multi-row INSERT over its own pooled
 	// connection.
 	InsertWriters int

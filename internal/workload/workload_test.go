@@ -15,7 +15,7 @@ import (
 
 func testDB(t *testing.T) (*f2db.DB, *Generator, *cube.Graph) {
 	t.Helper()
-	ds := datasets.GenX(1, 60, datasets.GenXOptions{Length: 40})
+	ds := datasets.GenX(1, 60)
 	g, err := ds.Graph()
 	if err != nil {
 		t.Fatal(err)
