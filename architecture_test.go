@@ -242,8 +242,9 @@ func oneEvaluator(fsys fs.FS) error {
 // kernels HistoricalIndicators replaced, the sampled advisor: its
 // option, reservoir estimator, PPS-drawn schemes and error figures, the
 // pending lock with its contention counter and the engine-lock witness,
-// the read table's singleflight, and the generator and self-tuning option
-// fields no program set.
+// the read table's singleflight, the generator and self-tuning option
+// fields no program set, and the graph's history sum, its summing helper
+// and its summing-vector alias, which History and CoveredBases replace.
 var goneNames = map[string]bool{
 	"AsyncMultiSource": true,
 	"CostTime":         true,
@@ -333,6 +334,10 @@ var goneNames = map[string]bool{
 	"Hysteresis":    true,
 	"flSt":          true,
 	"flRes":         true,
+
+	"HistorySum":    true,
+	"historyLocked": true,
+	"SummingVector": true,
 }
 
 // noGoneNames: no identifier, tests included, brings a gone name back.
@@ -426,7 +431,7 @@ func citedTestsExist(fsys fs.FS) error {
 // more re-records the number here and says why in CHANGES.md.
 const goLineBudget = 18084
 
-var docLineBudget = map[string]int{"DESIGN.md": 1382, "README.md": 541}
+var docLineBudget = map[string]int{"DESIGN.md": 1380, "README.md": 541}
 
 // legibilityBudget: the program and its main documents stay within their
 // recorded line counts.

@@ -58,9 +58,9 @@ type Advisor struct {
 	ids []int
 
 	// hist is where every series read — indicator histories, training
-	// series, test values, derivation weights — comes from: the graph,
-	// wrapped in a derivation.TrainingSums so each node's training window is
-	// summed once per run.
+	// series, test values, derivation weights — comes from: every node's
+	// series and training-window sum, read from the graph once per run
+	// without materializing a node and dropped with the advisor.
 	hist *derivation.TrainingSums
 
 	alpha   float64
@@ -139,7 +139,7 @@ func NewAdvisor(g *cube.Graph, opts Options) (*Advisor, error) {
 		alpha:     opts.Alpha0,
 		rng:       rand.New(rand.NewSource(opts.Seed)),
 		fits:      make([]fitResult, opts.Parallelism),
-		hist:      derivation.NewTrainingSums(g, trainLen, g.NumNodes()),
+		hist:      derivation.NewTrainingSums(g, trainLen),
 	}
 	for i := range a.ids {
 		a.ids[i] = i
@@ -261,7 +261,7 @@ func (a *Advisor) IndicatorSize() int { return a.indK }
 
 // testValues returns the evaluation part of a node's series.
 func (a *Advisor) testValues(id int) []float64 {
-	return a.hist.NodeValues(id)[a.cfg.TrainLen:a.g.Length]
+	return a.hist.NodeValues(id)[a.cfg.TrainLen:]
 }
 
 // configError returns the mean configuration error, in O(1) from the running

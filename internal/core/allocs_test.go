@@ -85,11 +85,6 @@ func TestEvalSchemeAllocs(t *testing.T) {
 		}
 	}
 	ids := adv.cfg.ModelIDs()
-	// Nodes materialize on first read; the gate is on evaluating, so every
-	// target has been read once.
-	for id := 0; id < g.NumNodes(); id++ {
-		adv.testValues(id)
-	}
 	target := 0
 	if n := testing.AllocsPerRun(100, func() {
 		if _, ok := adv.evalSingleSource(ids[0], target%g.NumNodes(), adv.modelFc[ids[0]]); !ok {
@@ -105,7 +100,7 @@ func TestEvalSchemeAllocs(t *testing.T) {
 }
 
 // advisorRunMallocs is the number of heap objects one whole advisor run
-// allocates on a graph that earlier runs have already touched.
+// allocates.
 func advisorRunMallocs(t *testing.T, g *cube.Graph, seed int64) uint64 {
 	t.Helper()
 	var before, after runtime.MemStats
@@ -153,9 +148,10 @@ func TestAdvisorRunAllocs(t *testing.T) {
 }
 
 // TestTrainingSumMemoTwin: the advisor's table of training sums answers every
-// node of the 1 089-node cube with the bits the direct loop sums when four
-// readers fill it concurrently (CI runs it under -race too). After a run,
-// every single-source scheme reading model m shares one Sources array.
+// node of the 1 089-node cube with the bits the direct loop sums over the
+// materialized series, read by four goroutines at once (CI runs it under
+// -race too). After a run, every single-source scheme reading model m shares
+// one Sources array.
 func TestTrainingSumMemoTwin(t *testing.T) {
 	g := genCubeGraph(t, 1000)
 	opts := goldenOptions(1, 2)
@@ -171,7 +167,7 @@ func TestTrainingSumMemoTwin(t *testing.T) {
 		}
 		return acc
 	}
-	fresh := derivation.NewTrainingSums(g, n, g.NumNodes())
+	fresh := derivation.NewTrainingSums(g, n)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

@@ -18,9 +18,9 @@ import (
 // node's series identical bit for bit — also while other goroutines
 // materialize nodes of the column graph in an order of their own, which under
 // -race is the check that Advance and Node(id) still exclude each other.
-// Before the first Advance and after every one, the column graph's Latest and
-// HistorySum of every node — resident or not — equal the last value and the
-// Series.Sum() of a third, fully materialized twin, bit for bit.
+// Before the first Advance and after every one, the column graph's Latest,
+// History and Histories of every node — resident or not — equal the last
+// value and the series of a third, fully materialized twin, bit for bit.
 func TestAdvanceColumnTwin(t *testing.T) {
 	for _, d := range []*datasets.Dataset{
 		datasets.Tourism(1),
@@ -49,13 +49,23 @@ func TestAdvanceColumnTwin(t *testing.T) {
 				m.MaterializeAll()
 				checkReads := func(when string) {
 					t.Helper()
+					rows := g.Histories()
+					var row []float64
 					for id := 0; id < g.NumNodes(); id++ {
 						s := m.Node(id).Series
 						if got, want := g.Latest(id), s.Values[len(s.Values)-1]; math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("%s: node %d Latest %x, materialized twin %x", when, id, math.Float64bits(got), math.Float64bits(want))
 						}
-						if got, want := g.HistorySum(id), s.Sum(); math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("%s: node %d HistorySum %x, materialized twin %x", when, id, math.Float64bits(got), math.Float64bits(want))
+						row = g.History(id, row)
+						for name, got := range map[string][]float64{"History": row, "Histories": rows[id]} {
+							if len(got) != len(s.Values) {
+								t.Fatalf("%s: node %d %s holds %d values, materialized twin %d", when, id, name, len(got), len(s.Values))
+							}
+							for i, want := range s.Values {
+								if math.Float64bits(got[i]) != math.Float64bits(want) {
+									t.Fatalf("%s: node %d %s[%d] %x, materialized twin %x", when, id, name, i, math.Float64bits(got[i]), math.Float64bits(want))
+								}
+							}
 						}
 					}
 				}

@@ -171,7 +171,7 @@ func TestAggregationCorrectness(t *testing.T) {
 
 func TestTopIsTotalSum(t *testing.T) {
 	g := fig1Graph(t)
-	top := g.Top()
+	top := g.Node(g.TopID)
 	var want float64
 	for _, id := range g.BaseIDs {
 		want += g.Node(id).Series.Sum()
@@ -193,7 +193,7 @@ func TestChildEdges(t *testing.T) {
 	}
 	// The top node has two hyper edges: product (2 children) and
 	// location (2 regions).
-	top := g.Top()
+	top := g.Node(g.TopID)
 	if len(top.ChildEdges[0]) != 2 || len(top.ChildEdges[1]) != 2 {
 		t.Fatalf("top child edges = %v", top.ChildEdges)
 	}
@@ -216,7 +216,7 @@ func TestOneSeriesContributesToSeveralAggregates(t *testing.T) {
 
 func TestCovers(t *testing.T) {
 	g := fig1Graph(t)
-	top := g.Top()
+	top := g.Node(g.TopID)
 	base := g.Node(g.BaseIDs[0])
 	if !g.Covers(top.ID, base.ID) {
 		t.Error("top must cover every base node")
@@ -236,12 +236,12 @@ func TestCovers(t *testing.T) {
 
 func TestSummingVector(t *testing.T) {
 	g := fig1Graph(t)
-	top := g.Top()
-	if got := g.SummingVector(top); len(got) != 8 {
+	top := g.Node(g.TopID)
+	if got := g.CoveredBases(top.ID); len(got) != 8 {
 		t.Fatalf("top summing vector = %v", got)
 	}
 	r2 := g.Lookup(Coord{{Level: 2}, {Level: 1, Value: "R2"}})
-	if got := g.SummingVector(r2); len(got) != 4 {
+	if got := g.CoveredBases(r2.ID); len(got) != 4 {
 		t.Fatalf("*|R2 summing vector = %v, want 4 base nodes", got)
 	}
 }
@@ -298,7 +298,7 @@ func TestAdvance(t *testing.T) {
 	for _, v := range vals {
 		want += v
 	}
-	got := g.Top().Series.Values[lenBefore]
+	got := g.Node(g.TopID).Series.Values[lenBefore]
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("top new value = %v, want %v", got, want)
 	}
@@ -391,33 +391,39 @@ func TestGraphDeterministicIDs(t *testing.T) {
 
 func TestAggregateInvariantProperty(t *testing.T) {
 	// Property: for every non-base node, its series equals the sum of the
-	// series of any one child hyper edge.
+	// series of each of its child hyper edges.
 	g := fig1Graph(t)
 	for nid := 0; nid < g.NumNodes(); nid++ {
 		n := g.Node(nid)
 		if n.IsBase {
 			continue
 		}
-		children := g.Children(n)
-		if len(children) == 0 {
-			t.Fatalf("aggregated node %s has no child edge", n.Coord.Key(g.Dims))
+		edges := 0
+		for _, children := range n.ChildEdges {
+			if len(children) == 0 {
+				continue
+			}
+			edges++
+			for i := range n.Series.Values {
+				var sum float64
+				for _, c := range children {
+					sum += g.Node(c).Series.Values[i]
+				}
+				if math.Abs(sum-n.Series.Values[i]) > 1e-9 {
+					t.Fatalf("node %s: aggregate mismatch at t=%d", n.Coord.Key(g.Dims), i)
+				}
+			}
 		}
-		for i := range n.Series.Values {
-			var sum float64
-			for _, c := range children {
-				sum += g.Node(c).Series.Values[i]
-			}
-			if math.Abs(sum-n.Series.Values[i]) > 1e-9 {
-				t.Fatalf("node %s: aggregate mismatch at t=%d", n.Coord.Key(g.Dims), i)
-			}
+		if edges == 0 {
+			t.Fatalf("aggregated node %s has no child edge", n.Coord.Key(g.Dims))
 		}
 	}
 }
 
 func TestDepths(t *testing.T) {
 	g := fig1Graph(t)
-	if g.Top().Depth != 3 { // product ALL (1) + location ALL (2)
-		t.Fatalf("top depth = %d, want 3", g.Top().Depth)
+	if g.Node(g.TopID).Depth != 3 { // product ALL (1) + location ALL (2)
+		t.Fatalf("top depth = %d, want 3", g.Node(g.TopID).Depth)
 	}
 	for _, id := range g.BaseIDs {
 		if g.Node(id).Depth != 0 || !g.Node(id).IsBase {
@@ -484,11 +490,11 @@ func TestThreeLevelHierarchy(t *testing.T) {
 		t.Fatal("missing country node")
 	}
 	// DE = C1 + C2 = S1..S4.
-	if got := len(g.SummingVector(de)); got != 4 {
+	if got := g.CoveredBaseCount(de.ID); got != 4 {
 		t.Fatalf("DE covers %d stores, want 4", got)
 	}
 	// Its child edge along the dimension is the city level, not stores.
-	children := g.Children(de)
+	children := g.ChildrenAlong(de.ID, 0)
 	if len(children) != 2 {
 		t.Fatalf("DE children = %v, want the 2 cities", children)
 	}
@@ -498,12 +504,12 @@ func TestThreeLevelHierarchy(t *testing.T) {
 		}
 	}
 	// Depth of the top is 3 (store → city → country → ALL).
-	if g.Top().Depth != 3 {
-		t.Fatalf("top depth = %d", g.Top().Depth)
+	if g.Node(g.TopID).Depth != 3 {
+		t.Fatalf("top depth = %d", g.Node(g.TopID).Depth)
 	}
 	// Aggregation correctness across two hops.
 	var want float64
-	for _, bid := range g.SummingVector(de) {
+	for _, bid := range g.CoveredBases(de.ID) {
 		want += g.Node(bid).Series.Values[5]
 	}
 	if math.Abs(de.Series.Values[5]-want) > 1e-9 {
@@ -534,8 +540,8 @@ func TestSparseCube(t *testing.T) {
 		t.Fatalf("sparse aggregate wrong: %+v", p2)
 	}
 	// Top = 111, 222.
-	if g.Top().Series.Values[1] != 222 {
-		t.Fatalf("top = %v", g.Top().Series.Values)
+	if g.Node(g.TopID).Series.Values[1] != 222 {
+		t.Fatalf("top = %v", g.Node(g.TopID).Series.Values)
 	}
 }
 
@@ -556,10 +562,10 @@ func TestAdvanceUsesCoverCache(t *testing.T) {
 	}
 	// Both advances must aggregate identically (cache correctness).
 	n := g.Length
-	if g.Top().Series.Values[n-1] != 2*float64(len(g.BaseIDs)) {
-		t.Fatalf("second advance aggregate wrong: %v", g.Top().Series.Values[n-1])
+	if g.Node(g.TopID).Series.Values[n-1] != 2*float64(len(g.BaseIDs)) {
+		t.Fatalf("second advance aggregate wrong: %v", g.Node(g.TopID).Series.Values[n-1])
 	}
-	if g.Top().Series.Values[n-2] != float64(len(g.BaseIDs)) {
-		t.Fatalf("first advance aggregate wrong: %v", g.Top().Series.Values[n-2])
+	if g.Node(g.TopID).Series.Values[n-2] != float64(len(g.BaseIDs)) {
+		t.Fatalf("first advance aggregate wrong: %v", g.Node(g.TopID).Series.Values[n-2])
 	}
 }

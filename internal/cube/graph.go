@@ -2,6 +2,7 @@ package cube
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -204,36 +205,52 @@ func (g *Graph) Latest(id int) float64 {
 	if g.latest != nil {
 		return g.latest[id]
 	}
-	g.matMu.Lock() // no Advance yet
-	defer g.matMu.Unlock()
-	h := g.historyLocked(id, g.Length)
+	h := g.History(id, nil) // no Advance yet
 	return h[len(h)-1]
 }
 
-// HistorySum returns Node(id).Series.Sum(), bit for bit, without
-// materializing the node. It is safe for concurrent use.
-func (g *Graph) HistorySum(id int) float64 {
-	return (&timeseries.Series{Values: g.History(id)}).Sum()
-}
-
-// History returns Node(id).Series.Values, bit for bit, without
-// materializing the node: a resident node's own values, which the caller
-// must not write, or a fresh sum of its base series. Like Latest it must
-// not be read during an Advance.
-func (g *Graph) History(id int) []float64 {
+// History writes Node(id).Series.Values, bit for bit, into scratch, grown
+// when it holds fewer than Length values, and returns it without
+// materializing the node. It never aliases the graph, so a caller reading
+// many nodes one at a time reuses one row.
+func (g *Graph) History(id int, scratch []float64) []float64 {
 	g.matMu.Lock()
 	defer g.matMu.Unlock()
-	return g.historyLocked(id, g.Length)
+	if n := g.nodes[id].Load(); n != nil {
+		return append(scratch[:0], n.Series.Values...)
+	}
+	if cap(scratch) < g.Length {
+		scratch = make([]float64, g.Length)
+	}
+	return g.sumLocked(id, scratch)
 }
 
-// historyLocked returns a resident node's series, or else a fresh slice of
-// the given capacity summing its covered base series per time step in
-// ascending base-ID order, as materialize stores it. The caller holds matMu.
-func (g *Graph) historyLocked(id, capacity int) []float64 {
-	if n := g.nodes[id].Load(); n != nil {
-		return n.Series.Values
+// Histories returns every node's series in one read under one lock: row id
+// aliases a resident node's values, capped at their length, and the other
+// rows are summed into one shared allocation. It materializes nothing, so a
+// caller that reads every series once, such as an advisor run, leaves the
+// resident set as it found it. The rows must not be written.
+func (g *Graph) Histories() [][]float64 {
+	g.matMu.Lock()
+	defer g.matMu.Unlock()
+	rows := make([][]float64, len(g.nodes))
+	buf := make([]float64, (len(g.nodes)-int(g.matCount.Load()))*g.Length)
+	for id := range rows {
+		if n := g.nodes[id].Load(); n != nil {
+			rows[id] = slices.Clip(n.Series.Values)
+		} else {
+			rows[id], buf = slices.Clip(g.sumLocked(id, buf)), buf[g.Length:]
+		}
 	}
-	vals := make([]float64, g.Length, capacity)
+	return rows
+}
+
+// sumLocked sums the node's covered base series per time step, in ascending
+// base-ID order as materialize stores an aggregate, into dst[:Length]. The
+// caller holds matMu.
+func (g *Graph) sumLocked(id int, dst []float64) []float64 {
+	vals := dst[:g.Length]
+	clear(vals)
 	for _, b := range g.inc(id) {
 		for t, v := range g.nodes[g.BaseIDs[b]].Load().Series.Values[:g.Length] {
 			vals[t] += v
@@ -241,9 +258,6 @@ func (g *Graph) historyLocked(id, capacity int) []float64 {
 	}
 	return vals
 }
-
-// Top returns the all-ALL node.
-func (g *Graph) Top() *Node { return g.Node(g.TopID) }
 
 // NewGraph builds the complete hyper graph for the given dimensions and
 // base series. All base series must have equal length and the same
@@ -721,7 +735,7 @@ func (g *Graph) materialize(id int) *Node {
 	if n := g.nodes[id].Load(); n != nil {
 		return n
 	}
-	vals := g.historyLocked(id, cap(g.nodes[g.BaseIDs[0]].Load().Series.Values))
+	vals := g.sumLocked(id, make([]float64, g.Length, cap(g.nodes[g.BaseIDs[0]].Load().Series.Values)))
 	D := len(g.Dims)
 	edges := make([][]int, D)
 	for d := range edges {
@@ -769,18 +783,6 @@ func (g *Graph) buildChildIndex() {
 		}
 	}
 	g.childOff, g.childIDs = off, ids
-}
-
-// Children returns one hyper edge of the node: the child IDs along the
-// first aggregated dimension (the canonical decomposition). Base nodes
-// return nil.
-func (g *Graph) Children(n *Node) []int {
-	for d := range g.Dims {
-		if len(n.ChildEdges[d]) > 0 {
-			return n.ChildEdges[d]
-		}
-	}
-	return nil
 }
 
 // Covers reports whether node t covers (is an ancestor-or-equal of) node s,
@@ -887,11 +889,6 @@ func (g *Graph) ClosestNodes(s *BFSScratch, id, k int) []int {
 	}
 }
 
-// SummingVector returns, for node t, the base-node incidence: the sorted
-// IDs of all base nodes covered by t. The collection over all nodes forms
-// the summing matrix S used by the Combine baseline.
-func (g *Graph) SummingVector(t *Node) []int { return g.CoveredBases(t.ID) }
-
 // CoveredBases returns the sorted base-node IDs whose series contribute
 // to the node's aggregate (the node itself for base nodes), without
 // materializing anything.
@@ -973,23 +970,13 @@ func growCap(n int) int {
 	return n + (n+3*256)/4
 }
 
-// BaseIncidence returns, for every node ID, the sorted base-node IDs it
-// covers (the rows of the summing matrix S).
-func (g *Graph) BaseIncidence() [][]int {
-	out := make([][]int, len(g.nodes))
-	for id := range out {
-		out[id] = g.CoveredBases(id)
-	}
-	return out
-}
-
 // NodeValues returns the node's current series values, materializing the
 // node first if need be. It satisfies the derivation.SeriesSource
 // interface.
 func (g *Graph) NodeValues(id int) []float64 { return g.Node(id).Series.Values }
 
-// MaterializeAll forces every node into existence (used by baselines that
-// read every series, and by tests).
+// MaterializeAll forces every node into existence; tests use it for a
+// fully resident twin.
 func (g *Graph) MaterializeAll() {
 	for id := 0; id < len(g.nodes); id++ {
 		g.Node(id)

@@ -86,6 +86,22 @@ func TestSourceGraphIsOnDemand(t *testing.T) {
 	}
 }
 
+// TestAdvisorPathResidentSet: the advisor reads every series from a table
+// it owns and f2db.Open reads histories without materializing, so an engine
+// assembled on the advisor path holds only its base nodes until a query
+// asks for more.
+func TestAdvisorPathResidentSet(t *testing.T) {
+	src, eng, _, _ := parse(t, "-dataset", "tourism")
+	h, err := eng.Open(src, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if got, want := h.Graph.MaterializedNodes(), len(h.Graph.BaseIDs); got != want {
+		t.Fatalf("%d of %d nodes resident before the first query, want the %d base nodes", got, h.Graph.NumNodes(), want)
+	}
+}
+
 // TestOpenCloseReopenTwin is the repo's twin idiom for the assembly path:
 // an engine opened on a durable directory, fed a batch, closed and opened
 // again answers bit-identically to one that was never closed and never had

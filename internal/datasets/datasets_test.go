@@ -79,7 +79,7 @@ func TestEnergyBaseNoisierThanAggregate(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := g.Node(g.BaseIDs[0]).Series
-	top := g.Top().Series
+	top := g.Node(g.TopID).Series
 	cvBase := base.Std() / base.Mean()
 	cvTop := top.Std() / top.Mean()
 	if cvTop >= cvBase {

@@ -12,7 +12,6 @@ package derivation
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"cubefc/internal/cube"
 )
@@ -47,7 +46,7 @@ func (k Kind) String() string {
 }
 
 // SeriesSource provides the history of a node's series: *cube.Graph, which
-// materializes a node on first access, or a TrainingSums over it.
+// materializes a node on first access, or a TrainingSums read from it.
 type SeriesSource interface {
 	NodeValues(id int) []float64
 }
@@ -138,48 +137,49 @@ func Weight(src SeriesSource, target int, sources []int, historyLen int) (float6
 	return ht / hs, nil
 }
 
-// TrainingSums is src with a lazily filled table of every node's sum over
-// its first n values, the window of every weight in one advisor run, so each
-// node is summed once per run. Fills are atomic (two racing readers store the
-// same bits); other lengths are summed afresh.
+// TrainingSums is one advisor run's table of every node's series, read with
+// Graph.Histories so the run materializes no node, and of each series' sum
+// over its first n values, the window of every weight in the run. It is
+// never written after NewTrainingSums, so readers need no synchronization.
 type TrainingSums struct {
-	SeriesSource
-	n      int
-	sums   []atomic.Uint64 // math.Float64bits of the filled sums
-	filled []atomic.Uint32 // bit id%32 of word id/32: sums[id] is filled
+	rows [][]float64
+	n    int
+	sums []float64
 }
 
-// NewTrainingSums returns an empty table over the nodes 0..nodes-1 of src.
-func NewTrainingSums(src SeriesSource, n, nodes int) *TrainingSums {
-	return &TrainingSums{src, n, make([]atomic.Uint64, nodes), make([]atomic.Uint32, (nodes+31)/32)}
+// NewTrainingSums reads the table from g.
+func NewTrainingSums(g *cube.Graph, n int) *TrainingSums {
+	ts := &TrainingSums{g.Histories(), n, make([]float64, g.NumNodes())}
+	for id, row := range ts.rows {
+		ts.sums[id] = prefixSum(row, n)
+	}
+	return ts
 }
+
+// NodeValues returns the node's series, which must not be written.
+func (ts *TrainingSums) NodeValues(id int) []float64 { return ts.rows[id] }
 
 // PrefixSum is the sum of the node's first n values (all of them when n <= 0
 // or beyond the series), bit for bit what historySum gives for any source.
 func (ts *TrainingSums) PrefixSum(id, n int) float64 {
-	word, bit := &ts.filled[id/32], uint32(1)<<(id%32)
-	if n == ts.n && word.Load()&bit != 0 {
-		return math.Float64frombits(ts.sums[id].Load())
-	}
-	s := historySum(ts.SeriesSource, id, n)
 	if n == ts.n {
-		ts.sums[id].Store(math.Float64bits(s))
-		for w := word.Load(); !word.CompareAndSwap(w, w|bit); w = word.Load() {
-		}
+		return ts.sums[id]
 	}
-	return s
+	return prefixSum(ts.rows[id], n)
 }
 
 func historySum(src SeriesSource, id, historyLen int) float64 {
 	if ts, ok := src.(*TrainingSums); ok {
 		return ts.PrefixSum(id, historyLen)
 	}
-	vals := src.NodeValues(id)
-	n := len(vals)
-	if historyLen > 0 && historyLen < n {
-		n = historyLen
+	return prefixSum(src.NodeValues(id), historyLen)
+}
+
+// prefixSum sums vals[:n] in order, or all of vals when n <= 0 or beyond it.
+func prefixSum(vals []float64, n int) (acc float64) {
+	if n <= 0 || n > len(vals) {
+		n = len(vals)
 	}
-	var acc float64
 	for _, v := range vals[:n] {
 		acc += v
 	}

@@ -55,7 +55,7 @@ func heldOutAt(ds *datasets.Dataset, full *cube.Graph, approach string, cut, h i
 		var fc []float64
 		if fc, err = db.ForecastNode(id, h); err == nil {
 			// Both graphs enumerate the same dimensions and members alike.
-			sum += timeseries.SMAPE(full.History(id)[g.Length:g.Length+h], fc)
+			sum += timeseries.SMAPE(full.History(id, nil)[g.Length:g.Length+h], fc)
 		}
 	}
 	return sum / float64(g.NumNodes()), err

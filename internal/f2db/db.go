@@ -216,7 +216,7 @@ func Open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 		return nil, err
 	}
 	for id, m := range cfg.Models {
-		for _, v := range g.History(id)[cfg.TrainLen:] {
+		for _, v := range g.History(id, nil)[cfg.TrainLen:] {
 			m.Update(v)
 		}
 	}
@@ -255,19 +255,25 @@ func open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 	// Initialize incremental weight states from the full history, summed
 	// time point by time point in the order advanceBatch adds each new one,
 	// so an engine opened on a longer history holds bit for bit the sums of
-	// one advanced to it. Sources carry models, so their histories are few.
-	hist := make(map[int][]float64)
+	// one advanced to it. Sources carry models, so their histories are few;
+	// every target is read into one reused row.
+	hist := make(map[int][]float64, len(cfg.Models))
+	var row []float64
+	var srcRows [][]float64
 	for id, sc := range cfg.Schemes {
-		st := &db.schemes[id]
-		st.hTarget = g.HistorySum(id)
+		srcRows = srcRows[:0]
 		for _, s := range sc.Sources {
 			if hist[s] == nil {
-				hist[s] = g.History(s)
+				hist[s] = g.History(s, nil)
 			}
+			srcRows = append(srcRows, hist[s])
 		}
-		for t := 0; t < g.Length; t++ {
-			for _, s := range sc.Sources {
-				st.hSources += hist[s][t]
+		st := &db.schemes[id]
+		row = g.History(id, row)
+		for t, v := range row {
+			st.hTarget += v
+			for _, r := range srcRows {
+				st.hSources += r[t]
 			}
 		}
 	}

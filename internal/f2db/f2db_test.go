@@ -11,6 +11,7 @@ import (
 
 	"cubefc/internal/core"
 	"cubefc/internal/cube"
+	"cubefc/internal/datasets"
 	"cubefc/internal/derivation"
 	"cubefc/internal/forecast"
 	"cubefc/internal/hierarchical"
@@ -140,7 +141,7 @@ func caughtUpClones(t *testing.T, g *cube.Graph, cfg *core.Configuration) map[in
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, v := range g.History(id)[cfg.TrainLen:] {
+		for _, v := range g.History(id, nil)[cfg.TrainLen:] {
 			c.Update(v)
 		}
 		out[id] = c
@@ -388,7 +389,7 @@ func TestInsertBatching(t *testing.T) {
 		t.Fatalf("stats = %+v", db.Stats())
 	}
 	// Aggregates received the sum.
-	top := g.Top().Series.Values[lenBefore]
+	top := g.Node(g.TopID).Series.Values[lenBefore]
 	if math.Abs(top-10*float64(len(g.BaseIDs))) > 1e-9 {
 		t.Fatalf("top new value = %v", top)
 	}
@@ -774,7 +775,7 @@ func TestAvgAggregate(t *testing.T) {
 	}
 	// *|R1 covers 2 products × 2 cities = 4 base series.
 	n := g.LookupKey("*|region=R1")
-	bases := len(g.SummingVector(n))
+	bases := g.CoveredBaseCount(n.ID)
 	if bases != 4 {
 		t.Fatalf("expected 4 covered base series, got %d", bases)
 	}
@@ -929,6 +930,49 @@ func TestDatabaseSnapshotRoundTrip(t *testing.T) {
 	}
 	if db2.Stats().Batches != 2 {
 		t.Fatalf("batches = %d, want 2", db2.Stats().Batches)
+	}
+}
+
+// TestSaveImagesDeterministic: two saves of one configuration are the same
+// bytes, and so is the configuration nested in two snapshots of one engine;
+// both used to be built by iterating over maps, so on a 500-node cube two
+// saves differed. The rest of the snapshot is compared decoded: its Dims
+// hold the hierarchies' parent maps, which gob writes in random order.
+func TestSaveImagesDeterministic(t *testing.T) {
+	g, err := datasets.GenCube(1, datasets.CubeGenForNodes(500, 2)).Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := core.Run(g, core.Options{Seed: 1, FixedGamma: true, Gamma0: 0.5, MaxIterations: 12, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(g, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfgs [2]bytes.Buffer
+	var imgs [2]dbImage
+	for i := range imgs {
+		if err := SaveConfiguration(&cfgs[i], cfg); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := SaveDatabase(&buf, db); err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewDecoder(&buf).Decode(&imgs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(cfgs[0].Bytes(), cfgs[1].Bytes()) {
+		t.Error("SaveConfiguration: two saves differ")
+	}
+	if !bytes.Equal(imgs[0].Config, imgs[1].Config) {
+		t.Error("SaveDatabase: the nested configurations of two saves differ")
+	}
+	if !reflect.DeepEqual(imgs[0], imgs[1]) {
+		t.Error("SaveDatabase: two saves decode to different images")
 	}
 }
 

@@ -163,7 +163,7 @@ func missEngine(t testing.TB, opts Options) (*DB, *cube.Graph) {
 	}
 	cfg := core.NewConfiguration(g, g.Length)
 	m := forecast.NewNaive()
-	if err := m.Fit(g.Top().Series); err != nil {
+	if err := m.Fit(g.Node(g.TopID).Series); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Models[g.TopID] = m

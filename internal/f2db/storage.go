@@ -46,11 +46,17 @@ type configImage struct {
 	Models      []ModelRow
 }
 
-// SaveConfiguration serializes a configuration into the two-table layout.
+// SaveConfiguration serializes a configuration into the two-table layout:
+// schemes in ascending node ID and models in ModelIDs order, so one
+// configuration always saves to the same bytes.
 func SaveConfiguration(w io.Writer, cfg *core.Configuration) error {
 	g := cfg.Graph
 	img := configImage{TrainLen: cfg.TrainLen, CostSeconds: cfg.CostSeconds}
-	for id, sc := range cfg.Schemes {
+	for id := 0; id < g.NumNodes(); id++ {
+		sc, ok := cfg.Schemes[id]
+		if !ok {
+			continue
+		}
 		row := ConfigRow{
 			NodeKey: g.KeyOf(id),
 			Weight:  sc.K,
@@ -62,7 +68,8 @@ func SaveConfiguration(w io.Writer, cfg *core.Configuration) error {
 		}
 		img.Config = append(img.Config, row)
 	}
-	for id, m := range cfg.Models {
+	for _, id := range cfg.ModelIDs() {
+		m := cfg.Models[id]
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(&m); err != nil {
 			return fmt.Errorf("f2db: encoding model at node %d: %w", id, err)

@@ -86,7 +86,7 @@ func TestBottomUpStructure(t *testing.T) {
 		if sc.Kind != derivation.Aggregation || sc.K != 1 {
 			t.Fatalf("aggregated node %d: %+v", id, sc)
 		}
-		if len(sc.Sources) != len(g.SummingVector(n)) {
+		if len(sc.Sources) != g.CoveredBaseCount(id) {
 			t.Fatalf("node %d: sources %v", id, sc.Sources)
 		}
 	}

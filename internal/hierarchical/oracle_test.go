@@ -91,13 +91,12 @@ func oracleBottomUp(g *cube.Graph, opts Options) (*core.Configuration, error) {
 		oracleSetNodeError(cfg, derivation.DirectScheme(id), fc)
 	}
 	h := cfg.TestLen()
-	incidence := g.BaseIncidence()
 	for id := 0; id < g.NumNodes(); id++ {
 		n := g.Node(id)
 		if n.IsBase {
 			continue
 		}
-		bases := incidence[id]
+		bases := g.CoveredBases(id)
 		fc := make([]float64, h)
 		for _, b := range bases {
 			for i, v := range baseFc[b] {
@@ -160,14 +159,13 @@ func oracleCombine(g *cube.Graph, opts Options) (*core.Configuration, error) {
 	for j, b := range g.BaseIDs {
 		basePos[b] = j
 	}
-	incidence := g.BaseIncidence()
 	for id := 0; id < g.NumNodes(); id++ {
 		fc, err := oracleInstallModel(cfg, id, opts.CreationDelay)
 		if err != nil {
 			return nil, err
 		}
 		yhat[id] = fc
-		for _, b := range incidence[id] {
+		for _, b := range g.CoveredBases(id) {
 			s.set(id, basePos[b], 1)
 		}
 	}
@@ -201,7 +199,7 @@ func oracleCombine(g *cube.Graph, opts Options) (*core.Configuration, error) {
 	}
 	for id := 0; id < g.NumNodes(); id++ {
 		n := g.Node(id)
-		sc := derivation.Scheme{Target: id, Sources: incidence[id], K: 1, Kind: derivation.General}
+		sc := derivation.Scheme{Target: id, Sources: g.CoveredBases(id), K: 1, Kind: derivation.General}
 		if n.IsBase {
 			sc = derivation.DirectScheme(id)
 		}
@@ -437,7 +435,6 @@ func oracleCombineWLS(g *cube.Graph, opts Options) (*core.Configuration, error) 
 	for j, b := range g.BaseIDs {
 		basePos[b] = j
 	}
-	incidence := g.BaseIncidence()
 	for id := 0; id < g.NumNodes(); id++ {
 		m, d, err := oracleFitNode(cfg, id, opts.CreationDelay)
 		if err != nil {
@@ -452,7 +449,7 @@ func oracleCombineWLS(g *cube.Graph, opts Options) (*core.Configuration, error) 
 		if u, ok := m.(forecast.Uncertainty); ok && u.ResidualStd() > 0 {
 			sigma[id] = u.ResidualStd()
 		}
-		for _, b := range incidence[id] {
+		for _, b := range g.CoveredBases(id) {
 			s.set(id, basePos[b], 1)
 		}
 	}
@@ -493,7 +490,7 @@ func oracleCombineWLS(g *cube.Graph, opts Options) (*core.Configuration, error) 
 	}
 	for id := 0; id < g.NumNodes(); id++ {
 		n := g.Node(id)
-		sc := derivation.Scheme{Target: id, Sources: incidence[id], K: 1, Kind: derivation.General}
+		sc := derivation.Scheme{Target: id, Sources: g.CoveredBases(id), K: 1, Kind: derivation.General}
 		if n.IsBase {
 			sc = derivation.DirectScheme(id)
 		}
