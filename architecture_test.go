@@ -130,7 +130,6 @@ var assemblyCalls = map[string]bool{
 	"f2db.LoadDatabase":      true,
 	"f2db.LoadConfiguration": true,
 	"csvload.Load":           true,
-	"sibyl.New":              true,
 }
 
 // oneAssemblyPath: the binaries reach an engine through internal/daemon
@@ -243,8 +242,10 @@ func oneEvaluator(fsys fs.FS) error {
 // option, reservoir estimator, PPS-drawn schemes and error figures, the
 // pending lock with its contention counter and the engine-lock witness,
 // the read table's singleflight, the generator and self-tuning option
-// fields no program set, and the graph's history sum, its summing helper
-// and its summing-vector alias, which History and CoveredBases replace.
+// fields no program set, the graph's history sum, its summing helper
+// and its summing-vector alias, which History and CoveredBases replace,
+// and the self-forecasting engine with its actuators, query telemetry,
+// runtime cache resizes and flag group.
 var goneNames = map[string]bool{
 	"AsyncMultiSource": true,
 	"CostTime":         true,
@@ -338,6 +339,23 @@ var goneNames = map[string]bool{
 	"HistorySum":    true,
 	"historyLocked": true,
 	"SummingVector": true,
+
+	"SetTelemetry":             true,
+	"QueryTelemetry":           true,
+	"ObserveTemplate":          true,
+	"teleBox":                  true,
+	"teleSink":                 true,
+	"SetPlanCacheCapacity":     true,
+	"SetForecastCacheCapacity": true,
+	"CacheCapacities":          true,
+	"SetCacheCapacity":         true,
+	"setCapacity":              true,
+	"CacheResizes":             true,
+	"SelfTune":                 true,
+	"attachCoordTuning":        true,
+	"Prewarm":                  true,
+	"TroughWork":               true,
+	"CacheSizer":               true,
 }
 
 // noGoneNames: no identifier, tests included, brings a gone name back.
@@ -429,9 +447,9 @@ func citedTestsExist(fsys fs.FS) error {
 // Legibility budget: non-test Go lines under internal/ and cmd/, and the
 // lines of the two documents a newcomer reads first. A change that needs
 // more re-records the number here and says why in CHANGES.md.
-const goLineBudget = 18084
+const goLineBudget = 17129
 
-var docLineBudget = map[string]int{"DESIGN.md": 1380, "README.md": 541}
+var docLineBudget = map[string]int{"DESIGN.md": 1284, "README.md": 503}
 
 // legibilityBudget: the program and its main documents stay within their
 // recorded line counts.

@@ -36,16 +36,14 @@ import (
 	"cubefc/internal/daemon"
 	"cubefc/internal/f2db"
 	"cubefc/internal/fclient"
-	"cubefc/internal/metrics"
 	"cubefc/internal/workload"
 )
 
-// options are the parsed flags: the four shared groups plus what only the
+// options are the parsed flags: the three shared groups plus what only the
 // shell has — where to connect, what to run, and the workload's shape.
 type options struct {
 	src    daemon.Source
 	eng    daemon.Engine
-	tune   daemon.SelfTune
 	met    daemon.Metrics
 	remote string
 	exec   string
@@ -57,7 +55,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	o.src.Register(fs)
 	o.eng.Register(fs)
-	o.tune.Register(fs)
 	o.met.Register(fs)
 	fs.StringVar(&o.remote, "remote", "", "connect to a running f2dbd at this address instead of opening a local engine")
 	fs.StringVar(&o.exec, "exec", "", "execute one statement (SQL, \\ping, \\stats, \\info or \\save PATH) and exit")
@@ -116,13 +113,7 @@ func run(o *options) error {
 				fmt.Fprintln(os.Stderr, "f2dbcli:", err)
 			}
 		}()
-		regs := []*metrics.Registry{h.DB.Registry()}
-		if sib := o.tune.New(); sib != nil {
-			h.Tune(sib)
-			regs = append(regs, sib.Metrics().Registry())
-			sib.Start()
-		}
-		if err := o.met.Serve(logf, regs...); err != nil {
+		if err := o.met.Serve(logf, h.DB.Registry()); err != nil {
 			return err
 		}
 		if o.wl.TimePoints > 0 {
@@ -132,7 +123,7 @@ func run(o *options) error {
 			o.wl.UseSQL = true
 			return o.workload(h.DB, h.Graph)
 		}
-		sh = shell{executor: local{h.DB, regs}, db: h.DB, over: fmt.Sprintf("%s (%d nodes)", h.Name, h.DB.Graph().NumNodes())}
+		sh = shell{executor: local{h.DB}, db: h.DB, over: fmt.Sprintf("%s (%d nodes)", h.Name, h.DB.Graph().NumNodes())}
 	}
 	if o.exec != "" {
 		return sh.stmt(o.exec)
@@ -167,22 +158,15 @@ type executor interface {
 }
 
 // local answers for the in-process engine: \stats renders the engine's
-// registry, then the self-tuning engine's when -selftune is on.
-type local struct {
-	*f2db.DB
-	regs []*metrics.Registry
-}
+// registry.
+type local struct{ *f2db.DB }
 
 func (local) Ping() error { return nil }
 
 func (l local) Stats() (string, error) {
 	var b strings.Builder
-	for _, r := range l.regs {
-		if err := r.WriteStats(&b); err != nil {
-			return "", err
-		}
-	}
-	return b.String(), nil
+	err := l.Registry().WriteStats(&b)
+	return b.String(), err
 }
 
 // shell runs statements over an executor; exactly one of db (\save,

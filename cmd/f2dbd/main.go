@@ -10,7 +10,6 @@
 //	f2dbd -db snapshot.f2db -addr :7071 -metrics :9090 -save snapshot.f2db
 //	f2dbd -dataset tourism -wal-dir /var/lib/f2db -fsync always -compact-every 256
 //	f2dbd -coordinator -shards host1:7071,host2:7071 -dataset tourism -addr :7070
-//	f2dbd -dataset tourism -selftune -selftune-bucket 1s -selftune-season 60
 //
 // With -wal-dir the daemon is crash-durable: on boot it recovers the
 // directory (snapshot, then columnar segments, then the WAL tail —
@@ -47,13 +46,12 @@ import (
 	"cubefc/internal/server"
 )
 
-// options are the parsed flags: the four shared groups plus what only the
+// options are the parsed flags: the three shared groups plus what only the
 // daemon has — where it listens, its server limits, coordinator mode, and
 // what it writes while serving and on the way out.
 type options struct {
 	src          daemon.Source
 	eng          daemon.Engine
-	tune         daemon.SelfTune
 	met          daemon.Metrics
 	addr         string
 	save         string
@@ -69,7 +67,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	o.src.Register(fs)
 	o.eng.Register(fs)
-	o.tune.Register(fs)
 	o.met.Register(fs)
 	fs.StringVar(&o.addr, "addr", ":7071", "wire-protocol listen address")
 	fs.StringVar(&o.save, "save", "", "save a database snapshot to this path after draining")
@@ -113,13 +110,6 @@ func main() {
 		fail(err)
 	}
 	o.srv.Logf, o.coord.Logf = logf, logf
-	// sidecars are registries of state beside the backend: they follow the
-	// server's on \stats and on -metrics.
-	var sidecars []*metrics.Registry
-	sib := o.tune.New()
-	if sib != nil {
-		sidecars = append(sidecars, sib.Metrics().Registry())
-	}
 
 	var (
 		h       *daemon.Handle
@@ -140,21 +130,17 @@ func main() {
 		if co, err = coord.New(planner, addrs, o.coord); err != nil {
 			fail(err)
 		}
-		if sib != nil {
-			attachCoordTuning(sib, co, o.coord.CacheSize)
-		}
-		srv, backend = server.NewBackend(co, o.srv, sidecars...), co.Metrics().Registry()
+		srv, backend = server.NewBackend(co, o.srv), co.Metrics().Registry()
 		serving = fmt.Sprintf("coordinating %s across %d shards", name, len(addrs))
 	} else {
 		var err error
 		if h, err = o.eng.Open(&o.src, logf); err != nil {
 			fail(err)
 		}
-		h.Tune(sib)
 		if o.ckpt.Every > 0 || o.ckpt.EveryBatches > 0 {
 			h.Checkpoints(o.ckpt, logf)
 		}
-		srv, backend = server.New(h.DB, o.srv, sidecars...), h.DB.Registry()
+		srv, backend = server.New(h.DB, o.srv), h.DB.Registry()
 		serving = fmt.Sprintf("serving %s (%d nodes, %d models)", h.Name, h.DB.Graph().NumNodes(), h.DB.Configuration().NumModels())
 	}
 
@@ -163,13 +149,8 @@ func main() {
 		fail(err)
 	}
 	fmt.Printf("f2dbd: %s on %s\n", serving, ln.Addr())
-	regs := append([]*metrics.Registry{backend, srv.Metrics().Registry()}, sidecars...)
-	if err := o.met.Serve(logf, regs...); err != nil {
+	if err := o.met.Serve(logf, backend, srv.Metrics().Registry()); err != nil {
 		fail(err)
-	}
-	if sib != nil {
-		sib.Start()
-		logf("self-tuning every %s (season %d)", sib.Bucket(), o.tune.Options.Season)
 	}
 
 	errc := make(chan error, 1)
@@ -186,9 +167,6 @@ func main() {
 		drainErr := srv.Shutdown(ctx)
 		cancel()
 		if co != nil {
-			if sib != nil {
-				sib.Stop()
-			}
 			_ = co.Close()
 		} else if err := h.Close(); err != nil {
 			fail(err)

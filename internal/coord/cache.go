@@ -151,16 +151,6 @@ func (rc *readCache) fill(key string, ent *entry, fetch func() ([]byte, error)) 
 	return res, err
 }
 
-// setCapacity resizes the table, evicting least-recently-used entries when
-// shrinking below current occupancy, and returns how many.
-func (rc *readCache) setCapacity(capacity int) int {
-	rc.mu.Lock()
-	evicted := rc.tab.Resize(capacity)
-	rc.mu.Unlock()
-	rc.met.CacheEvictions.Add(int64(evicted))
-	return evicted
-}
-
 // len reports the entry count (stats). Entries whose result a write
 // overtook, or whose fetch failed, hold only a plan, so this is an upper
 // bound on servable answers.

@@ -170,11 +170,6 @@ type Coordinator struct {
 	epoch atomic.Uint64
 	cache *readCache
 
-	// tele, when non-nil, receives each query's normalized template text —
-	// the coordinator-tier attach point for the sibyl workload forecaster
-	// (same contract as f2db.DB.SetTelemetry).
-	tele atomic.Pointer[teleSink]
-
 	mu   sync.Mutex
 	cond *sync.Cond
 	log  []*logEntry
@@ -259,31 +254,6 @@ func (c *Coordinator) Close() error {
 
 // Metrics returns the coordinator's live counters.
 func (c *Coordinator) Metrics() *Metrics { return c.met }
-
-// teleSink wraps the telemetry interface for atomic storage.
-type teleSink struct{ t f2db.QueryTelemetry }
-
-// SetTelemetry attaches (or, with nil, detaches) the workload telemetry
-// sink; Query reports each statement's normalized template to it. Safe on
-// a live coordinator.
-func (c *Coordinator) SetTelemetry(t f2db.QueryTelemetry) {
-	if t == nil {
-		c.tele.Store(nil)
-		return
-	}
-	c.tele.Store(&teleSink{t: t})
-}
-
-// SetCacheCapacity resizes the read table, evicting least-recently-used
-// entries when shrinking. Returns the entries evicted; no-op (returning 0)
-// when caching is disabled.
-func (c *Coordinator) SetCacheCapacity(entries int) int {
-	if c.cache == nil {
-		return 0
-	}
-	c.met.CacheResizes.Add(1)
-	return c.cache.setCapacity(entries)
-}
 
 // --- write path ----------------------------------------------------------
 
@@ -590,9 +560,6 @@ func (c *Coordinator) AppendQuery(dst []byte, sql string) ([]byte, error) {
 			return dst, err
 		}
 		c.met.Queries.Add(1)
-		if t := c.tele.Load(); t != nil {
-			t.t.ObserveTemplate(f2db.NormalizeSQL(sql))
-		}
 		res, err := c.runPlan(plan, sql)
 		return append(dst, res...), err
 	}
@@ -602,9 +569,6 @@ func (c *Coordinator) AppendQuery(dst []byte, sql string) ([]byte, error) {
 		return dst, err
 	}
 	c.met.Queries.Add(1)
-	if t := c.tele.Load(); t != nil {
-		t.t.ObserveTemplate(key)
-	}
 	if res == nil {
 		res, err = c.cache.fill(key, ent, func() ([]byte, error) {
 			return c.runPlan(ent.plan, sql)

@@ -34,8 +34,6 @@ type Metrics struct {
 	CacheEvictions     atomic.Int64
 	CacheInvalidations atomic.Int64
 	RouteMemoHits      atomic.Int64
-	// CacheResizes counts SetCacheCapacity calls (the self-tuning sizer).
-	CacheResizes atomic.Int64
 	// CacheCoalesced is always 0: the read table has no singleflight, so
 	// no miss joins another's request. It stays for the benchmark harness
 	// that reads it.
@@ -98,7 +96,6 @@ func (m *Metrics) Registry() *metrics.Registry {
 	r.Int("coord_cache_evictions_total", "Result-cache LRU evictions.", &m.CacheEvictions)
 	r.Int("coord_cache_invalidations_total", "Cached results discarded because a write bumped the epoch.", &m.CacheInvalidations)
 	r.Int("coord_route_memo_hits_total", "Statements routed from the memo without re-parsing.", &m.RouteMemoHits)
-	r.Int("coord_cache_resizes_total", "Read-cache capacity changes applied by self-tuning.", &m.CacheResizes)
 	r.Int("coord_epoch_global_bumps_total", "Write-epoch bumps: one per logged Exec.", &m.EpochGlobalBumps)
 
 	r.Break(false)

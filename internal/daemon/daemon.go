@@ -1,9 +1,9 @@
 // Package daemon is the one place that turns flags into a running
 // process: data source → hyper graph → configuration → engine → durable
-// directory, with self-tuning and the metrics listener beside it. The
-// rule it enforces: a flag two binaries share is declared here, once, or
-// not at all. cmd/advisor registers Source; cmd/f2dbcli and cmd/f2dbd
-// register all four groups and add only what is theirs alone.
+// directory, with the metrics listener beside it. The rule it enforces: a
+// flag two binaries share is declared here, once, or not at all.
+// cmd/advisor registers Source; cmd/f2dbcli and cmd/f2dbd register all
+// three groups and add only what is theirs alone.
 package daemon
 
 import (
@@ -13,12 +13,10 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"time"
 
 	"cubefc/internal/experiments"
 	"cubefc/internal/f2db"
 	"cubefc/internal/metrics"
-	"cubefc/internal/sibyl"
 )
 
 // Logf receives the assembly path's progress lines; each binary prefixes
@@ -64,28 +62,6 @@ func (e *Engine) Register(fs *flag.FlagSet) {
 	fs.StringVar(&e.Durable.Dir, "wal-dir", "", "durable directory (snapshot + write-ahead log + columnar segments); recovers on open, then group-commits every completed batch")
 	fs.StringVar(&e.Fsync, "fsync", "always", "WAL fsync policy with -wal-dir: always, never, or an integer n (fsync every n batches)")
 	fs.IntVar(&e.Durable.CompactEvery, "compact-every", 256, "with -wal-dir: compact the sealed WAL span into a columnar segment every n batches (0 disables)")
-}
-
-// SelfTune configures the internal/sibyl self-forecasting engine.
-type SelfTune struct {
-	On      bool
-	Options sibyl.Options
-}
-
-// Register declares the self-tuning flags on fs.
-func (s *SelfTune) Register(fs *flag.FlagSet) {
-	fs.BoolVar(&s.On, "selftune", false, "run the self-forecasting engine: per-template workload prediction drives cache pre-warming, trough-scheduled maintenance and adaptive cache sizing; counters on \\stats and -metrics")
-	fs.DurationVar(&s.Options.Bucket, "selftune-bucket", time.Second, "self-tuning arrival-count bucket width (and control-loop period)")
-	fs.IntVar(&s.Options.Season, "selftune-season", 0, "self-tuning seasonal period in buckets (0 = non-seasonal smoothing)")
-}
-
-// New returns the configured self-forecasting engine, not yet attached to
-// a tier or started, or nil without -selftune.
-func (s *SelfTune) New() *sibyl.Engine {
-	if !s.On {
-		return nil
-	}
-	return sibyl.New(s.Options)
 }
 
 // Metrics configures the sidecar HTTP listener.

@@ -15,34 +15,34 @@ import (
 	"cubefc/internal/workload"
 )
 
-// register declares the four groups on a fresh FlagSet — which panics on
+// register declares the three groups on a fresh FlagSet — which panics on
 // a name declared twice.
-func register() (*flag.FlagSet, *Source, *Engine, *SelfTune, *Metrics) {
+func register() (*flag.FlagSet, *Source, *Engine, *Metrics) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	src, eng, tune, met := &Source{}, &Engine{}, &SelfTune{}, &Metrics{}
-	for _, g := range []interface{ Register(*flag.FlagSet) }{src, eng, tune, met} {
+	src, eng, met := &Source{}, &Engine{}, &Metrics{}
+	for _, g := range []interface{ Register(*flag.FlagSet) }{src, eng, met} {
 		g.Register(fs)
 	}
-	return fs, src, eng, tune, met
+	return fs, src, eng, met
 }
 
-// parse registers the four groups and parses args.
-func parse(t *testing.T, args ...string) (*Source, *Engine, *SelfTune, *Metrics) {
+// parse registers the three groups and parses args.
+func parse(t *testing.T, args ...string) (*Source, *Engine, *Metrics) {
 	t.Helper()
-	fs, src, eng, tune, met := register()
+	fs, src, eng, met := register()
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	return src, eng, tune, met
+	return src, eng, met
 }
 
 func TestGroupsDeclareEachFlagOnce(t *testing.T) {
-	fs, _, _, _, _ := register()
+	fs, _, _, _ := register()
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 4+5+3+2 {
-		t.Fatalf("the four groups declare %d flags, want 14", n)
+	if n != 4+5+2 {
+		t.Fatalf("the three groups declare %d flags, want 11", n)
 	}
 }
 
@@ -70,7 +70,7 @@ func TestSourceGraphIsOnDemand(t *testing.T) {
 		{"-dataset", "tourism"},
 		{"-csv", csv, "-dims", "product;location=city<region", "-period", "2"},
 	} {
-		src, _, _, _ := parse(t, args...)
+		src, _, _ := parse(t, args...)
 		g, _, err := src.Graph()
 		if err != nil {
 			t.Fatal(err)
@@ -80,7 +80,7 @@ func TestSourceGraphIsOnDemand(t *testing.T) {
 		}
 	}
 	for _, gone := range []string{"-lazy", "-cold-refit"} {
-		if fs, _, _, _, _ := register(); fs.Parse([]string{gone}) == nil {
+		if fs, _, _, _ := register(); fs.Parse([]string{gone}) == nil {
 			t.Errorf("%s is still a flag", gone)
 		}
 	}
@@ -91,7 +91,7 @@ func TestSourceGraphIsOnDemand(t *testing.T) {
 // assembled on the advisor path holds only its base nodes until a query
 // asks for more.
 func TestAdvisorPathResidentSet(t *testing.T) {
-	src, eng, _, _ := parse(t, "-dataset", "tourism")
+	src, eng, _ := parse(t, "-dataset", "tourism")
 	h, err := eng.Open(src, t.Logf)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestAdvisorPathResidentSet(t *testing.T) {
 // again answers bit-identically to one that was never closed and never had
 // a directory.
 func TestOpenCloseReopenTwin(t *testing.T) {
-	src, _, _, _ := parse(t, "-dataset", "tourism")
+	src, _, _ := parse(t, "-dataset", "tourism")
 	g, _, err := src.Graph()
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestOpenCloseReopenTwin(t *testing.T) {
 	var log []string
 	open := func(args ...string) *Handle {
 		t.Helper()
-		src, eng, _, _ := parse(t, append([]string{"-dataset", "tourism", "-config", cfgPath}, args...)...)
+		src, eng, _ := parse(t, append([]string{"-dataset", "tourism", "-config", cfgPath}, args...)...)
 		h, err := eng.Open(src, func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) })
 		if err != nil {
 			t.Fatal(err)
@@ -191,7 +191,7 @@ func TestOpenCloseReopenTwin(t *testing.T) {
 }
 
 func TestPprofNeedsMetrics(t *testing.T) {
-	_, _, _, met := parse(t, "-pprof")
+	_, _, met := parse(t, "-pprof")
 	const want = "-pprof mounts on the metrics listener; set -metrics too"
 	if err := met.Check(); err == nil || err.Error() != want {
 		t.Fatalf("Check() = %v, want %q", err, want)
@@ -199,46 +199,31 @@ func TestPprofNeedsMetrics(t *testing.T) {
 	if err := met.Serve(t.Logf); err == nil || err.Error() != want {
 		t.Fatalf("Serve() = %v, want %q", err, want)
 	}
-	_, _, _, met = parse(t, "-pprof", "-metrics", "127.0.0.1:0")
+	_, _, met = parse(t, "-pprof", "-metrics", "127.0.0.1:0")
 	if err := met.Check(); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, met = parse(t)
+	_, _, met = parse(t)
 	if err := met.Serve(t.Logf); err != nil {
 		t.Fatalf("Serve without -metrics: %v", err)
 	}
 }
 
-func TestSelfTuneOff(t *testing.T) {
-	_, _, tune, _ := parse(t, "-selftune-season", "4")
-	if sib := tune.New(); sib != nil {
-		t.Fatal("New without -selftune built an engine")
-	}
-	_, _, tune, _ = parse(t, "-selftune", "-selftune-bucket", "200ms")
-	sib := tune.New()
-	if sib == nil || sib.Bucket().Milliseconds() != 200 {
-		t.Fatalf("New with -selftune -selftune-bucket 200ms = %v", sib)
-	}
-}
-
-// TestCloseStopsWhatWasStarted runs Close with the control loop and the
-// checkpoint scheduler both live (a hang here is a stop that never came),
-// and checks that what it leaves behind is a directory that recovers.
+// TestCloseStopsWhatWasStarted runs Close with the checkpoint scheduler
+// live (a hang here is a stop that never came), and checks that what it
+// leaves behind is a directory that recovers.
 func TestCloseStopsWhatWasStarted(t *testing.T) {
-	args := []string{"-dataset", "tourism", "-wal-dir", t.TempDir(), "-fsync", "never", "-selftune", "-selftune-bucket", "10ms"}
-	src, eng, tune, _ := parse(t, args...)
+	args := []string{"-dataset", "tourism", "-wal-dir", t.TempDir(), "-fsync", "never"}
+	src, eng, _ := parse(t, args...)
 	h, err := eng.Open(src, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sib := tune.New()
-	h.Tune(sib)
 	h.Checkpoints(f2db.CheckpointPolicy{EveryBatches: 1}, t.Logf)
-	sib.Start()
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
-	src, eng, _, _ = parse(t, args...)
+	src, eng, _ = parse(t, args...)
 	if h, err = eng.Open(src, t.Logf); err != nil {
 		t.Fatal(err)
 	}

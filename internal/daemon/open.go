@@ -10,7 +10,6 @@ import (
 	"cubefc/internal/experiments"
 	"cubefc/internal/f2db"
 	"cubefc/internal/segment"
-	"cubefc/internal/sibyl"
 )
 
 // withFile runs read over the file at path; every file this package
@@ -64,7 +63,6 @@ type Handle struct {
 	// file or the durable directory.
 	Name string
 
-	sib  *sibyl.Engine
 	ckpt *f2db.CheckpointScheduler
 }
 
@@ -128,50 +126,6 @@ func (e *Engine) Open(src *Source, logf Logf) (*Handle, error) {
 	return h, nil
 }
 
-// Tune points the self-forecasting engine at this engine and hands its
-// stop to Close; the caller still starts it, once what it actuates on is
-// serving. A nil sib is -selftune off. This is the one place that decides
-// what "act on a prediction" means for the engine tier (sibyl itself
-// stays policy-free): pre-warm predicted spike templates through the real
-// query path, schedule eager re-estimation (and segment compaction when
-// durable) into predicted troughs, and size the plan cache and forecast
-// memo from the predicted working set, starting from the capacities the
-// engine was opened with.
-func (h *Handle) Tune(sib *sibyl.Engine) {
-	if sib == nil {
-		return
-	}
-	h.sib = sib
-	db, dur := h.DB, h.Durable
-	db.SetTelemetry(sib)
-	plans, forecasts := db.CacheCapacities()
-	sib.Attach(
-		&sibyl.Prewarm{Run: func(sql string) error {
-			_, err := db.Query(sql)
-			return err
-		}},
-		&sibyl.TroughWork{Run: func() {
-			db.ReestimateInvalid()
-			if dur != nil {
-				_ = dur.Compact()
-			}
-		}},
-		&sibyl.CacheSizer{
-			Apply:   func(n int) { db.SetPlanCacheCapacity(n) },
-			Min:     64,
-			Max:     64 << 10,
-			Current: plans,
-		},
-		&sibyl.CacheSizer{
-			Apply:       func(n int) { db.SetForecastCacheCapacity(n) },
-			Min:         256,
-			Max:         1 << 20,
-			PerTemplate: 8, // distinct (node, horizon, confidence) per template
-			Current:     forecasts,
-		},
-	)
-}
-
 // Checkpoints starts the background checkpoint scheduler over the durable
 // directory; Close stops it.
 func (h *Handle) Checkpoints(policy f2db.CheckpointPolicy, logf Logf) {
@@ -180,15 +134,12 @@ func (h *Handle) Checkpoints(policy f2db.CheckpointPolicy, logf Logf) {
 }
 
 // Close shuts the engine's surroundings down in the one order that is
-// safe, once no request is in flight: the control loop stops before the
-// tiers it actuates on, the scheduler before the last checkpoint, and
-// that checkpoint — so the next Open starts from a snapshot of exactly
-// the served state with an empty WAL, instead of replaying the session —
-// before the WAL closes. The DB stays readable (f2dbd -save).
+// safe, once no request is in flight: the scheduler stops before the last
+// checkpoint, and that checkpoint — so the next Open starts from a
+// snapshot of exactly the served state with an empty WAL, instead of
+// replaying the session — before the WAL closes. The DB stays readable
+// (f2dbd -save).
 func (h *Handle) Close() error {
-	if h.sib != nil {
-		h.sib.Stop()
-	}
 	if h.ckpt != nil {
 		h.ckpt.Stop()
 	}

@@ -162,12 +162,6 @@ type DB struct {
 
 	met engineMetrics
 
-	// tele, when non-nil, is the workload telemetry sink (selftune.go):
-	// Query reports each statement's normalized template to it. An atomic
-	// pointer so the hook costs one load on the hot path when disabled and
-	// can be attached/detached on a live engine.
-	tele atomic.Pointer[teleBox]
-
 	// commitHook, when non-nil, is the group-commit gate: advanceIfComplete
 	// calls it under maint, without mu, with the complete batch — the pending
 	// column, to be read and not retained — and the generation it creates

@@ -394,9 +394,8 @@ func (d *Durable) compactLocked(toGen uint64) error {
 }
 
 // Compact eagerly folds the sealed WAL span into a columnar segment,
-// without waiting for the commit-path CompactEvery counter. The
-// self-tuning control plane calls it in predicted workload troughs so the
-// encode cost lands in idle buckets. It takes maint (the lock the
+// without waiting for the commit-path CompactEvery counter, so a caller
+// can pay the encode cost at a moment of its choosing. It takes maint (the lock the
 // commit-path compaction runs under) and is a no-op when there is no
 // sealed history to fold.
 func (d *Durable) Compact() error {

@@ -34,7 +34,7 @@ type fcKey struct {
 }
 
 // compareFcKeys orders keys by (node, h, conf), the order snapshot images
-// and capacity shrinks use.
+// use.
 func compareFcKeys(a, b fcKey) int {
 	return cmp.Or(cmp.Compare(a.node, b.node), cmp.Compare(a.h, b.h), cmp.Compare(a.conf, b.conf))
 }
@@ -58,7 +58,7 @@ type fcCache struct {
 	gen      atomic.Uint64
 	mu       sync.RWMutex
 	items    map[fcKey]fcEntry
-	capacity int // guarded by mu
+	capacity int
 }
 
 // newFcCache sizes the memo table to hold capacity entries (at least one).
@@ -108,30 +108,6 @@ func (c *fcCache) put(key fcKey, point, lo, hi []float64) (evicted int64) {
 func (c *fcCache) dropStale(cur uint64) (evicted int64) {
 	for k, e := range c.items {
 		if e.gen != cur {
-			delete(c.items, k)
-			evicted++
-		}
-	}
-	return evicted
-}
-
-// setCapacity resizes the memo table to hold capacity entries (at least
-// one). Over the new capacity it drops stale entries first, then live
-// entries from the top of the sorted key order. Returns the eviction count.
-func (c *fcCache) setCapacity(capacity int) (evicted int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.capacity = max(capacity, 1)
-	if len(c.items) > c.capacity {
-		evicted = c.dropStale(c.gen.Load())
-	}
-	if over := len(c.items) - c.capacity; over > 0 {
-		keys := make([]fcKey, 0, len(c.items))
-		for k := range c.items {
-			keys = append(keys, k)
-		}
-		slices.SortFunc(keys, compareFcKeys)
-		for _, k := range keys[len(keys)-over:] {
 			delete(c.items, k)
 			evicted++
 		}

@@ -36,6 +36,20 @@ func (db *DB) invalidModelIDs() []int {
 	return ids
 }
 
+// ReestimateInvalid re-fits every currently invalid model under the
+// maintenance lock, as the next queries touching them would have done
+// lazily, and returns how many it re-fitted. An engine that calls it after
+// every advance answers exactly like a lazy twin only while the twin's
+// queries re-fit every invalidated model before the next advance: a model
+// the lazy twin re-fits later is fitted on a longer series
+// (TestEagerReestimateTwin).
+func (db *DB) ReestimateInvalid() int {
+	db.maint.Lock()
+	defer db.maint.Unlock()
+	n, _ := db.refit(db.invalidModelIDs())
+	return n
+}
+
 // refitFor makes a lazy query's nodes answerable under the shared lock: it
 // re-fits every invalid model among their sources. The caller holds maint,
 // which keeps them so until it is released.

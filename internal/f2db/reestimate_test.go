@@ -90,6 +90,27 @@ func TestAdvanceWaitsForRefit(t *testing.T) {
 
 // TestReestimateNodeSkipsValidModel: re-estimating a valid engine is a
 // no-op.
+func TestReestimateInvalid(t *testing.T) {
+	db, _, _ := testEngine(t, TimeBased{Every: 1})
+	if err := db.InsertBatch(fullBatch(db, 0)); err != nil {
+		t.Fatal(err)
+	}
+	n := db.InvalidCount()
+	if n == 0 {
+		t.Fatal("batch advance invalidated nothing under TimeBased{1}")
+	}
+	if got := db.ReestimateInvalid(); got != n {
+		t.Fatalf("ReestimateInvalid re-fitted %d models, want %d", got, n)
+	}
+	if got := db.InvalidCount(); got != 0 {
+		t.Fatalf("%d models still invalid after ReestimateInvalid", got)
+	}
+	// Idempotent when nothing is invalid.
+	if got := db.ReestimateInvalid(); got != 0 {
+		t.Fatalf("second ReestimateInvalid re-fitted %d models, want 0", got)
+	}
+}
+
 func TestReestimateNodeSkipsValidModel(t *testing.T) {
 	db, _, _ := testEngine(t, nil)
 	if n := db.ReestimateInvalid(); n != 0 {

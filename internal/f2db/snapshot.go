@@ -220,7 +220,7 @@ func LoadDatabase(r io.Reader, opts Options) (*DB, error) {
 	// is the worst outcome either way.
 	if db.plans != nil {
 		for i := len(img.PlanTexts) - 1; i >= 0; i-- {
-			_, _, _ = db.planQuery(img.PlanTexts[i])
+			_, _ = db.planQuery(img.PlanTexts[i])
 		}
 	}
 	// Warm the forecast memo table: re-derive each persisted key once so

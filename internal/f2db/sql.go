@@ -103,12 +103,9 @@ func (db *DB) Exec(sql string) error {
 // with each other; only a query that needs a lazy model re-estimation takes
 // the maintenance lock and retries (see ForecastNode).
 func (db *DB) Query(sql string) (*Result, error) {
-	plan, key, err := db.planQuery(sql)
+	plan, err := db.planQuery(sql)
 	if err != nil {
 		return nil, err
-	}
-	if t := db.tele.Load(); t != nil {
-		t.t.ObserveTemplate(key)
 	}
 	db.mu.RLock()
 	res, err := db.execPlan(plan, false)
@@ -130,8 +127,8 @@ func (db *DB) Query(sql string) (*Result, error) {
 // whitespace between tokens collapse to single spaces so reformatting a
 // query does not defeat the cache. String literals are copied verbatim, by
 // the lexer's own rule (literalEnd): 'New  York' and 'New York' are two
-// members, and the normalized text is itself executed (self-tuning
-// pre-warm), so it must mean what the original meant. Case is preserved —
+// members, and the normalized text is itself planned (a snapshot's plan
+// warm-up), so it must mean what the original meant. Case is preserved —
 // member values are case-sensitive and folding keywords only would cost
 // more than the rare duplicate entry.
 //
@@ -197,32 +194,27 @@ func collapseSpace(sql string) string {
 }
 
 // planQuery returns the resolved plan for a query text, from the plan cache
-// when possible, along with the normalized cache key (the workload-template
-// identity the telemetry hook reports — computed here so the hook never
-// re-normalizes on the hot path; empty when neither the cache nor telemetry
-// needs it). Parsing and node resolution dominate the SQL query cost over
+// when possible. Parsing and node resolution dominate the SQL query cost over
 // the forecast derivation, and both depend only on immutable engine state —
 // the query text, the graph structure and the step duration — so a plan is
 // cached without any invalidation protocol. Only successfully planned
 // statements are cached; error results are recomputed (they are not on the
 // hot path).
-func (db *DB) planQuery(sql string) (*Plan, string, error) {
+func (db *DB) planQuery(sql string) (*Plan, error) {
 	var key string
-	if db.plans != nil || db.tele.Load() != nil {
-		key = NormalizeSQL(sql)
-	}
 	if db.plans != nil {
+		key = NormalizeSQL(sql)
 		db.planMu.Lock()
 		plan, ok := db.plans.Get(key)
 		db.planMu.Unlock()
 		if ok {
 			db.met.planHits.Add(1)
-			return plan, key, nil
+			return plan, nil
 		}
 	}
 	plan, err := db.planner.plan(sql)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	plan.keys = db.renderKeys(plan.oneKey[:0], plan.Nodes)
 	if db.plans != nil {
@@ -234,7 +226,7 @@ func (db *DB) planQuery(sql string) (*Plan, string, error) {
 			db.met.planEvictions.Add(1)
 		}
 	}
-	return plan, key, nil
+	return plan, nil
 }
 
 // renderKeys renders the nodes' coordinate keys into one buffer and returns

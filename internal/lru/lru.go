@@ -2,8 +2,8 @@
 // least-recently-used map that the engine's plan cache and the
 // coordinator's read table both instantiate. It is deliberately
 // unsynchronised — every caller already owns a mutex that guards more than
-// the table (metrics ordering, the singleflight map), so a second lock
-// inside would only be paid twice on the hit path.
+// the table (metrics ordering), so a second lock inside would only be paid
+// twice on the hit path.
 package lru
 
 // Cache is a fixed-capacity map that evicts the least recently used entry.
@@ -97,25 +97,8 @@ func (c *Cache[K, V]) Delete(k K) bool {
 	return ok
 }
 
-// Resize sets the capacity (raised to 1 if below) and evicts least
-// recently used entries until the cache fits, returning how many.
-func (c *Cache[K, V]) Resize(capacity int) (evicted int) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	c.cap = capacity
-	for len(c.items) > c.cap {
-		c.evictOldest()
-		evicted++
-	}
-	return evicted
-}
-
 // Len returns the number of entries.
 func (c *Cache[K, V]) Len() int { return len(c.items) }
-
-// Cap returns the capacity.
-func (c *Cache[K, V]) Cap() int { return c.cap }
 
 // Keys returns the keys from most to least recently used.
 func (c *Cache[K, V]) Keys() []K {

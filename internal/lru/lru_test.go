@@ -44,8 +44,8 @@ func TestEvictionOrder(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("len = %d, want 2", c.Len())
 	}
-	if New[int, int](0).cap != 1 || c.Resize(-3) != 1 || c.cap != 1 {
-		t.Fatal("capacities below 1 must clamp to 1")
+	if New[int, int](0).cap != 1 {
+		t.Fatal("a capacity below 1 must clamp to 1")
 	}
 }
 
@@ -96,20 +96,7 @@ func (o *oracle) put(k, v int) bool {
 	return evicted
 }
 
-func (o *oracle) resize(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	o.cap = n
-	evicted := 0
-	for len(o.pairs) > o.cap {
-		o.remove(len(o.pairs) - 1)
-		evicted++
-	}
-	return evicted
-}
-
-// TestQuickAgainstOracle drives random Get/Put/Delete/Resize sequences
+// TestQuickAgainstOracle drives random Get/Put/Delete sequences
 // through the cache and the slice oracle and demands, after every step,
 // the same return value, the same MRU-first key order and Len <= cap.
 func TestQuickAgainstOracle(t *testing.T) {
@@ -117,11 +104,10 @@ func TestQuickAgainstOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		initial := int(capacity % 9) // 0 exercises the clamp
 		c := New[int, int](initial)
-		o := &oracle{}
-		o.resize(initial)
+		o := &oracle{cap: max(initial, 1)}
 		for step := 0; step < 400; step++ {
 			k, v := rng.Intn(12), rng.Int()
-			switch op := rng.Intn(10); {
+			switch op := rng.Intn(9); {
 			case op < 4:
 				gv, gok := c.Get(k)
 				wv, wok := o.get(k)
@@ -134,19 +120,13 @@ func TestQuickAgainstOracle(t *testing.T) {
 					t.Logf("seed %d step %d: Put(%d) evicted=%v want %v", seed, step, k, g, w)
 					return false
 				}
-			case op < 9:
+			default:
 				i := o.find(k)
 				if i >= 0 {
 					o.remove(i)
 				}
 				if g := c.Delete(k); g != (i >= 0) {
 					t.Logf("seed %d step %d: Delete(%d) = %v want %v", seed, step, k, g, i >= 0)
-					return false
-				}
-			default:
-				n := rng.Intn(10) - 1
-				if g, w := c.Resize(n), o.resize(n); g != w {
-					t.Logf("seed %d step %d: Resize(%d) evicted %d want %d", seed, step, n, g, w)
 					return false
 				}
 			}

@@ -22,7 +22,6 @@ import (
 	"cubefc/internal/metrics"
 	"cubefc/internal/segment"
 	"cubefc/internal/server"
-	"cubefc/internal/sibyl"
 	"cubefc/internal/timeseries"
 )
 
@@ -268,9 +267,30 @@ var oneWriterFamilies = strings.NewReplacer(
 )
 
 // oneFlightFamilies drops the coalesced-request counter: the read table has
-// no singleflight. Applied last.
+// no singleflight.
 var oneFlightFamilies = strings.NewReplacer(
 	"# TYPE coord_cache_coalesced_total counter\n", "",
+)
+
+// noSibylFamilies drops the self-forecasting engine's families and the read
+// table's resize counter: no process tunes itself. Applied last.
+var noSibylFamilies = strings.NewReplacer(
+	"# TYPE coord_cache_resizes_total counter\n", "",
+	"# TYPE sibyl_buckets_total counter\n", "",
+	"# TYPE sibyl_fit_errors_total counter\n", "",
+	"# TYPE sibyl_observed_total counter\n", "",
+	"# TYPE sibyl_prewarm_errors_total counter\n", "",
+	"# TYPE sibyl_prewarms_total counter\n", "",
+	"# TYPE sibyl_refits_total counter\n", "",
+	"# TYPE sibyl_resize_skips_total counter\n", "",
+	"# TYPE sibyl_resizes_total counter\n", "",
+	"# TYPE sibyl_spikes_total counter\n", "",
+	"# TYPE sibyl_templates gauge\n", "",
+	"# TYPE sibyl_templates_dropped_total counter\n", "",
+	"# TYPE sibyl_templates_evicted_total counter\n", "",
+	"# TYPE sibyl_trough_runs_total counter\n", "",
+	"# TYPE sibyl_trough_skips_total counter\n", "",
+	"# TYPE sibyl_troughs_total counter\n", "",
 )
 
 // typeLines returns the sorted `# TYPE` lines of a page.
@@ -285,7 +305,7 @@ func typeLines(page string) string {
 	return strings.Join(types, "\n") + "\n"
 }
 
-// TestFamilySet mounts all four registries on one handler, the way the
+// TestFamilySet mounts all three registries on one handler, the way the
 // daemons do, and holds the page to the lint and to the parent's family
 // set plus the listed changes — on a fresh stack and again after traffic,
 // since the set must not depend on what has happened so far.
@@ -334,8 +354,7 @@ func TestFamilySet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sib := sibyl.New(sibyl.Options{})
-	handler := metrics.Handler(db.Registry(), co.Metrics().Registry(), srv.Metrics().Registry(), sib.Metrics().Registry())
+	handler := metrics.Handler(db.Registry(), co.Metrics().Registry(), srv.Metrics().Registry())
 
 	check := func(when string) string {
 		rec := httptest.NewRecorder()
@@ -344,7 +363,7 @@ func TestFamilySet(t *testing.T) {
 		if err := lint(page); err != nil {
 			t.Fatalf("%s: %v\n%s", when, err, page)
 		}
-		if got, want := typeLines(page), typeLines(oneFlightFamilies.Replace(oneWriterFamilies.Replace(oneEpochFamilies.Replace(pendingLockFamilies.Replace(familyChanges.Replace(parentFamilies)))))); got != want {
+		if got, want := typeLines(page), typeLines(noSibylFamilies.Replace(oneFlightFamilies.Replace(oneWriterFamilies.Replace(oneEpochFamilies.Replace(pendingLockFamilies.Replace(familyChanges.Replace(parentFamilies))))))); got != want {
 			t.Fatalf("%s: family set differs from the parent's plus the listed changes\n--- got\n%s--- want\n%s", when, got, want)
 		}
 		return page

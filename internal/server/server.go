@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"cubefc/internal/f2db"
-	"cubefc/internal/metrics"
 	"cubefc/internal/wire"
 )
 
@@ -134,9 +133,6 @@ type Server struct {
 	query func(dst []byte, sql string) ([]byte, error)
 	opts  Options
 	met   Metrics
-	// stats are the registries a TStats answer carries after the backend's
-	// own text: the server's, then the sidecars' the daemon passed in.
-	stats []*metrics.Registry
 	// nonce identifies this server process lifetime for TInfo responses; a
 	// reconnecting peer seeing a different nonce knows the process (and any
 	// purely in-memory state) was replaced.
@@ -162,11 +158,9 @@ type Server struct {
 }
 
 // New returns a server over an embedded engine. Serve must be called to
-// start it. sidecars are registries of state the backend does not know
-// about (the self-tuning engine's counters), appended to every TStats
-// answer.
-func New(db *f2db.DB, opts Options, sidecars ...*metrics.Registry) *Server {
-	return NewBackend(engineBackend{db: db}, opts, sidecars...)
+// start it.
+func New(db *f2db.DB, opts Options) *Server {
+	return NewBackend(engineBackend{db: db}, opts)
 }
 
 // NewBackend returns a server over an arbitrary backend (an engine
@@ -174,7 +168,7 @@ func New(db *f2db.DB, opts Options, sidecars ...*metrics.Registry) *Server {
 // AppendQuery method (the coordinator, which holds its shard's answers
 // encoded) answers queries through it; any other has Query's answers
 // encoded.
-func NewBackend(b Backend, opts Options, sidecars ...*metrics.Registry) *Server {
+func NewBackend(b Backend, opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
 		backend: b,
@@ -183,7 +177,6 @@ func NewBackend(b Backend, opts Options, sidecars ...*metrics.Registry) *Server 
 		sem:     make(chan struct{}, opts.MaxConns),
 		conns:   make(map[*conn]struct{}),
 	}
-	s.stats = append([]*metrics.Registry{s.met.Registry()}, sidecars...)
 	if a, ok := b.(interface {
 		AppendQuery(dst []byte, sql string) ([]byte, error)
 	}); ok {
@@ -444,9 +437,7 @@ func (s *Server) process(t wire.Type, payload, buf []byte) response {
 	case wire.TStats:
 		s.met.StatsReqs.Add(1)
 		out := bytes.NewBuffer(append(buf, s.backend.StatsText()...))
-		for _, r := range s.stats {
-			r.WriteStats(out)
-		}
+		s.met.Registry().WriteStats(out)
 		return response{wire.TStatsText, out.Bytes()}
 	case wire.TInfo:
 		s.met.InfoReqs.Add(1)

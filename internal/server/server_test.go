@@ -561,14 +561,10 @@ func (b stubBackend) Exec(string) error        { return nil }
 func (b stubBackend) StatsText() string        { return "stub\n" }
 func (b stubBackend) Counts() (uint64, uint64) { return 0, 0 }
 
-// TestStatsCarriesSidecars: a TStats answer is the backend's text, the
-// server's registry, then each sidecar registry the daemon passed in.
-func TestStatsCarriesSidecars(t *testing.T) {
-	var hits atomic.Int64
-	hits.Store(41)
-	side := &metrics.Registry{}
-	side.Int("side_hits_total", "Hits.", &hits)
-	srv := NewBackend(stubBackend{}, Options{}, side)
+// TestStatsCarriesServerRegistry: a TStats answer is the backend's text,
+// then the server's registry.
+func TestStatsCarriesServerRegistry(t *testing.T) {
+	srv := NewBackend(stubBackend{}, Options{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -585,7 +581,7 @@ func TestStatsCarriesSidecars(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(text, "stub\nf2dbd_connections_accepted_total=1 ") || !strings.HasSuffix(text, "\nside_hits_total=41\n") {
+	if !strings.HasPrefix(text, "stub\nf2dbd_connections_accepted_total=1 ") {
 		t.Fatalf("Stats text = %q", text)
 	}
 }

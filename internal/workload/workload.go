@@ -199,11 +199,11 @@ type Options struct {
 	// split into Phases disjoint contiguous slices and the queries issued
 	// after time point tp draw their hot targets from slice tp % Phases
 	// only. The workload then cycles through recurring per-template spike
-	// (in phase) and trough (out of phase) periods — the schedule the
-	// self-tuning engine's seasonal workload models predict — while
-	// staying fully deterministic per seed: equal seeds and options give
-	// equal phase schedules, local or remote. Capped at HotQueries;
-	// ignored without a hot set.
+	// (in phase) and trough (out of phase) periods — the phased mix a
+	// mechanism is ablated on by counts (ROADMAP, "Ablate every layer by
+	// counts") — while staying fully deterministic per seed: equal seeds
+	// and options give equal phase schedules, local or remote. Capped at
+	// HotQueries; ignored without a hot set.
 	Phases int
 
 	// RemoteAddr, when non-empty, drives a live f2dbd at this address over

@@ -246,8 +246,7 @@ func TestRunRemote(t *testing.T) {
 // TestPhasedHotMix exercises Options.Phases: the hot set splits into
 // disjoint contiguous slices and each time point's queries draw from one
 // slice only, giving every template a deterministic recurring spike/trough
-// schedule — the seasonal signal the self-tuning engine's workload models
-// are trained on.
+// schedule.
 func TestPhasedHotMix(t *testing.T) {
 	_, _, g := testDB(t)
 	opts := Options{HotQueries: 8, HotFraction: 1, Phases: 4}
