@@ -356,6 +356,17 @@ var goneNames = map[string]bool{
 	"Prewarm":                  true,
 	"TroughWork":               true,
 	"CacheSizer":               true,
+
+	"PlanTexts":              true,
+	"FcKeys":                 true,
+	"fcWarmKey":              true,
+	"hotKeys":                true,
+	"warmForecast":           true,
+	"planWarmupLimit":        true,
+	"fcWarmupLimit":          true,
+	"fcCache":                true,
+	"forecastIntervalLocked": true,
+	"planQuery":              true,
 }
 
 // noGoneNames: no identifier, tests included, brings a gone name back.
@@ -447,9 +458,9 @@ func citedTestsExist(fsys fs.FS) error {
 // Legibility budget: non-test Go lines under internal/ and cmd/, and the
 // lines of the two documents a newcomer reads first. A change that needs
 // more re-records the number here and says why in CHANGES.md.
-const goLineBudget = 17129
+const goLineBudget = 16880
 
-var docLineBudget = map[string]int{"DESIGN.md": 1284, "README.md": 503}
+var docLineBudget = map[string]int{"DESIGN.md": 1196, "README.md": 498}
 
 // legibilityBudget: the program and its main documents stay within their
 // recorded line counts.

@@ -31,7 +31,7 @@ func TestNormalizeSQLSharedKeying(t *testing.T) {
 
 	g, data := buildCube(t)
 
-	// Engine tier: the second variant must hit the plan cache.
+	// Engine tier: the second variant must find its plan in the read table.
 	db := loadEngine(t, data)
 	if _, err := db.Query(canon); err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestNormalizeSQLSharedKeying(t *testing.T) {
 	}
 	em := db.Metrics()
 	if em.PlanCacheMisses != 1 || em.PlanCacheHits != 1 {
-		t.Fatalf("engine plan cache: %d misses, %d hits; want 1 and 1",
+		t.Fatalf("engine read table: %d plans, %d hits; want 1 and 1",
 			em.PlanCacheMisses, em.PlanCacheHits)
 	}
 
@@ -69,8 +69,8 @@ func TestNormalizeSQLSharedKeying(t *testing.T) {
 	if m.RouteMemoHits.Load() != 1 {
 		t.Fatalf("route memo hits = %d, want 1", m.RouteMemoHits.Load())
 	}
-	if co.cache.len() != 1 {
-		t.Fatalf("read table holds %d entries, want 1", co.cache.len())
+	if co.cache.Len() != 1 {
+		t.Fatalf("read table holds %d entries, want 1", co.cache.Len())
 	}
 
 	// A coordinator hit is one lock, one table lookup and one copy into the
@@ -132,7 +132,7 @@ func TestNormalizeSQLLiterals(t *testing.T) {
 			}
 		}
 	}
-	if n := co.cache.len(); n != 2 {
+	if n := co.cache.Len(); n != 2 {
 		t.Fatalf("read table holds %d entries, want 2", n)
 	}
 }
@@ -149,11 +149,19 @@ const (
 // ask drives the table the way Coordinator.AppendQuery does: lookup, then
 // fill on a miss.
 func ask(rc *readCache, p *f2db.Planner, q string, fetch func() ([]byte, error)) ([]byte, error) {
-	ent, res, err := rc.lookup(q, q, p)
-	if err != nil || res != nil {
+	ent, res, hit, err := rc.Lookup(q, route(p, q))
+	if err != nil || hit {
 		return res, err
 	}
-	return rc.fill(q, ent, fetch)
+	return rc.Fill(q, ent, fetch)
+}
+
+// route plans sql into a table entry, as AppendQuery does.
+func route(p *f2db.Planner, sql string) func(**f2db.Plan) error {
+	return func(pl **f2db.Plan) (err error) {
+		*pl, err = p.RouteQuery(sql)
+		return err
+	}
 }
 
 // same reports whether two payloads are one slice — the table hands out
@@ -224,8 +232,8 @@ func TestReadCacheResultLRU(t *testing.T) {
 	if got, _ := ask(rc, p, qA, fetch(ra)); !same(got, ra) {
 		t.Fatal("evicted key did not refetch")
 	}
-	if rc.len() != 2 {
-		t.Fatalf("cache holds %d entries, want 2", rc.len())
+	if rc.Len() != 2 {
+		t.Fatalf("cache holds %d entries, want 2", rc.Len())
 	}
 }
 
@@ -243,15 +251,15 @@ func TestReadCacheRouteMemo(t *testing.T) {
 
 	const sql = "SELECT time, SUM(sales) FROM facts GROUP BY time, region"
 	key := f2db.NormalizeSQL(sql)
-	e1, _, err := rc.lookup(key, sql, p)
+	e1, _, _, err := rc.Lookup(key, route(p, sql))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, _, err := rc.lookup(key, sql, p)
+	e2, _, _, err := rc.Lookup(key, route(p, sql))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e1 != e2 || e1.plan != e2.plan {
+	if e1 != e2 || e1.Plan != e2.Plan {
 		t.Fatal("memoized plan is not pointer-identical")
 	}
 	if m.RouteMemoHits.Load() != 1 {
@@ -260,29 +268,29 @@ func TestReadCacheRouteMemo(t *testing.T) {
 
 	const bad = "SELECT time, sales FROM facts WHERE planet = 'X'"
 	for i := 0; i < 2; i++ {
-		if _, _, err := rc.lookup(f2db.NormalizeSQL(bad), bad, p); err == nil {
+		if _, _, _, err := rc.Lookup(f2db.NormalizeSQL(bad), route(p, bad)); err == nil {
 			t.Fatal("invalid statement routed")
 		}
 	}
-	if m.RouteMemoHits.Load() != 1 || rc.len() != 1 {
+	if m.RouteMemoHits.Load() != 1 || rc.Len() != 1 {
 		t.Fatal("planning error was memoized")
 	}
 
 	// Fill the entry, then let a write land (an Exec's epoch bump).
 	res := []byte("r")
-	if got, _ := rc.fill(key, e1, func() ([]byte, error) { return res, nil }); !same(got, res) {
+	if got, _ := rc.Fill(key, e1, func() ([]byte, error) { return res, nil }); !same(got, res) {
 		t.Fatal("fill did not return the fetched result")
 	}
-	if _, got, _ := rc.lookup(key, sql, p); !same(got, res) {
+	if _, got, _, _ := rc.Lookup(key, route(p, sql)); !same(got, res) {
 		t.Fatal("filled entry not served")
 	}
 	epoch.Add(1)
-	plan, hits := e1.plan, m.RouteMemoHits.Load()
-	e3, got, err := rc.lookup(key, sql, p)
-	if err != nil || got != nil {
+	plan, hits := e1.Plan, m.RouteMemoHits.Load()
+	e3, got, hit, err := rc.Lookup(key, route(p, sql))
+	if err != nil || hit || got != nil {
 		t.Fatalf("stale result served after the write: %v, %v", got, err)
 	}
-	if e3 != e1 || e3.plan != plan {
+	if e3 != e1 || e3.Plan != plan {
 		t.Fatal("the write made the statement re-plan")
 	}
 	if m.CacheInvalidations.Load() != 1 || m.RouteMemoHits.Load() != hits+1 {
@@ -311,11 +319,9 @@ func TestReadCacheStaleFill(t *testing.T) {
 	if err != nil || !same(got, old) {
 		t.Fatalf("the fetch's caller got %q, %v; want its own answer", got, err)
 	}
-	rc.mu.Lock()
-	ent, ok := rc.tab.Get(qK)
-	stored := ok && ent.res != nil
-	rc.mu.Unlock()
-	if stored {
+	// Nothing was stored: a lookup finds no answer to serve, and none a
+	// write overtook to clear.
+	if _, _, hit, _ := rc.Lookup(qK, route(p, qK)); hit || m.CacheInvalidations.Load() != 0 {
 		t.Fatal("an answer fetched across a write was stored")
 	}
 

@@ -12,8 +12,8 @@
 // ShardFor, a Fibonacci hash of the node ID, assigns every graph node an
 // owning shard.
 // Every statement goes whole to one shard: the owner of the first node it
-// describes (its plan/memo caches and lazily re-fit models stay hot for
-// its partition). A drill-down is answered by that replica's own GROUP BY
+// describes (its read table and lazily re-fit models stay hot for its
+// partition). A drill-down is answered by that replica's own GROUP BY
 // executor under one engine read lock, so all of its groups belong to one
 // time point. Replicas make reads fault-tolerant: if an owner is down or
 // lagging, the query fails over to the next caught-up shard in ring order.
@@ -564,14 +564,17 @@ func (c *Coordinator) AppendQuery(dst []byte, sql string) ([]byte, error) {
 		return append(dst, res...), err
 	}
 	key := f2db.NormalizeSQL(sql)
-	ent, res, err := c.cache.lookup(key, sql, c.planner)
+	ent, res, hit, err := c.cache.Lookup(key, func(p **f2db.Plan) (err error) {
+		*p, err = c.planner.RouteQuery(sql)
+		return err
+	})
 	if err != nil {
 		return dst, err
 	}
 	c.met.Queries.Add(1)
-	if res == nil {
-		res, err = c.cache.fill(key, ent, func() ([]byte, error) {
-			return c.runPlan(ent.plan, sql)
+	if !hit {
+		res, err = c.cache.Fill(key, ent, func() ([]byte, error) {
+			return c.runPlan(ent.Plan, sql)
 		})
 	}
 	return append(dst, res...), err
@@ -716,7 +719,7 @@ func (c *Coordinator) StatsText() string {
 	fmt.Fprintf(&b, "coordinator shards=%d servable=%d log=%d retained=%d trimmed=%d\n",
 		len(c.shards), servable, c.logLen(), len(c.log), c.trimBase)
 	if c.cache != nil {
-		fmt.Fprintf(&b, "cache: size=%d epoch=%d\n", c.cache.len(), c.epoch.Load())
+		fmt.Fprintf(&b, "cache: size=%d epoch=%d\n", c.cache.Len(), c.epoch.Load())
 	}
 	for _, s := range c.shards {
 		state := "up"

@@ -793,12 +793,12 @@ func TestShardAnswersGarbage(t *testing.T) {
 		t.Fatalf("down=%d failovers=%d requests=%d, want 0, 0 and 1",
 			m.ShardsDown.Load(), m.Failovers.Load(), m.Shards[0].Requests.Load())
 	}
-	co.cache.mu.Lock()
-	ent, ok := co.cache.tab.Get(f2db.NormalizeSQL(q))
-	if !ok || ent.res != nil {
-		t.Fatalf("entry after a garbled answer: present %v, or it holds a result", ok)
+	if n := co.cache.Len(); n != 1 {
+		t.Fatalf("%d entries after a garbled answer, want 1", n)
 	}
-	co.cache.mu.Unlock()
+	if _, _, hit, _ := co.cache.Lookup(f2db.NormalizeSQL(q), route(co.planner, q)); hit {
+		t.Fatal("the entry after a garbled answer holds a result")
+	}
 
 	b.garble.Store(false)
 	got, err := co.Query(q)

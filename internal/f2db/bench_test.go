@@ -24,7 +24,7 @@ func benchEngine(b *testing.B, strategy InvalidationStrategy) (*DB, *cube.Graph)
 }
 
 // benchEngineOpts is benchEngine with full Options control, so benchmarks
-// can disable the plan cache and the forecast memo table individually.
+// can turn the read table off or resize it.
 func benchEngineOpts(b *testing.B, opts Options) (*DB, *cube.Graph) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -169,11 +169,10 @@ var benchQueries = []string{
 }
 
 // BenchmarkQuerySQLCached measures the steady-state fast path on a single
-// goroutine: every statement hits the plan cache, every forecast hits the
-// memo table.
+// goroutine: every statement is answered from the read table.
 func BenchmarkQuerySQLCached(b *testing.B) {
 	db, _ := benchEngine(b, nil)
-	for _, q := range benchQueries { // warm both caches
+	for _, q := range benchQueries { // warm the read table
 		if _, err := db.Query(q); err != nil {
 			b.Fatal(err)
 		}
@@ -186,11 +185,11 @@ func BenchmarkQuerySQLCached(b *testing.B) {
 	}
 }
 
-// BenchmarkQuerySQLUncached is the same workload with both caches disabled:
+// BenchmarkQuerySQLUncached is the same workload with the read table off:
 // the full parse → rewrite → derive path on every statement. The gap to
 // BenchmarkQuerySQLCached is the fast path's gain.
 func BenchmarkQuerySQLUncached(b *testing.B) {
-	db, _ := benchEngineOpts(b, Options{PlanCacheSize: -1, ForecastCacheSize: -1})
+	db, _ := benchEngineOpts(b, Options{PlanCacheSize: -1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Query(benchQueries[i%len(benchQueries)]); err != nil {
@@ -200,8 +199,8 @@ func BenchmarkQuerySQLUncached(b *testing.B) {
 }
 
 // BenchmarkPlanCacheThrash drives more distinct statement texts than the
-// plan cache holds, so every access misses and evicts: the worst case pays
-// the LRU bookkeeping on top of a full parse.
+// read table holds, so every access misses and evicts: the worst case pays
+// the LRU bookkeeping on top of a full parse and derivation.
 func BenchmarkPlanCacheThrash(b *testing.B) {
 	db, _ := benchEngineOpts(b, Options{PlanCacheSize: 8})
 	texts := make([]string, 32)

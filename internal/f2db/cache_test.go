@@ -10,9 +10,9 @@ import (
 )
 
 // twinEngines clones one engine into two identical, independent instances:
-// one with the read fast path (plan cache + forecast memoization) enabled,
-// one with both caches disabled. Divergence between the two after identical
-// inserts and queries would mean the caches served stale state.
+// one with the read table on, one with it off. Divergence between the two
+// after identical inserts and queries would mean the table served stale
+// state.
 func twinEngines(t *testing.T, strategy InvalidationStrategy) (cached, plain *DB) {
 	t.Helper()
 	src, _, _ := testEngine(t, nil)
@@ -25,9 +25,7 @@ func twinEngines(t *testing.T, strategy InvalidationStrategy) (cached, plain *DB
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err = LoadDatabase(bytes.NewReader(data), Options{
-		Strategy: strategy, PlanCacheSize: -1, ForecastCacheSize: -1,
-	})
+	plain, err = LoadDatabase(bytes.NewReader(data), Options{Strategy: strategy, PlanCacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,44 +100,45 @@ func TestCachePlanReuse(t *testing.T) {
 	if m.PlanCacheMisses != 1 || m.PlanCacheHits != 1 {
 		t.Fatalf("plan cache hits=%d misses=%d, want 1/1", m.PlanCacheHits, m.PlanCacheMisses)
 	}
-	if m.PlanCacheSize != 1 {
-		t.Fatalf("plan cache size = %d, want 1", m.PlanCacheSize)
+	if m.TableEntries != 1 {
+		t.Fatalf("read table size = %d, want 1", m.TableEntries)
 	}
 	sameRows(t, r2, r1)
-	// A plan hit on a memoized forecast allocates only the answer it hands
-	// out: Result, Groups, rows and the forecast copy — 4, the count before
-	// the plan cache moved onto internal/lru, and the ceiling since.
-	if n := testing.AllocsPerRun(200, func() { _, _ = db.Query(q) }); n > 4 {
-		t.Fatalf("plan-hit Query allocates %v times, want <= 4", n)
+	// A table hit allocates only the Result it hands out: the Result, its
+	// Groups and its rows — 3; a plan hit on a memoized forecast was 4
+	// before the plan cache and the memo became one table.
+	if n := testing.AllocsPerRun(200, func() { _, _ = db.Query(q) }); n > 3 {
+		t.Fatalf("table-hit Query allocates %v times, want <= 3", n)
 	}
 	// Parse errors are not cached.
 	if _, err := db.Query("SELECT FROM nothing"); err == nil {
 		t.Fatal("malformed query must error")
 	}
-	if got := db.Metrics().PlanCacheSize; got != 1 {
+	if got := db.Metrics().TableEntries; got != 1 {
 		t.Fatalf("error result was cached: size = %d", got)
 	}
 }
 
 func TestCacheForecastMemoHit(t *testing.T) {
-	db, g, _ := testEngine(t, nil)
-	fc1, err := db.ForecastNode(g.TopID, 3)
+	db, _, _ := testEngine(t, nil)
+	const q = "SELECT time, SUM(m) FROM facts AS OF now() + '3 steps'"
+	r1, err := db.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mutating the returned slice must not corrupt the memo table.
-	orig := append([]float64(nil), fc1...)
-	fc1[0] = -1e9
-	fc2, err := db.ForecastNode(g.TopID, 3)
+	// Mutating the returned rows must not corrupt the table's answer.
+	orig := append([]QueryRow(nil), r1.Rows...)
+	r1.Rows[0].Value = -1e9
+	r2, err := db.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fc2, orig) {
-		t.Fatalf("memoized forecast corrupted: %v != %v", fc2, orig)
+	if !reflect.DeepEqual(r2.Rows, orig) {
+		t.Fatalf("cached answer corrupted: %v != %v", r2.Rows, orig)
 	}
 	m := db.Metrics()
 	if m.ForecastCacheMisses != 1 || m.ForecastCacheHits != 1 {
-		t.Fatalf("forecast cache hits=%d misses=%d, want 1/1", m.ForecastCacheHits, m.ForecastCacheMisses)
+		t.Fatalf("read table hits=%d misses=%d, want 1/1", m.ForecastCacheHits, m.ForecastCacheMisses)
 	}
 	if m.Queries != 2 {
 		t.Fatalf("queries = %d, want 2 (hits still count as queries)", m.Queries)
@@ -147,12 +146,17 @@ func TestCacheForecastMemoHit(t *testing.T) {
 	if m.QueryLatency.Count != 2 {
 		t.Fatalf("latency count = %d, want 2", m.QueryLatency.Count)
 	}
-	// Distinct horizons and confidence levels are distinct memo entries.
-	if _, err := db.ForecastNode(g.TopID, 4); err != nil {
-		t.Fatal(err)
+	// Distinct horizons and confidence levels are distinct statements.
+	for _, q := range []string{
+		"SELECT time, SUM(m) FROM facts AS OF now() + '4 steps'",
+		"SELECT time, SUM(m) FROM facts AS OF now() + '3 steps' WITH INTERVAL 90",
+	} {
+		if _, err := db.Query(q); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := db.Metrics().ForecastCacheMisses; got != 2 {
-		t.Fatalf("misses = %d, want 2 after new horizon", got)
+	if got := db.Metrics().ForecastCacheMisses; got != 3 {
+		t.Fatalf("misses = %d, want 3 after a new horizon and an interval", got)
 	}
 }
 
@@ -204,7 +208,8 @@ func TestCacheEpochInvalidationOnInsert(t *testing.T) {
 }
 
 func TestCacheBypassOnLazyReestimate(t *testing.T) {
-	db, g, _ := testEngine(t, TimeBased{Every: 1})
+	db, _, _ := testEngine(t, TimeBased{Every: 1})
+	const q = "SELECT time, SUM(m) FROM facts AS OF now() + '2 steps'"
 	// Advance time once: Every=1 invalidates every model.
 	if err := db.InsertBatch(fullBatch(db, 0)); err != nil {
 		t.Fatal(err)
@@ -213,16 +218,15 @@ func TestCacheBypassOnLazyReestimate(t *testing.T) {
 		t.Fatal("expected invalidated models after the batch")
 	}
 	before := db.Metrics()
-	if _, err := db.ForecastNode(g.TopID, 2); err != nil {
+	if _, err := db.Query(q); err != nil {
 		t.Fatal(err)
 	}
 	after := db.Metrics()
 	if after.ForecastCacheBypasses != before.ForecastCacheBypasses+1 {
 		t.Fatalf("bypasses %d -> %d, want +1", before.ForecastCacheBypasses, after.ForecastCacheBypasses)
 	}
-	if after.ForecastCacheMisses != before.ForecastCacheMisses {
-		t.Fatalf("lazy re-estimation counted as a miss (%d -> %d)",
-			before.ForecastCacheMisses, after.ForecastCacheMisses)
+	if after.Queries != before.Queries+1 {
+		t.Fatalf("queries %d -> %d, want +1: a bypassed attempt is not an answer", before.Queries, after.Queries)
 	}
 	if after.Reestimations == before.Reestimations {
 		t.Fatal("query did not trigger lazy re-estimation")
@@ -230,9 +234,9 @@ func TestCacheBypassOnLazyReestimate(t *testing.T) {
 	if after.EpochBumps <= before.EpochBumps {
 		t.Fatal("re-estimation bumped no generation")
 	}
-	// The re-estimated forecast was memoized under the new generation: the
+	// The re-estimated answer was stored under the new generation: the
 	// next call is a plain hit.
-	if _, err := db.ForecastNode(g.TopID, 2); err != nil {
+	if _, err := db.Query(q); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.Metrics().ForecastCacheHits; got != after.ForecastCacheHits+1 {
@@ -241,10 +245,11 @@ func TestCacheBypassOnLazyReestimate(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrentEpochCorrectness interleaves cached SQL queries with
-// InsertBatch writers (run with -race) and, after every round's barrier,
-// asserts the cached engine agrees with an uncached twin that applied the
-// same batches — i.e. no stale forecast survives a time advance.
+// TestCacheConcurrentEpochCorrectness interleaves read-table queries with
+// InsertBatch writers and the lazy re-fits TimeBased{3} sets off (run with
+// -race) and, after every round's barrier, asserts the table-on engine
+// agrees with a table-off twin that applied the same batches — i.e. no
+// stale answer survives a time advance or a re-fit.
 func TestCacheConcurrentEpochCorrectness(t *testing.T) {
 	cached, plain := twinEngines(t, TimeBased{Every: 3})
 	queries := []string{
@@ -408,7 +413,7 @@ func TestCacheDisabled(t *testing.T) {
 	if err := SaveDatabase(&buf, src); err != nil {
 		t.Fatal(err)
 	}
-	db, err := LoadDatabase(&buf, Options{PlanCacheSize: -1, ForecastCacheSize: -1})
+	db, err := LoadDatabase(&buf, Options{PlanCacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,10 +428,10 @@ func TestCacheDisabled(t *testing.T) {
 	}
 	m := db.Metrics()
 	if m.PlanCacheHits+m.PlanCacheMisses+m.ForecastCacheHits+m.ForecastCacheMisses != 0 {
-		t.Fatalf("disabled caches recorded traffic: %+v", m)
+		t.Fatalf("a disabled table recorded traffic: %+v", m)
 	}
-	if m.PlanCacheSize != 0 || m.ForecastCacheSize != 0 {
-		t.Fatalf("disabled caches hold entries: %+v", m)
+	if m.TableEntries != 0 {
+		t.Fatalf("a disabled table holds entries: %+v", m)
 	}
 	if m.Queries == 0 {
 		t.Fatal("queries not answered with caches disabled")
@@ -464,37 +469,10 @@ func TestCacheThrashEviction(t *testing.T) {
 	if m.PlanCacheMisses != 9 {
 		t.Fatalf("misses = %d, want 9", m.PlanCacheMisses)
 	}
-	if m.PlanCacheEvictions != 7 {
-		t.Fatalf("evictions = %d, want 7 (9 inserts into 2 slots)", m.PlanCacheEvictions)
+	if m.TableEvictions != 7 {
+		t.Fatalf("evictions = %d, want 7 (9 inserts into 2 slots)", m.TableEvictions)
 	}
-	if m.PlanCacheSize != 2 {
-		t.Fatalf("size = %d, want 2", m.PlanCacheSize)
-	}
-}
-
-func TestCacheForecastCapacitySweep(t *testing.T) {
-	c := newFcCache(2)
-	c.put(fcKey{node: 0, h: 1}, []float64{1}, nil, nil)
-	// A generation bump stales node 0's entry, so the capacity sweep can
-	// reclaim it; node 1's is stamped with the new generation.
-	c.gen.Add(1)
-	c.put(fcKey{node: 1, h: 1}, []float64{2}, nil, nil)
-	if ev := c.put(fcKey{node: 2, h: 1}, []float64{3}, nil, nil); ev != 1 {
-		t.Fatalf("evicted = %d, want 1 (the stale entry)", ev)
-	}
-	if _, _, _, ok := c.get(fcKey{node: 1, h: 1}); !ok {
-		t.Fatal("live entry was dropped by the stale sweep")
-	}
-	// All-live overflow resets the table.
-	if ev := c.put(fcKey{node: 3, h: 1}, []float64{4}, nil, nil); ev != 2 {
-		t.Fatalf("evicted = %d, want 2 (full reset)", ev)
-	}
-	if p, _, _, ok := c.get(fcKey{node: 3, h: 1}); !ok || p[0] != 4 {
-		t.Fatal("entry written after reset is missing")
-	}
-	// Stale entries are invisible to get even before any sweep.
-	c.gen.Add(1)
-	if _, _, _, ok := c.get(fcKey{node: 3, h: 1}); ok {
-		t.Fatal("stale-generation entry served")
+	if m.TableEntries != 2 {
+		t.Fatalf("size = %d, want 2", m.TableEntries)
 	}
 }

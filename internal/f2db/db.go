@@ -10,7 +10,8 @@
 //
 // Concurrency model: the engine distinguishes readers from maintenance.
 // Forecast queries (Query, ForecastNode, Health, Stats, Explain) take
-// shared read access and run concurrently on all cores. Every state
+// shared read access and run concurrently on all cores; a query answered
+// from the read table takes none. Every state
 // change — an insert statement with the advances it completes, a model
 // re-fit, a checkpoint or compaction, replay — holds the maintenance lock,
 // so while it is held no series, model or pending value changes, and an
@@ -151,14 +152,13 @@ type DB struct {
 	// precomputed at Open so the read path never mutates shared state.
 	baseCounts []int
 
-	// plans is the LRU of resolved SQL plans keyed by NormalizeSQL text
-	// (nil when disabled), guarded by planMu; the stored plans are
-	// immutable, so a hit may be handed to any number of concurrent
-	// readers. fc is the generation-stamped forecast memo table (nil when
-	// disabled, see fccache.go).
-	planMu sync.Mutex
-	plans  *lru.Cache[string, *Plan]
-	fc     *fcCache
+	// table is the read table (sql.go; nil when disabled): by NormalizeSQL
+	// text, each statement's plan and the answer derived under generation
+	// gen. Every advance and installed re-fit bumps gen under mu held
+	// exclusively, so an answer derived under the shared lock is stamped
+	// with the generation it was derived at.
+	table *lru.Table[Plan, answer]
+	gen   atomic.Uint64
 
 	met engineMetrics
 
@@ -180,19 +180,14 @@ type Options struct {
 	StepDuration time.Duration
 	// Strategy is the model invalidation strategy; default Never.
 	Strategy InvalidationStrategy
-	// PlanCacheSize bounds the LRU of parsed-and-resolved SQL query plans.
-	// 0 selects the default (256); a negative value disables plan caching.
+	// PlanCacheSize bounds the read table, in statements. 0 selects the
+	// default (256); a negative value turns the table off, and every query
+	// plans and derives (the reference path).
 	PlanCacheSize int
-	// ForecastCacheSize bounds the generation-invalidated forecast memo table.
-	// 0 selects the default (4096); a negative value disables memoization.
+	// ForecastCacheSize is ignored. It stays only because the benchmark
+	// harness sets it.
 	ForecastCacheSize int
 }
-
-// Default cache capacities applied by Open when the option is zero.
-const (
-	defaultPlanCacheSize     = 256
-	defaultForecastCacheSize = 4096
-)
 
 // Open creates an engine over the graph and loads the model configuration
 // produced by the advisor (or one of the baselines). Those models were fitted
@@ -280,16 +275,12 @@ func open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 	if opts.PlanCacheSize >= 0 {
 		size := opts.PlanCacheSize
 		if size == 0 {
-			size = defaultPlanCacheSize
+			size = 256
 		}
-		db.plans = lru.New[string, *Plan](size)
-	}
-	if opts.ForecastCacheSize >= 0 {
-		size := opts.ForecastCacheSize
-		if size == 0 {
-			size = defaultForecastCacheSize
-		}
-		db.fc = newFcCache(size)
+		db.table = lru.NewTable[Plan, answer](size, &db.gen, lru.Meters{
+			PlanHits: &db.met.planHits, Hits: &db.met.fcHits, Misses: &db.met.fcMisses,
+			Evictions: &db.met.evictions, Invalidations: &db.met.invalidations,
+		})
 	}
 	return db, nil
 }
@@ -316,103 +307,52 @@ var errNeedsReestimate = errors.New("f2db: model awaits re-estimation")
 // ForecastNode answers a forecast for the node over horizon h steps using
 // the stored scheme and live model states, re-estimating invalid models
 // lazily (Section V: "we reduce maintenance overhead by delaying parameter
-// reestimation until the model is actually referenced by a query"). It runs
-// under the shared read lock; only a query that actually needs a
-// re-estimation takes the maintenance lock (refitFor). The returned slice
-// is the caller's own: the memo table's copy is cloned here, at the package
-// boundary.
+// reestimation until the model is actually referenced by a query"). It
+// derives under the shared read lock, uncached; only a call that actually
+// needs a re-estimation takes the maintenance lock (refitFor). The returned
+// slice is the caller's own.
 func (db *DB) ForecastNode(nodeID, h int) ([]float64, error) {
-	db.mu.RLock()
-	fc, _, _, err := db.forecastIntervalLocked(nodeID, h, 0, false)
-	db.mu.RUnlock()
+	start := time.Now()
+	out := make([]float64, (1+len(db.cfg.Schemes[nodeID].Sources))*h)
+	derive := func() error {
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+		return db.deriveInterval(out[:h], out[h:], nodeID, h, 0)
+	}
+	err := derive()
 	if err == errNeedsReestimate {
+		db.met.fcBypasses.Add(1)
 		db.maint.Lock()
 		defer db.maint.Unlock()
-		if err := db.refitFor([]int{nodeID}); err != nil {
-			return nil, err
+		if err = db.refitFor([]int{nodeID}); err == nil {
+			err = derive()
 		}
-		db.mu.RLock()
-		fc, _, _, err = db.forecastIntervalLocked(nodeID, h, 0, true)
-		db.mu.RUnlock()
-	}
-	return append([]float64(nil), fc...), err
-}
-
-// forecastIntervalLocked answers a node forecast (with interval bounds when
-// conf > 0) through the memo table: a hit returns the cached slices without
-// touching any model; a miss derives the forecast and hands it to the memo
-// table under the current generation. Either way the slices are shared
-// with later hits and must not be written. Metrics (query count, latency,
-// scheme hits, cache counters) are recorded here so hits and misses are
-// accounted uniformly. The caller holds the shared lock. A source model
-// awaiting re-estimation reports errNeedsReestimate, metered as a cache bypass — the query bypasses the
-// memo table to take the lazy re-estimation path — and not a miss; the
-// retry after refitFor passes retry, so its recomputation continues that
-// bypass instead of counting a miss.
-func (db *DB) forecastIntervalLocked(nodeID, h int, conf float64, retry bool) (point, lo, hi []float64, err error) {
-	start := time.Now()
-	defer func() {
-		if err == errNeedsReestimate {
-			return // retried after refitFor; that attempt is counted
-		}
-		db.met.recordQuery(time.Since(start))
-		if err == nil {
-			if sc, ok := db.cfg.Schemes[nodeID]; ok {
-				db.met.recordSchemeHit(sc.Kind)
-			}
-		}
-	}()
-	key := fcKey{node: nodeID, h: h, conf: conf}
-	if db.fc != nil {
-		if p, l, u, ok := db.fc.get(key); ok {
-			db.met.fcHits.Add(1)
-			return p, l, u, nil
-		}
-	}
-	point, lo, hi, err = db.deriveInterval(nodeID, h, conf)
-	if err == errNeedsReestimate {
-		if db.fc != nil {
-			db.met.fcBypasses.Add(1)
-		}
-		return nil, nil, nil, err
 	}
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	if db.fc != nil {
-		if !retry {
-			db.met.fcMisses.Add(1)
-		}
-		if ev := db.fc.put(key, point, lo, hi); ev > 0 {
-			db.met.fcEvictions.Add(ev)
-		}
-	}
-	return point, lo, hi, nil
+	db.recordForecasts([]int{nodeID}, time.Since(start))
+	return out[:h:h], nil
 }
 
-// deriveInterval derives the point forecast of a node from live model state
-// and, when conf > 0 (a percentage, e.g. 95), lower/upper prediction-
-// interval bounds. Locking contract as forecastIntervalLocked; no metrics,
-// no memoization. The returned slices and the source forecasts are carved
-// from one fresh allocation the caller owns. The interval assumes
-// independent, normally distributed residuals at the scheme's sources; each
-// source contributes its one-step residual variance grown by its model's
-// horizon profile (class-1 state-space formulas for exponential smoothing):
+// deriveInterval derives the point forecast of a node over h steps from
+// live model state into dst[:h] and, when conf > 0 (a percentage, e.g. 95),
+// lower and upper prediction-interval bounds into dst[h:2h] and
+// dst[2h:3h]; src holds the source forecasts, h per source. The caller
+// holds the shared lock. The interval assumes independent, normally
+// distributed residuals at the scheme's sources; each source contributes
+// its one-step residual variance grown by its model's horizon profile
+// (class-1 state-space formulas for exponential smoothing):
 //
 //	spread(step) = z · |k| · sqrt( Σ_s σ_s² · scale_s(step)² )
 //
 // A sum of squares that overflows is taken again in units of the largest
 // σ_s · scale_s(step), so finite deviations give finite bounds.
-func (db *DB) deriveInterval(nodeID, h int, conf float64) (point, lo, hi []float64, err error) {
+func (db *DB) deriveInterval(dst, src []float64, nodeID, h int, conf float64) error {
 	sc, ok := db.cfg.Schemes[nodeID]
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("f2db: node %d has no derivation scheme", nodeID)
+		return fmt.Errorf("f2db: node %d has no derivation scheme", nodeID)
 	}
-	n := h
-	if conf > 0 {
-		n = 3 * h
-	}
-	out := make([]float64, n+len(sc.Sources)*h)
 	// The source forecasts' headers stay on the stack for the usual one to
 	// eight sources.
 	var buf [8][]float64
@@ -420,12 +360,12 @@ func (db *DB) deriveInterval(nodeID, h int, conf float64) (point, lo, hi []float
 	for i, s := range sc.Sources {
 		m, ok := db.cfg.Models[s]
 		if !ok {
-			return nil, nil, nil, fmt.Errorf("f2db: scheme source %d has no model", s)
+			return fmt.Errorf("f2db: scheme source %d has no model", s)
 		}
 		if db.invalid[s] {
-			return nil, nil, nil, errNeedsReestimate
+			return errNeedsReestimate
 		}
-		fc := out[n+i*h : n+(i+1)*h]
+		fc := src[i*h : (i+1)*h]
 		m.Forecast(fc)
 		fcs = append(fcs, fc)
 	}
@@ -433,14 +373,14 @@ func (db *DB) deriveInterval(nodeID, h int, conf float64) (point, lo, hi []float
 	if st := &db.schemes[nodeID]; st.hSources != 0 && sc.Kind != derivation.Direct {
 		sc.K = st.hTarget / st.hSources
 	}
-	point = out[:h:h]
+	point := dst[:h:h]
 	if err := sc.ApplyTo(point, fcs); err != nil {
-		return nil, nil, nil, err
+		return err
 	}
 	if conf <= 0 {
-		return point, nil, nil, nil
+		return nil
 	}
-	lo, hi = out[h:2*h:2*h], out[2*h:3*h:3*h]
+	lo, hi := dst[h:2*h], dst[2*h:3*h]
 	z := optimize.InvNormCDF(0.5 + conf/200)
 	for i := range point {
 		var variance, top float64
@@ -462,7 +402,7 @@ func (db *DB) deriveInterval(nodeID, h int, conf float64) (point, lo, hi []float
 		lo[i] = point[i] - spread
 		hi[i] = point[i] + spread
 	}
-	return point, lo, hi, nil
+	return nil
 }
 
 // residualStd is a model's residual standard deviation grown to the given
@@ -475,8 +415,8 @@ func residualStd(m forecast.Model, step int) float64 {
 }
 
 // installModel publishes a freshly fitted model: stores it, clears the
-// invalid flag, resets the maintenance statistics and bumps the memo
-// generation, invalidating every memoized forecast. The caller holds maint
+// invalid flag, resets the maintenance statistics and bumps the
+// generation, staling every answer in the read table. The caller holds maint
 // and mu exclusively.
 func (db *DB) installModel(id int, m forecast.Model) {
 	db.cfg.Models[id] = m
@@ -485,17 +425,15 @@ func (db *DB) installModel(id int, m forecast.Model) {
 	st.UpdatesSinceFit = 0
 	st.RollingError = 0
 	db.met.reestimations.Add(1)
-	db.bumpMemo()
+	db.bumpGen()
 }
 
-// bumpMemo stales every memoized forecast by advancing the memo generation.
-// The caller holds the write lock, so no reader derives against the old
-// state and stamps the new generation.
-func (db *DB) bumpMemo() {
-	if db.fc != nil {
-		db.fc.gen.Add(1)
-		db.met.epochBumps.Add(1)
-	}
+// bumpGen stales every answer in the read table by advancing the
+// generation. The caller holds the write lock, so no reader derives against
+// the old state and stamps the new generation.
+func (db *DB) bumpGen() {
+	db.gen.Add(1)
+	db.met.epochBumps.Add(1)
 }
 
 // Insert adds one new measure value for the base series identified by its
@@ -659,8 +597,8 @@ func (db *DB) advanceBatch(column []float64) error {
 		}
 	}
 	// A time advance changes every node's series, every model's state and
-	// the live derivation weights: every memoized forecast is stale.
-	db.bumpMemo()
+	// the live derivation weights: every answer in the read table is stale.
+	db.bumpGen()
 	return nil
 }
 

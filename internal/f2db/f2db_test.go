@@ -3,6 +3,7 @@ package f2db
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -15,6 +16,7 @@ import (
 	"cubefc/internal/derivation"
 	"cubefc/internal/forecast"
 	"cubefc/internal/hierarchical"
+	"cubefc/internal/segment"
 	"cubefc/internal/timeseries"
 )
 
@@ -974,144 +976,109 @@ func TestSaveImagesDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(imgs[0], imgs[1]) {
 		t.Error("SaveDatabase: two saves decode to different images")
 	}
-}
 
-// TestSnapshotPlanWarmup: SaveDatabase persists the normalized texts of the
-// cached query plans and LoadDatabase re-plans them, so a recurring query
-// hits the plan cache on the restored engine's very first execution — no
-// post-restart parse-and-resolve misses for the recurring workload.
-func TestSnapshotPlanWarmup(t *testing.T) {
-	db, _, _ := testEngine(t, nil)
-	queries := []string{
-		"SELECT time, SUM(m) FROM facts AS OF now() + '2 steps'",
-		"SELECT time, SUM(m) FROM facts WHERE city = 'C1' AS OF now() + '1 step'",
-		"SELECT time, AVG(m) FROM facts WHERE product = 'P2' GROUP BY time",
+	// What the engine answered is no part of its state: after queries, its
+	// image decodes equal to that of a twin loaded before them.
+	var first bytes.Buffer
+	if err := SaveDatabase(&first, db); err != nil {
+		t.Fatal(err)
 	}
-	for _, q := range queries {
-		if _, err := db.Query(q); err != nil {
+	twin, err := LoadDatabase(&first, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"SELECT time, SUM(m) FROM facts AS OF now() + '2 steps'",
+		"SELECT time, SUM(m) FROM facts GROUP BY time, d0l1 AS OF now() + '3 steps' WITH INTERVAL 90",
+		"SELECT time, AVG(m) FROM facts GROUP BY time, d0l1",
+	} {
+		for range 2 {
+			if _, err := db.Query(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := db.ForecastNode(g.TopID, 4); err != nil {
+		t.Fatal(err)
+	}
+	var after [2]dbImage
+	for i, e := range []*DB{db, twin} {
+		var buf bytes.Buffer
+		if err := SaveDatabase(&buf, e); err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewDecoder(&buf).Decode(&after[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := SaveDatabase(&buf, db); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	db2, err := LoadDatabase(bytes.NewReader(data), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := db2.Metrics().PlanCacheSize, len(queries); got != want {
-		t.Fatalf("restored plan cache holds %d plans, want %d", got, want)
-	}
-	// Warming replayed least recently used first, so the restored LRU order
-	// matches the saved engine's exactly.
-	if got, want := db2.plans.Keys(), db.plans.Keys(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("restored LRU order %q, want %q", got, want)
-	}
-	before := db2.Metrics()
-	res, err := db2.Query(queries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) == 0 {
-		t.Fatal("warmed plan produced no rows")
-	}
-	after := db2.Metrics()
-	if after.PlanCacheHits != before.PlanCacheHits+1 {
-		t.Fatalf("plan cache hits %d -> %d, want a hit on the first post-restore query",
-			before.PlanCacheHits, after.PlanCacheHits)
-	}
-	if after.PlanCacheMisses != before.PlanCacheMisses {
-		t.Fatalf("plan cache misses %d -> %d, want no new miss", before.PlanCacheMisses, after.PlanCacheMisses)
-	}
-
-	// A restore with plan caching disabled ignores the persisted texts.
-	db3, err := LoadDatabase(bytes.NewReader(data), Options{PlanCacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db3.Query(queries[0]); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(after[0], after[1]) {
+		t.Error("SaveDatabase: a queried engine and its unqueried twin decode to different images")
 	}
 }
 
-// TestSnapshotForecastWarmup: SaveDatabase persists the forecast memo
-// table's live keys and LoadDatabase re-derives them, so the restored
-// engine's derivation layer serves its recurring forecasts from the memo
-// table on first reference (the memo analogue of plan-text warmup — closes
-// the ROADMAP item).
-func TestSnapshotForecastWarmup(t *testing.T) {
-	db, g, _ := testEngine(t, nil)
-	// Populate the memo table: node forecasts at two horizons plus an
-	// interval query.
-	top := g.TopID
-	if _, err := db.ForecastNode(top, 2); err != nil {
-		t.Fatal(err)
+// TestReloadStartsCold: an engine reopened from a snapshot — through
+// LoadDatabase, and through a checkpoint, a crash and OpenDurable's
+// recovery — has answered no query. A warm-up that re-planned and
+// re-derived the saved engine's working set at load once counted there as
+// queries, plans and derivations, latencies included.
+func TestReloadStartsCold(t *testing.T) {
+	ask := func(t *testing.T, db *DB) {
+		for _, q := range []string{
+			"SELECT time, SUM(m) FROM facts AS OF now() + '2 steps'",
+			"SELECT time, SUM(m) FROM facts WHERE city = 'C1' AS OF now() + '1 step' WITH INTERVAL 95",
+		} {
+			if _, err := db.Query(q); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if _, err := db.ForecastNode(g.BaseIDs[0], 3); err != nil {
-		t.Fatal(err)
+	cold := func(t *testing.T, db *DB) {
+		if m := db.Metrics(); m.Queries != 0 || m.QueryLatency.Count != 0 || m.PlanCacheMisses != 0 || m.ForecastCacheMisses != 0 {
+			t.Fatalf("reopened engine: queries=%d latencies=%d plans=%d derivations=%d, want 0",
+				m.Queries, m.QueryLatency.Count, m.PlanCacheMisses, m.ForecastCacheMisses)
+		}
 	}
-	if _, err := db.Query("SELECT time, SUM(m) FROM facts WHERE city = 'C1' AS OF now() + '2 steps' WITH INTERVAL 95"); err != nil {
-		t.Fatal(err)
-	}
-	liveBefore := db.Metrics().ForecastCacheSize
-	if liveBefore == 0 {
-		t.Fatal("no memo entries to persist")
-	}
-
-	var buf bytes.Buffer
-	if err := SaveDatabase(&buf, db); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	db2, err := LoadDatabase(bytes.NewReader(data), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := db2.Metrics().ForecastCacheSize; got != liveBefore {
-		t.Fatalf("restored memo table holds %d entries, want %d", got, liveBefore)
-	}
-	// The very first post-restore repeat of each warmed forecast is a hit.
-	before := db2.Metrics()
-	if _, err := db2.ForecastNode(top, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db2.Query("SELECT time, SUM(m) FROM facts WHERE city = 'C1' AS OF now() + '2 steps' WITH INTERVAL 95"); err != nil {
-		t.Fatal(err)
-	}
-	after := db2.Metrics()
-	if hits := after.ForecastCacheHits - before.ForecastCacheHits; hits != 2 {
-		t.Fatalf("forecast cache hits %d -> %d, want 2 hits on first post-restore queries",
-			before.ForecastCacheHits, after.ForecastCacheHits)
-	}
-	if after.ForecastCacheMisses != before.ForecastCacheMisses {
-		t.Fatalf("forecast cache misses grew %d -> %d on warmed queries",
-			before.ForecastCacheMisses, after.ForecastCacheMisses)
-	}
-	// Warmed forecasts equal the saved engine's (same state, same models).
-	want, err := db.ForecastNode(top, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := db2.ForecastNode(top, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("restored forecast %v, want %v", got, want)
-	}
-
-	// A restore with memoization disabled ignores the persisted keys.
-	db3, err := LoadDatabase(bytes.NewReader(data), Options{ForecastCacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db3.ForecastNode(top, 2); err != nil {
-		t.Fatal(err)
-	}
+	t.Run("LoadDatabase", func(t *testing.T) {
+		db, _, _ := testEngine(t, nil)
+		ask(t, db)
+		var buf bytes.Buffer
+		if err := SaveDatabase(&buf, db); err != nil {
+			t.Fatal(err)
+		}
+		re, err := LoadDatabase(&buf, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold(t, re)
+	})
+	t.Run("OpenDurable", func(t *testing.T) {
+		fs := segment.NewMemFS()
+		dopts := DurableOptions{Dir: "db", FS: fs}
+		dur, err := OpenDurable(dopts, Options{}, func() (*DB, error) {
+			db, _, _ := testEngine(t, nil)
+			return db, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ask(t, dur.DB())
+		if err := dur.DB().InsertBatch(fullBatch(dur.DB(), 0)); err != nil {
+			t.Fatal(err)
+		}
+		if err := dur.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		ask(t, dur.DB())
+		fs.Crash()
+		re, err := OpenDurable(dopts, Options{}, func() (*DB, error) {
+			return nil, errors.New("a checkpointed directory must not be rebuilt")
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		cold(t, re.DB())
+	})
 }
 
 func TestLoadDatabaseGarbage(t *testing.T) {

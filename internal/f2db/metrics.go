@@ -33,14 +33,14 @@ type engineMetrics struct {
 	schemeHits    [derivationKinds]atomic.Int64
 	latency       metrics.Histogram
 
-	// Read-fast-path counters: SQL plan cache and forecast memo table.
+	// Read-table counters (see Metrics).
 	planHits      atomic.Int64
 	planMisses    atomic.Int64
-	planEvictions atomic.Int64
 	fcHits        atomic.Int64
 	fcMisses      atomic.Int64
 	fcBypasses    atomic.Int64
-	fcEvictions   atomic.Int64
+	evictions     atomic.Int64
+	invalidations atomic.Int64
 	epochBumps    atomic.Int64
 
 	// Durability counters (durable.go). The wal* values mirror the WAL's
@@ -57,18 +57,21 @@ type engineMetrics struct {
 	snapshotWrites atomic.Int64
 }
 
-func (m *engineMetrics) recordQuery(d time.Duration) {
-	m.queries.Add(1)
-	m.queryNanos.Add(d.Nanoseconds())
-	m.latency.Observe(d.Nanoseconds())
-}
-
-func (m *engineMetrics) recordSchemeHit(k derivation.Kind) {
-	i := int(k)
-	if i < 0 || i >= derivationKinds {
-		i = int(derivation.General)
+// recordForecasts counts the node forecasts one call answered, sharing its
+// time d between them, and the derivation kind of each.
+func (db *DB) recordForecasts(nodes []int, d time.Duration) {
+	m := &db.met
+	per := d.Nanoseconds() / int64(len(nodes))
+	for _, id := range nodes {
+		m.queries.Add(1)
+		m.queryNanos.Add(per)
+		m.latency.Observe(per)
+		k := int(db.cfg.Schemes[id].Kind)
+		if k < 0 || k >= derivationKinds {
+			k = int(derivation.General)
+		}
+		m.schemeHits[k].Add(1)
 	}
-	m.schemeHits[i].Add(1)
 }
 
 // Metrics is a point-in-time snapshot of the engine's observability
@@ -100,25 +103,25 @@ type Metrics struct {
 	// values regardless of the API they arrived through).
 	BatchInserts int64
 
-	// Plan-cache counters: SQL statements answered from a cached plan
-	// (skipping parse and node resolution), plans parsed and cached, and
-	// LRU evictions. PlanCacheSize is the current entry count.
-	PlanCacheHits      int64
-	PlanCacheMisses    int64
-	PlanCacheEvictions int64
-	PlanCacheSize      int
-
-	// Forecast-memo counters: forecasts served from the generation-stamped
-	// memo table, recomputations, queries that bypassed the table to take
-	// the lazy re-estimation path, evicted entries, and memo generation
-	// bumps (one per time advance and one per installed re-fit).
-	// ForecastCacheSize is the current entry count (live and stale).
-	ForecastCacheHits      int64
-	ForecastCacheMisses    int64
-	ForecastCacheBypasses  int64
-	ForecastCacheEvictions int64
-	ForecastCacheSize      int
-	EpochBumps             int64
+	// Read-table counters, by statement; the Plan/ForecastCache names are
+	// those of the two caches the table replaced, which the benchmark
+	// harness reads. PlanCacheHits counts statements whose plan the table
+	// held, PlanCacheMisses statements planned into it; ForecastCacheHits
+	// counts statements answered from the table and ForecastCacheMisses
+	// those it derived. ForecastCacheBypasses counts calls that took the
+	// lazy re-estimation path, table or not. TableEvictions counts
+	// statements evicted, TableInvalidations answers a generation bump
+	// overtook; TableEntries is the current entry count. EpochBumps counts
+	// generation bumps: one per time advance and one per installed re-fit.
+	PlanCacheHits         int64
+	PlanCacheMisses       int64
+	ForecastCacheHits     int64
+	ForecastCacheMisses   int64
+	ForecastCacheBypasses int64
+	TableEvictions        int64
+	TableInvalidations    int64
+	TableEntries          int
+	EpochBumps            int64
 
 	// StripeContention is always empty: insert statements serialize on the
 	// maintenance lock, which has no contention counter. It stays for the
@@ -154,15 +157,14 @@ func (db *DB) Metrics() Metrics {
 		SchemeHits:    make(map[string]int64, derivationKinds),
 		QueryLatency:  db.met.latency.Snapshot(),
 
-		PlanCacheHits:      db.met.planHits.Load(),
-		PlanCacheMisses:    db.met.planMisses.Load(),
-		PlanCacheEvictions: db.met.planEvictions.Load(),
-
-		ForecastCacheHits:      db.met.fcHits.Load(),
-		ForecastCacheMisses:    db.met.fcMisses.Load(),
-		ForecastCacheBypasses:  db.met.fcBypasses.Load(),
-		ForecastCacheEvictions: db.met.fcEvictions.Load(),
-		EpochBumps:             db.met.epochBumps.Load(),
+		PlanCacheHits:         db.met.planHits.Load(),
+		PlanCacheMisses:       db.met.planMisses.Load(),
+		ForecastCacheHits:     db.met.fcHits.Load(),
+		ForecastCacheMisses:   db.met.fcMisses.Load(),
+		ForecastCacheBypasses: db.met.fcBypasses.Load(),
+		TableEvictions:        db.met.evictions.Load(),
+		TableInvalidations:    db.met.invalidations.Load(),
+		EpochBumps:            db.met.epochBumps.Load(),
 
 		WALAppends:         db.met.walAppends.Load(),
 		WALSyncs:           db.met.walSyncs.Load(),
@@ -173,13 +175,8 @@ func (db *DB) Metrics() Metrics {
 		SegmentBytes:       db.met.segBytes.Load(),
 		SnapshotWrites:     db.met.snapshotWrites.Load(),
 	}
-	if db.plans != nil {
-		db.planMu.Lock()
-		m.PlanCacheSize = db.plans.Len()
-		db.planMu.Unlock()
-	}
-	if db.fc != nil {
-		m.ForecastCacheSize = db.fc.size()
+	if db.table != nil {
+		m.TableEntries = db.table.Len()
 	}
 	for i := 0; i < derivationKinds; i++ {
 		if c := db.met.schemeHits[i].Load(); c > 0 {
@@ -208,18 +205,15 @@ func (m Metrics) describe(r *metrics.Registry) {
 	}
 
 	r.Break(false)
-	r.Value("f2db_plan_cache_hits_total", "SQL statements answered from a cached plan.", float64(m.PlanCacheHits))
-	r.Value("f2db_plan_cache_misses_total", "SQL statements parsed and planned.", float64(m.PlanCacheMisses))
-	r.Value("f2db_plan_cache_evictions_total", "Plans evicted from the LRU.", float64(m.PlanCacheEvictions))
-	r.Value("f2db_plan_cache_entries", "Plans currently cached.", float64(m.PlanCacheSize))
-
-	r.Break(false)
-	r.Value("f2db_forecast_cache_hits_total", "Forecasts served from the memo table.", float64(m.ForecastCacheHits))
-	r.Value("f2db_forecast_cache_misses_total", "Forecasts recomputed and memoized.", float64(m.ForecastCacheMisses))
-	r.Value("f2db_forecast_cache_bypasses_total", "Queries that took the lazy re-estimation path.", float64(m.ForecastCacheBypasses))
-	r.Value("f2db_forecast_cache_evictions_total", "Memo entries evicted.", float64(m.ForecastCacheEvictions))
-	r.Value("f2db_forecast_cache_entries", "Memo entries currently held.", float64(m.ForecastCacheSize))
-	r.Value("f2db_epoch_bumps_total", "Memo generation bumps by time advances and re-fits.", float64(m.EpochBumps))
+	r.Value("f2db_read_table_plan_hits_total", "Statements whose plan the read table held.", float64(m.PlanCacheHits))
+	r.Value("f2db_read_table_plans_total", "Statements planned into the read table.", float64(m.PlanCacheMisses))
+	r.Value("f2db_read_table_hits_total", "Statements answered from the read table.", float64(m.ForecastCacheHits))
+	r.Value("f2db_read_table_misses_total", "Statements derived on a read table miss.", float64(m.ForecastCacheMisses))
+	r.Value("f2db_read_table_evictions_total", "Statements evicted from the read table.", float64(m.TableEvictions))
+	r.Value("f2db_read_table_invalidations_total", "Read table answers a generation bump overtook.", float64(m.TableInvalidations))
+	r.Value("f2db_read_table_entries", "Statements in the read table.", float64(m.TableEntries))
+	r.Value("f2db_lazy_refit_bypasses_total", "Calls that took the lazy re-estimation path.", float64(m.ForecastCacheBypasses))
+	r.Value("f2db_epoch_bumps_total", "Generation bumps by time advances and re-fits.", float64(m.EpochBumps))
 
 	// \stats leaves the durability line out on an engine that never logged.
 	r.Break(true)

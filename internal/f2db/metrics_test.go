@@ -80,10 +80,10 @@ func TestMetricsHandlerPrometheus(t *testing.T) {
 		"f2db_inserts_total":               fmt.Sprintf("%d", len(g.BaseIDs)+2),
 		"f2db_insert_batches_total":        "1",
 		"f2db_maintenance_batches_total":   "1",
-		"f2db_plan_cache_hits_total":       "2",
-		"f2db_plan_cache_misses_total":     "1",
-		"f2db_plan_cache_entries":          "1",
-		"f2db_forecast_cache_hits_total":   "2",
+		"f2db_read_table_plan_hits_total":  "2",
+		"f2db_read_table_plans_total":      "1",
+		"f2db_read_table_entries":          "1",
+		"f2db_read_table_hits_total":       "2",
 		"f2db_pending_inserts":             "2",
 		"f2db_query_latency_seconds_count": "3",
 	} {

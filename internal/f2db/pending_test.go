@@ -311,7 +311,7 @@ func TestStripeAdvanceInsertRace(t *testing.T) {
 // TestStripeAdvanceQuickProperty drives random InsertBatch interleavings
 // with testing/quick and checks the two advance invariants: time never
 // moves until a value has arrived for every base series, and when it does
-// move, the memo generation is bumped exactly once.
+// move, the generation is bumped exactly once.
 func TestStripeAdvanceQuickProperty(t *testing.T) {
 	src, _, _ := testEngine(t, nil)
 	var buf bytes.Buffer
@@ -339,7 +339,7 @@ func TestStripeAdvanceQuickProperty(t *testing.T) {
 			ids = ids[n:]
 		}
 
-		gen0 := db.fc.gen.Load()
+		gen0 := db.gen.Load()
 		len0 := db.Graph().Length()
 
 		for pi, part := range parts {
@@ -361,8 +361,8 @@ func TestStripeAdvanceQuickProperty(t *testing.T) {
 					t.Errorf("batch advanced early: batches = %d", b)
 					return false
 				}
-				if gen := db.fc.gen.Load(); gen != gen0 {
-					t.Errorf("memo generation bumped before advance: %d -> %d", gen0, gen)
+				if gen := db.gen.Load(); gen != gen0 {
+					t.Errorf("generation bumped before advance: %d -> %d", gen0, gen)
 					return false
 				}
 			}
@@ -380,8 +380,8 @@ func TestStripeAdvanceQuickProperty(t *testing.T) {
 			t.Errorf("pending = %d after advance", p)
 			return false
 		}
-		if gen := db.fc.gen.Load(); gen != gen0+1 {
-			t.Errorf("memo generation %d, want %d (exactly one bump per advance)", gen, gen0+1)
+		if gen := db.gen.Load(); gen != gen0+1 {
+			t.Errorf("generation %d, want %d (exactly one bump per advance)", gen, gen0+1)
 			return false
 		}
 		return true

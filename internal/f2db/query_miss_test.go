@@ -185,18 +185,16 @@ const (
 	missDrill  = "SELECT time, SUM(m) FROM facts WHERE d1l1 = 'd1l1_1' GROUP BY time, d0l0 AS OF now() + '3 steps'"
 )
 
-// TestQueryMissAllocs is the allocation gate of the cold read: with the plan
-// cache and the forecast memo off every Query parses, plans, derives and
-// builds its rows. The statement is parsed into its one Plan; a derived
-// forecast is one slice that also holds its source forecasts; the rows of
-// all groups are one slab and their keys one string, so a 49-group
-// drill-down costs about one allocation per group on top of the
-// statement's own.
+// TestQueryMissAllocs is the allocation gate of the cold read: with the read
+// table off every Query parses, plans, derives and builds its rows. The
+// statement is parsed into its one Plan; the forecasts of all groups are one
+// slice that also holds their source forecasts; the rows of all groups are
+// one slab and their keys one string.
 func TestQueryMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	db, _ := missEngine(t, Options{PlanCacheSize: -1, ForecastCacheSize: -1})
+	db, _ := missEngine(t, Options{PlanCacheSize: -1})
 	measure := func(sql string, groups int) float64 {
 		res, err := db.Query(sql)
 		if err != nil || len(res.Groups) != groups || len(res.Rows) != 3 {
@@ -210,44 +208,46 @@ func TestQueryMissAllocs(t *testing.T) {
 	}
 	// Before the one-slab miss path these read 21 and 279; before the
 	// statement was parsed into its Plan and forecasts written into the
-	// caller's slice, 20 and 122.
+	// caller's slice, 20 and 122; before all groups' forecasts shared one
+	// allocation, 6 and 64.
 	single, drill := measure(missSingle, 1), measure(missDrill, 49)
 	t.Logf("single-node miss %v allocations, 49-group drill-down miss %v", single, drill)
-	if single > 8 || drill > 66 {
-		t.Fatalf("a single-node miss allocates %v times and a 49-group drill-down miss %v; want ≤ 8 and ≤ 66", single, drill)
+	if single > 8 || drill > 18 {
+		t.Fatalf("a single-node miss allocates %v times and a 49-group drill-down miss %v; want ≤ 8 and ≤ 18", single, drill)
 	}
 }
 
-// TestMemoOwnership: the forecast memo hands its own slices to the engine's
-// readers, so nothing the package returns may alias them. Scribbling over
-// what ForecastNode returned — after a miss and after a hit — must change
-// neither the next ForecastNode nor the next Query answer.
+// TestMemoOwnership: the read table hands its answers to every hit, so
+// nothing the package returns may alias them. Scribbling over what
+// ForecastNode and Query returned — after a miss, a hit and a second hit —
+// must change neither the next ForecastNode nor the next Query answer.
 func TestMemoOwnership(t *testing.T) {
 	db, g := missEngine(t, Options{})
 	id := g.LookupKey("d0l0=d0l0_7|d1l1=d1l1_1").ID
-	ref, _ := missEngine(t, Options{ForecastCacheSize: -1})
+	ref, _ := missEngine(t, Options{PlanCacheSize: -1})
 	want, err := ref.ForecastNode(id, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, when := range []string{"miss", "hit", "hit again"} {
-		hits := db.Metrics().ForecastCacheHits
 		fc, err := db.ForecastNode(id, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := db.Metrics().ForecastCacheHits - hits; (got == 1) != (when != "miss") {
-			t.Fatalf("%s: %d memo hits", when, got)
-		}
+		hits := db.Metrics().ForecastCacheHits
 		res, err := db.Query(missSingle)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if got := db.Metrics().ForecastCacheHits - hits; (got == 1) != (when != "miss") {
+			t.Fatalf("%s: %d table hits", when, got)
 		}
 		for i := range want {
 			if math.Float64bits(fc[i]) != math.Float64bits(want[i]) || math.Float64bits(res.Rows[i].Value) != math.Float64bits(want[i]) {
 				t.Fatalf("after a scribbled %s: ForecastNode %v, Query %v, want %v", when, fc, res.Rows, want)
 			}
 			fc[i] = math.NaN()
+			res.Rows[i] = QueryRow{T: -1, Value: math.NaN(), Lo: math.NaN(), Hi: math.NaN()}
 		}
 	}
 }

@@ -64,24 +64,24 @@ type Plan struct {
 
 // plan is the single resolver: parse, resolve the described nodes and
 // their members, translate the horizon. Every planning rejection in the
-// system is produced here, in this order. The statement is parsed into the
-// Plan itself, so a plan of one node is one allocation.
-func (p *Planner) plan(sql string) (*Plan, error) {
-	pl := new(Plan)
+// system is produced here, in this order. The statement is parsed into pl
+// itself, so a plan of one node is one allocation: the Plan, or the read
+// table entry that holds it.
+func (p *Planner) plan(pl *Plan, sql string) error {
 	if err := parseQuery(sql, &pl.stmt); err != nil {
-		return nil, err
+		return err
 	}
 	pl.Explain, pl.Forecast = pl.stmt.explain, pl.stmt.horizon != "" && !pl.stmt.explain
 	if err := pl.resolve(p.g); err != nil {
-		return nil, err
+		return err
 	}
 	if pl.Forecast {
 		var err error
 		if pl.horizon, err = parseHorizonIn(p.step, pl.stmt.horizon); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return pl, nil
+	return nil
 }
 
 // RouteQuery plans a SELECT for routing: the statement goes whole to the
@@ -89,7 +89,13 @@ func (p *Planner) plan(sql string) (*Plan, error) {
 // a statement planned once keep the plan. Errors are the engine's planning
 // errors byte-for-byte, so a coordinator rejecting a statement is
 // indistinguishable from a shard rejecting it.
-func (p *Planner) RouteQuery(sql string) (*Plan, error) { return p.plan(sql) }
+func (p *Planner) RouteQuery(sql string) (*Plan, error) {
+	pl := new(Plan)
+	if err := p.plan(pl, sql); err != nil {
+		return nil, err
+	}
+	return pl, nil
+}
 
 // RouteExecNodes resolves an INSERT for routing through the engine's own
 // INSERT pipeline (insert.go), so any statement the engine would reject is

@@ -16,28 +16,15 @@ import (
 // embedded analogue of F²DB's persistent PostgreSQL storage: an engine can
 // be shut down and reopened without re-running the advisor.
 
-// dbImage is the serialized engine.
+// dbImage is the serialized engine. Older images also carry the texts and
+// forecast keys of a warm-up that no engine runs any more; gob skips fields
+// the type lacks, so they load as they are.
 type dbImage struct {
 	Dims         []cube.Dimension
 	Base         []cube.BaseSeries
 	Config       []byte // nested configuration image (SaveConfiguration)
 	Pending      map[string]float64
 	StepDuration time.Duration
-	// PlanTexts are the normalized texts of the hottest cached query plans,
-	// most recently used first, so a restored engine starts with a warm plan
-	// cache instead of paying a parse-and-resolve miss per recurring query.
-	// gob tolerates the field being absent, so snapshots from before plan
-	// persistence still load (with a cold cache).
-	PlanTexts []string
-	// FcKeys are the forecast memo table's live entries at save time —
-	// the derivation layer's working set. Only the keys are persisted
-	// (node coordinate key, horizon, confidence), not the forecast values:
-	// a restored engine recomputes them once at load, so a restarted
-	// daemon answers its recurring forecasts from the memo table
-	// immediately instead of re-deriving each on first reference. Like
-	// PlanTexts, the field is absent in older snapshots and ignored when
-	// memoization is disabled.
-	FcKeys []fcWarmKey
 	// Inserts and Batches are the maintenance counters at save time: rows
 	// accepted (including the half-filled batch above) and time advances
 	// completed. They restore into the reopened engine so its applied-row
@@ -55,35 +42,14 @@ type dbImage struct {
 	Models []modelState
 }
 
-// modelState is one model's persisted maintenance state, keyed like
-// fcWarmKey by the node's canonical coordinate key.
+// modelState is one model's persisted maintenance state, keyed by the
+// node's canonical coordinate key, which survives any change to node
+// enumeration order.
 type modelState struct {
 	NodeKey string
 	ModelStats
 	Invalid bool
 }
-
-// fcWarmKey is one persisted memo-table key. The node is stored by its
-// canonical coordinate key, not its ID, so the record survives any future
-// change to node enumeration order.
-type fcWarmKey struct {
-	NodeKey string
-	H       int
-	Conf    float64
-}
-
-// planWarmupLimit caps how many plan texts a snapshot carries. Plans
-// themselves are not serialized — only the query texts, which re-plan in
-// microseconds on restore — so the cap bounds image growth, not restore
-// cost. 64 keeps the hot quarter of the default 256-entry cache — the
-// recurring dashboard-style statements warmup exists for.
-const planWarmupLimit = 64
-
-// fcWarmupLimit caps how many memo keys a snapshot carries. Unlike plan
-// warmup, each restored key costs a real forecast derivation at load time,
-// so the cap bounds restore latency: 256 single-node forecasts complete in
-// low milliseconds on the evaluation cubes.
-const fcWarmupLimit = 256
 
 // SaveDatabase serializes the whole engine state. It holds maint for the
 // duration: concurrent queries proceed, while an insert statement, advance
@@ -129,23 +95,6 @@ func (db *DB) saveDatabase(w io.Writer) error {
 			Members: members,
 			Series:  n.Series.Slice(0, db.graph.Length).Clone(),
 		})
-	}
-	if db.plans != nil {
-		db.planMu.Lock()
-		img.PlanTexts = db.plans.Keys()
-		db.planMu.Unlock()
-		if len(img.PlanTexts) > planWarmupLimit {
-			img.PlanTexts = img.PlanTexts[:planWarmupLimit]
-		}
-	}
-	if db.fc != nil {
-		for _, k := range db.fc.hotKeys(fcWarmupLimit) {
-			img.FcKeys = append(img.FcKeys, fcWarmKey{
-				NodeKey: db.graph.KeyOf(k.node),
-				H:       k.h,
-				Conf:    k.conf,
-			})
-		}
 	}
 	var cfgBuf bytes.Buffer
 	if err := SaveConfiguration(&cfgBuf, db.cfg); err != nil {
@@ -213,37 +162,5 @@ func LoadDatabase(r io.Reader, opts Options) (*DB, error) {
 	if img.Batches > 0 {
 		db.met.batches.Store(int64(img.Batches))
 	}
-	// Warm the plan cache from the persisted query texts, least recently
-	// used first so LRU order on the new engine matches the saved one. A
-	// text that fails to plan is skipped, not fatal: the snapshot may have
-	// been hand-edited or the cache disabled in opts, and a cold miss later
-	// is the worst outcome either way.
-	if db.plans != nil {
-		for i := len(img.PlanTexts) - 1; i >= 0; i-- {
-			_, _ = db.planQuery(img.PlanTexts[i])
-		}
-	}
-	// Warm the forecast memo table: re-derive each persisted key once so
-	// the restored engine's derivation layer serves its working set from
-	// the memo table immediately. Unknown node keys and derivation errors
-	// are skipped, not fatal — a cold miss later is the worst outcome.
-	if db.fc != nil {
-		for _, k := range img.FcKeys {
-			id, ok := g.LookupID(k.NodeKey)
-			if !ok || k.H < 1 {
-				continue
-			}
-			db.warmForecast(id, k.H, k.Conf)
-		}
-	}
 	return db, nil
-}
-
-// warmForecast derives and memoizes one forecast under the shared read
-// lock, ignoring failures (snapshot warmup; a model awaiting
-// re-estimation simply stays cold).
-func (db *DB) warmForecast(node, h int, conf float64) {
-	db.mu.RLock()
-	_, _, _, _ = db.forecastIntervalLocked(node, h, conf, false)
-	db.mu.RUnlock()
 }

@@ -125,8 +125,8 @@ func TestSnapshotKeepsMaintenanceState(t *testing.T) {
 // when the engine opens, and from then on it is tracked like every other
 // scheme. An exact run of the 1 089-node cube has 50 derived-only schemes
 // dropped; every node's forecast must read the same bits before and after a
-// SaveDatabase/LoadDatabase round trip, and no query may bypass the memo
-// table to resolve a scheme. When the first query resolved the scheme, it
+// SaveDatabase/LoadDatabase round trip, and no query may take the lazy
+// re-estimation path to resolve a scheme. When the first query resolved the scheme, it
 // kept its training-window weight until a reload tracked it, and every
 // dropped node answered differently after the reload.
 func TestResolvedSchemeSurvivesReload(t *testing.T) {
@@ -185,6 +185,6 @@ func TestResolvedSchemeSurvivesReload(t *testing.T) {
 		t.Errorf("%d nodes answer differently after a reload", differ)
 	}
 	if n := db.Metrics().ForecastCacheBypasses; n != 0 {
-		t.Errorf("%d queries bypassed the memo table to resolve a scheme", n)
+		t.Errorf("%d queries took the lazy re-estimation path to resolve a scheme", n)
 	}
 }

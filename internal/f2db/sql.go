@@ -11,6 +11,7 @@ import (
 	"unicode/utf8"
 
 	"cubefc/internal/cube"
+	"cubefc/internal/lru"
 )
 
 // This file implements the forecast-query processor of Section V: a small
@@ -94,41 +95,61 @@ func (db *DB) Exec(sql string) error {
 // coordinate return a single group; a GROUP BY over a hierarchy level
 // returns one group per member value at that level (drill-down).
 //
-// Repeated query texts skip the parse and rewrite phases entirely: planning
-// (lexing, parsing, node resolution, horizon translation) depends only on
-// immutable engine state, so the finished plan is kept in a small LRU keyed
-// by the whitespace-normalized query text and shared across goroutines.
-//
-// Queries execute under the engine's shared read lock and run concurrently
-// with each other; only a query that needs a lazy model re-estimation takes
-// the maintenance lock and retries (see ForecastNode).
+// Statements go through the read table (an lru.Table, DESIGN.md §6) keyed
+// by their NormalizeSQL text. Its entry holds the statement's plan, which
+// depends only on immutable engine state, so a recurring text never
+// re-parses; for an AS OF statement it also holds the forecasts of every
+// group, stamped with the generation they were derived at. A hit builds the
+// Result from them without taking any engine lock. A miss derives them
+// under the shared read lock and fills the entry; a derivation that needs a
+// lazy model re-estimation takes the maintenance lock and derives again
+// (see ForecastNode). Every call returns a Result of its own.
 func (db *DB) Query(sql string) (*Result, error) {
-	plan, err := db.planQuery(sql)
+	start, key := time.Now(), ""
+	if db.table != nil {
+		key = NormalizeSQL(sql)
+	}
+	ent, ans, hit, err := db.lookup(key, sql)
 	if err != nil {
 		return nil, err
 	}
-	db.mu.RLock()
-	res, err := db.execPlan(plan, false)
-	db.mu.RUnlock()
-	if err != errNeedsReestimate {
-		return res, err
+	plan := &ent.Plan
+	if !plan.Forecast {
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+		return db.history(plan), nil
 	}
-	db.maint.Lock()
-	defer db.maint.Unlock()
-	if err := db.refitFor(plan.Nodes); err != nil {
-		return nil, err
+	if !hit {
+		if ans, err = db.derive(key, ent); err != nil {
+			return nil, err
+		}
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.execPlan(plan, true)
+	res := db.forecastResult(plan, ans)
+	db.recordForecasts(plan.Nodes, time.Since(start))
+	return res, nil
+}
+
+// lookup returns the statement's table entry and its answer when that is
+// current. With the table off it plans into an entry of its own.
+func (db *DB) lookup(key, sql string) (ent *lru.Entry[Plan, answer], ans answer, hit bool, err error) {
+	if db.table == nil {
+		ent = new(lru.Entry[Plan, answer])
+		return ent, ans, false, db.planInto(&ent.Plan, sql)
+	}
+	return db.table.Lookup(key, func(p *Plan) error {
+		if err := db.planInto(p, sql); err != nil {
+			return err
+		}
+		db.met.planMisses.Add(1)
+		return nil
+	})
 }
 
 // NormalizeSQL canonicalizes a statement text for cache keying: runs of
 // whitespace between tokens collapse to single spaces so reformatting a
 // query does not defeat the cache. String literals are copied verbatim, by
 // the lexer's own rule (literalEnd): 'New  York' and 'New York' are two
-// members, and the normalized text is itself planned (a snapshot's plan
-// warm-up), so it must mean what the original meant. Case is preserved —
+// members. Case is preserved —
 // member values are case-sensitive and folding keywords only would cost
 // more than the rare duplicate entry.
 //
@@ -138,10 +159,10 @@ func (db *DB) Query(sql string) (*Result, error) {
 // spaces merely key separately, a duplicate cache entry, not an error.
 //
 // It is exported because it is the single keying function for every
-// statement table in the system: the engine's plan cache here and the
-// cluster coordinator's read table (internal/coord) key by the same
-// normalized text, so the two tiers can never disagree on whether two
-// statements are "the same".
+// statement table in the system: the engine's read table here and the
+// cluster coordinator's (internal/coord) key by the same normalized text,
+// so the two tiers can never disagree on whether two statements are "the
+// same".
 func NormalizeSQL(sql string) string {
 	for i := 0; i < len(sql); i++ {
 		switch sql[i] {
@@ -193,40 +214,13 @@ func collapseSpace(sql string) string {
 	return b.String()
 }
 
-// planQuery returns the resolved plan for a query text, from the plan cache
-// when possible. Parsing and node resolution dominate the SQL query cost over
-// the forecast derivation, and both depend only on immutable engine state —
-// the query text, the graph structure and the step duration — so a plan is
-// cached without any invalidation protocol. Only successfully planned
-// statements are cached; error results are recomputed (they are not on the
-// hot path).
-func (db *DB) planQuery(sql string) (*Plan, error) {
-	var key string
-	if db.plans != nil {
-		key = NormalizeSQL(sql)
-		db.planMu.Lock()
-		plan, ok := db.plans.Get(key)
-		db.planMu.Unlock()
-		if ok {
-			db.met.planHits.Add(1)
-			return plan, nil
-		}
+// planInto plans a statement into pl and renders its node keys.
+func (db *DB) planInto(pl *Plan, sql string) error {
+	if err := db.planner.plan(pl, sql); err != nil {
+		return err
 	}
-	plan, err := db.planner.plan(sql)
-	if err != nil {
-		return nil, err
-	}
-	plan.keys = db.renderKeys(plan.oneKey[:0], plan.Nodes)
-	if db.plans != nil {
-		db.met.planMisses.Add(1)
-		db.planMu.Lock()
-		evicted := db.plans.Put(key, plan)
-		db.planMu.Unlock()
-		if evicted {
-			db.met.planEvictions.Add(1)
-		}
-	}
-	return plan, nil
+	pl.keys = db.renderKeys(pl.oneKey[:0], pl.Nodes)
+	return nil
 }
 
 // renderKeys renders the nodes' coordinate keys into one buffer and returns
@@ -255,35 +249,115 @@ func (db *DB) renderKeys(keys []string, nodes []int) []string {
 	return keys
 }
 
-// execPlan executes a resolved plan under the caller's shared lock; retry
-// as forecastIntervalLocked. Every group is built under that one lock hold,
-// so a drill-down's groups all belong to one time point; their rows are
-// carved from one slab.
-func (db *DB) execPlan(plan *Plan, retry bool) (*Result, error) {
-	stmt := &plan.stmt
-	res := &Result{Node: plan.Nodes[0], NodeKey: plan.keys[0]}
-	if stmt.explain || stmt.horizon == "" {
-		res.Plan = db.explainNode(plan.Nodes[0])
+// answer is an AS OF statement's derived forecasts: per group, Plan.stride
+// values — h point forecasts, then under WITH INTERVAL h lower and h upper
+// bounds. origin is the time index of the first step. An answer in the
+// read table is shared by every hit and never written.
+type answer struct {
+	origin int
+	vals   []float64
+}
+
+// stride is the number of derived values per group of a forecast plan.
+func (pl *Plan) stride() int {
+	if pl.stmt.interval > 0 {
+		return 3 * pl.horizon
 	}
-	if stmt.explain {
-		return res, nil
+	return pl.horizon
+}
+
+// derive computes a forecast statement's answer under the shared lock,
+// through the entry's fill when the table is on. A source model awaiting
+// re-estimation drops the lock, re-fits under maint and derives again.
+func (db *DB) derive(key string, ent *lru.Entry[Plan, answer]) (answer, error) {
+	fetch := func() (answer, error) {
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+		if db.table == nil {
+			return db.deriveAnswer(&ent.Plan)
+		}
+		return db.table.Fill(key, ent, func() (answer, error) { return db.deriveAnswer(&ent.Plan) })
 	}
-	res.Forecast = plan.Forecast
-	per := db.graph.Length
-	if plan.Forecast {
-		per = plan.horizon
+	ans, err := fetch()
+	if err == errNeedsReestimate {
+		db.met.fcBypasses.Add(1)
+		db.maint.Lock()
+		defer db.maint.Unlock()
+		if err = db.refitFor(ent.Plan.Nodes); err == nil {
+			ans, err = fetch()
+		}
 	}
-	slab := make([]QueryRow, per*len(plan.Nodes))
-	res.Groups = make([]Group, len(plan.Nodes))
+	return ans, err
+}
+
+// deriveAnswer derives every group of a forecast plan into one allocation,
+// which also holds the source forecasts. The caller holds the shared lock,
+// so every group belongs to one time point.
+func (db *DB) deriveAnswer(plan *Plan) (answer, error) {
+	h, stride := plan.horizon, plan.stride()
+	srcs := 0
+	for _, id := range plan.Nodes {
+		srcs = max(srcs, len(db.cfg.Schemes[id].Sources))
+	}
+	n := stride * len(plan.Nodes)
+	buf := make([]float64, n+srcs*h)
 	for i, id := range plan.Nodes {
-		rows := slab[i*per : (i+1)*per : (i+1)*per]
-		if err := db.fillRows(rows, id, stmt, retry); err != nil {
-			return nil, err
+		if err := db.deriveInterval(buf[i*stride:(i+1)*stride], buf[n:], id, h, plan.stmt.interval); err != nil {
+			return answer{}, err
+		}
+	}
+	return answer{origin: db.graph.Length, vals: buf[:n:n]}, nil
+}
+
+// forecastResult builds a forecast statement's Result from its answer, the
+// rows of all groups carved from one slab. It reads only the plan and the
+// answer, so it needs no engine lock.
+func (db *DB) forecastResult(plan *Plan, ans answer) *Result {
+	h, stride := plan.horizon, plan.stride()
+	res := &Result{Node: plan.Nodes[0], NodeKey: plan.keys[0], Forecast: true, Groups: make([]Group, len(plan.Nodes))}
+	slab := make([]QueryRow, h*len(plan.Nodes))
+	for i, id := range plan.Nodes {
+		rows, v, scale := slab[i*h:(i+1)*h:(i+1)*h], ans.vals[i*stride:(i+1)*stride], db.scale(&plan.stmt, id)
+		for j := range rows {
+			rows[j] = QueryRow{T: ans.origin + j, Value: v[j] * scale}
+			if stride > h {
+				rows[j].Lo, rows[j].Hi = v[h+j]*scale, v[2*h+j]*scale
+			}
 		}
 		res.Groups[i] = Group{Node: id, NodeKey: plan.keys[i], Member: plan.Members[i], Rows: rows}
 	}
 	res.Rows = res.Groups[0].Rows
-	return res, nil
+	return res
+}
+
+// history answers an EXPLAIN, or a statement without AS OF with the stored
+// history of every group, under the caller's shared lock.
+func (db *DB) history(plan *Plan) *Result {
+	res := &Result{Node: plan.Nodes[0], NodeKey: plan.keys[0], Plan: db.explainNode(plan.Nodes[0])}
+	if plan.Explain {
+		return res
+	}
+	per := db.graph.Length
+	slab := make([]QueryRow, per*len(plan.Nodes))
+	res.Groups = make([]Group, len(plan.Nodes))
+	for i, id := range plan.Nodes {
+		rows, scale := slab[i*per:(i+1)*per:(i+1)*per], db.scale(&plan.stmt, id)
+		for t, v := range db.graph.Node(id).Series.Values[:per] {
+			rows[t] = QueryRow{T: t, Value: v * scale}
+		}
+		res.Groups[i] = Group{Node: id, NodeKey: plan.keys[i], Member: plan.Members[i], Rows: rows}
+	}
+	res.Rows = res.Groups[0].Rows
+	return res
+}
+
+// scale is the factor of a node's rows: the AVG aggregate divides the SUM
+// values by the number of base series the node covers.
+func (db *DB) scale(stmt *selectStmt, id int) float64 {
+	if stmt.agg == "avg" {
+		return 1 / float64(db.baseCounts[id])
+	}
+	return 1
 }
 
 // explainNode renders the derivation plan of a node.
@@ -297,36 +371,6 @@ func (db *DB) explainNode(id int) string {
 		keys[i] = db.graph.KeyOf(s)
 	}
 	return fmt.Sprintf("%s from [%s] weight %.6f", sc.Kind, strings.Join(keys, ", "), sc.K)
-}
-
-// fillRows writes the output rows for one node: the stored history for
-// historical queries (len(rows) time points), or the derived forecast
-// (optionally with prediction intervals) for AS OF queries (len(rows)
-// steps). The AVG aggregate divides the SUM values by the number of base
-// series covered by the node.
-func (db *DB) fillRows(rows []QueryRow, id int, stmt *selectStmt, retry bool) error {
-	scale := 1.0
-	if stmt.agg == "avg" {
-		scale = 1 / float64(db.baseCounts[id])
-	}
-	if stmt.horizon == "" {
-		for i, v := range db.graph.Node(id).Series.Values[:len(rows)] {
-			rows[i] = QueryRow{T: i, Value: v * scale}
-		}
-		return nil
-	}
-	point, lo, hi, err := db.forecastIntervalLocked(id, len(rows), stmt.interval, retry)
-	if err != nil {
-		return err
-	}
-	for i, v := range point {
-		rows[i] = QueryRow{T: db.graph.Length + i, Value: v * scale}
-		if lo != nil {
-			rows[i].Lo = lo[i] * scale
-			rows[i].Hi = hi[i] * scale
-		}
-	}
-	return nil
 }
 
 // resolve rewrites the plan's parsed SELECT into the graph nodes it

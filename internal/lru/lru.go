@@ -1,9 +1,7 @@
-// Package lru is the one bounded statement-keyed table in the system: a
-// least-recently-used map that the engine's plan cache and the
-// coordinator's read table both instantiate. It is deliberately
-// unsynchronised — every caller already owns a mutex that guards more than
-// the table (metrics ordering), so a second lock inside would only be paid
-// twice on the hit path.
+// Package lru is the one bounded statement-keyed table in the system. Cache
+// is a least-recently-used map, deliberately unsynchronised; Table
+// (table.go) is the read table both tiers instantiate on it, a Cache under
+// the one mutex that also orders the stamp/fill protocol.
 package lru
 
 // Cache is a fixed-capacity map that evicts the least recently used entry.
@@ -87,24 +85,5 @@ func (c *Cache[K, V]) Put(k K, v V) (evicted bool) {
 	return evicted
 }
 
-// Delete removes k and reports whether it was present.
-func (c *Cache[K, V]) Delete(k K) bool {
-	n, ok := c.items[k]
-	if ok {
-		c.unlink(n)
-		delete(c.items, k)
-	}
-	return ok
-}
-
 // Len returns the number of entries.
 func (c *Cache[K, V]) Len() int { return len(c.items) }
-
-// Keys returns the keys from most to least recently used.
-func (c *Cache[K, V]) Keys() []K {
-	out := make([]K, 0, len(c.items))
-	for n := c.root.next; n != &c.root; n = n.next {
-		out = append(out, n.key)
-	}
-	return out
-}

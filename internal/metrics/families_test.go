@@ -273,7 +273,7 @@ var oneFlightFamilies = strings.NewReplacer(
 )
 
 // noSibylFamilies drops the self-forecasting engine's families and the read
-// table's resize counter: no process tunes itself. Applied last.
+// table's resize counter: no process tunes itself.
 var noSibylFamilies = strings.NewReplacer(
 	"# TYPE coord_cache_resizes_total counter\n", "",
 	"# TYPE sibyl_buckets_total counter\n", "",
@@ -291,6 +291,20 @@ var noSibylFamilies = strings.NewReplacer(
 	"# TYPE sibyl_trough_runs_total counter\n", "",
 	"# TYPE sibyl_trough_skips_total counter\n", "",
 	"# TYPE sibyl_troughs_total counter\n", "",
+)
+
+// oneTableFamilies folds the engine's plan-cache and forecast-memo families
+// into the one read table's. Applied after noSibylFamilies.
+var oneTableFamilies = strings.NewReplacer(
+	"# TYPE f2db_forecast_cache_bypasses_total counter\n", "# TYPE f2db_lazy_refit_bypasses_total counter\n",
+	"# TYPE f2db_forecast_cache_entries gauge\n", "# TYPE f2db_read_table_entries gauge\n",
+	"# TYPE f2db_forecast_cache_evictions_total counter\n", "# TYPE f2db_read_table_evictions_total counter\n",
+	"# TYPE f2db_forecast_cache_hits_total counter\n", "# TYPE f2db_read_table_hits_total counter\n",
+	"# TYPE f2db_forecast_cache_misses_total counter\n", "# TYPE f2db_read_table_misses_total counter\n",
+	"# TYPE f2db_plan_cache_entries gauge\n", "# TYPE f2db_read_table_invalidations_total counter\n",
+	"# TYPE f2db_plan_cache_evictions_total counter\n", "",
+	"# TYPE f2db_plan_cache_hits_total counter\n", "# TYPE f2db_read_table_plan_hits_total counter\n",
+	"# TYPE f2db_plan_cache_misses_total counter\n", "# TYPE f2db_read_table_plans_total counter\n",
 )
 
 // typeLines returns the sorted `# TYPE` lines of a page.
@@ -363,7 +377,7 @@ func TestFamilySet(t *testing.T) {
 		if err := lint(page); err != nil {
 			t.Fatalf("%s: %v\n%s", when, err, page)
 		}
-		if got, want := typeLines(page), typeLines(noSibylFamilies.Replace(oneFlightFamilies.Replace(oneWriterFamilies.Replace(oneEpochFamilies.Replace(pendingLockFamilies.Replace(familyChanges.Replace(parentFamilies))))))); got != want {
+		if got, want := typeLines(page), typeLines(oneTableFamilies.Replace(noSibylFamilies.Replace(oneFlightFamilies.Replace(oneWriterFamilies.Replace(oneEpochFamilies.Replace(pendingLockFamilies.Replace(familyChanges.Replace(parentFamilies)))))))); got != want {
 			t.Fatalf("%s: family set differs from the parent's plus the listed changes\n--- got\n%s--- want\n%s", when, got, want)
 		}
 		return page

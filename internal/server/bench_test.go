@@ -32,8 +32,8 @@ func benchClient(b *testing.B, poolSize int) (*fclient.Client, *cube.Graph) {
 
 // BenchmarkRemoteQuery measures one forecast query round trip over a
 // loopback TCP connection — the wire-protocol overhead on top of the
-// in-process BenchmarkQuerySQLCached path (the statement is memoized after
-// the first execution).
+// in-process BenchmarkQuerySQLCached path (the statement is answered from the
+// engine's read table after the first execution).
 func BenchmarkRemoteQuery(b *testing.B) {
 	cl, g := benchClient(b, 1)
 	gen := workload.New(g, 1)
@@ -50,7 +50,7 @@ func BenchmarkRemoteQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkRemoteQueryParallel issues the same memoized query from
+// BenchmarkRemoteQueryParallel issues the same cached query from
 // concurrent goroutines over a 4-connection pool — pipelining amortizes
 // the round-trip latency that dominates BenchmarkRemoteQuery.
 func BenchmarkRemoteQueryParallel(b *testing.B) {

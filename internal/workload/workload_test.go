@@ -95,7 +95,7 @@ func TestRunViaSQL(t *testing.T) {
 }
 
 // TestRunHotMix: with HotQueries set and HotFraction 1, every query comes
-// from the fixed hot set, so the engine's plan cache sees at most
+// from the fixed hot set, so the engine's read table plans at most
 // HotQueries distinct statements no matter how many queries run — the
 // read-heavy recurring mix the coordinator's result cache targets. The
 // draw stream stays deterministic: two same-seed runs issue the same
