@@ -458,9 +458,9 @@ func citedTestsExist(fsys fs.FS) error {
 // Legibility budget: non-test Go lines under internal/ and cmd/, and the
 // lines of the two documents a newcomer reads first. A change that needs
 // more re-records the number here and says why in CHANGES.md.
-const goLineBudget = 16880
+const goLineBudget = 16888
 
-var docLineBudget = map[string]int{"DESIGN.md": 1196, "README.md": 498}
+var docLineBudget = map[string]int{"DESIGN.md": 1197, "README.md": 498}
 
 // legibilityBudget: the program and its main documents stay within their
 // recorded line counts.

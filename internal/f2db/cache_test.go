@@ -225,6 +225,10 @@ func TestCacheBypassOnLazyReestimate(t *testing.T) {
 	if after.ForecastCacheBypasses != before.ForecastCacheBypasses+1 {
 		t.Fatalf("bypasses %d -> %d, want +1", before.ForecastCacheBypasses, after.ForecastCacheBypasses)
 	}
+	if after.ForecastCacheMisses != before.ForecastCacheMisses {
+		t.Fatalf("lazy re-estimation counted as a miss (%d -> %d)",
+			before.ForecastCacheMisses, after.ForecastCacheMisses)
+	}
 	if after.Queries != before.Queries+1 {
 		t.Fatalf("queries %d -> %d, want +1: a bypassed attempt is not an answer", before.Queries, after.Queries)
 	}

@@ -108,8 +108,8 @@ type Metrics struct {
 	// harness reads. PlanCacheHits counts statements whose plan the table
 	// held, PlanCacheMisses statements planned into it; ForecastCacheHits
 	// counts statements answered from the table and ForecastCacheMisses
-	// those it derived. ForecastCacheBypasses counts calls that took the
-	// lazy re-estimation path, table or not. TableEvictions counts
+	// those it derived, except on the lazy re-estimation path:
+	// ForecastCacheBypasses counts the calls that took it, table or not. TableEvictions counts
 	// statements evicted, TableInvalidations answers a generation bump
 	// overtook; TableEntries is the current entry count. EpochBumps counts
 	// generation bumps: one per time advance and one per installed re-fit.

@@ -269,22 +269,30 @@ func (pl *Plan) stride() int {
 // derive computes a forecast statement's answer under the shared lock,
 // through the entry's fill when the table is on. A source model awaiting
 // re-estimation drops the lock, re-fits under maint and derives again.
+// That statement counts one bypass and no miss: each of its fetches takes
+// back the miss the fill counted before it.
 func (db *DB) derive(key string, ent *lru.Entry[Plan, answer]) (answer, error) {
-	fetch := func() (answer, error) {
+	fetch := func(retry bool) (answer, error) {
 		db.mu.RLock()
 		defer db.mu.RUnlock()
 		if db.table == nil {
 			return db.deriveAnswer(&ent.Plan)
 		}
-		return db.table.Fill(key, ent, func() (answer, error) { return db.deriveAnswer(&ent.Plan) })
+		return db.table.Fill(key, ent, func() (answer, error) {
+			ans, err := db.deriveAnswer(&ent.Plan)
+			if retry || err == errNeedsReestimate {
+				db.met.fcMisses.Add(-1)
+			}
+			return ans, err
+		})
 	}
-	ans, err := fetch()
+	ans, err := fetch(false)
 	if err == errNeedsReestimate {
 		db.met.fcBypasses.Add(1)
 		db.maint.Lock()
 		defer db.maint.Unlock()
 		if err = db.refitFor(ent.Plan.Nodes); err == nil {
-			ans, err = fetch()
+			ans, err = fetch(true)
 		}
 	}
 	return ans, err
