@@ -244,8 +244,11 @@ func oneEvaluator(fsys fs.FS) error {
 // the read table's singleflight, the generator and self-tuning option
 // fields no program set, the graph's history sum, its summing helper
 // and its summing-vector alias, which History and CoveredBases replace,
-// and the self-forecasting engine with its actuators, query telemetry,
-// runtime cache resizes and flag group.
+// the self-forecasting engine with its actuators, query telemetry,
+// runtime cache resizes and flag group, and the per-series segment codec
+// (bit streams, delta-of-delta times, XOR values, blocks and footer
+// index) with the re-fit's generation bump. Its Series type is not
+// listed: the name is the time-series type's everywhere else.
 var goneNames = map[string]bool{
 	"AsyncMultiSource": true,
 	"CostTime":         true,
@@ -367,6 +370,22 @@ var goneNames = map[string]bool{
 	"fcCache":                true,
 	"forecastIntervalLocked": true,
 	"planQuery":              true,
+
+	"bitWriter":         true,
+	"bitReader":         true,
+	"appendTimesDoD":    true,
+	"decodeTimesDoD":    true,
+	"appendValuesXOR":   true,
+	"decodeValuesXOR":   true,
+	"appendVarint":      true,
+	"maxSegmentSeries":  true,
+	"frameBlock":        true,
+	"readBlock":         true,
+	"decodeSeriesBlock": true,
+	"segEndMagic":       true,
+	"segTrailerLen":     true,
+	"blockFrameLen":     true,
+	"bumpGen":           true,
 }
 
 // noGoneNames: no identifier, tests included, brings a gone name back.
@@ -458,9 +477,9 @@ func citedTestsExist(fsys fs.FS) error {
 // Legibility budget: non-test Go lines under internal/ and cmd/, and the
 // lines of the two documents a newcomer reads first. A change that needs
 // more re-records the number here and says why in CHANGES.md.
-const goLineBudget = 16888
+const goLineBudget = 16516
 
-var docLineBudget = map[string]int{"DESIGN.md": 1197, "README.md": 498}
+var docLineBudget = map[string]int{"DESIGN.md": 1196, "README.md": 498}
 
 // legibilityBudget: the program and its main documents stay within their
 // recorded line counts.

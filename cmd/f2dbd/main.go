@@ -12,7 +12,7 @@
 //	f2dbd -coordinator -shards host1:7071,host2:7071 -dataset tourism -addr :7070
 //
 // With -wal-dir the daemon is crash-durable: on boot it recovers the
-// directory (snapshot, then columnar segments, then the WAL tail —
+// directory (snapshot, then segments, then the WAL tail —
 // discarding a torn final record), and while serving it group-commits
 // every completed insert batch to the WAL before applying it.
 //

@@ -59,9 +59,9 @@ type Engine struct {
 func (e *Engine) Register(fs *flag.FlagSet) {
 	fs.StringVar(&e.Config, "config", "", "load a saved configuration instead of running the advisor")
 	fs.StringVar(&e.DB, "db", "", "open a saved database snapshot (f2dbcli \\save, f2dbd -save) instead of a data set")
-	fs.StringVar(&e.Durable.Dir, "wal-dir", "", "durable directory (snapshot + write-ahead log + columnar segments); recovers on open, then group-commits every completed batch")
+	fs.StringVar(&e.Durable.Dir, "wal-dir", "", "durable directory (snapshot + write-ahead log + segments); recovers on open, then group-commits every completed batch")
 	fs.StringVar(&e.Fsync, "fsync", "always", "WAL fsync policy with -wal-dir: always, never, or an integer n (fsync every n batches)")
-	fs.IntVar(&e.Durable.CompactEvery, "compact-every", 256, "with -wal-dir: compact the sealed WAL span into a columnar segment every n batches (0 disables)")
+	fs.IntVar(&e.Durable.CompactEvery, "compact-every", 256, "with -wal-dir: compact the sealed WAL span into a segment of raw batch columns every n batches (0 disables)")
 }
 
 // Metrics configures the sidecar HTTP listener.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -392,7 +393,7 @@ func TestCrashRecoveryQuickProperty(t *testing.T) {
 }
 
 // TestCrashRecoveryWithCompaction sweeps kill offsets across a run that
-// compacts the WAL into columnar segments every two batches, so crashes
+// compacts the WAL into segments every two batches, so crashes
 // land inside segment writes, WAL rotations and prunes — the windows where
 // a span transiently exists in both artifacts (or, done wrong, in
 // neither). Recovery must de-duplicate and still match the twin exactly.
@@ -782,16 +783,10 @@ func TestFsyncAdmitsReaders(t *testing.T) {
 // another database's fingerprint; recovery must refuse it rather than
 // replay foreign batches into the wrong series.
 func TestDurableRejectsForeignSegment(t *testing.T) {
-	base, snap, ids, baseGen := crashFixture(t)
-	twin := buildTwin(t, snap, nil)
-
-	series := make([]segment.Series, 0, len(ids))
-	for _, id := range ids {
-		series = append(series, segment.Series{
-			Key:    twin.Graph().NodeKey(id),
-			Times:  []int64{int64(baseGen)},
-			Values: []float64{42},
-		})
+	base, _, ids, baseGen := crashFixture(t)
+	series := make([][]float64, len(ids))
+	for i := range series {
+		series[i] = []float64{42}
 	}
 	img, err := segment.EncodeSegment(segment.Header{
 		Fingerprint: 0xBADBADBADBAD,
@@ -808,6 +803,27 @@ func TestDurableRejectsForeignSegment(t *testing.T) {
 	_, err = OpenDurable(DurableOptions{Dir: crashDir, FS: fs}, crashEngineOpts(), nil)
 	if err == nil || !strings.Contains(err.Error(), "belongs to another database") {
 		t.Fatalf("foreign segment: %v", err)
+	}
+}
+
+// TestDurableRefusesOldFormatSegment plants a segment of the previous,
+// per-series format (testdata/old-format.seg: generations [baseGen,
+// baseGen+2) of this very database, keys, footer index and all); recovery
+// must refuse it by name rather than read it.
+func TestDurableRefusesOldFormatSegment(t *testing.T) {
+	base, _, _, baseGen := crashFixture(t)
+	img, err := os.ReadFile("testdata/old-format.seg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := base.Clone()
+	name := segmentFileName(uint64(baseGen), uint64(baseGen)+2)
+	if err := segment.WriteFileSync(fs, crashDir, name, img); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenDurable(DurableOptions{Dir: crashDir, FS: fs}, crashEngineOpts(), nil)
+	if err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), `"F2SEG001"`) {
+		t.Fatalf("old-format segment: %v", err)
 	}
 }
 

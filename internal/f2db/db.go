@@ -415,9 +415,11 @@ func residualStd(m forecast.Model, step int) float64 {
 }
 
 // installModel publishes a freshly fitted model: stores it, clears the
-// invalid flag, resets the maintenance statistics and bumps the
-// generation, staling every answer in the read table. The caller holds maint
-// and mu exclusively.
+// invalid flag and resets the maintenance statistics. It stales no answer
+// in the read table: an answer is stored only when every source model was
+// valid, a model turns invalid only at a time advance, which bumps the
+// generation, and only an invalid model is re-fitted. The caller holds
+// maint and mu exclusively.
 func (db *DB) installModel(id int, m forecast.Model) {
 	db.cfg.Models[id] = m
 	db.invalid[id] = false
@@ -425,15 +427,6 @@ func (db *DB) installModel(id int, m forecast.Model) {
 	st.UpdatesSinceFit = 0
 	st.RollingError = 0
 	db.met.reestimations.Add(1)
-	db.bumpGen()
-}
-
-// bumpGen stales every answer in the read table by advancing the
-// generation. The caller holds the write lock, so no reader derives against
-// the old state and stamps the new generation.
-func (db *DB) bumpGen() {
-	db.gen.Add(1)
-	db.met.epochBumps.Add(1)
 }
 
 // Insert adds one new measure value for the base series identified by its
@@ -598,7 +591,10 @@ func (db *DB) advanceBatch(column []float64) error {
 	}
 	// A time advance changes every node's series, every model's state and
 	// the live derivation weights: every answer in the read table is stale.
-	db.bumpGen()
+	// The caller holds the write lock, so no reader derives against the old
+	// state and stamps the new generation.
+	db.gen.Add(1)
+	db.met.epochBumps.Add(1)
 	return nil
 }
 

@@ -23,7 +23,8 @@ import (
 //	                       at Checkpoint
 //	wal-<seq>.log          write-ahead log of committed insert batches
 //	                       (internal/segment), appended at group commit
-//	seg-<from>-<to>.seg    columnar compactions of sealed WAL spans
+//	seg-<from>-<to>.seg    compactions of sealed WAL spans, one
+//	                       column record per generation
 //
 // Recovery at OpenDurable replays them oldest-truth-first: load the last
 // snapshot, apply segments that extend past it, then the WAL tail — every
@@ -57,9 +58,9 @@ type DurableOptions struct {
 	// Sync is the WAL fsync policy. The zero value is segment.SyncAlways:
 	// every committed batch is durable before the engine applies it.
 	Sync segment.SyncPolicy
-	// CompactEvery compacts the sealed WAL span into a columnar segment
-	// after every n committed batches; 0 disables compaction (the WAL
-	// grows until a Checkpoint prunes it).
+	// CompactEvery compacts the sealed WAL span into a segment after
+	// every n committed batches; 0 disables compaction (the WAL grows
+	// until a Checkpoint prunes it).
 	CompactEvery int
 }
 
@@ -73,7 +74,7 @@ type RecoveryInfo struct {
 	// freshly written snapshot.
 	SnapshotGen uint64
 	// SegmentBatches and WALBatches count batch advances replayed from
-	// columnar segments and from the WAL tail.
+	// segments and from the WAL tail.
 	SegmentBatches int
 	WALBatches     int
 	// TornBytes is the size of the torn WAL tail recovery discarded —
@@ -155,11 +156,12 @@ func OpenDurable(dopts DurableOptions, opts Options, build func() (*DB, error)) 
 		}
 	}
 
-	// Every replayed batch is assembled in this one column.
-	column := make([]float64, len(d.db.graph.BaseIDs))
-	if err := d.replaySegments(column); err != nil {
+	if err := d.replaySegments(); err != nil {
 		return nil, err
 	}
+
+	// Every replayed WAL batch is assembled in this one column.
+	column := make([]float64, len(d.db.graph.BaseIDs))
 
 	wal, info, err := segment.OpenWAL(fs, dopts.Dir, d.fingerprint, dopts.Sync, func(gen uint64, entries []segment.Entry) error {
 		// Entries come ID-ascending, as BaseIDs is: the record is a batch of
@@ -215,10 +217,9 @@ func errBatchSize(want, got int) error {
 	return fmt.Errorf("cube: Advance needs a value for all %d base series, got %d", want, got)
 }
 
-// replaySegments applies every columnar segment extending past the loaded
-// snapshot, oldest first, generation-checked, one generation at a time
-// through column.
-func (d *Durable) replaySegments(column []float64) error {
+// replaySegments applies every segment extending past the loaded snapshot,
+// oldest first, generation-checked, one column at a time.
+func (d *Durable) replaySegments() error {
 	names, err := d.fs.ReadDir(d.dir)
 	if err != nil {
 		return err
@@ -243,7 +244,7 @@ func (d *Durable) replaySegments(column []float64) error {
 		if err != nil {
 			return err
 		}
-		hdr, series, err := segment.DecodeSegment(data)
+		hdr, cols, err := segment.DecodeSegment(data, len(d.db.graph.BaseIDs))
 		if err != nil {
 			return fmt.Errorf("f2db: segment %s: %w", sf.name, err)
 		}
@@ -257,36 +258,10 @@ func (d *Durable) replaySegments(column []float64) error {
 		if hdr.FromGen > length {
 			return fmt.Errorf("f2db: recovery gap: segment %s starts at %d, database at %d", sf.name, hdr.FromGen, length)
 		}
-		// Column → batches: resolve each series to its base node's ordinal
-		// once, then re-assemble one complete batch per generation in the
-		// span. A series named twice leaves another without values.
-		cols := make([][]float64, len(column))
-		distinct := 0
-		for _, s := range series {
-			id, found := d.db.graph.LookupID(s.Key)
-			ord, ok := d.db.graph.BaseOrdinal(id)
-			if !found || !ok {
-				return fmt.Errorf("f2db: segment %s: series %q is not a base node", sf.name, s.Key)
-			}
-			if uint64(len(s.Values)) != sf.to-sf.from {
-				return fmt.Errorf("f2db: segment %s: series %q has %d values for span [%d,%d)", sf.name, s.Key, len(s.Values), sf.from, sf.to)
-			}
-			if len(s.Times) > 0 && (uint64(s.Times[0]) != sf.from || s.Times[0] < 0) {
-				return fmt.Errorf("f2db: segment %s: series %q starts at generation %d, span at %d", sf.name, s.Key, s.Times[0], sf.from)
-			}
-			if cols[ord] == nil {
-				distinct++
-			}
-			cols[ord] = s.Values
-		}
-		if distinct != len(cols) {
-			return fmt.Errorf("f2db: segment %s: %w", sf.name, errBatchSize(len(cols), distinct))
-		}
+		// The fingerprint pins each position to its base series, as in a
+		// WAL record: a column is a batch in BaseIDs order.
 		for gen := length; gen < sf.to; gen++ {
-			for ord, vals := range cols {
-				column[ord] = vals[gen-sf.from]
-			}
-			applied, err := d.applyReplayedBatch(gen, column)
+			applied, err := d.applyReplayedBatch(gen, cols[gen-sf.from])
 			if err != nil {
 				return fmt.Errorf("f2db: segment %s: %w", sf.name, err)
 			}
@@ -330,7 +305,7 @@ func (d *Durable) applyReplayedBatch(gen uint64, column []float64) (applied bool
 // the batch advance under maint but not the engine lock, so readers keep
 // answering while it appends the batch to the WAL (fsyncing per policy)
 // and — every CompactEvery batches — compacts the sealed WAL span into a
-// columnar segment first, so the new batch opens a fresh log file.
+// segment first, so the new batch opens a fresh log file.
 func (d *Durable) commit(gen uint64, column []float64) error {
 	if d.compactEvery > 0 && d.sinceCompact >= d.compactEvery && gen > d.compactFrom {
 		if err := d.compactLocked(gen); err != nil {
@@ -365,14 +340,9 @@ func (d *Durable) commit(gen uint64, column []float64) error {
 func (d *Durable) compactLocked(toGen uint64) error {
 	g := d.db.graph
 	from := d.compactFrom
-	times := make([]int64, toGen-from)
-	for i := range times {
-		times[i] = int64(from) + int64(i)
-	}
-	keys := d.db.renderKeys(nil, g.BaseIDs) // one string for all of them, gone with the image
-	series := make([]segment.Series, len(g.BaseIDs))
+	series := make([][]float64, len(g.BaseIDs))
 	for i, id := range g.BaseIDs {
-		series[i] = segment.Series{Key: keys[i], Times: times, Values: g.NodeValues(id)[from:toGen]}
+		series[i] = g.NodeValues(id)[from:toGen]
 	}
 	img, err := segment.EncodeSegment(segment.Header{Fingerprint: d.fingerprint, FromGen: from, ToGen: toGen}, series)
 	if err != nil {
@@ -393,7 +363,7 @@ func (d *Durable) compactLocked(toGen uint64) error {
 	return nil
 }
 
-// Compact eagerly folds the sealed WAL span into a columnar segment,
+// Compact eagerly folds the sealed WAL span into a segment,
 // without waiting for the commit-path CompactEvery counter, so a caller
 // can pay the encode cost at a moment of its choosing. It takes maint (the lock the
 // commit-path compaction runs under) and is a no-op when there is no
@@ -520,7 +490,7 @@ func WriteSnapshotFile(fsys segment.FS, fpath string, db *DB) error {
 	return segment.WriteFileSync(fsys, filepath.Dir(fpath), filepath.Base(fpath), buf.Bytes())
 }
 
-// segmentFileName names the columnar compaction of generations [from, to).
+// segmentFileName names the compaction of generations [from, to).
 func segmentFileName(from, to uint64) string {
 	return fmt.Sprintf("seg-%012d-%012d.seg", from, to)
 }

@@ -936,10 +936,10 @@ func TestDatabaseSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestSaveImagesDeterministic: two saves of one configuration are the same
-// bytes, and so is the configuration nested in two snapshots of one engine;
-// both used to be built by iterating over maps, so on a 500-node cube two
-// saves differed. The rest of the snapshot is compared decoded: its Dims
-// hold the hierarchies' parent maps, which gob writes in random order.
+// bytes, and so are two snapshots of one engine holding a half-filled
+// batch. Both used to be built by iterating over maps — the configuration,
+// the hierarchies' parent maps and the pending rows — so on a 500-node cube
+// two saves differed.
 func TestSaveImagesDeterministic(t *testing.T) {
 	g, err := datasets.GenCube(1, datasets.CubeGenForNodes(500, 2)).Graph()
 	if err != nil {
@@ -953,28 +953,27 @@ func TestSaveImagesDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cfgs [2]bytes.Buffer
-	var imgs [2]dbImage
+	half := make(map[int]float64)
+	for _, id := range g.BaseIDs[:len(g.BaseIDs)/2] {
+		half[id] = float64(id)
+	}
+	if err := db.InsertBatch(half); err != nil {
+		t.Fatal(err)
+	}
+	var cfgs, imgs [2]bytes.Buffer
 	for i := range imgs {
 		if err := SaveConfiguration(&cfgs[i], cfg); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := SaveDatabase(&buf, db); err != nil {
-			t.Fatal(err)
-		}
-		if err := gob.NewDecoder(&buf).Decode(&imgs[i]); err != nil {
+		if err := SaveDatabase(&imgs[i], db); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !bytes.Equal(cfgs[0].Bytes(), cfgs[1].Bytes()) {
 		t.Error("SaveConfiguration: two saves differ")
 	}
-	if !bytes.Equal(imgs[0].Config, imgs[1].Config) {
-		t.Error("SaveDatabase: the nested configurations of two saves differ")
-	}
-	if !reflect.DeepEqual(imgs[0], imgs[1]) {
-		t.Error("SaveDatabase: two saves decode to different images")
+	if !bytes.Equal(imgs[0].Bytes(), imgs[1].Bytes()) {
+		t.Error("SaveDatabase: two saves differ")
 	}
 
 	// What the engine answered is no part of its state: after queries, its
@@ -1001,18 +1000,14 @@ func TestSaveImagesDeterministic(t *testing.T) {
 	if _, err := db.ForecastNode(g.TopID, 4); err != nil {
 		t.Fatal(err)
 	}
-	var after [2]dbImage
+	var after [2]bytes.Buffer
 	for i, e := range []*DB{db, twin} {
-		var buf bytes.Buffer
-		if err := SaveDatabase(&buf, e); err != nil {
-			t.Fatal(err)
-		}
-		if err := gob.NewDecoder(&buf).Decode(&after[i]); err != nil {
+		if err := SaveDatabase(&after[i], e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !reflect.DeepEqual(after[0], after[1]) {
-		t.Error("SaveDatabase: a queried engine and its unqueried twin decode to different images")
+	if !bytes.Equal(after[0].Bytes(), after[1].Bytes()) {
+		t.Error("SaveDatabase: a queried engine and its unqueried twin save different images")
 	}
 }
 
@@ -1092,7 +1087,7 @@ func TestLoadDatabaseGarbage(t *testing.T) {
 // is an error, not a nil dereference in the graph constructor.
 func TestLoadDatabaseBaseWithoutSeries(t *testing.T) {
 	_, g, _ := testEngine(t, Never{})
-	img := dbImage{Dims: g.Dims}
+	img := dbImage{Dims: dimImages(g.Dims)}
 	for i, id := range g.BaseIDs {
 		b := cube.BaseSeries{Series: g.Node(id).Series}
 		for _, cell := range g.CoordOf(id) {

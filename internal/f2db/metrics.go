@@ -45,7 +45,7 @@ type engineMetrics struct {
 
 	// Durability counters (durable.go). The wal* values mirror the WAL's
 	// own counters after each commit; walReplayed counts batches recovered
-	// from the log at open; seg* count columnar compactions and their
+	// from the log at open; seg* count segment compactions and their
 	// bytes; snapshotWrites counts crash-safe snapshot files written.
 	walAppends     atomic.Int64
 	walSyncs       atomic.Int64
@@ -112,7 +112,7 @@ type Metrics struct {
 	// ForecastCacheBypasses counts the calls that took it, table or not. TableEvictions counts
 	// statements evicted, TableInvalidations answers a generation bump
 	// overtook; TableEntries is the current entry count. EpochBumps counts
-	// generation bumps: one per time advance and one per installed re-fit.
+	// generation bumps, which only time advances make: one per advance.
 	PlanCacheHits         int64
 	PlanCacheMisses       int64
 	ForecastCacheHits     int64
@@ -130,8 +130,8 @@ type Metrics struct {
 
 	// Durability counters (zero on a non-durable engine): WAL record
 	// appends, fsyncs and bytes written, live WAL file count, batches
-	// replayed from the log at open, columnar segment compactions with
-	// their encoded bytes, and crash-safe snapshot writes.
+	// replayed from the log at open, segment compactions with their
+	// bytes, and crash-safe snapshot writes.
 	WALAppends         int64
 	WALSyncs           int64
 	WALBytes           int64
@@ -213,7 +213,7 @@ func (m Metrics) describe(r *metrics.Registry) {
 	r.Value("f2db_read_table_invalidations_total", "Read table answers a generation bump overtook.", float64(m.TableInvalidations))
 	r.Value("f2db_read_table_entries", "Statements in the read table.", float64(m.TableEntries))
 	r.Value("f2db_lazy_refit_bypasses_total", "Calls that took the lazy re-estimation path.", float64(m.ForecastCacheBypasses))
-	r.Value("f2db_epoch_bumps_total", "Generation bumps by time advances and re-fits.", float64(m.EpochBumps))
+	r.Value("f2db_epoch_bumps_total", "Generation bumps, one per time advance.", float64(m.EpochBumps))
 
 	// \stats leaves the durability line out on an engine that never logged.
 	r.Break(true)
@@ -222,8 +222,8 @@ func (m Metrics) describe(r *metrics.Registry) {
 	r.Value("f2db_wal_bytes_total", "Bytes appended to the write-ahead log.", float64(m.WALBytes))
 	r.Value("f2db_wal_files", "WAL files currently on disk.", float64(m.WALFiles))
 	r.Value("f2db_wal_replayed_batches_total", "Batches replayed from the WAL at open.", float64(m.WALReplayedBatches))
-	r.Value("f2db_segment_compactions_total", "WAL spans compacted into columnar segments.", float64(m.SegmentCompactions))
-	r.Value("f2db_segment_bytes_total", "Columnar segment bytes written.", float64(m.SegmentBytes))
+	r.Value("f2db_segment_compactions_total", "WAL spans compacted into segments.", float64(m.SegmentCompactions))
+	r.Value("f2db_segment_bytes_total", "Segment bytes written.", float64(m.SegmentBytes))
 	r.Value("f2db_snapshot_writes_total", "Crash-safe snapshot files written.", float64(m.SnapshotWrites))
 
 	r.Break(false)

@@ -510,10 +510,14 @@ func TestPendingSnapshotAtomic(t *testing.T) {
 			if err := gob.NewDecoder(&buf).Decode(&img); err != nil {
 				t.Fatal(err)
 			}
+			pending := make(map[string]bool, len(img.Pending))
+			for _, r := range img.Pending {
+				pending[r.Key] = true
+			}
 			for i, stmt := range stmts {
 				held := 0
 				for _, id := range stmt {
-					if _, ok := img.Pending[g.KeyOf(id)]; ok {
+					if pending[g.KeyOf(id)] {
 						held++
 					}
 				}

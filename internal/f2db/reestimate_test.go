@@ -272,3 +272,50 @@ func TestOffLockReestimateStress(t *testing.T) {
 		t.Fatal("stress run re-estimated nothing")
 	}
 }
+
+// TestConfigViewRace reads each model accessor of Configuration() on a
+// goroutine of its own while a query sets off lazy re-fits, which install
+// models into the map the accessors read. Run with -race: the accessors
+// must take the read lock.
+func TestConfigViewRace(t *testing.T) {
+	db, _, _ := testEngine(t, TimeBased{Every: 1})
+	view := db.Configuration()
+	top := view.ModelIDs()[0]
+	readers := []func(){
+		func() { _ = view.NumModels() },
+		func() { _ = view.ModelIDs() },
+		func() { _ = view.ModelFamily(top) },
+	}
+	const q = "SELECT time, SUM(m) FROM facts GROUP BY time, region AS OF now() + '2 steps'"
+	for round := 0; round < 3; round++ {
+		if err := db.InsertBatch(fullBatch(db, round)); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, read := range readers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					read()
+					select {
+					case <-done:
+						return
+					default:
+					}
+				}
+			}()
+		}
+		before := db.Metrics().Reestimations
+		_, err := db.Query(q)
+		close(done)
+		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if db.Metrics().Reestimations == before {
+			t.Fatalf("round %d: the query re-fitted no model", round)
+		}
+	}
+}

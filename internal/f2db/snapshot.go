@@ -2,9 +2,11 @@ package f2db
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"cubefc/internal/cube"
@@ -16,14 +18,14 @@ import (
 // embedded analogue of F²DB's persistent PostgreSQL storage: an engine can
 // be shut down and reopened without re-running the advisor.
 
-// dbImage is the serialized engine. Older images also carry the texts and
-// forecast keys of a warm-up that no engine runs any more; gob skips fields
-// the type lacks, so they load as they are.
+// dbImage is the serialized engine. Its bytes are a function of the
+// engine's state: every collection is written in a fixed order, none as a
+// map (gob writes a map in iteration order).
 type dbImage struct {
-	Dims         []cube.Dimension
+	Dims         []dimImage
 	Base         []cube.BaseSeries
 	Config       []byte // nested configuration image (SaveConfiguration)
-	Pending      map[string]float64
+	Pending      []pendingRow
 	StepDuration time.Duration
 	// Inserts and Batches are the maintenance counters at save time: rows
 	// accepted (including the half-filled batch above) and time advances
@@ -32,14 +34,59 @@ type dbImage struct {
 	// what lets a cluster coordinator realign a shard restarted from a
 	// mid-history snapshot against its statement log (wire.Info.Inserts
 	// reports this counter; the coordinator matches it to cumulative
-	// statement boundaries). gob tolerates the fields being absent, so
-	// older snapshots load with zeroed counters, the previous behavior.
+	// statement boundaries).
 	Inserts uint64
 	Batches uint64
 	// Models is every model's maintenance state, so a reopened engine
-	// re-estimates the models the saved one would have. Older snapshots
-	// lack it and load with every model fresh and valid, as they did.
+	// re-estimates the models the saved one would have.
 	Models []modelState
+}
+
+// dimImage is a cube.Dimension whose parent maps are (member, parent)
+// pairs in member order.
+type dimImage struct {
+	Name    string
+	Levels  []string
+	Parents [][][2]string
+}
+
+// dimImages renders dims for the image.
+func dimImages(dims []cube.Dimension) []dimImage {
+	out := make([]dimImage, len(dims))
+	for i, d := range dims {
+		out[i] = dimImage{Name: d.Name, Levels: d.Levels, Parents: make([][][2]string, len(d.Parents))}
+		for l, parents := range d.Parents {
+			pairs := make([][2]string, 0, len(parents))
+			for member, parent := range parents {
+				pairs = append(pairs, [2]string{member, parent})
+			}
+			slices.SortFunc(pairs, func(a, b [2]string) int { return cmp.Compare(a[0], b[0]) })
+			out[i].Parents[l] = pairs
+		}
+	}
+	return out
+}
+
+// dimensions restores the image's dimensions.
+func dimensions(imgs []dimImage) []cube.Dimension {
+	out := make([]cube.Dimension, len(imgs))
+	for i, d := range imgs {
+		out[i] = cube.Dimension{Name: d.Name, Levels: d.Levels, Parents: make([]map[string]string, len(d.Parents))}
+		for l, pairs := range d.Parents {
+			out[i].Parents[l] = make(map[string]string, len(pairs))
+			for _, p := range pairs {
+				out[i].Parents[l][p[0]] = p[1]
+			}
+		}
+	}
+	return out
+}
+
+// pendingRow is one row of the half-filled batch, keyed by the base
+// node's canonical coordinate key.
+type pendingRow struct {
+	Key   string
+	Value float64
 }
 
 // modelState is one model's persisted maintenance state, keyed by the
@@ -66,21 +113,17 @@ func SaveDatabase(w io.Writer, db *DB) error {
 // Durable.Checkpoint: no advance can slip between the snapshot and the
 // generation it records.
 func (db *DB) saveDatabase(w io.Writer) error {
-	held := make([]baseRow, 0, db.pendingTotal.Load())
-	for ord, id := range db.graph.BaseIDs {
-		if db.present[ord] {
-			held = append(held, baseRow{id, db.pending[ord]})
-		}
-	}
 	img := dbImage{
-		Dims:         db.graph.Dims,
+		Dims:         dimImages(db.graph.Dims),
 		StepDuration: db.planner.step,
-		Pending:      make(map[string]float64, len(held)),
+		Pending:      make([]pendingRow, 0, db.pendingTotal.Load()),
 		Inserts:      uint64(db.met.inserts.Load()),
 		Batches:      uint64(db.met.batches.Load()),
 	}
-	for _, r := range held {
-		img.Pending[db.graph.KeyOf(r.id)] = r.value
+	for ord, id := range db.graph.BaseIDs {
+		if db.present[ord] {
+			img.Pending = append(img.Pending, pendingRow{db.graph.KeyOf(id), db.pending[ord]})
+		}
 	}
 	for _, id := range db.cfg.ModelIDs() {
 		img.Models = append(img.Models, modelState{db.graph.KeyOf(id), *db.mstats[id], db.invalid[id]})
@@ -112,7 +155,7 @@ func LoadDatabase(r io.Reader, opts Options) (*DB, error) {
 	if err := gob.NewDecoder(r).Decode(&img); err != nil {
 		return nil, fmt.Errorf("f2db: decoding database image: %w", err)
 	}
-	g, err := cube.NewGraph(img.Dims, img.Base)
+	g, err := cube.NewGraph(dimensions(img.Dims), img.Base)
 	if err != nil {
 		return nil, fmt.Errorf("f2db: rebuilding graph: %w", err)
 	}
@@ -139,12 +182,12 @@ func LoadDatabase(r io.Reader, opts Options) (*DB, error) {
 	// Restore the half-filled insert batch through the batched write path:
 	// one lock acquisition for the whole image instead of one per value.
 	pending := make(map[int]float64, len(img.Pending))
-	for key, v := range img.Pending {
-		id, ok := g.LookupID(key)
+	for _, r := range img.Pending {
+		id, ok := g.LookupID(r.Key)
 		if !ok {
-			return nil, fmt.Errorf("f2db: pending insert for unknown node %q", key)
+			return nil, fmt.Errorf("f2db: pending insert for unknown node %q", r.Key)
 		}
-		pending[id] = v
+		pending[id] = r.Value
 	}
 	if len(pending) > 0 {
 		if err := db.InsertBatch(pending); err != nil {
@@ -152,15 +195,9 @@ func LoadDatabase(r io.Reader, opts Options) (*DB, error) {
 		}
 	}
 	// Restore the maintenance counters to their save-time values. The
-	// pending replay above already counted its rows, so an unconditional
-	// Store (not Add) lands exactly on the saved state; images from before
-	// counter persistence carry zeros and keep the old reset-on-load
-	// behavior.
-	if img.Inserts > 0 {
-		db.met.inserts.Store(int64(img.Inserts))
-	}
-	if img.Batches > 0 {
-		db.met.batches.Store(int64(img.Batches))
-	}
+	// pending replay above already counted its rows, so a Store (not Add)
+	// lands exactly on the saved state.
+	db.met.inserts.Store(int64(img.Inserts))
+	db.met.batches.Store(int64(img.Batches))
 	return db, nil
 }

@@ -1,10 +1,6 @@
 package f2db
 
-import (
-	"sort"
-
-	"cubefc/internal/derivation"
-)
+import "cubefc/internal/derivation"
 
 // Read-only views over the engine's internal state. The engine used to
 // return its live *cube.Graph and *core.Configuration, letting callers read
@@ -75,34 +71,34 @@ func (v GraphView) NodeValues(id int) []float64 {
 type ConfigView struct{ db *DB }
 
 // Configuration returns a read-only view of the loaded model
-// configuration. The assignment structure (which nodes carry models, the
-// derivation schemes) is immutable while the engine is open; accessors
-// touching live model state take the engine's read lock.
+// configuration. The derivation schemes are immutable while the engine is
+// open; the models are not — a re-fit installs a new one under the write
+// lock — so the model accessors take the engine's read lock.
 func (db *DB) Configuration() ConfigView { return ConfigView{db: db} }
 
 // NumModels returns the number of models in the configuration.
-func (v ConfigView) NumModels() int { return len(v.db.cfg.Models) }
+func (v ConfigView) NumModels() int {
+	v.db.mu.RLock()
+	defer v.db.mu.RUnlock()
+	return len(v.db.cfg.Models)
+}
 
 // ModelIDs returns the sorted node IDs carrying a model.
 func (v ConfigView) ModelIDs() []int {
-	ids := make([]int, 0, len(v.db.cfg.Models))
-	for id := range v.db.cfg.Models {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
+	v.db.mu.RLock()
+	defer v.db.mu.RUnlock()
+	return v.db.cfg.ModelIDs()
 }
 
 // ModelFamily returns the family name of the model at the node ("" when
 // the node carries none).
 func (v ConfigView) ModelFamily(id int) string {
-	m, ok := v.db.cfg.Models[id]
-	if !ok {
-		return ""
-	}
 	v.db.mu.RLock()
 	defer v.db.mu.RUnlock()
-	return m.Name()
+	if m, ok := v.db.cfg.Models[id]; ok {
+		return m.Name()
+	}
+	return ""
 }
 
 // Scheme returns a copy of the derivation scheme stored for the node. The

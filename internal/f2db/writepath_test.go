@@ -370,8 +370,8 @@ func TestStripedInsertTwin(t *testing.T) {
 
 // TestReplayRejectsForeignIDs: a replayed batch is advanced only when its IDs
 // are exactly the base IDs — a WAL record a value short, one naming an
-// aggregate, one skipping a base series, and a segment naming a series twice
-// are refused with the engine where the snapshot left it; the same record
+// aggregate, one skipping a base series, and a segment whose column is one
+// value short are refused with the engine where the snapshot left it; the same record
 // with the right IDs replays.
 func TestReplayRejectsForeignIDs(t *testing.T) {
 	base, snap, ids, baseGen := crashFixture(t)
@@ -421,21 +421,22 @@ func TestReplayRejectsForeignIDs(t *testing.T) {
 		}
 	}
 
-	series := make([]segment.Series, len(ids))
-	for i, id := range ids {
-		series[i] = segment.Series{Key: twin.graph.KeyOf(id), Times: []int64{int64(baseGen)}, Values: []float64{42}}
+	// A column of the wrong width: a segment written for seven base series.
+	series := make([][]float64, len(ids)-1)
+	for i := range series {
+		series[i] = []float64{42}
 	}
-	series[3].Key = series[2].Key
 	img, err := segment.EncodeSegment(segment.Header{Fingerprint: fingerprint, FromGen: uint64(baseGen), ToGen: uint64(baseGen) + 1}, series)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fs := base.Clone()
-	if err := segment.WriteFileSync(fs, crashDir, segmentFileName(uint64(baseGen), uint64(baseGen)+1), img); err != nil {
+	name := segmentFileName(uint64(baseGen), uint64(baseGen)+1)
+	if err := segment.WriteFileSync(fs, crashDir, name, img); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenDurable(DurableOptions{Dir: crashDir, FS: fs}, crashEngineOpts(), nil); err == nil || !strings.Contains(err.Error(), "needs a value for all 8 base series, got 7") {
-		t.Fatalf("a segment naming one series twice: %v", err)
+	if _, err := OpenDurable(DurableOptions{Dir: crashDir, FS: fs}, crashEngineOpts(), nil); err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "columns of 8 values") {
+		t.Fatalf("a segment of 7-value columns: %v", err)
 	}
 }
 

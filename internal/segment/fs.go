@@ -1,7 +1,7 @@
 // Package segment is F²DB's durability layer: an incremental write-ahead
-// log of committed insert batches (wal.go, record.go) and an append-only
-// columnar time-series segment format sealed WAL spans compact into
-// (segment.go, encode.go). Both are defined over a small filesystem
+// log of committed insert batches (wal.go, record.go) and the segments
+// sealed WAL spans compact into, the same record framing around one raw
+// column per batch (segment.go). Both are defined over a small filesystem
 // interface (this file) so the crash-recovery test harness can run the
 // real code paths against an in-memory filesystem that models exactly
 // what survives a power loss — written-but-unsynced data does not

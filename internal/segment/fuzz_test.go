@@ -1,22 +1,24 @@
 package segment
 
 import (
-	"math"
+	"bytes"
 	"testing"
 )
 
-// FuzzDecodeSegment feeds arbitrary bytes to the segment decoder. Two
-// properties: robustness — corrupt input of any shape returns an error, never
-// a panic, and never an allocation larger than the input could describe — and
-// canonical round-trip: an image the decoder accepts re-encodes and re-decodes
-// to the identical header and columns. Seeds start the fuzzer at a valid image
-// plus truncated and bit-flipped corruptions of it; the checked-in corpus
-// under testdata/fuzz/FuzzDecodeSegment pins format corners (bare magics,
-// empty input).
+// FuzzDecodeSegment feeds arbitrary bytes to the segment decoder at the
+// widths fuzzWidths. Two properties: robustness — corrupt input of any shape
+// returns an error, never a panic, and never an allocation larger than the
+// input could describe — and canonical round-trip: an image the decoder
+// accepts re-encodes to the identical bytes. Seeds start the fuzzer at a
+// valid image plus truncated and bit-flipped corruptions of it; the
+// checked-in corpus under testdata/fuzz/FuzzDecodeSegment pins format
+// corners: empty input, a bare magic, a bare header, a huge record length,
+// a column of the wrong width, a generation missing or extra, and images of
+// the previous format, which must be refused.
 func FuzzDecodeSegment(f *testing.F) {
 	_, _, img := testSegment(f)
 	f.Add(append([]byte(nil), img...))
-	for _, cut := range []int{0, 8, segHeaderLen, len(img) / 2, len(img) - segTrailerLen, len(img) - 1} {
+	for _, cut := range []int{0, 8, recordHeaderSize + segHeaderLen, len(img) / 2, len(img) - recordHeaderSize, len(img) - 1} {
 		f.Add(append([]byte(nil), img[:cut]...))
 	}
 	for _, pos := range []int{4, 20, len(img) / 2, len(img) - 4} {
@@ -28,44 +30,36 @@ func FuzzDecodeSegment(f *testing.F) {
 		if len(data) > 1<<20 {
 			return // bound decode cost; valid test images are well under 1 KiB
 		}
-		hdr, series, err := DecodeSegment(data) // must not panic
-		if err != nil {
-			return
-		}
-		// Over-allocation guard: every decoded point costs at least one bit
-		// of input (first value of a column costs 64), so the total can
-		// never exceed eight points per input byte.
-		points := 0
-		for _, s := range series {
-			points += len(s.Times)
-		}
-		if points > 8*len(data) {
-			t.Fatalf("%d decoded points from %d input bytes", points, len(data))
-		}
-		img2, err := EncodeSegment(hdr, series)
-		if err != nil {
-			t.Fatalf("accepted image failed to re-encode: %v", err)
-		}
-		hdr2, series2, err := DecodeSegment(img2)
-		if err != nil {
-			t.Fatalf("re-encoded image rejected: %v", err)
-		}
-		if hdr2 != hdr || len(series2) != len(series) {
-			t.Fatalf("round trip changed the segment: %+v/%d -> %+v/%d", hdr, len(series), hdr2, len(series2))
-		}
-		for i := range series {
-			a, b := series[i], series2[i]
-			if a.Key != b.Key || len(a.Times) != len(b.Times) {
-				t.Fatalf("series %d changed shape in round trip", i)
+		for _, width := range fuzzWidths {
+			hdr, cols, err := DecodeSegment(data, width) // must not panic
+			if err != nil {
+				continue
 			}
-			for j := range a.Times {
-				if a.Times[j] != b.Times[j] || math.Float64bits(a.Values[j]) != math.Float64bits(b.Values[j]) {
-					t.Fatalf("series %d point %d changed in round trip", i, j)
+			// Over-allocation guard: a column costs a record frame plus
+			// eight bytes a value.
+			if len(cols)*(recordHeaderSize+8*width) > len(data) {
+				t.Fatalf("%d columns of %d values from %d input bytes", len(cols), width, len(data))
+			}
+			series := make([][]float64, width)
+			for i := range series {
+				for _, col := range cols {
+					series[i] = append(series[i], col[i])
 				}
+			}
+			img2, err := EncodeSegment(hdr, series)
+			if err != nil {
+				t.Fatalf("accepted image failed to re-encode: %v", err)
+			}
+			if !bytes.Equal(img2, data) {
+				t.Fatalf("width %d: accepted image re-encodes to other bytes", width)
 			}
 		}
 	})
 }
+
+// fuzzWidths are the column widths FuzzDecodeSegment decodes every input
+// at: none, one, and testSegment's.
+var fuzzWidths = []int{0, 1, 4}
 
 // fuzzWALImage builds a realistic WAL file image (header + batches, with the
 // fuzz fingerprint) for seeding FuzzReplayWAL.

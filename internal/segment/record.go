@@ -25,6 +25,7 @@ const (
 	recHeader byte = 1 // file header: magic, fingerprint, start generation
 	recBatch  byte = 2 // one committed insert batch
 	recSeal   byte = 3 // clean end of a rotated file; nothing follows
+	recColumn byte = 4 // one generation's column in a segment
 )
 
 // maxRecordSize bounds a single record's payload so a corrupt length field
@@ -40,14 +41,18 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // slice.
 func appendRecord(buf []byte, typ byte, payload []byte) []byte {
 	start := len(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, 0, 0, 0, 0, typ)
-	// The CRC covers the type byte where it already sits in buf, so no
-	// one-byte slice is allocated per record.
-	crc := crc32.Update(0, crcTable, buf[start+8:])
-	crc = crc32.Update(crc, crcTable, payload)
-	binary.LittleEndian.PutUint32(buf[start+4:], crc)
-	return append(buf, payload...)
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0, typ)
+	buf = append(buf, payload...)
+	frameRecord(buf, start)
+	return buf
+}
+
+// frameRecord fills in the length and CRC of the record whose frame starts
+// at start and whose payload runs to the end of buf, so a payload can be
+// written in place behind its reserved frame (segment.go's columns).
+func frameRecord(buf []byte, start int) {
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-recordHeaderSize))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(buf[start+8:], crcTable))
 }
 
 // errTorn marks a frame cut short by the end of the data — the shape a

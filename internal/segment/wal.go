@@ -306,6 +306,38 @@ func encodeWALHeader(fingerprint, startGen, seq uint64) []byte {
 	return p
 }
 
+// appendUvarint appends a protobuf-style unsigned varint.
+func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
+
+// decoder walks a batch payload with bounds-checked reads; all errors
+// funnel through one corruption message carrying the position.
+type decoder struct {
+	data []byte
+	off  int
+}
+
+func (d *decoder) errf(format string, args ...any) error {
+	return fmt.Errorf("segment: corrupt at byte %d: %s", d.off, fmt.Sprintf(format, args...))
+}
+
+func (d *decoder) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(d.data[d.off:])
+	if n <= 0 {
+		return 0, d.errf("bad uvarint")
+	}
+	d.off += n
+	return v, nil
+}
+
+func (d *decoder) bytes(n int) ([]byte, error) {
+	if n < 0 || d.off+n > len(d.data) {
+		return nil, d.errf("%d bytes wanted, %d remain", n, len(d.data)-d.off)
+	}
+	b := d.data[d.off : d.off+n]
+	d.off += n
+	return b, nil
+}
+
 // encodeBatch renders a batch record payload: the generation, the entry
 // count, then ascending-ID entries as (uvarint ID delta, fixed64 value).
 func encodeBatch(buf []byte, gen uint64, entries []Entry) []byte {
