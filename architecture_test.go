@@ -245,10 +245,13 @@ func oneEvaluator(fsys fs.FS) error {
 // fields no program set, the graph's history sum, its summing helper
 // and its summing-vector alias, which History and CoveredBases replace,
 // the self-forecasting engine with its actuators, query telemetry,
-// runtime cache resizes and flag group, and the per-series segment codec
+// runtime cache resizes and flag group, the per-series segment codec
 // (bit streams, delta-of-delta times, XOR values, blocks and footer
-// index) with the re-fit's generation bump. Its Series type is not
-// listed: the name is the time-series type's everywhere else.
+// index) with the re-fit's generation bump, and the segment file itself —
+// its codec, replay, prune and names, the span compaction re-encoded and
+// the recovery count it kept — now that a sealed WAL file is the segment.
+// The codec's Series type is not listed: the name is the time-series
+// type's everywhere else.
 var goneNames = map[string]bool{
 	"AsyncMultiSource": true,
 	"CostTime":         true,
@@ -386,6 +389,16 @@ var goneNames = map[string]bool{
 	"segTrailerLen":     true,
 	"blockFrameLen":     true,
 	"bumpGen":           true,
+
+	"EncodeSegment":       true,
+	"DecodeSegment":       true,
+	"replaySegments":      true,
+	"removeSegmentsBelow": true,
+	"segmentFileName":     true,
+	"parseSegmentName":    true,
+	"compactFrom":         true,
+	"EarliestStartGen":    true,
+	"SegmentBatches":      true,
 }
 
 // noGoneNames: no identifier, tests included, brings a gone name back.
@@ -477,9 +490,9 @@ func citedTestsExist(fsys fs.FS) error {
 // Legibility budget: non-test Go lines under internal/ and cmd/, and the
 // lines of the two documents a newcomer reads first. A change that needs
 // more re-records the number here and says why in CHANGES.md.
-const goLineBudget = 16516
+const goLineBudget = 16218
 
-var docLineBudget = map[string]int{"DESIGN.md": 1196, "README.md": 498}
+var docLineBudget = map[string]int{"DESIGN.md": 1192, "README.md": 498}
 
 // legibilityBudget: the program and its main documents stay within their
 // recorded line counts.

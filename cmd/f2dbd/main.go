@@ -12,9 +12,10 @@
 //	f2dbd -coordinator -shards host1:7071,host2:7071 -dataset tourism -addr :7070
 //
 // With -wal-dir the daemon is crash-durable: on boot it recovers the
-// directory (snapshot, then segments, then the WAL tail —
-// discarding a torn final record), and while serving it group-commits
-// every completed insert batch to the WAL before applying it.
+// directory (the snapshot, then the WAL files — discarding a torn final
+// record), and while serving it group-commits every completed insert
+// batch to the WAL before applying it, sealing the active file every
+// -compact-every batches.
 //
 // In -coordinator mode the daemon holds no engine: it routes statements
 // to the f2dbd shards listed in -shards (each serving a full replica of

@@ -120,8 +120,8 @@ func (e *Engine) Open(src *Source, logf Logf) (*Handle, error) {
 		logf("durable dir %s initialized (snapshot at generation %d, fsync=%s)", dopts.Dir, rec.SnapshotGen, dopts.Sync)
 	} else {
 		h.Name = dopts.Dir
-		logf("recovered %s: snapshot generation %d, %d segment + %d WAL batches replayed, %d torn bytes discarded",
-			dopts.Dir, rec.SnapshotGen, rec.SegmentBatches, rec.WALBatches, rec.TornBytes)
+		logf("recovered %s: snapshot generation %d, %d WAL batches replayed from %d file(s), %d torn bytes discarded",
+			dopts.Dir, rec.SnapshotGen, rec.WALBatches, rec.WALFiles, rec.TornBytes)
 	}
 	return h, nil
 }

@@ -196,16 +196,17 @@ func digestDiff(a, b string) string {
 }
 
 // TestCrashRecoveryAtEveryRecordBoundary is the headline: a clean reference
-// run maps the WAL byte stream, then the engine is killed at every record
-// boundary, one byte either side of it, and at interior quartiles — each
-// under both crash models (process kill: unsynced bytes survive in the page
-// cache; power loss: they do not). Every recovered engine must match its
-// uninterrupted twin bit for bit and keep accepting the batches the crash
-// interrupted. The kill points must also cover every possible committed
-// count, or the harness is not actually probing the interesting states.
+// run maps the WAL byte stream, then the engine is killed at every byte
+// offset of it — on every record boundary and at each byte inside every
+// record — under both crash models (process kill: unsynced bytes survive
+// in the page cache; power loss: they do not). Every recovered engine must
+// match its uninterrupted twin bit for bit and keep accepting the batches
+// the crash interrupted. The kill points must also cover every possible
+// committed count, or the harness is not actually probing the interesting
+// states.
 func TestCrashRecoveryAtEveryRecordBoundary(t *testing.T) {
 	base, snap, ids, baseGen := crashFixture(t)
-	batches := makeBatches(ids, 6, 1)
+	batches := makeBatches(ids, 7, 1)
 
 	ref := base.Clone()
 	if got := runFaulted(t, ref, batches, -1, 0); got != len(batches) {
@@ -220,22 +221,23 @@ func TestCrashRecoveryAtEveryRecordBoundary(t *testing.T) {
 		t.Fatalf("reference WAL has boundaries %v for %d bytes", bounds, len(walData))
 	}
 
-	killSet := map[int64]bool{0: true}
-	for _, bd := range bounds {
-		for _, k := range []int64{bd - 1, bd, bd + 1} {
-			if k >= 0 && k <= int64(len(walData)) {
-				killSet[k] = true
-			}
+	// Every byte offset; under the race detector, which watches the locks
+	// and not the bytes, only the record boundaries and a byte either side.
+	var kills []int64
+	for k := int64(0); k <= int64(len(walData)); k++ {
+		near := !raceEnabled || k == 0
+		for _, bd := range bounds {
+			near = near || k >= bd-1 && k <= bd+1
+		}
+		if near {
+			kills = append(kills, k)
 		}
 	}
-	for q := int64(1); q <= 3; q++ {
-		killSet[int64(len(walData))*q/4] = true
+	// A twin's state depends only on the batches it took: build each once.
+	twins := make([]string, len(batches)+1)
+	for n := range twins {
+		twins[n] = stateDigest(t, buildTwin(t, snap, batches[:n]))
 	}
-	kills := make([]int64, 0, len(killSet))
-	for k := range killSet {
-		kills = append(kills, k)
-	}
-	sort.Slice(kills, func(i, j int) bool { return kills[i] < kills[j] })
 
 	outcomes := make(map[int]bool)
 	for _, killAt := range kills {
@@ -250,7 +252,7 @@ func TestCrashRecoveryAtEveryRecordBoundary(t *testing.T) {
 				}
 				d := reopenRecovered(t, fs, 0)
 				rec := d.Recovery
-				if rec.SnapshotGen != uint64(baseGen) || rec.SegmentBatches != 0 || rec.WALBatches != committed {
+				if rec.SnapshotGen != uint64(baseGen) || rec.WALBatches != committed {
 					t.Fatalf("committed %d but recovery reports %+v", committed, rec)
 				}
 				if powerLoss && rec.TornBytes != 0 {
@@ -281,22 +283,19 @@ func TestCrashRecoveryAtEveryRecordBoundary(t *testing.T) {
 				if n := d.DB().Metrics().WALReplayedBatches; n != int64(committed) {
 					t.Fatalf("WALReplayedBatches metric = %d, want %d", n, committed)
 				}
-				twin := buildTwin(t, snap, batches[:committed])
-				if rd, td := stateDigest(t, d.DB()), stateDigest(t, twin); rd != td {
-					t.Fatalf("recovered state diverges from twin: %s", digestDiff(rd, td))
+				if rd := stateDigest(t, d.DB()); rd != twins[committed] {
+					t.Fatalf("recovered state diverges from twin: %s", digestDiff(rd, twins[committed]))
 				}
-				// The crash must not cost availability: both sides accept the
-				// batches the kill interrupted and stay in lockstep.
+				// The crash must not cost availability: the recovered engine
+				// accepts the batches the kill interrupted and ends where the
+				// twin that took them all does.
 				for _, batch := range batches[committed:] {
 					if err := d.DB().InsertBatch(batch); err != nil {
 						t.Fatalf("recovered engine refused a batch: %v", err)
 					}
-					if err := twin.InsertBatch(batch); err != nil {
-						t.Fatal(err)
-					}
 				}
-				if rd, td := stateDigest(t, d.DB()), stateDigest(t, twin); rd != td {
-					t.Fatalf("post-recovery inserts diverge: %s", digestDiff(rd, td))
+				if rd := stateDigest(t, d.DB()); rd != twins[len(batches)] {
+					t.Fatalf("post-recovery inserts diverge: %s", digestDiff(rd, twins[len(batches)]))
 				}
 				if err := d.Close(); err != nil {
 					t.Fatal(err)
@@ -393,17 +392,19 @@ func TestCrashRecoveryQuickProperty(t *testing.T) {
 }
 
 // TestCrashRecoveryWithCompaction sweeps kill offsets across a run that
-// compacts the WAL into segments every two batches, so crashes
-// land inside segment writes, WAL rotations and prunes — the windows where
-// a span transiently exists in both artifacts (or, done wrong, in
-// neither). Recovery must de-duplicate and still match the twin exactly.
+// seals the active WAL file every three batches, so crashes land inside
+// batch records, seal records and the headers of new files — the windows
+// where a sealed file's successor is torn or missing. Recovery must still
+// match the twin exactly. Nothing is pruned between checkpoints, so the
+// sweep ends at exactly the bytes the clean run's WAL files hold, and every
+// kill point interrupts the run.
 func TestCrashRecoveryWithCompaction(t *testing.T) {
 	base, snap, ids, baseGen := crashFixture(t)
-	batches := makeBatches(ids, 6, 3)
-	const compactEvery = 2
+	batches := makeBatches(ids, 16, 3)
+	const compactEvery, stride = 3, 61
 
-	// Clean run first: compaction must actually produce segments and prune
-	// the log, or the sweep below exercises nothing.
+	// Clean run first: it must seal files, or the sweep below exercises
+	// nothing, and leave only the snapshot and the log.
 	ref := base.Clone()
 	d, err := OpenDurable(DurableOptions{Dir: crashDir, FS: ref, CompactEvery: compactEvery}, crashEngineOpts(), nil)
 	if err != nil {
@@ -414,45 +415,78 @@ func TestCrashRecoveryWithCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	m := d.DB().Metrics()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
 	names, err := ref.ReadDir(crashDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs, wals := 0, 0
-	for _, name := range names {
-		if _, _, ok := parseSegmentName(name); ok {
-			segs++
+	// The byte stream the run wrote is the WAL files in sequence order;
+	// seals and headers are located in it by their record boundaries.
+	if names[0] != snapshotFileName {
+		t.Fatalf("clean sealing run left %v", names)
+	}
+	wals := names[1:]
+	var total, sealedBytes int64
+	var seals, headers [][2]int64
+	for i, name := range wals {
+		if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".log") {
+			t.Fatalf("clean sealing run left %s: %v", name, names)
 		}
-		if strings.HasPrefix(name, "wal-") {
-			wals++
+		data, err := ref.ReadFile(crashDir + "/" + name)
+		if err != nil {
+			t.Fatal(err)
 		}
+		bounds := segment.RecordBoundaries(data)
+		if len(bounds) == 0 || bounds[len(bounds)-1] != int64(len(data)) {
+			t.Fatalf("%s: record boundaries %v for %d bytes", name, bounds, len(data))
+		}
+		if i > 0 {
+			headers = append(headers, [2]int64{total, total + bounds[0]})
+		}
+		if i < len(wals)-1 {
+			seals = append(seals, [2]int64{total + bounds[len(bounds)-2], total + bounds[len(bounds)-1]})
+			sealedBytes += int64(len(data))
+		}
+		total += int64(len(data))
 	}
-	if segs < 2 || wals != 1 {
-		t.Fatalf("clean compacting run left %d segments, %d WAL files: %v", segs, wals, names)
+	if len(seals) != len(batches)/compactEvery || m.SegmentCompactions != int64(len(seals)) || m.SegmentBytes != sealedBytes {
+		t.Fatalf("%d sealed files of %d bytes; metrics report %d seals of %d bytes", len(seals), sealedBytes, m.SegmentCompactions, m.SegmentBytes)
 	}
-	m := d.DB().Metrics()
-	if m.SegmentCompactions != int64(segs) {
-		t.Fatalf("SegmentCompactions = %d, want %d", m.SegmentCompactions, segs)
-	}
-	// Budget ceiling for the sweep: everything a full run writes (WAL
-	// appends + segment images), plus slack for file headers and seals.
-	budgetMax := m.WALBytes + m.SegmentBytes + 512
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
+	if m.WALBytes != total {
+		t.Fatalf("WALBytes = %d, the WAL files hold %d", m.WALBytes, total)
 	}
 
-	for killAt := int64(0); killAt <= budgetMax; killAt += 61 {
+	inside := func(spans [][2]int64) bool {
+		for killAt := int64(0); killAt < total; killAt += stride {
+			for _, sp := range spans {
+				if sp[0] < killAt && killAt < sp[1] {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	if !inside(seals) || !inside(headers) {
+		t.Fatalf("no kill lands inside a seal record %v or a new file's header %v", seals, headers)
+	}
+
+	for killAt := int64(0); killAt < total; killAt += stride {
 		for _, powerLoss := range []bool{false, true} {
 			killAt, powerLoss := killAt, powerLoss
 			t.Run(fmt.Sprintf("kill=%d,power=%v", killAt, powerLoss), func(t *testing.T) {
 				fs := base.Clone()
 				committed := runFaulted(t, fs, batches, killAt, compactEvery)
+				if committed >= len(batches) {
+					t.Fatalf("a kill at %d of %d bytes committed every batch", killAt, total)
+				}
 				if powerLoss {
 					fs.Crash()
 				}
 				d := reopenRecovered(t, fs, compactEvery)
-				rec := d.Recovery
-				if rec.SegmentBatches+rec.WALBatches != committed {
+				if rec := d.Recovery; rec.WALBatches != committed {
 					t.Fatalf("committed %d but recovery replayed %+v", committed, rec)
 				}
 				if got, want := d.DB().Graph().Length(), baseGen+committed; got != want {
@@ -482,8 +516,8 @@ func TestCrashRecoveryWithCompaction(t *testing.T) {
 }
 
 // TestDurableCheckpoint proves Checkpoint's contract: afterwards the
-// directory holds exactly one snapshot (log and segments pruned), and a
-// power loss replays only what came after it.
+// directory holds exactly one snapshot (the log pruned), and a power loss
+// replays only what came after it.
 func TestDurableCheckpoint(t *testing.T) {
 	base, _, ids, baseGen := crashFixture(t)
 	batches := makeBatches(ids, 5, 11)
@@ -501,17 +535,14 @@ func TestDurableCheckpoint(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// Everything the snapshot supersedes is pruned: no segments, no old log
-	// files — at most the freshly rotated (header-only) active log remains.
+	// Everything the snapshot supersedes is pruned: no old log files — at
+	// most the freshly rotated (header-only) active log remains.
 	names, err := fs.ReadDir(crashDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wals []string
 	for _, name := range names {
-		if _, _, ok := parseSegmentName(name); ok {
-			t.Fatalf("segment survived checkpoint: %v", names)
-		}
 		if strings.HasPrefix(name, "wal-") {
 			wals = append(wals, name)
 		}
@@ -533,7 +564,7 @@ func TestDurableCheckpoint(t *testing.T) {
 	fs.Crash()
 	d2 := reopenRecovered(t, fs, 0)
 	rec := d2.Recovery
-	if rec.SnapshotGen != uint64(baseGen+4) || rec.WALBatches != 1 || rec.SegmentBatches != 0 || rec.TornBytes != 0 {
+	if rec.SnapshotGen != uint64(baseGen+4) || rec.WALBatches != 1 || rec.TornBytes != 0 {
 		t.Fatalf("recovery after checkpoint: %+v", rec)
 	}
 	if got, want := d2.DB().Graph().Length(), baseGen+5; got != want {
@@ -779,51 +810,53 @@ func TestFsyncAdmitsReaders(t *testing.T) {
 	}
 }
 
-// TestDurableRejectsForeignSegment plants a well-formed segment carrying
-// another database's fingerprint; recovery must refuse it rather than
-// replay foreign batches into the wrong series.
+// TestDurableRejectsForeignSegment plants a well-formed sealed WAL file — a
+// segment — carrying another database's fingerprint; recovery must refuse
+// it rather than replay foreign batches into the wrong series.
 func TestDurableRejectsForeignSegment(t *testing.T) {
 	base, _, ids, baseGen := crashFixture(t)
-	series := make([][]float64, len(ids))
-	for i := range series {
-		series[i] = []float64{42}
-	}
-	img, err := segment.EncodeSegment(segment.Header{
-		Fingerprint: 0xBADBADBADBAD,
-		FromGen:     uint64(baseGen),
-		ToGen:       uint64(baseGen) + 1,
-	}, series)
+	fs := base.Clone()
+	wal, _, err := segment.OpenWAL(fs, crashDir, 0xBADBADBADBAD, segment.SyncAlways, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := base.Clone()
-	if err := segment.WriteFileSync(fs, crashDir, segmentFileName(uint64(baseGen), uint64(baseGen)+1), img); err != nil {
+	if err := wal.AppendColumn(uint64(baseGen), make([]float64, len(ids))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wal.Rotate(uint64(baseGen) + 1); err != nil {
 		t.Fatal(err)
 	}
 	_, err = OpenDurable(DurableOptions{Dir: crashDir, FS: fs}, crashEngineOpts(), nil)
-	if err == nil || !strings.Contains(err.Error(), "belongs to another database") {
+	if err == nil || !strings.Contains(err.Error(), "wal-00000001.log") || !strings.Contains(err.Error(), "does not match the database") {
 		t.Fatalf("foreign segment: %v", err)
 	}
 }
 
-// TestDurableRefusesOldFormatSegment plants a segment of the previous,
-// per-series format (testdata/old-format.seg: generations [baseGen,
-// baseGen+2) of this very database, keys, footer index and all); recovery
-// must refuse it by name rather than read it.
+// TestDurableRefusesOldFormatSegment plants, one at a time, files earlier
+// versions wrote for this very database (generations [baseGen, baseGen+2)
+// and the batch after): a per-series segment (F2SEG001), a segment of raw
+// columns (F2SEG002) and a WAL file of (ID, value) pairs (F2WAL001).
+// Recovery must refuse each, naming the file and its magic, rather than
+// skip or misread it.
 func TestDurableRefusesOldFormatSegment(t *testing.T) {
 	base, _, _, baseGen := crashFixture(t)
-	img, err := os.ReadFile("testdata/old-format.seg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := base.Clone()
-	name := segmentFileName(uint64(baseGen), uint64(baseGen)+2)
-	if err := segment.WriteFileSync(fs, crashDir, name, img); err != nil {
-		t.Fatal(err)
-	}
-	_, err = OpenDurable(DurableOptions{Dir: crashDir, FS: fs}, crashEngineOpts(), nil)
-	if err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), `"F2SEG001"`) {
-		t.Fatalf("old-format segment: %v", err)
+	for _, tc := range []struct{ testdata, name, magic string }{
+		{"old-format.seg", fmt.Sprintf("seg-%012d-%012d.seg", baseGen, baseGen+2), "F2SEG001"},
+		{"f2seg002.seg", fmt.Sprintf("seg-%012d-%012d.seg", baseGen, baseGen+2), "F2SEG002"},
+		{"f2wal001.log", "wal-00000002.log", "F2WAL001"},
+	} {
+		img, err := os.ReadFile("testdata/" + tc.testdata)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := base.Clone()
+		if err := segment.WriteFileSync(fs, crashDir, tc.name, img); err != nil {
+			t.Fatal(err)
+		}
+		_, err = OpenDurable(DurableOptions{Dir: crashDir, FS: fs}, crashEngineOpts(), nil)
+		if err == nil || !strings.Contains(err.Error(), tc.name) || !strings.Contains(err.Error(), `"`+tc.magic+`"`) {
+			t.Fatalf("%s planted as %s: %v", tc.testdata, tc.name, err)
+		}
 	}
 }
 

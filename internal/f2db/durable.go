@@ -8,7 +8,6 @@ import (
 	iofs "io/fs"
 	"path"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"cubefc/internal/cube"
@@ -16,23 +15,23 @@ import (
 )
 
 // Durability layer: a directory holding the engine's persistent state as
-// three cooperating artifacts —
+// two artifacts —
 //
-//	snapshot.db            whole-engine image (SaveDatabase), rewritten
-//	                       atomically (tmp + fsync + rename + dir fsync)
-//	                       at Checkpoint
-//	wal-<seq>.log          write-ahead log of committed insert batches
-//	                       (internal/segment), appended at group commit
-//	seg-<from>-<to>.seg    compactions of sealed WAL spans, one
-//	                       column record per generation
+//	snapshot.db      whole-engine image (SaveDatabase), rewritten
+//	                 atomically (tmp + fsync + rename + dir fsync) at
+//	                 Checkpoint
+//	wal-<seq>.log    write-ahead log of committed insert batches
+//	                 (internal/segment), one raw column per batch, appended
+//	                 at group commit; every CompactEvery batches the active
+//	                 file is sealed, and a sealed file is the segment
 //
-// Recovery at OpenDurable replays them oldest-truth-first: load the last
-// snapshot, apply segments that extend past it, then the WAL tail — every
-// step generation-checked against the invariant that the engine's series
-// length IS its generation (each batch advance appends exactly one
-// observation to every series), so a batch already covered by a newer
-// artifact is skipped and a gap is a hard error rather than silent
-// corruption.
+// Recovery at OpenDurable loads the last snapshot, then replays the WAL
+// files in sequence — every step generation-checked against the invariant
+// that the engine's series length IS its generation (each batch advance
+// appends exactly one observation to every series), so a batch already
+// covered by the snapshot is skipped and a gap is a hard error rather than
+// silent corruption. Only Checkpoint removes WAL files: those its snapshot
+// covers.
 //
 // Durability contract: a batch is durable once complete (group commit at
 // the batch advance, fsynced per the SyncPolicy before the engine applies
@@ -58,9 +57,9 @@ type DurableOptions struct {
 	// Sync is the WAL fsync policy. The zero value is segment.SyncAlways:
 	// every committed batch is durable before the engine applies it.
 	Sync segment.SyncPolicy
-	// CompactEvery compacts the sealed WAL span into a segment after
-	// every n committed batches; 0 disables compaction (the WAL grows
-	// until a Checkpoint prunes it).
+	// CompactEvery seals the active WAL file once it holds n batches, so
+	// the next batch opens a new one; 0 never seals between checkpoints.
+	// Either way the log grows until a Checkpoint prunes it.
 	CompactEvery int
 }
 
@@ -73,38 +72,32 @@ type RecoveryInfo struct {
 	// SnapshotGen is the generation (series length) of the loaded or
 	// freshly written snapshot.
 	SnapshotGen uint64
-	// SegmentBatches and WALBatches count batch advances replayed from
-	// segments and from the WAL tail.
-	SegmentBatches int
-	WALBatches     int
+	// WALBatches counts the batch advances replayed from the WAL, and
+	// WALFiles the WAL files it found.
+	WALBatches int
+	WALFiles   int
 	// TornBytes is the size of the torn WAL tail recovery discarded —
 	// non-zero exactly when the previous process died mid-append.
 	TornBytes int64
 }
 
-// Durable couples an engine with its write-ahead log and segment store.
-// Every method that touches the log or the compaction state below runs
-// under the engine's maintenance lock (DB.maint): commit inside the batch
-// advance, the others by taking it.
+// Durable couples an engine with its write-ahead log. Every method that
+// touches the log runs under the engine's maintenance lock (DB.maint):
+// commit inside the batch advance, the others by taking it.
 type Durable struct {
-	db          *DB
-	fs          segment.FS
-	dir         string
-	wal         *segment.WAL
-	fingerprint uint64
-
+	db           *DB
+	fs           segment.FS
+	dir          string
+	wal          *segment.WAL
 	compactEvery int
-	sinceCompact int
-	compactFrom  uint64          // generation the next segment starts at
-	entries      []segment.Entry // commit's reused WAL form of the column
 
 	// Recovery reports what OpenDurable replayed.
 	Recovery RecoveryInfo
 }
 
 // OpenDurable opens (or creates) a durable engine in dopts.Dir. When a
-// snapshot exists it is loaded under opts and the segment/WAL tail is
-// replayed into it; otherwise build constructs the fresh engine (advisor
+// snapshot exists it is loaded under opts and the WAL is replayed into
+// it; otherwise build constructs the fresh engine (advisor
 // run, workload generator, …) and an initial snapshot is written
 // immediately, so recovery never depends on re-running the build. The
 // returned engine has the WAL installed as its group-commit gate: every
@@ -145,7 +138,6 @@ func OpenDurable(dopts DurableOptions, opts Options, build func() (*DB, error)) 
 	default:
 		return nil, fmt.Errorf("f2db: reading snapshot %s: %w", snapPath, err)
 	}
-	d.fingerprint = graphFingerprint(d.db.graph)
 	d.Recovery.SnapshotGen = uint64(d.db.graph.Length)
 
 	// Anchor a fresh build with an initial snapshot before anything else:
@@ -155,29 +147,16 @@ func OpenDurable(dopts DurableOptions, opts Options, build func() (*DB, error)) 
 			return nil, err
 		}
 	}
-
-	if err := d.replaySegments(); err != nil {
+	if err := refuseSegments(fs, dopts.Dir); err != nil {
 		return nil, err
 	}
 
-	// Every replayed WAL batch is assembled in this one column.
-	column := make([]float64, len(d.db.graph.BaseIDs))
-
-	wal, info, err := segment.OpenWAL(fs, dopts.Dir, d.fingerprint, dopts.Sync, func(gen uint64, entries []segment.Entry) error {
-		// Entries come ID-ascending, as BaseIDs is: the record is a batch of
-		// this database exactly when the two agree position by position.
-		ids := d.db.graph.BaseIDs
-		if len(entries) != len(ids) {
-			return errBatchSize(len(ids), len(entries))
-		}
-		for i, e := range entries {
-			if e.ID != int64(ids[i]) {
-				if !d.db.graph.IsBase(int(e.ID)) {
-					return fmt.Errorf("cube: Advance: %d is not a base node", e.ID)
-				}
-				return fmt.Errorf("f2db: replayed batch %d has no value for base node %d", gen, ids[i])
-			}
-			column[i] = e.Value
+	// The fingerprint pins each position of a replayed column to its base
+	// series: a column is a batch in BaseIDs order. One of another width is
+	// refused in Advance's words, also when the snapshot covers its batch.
+	wal, info, err := segment.OpenWAL(fs, dopts.Dir, graphFingerprint(d.db.graph), dopts.Sync, func(gen uint64, column []float64) error {
+		if len(column) != len(d.db.graph.BaseIDs) {
+			return fmt.Errorf("cube: Advance needs a value for all %d base series, got %d", len(d.db.graph.BaseIDs), len(column))
 		}
 		applied, err := d.applyReplayedBatch(gen, column)
 		if err != nil {
@@ -194,14 +173,7 @@ func OpenDurable(dopts DurableOptions, opts Options, build func() (*DB, error)) 
 	}
 	d.wal = wal
 	d.Recovery.TornBytes = info.TornBytes
-
-	// The next compaction span starts where the log's oldest surviving
-	// file does — or at the current length when the log is empty (every
-	// earlier generation is already in the snapshot or a segment).
-	d.compactFrom = uint64(d.db.graph.Length)
-	if first, ok := wal.EarliestStartGen(); ok && first < d.compactFrom {
-		d.compactFrom = first
-	}
+	d.Recovery.WALFiles = info.Files
 
 	d.db.commitHook = d.commit
 	d.mirrorWALStats()
@@ -211,63 +183,22 @@ func OpenDurable(dopts DurableOptions, opts Options, build func() (*DB, error)) 
 // DB returns the underlying engine.
 func (d *Durable) DB() *DB { return d.db }
 
-// errBatchSize refuses a replayed batch without one value per base series,
-// in the words Graph.Advance refuses a column with.
-func errBatchSize(want, got int) error {
-	return fmt.Errorf("cube: Advance needs a value for all %d base series, got %d", want, got)
-}
-
-// replaySegments applies every segment extending past the loaded snapshot,
-// oldest first, generation-checked, one column at a time.
-func (d *Durable) replaySegments() error {
-	names, err := d.fs.ReadDir(d.dir)
+// refuseSegments fails on a seg-*.seg file, naming it and its magic:
+// earlier versions compacted sealed WAL spans into such files, which this
+// one neither reads nor may drop.
+func refuseSegments(fs segment.FS, dir string) error {
+	names, err := fs.ReadDir(dir)
 	if err != nil {
 		return err
 	}
-	type segFile struct {
-		name     string
-		from, to uint64
-	}
-	var segs []segFile
 	for _, name := range names {
-		if from, to, ok := parseSegmentName(name); ok {
-			segs = append(segs, segFile{name: name, from: from, to: to})
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].from < segs[j].from })
-	for _, sf := range segs {
-		length := uint64(d.db.graph.Length)
-		if sf.to <= length {
-			continue // fully covered by the snapshot or an earlier segment
-		}
-		data, err := d.fs.ReadFile(path.Join(d.dir, sf.name))
-		if err != nil {
-			return err
-		}
-		hdr, cols, err := segment.DecodeSegment(data, len(d.db.graph.BaseIDs))
-		if err != nil {
-			return fmt.Errorf("f2db: segment %s: %w", sf.name, err)
-		}
-		if hdr.Fingerprint != d.fingerprint {
-			return fmt.Errorf("f2db: segment %s belongs to another database (fingerprint %016x, want %016x)",
-				sf.name, hdr.Fingerprint, d.fingerprint)
-		}
-		if hdr.FromGen != sf.from || hdr.ToGen != sf.to {
-			return fmt.Errorf("f2db: segment %s header claims span [%d,%d)", sf.name, hdr.FromGen, hdr.ToGen)
-		}
-		if hdr.FromGen > length {
-			return fmt.Errorf("f2db: recovery gap: segment %s starts at %d, database at %d", sf.name, hdr.FromGen, length)
-		}
-		// The fingerprint pins each position to its base series, as in a
-		// WAL record: a column is a batch in BaseIDs order.
-		for gen := length; gen < sf.to; gen++ {
-			applied, err := d.applyReplayedBatch(gen, cols[gen-sf.from])
+		if strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".seg") {
+			p := path.Join(dir, name)
+			data, err := fs.ReadFile(p)
 			if err != nil {
-				return fmt.Errorf("f2db: segment %s: %w", sf.name, err)
+				return err
 			}
-			if applied {
-				d.Recovery.SegmentBatches++
-			}
+			return fmt.Errorf("f2db: %s: segment format %q is not read by this version, whose log is its wal-*.log files", p, segment.Magic(data))
 		}
 	}
 	return nil
@@ -303,89 +234,53 @@ func (d *Durable) applyReplayedBatch(gen uint64, column []float64) (applied bool
 
 // commit is the engine's group-commit gate (DB.commitHook): it runs inside
 // the batch advance under maint but not the engine lock, so readers keep
-// answering while it appends the batch to the WAL (fsyncing per policy)
-// and — every CompactEvery batches — compacts the sealed WAL span into a
-// segment first, so the new batch opens a fresh log file.
+// answering while it appends the batch's column to the WAL (fsyncing per
+// policy) — first sealing the active file when it holds CompactEvery
+// batches, so the new batch opens a fresh one.
 func (d *Durable) commit(gen uint64, column []float64) error {
-	if d.compactEvery > 0 && d.sinceCompact >= d.compactEvery && gen > d.compactFrom {
-		if err := d.compactLocked(gen); err != nil {
+	if d.compactEvery > 0 && d.wal.ActiveBatches() >= d.compactEvery {
+		if err := d.seal(gen); err != nil {
 			return err
 		}
-		d.sinceCompact = 0
 	}
-	// BaseIDs is ascending, so the column in its order is the ID-ordered
-	// record the WAL wants.
-	ids := d.db.graph.BaseIDs
-	if d.entries == nil {
-		d.entries = make([]segment.Entry, len(ids))
-	}
-	for i, id := range ids {
-		d.entries[i] = segment.Entry{ID: int64(id), Value: column[i]}
-	}
-	if err := d.wal.Append(gen, d.entries); err != nil {
+	if err := d.wal.AppendColumn(gen, column); err != nil {
 		return err
 	}
-	d.sinceCompact++
 	d.mirrorWALStats()
 	return nil
 }
 
-// compactLocked encodes history [compactFrom, toGen) into a segment,
-// fsyncs it into place, then seals and prunes the WAL span it replaces.
-// Runs under maint, which holds the series still; toGen equals the
-// engine's current length (a committing batch is not yet applied, so
-// history holds exactly the generations below toGen). Ordering is
-// segment-then-prune: a crash between the two leaves the span in both
-// artifacts, which recovery's generation check de-duplicates.
-func (d *Durable) compactLocked(toGen uint64) error {
-	g := d.db.graph
-	from := d.compactFrom
-	series := make([][]float64, len(g.BaseIDs))
-	for i, id := range g.BaseIDs {
-		series[i] = g.NodeValues(id)[from:toGen]
-	}
-	img, err := segment.EncodeSegment(segment.Header{Fingerprint: d.fingerprint, FromGen: from, ToGen: toGen}, series)
+// seal closes the active WAL file with a seal record and starts the next
+// one at nextGen, the engine's length. The caller holds maint.
+func (d *Durable) seal(nextGen uint64) error {
+	n, err := d.wal.Rotate(nextGen)
 	if err != nil {
 		return err
 	}
-	if err := segment.WriteFileSync(d.fs, d.dir, segmentFileName(from, toGen), img); err != nil {
-		return err
-	}
 	d.db.met.segCompactions.Add(1)
-	d.db.met.segBytes.Add(int64(len(img)))
-	if err := d.wal.Rotate(toGen); err != nil {
-		return err
-	}
-	if err := d.wal.RemoveBelow(toGen); err != nil {
-		return err
-	}
-	d.compactFrom = toGen
+	d.db.met.segBytes.Add(n)
 	return nil
 }
 
-// Compact eagerly folds the sealed WAL span into a segment,
-// without waiting for the commit-path CompactEvery counter, so a caller
-// can pay the encode cost at a moment of its choosing. It takes maint (the lock the
-// commit-path compaction runs under) and is a no-op when there is no
-// sealed history to fold.
+// Compact seals the active WAL file at once, without waiting for the
+// commit path's CompactEvery count. It takes maint (the lock the commit
+// path seals under) and is a no-op when the active file holds no batch.
 func (d *Durable) Compact() error {
 	db := d.db
 	db.maint.Lock()
 	defer db.maint.Unlock()
-	gen := uint64(db.graph.Length)
-	if gen <= d.compactFrom {
+	if d.wal.ActiveBatches() == 0 {
 		return nil
 	}
-	if err := d.compactLocked(gen); err != nil {
+	if err := d.seal(uint64(db.graph.Length)); err != nil {
 		return err
 	}
-	d.sinceCompact = 0
 	d.mirrorWALStats()
 	return nil
 }
 
 // Checkpoint writes a full snapshot at the current generation, then prunes
-// every WAL file and segment the snapshot supersedes. It holds maint for
+// every WAL file the snapshot supersedes. It holds maint for
 // the duration — queries proceed, a batch advance waits — which buys the
 // guarantee that the snapshot, the rotation point and the prune bound are
 // one consistent generation.
@@ -397,17 +292,12 @@ func (d *Durable) Checkpoint() error {
 	if err := d.writeSnapshot(); err != nil {
 		return err
 	}
-	if err := d.wal.Rotate(gen); err != nil {
+	if _, err := d.wal.Rotate(gen); err != nil {
 		return err
 	}
 	if err := d.wal.RemoveBelow(gen); err != nil {
 		return err
 	}
-	if err := d.removeSegmentsBelow(gen); err != nil {
-		return err
-	}
-	d.compactFrom = gen
-	d.sinceCompact = 0
 	d.mirrorWALStats()
 	return nil
 }
@@ -426,27 +316,6 @@ func (d *Durable) writeSnapshot() error {
 		return err
 	}
 	d.db.met.snapshotWrites.Add(1)
-	return nil
-}
-
-// removeSegmentsBelow deletes segments fully covered by generation gen.
-func (d *Durable) removeSegmentsBelow(gen uint64) error {
-	names, err := d.fs.ReadDir(d.dir)
-	if err != nil {
-		return err
-	}
-	removed := false
-	for _, name := range names {
-		if _, to, ok := parseSegmentName(name); ok && to <= gen {
-			if err := d.fs.Remove(path.Join(d.dir, name)); err != nil {
-				return err
-			}
-			removed = true
-		}
-	}
-	if removed {
-		return d.fs.SyncDir(d.dir)
-	}
 	return nil
 }
 
@@ -490,28 +359,11 @@ func WriteSnapshotFile(fsys segment.FS, fpath string, db *DB) error {
 	return segment.WriteFileSync(fsys, filepath.Dir(fpath), filepath.Base(fpath), buf.Bytes())
 }
 
-// segmentFileName names the compaction of generations [from, to).
-func segmentFileName(from, to uint64) string {
-	return fmt.Sprintf("seg-%012d-%012d.seg", from, to)
-}
-
-// parseSegmentName inverts segmentFileName.
-func parseSegmentName(name string) (from, to uint64, ok bool) {
-	if !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, ".seg") {
-		return 0, 0, false
-	}
-	body := strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), ".seg")
-	if _, err := fmt.Sscanf(body, "%d-%d", &from, &to); err != nil {
-		return 0, 0, false
-	}
-	return from, to, from < to
-}
-
 // graphFingerprint hashes the cube's identity — dimensions with their
 // hierarchy levels, the seasonal period, and every base series key in ID
-// order — into the value that ties WAL files and segments to their
-// database. Two graphs with equal fingerprints assign equal IDs to equal
-// base keys, so the WAL's ID-keyed batches replay unambiguously.
+// order — into the value that ties WAL files to their database. Two
+// graphs with equal fingerprints hold equal base keys in equal order, so a
+// WAL column replays unambiguously.
 func graphFingerprint(g *cube.Graph) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "dims=%d;period=%d;bases=%d;", len(g.Dims), g.Period, len(g.BaseIDs))

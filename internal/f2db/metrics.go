@@ -45,8 +45,8 @@ type engineMetrics struct {
 
 	// Durability counters (durable.go). The wal* values mirror the WAL's
 	// own counters after each commit; walReplayed counts batches recovered
-	// from the log at open; seg* count segment compactions and their
-	// bytes; snapshotWrites counts crash-safe snapshot files written.
+	// from the log at open; seg* count the WAL files compaction sealed and
+	// their bytes; snapshotWrites counts crash-safe snapshot files written.
 	walAppends     atomic.Int64
 	walSyncs       atomic.Int64
 	walBytes       atomic.Int64
@@ -130,7 +130,7 @@ type Metrics struct {
 
 	// Durability counters (zero on a non-durable engine): WAL record
 	// appends, fsyncs and bytes written, live WAL file count, batches
-	// replayed from the log at open, segment compactions with their
+	// replayed from the log at open, WAL files compaction sealed with their
 	// bytes, and crash-safe snapshot writes.
 	WALAppends         int64
 	WALSyncs           int64
@@ -222,8 +222,8 @@ func (m Metrics) describe(r *metrics.Registry) {
 	r.Value("f2db_wal_bytes_total", "Bytes appended to the write-ahead log.", float64(m.WALBytes))
 	r.Value("f2db_wal_files", "WAL files currently on disk.", float64(m.WALFiles))
 	r.Value("f2db_wal_replayed_batches_total", "Batches replayed from the WAL at open.", float64(m.WALReplayedBatches))
-	r.Value("f2db_segment_compactions_total", "WAL spans compacted into segments.", float64(m.SegmentCompactions))
-	r.Value("f2db_segment_bytes_total", "Segment bytes written.", float64(m.SegmentBytes))
+	r.Value("f2db_segment_compactions_total", "WAL files sealed by compaction.", float64(m.SegmentCompactions))
+	r.Value("f2db_segment_bytes_total", "Bytes of the WAL files compaction sealed.", float64(m.SegmentBytes))
 	r.Value("f2db_snapshot_writes_total", "Crash-safe snapshot files written.", float64(m.SnapshotWrites))
 
 	r.Break(false)

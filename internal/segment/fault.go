@@ -5,9 +5,8 @@ import "io"
 // FaultWriter wraps an io.Writer with byte-exact write faults, the unit-
 // level sibling of MemFS's filesystem faults: where MemFS models what a
 // crash preserves, FaultWriter models what a failing device does to the
-// byte stream itself. The recovery tests drive the WAL and segment writers
-// through it to produce torn records, short writes and flipped bits at
-// chosen offsets.
+// byte stream itself. The recovery tests drive WAL records through it to
+// produce torn records, short writes and flipped bits at chosen offsets.
 type FaultWriter struct {
 	W io.Writer
 	// Mode selects the fault; N is the byte offset (in the stream written

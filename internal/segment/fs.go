@@ -1,15 +1,14 @@
-// Package segment is F²DB's durability layer: an incremental write-ahead
-// log of committed insert batches (wal.go, record.go) and the segments
-// sealed WAL spans compact into, the same record framing around one raw
-// column per batch (segment.go). Both are defined over a small filesystem
-// interface (this file) so the crash-recovery test harness can run the
-// real code paths against an in-memory filesystem that models exactly
-// what survives a power loss — written-but-unsynced data does not
+// Package segment is F²DB's durability layer: a write-ahead log of
+// committed insert batches, one raw column per batch, whose sealed files
+// are the segments (wal.go, record.go). It is defined over a small
+// filesystem interface (this file) so the crash-recovery test harness can
+// run the real code paths against an in-memory filesystem that models
+// exactly what survives a power loss — written-but-unsynced data does not
 // (memfs.go, fault.go).
 //
-// Durability contract: a WAL record is durable once Append returned under
-// SyncAlways (the fsync happened before the engine applied the batch);
-// a segment or snapshot file is durable once WriteFileSync returned (data
+// Durability contract: a WAL record is durable once its append returned
+// under SyncAlways (the fsync happened before the engine applied the
+// batch); a snapshot file is durable once WriteFileSync returned (data
 // fsync, then rename, then parent-directory fsync). Everything else —
 // unsynced appends, renames whose directory was not synced — is legally
 // lost on a crash, and the recovery path treats its absence as normal.
@@ -23,7 +22,7 @@ import (
 	"sort"
 )
 
-// File is the write side of a log or segment file. Writes append at the
+// File is the write side of a log or snapshot file. Writes append at the
 // end; Sync makes everything written so far survive a crash.
 type File interface {
 	io.Writer

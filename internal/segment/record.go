@@ -22,10 +22,9 @@ import (
 // (wal.go: only the final, unsealed file may end torn).
 
 const (
-	recHeader byte = 1 // file header: magic, fingerprint, start generation
-	recBatch  byte = 2 // one committed insert batch
-	recSeal   byte = 3 // clean end of a rotated file; nothing follows
-	recColumn byte = 4 // one generation's column in a segment
+	recHeader byte = 1 // file header: magic, fingerprint, start generation, sequence
+	recBatch  byte = 2 // one committed batch: generation, then its column
+	recSeal   byte = 3 // clean end of a sealed file; nothing follows
 )
 
 // maxRecordSize bounds a single record's payload so a corrupt length field
@@ -49,7 +48,7 @@ func appendRecord(buf []byte, typ byte, payload []byte) []byte {
 
 // frameRecord fills in the length and CRC of the record whose frame starts
 // at start and whose payload runs to the end of buf, so a payload can be
-// written in place behind its reserved frame (segment.go's columns).
+// written in place behind its reserved frame (a batch's column).
 func frameRecord(buf []byte, start int) {
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-recordHeaderSize))
 	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(buf[start+8:], crcTable))
@@ -110,4 +109,14 @@ func RecordBoundaries(data []byte) []int64 {
 		off = next
 	}
 	return bounds
+}
+
+// Magic returns the format tag an image opens with: its header record's
+// magic, or its first eight bytes when it does not open with a record (the
+// per-series segments of earlier versions).
+func Magic(data []byte) string {
+	if typ, payload, _, err := readRecord(data, 0); err == nil && typ == recHeader && len(payload) >= 8 {
+		return string(payload[:8])
+	}
+	return string(data[:min(8, len(data))])
 }

@@ -1,165 +1,229 @@
 package segment
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 )
 
-// testSegment encodes a span of 8 generations over 4 base series.
-func testSegment(t testing.TB) (Header, [][]float64, []byte) {
+// A segment is a sealed WAL file: its header record, one batch record per
+// generation and the seal. These tests hold a sealed file to what the
+// segment format promised — the columns come back bit for bit, every
+// damaged byte and every cut is refused, and a column of another width is
+// refused on both sides.
+
+// sealedName is the sealed file testSegment writes; the log continues in
+// wal-00000002.log, so the sealed file is never the final one.
+const sealedName = "w/wal-00000001.log"
+
+// testSegment logs 8 generations (36 … 43) of 4 base series and seals
+// them, returning the filesystem, the columns and the sealed file's image.
+func testSegment(t testing.TB) (*MemFS, [][]float64, []byte) {
 	t.Helper()
-	hdr := Header{Fingerprint: 0xDEADBEEFCAFE, FromGen: 36, ToGen: 44}
-	rng := rand.New(rand.NewSource(3))
-	series := make([][]float64, 4)
-	for i := range series {
-		vals := make([]float64, hdr.ToGen-hdr.FromGen)
-		v := 50 + 50*rng.Float64()
-		for j := range vals {
-			v += rng.NormFloat64()
-			vals[j] = v
-		}
-		series[i] = vals
+	fs := NewMemFS()
+	if err := fs.MkdirAll("w"); err != nil {
+		t.Fatal(err)
 	}
-	img, err := EncodeSegment(hdr, series)
+	w, _, err := OpenWAL(fs, "w", testFP, SyncAlways, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return hdr, series, img
+	rng := rand.New(rand.NewSource(3))
+	cols := make([][]float64, 8)
+	for g := range cols {
+		cols[g] = make([]float64, 4)
+		for i := range cols[g] {
+			cols[g][i] = 50 + 50*rng.Float64()
+		}
+		if err := w.AppendColumn(uint64(36+g), cols[g]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sealed, err := w.Rotate(44)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := fs.ReadFile(sealedName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sealed != int64(len(img)) {
+		t.Fatalf("Rotate reports %d sealed bytes, the file holds %d", sealed, len(img))
+	}
+	return fs, cols, img
+}
+
+// replaySealed plants img as the sealed file of testSegment's log and
+// opens the log.
+func replaySealed(fs *MemFS, img []byte) ([]replayedBatch, error) {
+	c := fs.Clone()
+	f, err := c.Create(sealedName)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := f.Write(img); err != nil {
+		return nil, err
+	}
+	f.Close()
+	var got []replayedBatch
+	_, _, err = OpenWAL(c, "w", testFP, SyncAlways, func(gen uint64, column []float64) error {
+		got = append(got, replayedBatch{gen, append([]float64(nil), column...)})
+		return nil
+	})
+	return got, err
 }
 
 func TestSegmentRoundTrip(t *testing.T) {
-	hdr, series, img := testSegment(t)
-	if want := recordHeaderSize + segHeaderLen + 8*(recordHeaderSize+8*4); len(img) != want {
-		t.Fatalf("image of %d bytes, want %d", len(img), want)
+	fs, cols, img := testSegment(t)
+	if want := recordHeaderSize + 32 + 8*(recordHeaderSize+8+8*4) + recordHeaderSize; len(img) != want {
+		t.Fatalf("sealed file of %d bytes, want %d", len(img), want)
 	}
-	got, cols, err := DecodeSegment(img, len(series))
+	got, err := replaySealed(fs, img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != hdr {
-		t.Fatalf("header %+v, want %+v", got, hdr)
+	if len(got) != len(cols) {
+		t.Fatalf("%d columns replayed, want %d", len(got), len(cols))
 	}
-	if len(cols) != int(hdr.ToGen-hdr.FromGen) {
-		t.Fatalf("%d columns, want %d", len(cols), hdr.ToGen-hdr.FromGen)
-	}
-	for g, col := range cols {
-		if len(col) != len(series) {
-			t.Fatalf("column %d has %d values, want %d", g, len(col), len(series))
-		}
-		for i, v := range col {
-			if math.Float64bits(v) != math.Float64bits(series[i][g]) {
-				t.Fatalf("series %d generation %d not bit-identical", i, g)
-			}
+	for g, rb := range got {
+		if rb.gen != uint64(36+g) || !sameColumn(rb.column, cols[g]) {
+			t.Fatalf("generation %d replayed as %d %v, want %v", 36+g, rb.gen, rb.column, cols[g])
 		}
 	}
 }
 
-// TestSegmentEmpty: a span of no generations and a span of zero-width
-// columns both round-trip.
+// TestSegmentEmpty: a sealed file without a batch and a log of zero-width
+// columns both replay.
 func TestSegmentEmpty(t *testing.T) {
-	for _, tc := range []struct {
-		hdr    Header
-		series [][]float64
-	}{
-		{Header{Fingerprint: 7, FromGen: 1, ToGen: 1}, [][]float64{{}, {}}},
-		{Header{Fingerprint: 7, FromGen: 1, ToGen: 3}, nil},
-	} {
-		img, err := EncodeSegment(tc.hdr, tc.series)
-		if err != nil {
+	fs := newWALFS(t)
+	w, _, _ := openCollect(t, fs, "w", testFP, SyncAlways)
+	for gen := uint64(1); gen <= 2; gen++ {
+		if _, err := w.Rotate(gen); err != nil {
 			t.Fatal(err)
 		}
-		got, cols, err := DecodeSegment(img, len(tc.series))
-		if err != nil {
+	}
+	for gen := uint64(2); gen <= 4; gen++ {
+		if err := w.AppendColumn(gen, nil); err != nil {
 			t.Fatal(err)
 		}
-		if got != tc.hdr || uint64(len(cols)) != tc.hdr.ToGen-tc.hdr.FromGen {
-			t.Fatalf("%+v decoded as %+v, %d columns", tc.hdr, got, len(cols))
-		}
 	}
-}
-
-func TestSegmentEncodeRejectsMismatchedColumns(t *testing.T) {
-	if _, err := EncodeSegment(Header{FromGen: 1, ToGen: 3}, [][]float64{{1, 2}, {1}}); err == nil {
-		t.Fatal("a series shorter than the span accepted")
-	}
-	if _, err := EncodeSegment(Header{FromGen: 3, ToGen: 1}, nil); err == nil {
-		t.Fatal("a span ending before it starts accepted")
-	}
-}
-
-// TestSegmentDecodeRejectsWrongShape: the decoder refuses an image whose
-// columns are not the expected width, a generation missing or extra, and
-// an image of another format version, naming it.
-func TestSegmentDecodeRejectsWrongShape(t *testing.T) {
-	hdr, series, img := testSegment(t)
-	for _, width := range []int{0, len(series) - 1, len(series) + 1} {
-		if _, _, err := DecodeSegment(img, width); err == nil {
-			t.Fatalf("columns of %d values decoded at width %d", len(series), width)
-		}
-	}
-	short, err := EncodeSegment(Header{Fingerprint: hdr.Fingerprint, FromGen: hdr.FromGen, ToGen: hdr.ToGen - 1}, trim(series, 1))
-	if err != nil {
+	if _, err := w.Rotate(5); err != nil {
 		t.Fatal(err)
 	}
-	missing := append(append([]byte(nil), img[:recordHeaderSize+segHeaderLen]...), short[recordHeaderSize+segHeaderLen:]...)
-	if _, _, err := DecodeSegment(missing, len(series)); err == nil {
-		t.Fatal("a span with a generation missing decoded")
-	}
-	extra := append(append([]byte(nil), img...), img[len(img)-recordHeaderSize-8*len(series):]...)
-	if _, _, err := DecodeSegment(extra, len(series)); err == nil {
-		t.Fatal("a span with an extra generation decoded")
-	}
-	old := append([]byte("F2SEG001"), img[8:]...)
-	if _, _, err := DecodeSegment(old, len(series)); err == nil || !strings.Contains(err.Error(), `"F2SEG001"`) {
-		t.Fatalf("an image of another version: %v", err)
+	_, info, got := openCollect(t, fs, "w", testFP, SyncAlways)
+	if info.Files != 3 || len(got) != 3 || got[0].gen != 2 || len(got[2].column) != 0 {
+		t.Fatalf("empty sealed files replayed as %+v, %+v", info, got)
 	}
 }
 
-// trim drops the last n values of every series.
-func trim(series [][]float64, n int) [][]float64 {
-	out := make([][]float64, len(series))
-	for i, s := range series {
-		out[i] = s[:len(s)-n]
+// TestSegmentEncodeRejectsMismatchedColumns: a column of another width than
+// the log's is refused before a byte is written — also when the width was
+// learned from the replay — and the log stays usable.
+func TestSegmentEncodeRejectsMismatchedColumns(t *testing.T) {
+	fs := newWALFS(t)
+	w, _, _ := openCollect(t, fs, "w", testFP, SyncAlways)
+	if err := w.AppendColumn(1, testBatch(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendColumn(2, []float64{1, 2}); err == nil {
+		t.Fatal("a two-value column accepted in a log of three-value columns")
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w, _, _ = openCollect(t, fs, "w", testFP, SyncAlways)
+	if err := w.AppendColumn(2, []float64{1, 2, 3, 4}); err == nil {
+		t.Fatal("a four-value column accepted after replaying three-value columns")
+	}
+	if err := w.AppendColumn(2, testBatch(2)); err != nil {
+		t.Fatalf("append after a refused column: %v", err)
+	}
+}
+
+// TestSegmentDecodeRejectsWrongShape: a sealed file holding a column of
+// another width than the log's, a batch record that is no generation and
+// column, or a header of another format version is refused — the last
+// naming the file and its magic.
+func TestSegmentDecodeRejectsWrongShape(t *testing.T) {
+	fs, cols, img := testSegment(t)
+	header := img[:recordHeaderSize+32]
+	batch := func(gen uint64, col []float64, extra int) []byte {
+		p := binary.LittleEndian.AppendUint64(nil, gen)
+		for _, v := range col {
+			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
+		}
+		return appendRecord(nil, recBatch, append(p, make([]byte, extra)...))
+	}
+	seal := appendRecord(nil, recSeal, nil)
+	for _, tc := range []struct {
+		name  string
+		image []byte
+		want  string
+	}{
+		{"a narrower column", concat(header, batch(36, cols[0], 0), batch(37, cols[1][:3], 0), seal), "a column of 3 values"},
+		{"a wider column", concat(header, batch(36, cols[0], 0), batch(37, append(cols[1], 1), 0), seal), "a column of 5 values"},
+		{"a cut value", concat(header, batch(36, cols[0], 3), seal), "is not a generation and a column"},
+		{"no generation", concat(header, appendRecord(nil, recBatch, []byte{1, 2, 3}), seal), "is not a generation and a column"},
+	} {
+		_, err := replaySealed(fs, tc.image)
+		if !errors.Is(err, ErrWALCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: %v, want corruption saying %q", tc.name, err, tc.want)
+		}
+	}
+	old := append([]byte(nil), img...)
+	copy(old[recordHeaderSize:], "F2WAL001")
+	frameRecord(old[:recordHeaderSize+32], 0)
+	if _, err := replaySealed(fs, old); err == nil || errors.Is(err, ErrWALCorrupt) ||
+		!strings.Contains(err.Error(), sealedName) || !strings.Contains(err.Error(), `"F2WAL001"`) {
+		t.Fatalf("a file of the previous format: %v", err)
+	}
+}
+
+func concat(parts ...[]byte) []byte {
+	var out []byte
+	for _, p := range parts {
+		out = append(out, p...)
 	}
 	return out
 }
 
-// TestSegmentEveryByteFlip corrupts every single byte of a valid image: the
-// decoder must reject each mutation (every byte is a record length, or
-// covered by a record CRC), and never panic.
+// TestSegmentEveryByteFlip corrupts every single byte of a sealed file: the
+// replay must refuse each mutation as corruption (every byte is a record
+// length, or covered by a record CRC), and never panic.
 func TestSegmentEveryByteFlip(t *testing.T) {
-	_, series, img := testSegment(t)
+	fs, _, img := testSegment(t)
 	for i := range img {
 		mut := append([]byte(nil), img...)
 		mut[i] ^= 0xFF
-		if _, _, err := DecodeSegment(mut, len(series)); err == nil {
-			t.Fatalf("flip at byte %d of %d went undetected", i, len(img))
+		if _, err := replaySealed(fs, mut); !errors.Is(err, ErrWALCorrupt) {
+			t.Fatalf("flip at byte %d of %d: %v", i, len(img), err)
 		}
 	}
 }
 
-// TestSegmentEveryPrefix truncates the image at every length: all of them
-// must return a clean error.
+// TestSegmentEveryPrefix cuts a sealed file at every length: a sealed file
+// is never the final one, so no cut reads as a torn tail.
 func TestSegmentEveryPrefix(t *testing.T) {
-	_, series, img := testSegment(t)
+	fs, _, img := testSegment(t)
 	for cut := 0; cut < len(img); cut++ {
-		if _, _, err := DecodeSegment(img[:cut], len(series)); err == nil {
-			t.Fatalf("prefix of %d/%d bytes decoded", cut, len(img))
+		if _, err := replaySealed(fs, img[:cut]); !errors.Is(err, ErrWALCorrupt) {
+			t.Fatalf("prefix of %d/%d bytes: %v", cut, len(img), err)
 		}
 	}
 }
 
 // TestSegmentSeriesBound: a column wider than one record can hold is
-// refused on both sides, before anything is allocated for it.
+// refused before anything is written.
 func TestSegmentSeriesBound(t *testing.T) {
-	over := maxRecordSize/8 + 1
-	if _, err := EncodeSegment(Header{}, make([][]float64, over)); err == nil {
-		t.Fatal("a column over the record bound encoded")
+	fs := newWALFS(t)
+	w, _, _ := openCollect(t, fs, "w", testFP, SyncAlways)
+	if err := w.AppendColumn(1, make([]float64, maxRecordSize/8)); err == nil {
+		t.Fatal("a column over the record bound appended")
 	}
-	_, _, img := testSegment(t)
-	if _, _, err := DecodeSegment(img, over); err == nil {
-		t.Fatal("a column over the record bound decoded")
+	if _, _, bytes, files := w.Stats(); bytes != 0 || files != 0 {
+		t.Fatalf("a refused column wrote %d bytes, %d files", bytes, files)
 	}
 }

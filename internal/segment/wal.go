@@ -14,19 +14,23 @@ import (
 
 // Write-ahead log over an FS directory. The WAL is a sequence of files
 // wal-<seq>.log, each opened by a header record (magic, cube fingerprint,
-// the generation the file starts at) and closed — when rotated — by a seal
-// record. Only the final, unsealed file may end in a torn record (the
-// signature of a crash mid-append); a torn or corrupt record in a sealed
-// file is reported as corruption, because sealing synced the file before
-// anything was allowed to reference it.
+// the generation the file starts at, its sequence number) and closed —
+// when sealed — by a seal record. A batch record is one time point: its
+// generation, then one little-endian float64 per base series, in the order
+// the fingerprint pins. A sealed file is the segment: nothing re-encodes
+// it, and it stays until a checkpoint's snapshot covers it (RemoveBelow).
+// Only the final, unsealed file may end in a torn record (the signature of
+// a crash mid-append); a torn or corrupt record in a sealed file is
+// reported as corruption, because sealing synced the file before anything
+// was allowed to follow it.
 //
-// Appends are group commits: the engine calls Append once per completed
-// insert batch, before it applies the batch in memory, and the configured
-// SyncPolicy decides whether the append fsyncs before returning. Any
-// append or sync failure poisons the WAL permanently (writes after a
-// partial record would corrupt the log), surfacing the error on every
-// subsequent call — the engine refuses the batch and keeps its pending
-// state intact, so a healthy WAL can retry it.
+// Appends are group commits: the engine calls AppendColumn once per
+// completed insert batch, before it applies the batch in memory, and the
+// configured SyncPolicy decides whether the append fsyncs before
+// returning. Any append or sync failure poisons the WAL permanently
+// (writes after a partial record would corrupt the log), surfacing the
+// error on every subsequent call — the engine refuses the batch and keeps
+// its pending state intact, so a healthy WAL can retry it.
 
 // SyncPolicy decides when Append fsyncs: 0 after every record (SyncAlways,
 // full group-commit durability — the zero value, so an unset knob errs
@@ -76,15 +80,16 @@ func (p SyncPolicy) String() string {
 	return strconv.Itoa(int(p))
 }
 
-// Entry is one base-series value of a committed batch.
+// Entry is one base-series value of a batch, for Append.
 type Entry struct {
 	ID    int64
 	Value float64
 }
 
-// ReplayFunc receives each committed batch during recovery, in log order.
-// Returning an error aborts the replay.
-type ReplayFunc func(gen uint64, entries []Entry) error
+// ReplayFunc receives each batch record during recovery, in log order: its
+// generation and its column. The column is the WAL's, reused for every
+// record, and must not be retained. Returning an error aborts the replay.
+type ReplayFunc func(gen uint64, column []float64) error
 
 // ReplayInfo reports what recovery found.
 type ReplayInfo struct {
@@ -96,8 +101,9 @@ type ReplayInfo struct {
 	Files int
 }
 
-// walMagic opens every WAL file's header record.
-var walMagic = [8]byte{'F', '2', 'W', 'A', 'L', '0', '0', '1'}
+// walMagic opens every WAL file's header record. F2WAL001 files carried
+// (ID, value) pairs per batch; they are refused by name.
+var walMagic = [8]byte{'F', '2', 'W', 'A', 'L', '0', '0', '2'}
 
 // ErrWALCorrupt wraps hard log corruption: damage in a sealed region that
 // recovery cannot attribute to a torn final append.
@@ -117,14 +123,16 @@ type WAL struct {
 	fingerprint uint64
 	policy      SyncPolicy
 
-	f         File   // nil until the first append creates/reopens a file
-	active    string // name of the file f writes to
+	f         File // nil until the first append creates/reopens a file
 	files     []walFile
 	nextSeq   uint64
 	sinceSync int
 	failed    error
-	buf       []byte // framed-record scratch
-	payload   []byte // batch-payload scratch
+	buf       []byte    // framed-record scratch
+	column    []float64 // replay's decoded column; Append's gathered values
+	width     int       // values per batch record, -1 until the log has one
+	batches   int       // batch records in the active file
+	fileBytes int64     // bytes of the active file
 
 	appends, syncs, appendedBytes int64
 }
@@ -141,12 +149,14 @@ func parseWALSeq(name string) (uint64, bool) {
 
 // OpenWAL replays the log under dir (generation-checked, CRC-framed) into
 // fn and returns a WAL positioned to append after the last durable record.
-// A torn tail on the final file is truncated away; corruption anywhere
-// else returns an error wrapping ErrWALCorrupt. The fingerprint ties the
-// log to one cube: a mismatching header refuses to replay rather than
-// feeding another database's batches into the engine.
+// Every batch record is decoded into one column, so a replay allocates the
+// same for 8 records as for 64. A torn tail on the final file is truncated
+// away; corruption anywhere else returns an error wrapping ErrWALCorrupt.
+// The fingerprint ties the log to one cube: a mismatching header refuses to
+// replay rather than feeding another database's batches into the engine,
+// and a file of another format version is refused naming its magic.
 func OpenWAL(fs FS, dir string, fingerprint uint64, policy SyncPolicy, fn ReplayFunc) (*WAL, ReplayInfo, error) {
-	w := &WAL{fs: fs, dir: dir, fingerprint: fingerprint, policy: policy, nextSeq: 1}
+	w := &WAL{fs: fs, dir: dir, fingerprint: fingerprint, policy: policy, nextSeq: 1, width: -1}
 	var info ReplayInfo
 
 	names, err := fs.ReadDir(dir)
@@ -174,6 +184,7 @@ func OpenWAL(fs FS, dir string, fingerprint uint64, policy SyncPolicy, fn Replay
 		off := int64(0)
 		sawHeader := false
 		tornAt := int64(-1)
+		batches := 0
 	records:
 		for off < int64(len(data)) {
 			typ, payload, next, err := readRecord(data, off)
@@ -189,6 +200,9 @@ func OpenWAL(fs FS, dir string, fingerprint uint64, policy SyncPolicy, fn Replay
 				if sawHeader {
 					return nil, info, fmt.Errorf("%w: %s: duplicate header record", ErrWALCorrupt, name)
 				}
+				if len(payload) >= len(walMagic) && string(payload[:len(walMagic)]) != string(walMagic[:]) {
+					return nil, info, fmt.Errorf("segment: %s: format %q is not this version's %q", name, payload[:len(walMagic)], walMagic[:])
+				}
 				startGen, err := decodeWALHeader(payload, fingerprint, wf.seq)
 				if err != nil {
 					return nil, info, fmt.Errorf("%w: %s: %v", ErrWALCorrupt, name, err)
@@ -199,7 +213,7 @@ func OpenWAL(fs FS, dir string, fingerprint uint64, policy SyncPolicy, fn Replay
 				if !sawHeader {
 					return nil, info, fmt.Errorf("%w: %s: batch record before header", ErrWALCorrupt, name)
 				}
-				gen, entries, err := decodeBatch(payload)
+				gen, err := w.decodeBatch(payload)
 				if err != nil {
 					return nil, info, fmt.Errorf("%w: %s: %v", ErrWALCorrupt, name, err)
 				}
@@ -208,11 +222,12 @@ func OpenWAL(fs FS, dir string, fingerprint uint64, policy SyncPolicy, fn Replay
 				}
 				lastGen, haveGen = gen, true
 				if fn != nil {
-					if err := fn(gen, entries); err != nil {
+					if err := fn(gen, w.column); err != nil {
 						return nil, info, err
 					}
 				}
 				info.Batches++
+				batches++
 			case recSeal:
 				if !sawHeader {
 					return nil, info, fmt.Errorf("%w: %s: seal record before header", ErrWALCorrupt, name)
@@ -255,7 +270,9 @@ func OpenWAL(fs FS, dir string, fingerprint uint64, policy SyncPolicy, fn Replay
 					return nil, info, err
 				}
 			}
-			// A sealed final file stays closed; the next append rotates.
+			w.batches = batches
+			// A sealed final file stays closed; the next append starts a
+			// new one.
 		}
 	}
 	return w, info, nil
@@ -276,7 +293,7 @@ func (w *WAL) reopenTruncated(name string, size int64) error {
 		f.Close()
 		return err
 	}
-	w.f, w.active = f, name
+	w.f, w.fileBytes = f, size
 	return nil
 }
 
@@ -284,9 +301,6 @@ func (w *WAL) reopenTruncated(name string, size int64) error {
 func decodeWALHeader(payload []byte, fingerprint, seq uint64) (startGen uint64, err error) {
 	if len(payload) != 8+8+8+8 {
 		return 0, fmt.Errorf("header record has %d bytes", len(payload))
-	}
-	if string(payload[:8]) != string(walMagic[:]) {
-		return 0, fmt.Errorf("bad WAL magic")
 	}
 	if fp := binary.LittleEndian.Uint64(payload[8:16]); fp != fingerprint {
 		return 0, fmt.Errorf("fingerprint %016x does not match the database (%016x)", fp, fingerprint)
@@ -297,136 +311,96 @@ func decodeWALHeader(payload []byte, fingerprint, seq uint64) (startGen uint64, 
 	return binary.LittleEndian.Uint64(payload[16:24]), nil
 }
 
-func encodeWALHeader(fingerprint, startGen, seq uint64) []byte {
-	p := make([]byte, 0, 32)
-	p = append(p, walMagic[:]...)
-	p = binary.LittleEndian.AppendUint64(p, fingerprint)
-	p = binary.LittleEndian.AppendUint64(p, startGen)
-	p = binary.LittleEndian.AppendUint64(p, seq)
-	return p
-}
-
-// appendUvarint appends a protobuf-style unsigned varint.
-func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-
-// decoder walks a batch payload with bounds-checked reads; all errors
-// funnel through one corruption message carrying the position.
-type decoder struct {
-	data []byte
-	off  int
-}
-
-func (d *decoder) errf(format string, args ...any) error {
-	return fmt.Errorf("segment: corrupt at byte %d: %s", d.off, fmt.Sprintf(format, args...))
-}
-
-func (d *decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
-		return 0, d.errf("bad uvarint")
-	}
-	d.off += n
-	return v, nil
-}
-
-func (d *decoder) bytes(n int) ([]byte, error) {
-	if n < 0 || d.off+n > len(d.data) {
-		return nil, d.errf("%d bytes wanted, %d remain", n, len(d.data)-d.off)
-	}
-	b := d.data[d.off : d.off+n]
-	d.off += n
-	return b, nil
-}
-
-// encodeBatch renders a batch record payload: the generation, the entry
-// count, then ascending-ID entries as (uvarint ID delta, fixed64 value).
-func encodeBatch(buf []byte, gen uint64, entries []Entry) []byte {
-	buf = appendUvarint(buf, gen)
-	buf = appendUvarint(buf, uint64(len(entries)))
-	prev := int64(0)
-	for _, e := range entries {
-		buf = appendUvarint(buf, uint64(e.ID-prev))
-		prev = e.ID
-		var v [8]byte
-		binary.LittleEndian.PutUint64(v[:], math.Float64bits(e.Value))
-		buf = append(buf, v[:]...)
-	}
+// appendWALHeader appends a framed header record to buf.
+func appendWALHeader(buf []byte, fingerprint, startGen, seq uint64) []byte {
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0, recHeader)
+	buf = append(buf, walMagic[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, fingerprint)
+	buf = binary.LittleEndian.AppendUint64(buf, startGen)
+	buf = binary.LittleEndian.AppendUint64(buf, seq)
+	frameRecord(buf, start)
 	return buf
 }
 
-// decodeBatch parses a batch record payload.
-func decodeBatch(payload []byte) (gen uint64, entries []Entry, err error) {
-	d := &decoder{data: payload}
-	gen, err = d.uvarint()
-	if err != nil {
-		return 0, nil, err
+// decodeBatch parses a batch record payload — a u64 generation and the
+// column — into w.column. The log's first batch record sets the width;
+// every later one must have it.
+func (w *WAL) decodeBatch(payload []byte) (gen uint64, err error) {
+	if len(payload) < 8 || len(payload)%8 != 0 {
+		return 0, fmt.Errorf("batch record of %d bytes is not a generation and a column", len(payload))
 	}
-	n, err := d.uvarint()
-	if err != nil {
-		return 0, nil, err
+	n := len(payload)/8 - 1
+	if w.width < 0 {
+		w.width, w.column = n, make([]float64, n)
 	}
-	// Each entry costs at least 9 bytes (1-byte delta + 8-byte value).
-	if n > uint64(len(payload))/9 {
-		return 0, nil, fmt.Errorf("batch claims %d entries in %d bytes", n, len(payload))
+	if n != w.width {
+		return 0, fmt.Errorf("a column of %d values in a log of %d-value columns", n, w.width)
 	}
-	entries = make([]Entry, n)
-	id := int64(0)
-	for i := range entries {
-		delta, err := d.uvarint()
-		if err != nil {
-			return 0, nil, err
-		}
-		id += int64(delta)
-		if i > 0 && delta == 0 {
-			return 0, nil, fmt.Errorf("batch entry %d repeats ID %d", i, id)
-		}
-		vb, err := d.bytes(8)
-		if err != nil {
-			return 0, nil, err
-		}
-		entries[i] = Entry{ID: id, Value: math.Float64frombits(binary.LittleEndian.Uint64(vb))}
+	for i := range w.column {
+		w.column[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8+8*i:]))
 	}
-	if d.off != len(payload) {
-		return 0, nil, fmt.Errorf("%d stray bytes after batch", len(payload)-d.off)
-	}
-	return gen, entries, nil
+	return binary.LittleEndian.Uint64(payload), nil
 }
 
-// Append logs one committed batch (entries must be in ascending ID order)
-// and applies the sync policy. On return under SyncAlways the batch is
-// durable; the caller may then apply it in memory. Any failure poisons the
-// WAL: the record stream must not continue after a partial write.
+// AppendColumn logs one committed batch — one value per base series, in
+// the order the fingerprint pins — and applies the sync policy. On return
+// under SyncAlways the batch is durable; the caller may then apply it in
+// memory. A column of another width than the log's is refused before
+// anything is written; any write failure poisons the WAL: the record
+// stream must not continue after a partial write.
+func (w *WAL) AppendColumn(gen uint64, column []float64) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.appendLocked(gen, column)
+}
+
+// Append logs a batch given as entries in ascending ID order: a wrapper
+// over AppendColumn for callers that hold (ID, value) pairs. The IDs are
+// not stored; their order is the column's.
 func (w *WAL) Append(gen uint64, entries []Entry) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.column = w.column[:0]
+	for i, e := range entries {
+		if i > 0 && e.ID <= entries[i-1].ID {
+			return fmt.Errorf("segment: batch entries out of order (%d after %d)", e.ID, entries[i-1].ID)
+		}
+		w.column = append(w.column, e.Value)
+	}
+	return w.appendLocked(gen, w.column)
+}
+
+func (w *WAL) appendLocked(gen uint64, column []float64) error {
 	if w.failed != nil {
 		return w.failed
 	}
-	for i := 1; i < len(entries); i++ {
-		if entries[i].ID <= entries[i-1].ID {
-			return fmt.Errorf("segment: batch entries out of order (%d after %d)", entries[i].ID, entries[i-1].ID)
-		}
+	if w.width >= 0 && len(column) != w.width {
+		return fmt.Errorf("segment: a column of %d values for a log of %d-value columns", len(column), w.width)
+	}
+	if 8*uint64(len(column)+1) > maxRecordSize {
+		return fmt.Errorf("segment: a column of %d values exceeds the record bound", len(column))
 	}
 	if w.f == nil {
 		if err := w.startFile(gen); err != nil {
 			return w.poison(err)
 		}
 	}
-	w.payload = encodeBatch(w.payload[:0], gen, entries)
-	w.buf = appendRecord(w.buf[:0], recBatch, w.payload)
-	rec := w.buf
-	if err := w.writeAll(rec); err != nil {
+	w.buf = append(w.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0, recBatch)
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, gen)
+	for _, v := range column {
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
+	}
+	frameRecord(w.buf, 0)
+	if err := w.write(w.buf); err != nil {
 		return w.poison(err)
 	}
+	w.width = len(column)
 	w.appends++
-	w.appendedBytes += int64(len(rec))
+	w.batches++
 	if w.policy >= 0 {
 		w.sinceSync++
-		every := int(w.policy)
-		if every < 1 {
-			every = 1
-		}
-		if w.sinceSync >= every {
+		if w.sinceSync >= max(int(w.policy), 1) {
 			if err := w.f.Sync(); err != nil {
 				return w.poison(err)
 			}
@@ -437,14 +411,19 @@ func (w *WAL) Append(gen uint64, entries []Entry) error {
 	return nil
 }
 
-// writeAll writes b fully or fails (a short write is a failure: the frame
-// is torn on disk and nothing may be appended after it).
-func (w *WAL) writeAll(b []byte) error {
+// write writes b fully to the active file or fails (a short write is a
+// failure: the frame is torn on disk and nothing may be appended after it).
+func (w *WAL) write(b []byte) error {
 	n, err := w.f.Write(b)
 	if err == nil && n < len(b) {
 		err = fmt.Errorf("segment: short write (%d of %d bytes)", n, len(b))
 	}
-	return err
+	if err != nil {
+		return err
+	}
+	w.fileBytes += int64(n)
+	w.appendedBytes += int64(n)
+	return nil
 }
 
 // poison records a permanent failure.
@@ -461,69 +440,69 @@ func (w *WAL) startFile(startGen uint64) error {
 	if err != nil {
 		return err
 	}
-	hdr := appendRecord(nil, recHeader, encodeWALHeader(w.fingerprint, startGen, seq))
-	if n, err := f.Write(hdr); err != nil || n < len(hdr) {
+	w.f, w.fileBytes = f, 0
+	err = w.write(appendWALHeader(w.buf[:0], w.fingerprint, startGen, seq))
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = w.fs.SyncDir(w.dir)
+	}
+	if err != nil {
 		f.Close()
-		if err == nil {
-			err = fmt.Errorf("segment: short header write")
-		}
+		w.f = nil
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.fs.SyncDir(w.dir); err != nil {
-		f.Close()
-		return err
-	}
-	w.f, w.active = f, name
+	w.batches = 0
 	w.nextSeq = seq + 1
 	w.files = append(w.files, walFile{seq: seq, startGen: startGen})
-	w.appendedBytes += int64(len(hdr))
 	return nil
 }
 
-// Rotate seals the active file (sync + seal record + sync) and arranges
-// for the next append to start a fresh file at nextGen. Sealing is the
-// gate for compaction: only sealed spans may be compacted and removed.
-func (w *WAL) Rotate(nextGen uint64) error {
+// Rotate seals the active file (seal record + sync) and starts the next
+// one at nextGen, returning the sealed file's size (0 when no file was
+// open). The sealed file is the segment: it is never rewritten, and only
+// RemoveBelow deletes it.
+func (w *WAL) Rotate(nextGen uint64) (sealed int64, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.failed != nil {
-		return w.failed
+		return 0, w.failed
 	}
 	if w.f != nil {
-		seal := appendRecord(nil, recSeal, nil)
-		if err := w.writeAll(seal); err != nil {
-			return w.poison(err)
+		if err := w.write(appendRecord(w.buf[:0], recSeal, nil)); err != nil {
+			return 0, w.poison(err)
 		}
 		if err := w.f.Sync(); err != nil {
-			return w.poison(err)
+			return 0, w.poison(err)
 		}
 		w.syncs++
 		w.sinceSync = 0
 		if err := w.f.Close(); err != nil {
-			return w.poison(err)
+			return 0, w.poison(err)
 		}
-		w.f, w.active = nil, ""
-		if len(w.files) > 0 {
-			w.files[len(w.files)-1].sealed = true
-		}
+		sealed = w.fileBytes
+		w.f = nil
+		w.files[len(w.files)-1].sealed = true
 	}
-	return w.startFileLocked(nextGen)
+	if err := w.startFile(nextGen); err != nil {
+		return sealed, w.poison(err)
+	}
+	return sealed, nil
 }
 
-// startFileLocked is startFile with poisoning; callers hold w.mu.
-func (w *WAL) startFileLocked(startGen uint64) error {
-	if err := w.startFile(startGen); err != nil {
-		return w.poison(err)
+// ActiveBatches reports how many batch records the active file holds.
+func (w *WAL) ActiveBatches() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.f == nil {
+		return 0
 	}
-	return nil
+	return w.batches
 }
 
 // RemoveBelow deletes sealed WAL files whose entire generation range lies
-// below gen — call it after the covering segment (or snapshot) is durable.
+// below gen — call it once a snapshot covering gen is durable.
 func (w *WAL) RemoveBelow(gen uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -578,17 +557,4 @@ func (w *WAL) Stats() (appends, syncs, bytes int64, files int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.appends, w.syncs, w.appendedBytes, len(w.files)
-}
-
-// EarliestStartGen reports the start generation of the oldest WAL file,
-// or false when the log holds no files. After recovery it is the earliest
-// generation the log still carries — the point the next compaction span
-// must start at.
-func (w *WAL) EarliestStartGen() (uint64, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if len(w.files) == 0 {
-		return 0, false
-	}
-	return w.files[0].startGen, true
 }

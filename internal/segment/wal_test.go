@@ -10,16 +10,16 @@ import (
 const testFP = 0x1122334455667788
 
 type replayedBatch struct {
-	gen     uint64
-	entries []Entry
+	gen    uint64
+	column []float64
 }
 
 // openCollect opens the WAL and collects every replayed batch.
 func openCollect(t *testing.T, fs FS, dir string, fp uint64, policy SyncPolicy) (*WAL, ReplayInfo, []replayedBatch) {
 	t.Helper()
 	var got []replayedBatch
-	w, info, err := OpenWAL(fs, dir, fp, policy, func(gen uint64, entries []Entry) error {
-		got = append(got, replayedBatch{gen: gen, entries: append([]Entry(nil), entries...)})
+	w, info, err := OpenWAL(fs, dir, fp, policy, func(gen uint64, column []float64) error {
+		got = append(got, replayedBatch{gen: gen, column: append([]float64(nil), column...)})
 		return nil
 	})
 	if err != nil {
@@ -37,12 +37,22 @@ func newWALFS(t *testing.T) *MemFS {
 	return fs
 }
 
-func testBatch(gen uint64) []Entry {
-	return []Entry{
-		{ID: 1, Value: float64(gen) + 0.25},
-		{ID: 4, Value: -float64(gen)},
-		{ID: 9, Value: math.Pi * float64(gen)},
+// testBatch is generation gen's column of three values.
+func testBatch(gen uint64) []float64 {
+	return []float64{float64(gen) + 0.25, -float64(gen), math.Pi * float64(gen)}
+}
+
+// sameColumn reports whether two columns are bit-identical.
+func sameColumn(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
 	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestWALAppendReplay(t *testing.T) {
@@ -52,7 +62,7 @@ func TestWALAppendReplay(t *testing.T) {
 		t.Fatalf("fresh log reports %+v", info)
 	}
 	for gen := uint64(10); gen < 13; gen++ {
-		if err := w.Append(gen, testBatch(gen)); err != nil {
+		if err := w.AppendColumn(gen, testBatch(gen)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,7 +73,7 @@ func TestWALAppendReplay(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(13, testBatch(13)); err == nil {
+	if err := w.AppendColumn(13, testBatch(13)); err == nil {
 		t.Fatal("append after Close succeeded")
 	}
 
@@ -76,29 +86,31 @@ func TestWALAppendReplay(t *testing.T) {
 		if rb.gen != wantGen {
 			t.Fatalf("batch %d replayed gen %d, want %d", i, rb.gen, wantGen)
 		}
-		want := testBatch(wantGen)
-		if len(rb.entries) != len(want) {
-			t.Fatalf("batch %d has %d entries", i, len(rb.entries))
-		}
-		for j := range want {
-			if rb.entries[j].ID != want[j].ID || math.Float64bits(rb.entries[j].Value) != math.Float64bits(want[j].Value) {
-				t.Fatalf("batch %d entry %d: %+v, want %+v", i, j, rb.entries[j], want[j])
-			}
+		if want := testBatch(wantGen); !sameColumn(rb.column, want) {
+			t.Fatalf("batch %d replayed %v, want %v", i, rb.column, want)
 		}
 	}
 }
 
+// TestWALAppendRejectsUnsortedEntries: Append, the (ID, value) wrapper,
+// refuses entries out of ID order without poisoning the log, and writes
+// an ordered batch as the column of its values.
 func TestWALAppendRejectsUnsortedEntries(t *testing.T) {
 	fs := newWALFS(t)
 	w, _, _ := openCollect(t, fs, "w", testFP, SyncAlways)
-	err := w.Append(1, []Entry{{ID: 4}, {ID: 2}})
+	err := w.Append(1, []Entry{{ID: 4}, {ID: 2}, {ID: 9}})
 	if err == nil {
 		t.Fatal("unsorted batch accepted")
 	}
 	// The rejection happens before any byte is written, so it must not
 	// poison the log.
-	if err := w.Append(1, testBatch(1)); err != nil {
+	col := testBatch(1)
+	if err := w.Append(1, []Entry{{ID: 1, Value: col[0]}, {ID: 4, Value: col[1]}, {ID: 9, Value: col[2]}}); err != nil {
 		t.Fatalf("append after rejected batch: %v", err)
+	}
+	_, _, got := openCollect(t, fs, "w", testFP, SyncAlways)
+	if len(got) != 1 || got[0].gen != 1 || !sameColumn(got[0].column, col) {
+		t.Fatalf("replayed %+v, want generation 1's column %v", got, col)
 	}
 }
 
@@ -106,26 +118,40 @@ func TestWALRotateAndRemoveBelow(t *testing.T) {
 	fs := newWALFS(t)
 	w, _, _ := openCollect(t, fs, "w", testFP, SyncAlways)
 	for gen := uint64(10); gen < 13; gen++ {
-		if err := w.Append(gen, testBatch(gen)); err != nil {
+		if err := w.AppendColumn(gen, testBatch(gen)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Rotate(13); err != nil {
+	if n := w.ActiveBatches(); n != 3 {
+		t.Fatalf("%d batches in the active file, want 3", n)
+	}
+	sealed, err := w.Rotate(13)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if data, _ := fs.ReadFile("w/wal-00000001.log"); sealed != int64(len(data)) {
+		t.Fatalf("Rotate reports %d sealed bytes, the file holds %d", sealed, len(data))
+	}
 	for gen := uint64(13); gen < 15; gen++ {
-		if err := w.Append(gen, testBatch(gen)); err != nil {
+		if err := w.AppendColumn(gen, testBatch(gen)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if first, ok := w.EarliestStartGen(); !ok || first != 10 {
-		t.Fatalf("EarliestStartGen %d/%v, want 10", first, ok)
+	if n := w.ActiveBatches(); n != 2 {
+		t.Fatalf("%d batches in the active file after the seal, want 2", n)
+	}
+	// Generation 12 is in the sealed file: nothing goes below it.
+	if err := w.RemoveBelow(12); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, files := w.Stats(); files != 2 {
+		t.Fatalf("%d files after RemoveBelow(12), want 2", files)
 	}
 	if err := w.RemoveBelow(13); err != nil {
 		t.Fatal(err)
 	}
-	if first, ok := w.EarliestStartGen(); !ok || first != 13 {
-		t.Fatalf("EarliestStartGen after prune %d/%v, want 13", first, ok)
+	if _, _, _, files := w.Stats(); files != 1 {
+		t.Fatalf("%d files after RemoveBelow(13), want 1", files)
 	}
 	// A crash after RemoveBelow must not resurrect the pruned file: the
 	// removal was committed with a directory sync.
@@ -143,20 +169,20 @@ func TestWALTornTailTruncatedOnReopen(t *testing.T) {
 	fs := newWALFS(t)
 	w, _, _ := openCollect(t, fs, "w", testFP, SyncAlways)
 	for gen := uint64(5); gen < 8; gen++ {
-		if err := w.Append(gen, testBatch(gen)); err != nil {
+		if err := w.AppendColumn(gen, testBatch(gen)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	whole := fs.DurableLen("w/wal-00000001.log")
 	// Cut the next record a few bytes in: the write fails, the log poisons.
 	fs.SetWriteLimit(5)
-	if err := w.Append(8, testBatch(8)); !errors.Is(err, ErrInjected) {
+	if err := w.AppendColumn(8, testBatch(8)); !errors.Is(err, ErrInjected) {
 		t.Fatalf("append under fault: %v", err)
 	}
-	if err := w.Append(9, testBatch(9)); err == nil || !strings.Contains(err.Error(), "permanently") {
+	if err := w.AppendColumn(9, testBatch(9)); err == nil || !strings.Contains(err.Error(), "permanently") {
 		t.Fatalf("poisoned WAL accepted an append: %v", err)
 	}
-	if err := w.Rotate(9); err == nil {
+	if _, err := w.Rotate(9); err == nil {
 		t.Fatal("poisoned WAL accepted a rotate")
 	}
 	fs.SetWriteLimit(-1)
@@ -164,8 +190,8 @@ func TestWALTornTailTruncatedOnReopen(t *testing.T) {
 	// Reopen without a crash (process kill): the torn 5 bytes are discarded,
 	// the three whole batches replay, and the log accepts appends again.
 	w2, info, got := openCollect(t, fs, "w", testFP, SyncAlways)
-	if info.TornBytes != 5 || info.Batches != 3 {
-		t.Fatalf("reopen after torn append: %+v", info)
+	if info.TornBytes != 5 || info.Batches != 3 || w2.ActiveBatches() != 3 {
+		t.Fatalf("reopen after torn append: %+v, %d batches in the active file", info, w2.ActiveBatches())
 	}
 	if got[len(got)-1].gen != 7 {
 		t.Fatalf("last replayed gen %d, want 7", got[len(got)-1].gen)
@@ -174,7 +200,7 @@ func TestWALTornTailTruncatedOnReopen(t *testing.T) {
 		// reopenTruncated syncs the truncation before anything is appended.
 		t.Fatal("torn tail still durable after reopen")
 	}
-	if err := w2.Append(8, testBatch(8)); err != nil {
+	if err := w2.AppendColumn(8, testBatch(8)); err != nil {
 		t.Fatalf("append after recovery: %v", err)
 	}
 	_, info, got = openCollect(t, fs, "w", testFP, SyncAlways)
@@ -205,7 +231,7 @@ func TestWALTornHeaderFileRemoved(t *testing.T) {
 		t.Fatalf("torn-header file survived: %v", names)
 	}
 	// The dead sequence number is not reused.
-	if err := w.Append(1, testBatch(1)); err != nil {
+	if err := w.AppendColumn(1, testBatch(1)); err != nil {
 		t.Fatal(err)
 	}
 	names, _ = fs.ReadDir("w")
@@ -217,13 +243,13 @@ func TestWALTornHeaderFileRemoved(t *testing.T) {
 func TestWALCorruptSealedFileFailsHard(t *testing.T) {
 	fs := newWALFS(t)
 	w, _, _ := openCollect(t, fs, "w", testFP, SyncAlways)
-	if err := w.Append(3, testBatch(3)); err != nil {
+	if err := w.AppendColumn(3, testBatch(3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Rotate(4); err != nil {
+	if _, err := w.Rotate(4); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(4, testBatch(4)); err != nil {
+	if err := w.AppendColumn(4, testBatch(4)); err != nil {
 		t.Fatal(err)
 	}
 	// Flip a bit inside the sealed file's batch record (past the 41-byte
@@ -240,7 +266,7 @@ func TestWALCorruptSealedFileFailsHard(t *testing.T) {
 func TestWALUnsealedNonFinalFileFailsHard(t *testing.T) {
 	fs := newWALFS(t)
 	w, _, _ := openCollect(t, fs, "w", testFP, SyncAlways)
-	if err := w.Append(3, testBatch(3)); err != nil {
+	if err := w.AppendColumn(3, testBatch(3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -252,7 +278,7 @@ func TestWALUnsealedNonFinalFileFailsHard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr := appendRecord(nil, recHeader, encodeWALHeader(testFP, 4, 2))
+	hdr := appendWALHeader(nil, testFP, 4, 2)
 	if _, err := f.Write(hdr); err != nil {
 		t.Fatal(err)
 	}
@@ -266,10 +292,10 @@ func TestWALUnsealedNonFinalFileFailsHard(t *testing.T) {
 func TestWALGenerationGapFailsHard(t *testing.T) {
 	fs := newWALFS(t)
 	w, _, _ := openCollect(t, fs, "w", testFP, SyncAlways)
-	if err := w.Append(5, testBatch(5)); err != nil {
+	if err := w.AppendColumn(5, testBatch(5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(7, testBatch(7)); err != nil {
+	if err := w.AppendColumn(7, testBatch(7)); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err := OpenWAL(fs, "w", testFP, SyncAlways, nil)
@@ -281,7 +307,7 @@ func TestWALGenerationGapFailsHard(t *testing.T) {
 func TestWALFingerprintMismatch(t *testing.T) {
 	fs := newWALFS(t)
 	w, _, _ := openCollect(t, fs, "w", testFP, SyncAlways)
-	if err := w.Append(1, testBatch(1)); err != nil {
+	if err := w.AppendColumn(1, testBatch(1)); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err := OpenWAL(fs, "w", testFP+1, SyncAlways, nil)
@@ -305,7 +331,7 @@ func TestWALSyncPolicies(t *testing.T) {
 		fs := newWALFS(t)
 		w, _, _ := openCollect(t, fs, "w", testFP, c.policy)
 		for i := 0; i < c.appends; i++ {
-			if err := w.Append(uint64(i+1), testBatch(uint64(i+1))); err != nil {
+			if err := w.AppendColumn(uint64(i+1), testBatch(uint64(i+1))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -323,7 +349,7 @@ func TestWALSyncNeverLosesUnsyncedOnCrash(t *testing.T) {
 	fs := newWALFS(t)
 	w, _, _ := openCollect(t, fs, "w", testFP, SyncNever)
 	for gen := uint64(1); gen <= 3; gen++ {
-		if err := w.Append(gen, testBatch(gen)); err != nil {
+		if err := w.AppendColumn(gen, testBatch(gen)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -366,5 +392,44 @@ func TestParseSyncPolicy(t *testing.T) {
 	}
 	if SyncEvery(0) != SyncAlways || SyncEvery(-2) != SyncAlways {
 		t.Fatal("SyncEvery with n < 1 must fall back to SyncAlways")
+	}
+}
+
+// TestWALReplayAllocs: replay decodes every batch record into one column,
+// so opening a one-file log of 64 batch records allocates the same as
+// opening one of 8. It used to allocate an entry slice per record.
+func TestWALReplayAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	replay := func(batches int) float64 {
+		fs := newWALFS(t)
+		w, _, _ := openCollect(t, fs, "w", testFP, SyncNever)
+		for gen := uint64(1); gen <= uint64(batches); gen++ {
+			if err := w.AppendColumn(gen, testBatch(gen)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		seen := 0
+		fn := func(uint64, []float64) error { seen++; return nil }
+		n := testing.AllocsPerRun(5, func() {
+			w, _, err := OpenWAL(fs, "w", testFP, SyncNever, fn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Close()
+		})
+		if seen != 6*batches {
+			t.Fatalf("%d records replayed over 6 opens of a %d-batch log", seen, batches)
+		}
+		return n
+	}
+	few, many := replay(8), replay(64)
+	t.Logf("opening a log of 8 batch records allocates %v objects, one of 64 %v", few, many)
+	if few != many {
+		t.Fatalf("opening a log of 8 batch records allocates %v objects, one of 64 %v; want equal", few, many)
 	}
 }
