@@ -27,6 +27,7 @@ var archRules = []struct {
 	{"one hyper graph", oneHyperGraph},
 	{"one evaluator", oneEvaluator},
 	{"no option without a setter", noGoneNames},
+	{"no gob", noGob},
 	{"cited tests exist", citedTestsExist},
 	{"legibility budget", legibilityBudget},
 }
@@ -229,6 +230,26 @@ func oneEvaluator(fsys fs.FS) error {
 	return violations("a second evaluator path", found)
 }
 
+// noGob: configurations, snapshots and models are written by the codec
+// of internal/f2db/image.go and internal/forecast/codec.go, so no program
+// file imports encoding/gob; a test may, to read what earlier versions
+// wrote.
+func noGob(fsys fs.FS) error {
+	files, err := parseGo(fsys, false, ".")
+	if err != nil {
+		return err
+	}
+	var found []string
+	for _, f := range files {
+		for _, imp := range f.file.Imports {
+			if imp.Path.Value == `"encoding/gob"` {
+				found = append(found, f.path)
+			}
+		}
+	}
+	return violations("encoding/gob imported by", found)
+}
+
 // goneNames were removed and stay gone: the background prober, the
 // wall-clock cost metric, cold re-fits, per-point workload inserts, eager
 // re-estimation, the model families and name registry no default,
@@ -249,7 +270,8 @@ func oneEvaluator(fsys fs.FS) error {
 // (bit streams, delta-of-delta times, XOR values, blocks and footer
 // index) with the re-fit's generation bump, and the segment file itself —
 // its codec, replay, prune and names, the span compaction re-encoded and
-// the recovery count it kept — now that a sealed WAL file is the segment.
+// the recovery count it kept — now that a sealed WAL file is the segment,
+// and the gob images' row and image types with the gob model clone.
 // The codec's Series type is not listed: the name is the time-series
 // type's everywhere else.
 var goneNames = map[string]bool{
@@ -399,6 +421,15 @@ var goneNames = map[string]bool{
 	"compactFrom":         true,
 	"EarliestStartGen":    true,
 	"SegmentBatches":      true,
+
+	"dbImage":     true,
+	"configImage": true,
+	"ConfigRow":   true,
+	"ModelRow":    true,
+	"dimImage":    true,
+	"dimImages":   true,
+	"pendingRow":  true,
+	"Cloner":      true,
 }
 
 // noGoneNames: no identifier, tests included, brings a gone name back.
@@ -490,9 +521,9 @@ func citedTestsExist(fsys fs.FS) error {
 // Legibility budget: non-test Go lines under internal/ and cmd/, and the
 // lines of the two documents a newcomer reads first. A change that needs
 // more re-records the number here and says why in CHANGES.md.
-const goLineBudget = 16218
+const goLineBudget = 16882
 
-var docLineBudget = map[string]int{"DESIGN.md": 1192, "README.md": 498}
+var docLineBudget = map[string]int{"DESIGN.md": 1232, "README.md": 502}
 
 // legibilityBudget: the program and its main documents stay within their
 // recorded line counts.
@@ -566,6 +597,14 @@ func TestArchitectureRulesCanFail(t *testing.T) {
 			"From function in derivation", oneEvaluator,
 			fstest.MapFS{"internal/derivation/derivation.go": src("package derivation\n\nfunc Apply() {}\n")},
 			fstest.MapFS{"internal/derivation/from.go": src("package derivation\n\nfunc ApplyFrom() {}\n")},
+		},
+		{
+			"encoding/gob in a program file", noGob,
+			fstest.MapFS{
+				"internal/f2db/image.go":    src("package f2db\n\nimport \"encoding/binary\"\n"),
+				"internal/f2db/old_test.go": src("package f2db\n\nimport \"encoding/gob\"\n"),
+			},
+			fstest.MapFS{"internal/f2db/storage.go": src("package f2db\n\nimport \"encoding/gob\"\n")},
 		},
 		{
 			"gone name", noGoneNames,

@@ -87,6 +87,12 @@ func TestAncestor(t *testing.T) {
 	if _, err := loc.Ancestor("CX", 0, 1); err == nil {
 		t.Error("unknown member should fail")
 	}
+	// A level without a parent map, as a corrupt image can describe one,
+	// is an error and not an index out of range.
+	short := Dimension{Name: "location", Levels: []string{"city", "region", "state"}, Parents: loc.Parents}
+	if _, err := short.Ancestor("C3", 0, 2); err == nil {
+		t.Error("a level without a parent map should fail")
+	}
 }
 
 func TestKeyRoundTrip(t *testing.T) {

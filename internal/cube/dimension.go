@@ -59,7 +59,8 @@ func (d *Dimension) LevelIndex(name string) int {
 
 // Ancestor maps a member value at fromLevel to its ancestor value at
 // toLevel (toLevel >= fromLevel). At the ALL level the ancestor value is
-// the empty string. It returns an error if a parent mapping is missing.
+// the empty string. It returns an error if a parent mapping is missing,
+// including a level without a parent map.
 func (d *Dimension) Ancestor(value string, fromLevel, toLevel int) (string, error) {
 	if toLevel < fromLevel {
 		return "", fmt.Errorf("cube: cannot map value %q down from level %d to %d in dimension %q",
@@ -70,6 +71,9 @@ func (d *Dimension) Ancestor(value string, fromLevel, toLevel int) (string, erro
 	}
 	v := value
 	for l := fromLevel; l < toLevel; l++ {
+		if l < 0 || l >= len(d.Parents) {
+			return "", fmt.Errorf("cube: dimension %q has no parent map at level %d", d.Name, l)
+		}
 		p, ok := d.Parents[l][v]
 		if !ok {
 			return "", fmt.Errorf("cube: dimension %q has no parent for value %q at level %q",

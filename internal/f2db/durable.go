@@ -120,7 +120,7 @@ func OpenDurable(dopts DurableOptions, opts Options, build func() (*DB, error)) 
 	snapData, err := fs.ReadFile(snapPath)
 	switch {
 	case err == nil:
-		db, err := LoadDatabase(bytes.NewReader(snapData), opts)
+		db, err := loadDatabase(snapData, opts)
 		if err != nil {
 			return nil, fmt.Errorf("f2db: loading snapshot %s: %w", snapPath, err)
 		}
@@ -308,11 +308,11 @@ func (d *Durable) Checkpoint() error {
 // mixture, never a rename whose directory entry evaporates. The caller holds
 // maint or is still single-threaded in OpenDurable.
 func (d *Durable) writeSnapshot() error {
-	var buf bytes.Buffer
-	if err := d.db.saveDatabase(&buf); err != nil {
+	img, err := d.db.appendSnapshot()
+	if err != nil {
 		return err
 	}
-	if err := segment.WriteFileSync(d.fs, d.dir, snapshotFileName, buf.Bytes()); err != nil {
+	if err := segment.WriteFileSync(d.fs, d.dir, snapshotFileName, img); err != nil {
 		return err
 	}
 	d.db.met.snapshotWrites.Add(1)

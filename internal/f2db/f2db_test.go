@@ -2,7 +2,6 @@ package f2db
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"math"
 	"math/rand"
@@ -139,10 +138,7 @@ func caughtUpClones(t *testing.T, g *cube.Graph, cfg *core.Configuration) map[in
 	t.Helper()
 	out := make(map[int]forecast.Model, len(cfg.Models))
 	for id, m := range cfg.Models {
-		c, err := forecast.Clone(m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := m.CloneModel()
 		for _, v := range g.History(id, nil)[cfg.TrainLen:] {
 			c.Update(v)
 		}
@@ -151,7 +147,7 @@ func caughtUpClones(t *testing.T, g *cube.Graph, cfg *core.Configuration) map[in
 	return out
 }
 
-// TestOpenCatchesUp: Open leaves every model bit-identical (its gob image,
+// TestOpenCatchesUp: Open leaves every model bit-identical (its encoding,
 // parameters and state) to a clone of the advisor's model Update-d over the
 // test window, with its maintenance statistics at zero; LoadDatabase of the
 // opened engine's snapshot catches up nothing a second time.
@@ -166,11 +162,11 @@ func TestOpenCatchesUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	image := func(m forecast.Model) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&m); err != nil {
+		img, err := m.AppendBinary(nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return img
 	}
 	for id, m := range db.cfg.Models {
 		if !bytes.Equal(image(m), image(caught[id])) {
@@ -939,7 +935,8 @@ func TestDatabaseSnapshotRoundTrip(t *testing.T) {
 // bytes, and so are two snapshots of one engine holding a half-filled
 // batch. Both used to be built by iterating over maps — the configuration,
 // the hierarchies' parent maps and the pending rows — so on a 500-node cube
-// two saves differed.
+// two saves differed. Each image also loads into what saves it again byte
+// for byte.
 func TestSaveImagesDeterministic(t *testing.T) {
 	g, err := datasets.GenCube(1, datasets.CubeGenForNodes(500, 2)).Graph()
 	if err != nil {
@@ -974,6 +971,27 @@ func TestSaveImagesDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(imgs[0].Bytes(), imgs[1].Bytes()) {
 		t.Error("SaveDatabase: two saves differ")
+	}
+	reCfg, err := LoadConfiguration(bytes.NewReader(cfgs[0].Bytes()), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reDB, err := LoadDatabase(bytes.NewReader(imgs[0].Bytes()), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfgAgain, imgAgain bytes.Buffer
+	if err := SaveConfiguration(&cfgAgain, reCfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveDatabase(&imgAgain, reDB); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cfgAgain.Bytes(), cfgs[0].Bytes()) {
+		t.Error("SaveConfiguration(LoadConfiguration(x)) differs from x")
+	}
+	if !bytes.Equal(imgAgain.Bytes(), imgs[0].Bytes()) {
+		t.Error("SaveDatabase(LoadDatabase(x)) differs from x")
 	}
 
 	// What the engine answered is no part of its state: after queries, its
@@ -1082,29 +1100,41 @@ func TestLoadDatabaseGarbage(t *testing.T) {
 	}
 }
 
-// TestLoadDatabaseBaseWithoutSeries: gob leaves a pointer field its stream
-// omits nil, so an image can carry a base entry with no series; loading it
-// is an error, not a nil dereference in the graph constructor.
+// TestLoadDatabaseBaseWithoutSeries: an image whose value records stop
+// after base series 2 — every record whole and CRC-valid — is refused with
+// an error naming the base, not built into a short graph.
 func TestLoadDatabaseBaseWithoutSeries(t *testing.T) {
-	_, g, _ := testEngine(t, Never{})
-	img := dbImage{Dims: dimImages(g.Dims)}
-	for i, id := range g.BaseIDs {
-		b := cube.BaseSeries{Series: g.Node(id).Series}
-		for _, cell := range g.CoordOf(id) {
-			b.Members = append(b.Members, cell.Value)
-		}
-		if i == 2 {
-			b.Series = nil
-		}
-		img.Base = append(img.Base, b)
-	}
+	db, g, _ := testEngine(t, Never{})
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&img); err != nil {
+	if err := SaveDatabase(&buf, db); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadDatabase(&buf, Options{}); err == nil || !strings.Contains(err.Error(), "base series 2 has no series") {
-		t.Fatalf("LoadDatabase of an image whose base entry 2 has no series: %v", err)
+	img := reframe(t, buf.Bytes(), func(typ byte, p []byte) []byte {
+		if typ == recValues {
+			return p[:2*8*g.Length]
+		}
+		return p
+	})
+	if _, err := LoadDatabase(bytes.NewReader(img), Options{}); err == nil || !strings.Contains(err.Error(), "base series 2 has no values") {
+		t.Fatalf("LoadDatabase of an image whose values stop after base series 2: %v", err)
 	}
+}
+
+// reframe rebuilds an image record by record, each payload replaced by
+// edit's result under a fresh frame: a CRC-valid image of the caller's
+// making.
+func reframe(t testing.TB, img []byte, edit func(typ byte, payload []byte) []byte) []byte {
+	t.Helper()
+	var out []byte
+	for off := int64(0); off < int64(len(img)); {
+		typ, payload, next, err := segment.ReadRecord(img, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = segment.AppendRecord(out, typ, edit(typ, payload))
+		off = next
+	}
+	return out
 }
 
 // TestParserNeverPanics feeds pseudo-random token soup into the parser; it

@@ -2,11 +2,15 @@ package f2db
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+
+	"cubefc/internal/forecast"
+	"cubefc/internal/segment"
 )
 
 // FuzzParseSQL feeds arbitrary input to the query parser. Two properties:
@@ -255,10 +259,13 @@ func isASCII(s string) bool {
 // FuzzLoadDatabase feeds arbitrary bytes to the snapshot decoder. The only
 // property is robustness: LoadDatabase returns an error on anything that is
 // not a valid image — it never panics — and an image it does accept yields
-// an engine that answers a forecast without panicking. Seeds are a valid
-// SaveDatabase image plus truncated and bit-flipped corruptions of it, so
-// the fuzzer starts at the decoder's deep paths instead of gob's magic
-// bytes.
+// an engine that answers a forecast without panicking. Each input is loaded
+// as it is and with every whole record's checksum recomputed, so a mutation
+// reaches the decoder behind the CRC instead of stopping at it. Seeds are a
+// valid SaveDatabase image, truncated and bit-flipped corruptions of it,
+// an image with maintenance state, one whose Holt-Winters model has period
+// 0, and a configuration image; the checked-in corpus adds gob prefixes of
+// the format earlier versions wrote.
 func FuzzLoadDatabase(f *testing.F) {
 	src, _, _ := testEngine(f, nil)
 	var buf bytes.Buffer
@@ -277,7 +284,7 @@ func FuzzLoadDatabase(f *testing.F) {
 	}
 	// An image whose models carry maintenance state: two time points under
 	// TimeBased{Every: 2} leave every model invalid with a rolling error.
-	aged, g, _ := testEngine(f, TimeBased{Every: 2})
+	aged, g, cfg := testEngine(f, TimeBased{Every: 2})
 	for k := 0; k < 2; k++ {
 		for _, id := range g.BaseIDs {
 			if err := aged.InsertBase(id, float64(30+k)); err != nil {
@@ -290,16 +297,50 @@ func FuzzLoadDatabase(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(append([]byte(nil), buf.Bytes()...))
+	for _, id := range src.cfg.ModelIDs() {
+		if hw, ok := src.cfg.Models[id].(*forecast.HoltWinters); ok {
+			hw.Period, hw.Season = 0, nil
+			break
+		}
+	}
+	buf.Reset()
+	if err := SaveDatabase(&buf, src); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append([]byte(nil), buf.Bytes()...))
+	buf.Reset()
+	if err := SaveConfiguration(&buf, cfg); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append([]byte(nil), buf.Bytes()...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
-			return // bound decode cost; the seed image is ~20 KiB
+			return // bound decode cost; the seed image is ~4 KiB
 		}
-		db, err := LoadDatabase(bytes.NewReader(data), Options{})
-		if err != nil {
-			return
-		}
-		if _, err := db.ForecastNode(db.Graph().TopID(), 1); err != nil {
-			t.Logf("restored engine rejected forecast: %v", err)
+		for _, img := range [][]byte{data, recomputeCRCs(data)} {
+			db, err := LoadDatabase(bytes.NewReader(img), Options{})
+			if err != nil {
+				continue
+			}
+			if _, err := db.ForecastNode(db.Graph().TopID(), 1); err != nil {
+				t.Logf("restored engine rejected forecast: %v", err)
+			}
 		}
 	})
+}
+
+// recomputeCRCs returns a copy of data with the checksum of every whole
+// record, in the framing of segment.AppendRecord, recomputed from its type
+// and payload.
+func recomputeCRCs(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	for off := 0; off+segment.RecordHeaderSize <= len(out); {
+		end := off + segment.RecordHeaderSize + int(binary.LittleEndian.Uint32(out[off:]))
+		if end > len(out) || end < off {
+			break
+		}
+		segment.FrameRecord(out[:end], off)
+		off = end
+	}
+	return out
 }

@@ -2,7 +2,6 @@ package f2db
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
@@ -506,13 +505,15 @@ func TestPendingSnapshotAtomic(t *testing.T) {
 			if err := SaveDatabase(&buf, db); err != nil {
 				t.Fatal(err)
 			}
-			var img dbImage
-			if err := gob.NewDecoder(&buf).Decode(&img); err != nil {
+			img, err := LoadDatabase(&buf, Options{})
+			if err != nil {
 				t.Fatal(err)
 			}
-			pending := make(map[string]bool, len(img.Pending))
-			for _, r := range img.Pending {
-				pending[r.Key] = true
+			pending := make(map[string]bool)
+			for ord, id := range img.graph.BaseIDs {
+				if img.present[ord] {
+					pending[img.graph.KeyOf(id)] = true
+				}
 			}
 			for i, stmt := range stmts {
 				held := 0

@@ -119,10 +119,7 @@ func (db *DB) refit(ids []int) (int, error) {
 // fitClone fits a clone of the model at id on the node's live series,
 // warm-started from the model's own parameters. The caller holds maint.
 func (db *DB) fitClone(id int) (forecast.Model, error) {
-	m, err := forecast.Clone(db.cfg.Models[id])
-	if err != nil {
-		return nil, err
-	}
+	m := db.cfg.Models[id].CloneModel()
 	if ws, ok := m.(forecast.WarmStarter); ok {
 		ws.WarmStart(ws.Params())
 	}

@@ -1,10 +1,10 @@
 package f2db
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 
 	"cubefc/internal/core"
 	"cubefc/internal/cube"
@@ -16,119 +16,166 @@ import (
 // to PostgreSQL — one storing the time-series graph and model configuration
 // (model assignments, derivation schemes, weights), and one storing the
 // forecast models themselves including state and parameter values. The
-// embedded engine mirrors that layout: ConfigRow and ModelRow are the
-// tables, serialized with encoding/gob. Node identity across save/load is
-// the canonical coordinate key, so a configuration can be restored onto a
-// freshly rebuilt graph of the same data set.
+// embedded engine writes both tables as the configuration section of an
+// image (image.go), one item per row:
+//
+//	header  train length, cost seconds, model count, scheme count
+//	model   node key, creation seconds, the model (forecast AppendBinary),
+//	        in ModelIDs order
+//	scheme  node key, weight, kind, error, source count, then each source
+//	        as its model's position in the model rows, in node-ID order
+//
+// Node identity across save/load is the canonical coordinate key, so a
+// configuration can be restored onto a freshly rebuilt graph of the same
+// data set. A configuration file is this section behind its own magic; a
+// snapshot carries it too.
 
-// ConfigRow is one row of the graph/configuration table.
-type ConfigRow struct {
-	NodeKey    string
-	SourceKeys []string
-	Weight     float64
-	Kind       int
-	Error      float64
-}
-
-// ModelRow is one row of the model table: the gob-encoded model (state and
-// parameter values) for a node.
-type ModelRow struct {
-	NodeKey      string
-	Blob         []byte
-	CreationSecs float64
-}
-
-// configImage is the serialized form of a configuration.
-type configImage struct {
-	TrainLen    int
-	CostSeconds float64
-	Config      []ConfigRow
-	Models      []ModelRow
-}
-
-// SaveConfiguration serializes a configuration into the two-table layout:
-// schemes in ascending node ID and models in ModelIDs order, so one
-// configuration always saves to the same bytes.
+// SaveConfiguration serializes a configuration: models in ModelIDs order
+// and schemes in ascending node ID, so one configuration always saves to
+// the same bytes.
 func SaveConfiguration(w io.Writer, cfg *core.Configuration) error {
+	iw := newImageWriter(configMagic, 64*len(cfg.Schemes)+512*len(cfg.Models)+64)
+	if err := iw.config(cfg, cfg.ModelIDs()); err != nil {
+		return err
+	}
+	_, err := w.Write(iw.finish())
+	return err
+}
+
+// config writes cfg's configuration section; ids is cfg.ModelIDs().
+func (w *imageWriter) config(cfg *core.Configuration, ids []int) error {
 	g := cfg.Graph
-	img := configImage{TrainLen: cfg.TrainLen, CostSeconds: cfg.CostSeconds}
+	schemes := 0
+	for id := 0; id < g.NumNodes(); id++ {
+		if _, ok := cfg.Schemes[id]; ok {
+			schemes++
+		}
+	}
+	if schemes != len(cfg.Schemes) {
+		return fmt.Errorf("f2db: %d of %d schemes target nodes outside the graph", len(cfg.Schemes)-schemes, len(cfg.Schemes))
+	}
+	w.begin(recItems)
+	w.int(cfg.TrainLen)
+	w.f64(cfg.CostSeconds)
+	w.int(len(ids))
+	w.int(schemes)
+	var err error
+	for _, id := range ids {
+		w.begin(recItems)
+		w.key(g, id)
+		w.f64(cfg.ModelSeconds[id])
+		if w.scratch, err = cfg.Models[id].AppendBinary(w.scratch[:0]); err != nil {
+			return fmt.Errorf("f2db: encoding model at node %d: %w", id, err)
+		}
+		w.bytes(w.scratch)
+	}
 	for id := 0; id < g.NumNodes(); id++ {
 		sc, ok := cfg.Schemes[id]
 		if !ok {
 			continue
 		}
-		row := ConfigRow{
-			NodeKey: g.KeyOf(id),
-			Weight:  sc.K,
-			Kind:    int(sc.Kind),
-			Error:   cfg.Errors[id],
-		}
+		w.begin(recItems)
+		w.key(g, id)
+		w.f64(sc.K)
+		w.int(int(sc.Kind))
+		w.f64(cfg.Errors[id])
+		w.int(len(sc.Sources))
 		for _, s := range sc.Sources {
-			row.SourceKeys = append(row.SourceKeys, g.KeyOf(s))
+			m, ok := slices.BinarySearch(ids, s)
+			if !ok {
+				return fmt.Errorf("f2db: scheme of node %d references model-less source %d", id, s)
+			}
+			w.int(m)
 		}
-		img.Config = append(img.Config, row)
 	}
-	for _, id := range cfg.ModelIDs() {
-		m := cfg.Models[id]
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&m); err != nil {
-			return fmt.Errorf("f2db: encoding model at node %d: %w", id, err)
-		}
-		img.Models = append(img.Models, ModelRow{
-			NodeKey:      g.KeyOf(id),
-			Blob:         buf.Bytes(),
-			CreationSecs: cfg.ModelSeconds[id],
-		})
-	}
-	return gob.NewEncoder(w).Encode(&img)
+	return nil
 }
 
 // LoadConfiguration restores a configuration onto the given graph (which
 // must describe the same data set: all stored node keys must resolve).
 func LoadConfiguration(r io.Reader, g *cube.Graph) (*core.Configuration, error) {
-	var img configImage
-	if err := gob.NewDecoder(r).Decode(&img); err != nil {
+	data, err := readImage(r)
+	if err != nil {
+		return nil, fmt.Errorf("f2db: reading configuration: %w", err)
+	}
+	ir, err := openImage(data, configMagic, "configuration")
+	if err != nil {
+		return nil, err
+	}
+	cfg, _, err := ir.config(g)
+	if err == nil {
+		err = ir.end()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("f2db: decoding configuration: %w", err)
 	}
-	cfg := core.NewConfiguration(g, img.TrainLen)
-	cfg.CostSeconds = img.CostSeconds
-	resolve := func(key string) (int, error) {
-		id, ok := g.LookupID(key)
-		if !ok {
-			return 0, fmt.Errorf("f2db: stored node %q not present in graph", key)
-		}
-		return id, nil
+	return cfg, nil
+}
+
+// config decodes a configuration section onto g. It returns the model
+// nodes in the order of their rows.
+func (r *imageReader) config(g *cube.Graph) (*core.Configuration, []int, error) {
+	r.begin(recItems)
+	trainLen, cost := r.int(), r.f64()
+	models, schemes := r.count("models", 1), r.count("schemes", 1)
+	switch {
+	case r.err != nil:
+		return nil, nil, r.err
+	case trainLen > g.Length:
+		return nil, nil, fmt.Errorf("trained on %d points of a %d-point graph", trainLen, g.Length)
+	case models > g.NumNodes() || schemes > g.NumNodes():
+		return nil, nil, fmt.Errorf("%d models and %d schemes on %d nodes", models, schemes, g.NumNodes())
 	}
-	for _, row := range img.Models {
-		id, err := resolve(row.NodeKey)
+	cfg := core.NewConfiguration(g, trainLen)
+	cfg.CostSeconds = cost
+	cfg.Schemes = make(map[int]derivation.Scheme, schemes)
+	cfg.Errors = make(map[int]float64, schemes)
+	ids := make([]int, models)
+	for i := range ids {
+		r.begin(recItems)
+		id, secs, blob := r.node(g), r.f64(), r.bytes()
+		if r.err != nil {
+			return nil, nil, r.err
+		}
+		if _, dup := cfg.Models[id]; dup {
+			return nil, nil, fmt.Errorf("two models for node %q", g.KeyOf(id))
+		}
+		m, err := forecast.DecodeModel(blob)
 		if err != nil {
-			return nil, err
+			return nil, nil, fmt.Errorf("model at node %q: %w", g.KeyOf(id), err)
 		}
-		var m forecast.Model
-		if err := gob.NewDecoder(bytes.NewReader(row.Blob)).Decode(&m); err != nil {
-			return nil, fmt.Errorf("f2db: decoding model %q: %w", row.NodeKey, err)
-		}
+		ids[i] = id
 		cfg.Models[id] = m
-		cfg.ModelSeconds[id] = row.CreationSecs
+		cfg.ModelSeconds[id] = secs
 	}
-	for _, row := range img.Config {
-		id, err := resolve(row.NodeKey)
-		if err != nil {
-			return nil, err
-		}
-		sc := derivation.Scheme{Target: id, K: row.Weight, Kind: derivation.Kind(row.Kind)}
-		for _, sk := range row.SourceKeys {
-			sid, err := resolve(sk)
-			if err != nil {
-				return nil, err
+	// Every scheme's sources share one array, clipped per scheme.
+	sources := make([]int, 0, schemes)
+	for range schemes {
+		r.begin(recItems)
+		id, k, kind, e := r.node(g), r.f64(), r.int(), r.f64()
+		n := r.count("sources", 1)
+		start := len(sources)
+		for range n {
+			if m := r.int(); m < len(ids) {
+				sources = append(sources, ids[m])
+			} else {
+				r.fail("source %d of %d models", m, len(ids))
 			}
-			sc.Sources = append(sc.Sources, sid)
 		}
-		cfg.Schemes[id] = sc
-		cfg.Errors[id] = row.Error
+		switch {
+		case r.err != nil:
+			return nil, nil, r.err
+		case kind > math.MaxInt32:
+			return nil, nil, fmt.Errorf("scheme kind %d", kind)
+		}
+		if _, dup := cfg.Schemes[id]; dup {
+			return nil, nil, fmt.Errorf("two schemes for node %q", g.KeyOf(id))
+		}
+		cfg.Schemes[id] = derivation.Scheme{Target: id, Sources: sources[start:len(sources):len(sources)], K: k, Kind: derivation.Kind(kind)}
+		cfg.Errors[id] = e
 	}
 	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("f2db: restored configuration invalid: %w", err)
+		return nil, nil, fmt.Errorf("restored configuration invalid: %w", err)
 	}
-	return cfg, nil
+	return cfg, ids, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"cubefc/internal/timeseries"
@@ -293,6 +294,10 @@ func TestFitDegenerateSeriesFinite(t *testing.T) {
 	}
 }
 
+// TestGobRoundTripAllModels: the binary codec reloads every family exactly
+// as a gob round trip of the same model does — the fields gob carried,
+// bit for bit, and none of the fit-time scratch — and the reload forecasts
+// like the original.
 func TestGobRoundTripAllModels(t *testing.T) {
 	s := seasonalSeries(48, 4, 100, 0.5, 10, 0.5, 7)
 	for _, m := range allModels(4) {
@@ -300,20 +305,116 @@ func TestGobRoundTripAllModels(t *testing.T) {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
 		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&m); err != nil {
+		if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+			t.Fatalf("%s gob encode: %v", m.Name(), err)
+		}
+		viaGob := reflect.New(reflect.TypeOf(m).Elem()).Interface().(Model)
+		if err := gob.NewDecoder(&buf).Decode(viaGob); err != nil {
+			t.Fatalf("%s gob decode: %v", m.Name(), err)
+		}
+		img, err := m.AppendBinary(nil)
+		if err != nil {
 			t.Fatalf("%s encode: %v", m.Name(), err)
 		}
-		var back Model
-		if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
+		back, err := DecodeModel(img)
+		if err != nil {
 			t.Fatalf("%s decode: %v", m.Name(), err)
+		}
+		if !reflect.DeepEqual(back, viaGob) {
+			t.Fatalf("%s: binary reload %+v, gob reload %+v", m.Name(), back, viaGob)
+		}
+		if !reflect.DeepEqual(back, m.CloneModel()) {
+			t.Fatalf("%s: binary reload %+v is not the model's clone", m.Name(), back)
 		}
 		a, b := forecastN(m, 5), forecastN(back, 5)
 		for i := range a {
-			if math.Abs(a[i]-b[i]) > 1e-9 {
-				t.Fatalf("%s: forecast changed after gob round trip: %v vs %v", m.Name(), a, b)
+			if a[i] != b[i] {
+				t.Fatalf("%s: forecast changed after the round trip: %v vs %v", m.Name(), a, b)
 			}
 		}
 	}
+}
+
+// TestDecodeModelRefusesUnsafeState: a well-formed encoding of a state
+// Forecast would panic on — a period below 1, a seasonal state of another
+// length, a negative observation count — is refused, and so are a cut
+// encoding and trailing bytes.
+func TestDecodeModelRefusesUnsafeState(t *testing.T) {
+	s := seasonalSeries(48, 4, 100, 0.5, 10, 0.5, 7)
+	hw, th := NewHoltWinters(4, Additive), NewTheta(4)
+	for _, m := range []Model{hw, th} {
+		if err := m.Fit(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		m      Model
+		mutate func(Model)
+	}{
+		{"hw period 0", hw, func(m Model) { m.(*HoltWinters).Period, m.(*HoltWinters).Season = 0, nil }},
+		{"hw season shorter than period", hw, func(m Model) { m.(*HoltWinters).Season = hw.Season[:3] }},
+		{"hw negative count", hw, func(m Model) { m.(*HoltWinters).T = -1 }},
+		{"theta period 0", th, func(m Model) { m.(*Theta).Period = 0 }},
+		{"theta profile of another length", th, func(m Model) { m.(*Theta).Period = 3 }},
+		{"theta negative count", th, func(m Model) { m.(*Theta).N = -2 }},
+	} {
+		m := c.m.CloneModel()
+		c.mutate(m)
+		img, err := m.AppendBinary(nil)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", c.name, err)
+		}
+		if _, err := DecodeModel(img); err == nil {
+			t.Errorf("%s: decoded", c.name)
+		}
+	}
+	img, err := hw.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeModel(img); err != nil {
+		t.Fatalf("the fitted model is refused: %v", err)
+	}
+	for _, bad := range [][]byte{img[:len(img)-1], append(img[:len(img):len(img)], 0), {}, {99}} {
+		if _, err := DecodeModel(bad); err == nil {
+			t.Errorf("%d bytes decoded", len(bad))
+		}
+	}
+}
+
+// FuzzDecodeModel: DecodeModel never panics, an accepted input re-encodes
+// to its own bytes, and the model it yields forecasts and updates without
+// panicking. Seeded with a fitted model of every family.
+func FuzzDecodeModel(f *testing.F) {
+	s := seasonalSeries(48, 4, 100, 0.5, 10, 0.5, 7)
+	for _, m := range allModels(4) {
+		if err := m.Fit(s); err != nil {
+			f.Fatal(err)
+		}
+		img, err := m.AppendBinary(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := DecodeModel(data)
+		if err != nil {
+			return
+		}
+		again, err := m.AppendBinary(nil)
+		if err != nil {
+			t.Fatalf("an accepted %s model does not re-encode: %v", m.Name(), err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("%s re-encodes to other bytes:\n in  %x\n out %x", m.Name(), data, again)
+		}
+		out := make([]float64, 3)
+		m.Forecast(out)
+		m.Update(1)
+		m.Forecast(out)
+	})
 }
 
 func TestModelsImproveOnNaiveForStructuredData(t *testing.T) {

@@ -7,7 +7,6 @@
 package forecast
 
 import (
-	"encoding/gob"
 	"errors"
 
 	"cubefc/internal/timeseries"
@@ -30,6 +29,14 @@ type Model interface {
 	Update(x float64)
 	// Fitted reports whether Fit completed successfully.
 	Fitted() bool
+	// CloneModel returns an independent copy carrying the fitted state
+	// (it can Forecast and Update at once) but none of the fit-time
+	// scratch: mutating one (Fit, Update, WarmStart) never affects the
+	// other.
+	CloneModel() Model
+	// AppendBinary appends the model's encoding (codec.go) to b;
+	// DecodeModel restores it.
+	AppendBinary(b []byte) ([]byte, error)
 }
 
 // Uncertainty is implemented by models that estimate the standard
@@ -49,16 +56,6 @@ type Factory func(period int) Model
 // ErrTooShort is returned when a series has too few observations for the
 // requested model.
 var ErrTooShort = errors.New("forecast: series too short for model")
-
-func init() {
-	// Register concrete types so model configurations can be serialized
-	// by the F²DB configuration storage via encoding/gob.
-	gob.Register(&Naive{})
-	gob.Register(&SES{})
-	gob.Register(&Holt{})
-	gob.Register(&HoltWinters{})
-	gob.Register(&Theta{})
-}
 
 // clamp01 keeps smoothing parameters inside (lo, hi) to protect the state
 // recurrences from degenerate values proposed by the optimizer.

@@ -23,6 +23,9 @@ func (m *Naive) Name() string { return "naive" }
 // Fitted implements Model.
 func (m *Naive) Fitted() bool { return m.IsFitted }
 
+// CloneModel implements Model.
+func (m *Naive) CloneModel() Model { c := *m; return &c }
+
 // Fit implements Model.
 func (m *Naive) Fit(s *timeseries.Series) error {
 	if s.Len() < 1 {

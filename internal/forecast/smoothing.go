@@ -51,7 +51,7 @@ func (m *SES) WarmStart(p []float64) {
 	m.warm.set(p)
 }
 
-// CloneModel implements Cloner.
+// CloneModel implements Model.
 func (m *SES) CloneModel() Model {
 	return &SES{Alpha: m.Alpha, Level: m.Level, ResidStd: m.ResidStd, IsFitted: m.IsFitted}
 }
@@ -234,7 +234,7 @@ func (m *Holt) WarmStart(p []float64) {
 	m.warm.set(p)
 }
 
-// CloneModel implements Cloner.
+// CloneModel implements Model.
 func (m *Holt) CloneModel() Model {
 	return &Holt{
 		Alpha: m.Alpha, Beta: m.Beta, Phi: m.Phi, Damped: m.Damped,
@@ -489,7 +489,7 @@ func (m *HoltWinters) WarmStart(p []float64) {
 	m.warm.set(p)
 }
 
-// CloneModel implements Cloner.
+// CloneModel implements Model.
 func (m *HoltWinters) CloneModel() Model {
 	c := &HoltWinters{
 		Period: m.Period, Mode: m.Mode,

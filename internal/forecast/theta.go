@@ -37,6 +37,16 @@ func (m *Theta) Name() string { return "theta" }
 // Fitted implements Model.
 func (m *Theta) Fitted() bool { return m.IsFitted }
 
+// CloneModel implements Model.
+func (m *Theta) CloneModel() Model {
+	c := *m
+	if m.SES != nil {
+		c.SES = m.SES.CloneModel().(*SES)
+	}
+	c.Seasonal = append([]float64(nil), m.Seasonal...)
+	return &c
+}
+
 // Fit implements Model.
 func (m *Theta) Fit(s *timeseries.Series) error {
 	n := s.Len()

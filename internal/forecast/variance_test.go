@@ -69,8 +69,10 @@ func TestVarianceScaleOfFallback(t *testing.T) {
 // failsVariance implements Model but not HorizonVariance.
 type failsVariance struct{}
 
-func (f *failsVariance) Name() string                 { return "x" }
-func (f *failsVariance) Fit(*timeseries.Series) error { return nil }
-func (f *failsVariance) Forecast([]float64)           {}
-func (f *failsVariance) Update(float64)               {}
-func (f *failsVariance) Fitted() bool                 { return true }
+func (f *failsVariance) Name() string                          { return "x" }
+func (f *failsVariance) Fit(*timeseries.Series) error          { return nil }
+func (f *failsVariance) Forecast([]float64)                    {}
+func (f *failsVariance) Update(float64)                        {}
+func (f *failsVariance) Fitted() bool                          { return true }
+func (f *failsVariance) CloneModel() Model                     { return f }
+func (f *failsVariance) AppendBinary(b []byte) ([]byte, error) { return b, nil }

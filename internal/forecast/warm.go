@@ -1,9 +1,6 @@
 package forecast
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"math"
 
 	"cubefc/internal/optimize"
@@ -118,31 +115,4 @@ func growFloats(s []float64, n int) []float64 {
 		return s[:n]
 	}
 	return make([]float64, n)
-}
-
-// Cloner is implemented by models that can produce an independent unshared
-// copy of themselves cheaply. The copy carries the fitted state (it can
-// Forecast/Update immediately) but none of the fit-time scratch machinery.
-type Cloner interface {
-	CloneModel() Model
-}
-
-// Clone returns an independent copy of a fitted or unfitted model: mutating
-// one (Fit, Update, WarmStart) never affects the other. Families that
-// implement Cloner copy directly; anything else round-trips through gob,
-// which works for every registered Model type and by construction shares no
-// memory with the original.
-func Clone(m Model) (Model, error) {
-	if c, ok := m.(Cloner); ok {
-		return c.CloneModel(), nil
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&m); err != nil {
-		return nil, fmt.Errorf("forecast: cloning %s model: %w", m.Name(), err)
-	}
-	var out Model
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		return nil, fmt.Errorf("forecast: cloning %s model: %w", m.Name(), err)
-	}
-	return out, nil
 }

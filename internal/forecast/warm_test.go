@@ -199,8 +199,8 @@ func TestWarmStartRejectsBadSeeds(t *testing.T) {
 	}
 }
 
-// TestCloneIndependence: Clone must produce a model whose state does not
-// alias the original for every registered family, Cloner or not.
+// TestCloneIndependence: CloneModel must produce a model whose state does
+// not alias the original, for every family.
 func TestCloneIndependence(t *testing.T) {
 	ds := datasets.Tourism(6)
 	s := ds.Base[3].Series
@@ -208,10 +208,7 @@ func TestCloneIndependence(t *testing.T) {
 		if err := m.Fit(s); err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
-		c, err := Clone(m)
-		if err != nil {
-			t.Fatalf("%s: %v", m.Name(), err)
-		}
+		c := m.CloneModel()
 		wantFC := forecastN(m, 4)
 		gotFC := forecastN(c, 4)
 		for i := range wantFC {

@@ -229,14 +229,14 @@ func TestFaultWriterModes(t *testing.T) {
 // layers: a record written through a bit-flipping device must fail its CRC
 // check on read.
 func TestFaultWriterFlipCaughtByCRC(t *testing.T) {
-	rec := appendRecord(nil, recBatch, []byte("some batch payload"))
+	rec := AppendRecord(nil, recBatch, []byte("some batch payload"))
 	for off := int64(0); off < int64(len(rec)); off++ {
 		var buf bytes.Buffer
 		fw := &FaultWriter{W: &buf, Mode: FaultFlipBit, N: off}
 		if _, err := fw.Write(rec); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := readRecord(buf.Bytes(), 0); err == nil {
+		if _, _, _, err := ReadRecord(buf.Bytes(), 0); err == nil {
 			t.Fatalf("bit flip at offset %d went undetected", off)
 		}
 	}

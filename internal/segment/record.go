@@ -6,7 +6,8 @@ import (
 	"hash/crc32"
 )
 
-// WAL record framing. Every record is
+// Record framing, shared by the WAL and by f2db's snapshot and
+// configuration images. Every record is
 //
 //	u32 LE  payload length
 //	u32 LE  CRC-32C over (type byte ‖ payload)
@@ -19,10 +20,11 @@ import (
 // does not fully fit in the remaining bytes as a torn tail (clean end of
 // log when reading the active file) and a frame whose CRC mismatches as
 // corruption; which of the two is tolerable is the caller's decision
-// (wal.go: only the final, unsealed file may end torn).
+// (wal.go: only the final, unsealed file may end torn). A file opens with a
+// RecHeader record whose payload starts with the format's 8-byte magic.
 
 const (
-	recHeader byte = 1 // file header: magic, fingerprint, start generation, sequence
+	RecHeader byte = 1 // file header: magic (WAL: then fingerprint, start generation, sequence)
 	recBatch  byte = 2 // one committed batch: generation, then its column
 	recSeal   byte = 3 // clean end of a sealed file; nothing follows
 )
@@ -31,26 +33,26 @@ const (
 // cannot drive allocation. 64 MiB holds a batch of ~4M base series.
 const maxRecordSize = 64 << 20
 
-// recordHeaderSize is the fixed frame prefix: length, CRC, type.
-const recordHeaderSize = 4 + 4 + 1
+// RecordHeaderSize is the fixed frame prefix: length, CRC, type.
+const RecordHeaderSize = 4 + 4 + 1
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// appendRecord appends one framed record to buf and returns the extended
+// AppendRecord appends one framed record to buf and returns the extended
 // slice.
-func appendRecord(buf []byte, typ byte, payload []byte) []byte {
+func AppendRecord(buf []byte, typ byte, payload []byte) []byte {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0, typ)
 	buf = append(buf, payload...)
-	frameRecord(buf, start)
+	FrameRecord(buf, start)
 	return buf
 }
 
-// frameRecord fills in the length and CRC of the record whose frame starts
+// FrameRecord fills in the length and CRC of the record whose frame starts
 // at start and whose payload runs to the end of buf, so a payload can be
 // written in place behind its reserved frame (a batch's column).
-func frameRecord(buf []byte, start int) {
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-recordHeaderSize))
+func FrameRecord(buf []byte, start int) {
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-RecordHeaderSize))
 	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(buf[start+8:], crcTable))
 }
 
@@ -63,34 +65,34 @@ func (e *tornError) Error() string {
 	return fmt.Sprintf("segment: torn record at offset %d", e.off)
 }
 
-// readRecord parses the record starting at off. It returns the record type,
+// ReadRecord parses the record starting at off. It returns the record type,
 // its payload (aliasing data), and the offset of the next record. A frame
 // extending past the data yields a *tornError; a CRC or bounds violation
 // yields a hard corruption error.
-func readRecord(data []byte, off int64) (typ byte, payload []byte, next int64, err error) {
+func ReadRecord(data []byte, off int64) (typ byte, payload []byte, next int64, err error) {
 	if off < 0 || off > int64(len(data)) {
 		return 0, nil, 0, fmt.Errorf("segment: record offset %d out of range", off)
 	}
 	rest := data[off:]
-	if len(rest) < recordHeaderSize {
+	if len(rest) < RecordHeaderSize {
 		return 0, nil, 0, &tornError{off: off}
 	}
 	n := binary.LittleEndian.Uint32(rest[0:4])
 	if n > maxRecordSize {
 		return 0, nil, 0, fmt.Errorf("segment: record at offset %d claims %d payload bytes (max %d)", off, n, maxRecordSize)
 	}
-	if int64(len(rest)) < recordHeaderSize+int64(n) {
+	if int64(len(rest)) < RecordHeaderSize+int64(n) {
 		return 0, nil, 0, &tornError{off: off}
 	}
 	wantCRC := binary.LittleEndian.Uint32(rest[4:8])
 	typ = rest[8]
-	payload = rest[recordHeaderSize : recordHeaderSize+int64(n)]
+	payload = rest[RecordHeaderSize : RecordHeaderSize+int64(n)]
 	crc := crc32.Update(0, crcTable, rest[8:9])
 	crc = crc32.Update(crc, crcTable, payload)
 	if crc != wantCRC {
 		return 0, nil, 0, fmt.Errorf("segment: record at offset %d: CRC mismatch (stored %08x, computed %08x)", off, wantCRC, crc)
 	}
-	return typ, payload, off + recordHeaderSize + int64(n), nil
+	return typ, payload, off + RecordHeaderSize + int64(n), nil
 }
 
 // RecordBoundaries scans a WAL file image and returns the byte offset after
@@ -101,7 +103,7 @@ func RecordBoundaries(data []byte) []int64 {
 	var bounds []int64
 	off := int64(0)
 	for off < int64(len(data)) {
-		_, _, next, err := readRecord(data, off)
+		_, _, next, err := ReadRecord(data, off)
 		if err != nil {
 			break
 		}
@@ -115,7 +117,7 @@ func RecordBoundaries(data []byte) []int64 {
 // magic, or its first eight bytes when it does not open with a record (the
 // per-series segments of earlier versions).
 func Magic(data []byte) string {
-	if typ, payload, _, err := readRecord(data, 0); err == nil && typ == recHeader && len(payload) >= 8 {
+	if typ, payload, _, err := ReadRecord(data, 0); err == nil && typ == RecHeader && len(payload) >= 8 {
 		return string(payload[:8])
 	}
 	return string(data[:min(8, len(data))])

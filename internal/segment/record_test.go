@@ -19,7 +19,7 @@ func testRecords() ([]byte, []int64) {
 	var buf []byte
 	var bounds []int64
 	for i, p := range payloads {
-		buf = appendRecord(buf, byte(i+1), p)
+		buf = AppendRecord(buf, byte(i+1), p)
 		bounds = append(bounds, int64(len(buf)))
 	}
 	return buf, bounds
@@ -29,7 +29,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	data, bounds := testRecords()
 	off := int64(0)
 	for i, want := range bounds {
-		typ, payload, next, err := readRecord(data, off)
+		typ, payload, next, err := ReadRecord(data, off)
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
@@ -71,7 +71,7 @@ func TestRecordEveryTruncation(t *testing.T) {
 		var err error
 		for off < int64(len(prefix)) {
 			var next int64
-			_, _, next, err = readRecord(prefix, off)
+			_, _, next, err = ReadRecord(prefix, off)
 			if err != nil {
 				break
 			}
@@ -106,7 +106,7 @@ func TestRecordEveryByteFlip(t *testing.T) {
 		var err error
 		for off < int64(len(mut)) {
 			var next int64
-			_, _, next, err = readRecord(mut, off)
+			_, _, next, err = ReadRecord(mut, off)
 			if err != nil {
 				break
 			}
@@ -121,9 +121,9 @@ func TestRecordEveryByteFlip(t *testing.T) {
 func TestRecordSizeBound(t *testing.T) {
 	// A header claiming an absurd payload must be rejected before any
 	// allocation, not treated as a torn record to wait for.
-	hdr := make([]byte, recordHeaderSize)
+	hdr := make([]byte, RecordHeaderSize)
 	hdr[0], hdr[1], hdr[2], hdr[3] = 0xFF, 0xFF, 0xFF, 0x7F // ~2 GiB length
-	_, _, _, err := readRecord(hdr, 0)
+	_, _, _, err := ReadRecord(hdr, 0)
 	if err == nil {
 		t.Fatal("oversized record accepted")
 	}
@@ -139,7 +139,7 @@ func TestRecordSizeBound(t *testing.T) {
 func TestRecordBadOffset(t *testing.T) {
 	data, _ := testRecords()
 	for _, off := range []int64{-1, int64(len(data)) + 1} {
-		if _, _, _, err := readRecord(data, off); err == nil {
+		if _, _, _, err := ReadRecord(data, off); err == nil {
 			t.Fatalf("offset %d accepted", off)
 		}
 	}

@@ -78,7 +78,7 @@ func replaySealed(fs *MemFS, img []byte) ([]replayedBatch, error) {
 
 func TestSegmentRoundTrip(t *testing.T) {
 	fs, cols, img := testSegment(t)
-	if want := recordHeaderSize + 32 + 8*(recordHeaderSize+8+8*4) + recordHeaderSize; len(img) != want {
+	if want := RecordHeaderSize + 32 + 8*(RecordHeaderSize+8+8*4) + RecordHeaderSize; len(img) != want {
 		t.Fatalf("sealed file of %d bytes, want %d", len(img), want)
 	}
 	got, err := replaySealed(fs, img)
@@ -149,15 +149,15 @@ func TestSegmentEncodeRejectsMismatchedColumns(t *testing.T) {
 // naming the file and its magic.
 func TestSegmentDecodeRejectsWrongShape(t *testing.T) {
 	fs, cols, img := testSegment(t)
-	header := img[:recordHeaderSize+32]
+	header := img[:RecordHeaderSize+32]
 	batch := func(gen uint64, col []float64, extra int) []byte {
 		p := binary.LittleEndian.AppendUint64(nil, gen)
 		for _, v := range col {
 			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
 		}
-		return appendRecord(nil, recBatch, append(p, make([]byte, extra)...))
+		return AppendRecord(nil, recBatch, append(p, make([]byte, extra)...))
 	}
-	seal := appendRecord(nil, recSeal, nil)
+	seal := AppendRecord(nil, recSeal, nil)
 	for _, tc := range []struct {
 		name  string
 		image []byte
@@ -166,7 +166,7 @@ func TestSegmentDecodeRejectsWrongShape(t *testing.T) {
 		{"a narrower column", concat(header, batch(36, cols[0], 0), batch(37, cols[1][:3], 0), seal), "a column of 3 values"},
 		{"a wider column", concat(header, batch(36, cols[0], 0), batch(37, append(cols[1], 1), 0), seal), "a column of 5 values"},
 		{"a cut value", concat(header, batch(36, cols[0], 3), seal), "is not a generation and a column"},
-		{"no generation", concat(header, appendRecord(nil, recBatch, []byte{1, 2, 3}), seal), "is not a generation and a column"},
+		{"no generation", concat(header, AppendRecord(nil, recBatch, []byte{1, 2, 3}), seal), "is not a generation and a column"},
 	} {
 		_, err := replaySealed(fs, tc.image)
 		if !errors.Is(err, ErrWALCorrupt) || !strings.Contains(err.Error(), tc.want) {
@@ -174,8 +174,8 @@ func TestSegmentDecodeRejectsWrongShape(t *testing.T) {
 		}
 	}
 	old := append([]byte(nil), img...)
-	copy(old[recordHeaderSize:], "F2WAL001")
-	frameRecord(old[:recordHeaderSize+32], 0)
+	copy(old[RecordHeaderSize:], "F2WAL001")
+	FrameRecord(old[:RecordHeaderSize+32], 0)
 	if _, err := replaySealed(fs, old); err == nil || errors.Is(err, ErrWALCorrupt) ||
 		!strings.Contains(err.Error(), sealedName) || !strings.Contains(err.Error(), `"F2WAL001"`) {
 		t.Fatalf("a file of the previous format: %v", err)

@@ -187,7 +187,7 @@ func OpenWAL(fs FS, dir string, fingerprint uint64, policy SyncPolicy, fn Replay
 		batches := 0
 	records:
 		for off < int64(len(data)) {
-			typ, payload, next, err := readRecord(data, off)
+			typ, payload, next, err := ReadRecord(data, off)
 			if err != nil {
 				if last {
 					tornAt = off // torn or trashed tail of the active file: end of log
@@ -196,7 +196,7 @@ func OpenWAL(fs FS, dir string, fingerprint uint64, policy SyncPolicy, fn Replay
 				return nil, info, fmt.Errorf("%w: %s: %v", ErrWALCorrupt, name, err)
 			}
 			switch typ {
-			case recHeader:
+			case RecHeader:
 				if sawHeader {
 					return nil, info, fmt.Errorf("%w: %s: duplicate header record", ErrWALCorrupt, name)
 				}
@@ -314,12 +314,12 @@ func decodeWALHeader(payload []byte, fingerprint, seq uint64) (startGen uint64, 
 // appendWALHeader appends a framed header record to buf.
 func appendWALHeader(buf []byte, fingerprint, startGen, seq uint64) []byte {
 	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0, recHeader)
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0, RecHeader)
 	buf = append(buf, walMagic[:]...)
 	buf = binary.LittleEndian.AppendUint64(buf, fingerprint)
 	buf = binary.LittleEndian.AppendUint64(buf, startGen)
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	frameRecord(buf, start)
+	FrameRecord(buf, start)
 	return buf
 }
 
@@ -391,7 +391,7 @@ func (w *WAL) appendLocked(gen uint64, column []float64) error {
 	for _, v := range column {
 		w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
 	}
-	frameRecord(w.buf, 0)
+	FrameRecord(w.buf, 0)
 	if err := w.write(w.buf); err != nil {
 		return w.poison(err)
 	}
@@ -470,7 +470,7 @@ func (w *WAL) Rotate(nextGen uint64) (sealed int64, err error) {
 		return 0, w.failed
 	}
 	if w.f != nil {
-		if err := w.write(appendRecord(w.buf[:0], recSeal, nil)); err != nil {
+		if err := w.write(AppendRecord(w.buf[:0], recSeal, nil)); err != nil {
 			return 0, w.poison(err)
 		}
 		if err := w.f.Sync(); err != nil {

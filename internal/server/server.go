@@ -36,6 +36,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -341,8 +342,12 @@ func (s *Server) handle(c *conn) {
 		t, payload, err := fr.ReadFrame(in)
 		if err != nil {
 			// EOF, idle timeout, drain-grace expiry, or a broken frame:
-			// all end the connection. Nothing read means nothing owed.
-			s.logf("conn %s: read: %v", c.nc.RemoteAddr(), err)
+			// all end the connection. Nothing read means nothing owed. A
+			// clean EOF at a frame boundary is a client hanging up, not
+			// worth a log line.
+			if !errors.Is(err, io.EOF) {
+				s.logf("conn %s: read: %v", c.nc.RemoteAddr(), err)
+			}
 			return
 		}
 		// The frame is fully read: from here the request is in-flight and

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -651,6 +653,60 @@ func shaped(groups, rows int, plan string) *f2db.Result {
 	}
 	res.Node, res.NodeKey, res.Rows = res.Groups[0].Node, res.Groups[0].NodeKey, res.Groups[0].Rows
 	return res
+}
+
+// TestCleanEOFNotLogged: a client that hangs up between frames ends its
+// connection without a log line; one that hangs up inside a frame is
+// logged as a read error, as is any broken frame.
+func TestCleanEOFNotLogged(t *testing.T) {
+	var mu sync.Mutex
+	var lines []string
+	srv := NewBackend(stubBackend{}, Options{Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	var frame bytes.Buffer
+	bw := bufio.NewWriter(&frame)
+	if err := wire.WriteFrame(bw, wire.TPing, []byte("hi")); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Each client pings, reads the answer, sends its tail and hangs up:
+	// nothing, then a ping cut inside its frame header. The answered ping
+	// shows the server took the connection before it shuts down.
+	for _, tail := range [][]byte{nil, frame.Bytes()[:3]} {
+		nc, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nc.Write(frame.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := wire.NewReader(nc).ReadFrame(nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nc.Write(tail); err != nil {
+			t.Fatal(err)
+		}
+		if err := nc.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shutdownClean(t, srv, done)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(lines) != 1 || !strings.Contains(lines[0], "read: "+io.ErrUnexpectedEOF.Error()) {
+		t.Fatalf("log lines %q, want one read error for the cut frame", lines)
+	}
 }
 
 // startStub serves a stub backend on loopback and dials it with one
