@@ -7,6 +7,7 @@
 //	experiments -fig 7           # Figure 7 on all four data sets
 //	experiments -fig 8b          # one sub-figure
 //	experiments -fig ablation    # design-decision ablations
+//	experiments -fig scale       # build, advisor and Open at 10⁴ and 10⁵ nodes
 //	experiments -scale paper     # paper-sized data sets (slow)
 package main
 
@@ -22,7 +23,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to reproduce: 7, 7a..7d, 8a..8f, 9a, 9b, ablation, all")
+	fig := flag.String("fig", "all", "figure to reproduce: 7, 7a..7d, 8a..8f, 9a, 9b, ablation, scale, all (all but scale)")
 	scaleFlag := flag.String("scale", "quick", "data set scale: quick or paper")
 	outDir := flag.String("out", "", "also write each table as CSV into this directory")
 	flag.Parse()
@@ -58,6 +59,7 @@ func main() {
 		"9a":       func() error { return printTable(experiments.Fig9a(scale)) },
 		"9b":       func() error { return printTable(experiments.Fig9b(scale)) },
 		"ablation": func() error { return printTable(experiments.Ablations(scale)) },
+		"scale":    func() error { return printTable(experiments.ScaleTable()) },
 	}
 	order := []string{"7a", "7b", "7c", "7d", "8a", "8b", "8c", "8d", "8e", "8f", "9a", "9b", "ablation"}
 

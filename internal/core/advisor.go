@@ -1,12 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cubefc/internal/cube"
@@ -25,33 +27,40 @@ type Advisor struct {
 	opts Options
 	cfg  *Configuration
 
-	// locals holds the local indicator array of every node that carries a
-	// model; candLoc caches locals computed for candidates during ranking
-	// ("if not already present", Section IV-A.2).
-	locals  map[int]*indicator.Local
-	candLoc map[int]*indicator.Local
+	// The per-node state is dense, by node ID. locals holds the local
+	// indicator array of every node that carries a model; candLoc caches
+	// locals computed for candidates during ranking ("if not already
+	// present", Section IV-A.2).
+	locals  []*indicator.Local
+	candLoc []*indicator.Local
 	global  *indicator.Global
 
 	// modelFc caches the test-horizon forecast of every model, making
 	// scheme evaluation cheap.
-	modelFc map[int][]float64
+	modelFc [][]float64
 
-	// warmSeeds holds, per (node, model family), the parameter vector of
-	// that node's most recent fit. When a node is re-fitted in a later
-	// iteration — a candidate rejected by eq. 8 but re-selected after the
-	// α schedule moved — the optimizer seeds from the node's own previous
-	// optimum (forecast.WarmStarter): the training window is fixed for the
-	// whole run, so the re-fit converges to the same parameters at a
-	// fraction of the cold search cost. Seeds are deliberately NOT shared
-	// across nodes: a different series has a different optimum, and
-	// cross-seeding was measured to steer fits into different local optima
-	// and change which models the advisor accepts. The map is written only
-	// from the sequential post-fit paths (evaluate's results loop,
-	// addModel), never while the parallel fit goroutines run, so every fit
-	// of an iteration reads the same deterministic snapshot.
-	warmSeeds map[warmKey][]float64
+	// deps is the model → dependents index: deps[m] holds every node whose
+	// scheme reads the model at m, and stale entries dependents drops, so
+	// planRemoval reads only its victim's targets. A node without a model
+	// lists none (removeModel; TestDependentsIndexTwin).
+	deps [][]int
 
-	rejected map[int]bool // nodes marked never to be selected again
+	// models lists the model nodes ascending, as Configuration.ModelIDs
+	// would, kept by addModel and removeModel.
+	models []int
+
+	// warm holds each node's most recent fit, family and parameters. A node
+	// re-fitted in a later iteration — a candidate rejected by eq. 8 but
+	// re-selected after the α schedule moved — seeds the optimizer from its
+	// own previous optimum (forecast.WarmStarter): the training window, and
+	// with it the family the fallback rule lands on, is fixed for the run,
+	// so the re-fit converges to the same parameters at a fraction of the
+	// cold cost. Seeds are deliberately NOT shared across nodes: cross-seeding
+	// was measured to steer fits into other local optima. It is written only
+	// from sequential paths, never while the parallel fits run.
+	warm []warmSeed
+
+	rejected []bool // nodes marked never to be selected again
 
 	// ids[i] == i: ids[m:m+1:m+1] is the Sources every single-source scheme
 	// reading model m shares, read-only, and ids the first backfill's targets.
@@ -86,7 +95,21 @@ type Advisor struct {
 	bfsMu   sync.Mutex
 	bfsFree []*cube.BFSScratch
 
+	// next and workers are parallel's: the next index to run and the
+	// goroutines running.
+	next    atomic.Int64
+	workers sync.WaitGroup
+
 	fits []fitResult // evaluate's, one per fit goroutine, reused with their wins
+
+	// Run-owned scratch, reused by every iteration: preselect's candidates,
+	// rank's locals to compute and result, tryDeletion's benefits, the
+	// probes' plans and outcomes and planRemoval's reassignments.
+	positives, negatives, missing []int
+	ranked, benefit               []scored
+	plans                         []probe
+	outcomes                      []evaluation
+	removal                       []reassignment
 
 	// met holds the atomic per-phase counters behind Advisor.Metrics.
 	met advisorMetrics
@@ -125,21 +148,23 @@ func NewAdvisor(g *cube.Graph, opts Options) (*Advisor, error) {
 	if trainLen < 2 {
 		return nil, fmt.Errorf("core: series too short: %d observations", g.Length)
 	}
+	n := g.NumNodes()
 	a := &Advisor{
-		g:         g,
-		opts:      opts,
-		cfg:       NewConfiguration(g, trainLen),
-		locals:    make(map[int]*indicator.Local),
-		candLoc:   make(map[int]*indicator.Local),
-		global:    indicator.NewGlobal(g.NumNodes()),
-		modelFc:   make(map[int][]float64),
-		warmSeeds: make(map[warmKey][]float64),
-		rejected:  make(map[int]bool),
-		ids:       make([]int, g.NumNodes()),
-		alpha:     opts.Alpha0,
-		rng:       rand.New(rand.NewSource(opts.Seed)),
-		fits:      make([]fitResult, opts.Parallelism),
-		hist:      derivation.NewTrainingSums(g, trainLen),
+		g:        g,
+		opts:     opts,
+		cfg:      NewConfiguration(g, trainLen),
+		locals:   make([]*indicator.Local, n),
+		candLoc:  make([]*indicator.Local, n),
+		global:   indicator.NewGlobal(n),
+		modelFc:  make([][]float64, n),
+		deps:     make([][]int, n),
+		warm:     make([]warmSeed, n),
+		rejected: make([]bool, n),
+		ids:      make([]int, n),
+		alpha:    opts.Alpha0,
+		rng:      rand.New(rand.NewSource(opts.Seed)),
+		fits:     make([]fitResult, opts.Parallelism),
+		hist:     derivation.NewTrainingSums(g, trainLen),
 	}
 	for i := range a.ids {
 		a.ids[i] = i
@@ -151,7 +176,6 @@ func NewAdvisor(g *cube.Graph, opts Options) (*Advisor, error) {
 	// Derive |I| (Section IV-C.1): either a fixed fraction of the graph,
 	// or from the memory budget so that locals for a generous number of
 	// nodes fit.
-	n := g.NumNodes()
 	switch {
 	case opts.IndicatorFraction > 0:
 		a.indK = int(math.Ceil(opts.IndicatorFraction * float64(n-1)))
@@ -222,20 +246,15 @@ func (a *Advisor) Configuration() *Configuration {
 // resolves at Open from whatever models exist, Configuration.ResolveScheme)
 // every model is a potential source, so nothing is swept.
 func (a *Advisor) sweepUnusedModels() {
-	if len(a.cfg.Schemes) < a.g.NumNodes() {
+	if a.cfg.NumSchemes() < a.g.NumNodes() {
 		return
 	}
-	used := make(map[int]bool, len(a.cfg.Models))
-	for _, sc := range a.cfg.Schemes {
-		for _, s := range sc.Sources {
-			used[s] = true
-		}
-	}
 	swept := false
-	for id := range a.cfg.Models {
-		if !used[id] {
+	for i := 0; i < len(a.models); i++ {
+		if id := a.models[i]; len(a.dependents(id)) == 0 {
 			a.removeModel(id)
 			swept = true
+			i--
 		}
 	}
 	if swept {
@@ -244,13 +263,46 @@ func (a *Advisor) sweepUnusedModels() {
 }
 
 // removeModel deletes the model at id from the configuration and from the
-// advisor's per-model state. The caller rebuilds the global indicator.
+// advisor's per-model state, its dependents list included: the schemes still
+// reading it are the caller's to move. The caller rebuilds the global
+// indicator.
 func (a *Advisor) removeModel(id int) {
 	a.cfg.CostSeconds -= a.cfg.ModelSeconds[id]
 	delete(a.cfg.ModelSeconds, id)
 	delete(a.cfg.Models, id)
-	delete(a.modelFc, id)
-	delete(a.locals, id)
+	i, _ := slices.BinarySearch(a.models, id)
+	a.models = slices.Delete(a.models, i, i+1)
+	a.modelFc[id] = nil
+	a.locals[id] = nil
+	a.deps[id] = nil
+}
+
+// dependents returns the nodes whose scheme reads the model at m, ascending,
+// and compacts m's list to them.
+func (a *Advisor) dependents(m int) []int {
+	d := a.deps[m][:0]
+	for _, t := range a.deps[m] {
+		if slices.Contains(a.cfg.Schemes[t].Sources, m) {
+			d = append(d, t)
+		}
+	}
+	slices.Sort(d)
+	d = slices.Compact(d)
+	a.deps[m] = d
+	return d
+}
+
+// addDependent appends t to the list of the model at s. A full list is
+// compacted first, and grows anyway when that freed less than half of it,
+// so a list holds at most about twice its dependents and each append costs
+// amortized O(log) time.
+func (a *Advisor) addDependent(s, t int) {
+	if d := a.deps[s]; len(d) > 0 && len(d) == cap(d) {
+		if d = a.dependents(s); len(d) > cap(d)/2 {
+			a.deps[s] = slices.Grow(d, len(d))
+		}
+	}
+	a.deps[s] = append(a.deps[s], t)
 }
 
 // Alpha returns the current acceptance parameter α.
@@ -271,21 +323,18 @@ func (a *Advisor) configError() float64 {
 	return a.errSum / float64(a.g.NumNodes())
 }
 
-// currentErr returns the node's error under the current configuration,
-// counting uncovered nodes with the worst SMAPE.
-func (a *Advisor) currentErr(id int) float64 {
-	if e, ok := a.cfg.Errors[id]; ok {
-		return e
-	}
-	return 1
-}
-
 // setScheme assigns a scheme and error to a node, maintaining the running
-// error sum.
+// error sum and the dependents index.
 func (a *Advisor) setScheme(sc derivation.Scheme, err float64) {
-	a.errSum += err - a.currentErr(sc.Target)
-	a.cfg.Schemes[sc.Target] = sc
-	a.cfg.Errors[sc.Target] = err
+	t := sc.Target
+	old := a.cfg.Schemes[t].Sources
+	a.errSum += err - a.cfg.NodeError(t)
+	a.cfg.SetScheme(sc, err)
+	for _, s := range sc.Sources {
+		if !slices.Contains(old, s) {
+			a.addDependent(s, t)
+		}
+	}
 }
 
 // fitWithFallback fits the configured model family on the training part of
@@ -302,11 +351,11 @@ func (a *Advisor) fitWithFallback(id int) (forecast.Model, time.Duration, error)
 	return m, d, nil
 }
 
-// warmKey identifies a warm seed: the node whose series was fitted and the
-// model family the parameters belong to.
-type warmKey struct {
-	node   int
+// warmSeed is a node's most recent fit: the model family and its
+// parameters.
+type warmSeed struct {
 	family string
+	params []float64
 }
 
 // warmStart seeds a freshly built model's optimizer from the node's previous
@@ -315,21 +364,29 @@ type warmKey struct {
 // warm probe before the cold search runs anyway.
 func (a *Advisor) warmStart(id int, m forecast.Model) {
 	if ws, ok := m.(forecast.WarmStarter); ok {
-		if seed, ok := a.warmSeeds[warmKey{id, m.Name()}]; ok {
-			ws.WarmStart(seed)
+		if seed := a.warm[id]; seed.params != nil && seed.family == m.Name() {
+			ws.WarmStart(seed.params)
 		}
 	}
 }
 
 // recordSeed stores a fitted model's parameters as the warm seed for a
-// future re-fit of the same node and family. Callers must be on a
-// sequential path (never inside evaluate's parallel fit goroutines).
+// future re-fit of the same node. Callers must be on a sequential path
+// (never inside evaluate's parallel fits).
 func (a *Advisor) recordSeed(id int, m forecast.Model) {
 	if ws, ok := m.(forecast.WarmStarter); ok {
 		if p := ws.Params(); p != nil {
-			a.warmSeeds[warmKey{id, m.Name()}] = p
+			a.warm[id] = warmSeed{m.Name(), p}
 		}
 	}
+}
+
+// reject marks a node never to be selected again and drops its cached local
+// and warm seed, which only a re-selection would read.
+func (a *Advisor) reject(id int) {
+	a.rejected[id] = true
+	a.candLoc[id] = nil
+	a.warm[id] = warmSeed{}
 }
 
 // installInitialModel creates the first model at the top node, derives every
@@ -352,18 +409,23 @@ func (a *Advisor) installInitialModel() error {
 // exact because installing the model changes no other node's error.
 func (a *Advisor) addModel(id int, m forecast.Model, dur time.Duration, fc []float64, wins []reassignment) {
 	a.cfg.Models[id] = m
+	i, _ := slices.BinarySearch(a.models, id)
+	a.models = slices.Insert(a.models, i, id)
 	a.recordSeed(id, m)
+	// The model's dependents: its node, the wins and the parents an
+	// aggregation over its edge may reach.
+	a.deps[id] = make([]int, 0, 1+len(wins)+len(a.g.ParentsOf(id)))
 	secs := dur.Seconds()
 	a.cfg.ModelSeconds[id] = secs
 	a.cfg.CostSeconds += secs
 	a.modelFc[id] = fc
 
 	// Local indicator: reuse the ranked candidate's local when present.
-	local, ok := a.candLoc[id]
-	if !ok {
+	local := a.candLoc[id]
+	if local == nil {
 		local = a.computeLocal(id)
 	}
-	delete(a.candLoc, id)
+	a.candLoc[id] = nil
 	a.locals[id] = local
 	a.global.Merge(local)
 
@@ -372,7 +434,7 @@ func (a *Advisor) addModel(id int, m forecast.Model, dur time.Duration, fc []flo
 	// A model node must always carry a scheme; keep the direct one even
 	// when derivation from elsewhere was better so far.
 	e := timeseries.SMAPE(a.testValues(id), fc)
-	if _, has := a.cfg.Schemes[id]; !has || !math.IsNaN(e) && e < a.currentErr(id) {
+	if _, has := a.cfg.Scheme(id); !has || !math.IsNaN(e) && e < a.cfg.NodeError(id) {
 		a.setScheme(direct, ClampErr(e))
 	}
 
@@ -388,7 +450,7 @@ func (a *Advisor) addModel(id int, m forecast.Model, dur time.Duration, fc []flo
 		edge := a.g.ChildrenAlong(pid, d)
 		complete := true
 		for _, c := range edge {
-			if _, ok := a.cfg.Models[c]; !ok {
+			if a.modelFc[c] == nil {
 				complete = false
 				break
 			}
@@ -397,7 +459,7 @@ func (a *Advisor) addModel(id int, m forecast.Model, dur time.Duration, fc []flo
 			continue
 		}
 		a.met.schemeEvals.Add(1)
-		if ev, ok := a.evalScheme(pid, edge); ok && ev.err < a.currentErr(pid) {
+		if ev, ok := a.evalScheme(pid, edge); ok && ev.err < a.cfg.NodeError(pid) {
 			sc := a.mkScheme(pid, append([]int(nil), edge...), ev)
 			sc.Kind = derivation.Aggregation
 			a.setScheme(sc, ev.err)
@@ -432,8 +494,8 @@ func (a *Advisor) evalScheme(t int, sources []int) (evaluation, bool) {
 	var buf [8][]float64
 	fcs := buf[:0]
 	for _, s := range sources {
-		fc, ok := a.modelFc[s]
-		if !ok {
+		fc := a.modelFc[s]
+		if fc == nil {
 			return evaluation{}, false
 		}
 		fcs = append(fcs, fc)
@@ -547,12 +609,14 @@ func (a *Advisor) Step() (done bool, err error) {
 
 // preselect implements eq. 5 and 6: positive candidates are nodes whose
 // global indicator exceeds E(I) + γ·σ(I); negative candidates are nodes
-// with an indicator of zero (i.e. nodes carrying a model).
+// with an indicator of zero (i.e. nodes carrying a model). Both ascend, and
+// live in the advisor's buffers until the next iteration.
 func (a *Advisor) preselect() (positives, negatives []int) {
 	mean, std := a.global.MeanStd()
 	threshold := mean + a.gamma*std
+	positives, negatives = a.positives[:0], a.negatives[:0]
 	for id, v := range a.global.Values {
-		if _, hasModel := a.cfg.Models[id]; hasModel {
+		if a.modelFc[id] != nil {
 			if v == 0 {
 				negatives = append(negatives, id)
 			}
@@ -565,7 +629,47 @@ func (a *Advisor) preselect() (positives, negatives []int) {
 			positives = append(positives, id)
 		}
 	}
+	a.positives, a.negatives = positives, negatives
 	return positives, negatives
+}
+
+// scored is a node with the score it is ranked by.
+type scored struct {
+	id int
+	v  float64
+}
+
+// byScore orders ascending by score, ties by node ID: a total order, so a
+// sort of distinct nodes has one outcome.
+func byScore(x, y scored) int {
+	if c := cmp.Compare(x.v, y.v); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.id, y.id)
+}
+
+// parallel runs f(0), …, f(n-1) on at most Parallelism goroutines, each
+// taking the next index, and returns once all have run; a single worker is
+// the caller's goroutine.
+func (a *Advisor) parallel(n int, f func(i int)) {
+	workers := min(a.opts.Parallelism, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
+	a.next.Store(0)
+	a.workers.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer a.workers.Done()
+			for i := int(a.next.Add(1) - 1); i < n; i = int(a.next.Add(1) - 1) {
+				f(i)
+			}
+		}()
+	}
+	a.workers.Wait()
 }
 
 // rank orders the positive candidates by expected benefit: each candidate
@@ -575,72 +679,46 @@ func (a *Advisor) preselect() (positives, negatives []int) {
 // adaptive cap before the (expensive) local-indicator computation; the
 // truncation keeps the worst-covered nodes, which are the ones preselection
 // targets.
-func (a *Advisor) rank(positives []int) []int {
+func (a *Advisor) rank(positives []int) []scored {
 	if len(positives) == 0 {
 		return nil
 	}
-	sort.Slice(positives, func(i, j int) bool {
-		vi, vj := a.global.Values[positives[i]], a.global.Values[positives[j]]
-		if vi != vj {
-			return vi > vj
+	values := a.global.Values
+	slices.SortFunc(positives, func(x, y int) int {
+		if c := cmp.Compare(values[y], values[x]); c != 0 {
+			return c
 		}
-		return positives[i] < positives[j]
+		return cmp.Compare(x, y)
 	})
 	if len(positives) > a.candCap {
 		positives = positives[:a.candCap]
 	}
 
 	// Compute missing locals in parallel — indicator creation is the
-	// dominant cost of the selection phase. The missing set is collected
-	// first so the goroutines never race with map reads.
-	var missing []int
+	// dominant cost of the selection phase. Each worker writes its own
+	// nodes' entries.
+	missing := a.missing[:0]
 	for _, id := range positives {
-		if _, ok := a.candLoc[id]; !ok {
+		if a.candLoc[id] == nil {
 			missing = append(missing, id)
 		}
 	}
-	computed := make([]*indicator.Local, len(missing))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, a.opts.Parallelism)
-	for i, id := range missing {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i, id int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			computed[i] = a.computeLocal(id)
-		}(i, id)
-	}
-	wg.Wait()
-	for i, id := range missing {
-		a.candLoc[id] = computed[i]
-	}
+	a.missing = missing
+	a.parallel(len(missing), func(i int) { a.candLoc[missing[i]] = a.computeLocal(missing[i]) })
 
-	type scored struct {
-		id  int
-		sum float64
+	ranked := a.ranked[:0]
+	for _, id := range positives {
+		ranked = append(ranked, scored{id: id, v: a.global.MergedSum(a.candLoc[id])})
 	}
-	scoredList := make([]scored, len(positives))
-	for i, id := range positives {
-		scoredList[i] = scored{id: id, sum: a.global.MergedSum(a.candLoc[id])}
-	}
-	sort.Slice(scoredList, func(i, j int) bool {
-		if scoredList[i].sum != scoredList[j].sum {
-			return scoredList[i].sum < scoredList[j].sum
-		}
-		return scoredList[i].id < scoredList[j].id
-	})
-	out := make([]int, len(scoredList))
-	for i, s := range scoredList {
-		out[i] = s.id
-	}
-	return out
+	slices.SortFunc(ranked, byScore)
+	a.ranked = ranked
+	return ranked
 }
 
 // evaluate creates models for the top-n ranked candidates in parallel
 // (n bounded by the processor count, Section IV-B.1) and applies the
 // acceptance criterion (eq. 7/8) to each in rank order.
-func (a *Advisor) evaluate(ranked []int) (created, accepted, rejected int) {
+func (a *Advisor) evaluate(ranked []scored) (created, accepted, rejected int) {
 	n := min(a.opts.Parallelism, len(ranked))
 	if n == 0 {
 		return 0, 0, 0
@@ -651,20 +729,15 @@ func (a *Advisor) evaluate(ranked []int) (created, accepted, rejected int) {
 	// errors as they stand: acceptance in rank order only lowers errors, so a
 	// scheme that loses now loses then.
 	results := a.fits[:n]
-	var wg sync.WaitGroup
-	for i, id := range ranked[:n] {
-		wg.Add(1)
-		go func(r *fitResult, id int) {
-			defer wg.Done()
-			*r = fitResult{id: id, wins: r.wins[:0]}
-			if r.m, r.dur, r.err = a.fitWithFallback(id); r.err == nil {
-				r.fc = make([]float64, a.cfg.TestLen())
-				r.m.Forecast(r.fc)
-				r.wins = a.improvements(id, r.fc, a.candLoc[id].Targets, r.wins)
-			}
-		}(&results[i], id)
-	}
-	wg.Wait()
+	a.parallel(n, func(i int) {
+		r, id := &results[i], ranked[i].id
+		*r = fitResult{id: id, wins: r.wins[:0]}
+		if r.m, r.dur, r.err = a.fitWithFallback(id); r.err == nil {
+			r.fc = make([]float64, a.cfg.TestLen())
+			r.m.Forecast(r.fc)
+			r.wins = a.improvements(id, r.fc, a.candLoc[id].Targets, r.wins)
+		}
+	})
 
 	for i := range results {
 		r := &results[i]
@@ -672,7 +745,7 @@ func (a *Advisor) evaluate(ranked []int) (created, accepted, rejected int) {
 			break // model budget exhausted mid-iteration
 		}
 		if r.err != nil {
-			a.rejected[r.id] = true
+			a.reject(r.id)
 			rejected++
 			continue
 		}
@@ -710,7 +783,7 @@ func (a *Advisor) improvements(s int, fc []float64, targets []int, wins []reassi
 		if t == s {
 			continue
 		}
-		if ev, ok := a.evalSingleSource(s, t, fc); ok && ev.err < a.currentErr(t) {
+		if ev, ok := a.evalSingleSource(s, t, fc); ok && ev.err < a.cfg.NodeError(t) {
 			wins = append(wins, reassignment{t, s, ev})
 		}
 	}
@@ -727,13 +800,13 @@ func (a *Advisor) acceptModel(r *fitResult) bool {
 	// Candidate error sum: apply all improving schemes hypothetically.
 	newErrSum := a.errSum
 	if e := timeseries.SMAPE(a.testValues(id), r.fc); !math.IsNaN(e) {
-		if ce := ClampErr(e); ce < a.currentErr(id) {
-			newErrSum += ce - a.currentErr(id)
+		if ce := ClampErr(e); ce < a.cfg.NodeError(id) {
+			newErrSum += ce - a.cfg.NodeError(id)
 		}
 	}
 	wins := r.wins[:0]
 	for _, w := range r.wins {
-		if cur := a.currentErr(w.target); w.ev.err < cur {
+		if cur := a.cfg.NodeError(w.target); w.ev.err < cur {
 			newErrSum += w.ev.err - cur
 			wins = append(wins, w)
 		}
@@ -750,7 +823,7 @@ func (a *Advisor) acceptModel(r *fitResult) bool {
 		return true
 	}
 	if errNew >= errOld {
-		a.rejected[id] = true
+		a.reject(id)
 	}
 	return false
 }
@@ -771,30 +844,21 @@ func (a *Advisor) tryDeletion(negatives []int) int {
 	if len(negatives) == 0 || a.cfg.NumModels() <= 1 {
 		return 0
 	}
-	// Rank ascending by contribution to the current global indicator:
-	// the benefit of model m is how much coverage it provides as the
-	// argmin source.
-	benefit := make(map[int]float64, len(negatives))
+	// The victim contributes least to the current global indicator: the
+	// benefit of model m is how much coverage it provides as the argmin
+	// source. negatives ascend, so m's entry is found by binary search.
+	benefit := a.benefit[:0]
 	for _, id := range negatives {
-		benefit[id] = 0
+		benefit = append(benefit, scored{id: id})
 	}
+	a.benefit = benefit
 	for t, src := range a.global.Source {
-		if src < 0 {
-			continue
-		}
-		if _, ok := benefit[src]; ok {
-			benefit[src] += indicator.Worst - a.global.Values[t]
+		if i, ok := slices.BinarySearch(negatives, src); ok {
+			benefit[i].v += indicator.Worst - a.global.Values[t]
 		}
 	}
-	sort.Slice(negatives, func(i, j int) bool {
-		bi, bj := benefit[negatives[i]], benefit[negatives[j]]
-		if bi != bj {
-			return bi < bj
-		}
-		return negatives[i] < negatives[j]
-	})
 
-	victim := negatives[0]
+	victim := slices.MinFunc(benefit, byScore).id
 	reassign, newErrSum, ok := a.planRemoval(victim)
 	if !ok {
 		return 0
@@ -831,20 +895,13 @@ func (a *Advisor) reassign(rs []reassignment) {
 // and resulting error sum if the model at victim were removed. Every node
 // whose scheme references the victim is re-derived from the best remaining
 // model (single-source schemes over the cached forecasts).
+//
+// The reassignments live in the advisor's buffer until the next call.
 func (a *Advisor) planRemoval(victim int) ([]reassignment, float64, bool) {
-	var affected []int
-	for t, sc := range a.cfg.Schemes {
-		for _, s := range sc.Sources {
-			if s == victim {
-				affected = append(affected, t)
-				break
-			}
-		}
-	}
-	sort.Ints(affected)
+	affected := a.dependents(victim)
 	newErrSum := a.errSum
-	reassign := make([]reassignment, 0, len(affected))
-	remaining := a.cfg.ModelIDs()
+	reassign := a.removal[:0]
+	remaining := a.models
 	for _, t := range affected {
 		best := evaluation{err: math.Inf(1)}
 		bestSource := -1
@@ -861,9 +918,10 @@ func (a *Advisor) planRemoval(victim int) ([]reassignment, float64, bool) {
 			// A node would become unanswerable; veto the deletion.
 			return nil, 0, false
 		}
-		newErrSum += best.err - a.currentErr(t)
+		newErrSum += best.err - a.cfg.NodeError(t)
 		reassign = append(reassign, reassignment{target: t, source: bestSource, ev: best})
 	}
+	a.removal = reassign
 	return reassign, newErrSum, true
 }
 

@@ -25,12 +25,14 @@ type Configuration struct {
 	Graph *cube.Graph
 	// Models maps node ID to the fitted forecast model at that node.
 	Models map[int]forecast.Model
-	// Schemes maps every node ID to the derivation scheme answering its
-	// forecast queries. Scheme sources always carry models.
-	Schemes map[int]derivation.Scheme
-	// Errors caches the per-node SMAPE of the assigned scheme on the
-	// evaluation part of the series.
-	Errors map[int]float64
+	// Schemes holds, by node ID, the derivation scheme answering the
+	// node's forecast queries; a node without one holds the zero Scheme,
+	// whose Sources are nil. Scheme sources always carry models. Write
+	// through SetScheme, which keeps the count NumSchemes reports.
+	Schemes []derivation.Scheme
+	// Errors holds, by node ID, the SMAPE of the node's scheme on the
+	// evaluation part of its series; it means nothing where there is none.
+	Errors []float64
 	// TrainLen is the number of observations used for model training;
 	// the remainder of each series is the evaluation part.
 	TrainLen int
@@ -39,6 +41,8 @@ type Configuration struct {
 	CostSeconds float64
 	// ModelSeconds records the creation time per model.
 	ModelSeconds map[int]float64
+
+	schemes int // nodes holding a scheme
 }
 
 // NewConfiguration returns an empty configuration for the graph with the
@@ -47,8 +51,8 @@ func NewConfiguration(g *cube.Graph, trainLen int) *Configuration {
 	return &Configuration{
 		Graph:        g,
 		Models:       make(map[int]forecast.Model),
-		Schemes:      make(map[int]derivation.Scheme),
-		Errors:       make(map[int]float64),
+		Schemes:      make([]derivation.Scheme, g.NumNodes()),
+		Errors:       make([]float64, g.NumNodes()),
 		TrainLen:     trainLen,
 		ModelSeconds: make(map[int]float64),
 	}
@@ -56,6 +60,40 @@ func NewConfiguration(g *cube.Graph, trainLen int) *Configuration {
 
 // NumModels returns the number of models in the configuration.
 func (c *Configuration) NumModels() int { return len(c.Models) }
+
+// NumSchemes returns the number of nodes holding a scheme.
+func (c *Configuration) NumSchemes() int { return c.schemes }
+
+// Scheme returns the node's scheme and whether it has one; an ID outside
+// the graph has none.
+func (c *Configuration) Scheme(id int) (derivation.Scheme, bool) {
+	if id < 0 || id >= len(c.Schemes) || c.Schemes[id].Sources == nil {
+		return derivation.Scheme{}, false
+	}
+	return c.Schemes[id], true
+}
+
+// SetScheme assigns sc and its error e to node sc.Target. A scheme with nil
+// Sources takes the node's scheme away.
+func (c *Configuration) SetScheme(sc derivation.Scheme, e float64) {
+	t := sc.Target
+	if c.Schemes[t].Sources != nil {
+		c.schemes--
+	}
+	if sc.Sources != nil {
+		c.schemes++
+	}
+	c.Schemes[t], c.Errors[t] = sc, e
+}
+
+// NodeError returns the node's error: the worst SMAPE of 1 where it has no
+// scheme.
+func (c *Configuration) NodeError(id int) float64 {
+	if c.Schemes[id].Sources == nil {
+		return 1
+	}
+	return c.Errors[id]
+}
 
 // Error returns the overall configuration error: the mean SMAPE over all
 // nodes of the graph (Section II-D combines single-node errors into one
@@ -68,11 +106,7 @@ func (c *Configuration) Error() float64 {
 	}
 	var acc float64
 	for id := 0; id < n; id++ {
-		if e, ok := c.Errors[id]; ok {
-			acc += e
-		} else {
-			acc += 1
-		}
+		acc += c.NodeError(id)
 	}
 	return acc / float64(n)
 }
@@ -162,7 +196,7 @@ func (c *Configuration) ModelIDs() []int {
 // rest, which only an image saved by an older engine or degenerate data
 // leave. Not safe for concurrent use.
 func (c *Configuration) ResolveScheme(id int) (derivation.Scheme, error) {
-	if sc, ok := c.Schemes[id]; ok {
+	if sc, ok := c.Scheme(id); ok {
 		return sc, nil
 	}
 	if id < 0 || id >= c.Graph.NumNodes() {
@@ -183,7 +217,7 @@ func (c *Configuration) ResolveScheme(id int) (derivation.Scheme, error) {
 	if err != nil {
 		return derivation.Scheme{}, fmt.Errorf("core: resolving scheme for node %d: %w", id, err)
 	}
-	c.Schemes[id] = sc
+	c.SetScheme(sc, c.Errors[id])
 	return sc, nil
 }
 
@@ -209,10 +243,15 @@ func (c *Configuration) Forecast(nodeID, h int) ([]float64, error) {
 }
 
 // Validate checks the structural invariants of a configuration: every
-// scheme source has a model, every node with a model has a scheme, and all
-// cached errors are within [0, 1].
+// scheme source has a model, every node with a model has a scheme, every
+// scheme's error is within [0, 1] and NumSchemes counts the schemes.
 func (c *Configuration) Validate() error {
+	schemes := 0
 	for id, sc := range c.Schemes {
+		if sc.Sources == nil {
+			continue
+		}
+		schemes++
 		if sc.Target != id {
 			return fmt.Errorf("core: scheme stored at node %d targets node %d", id, sc.Target)
 		}
@@ -224,15 +263,16 @@ func (c *Configuration) Validate() error {
 				return fmt.Errorf("core: scheme of node %d references model-less source %d", id, s)
 			}
 		}
-	}
-	for id := range c.Models {
-		if _, ok := c.Schemes[id]; !ok {
-			return fmt.Errorf("core: node %d has a model but no scheme", id)
+		if e := c.Errors[id]; math.IsNaN(e) || e < 0 || e > 1 {
+			return fmt.Errorf("core: node %d has out-of-range error %v", id, e)
 		}
 	}
-	for id, e := range c.Errors {
-		if math.IsNaN(e) || e < 0 || e > 1 {
-			return fmt.Errorf("core: node %d has out-of-range error %v", id, e)
+	if schemes != c.schemes {
+		return fmt.Errorf("core: %d nodes hold a scheme, %d counted: write schemes through SetScheme", schemes, c.schemes)
+	}
+	for id := range c.Models {
+		if _, ok := c.Scheme(id); !ok {
+			return fmt.Errorf("core: node %d has a model but no scheme", id)
 		}
 	}
 	return nil

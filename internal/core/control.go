@@ -1,6 +1,9 @@
 package core
 
-import "sync"
+import (
+	"math"
+	"slices"
+)
 
 // control implements the parameter regulation of Section IV-C.1: γ follows
 // the balance between candidate-selection time and evaluation time, the
@@ -57,27 +60,13 @@ func (a *Advisor) control(candidates, accepted, rejected int, improvement float6
 	if raise {
 		a.alpha += alphaStep
 		a.rejectsSinceAlpha = 0
-		a.evictRejected()
 	}
 }
 
-// evictRejected drops cached state of permanently rejected nodes when the α
-// schedule moves on. Rejected nodes are never re-selected (preselect skips
-// them), so their cached local indicators and warm seeds are dead weight —
-// without eviction candLoc and warmSeeds grow monotonically over a long
-// anytime run. Model nodes never appear in rejected, so accepted state is
-// untouched and advisor output is unchanged.
-func (a *Advisor) evictRejected() {
-	for id := range a.candLoc {
-		if a.rejected[id] {
-			delete(a.candLoc, id)
-		}
-	}
-	for k := range a.warmSeeds {
-		if a.rejected[k.node] {
-			delete(a.warmSeeds, k)
-		}
-	}
+// probe is a planned multi-source scheme.
+type probe struct {
+	target  int
+	sources []int
 }
 
 // multiSourceProbes implements the optimization component of Section
@@ -91,46 +80,33 @@ func (a *Advisor) multiSourceProbes() {
 	if probes <= 0 || a.cfg.NumModels() < 2 {
 		return
 	}
-	modelIDs := a.cfg.ModelIDs()
-
-	type probe struct {
-		target  int
-		sources []int
-	}
-	plans := make([]probe, 0, probes)
+	// One buffer holds the round's sources, at most three per probe; the
+	// winning schemes keep theirs in it.
+	plans, srcs := a.plans[:0], make([]int, 0, 3*probes)
 	for i := 0; i < probes; i++ {
 		t := a.rng.Intn(a.g.NumNodes())
-		srcs := a.planProbeSources(t, modelIDs)
-		if srcs == nil {
-			continue
+		lo := len(srcs)
+		if srcs = a.planProbeSources(t, a.models, srcs); len(srcs) > lo {
+			plans = append(plans, probe{target: t, sources: srcs[lo:len(srcs):len(srcs)]})
 		}
-		plans = append(plans, probe{target: t, sources: srcs})
 	}
+	a.plans = plans
 	a.met.probesPlanned.Add(int64(len(plans)))
 	a.met.schemeEvals.Add(int64(len(plans)))
 
-	type outcome struct {
-		ok bool
-		ev evaluation
-	}
-	results := make([]outcome, len(plans))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, a.opts.Parallelism)
-	for i, p := range plans {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, p probe) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			ev, ok := a.evalScheme(p.target, p.sources)
-			results[i] = outcome{ok: ok, ev: ev}
-		}(i, p)
-	}
-	wg.Wait()
-	for i, r := range results {
-		if p := plans[i]; r.ok && r.ev.err < a.currentErr(p.target) {
-			// The plan's source list is nobody else's: the scheme takes it.
-			a.setScheme(a.mkScheme(p.target, p.sources, r.ev), r.ev.err)
+	// A scheme that cannot be evaluated reads as an infinite error.
+	results := slices.Grow(a.outcomes[:0], len(plans))[:len(plans)]
+	a.outcomes = results
+	a.parallel(len(plans), func(i int) {
+		if ev, ok := a.evalScheme(plans[i].target, plans[i].sources); ok {
+			results[i] = ev
+		} else {
+			results[i] = evaluation{err: math.Inf(1)}
+		}
+	})
+	for i, ev := range results {
+		if p := plans[i]; ev.err < a.cfg.NodeError(p.target) {
+			a.setScheme(a.mkScheme(p.target, p.sources, ev), ev.err)
 			a.met.probesApplied.Add(1)
 		}
 	}

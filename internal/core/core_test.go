@@ -65,11 +65,11 @@ func TestConfigurationValidate(t *testing.T) {
 	g := seasonalCube(t, 1)
 	cfg := NewConfiguration(g, 32)
 	// Scheme referencing a model-less source must fail.
-	cfg.Schemes[0] = derivation.Scheme{Target: 0, Sources: []int{1}, K: 1}
+	cfg.SetScheme(derivation.Scheme{Target: 0, Sources: []int{1}, K: 1}, 0)
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("scheme with model-less source should fail validation")
 	}
-	delete(cfg.Schemes, 0)
+	cfg.SetScheme(derivation.Scheme{Target: 0}, 0)
 	// Model without scheme must fail.
 	m := forecast.NewNaive()
 	if err := m.Fit(g.Node(0).Series); err != nil {
@@ -79,7 +79,7 @@ func TestConfigurationValidate(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("model without scheme should fail validation")
 	}
-	cfg.Schemes[0] = derivation.DirectScheme(0)
+	cfg.SetScheme(derivation.DirectScheme(0), 0)
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +89,14 @@ func TestConfigurationValidate(t *testing.T) {
 		t.Fatal("error > 1 should fail validation")
 	}
 	cfg.Errors[0] = 0.1
-	// Mis-keyed scheme must fail.
+	// Mis-keyed scheme must fail, and so must one written around SetScheme.
 	cfg.Schemes[5] = derivation.DirectScheme(0)
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("scheme stored under wrong node should fail validation")
+	}
+	cfg.Schemes[5] = derivation.DirectScheme(5)
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("a scheme SetScheme did not count should fail validation")
 	}
 }
 
@@ -141,7 +145,7 @@ func TestAdvisorInitialConfigurationIsComplete(t *testing.T) {
 		t.Fatal("initial model must be at the top node (Figure 4a)")
 	}
 	for id := 0; id < g.NumNodes(); id++ {
-		if _, ok := cfg.Schemes[id]; !ok {
+		if _, ok := cfg.Scheme(id); !ok {
 			t.Fatalf("node %d lacks an initial scheme", id)
 		}
 	}
@@ -278,7 +282,7 @@ func TestAdvisorErrorMatchesIncrementalSum(t *testing.T) {
 		// incrementally maintained one.
 		var want float64
 		for id := 0; id < g.NumNodes(); id++ {
-			want += adv.currentErr(id)
+			want += adv.cfg.NodeError(id)
 		}
 		if math.Abs(want-adv.errSum) > 1e-6 {
 			t.Fatalf("iteration %d: errSum drifted: %v vs %v", i, adv.errSum, want)
@@ -596,9 +600,9 @@ func TestEmittedModelsAreAllSources(t *testing.T) {
 }
 
 // TestAdvisorCachesBounded is the regression test for the candLoc/modelFc
-// growth bug: over a long anytime run the candidate-local cache must not
-// retain entries for permanently rejected nodes once the α schedule moved
-// past them, and the forecast cache must track the model set exactly.
+// growth bug: over a long anytime run the candidate-local cache and the warm
+// seeds must not retain entries for permanently rejected nodes, and the
+// forecast cache must track the model set exactly.
 func TestAdvisorCachesBounded(t *testing.T) {
 	g := seasonalCube(t, 2)
 	a, err := NewAdvisor(g, Options{Seed: 1, Parallelism: 2})
@@ -615,25 +619,32 @@ func TestAdvisorCachesBounded(t *testing.T) {
 			break
 		}
 	}
-	if len(a.modelFc) != a.cfg.NumModels() {
-		t.Fatalf("modelFc holds %d forecasts for %d models", len(a.modelFc), a.cfg.NumModels())
-	}
-	// Termination goes through an α raise, which evicts rejected nodes.
-	for id := range a.candLoc {
-		if a.rejected[id] {
-			t.Fatalf("candLoc retains rejected node %d after α moved on", id)
+	forecasts := 0
+	for id, fc := range a.modelFc {
+		if fc != nil {
+			forecasts++
+			if _, ok := a.cfg.Models[id]; !ok {
+				t.Fatalf("modelFc holds a forecast for model-less node %d", id)
+			}
 		}
 	}
-	for k := range a.warmSeeds {
-		if a.rejected[k.node] {
-			t.Fatalf("warmSeeds retains rejected node %d after α moved on", k.node)
+	if forecasts != a.cfg.NumModels() {
+		t.Fatalf("modelFc holds %d forecasts for %d models", forecasts, a.cfg.NumModels())
+	}
+	// A rejected node's cached state goes with its rejection.
+	for id, rejected := range a.rejected {
+		if rejected && a.candLoc[id] != nil {
+			t.Fatalf("candLoc retains rejected node %d", id)
+		}
+		if rejected && a.warm[id].params != nil {
+			t.Fatalf("warm retains rejected node %d", id)
 		}
 	}
-	// Caches must stay within the graph size even after hundreds of
+	// The per-node state stays the size of the graph even after hundreds of
 	// iterations (the unbounded-growth failure mode accumulated one local
 	// indicator per candidate per iteration).
-	if len(a.candLoc) > g.NumNodes() {
-		t.Fatalf("candLoc grew to %d entries on a %d-node graph", len(a.candLoc), g.NumNodes())
+	if len(a.candLoc) != g.NumNodes() || len(a.warm) != g.NumNodes() {
+		t.Fatalf("candLoc and warm hold %d and %d entries on a %d-node graph", len(a.candLoc), len(a.warm), g.NumNodes())
 	}
 }
 
@@ -655,7 +666,7 @@ func TestResolveSchemeBackfill(t *testing.T) {
 	if victim < 0 {
 		t.Skip("no derived-only node in configuration")
 	}
-	delete(cfg.Schemes, victim)
+	cfg.SetScheme(derivation.Scheme{Target: victim}, 0)
 	sc, err := cfg.ResolveScheme(victim)
 	if err != nil {
 		t.Fatal(err)
@@ -663,7 +674,7 @@ func TestResolveSchemeBackfill(t *testing.T) {
 	if sc.Target != victim || len(sc.Sources) == 0 {
 		t.Fatalf("resolved scheme malformed: %+v", sc)
 	}
-	if _, ok := cfg.Schemes[victim]; !ok {
+	if _, ok := cfg.Scheme(victim); !ok {
 		t.Fatal("ResolveScheme must backfill the configuration")
 	}
 	if err := cfg.Validate(); err != nil {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"cubefc/internal/datasets"
@@ -123,5 +125,71 @@ func TestAdvisorResidentTwin(t *testing.T) {
 				t.Errorf("{%d, %d, %d} resident=%v: the run left %d of %d nodes resident, want %d", c.nodes, c.seed, c.parallelism, resident, got, g.NumNodes(), want)
 			}
 		}
+	}
+}
+
+// TestDependentsIndexTwin holds the advisor's model → dependents index to a
+// full scan of the schemes after every Step of the parallel golden runs: a
+// model's dependents are exactly the nodes whose scheme reads it, ascending,
+// and a node without a model lists none, even after its model was removed.
+// It must hold after the sweep Configuration runs, and after a forced
+// deletion (α = 0 makes eq. 8 favour any removal planRemoval allows), which
+// no golden run makes on its own. The checks do not move the runs off their
+// golden digests.
+func TestDependentsIndexTwin(t *testing.T) {
+	check := func(a *Advisor, when string) {
+		t.Helper()
+		scan := make([][]int, a.g.NumNodes())
+		for tgt, sc := range a.cfg.Schemes {
+			for _, s := range sc.Sources {
+				scan[s] = append(scan[s], tgt)
+			}
+		}
+		for m, want := range scan {
+			if a.modelFc[m] == nil {
+				if len(a.deps[m]) != 0 || len(want) != 0 {
+					t.Fatalf("%s: node %d has no model, yet the index lists %v and %d schemes read it", when, m, a.deps[m], len(want))
+				}
+				continue
+			}
+			if got := a.dependents(m); !slices.Equal(got, want) {
+				t.Fatalf("%s: model %d: index lists %v, the schemes %v", when, m, got, want)
+			}
+		}
+	}
+	deletions := 0
+	for _, c := range advisorGoldens {
+		if c.parallelism != 2 {
+			continue
+		}
+		g, err := datasets.GenCube(1, datasets.CubeGenForNodes(c.nodes, 2)).Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := NewAdvisor(g, goldenOptions(c.seed, c.parallelism))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(a, "initial")
+		for done := false; !done; {
+			if done, err = a.Step(); err != nil {
+				t.Fatal(err)
+			}
+			check(a, fmt.Sprintf("{%d, %d} iteration %d", c.nodes, c.seed, a.iter))
+		}
+		cfg := a.Configuration()
+		check(a, fmt.Sprintf("{%d, %d} swept", c.nodes, c.seed))
+		if runtime.GOARCH == "amd64" && configDigest(cfg) != c.want {
+			t.Errorf("{%d, %d}: digest %#x, golden %#x", c.nodes, c.seed, configDigest(cfg), c.want)
+		}
+		a.alpha = 0
+		_, negatives := a.preselect()
+		deletions += a.tryDeletion(negatives)
+		check(a, fmt.Sprintf("{%d, %d} after a deletion", c.nodes, c.seed))
+		a.Configuration()
+		check(a, fmt.Sprintf("{%d, %d} swept after a deletion", c.nodes, c.seed))
+	}
+	if deletions == 0 {
+		t.Fatal("no forced deletion happened; removeModel's index update is not covered")
 	}
 }

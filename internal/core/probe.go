@@ -7,11 +7,12 @@ import "slices"
 // IV-C.2: "the possibility of selecting a source node decreases with
 // increasing distance from the target node"). The target itself is never a
 // source: a scheme deriving a node from itself is circular and would be
-// evaluated as a spuriously perfect derivation. Returns nil when fewer than
-// two distinct non-target model nodes exist.
+// evaluated as a spuriously perfect derivation. It appends the sources,
+// ascending, to dst, and none when fewer than two distinct non-target model
+// nodes exist.
 //
 // modelIDs is ascending, as Configuration.ModelIDs returns it.
-func (a *Advisor) planProbeSources(target int, modelIDs []int) []int {
+func (a *Advisor) planProbeSources(target int, modelIDs, dst []int) []int {
 	// Order model nodes by BFS proximity to the target; fall back to the
 	// full model list for distant targets. Both pools exclude the target.
 	// The pool filters the BFS result in place — the scratch is ours until
@@ -35,7 +36,7 @@ func (a *Advisor) planProbeSources(target int, modelIDs []int) []int {
 		}
 	}
 	if len(pool) < 2 {
-		return nil
+		return dst
 	}
 	want := 2 + a.rng.Intn(2) // 2 or 3 sources
 	if want > len(pool) {
@@ -59,7 +60,7 @@ func (a *Advisor) planProbeSources(target int, modelIDs []int) []int {
 			}
 		}
 	}
-	srcs := slices.Clone(chosen[:n])
+	srcs := chosen[:n]
 	slices.Sort(srcs)
-	return srcs
+	return append(dst, srcs...)
 }

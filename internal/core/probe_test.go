@@ -19,7 +19,7 @@ func TestPlanProbeSourcesExcludesTarget(t *testing.T) {
 	}
 	for trial := 0; trial < 50; trial++ {
 		for target := 0; target < g.NumNodes(); target++ {
-			srcs := adv.planProbeSources(target, modelIDs)
+			srcs := adv.planProbeSources(target, modelIDs, nil)
 			if len(srcs) < 2 || len(srcs) > 3 {
 				t.Fatalf("target %d: %d sources, want 2 or 3", target, len(srcs))
 			}
@@ -36,10 +36,10 @@ func TestPlanProbeSourcesExcludesTarget(t *testing.T) {
 		}
 	}
 	// With a single non-target model there is no viable multi-source set.
-	if srcs := adv.planProbeSources(3, []int{3, 5}); srcs != nil {
+	if srcs := adv.planProbeSources(3, []int{3, 5}, nil); srcs != nil {
 		t.Fatalf("one usable source should yield no plan, got %v", srcs)
 	}
-	if srcs := adv.planProbeSources(3, []int{3}); srcs != nil {
+	if srcs := adv.planProbeSources(3, []int{3}, nil); srcs != nil {
 		t.Fatalf("target-only model set should yield no plan, got %v", srcs)
 	}
 }
@@ -65,7 +65,7 @@ func TestProbePlanTargetNeverInSources(t *testing.T) {
 	}
 	for i := 0; i < 500; i++ {
 		target := adv.rng.Intn(g.NumNodes())
-		for _, s := range adv.planProbeSources(target, modelIDs) {
+		for _, s := range adv.planProbeSources(target, modelIDs, nil) {
 			if s == target {
 				t.Fatalf("plan %d: target %d among its own sources", i, target)
 			}

@@ -56,12 +56,8 @@ func (c *Configuration) Report() Report {
 		if _, ok := c.Models[id]; ok {
 			a.models++
 		}
-		if e, ok := c.Errors[id]; ok {
-			a.errSum += e
-		} else {
-			a.errSum += 1
-		}
-		if sc, ok := c.Schemes[id]; ok {
+		a.errSum += c.NodeError(id)
+		if sc, ok := c.Scheme(id); ok {
 			r.SchemeKinds[sc.Kind.String()]++
 		} else {
 			r.SchemeKinds["unassigned"]++

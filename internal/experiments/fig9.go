@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"cubefc/internal/core"
@@ -64,6 +65,54 @@ func Fig9a(scale Scale) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"Combine restricted to the smallest size (regression over all base forecasts; the paper's >1 day case)")
+	return t, nil
+}
+
+// ScaleTable times the pipeline on GenCube cubes of 10⁴ and 10⁵ nodes
+// (ROADMAP item 25): the hyper graph build, a second advisor run (seed 1,
+// two workers; the first fills the graph's lazy indexes) and f2db.Open, the
+// live heap per node with the graph and with the engine, and the heap
+// objects of the advisor run. γ follows the clock, so the advisor columns
+// move a little between runs; pinned, it finds no candidate at 10⁵ nodes.
+func ScaleTable() (*Table, error) {
+	t := &Table{
+		Title:  "Scale: pipeline on GenCube cubes (advisor: seed 1, parallelism 2)",
+		Header: []string{"nodes", "bases", "NewGraph", "advisor", "Open", "graph B/node", "engine B/node", "advisor objects"},
+	}
+	var ms runtime.MemStats
+	live := func() uint64 { runtime.GC(); runtime.ReadMemStats(&ms); return ms.HeapAlloc }
+	since := func(start time.Time) string { return time.Since(start).Round(time.Millisecond).String() }
+	opts := core.Options{Parallelism: 2, Seed: 1}
+	for _, n := range []int{10_000, 100_000} {
+		base, ds := live(), datasets.GenCube(Seed, datasets.CubeGenForNodes(n, 2))
+		start := time.Now()
+		g, err := ds.Graph()
+		build := since(start)
+		if err == nil {
+			_, err = core.Run(g, opts)
+		}
+		graph, mallocs := live(), ms.Mallocs
+		start = time.Now()
+		var cfg *core.Configuration
+		if err == nil {
+			cfg, err = core.Run(g, opts)
+		}
+		advise := since(start)
+		runtime.ReadMemStats(&ms)
+		mallocs = ms.Mallocs - mallocs
+		start = time.Now()
+		var db *f2db.DB
+		if err == nil {
+			db, err = f2db.Open(g, cfg, f2db.Options{})
+		}
+		if err != nil {
+			return nil, err
+		}
+		open, engine := since(start), live()
+		runtime.KeepAlive(db)
+		perNode := func(b uint64) string { return fmt.Sprint((b - base) / uint64(g.NumNodes())) }
+		t.AddRow(fmt.Sprint(g.NumNodes()), fmt.Sprint(len(g.BaseIDs)), build, advise, open, perNode(graph), perNode(engine), fmt.Sprint(mallocs))
+	}
 	return t, nil
 }
 

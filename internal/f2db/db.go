@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -130,9 +131,13 @@ type DB struct {
 	planner *Planner
 
 	strategy InvalidationStrategy
-	invalid  map[int]bool
-	mstats   map[int]*ModelStats
-	schemes  []schemeState // by node ID
+	// models lists the model nodes ascending. A re-fit replaces a model in
+	// place, so the list is fixed at Open, and a model's ordinal — its
+	// position here — indexes invalid and mstats.
+	models  []int
+	invalid []bool
+	mstats  []ModelStats
+	schemes []schemeState // by node ID
 	// step1 receives each model's one-step forecast in advanceBatch, under
 	// the write lock: a stack array would escape through the interface call.
 	step1 [1]float64
@@ -225,14 +230,12 @@ func open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 		cfg:      cfg,
 		planner:  NewPlanner(g, opts.StepDuration),
 		strategy: opts.Strategy,
-		invalid:  make(map[int]bool),
-		mstats:   make(map[int]*ModelStats),
+		models:   cfg.ModelIDs(),
+		invalid:  make([]bool, len(cfg.Models)),
+		mstats:   make([]ModelStats, len(cfg.Models)),
 		schemes:  make([]schemeState, g.NumNodes()),
 		pending:  make([]float64, len(g.BaseIDs)),
 		present:  make([]bool, len(g.BaseIDs)),
-	}
-	for id := range cfg.Models {
-		db.mstats[id] = &ModelStats{}
 	}
 	// A node without a scheme (from an image an older engine saved, or one no
 	// model could be evaluated for) gets one now, so every scheme is tracked
@@ -250,6 +253,9 @@ func open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 	var row []float64
 	var srcRows [][]float64
 	for id, sc := range cfg.Schemes {
+		if sc.Sources == nil {
+			continue
+		}
 		srcRows = srcRows[:0]
 		for _, s := range sc.Sources {
 			if hist[s] == nil {
@@ -313,7 +319,8 @@ var errNeedsReestimate = errors.New("f2db: model awaits re-estimation")
 // slice is the caller's own.
 func (db *DB) ForecastNode(nodeID, h int) ([]float64, error) {
 	start := time.Now()
-	out := make([]float64, (1+len(db.cfg.Schemes[nodeID].Sources))*h)
+	sc, _ := db.cfg.Scheme(nodeID)
+	out := make([]float64, (1+len(sc.Sources))*h)
 	derive := func() error {
 		db.mu.RLock()
 		defer db.mu.RUnlock()
@@ -349,7 +356,7 @@ func (db *DB) ForecastNode(nodeID, h int) ([]float64, error) {
 // A sum of squares that overflows is taken again in units of the largest
 // σ_s · scale_s(step), so finite deviations give finite bounds.
 func (db *DB) deriveInterval(dst, src []float64, nodeID, h int, conf float64) error {
-	sc, ok := db.cfg.Schemes[nodeID]
+	sc, ok := db.cfg.Scheme(nodeID)
 	if !ok {
 		return fmt.Errorf("f2db: node %d has no derivation scheme", nodeID)
 	}
@@ -362,7 +369,7 @@ func (db *DB) deriveInterval(dst, src []float64, nodeID, h int, conf float64) er
 		if !ok {
 			return fmt.Errorf("f2db: scheme source %d has no model", s)
 		}
-		if db.invalid[s] {
+		if o, _ := db.ordinal(s); db.invalid[o] {
 			return errNeedsReestimate
 		}
 		fc := src[i*h : (i+1)*h]
@@ -422,12 +429,15 @@ func residualStd(m forecast.Model, step int) float64 {
 // maint and mu exclusively.
 func (db *DB) installModel(id int, m forecast.Model) {
 	db.cfg.Models[id] = m
-	db.invalid[id] = false
-	st := db.mstats[id]
-	st.UpdatesSinceFit = 0
-	st.RollingError = 0
+	o, _ := db.ordinal(id)
+	db.invalid[o] = false
+	db.mstats[o] = ModelStats{}
 	db.met.reestimations.Add(1)
 }
+
+// ordinal returns the position of the model at node id in db.models, and
+// whether there is one.
+func (db *DB) ordinal(id int) (int, bool) { return slices.BinarySearch(db.models, id) }
 
 // Insert adds one new measure value for the base series identified by its
 // finest-level member values. Inserts are batched; once every base series
@@ -567,9 +577,10 @@ func (db *DB) advanceBatch(column []float64) error {
 
 	// Model state updates: compare the one-step forecast against the new
 	// actual to maintain the rolling error, then advance the state.
-	for id, m := range db.cfg.Models {
+	for o, id := range db.models {
+		m := db.cfg.Models[id]
 		actual := [1]float64{db.graph.Latest(id)}
-		st := db.mstats[id]
+		st := &db.mstats[o]
 		m.Forecast(db.step1[:])
 		if e := timeseries.SMAPE(actual[:], db.step1[:]); !math.IsNaN(e) {
 			st.RollingError = 0.9*st.RollingError + 0.1*e
@@ -577,12 +588,15 @@ func (db *DB) advanceBatch(column []float64) error {
 		m.Update(actual[0])
 		st.UpdatesSinceFit++
 		if db.strategy.Invalidate(*st) {
-			db.invalid[id] = true
+			db.invalid[o] = true
 		}
 	}
 
 	// Incremental derivation-weight maintenance; it makes no node resident.
 	for id, sc := range db.cfg.Schemes {
+		if sc.Sources == nil {
+			continue
+		}
 		st := &db.schemes[id]
 		st.hTarget += db.graph.Latest(id)
 		for _, s := range sc.Sources {
@@ -627,15 +641,11 @@ type ModelHealth struct {
 func (db *DB) Health() map[string]ModelHealth {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	out := make(map[string]ModelHealth, len(db.cfg.Models))
-	for id, m := range db.cfg.Models {
-		st := db.mstats[id]
-		h := ModelHealth{Node: id, Family: m.Name(), Invalid: db.invalid[id]}
-		if st != nil {
-			h.UpdatesSinceFit = st.UpdatesSinceFit
-			h.RollingError = st.RollingError
-		}
-		out[db.graph.KeyOf(id)] = h
+	out := make(map[string]ModelHealth, len(db.models))
+	for o, id := range db.models {
+		st := db.mstats[o]
+		out[db.graph.KeyOf(id)] = ModelHealth{Node: id, Family: db.cfg.Models[id].Name(), Invalid: db.invalid[o],
+			UpdatesSinceFit: st.UpdatesSinceFit, RollingError: st.RollingError}
 	}
 	return out
 }

@@ -172,8 +172,8 @@ func TestOpenCatchesUp(t *testing.T) {
 		if !bytes.Equal(image(m), image(caught[id])) {
 			t.Fatalf("node %d: the opened model is not its caught-up clone", id)
 		}
-		if *db.mstats[id] != (ModelStats{}) {
-			t.Fatalf("node %d: catching up moved the maintenance statistics: %+v", id, *db.mstats[id])
+		if o, _ := db.ordinal(id); db.mstats[o] != (ModelStats{}) {
+			t.Fatalf("node %d: catching up moved the maintenance statistics: %+v", id, db.mstats[o])
 		}
 	}
 	var snap bytes.Buffer
@@ -520,7 +520,7 @@ func TestRollingErrorCountsExactSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Models[id] = m
-	cfg.Schemes[id] = derivation.DirectScheme(id)
+	cfg.SetScheme(derivation.DirectScheme(id), 0)
 	db, err := Open(g, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -838,7 +838,7 @@ func TestIntervalHugeResidual(t *testing.T) {
 	g := testCube(t, 36)
 	cfg := core.NewConfiguration(g, g.Length)
 	cfg.Models[g.TopID] = &forecast.Naive{Last: 100, ResidStd: 1e200, IsFitted: true}
-	cfg.Schemes[g.TopID] = derivation.DirectScheme(g.TopID)
+	cfg.SetScheme(derivation.DirectScheme(g.TopID), 0)
 	db, err := Open(g, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)

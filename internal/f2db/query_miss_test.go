@@ -168,9 +168,11 @@ func missEngine(t testing.TB, opts Options) (*DB, *cube.Graph) {
 	}
 	cfg.Models[g.TopID] = m
 	for id := 0; id < g.NumNodes(); id++ {
-		if cfg.Schemes[id], err = derivation.NewScheme(g, id, []int{g.TopID}, 0); err != nil {
+		sc, err := derivation.NewScheme(g, id, []int{g.TopID}, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
+		cfg.SetScheme(sc, 0)
 	}
 	opts.Strategy = Never{}
 	db, err := Open(g, cfg, opts)

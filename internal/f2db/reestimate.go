@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"cubefc/internal/forecast"
@@ -24,15 +23,11 @@ import (
 // re-estimation. The caller holds maint or the engine lock (either mode).
 func (db *DB) invalidModelIDs() []int {
 	var ids []int
-	for id, bad := range db.invalid {
-		if !bad {
-			continue
-		}
-		if _, ok := db.cfg.Models[id]; ok {
-			ids = append(ids, id)
+	for o, bad := range db.invalid {
+		if bad {
+			ids = append(ids, db.models[o])
 		}
 	}
-	sort.Ints(ids)
 	return ids
 }
 
@@ -70,7 +65,7 @@ func (db *DB) refitFor(nodes []int) error {
 func (db *DB) refit(ids []int) (int, error) {
 	var todo []int
 	for _, id := range ids {
-		if _, ok := db.cfg.Models[id]; ok && db.invalid[id] {
+		if o, ok := db.ordinal(id); ok && db.invalid[o] {
 			todo = append(todo, id)
 		}
 	}

@@ -9,7 +9,8 @@ import (
 func invalidateAll(db *DB, ids []int) {
 	db.mu.Lock()
 	for _, id := range ids {
-		db.invalid[id] = true
+		o, _ := db.ordinal(id)
+		db.invalid[o] = true
 	}
 	db.mu.Unlock()
 }

@@ -105,15 +105,14 @@ func (db *DB) appendSnapshot() ([]byte, error) {
 			w.f64(v)
 		}
 	}
-	ids := db.cfg.ModelIDs()
-	if err := w.config(db.cfg, ids); err != nil {
+	if err := w.config(db.cfg, db.models); err != nil {
 		return nil, err
 	}
-	for _, id := range ids {
+	for o, st := range db.mstats {
 		w.begin(recItems)
-		w.int(db.mstats[id].UpdatesSinceFit)
-		w.f64(db.mstats[id].RollingError)
-		w.bool(db.invalid[id])
+		w.int(st.UpdatesSinceFit)
+		w.f64(st.RollingError)
+		w.bool(db.invalid[o])
 	}
 	pending := 0
 	for _, p := range db.present {
@@ -267,9 +266,10 @@ func (r *imageReader) database(opts Options) (*DB, error) {
 		return nil, err
 	}
 	for _, id := range ids {
+		o, _ := db.ordinal(id)
 		r.begin(recItems)
-		*db.mstats[id] = ModelStats{UpdatesSinceFit: r.int(), RollingError: r.f64()}
-		db.invalid[id] = r.bool()
+		db.mstats[o] = ModelStats{UpdatesSinceFit: r.int(), RollingError: r.f64()}
+		db.invalid[o] = r.bool()
 	}
 	r.begin(recItems)
 	n := r.count("pending rows", 2)

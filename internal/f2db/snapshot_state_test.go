@@ -9,6 +9,7 @@ import (
 
 	"cubefc/internal/core"
 	"cubefc/internal/datasets"
+	"cubefc/internal/derivation"
 	"cubefc/internal/f2db"
 	"cubefc/internal/segment"
 	"cubefc/internal/wire"
@@ -141,8 +142,7 @@ func TestResolvedSchemeSurvivesReload(t *testing.T) {
 	dropped := 0
 	for id := 0; id < g.NumNodes() && dropped < 50; id++ {
 		if _, hasModel := cfg.Models[id]; !hasModel {
-			delete(cfg.Schemes, id)
-			delete(cfg.Errors, id)
+			cfg.SetScheme(derivation.Scheme{Target: id}, 0)
 			dropped++
 		}
 	}

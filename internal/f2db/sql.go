@@ -370,7 +370,7 @@ func (db *DB) scale(stmt *selectStmt, id int) float64 {
 
 // explainNode renders the derivation plan of a node.
 func (db *DB) explainNode(id int) string {
-	sc, ok := db.cfg.Schemes[id]
+	sc, ok := db.cfg.Scheme(id)
 	if !ok {
 		return "no scheme assigned"
 	}

@@ -34,7 +34,7 @@ import (
 // and schemes in ascending node ID, so one configuration always saves to
 // the same bytes.
 func SaveConfiguration(w io.Writer, cfg *core.Configuration) error {
-	iw := newImageWriter(configMagic, 64*len(cfg.Schemes)+512*len(cfg.Models)+64)
+	iw := newImageWriter(configMagic, 64*cfg.NumSchemes()+512*len(cfg.Models)+64)
 	if err := iw.config(cfg, cfg.ModelIDs()); err != nil {
 		return err
 	}
@@ -45,15 +45,7 @@ func SaveConfiguration(w io.Writer, cfg *core.Configuration) error {
 // config writes cfg's configuration section; ids is cfg.ModelIDs().
 func (w *imageWriter) config(cfg *core.Configuration, ids []int) error {
 	g := cfg.Graph
-	schemes := 0
-	for id := 0; id < g.NumNodes(); id++ {
-		if _, ok := cfg.Schemes[id]; ok {
-			schemes++
-		}
-	}
-	if schemes != len(cfg.Schemes) {
-		return fmt.Errorf("f2db: %d of %d schemes target nodes outside the graph", len(cfg.Schemes)-schemes, len(cfg.Schemes))
-	}
+	schemes := cfg.NumSchemes()
 	w.begin(recItems)
 	w.int(cfg.TrainLen)
 	w.f64(cfg.CostSeconds)
@@ -69,11 +61,12 @@ func (w *imageWriter) config(cfg *core.Configuration, ids []int) error {
 		}
 		w.bytes(w.scratch)
 	}
-	for id := 0; id < g.NumNodes(); id++ {
-		sc, ok := cfg.Schemes[id]
-		if !ok {
+	written := 0
+	for id, sc := range cfg.Schemes {
+		if sc.Sources == nil {
 			continue
 		}
+		written++
 		w.begin(recItems)
 		w.key(g, id)
 		w.f64(sc.K)
@@ -87,6 +80,9 @@ func (w *imageWriter) config(cfg *core.Configuration, ids []int) error {
 			}
 			w.int(m)
 		}
+	}
+	if written != schemes {
+		return fmt.Errorf("f2db: configuration counts %d schemes and holds %d", schemes, written)
 	}
 	return nil
 }
@@ -128,8 +124,6 @@ func (r *imageReader) config(g *cube.Graph) (*core.Configuration, []int, error) 
 	}
 	cfg := core.NewConfiguration(g, trainLen)
 	cfg.CostSeconds = cost
-	cfg.Schemes = make(map[int]derivation.Scheme, schemes)
-	cfg.Errors = make(map[int]float64, schemes)
 	ids := make([]int, models)
 	for i := range ids {
 		r.begin(recItems)
@@ -168,11 +162,10 @@ func (r *imageReader) config(g *cube.Graph) (*core.Configuration, []int, error) 
 		case kind > math.MaxInt32:
 			return nil, nil, fmt.Errorf("scheme kind %d", kind)
 		}
-		if _, dup := cfg.Schemes[id]; dup {
+		if cfg.Schemes[id].Sources != nil {
 			return nil, nil, fmt.Errorf("two schemes for node %q", g.KeyOf(id))
 		}
-		cfg.Schemes[id] = derivation.Scheme{Target: id, Sources: sources[start:len(sources):len(sources)], K: k, Kind: derivation.Kind(kind)}
-		cfg.Errors[id] = e
+		cfg.SetScheme(derivation.Scheme{Target: id, Sources: sources[start:len(sources):len(sources)], K: k, Kind: derivation.Kind(kind)}, e)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("restored configuration invalid: %w", err)

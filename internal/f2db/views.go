@@ -106,7 +106,7 @@ func (v ConfigView) ModelFamily(id int) string {
 // queries with the incrementally maintained live weight (see Explain for
 // the rendered plan).
 func (v ConfigView) Scheme(id int) (derivation.Scheme, bool) {
-	sc, ok := v.db.cfg.Schemes[id]
+	sc, ok := v.db.cfg.Scheme(id)
 	if !ok {
 		return derivation.Scheme{}, false
 	}

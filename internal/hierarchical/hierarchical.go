@@ -70,8 +70,8 @@ func nodeError(cfg *core.Configuration, sc derivation.Scheme, fc [][]float64) (f
 // setNodeError assigns the node its scheme sc and the error nodeError gives,
 // which is 1 where it is undefined.
 func setNodeError(cfg *core.Configuration, sc derivation.Scheme, fc [][]float64) {
-	cfg.Schemes[sc.Target] = sc
-	cfg.Errors[sc.Target], _ = nodeError(cfg, sc, fc)
+	e, _ := nodeError(cfg, sc, fc)
+	cfg.SetScheme(sc, e)
 }
 
 // Direct creates a model for every node and uses it directly (Figure 3a) —
@@ -263,13 +263,6 @@ func Greedy(g *cube.Graph, opts Options) (*core.Configuration, error) {
 		return sc, e, ok
 	}
 
-	curErr := func(t int) float64 {
-		if e, ok := cfg.Errors[t]; ok {
-			return e
-		}
-		return 1
-	}
-
 	selected := make([]bool, nodes)
 	// completedEdges calls f for every parent of s with the child edge, s's
 	// among them, that s completes: every other node of it is selected.
@@ -300,20 +293,20 @@ func Greedy(g *cube.Graph, opts Options) (*core.Configuration, error) {
 			}
 			gain := 0.0
 			// Direct benefit at the node itself.
-			if e, ok := nodeError(cfg, derivation.DirectScheme(s), fc); ok && e < curErr(s) {
-				gain += curErr(s) - e
+			if e, ok := nodeError(cfg, derivation.DirectScheme(s), fc); ok && e < cfg.NodeError(s) {
+				gain += cfg.NodeError(s) - e
 			}
 			// Disaggregation benefit for all nodes covered by s.
 			for _, t := range desc[s] {
-				if _, e, ok := evalScheme(t, []int{s}); ok && e < curErr(t) {
-					gain += curErr(t) - e
+				if _, e, ok := evalScheme(t, []int{s}); ok && e < cfg.NodeError(t) {
+					gain += cfg.NodeError(t) - e
 				}
 			}
 			// Aggregation benefit for parents whose child edge would be
 			// completed by s.
 			completedEdges(s, func(pid int, edge []int) {
-				if _, e, ok := evalScheme(pid, edge); ok && e < curErr(pid) {
-					gain += curErr(pid) - e
+				if _, e, ok := evalScheme(pid, edge); ok && e < cfg.NodeError(pid) {
+					gain += cfg.NodeError(pid) - e
 				}
 			})
 			if gain > bestGain {
@@ -333,19 +326,19 @@ func Greedy(g *cube.Graph, opts Options) (*core.Configuration, error) {
 		cfg.ModelSeconds[s] = seconds[s]
 		direct := derivation.DirectScheme(s)
 		e, ok := nodeError(cfg, direct, fc)
-		if _, has := cfg.Schemes[s]; !has || ok && e < curErr(s) {
-			cfg.Schemes[s], cfg.Errors[s] = direct, e
+		if _, has := cfg.Scheme(s); !has || ok && e < cfg.NodeError(s) {
+			cfg.SetScheme(direct, e)
 		}
 		for _, t := range desc[s] {
-			if sc, e, ok := evalScheme(t, []int{s}); ok && e < curErr(t) {
+			if sc, e, ok := evalScheme(t, []int{s}); ok && e < cfg.NodeError(t) {
 				sc.Kind = derivation.Disaggregation
-				cfg.Schemes[t], cfg.Errors[t] = sc, e
+				cfg.SetScheme(sc, e)
 			}
 		}
 		completedEdges(s, func(pid int, edge []int) {
-			if sc, e, ok := evalScheme(pid, edge); ok && e < curErr(pid) {
+			if sc, e, ok := evalScheme(pid, edge); ok && e < cfg.NodeError(pid) {
 				sc.Kind = derivation.Aggregation
-				cfg.Schemes[pid], cfg.Errors[pid] = sc, e
+				cfg.SetScheme(sc, e)
 			}
 		})
 	}

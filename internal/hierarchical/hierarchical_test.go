@@ -138,7 +138,7 @@ func TestCombineReconciles(t *testing.T) {
 	// assigned errors being within range (structural detail: forecast
 	// consistency is embedded in construction through S·β̂).
 	for id, e := range cfg.Errors {
-		if e < 0 || e > 1 {
+		if _, ok := cfg.Scheme(id); ok && (e < 0 || e > 1) {
 			t.Fatalf("node %d error %v out of range", id, e)
 		}
 	}

@@ -58,8 +58,7 @@ func oracleSetNodeError(cfg *core.Configuration, sc derivation.Scheme, fc []floa
 	if e > 1 {
 		e = 1
 	}
-	cfg.Schemes[sc.Target] = sc
-	cfg.Errors[sc.Target] = e
+	cfg.SetScheme(sc, e)
 }
 
 // oracleDirect creates a model for every node and uses it directly (Figure 3a) —
@@ -269,12 +268,7 @@ func oracleGreedy(g *cube.Graph, opts Options) (*core.Configuration, error) {
 		return sc, e, true
 	}
 
-	curErr := func(t int) float64 {
-		if e, ok := cfg.Errors[t]; ok {
-			return e
-		}
-		return 1
-	}
+	curErr := cfg.NodeError
 
 	selected := make(map[int]bool, nodes)
 	for {
@@ -330,17 +324,14 @@ func oracleGreedy(g *cube.Graph, opts Options) (*core.Configuration, error) {
 		cfg.Models[s] = models[s]
 		cfg.ModelSeconds[s] = seconds[s]
 		if e := timeseries.SMAPE(testVals(s), fcByNode[s]); !math.IsNaN(e) && math.Min(e, 1) < curErr(s) {
-			cfg.Schemes[s] = derivation.DirectScheme(s)
-			cfg.Errors[s] = math.Min(e, 1)
-		} else if _, ok := cfg.Schemes[s]; !ok {
-			cfg.Schemes[s] = derivation.DirectScheme(s)
-			cfg.Errors[s] = oracleClamp01Err(timeseries.SMAPE(testVals(s), fcByNode[s]))
+			cfg.SetScheme(derivation.DirectScheme(s), math.Min(e, 1))
+		} else if _, ok := cfg.Scheme(s); !ok {
+			cfg.SetScheme(derivation.DirectScheme(s), oracleClamp01Err(timeseries.SMAPE(testVals(s), fcByNode[s])))
 		}
 		for _, t := range desc[s] {
 			if sc, e, ok := evalScheme(t, []int{s}); ok && e < curErr(t) {
 				sc.Kind = derivation.Disaggregation
-				cfg.Schemes[t] = sc
-				cfg.Errors[t] = e
+				cfg.SetScheme(sc, e)
 			}
 		}
 		for d, pid := range g.Node(s).ParentIDs {
@@ -360,8 +351,7 @@ func oracleGreedy(g *cube.Graph, opts Options) (*core.Configuration, error) {
 			}
 			if sc, e, ok := evalScheme(pid, edge); ok && e < curErr(pid) {
 				sc.Kind = derivation.Aggregation
-				cfg.Schemes[pid] = sc
-				cfg.Errors[pid] = e
+				cfg.SetScheme(sc, e)
 			}
 		}
 	}

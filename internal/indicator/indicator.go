@@ -123,13 +123,13 @@ func (gi *Global) Merge(l *Local) {
 }
 
 // Rebuild recomputes a global indicator from scratch over the given locals,
-// keyed by source ID (needed after removing a local indicator, Section
-// IV-A). They merge in ascending source ID: on a tie the lowest names the
-// target, whatever the map's order.
-func Rebuild(n int, locals map[int]*Local) *Global {
+// indexed by source ID, nil where a node has none (needed after removing a
+// local indicator, Section IV-A). They merge in ascending source ID: on a
+// tie the lowest names the target.
+func Rebuild(n int, locals []*Local) *Global {
 	gi := NewGlobal(n)
-	for id := 0; id < n; id++ {
-		if l, ok := locals[id]; ok {
+	for _, l := range locals {
+		if l != nil {
 			gi.Merge(l)
 		}
 	}

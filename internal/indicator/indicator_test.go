@@ -123,16 +123,17 @@ func TestMergeKeepsMinimum(t *testing.T) {
 }
 
 func TestRebuild(t *testing.T) {
-	locals := map[int]*Local{
-		0: {Source: 0, Targets: []int{0, 1}, Values: []float64{0, 0.4}},
-		1: {Source: 1, Targets: []int{1, 2}, Values: []float64{0, 0.2}},
+	locals := []*Local{
+		{Source: 0, Targets: []int{0, 1}, Values: []float64{0, 0.4}},
+		{Source: 1, Targets: []int{1, 2}, Values: []float64{0, 0.2}},
+		nil,
 	}
 	gi := Rebuild(3, locals)
 	if gi.Values[0] != 0 || gi.Values[1] != 0 || gi.Values[2] != 0.2 {
 		t.Fatalf("Rebuild = %v", gi.Values)
 	}
 	// Removing local 1 must restore Worst at node 2.
-	delete(locals, 1)
+	locals[1] = nil
 	gi = Rebuild(3, locals)
 	if gi.Values[2] != Worst || gi.Source[2] != -1 {
 		t.Fatalf("after removal: %v from %d", gi.Values[2], gi.Source[2])
@@ -282,13 +283,12 @@ func TestLocalIndicatorOrderFree(t *testing.T) {
 }
 
 // TestRebuildTieLowestSource: when two locals tie at a target, the rebuilt
-// global names the lower source every time, not whichever the map yields
-// first — the advisor's deletion ranking reads Global.Source.
+// global names the lower source every time — the advisor's deletion ranking
+// reads Global.Source.
 func TestRebuildTieLowestSource(t *testing.T) {
-	locals := map[int]*Local{
-		7: {Source: 7, Targets: []int{2, 7}, Values: []float64{0.25, 0}},
-		3: {Source: 3, Targets: []int{2, 3}, Values: []float64{0.25, 0}},
-	}
+	locals := make([]*Local, 8)
+	locals[7] = &Local{Source: 7, Targets: []int{2, 7}, Values: []float64{0.25, 0}}
+	locals[3] = &Local{Source: 3, Targets: []int{2, 3}, Values: []float64{0.25, 0}}
 	for i := 0; i < 50; i++ {
 		if gi := Rebuild(8, locals); gi.Source[2] != 3 || gi.Values[2] != 0.25 {
 			t.Fatalf("rebuild %d: target 2 = %v from %d, want 0.25 from 3", i, gi.Values[2], gi.Source[2])

@@ -62,18 +62,20 @@ func (w *NMWorkspace) ensure(n int) {
 		return
 	}
 	w.n = n
-	// One backing array for all n+1 vertices keeps them cache-adjacent.
-	back := make([]float64, (n+1)*n)
+	// One backing array holds the n+1 vertices, cache-adjacent, then their
+	// values and the scratch points: two allocations per workspace.
+	back := make([]float64, (n+1)*n+(n+1)+5*n)
+	carve := func(k int) []float64 {
+		s := back[:k:k]
+		back = back[k:]
+		return s
+	}
 	w.pts = make([][]float64, n+1)
 	for i := range w.pts {
-		w.pts[i] = back[i*n : (i+1)*n : (i+1)*n]
+		w.pts[i] = carve(n)
 	}
-	w.fs = make([]float64, n+1)
-	w.centroid = make([]float64, n)
-	w.xr = make([]float64, n)
-	w.xe = make([]float64, n)
-	w.xc = make([]float64, n)
-	w.best = make([]float64, n)
+	w.fs = carve(n + 1)
+	w.centroid, w.xr, w.xe, w.xc, w.best = carve(n), carve(n), carve(n), carve(n), carve(n)
 }
 
 func (o *NelderMeadOptions) defaults(n int) {
