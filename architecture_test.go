@@ -271,7 +271,8 @@ func noGob(fsys fs.FS) error {
 // index) with the re-fit's generation bump, and the segment file itself —
 // its codec, replay, prune and names, the span compaction re-encoded and
 // the recovery count it kept — now that a sealed WAL file is the segment,
-// and the gob images' row and image types with the gob model clone.
+// and the gob images' row and image types with the gob model clone, and
+// the graph's second skeleton builder with the packed one's size limits.
 // The codec's Series type is not listed: the name is the time-series
 // type's everywhere else.
 var goneNames = map[string]bool{
@@ -331,6 +332,11 @@ var goneNames = map[string]bool{
 
 	"HistoricalError": true,
 	"WeightStability": true,
+
+	"buildSkeletonKeys":   true,
+	"buildSkeletonPacked": true,
+	"maxPackedDims":       true,
+	"errPackedOverflow":   true,
 
 	"SampleSize":       true,
 	"SampledSource":    true,
@@ -521,7 +527,7 @@ func citedTestsExist(fsys fs.FS) error {
 // Legibility budget: non-test Go lines under internal/ and cmd/, and the
 // lines of the two documents a newcomer reads first. A change that needs
 // more re-records the number here and says why in CHANGES.md.
-const goLineBudget = 16997
+const goLineBudget = 16754
 
 var docLineBudget = map[string]int{"DESIGN.md": 1232, "README.md": 502}
 

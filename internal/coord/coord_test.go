@@ -667,10 +667,9 @@ func TestDrillDownOneTimePoint(t *testing.T) {
 
 // querySQLFor renders a single-node forecast query for any graph node.
 func querySQLFor(g *cube.Graph, id int) string {
-	n := g.Node(id)
 	sql := "SELECT time, SUM(sales) FROM facts"
 	first := true
-	for d, cell := range n.Coord {
+	for d, cell := range g.CoordOf(id) {
 		dim := &g.Dims[d]
 		if cell.IsAll(dim) {
 			continue

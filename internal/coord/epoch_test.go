@@ -52,7 +52,7 @@ func TestPerPartitionEpochIsolation(t *testing.T) {
 	rowSQL := func(ids []int, v int) string {
 		rows := make([]string, len(ids))
 		for i, id := range ids {
-			rows[i] = fmt.Sprintf("('%s', '%s', %d)", g.Node(id).Coord[0].Value, g.Node(id).Coord[1].Value, v+i)
+			rows[i] = fmt.Sprintf("('%s', '%s', %d)", g.CellOf(id, 0).Value, g.CellOf(id, 1).Value, v+i)
 		}
 		return "INSERT INTO facts VALUES " + strings.Join(rows, ", ")
 	}

@@ -443,11 +443,11 @@ func (a *Advisor) addModel(id int, m forecast.Model, dur time.Duration, fc []flo
 	// Aggregation check (Figure 3b): if this model completes a child
 	// hyper edge of one of its parents, evaluate the classical
 	// aggregation scheme for that parent.
-	for d, pid := range a.g.ParentsOf(id) {
-		if pid < 0 {
+	for d, p := range a.g.ParentsOf(id) {
+		if p < 0 {
 			continue
 		}
-		edge := a.g.ChildrenAlong(pid, d)
+		pid, edge := int(p), a.g.ChildrenAlong(int(p), d)
 		complete := true
 		for _, c := range edge {
 			if a.modelFc[c] == nil {
@@ -459,8 +459,10 @@ func (a *Advisor) addModel(id int, m forecast.Model, dur time.Duration, fc []flo
 			continue
 		}
 		a.met.schemeEvals.Add(1)
-		if ev, ok := a.evalScheme(pid, edge); ok && ev.err < a.cfg.NodeError(pid) {
-			sc := a.mkScheme(pid, append([]int(nil), edge...), ev)
+		var buf [64]int // the edge as ints, on the stack unless it is longer
+		sources := cube.AppendIDs(buf[:0], edge)
+		if ev, ok := a.evalScheme(pid, sources); ok && ev.err < a.cfg.NodeError(pid) {
+			sc := a.mkScheme(pid, append([]int(nil), sources...), ev)
 			sc.Kind = derivation.Aggregation
 			a.setScheme(sc, ev.err)
 		}

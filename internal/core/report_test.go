@@ -42,10 +42,14 @@ func TestReportKeepsSkeleton(t *testing.T) {
 	if after := g.MaterializedNodes(); after != before {
 		t.Fatalf("Report materialized %d nodes (%d → %d of %d)", after-before, before, after, g.NumNodes())
 	}
-	// The depths are the materialized nodes' own.
+	// The depths are the nodes' levels summed over their coordinates.
 	count := make(map[int]int)
 	for id := 0; id < g.NumNodes(); id++ {
-		count[g.Node(id).Depth]++
+		depth := 0
+		for _, cell := range g.CoordOf(id) {
+			depth += cell.Level
+		}
+		count[depth]++
 	}
 	for _, d := range r.Depths {
 		if count[d.Depth] != d.Nodes {

@@ -141,8 +141,7 @@ func TestGraphEncodesFunctionalDependency(t *testing.T) {
 	// cell per dimension, so city-level plus region-ALL cannot coexist —
 	// the location dimension is either at city, region, or ALL level.
 	for nid := 0; nid < g.NumNodes(); nid++ {
-		n := g.Node(nid)
-		if len(n.Coord) != 2 {
+		if len(g.CoordOf(nid)) != 2 {
 			t.Fatal("coordinate arity broken")
 		}
 	}
@@ -153,8 +152,8 @@ func TestGraphEncodesFunctionalDependency(t *testing.T) {
 	if n == nil {
 		t.Fatal("missing base node P2/C1")
 	}
-	if n.Coord.Key(g.Dims) != "product=P2|city=C1" {
-		t.Fatalf("key = %q", n.Coord.Key(g.Dims))
+	if g.KeyOf(n.ID) != "product=P2|city=C1" {
+		t.Fatalf("key = %q", g.KeyOf(n.ID))
 	}
 }
 
@@ -191,17 +190,16 @@ func TestChildEdges(t *testing.T) {
 	g := fig1Graph(t)
 	// Node (P1, R1) has one child hyper edge along location: {C1, C2}.
 	r1 := g.Lookup(Coord{{Level: 0, Value: "P1"}, {Level: 1, Value: "R1"}})
-	if len(r1.ChildEdges[0]) != 0 {
+	if len(g.ChildrenAlong(r1.ID, 0)) != 0 {
 		t.Fatal("product dimension at finest level should have no child edge")
 	}
-	if len(r1.ChildEdges[1]) != 2 {
-		t.Fatalf("location child edge = %v", r1.ChildEdges[1])
+	if len(g.ChildrenAlong(r1.ID, 1)) != 2 {
+		t.Fatalf("location child edge = %v", g.ChildrenAlong(r1.ID, 1))
 	}
 	// The top node has two hyper edges: product (2 children) and
 	// location (2 regions).
-	top := g.Node(g.TopID)
-	if len(top.ChildEdges[0]) != 2 || len(top.ChildEdges[1]) != 2 {
-		t.Fatalf("top child edges = %v", top.ChildEdges)
+	if len(g.ChildrenAlong(g.TopID, 0)) != 2 || len(g.ChildrenAlong(g.TopID, 1)) != 2 {
+		t.Fatalf("top child edges = %v %v", g.ChildrenAlong(g.TopID, 0), g.ChildrenAlong(g.TopID, 1))
 	}
 }
 
@@ -210,7 +208,7 @@ func TestOneSeriesContributesToSeveralAggregates(t *testing.T) {
 	// Property (2) of the paper: C1R1P2 can aggregate to C1R1* or *R1P2.
 	c1p2 := g.Lookup(Coord{{Level: 0, Value: "P2"}, {Level: 0, Value: "C1"}})
 	parents := 0
-	for _, p := range c1p2.ParentIDs {
+	for _, p := range g.ParentsOf(c1p2.ID) {
 		if p >= 0 {
 			parents++
 		}
@@ -269,9 +267,9 @@ func TestClosestNodes(t *testing.T) {
 	}
 	// First neighbors must be the node's direct parents.
 	wantParents := map[int]bool{}
-	for _, p := range g.Node(base).ParentIDs {
+	for _, p := range g.ParentsOf(base) {
 		if p >= 0 {
-			wantParents[p] = true
+			wantParents[int(p)] = true
 		}
 	}
 	for _, id := range cn[:2] {
@@ -369,6 +367,39 @@ func TestNewGraphValidation(t *testing.T) {
 	}
 }
 
+// TestGraphRejectsAmbiguousInput holds NewGraph to the input rules its doc
+// comment states and keys depend on. Bases (x|b=y, z) and (x, y|b=z) of
+// flat dimensions a and b both render the key a=x|b=y|b=z, so a lookup, an
+// INSERT or a reloaded configuration would land on whichever node the index
+// kept: a member value holding the separator is refused, naming the series
+// and the dimension. So is a base whose period differs from the first's,
+// and a repeated base, also when its node is the last one created.
+func TestGraphRejectsAmbiguousInput(t *testing.T) {
+	dims := []Dimension{NewDimension("a", "a"), NewDimension("b", "b")}
+	series := func(period int) *timeseries.Series { return timeseries.New([]float64{1, 2, 3, 4}, period) }
+	for _, tc := range []struct {
+		base []BaseSeries
+		want string
+	}{
+		{[]BaseSeries{{Members: []string{"x|b=y", "z"}, Series: series(2)}, {Members: []string{"x", "y|b=z"}, Series: series(2)}},
+			`cube: base series 0: value "x|b=y" of dimension "a" contains '|', the key separator`},
+		{[]BaseSeries{{Members: []string{"x", "y"}, Series: series(2)}, {Members: []string{"x", "y|b=z"}, Series: series(2)}},
+			`cube: base series 1: value "y|b=z" of dimension "b" contains '|', the key separator`},
+		{[]BaseSeries{{Members: []string{"x", "y"}, Series: series(2)}, {Members: []string{"x", "z"}, Series: series(4)}},
+			`cube: base series 1 has period 4, want 2`},
+		{[]BaseSeries{{Members: []string{"x", "y"}, Series: series(2)}, {Members: []string{"w", "z"}, Series: series(2)},
+			{Members: []string{"x", "z"}, Series: series(2)}, {Members: []string{"x", "z"}, Series: series(2)}},
+			`cube: duplicate base coordinate "a=x|b=z" (series 3)`},
+	} {
+		if _, err := NewGraph(dims, tc.base); err == nil || err.Error() != tc.want {
+			t.Errorf("NewGraph(%v, %v, ...): got %v, want %s", tc.base[0].Members, tc.base[1].Members, err, tc.want)
+		}
+	}
+	if _, err := NewGraph(nil, fig1Base(4)); err == nil {
+		t.Error("a graph without dimensions must be refused")
+	}
+}
+
 func TestLookupKeyAndMissing(t *testing.T) {
 	g := fig1Graph(t)
 	if g.LookupKey("product=P1|city=C1") == nil {
@@ -389,7 +420,7 @@ func TestGraphDeterministicIDs(t *testing.T) {
 		t.Fatal("graph construction not deterministic")
 	}
 	for i := 0; i < a.NumNodes(); i++ {
-		if a.Node(i).Coord.Key(a.Dims) != b.Node(i).Coord.Key(b.Dims) {
+		if a.KeyOf(i) != b.KeyOf(i) {
 			t.Fatalf("node %d key differs", i)
 		}
 	}
@@ -400,12 +431,13 @@ func TestAggregateInvariantProperty(t *testing.T) {
 	// series of each of its child hyper edges.
 	g := fig1Graph(t)
 	for nid := 0; nid < g.NumNodes(); nid++ {
-		n := g.Node(nid)
-		if n.IsBase {
+		if g.IsBase(nid) {
 			continue
 		}
+		n := g.Node(nid)
 		edges := 0
-		for _, children := range n.ChildEdges {
+		for d := range g.Dims {
+			children := g.ChildrenAlong(nid, d)
 			if len(children) == 0 {
 				continue
 			}
@@ -413,26 +445,26 @@ func TestAggregateInvariantProperty(t *testing.T) {
 			for i := range n.Series.Values {
 				var sum float64
 				for _, c := range children {
-					sum += g.Node(c).Series.Values[i]
+					sum += g.Node(int(c)).Series.Values[i]
 				}
 				if math.Abs(sum-n.Series.Values[i]) > 1e-9 {
-					t.Fatalf("node %s: aggregate mismatch at t=%d", n.Coord.Key(g.Dims), i)
+					t.Fatalf("node %s: aggregate mismatch at t=%d", g.KeyOf(nid), i)
 				}
 			}
 		}
 		if edges == 0 {
-			t.Fatalf("aggregated node %s has no child edge", n.Coord.Key(g.Dims))
+			t.Fatalf("aggregated node %s has no child edge", g.KeyOf(nid))
 		}
 	}
 }
 
 func TestDepths(t *testing.T) {
 	g := fig1Graph(t)
-	if g.Node(g.TopID).Depth != 3 { // product ALL (1) + location ALL (2)
-		t.Fatalf("top depth = %d, want 3", g.Node(g.TopID).Depth)
+	if g.DepthOf(g.TopID) != 3 { // product ALL (1) + location ALL (2)
+		t.Fatalf("top depth = %d, want 3", g.DepthOf(g.TopID))
 	}
 	for _, id := range g.BaseIDs {
-		if g.Node(id).Depth != 0 || !g.Node(id).IsBase {
+		if g.DepthOf(id) != 0 || !g.IsBase(id) {
 			t.Fatal("base depth broken")
 		}
 	}
@@ -505,13 +537,13 @@ func TestThreeLevelHierarchy(t *testing.T) {
 		t.Fatalf("DE children = %v, want the 2 cities", children)
 	}
 	for _, c := range children {
-		if g.Node(c).Coord[0].Level != 1 {
+		if g.CellOf(int(c), 0).Level != 1 {
 			t.Fatal("DE children must be city-level nodes")
 		}
 	}
 	// Depth of the top is 3 (store → city → country → ALL).
-	if g.Node(g.TopID).Depth != 3 {
-		t.Fatalf("top depth = %d", g.Node(g.TopID).Depth)
+	if g.DepthOf(g.TopID) != 3 {
+		t.Fatalf("top depth = %d", g.DepthOf(g.TopID))
 	}
 	// Aggregation correctness across two hops.
 	var want float64

@@ -108,17 +108,22 @@ func (c Coord) Key(dims []Dimension) string {
 // the extended slice — Key without the string, for callers that only look
 // the key up (Graph.LookupCoord) and reuse one buffer across lookups.
 func (c Coord) AppendKey(dst []byte, dims []Dimension) []byte {
-	for i, cell := range c {
-		if i > 0 {
-			dst = append(dst, '|')
-		}
-		if cell.Level >= dims[i].AllLevel() {
-			dst = append(dst, '*')
-		} else {
-			dst = append(dst, dims[i].Levels[cell.Level]...)
-			dst = append(dst, '=')
-			dst = append(dst, cell.Value...)
-		}
+	for d, cell := range c {
+		dst = appendCellKey(dst, dims, d, cell)
 	}
 	return dst
+}
+
+// appendCellKey appends dimension d's part of a canonical key: "level=value",
+// or "*" at ALL, after a '|' unless d is the first dimension.
+func appendCellKey(dst []byte, dims []Dimension, d int, cell Cell) []byte {
+	if d > 0 {
+		dst = append(dst, '|')
+	}
+	if cell.Level >= dims[d].AllLevel() {
+		return append(dst, '*')
+	}
+	dst = append(dst, dims[d].Levels[cell.Level]...)
+	dst = append(dst, '=')
+	return append(dst, cell.Value...)
 }

@@ -10,6 +10,19 @@ import (
 	"cubefc/internal/timeseries"
 )
 
+// OracleNode is the eager oracle's node: the series with the structure
+// Graph answers by ID (CoordOf, ChildrenAlong, ParentsOf, IsBase, DepthOf)
+// held per node, as Node held it when the graph was built this way.
+type OracleNode struct {
+	ID         int
+	Coord      Coord
+	Series     *timeseries.Series
+	ChildEdges [][]int
+	ParentIDs  []int
+	IsBase     bool
+	Depth      int
+}
+
 // EagerOracle is the hyper graph as NewGraph built it before the skeleton
 // became the only representation: every node — series, parent links, child
 // hyper edges — built up front through a string-keyed index, aggregates
@@ -23,7 +36,7 @@ type EagerOracle struct {
 	BaseIDs []int
 	Period  int
 	Length  int
-	Nodes   []*Node
+	Nodes   []*OracleNode
 
 	index      map[string]int
 	coverCache map[int][]int
@@ -48,12 +61,12 @@ func NewEagerOracle(dims []Dimension, base []BaseSeries) (*EagerOracle, error) {
 	}
 
 	g := &EagerOracle{Dims: dims, Period: period, Length: length, index: make(map[string]int)}
-	var all []*Node
+	var all []*OracleNode
 
 	// ancestorCoords enumerates every coordinate covering a base entry:
 	// the Cartesian product over dimensions of all ancestor cells.
 	perDim := make([][]Cell, len(dims))
-	getNode := func(coord Coord) (*Node, error) {
+	getNode := func(coord Coord) (*OracleNode, error) {
 		key := coord.Key(dims)
 		if id, ok := g.index[key]; ok {
 			return all[id], nil
@@ -66,7 +79,7 @@ func NewEagerOracle(dims []Dimension, base []BaseSeries) (*EagerOracle, error) {
 				isBase = false
 			}
 		}
-		n := &Node{
+		n := &OracleNode{
 			ID:         len(all),
 			Coord:      append(Coord(nil), coord...),
 			Series:     timeseries.New(make([]float64, length), period),
@@ -295,12 +308,12 @@ func RequireBitIdentical(t testing.TB, a *EagerOracle, b *Graph) {
 			t.Fatalf("node %d covered bases: %v vs %v (count %d)", id, inc[id], b.CoveredBases(id), b.CoveredBaseCount(id))
 		}
 		nb := b.Node(id)
-		if na.ID != nb.ID || na.Coord.Key(a.Dims) != nb.Coord.Key(b.Dims) {
-			t.Fatalf("node %d: %d %q vs %d %q", id, na.ID, na.Coord.Key(a.Dims), nb.ID, nb.Coord.Key(b.Dims))
+		if na.ID != nb.ID || na.Coord.Key(a.Dims) != b.CoordOf(id).Key(b.Dims) {
+			t.Fatalf("node %d: %d %q vs %d %q", id, na.ID, na.Coord.Key(a.Dims), nb.ID, b.CoordOf(id).Key(b.Dims))
 		}
-		if na.IsBase != nb.IsBase || na.Depth != nb.Depth {
+		if na.IsBase != b.IsBase(id) || na.Depth != b.DepthOf(id) {
 			t.Fatalf("node %d flags differ: base %v/%v depth %d/%d",
-				id, na.IsBase, nb.IsBase, na.Depth, nb.Depth)
+				id, na.IsBase, b.IsBase(id), na.Depth, b.DepthOf(id))
 		}
 		if len(na.Series.Values) != len(nb.Series.Values) {
 			t.Fatalf("node %d series length: %d vs %d",
@@ -312,12 +325,12 @@ func RequireBitIdentical(t testing.TB, a *EagerOracle, b *Graph) {
 					id, ti, v, nb.Series.Values[ti])
 			}
 		}
-		if !slices.Equal(na.ParentIDs, nb.ParentIDs) {
-			t.Fatalf("node %d parents: %v vs %v", id, na.ParentIDs, nb.ParentIDs)
+		if got := AppendIDs(nil, b.ParentsOf(id)); !slices.Equal(na.ParentIDs, got) {
+			t.Fatalf("node %d parents: %v vs %v", id, na.ParentIDs, got)
 		}
 		for d := range a.Dims {
-			if !slices.Equal(na.ChildEdges[d], nb.ChildEdges[d]) {
-				t.Fatalf("node %d dim %d edge: %v vs %v", id, d, na.ChildEdges[d], nb.ChildEdges[d])
+			if got := AppendIDs(nil, b.ChildrenAlong(id, d)); !slices.Equal(na.ChildEdges[d], got) {
+				t.Fatalf("node %d dim %d edge: %v vs %v", id, d, na.ChildEdges[d], got)
 			}
 		}
 		if !slices.Equal(a.Neighbors(id), b.Neighbors(id)) {

@@ -2,7 +2,9 @@ package cube
 
 import (
 	"fmt"
+	"math"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -10,29 +12,13 @@ import (
 )
 
 // Node is one vertex of the time-series hyper graph: a base or aggregated
-// time series identified by its coordinate.
+// time series. What else is known of a node — its coordinate, parents, child
+// edges, depth — is read from the graph by ID (CellOf, ParentsOf,
+// ChildrenAlong, IsBase, DepthOf), which materializes nothing.
 type Node struct {
-	ID    int
-	Coord Coord
+	ID int
 	// Series holds the (base or SUM-aggregated) time series of this node.
 	Series *timeseries.Series
-	// ChildEdges contains one hyper edge per dimension that is aggregated
-	// at this node: ChildEdges[d] lists the node IDs whose aggregation
-	// along dimension d yields this node. Dimensions at their finest
-	// level have a nil entry; base nodes share one all-nil view, never written.
-	ChildEdges [][]int
-	// ParentIDs lists, per dimension, the node obtained by rolling this
-	// node up one level along that dimension (-1 when already at ALL).
-	// Like Coord and the edges of ChildEdges it is a view of the graph's
-	// skeleton and must not be written.
-	ParentIDs []int
-	// IsBase marks nodes whose coordinate is at the finest level in every
-	// dimension.
-	IsBase bool
-	// Depth is the total aggregation depth (sum of per-dimension levels);
-	// base nodes have the minimum depth 0... it is used for level-wise
-	// processing and as a tie breaker in distance ordering.
-	Depth int
 }
 
 // BaseSeries identifies one base time series by its finest-level member
@@ -48,7 +34,7 @@ type BaseSeries struct {
 // dependencies are encoded through the dimension hierarchies.
 //
 // Construction enumerates every coordinate into a numeric skeleton —
-// coordinates, covered base nodes, parent table, child index — and
+// cell codes, covered base nodes, parent table, child index — and
 // materializes only the base nodes; an aggregate node's series is built
 // on first access through Node (or any accessor that resolves a node).
 // Each aggregate sums its covered base series in ascending base-ID order,
@@ -68,25 +54,25 @@ type Graph struct {
 	// under matMu on first access.
 	nodes []atomic.Pointer[Node]
 
-	// index maps coordinate keys to node IDs, built on first key lookup
-	// (the packed skeleton construction never needs string keys).
+	// index maps coordinate keys to node IDs, built on first key lookup.
 	index   map[string]int
 	idxOnce sync.Once
 
-	// The skeleton, immutable after construction: the coordinate and the
-	// covered base nodes of every node — as ordinals into BaseIDs, ascending,
-	// in CSR form: node id covers incIDs[incOff[id]:incOff[id+1]], and a base
-	// node covers exactly its own ordinal — the flattened
-	// per-dimension parent IDs (parents[id*D+d], -1 at ALL) and their CSR
-	// inversion: the child edge of (node p, dim d) is
-	// childIDs[childOff[p*D+d]:childOff[p*D+d+1]], ascending. Node.ParentIDs
-	// and Node.ChildEdges alias parents and childIDs.
-	coords   []Coord
+	// The skeleton, immutable after construction, with D = len(Dims). Node
+	// id's coordinate is the cell codes codes[id*D:(id+1)*D], code c of
+	// dimension d standing for cells[d][c]. It covers the base nodes
+	// incIDs[incOff[id]:incOff[id+1]] — ordinals into BaseIDs, ascending; a
+	// base node covers exactly its own. parents[id*D+d] is its parent along
+	// dimension d (-1 at ALL), and the CSR inversion of that table is the
+	// child index: the child edge of (node p, dim d) is
+	// childIDs[childOff[p*D+d]:childOff[p*D+d+1]], ascending.
+	codes    []int32
+	cells    [][]Cell
 	incOff   []int32
 	incIDs   []int32
-	parents  []int
+	parents  []int32
 	childOff []int32
-	childIDs []int
+	childIDs []int32
 
 	// matMu serializes materialization and Advance (which must see a
 	// consistent set of materialized series); matCount counts the
@@ -130,36 +116,55 @@ func (g *Graph) BaseOrdinal(id int) (int, bool) {
 	return ord, g.BaseIDs[ord] == id
 }
 
-// CoordOf returns the coordinate of the node ID without materializing it.
-// The returned coordinate must not be mutated.
-func (g *Graph) CoordOf(id int) Coord { return g.coords[id] }
+// CellOf returns the node's cell of dimension d without materializing the
+// node or allocating.
+func (g *Graph) CellOf(id, d int) Cell { return g.cells[d][g.codes[id*len(g.Dims)+d]] }
+
+// CoordOf returns a fresh copy of the node's coordinate without
+// materializing the node. It allocates; CellOf and AppendKey do not.
+func (g *Graph) CoordOf(id int) Coord {
+	c := make(Coord, len(g.Dims))
+	for d := range c {
+		c[d] = g.CellOf(id, d)
+	}
+	return c
+}
 
 // DepthOf returns the node's aggregation depth, the sum of its per-dimension
-// levels (Node.Depth), without materializing it.
+// levels (0 at a base node), without materializing it.
 func (g *Graph) DepthOf(id int) int {
 	depth := 0
-	for _, c := range g.coords[id] {
-		depth += c.Level
+	for d := range g.Dims {
+		depth += g.CellOf(id, d).Level
 	}
 	return depth
 }
 
+// AppendKey appends the canonical coordinate key of the node ID to dst and
+// returns the extended slice, materializing nothing.
+func (g *Graph) AppendKey(dst []byte, id int) []byte {
+	for d := range g.Dims {
+		dst = appendCellKey(dst, g.Dims, d, g.CellOf(id, d))
+	}
+	return dst
+}
+
 // KeyOf returns the canonical coordinate key of the node ID without
 // materializing it.
-func (g *Graph) KeyOf(id int) string { return g.coords[id].Key(g.Dims) }
+func (g *Graph) KeyOf(id int) string {
+	var buf [64]byte
+	return string(g.AppendKey(buf[:0], id))
+}
 
-// keyIndex returns the coordinate-key index, building it on first use
-// unless the string-keyed skeleton construction already did.
+// keyIndex returns the coordinate-key index, building it on first use.
 func (g *Graph) keyIndex() map[string]int {
 	g.idxOnce.Do(func() {
-		if g.index != nil {
-			return
+		g.index = make(map[string]int, len(g.nodes))
+		var buf []byte
+		for id := range g.nodes {
+			buf = g.AppendKey(buf[:0], id)
+			g.index[string(buf)] = id
 		}
-		idx := make(map[string]int, len(g.coords))
-		for id, c := range g.coords {
-			idx[c.Key(g.Dims)] = id
-		}
-		g.index = idx
 	})
 	return g.index
 }
@@ -261,268 +266,171 @@ func (g *Graph) sumLocked(id int, dst []float64) []float64 {
 
 // NewGraph builds the complete hyper graph for the given dimensions and
 // base series. All base series must have equal length and the same
-// period, and no two may share a coordinate. Aggregated series are
-// computed with SUM (Section II-A), on first access.
+// period, no two may share a coordinate, and no member value may contain
+// '|', the separator of coordinate keys. Aggregated series are computed
+// with SUM (Section II-A), on first access.
 //
 // The base nodes' series share the input value arrays, capped with a full
 // slice expression: no value below a series' length is ever written (Advance
 // appends within capacity, or moves a full series to fresh memory first), so
 // the graph neither copies them nor changes what the caller sees.
 func NewGraph(dims []Dimension, base []BaseSeries) (*Graph, error) {
+	if len(dims) == 0 {
+		return nil, fmt.Errorf("cube: graph requires at least one dimension")
+	}
 	if len(base) == 0 {
 		return nil, fmt.Errorf("cube: graph requires at least one base series")
 	}
 	for i, b := range base {
-		if b.Series == nil {
+		switch {
+		case b.Series == nil:
 			return nil, fmt.Errorf("cube: base series %d has no series", i)
-		}
-		if len(b.Members) != len(dims) {
+		case len(b.Members) != len(dims):
 			return nil, fmt.Errorf("cube: base series %d has %d members, want %d", i, len(b.Members), len(dims))
-		}
-		if b.Series.Len() != base[0].Series.Len() {
+		case b.Series.Len() != base[0].Series.Len():
 			return nil, fmt.Errorf("cube: base series %d has length %d, want %d", i, b.Series.Len(), base[0].Series.Len())
+		case b.Series.Period != base[0].Series.Period:
+			return nil, fmt.Errorf("cube: base series %d has period %d, want %d", i, b.Series.Period, base[0].Series.Period)
 		}
 	}
 	length, period := base[0].Series.Len(), base[0].Series.Period
 	g := &Graph{Dims: dims, Period: period, Length: length}
-
-	// baseNodeIDs holds the node ID per input entry, in slice order.
-	baseNodeIDs, err := g.buildSkeletonPacked(base)
-	if err == errPackedOverflow {
-		baseNodeIDs, err = g.buildSkeletonKeys(base)
-	}
-	if err != nil {
+	if err := g.buildSkeleton(base); err != nil {
 		return nil, err
 	}
 	g.buildChildIndex()
 
 	// Materialize the base nodes, their allocations batched across all of
-	// them.
-	g.nodes = make([]atomic.Pointer[Node], len(g.coords))
+	// them. BaseIDs[i] is the node of input entry i.
+	g.nodes = make([]atomic.Pointer[Node], len(g.parents)/len(dims))
 	nodeArr := make([]Node, len(base))
 	seriesArr := make([]timeseries.Series, len(base))
-	noEdges := make([][]int, len(dims)) // base nodes have no children
 	for i, b := range base {
-		id := baseNodeIDs[i]
 		seriesArr[i] = timeseries.Series{Values: b.Series.Values[:length:length], Period: period}
-		n := &nodeArr[i]
-		*n = Node{
-			ID:         id,
-			Coord:      g.coords[id],
-			Series:     &seriesArr[i],
-			ChildEdges: noEdges,
-			ParentIDs:  g.ParentsOf(id),
-			IsBase:     true,
-		}
-		g.nodes[id].Store(n)
+		nodeArr[i] = Node{ID: g.BaseIDs[i], Series: &seriesArr[i]}
+		g.nodes[g.BaseIDs[i]].Store(&nodeArr[i])
 	}
 	g.matCount.Store(int64(len(base)))
 	return g, nil
 }
 
-// maxPackedDims bounds the packed-key skeleton construction: coordinate
-// identity is encoded as one uint64 with 16 bits per dimension.
-const maxPackedDims = 4
-
-// errPackedOverflow signals that the cube has more than maxPackedDims
-// dimensions or a dimension exceeded 2^16 distinct cells, and the
-// construction must restart on the string-keyed path.
-var errPackedOverflow = fmt.Errorf("cube: packed skeleton overflow")
-
-// buildSkeletonPacked runs the skeleton enumeration with purely numeric
-// coordinate identities: every distinct (level, value) cell of a
-// dimension gets a compact code, each base member's ancestor chain of
-// codes is memoized, and a coordinate is identified either by its index in
-// the dense cell-code space (a direct-address table, when that space is
-// small enough) or by packing its cell codes 16 bits each into one uint64
-// (a hash map). The enumeration order — and therefore every node ID — is
-// identical to the string-keyed path; only the dedup key representation
-// differs. It also records, per visited
-// lattice, the flattened per-dimension parent IDs, which is pure integer
-// arithmetic here (a coordinate's parent along dimension d is the tuple
-// one chain position up in the same base lattice).
-func (g *Graph) buildSkeletonPacked(base []BaseSeries) ([]int, error) {
+// buildSkeleton enumerates every coordinate of the cube into the skeleton.
+//
+// Phase 1 gives every distinct (level, value) cell of a dimension an int32
+// code and memoizes each member's ancestor chain of codes, finest level
+// first. Phase 2 visits each base entry's lattice — the Cartesian product
+// of its chains — in dimension-major order: a coordinate new to the
+// enumeration becomes the next node ID, so IDs follow the input order, and
+// the first coordinate of a lattice, the all-finest one, is the entry's base
+// node (the last, all-ALL, is the top). A coordinate is identified by its
+// code tuple, interned one dimension at a time: the prefix over dimensions
+// 0..d is (prefix ID over 0..d-1, code of d) packed into a uint64 and looked
+// up in dimension d's table, whose IDs at the last dimension are node IDs.
+// The tables are dropped when the skeleton is built. Within a lattice,
+// rolling up one level along dimension d moves one chain position, one
+// stride in the visit order, so the parent table is integer arithmetic.
+func (g *Graph) buildSkeleton(base []BaseSeries) error {
 	D := len(g.Dims)
-	if D > maxPackedDims {
-		return nil, errPackedOverflow
-	}
-	type dimState struct {
-		cells  []Cell             // code -> cell
-		code   map[Cell]int32     // cell -> code
-		chains map[string][]int32 // finest member -> ancestor chain codes
-	}
-	ds := make([]dimState, D)
-	for d := range ds {
-		ds[d].code = make(map[Cell]int32)
-		ds[d].chains = make(map[string][]int32)
+	g.cells = make([][]Cell, D)
+	codeOf := make([]map[Cell]int32, D)
+	chainOf := make([]map[string][]int32, D)
+	for d := range codeOf {
+		codeOf[d] = make(map[Cell]int32)
+		chainOf[d] = make(map[string][]int32)
 	}
 
-	// Phase 1: memoized ancestor-chain codes per distinct member. This
-	// fixes each dimension's cell universe before any enumeration, so the
-	// key representation can be chosen up front.
+	// Phase 1. The pair count follows from the chains, so the enumeration
+	// below never grows its per-pair arrays.
 	baseChains := make([][]int32, len(base)*D)
+	totalPairs := 0
 	for i, b := range base {
+		tuples := 1
 		for d := range g.Dims {
-			st := &ds[d]
 			member := b.Members[d]
-			ch, ok := st.chains[member]
+			ch, ok := chainOf[d][member]
 			if !ok {
 				dim := &g.Dims[d]
 				ch = make([]int32, 0, dim.AllLevel()+1)
 				for lvl := 0; lvl <= dim.AllLevel(); lvl++ {
 					v, err := dim.Ancestor(member, 0, lvl)
 					if err != nil {
-						return nil, err
+						return err
+					}
+					if strings.Contains(v, "|") {
+						return fmt.Errorf("cube: base series %d: value %q of dimension %q contains '|', the key separator", i, v, dim.Name)
 					}
 					cell := Cell{Level: lvl, Value: v}
-					c, okc := st.code[cell]
-					if !okc {
-						c = int32(len(st.cells))
-						st.code[cell] = c
-						st.cells = append(st.cells, cell)
+					c, seen := codeOf[d][cell]
+					if !seen {
+						c = int32(len(g.cells[d]))
+						codeOf[d][cell] = c
+						g.cells[d] = append(g.cells[d], cell)
 					}
 					ch = append(ch, c)
 				}
-				st.chains[member] = ch
+				chainOf[d][member] = ch
 			}
 			baseChains[i*D+d] = ch
+			tuples *= len(ch)
 		}
+		totalPairs += tuples
+	}
+	if totalPairs > math.MaxInt32 {
+		return fmt.Errorf("cube: %d (node, base) pairs overflow the int32 skeleton", totalPairs)
 	}
 
-	// denseCap bounds the direct-address table (entries, i.e. 4 bytes
-	// each): beyond it fall back to the hash map over 16-bit-packed codes.
-	const denseCap = 1 << 22
-	prod := 1
-	dense := true
-	for d := range ds {
-		c := len(ds[d].cells)
-		if c == 0 {
-			c = 1
-		}
-		if prod > denseCap/c {
-			dense = false
-			break
-		}
-		prod *= c
+	// Phase 2 collects pointer-free flat arrays only — the codes of every
+	// new node and the (covering node, covered base ordinal) pairs, a
+	// lattice's pairs in visit order — and builds the incidence CSR in one
+	// pass afterwards.
+	prefix := make([]map[uint64]int32, D)
+	for d, n := 0, 1; d < D; d++ {
+		// At most every combination of the cells so far, and one per pair.
+		n = min(n*len(g.cells[d]), totalPairs)
+		prefix[d] = make(map[uint64]int32, n)
 	}
-	// Pair and tuple counts are known exactly from the chains, so the hot
-	// loop below never grows a slice.
-	totalPairs, maxTuples := 0, 0
-	for i := range base {
-		n := 1
-		for d := 0; d < D; d++ {
-			n *= len(baseChains[i*D+d])
-		}
-		totalPairs += n
-		if n > maxTuples {
-			maxTuples = n
-		}
-	}
-
-	var table []int32 // stores id+1; 0 means empty, so no init pass
-	var byKey map[uint64]int32
-	var keyStride [maxPackedDims]uint64
-	if dense {
-		table = make([]int32, prod)
-		s := uint64(1)
-		for d := D - 1; d >= 0; d-- {
-			keyStride[d] = s
-			s *= uint64(len(ds[d].cells))
-		}
-	} else {
-		for d := range ds {
-			if len(ds[d].cells) > 1<<16 {
-				return nil, errPackedOverflow
-			}
-		}
-		byKey = make(map[uint64]int32, len(base)*2)
-	}
-
-	// The enumeration collects pointer-free flat arrays only — cell codes
-	// per new node and (covering node, covered base) pairs — and builds
-	// the coordinate table and incidence CSR in one pass afterwards,
-	// keeping allocation churn and GC scan work out of the hot loop.
 	chains := make([][]int32, D)
 	sel := make([]int32, D)
-	var codesArr []int32
 	pairNode := make([]int32, 0, totalPairs)
 	pairBase := make([]int32, 0, totalPairs)
-	var numNodes int32
-	tupleIDs := make([]int32, 0, maxTuples)
-	var bid, ord int32 // the base entry being enumerated: node ID, ordinal
-	var dup bool
-	touch := func(key uint64) {
-		var id int32
-		var ok bool
-		if dense {
-			id = table[key] - 1
-			ok = id >= 0
-		} else {
-			id, ok = byKey[key]
-		}
-		if !ok {
-			id = numNodes
-			numNodes++
-			if dense {
-				table[key] = id + 1
-			} else {
-				byKey[key] = id
+	var ord int32 // ordinal of the base entry being enumerated
+	var visit func(d int, p int32)
+	visit = func(d int, p int32) {
+		for _, c := range chains[d] {
+			sel[d] = c
+			key := uint64(p)<<32 | uint64(c)
+			id, ok := prefix[d][key]
+			if !ok {
+				id = int32(len(prefix[d]))
+				prefix[d][key] = id
 			}
-			codesArr = append(codesArr, sel...)
-		} else if bid < 0 {
-			dup = true
-		}
-		if bid < 0 {
-			bid = id
-		}
-		if !dup {
+			if d < D-1 {
+				visit(d+1, id)
+				continue
+			}
+			if !ok {
+				g.codes = append(g.codes, sel...)
+			}
 			pairNode = append(pairNode, id)
 			pairBase = append(pairBase, ord)
 		}
-		tupleIDs = append(tupleIDs, id)
-	}
-	var visit func(d int, key uint64)
-	visit = func(d int, key uint64) {
-		if d == D {
-			touch(key)
-			return
-		}
-		for _, c := range chains[d] {
-			sel[d] = c
-			if dense {
-				visit(d+1, key+uint64(c)*keyStride[d])
-			} else {
-				visit(d+1, key<<16|uint64(c))
-			}
-		}
 	}
 
-	baseNodeIDs := make([]int, 0, len(base))
 	stride := make([]int, D)
 	for bi := range base {
-		for d := 0; d < D; d++ {
-			chains[d] = baseChains[bi*D+d]
-		}
-		// The first coordinate visited for a base entry is its own
-		// (all-finest) coordinate, so the base node ID is assigned before
-		// any of its ancestors that are new to this enumeration.
-		bid, ord, dup = -1, int32(bi), false
-		tupleIDs = tupleIDs[:0]
+		copy(chains, baseChains[bi*D:(bi+1)*D])
+		known, start := int32(len(g.codes)/D), len(pairNode)
+		ord = int32(bi)
 		visit(0, 0)
-		if dup {
-			c := make(Coord, D)
-			for d := 0; d < D; d++ {
-				c[d] = ds[d].cells[codesArr[int(bid)*D+d]]
-			}
-			return nil, fmt.Errorf("cube: duplicate base coordinate %q (series %d)", c.Key(g.Dims), bi)
+		tupleIDs := pairNode[start:]
+		bid := tupleIDs[0]
+		if bid < known {
+			return fmt.Errorf("cube: duplicate base coordinate %q (series %d)", g.KeyOf(int(bid)), bi)
 		}
 		g.BaseIDs = append(g.BaseIDs, int(bid))
-		baseNodeIDs = append(baseNodeIDs, int(bid))
+		g.TopID = int(tupleIDs[len(tupleIDs)-1])
 
-		// Record parents: within this base's lattice, rolling up one level
-		// along dimension d moves exactly one chain position, i.e. one
-		// stride in the visit order.
-		for len(g.parents) < int(numNodes)*D {
+		for len(g.parents) < len(g.codes) {
 			g.parents = append(g.parents, -1)
 		}
 		st := 1
@@ -534,27 +442,17 @@ func (g *Graph) buildSkeletonPacked(base []BaseSeries) ([]int, error) {
 			row := int(id) * D
 			for d := 0; d < D; d++ {
 				if (ti/stride[d])%len(chains[d]) < len(chains[d])-1 {
-					g.parents[row+d] = int(tupleIDs[ti+stride[d]])
+					g.parents[row+d] = tupleIDs[ti+stride[d]]
 				}
 			}
 		}
 	}
 
-	// Materialize the coordinate table (one Cell arena, one slice header
-	// per node) and the incidence CSR from the collected pairs. The
-	// counting sort is stable, so each node's bucket stays in ascending
-	// ordinal order — base node IDs increase monotonically with input order
-	// (BaseIDs is ascending as enumerated), so that is ascending base-ID
+	// The incidence CSR from the collected pairs. The counting sort is
+	// stable, so each node's bucket stays in ascending ordinal order — base
+	// node IDs increase with input order, so that is ascending base-ID
 	// order, which fixes the aggregates' accumulation order.
-	n := int(numNodes)
-	cellsArr := make([]Cell, n*D)
-	g.coords = make([]Coord, n)
-	for i := 0; i < n; i++ {
-		for d := 0; d < D; d++ {
-			cellsArr[i*D+d] = ds[d].cells[codesArr[i*D+d]]
-		}
-		g.coords[i] = cellsArr[i*D : (i+1)*D : (i+1)*D]
-	}
+	n := len(g.codes) / D
 	g.incOff = make([]int32, n+1)
 	for _, id := range pairNode {
 		g.incOff[id+1]++
@@ -569,151 +467,7 @@ func (g *Graph) buildSkeletonPacked(base []BaseSeries) ([]int, error) {
 		g.incIDs[cur[id]] = pairBase[i]
 		cur[id]++
 	}
-
-	var topKey uint64
-	for d := 0; d < D; d++ {
-		c, ok := ds[d].code[Cell{Level: g.Dims[d].AllLevel()}]
-		if !ok {
-			return nil, fmt.Errorf("cube: internal error: missing top node")
-		}
-		if dense {
-			topKey += uint64(c) * keyStride[d]
-		} else {
-			topKey = topKey<<16 | uint64(c)
-		}
-	}
-	var tid int32
-	if dense {
-		tid = table[topKey] - 1
-	} else {
-		var ok bool
-		tid, ok = byKey[topKey]
-		if !ok {
-			tid = -1
-		}
-	}
-	if tid < 0 {
-		return nil, fmt.Errorf("cube: internal error: missing top node")
-	}
-	g.TopID = int(tid)
-	return baseNodeIDs, nil
-}
-
-// buildSkeletonKeys is the string-keyed fallback skeleton construction for
-// graphs the packed encoding cannot represent (more than maxPackedDims
-// dimensions or over 2^16 distinct cells in one dimension). It produces
-// the same IDs, incidence and parents as the packed path.
-func (g *Graph) buildSkeletonKeys(base []BaseSeries) ([]int, error) {
-	dims := g.Dims
-	g.coords, g.incOff, g.incIDs, g.parents, g.BaseIDs = nil, nil, nil, nil, nil
-	g.index = make(map[string]int)
-	var incidence [][]int32
-
-	perDim := make([][]Cell, len(dims))
-	coord := make(Coord, len(dims))
-	var enumerate func(d int, visit func(Coord))
-	enumerate = func(d int, visit func(Coord)) {
-		if d == len(dims) {
-			visit(coord)
-			return
-		}
-		for _, cell := range perDim[d] {
-			coord[d] = cell
-			enumerate(d+1, visit)
-		}
-	}
-
-	baseNodeIDs := make([]int, 0, len(base))
-	for bi, b := range base {
-		for d := range dims {
-			dim := &dims[d]
-			cells := make([]Cell, 0, dim.AllLevel()+1)
-			for lvl := 0; lvl <= dim.AllLevel(); lvl++ {
-				v, err := dim.Ancestor(b.Members[d], 0, lvl)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, Cell{Level: lvl, Value: v})
-			}
-			perDim[d] = cells
-		}
-		bid := -1
-		dup := false
-		enumerate(0, func(c Coord) {
-			key := c.Key(dims)
-			id, ok := g.index[key]
-			if !ok {
-				id = len(g.coords)
-				g.index[key] = id
-				g.coords = append(g.coords, append(Coord(nil), c...))
-				incidence = append(incidence, nil)
-			} else if bid < 0 {
-				dup = true
-			}
-			if bid < 0 {
-				bid = id
-			}
-			if !dup {
-				incidence[id] = append(incidence[id], int32(bi))
-			}
-		})
-		if dup {
-			return nil, fmt.Errorf("cube: duplicate base coordinate %q (series %d)", g.coords[bid].Key(dims), bi)
-		}
-		g.BaseIDs = append(g.BaseIDs, bid)
-		baseNodeIDs = append(baseNodeIDs, bid)
-	}
-
-	// Flatten the per-node incidence lists into the CSR form the packed
-	// path produces directly.
-	g.incOff = make([]int32, len(incidence)+1)
-	total := 0
-	for i, inc := range incidence {
-		total += len(inc)
-		g.incOff[i+1] = int32(total)
-	}
-	g.incIDs = make([]int32, 0, total)
-	for _, inc := range incidence {
-		g.incIDs = append(g.incIDs, inc...)
-	}
-
-	top := make(Coord, len(dims))
-	for d := range dims {
-		top[d] = Cell{Level: dims[d].AllLevel()}
-	}
-	tid, ok := g.index[top.Key(dims)]
-	if !ok {
-		return nil, fmt.Errorf("cube: internal error: missing top node")
-	}
-	g.TopID = tid
-
-	// Fill parents by coordinate roll-up through the (complete) key index.
-	D := len(dims)
-	g.parents = make([]int, len(g.coords)*D)
-	pc := make(Coord, D)
-	for id, c := range g.coords {
-		copy(pc, c)
-		for d := range dims {
-			dim := &dims[d]
-			cell := c[d]
-			if cell.IsAll(dim) {
-				g.parents[id*D+d] = -1
-				continue
-			}
-			pv, err := dim.Ancestor(cell.Value, cell.Level, cell.Level+1)
-			if err != nil {
-				return nil, err
-			}
-			pc[d] = Cell{Level: cell.Level + 1, Value: pv}
-			pid, ok := g.index[pc.Key(dims)]
-			if !ok {
-				return nil, fmt.Errorf("cube: internal error: missing parent node %s", pc.Key(dims))
-			}
-			pc[d] = cell
-			g.parents[id*D+d] = pid
-		}
-	}
-	return baseNodeIDs, nil
+	return nil
 }
 
 // inc returns a node's covered base nodes, as ascending ordinals into
@@ -724,8 +478,7 @@ func (g *Graph) inc(id int) []int32 {
 
 // materialize builds an aggregate node: its series summed from the covered
 // base series in ascending base-ID order, with the capacity the base series
-// have (so it fills when they do, see Advance), its parents and child hyper
-// edges views of the skeleton. It serializes against other
+// have (so it fills when they do, see Advance). It serializes against other
 // materializations and Advance via matMu and publishes the node
 // atomically, so concurrent readers either see nil (and take this path)
 // or a fully built node.
@@ -736,22 +489,7 @@ func (g *Graph) materialize(id int) *Node {
 		return n
 	}
 	vals := g.sumLocked(id, make([]float64, g.Length, cap(g.nodes[g.BaseIDs[0]].Load().Series.Values)))
-	D := len(g.Dims)
-	edges := make([][]int, D)
-	for d := range edges {
-		// Dimensions at their finest level keep a nil entry.
-		if edge := g.ChildrenAlong(id, d); len(edge) > 0 {
-			edges[d] = edge
-		}
-	}
-	n := &Node{
-		ID:         id,
-		Coord:      g.coords[id],
-		Series:     timeseries.New(vals, g.Period),
-		ChildEdges: edges,
-		ParentIDs:  g.ParentsOf(id),
-		Depth:      g.DepthOf(id),
-	}
+	n := &Node{ID: id, Series: timeseries.New(vals, g.Period)}
 	g.matCount.Add(1)
 	g.nodes[id].Store(n)
 	return n
@@ -762,23 +500,22 @@ func (g *Graph) materialize(id int) *Node {
 // it. The inversion scans IDs ascending, so every edge comes out sorted.
 func (g *Graph) buildChildIndex() {
 	D := len(g.Dims)
-	n := len(g.coords)
-	off := make([]int32, n*D+1)
+	off := make([]int32, len(g.parents)+1)
 	for i, p := range g.parents {
 		if p >= 0 {
-			off[p*D+i%D+1]++
+			off[int(p)*D+i%D+1]++
 		}
 	}
 	for i := 1; i < len(off); i++ {
 		off[i] += off[i-1]
 	}
-	ids := make([]int, off[len(off)-1])
-	cur := make([]int32, n*D)
-	copy(cur, off[:n*D])
+	ids := make([]int32, off[len(off)-1])
+	cur := make([]int32, len(g.parents))
+	copy(cur, off)
 	for i, p := range g.parents {
 		if p >= 0 {
-			b := p*D + i%D
-			ids[cur[b]] = i / D
+			b := int(p)*D + i%D
+			ids[cur[b]] = int32(i / D)
 			cur[b]++
 		}
 	}
@@ -791,7 +528,7 @@ func (g *Graph) buildChildIndex() {
 func (g *Graph) Covers(t, s int) bool {
 	for d := range g.Dims {
 		dim := &g.Dims[d]
-		tc, sc := g.coords[t][d], g.coords[s][d]
+		tc, sc := g.CellOf(t, d), g.CellOf(s, d)
 		if tc.Level < sc.Level {
 			return false
 		}
@@ -809,14 +546,14 @@ func (g *Graph) Covers(t, s int) bool {
 // ParentsOf returns the node's per-dimension parent IDs (-1 at ALL), read
 // from the skeleton without materializing anything. The result is a view and
 // must not be written.
-func (g *Graph) ParentsOf(id int) []int {
+func (g *Graph) ParentsOf(id int) []int32 {
 	D := len(g.Dims)
 	return g.parents[id*D : (id+1)*D : (id+1)*D]
 }
 
 // childrenOf returns the node's child edges of every dimension, in
 // dimension order: the buckets of one node are adjacent in the index.
-func (g *Graph) childrenOf(id int) []int {
+func (g *Graph) childrenOf(id int) []int32 {
 	D := len(g.Dims)
 	return g.childIDs[g.childOff[id*D]:g.childOff[(id+1)*D]]
 }
@@ -825,10 +562,21 @@ func (g *Graph) childrenOf(id int) []int {
 // the node along dimension d — its child hyper edge of that dimension, empty
 // at the finest level — read from the skeleton without materializing
 // anything. The result is a view and must not be written.
-func (g *Graph) ChildrenAlong(id, d int) []int {
+func (g *Graph) ChildrenAlong(id, d int) []int32 {
 	b := id*len(g.Dims) + d
 	lo, hi := g.childOff[b], g.childOff[b+1]
 	return g.childIDs[lo:hi:hi]
+}
+
+// AppendIDs appends a skeleton view's node IDs (ParentsOf, ChildrenAlong) to
+// dst as ints, growing dst as appending them in one call would.
+func AppendIDs(dst []int, ids []int32) []int {
+	n := len(dst)
+	dst = append(dst, make([]int, len(ids))...) // no temporary is allocated
+	for i, id := range ids {
+		dst[n+i] = int(id)
+	}
+	return dst
 }
 
 // BFSScratch is the working memory of ClosestNodes: the visited set and the
@@ -876,11 +624,11 @@ func (g *Graph) ClosestNodes(s *BFSScratch, id, k int) []int {
 	for cur, head := id, 0; ; head++ {
 		for _, p := range g.ParentsOf(cur) {
 			if p >= 0 {
-				s.add(p, k)
+				s.add(int(p), k)
 			}
 		}
 		for _, c := range g.childrenOf(cur) {
-			s.add(c, k)
+			s.add(int(c), k)
 		}
 		if len(s.out) >= k || head >= len(s.out) {
 			return s.out

@@ -40,8 +40,8 @@ func (g *Graph) Neighbors(id int) []int {
 	var out []int
 	for _, p := range g.ParentsOf(id) {
 		if p >= 0 {
-			out = append(out, p)
+			out = append(out, int(p))
 		}
 	}
-	return append(out, g.childrenOf(id)...)
+	return AppendIDs(out, g.childrenOf(id))
 }

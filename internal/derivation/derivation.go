@@ -95,24 +95,25 @@ func Classify(g *cube.Graph, target int, sources []int) Kind {
 	return General
 }
 
-// sameIDSet reports whether a and b hold the same IDs with the same
-// multiplicities. Both are a handful of elements, so it counts in place.
-func sameIDSet(a, b []int) bool {
-	if len(a) != len(b) || len(a) == 0 {
+// sameIDSet reports whether a child edge and a source set hold the same
+// IDs with the same multiplicities. Both are a handful of elements, so it
+// counts in place.
+func sameIDSet(edge []int32, ids []int) bool {
+	if len(edge) != len(ids) || len(edge) == 0 {
 		return false
 	}
-	for _, x := range a {
-		if countID(a, x) != countID(b, x) {
+	for _, x := range edge {
+		if countID(edge, int(x)) != countID(ids, int(x)) {
 			return false
 		}
 	}
 	return true
 }
 
-func countID(ids []int, x int) int {
+func countID[T int | int32](ids []T, x int) int {
 	n := 0
 	for _, id := range ids {
-		if id == x {
+		if int(id) == x {
 			n++
 		}
 	}

@@ -368,16 +368,17 @@ func TestApplyToTwin(t *testing.T) {
 
 func TestSameIDSet(t *testing.T) {
 	for _, c := range []struct {
-		a, b []int
+		a    []int32
+		b    []int
 		want bool
 	}{
 		{nil, nil, false},
-		{[]int{1}, []int{1}, true},
-		{[]int{1, 2, 3}, []int{3, 1, 2}, true},
-		{[]int{1, 2}, []int{1, 2, 3}, false},
-		{[]int{1, 1, 2}, []int{1, 2, 2}, false},
-		{[]int{1, 1, 2}, []int{2, 1, 1}, true},
-		{[]int{1, 2}, []int{1, 4}, false},
+		{[]int32{1}, []int{1}, true},
+		{[]int32{1, 2, 3}, []int{3, 1, 2}, true},
+		{[]int32{1, 2}, []int{1, 2, 3}, false},
+		{[]int32{1, 1, 2}, []int{1, 2, 2}, false},
+		{[]int32{1, 1, 2}, []int{2, 1, 1}, true},
+		{[]int32{1, 2}, []int{1, 4}, false},
 	} {
 		if got := sameIDSet(c.a, c.b); got != c.want {
 			t.Errorf("sameIDSet(%v, %v) = %v, want %v", c.a, c.b, got, c.want)

@@ -1169,10 +1169,10 @@ func TestGeneratedValidQueriesParse(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	aggs := []string{"SUM(m)", "AVG(m)"}
 	for i := 0; i < 100; i++ {
-		n := g.Node(rng.Intn(g.NumNodes()))
+		id := rng.Intn(g.NumNodes())
 		q := "SELECT time, " + aggs[rng.Intn(2)] + " FROM facts"
 		first := true
-		for d, cell := range n.Coord {
+		for d, cell := range g.CoordOf(id) {
 			dim := &g.Dims[d]
 			if cell.IsAll(dim) {
 				continue
@@ -1193,8 +1193,8 @@ func TestGeneratedValidQueriesParse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generated query %q failed: %v", q, err)
 		}
-		if res.Node != n.ID {
-			t.Fatalf("query %q resolved to %q, want %q", q, res.NodeKey, n.Coord.Key(g.Dims))
+		if res.Node != id {
+			t.Fatalf("query %q resolved to %q, want %q", q, res.NodeKey, g.KeyOf(id))
 		}
 	}
 }

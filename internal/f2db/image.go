@@ -95,7 +95,7 @@ func (w *imageWriter) bytes(b []byte) {
 
 // key writes node id's canonical key, the node's identity in an image.
 func (w *imageWriter) key(g *cube.Graph, id int) {
-	w.scratch = g.CoordOf(id).AppendKey(w.scratch[:0], g.Dims)
+	w.scratch = g.AppendKey(w.scratch[:0], id)
 	w.bytes(w.scratch)
 }
 

@@ -175,7 +175,7 @@ func oracleResolveBaseIn(g *cube.Graph, members []string) (int, error) {
 		coord[d] = cube.Cell{Level: 0, Value: members[d]}
 	}
 	n := g.Lookup(coord)
-	if n == nil || !n.IsBase {
+	if n == nil || !g.IsBase(n.ID) {
 		return 0, fmt.Errorf("f2db: unknown base series %v", members)
 	}
 	return n.ID, nil

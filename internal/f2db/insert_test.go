@@ -229,6 +229,26 @@ func TestInsertErrorPrecedence(t *testing.T) {
 	}
 }
 
+// TestInsertSeparatorMemberUnknown: a member value holding '|', the key
+// separator, renders a key with one part too many, which no node of a graph
+// has (NewGraph refuses such members), so an INSERT naming one is refused as
+// an unknown base series with nothing pending — through the engine and
+// through the routing planner alike.
+func TestInsertSeparatorMemberUnknown(t *testing.T) {
+	db, g, _ := testEngine(t, nil)
+	const sql = "INSERT INTO facts VALUES ('P1|city=C1', 'C1', 1)"
+	const want = "f2db: unknown base series [P1|city=C1 C1]"
+	if err := db.Exec(sql); err == nil || err.Error() != want {
+		t.Fatalf("engine: got %v, want %s", err, want)
+	}
+	if n := db.pendingTotal.Load(); n != 0 {
+		t.Fatalf("a refused INSERT left %d values pending", n)
+	}
+	if _, err := NewPlanner(g, 0).RouteExecNodes(sql); err == nil || err.Error() != want {
+		t.Fatalf("planner: got %v, want %s", err, want)
+	}
+}
+
 // TestExecInsertAllocs is the allocation gate of the INSERT path: in steady
 // state a multi-row Exec allocates (next to) nothing, and what it allocates
 // does not depend on the number of rows; routing allocates its result.

@@ -95,8 +95,8 @@ func (db *DB) appendSnapshot() ([]byte, error) {
 	}
 	for _, id := range g.BaseIDs {
 		w.begin(recItems)
-		for _, cell := range g.CoordOf(id) {
-			w.str(cell.Value)
+		for d := range g.Dims {
+			w.str(g.CellOf(id, d).Value)
 		}
 	}
 	for _, id := range g.BaseIDs {

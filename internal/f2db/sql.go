@@ -235,7 +235,7 @@ func (db *DB) renderKeys(keys []string, nodes []int) []string {
 		ends = make([]int, 0, len(nodes))
 	}
 	for i, id := range nodes {
-		buf = db.graph.CoordOf(id).AppendKey(buf, db.graph.Dims)
+		buf = db.graph.AppendKey(buf, id)
 		if i == 0 {
 			// Sibling keys differ only in one member value.
 			buf = slices.Grow(buf, (len(buf)+8)*(len(nodes)-1))
@@ -455,7 +455,7 @@ func (pl *Plan) resolve(g *cube.Graph) error {
 	for lvl := dims[groupDim].AllLevel(); lvl > groupLvl && len(ids) > 0; lvl-- {
 		var next []int
 		for _, id := range ids {
-			next = append(next, g.ChildrenAlong(id, groupDim)...)
+			next = cube.AppendIDs(next, g.ChildrenAlong(id, groupDim))
 		}
 		ids = next
 	}
@@ -464,7 +464,7 @@ func (pl *Plan) resolve(g *cube.Graph) error {
 	}
 	members := make([]string, len(ids))
 	for i, id := range ids {
-		members[i] = g.CoordOf(id)[groupDim].Value
+		members[i] = g.CellOf(id, groupDim).Value
 	}
 	sort.Sort(byMember{ids, members})
 	pl.Nodes, pl.Members = ids, members

@@ -266,12 +266,13 @@ func Greedy(g *cube.Graph, opts Options) (*core.Configuration, error) {
 	selected := make([]bool, nodes)
 	// completedEdges calls f for every parent of s with the child edge, s's
 	// among them, that s completes: every other node of it is selected.
+	var edge []int
 	completedEdges := func(s int, f func(pid int, edge []int)) {
-		for d, pid := range g.ParentsOf(s) {
-			if pid < 0 {
+		for d, p := range g.ParentsOf(s) {
+			if p < 0 {
 				continue
 			}
-			edge := g.ChildrenAlong(pid, d)
+			edge = cube.AppendIDs(edge[:0], g.ChildrenAlong(int(p), d))
 			complete := true
 			for _, c := range edge {
 				if c != s && !selected[c] {
@@ -280,7 +281,7 @@ func Greedy(g *cube.Graph, opts Options) (*core.Configuration, error) {
 				}
 			}
 			if complete {
-				f(pid, edge)
+				f(int(p), edge)
 			}
 		}
 	}
@@ -361,12 +362,12 @@ func descendants(g *cube.Graph) [][]int {
 			cur := queue[0]
 			queue = queue[1:]
 			for _, p := range g.ParentsOf(cur) {
-				if p < 0 || seen[p] {
+				if p < 0 || seen[int(p)] {
 					continue
 				}
-				seen[p] = true
+				seen[int(p)] = true
 				out[p] = append(out[p], id)
-				queue = append(queue, p)
+				queue = append(queue, int(p))
 			}
 		}
 	}

@@ -75,9 +75,8 @@ func TestBottomUpStructure(t *testing.T) {
 	// Aggregated nodes use aggregation schemes with weight 1 over base
 	// nodes.
 	for id := 0; id < g.NumNodes(); id++ {
-		n := g.Node(id)
 		sc := cfg.Schemes[id]
-		if n.IsBase {
+		if g.IsBase(id) {
 			if sc.Kind != derivation.Direct {
 				t.Fatalf("base node %d not direct", id)
 			}

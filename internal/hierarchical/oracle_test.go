@@ -91,8 +91,7 @@ func oracleBottomUp(g *cube.Graph, opts Options) (*core.Configuration, error) {
 	}
 	h := cfg.TestLen()
 	for id := 0; id < g.NumNodes(); id++ {
-		n := g.Node(id)
-		if n.IsBase {
+		if g.IsBase(id) {
 			continue
 		}
 		bases := g.CoveredBases(id)
@@ -197,9 +196,8 @@ func oracleCombine(g *cube.Graph, opts Options) (*core.Configuration, error) {
 		}
 	}
 	for id := 0; id < g.NumNodes(); id++ {
-		n := g.Node(id)
 		sc := derivation.Scheme{Target: id, Sources: g.CoveredBases(id), K: 1, Kind: derivation.General}
-		if n.IsBase {
+		if g.IsBase(id) {
 			sc = derivation.DirectScheme(id)
 		}
 		oracleSetNodeError(cfg, sc, reconciled[id])
@@ -291,11 +289,11 @@ func oracleGreedy(g *cube.Graph, opts Options) (*core.Configuration, error) {
 			}
 			// Aggregation benefit for parents whose child edge would be
 			// completed by s.
-			for d, pid := range g.Node(s).ParentIDs {
+			for d, pid := range cube.AppendIDs(nil, g.ParentsOf(s)) {
 				if pid < 0 {
 					continue
 				}
-				edge := g.Node(pid).ChildEdges[d]
+				edge := cube.AppendIDs(nil, g.ChildrenAlong(pid, d))
 				complete := true
 				for _, c := range edge {
 					if c != s && !selected[c] {
@@ -334,11 +332,11 @@ func oracleGreedy(g *cube.Graph, opts Options) (*core.Configuration, error) {
 				cfg.SetScheme(sc, e)
 			}
 		}
-		for d, pid := range g.Node(s).ParentIDs {
+		for d, pid := range cube.AppendIDs(nil, g.ParentsOf(s)) {
 			if pid < 0 {
 				continue
 			}
-			edge := g.Node(pid).ChildEdges[d]
+			edge := cube.AppendIDs(nil, g.ChildrenAlong(pid, d))
 			complete := true
 			for _, c := range edge {
 				if !selected[c] {
@@ -373,7 +371,7 @@ func oracleDescendants(g *cube.Graph) [][]int {
 		for len(queue) > 0 {
 			cur := queue[0]
 			queue = queue[1:]
-			for _, p := range g.Node(cur).ParentIDs {
+			for _, p := range cube.AppendIDs(nil, g.ParentsOf(cur)) {
 				if p < 0 || seen[p] {
 					continue
 				}
@@ -479,9 +477,8 @@ func oracleCombineWLS(g *cube.Graph, opts Options) (*core.Configuration, error) 
 		}
 	}
 	for id := 0; id < g.NumNodes(); id++ {
-		n := g.Node(id)
 		sc := derivation.Scheme{Target: id, Sources: g.CoveredBases(id), K: 1, Kind: derivation.General}
-		if n.IsBase {
+		if g.IsBase(id) {
 			sc = derivation.DirectScheme(id)
 		}
 		oracleSetNodeError(cfg, sc, reconciled[id])

@@ -40,14 +40,14 @@ func (w *Generator) RandomNode() int {
 }
 
 // QuerySQL renders a forecast query for the node in the engine's SQL
-// dialect. It reads the coordinate from the graph skeleton (CoordOf), not
+// dialect. It reads the coordinate from the graph skeleton (CellOf), not
 // the node, so rendering queries against a cube never materializes
 // the target — materialization happens in whichever engine answers.
 func (w *Generator) QuerySQL(nodeID, steps int) string {
 	sql := "SELECT time, SUM(m) FROM facts"
 	first := true
-	for d, cell := range w.g.CoordOf(nodeID) {
-		dim := &w.g.Dims[d]
+	for d := range w.g.Dims {
+		dim, cell := &w.g.Dims[d], w.g.CellOf(nodeID, d)
 		if cell.IsAll(dim) {
 			continue
 		}
@@ -80,9 +80,9 @@ func (w *Generator) InsertSQL(batch map[int]float64) string {
 			b.WriteString(", ")
 		}
 		b.WriteString("(")
-		for _, cell := range w.g.CoordOf(id) {
+		for d := range w.g.Dims {
 			b.WriteString("'")
-			b.WriteString(cell.Value)
+			b.WriteString(w.g.CellOf(id, d).Value)
 			b.WriteString("', ")
 		}
 		b.WriteString(strconv.FormatFloat(batch[id], 'f', -1, 64))
