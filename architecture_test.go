@@ -527,9 +527,9 @@ func citedTestsExist(fsys fs.FS) error {
 // Legibility budget: non-test Go lines under internal/ and cmd/, and the
 // lines of the two documents a newcomer reads first. A change that needs
 // more re-records the number here and says why in CHANGES.md.
-const goLineBudget = 16754
+const goLineBudget = 16753
 
-var docLineBudget = map[string]int{"DESIGN.md": 1232, "README.md": 502}
+var docLineBudget = map[string]int{"DESIGN.md": 1230, "README.md": 501}
 
 // legibilityBudget: the program and its main documents stay within their
 // recorded line counts.

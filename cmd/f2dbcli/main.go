@@ -197,7 +197,7 @@ func (sh shell) stmt(stmt string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("nonce=%016x inserts=%d batches=%d\n", info.Nonce, info.Inserts, info.Batches)
+		fmt.Printf("inserts=%d batches=%d\n", info.Inserts, info.Batches)
 	case strings.HasPrefix(stmt, `\save `) && sh.db != nil:
 		// WriteSnapshotFile is the shared crash-safe protocol (tmp file,
 		// fsync, rename, directory fsync): a \save that returned without
@@ -311,8 +311,7 @@ meta:
   \stats   engine counters      \models      list models
   \health  model maintenance    \save F      snapshot database
   \help    this help            \quit        exit
-  (remote shells support \stats, \ping and \info — the server's process
-  nonce and applied insert/batch counters; \save runs on the daemon side
-  via f2dbd -save)
+  (remote shells support \stats, \ping and \info — the server's applied
+  insert and batch counters; \save runs on the daemon side via f2dbd -save)
 `)
 }

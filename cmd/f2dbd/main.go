@@ -78,7 +78,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.BoolVar(&o.coordinator, "coordinator", false, "route statements to the -shards cluster instead of serving a local engine")
 	fs.StringVar(&o.shards, "shards", "", "comma-separated f2dbd shard addresses (coordinator mode)")
 	fs.IntVar(&o.coord.CacheSize, "coord-cache-size", 1024, "coordinator mode: statements whose plan and epoch-invalidated result are kept to answer repeats without fanning out (0 = off)")
-	fs.IntVar(&o.coord.LogRetain, "log-retain", 0, "coordinator mode: statement-log entries retained for restart realignment (0 = default 4096, negative = unlimited)")
+	fs.IntVar(&o.coord.LogRetain, "log-retain", 0, "coordinator mode: time points retained in the log for replay to a shard that restarts behind (0 = default 128, negative = unlimited)")
 	fs.DurationVar(&o.ckpt.Every, "checkpoint-every", 0, "with -wal-dir: background checkpoint after this much time, if batches were applied (0 disables)")
 	fs.Int64Var(&o.ckpt.EveryBatches, "checkpoint-batches", 0, "with -wal-dir: background checkpoint every n applied batches (0 disables)")
 	return o

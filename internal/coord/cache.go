@@ -12,11 +12,11 @@ import (
 // encoded RESULT payload, relayed as it arrived (fclient.QueryRaw checks it
 // with wire.CheckResult, so it is exactly what encoding the decoded answer
 // again would give). Its epoch is the coordinator's write epoch, bumped by
-// every logged INSERT in the same lock hold as the log append, so it equals
-// the absolute log length: pending inserts change no answer until a batch
-// advances time, and every statement that could complete a batch is a
-// logged INSERT, so no answer outlives the write that changed it. Callers
-// copy cached payloads out.
+// every logged time point in the same lock hold as the log append, so it
+// equals the absolute log length: pending rows change no answer until a
+// batch advances time, and every completed batch is a logged time point, so
+// no answer outlives the write that changed it. Callers copy cached
+// payloads out.
 type readCache = lru.Table[*f2db.Plan, []byte]
 
 func newReadCache(capacity int, epoch *atomic.Uint64, met *Metrics) *readCache {

@@ -135,9 +135,9 @@ func TestClusterKillRestartTwin(t *testing.T) {
 	waitFor(t, "outage noticed", func() bool { return co.Metrics().ShardsDown.Load() == 1 })
 
 	// Phase 3: shard 1 restarts on its old address as a fresh process over
-	// the base snapshot — new nonce, zero inserts — WHILE the workload
-	// continues. The coordinator must realign its cursor to zero and
-	// replay the full statement log concurrently with live traffic.
+	// the base snapshot — zero batches — WHILE the workload continues. The
+	// coordinator must resume it at the log's first time point and replay
+	// the full log concurrently with live traffic.
 	restarted := make(chan *testShard, 1)
 	go func() {
 		time.Sleep(20 * time.Millisecond)
@@ -156,7 +156,7 @@ func TestClusterKillRestartTwin(t *testing.T) {
 		t.Fatal("restart did not trigger a replay")
 	}
 	if co.Metrics().ShardsDead.Load() != 0 {
-		t.Fatal("a shard was abandoned; realignment failed")
+		t.Fatal("a shard was fenced; the restart did not resume in the log")
 	}
 
 	// Convergence proof: ask the restarted shard directly (bypassing the

@@ -18,21 +18,21 @@
 // time point. Replicas make reads fault-tolerant: if an owner is down or
 // lagging, the query fails over to the next caught-up shard in ring order.
 //
-// Writes and recovery. Every INSERT is appended to an ordered statement
-// log; one worker per shard applies the log strictly in order over its
-// fclient. Exec returns once at least one shard applied the statement
-// (and every other shard either applied it or is marked down); a shard
-// that drops mid-stream keeps its cursor and replays the tail on
-// reconnect. A restarted shard is detected by the server's start nonce
-// (wire.TInfo) and realigned: its engine rebuilt from the snapshot reports
-// how many rows it has applied (snapshots persist the counter), and the
-// cursor resumes at the matching statement boundary, replaying only the
-// tail — deterministic, so the replica converges to the exact same state
-// unless a statement every replica rejected shifted the boundaries
-// (realignLocked).
-// The log is bounded: entries applied by every participating shard are
-// trimmed past a retention window (Options.LogRetain), and a restart
-// whose applied count falls behind the trim horizon is fenced dead.
+// Writes and recovery. The coordinator runs the engine's batching rule
+// itself (f2db.Planner.Fill), with the engine's text for duplicates, and
+// logs each time point it completes as one INSERT of every base series. A
+// statement that completes none costs no shard round trip and bumps no
+// epoch. Entry i completes batch start+i+1 (start: the batch count of the
+// first shard to answer); a shard's position is its batch count
+// (wire.Info.Batches). A worker per shard sends entries in order as
+// wire.TApply, which a shard acks if it holds the batch, applies if next
+// and refuses on a gap. Exec returns once one shard applied the last time
+// point its rows completed. Recovery is one rule — at first contact, after
+// a transport failure, after a refusal: probe Info and resume after
+// Batches if the log holds it, else fence the shard, naming both counts.
+// Entries every live shard applied are trimmed past Options.LogRetain. A
+// shard crash loses nothing acknowledged under SyncAlways; a coordinator
+// crash loses the incomplete time point it holds, which is volatile.
 //
 // Shard health is decided here alone. A shard whose request fails at the
 // transport is marked down, reads fail over, and its worker probes Info
@@ -86,7 +86,7 @@ func ShardFor(id, n int) int {
 const (
 	// queryWait bounds how long a query waits for some shard to become
 	// servable (e.g. mid-batch, when every shard is momentarily applying
-	// the statement log tail).
+	// the log tail).
 	queryWait = 5 * time.Second
 	// recoverBackoff paces the Info probes to a down shard.
 	recoverBackoff = 100 * time.Millisecond
@@ -100,13 +100,10 @@ type Options struct {
 	// invalidated by write epoch. 0 disables
 	// caching entirely — every query pays planning and the shard hop.
 	CacheSize int
-	// LogRetain bounds the retained statement log: entries applied by
-	// every non-dead shard are trimmed once more than LogRetain of them
-	// are retained, keeping a realignment window for restarting shards
-	// behind the newest writes. A shard that restarts with an applied-row
-	// count older than the trim horizon is fenced (marked dead). 0 selects
-	// the default 4096; negative retains the full log (no trimming).
-	// Entries a down-but-not-dead shard still needs are never trimmed.
+	// LogRetain bounds the retained log, in time points: entries every
+	// non-dead shard applied are trimmed past this replay window (a shard
+	// restarting behind the trim horizon is fenced). 0 selects the default
+	// 128; negative retains the full log.
 	LogRetain int
 	// Logf, when non-nil, receives shard lifecycle diagnostics.
 	Logf func(format string, args ...any)
@@ -115,28 +112,10 @@ type Options struct {
 func (o *Options) withDefaults() Options {
 	out := *o
 	if out.LogRetain == 0 {
-		out.LogRetain = 4096
+		out.LogRetain = 128
 	}
 	return out
 }
-
-// logEntry is one INSERT statement in the coordinator's ordered log.
-type logEntry struct {
-	sql string
-	// rows is the statement's row count; cumRows the running total through
-	// this entry. Cursor realignment matches a restarted engine's applied
-	// row counter against these statement boundaries.
-	rows    int
-	cumRows uint64
-	// applied counts shards that accepted the entry; serverErr records the
-	// first engine rejection seen by a shard that was current (replicas
-	// are deterministic, so one rejection speaks for all).
-	applied   int
-	serverErr error
-}
-
-// logChunk is how many log entries one allocation holds.
-const logChunk = 64
 
 // shard is one f2dbd replica and its replay state. All fields except the
 // immutable ones are guarded by the coordinator mutex.
@@ -145,44 +124,47 @@ type shard struct {
 	addr   string
 	client *fclient.Client
 
-	// cursor is the index of the next log entry to apply. down marks a
-	// shard whose worker is probing for reconnection; dead marks a shard
-	// abandoned after an unalignable restart. nonce is the server process
-	// identity from its last Info.
-	cursor int
-	down   bool
-	dead   bool
-	nonce  uint64
+	// cursor is the absolute index of the next log entry to apply. down
+	// marks a shard whose worker is probing for reconnection; dead marks a
+	// shard fenced out of the log. refusal is the engine's answer to the
+	// entry at cursor, held for the recovery it triggers.
+	cursor  int
+	down    bool
+	dead    bool
+	refusal error
 }
 
 // Coordinator puts a cluster of f2dbd shards behind the engine's
-// Query/Exec surface. It satisfies server.Backend. Every logged INSERT
+// Query/Exec surface. It satisfies server.Backend. Every logged time point
 // bumps its one write epoch, which stales every cached answer (cache.go).
 type Coordinator struct {
 	planner *f2db.Planner
 	opts    Options
 	met     *Metrics
 
-	// epoch is the write epoch: every logged Exec bumps it once, in the
-	// same c.mu hold as the log append, so it equals logLen(). The read
+	// epoch is the write epoch: every logged time point bumps it once, in
+	// the same c.mu hold as the log append, so it equals logLen(). The read
 	// cache serves an answer only while the epoch matches the one it was
 	// fetched under (cache.go); cache may be nil (caching disabled).
 	epoch atomic.Uint64
 	cache *readCache
 
+	// fillMu, taken before c.mu and never after, guards the pending time
+	// point and the buffer a completed one is rendered in.
+	fillMu  sync.Mutex
+	batch   *f2db.Batch
+	render  []byte
+	inserts atomic.Uint64
+
 	mu   sync.Mutex
 	cond *sync.Cond
-	log  []*logEntry
-	// chunk is the unused rest of the newest allocation of logChunk entries,
-	// which Exec carves log entries from.
-	chunk []logEntry
-	// trimBase is the absolute index of log[0]: trimmed entries advance
-	// it instead of renumbering, so shard cursors and Exec bookkeeping
-	// stay absolute. trimRows is the cumulative row count through the
-	// last trimmed entry — the trim horizon a restarting shard's applied
-	// count is fenced against.
+	// log holds one INSERT per completed time point; entry i completes
+	// batch start+i+1, start being unset (started false) until a shard
+	// answers. trimBase, the absolute index of log[0], keeps cursors absolute.
+	log      []string
 	trimBase int
-	trimRows uint64
+	start    uint64
+	started  bool
 	shards   []*shard
 	closed   bool
 	wg       sync.WaitGroup
@@ -192,16 +174,13 @@ type Coordinator struct {
 // c.mu.
 func (c *Coordinator) logLen() int { return c.trimBase + len(c.log) }
 
-// entry returns the log entry at absolute index i. Callers hold c.mu and
-// guarantee trimBase <= i < logLen().
-func (c *Coordinator) entry(i int) *logEntry { return c.log[i-c.trimBase] }
-
 // New connects to the shards and starts their replay workers. The planner
 // must be built over the same hyper graph (and step duration) the shards
 // serve — f2db.NewPlanner over the data set's graph, or DB.Planner from a
 // loaded snapshot. Each shard's first Info decides its start: one that
-// answers is up at cursor 0 with its nonce recorded; one that does not
-// starts down and is picked up by its worker's recovery loop.
+// answers is placed at its batch count (the first to answer fixes where the
+// log starts), one that does not starts down and is placed by its worker's
+// recovery loop.
 func New(planner *f2db.Planner, addrs []string, opts Options) (*Coordinator, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("coord: no shard addresses")
@@ -211,6 +190,7 @@ func New(planner *f2db.Planner, addrs []string, opts Options) (*Coordinator, err
 		planner: planner,
 		opts:    opts,
 		met:     newMetrics(addrs),
+		batch:   planner.NewBatch(),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	if opts.CacheSize > 0 {
@@ -218,14 +198,14 @@ func New(planner *f2db.Planner, addrs []string, opts Options) (*Coordinator, err
 	}
 	for i, addr := range addrs {
 		s := &shard{idx: i, addr: addr, client: fclient.NewClient(addr, fclient.Options{})}
+		c.shards = append(c.shards, s)
 		if info, err := s.client.Info(); err == nil {
-			s.nonce = info.Nonce
+			c.placeLocked(s, info)
 		} else {
 			c.logf("shard %d (%s): unreachable at start: %v", i, addr, err)
 			s.down = true
 			c.met.ShardsDown.Add(1)
 		}
-		c.shards = append(c.shards, s)
 	}
 	for _, s := range c.shards {
 		c.wg.Add(1)
@@ -234,8 +214,8 @@ func New(planner *f2db.Planner, addrs []string, opts Options) (*Coordinator, err
 	return c, nil
 }
 
-// Close stops the workers and closes every shard client. Pending log
-// entries are dropped; Exec callers waiting on them receive ErrClosed.
+// Close stops the workers and closes every shard client. The pending time
+// point is dropped; Exec callers waiting on a logged one receive ErrClosed.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -257,80 +237,63 @@ func (c *Coordinator) Metrics() *Metrics { return c.met }
 
 // --- write path ----------------------------------------------------------
 
-// Exec appends the INSERT to the statement log and waits until at least
-// one shard applied it and every other shard either applied it or is
-// down/dead (those replay it on recovery). An engine rejection from a
-// current shard is authoritative (replicas are deterministic) and is
-// returned as-is.
+// Exec lands the INSERT's rows in the pending time point by the engine's
+// rule (a rejection is the engine's, and changes nothing) and logs every
+// time point they complete; then it waits until one shard applied the last
+// and every other one applied it or is down (it replays on recovery).
 func (c *Coordinator) Exec(sql string) error {
-	rows, err := c.planner.RouteExecNodes(sql)
+	last := -1
+	rows, err := c.planner.Fill(c.batch, sql, &c.fillMu, func(column []float64) error {
+		c.render = c.planner.AppendTimePoint(c.render[:0], column)
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.closed {
+			return ErrClosed
+		}
+		c.log = append(c.log, string(c.render))
+		last = c.logLen() - 1
+		// Bumped in the append's lock hold: a query sampling the new epoch
+		// goes to a shard caught up with the grown log, so no pre-write
+		// answer is served to a query issued after Exec returned.
+		c.epoch.Add(1)
+		c.met.EpochGlobalBumps.Add(1)
+		c.cond.Broadcast()
+		return nil
+	})
+	c.inserts.Add(uint64(rows))
 	if err != nil {
-		// Same resolution code as the shard engines: the rejection text
-		// matches what any shard would answer, and a statement the engines
-		// would reject never reaches the log (so the logged row counts the
-		// realignment protocol fences against stay exact).
 		return err
 	}
 	c.met.Execs.Add(1)
+	if last < 0 {
+		return nil
+	}
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	prev := c.trimRows
-	if n := len(c.log); n > 0 {
-		prev = c.log[n-1].cumRows
-	}
-	if len(c.chunk) == 0 {
-		c.chunk = make([]logEntry, logChunk)
-	}
-	e := &c.chunk[0]
-	c.chunk = c.chunk[1:]
-	*e = logEntry{sql: sql, rows: rows, cumRows: prev + uint64(rows)}
-	idx := c.logLen()
-	c.log = append(c.log, e)
-	// Bump the write epoch under the same lock hold as the append: any
-	// query that samples the new epoch goes to a shard (queryNode only
-	// accepts one caught up with the grown log), so no cached pre-write answer
-	// can be served to a caller that issued its query after Exec returned.
-	c.epoch.Add(1)
-	c.met.EpochGlobalBumps.Add(1)
-	c.cond.Broadcast()
+	defer c.mu.Unlock()
 	for {
 		if c.closed {
-			c.mu.Unlock()
 			return ErrClosed
-		}
-		if e.applied > 0 {
-			// Other shards keep applying asynchronously (or replay later).
-			c.mu.Unlock()
-			return nil
 		}
 		settled := true
 		for _, s := range c.shards {
-			if !s.down && !s.dead && s.cursor <= idx {
+			if s.cursor > last {
+				// Other shards keep applying asynchronously (or replay later).
+				return nil
+			}
+			if !s.down && !s.dead {
 				settled = false
-				break
 			}
 		}
 		if settled {
-			err := e.serverErr
-			c.mu.Unlock()
-			if err != nil {
-				return err
-			}
-			// Every shard is down and none processed the entry; it stays
-			// logged and will apply on recovery, but the caller cannot know
-			// when.
+			// Logged, to apply on recovery, but the caller cannot know when.
 			return fmt.Errorf("%w: insert logged but not yet applied", ErrNoShards)
 		}
 		c.cond.Wait()
 	}
 }
 
-// runShard is the per-shard worker: it applies log entries strictly in
-// cursor order, and on transport failure probes the shard's Info until it
-// answers, realigning the cursor if the process restarted.
+// runShard is the per-shard worker: it sends log entries in cursor order,
+// and after a failure or a refusal places the shard again (recoverShard).
 func (c *Coordinator) runShard(s *shard) {
 	defer c.wg.Done()
 	for {
@@ -350,11 +313,11 @@ func (c *Coordinator) runShard(s *shard) {
 			continue
 		}
 		idx := s.cursor
-		e := c.entry(idx)
+		sql, batch := c.log[idx-c.trimBase], c.start+uint64(idx)+1
 		c.mu.Unlock()
 
 		start := time.Now()
-		err := s.client.Exec(e.sql)
+		err := s.client.Apply(batch, sql)
 		sm := &c.met.Shards[s.idx]
 		sm.Requests.Add(1)
 		sm.Latency.Observe(time.Since(start).Nanoseconds())
@@ -363,25 +326,14 @@ func (c *Coordinator) runShard(s *shard) {
 		switch {
 		case err == nil:
 			s.cursor = idx + 1
-			e.applied++
 			c.maybeTrimLocked()
 		case errors.Is(err, fclient.ErrClosed):
-			// Coordinator shutdown closed the client under us; the loop head
-			// exits on the closed flag after the broadcast below.
+			// Shutdown closed the client under us; the loop head exits.
+		case refused(err):
+			// It holds fewer batches than its cursor says, or cannot take
+			// the next.
+			s.refusal = err
 			c.markDownLocked(s, err)
-		case !fclient.IsRetryable(err):
-			// The engine processed and rejected the statement. If no
-			// replica accepted it this is the authoritative outcome; if one
-			// did, this shard is replaying a statement it had already
-			// applied before an ambiguous failure, and the rejection just
-			// confirms the earlier apply.
-			s.cursor = idx + 1
-			if e.applied == 0 && e.serverErr == nil {
-				e.serverErr = err
-			} else {
-				sm.ReplayRejects.Add(1)
-			}
-			c.maybeTrimLocked()
 		default:
 			sm.Errors.Add(1)
 			c.markDownLocked(s, err)
@@ -392,39 +344,41 @@ func (c *Coordinator) runShard(s *shard) {
 }
 
 // maybeTrimLocked drops log entries that every shard still participating
-// in replay has passed, keeping a LogRetain-entry realignment window
-// behind the newest write. Trimming advances trimBase/trimRows instead of
-// renumbering, so absolute cursors and cumRows boundaries are untouched;
-// down shards hold the horizon at their frozen cursor (they resume from
-// it on recovery), and only dead shards are ignored. Callers hold c.mu.
+// in replay has passed, keeping a LogRetain-entry replay window behind the
+// newest write. Trimming advances trimBase instead of renumbering, so
+// absolute cursors are untouched; down shards hold the horizon at their
+// frozen cursor (they resume from it on recovery), and only dead shards
+// are ignored. Callers hold c.mu.
 func (c *Coordinator) maybeTrimLocked() {
 	if c.opts.LogRetain < 0 {
 		return
 	}
 	trimTo := c.logLen() - c.opts.LogRetain
 	for _, s := range c.shards {
-		if s.dead {
-			continue
-		}
-		if s.cursor < trimTo {
-			trimTo = s.cursor
+		if !s.dead {
+			trimTo = min(trimTo, s.cursor)
 		}
 	}
 	if trimTo <= c.trimBase {
 		return
 	}
 	k := trimTo - c.trimBase
-	c.trimRows = c.log[k-1].cumRows
-	// Drop the statements (a waiting Exec reads only applied and serverErr)
-	// and nil the slots: a chunk is freed once trimming has passed all of
-	// it, the head of the backing array when append next reallocates.
-	for i := 0; i < k; i++ {
-		c.log[i].sql = ""
-		c.log[i] = nil
-	}
+	// Drop the statements: the backing array's head is freed when append
+	// next reallocates.
+	clear(c.log[:k])
 	c.log = c.log[k:]
 	c.trimBase = trimTo
 	c.met.LogTrimmed.Add(int64(k))
+}
+
+// refused reports whether a shard's answer is a refusal a retry would
+// repeat, not a transport failure or a draining or timed-out server.
+func refused(err error) bool {
+	var se *wire.ServerError
+	if errors.As(err, &se) {
+		return se.Code != wire.CodeShutdown && se.Code != wire.CodeTimeout
+	}
+	return !fclient.IsRetryable(err)
 }
 
 // markDownLocked transitions a shard to the down state (idempotent).
@@ -439,104 +393,69 @@ func (c *Coordinator) markDownLocked(s *shard, cause error) {
 }
 
 // recoverShard probes a down shard every recoverBackoff until it answers an
-// Info, then brings it back: same nonce → the process (and its engine
-// state) survived, the cursor stands; no recorded nonce → first contact
-// with a shard that was down at New, accepted at its cursor exactly as New
-// accepts a reachable one (the trim horizon was held there, so the log
-// still starts at it); new nonce → the process restarted from the
-// snapshot, so the cursor realigns to the statement boundary matching the
-// engine's applied-row counter. Returns false when the coordinator closed
-// or the shard was abandoned.
+// Info, then places it by it (placeLocked). Returns false when the
+// coordinator closed or the shard was fenced.
 func (c *Coordinator) recoverShard(s *shard) bool {
 	for {
 		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
+		closed := c.closed
+		c.mu.Unlock()
+		if closed {
 			return false
 		}
-		c.mu.Unlock()
 		info, err := s.client.Info()
 		if err != nil {
 			time.Sleep(recoverBackoff)
 			continue
 		}
 		c.mu.Lock()
+		defer c.mu.Unlock()
 		if c.closed {
-			c.mu.Unlock()
 			return false
 		}
-		if s.nonce == 0 || info.Nonce == s.nonce {
-			// First contact, or the same process after a network blip. The
-			// in-doubt statement (if any) is re-sent from the unchanged
-			// cursor; a duplicate rejection is absorbed as a replay
-			// confirmation.
-			s.nonce = info.Nonce
-			s.down = false
-		} else {
-			cursor, ok := c.realignLocked(info.Inserts)
-			if !ok {
-				s.dead = true
-				c.met.ShardsDead.Add(1)
-				c.met.ShardsDown.Add(-1) // dead, no longer reconnecting
-				if info.Inserts < c.trimRows {
-					// Fenced: the entries this shard would need to replay
-					// were trimmed. It cannot converge by log replay alone
-					// (snapshot shipping is the documented extension).
-					c.logf("shard %d (%s): restarted with insert count %d behind the trim horizon (%d rows trimmed); fenced",
-						s.idx, s.addr, info.Inserts, c.trimRows)
-				} else {
-					c.logf("shard %d (%s): restarted with unalignable insert count %d; abandoned",
-						s.idx, s.addr, info.Inserts)
-				}
-				c.cond.Broadcast()
-				c.mu.Unlock()
-				return false
-			}
-			c.logf("shard %d (%s): restarted (nonce %x→%x), replaying log from entry %d",
-				s.idx, s.addr, s.nonce, info.Nonce, cursor)
-			c.met.Shards[s.idx].Replays.Add(1)
-			s.cursor = cursor
-			s.nonce = info.Nonce
-			s.down = false
-		}
-		c.met.ShardsDown.Add(-1)
+		ok := c.placeLocked(s, info)
 		c.cond.Broadcast()
-		c.mu.Unlock()
-		return true
+		return ok
 	}
 }
 
-// realignLocked maps an engine's applied-row counter to the absolute log
-// index of the next statement to apply. Snapshots persist the counter, so
-// a shard restarted from a mid-history snapshot reports exactly the rows
-// its image contains and lands on the matching statement boundary. Counts
-// that fall inside a statement, beyond the log, or behind the trim horizon
-// (the entries it would need are gone) are unalignable. The boundaries are
-// only as exact as cumRows, and cumRows also counts the rows of statements
-// every replica rejected at apply time (a row already pending from an
-// earlier statement passes the planner). After such a rejection an
-// engine's count can equal an earlier boundary: the cursor then realigns a
-// statement early and replays one the image already holds, which the
-// engine may accept into its next batch (ROADMAP item 5). Callers hold c.mu.
-func (c *Coordinator) realignLocked(inserts uint64) (int, bool) {
-	// Valid boundaries are the trim horizon itself and each retained
-	// entry's cumRows; with an untrimmed log the horizon is 0 rows at
-	// entry 0, i.e. a fresh restart replaying everything.
-	if inserts == c.trimRows {
-		return c.trimBase, true
+// placeLocked is the one recovery rule: the shard resumes at the entry
+// completing batch info.Batches+1 if the log holds it, and is fenced
+// otherwise — behind the trim horizon, beyond the log, or at the entry it
+// just refused. The first shard placed fixes where the log starts. Callers
+// hold c.mu (New, before any worker runs, need not).
+func (c *Coordinator) placeLocked(s *shard, info wire.Info) bool {
+	if !c.started {
+		c.start, c.started = info.Batches, true
 	}
-	if inserts < c.trimRows {
-		return 0, false
+	have, first, last := info.Batches, c.start+uint64(c.trimBase), c.start+uint64(c.logLen())
+	why := ""
+	switch {
+	case have < first:
+		why = fmt.Sprintf("holds batch %d, behind the trim horizon: the log starts after batch %d", have, first)
+	case have > last:
+		why = fmt.Sprintf("holds batch %d, beyond the log, which ends at batch %d", have, last)
+	case s.refusal != nil && int(have-c.start) == s.cursor:
+		why = fmt.Sprintf("holds batch %d and refused batch %d: %v", have, have+1, s.refusal)
 	}
-	for i, e := range c.log {
-		if e.cumRows == inserts {
-			return c.trimBase + i + 1, true
-		}
-		if e.cumRows > inserts {
-			return 0, false
-		}
+	s.refusal = nil
+	if s.down {
+		s.down = false
+		c.met.ShardsDown.Add(-1)
 	}
-	return 0, false
+	if why != "" {
+		s.dead = true
+		c.met.ShardsDead.Add(1)
+		c.logf("shard %d (%s): %s; fenced", s.idx, s.addr, why)
+		return false
+	}
+	cursor := int(have - c.start)
+	if cursor < c.logLen() {
+		c.logf("shard %d (%s): holds batch %d, replaying the log from batch %d", s.idx, s.addr, have, have+1)
+		c.met.Shards[s.idx].Replays.Add(1)
+	}
+	s.cursor = cursor
+	return true
 }
 
 // --- read path -----------------------------------------------------------
@@ -635,8 +554,8 @@ func (c *Coordinator) queryNode(node int, sql string, drill bool) ([]byte, error
 			if err == nil {
 				return res, nil
 			}
-			if !fclient.IsRetryable(err) {
-				// The engine processed and rejected it; replicas agree.
+			if refused(err) {
+				// Replicas agree on a rejection and on a malformed answer.
 				return nil, err
 			}
 			sm.Errors.Add(1)
@@ -680,7 +599,7 @@ func (c *Coordinator) waitProgress() {
 }
 
 // servable reports whether a shard can answer queries at the current time
-// point: up, not abandoned, and caught up with the statement log.
+// point: up, not fenced, and caught up with the log.
 func (c *Coordinator) servable(s *shard) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -688,7 +607,7 @@ func (c *Coordinator) servable(s *shard) bool {
 }
 
 // CaughtUp reports whether every live shard has applied the entire
-// statement log (tests and operators poll it after recovery).
+// log (tests and operators poll it after recovery).
 func (c *Coordinator) CaughtUp() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -738,17 +657,13 @@ func (c *Coordinator) StatsText() string {
 	return b.String()
 }
 
-// Counts reports the coordinator's progress for TInfo: the cumulative row
-// count of the last appended log entry (rows logged, whether or not every
-// shard has applied them yet), and 0 batches (batch accounting lives in the
-// shard engines).
+// Counts reports the coordinator's progress for TInfo: the rows it has
+// accepted, pending ones included, and the batch count its log reaches,
+// whether or not every shard has applied it yet.
 func (c *Coordinator) Counts() (inserts, batches uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n := len(c.log); n > 0 {
-		return c.log[n-1].cumRows, 0
-	}
-	return c.trimRows, 0
+	return c.inserts.Load(), c.start + uint64(c.logLen())
 }
 
 func (c *Coordinator) logf(format string, args ...any) {

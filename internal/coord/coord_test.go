@@ -97,19 +97,7 @@ func startShardOn(t testing.TB, data []byte, addr string) *testShard {
 	t.Helper()
 	db := loadEngine(t, data)
 	srv := server.New(db, server.Options{})
-	var ln net.Listener
-	var err error
-	// A rebind can momentarily race the old listener's close.
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		ln, err = net.Listen("tcp", addr)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("listen %s: %v", addr, err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	ln := listenOn(t, addr)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 	return &testShard{addr: ln.Addr().String(), db: db, srv: srv, done: done}
@@ -201,62 +189,6 @@ func TestShardFor(t *testing.T) {
 			if c < want*7/10 || c > want*13/10 {
 				t.Fatalf("n=%d: shard %d holds %d of 9000 (want ≈%d)", n, s, c, want)
 			}
-		}
-	}
-}
-
-// TestRealign pins cursor realignment against statement boundaries.
-func TestRealign(t *testing.T) {
-	c := &Coordinator{log: []*logEntry{
-		{rows: 4, cumRows: 4},
-		{rows: 4, cumRows: 8},
-		{rows: 8, cumRows: 16},
-	}}
-	for _, tc := range []struct {
-		inserts uint64
-		cursor  int
-		ok      bool
-	}{
-		{0, 0, true},   // fresh restart: replay everything
-		{4, 1, true},   // boundary after entry 0
-		{8, 2, true},   // boundary after entry 1
-		{16, 3, true},  // fully caught up
-		{5, 0, false},  // inside entry 1: no valid boundary
-		{20, 0, false}, // beyond the log: unknown history
-	} {
-		cur, ok := c.realignLocked(tc.inserts)
-		if ok != tc.ok || (ok && cur != tc.cursor) {
-			t.Fatalf("realign(%d) = (%d, %v), want (%d, %v)", tc.inserts, cur, ok, tc.cursor, tc.ok)
-		}
-	}
-
-	// Trimmed log: the first two entries (through cumRows 8) are gone.
-	// Valid boundaries are the trim horizon itself and each retained
-	// entry's cumRows; anything behind the horizon is fenced.
-	c = &Coordinator{
-		trimBase: 2,
-		trimRows: 8,
-		log: []*logEntry{
-			{rows: 8, cumRows: 16},
-			{rows: 4, cumRows: 20},
-		},
-	}
-	for _, tc := range []struct {
-		inserts uint64
-		cursor  int
-		ok      bool
-	}{
-		{8, 2, true},   // exactly at the horizon: replay the retained tail
-		{16, 3, true},  // retained boundary
-		{20, 4, true},  // fully caught up
-		{0, 0, false},  // behind the horizon: needed entries were trimmed
-		{4, 0, false},  // behind the horizon, mid-trimmed-history
-		{12, 0, false}, // inside a retained entry
-		{24, 0, false}, // beyond the log
-	} {
-		cur, ok := c.realignLocked(tc.inserts)
-		if ok != tc.ok || (ok && cur != tc.cursor) {
-			t.Fatalf("trimmed realign(%d) = (%d, %v), want (%d, %v)", tc.inserts, cur, ok, tc.cursor, tc.ok)
 		}
 	}
 }
@@ -474,8 +406,8 @@ func TestCoordinatorBackend(t *testing.T) {
 	if err != nil {
 		t.Fatalf("info: %v", err)
 	}
-	if info.Nonce == 0 {
-		t.Fatal("front server reported zero nonce")
+	if info != (wire.Info{}) {
+		t.Fatalf("front server reports %+v before any insert, want zero counts", info)
 	}
 	stats, err := cl.Stats()
 	if err != nil {
@@ -817,10 +749,10 @@ func TestShardAnswersGarbage(t *testing.T) {
 // TestShardUnreachableAtStart: the coordinator alone decides a shard's
 // health, with no client options tuned.
 //  1. A shard down when New runs is counted down at once, and on first
-//     contact it is accepted at its cursor — its snapshot already holds a
-//     batch the empty log knows nothing of, which is no restart to realign.
-//     It replays what was logged while it was away and answers every node
-//     exactly as a twin does.
+//     contact it is placed at its batch count — its snapshot already holds
+//     a batch, as its peer's does, where the log starts. It replays what
+//     was logged while it was away and answers every node exactly as a
+//     twin does.
 //  2. A shard restarted after an outage is served again within one probe
 //     interval of coming back: no fclient state delays the probe.
 func TestShardUnreachableAtStart(t *testing.T) {

@@ -9,13 +9,13 @@ import (
 )
 
 // TestPerPartitionEpochIsolation pins that the read table has no
-// per-partition isolation: every logged INSERT bumps the one write epoch,
-// so a row written in one partition invalidates a cached answer over
-// another. The sequence defeats any guess from row counts at which INSERT
-// completes a batch: one row, its duplicate (rejected by every replica,
-// yet rows), six more rows, a query of a partition-0 cell, then the eighth
-// row, in partition 1, which completes the batch on the shards. The
-// coordinator must then answer as the shards do.
+// per-partition isolation: every logged time point bumps the one write
+// epoch, so a row written in one partition invalidates a cached answer over
+// another. The sequence: one row, its duplicate (rejected with the
+// engine's text), six more rows, a query of a partition-0 cell, then the
+// eighth row, in partition 1, which completes the time point. Only that
+// statement is logged and bumps the epoch — pending rows change no answer —
+// and the coordinator must then answer as the shards do.
 func TestPerPartitionEpochIsolation(t *testing.T) {
 	g, data := buildCube(t)
 	s1 := startShardOn(t, data, "127.0.0.1:0")
@@ -94,19 +94,19 @@ func TestPerPartitionEpochIsolation(t *testing.T) {
 		t.Fatal("a repeated query missed the warm table")
 	}
 
-	// One row completes no batch: the answer is invalidated, and the
-	// refetched one is unchanged, since a pending row changes no answer.
-	exec(rowSQL([]int{first}, 500), true, false)
+	// One row completes no batch: it is not logged, and the cached answer,
+	// which a pending row cannot change, stays valid.
+	exec(rowSQL([]int{first}, 500), false, false)
 	inv := co.met.CacheInvalidations.Load()
 	sameResult(t, "after a non-completing insert", ask(), before)
-	if co.met.CacheInvalidations.Load() != inv+1 {
-		t.Fatal("a logged insert did not invalidate the cached answer")
+	if co.met.CacheInvalidations.Load() != inv {
+		t.Fatal("a pending row invalidated the cached answer")
 	}
-	// Its duplicate is logged and rejected by every replica; a statement the
-	// planner rejects is never logged and bumps nothing.
-	exec(rowSQL([]int{first}, 501), true, true)
+	// Its duplicate and a statement naming an unknown series are rejected
+	// and bump nothing.
+	exec(rowSQL([]int{first}, 501), false, true)
 	exec("INSERT INTO facts VALUES ('P1', 'C9', 1)", false, true)
-	exec(rowSQL(six, 600), true, false)
+	exec(rowSQL(six, 600), false, false)
 	sameResult(t, "seven of eight rows pending", ask(), before)
 
 	// The eighth row completes the batch on the shards.

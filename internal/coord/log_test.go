@@ -14,8 +14,8 @@ import (
 // TestLogTrimBounded is the bounded-log regression: with a small
 // Options.LogRetain, a long run of Execs keeps only the retention window
 // in memory (trimBase advances, trimmed entries are counted), and a shard
-// restarted from a MID-HISTORY snapshot — its applied-row counter landing
-// on a retained statement boundary — realigns past the trim horizon,
+// restarted from a MID-HISTORY snapshot — its batch count inside the
+// retained log — resumes past the trim horizon,
 // replays only the tail, and converges bit-exact with the twin.
 func TestLogTrimBounded(t *testing.T) {
 	g, data := buildCube(t)
@@ -44,7 +44,7 @@ func TestLogTrimBounded(t *testing.T) {
 	}
 
 	// Phase 1: six full batches, then snapshot shard 1 mid-history — its
-	// engine has applied 48 rows, a statement boundary.
+	// engine holds 6 batches.
 	for i := 0; i < 6; i++ {
 		exec(i)
 	}
@@ -61,13 +61,13 @@ func TestLogTrimBounded(t *testing.T) {
 	}
 	waitFor(t, "phase 2 applied", co.CaughtUp)
 	co.mu.Lock()
-	retained, base, rows := len(co.log), co.trimBase, co.trimRows
+	retained, base, horizon := len(co.log), co.trimBase, co.start+uint64(co.trimBase)
 	co.mu.Unlock()
 	if retained > opts.LogRetain {
 		t.Fatalf("retained log holds %d entries, want <= %d", retained, opts.LogRetain)
 	}
-	if base != 2 || rows != 16 {
-		t.Fatalf("trimBase=%d trimRows=%d, want 2 and 16", base, rows)
+	if base != 2 || horizon != 2 {
+		t.Fatalf("trimBase=%d, trim horizon at batch %d, want 2 and 2", base, horizon)
 	}
 	if n := co.Metrics().LogTrimmed.Load(); n != 2 {
 		t.Fatalf("LogTrimmed = %d, want 2", n)
@@ -83,7 +83,7 @@ func TestLogTrimBounded(t *testing.T) {
 	// Phase 3: shard 1 dies; one more Exec trips its worker into the down
 	// state (and trims one more entry — the down shard's frozen cursor is
 	// past the window). Then it restarts from the mid-history snapshot:
-	// 48 applied rows realign to the retained boundary after entry 5.
+	// its 6 batches resume it at the retained entry 6.
 	s1.stop(t)
 	exec(10)
 	waitFor(t, "outage noticed", func() bool { return co.Metrics().ShardsDown.Load() == 1 })
@@ -91,7 +91,7 @@ func TestLogTrimBounded(t *testing.T) {
 	defer s1.stop(t)
 	waitFor(t, "mid-history replay caught up", co.CaughtUp)
 	if co.Metrics().ShardsDead.Load() != 0 {
-		t.Fatal("mid-history restart was fenced; realignment against the trimmed log failed")
+		t.Fatal("mid-history restart was fenced; resuming in the trimmed log failed")
 	}
 	if co.Metrics().Shards[1].Replays.Load() == 0 {
 		t.Fatal("restart did not trigger a replay")
@@ -119,8 +119,8 @@ func TestLogTrimBounded(t *testing.T) {
 	}
 }
 
-// TestLogTrimFencing: a shard that restarts with an applied-row count
-// behind the trim horizon cannot converge by log replay (its entries are
+// TestLogTrimFencing: a shard that restarts with a batch count behind the
+// trim horizon cannot converge by log replay (its entries are
 // gone) and is fenced dead — loudly — while the rest of the cluster keeps
 // serving reads and writes, and trimming no longer waits for it.
 func TestLogTrimFencing(t *testing.T) {
@@ -161,8 +161,8 @@ func TestLogTrimFencing(t *testing.T) {
 	}
 	waitFor(t, "batches applied", co.CaughtUp)
 
-	// Kill shard 1 and restart it from the BASE snapshot: zero applied
-	// rows, far behind the trim horizon — it must be fenced, not replayed.
+	// Kill shard 1 and restart it from the BASE snapshot: zero batches, far
+	// behind the trim horizon — it must be fenced, not replayed.
 	s1.stop(t)
 	exec(6) // trips the worker into the down state
 	waitFor(t, "outage noticed", func() bool { return co.Metrics().ShardsDown.Load() == 1 })

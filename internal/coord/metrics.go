@@ -39,10 +39,10 @@ type Metrics struct {
 	// that reads it.
 	CacheCoalesced atomic.Int64
 
-	// EpochGlobalBumps counts write-epoch bumps: one per logged Exec.
+	// EpochGlobalBumps counts write-epoch bumps: one per logged time point.
 	EpochGlobalBumps atomic.Int64
 
-	// LogTrimmed counts statement-log entries dropped after every
+	// LogTrimmed counts log entries (time points) dropped after every
 	// participating shard applied them (the bounded-log maintenance).
 	LogTrimmed atomic.Int64
 
@@ -59,11 +59,9 @@ type ShardMetrics struct {
 	Addr     string
 	Requests atomic.Int64
 	Errors   atomic.Int64
-	// Replays counts restart recoveries that rewound the replay cursor;
-	// ReplayRejects counts re-sent statements the engine rejected as
-	// duplicates of an apply that an ambiguous failure had obscured.
-	Replays       atomic.Int64
-	ReplayRejects atomic.Int64
+	// Replays counts placements that resumed the shard behind the log's
+	// end, so that it replays the time points it lacks.
+	Replays atomic.Int64
 	// Latency observes request round trips in nanoseconds.
 	Latency metrics.Histogram
 }
@@ -81,13 +79,13 @@ func newMetrics(addrs []string) *Metrics {
 func (m *Metrics) Registry() *metrics.Registry {
 	r := &metrics.Registry{}
 	r.Int("coord_queries_total", "SELECT statements routed.", &m.Queries)
-	r.Int("coord_execs_total", "INSERT statements logged and broadcast.", &m.Execs)
+	r.Int("coord_execs_total", "INSERT statements accepted.", &m.Execs)
 	r.Int("coord_fanouts_total", "Drill-down statements forwarded to a shard.", &m.Fanouts)
 	r.Int("coord_fanout_subqueries_total", "Shard requests issued for drill-down statements, failover retries included.", &m.FanoutSubqueries)
 	r.Int("coord_failovers_total", "Queries answered by a non-owner shard.", &m.Failovers)
-	r.Int("coord_log_trimmed_total", "Statement-log entries trimmed after cluster-wide apply.", &m.LogTrimmed)
+	r.Int("coord_log_trimmed_total", "Logged time points trimmed after cluster-wide apply.", &m.LogTrimmed)
 	r.Int("coord_shards_down", "Shards currently down (reconnecting).", &m.ShardsDown)
-	r.Int("coord_shards_dead", "Shards abandoned after unalignable restarts.", &m.ShardsDead)
+	r.Int("coord_shards_dead", "Shards fenced out of the log.", &m.ShardsDead)
 	r.Histogram("coord_fanout_width", "Groups per drill-down statement.", 1, &m.FanoutWidth)
 
 	r.Break(false)
@@ -96,7 +94,7 @@ func (m *Metrics) Registry() *metrics.Registry {
 	r.Int("coord_cache_evictions_total", "Result-cache LRU evictions.", &m.CacheEvictions)
 	r.Int("coord_cache_invalidations_total", "Cached results discarded because a write bumped the epoch.", &m.CacheInvalidations)
 	r.Int("coord_route_memo_hits_total", "Statements routed from the memo without re-parsing.", &m.RouteMemoHits)
-	r.Int("coord_epoch_global_bumps_total", "Write-epoch bumps: one per logged Exec.", &m.EpochGlobalBumps)
+	r.Int("coord_epoch_global_bumps_total", "Write-epoch bumps: one per logged time point.", &m.EpochGlobalBumps)
 
 	r.Break(false)
 	for i := range m.Shards {
@@ -104,8 +102,7 @@ func (m *Metrics) Registry() *metrics.Registry {
 		shard, addr := metrics.Label("shard", strconv.Itoa(i)), metrics.Label("addr", s.Addr)
 		r.Int("coord_shard_requests_total", "Requests sent per shard.", &s.Requests, shard, addr)
 		r.Int("coord_shard_errors_total", "Transport failures per shard.", &s.Errors, shard, addr)
-		r.Int("coord_shard_replays_total", "Restart recoveries that rewound the replay cursor.", &s.Replays, shard, addr)
-		r.Int("coord_shard_replay_rejects_total", "Re-sent statements rejected as already applied.", &s.ReplayRejects, shard, addr)
+		r.Int("coord_shard_replays_total", "Placements that resumed the shard behind the log's end.", &s.Replays, shard, addr)
 		r.Histogram("coord_shard_latency_seconds", "Request latency per shard.", 1e9, &s.Latency, shard, addr)
 	}
 	return r

@@ -371,11 +371,12 @@ func (a *Advisor) warmStart(id int, m forecast.Model) {
 }
 
 // recordSeed stores a fitted model's parameters as the warm seed for a
-// future re-fit of the same node. Callers must be on a sequential path
-// (never inside evaluate's parallel fits).
+// future re-fit of the same node, in the node's existing seed storage
+// (WarmStart copies a seed, so none is shared). Callers must be on a
+// sequential path (never inside evaluate's parallel fits).
 func (a *Advisor) recordSeed(id int, m forecast.Model) {
 	if ws, ok := m.(forecast.WarmStarter); ok {
-		if p := ws.Params(); p != nil {
+		if p := ws.AppendParams(a.warm[id].params[:0]); len(p) > 0 {
 			a.warm[id] = warmSeed{m.Name(), p}
 		}
 	}

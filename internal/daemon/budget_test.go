@@ -13,8 +13,10 @@ import (
 	"path"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -33,8 +35,9 @@ import (
 // TestCountBudgets is the count table: what one operation costs through the
 // whole stack, in numbers that are exact and the same on any machine, each
 // row held to a recorded budget. A client sends statements over loopback to
-// a front server, whose coordinator sends each one on over loopback to two
-// shard servers, each a durable engine on segment.MemFS under the daemon's
+// a front server, whose coordinator sends each read, and each time point
+// the inserts complete, on over loopback to two shard servers, each a
+// durable engine on segment.MemFS under the daemon's
 // TimeBased{8} re-fit rule. Run it with -v to see the table.
 //
 // The three hops run in three processes, each with one P from the start:
@@ -153,6 +156,7 @@ func TestCountBudgets(t *testing.T) {
 	}
 	query(hot)
 
+	warmSudogs()
 	m := &meter{front: front, shards: shards}
 	m.base = m.window(t, 0, func(int) {}).d
 	var rows []budgetRow
@@ -202,9 +206,12 @@ func TestCountBudgets(t *testing.T) {
 	// tier was re-recorded (29.80 → 19.12) when the forecasts of all its
 	// groups became one allocation in the engine's read table. The
 	// coordinator keeps a cold read's entry and its copy of the shard's
-	// answer; a hot read copies the cached answer into the front's buffer. An INSERT is the
-	// three servers' copies of the statement and a share of the
-	// coordinator's log; it was ≤ 3.81 end to end as TestClusterInsertAllocs.
+	// answer; a hot read copies the cached answer into the front's buffer. An
+	// INSERT is the front server's copy of the statement, then per time point
+	// (two statements) the coordinator's one rendered log entry and one copy
+	// in each shard server. Its row was coordinator 0.08, shard 2 and total
+	// 3.08, wire 21660, while every statement went to the shards as sent; it
+	// was ≤ 3.81 end to end as TestClusterInsertAllocs.
 	for _, b := range []struct {
 		r                                                      budgetRow
 		client, front, coordinator, shard, engine, total, wire float64
@@ -212,7 +219,7 @@ func TestCountBudgets(t *testing.T) {
 		{coldRow, 4, 1, 2, 1, 7, 15, 500},
 		{drillRow, 4.02, 1, 2.11, 1.18, 19.15, 27.45, 2774},
 		{hotRow, 4, 1, 0, 0, 0, 5, 163},
-		{insertRow, 0, 1, 0.08, 2, 0, 3.08, 21660},
+		{insertRow, 0, 1, 0.58, 1, 0, 2.58, 21620},
 	} {
 		over(b.r.name+", client", b.r.client, b.client)
 		over(b.r.name+", front server", b.r.front, b.front)
@@ -278,6 +285,29 @@ func drillDowns(g *cube.Graph, rng *rand.Rand, n int) []string {
 	return out
 }
 
+// warmSudogs grows the P's cache of sudogs, the runtime's records of a
+// goroutine blocked on a channel, past what any window needs. The cache
+// survives collections, but a window that first blocks more goroutines at
+// once than any moment before it (the two shard servers' selects, say)
+// allocates the difference, and the scheduler decides when that happens.
+func warmSudogs() {
+	var wg sync.WaitGroup
+	a, b := make(chan struct{}), make(chan struct{})
+	for i := 0; i < 48; i++ { // two sudogs each, within the cache's 128
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			select {
+			case <-a:
+			case <-b:
+			}
+		}()
+	}
+	time.Sleep(10 * time.Millisecond) // every goroutine blocks in its select
+	close(a)
+	wg.Wait()
+}
+
 // measured counts what the counting itself allocated in this process.
 var measured atomic.Uint64
 
@@ -322,8 +352,12 @@ func (m *meter) snap(t *testing.T) (out map[string]int64) {
 }
 
 // window runs n operations between two snapshots and returns their cost
-// per operation, less what an empty window costs.
+// per operation, less what an empty window costs. The collector is off in
+// all three processes meanwhile: a collection empties the sync.Pools, and
+// what refills them would count against whichever operation ran next.
 func (m *meter) window(t *testing.T, n int, op func(i int)) budgetRow {
+	m.collector(t, "off")
+	defer m.collector(t, "on")
 	a := m.snap(t)
 	for i := 0; i < n; i++ {
 		op(i)
@@ -347,6 +381,28 @@ func (m *meter) window(t *testing.T, n int, op func(i int)) budgetRow {
 	r.engine = float64(rest) / per
 	r.total = r.client + r.front + r.coordinator + r.shard + r.engine
 	return r
+}
+
+// collector turns the garbage collector "off" or back "on" in this process
+// and both children; what that allocates is counted as counting.
+func (m *meter) collector(t *testing.T, state string) {
+	measuring(func(uint64) {
+		switchGC(state)
+		m.front.ask(t, "gc "+state)
+		m.shards.ask(t, "gc "+state)
+	})
+}
+
+// gcPercent is the collector setting "gc off" replaced.
+var gcPercent int
+
+// switchGC turns the collector off, or restores the setting it had.
+func switchGC(state string) {
+	if state == "off" {
+		gcPercent = debug.SetGCPercent(-1)
+	} else {
+		debug.SetGCPercent(gcPercent)
+	}
 }
 
 // tierCounts publishes the allocation profile up to now (it takes two
@@ -529,6 +585,7 @@ func budgetChild(t *testing.T, role string) {
 		defer shutdownServer(t, srv, done)
 		hello = append(hello, ln.Addr().String())
 	}
+	warmSudogs()
 	fmt.Printf("hello %s\n", strings.Join(hello, ","))
 	budgetCommands(&wire, ctl)
 }
@@ -547,8 +604,8 @@ var okLine = []byte("ok \n")
 // budgetCommands answers commands on stdin until it closes. "wait N"
 // answers "ok" once both shards hold N time points; the shards apply them
 // meanwhile, so the wait allocates nothing and is not counted. Any other
-// command ("counts", "settle") runs and answers "ok" and the process's
-// counters, all of it counted as counting.
+// command ("counts", "settle", "gc off", "gc on") runs and answers "ok"
+// and the process's counters, all of it counted as counting.
 func budgetCommands(wire *atomic.Int64, ctl budgetCtl) {
 	time.Sleep(time.Microsecond) // a goroutine's first sleep allocates its timer
 	in := bufio.NewScanner(os.Stdin)
@@ -563,7 +620,11 @@ func budgetCommands(wire *atomic.Int64, ctl budgetCtl) {
 			continue
 		}
 		measuring(func(program uint64) {
-			ctl.command(in.Text())
+			if state, ok := strings.CutPrefix(in.Text(), "gc "); ok {
+				switchGC(state)
+			} else {
+				ctl.command(in.Text())
+			}
 			line := fmt.Sprintf("ok program=%d wire=%d", program, wire.Load())
 			for k, v := range tierCounts() {
 				if k != "" {

@@ -134,7 +134,7 @@ func stateDigest(t testing.TB, db *DB) string {
 	t.Helper()
 	var b strings.Builder
 	gv := db.Graph()
-	fmt.Fprintf(&b, "len=%d pending=%d\n", gv.Length(), db.pendingTotal.Load())
+	fmt.Fprintf(&b, "len=%d pending=%d\n", gv.Length(), db.batch.total.Load())
 	for id := 0; id < gv.NumNodes(); id++ {
 		fmt.Fprintf(&b, "s %s", gv.NodeKey(id))
 		for _, v := range gv.NodeValues(id) {
@@ -145,8 +145,8 @@ func stateDigest(t testing.TB, db *DB) string {
 	pend := make(map[int]float64)
 	db.maint.Lock()
 	for ord, id := range db.graph.BaseIDs {
-		if db.present[ord] {
-			pend[id] = db.pending[ord]
+		if db.batch.present[ord] {
+			pend[id] = db.batch.column[ord]
 		}
 	}
 	db.maint.Unlock()
@@ -362,7 +362,7 @@ func TestCrashRecoveryQuickProperty(t *testing.T) {
 
 		d := reopenRecovered(t, fs, 0)
 		defer d.Close()
-		if d.DB().pendingTotal.Load() != 0 {
+		if d.DB().batch.total.Load() != 0 {
 			t.Logf("seed=%d kill=%d power=%v: partial batch survived recovery", seed, killAt, powerLoss)
 			return false
 		}
@@ -581,7 +581,7 @@ func TestDurableCheckpoint(t *testing.T) {
 
 // TestRecoveredWriteStateMatchesLive holds a crash-recovered engine to the
 // live engine it replaces on the write state beside the series: the insert
-// and batch counters (a coordinator realigns a restarted shard by the insert
+// and batch counters (a coordinator resumes a restarted shard at its batch
 // count) and the pending column. One crash follows whole batches; the other
 // follows a batch that a checkpoint cut in half and that then completed, so
 // recovery loads its first half as pending and replays the whole batch.

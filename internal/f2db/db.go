@@ -142,16 +142,11 @@ type DB struct {
 	// the write lock: a stack array would escape through the interface call.
 	step1 [1]float64
 
-	// pending is the insert batch being collected, as the dense column it
-	// becomes: pending[i] is the next observation of base node
-	// graph.BaseIDs[i], held once present[i] is set. maint guards both, and
-	// pendingTotal counts the slots that hold a value (written under maint,
-	// read lock-free by Stats). Time advances only once every base series has
-	// a value for the next time stamp, and the advance hands the column on as
-	// it stands, so nothing is copied.
-	pending      []float64
-	present      []bool
-	pendingTotal atomic.Int64
+	// batch is the insert batch being collected, guarded by maint. Time
+	// advances only once every base series has a value for the next time
+	// stamp, and the advance hands the column on as it stands, so nothing is
+	// copied.
+	batch *Batch
 
 	// baseCounts holds the number of base series per node (AVG queries),
 	// precomputed at Open so the read path never mutates shared state.
@@ -167,8 +162,8 @@ type DB struct {
 
 	met engineMetrics
 
-	// commitHook, when non-nil, is the group-commit gate: advanceIfComplete
-	// calls it under maint, without mu, with the complete batch — the pending
+	// commitHook, when non-nil, is the group-commit gate: advance calls it
+	// under maint, without mu, with the complete batch — the pending
 	// column, to be read and not retained — and the generation it creates
 	// (the observation index it will occupy), BEFORE the batch is applied
 	// and the column released. The durability layer (durable.go) installs
@@ -234,9 +229,8 @@ func open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 		invalid:  make([]bool, len(cfg.Models)),
 		mstats:   make([]ModelStats, len(cfg.Models)),
 		schemes:  make([]schemeState, g.NumNodes()),
-		pending:  make([]float64, len(g.BaseIDs)),
-		present:  make([]bool, len(g.BaseIDs)),
 	}
+	db.batch = db.planner.NewBatch()
 	// A node without a scheme (from an image an older engine saved, or one no
 	// model could be evaluated for) gets one now, so every scheme is tracked
 	// from the start. One that cannot be derived stays without and answers
@@ -293,7 +287,7 @@ func open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 
 // Stats returns a snapshot of the engine counters. It is lock-free.
 func (db *DB) Stats() Stats {
-	pending := int(db.pendingTotal.Load())
+	pending := int(db.batch.total.Load())
 	return Stats{
 		Queries:        int(db.met.queries.Load()),
 		Inserts:        int(db.met.inserts.Load()),
@@ -493,76 +487,34 @@ func (db *DB) InsertBatch(values map[int]float64) error {
 }
 
 // applyRows runs one insert statement of distinct base rows in ascending ID
-// order, holding maint from validation to return, so no other statement,
-// advance or re-fit interleaves. The rows fill the batch's empty slots in
-// order; the one that completes it advances time, and the rest land in the
-// next. A row before that point whose slot is taken repeats a pending value
-// and rejects the statement: validation finds it before any row lands, so a
-// rejected statement changes nothing. The rows land under maint alone — a
-// snapshot, which takes maint, sees all of them or none — and count as
-// inserts before maint is released; only a failed commit returns an error
-// after some landed.
+// order through the batch's rule (Batch.fill) under maint, so no other
+// statement, advance or re-fit interleaves and a snapshot sees all of its
+// rows or none. They count as inserts before maint is released; only a
+// failed commit returns an error after some landed.
 func (db *DB) applyRows(rows []baseRow) error {
-	start, applied := time.Now(), 0
+	start := time.Now()
 	db.maint.Lock()
-	defer func() {
-		db.met.inserts.Add(int64(applied))
-		db.maint.Unlock()
-		db.met.maintainNanos.Add(time.Since(start).Nanoseconds())
-	}()
-	// A batch left complete by a failed commit is applied first.
-	if err := db.advanceIfComplete(); err != nil {
-		return err
-	}
-	numBases := int64(len(db.graph.BaseIDs))
-	for i, free := 0, numBases-db.pendingTotal.Load(); i < len(rows) && free > 0; i, free = i+1, free-1 {
-		if ord, _ := db.graph.BaseOrdinal(rows[i].id); db.present[ord] { // callers resolved rows[i].id as a base node
-			return fmt.Errorf("f2db: duplicate insert for base node %d in current batch", rows[i].id)
-		}
-	}
-	for {
-		for ; applied < len(rows) && db.pendingTotal.Load() < numBases; applied++ {
-			ord, _ := db.graph.BaseOrdinal(rows[applied].id)
-			db.pending[ord], db.present[ord] = rows[applied].value, true
-			db.pendingTotal.Add(1)
-		}
-		if err := db.advanceIfComplete(); err != nil || applied == len(rows) {
-			return err
-		}
-	}
+	applied, err := db.batch.fill(rows, db.advance)
+	db.met.inserts.Add(int64(applied))
+	db.maint.Unlock()
+	db.met.maintainNanos.Add(time.Since(start).Nanoseconds())
+	return err
 }
 
-// advanceIfComplete applies the pending batch if it is complete. The
-// caller holds maint, under which it commits the pending column, then under
-// the engine write lock advances time with it and only then releases the
-// column. Readers keep answering from the previous time point while the
-// commit fsyncs.
-func (db *DB) advanceIfComplete() error {
-	if db.pendingTotal.Load() < int64(len(db.graph.BaseIDs)) {
-		return nil
-	}
-	// Group commit: the batch must be durable before it is applied. On
-	// error the column still holds every value — nothing advanced, nothing
-	// was lost, and the insert that triggered the advance reports the
-	// failure to its caller.
+// advance applies a complete batch. The caller holds maint, under which it
+// commits the column (group commit: durable before applied), then under the
+// engine write lock advances time with it; readers keep answering from the
+// previous time point while the commit fsyncs. On error nothing advanced,
+// the column keeps every value, and the triggering insert reports it.
+func (db *DB) advance(column []float64) error {
 	if db.commitHook != nil {
-		if err := db.commitHook(uint64(db.graph.Length), db.pending); err != nil {
+		if err := db.commitHook(uint64(db.graph.Length), column); err != nil {
 			return err
 		}
 	}
 	db.mu.Lock()
-	err := db.advanceBatch(db.pending)
-	db.releaseColumn()
-	db.mu.Unlock()
-	return err
-}
-
-// releaseColumn hands the pending column back to inserters after its batch
-// was applied: it clears the presence marks and the count. The caller holds
-// maint and mu exclusively.
-func (db *DB) releaseColumn() {
-	clear(db.present)
-	db.pendingTotal.Store(0)
+	defer db.mu.Unlock()
+	return db.advanceBatch(column)
 }
 
 // advanceBatch processes a complete batch — one value per base series, in

@@ -227,8 +227,8 @@ func (d *Durable) applyReplayedBatch(gen uint64, column []float64) (applied bool
 	if err := db.advanceBatch(column); err != nil {
 		return false, err
 	}
-	db.met.inserts.Add(int64(len(column)) - db.pendingTotal.Load())
-	db.releaseColumn()
+	db.met.inserts.Add(int64(len(column)) - db.batch.total.Load())
+	db.batch.release()
 	return true, nil
 }
 

@@ -912,8 +912,8 @@ func TestDatabaseSnapshotRoundTrip(t *testing.T) {
 	}
 	// The maintenance counters survive the round trip: the saved engine
 	// had applied one full batch plus the 3 pending rows, and the counter
-	// keeps counting from there (cluster coordinators realign restarted
-	// shards against this counter, so a reset would break replay).
+	// keeps counting from there (a cluster coordinator resumes a restarted
+	// shard at its batch count, so a reset would break replay).
 	if n := db2.Stats().Inserts; n != len(g.BaseIDs)+3 {
 		t.Fatalf("restored inserts = %d, want %d", n, len(g.BaseIDs)+3)
 	}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"cubefc/internal/cube"
 )
@@ -14,8 +15,8 @@ import (
 // row by row over the pull lexer, a resolver that maps each row straight to
 // its base node ID through the graph's key-free lookup, and the pooled
 // scratch both work in, so nothing is allocated per row. The engine (Exec,
-// Insert) and the engine-free Planner (RouteExecNodes) run this one pipeline:
-// a coordinator accepts, orders and rejects rows exactly as its shards do.
+// Insert) and the engine-free Planner (Fill) run this one pipeline: a
+// coordinator accepts, orders and rejects rows exactly as its shards do.
 
 // insertScanner yields the rows of
 //
@@ -120,10 +121,14 @@ type insertScratch struct {
 	coord cube.Coord
 	key   []byte
 	rows  []baseRow
+	// bases is the base count of the graph last resolved against: a whole
+	// time point, grown by doubling, stays pooled.
+	bases int
 }
 
 // Scratches are pooled: a statement allocates nothing in steady state. One
-// grown past these caps is dropped, so an idle one pins at most ~66 KiB.
+// grown past these caps is dropped, so an idle one pins at most ~66 KiB
+// beyond the rows of two time points.
 const (
 	pooledRows  = 4096 // 64 KiB of resolved rows
 	pooledBytes = 1024 // of key buffer, and of members (16 B each)
@@ -137,7 +142,7 @@ func getInsertScratch() *insertScratch { return insertScratchPool.Get().(*insert
 // text, and returns it to the pool.
 func (sc *insertScratch) release() {
 	members := sc.scan.members[:cap(sc.scan.members)]
-	if cap(sc.rows) > pooledRows || cap(sc.key) > pooledBytes || len(members) > pooledBytes/16 {
+	if cap(sc.rows) > max(pooledRows, 2*sc.bases) || cap(sc.key) > pooledBytes || len(members) > pooledBytes/16 {
 		return
 	}
 	clear(members)
@@ -173,6 +178,7 @@ func (sc *insertScratch) resolveBase(g *cube.Graph, members []string) (int, erro
 // sc.rows. Nothing has been applied when it returns: an error anywhere
 // rejects the statement whole. Repeated rows are rejectDuplicates' job.
 func (sc *insertScratch) resolve(g *cube.Graph, sql string) error {
+	sc.bases = len(g.BaseIDs)
 	if err := sc.scan.open(sql); err != nil {
 		return err
 	}
@@ -221,4 +227,109 @@ func (sc *insertScratch) rejectDuplicates(g *cube.Graph) error {
 		seen[id] = true
 	}
 	return fmt.Errorf("f2db: duplicate row in INSERT") // unreachable: the re-scan sees what the scan saw
+}
+
+// Batch is the time point being collected, as the dense column it becomes:
+// column[i] is the next observation of base node BaseIDs[i], held once
+// present[i] is set; total counts the values held (read lock-free by
+// Stats). Its rule, fill, is the maintenance processor's (Section V), run by
+// the engine and by a cluster coordinator (Planner.Fill) alike, so both
+// decide every duplicate and straddling row, with the same error text. The
+// holder's lock guards it.
+type Batch struct {
+	g       *cube.Graph
+	column  []float64
+	present []bool
+	total   atomic.Int64
+}
+
+// NewBatch returns an empty batch over the planner's graph.
+func (p *Planner) NewBatch() *Batch {
+	n := len(p.g.BaseIDs)
+	return &Batch{g: p.g, column: make([]float64, n), present: make([]bool, n)}
+}
+
+// fill lands one statement's rows — distinct base nodes, ascending — in the
+// empty slots in order. Each complete column goes to complete (to be read,
+// not retained), and the batch empties once complete returns nil: the rows
+// after that point land in the next time point, and a column complete
+// failed on stays, to be completed first by the next statement. A row
+// before the first such point whose slot is taken repeats a pending value
+// and rejects the statement before any row lands. landed counts the rows
+// that landed.
+func (b *Batch) fill(rows []baseRow, complete func(column []float64) error) (landed int, err error) {
+	n := int64(len(b.column))
+	for {
+		if b.total.Load() == n {
+			if err := complete(b.column); err != nil {
+				return landed, err
+			}
+			b.release()
+		}
+		if landed == len(rows) {
+			return landed, nil
+		}
+		for i, free := 0, n-b.total.Load(); landed == 0 && i < len(rows) && free > 0; i, free = i+1, free-1 {
+			if ord, _ := b.g.BaseOrdinal(rows[i].id); b.present[ord] { // callers resolved rows[i].id as a base node
+				return 0, fmt.Errorf("f2db: duplicate insert for base node %d in current batch", rows[i].id)
+			}
+		}
+		for ; landed < len(rows) && b.total.Load() < n; landed++ {
+			ord, _ := b.g.BaseOrdinal(rows[landed].id)
+			b.column[ord], b.present[ord] = rows[landed].value, true
+			b.total.Add(1)
+		}
+	}
+}
+
+// release empties the batch: it clears the presence marks and the count.
+func (b *Batch) release() {
+	clear(b.present)
+	b.total.Store(0)
+}
+
+// Fill runs one INSERT against a batch held outside any engine as Exec runs
+// it against the engine's own: resolved through the engine's pipeline,
+// then filled under mu, complete receiving every column it completes. A
+// rejection is the engine's error, byte for byte, and changes nothing. rows
+// counts the rows that landed.
+func (p *Planner) Fill(b *Batch, sql string, mu sync.Locker, complete func(column []float64) error) (rows int, err error) {
+	sc := getInsertScratch()
+	defer sc.release()
+	if err := sc.resolve(p.g, sql); err != nil {
+		return 0, err
+	}
+	if err := sc.rejectDuplicates(p.g); err != nil {
+		return 0, err
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	return b.fill(sc.rows, complete)
+}
+
+// AppendInsert renders one multi-row INSERT in the engine's dialect: the
+// base nodes ids in the order given, with the parallel values in their
+// shortest exact decimal form.
+func AppendInsert(dst []byte, g *cube.Graph, ids []int, values []float64) []byte {
+	dst = append(dst, "INSERT INTO facts VALUES "...)
+	for i, id := range ids {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = append(dst, '(')
+		for d := range g.Dims {
+			dst = append(dst, '\'')
+			dst = append(dst, g.CellOf(id, d).Value...)
+			dst = append(dst, "', "...)
+		}
+		dst = strconv.AppendFloat(dst, values[i], 'f', -1, 64)
+		dst = append(dst, ')')
+	}
+	return dst
+}
+
+// AppendTimePoint renders a complete column as one INSERT of every base
+// series, in BaseIDs order.
+func (p *Planner) AppendTimePoint(dst []byte, column []float64) []byte {
+	return AppendInsert(dst, p.g, p.g.BaseIDs, column)
 }

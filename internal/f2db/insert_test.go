@@ -224,7 +224,7 @@ func TestInsertErrorPrecedence(t *testing.T) {
 			t.Fatalf("%s:\n  got  %v\n  want %s", tc.sql, err, tc.want)
 		}
 	}
-	if n := db.pendingTotal.Load(); n != 0 {
+	if n := db.batch.total.Load(); n != 0 {
 		t.Fatalf("rejected statements left %d values pending", n)
 	}
 }
@@ -241,10 +241,11 @@ func TestInsertSeparatorMemberUnknown(t *testing.T) {
 	if err := db.Exec(sql); err == nil || err.Error() != want {
 		t.Fatalf("engine: got %v, want %s", err, want)
 	}
-	if n := db.pendingTotal.Load(); n != 0 {
+	if n := db.batch.total.Load(); n != 0 {
 		t.Fatalf("a refused INSERT left %d values pending", n)
 	}
-	if _, err := NewPlanner(g, 0).RouteExecNodes(sql); err == nil || err.Error() != want {
+	p := NewPlanner(g, 0)
+	if _, err := p.Fill(p.NewBatch(), sql, new(sync.Mutex), nil); err == nil || err.Error() != want {
 		t.Fatalf("planner: got %v, want %s", err, want)
 	}
 }
@@ -280,18 +281,22 @@ func TestExecInsertAllocs(t *testing.T) {
 	if wide > 4 || wide != narrow {
 		t.Fatalf("Exec allocates %v times for 256 rows and %v for 16; want ≤ 4 and equal", wide, narrow)
 	}
-	if got, want := db.pendingTotal.Load(), int64(next); got != want {
+	if got, want := db.batch.total.Load(), int64(next); got != want {
 		t.Fatalf("%d values pending, want %d", got, want)
 	}
 
 	p := NewPlanner(g, 0)
+	b, mu := p.NewBatch(), new(sync.Mutex)
 	sql := insertSQL(g, g.BaseIDs[:256], 1)
 	rows := 0
-	if n := testing.AllocsPerRun(runs, func() { rows, _ = p.RouteExecNodes(sql) }); n != 0 {
-		t.Fatalf("RouteExecNodes allocates %v times for 256 rows, want 0", n)
+	if n := testing.AllocsPerRun(runs, func() {
+		b.release()
+		rows, _ = p.Fill(b, sql, mu, nil)
+	}); n != 0 {
+		t.Fatalf("Planner.Fill allocates %v times for 256 rows, want 0", n)
 	}
-	if rows != 256 {
-		t.Fatalf("RouteExecNodes counted %d rows of 256", rows)
+	if rows != 256 || b.total.Load() != 256 {
+		t.Fatalf("Planner.Fill landed %d of 256 rows, %d pending", rows, b.total.Load())
 	}
 
 	// The token-slice parser took 21 allocations for this statement, and
@@ -307,7 +312,7 @@ func TestExecInsertAllocs(t *testing.T) {
 func pendingValues(db *DB) (n int) {
 	db.maint.Lock()
 	defer db.maint.Unlock()
-	for _, p := range db.present {
+	for _, p := range db.batch.present {
 		if p {
 			n++
 		}
@@ -331,16 +336,16 @@ func TestExecInsertAtomic(t *testing.T) {
 		if err := db.Exec(good + last); err == nil {
 			t.Fatalf("statement ending %q accepted", last)
 		}
-		if db.pendingTotal.Load() != 0 || pendingValues(db) != 0 || db.Metrics().Inserts != 0 {
+		if db.batch.total.Load() != 0 || pendingValues(db) != 0 || db.Metrics().Inserts != 0 {
 			t.Fatalf("statement ending %q left pendingTotal=%d, %d values pending, %d inserts counted",
-				last, db.pendingTotal.Load(), pendingValues(db), db.Metrics().Inserts)
+				last, db.batch.total.Load(), pendingValues(db), db.Metrics().Inserts)
 		}
 	}
 	if err := db.Exec(good); err != nil {
 		t.Fatal(err)
 	}
-	if db.pendingTotal.Load() != 40 || pendingValues(db) != 40 {
-		t.Fatalf("accepted statement: pendingTotal=%d, %d values pending, want 40", db.pendingTotal.Load(), pendingValues(db))
+	if db.batch.total.Load() != 40 || pendingValues(db) != 40 {
+		t.Fatalf("accepted statement: pendingTotal=%d, %d values pending, want 40", db.batch.total.Load(), pendingValues(db))
 	}
 
 	// At run time too: on a 4 × 4 grid with base 12 pending, a statement
@@ -370,7 +375,7 @@ func engineState(db *DB) string {
 	defer db.maint.Unlock()
 	m := db.Metrics()
 	var b strings.Builder
-	fmt.Fprintf(&b, "pending %v\npresent %v\ntotal %d inserts %d batches %d\n", db.pending, db.present, db.pendingTotal.Load(), m.Inserts, m.Batches)
+	fmt.Fprintf(&b, "pending %v\npresent %v\ntotal %d inserts %d batches %d\n", db.batch.column, db.batch.present, db.batch.total.Load(), m.Inserts, m.Batches)
 	for _, id := range db.graph.BaseIDs {
 		fmt.Fprintf(&b, "%d %v\n", id, db.graph.NodeValues(id))
 	}
@@ -448,7 +453,7 @@ func TestInsertCountUnderMaint(t *testing.T) {
 	checks, lagging := 0, 0
 	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); checks++ {
 		db.maint.Lock()
-		inserts, batches, pending := db.met.inserts.Load(), db.met.batches.Load(), db.pendingTotal.Load()
+		inserts, batches, pending := db.met.inserts.Load(), db.met.batches.Load(), db.batch.total.Load()
 		db.maint.Unlock()
 		if inserts != batches*bases+pending {
 			lagging++
@@ -463,7 +468,7 @@ func TestInsertCountUnderMaint(t *testing.T) {
 	}
 }
 
-// TestExecInsertConcurrentScratch runs four writers (and a router) through
+// TestExecInsertConcurrentScratch runs four writers (and a router batch) through
 // the shared scratch pool at once, for the race detector, and holds the
 // result to a twin fed the same time points through InsertBatch.
 func TestExecInsertConcurrentScratch(t *testing.T) {
@@ -472,6 +477,8 @@ func TestExecInsertConcurrentScratch(t *testing.T) {
 	db, g := gridEngine(t, levels, numbered("P", 12), numbered("C", 12), Options{})
 	twin, _ := gridEngine(t, levels, numbered("P", 12), numbered("C", 12), Options{})
 	p := NewPlanner(g, 0)
+	router, routerMu := p.NewBatch(), new(sync.Mutex)
+	routed := 0
 	for point := 0; point < points; point++ {
 		var stmts []string
 		batch := make(map[int]float64)
@@ -489,7 +496,7 @@ func TestExecInsertConcurrentScratch(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i := w; i < len(stmts); i += writers {
-					if _, err := p.RouteExecNodes(stmts[i]); err != nil {
+					if _, err := p.Fill(router, stmts[i], routerMu, func([]float64) error { routed++; return nil }); err != nil {
 						errs[w] = err
 						return
 					}
@@ -510,8 +517,8 @@ func TestExecInsertConcurrentScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if db.Stats().Batches != points || twin.Stats().Batches != points {
-		t.Fatalf("batches: %d and twin %d, want %d", db.Stats().Batches, twin.Stats().Batches, points)
+	if db.Stats().Batches != points || twin.Stats().Batches != points || routed != points {
+		t.Fatalf("batches: %d, twin %d, router %d, want %d", db.Stats().Batches, twin.Stats().Batches, routed, points)
 	}
 	for id := 0; id < g.NumNodes(); id++ {
 		a, b := db.graph.NodeValues(id), twin.graph.NodeValues(id)

@@ -153,9 +153,9 @@ func TestLazyMaterializationRace(t *testing.T) {
 }
 
 // TestRoutingHoldsSkeleton: the routing tier (f2dbd -coordinator) plans
-// SELECTs and resolves INSERT rows on the graph's skeleton alone. 2 000
-// rendered statements — forecasts of random nodes, every tenth a multi-row
-// INSERT — materialize no aggregate: the coordinator's copy of the cube
+// SELECTs, batches INSERT rows and renders every completed time point on
+// the graph's skeleton alone. 2 000 rendered statements — forecasts of
+// random nodes, every tenth a multi-row INSERT — materialize no aggregate: the coordinator's copy of the cube
 // stays at its base nodes however much traffic it routes.
 func TestRoutingHoldsSkeleton(t *testing.T) {
 	g, err := datasets.GenCube(1, datasets.CubeGenForNodes(1_000, 2)).Graph()
@@ -163,6 +163,11 @@ func TestRoutingHoldsSkeleton(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := f2db.NewPlanner(g, 0)
+	batch, mu := p.NewBatch(), new(sync.Mutex)
+	render := func(column []float64) error {
+		_ = f2db.AppendInsert(nil, g, g.BaseIDs, column)
+		return nil
+	}
 	gen := workload.New(g, 3)
 	var inserts []map[int]float64
 	for i := 0; i < 2_000; i++ {
@@ -175,9 +180,9 @@ func TestRoutingHoldsSkeleton(t *testing.T) {
 		if len(inserts) == 0 {
 			inserts = workload.SplitBatch(gen.NextBatch(), 8)
 		}
-		rows, err := p.RouteExecNodes(gen.InsertSQL(inserts[0]))
+		rows, err := p.Fill(batch, gen.InsertSQL(inserts[0]), mu, render)
 		if err != nil || rows != len(inserts[0]) {
-			t.Fatalf("RouteExecNodes: %d rows, %v; want %d rows", rows, err, len(inserts[0]))
+			t.Fatalf("Planner.Fill: %d rows, %v; want %d rows", rows, err, len(inserts[0]))
 		}
 		inserts = inserts[1:]
 	}

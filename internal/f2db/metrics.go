@@ -246,7 +246,7 @@ func (db *DB) Registry() *metrics.Registry {
 	return metrics.Dynamic(func(r *metrics.Registry) {
 		r.Value("f2db_resident_nodes", "Graph nodes whose series is materialized.", float64(db.graph.MaterializedNodes()))
 		r.Value("f2db_graph_nodes", "Nodes of the time-series hyper graph.", float64(db.graph.NumNodes()))
-		r.Value("f2db_pending_inserts", "Values in the current incomplete batch.", float64(db.pendingTotal.Load()))
+		r.Value("f2db_pending_inserts", "Values in the current incomplete batch.", float64(db.batch.total.Load()))
 		r.Value("f2db_invalid_models", "Models awaiting re-estimation.", float64(db.InvalidCount()))
 		r.Break(false)
 		db.Metrics().describe(r)

@@ -511,7 +511,7 @@ func TestPendingSnapshotAtomic(t *testing.T) {
 			}
 			pending := make(map[string]bool)
 			for ord, id := range img.graph.BaseIDs {
-				if img.present[ord] {
+				if img.batch.present[ord] {
 					pending[img.graph.KeyOf(id)] = true
 				}
 			}

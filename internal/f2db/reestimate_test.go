@@ -59,7 +59,7 @@ func TestAdvanceWaitsForRefit(t *testing.T) {
 	go func() { done <- db.InsertBatch(fullBatch(db, 1)) }()
 	time.Sleep(10 * time.Millisecond) // the statement reaches the lock
 	for i := 0; i < 20; i++ {
-		if n := db.pendingTotal.Load(); n != 0 {
+		if n := db.batch.total.Load(); n != 0 {
 			t.Fatalf("%d rows landed while the maintenance lock was held", n)
 		}
 		if _, err := db.Query("SELECT time, SUM(m) FROM facts GROUP BY time AS OF now() + '2 steps'"); err != nil {

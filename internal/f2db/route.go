@@ -97,23 +97,6 @@ func (p *Planner) RouteQuery(sql string) (*Plan, error) {
 	return pl, nil
 }
 
-// RouteExecNodes resolves an INSERT for routing through the engine's own
-// INSERT pipeline (insert.go), so any statement the engine would reject is
-// rejected here with the byte-identical error. It returns the row count —
-// coordinators realign a restarted shard's replay cursor by it
-// (wire.Info.Inserts counts accepted rows).
-func (p *Planner) RouteExecNodes(sql string) (rows int, err error) {
-	sc := getInsertScratch()
-	defer sc.release()
-	if err := sc.resolve(p.g, sql); err != nil {
-		return 0, err
-	}
-	if err := sc.rejectDuplicates(p.g); err != nil {
-		return 0, err
-	}
-	return len(sc.rows), nil
-}
-
 // NodeKey renders a node's canonical coordinate key, for diagnostics.
 func (p *Planner) NodeKey(id int) string {
 	if id < 0 || id >= p.g.NumNodes() {

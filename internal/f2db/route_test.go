@@ -2,6 +2,8 @@ package f2db
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -140,25 +142,47 @@ func TestRouteErrorsMatchEngine(t *testing.T) {
 	}
 }
 
-// TestRouteExecNodes: INSERT row counts drive replay-cursor alignment;
-// every rejection carries the engine's own text.
-func TestRouteExecNodes(t *testing.T) {
+// TestPlannerFill: the batch rule run outside the engine decides what the
+// engine's own run of it decides — the same rows land, a row repeating a
+// pending value rejects the statement with the engine's text, the rows past
+// the completing one straddle into the next time point — and every
+// completed column is the one the engine advanced with.
+func TestPlannerFill(t *testing.T) {
 	db, g, _ := testEngine(t, nil)
 	p := NewPlanner(g, 0)
-	n, err := p.RouteExecNodes("INSERT INTO facts VALUES ('P2', 'C1', 12), ('P1', 'C2', 11), ('P1', 'C1', 10)")
-	if err != nil || n != 3 {
-		t.Fatalf("RouteExecNodes: n=%d err=%v", n, err)
+	b, mu := p.NewBatch(), new(sync.Mutex)
+	var columns [][]float64
+	keep := func(column []float64) error {
+		columns = append(columns, append([]float64(nil), column...))
+		return nil
 	}
 	for _, q := range []string{
 		"INSERT INTO facts VALUES ()",
 		"INSERT INTO facts VALUES ('P1', 'C9', 1)",
 		"INSERT INTO facts VALUES ('P1', 1)",
 		"INSERT INTO facts VALUES ('P1', 'C1', 1), ('P2', 'C1', 2), ('P1', 'C1', 3)",
+		"INSERT INTO facts VALUES ('P2', 'C4', 12), ('P2', 'C3', 11)",
+		"INSERT INTO facts VALUES ('P2', 'C4', 5)",
+		"INSERT INTO facts VALUES ('P1', 'C1', 1), ('P1', 'C2', 2), ('P1', 'C3', 3), ('P1', 'C4', 4), " +
+			"('P2', 'C1', 5), ('P2', 'C2', 6), ('P2', 'C3', 7), ('P2', 'C4', 8)",
+		"INSERT INTO facts VALUES ('P2', 'C3', 30)",
 	} {
-		_, rerr := p.RouteExecNodes(q)
+		_, ferr := p.Fill(b, q, mu, keep)
 		eerr := db.Exec(q)
-		if rerr == nil || eerr == nil || rerr.Error() != eerr.Error() {
-			t.Fatalf("%s: route says %v, engine says %v", q, rerr, eerr)
+		if (ferr == nil) != (eerr == nil) || (ferr != nil && ferr.Error() != eerr.Error()) {
+			t.Fatalf("%s: Fill says %v, engine says %v", q, ferr, eerr)
+		}
+		if b.total.Load() != db.batch.total.Load() || !slices.Equal(b.present, db.batch.present) {
+			t.Fatalf("%s: %d rows pending outside the engine, %d inside", q, b.total.Load(), db.batch.total.Load())
+		}
+	}
+	if len(columns) != 1 || db.Stats().Batches != 1 || b.total.Load() != 2 {
+		t.Fatalf("%d columns completed outside the engine, %d batches inside, %d rows straddled; want 1, 1 and 2",
+			len(columns), db.Stats().Batches, b.total.Load())
+	}
+	for o, id := range g.BaseIDs {
+		if got := g.NodeValues(id); got[len(got)-1] != columns[0][o] {
+			t.Fatalf("base %d advanced with %v, the completed column holds %v", id, got[len(got)-1], columns[0][o])
 		}
 	}
 }

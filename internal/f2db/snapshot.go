@@ -32,11 +32,10 @@ import (
 //	          base ordinal, value, in ascending ordinal
 //	counters  rows accepted and batches completed at save time
 //
-// The counters restore into the reopened engine so its applied-row counter
-// keeps counting from where the saved engine stood — which is what lets a
-// cluster coordinator realign a shard restarted from a mid-history snapshot
-// against its statement log (wire.Info.Inserts reports this counter; the
-// coordinator matches it to cumulative statement boundaries). The model
+// The counters restore into the reopened engine so its batch counter keeps
+// counting from where the saved engine stood — which is what lets a cluster
+// coordinator resume a shard restarted from a snapshot at the next time
+// point of its log (wire.Info.Batches reports this counter). The model
 // states make a reopened engine re-estimate the models the saved one would
 // have.
 
@@ -115,18 +114,18 @@ func (db *DB) appendSnapshot() ([]byte, error) {
 		w.bool(db.invalid[o])
 	}
 	pending := 0
-	for _, p := range db.present {
+	for _, p := range db.batch.present {
 		if p {
 			pending++
 		}
 	}
 	w.begin(recItems)
 	w.int(pending)
-	for ord, p := range db.present {
+	for ord, p := range db.batch.present {
 		if p {
 			w.begin(recItems)
 			w.int(ord)
-			w.f64(db.pending[ord])
+			w.f64(db.batch.column[ord])
 		}
 	}
 	w.begin(recItems)

@@ -265,7 +265,7 @@ func TestStripedInsertTwin(t *testing.T) {
 		held := 0
 		for ord, id := range ids {
 			db.maint.Lock()
-			present, v := db.present[ord], db.pending[ord]
+			present, v := db.batch.present[ord], db.batch.column[ord]
 			db.maint.Unlock()
 			ov, ok := o.pending[id]
 			if present != ok || present && math.Float64bits(v) != math.Float64bits(ov) {
@@ -275,7 +275,7 @@ func TestStripedInsertTwin(t *testing.T) {
 				held++
 			}
 		}
-		if got := db.pendingTotal.Load(); got != int64(held) {
+		if got := db.batch.total.Load(); got != int64(held) {
 			t.Fatalf("%s: pending counter %d, %d values held", name, got, held)
 		}
 	}

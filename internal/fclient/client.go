@@ -18,9 +18,9 @@
 // request reached the wire — a failed dial, a connection already known
 // dead, a full pipeline — are safe to retry for ANY request, including
 // Exec. Once the frame may have been written, only idempotent requests
-// (Query, Ping, Stats, Info) are retried; Exec (INSERT) is not, because a
-// duplicate insert into the same batch is an engine error and the first
-// attempt may have applied. Server errors (wire.ServerError) and answers
+// (Query, Apply, Ping, Stats, Info) are retried; Exec (INSERT) is not,
+// because a duplicate insert into the same batch is an engine error and the
+// first attempt may have applied. Server errors (wire.ServerError) and answers
 // that do not decode (ErrMalformed) are never retried — the server
 // answered. A statement too large for one frame
 // fails with wire.ErrFrameTooLarge before any connection is involved: it
@@ -33,6 +33,7 @@ package fclient
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -148,14 +149,14 @@ func (c *Client) Close() error {
 
 // Query executes a SELECT (idempotent; retried on reconnect).
 func (c *Client) Query(sql string) (*f2db.Result, error) {
-	rp, err := c.do(wire.TQuery, sql, false, true, wire.TResult)
+	rp, err := c.do(wire.TQuery, nil, sql, false, true, wire.TResult)
 	return rp.res, err
 }
 
 // QueryRaw is Query returning the RESULT payload, checked with
 // wire.CheckResult and copied but not decoded, for a tier that relays it.
 func (c *Client) QueryRaw(sql string) ([]byte, error) {
-	rp, err := c.do(wire.TQuery, sql, true, true, wire.TResult)
+	rp, err := c.do(wire.TQuery, nil, sql, true, true, wire.TResult)
 	return rp.raw, err
 }
 
@@ -163,41 +164,48 @@ func (c *Client) QueryRaw(sql string) ([]byte, error) {
 // where provably nothing was sent (failed dials), never once the frame may
 // have reached the server.
 func (c *Client) Exec(sql string) error {
-	_, err := c.do(wire.TExec, sql, false, false, wire.TOK)
+	_, err := c.do(wire.TExec, nil, sql, false, false, wire.TOK)
+	return err
+}
+
+// Apply sends one whole time point for the batch it completes (wire.TApply):
+// idempotent, the server acks a batch it holds, so it is retried like a query.
+func (c *Client) Apply(batch uint64, sql string) error {
+	var head [binary.MaxVarintLen64]byte
+	_, err := c.do(wire.TApply, wire.AppendApply(head[:0], batch, ""), sql, false, true, wire.TOK)
 	return err
 }
 
 // Ping round-trips a liveness probe (idempotent; retried on reconnect).
 func (c *Client) Ping() error {
-	_, err := c.do(wire.TPing, "", false, true, wire.TPong)
+	_, err := c.do(wire.TPing, nil, "", false, true, wire.TPong)
 	return err
 }
 
 // Stats fetches the server's engine-counter rendering (idempotent).
 func (c *Client) Stats() (string, error) {
-	rp, err := c.do(wire.TStats, "", false, true, wire.TStatsText)
+	rp, err := c.do(wire.TStats, nil, "", false, true, wire.TStatsText)
 	return rp.text, err
 }
 
-// Info fetches the server's identity snapshot: its start nonce and applied
-// insert/batch counters (idempotent). Cluster coordinators use it to tell
-// a restarted server from a network blip.
+// Info fetches the engine's applied insert and batch counters
+// (idempotent). A cluster coordinator reads a shard's position from it.
 func (c *Client) Info() (wire.Info, error) {
-	rp, err := c.do(wire.TInfo, "", false, true, wire.TInfoData)
+	rp, err := c.do(wire.TInfo, nil, "", false, true, wire.TInfoData)
 	return rp.info, err
 }
 
-// do runs one request with pooling, pipelining and its one retry. Both
-// attempts use one pool slot, so a retry redials; an attempt that fails
-// after the frame may have been written stops a non-idempotent request
-// immediately (see the package doc). raw asks for a RESULT as checked
+// do runs one request — payload head, then sql — with pooling, pipelining
+// and its one retry. Both attempts use one pool slot, so a retry redials;
+// an attempt that fails after the frame may have been written stops a
+// non-idempotent request immediately (see the package doc). raw asks for a RESULT as checked
 // bytes. want is the response type that answers t; anything else the
 // server sends back is an error.
-func (c *Client) do(t wire.Type, sql string, raw, idempotent bool, want wire.Type) (reply, error) {
+func (c *Client) do(t wire.Type, head []byte, sql string, raw, idempotent bool, want wire.Type) (reply, error) {
 	if c.closed.Load() {
 		return reply{}, ErrClosed
 	}
-	if 1+len(sql) > wire.MaxFrame {
+	if 1+len(head)+len(sql) > wire.MaxFrame {
 		// Checked before a connection is picked: writing would fail without
 		// sending a byte, and must not take the pool down with it.
 		return reply{}, wire.ErrFrameTooLarge
@@ -216,7 +224,7 @@ func (c *Client) do(t wire.Type, sql string, raw, idempotent bool, want wire.Typ
 		}
 		var rp reply
 		var sent bool
-		if rp, sent, err = cn.roundtrip(t, sql, raw, requestTimeout); err == nil {
+		if rp, sent, err = cn.roundtrip(t, head, sql, raw, requestTimeout); err == nil {
 			// A server error means the server processed the request: a
 			// retry would re-run it, so surface it even for idempotent calls.
 			if rp.err == nil && rp.t != want {
@@ -326,7 +334,7 @@ func newConn(nc net.Conn) *conn {
 // with sent == false (connection already dead, pipeline full) provably put
 // zero bytes on the wire and are safe to retry even for non-idempotent
 // requests.
-func (c *conn) roundtrip(t wire.Type, sql string, raw bool, timeout time.Duration) (_ reply, sent bool, _ error) {
+func (c *conn) roundtrip(t wire.Type, head []byte, sql string, raw bool, timeout time.Duration) (_ reply, sent bool, _ error) {
 	var ca *call
 	select {
 	case ca = <-c.free:
@@ -348,7 +356,7 @@ func (c *conn) roundtrip(t wire.Type, sql string, raw bool, timeout time.Duratio
 		// From here the frame write is attempted: even a write error may
 		// have put a partial frame on the wire.
 		sent = true
-		err = wire.WriteFrameString(c.bw, t, sql)
+		err = wire.WriteFrameString(c.bw, t, head, sql)
 	default:
 	}
 	// Flush unless another sender is already queued on wmu: it will write

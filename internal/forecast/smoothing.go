@@ -34,12 +34,12 @@ func (m *SES) Name() string { return "ses" }
 // Fitted implements Model.
 func (m *SES) Fitted() bool { return m.IsFitted }
 
-// Params implements WarmStarter.
-func (m *SES) Params() []float64 {
+// AppendParams implements WarmStarter.
+func (m *SES) AppendParams(dst []float64) []float64 {
 	if !m.IsFitted {
-		return nil
+		return dst
 	}
-	return []float64{m.Alpha}
+	return append(dst, m.Alpha)
 }
 
 // WarmStart implements WarmStarter.
@@ -214,15 +214,15 @@ func (m *Holt) holtObjective(p []float64, bound float64) float64 {
 	return sse * (1 + pen)
 }
 
-// Params implements WarmStarter.
-func (m *Holt) Params() []float64 {
+// AppendParams implements WarmStarter.
+func (m *Holt) AppendParams(dst []float64) []float64 {
 	if !m.IsFitted {
-		return nil
+		return dst
 	}
 	if m.Damped {
-		return []float64{m.Alpha, m.Beta, m.Phi}
+		return append(dst, m.Alpha, m.Beta, m.Phi)
 	}
-	return []float64{m.Alpha, m.Beta}
+	return append(dst, m.Alpha, m.Beta)
 }
 
 // WarmStart implements WarmStarter.
@@ -472,13 +472,17 @@ func (m *HoltWinters) hwObjective(p []float64, bound float64) float64 {
 	return sse * (1 + pen)
 }
 
-// Params implements WarmStarter.
-func (m *HoltWinters) Params() []float64 {
+// AppendParams implements WarmStarter.
+func (m *HoltWinters) AppendParams(dst []float64) []float64 {
 	if !m.IsFitted {
-		return nil
+		return dst
 	}
-	return []float64{m.Alpha, m.Beta, m.Gamma}
+	return append(dst, m.Alpha, m.Beta, m.Gamma)
 }
+
+// Params is AppendParams(nil). It stays only because the benchmark harness
+// calls it.
+func (m *HoltWinters) Params() []float64 { return m.AppendParams(nil) }
 
 // WarmStart implements WarmStarter.
 func (m *HoltWinters) WarmStart(p []float64) {

@@ -11,18 +11,18 @@ import (
 // near the previous optimum, so the advisor and the F²DB maintenance
 // processor seed the optimizer from the last fitted parameters instead of
 // the hard-coded cold-start guesses. The seed is explicit and one-shot:
-// callers opt in per fit via WarmStart (typically WarmStart(Params())), and
+// callers opt in per fit via WarmStart (typically of AppendParams), and
 // Fit consumes the seed whether or not it ends up being used, so a plain
 // Fit keeps its historical cold-start behavior bit for bit.
 
 // WarmStarter is implemented by models whose Fit runs a numerical
 // parameter search that can be seeded (SES, Holt, Holt-Winters).
 type WarmStarter interface {
-	// Params returns a copy of the fitted parameter vector in the
-	// model's optimizer coordinates, or nil when the model is unfitted.
-	Params() []float64
-	// WarmStart stores an explicit seed for the next Fit. The seed is
-	// consumed by that Fit (later fits start cold again unless reseeded).
+	// AppendParams appends the fitted parameter vector, in the model's
+	// optimizer coordinates, to dst; nothing when the model is unfitted.
+	AppendParams(dst []float64) []float64
+	// WarmStart stores a copy of an explicit seed for the next Fit; the
+	// seed is consumed by that Fit (later fits start cold unless reseeded).
 	// A nil seed, or one whose length does not match the model's search
 	// dimension, clears any pending seed.
 	WarmStart(params []float64)

@@ -31,7 +31,7 @@ func BenchmarkFitHoltWintersWarm(b *testing.B) {
 	if err := m.Fit(s); err != nil {
 		b.Fatal(err)
 	}
-	seed := m.Params()
+	seed := m.AppendParams(nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -60,7 +60,7 @@ func BenchmarkFitSESWarm(b *testing.B) {
 	if err := m.Fit(s); err != nil {
 		b.Fatal(err)
 	}
-	seed := m.Params()
+	seed := m.AppendParams(nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -57,7 +57,7 @@ func TestWarmVsColdEquivalence(t *testing.T) {
 					continue
 				}
 				ws := warm.(WarmStarter)
-				ws.WarmStart(ws.Params())
+				ws.WarmStart(ws.AppendParams(nil))
 				if err := warm.Fit(train); err != nil {
 					t.Fatalf("%s/%s: warm re-fit: %v", ds.Name, name, err)
 				}
@@ -110,7 +110,7 @@ func TestSESWarmFallbackOnRegimeChange(t *testing.T) {
 	if seed > 0.3 {
 		t.Fatalf("calm-series alpha = %v, expected near the lower bound", seed)
 	}
-	m.WarmStart(m.Params())
+	m.WarmStart(m.AppendParams(nil))
 	if err := m.Fit(timeseries.New(shifty, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestWarmStartUsedOnStationaryRefit(t *testing.T) {
 	if err := warm.Fit(s); err != nil {
 		t.Fatal(err)
 	}
-	warm.WarmStart(warm.Params())
+	warm.WarmStart(warm.AppendParams(nil))
 	if err := warm.Fit(s); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestWarmSeedConsumedOnce(t *testing.T) {
 	if err := m.Fit(s); err != nil {
 		t.Fatal(err)
 	}
-	m.WarmStart(m.Params())
+	m.WarmStart(m.AppendParams(nil))
 	if err := m.Fit(s); err != nil { // consumes the seed
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestWarmFitZeroAllocs(t *testing.T) {
 		if err := m.Fit(s); err != nil {
 			t.Fatal(err)
 		}
-		seed := m.Params()
+		seed := m.AppendParams(nil)
 		m.WarmStart(seed)
 		if err := m.Fit(s); err != nil { // warm the machinery
 			t.Fatal(err)
@@ -264,7 +264,7 @@ func TestWarmFitZeroAllocs(t *testing.T) {
 		if err := m.Fit(s); err != nil {
 			t.Fatal(err)
 		}
-		seed := m.Params()
+		seed := m.AppendParams(nil)
 		m.WarmStart(seed)
 		if err := m.Fit(s); err != nil {
 			t.Fatal(err)
@@ -284,7 +284,7 @@ func TestWarmFitZeroAllocs(t *testing.T) {
 		if err := m.Fit(s); err != nil {
 			t.Fatal(err)
 		}
-		seed := m.Params()
+		seed := m.AppendParams(nil)
 		m.WarmStart(seed)
 		if err := m.Fit(s); err != nil {
 			t.Fatal(err)

@@ -32,8 +32,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	crand "crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -61,7 +59,7 @@ type Backend interface {
 	// TStats requests.
 	StatsText() string
 	// Counts reports the applied base-value insert count and completed
-	// batch count, served (with the server's start nonce) for TInfo.
+	// batch count, served for TInfo; TApply is decided against batches.
 	Counts() (inserts, batches uint64)
 }
 
@@ -121,9 +119,9 @@ func (o *Options) withDefaults() Options {
 const (
 	// writeTimeout bounds writing one response to a slow client.
 	writeTimeout = 30 * time.Second
-	// drainGrace is the per-read deadline applied while draining, so frames
-	// a client had already pipelined are still served but an idle
-	// connection closes promptly.
+	// drainGrace is the read window a connection gets once it sees the
+	// drain: frames already pipelined are still served, and no connection,
+	// idle or sending, holds the drain open longer.
 	drainGrace = 250 * time.Millisecond
 )
 
@@ -134,10 +132,9 @@ type Server struct {
 	query func(dst []byte, sql string) ([]byte, error)
 	opts  Options
 	met   Metrics
-	// nonce identifies this server process lifetime for TInfo responses; a
-	// reconnecting peer seeing a different nonce knows the process (and any
-	// purely in-memory state) was replaced.
-	nonce uint64
+	// applyMu serializes TApply requests, so each one decides against the
+	// batch count the one before it left.
+	applyMu sync.Mutex
 
 	sem      chan struct{} // accept gate
 	draining atomic.Bool
@@ -174,7 +171,6 @@ func NewBackend(b Backend, opts Options) *Server {
 	s := &Server{
 		backend: b,
 		opts:    opts,
-		nonce:   newNonce(),
 		sem:     make(chan struct{}, opts.MaxConns),
 		conns:   make(map[*conn]struct{}),
 	}
@@ -192,19 +188,6 @@ func NewBackend(b Backend, opts Options) *Server {
 		}
 	}
 	return s
-}
-
-// newNonce draws a random non-zero process-lifetime identifier.
-func newNonce() uint64 {
-	var buf [8]byte
-	for {
-		if _, err := crand.Read(buf[:]); err != nil {
-			panic(fmt.Sprintf("server: nonce entropy unavailable: %v", err))
-		}
-		if n := binary.BigEndian.Uint64(buf[:]); n != 0 {
-			return n
-		}
-	}
 }
 
 // Metrics returns the server's live counters (safe at any time, from any
@@ -333,9 +316,13 @@ func (s *Server) handle(c *conn) {
 	// borrows both for the length of one request; a request that times out
 	// keeps them for good.
 	var in, out []byte
+	var drainBy time.Time
 	for {
 		if s.draining.Load() {
-			_ = c.nc.SetReadDeadline(time.Now().Add(drainGrace))
+			if drainBy.IsZero() {
+				drainBy = time.Now().Add(drainGrace)
+			}
+			_ = c.nc.SetReadDeadline(drainBy)
 		} else {
 			_ = c.nc.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		}
@@ -447,11 +434,7 @@ func (s *Server) process(t wire.Type, payload, buf []byte) response {
 	case wire.TInfo:
 		s.met.InfoReqs.Add(1)
 		inserts, batches := s.backend.Counts()
-		return response{wire.TInfoData, wire.AppendInfo(buf, wire.Info{
-			Nonce:   s.nonce,
-			Inserts: inserts,
-			Batches: batches,
-		})}
+		return response{wire.TInfoData, wire.AppendInfo(buf, wire.Info{Inserts: inserts, Batches: batches})}
 	case wire.TQuery:
 		s.met.Queries.Add(1)
 		out, err := s.query(buf, string(payload))
@@ -472,11 +455,43 @@ func (s *Server) process(t wire.Type, payload, buf []byte) response {
 			return response{wire.TError, wire.AppendError(buf, wire.CodeQuery, err.Error())}
 		}
 		return response{wire.TOK, buf}
+	case wire.TApply:
+		s.met.Execs.Add(1)
+		batch, sql, err := wire.DecodeApply(payload)
+		code := wire.CodeBadRequest
+		if err == nil {
+			code, err = wire.CodeQuery, s.apply(batch, string(sql))
+		}
+		if err != nil {
+			s.met.Errors.Add(1)
+			return response{wire.TError, wire.AppendError(buf, code, err.Error())}
+		}
+		return response{wire.TOK, buf}
 	default:
 		s.met.Errors.Add(1)
 		return response{wire.TError, wire.AppendError(buf, wire.CodeBadRequest,
 			fmt.Sprintf("unknown request type %v", t))}
 	}
+}
+
+// apply runs one TApply: a batch the engine holds is acknowledged, the next
+// one is executed and must complete exactly that batch, and any later one
+// is refused as a gap.
+func (s *Server) apply(batch uint64, sql string) error {
+	s.applyMu.Lock()
+	defer s.applyMu.Unlock()
+	_, have := s.backend.Counts()
+	switch {
+	case batch <= have:
+		return nil
+	case batch > have+1:
+		return fmt.Errorf("server: batch %d leaves a gap: the engine holds %d", batch, have)
+	}
+	err := s.backend.Exec(sql)
+	if _, have = s.backend.Counts(); err == nil && have != batch {
+		err = fmt.Errorf("server: batch %d applied, but the engine holds %d", batch, have)
+	}
+	return err
 }
 
 func (s *Server) logf(format string, args ...any) {

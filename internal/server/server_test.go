@@ -174,6 +174,101 @@ func TestServerBasic(t *testing.T) {
 	}
 }
 
+// TestShutdownBoundsChattyClient: a client that keeps sending while the
+// server drains cannot hold the drain open — each connection's read window
+// is fixed when it sees the drain, not renewed per frame.
+func TestShutdownBoundsChattyClient(t *testing.T) {
+	db, _, _ := twinEngines(t)
+	srv, addr, done := startServer(t, db, Options{})
+	cl, err := fclient.Dial(addr, fclient.Options{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = cl.Ping()
+			}
+		}
+	}()
+	time.Sleep(20 * time.Millisecond)
+	start := time.Now()
+	shutdownClean(t, srv, done)
+	if d := time.Since(start); d > 8*drainGrace {
+		t.Fatalf("Shutdown took %v against a client that kept sending", d)
+	}
+}
+
+// TestServerApply: a time point is applied once, by its batch number — the
+// next batch applies, a held one is acked without effect, a gap and a
+// statement that does not complete its batch are refused — and the engine
+// ends where a twin fed each time point once stands.
+func TestServerApply(t *testing.T) {
+	db, twin, g := twinEngines(t)
+	srv, addr, done := startServer(t, db, Options{})
+	defer shutdownClean(t, srv, done)
+	cl, err := fclient.Dial(addr, fclient.Options{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	p := f2db.NewPlanner(g, 0)
+	point := func(v float64) string {
+		column := make([]float64, len(g.BaseIDs))
+		for i := range column {
+			column[i] = v + float64(i)
+		}
+		return string(p.AppendTimePoint(nil, column))
+	}
+	refused := func(what string, err error, text string) {
+		t.Helper()
+		var se *wire.ServerError
+		if !errors.As(err, &se) || se.Code != wire.CodeQuery || !strings.Contains(se.Message, text) {
+			t.Fatalf("%s: %v, want a CodeQuery refusal containing %q", what, err, text)
+		}
+	}
+	for _, step := range []struct {
+		batch uint64
+		sql   string
+		apply bool
+	}{{1, point(10), true}, {1, point(10), false}, {2, point(20), true}, {1, point(99), false}} {
+		if err := cl.Apply(step.batch, step.sql); err != nil {
+			t.Fatalf("apply batch %d: %v", step.batch, err)
+		}
+		if step.apply {
+			if err := twin.Exec(step.sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	refused("a gap", cl.Apply(4, point(40)), "batch 4 leaves a gap: the engine holds 2")
+	refused("a partial time point", cl.Apply(3, "INSERT INTO facts VALUES ('P1', 'C1', 1)"), "batch 3 applied, but the engine holds 2")
+	if info, err := cl.Info(); err != nil || info.Batches != 2 {
+		t.Fatalf("Info = %+v, %v; want 2 batches", info, err)
+	}
+	for id := 0; id < g.NumNodes(); id++ {
+		q := workload.New(g, 1).QuerySQL(id, 2)
+		got, err := cl.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wire.AppendResult(nil, got), wire.AppendResult(nil, want)) {
+			t.Fatalf("node %d differs from the twin", id)
+		}
+	}
+}
+
 // TestServerStressTwinEquality is the acceptance stress: 64 concurrent
 // fclient connections (8 writers splitting every insert batch, 56 readers
 // free-running forecast queries) against the wire server, cross-checked

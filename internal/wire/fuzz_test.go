@@ -41,6 +41,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(full)
 	f.Add(full[:len(full)-3]) // truncated mid-row
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x00})
+	apply := AppendFrame(nil, TApply, AppendApply(nil, 300, "INSERT INTO facts VALUES ('P1', 'C1', 1)"))
+	f.Add(apply)
+	f.Add(AppendFrame(nil, TApply, []byte{0x80}))                                 // truncated batch uvarint
+	f.Add(AppendFrame(nil, TApply, append(bytes.Repeat([]byte{0x80}, 10), 0x01))) // overlong batch uvarint
+	f.Add(AppendFrame(nil, TApply, AppendApply(nil, 7, "")))                      // empty SQL body
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, payload, rest, err := DecodeFrame(data)
@@ -75,6 +80,12 @@ func FuzzDecodeFrame(f *testing.F) {
 			// re-encodes byte-identically: a relay may pass it on unchanged.
 			if re := AppendResult(nil, decoded); !bytes.Equal(re, payload) {
 				t.Fatalf("result round trip diverges: %x → %x", payload, re)
+			}
+		case TApply:
+			if batch, sql, err := DecodeApply(payload); err == nil {
+				if got := AppendApply(nil, batch, string(sql)); !bytes.Equal(got, payload) {
+					t.Fatalf("apply re-encode mismatch")
+				}
 			}
 		case TError:
 			if se, err := DecodeError(payload); err == nil {

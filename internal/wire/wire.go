@@ -57,11 +57,13 @@ const (
 	// TStats requests the engine counter snapshot; answered by TStatsText
 	// (payload: the Metrics string rendering).
 	TStats Type = 0x04
-	// TInfo requests the server identity snapshot (start nonce plus applied
-	// insert/batch counters); answered by TInfoData. Cluster coordinators
-	// use it to distinguish a restarted server (fresh nonce, counters reset)
-	// from a transient network failure, and to realign replay cursors.
+	// TInfo requests the engine's insert and batch counters; answered by
+	// TInfoData. The batch count is a shard's position (internal/coord).
 	TInfo Type = 0x05
+	// TApply carries the INSERT of one whole time point and the batch it
+	// completes (AppendApply); answered by TOK (held or applied) or TError
+	// (a gap). Idempotent: clients may retry it.
+	TApply Type = 0x06
 )
 
 // Response types.
@@ -77,7 +79,7 @@ const (
 // IsRequest reports whether t is a request type a server should accept.
 func (t Type) IsRequest() bool {
 	switch t {
-	case TQuery, TExec, TPing, TStats, TInfo:
+	case TQuery, TExec, TPing, TStats, TInfo, TApply:
 		return true
 	}
 	return false
@@ -105,6 +107,8 @@ func (t Type) String() string {
 		return "STATS"
 	case TInfo:
 		return "INFO"
+	case TApply:
+		return "APPLY"
 	case TResult:
 		return "RESULT"
 	case TOK:
@@ -157,8 +161,8 @@ var (
 	ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrame")
 	errEmptyFrame    = errors.New("wire: zero-length frame")
 	errShortPayload  = errors.New("wire: truncated payload")
-	// errNonCanonical: a RESULT payload AppendResult would not reproduce.
-	errNonCanonical = errors.New("wire: non-canonical result encoding")
+	// errNonCanonical: a payload its encoder would not reproduce.
+	errNonCanonical = errors.New("wire: non-canonical encoding")
 )
 
 // ScratchCap bounds the capacity a connection keeps in a reusable frame or
@@ -175,14 +179,15 @@ func Scratch(buf []byte) []byte {
 	return buf[:0]
 }
 
-// writeHeader starts a frame of n payload bytes. The five bytes are built
-// in w's own free space, so nothing escapes per frame.
-func writeHeader(w *bufio.Writer, t Type, n int) error {
+// writeHeader starts a frame of n payload bytes, the first of them head.
+// The header and head are built in w's own free space, so nothing escapes
+// per frame.
+func writeHeader(w *bufio.Writer, t Type, head []byte, n int) error {
 	if 1+n > MaxFrame {
 		return ErrFrameTooLarge
 	}
 	hdr := binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(1+n))
-	_, err := w.Write(append(hdr, byte(t)))
+	_, err := w.Write(append(append(hdr, byte(t)), head...))
 	return err
 }
 
@@ -190,19 +195,28 @@ func writeHeader(w *bufio.Writer, t Type, n int) error {
 // is what lets a burst of pipelined frames leave in one write. A payload
 // over MaxFrame is rejected before a byte is buffered.
 func WriteFrame(w *bufio.Writer, t Type, payload []byte) error {
-	err := writeHeader(w, t, len(payload))
+	err := writeHeader(w, t, nil, len(payload))
 	if err == nil {
 		_, err = w.Write(payload)
 	}
 	return err
 }
 
-// WriteFrameString is WriteFrame for a payload held as a string (a client's
-// SQL text), written without a []byte copy.
-func WriteFrameString(w *bufio.Writer, t Type, payload string) error {
-	err := writeHeader(w, t, len(payload))
-	if err == nil {
-		_, err = w.WriteString(payload)
+// WriteFrameString is WriteFrame for a payload held as a string (SQL text)
+// after a short head (a TApply's batch number, or nil; a stack array may
+// hold it). The payload goes in pieces that fit w's buffer: a larger write
+// makes bufio assert io.StringWriter, whose cache the runtime allocates at
+// random.
+func WriteFrameString(w *bufio.Writer, t Type, head []byte, payload string) error {
+	err := writeHeader(w, t, head, len(head)+len(payload))
+	for err == nil && len(payload) > 0 {
+		if w.Available() == 0 {
+			err = w.Flush()
+			continue
+		}
+		n := min(len(payload), w.Available())
+		_, err = w.WriteString(payload[:n])
+		payload = payload[n:]
 	}
 	return err
 }
@@ -281,23 +295,19 @@ func DecodeError(payload []byte) (*ServerError, error) {
 	}, nil
 }
 
-// Info is a decoded TInfoData payload: one server process's identity and
-// progress snapshot.
+// Info is a decoded TInfoData payload: one engine's progress.
 type Info struct {
-	// Nonce identifies one server process lifetime. It is drawn at server
-	// construction and never changes while the process lives, so a changed
-	// nonce on reconnect means the peer restarted and lost in-memory state.
-	Nonce uint64
-	// Inserts is the number of base-series values the engine has accepted
-	// since it was opened (engine restarts reset it).
+	// Inserts is the number of base-series values the engine has accepted;
+	// snapshots keep it.
 	Inserts uint64
-	// Batches is the number of completed batch advances.
+	// Batches is the number of completed batch advances — the time points
+	// the engine holds beyond its data set. Snapshots keep it and WAL replay
+	// restores it, so it is a shard's position in a coordinator's log.
 	Batches uint64
 }
 
 // AppendInfo encodes a TInfoData payload.
 func AppendInfo(dst []byte, in Info) []byte {
-	dst = binary.AppendUvarint(dst, in.Nonce)
 	dst = binary.AppendUvarint(dst, in.Inserts)
 	return binary.AppendUvarint(dst, in.Batches)
 }
@@ -306,7 +316,7 @@ func AppendInfo(dst []byte, in Info) []byte {
 func DecodeInfo(payload []byte) (Info, error) {
 	var in Info
 	rest := payload
-	for _, dst := range []*uint64{&in.Nonce, &in.Inserts, &in.Batches} {
+	for _, dst := range []*uint64{&in.Inserts, &in.Batches} {
 		v, n := binary.Uvarint(rest)
 		if n <= 0 {
 			return Info{}, errShortPayload
@@ -318,6 +328,22 @@ func DecodeInfo(payload []byte) (Info, error) {
 		return Info{}, fmt.Errorf("wire: %d trailing bytes after info", len(rest))
 	}
 	return in, nil
+}
+
+// AppendApply encodes a TApply payload: the batch number as a uvarint, then
+// the INSERT statement holding the whole time point.
+func AppendApply(dst []byte, batch uint64, sql string) []byte {
+	return append(binary.AppendUvarint(dst, batch), sql...)
+}
+
+// DecodeApply decodes a TApply payload: a canonical uvarint, then a
+// statement that aliases payload.
+func DecodeApply(payload []byte) (batch uint64, sql []byte, err error) {
+	d := resultDecoder{buf: payload}
+	if batch, err = d.uvarint(); err == nil && len(d.buf) == 0 {
+		err = errShortPayload
+	}
+	return batch, d.buf, err
 }
 
 // Result payload layout:

@@ -73,7 +73,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if i%2 == 0 {
 			err = WriteFrame(w, types[i%len(types)], p)
 		} else {
-			err = WriteFrameString(w, types[i%len(types)], string(p))
+			err = WriteFrameString(w, types[i%len(types)], nil, string(p))
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -118,7 +118,7 @@ func TestWriteFrameRejectsOversized(t *testing.T) {
 	if err := WriteFrame(w, TQuery, big); err != ErrFrameTooLarge {
 		t.Fatalf("WriteFrame: got %v, want ErrFrameTooLarge", err)
 	}
-	if err := WriteFrameString(w, TQuery, string(big)); err != ErrFrameTooLarge {
+	if err := WriteFrameString(w, TQuery, nil, string(big)); err != ErrFrameTooLarge {
 		t.Fatalf("WriteFrameString: got %v, want ErrFrameTooLarge", err)
 	}
 	if w.Buffered() != 0 || buf.Len() != 0 {
@@ -219,8 +219,8 @@ func TestErrorRoundTrip(t *testing.T) {
 func TestInfoRoundTrip(t *testing.T) {
 	for _, want := range []Info{
 		{},
-		{Nonce: 1, Inserts: 2, Batches: 3},
-		{Nonce: math.MaxUint64, Inserts: 1 << 40, Batches: 12345},
+		{Inserts: 2, Batches: 3},
+		{Inserts: math.MaxUint64, Batches: 12345},
 	} {
 		payload := AppendInfo(nil, want)
 		got, err := DecodeInfo(payload)
@@ -241,8 +241,39 @@ func TestInfoRoundTrip(t *testing.T) {
 	}
 }
 
+// TestApplyRoundTrip: a TApply payload decodes to the batch and statement
+// it was encoded from, and nothing but a canonical batch number followed by
+// a statement is accepted.
+func TestApplyRoundTrip(t *testing.T) {
+	const sql = "INSERT INTO facts VALUES ('P1', 'C1', 1)"
+	for _, batch := range []uint64{0, 1, 127, 128, 1 << 40, math.MaxUint64} {
+		payload := AppendApply(nil, batch, sql)
+		got, stmt, err := DecodeApply(payload)
+		if err != nil || got != batch || string(stmt) != sql {
+			t.Fatalf("round trip of %d: got %d %q %v", batch, got, stmt, err)
+		}
+		if !bytes.Equal(AppendApply(nil, got, string(stmt)), payload) {
+			t.Fatalf("batch %d: re-encoding differs", batch)
+		}
+		for cut := 0; cut < len(payload)-len(sql)+1; cut++ {
+			if _, _, err := DecodeApply(payload[:cut]); err == nil {
+				t.Fatalf("batch %d: truncation at %d accepted", batch, cut)
+			}
+		}
+	}
+	for name, payload := range map[string][]byte{
+		"overlong batch":  append([]byte{0x81, 0x00}, sql...),
+		"batch past 2^64": append(bytes.Repeat([]byte{0xFF}, 10), append([]byte{0x01}, sql...)...),
+		"empty statement": {0x05},
+	} {
+		if _, _, err := DecodeApply(payload); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
+	}
+}
+
 func TestTypePredicates(t *testing.T) {
-	for _, typ := range []Type{TQuery, TExec, TPing, TStats, TInfo} {
+	for _, typ := range []Type{TQuery, TExec, TPing, TStats, TInfo, TApply} {
 		if !typ.IsRequest() || typ.IsResponse() {
 			t.Fatalf("%v misclassified", typ)
 		}

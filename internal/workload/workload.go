@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,30 +63,20 @@ func (w *Generator) QuerySQL(nodeID, steps int) string {
 
 // InsertSQL renders a batch of base-series values (keyed by base node ID)
 // as one multi-row INSERT statement in the engine's dialect, rows in
-// ascending node-ID order. This is the write path of remote workloads:
-// a statement per writer stream, executed over the wire by fclient.Exec.
+// ascending node-ID order (f2db.AppendInsert, the coordinator's renderer).
+// This is the write path of remote workloads: a statement per writer
+// stream, executed over the wire by fclient.Exec.
 func (w *Generator) InsertSQL(batch map[int]float64) string {
 	ids := make([]int, 0, len(batch))
 	for id := range batch {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	var b strings.Builder
-	b.WriteString("INSERT INTO facts VALUES ")
+	values := make([]float64, len(ids))
 	for i, id := range ids {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString("(")
-		for d := range w.g.Dims {
-			b.WriteString("'")
-			b.WriteString(w.g.CellOf(id, d).Value)
-			b.WriteString("', ")
-		}
-		b.WriteString(strconv.FormatFloat(batch[id], 'f', -1, 64))
-		b.WriteString(")")
+		values[i] = batch[id]
 	}
-	return b.String()
+	return string(f2db.AppendInsert(nil, w.g, ids, values))
 }
 
 // SplitBatch partitions a full insert batch into n sub-batches of near-equal

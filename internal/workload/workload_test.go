@@ -297,3 +297,18 @@ func TestPhasedHotMix(t *testing.T) {
 		_ = flat.next(New(g, int64(i)), i)
 	}
 }
+
+// TestInsertSQLBytes pins the bytes InsertSQL renders for a seeded batch:
+// the benchmark's generated statements are these, and must not move.
+func TestInsertSQLBytes(t *testing.T) {
+	g, err := datasets.GenCube(1, datasets.CubeGenOptions{DimCards: [][]int{{4, 2}, {3}}}).Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := New(g, 7)
+	const want = "INSERT INTO facts VALUES ('d0l0_1', 'd1l0_1', 50.804012057479255), ('d0l0_1', 'd1l0_2', 50.01241599534503), " +
+		"('d0l0_2', 'd1l0_0', 40.662984627345864), ('d0l0_2', 'd1l0_1', 80.1739626278539)"
+	if got := gen.InsertSQL(SplitBatch(gen.NextBatch(), 3)[1]); got != want {
+		t.Fatalf("InsertSQL renders\n%s\nwant\n%s", got, want)
+	}
+}
