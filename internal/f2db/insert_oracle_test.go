@@ -182,7 +182,7 @@ func oracleResolveBaseIn(g *cube.Graph, members []string) (int, error) {
 }
 
 // oracleRows is the resolution loop the engine's Exec and the planner's
-// RouteExecNodes shared: parse the whole statement, then resolve row by
+// routing path once shared: parse the whole statement, then resolve row by
 // row, rejecting a repeated base series with a set.
 func oracleRows(g *cube.Graph, sql string) ([]baseRow, error) {
 	stmt, err := oracleParseInsert(sql)

@@ -68,8 +68,9 @@ func insertSQL(g *cube.Graph, ids []int, value float64) string {
 	return b.String()
 }
 
-// pipelineRows runs the INSERT pipeline the way RouteExecNodes does,
-// keeping the values: the (baseID, value) sequence in statement order.
+// pipelineRows runs the INSERT pipeline the way Planner.Fill does before
+// it fills, keeping the values: the (baseID, value) sequence in statement
+// order.
 func pipelineRows(g *cube.Graph, sql string) ([]baseRow, error) {
 	sc := getInsertScratch()
 	defer sc.release()

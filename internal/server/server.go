@@ -318,13 +318,13 @@ func (s *Server) handle(c *conn) {
 	var in, out []byte
 	var drainBy time.Time
 	for {
+		// Idle deadline first, then the drain check: no Shutdown nudge is lost.
+		_ = c.nc.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		if s.draining.Load() {
 			if drainBy.IsZero() {
 				drainBy = time.Now().Add(drainGrace)
 			}
 			_ = c.nc.SetReadDeadline(drainBy)
-		} else {
-			_ = c.nc.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		}
 		t, payload, err := fr.ReadFrame(in)
 		if err != nil {
