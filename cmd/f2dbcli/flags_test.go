@@ -12,9 +12,11 @@ const parentFlags = `cold-refit=false compact-every=256 config= csv= dataset=tou
 
 // TestFlagSet pins what the binary accepts: the parent's set minus -lazy,
 // -cold-refit, -eager-reestimate, -parallelism, -stripes, -sample-size,
-// -selftune-horizon, -selftune, -selftune-bucket and -selftune-season.
+// -selftune-horizon, -selftune, -selftune-bucket and -selftune-season, and
+// minus -db: a durable directory (-wal-dir) is the only on-disk engine.
 func TestFlagSet(t *testing.T) {
-	want := strings.NewReplacer("cold-refit=false ", "", "lazy=false ", "", "eager-reestimate=false ", "", "parallelism=0 ", "", "stripes=0 ", "", "sample-size=0 ", "", "selftune-horizon=1 ", "", "selftune=false ", "", "selftune-bucket=1s ", "", "selftune-season=0 ", "").Replace(parentFlags)
+	want := strings.NewReplacer("cold-refit=false ", "", "lazy=false ", "", "eager-reestimate=false ", "", "parallelism=0 ", "", "stripes=0 ", "", "sample-size=0 ", "", "selftune-horizon=1 ", "", "selftune=false ", "", "selftune-bucket=1s ", "", "selftune-season=0 ", "",
+		"db= ", "").Replace(parentFlags)
 	fs := flag.NewFlagSet("f2dbcli", flag.ContinueOnError)
 	registerFlags(fs)
 	var got []string

@@ -10,6 +10,7 @@
 //	f2dbcli -dataset gen1k -config config.f2db
 //	f2dbcli -csv facts.csv -dims "product;location=city<region" -period 12
 //	f2dbcli -dataset tourism -metrics :9090    # Prometheus text on /metrics
+//	f2dbcli -dataset tourism -wal-dir /tmp/t   # state persists across runs
 //	f2dbcli -remote localhost:7071             # REPL against a live f2dbd
 //	f2dbcli -remote localhost:7071 -exec '\ping'
 //	f2dbcli -dataset tourism -workload 10 -workload-queries 4
@@ -57,7 +58,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	o.eng.Register(fs)
 	o.met.Register(fs)
 	fs.StringVar(&o.remote, "remote", "", "connect to a running f2dbd at this address instead of opening a local engine")
-	fs.StringVar(&o.exec, "exec", "", "execute one statement (SQL, \\ping, \\stats, \\info or \\save PATH) and exit")
+	fs.StringVar(&o.exec, "exec", "", "execute one statement (SQL, \\ping, \\stats or \\info) and exit")
 	fs.IntVar(&o.wl.TimePoints, "workload", 0, "run the interleaved insert/query workload for this many time points instead of the REPL")
 	fs.IntVar(&o.wl.QueriesPerInsert, "workload-queries", 4, "workload: forecast queries per insert")
 	fs.IntVar(&o.wl.Horizon, "workload-horizon", 1, "workload: forecast horizon in steps")
@@ -118,7 +119,7 @@ func run(o *options) error {
 		}
 		if o.wl.TimePoints > 0 {
 			if h.Graph == nil {
-				return fmt.Errorf("-workload needs a data set graph; it does not run against a -db snapshot or a recovered -wal-dir")
+				return fmt.Errorf("-workload needs a data set graph; it does not run against a recovered -wal-dir")
 			}
 			o.wl.UseSQL = true
 			return o.workload(h.DB, h.Graph)
@@ -169,8 +170,8 @@ func (l local) Stats() (string, error) {
 	return b.String(), err
 }
 
-// shell runs statements over an executor; exactly one of db (\save,
-// \models, \health) and cl (\info) is set.
+// shell runs statements over an executor; exactly one of db (\models,
+// \health) and cl (\info) is set.
 type shell struct {
 	executor
 	db   *f2db.DB
@@ -198,15 +199,6 @@ func (sh shell) stmt(stmt string) error {
 			return err
 		}
 		fmt.Printf("inserts=%d batches=%d\n", info.Inserts, info.Batches)
-	case strings.HasPrefix(stmt, `\save `) && sh.db != nil:
-		// WriteSnapshotFile is the shared crash-safe protocol (tmp file,
-		// fsync, rename, directory fsync): a \save that returned without
-		// the syncs could still lose the file to a crash.
-		path := strings.TrimSpace(strings.TrimPrefix(stmt, `\save `))
-		if err := f2db.WriteSnapshotFile(nil, path, sh.db); err != nil {
-			return err
-		}
-		fmt.Printf("database saved to %s (reopen with -db %s)\n", path, path)
 	case stmt == `\models` && sh.db != nil:
 		cfg, g := sh.db.Configuration(), sh.db.Graph()
 		for _, id := range cfg.ModelIDs() {
@@ -309,9 +301,10 @@ func printHelp() {
   Multi-row INSERTs take the batched write path (one lock per statement).
 meta:
   \stats   engine counters      \models      list models
-  \health  model maintenance    \save F      snapshot database
-  \help    this help            \quit        exit
+  \health  model maintenance    \help        this help
+  \quit    exit
   (remote shells support \stats, \ping and \info — the server's applied
-  insert and batch counters; \save runs on the daemon side via f2dbd -save)
+  insert and batch counters. State persists with -wal-dir, which
+  checkpoints on exit.)
 `)
 }

@@ -12,9 +12,12 @@ const parentFlags = `addr=:7071 checkpoint-batches=0 checkpoint-every=0s cold-re
 
 // TestFlagSet pins what the binary accepts: the parent's set minus -lazy,
 // -cold-refit, -eager-reestimate, -parallelism, -stripes, -sample-size,
-// -selftune-horizon, -selftune, -selftune-bucket and -selftune-season.
+// -selftune-horizon, -selftune, -selftune-bucket and -selftune-season, and
+// minus -db, -save and -checkpoint-every: a durable directory is the only
+// on-disk engine, checkpointed by batch count.
 func TestFlagSet(t *testing.T) {
-	want := strings.NewReplacer("cold-refit=false ", "", "lazy=false ", "", "eager-reestimate=false ", "", "parallelism=0 ", "", "stripes=0 ", "", "sample-size=0 ", "", "selftune-horizon=1 ", "", "selftune=false ", "", "selftune-bucket=1s ", "", "selftune-season=0 ", "").Replace(parentFlags)
+	want := strings.NewReplacer("cold-refit=false ", "", "lazy=false ", "", "eager-reestimate=false ", "", "parallelism=0 ", "", "stripes=0 ", "", "sample-size=0 ", "", "selftune-horizon=1 ", "", "selftune=false ", "", "selftune-bucket=1s ", "", "selftune-season=0 ", "",
+		"checkpoint-every=0s ", "", "db= ", "", "save= ", "").Replace(parentFlags)
 	fs := flag.NewFlagSet("f2dbd", flag.ContinueOnError)
 	registerFlags(fs)
 	var got []string
@@ -27,11 +30,10 @@ func TestFlagSet(t *testing.T) {
 // TestCheck pins the flag combinations the daemon refuses and what it says.
 func TestCheck(t *testing.T) {
 	for _, c := range []struct{ args, want string }{
-		{"-checkpoint-every 1s", "-checkpoint-every/-checkpoint-batches need -wal-dir"},
-		{"-checkpoint-batches 4", "-checkpoint-every/-checkpoint-batches need -wal-dir"},
+		{"-checkpoint-batches 4", "-checkpoint-batches needs -wal-dir"},
 		{"-coordinator", "-coordinator requires -shards"},
 		{"-coordinator -shards a:1 -wal-dir d", "-wal-dir needs a local engine; the shards own the data in coordinator mode"},
-		{"-coordinator -shards a:1 -save f", "-save needs a local engine; the shards own the data in coordinator mode"},
+		{"-coordinator -shards a:1 -config f", "-config needs a local engine; the shards own the data in coordinator mode"},
 		{"-pprof", "-pprof mounts on the metrics listener; set -metrics too"},
 		{"-wal-dir d -checkpoint-batches 4 -pprof -metrics :0", ""},
 		{"-coordinator -shards a:1", ""},

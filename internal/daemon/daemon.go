@@ -43,12 +43,12 @@ func (s *Source) Register(fs *flag.FlagSet) {
 }
 
 // Engine is how the engine over a Source is configured and where its
-// state lives: a saved configuration or snapshot to start from, the
-// estimation knobs, and the durable directory.
+// state lives: a saved configuration to start from, the estimation knobs,
+// and the durable directory.
 type Engine struct {
 	Config string
-	DB     string
-	// Options and Durable take their flags directly; Open fills in the
+	// Options and Durable take their flags directly (f2dbd adds
+	// -checkpoint-batches for Durable.CheckpointEvery); Open fills in the
 	// fields no flag sets (Strategy, Sync).
 	Options f2db.Options
 	Durable f2db.DurableOptions
@@ -58,7 +58,6 @@ type Engine struct {
 // Register declares the engine flags on fs.
 func (e *Engine) Register(fs *flag.FlagSet) {
 	fs.StringVar(&e.Config, "config", "", "load a saved configuration instead of running the advisor")
-	fs.StringVar(&e.DB, "db", "", "open a saved database snapshot (f2dbcli \\save, f2dbd -save) instead of a data set")
 	fs.StringVar(&e.Durable.Dir, "wal-dir", "", "durable directory (snapshot + write-ahead log); recovers on open, then group-commits every completed batch")
 	fs.StringVar(&e.Fsync, "fsync", "always", "WAL fsync policy with -wal-dir: always, never, or an integer n (fsync every n batches)")
 	fs.IntVar(&e.Durable.CompactEvery, "compact-every", 256, "with -wal-dir: seal the active WAL file every n batches, so each sealed file is a segment of n raw batch columns (0 disables)")

@@ -41,8 +41,8 @@ func TestGroupsDeclareEachFlagOnce(t *testing.T) {
 	fs, _, _, _ := register()
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 4+5+2 {
-		t.Fatalf("the three groups declare %d flags, want 11", n)
+	if n != 4+4+2 {
+		t.Fatalf("the three groups declare %d flags, want 10", n)
 	}
 }
 
@@ -209,17 +209,25 @@ func TestPprofNeedsMetrics(t *testing.T) {
 	}
 }
 
-// TestCloseStopsWhatWasStarted runs Close with the checkpoint scheduler
-// live (a hang here is a stop that never came), and checks that what it
-// leaves behind is a directory that recovers.
+// TestCloseStopsWhatWasStarted applies a time point under a one-batch
+// checkpoint budget (f2dbd -checkpoint-batches 1), so the insert path
+// checkpoints, then closes; what Close leaves behind recovers at that time
+// point with nothing to replay.
 func TestCloseStopsWhatWasStarted(t *testing.T) {
 	args := []string{"-dataset", "tourism", "-wal-dir", t.TempDir(), "-fsync", "never"}
 	src, eng, _ := parse(t, args...)
+	eng.Durable.CheckpointEvery = 1
 	h, err := eng.Open(src, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Checkpoints(f2db.CheckpointPolicy{EveryBatches: 1}, t.Logf)
+	gen := workload.New(h.Graph, 1)
+	if err := h.DB.Exec(gen.InsertSQL(gen.NextBatch())); err != nil {
+		t.Fatal(err)
+	}
+	if n := h.DB.Metrics().SnapshotWrites; n != 2 {
+		t.Fatalf("%d snapshot writes after the anchor and one batch under budget 1, want 2", n)
+	}
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +236,7 @@ func TestCloseStopsWhatWasStarted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	if h.Durable.Recovery.FreshBuild {
-		t.Fatal("the directory Close left behind did not recover")
+	if rec := h.Durable.Recovery; rec.FreshBuild || rec.WALBatches != 0 || h.DB.Stats().Batches != 1 {
+		t.Fatalf("the directory Close left behind recovered %+v at %d batches, want 1 batch and no replay", rec, h.DB.Stats().Batches)
 	}
 }

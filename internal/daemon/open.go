@@ -56,33 +56,23 @@ type Handle struct {
 	DB *f2db.DB
 	// Durable is nil without -wal-dir.
 	Durable *f2db.Durable
-	// Graph is the cube Open built; nil when the engine came out of a -db
-	// snapshot or a recovered durable directory instead.
+	// Graph is the cube Open built; nil when the engine came out of a
+	// recovered durable directory instead.
 	Graph *cube.Graph
-	// Name is what to call the served data: the data set, the snapshot
-	// file or the durable directory.
+	// Name is what to call the served data: the data set or the durable
+	// directory.
 	Name string
-
-	ckpt *f2db.CheckpointScheduler
 }
 
-// Open builds the engine over src: a -db snapshot restore, or the cube
-// plus a loaded (-config) or advised configuration. With -wal-dir that
-// build only runs when the directory holds no snapshot yet; otherwise the
-// directory is recovered and src is not read at all.
+// Open builds the engine over src: the cube plus a loaded (-config) or
+// advised configuration. With -wal-dir that build only runs when the
+// directory holds no snapshot yet; otherwise the directory is recovered
+// and src is not read at all.
 func (e *Engine) Open(src *Source, logf Logf) (*Handle, error) {
 	h := &Handle{}
 	opts := e.Options
 	opts.Strategy = f2db.TimeBased{Every: 8}
 	build := func() (db *f2db.DB, err error) {
-		if e.DB != "" {
-			h.Name = e.DB
-			err = withFile(e.DB, func(fh *os.File) error {
-				db, err = f2db.LoadDatabase(fh, opts)
-				return err
-			})
-			return db, err
-		}
 		if h.Graph, h.Name, err = src.Graph(); err != nil {
 			return nil, err
 		}
@@ -126,23 +116,11 @@ func (e *Engine) Open(src *Source, logf Logf) (*Handle, error) {
 	return h, nil
 }
 
-// Checkpoints starts the background checkpoint scheduler over the durable
-// directory; Close stops it.
-func (h *Handle) Checkpoints(policy f2db.CheckpointPolicy, logf Logf) {
-	h.ckpt = f2db.NewCheckpointScheduler(h.Durable, policy, logf)
-	h.ckpt.Start()
-}
-
-// Close shuts the engine's surroundings down in the one order that is
-// safe, once no request is in flight: the scheduler stops before the last
-// checkpoint, and that checkpoint — so the next Open starts from a
-// snapshot of exactly the served state with an empty WAL, instead of
-// replaying the session — before the WAL closes. The DB stays readable
-// (f2dbd -save).
+// Close runs, once no request is in flight, the last checkpoint — so the
+// next Open starts from a snapshot of exactly the served state with an
+// empty WAL instead of replaying the session — and then closes the WAL.
+// Without -wal-dir there is nothing to persist. The DB stays readable.
 func (h *Handle) Close() error {
-	if h.ckpt != nil {
-		h.ckpt.Stop()
-	}
 	if h.Durable == nil {
 		return nil
 	}

@@ -1,71 +1,99 @@
 package f2db
 
 import (
+	"bytes"
+	"errors"
+	"runtime"
+	"strings"
 	"testing"
-	"time"
 
 	"cubefc/internal/segment"
 )
 
-// The background checkpoint scheduler, driven by a fake clock: no sleeps.
+// TestCheckpointBudget: with CheckpointEvery n the insert path checkpoints
+// by itself, starting no goroutine: k·n batches make k snapshot writes, a
+// power loss replays fewer than n batches, and after the restart the
+// replayed batches count toward the next checkpoint.
+func TestCheckpointBudget(t *testing.T) {
+	base, _, ids, baseGen := crashFixture(t)
+	const every, k = 3, 4
+	batches := makeBatches(ids, (k+1)*every, 13)
+	fs := base.Clone()
+	open := func() *Durable {
+		t.Helper()
+		d, err := OpenDurable(DurableOptions{Dir: crashDir, FS: fs, CheckpointEvery: every}, crashEngineOpts(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	goroutines := runtime.NumGoroutine()
+	d := open()
+	for i, batch := range batches[:k*every+every-1] {
+		if err := d.DB().InsertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := d.DB().Metrics().SnapshotWrites, int64((i+1)/every); got != want {
+			t.Fatalf("after %d batches: %d snapshot writes, want %d", i+1, got, want)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Fatalf("%d goroutines after the checkpoints, %d before the engine opened", n, goroutines)
+	}
 
-func TestCheckpointSchedulerFakeClock(t *testing.T) {
-	fs := segment.NewMemFS()
-	d, err := OpenDurable(DurableOptions{Dir: "db", FS: fs}, crashEngineOpts(), func() (*DB, error) {
-		db, _, _ := testEngine(t, Never{})
-		return db, nil
-	})
+	fs.Crash()
+	d = open()
+	defer d.Close()
+	if rec := d.Recovery; rec.SnapshotGen != uint64(baseGen+k*every) || rec.WALBatches != every-1 {
+		t.Fatalf("recovery after %d batches under budget %d: %+v", k*every+every-1, every, rec)
+	}
+	if err := d.DB().InsertBatch(batches[k*every+every-1]); err != nil {
+		t.Fatal(err)
+	}
+	if n := d.DB().Metrics().SnapshotWrites; n != 1 {
+		t.Fatalf("the batch completing the budget with %d replayed ones made %d snapshot writes, want 1", every-1, n)
+	}
+}
+
+// TestCheckpointKeepsOldOnFailure: a checkpoint whose snapshot write fails
+// leaves the previous snapshot intact, no tmp debris and the log unpruned,
+// so a crash on top recovers everything committed.
+func TestCheckpointKeepsOldOnFailure(t *testing.T) {
+	base, snap, ids, _ := crashFixture(t)
+	batches := makeBatches(ids, 3, 17)
+	fs := base.Clone()
+	d, err := OpenDurable(DurableOptions{Dir: crashDir, FS: fs}, crashEngineOpts(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	db := d.DB()
-	s := NewCheckpointScheduler(d, CheckpointPolicy{Every: time.Minute, EveryBatches: 3}, t.Logf)
-	now := time.Unix(1000, 0)
-
-	// First tick only establishes the time baseline.
-	if ran, _ := s.Tick(now); ran {
-		t.Fatal("checkpoint ran with no batches and no baseline")
-	}
-	// An idle engine is never re-snapshotted, however much time passes.
-	if ran, _ := s.Tick(now.Add(10 * time.Minute)); ran {
-		t.Fatal("checkpoint ran on an idle engine")
-	}
-	// Three applied batches trip the batch trigger regardless of time.
-	for i := 0; i < 3; i++ {
-		if err := db.InsertBatch(fullBatch(db, i)); err != nil {
+	for _, batch := range batches {
+		if err := d.DB().InsertBatch(batch); err != nil {
 			t.Fatal(err)
 		}
 	}
-	snaps := db.Metrics().SnapshotWrites
-	ran, err := s.Tick(now.Add(10*time.Minute + time.Second))
-	if err != nil || !ran {
-		t.Fatalf("batch trigger: ran=%v err=%v", ran, err)
-	}
-	if got := db.Metrics().SnapshotWrites; got != snaps+1 {
-		t.Fatalf("snapshot writes %d, want %d", got, snaps+1)
-	}
-	// Baselines advanced: immediately due again only after new batches.
-	if ran, _ := s.Tick(now.Add(10*time.Minute + 2*time.Second)); ran {
-		t.Fatal("checkpoint re-ran with no new batches")
-	}
-	// One new batch + elapsed Every trips the time trigger.
-	if err := db.InsertBatch(fullBatch(db, 9)); err != nil {
+	before, err := fs.ReadDir(crashDir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	base := now.Add(10*time.Minute + time.Second)
-	if ran, _ := s.Tick(base.Add(30 * time.Second)); ran {
-		t.Fatal("time trigger fired before Every elapsed")
+	fs.SetWriteLimit(3)
+	if err := d.Checkpoint(); !errors.Is(err, segment.ErrInjected) {
+		t.Fatalf("faulted checkpoint: %v", err)
 	}
-	ran, err = s.Tick(base.Add(2 * time.Minute))
-	if err != nil || !ran {
-		t.Fatalf("time trigger: ran=%v err=%v", ran, err)
+	fs.SetWriteLimit(-1)
+	if data, err := fs.ReadFile(crashDir + "/" + snapshotFileName); err != nil || !bytes.Equal(data, snap) {
+		t.Fatalf("old snapshot damaged by the failed checkpoint: %v", err)
 	}
-
-	// Start is a no-op under a zero policy; Stop without Start is safe.
-	z := NewCheckpointScheduler(d, CheckpointPolicy{}, nil)
-	z.Start()
-	z.Stop()
-	s.Start()
-	s.Stop()
+	if after, err := fs.ReadDir(crashDir); err != nil || strings.Join(after, " ") != strings.Join(before, " ") {
+		t.Fatalf("directory %v after the failed checkpoint, %v before (%v)", after, before, err)
+	}
+	fs.Crash()
+	rec := reopenRecovered(t, fs, 0)
+	defer rec.Close()
+	if rec.Recovery.WALBatches != len(batches) {
+		t.Fatalf("recovery after a failed checkpoint: %+v", rec.Recovery)
+	}
+	twin := buildTwin(t, snap, batches)
+	if rd, td := stateDigest(t, rec.DB()), stateDigest(t, twin); rd != td {
+		t.Fatalf("recovered state diverges from twin: %s", digestDiff(rd, td))
+	}
 }

@@ -2,7 +2,6 @@ package f2db
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -515,6 +514,157 @@ func TestCrashRecoveryWithCompaction(t *testing.T) {
 	}
 }
 
+// TestCrashRecoveryWithCheckpoints sweeps kills across a run that
+// checkpoints from the insert path every three batches and seals the
+// active WAL file every two. A clean run maps every write; each faulted run
+// then dies at the start or in the middle of one of them — a batch record,
+// a seal record, a new file's header or a snapshot image — or at one of the
+// prune's removals. Under both crash models recovery must match the twin
+// that loaded the anchor snapshot and took the committed batches, counters
+// included, and then take the rest of the run as the twin does.
+func TestCrashRecoveryWithCheckpoints(t *testing.T) {
+	base, snap, ids, baseGen := crashFixture(t)
+	batches := makeBatches(ids, 10, 29)
+	open := func(fs *tapFS) (*Durable, error) {
+		return OpenDurable(DurableOptions{Dir: crashDir, FS: fs, CompactEvery: 2, CheckpointEvery: 3}, crashEngineOpts(), nil)
+	}
+	run := func(fs *tapFS, killAt int64) (*Durable, int) {
+		t.Helper()
+		d, err := open(fs)
+		if err != nil {
+			t.Fatalf("pre-kill open: %v", err)
+		}
+		fs.written, fs.writes, fs.removes = 0, nil, 0
+		fs.SetWriteLimit(killAt)
+		committed := 0
+		for _, batch := range batches {
+			if err := d.DB().InsertBatch(batch); err != nil {
+				break
+			}
+			committed++
+		}
+		return d, committed
+	}
+
+	clean := &tapFS{MemFS: base.Clone(), killRemove: -1}
+	d, _ := run(clean, -1)
+	var snapshots int
+	for _, w := range clean.writes {
+		if w.name == crashDir+"/"+snapshotFileName+".tmp" {
+			snapshots++
+		}
+	}
+	if m := d.DB().Metrics(); snapshots != 3 || m.SnapshotWrites != 3 || m.SegmentCompactions == 0 || clean.removes < 3 {
+		t.Fatalf("clean run: %d snapshot images, %d snapshot writes, %d seals, %d removals", snapshots, m.SnapshotWrites, m.SegmentCompactions, clean.removes)
+	}
+	type kill struct {
+		at     int64
+		remove int
+	}
+	var kills []kill
+	for _, w := range clean.writes {
+		kills = append(kills, kill{w.start, -1}, kill{(w.start + w.end) / 2, -1})
+	}
+	for r := 0; r < clean.removes; r++ {
+		kills = append(kills, kill{-1, r})
+	}
+
+	for _, k := range kills {
+		for _, powerLoss := range []bool{false, true} {
+			t.Run(fmt.Sprintf("kill=%d,remove=%d,power=%v", k.at, k.remove, powerLoss), func(t *testing.T) {
+				fs := &tapFS{MemFS: base.Clone(), killRemove: k.remove}
+				_, committed := run(fs, k.at)
+				if committed >= len(batches) {
+					t.Fatalf("a kill at byte %d or removal %d committed every batch", k.at, k.remove)
+				}
+				if powerLoss {
+					fs.Crash()
+				}
+				fs.SetWriteLimit(-1)
+				fs.killRemove = -1
+				d, err := open(fs)
+				if err != nil {
+					t.Fatalf("recovery open: %v", err)
+				}
+				defer d.Close()
+				if got, want := d.DB().Graph().Length(), baseGen+committed; got != want {
+					t.Fatalf("recovered length %d, want %d (%+v)", got, want, d.Recovery)
+				}
+				twin := buildTwin(t, snap, batches[:committed])
+				same := func(when string) {
+					t.Helper()
+					if rd, td := stateDigest(t, d.DB()), stateDigest(t, twin); rd != td {
+						t.Fatalf("%s: recovered state diverges from twin: %s", when, digestDiff(rd, td))
+					}
+					if rs, ts := d.DB().Stats(), twin.Stats(); rs.Inserts != ts.Inserts || rs.Batches != ts.Batches {
+						t.Fatalf("%s: recovered inserts=%d batches=%d, twin inserts=%d batches=%d", when, rs.Inserts, rs.Batches, ts.Inserts, ts.Batches)
+					}
+				}
+				same("after recovery")
+				for _, batch := range batches[committed:] {
+					if err := d.DB().InsertBatch(batch); err != nil {
+						t.Fatalf("recovered engine refused a batch: %v", err)
+					}
+					if err := twin.InsertBatch(batch); err != nil {
+						t.Fatal(err)
+					}
+				}
+				same("after the rest of the run")
+			})
+		}
+	}
+}
+
+// tapFS is a MemFS that records where each write starts and ends in the
+// stream of all bytes written through it, and counts removals. With
+// killRemove ≥ 0 it kills the process at that removal: the Remove fails
+// and so does every later write — a prune cut between two files, which no
+// byte offset reaches.
+type tapFS struct {
+	*segment.MemFS
+	written    int64
+	writes     []tapWrite
+	removes    int
+	killRemove int
+}
+
+type tapWrite struct {
+	name       string
+	start, end int64
+}
+
+func (f *tapFS) Create(name string) (segment.File, error) {
+	file, err := f.MemFS.Create(name)
+	return tapFile{file, f, name}, err
+}
+
+func (f *tapFS) Append(name string) (segment.File, error) {
+	file, err := f.MemFS.Append(name)
+	return tapFile{file, f, name}, err
+}
+
+func (f *tapFS) Remove(name string) error {
+	if f.removes == f.killRemove {
+		f.SetWriteLimit(0)
+		return segment.ErrInjected
+	}
+	f.removes++
+	return f.MemFS.Remove(name)
+}
+
+type tapFile struct {
+	segment.File
+	fs   *tapFS
+	name string
+}
+
+func (f tapFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	f.fs.writes = append(f.fs.writes, tapWrite{f.name, f.fs.written, f.fs.written + int64(n)})
+	f.fs.written += int64(n)
+	return n, err
+}
+
 // TestDurableCheckpoint proves Checkpoint's contract: afterwards the
 // directory holds exactly one snapshot (the log pruned), and a power loss
 // replays only what came after it.
@@ -857,74 +1007,6 @@ func TestDurableRefusesOldFormatSegment(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.name) || !strings.Contains(err.Error(), `"`+tc.magic+`"`) {
 			t.Fatalf("%s planted as %s: %v", tc.testdata, tc.name, err)
 		}
-	}
-}
-
-// TestWriteSnapshotFileSurvivesCrash is the regression test for the
-// snapshot-save bug: tmp + rename without fsyncing the file and its parent
-// directory left a window where a crash lost the "saved" snapshot. The
-// helper must make the image durable before reporting success.
-func TestWriteSnapshotFileSurvivesCrash(t *testing.T) {
-	db, _, _ := testEngine(t, Never{})
-	fs := segment.NewMemFS()
-	if err := fs.MkdirAll("out"); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSnapshotFile(fs, "out/snap.db", db); err != nil {
-		t.Fatal(err)
-	}
-	fs.Crash()
-	data, err := fs.ReadFile("out/snap.db")
-	if err != nil {
-		t.Fatalf("snapshot lost to crash right after save: %v", err)
-	}
-	loaded, err := LoadDatabase(bytes.NewReader(data), crashEngineOpts())
-	if err != nil {
-		t.Fatalf("post-crash snapshot unreadable: %v", err)
-	}
-	if got, want := loaded.Graph().Length(), db.Graph().Length(); got != want {
-		t.Fatalf("post-crash snapshot length %d, want %d", got, want)
-	}
-}
-
-// TestWriteSnapshotFileKeepsOldOnFailure: a failed re-save must leave the
-// previous snapshot intact and loadable, with no tmp debris, even across a
-// crash.
-func TestWriteSnapshotFileKeepsOldOnFailure(t *testing.T) {
-	db, _, _ := testEngine(t, Never{})
-	fs := segment.NewMemFS()
-	if err := fs.MkdirAll("out"); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSnapshotFile(fs, "out/snap.db", db); err != nil {
-		t.Fatal(err)
-	}
-	old, err := fs.ReadFile("out/snap.db")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs.SetWriteLimit(3)
-	if err := WriteSnapshotFile(fs, "out/snap.db", db); !errors.Is(err, segment.ErrInjected) {
-		t.Fatalf("faulted save: %v", err)
-	}
-	fs.SetWriteLimit(-1)
-	if data, err := fs.ReadFile("out/snap.db"); err != nil || !bytes.Equal(data, old) {
-		t.Fatalf("old snapshot damaged by failed save: %v", err)
-	}
-	names, err := fs.ReadDir("out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 1 || names[0] != "snap.db" {
-		t.Fatalf("debris after failed save: %v", names)
-	}
-	fs.Crash()
-	data, err := fs.ReadFile("out/snap.db")
-	if err != nil || !bytes.Equal(data, old) {
-		t.Fatalf("old snapshot not crash-durable after failed save: %v", err)
-	}
-	if _, err := LoadDatabase(bytes.NewReader(data), crashEngineOpts()); err != nil {
-		t.Fatalf("old snapshot unreadable after failed save: %v", err)
 	}
 }
 

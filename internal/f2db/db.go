@@ -139,8 +139,11 @@ type DB struct {
 	mstats  []ModelStats
 	schemes []schemeState // by node ID
 	// step1 receives each model's one-step forecast in advanceBatch, under
-	// the write lock: a stack array would escape through the interface call.
+	// the write lock, and seeds[o] the warm-start parameters of model o's
+	// re-fit, under maint (the fits of one refit have distinct ordinals): a
+	// stack array would escape through the interface call.
 	step1 [1]float64
+	seeds [][3]float64
 
 	// batch is the insert batch being collected, guarded by maint. Time
 	// advances only once every base series has a value for the next time
@@ -162,16 +165,15 @@ type DB struct {
 
 	met engineMetrics
 
-	// commitHook, when non-nil, is the group-commit gate: advance calls it
-	// under maint, without mu, with the complete batch — the pending
-	// column, to be read and not retained — and the generation it creates
-	// (the observation index it will occupy), BEFORE the batch is applied
-	// and the column released. The durability layer (durable.go) installs
-	// the WAL append here; an error refuses the advance with the column
-	// untouched, so the engine stays consistent and a later insert retries
-	// the commit. Installed once before any concurrency (OpenDurable) —
-	// never mutated on a live engine.
-	commitHook func(gen uint64, column []float64) error
+	// log, when non-nil, is the durability layer (durable.go), installed
+	// once by OpenDurable before any concurrency and never mutated on a
+	// live engine. advance commits every complete batch through it, under
+	// maint and without mu, BEFORE the batch is applied and the column
+	// released; an error refuses the advance with the column untouched, so
+	// the engine stays consistent and a later insert retries the commit.
+	// applyRows then hands it each settled statement for its checkpoint
+	// budget.
+	log *Durable
 }
 
 // Options configures Open.
@@ -228,6 +230,7 @@ func open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 		models:   cfg.ModelIDs(),
 		invalid:  make([]bool, len(cfg.Models)),
 		mstats:   make([]ModelStats, len(cfg.Models)),
+		seeds:    make([][3]float64, len(cfg.Models)),
 		schemes:  make([]schemeState, g.NumNodes()),
 	}
 	db.batch = db.planner.NewBatch()
@@ -489,13 +492,17 @@ func (db *DB) InsertBatch(values map[int]float64) error {
 // applyRows runs one insert statement of distinct base rows in ascending ID
 // order through the batch's rule (Batch.fill) under maint, so no other
 // statement, advance or re-fit interleaves and a snapshot sees all of its
-// rows or none. They count as inserts before maint is released; only a
-// failed commit returns an error after some landed.
+// rows or none. They count as inserts before maint is released, and a
+// durable engine checkpoints the settled state under the same hold when its
+// budget is spent; only a failed commit returns an error after some landed.
 func (db *DB) applyRows(rows []baseRow) error {
 	start := time.Now()
 	db.maint.Lock()
 	applied, err := db.batch.fill(rows, db.advance)
 	db.met.inserts.Add(int64(applied))
+	if db.log != nil {
+		db.log.checkpointIfDue()
+	}
 	db.maint.Unlock()
 	db.met.maintainNanos.Add(time.Since(start).Nanoseconds())
 	return err
@@ -507,8 +514,8 @@ func (db *DB) applyRows(rows []baseRow) error {
 // previous time point while the commit fsyncs. On error nothing advanced,
 // the column keeps every value, and the triggering insert reports it.
 func (db *DB) advance(column []float64) error {
-	if db.commitHook != nil {
-		if err := db.commitHook(uint64(db.graph.Length), column); err != nil {
+	if db.log != nil {
+		if err := db.log.commit(uint64(db.graph.Length), column); err != nil {
 			return err
 		}
 	}

@@ -1,13 +1,11 @@
 package f2db
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	iofs "io/fs"
 	"path"
-	"path/filepath"
 	"strings"
 
 	"cubefc/internal/cube"
@@ -19,7 +17,8 @@ import (
 //
 //	snapshot.db      whole-engine image (SaveDatabase), rewritten
 //	                 atomically (tmp + fsync + rename + dir fsync) at
-//	                 Checkpoint
+//	                 Checkpoint, called by the caller or, every
+//	                 CheckpointEvery batches, by the insert path
 //	wal-<seq>.log    write-ahead log of committed insert batches
 //	                 (internal/segment), one raw column per batch, appended
 //	                 at group commit; every CompactEvery batches the active
@@ -61,6 +60,11 @@ type DurableOptions struct {
 	// the next batch opens a new one; 0 never seals between checkpoints.
 	// Either way the log grows until a Checkpoint prunes it.
 	CompactEvery int
+	// CheckpointEvery checkpoints from the insert path once the engine is
+	// n batches past its snapshot — replayed batches count after a restart
+	// — so recovery replays fewer than n; 0 leaves checkpoints to the
+	// caller.
+	CheckpointEvery int
 }
 
 // RecoveryInfo reports what OpenDurable found and replayed.
@@ -83,13 +87,16 @@ type RecoveryInfo struct {
 
 // Durable couples an engine with its write-ahead log. Every method that
 // touches the log runs under the engine's maintenance lock (DB.maint):
-// commit inside the batch advance, the others by taking it.
+// commit inside the batch advance, checkpointIfDue after an insert
+// statement, the others by taking it.
 type Durable struct {
-	db           *DB
-	fs           segment.FS
-	dir          string
-	wal          *segment.WAL
-	compactEvery int
+	db                      *DB
+	fs                      segment.FS
+	dir                     string
+	wal                     *segment.WAL
+	compactEvery, ckptEvery int
+	// ckptDue is the generation at which the insert path checkpoints next.
+	ckptDue uint64
 
 	// Recovery reports what OpenDurable replayed.
 	Recovery RecoveryInfo
@@ -114,7 +121,7 @@ func OpenDurable(dopts DurableOptions, opts Options, build func() (*DB, error)) 
 	if err := fs.MkdirAll(dopts.Dir); err != nil {
 		return nil, fmt.Errorf("f2db: creating durable dir: %w", err)
 	}
-	d := &Durable{fs: fs, dir: dopts.Dir, compactEvery: dopts.CompactEvery}
+	d := &Durable{fs: fs, dir: dopts.Dir, compactEvery: dopts.CompactEvery, ckptEvery: dopts.CheckpointEvery}
 
 	snapPath := path.Join(dopts.Dir, snapshotFileName)
 	snapData, err := fs.ReadFile(snapPath)
@@ -139,6 +146,7 @@ func OpenDurable(dopts DurableOptions, opts Options, build func() (*DB, error)) 
 		return nil, fmt.Errorf("f2db: reading snapshot %s: %w", snapPath, err)
 	}
 	d.Recovery.SnapshotGen = uint64(d.db.graph.Length)
+	d.ckptDue = d.Recovery.SnapshotGen + uint64(d.ckptEvery)
 
 	// Anchor a fresh build with an initial snapshot before anything else:
 	// from here on recovery is always snapshot + replay, never a re-build.
@@ -175,7 +183,7 @@ func OpenDurable(dopts DurableOptions, opts Options, build func() (*DB, error)) 
 	d.Recovery.TornBytes = info.TornBytes
 	d.Recovery.WALFiles = info.Files
 
-	d.db.commitHook = d.commit
+	d.db.log = d
 	d.mirrorWALStats()
 	return d, nil
 }
@@ -232,7 +240,7 @@ func (d *Durable) applyReplayedBatch(gen uint64, column []float64) (applied bool
 	return true, nil
 }
 
-// commit is the engine's group-commit gate (DB.commitHook): it runs inside
+// commit is the engine's group-commit gate (DB.log): it runs inside
 // the batch advance under maint but not the engine lock, so readers keep
 // answering while it appends the batch's column to the WAL (fsyncing per
 // policy) — first sealing the active file when it holds CompactEvery
@@ -285,10 +293,31 @@ func (d *Durable) Compact() error {
 // guarantee that the snapshot, the rotation point and the prune bound are
 // one consistent generation.
 func (d *Durable) Checkpoint() error {
-	db := d.db
-	db.maint.Lock()
-	defer db.maint.Unlock()
-	gen := uint64(db.graph.Length)
+	d.db.maint.Lock()
+	defer d.db.maint.Unlock()
+	return d.checkpoint()
+}
+
+// checkpointIfDue checkpoints once the engine is CheckpointEvery batches
+// past the last checkpoint. applyRows calls it after each insert statement,
+// under maint, with the statement's rows counted and its complete batches
+// released: the snapshot then holds what a Checkpoint call would. It runs
+// after the commit rather than inside it because a snapshot taken there
+// would record the complete column as pending and the counters without the
+// statement's rows. The statement stands either way — its batches are in
+// the log — so a failure is not returned: a failed rotation poisons the
+// log, which refuses the next commit, and the next attempt is due a budget
+// later, as after a success.
+func (d *Durable) checkpointIfDue() {
+	if d.ckptEvery > 0 && uint64(d.db.graph.Length) >= d.ckptDue {
+		_ = d.checkpoint()
+	}
+}
+
+// checkpoint is Checkpoint for a caller that holds maint.
+func (d *Durable) checkpoint() error {
+	gen := uint64(d.db.graph.Length)
+	d.ckptDue = gen + uint64(d.ckptEvery)
 	if err := d.writeSnapshot(); err != nil {
 		return err
 	}
@@ -322,7 +351,7 @@ func (d *Durable) writeSnapshot() error {
 // Close syncs and closes the WAL. The engine itself stays queryable, but
 // further batch advances fail (the commit gate is closed) — call
 // Checkpoint first for a clean shutdown that starts the next process from
-// a snapshot.
+// a snapshot with an empty log.
 func (d *Durable) Close() error {
 	d.db.maint.Lock()
 	defer d.db.maint.Unlock()
@@ -338,25 +367,6 @@ func (d *Durable) mirrorWALStats() {
 	d.db.met.walSyncs.Store(syncs)
 	d.db.met.walBytes.Store(bytes)
 	d.db.met.walFiles.Store(int64(files))
-}
-
-// WriteSnapshotFile serializes the engine and writes it to fpath through
-// the crash-safe file protocol: tmp file, fsync, rename into place, fsync
-// of the parent directory. A nil fsys selects the real filesystem. Every
-// binary's snapshot-saving path (f2dbd -save, f2dbcli \save) goes through
-// this helper, so none can reintroduce the torn-snapshot windows a bare
-// tmp+rename leaves open: the renamed file's blocks may still be
-// unflushed, and the rename's own directory entry can be lost by a crash
-// before the directory inode reaches disk.
-func WriteSnapshotFile(fsys segment.FS, fpath string, db *DB) error {
-	if fsys == nil {
-		fsys = segment.OSFS{}
-	}
-	var buf bytes.Buffer
-	if err := SaveDatabase(&buf, db); err != nil {
-		return err
-	}
-	return segment.WriteFileSync(fsys, filepath.Dir(fpath), filepath.Base(fpath), buf.Bytes())
 }
 
 // graphFingerprint hashes the cube's identity — dimensions with their

@@ -116,8 +116,8 @@ func (db *DB) refit(ids []int) (int, error) {
 func (db *DB) fitClone(id int) (forecast.Model, error) {
 	m := db.cfg.Models[id].CloneModel()
 	if ws, ok := m.(forecast.WarmStarter); ok {
-		var seed [3]float64
-		ws.WarmStart(ws.AppendParams(seed[:0]))
+		o, _ := db.ordinal(id)
+		ws.WarmStart(ws.AppendParams(db.seeds[o][:0]))
 	}
 	if err := m.Fit(db.graph.Node(id).Series); err != nil {
 		return nil, fmt.Errorf("f2db: re-estimating node %d: %w", id, err)

@@ -121,6 +121,31 @@ func TestReestimateNodeSkipsValidModel(t *testing.T) {
 	}
 }
 
+// TestReestimateAllocs is the allocation gate of the eager re-fit. Each fit
+// warm-starts from its model's seed slot, sized at Open, so re-fitting the
+// 11 models reads 79 objects; with the seed a stack array the interface call
+// moved to the heap, it read 90, one more per model.
+func TestReestimateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	db, _, _ := testEngine(t, Never{})
+	k := len(db.models)
+	n := testing.AllocsPerRun(20, func() {
+		db.maint.Lock()
+		for o := range db.invalid {
+			db.invalid[o] = true
+		}
+		db.maint.Unlock()
+		if got := db.ReestimateInvalid(); got != k {
+			t.Fatalf("ReestimateInvalid re-fitted %d of %d models", got, k)
+		}
+	})
+	if k != 11 || n > 79 {
+		t.Fatalf("re-fitting %d models allocates %v objects; want 11 models in at most 79", k, n)
+	}
+}
+
 // TestEagerReestimate: ReestimateInvalid run right after the advance re-fits
 // every model it invalidated — no query needed.
 func TestEagerReestimate(t *testing.T) {
