@@ -95,7 +95,12 @@ type testShard struct {
 // port; a concrete addr rebinds a restarted shard to its old one).
 func startShardOn(t testing.TB, data []byte, addr string) *testShard {
 	t.Helper()
-	db := loadEngine(t, data)
+	return serveShard(t, loadEngine(t, data), addr)
+}
+
+// serveShard serves db as a replica on addr.
+func serveShard(t testing.TB, db *f2db.DB, addr string) *testShard {
+	t.Helper()
 	srv := server.New(db, server.Options{})
 	ln := listenOn(t, addr)
 	done := make(chan error, 1)
@@ -495,6 +500,66 @@ func TestCoordinatorFailover(t *testing.T) {
 	}
 	if stats := co.StatsText(); !strings.Contains(stats, "state=down") {
 		t.Fatalf("StatsText does not show the outage: %q", stats)
+	}
+}
+
+// TestReplicaRefitTwin: replicas that served different reads hold the same
+// models. Two shards re-fit lazily under TimeBased{Every: 2}; every read of
+// six time points goes to shard 0, so only it re-fits along the way. Then
+// shard 0 stops and the coordinator fails every read over to shard 1, whose
+// first queries re-fit everything at once: the answers are bit-identical
+// to shard 0's last ones, with no ReestimateInvalid call anywhere.
+func TestReplicaRefitTwin(t *testing.T) {
+	g, data := buildCube(t)
+	load := func() *f2db.DB {
+		db, err := f2db.LoadDatabase(bytes.NewReader(data), f2db.Options{Strategy: f2db.TimeBased{Every: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	s0, s1 := serveShard(t, load(), "127.0.0.1:0"), serveShard(t, load(), "127.0.0.1:0")
+	defer s1.stop(t)
+	co, err := New(f2db.NewPlanner(g, 0), []string{s0.addr, s1.addr}, testCoordOpts(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	cl, err := fclient.Dial(s0.addr, fclient.Options{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	query := func(id int) string {
+		return strings.Replace(querySQLFor(g, id), "'1 steps'", "'4 steps' WITH INTERVAL 90", 1)
+	}
+	want := make([]*f2db.Result, g.NumNodes())
+	for tp := 0; tp < 6; tp++ {
+		if err := co.Exec(batchInsertSQL(10 * tp * tp)); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "replicas caught up", co.CaughtUp)
+		for id := range want {
+			if want[id], err = cl.Query(query(id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if s0.db.Metrics().Reestimations == 0 || s1.db.Metrics().Reestimations != 0 {
+		t.Fatalf("shard 0 re-fitted %d times and shard 1 %d: want shard 0 alone",
+			s0.db.Metrics().Reestimations, s1.db.Metrics().Reestimations)
+	}
+	s0.stop(t)
+	for id, w := range want {
+		got, err := co.Query(query(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, query(id), got, w)
+	}
+	if s1.db.Metrics().Reestimations == 0 {
+		t.Fatal("shard 1 re-fitted nothing: the twin compared untouched models")
 	}
 }
 

@@ -3,9 +3,7 @@ package f2db
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -42,33 +40,11 @@ func fullBatch(db *DB, round int) map[int]float64 {
 	return out
 }
 
-// sameRows compares two query results within floating-point tolerance
-// (insert batches are applied in map order, so sums may differ in the last
-// ulps between engines).
+// sameRows requires two query results to hold the same groups, bit for bit.
 func sameRows(t *testing.T, got, want *Result) {
 	t.Helper()
-	if len(got.Groups) != len(want.Groups) {
-		t.Fatalf("group count %d != %d", len(got.Groups), len(want.Groups))
-	}
-	for gi := range got.Groups {
-		gr, wr := got.Groups[gi].Rows, want.Groups[gi].Rows
-		if len(gr) != len(wr) {
-			t.Fatalf("group %d: row count %d != %d", gi, len(gr), len(wr))
-		}
-		for i := range gr {
-			if gr[i].T != wr[i].T {
-				t.Fatalf("group %d row %d: t=%d != %d", gi, i, gr[i].T, wr[i].T)
-			}
-			for _, pair := range [][2]float64{
-				{gr[i].Value, wr[i].Value}, {gr[i].Lo, wr[i].Lo}, {gr[i].Hi, wr[i].Hi},
-			} {
-				diff := math.Abs(pair[0] - pair[1])
-				scale := math.Max(1, math.Max(math.Abs(pair[0]), math.Abs(pair[1])))
-				if diff/scale > 1e-6 {
-					t.Fatalf("group %d row %d: %v != %v (cached vs plain)", gi, i, gr[i], wr[i])
-				}
-			}
-		}
+	if !reflect.DeepEqual(got.Groups, want.Groups) {
+		t.Fatalf("groups differ:\n%+v\n%+v", got.Groups, want.Groups)
 	}
 }
 
@@ -277,73 +253,6 @@ func TestLazyRefitKeepsAnswers(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrentEpochCorrectness interleaves read-table queries with
-// InsertBatch writers and the lazy re-fits TimeBased{3} sets off (run with
-// -race) and, after every round's barrier, asserts the table-on engine
-// agrees with a table-off twin that applied the same batches — i.e. no
-// stale answer survives a time advance or a re-fit.
-func TestCacheConcurrentEpochCorrectness(t *testing.T) {
-	cached, plain := twinEngines(t, TimeBased{Every: 3})
-	queries := []string{
-		"SELECT time, SUM(m) FROM facts GROUP BY time AS OF now() + '2 steps'",
-		"SELECT time, SUM(m) FROM facts WHERE region = 'R1' GROUP BY time AS OF now() + '1 step'",
-		"SELECT time, AVG(m) FROM facts WHERE city = 'C2' GROUP BY time AS OF now() + '3 steps' WITH INTERVAL 95",
-		"SELECT time, m FROM facts WHERE product = 'P2' AND city = 'C3' AS OF now() + '2 steps'",
-	}
-	for round := 0; round < 5; round++ {
-		batch := fullBatch(cached, round)
-		var wg sync.WaitGroup
-		errCh := make(chan error, 16)
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < 20; i++ {
-					if _, err := cached.Query(queries[(w+i)%len(queries)]); err != nil {
-						errCh <- err
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := cached.InsertBatch(batch); err != nil {
-				errCh <- err
-			}
-		}()
-		wg.Wait()
-		close(errCh)
-		for err := range errCh {
-			t.Fatal(err)
-		}
-		if err := plain.InsertBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-		// Barrier: both engines now hold identical state; answers must
-		// agree even though the cached engine memoized mid-round results.
-		for _, q := range queries {
-			rc, err := cached.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rp, err := plain.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameRows(t, rc, rp)
-		}
-	}
-	m := cached.Metrics()
-	if m.Batches != 5 {
-		t.Fatalf("batches = %d, want 5", m.Batches)
-	}
-	if m.PlanCacheHits == 0 || m.ForecastCacheHits == 0 {
-		t.Fatalf("fast path never engaged: %+v", m)
-	}
-}
-
 func TestCacheInsertBatchSemantics(t *testing.T) {
 	db, g, _ := testEngine(t, nil)
 	lenBefore := db.Graph().Length()
@@ -436,37 +345,6 @@ func TestCacheSQLMultiRowInsert(t *testing.T) {
 	}
 	if db.Stats().PendingInserts != 0 {
 		t.Fatal("rejected statement left pending values")
-	}
-}
-
-func TestCacheDisabled(t *testing.T) {
-	src, g, _ := testEngine(t, nil)
-	var buf bytes.Buffer
-	if err := SaveDatabase(&buf, src); err != nil {
-		t.Fatal(err)
-	}
-	db, err := LoadDatabase(&buf, Options{PlanCacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := "SELECT time, SUM(m) FROM facts GROUP BY time AS OF now() + '2 steps'"
-	for i := 0; i < 3; i++ {
-		if _, err := db.Query(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := db.ForecastNode(g.TopID, 2); err != nil {
-		t.Fatal(err)
-	}
-	m := db.Metrics()
-	if m.PlanCacheHits+m.PlanCacheMisses+m.ForecastCacheHits+m.ForecastCacheMisses != 0 {
-		t.Fatalf("a disabled table recorded traffic: %+v", m)
-	}
-	if m.TableEntries != 0 {
-		t.Fatalf("a disabled table holds entries: %+v", m)
-	}
-	if m.Queries == 0 {
-		t.Fatal("queries not answered with caches disabled")
 	}
 }
 

@@ -133,17 +133,20 @@ type DB struct {
 	strategy InvalidationStrategy
 	// models lists the model nodes ascending. A re-fit replaces a model in
 	// place, so the list is fixed at Open, and a model's ordinal — its
-	// position here — indexes invalid and mstats.
-	models  []int
-	invalid []bool
-	mstats  []ModelStats
-	schemes []schemeState // by node ID
-	// step1 receives each model's one-step forecast in advanceBatch, under
-	// the write lock, and seeds[o] the warm-start parameters of model o's
-	// re-fit, under maint (the fits of one refit have distinct ordinals): a
-	// stack array would escape through the interface call.
-	step1 [1]float64
-	seeds [][3]float64
+	// position here — indexes invalidAt, mstats and scratch.
+	models []int
+	// invalidAt holds the generation (series length) at which the strategy
+	// invalidated each model, 0 while it is valid. An invalid model is not
+	// advanced: it stays as it stood at that generation until a re-fit
+	// catches it up (reestimate.go), so what a re-fit computes depends on the
+	// log alone, not on when a query asked for it.
+	invalidAt []int
+	mstats    []ModelStats
+	schemes   []schemeState // by node ID
+	// scratch is each model's maintenance working set, used under maint (the
+	// fits of one refit have distinct ordinals): a stack value would escape
+	// through the interface calls.
+	scratch []modelScratch
 
 	// batch is the insert batch being collected, guarded by maint. Time
 	// advances only once every base series has a value for the next time
@@ -223,15 +226,15 @@ func open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 		opts.Strategy = Never{}
 	}
 	db := &DB{
-		graph:    g,
-		cfg:      cfg,
-		planner:  NewPlanner(g, opts.StepDuration),
-		strategy: opts.Strategy,
-		models:   cfg.ModelIDs(),
-		invalid:  make([]bool, len(cfg.Models)),
-		mstats:   make([]ModelStats, len(cfg.Models)),
-		seeds:    make([][3]float64, len(cfg.Models)),
-		schemes:  make([]schemeState, g.NumNodes()),
+		graph:     g,
+		cfg:       cfg,
+		planner:   NewPlanner(g, opts.StepDuration),
+		strategy:  opts.Strategy,
+		models:    cfg.ModelIDs(),
+		invalidAt: make([]int, len(cfg.Models)),
+		mstats:    make([]ModelStats, len(cfg.Models)),
+		scratch:   make([]modelScratch, len(cfg.Models)),
+		schemes:   make([]schemeState, g.NumNodes()),
 	}
 	db.batch = db.planner.NewBatch()
 	// A node without a scheme (from an image an older engine saved, or one no
@@ -366,7 +369,7 @@ func (db *DB) deriveInterval(dst, src []float64, nodeID, h int, conf float64) er
 		if !ok {
 			return fmt.Errorf("f2db: scheme source %d has no model", s)
 		}
-		if o, _ := db.ordinal(s); db.invalid[o] {
+		if o, _ := db.ordinal(s); db.invalidAt[o] > 0 {
 			return errNeedsReestimate
 		}
 		fc := src[i*h : (i+1)*h]
@@ -418,18 +421,18 @@ func residualStd(m forecast.Model, step int) float64 {
 	return 0
 }
 
-// installModel publishes a freshly fitted model: stores it, clears the
-// invalid flag and resets the maintenance statistics. It stales no answer
-// in the read table: an answer is stored only when every source model was
-// valid, a model turns invalid only at a time advance, which bumps the
-// generation, and only an invalid model is re-fitted. The caller holds
-// maint and mu exclusively.
-func (db *DB) installModel(id int, m forecast.Model) {
-	db.cfg.Models[id] = m
+// installModel publishes a re-fitted model, current at the engine's
+// generation, with the maintenance statistics its catch-up ended at, and
+// counts its fits. It stales no answer in the read table: an answer is
+// stored only when every source model was valid, a model turns invalid only
+// at a time advance, which bumps the generation, and only an invalid model
+// is re-fitted. The caller holds maint and mu exclusively.
+func (db *DB) installModel(id int, r refitted) {
+	db.cfg.Models[id] = r.model
 	o, _ := db.ordinal(id)
-	db.invalid[o] = false
-	db.mstats[o] = ModelStats{}
-	db.met.reestimations.Add(1)
+	db.invalidAt[o] = 0
+	db.mstats[o] = r.stats
+	db.met.reestimations.Add(int64(r.fits))
 }
 
 // ordinal returns the position of the model at node id in db.models, and
@@ -534,20 +537,11 @@ func (db *DB) advanceBatch(column []float64) error {
 	}
 	db.met.batches.Add(1)
 
-	// Model state updates: compare the one-step forecast against the new
-	// actual to maintain the rolling error, then advance the state.
+	// Model state updates, except for the invalid models, which wait at
+	// their invalidation generation for a re-fit.
 	for o, id := range db.models {
-		m := db.cfg.Models[id]
-		actual := [1]float64{db.graph.Latest(id)}
-		st := &db.mstats[o]
-		m.Forecast(db.step1[:])
-		if e := timeseries.SMAPE(actual[:], db.step1[:]); !math.IsNaN(e) {
-			st.RollingError = 0.9*st.RollingError + 0.1*e
-		}
-		m.Update(actual[0])
-		st.UpdatesSinceFit++
-		if db.strategy.Invalidate(*st) {
-			db.invalid[o] = true
+		if db.invalidAt[o] == 0 && db.observe(o, db.cfg.Models[id], &db.mstats[o], db.graph.Latest(id)) {
+			db.invalidAt[o] = db.graph.Length
 		}
 	}
 
@@ -571,13 +565,29 @@ func (db *DB) advanceBatch(column []float64) error {
 	return nil
 }
 
+// observe is one model's maintenance step at a new time point: it compares
+// the one-step forecast against the actual to maintain the rolling error,
+// advances the state and reports whether the strategy now invalidates the
+// model. advanceBatch runs it on the live model, a re-fit's catch-up on its
+// clone (fitClone). The caller holds maint; o indexes the scratch.
+func (db *DB) observe(o int, m forecast.Model, st *ModelStats, actual float64) bool {
+	step1 := db.scratch[o].step1[:]
+	m.Forecast(step1)
+	if e := timeseries.SMAPE([]float64{actual}, step1); !math.IsNaN(e) {
+		st.RollingError = 0.9*st.RollingError + 0.1*e
+	}
+	m.Update(actual)
+	st.UpdatesSinceFit++
+	return db.strategy.Invalidate(*st)
+}
+
 // InvalidCount returns how many models currently await re-estimation.
 func (db *DB) InvalidCount() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	c := 0
-	for _, v := range db.invalid {
-		if v {
+	for _, at := range db.invalidAt {
+		if at > 0 {
 			c++
 		}
 	}
@@ -587,7 +597,8 @@ func (db *DB) InvalidCount() int {
 // ModelHealth reports per-model maintenance state for monitoring: state
 // updates since the last (re-)estimation, the rolling one-step SMAPE
 // observed during maintenance and whether the model currently awaits
-// re-estimation. Keyed by the node's canonical coordinate key.
+// re-estimation, in which case the first two stand where the invalidation
+// left them. Keyed by the node's canonical coordinate key.
 type ModelHealth struct {
 	Node            int
 	Family          string
@@ -603,7 +614,7 @@ func (db *DB) Health() map[string]ModelHealth {
 	out := make(map[string]ModelHealth, len(db.models))
 	for o, id := range db.models {
 		st := db.mstats[o]
-		out[db.graph.KeyOf(id)] = ModelHealth{Node: id, Family: db.cfg.Models[id].Name(), Invalid: db.invalid[o],
+		out[db.graph.KeyOf(id)] = ModelHealth{Node: id, Family: db.cfg.Models[id].Name(), Invalid: db.invalidAt[o] > 0,
 			UpdatesSinceFit: st.UpdatesSinceFit, RollingError: st.RollingError}
 	}
 	return out

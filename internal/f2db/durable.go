@@ -39,8 +39,9 @@ import (
 // between whole-DB snapshots before the WAL existed, now shrunk from
 // "since the last snapshot" to "the current partial batch". Model states
 // replay deterministically from the snapshot through advanceBatch; re-fits
-// a crashed process performed after the snapshot are re-derived lazily
-// (they are caches of the series data, which is recovered exactly).
+// a crashed process performed after the snapshot are re-derived lazily, to
+// the same bits (a re-fit is a function of the log, which is recovered
+// exactly).
 
 // snapshotFileName is the engine image inside a durable directory.
 const snapshotFileName = "snapshot.db"

@@ -28,7 +28,7 @@ import (
 
 const (
 	configMagic   = "F2CFG001"
-	snapshotMagic = "F2SNP001"
+	snapshotMagic = "F2SNP002"
 
 	recItems  byte = 4
 	recValues byte = 5

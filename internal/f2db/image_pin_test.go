@@ -14,9 +14,12 @@ import (
 )
 
 // TestImageBytesPinned pins the F2CFG001 configuration image and the
-// F2SNP001 snapshot of one engine, by SHA-256, to digests recorded at commit
-// 43d4758 — before a configuration's schemes and errors and the engine's
-// per-model statistics moved from maps keyed by node ID to dense slices. The
+// F2SNP002 snapshot of one engine, by SHA-256. The configuration digests
+// were recorded at commit 43d4758 — before a configuration's schemes and
+// errors and the engine's per-model statistics moved from maps keyed by node
+// ID to dense slices. The snapshot digests were re-recorded when the
+// snapshot's magic became F2SNP002 and each model's invalid flag became the
+// generation it was invalidated at; nothing else in the image moved. The
 // advisor runs on the 1 089-node cube with pinned γ; creation times are
 // wall-clock readings, so they are zeroed. The engine invalidates every model
 // at each time point, advances one, re-fits the top node's sources through a
@@ -34,10 +37,10 @@ func TestImageBytesPinned(t *testing.T) {
 	}{
 		{"covered", 0,
 			"42e25a1dee3500211f95021efed38b84b242ce98d3a000e08d621dc1af127b7c",
-			"2eb7f49249669d3caff524d3667f1bf42bb627a7c5882b7f7570f27e37e8b122"},
+			"2d39fc9c5fee07d0056e6be962276ecdac796bf5fa5c1f68289a4b2f2790dcc3"},
 		{"resolved", 50,
 			"7d7e77b581aaa020dfe033e795a911eba9fccc3bf2f7e22be7e9bb4c745e9c63",
-			"74bd74f00c5ef09c724686b5abbe71c9dec7790e945469333bc91ddcd64ce509"},
+			"bb96385bad60f2daab2307d4fe672b1f40fcc4da02beb46bda89905b142a7167"},
 	} {
 		g, err := datasets.GenCube(1, datasets.CubeGenForNodes(1_000, 2)).Graph()
 		if err != nil {

@@ -160,8 +160,8 @@ func TestSnapshotBitFlipsRefused(t *testing.T) {
 // format earlier versions wrote (testdata, saved from testEngine by the
 // last version that wrote gob) are refused with an error naming the
 // format — through LoadDatabase, LoadConfiguration and OpenDurable's
-// recovery of a snapshot.db — and an image of the other kind is refused by
-// its magic.
+// recovery of a snapshot.db — and an image of the other kind, or an
+// F2SNP001 snapshot, is refused by its magic.
 func TestImagesRefuseOldFormat(t *testing.T) {
 	snap, err := os.ReadFile("testdata/gob-snapshot.db")
 	if err != nil {
@@ -171,7 +171,7 @@ func TestImagesRefuseOldFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, g, cfg := testEngine(t, nil)
+	db, g, cfg := testEngine(t, nil)
 	refused := func(what string, err error, words ...string) {
 		t.Helper()
 		for _, w := range words {
@@ -202,4 +202,15 @@ func TestImagesRefuseOldFormat(t *testing.T) {
 	}
 	_, err = LoadDatabase(&c, Options{})
 	refused("a configuration as a snapshot", err, `format "`+configMagic+`" is not this version's "`+snapshotMagic+`"`)
+
+	// An F2SNP001 snapshot recorded whether a model was invalid, not since
+	// when: its catch-up cannot be replayed, so it is refused by name.
+	var s bytes.Buffer
+	if err := SaveDatabase(&s, db); err != nil {
+		t.Fatal(err)
+	}
+	_, _, body, _ := segment.ReadRecord(s.Bytes(), 0)
+	old := append(segment.AppendRecord(nil, segment.RecHeader, []byte("F2SNP001")), s.Bytes()[body:]...)
+	_, err = LoadDatabase(bytes.NewReader(old), Options{})
+	refused("an F2SNP001 snapshot", err, `format "F2SNP001" is not this version's "F2SNP002"`)
 }

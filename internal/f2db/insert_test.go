@@ -383,53 +383,6 @@ func engineState(db *DB) string {
 	return b.String()
 }
 
-// TestRejectedInsertReplicaTwin feeds two replicas the same statements —
-// one that repeats a pending value after fresh rows, its retry without the
-// duplicate, and a statement that completes the batch and puts its last rows
-// into the next one — and a reference engine only the statements that were
-// accepted. After every statement the replicas return the same error and
-// agree with each other, and with the reference, on all engine state.
-func TestRejectedInsertReplicaTwin(t *testing.T) {
-	levels := [2]string{"product", "city"}
-	a, g := gridEngine(t, levels, numbered("P", 4), numbered("C", 4), Options{})
-	b, _ := gridEngine(t, levels, numbered("P", 4), numbered("C", 4), Options{})
-	ref, _ := gridEngine(t, levels, numbered("P", 4), numbered("C", 4), Options{})
-	ids := slices.Clone(g.BaseIDs)
-	slices.Sort(ids)
-	for i, stmt := range []struct {
-		ids    []int
-		reject bool
-	}{
-		{ids[12:13], false},
-		{[]int{ids[1], ids[2], ids[12]}, true},
-		{ids[1:3], false},
-		{ids[1:3], true},
-		{ids[13:], false},
-		// Completes the batch with base 11, then puts bases 12 and 13 into
-		// the next one.
-		{slices.Concat(ids[:1], ids[3:14]), false},
-		{[]int{ids[0], ids[13]}, true},
-		{ids[0:1], false},
-	} {
-		sql := insertSQL(g, stmt.ids, float64(10*i))
-		errA, errB := a.Exec(sql), b.Exec(sql)
-		if fmt.Sprint(errA) != fmt.Sprint(errB) || (errA != nil) != stmt.reject {
-			t.Fatalf("statement %d: replicas return %v and %v, want rejected %v", i, errA, errB, stmt.reject)
-		}
-		if !stmt.reject {
-			if err := ref.Exec(sql); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if sa, sb, sr := engineState(a), engineState(b), engineState(ref); sa != sb || sa != sr {
-			t.Fatalf("statement %d: replicas\n%s\nand\n%s\nreference\n%s", i, sa, sb, sr)
-		}
-	}
-	if got := a.graph.Length; got != 9 {
-		t.Fatalf("replicas at length %d, want 9: one advance", got)
-	}
-}
-
 // TestInsertCountUnderMaint: a statement counts its rows as inserts before
 // it releases maint, so the next holder of maint never sees a landed row
 // that is not yet counted. One goroutine inserts row by row while the test

@@ -10,7 +10,7 @@ func invalidateAll(db *DB, ids []int) {
 	db.mu.Lock()
 	for _, id := range ids {
 		o, _ := db.ordinal(id)
-		db.invalid[o] = true
+		db.invalidAt[o] = db.graph.Length
 	}
 	db.mu.Unlock()
 }

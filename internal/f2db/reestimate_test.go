@@ -133,8 +133,8 @@ func TestReestimateAllocs(t *testing.T) {
 	k := len(db.models)
 	n := testing.AllocsPerRun(20, func() {
 		db.maint.Lock()
-		for o := range db.invalid {
-			db.invalid[o] = true
+		for o := range db.invalidAt {
+			db.invalidAt[o] = db.graph.Length
 		}
 		db.maint.Unlock()
 		if got := db.ReestimateInvalid(); got != k {

@@ -2,90 +2,83 @@ package f2db_test
 
 import (
 	"bytes"
-	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
-	"cubefc/internal/core"
-	"cubefc/internal/datasets"
 	"cubefc/internal/f2db"
-	"cubefc/internal/wire"
-	"cubefc/internal/workload"
 )
 
-// TestEagerReestimateTwin: an engine that calls ReestimateInvalid after each
-// advance answers byte for byte like a lazy twin fed the same batches, as
-// long as the lazy twin's queries re-fit every invalidated model before the
-// next advance — here every node is queried in every window, so every model
-// is re-fitted on the series of the same time point on both sides. This is
-// the equivalence a driver that re-fits its reference engine eagerly while
-// the served engines re-fit lazily relies on.
+// TestEagerReestimateTwin: a re-fit is a function of the log, not of when a
+// query arrived. Four engines loaded from the engine twin's image take the
+// same time points under TimeBased{Every: 2}: one re-fits eagerly after each advance,
+// one queries every node after each, one a seeded random few, and one stays
+// idle. Afterwards every node's 4-step forecast is bit-identical on all
+// four, and so are the models' health and the number of fits. Before a
+// re-fit caught up from the model's invalidation generation, the idle
+// engine disagreed with the busy one on every node of this cube.
 func TestEagerReestimateTwin(t *testing.T) {
-	d := datasets.Tourism(1)
-	g, err := d.Graph()
-	if err != nil {
-		t.Fatal(err)
+	_, img := twinCube()
+	engines := make([]*f2db.DB, 4)
+	for i := range engines {
+		var err error
+		if engines[i], err = f2db.LoadDatabase(bytes.NewReader(img), f2db.Options{Strategy: twinStrategy}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	cfg, err := core.Run(g, core.Options{Seed: 5, FixedGamma: true, Gamma0: 0.5, MaxIterations: 8, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := f2db.Options{Strategy: f2db.TimeBased{Every: 2}}
-	src, err := f2db.Open(g, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap bytes.Buffer
-	if err := f2db.SaveDatabase(&snap, src); err != nil {
-		t.Fatal(err)
-	}
-	load := func() *f2db.DB {
-		db, err := f2db.LoadDatabase(bytes.NewReader(snap.Bytes()), opts)
+	eager, busy, some := engines[0], engines[1], engines[2]
+	nodes := eager.Graph().NumNodes()
+	forecast := func(db *f2db.DB, id int) []float64 {
+		fc, err := db.ForecastNode(id, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return db
+		return fc
 	}
-	eager, lazy := load(), load()
 
-	gen := workload.New(g, 1)
-	var stmts []string
-	for id := 0; id < g.NumNodes(); id++ {
-		stmts = append(stmts, gen.QuerySQL(id, 1+id%3))
-	}
-	stmts = append(stmts,
-		"SELECT time, SUM(m) FROM facts GROUP BY time, state AS OF now() + '2 steps' WITH INTERVAL 95",
-		"SELECT time, SUM(m) FROM facts WHERE purpose = 'holiday' GROUP BY time, state AS OF now() + '4 steps'")
-
-	refits := 0
-	for tp := 0; tp < 8; tp++ {
+	rng := rand.New(rand.NewSource(7))
+	for tp := 0; tp < 6; tp++ {
 		batch := make(map[int]float64)
 		for i, id := range eager.Graph().BaseIDs() {
-			batch[id] = float64(100 + 9*tp + 3*i)
+			batch[id] = float64(100 + 9*tp + 3*i + (i*tp)%5)
 		}
-		for _, db := range []*f2db.DB{eager, lazy} {
+		for _, db := range engines {
 			if err := db.InsertBatch(batch); err != nil {
 				t.Fatal(err)
 			}
 		}
-		refits += eager.ReestimateInvalid()
-		for _, sql := range stmts {
-			want, err := lazy.Query(sql)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := eager.Query(sql)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(wire.AppendResult(nil, got), wire.AppendResult(nil, want)) {
-				t.Fatalf("time point %d: %s\neager %s\nlazy  %s", tp, sql, fmt.Sprint(got.Groups), fmt.Sprint(want.Groups))
+		eager.ReestimateInvalid()
+		for id := 0; id < nodes; id++ {
+			forecast(busy, id)
+			if rng.Intn(4) == 0 {
+				forecast(some, id)
 			}
 		}
 	}
-	if refits == 0 {
-		t.Fatal("the eager engine re-fitted nothing: the twin compared two untouched engines")
+	if eager.Metrics().Reestimations == 0 {
+		t.Fatal("the eager engine re-fitted nothing")
 	}
-	if e, l := eager.Metrics().Reestimations, lazy.Metrics().Reestimations; e != l {
-		t.Fatalf("eager engine re-fitted %d models, lazy twin %d", e, l)
+	for id := 0; id < nodes; id++ {
+		want := forecast(eager, id)
+		for i, db := range engines[1:] {
+			got := forecast(db, id)
+			for s := range want {
+				if math.Float64bits(got[s]) != math.Float64bits(want[s]) {
+					t.Fatalf("node %d step %d: engine %d forecasts %v, the eager one %v", id, s+1, i+1, got, want)
+				}
+			}
+		}
+	}
+	for _, db := range engines {
+		db.ReestimateInvalid()
+	}
+	for i, db := range engines[1:] {
+		if got, want := db.Health(), eager.Health(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("engine %d's model health differs from the eager engine's", i+1)
+		}
+		if got, want := db.Metrics().Reestimations, eager.Metrics().Reestimations; got != want {
+			t.Fatalf("engine %d fitted %d times, the eager engine %d", i+1, got, want)
+		}
 	}
 }

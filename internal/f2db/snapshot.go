@@ -26,8 +26,9 @@ import (
 //	base      its members, per base in BaseIDs order
 //	values    every base's series, base after base, in recValues records
 //	config    the configuration section (storage.go)
-//	state     updates since fit, rolling error, invalid — per model in
-//	          the configuration's model order
+//	state     updates since fit, rolling error, the generation the model
+//	          was invalidated at (0 while valid) — per model in the
+//	          configuration's model order
 //	pending   the half-filled batch's row count, then one item per row:
 //	          base ordinal, value, in ascending ordinal
 //	counters  rows accepted and batches completed at save time
@@ -111,7 +112,7 @@ func (db *DB) appendSnapshot() ([]byte, error) {
 		w.begin(recItems)
 		w.int(st.UpdatesSinceFit)
 		w.f64(st.RollingError)
-		w.bool(db.invalid[o])
+		w.int(db.invalidAt[o])
 	}
 	pending := 0
 	for _, p := range db.batch.present {
@@ -268,16 +269,17 @@ func (r *imageReader) database(opts Options) (*DB, error) {
 		o, _ := db.ordinal(id)
 		r.begin(recItems)
 		db.mstats[o] = ModelStats{UpdatesSinceFit: r.int(), RollingError: r.f64()}
-		db.invalid[o] = r.bool()
+		if db.invalidAt[o] = r.int(); db.invalidAt[o] > length {
+			r.fail("model at node %d invalidated at generation %d of %d", id, db.invalidAt[o], length)
+		}
 	}
 	r.begin(recItems)
 	n := r.count("pending rows", 2)
 	if n > nb {
 		r.fail("%d pending rows for %d base series", n, nb)
 	}
-	// Restore the half-filled insert batch through the batched write path:
-	// one lock acquisition for the whole image instead of one per value.
-	pending := make(map[int]float64, n)
+	// Restore the half-filled insert batch straight into the pending column
+	// and the counters to their save-time values: nothing is inserted anew.
 	prev := -1
 	for range n {
 		r.begin(recItems)
@@ -288,22 +290,14 @@ func (r *imageReader) database(opts Options) (*DB, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
-		pending[g.BaseIDs[ord]], prev = v, ord
+		db.batch.column[ord], db.batch.present[ord], prev = v, true, ord
+		db.batch.total.Add(1)
 	}
 	r.begin(recItems)
-	inserts, batches := r.u64(), r.u64()
+	db.met.inserts.Store(int64(r.u64()))
+	db.met.batches.Store(int64(r.u64()))
 	if err := r.end(); err != nil {
 		return nil, err
 	}
-	if len(pending) > 0 {
-		if err := db.InsertBatch(pending); err != nil {
-			return nil, err
-		}
-	}
-	// Restore the maintenance counters to their save-time values. The
-	// pending replay above already counted its rows, so a Store (not Add)
-	// lands exactly on the saved state.
-	db.met.inserts.Store(int64(inserts))
-	db.met.batches.Store(int64(batches))
 	return db, nil
 }

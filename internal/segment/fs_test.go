@@ -1,7 +1,6 @@
 package segment
 
 import (
-	"bytes"
 	"errors"
 	iofs "io/fs"
 	"testing"
@@ -159,85 +158,5 @@ func TestWriteFileSyncReplaceKeepsOldOnFailure(t *testing.T) {
 	fs.Crash()
 	if data, err := fs.ReadFile("d/f"); err != nil || string(data) != "old" {
 		t.Fatalf("old file after failed replace + crash: %q, %v", data, err)
-	}
-}
-
-func TestFaultWriterModes(t *testing.T) {
-	payload := []byte("0123456789")
-
-	t.Run("kill-at", func(t *testing.T) {
-		var buf bytes.Buffer
-		fw := &FaultWriter{W: &buf, Mode: FaultKillAt, N: 4}
-		n, err := fw.Write(payload)
-		if n != 4 || !errors.Is(err, ErrInjected) {
-			t.Fatalf("crossing write: n=%d err=%v", n, err)
-		}
-		if buf.String() != "0123" {
-			t.Fatalf("persisted %q", buf.String())
-		}
-		// Dead after the kill: nothing further persists.
-		if n, err := fw.Write([]byte("xx")); n != 0 || !errors.Is(err, ErrInjected) {
-			t.Fatalf("post-kill write: n=%d err=%v", n, err)
-		}
-		if buf.String() != "0123" {
-			t.Fatalf("post-kill persisted %q", buf.String())
-		}
-	})
-
-	t.Run("torn", func(t *testing.T) {
-		var buf bytes.Buffer
-		fw := &FaultWriter{W: &buf, Mode: FaultTorn, N: 4}
-		if n, err := fw.Write(payload); n != 4 || !errors.Is(err, ErrInjected) {
-			t.Fatalf("crossing write: n=%d err=%v", n, err)
-		}
-		// The device recovered: later writes pass through.
-		if n, err := fw.Write([]byte("AB")); n != 2 || err != nil {
-			t.Fatalf("post-torn write: n=%d err=%v", n, err)
-		}
-		if buf.String() != "0123AB" {
-			t.Fatalf("persisted %q", buf.String())
-		}
-	})
-
-	t.Run("short", func(t *testing.T) {
-		var buf bytes.Buffer
-		fw := &FaultWriter{W: &buf, Mode: FaultShort, N: 6}
-		n, err := fw.Write(payload)
-		if n != 6 || err != nil {
-			t.Fatalf("short write must return n < len(p) with nil error: n=%d err=%v", n, err)
-		}
-		if buf.String() != "012345" {
-			t.Fatalf("persisted %q", buf.String())
-		}
-	})
-
-	t.Run("flip-bit", func(t *testing.T) {
-		var buf bytes.Buffer
-		fw := &FaultWriter{W: &buf, Mode: FaultFlipBit, N: 3}
-		if n, err := fw.Write(payload); n != len(payload) || err != nil {
-			t.Fatalf("flip write: n=%d err=%v", n, err)
-		}
-		want := append([]byte(nil), payload...)
-		want[3] ^= 1
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("persisted %q, want %q", buf.Bytes(), want)
-		}
-	})
-}
-
-// TestFaultWriterFlipCaughtByCRC closes the loop between the two fault
-// layers: a record written through a bit-flipping device must fail its CRC
-// check on read.
-func TestFaultWriterFlipCaughtByCRC(t *testing.T) {
-	rec := AppendRecord(nil, recBatch, []byte("some batch payload"))
-	for off := int64(0); off < int64(len(rec)); off++ {
-		var buf bytes.Buffer
-		fw := &FaultWriter{W: &buf, Mode: FaultFlipBit, N: off}
-		if _, err := fw.Write(rec); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := ReadRecord(buf.Bytes(), 0); err == nil {
-			t.Fatalf("bit flip at offset %d went undetected", off)
-		}
 	}
 }

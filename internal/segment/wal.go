@@ -502,7 +502,9 @@ func (w *WAL) ActiveBatches() int {
 }
 
 // RemoveBelow deletes sealed WAL files whose entire generation range lies
-// below gen — call it once a snapshot covering gen is durable.
+// below gen — call it once a snapshot covering gen is durable. A Remove that
+// fails stops it with the files not yet removed still listed, so a later
+// call resumes where it stopped.
 func (w *WAL) RemoveBelow(gen uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -518,6 +520,7 @@ func (w *WAL) RemoveBelow(gen uint64) error {
 		if wf.sealed && i+1 < len(w.files) && w.files[i+1].startGen <= gen {
 			name := path.Join(w.dir, walFileName(wf.seq))
 			if err := w.fs.Remove(name); err != nil {
+				w.files = append(kept, w.files[i:]...)
 				return err
 			}
 			removed = true

@@ -165,6 +165,51 @@ func TestWALRotateAndRemoveBelow(t *testing.T) {
 	}
 }
 
+// failingRemoveFS fails the Remove numbered fail (from 1) and passes every
+// other call through to its MemFS.
+type failingRemoveFS struct {
+	*MemFS
+	removes, fail int
+}
+
+func (f *failingRemoveFS) Remove(name string) error {
+	if f.removes++; f.removes == f.fail {
+		return ErrInjected
+	}
+	return f.MemFS.Remove(name)
+}
+
+// TestWALRemoveBelowResumes: a prune whose second Remove fails keeps the
+// files it did not remove listed, and the next prune removes exactly those
+// instead of failing on the file the first one already removed.
+func TestWALRemoveBelowResumes(t *testing.T) {
+	fs := &failingRemoveFS{MemFS: newWALFS(t), fail: 2}
+	w, _, _ := openCollect(t, fs, "w", testFP, SyncAlways)
+	for gen := uint64(0); gen < 4; gen++ {
+		if err := w.AppendColumn(gen, testBatch(gen)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Rotate(gen + 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.RemoveBelow(4); !errors.Is(err, ErrInjected) {
+		t.Fatalf("RemoveBelow with a failing Remove: %v", err)
+	}
+	if _, _, _, files := w.Stats(); files != 4 {
+		t.Fatalf("%d files listed after a prune that removed one of four, want 4", files)
+	}
+	if err := w.RemoveBelow(4); err != nil {
+		t.Fatalf("the prune after a failed one: %v", err)
+	}
+	if names, _ := fs.ReadDir("w"); len(names) != 1 {
+		t.Fatalf("files left after the second prune: %v, want the active one", names)
+	}
+	if _, _, _, files := w.Stats(); files != 1 {
+		t.Fatalf("%d files listed after the second prune, want 1", files)
+	}
+}
+
 func TestWALTornTailTruncatedOnReopen(t *testing.T) {
 	fs := newWALFS(t)
 	w, _, _ := openCollect(t, fs, "w", testFP, SyncAlways)

@@ -476,7 +476,9 @@ func (s *Server) process(t wire.Type, payload, buf []byte) response {
 
 // apply runs one TApply: a batch the engine holds is acknowledged, the next
 // one is executed and must complete exactly that batch, and any later one
-// is refused as a gap.
+// is refused as a gap. An engine that holds pending rows of its own is
+// refused the next batch too: the batch would complete its pending column
+// with those rows, not with the batch's values.
 func (s *Server) apply(batch uint64, sql string) error {
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
@@ -486,6 +488,11 @@ func (s *Server) apply(batch uint64, sql string) error {
 		return nil
 	case batch > have+1:
 		return fmt.Errorf("server: batch %d leaves a gap: the engine holds %d", batch, have)
+	}
+	if eb, ok := s.backend.(engineBackend); ok {
+		if n := eb.db.Stats().PendingInserts; n > 0 {
+			return fmt.Errorf("server: batch %d refused: the engine holds %d pending rows of its own", batch, n)
+		}
 	}
 	err := s.backend.Exec(sql)
 	if _, have = s.backend.Counts(); err == nil && have != batch {

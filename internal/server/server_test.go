@@ -249,7 +249,16 @@ func TestServerApply(t *testing.T) {
 		}
 	}
 	refused("a gap", cl.Apply(4, point(40)), "batch 4 leaves a gap: the engine holds 2")
-	refused("a partial time point", cl.Apply(3, "INSERT INTO facts VALUES ('P1', 'C1', 1)"), "batch 3 applied, but the engine holds 2")
+	last := g.BaseIDs[len(g.BaseIDs)-1]
+	partial := string(f2db.AppendInsert(nil, g, []int{last}, []float64{1}))
+	refused("a partial time point", cl.Apply(3, partial), "batch 3 applied, but the engine holds 2")
+	// That row stays pending. The next time point would complete the column
+	// with it in place of the time point's own value for the last base, so
+	// it is refused, and nothing changes.
+	refused("a time point over pending rows", cl.Apply(3, point(30)), "batch 3 refused: the engine holds 1 pending rows of its own")
+	if st := db.Stats(); st.Batches != 2 || st.PendingInserts != 1 {
+		t.Fatalf("after the refused time point: %d batches, %d pending; want 2 and 1", st.Batches, st.PendingInserts)
+	}
 	if info, err := cl.Info(); err != nil || info.Batches != 2 {
 		t.Fatalf("Info = %+v, %v; want 2 batches", info, err)
 	}
