@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -86,25 +88,8 @@ func TestNormalizeSQLSharedKeying(t *testing.T) {
 // inside the literal are two statements to the coordinator's read table —
 // each is planned, routed and answered for its own node, cached or not.
 func TestNormalizeSQLLiterals(t *testing.T) {
-	cities := []string{"New York", "New  York"}
-	dims := []cube.Dimension{cube.NewDimension("product", "product"), cube.NewDimension("city", "city")}
-	var base []cube.BaseSeries
-	for i, c := range cities {
-		vals := make([]float64, 36)
-		for j := range vals {
-			vals[j] = float64(100*(i+1)) * (1 + 0.25*math.Sin(2*math.Pi*float64(j%4)/4))
-		}
-		base = append(base, cube.BaseSeries{Members: []string{"P1", c}, Series: timeseries.New(vals, 4)})
-	}
-	g, err := cube.NewGraph(dims, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := core.Run(g, core.Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := f2db.Open(g, cfg, f2db.Options{})
+	g := literalsCube(t)
+	src, err := f2db.Open(g, pinnedConfig(t, g, literalsConfig), f2db.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +107,7 @@ func TestNormalizeSQLLiterals(t *testing.T) {
 	}
 	defer co.Close()
 	for round := 0; round < 2; round++ { // the second round is served from the table
-		for _, c := range cities {
+		for _, c := range literalsCities {
 			res, err := co.Query("SELECT time, SUM(m) FROM facts WHERE city = '" + c + "' GROUP BY time AS OF now() + '2 steps'")
 			if err != nil {
 				t.Fatal(err)
@@ -134,6 +119,63 @@ func TestNormalizeSQLLiterals(t *testing.T) {
 	}
 	if n := co.cache.Len(); n != 2 {
 		t.Fatalf("read table holds %d entries, want 2", n)
+	}
+}
+
+// literalsCities are two members that differ only in whitespace.
+var literalsCities = []string{"New York", "New  York"}
+
+// literalsCube builds TestNormalizeSQLLiterals' cube: one product in the
+// two literalsCities, 36 seasonal points.
+func literalsCube(t testing.TB) *cube.Graph {
+	t.Helper()
+	dims := []cube.Dimension{cube.NewDimension("product", "product"), cube.NewDimension("city", "city")}
+	var base []cube.BaseSeries
+	for i, c := range literalsCities {
+		vals := make([]float64, 36)
+		for j := range vals {
+			vals[j] = float64(100*(i+1)) * (1 + 0.25*math.Sin(2*math.Pi*float64(j%4)/4))
+		}
+		base = append(base, cube.BaseSeries{Members: []string{"P1", c}, Series: timeseries.New(vals, 4)})
+	}
+	g, err := cube.NewGraph(dims, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// The configurations the tests load, pinned so every run checks the same
+// engine: testEngineConfig is the one f2db's tests pin for buildCube's cube
+// (f2db's TestPinnedConfigurations), literalsConfig literalsCube's.
+const (
+	testEngineConfig = "../f2db/testdata/testengine-36.cfg"
+	literalsConfig   = "testdata/literals.cfg"
+)
+
+// pinnedConfig loads the configuration pinned at path onto g.
+func pinnedConfig(t testing.TB, g *cube.Graph, path string) *core.Configuration {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := f2db.LoadConfiguration(bytes.NewReader(data), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// TestPinnedConfigurations: literalsConfig keeps its model count and model
+// nodes. It was written from a live advisor run (γ follows the clock) by
+//
+//	cfg, _ := core.Run(literalsCube(t), core.Options{Seed: 5})
+//	f2db.SaveConfiguration(file, cfg)
+func TestPinnedConfigurations(t *testing.T) {
+	g := literalsCube(t)
+	if got, want := pinnedConfig(t, g, literalsConfig).ModelIDs(), []int{3}; !slices.Equal(got, want) {
+		t.Errorf("%d models at nodes %v, pinned %d at %v", len(got), got, len(want), want)
 	}
 }
 

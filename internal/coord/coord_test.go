@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"cubefc/internal/core"
 	"cubefc/internal/cube"
 	"cubefc/internal/f2db"
 	"cubefc/internal/fclient"
@@ -27,10 +26,10 @@ import (
 )
 
 // buildCube builds the twin-test cube (2 products × 4 cities → 2 regions,
-// 36 seasonal points), runs the advisor, and returns the graph plus the
-// snapshot bytes every replica and twin loads. The model configuration is
-// frozen (Strategy Never) so forecasts are a pure function of series state
-// and replicas agree bit-for-bit.
+// 36 seasonal points), loads its pinned configuration, and returns the graph
+// plus the snapshot bytes every replica and twin loads. The model
+// configuration is frozen (Strategy Never) so forecasts are a pure function
+// of series state and replicas agree bit-for-bit.
 func buildCube(t testing.TB) (*cube.Graph, []byte) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
@@ -56,11 +55,7 @@ func buildCube(t testing.TB) (*cube.Graph, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := core.Run(g, core.Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := f2db.Open(g, cfg, f2db.Options{Strategy: f2db.Never{}})
+	src, err := f2db.Open(g, pinnedConfig(t, g, testEngineConfig), f2db.Options{Strategy: f2db.Never{}})
 	if err != nil {
 		t.Fatal(err)
 	}

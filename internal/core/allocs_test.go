@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -100,11 +101,14 @@ func TestEvalSchemeAllocs(t *testing.T) {
 }
 
 // advisorRunMallocs is the number of heap objects one whole advisor run
-// allocates.
+// allocates. The collector is off for the run, as in the daemon's count
+// table: a collection that lands mid-run empties pools the run then refills,
+// about 15 objects in one run of seventy.
 func advisorRunMallocs(t *testing.T, g *cube.Graph, seed int64) uint64 {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runtime.ReadMemStats(&before)
 	if _, err := Run(g, goldenOptions(seed, 2)); err != nil {
 		t.Fatal(err)

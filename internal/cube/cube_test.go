@@ -148,7 +148,7 @@ func TestGraphEncodesFunctionalDependency(t *testing.T) {
 	// There is exactly one location cell per node; a node with city=C1
 	// exists, and its key mentions city, not region.
 	coord := Coord{{Level: 0, Value: "P2"}, {Level: 0, Value: "C1"}}
-	n := g.Lookup(coord)
+	n := lookup(g, coord)
 	if n == nil {
 		t.Fatal("missing base node P2/C1")
 	}
@@ -157,12 +157,20 @@ func TestGraphEncodesFunctionalDependency(t *testing.T) {
 	}
 }
 
+// lookup resolves a coordinate to its node, or nil if absent.
+func lookup(g *Graph, coord Coord) *Node {
+	if id, ok := g.LookupCoord(coord); ok {
+		return g.Node(id)
+	}
+	return nil
+}
+
 func TestAggregationCorrectness(t *testing.T) {
 	g := fig1Graph(t)
 	// Region R1 of product P1 = C1 + C2 of P1.
-	r1 := g.Lookup(Coord{{Level: 0, Value: "P1"}, {Level: 1, Value: "R1"}})
-	c1 := g.Lookup(Coord{{Level: 0, Value: "P1"}, {Level: 0, Value: "C1"}})
-	c2 := g.Lookup(Coord{{Level: 0, Value: "P1"}, {Level: 0, Value: "C2"}})
+	r1 := lookup(g, Coord{{Level: 0, Value: "P1"}, {Level: 1, Value: "R1"}})
+	c1 := lookup(g, Coord{{Level: 0, Value: "P1"}, {Level: 0, Value: "C1"}})
+	c2 := lookup(g, Coord{{Level: 0, Value: "P1"}, {Level: 0, Value: "C2"}})
 	if r1 == nil || c1 == nil || c2 == nil {
 		t.Fatal("missing nodes")
 	}
@@ -189,7 +197,7 @@ func TestTopIsTotalSum(t *testing.T) {
 func TestChildEdges(t *testing.T) {
 	g := fig1Graph(t)
 	// Node (P1, R1) has one child hyper edge along location: {C1, C2}.
-	r1 := g.Lookup(Coord{{Level: 0, Value: "P1"}, {Level: 1, Value: "R1"}})
+	r1 := lookup(g, Coord{{Level: 0, Value: "P1"}, {Level: 1, Value: "R1"}})
 	if len(g.ChildrenAlong(r1.ID, 0)) != 0 {
 		t.Fatal("product dimension at finest level should have no child edge")
 	}
@@ -206,7 +214,7 @@ func TestChildEdges(t *testing.T) {
 func TestOneSeriesContributesToSeveralAggregates(t *testing.T) {
 	g := fig1Graph(t)
 	// Property (2) of the paper: C1R1P2 can aggregate to C1R1* or *R1P2.
-	c1p2 := g.Lookup(Coord{{Level: 0, Value: "P2"}, {Level: 0, Value: "C1"}})
+	c1p2 := lookup(g, Coord{{Level: 0, Value: "P2"}, {Level: 0, Value: "C1"}})
 	parents := 0
 	for _, p := range g.ParentsOf(c1p2.ID) {
 		if p >= 0 {
@@ -231,8 +239,8 @@ func TestCovers(t *testing.T) {
 	if !g.Covers(base.ID, base.ID) {
 		t.Error("node covers itself")
 	}
-	r1 := g.Lookup(Coord{{Level: 0, Value: "P1"}, {Level: 1, Value: "R1"}})
-	c3 := g.Lookup(Coord{{Level: 0, Value: "P1"}, {Level: 0, Value: "C3"}})
+	r1 := lookup(g, Coord{{Level: 0, Value: "P1"}, {Level: 1, Value: "R1"}})
+	c3 := lookup(g, Coord{{Level: 0, Value: "P1"}, {Level: 0, Value: "C3"}})
 	if g.Covers(r1.ID, c3.ID) {
 		t.Error("R1 must not cover C3 (C3 belongs to R2)")
 	}
@@ -244,7 +252,7 @@ func TestSummingVector(t *testing.T) {
 	if got := g.CoveredBases(top.ID); len(got) != 8 {
 		t.Fatalf("top summing vector = %v", got)
 	}
-	r2 := g.Lookup(Coord{{Level: 2}, {Level: 1, Value: "R2"}})
+	r2 := lookup(g, Coord{{Level: 2}, {Level: 1, Value: "R2"}})
 	if got := g.CoveredBases(r2.ID); len(got) != 4 {
 		t.Fatalf("*|R2 summing vector = %v, want 4 base nodes", got)
 	}
@@ -372,8 +380,9 @@ func TestNewGraphValidation(t *testing.T) {
 // flat dimensions a and b both render the key a=x|b=y|b=z, so a lookup, an
 // INSERT or a reloaded configuration would land on whichever node the index
 // kept: a member value holding the separator is refused, naming the series
-// and the dimension. So is a base whose period differs from the first's,
-// and a repeated base, also when its node is the last one created.
+// and the dimension, and so is a level name holding it. So is a base whose
+// period differs from the first's, and a repeated base, also when its node
+// is the last one created.
 func TestGraphRejectsAmbiguousInput(t *testing.T) {
 	dims := []Dimension{NewDimension("a", "a"), NewDimension("b", "b")}
 	series := func(period int) *timeseries.Series { return timeseries.New([]float64{1, 2, 3, 4}, period) }
@@ -398,18 +407,25 @@ func TestGraphRejectsAmbiguousInput(t *testing.T) {
 	if _, err := NewGraph(nil, fig1Base(4)); err == nil {
 		t.Error("a graph without dimensions must be refused")
 	}
+	// A level name holding the separator would split its key parts too, so no
+	// non-ALL node of its dimension would resolve.
+	split := []Dimension{NewDimension("a", "a|b"), NewDimension("b", "b")}
+	want := `cube: level "a|b" of dimension "a" contains '|', the key separator`
+	if _, err := NewGraph(split, []BaseSeries{{Members: []string{"x", "y"}, Series: series(2)}}); err == nil || err.Error() != want {
+		t.Errorf("NewGraph with level a|b: got %v, want %s", err, want)
+	}
 }
 
 func TestLookupKeyAndMissing(t *testing.T) {
 	g := fig1Graph(t)
-	if g.LookupKey("product=P1|city=C1") == nil {
-		t.Fatal("LookupKey failed")
+	if _, ok := g.LookupID([]byte("product=P1|city=C1")); !ok {
+		t.Fatal("LookupID failed")
 	}
-	if g.LookupKey("product=P9|city=C1") != nil {
-		t.Fatal("missing key should be nil")
+	if _, ok := g.LookupID([]byte("product=P9|city=C1")); ok {
+		t.Fatal("missing key resolved")
 	}
-	if g.Lookup(Coord{{Level: 0, Value: "P9"}, {Level: 2}}) != nil {
-		t.Fatal("missing coord should be nil")
+	if _, ok := g.LookupCoord(Coord{{Level: 0, Value: "P9"}, {Level: 2}}); ok {
+		t.Fatal("missing coord resolved")
 	}
 }
 
@@ -523,7 +539,7 @@ func TestThreeLevelHierarchy(t *testing.T) {
 	if g.NumNodes() != 12 {
 		t.Fatalf("nodes = %d, want 12", g.NumNodes())
 	}
-	de := g.LookupKey("country=DE")
+	de := lookup(g, Coord{{Level: 2, Value: "DE"}})
 	if de == nil {
 		t.Fatal("missing country node")
 	}
@@ -569,11 +585,11 @@ func TestSparseCube(t *testing.T) {
 		t.Fatal(err)
 	}
 	// P2/C1 must not exist.
-	if g.Lookup(Coord{{Level: 0, Value: "P2"}, {Level: 0, Value: "C1"}}) != nil {
+	if lookup(g, Coord{{Level: 0, Value: "P2"}, {Level: 0, Value: "C1"}}) != nil {
 		t.Fatal("node without data must not exist")
 	}
 	// P2 aggregate = only its C2 series.
-	p2 := g.Lookup(Coord{{Level: 0, Value: "P2"}, {Level: 1}})
+	p2 := lookup(g, Coord{{Level: 0, Value: "P2"}, {Level: 1}})
 	if p2 == nil || p2.Series.Values[0] != 100 {
 		t.Fatalf("sparse aggregate wrong: %+v", p2)
 	}

@@ -97,33 +97,31 @@ func (c Cell) IsAll(d *Dimension) bool { return c.Level >= d.AllLevel() }
 // Coord is a full node coordinate, one Cell per dimension.
 type Coord []Cell
 
-// Key renders a canonical string key for the coordinate, used for node
-// lookup and configuration storage.
+// Key renders the coordinate's canonical key, the one Graph.KeyOf renders
+// for its node and Graph.LookupID resolves.
 func (c Coord) Key(dims []Dimension) string {
-	var buf [64]byte
-	return string(c.AppendKey(buf[:0], dims))
+	return string(appendKey(nil, dims, func(d int) Cell { return c[d] }))
 }
 
-// AppendKey appends the canonical key of the coordinate to dst and returns
-// the extended slice — Key without the string, for callers that only look
-// the key up (Graph.LookupCoord) and reuse one buffer across lookups.
-func (c Coord) AppendKey(dst []byte, dims []Dimension) []byte {
-	for d, cell := range c {
-		dst = appendCellKey(dst, dims, d, cell)
+// appendKey appends the canonical key of the coordinate whose cell of
+// dimension d is cell(d): the cells' parts, '|'-separated.
+func appendKey(dst []byte, dims []Dimension, cell func(d int) Cell) []byte {
+	for d := range dims {
+		if d > 0 {
+			dst = append(dst, '|')
+		}
+		dst = appendCell(dst, &dims[d], cell(d))
 	}
 	return dst
 }
 
-// appendCellKey appends dimension d's part of a canonical key: "level=value",
-// or "*" at ALL, after a '|' unless d is the first dimension.
-func appendCellKey(dst []byte, dims []Dimension, d int, cell Cell) []byte {
-	if d > 0 {
-		dst = append(dst, '|')
-	}
-	if cell.Level >= dims[d].AllLevel() {
+// appendCell appends a cell's part of a canonical key: "level=value", or "*"
+// at ALL.
+func appendCell(dst []byte, dim *Dimension, cell Cell) []byte {
+	if cell.IsAll(dim) {
 		return append(dst, '*')
 	}
-	dst = append(dst, dims[d].Levels[cell.Level]...)
+	dst = append(dst, dim.Levels[cell.Level]...)
 	dst = append(dst, '=')
 	return append(dst, cell.Value...)
 }

@@ -1,9 +1,11 @@
 package cube
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -54,8 +56,11 @@ type Graph struct {
 	// under matMu on first access.
 	nodes []atomic.Pointer[Node]
 
-	// index maps coordinate keys to node IDs, built on first key lookup.
-	index   map[string]int
+	// The coordinate index, built on first lookup: per dimension a map from a
+	// cell's key part to its code, and node IDs sorted by code tuple (4 B a
+	// node).
+	codeOf  []map[string]int32
+	byCodes []int32
 	idxOnce sync.Once
 
 	// The skeleton, immutable after construction, with D = len(Dims). Node
@@ -143,10 +148,7 @@ func (g *Graph) DepthOf(id int) int {
 // AppendKey appends the canonical coordinate key of the node ID to dst and
 // returns the extended slice, materializing nothing.
 func (g *Graph) AppendKey(dst []byte, id int) []byte {
-	for d := range g.Dims {
-		dst = appendCellKey(dst, g.Dims, d, g.CellOf(id, d))
-	}
-	return dst
+	return appendKey(dst, g.Dims, func(d int) Cell { return g.CellOf(id, d) })
 }
 
 // KeyOf returns the canonical coordinate key of the node ID without
@@ -156,51 +158,56 @@ func (g *Graph) KeyOf(id int) string {
 	return string(g.AppendKey(buf[:0], id))
 }
 
-// keyIndex returns the coordinate-key index, building it on first use.
-func (g *Graph) keyIndex() map[string]int {
+// index builds the coordinate index on first lookup.
+func (g *Graph) index() {
 	g.idxOnce.Do(func() {
-		g.index = make(map[string]int, len(g.nodes))
-		var buf []byte
-		for id := range g.nodes {
-			buf = g.AppendKey(buf[:0], id)
-			g.index[string(buf)] = id
+		g.codeOf = make([]map[string]int32, len(g.Dims))
+		for d, cells := range g.cells {
+			g.codeOf[d] = make(map[string]int32, len(cells))
+			for c, cell := range cells {
+				g.codeOf[d][string(appendCell(nil, &g.Dims[d], cell))] = int32(c)
+			}
 		}
+		g.byCodes = make([]int32, len(g.nodes))
+		for id := range g.byCodes {
+			g.byCodes[id] = int32(id)
+		}
+		slices.SortFunc(g.byCodes, func(a, b int32) int { return slices.Compare(g.tuple(a), g.tuple(b)) })
 	})
-	return g.index
 }
 
-// LookupCoord resolves a coordinate to its node ID without materializing
-// the node or rendering a key string: the key bytes go into buf[:0]
-// (returned for reuse, possibly grown) and probe the index directly.
-func (g *Graph) LookupCoord(coord Coord, buf []byte) (id int, ok bool, key []byte) {
-	key = coord.AppendKey(buf[:0], g.Dims)
-	id, ok = g.keyIndex()[string(key)] // no string is allocated for a map probe
-	return id, ok, key
-}
+// tuple returns the node's cell codes, one per dimension.
+func (g *Graph) tuple(id int32) []int32 { return g.codes[int(id)*len(g.Dims) : int(id+1)*len(g.Dims)] }
 
-// Lookup resolves a coordinate to its node, or nil if absent.
-func (g *Graph) Lookup(coord Coord) *Node {
-	var buf [64]byte
-	id, ok, _ := g.LookupCoord(coord, buf[:0])
-	if !ok {
-		return nil
+// LookupID resolves a canonical key to its node ID without materializing the
+// node or allocating: each '|'-separated part maps to its dimension's cell
+// code, and the code tuple is binary-searched in the index.
+func (g *Graph) LookupID(key []byte) (int, bool) {
+	g.index()
+	want := make([]int32, 0, 8)
+	for d := range g.Dims {
+		part, rest, cut := bytes.Cut(key, []byte{'|'})
+		c, ok := g.codeOf[d][string(part)]
+		if !ok || cut != (d < len(g.Dims)-1) {
+			return 0, false
+		}
+		want, key = append(want, c), rest
 	}
-	return g.Node(id)
-}
-
-// LookupID resolves a canonical key to its node ID, materializing nothing.
-func (g *Graph) LookupID(key string) (int, bool) {
-	id, ok := g.keyIndex()[key]
-	return id, ok
-}
-
-// LookupKey resolves a canonical key to its node, or nil if absent.
-func (g *Graph) LookupKey(key string) *Node {
-	id, ok := g.LookupID(key)
-	if !ok {
-		return nil
+	i := sort.Search(len(g.byCodes), func(i int) bool { return slices.Compare(g.tuple(g.byCodes[i]), want) >= 0 })
+	if i == len(g.byCodes) || !slices.Equal(g.tuple(g.byCodes[i]), want) {
+		return 0, false
 	}
-	return g.Node(id)
+	return int(g.byCodes[i]), true
+}
+
+// LookupCoord renders a coordinate's key on the stack (any value at the ALL
+// level as "*"; a key past 128 bytes allocates) and resolves it by LookupID.
+func (g *Graph) LookupCoord(coord Coord) (int, bool) {
+	if len(coord) != len(g.Dims) {
+		return 0, false
+	}
+	var buf [128]byte
+	return g.LookupID(appendKey(buf[:0], g.Dims, func(d int) Cell { return coord[d] }))
 }
 
 // Latest returns the node's newest observation, bit for bit the last value
@@ -265,10 +272,10 @@ func (g *Graph) sumLocked(id int, dst []float64) []float64 {
 }
 
 // NewGraph builds the complete hyper graph for the given dimensions and
-// base series. All base series must have equal length and the same
-// period, no two may share a coordinate, and no member value may contain
-// '|', the separator of coordinate keys. Aggregated series are computed
-// with SUM (Section II-A), on first access.
+// base series. All base series must have equal length and the same period,
+// no two may share a coordinate, and no level name or member value may
+// contain '|', the separator of coordinate keys. Aggregated series are
+// computed with SUM (Section II-A), on first access.
 //
 // The base nodes' series share the input value arrays, capped with a full
 // slice expression: no value below a series' length is ever written (Advance
@@ -280,6 +287,11 @@ func NewGraph(dims []Dimension, base []BaseSeries) (*Graph, error) {
 	}
 	if len(base) == 0 {
 		return nil, fmt.Errorf("cube: graph requires at least one base series")
+	}
+	for _, dim := range dims {
+		if l := slices.IndexFunc(dim.Levels, func(l string) bool { return strings.Contains(l, "|") }); l >= 0 {
+			return nil, fmt.Errorf("cube: level %q of dimension %q contains '|', the key separator", dim.Levels[l], dim.Name)
+		}
 	}
 	for i, b := range base {
 		switch {
@@ -672,10 +684,11 @@ func (g *Graph) CoveredBaseCount(id int) int {
 // series.
 //
 // Every resident series holds Length values in the bases' capacity, so all
-// fill at one time point and then move to rows of one allocation, each capped
-// at its end so no node's append reaches another's values: a time point
-// allocates once per graph. Nothing below a series' length is written, so a
-// reader holding an older slice is unaffected.
+// fill at one time point and then move to rows of one allocation, each of
+// growCap(Length) values (a quarter more: at most 25 % slack beyond 8) and
+// capped at its end so no node's append reaches another's values: a time
+// point allocates once per graph. Nothing below a series' length is written,
+// so a reader holding an older slice is unaffected.
 func (g *Graph) Advance(column []float64) error {
 	if len(column) != len(g.BaseIDs) {
 		return fmt.Errorf("cube: Advance needs a value for all %d base series, got %d", len(g.BaseIDs), len(column))
@@ -708,15 +721,11 @@ func (g *Graph) Advance(column []float64) error {
 	return nil
 }
 
-// growCap is the capacity a full series of n values grows to: double while
-// short, then a quarter more, as append grows a slice — geometric, so a
-// series is copied O(log n) times however long it runs.
-func growCap(n int) int {
-	if n < 256 {
-		return max(2*n, 8)
-	}
-	return n + (n+3*256)/4
-}
+// growCap is the capacity a full series of n values grows to: a quarter
+// more, at least 8. Growth is geometric, so a series is copied O(log n) times
+// however long it runs, and a grown series holds at most 25 % slack beyond
+// 8 values.
+func growCap(n int) int { return n + max(n/4, 8) }
 
 // NodeValues returns the node's current series values, materializing the
 // node first if need be. It satisfies the derivation.SeriesSource

@@ -36,11 +36,11 @@ func testGraph(t *testing.T) *cube.Graph {
 
 func node(t *testing.T, g *cube.Graph, key string) int {
 	t.Helper()
-	n := g.LookupKey(key)
-	if n == nil {
+	id, ok := g.LookupID([]byte(key))
+	if !ok {
 		t.Fatalf("missing node %q", key)
 	}
-	return n.ID
+	return id
 }
 
 func TestWeightDisaggregation(t *testing.T) {
@@ -136,8 +136,8 @@ func TestHistoricalErrorPositiveForDissimilar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	na := g.LookupKey("loc=A").ID
-	nb := g.LookupKey("loc=B").ID
+	na := node(t, g, "loc=A")
+	nb := node(t, g, "loc=B")
 	e, _, err := HistoricalIndicators(g, na, []int{nb}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestWeightStabilityFluctuating(t *testing.T) {
 	a := cube.BaseSeries{Members: []string{"A"}, Series: timeseries.New([]float64{1, 9, 1, 9, 1, 9}, 0)}
 	b := cube.BaseSeries{Members: []string{"B"}, Series: timeseries.New([]float64{9, 1, 9, 1, 9, 1}, 0)}
 	g, _ := cube.NewGraph([]cube.Dimension{loc}, []cube.BaseSeries{a, b})
-	na := g.LookupKey("loc=A").ID
+	na := node(t, g, "loc=A")
 	_, s, _ := HistoricalIndicators(g, na, []int{g.TopID}, 0)
 	if s < 0.5 {
 		t.Fatalf("stability = %v, want large for fluctuating share", s)
@@ -276,7 +276,7 @@ func TestWeightScaleInvarianceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		k, err := Weight(g2, g2.LookupKey("city=C1").ID, []int{g2.TopID}, 0)
+		k, err := Weight(g2, node(t, g2, "city=C1"), []int{g2.TopID}, 0)
 		if err != nil {
 			return false
 		}

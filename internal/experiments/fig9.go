@@ -71,9 +71,10 @@ func Fig9a(scale Scale) (*Table, error) {
 // ScaleTable times the pipeline on GenCube cubes of 10⁴ and 10⁵ nodes
 // (ROADMAP item 25): the hyper graph build, a second advisor run (seed 1,
 // two workers; the first fills the graph's lazy indexes) and f2db.Open, the
-// live heap per node with the graph and with the engine, and the heap
-// objects of the advisor run. γ follows the clock, so the advisor columns
-// move a little between runs; pinned, it finds no candidate at 10⁵ nodes.
+// live heap per node with the graph and with the engine (with the coordinate
+// index a shard's first lookup builds), and the heap objects of the advisor
+// run. γ follows the clock, so the advisor columns move a little between
+// runs; pinned, it finds no candidate at 10⁵ nodes.
 func ScaleTable() (*Table, error) {
 	t := &Table{
 		Title:  "Scale: pipeline on GenCube cubes (advisor: seed 1, parallelism 2)",
@@ -100,6 +101,7 @@ func ScaleTable() (*Table, error) {
 		advise := since(start)
 		runtime.ReadMemStats(&ms)
 		mallocs = ms.Mallocs - mallocs
+		g.LookupID(g.AppendKey(nil, g.TopID)) // builds the index, as loading a configuration does
 		start = time.Now()
 		var db *f2db.DB
 		if err == nil {

@@ -3,9 +3,13 @@ package f2db
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,16 +36,49 @@ func testEngine(t testing.TB, strategy InvalidationStrategy) (*DB, *cube.Graph, 
 	return db, g, cfg
 }
 
-// testConfig builds testEngine's cube cut to its first length points (at
-// most 36) and runs the advisor on it.
+// testConfig builds testEngine's cube cut to its first length points (36 or
+// 32) and loads the advisor configuration pinned for it in testdata, so every
+// test of the engine checks one fixed configuration.
 func testConfig(t testing.TB, length int) (*cube.Graph, *core.Configuration) {
 	t.Helper()
 	g := testCube(t, length)
-	cfg, err := core.Run(g, core.Options{Seed: 5})
+	data, err := os.ReadFile(pinnedConfigPath(length))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := LoadConfiguration(bytes.NewReader(data), g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g, cfg
+}
+
+func pinnedConfigPath(length int) string {
+	return filepath.Join("testdata", fmt.Sprintf("testengine-%d.cfg", length))
+}
+
+// TestPinnedConfigurations: the configurations testConfig loads keep their
+// model count and model nodes. They were written from live advisor runs in
+// the shape those runs usually take — γ follows the clock, so a run may take
+// another — by
+//
+//	cfg, _ := core.Run(testCube(t, length), core.Options{Seed: 5})
+//	SaveConfiguration(file, cfg)
+//
+// The coord and server tests load the 36-point one too.
+func TestPinnedConfigurations(t *testing.T) {
+	for _, c := range []struct {
+		length int
+		models []int
+	}{
+		{36, []int{0, 3, 4, 11, 13, 14, 15, 16, 17, 19, 20}},
+		{32, []int{1, 5, 7, 9, 10, 14, 16}},
+	} {
+		_, cfg := testConfig(t, c.length)
+		if got := cfg.ModelIDs(); !slices.Equal(got, c.models) {
+			t.Errorf("length %d: %d models at nodes %v, pinned %d at %v", c.length, len(got), got, len(c.models), c.models)
+		}
+	}
 }
 
 // testCube builds testEngine's cube cut to its first length points.
@@ -263,7 +300,7 @@ func TestQueryAggregatedNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Node != g.LookupKey("*|region=R2").ID {
+	if want, _ := g.LookupID([]byte("*|region=R2")); res.Node != want {
 		t.Fatalf("resolved node %q", res.NodeKey)
 	}
 }
@@ -291,8 +328,8 @@ func TestHistoricalQuery(t *testing.T) {
 	if len(res.Rows) != g.Length {
 		t.Fatalf("history rows = %d, want %d", len(res.Rows), g.Length)
 	}
-	n := g.LookupKey("*|region=R1")
-	if res.Rows[3].Value != n.Series.Values[3] {
+	id, _ := g.LookupID([]byte("*|region=R1"))
+	if res.Rows[3].Value != g.Node(id).Series.Values[3] {
 		t.Fatal("history values wrong")
 	}
 }
@@ -720,8 +757,8 @@ func TestGroupByLevelDrillDown(t *testing.T) {
 		if len(grp.Rows) != 2 {
 			t.Fatalf("group %s rows = %d", grp.Member, len(grp.Rows))
 		}
-		want := g.LookupKey("product=P1|city=" + grp.Member)
-		if want == nil || grp.Node != want.ID {
+		want, ok := g.LookupID([]byte("product=P1|city=" + grp.Member))
+		if !ok || grp.Node != want {
 			t.Fatalf("group %s resolved to node %q", grp.Member, grp.NodeKey)
 		}
 	}
@@ -772,8 +809,8 @@ func TestAvgAggregate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// *|R1 covers 2 products × 2 cities = 4 base series.
-	n := g.LookupKey("*|region=R1")
-	bases := g.CoveredBaseCount(n.ID)
+	id, _ := g.LookupID([]byte("*|region=R1"))
+	bases := g.CoveredBaseCount(id)
 	if bases != 4 {
 		t.Fatalf("expected 4 covered base series, got %d", bases)
 	}
@@ -1247,7 +1284,7 @@ func TestHealthSnapshot(t *testing.T) {
 	}
 	sawInvalid := false
 	for key, mh := range h {
-		if g.LookupKey(key) == nil {
+		if _, ok := g.LookupID([]byte(key)); !ok {
 			t.Fatalf("health key %q not a node", key)
 		}
 		if mh.Family == "" {

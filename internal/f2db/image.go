@@ -261,10 +261,7 @@ func (r *imageReader) bytes() []byte { return r.take(r.count("string bytes", 1))
 // node reads a canonical key and resolves it on g.
 func (r *imageReader) node(g *cube.Graph) int {
 	key := r.bytes()
-	if r.err != nil {
-		return 0
-	}
-	id, ok := g.LookupID(string(key))
+	id, ok := g.LookupID(key) // nil after a failed read: no node, and fail keeps the first error
 	if !ok {
 		r.fail("stored node %q not present in graph", key)
 	}

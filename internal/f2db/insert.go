@@ -115,11 +115,10 @@ type baseRow struct {
 }
 
 // insertScratch is the working set of one INSERT: the scanner, the coordinate
-// and key buffer a row is looked up through, the rows resolved so far.
+// a row is looked up through, the rows resolved so far.
 type insertScratch struct {
 	scan  insertScanner
 	coord cube.Coord
-	key   []byte
 	rows  []baseRow
 	// bases is the base count of the graph last resolved against: a whole
 	// time point, grown by doubling, stays pooled.
@@ -127,11 +126,11 @@ type insertScratch struct {
 }
 
 // Scratches are pooled: a statement allocates nothing in steady state. One
-// grown past these caps is dropped, so an idle one pins at most ~66 KiB
+// grown past these caps is dropped, so an idle one pins at most ~65 KiB
 // beyond the rows of two time points.
 const (
 	pooledRows  = 4096 // 64 KiB of resolved rows
-	pooledBytes = 1024 // of key buffer, and of members (16 B each)
+	pooledBytes = 1024 // of members (16 B each)
 )
 
 var insertScratchPool = sync.Pool{New: func() any { return new(insertScratch) }}
@@ -142,7 +141,7 @@ func getInsertScratch() *insertScratch { return insertScratchPool.Get().(*insert
 // text, and returns it to the pool.
 func (sc *insertScratch) release() {
 	members := sc.scan.members[:cap(sc.scan.members)]
-	if cap(sc.rows) > max(pooledRows, 2*sc.bases) || cap(sc.key) > pooledBytes || len(members) > pooledBytes/16 {
+	if cap(sc.rows) > max(pooledRows, 2*sc.bases) || len(members) > pooledBytes/16 {
 		return
 	}
 	clear(members)
@@ -159,15 +158,11 @@ func (sc *insertScratch) resolveBase(g *cube.Graph, members []string) (int, erro
 	if len(members) < n {
 		return 0, fmt.Errorf("f2db: insert needs %d member values, got %d", n, len(members))
 	}
-	if cap(sc.coord) < n {
-		sc.coord = make(cube.Coord, n)
+	sc.coord = sc.coord[:0]
+	for _, m := range members[:n] {
+		sc.coord = append(sc.coord, cube.Cell{Level: 0, Value: m})
 	}
-	sc.coord = sc.coord[:n]
-	for d := range sc.coord {
-		sc.coord[d] = cube.Cell{Level: 0, Value: members[d]}
-	}
-	id, ok, key := g.LookupCoord(sc.coord, sc.key)
-	sc.key = key
+	id, ok := g.LookupCoord(sc.coord)
 	if !ok || !g.IsBase(id) {
 		return 0, fmt.Errorf("f2db: unknown base series %v", members)
 	}

@@ -174,11 +174,11 @@ func oracleResolveBaseIn(g *cube.Graph, members []string) (int, error) {
 		}
 		coord[d] = cube.Cell{Level: 0, Value: members[d]}
 	}
-	n := g.Lookup(coord)
-	if n == nil || !g.IsBase(n.ID) {
+	id, ok := g.LookupCoord(coord)
+	if !ok || !g.IsBase(id) {
 		return 0, fmt.Errorf("f2db: unknown base series %v", members)
 	}
-	return n.ID, nil
+	return id, nil
 }
 
 // oracleRows is the resolution loop the engine's Exec and the planner's

@@ -511,7 +511,7 @@ func TestNormalizeSQLLiterals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := g.LookupKey("*|city=" + city).ID; res.Node != want {
+		if want, _ := g.LookupID([]byte("*|city=" + city)); res.Node != want {
 			t.Fatalf("city %q answered from node %d (%s), want %d", city, res.Node, res.NodeKey, want)
 		}
 	}
@@ -535,7 +535,7 @@ func TestLexerUTF8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := g.LookupKey("*|città=Ålesund").ID; res.Node != want {
+	if want, _ := g.LookupID([]byte("*|città=Ålesund")); res.Node != want {
 		t.Fatalf("bare non-ASCII member answered from node %d, want %d", res.Node, want)
 	}
 	if err := db.Exec("INSERT INTO facts VALUES ('caffè', 'Zürich', 1), ('caffè', 'Ålesund', 2)"); err != nil {

@@ -225,7 +225,7 @@ func TestQueryMissAllocs(t *testing.T) {
 // must change neither the next ForecastNode nor the next Query answer.
 func TestMemoOwnership(t *testing.T) {
 	db, g := missEngine(t, Options{})
-	id := g.LookupKey("d0l0=d0l0_7|d1l1=d1l1_1").ID
+	id, _ := g.LookupID([]byte("d0l0=d0l0_7|d1l1=d1l1_1"))
 	ref, _ := missEngine(t, Options{PlanCacheSize: -1})
 	want, err := ref.ForecastNode(id, 3)
 	if err != nil {

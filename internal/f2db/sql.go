@@ -435,9 +435,8 @@ func (pl *Plan) resolve(g *cube.Graph) error {
 			return fmt.Errorf("f2db: unknown attribute %q in WHERE clause", p.attr)
 		}
 	}
-	var buf [64]byte
 	if groupDim < 0 {
-		id, ok, _ := g.LookupCoord(coord, buf[:0])
+		id, ok := g.LookupCoord(coord)
 		if !ok {
 			return fmt.Errorf("f2db: no time series for %s", coord.Key(dims))
 		}
@@ -449,7 +448,7 @@ func (pl *Plan) resolve(g *cube.Graph) error {
 	// coordinate with the grouped dimension at ALL: walk that dimension's
 	// child edges down, one level per edge.
 	var ids []int
-	if top, ok, _ := g.LookupCoord(coord, buf[:0]); ok {
+	if top, ok := g.LookupCoord(coord); ok {
 		ids = []int{top}
 	}
 	for lvl := dims[groupDim].AllLevel(); lvl > groupLvl && len(ids) > 0; lvl-- {

@@ -249,9 +249,9 @@ func TestDescendantsPrecomputation(t *testing.T) {
 		}
 	}
 	// Region nodes cover exactly their two cities.
-	r1 := g.LookupKey("region=R1")
-	if len(desc[r1.ID]) != 2 {
-		t.Fatalf("region descendants = %v", desc[r1.ID])
+	r1, _ := g.LookupID([]byte("region=R1"))
+	if len(desc[r1]) != 2 {
+		t.Fatalf("region descendants = %v", desc[r1])
 	}
 }
 

@@ -62,9 +62,9 @@ func TestCombinedSimilarBeatsDissimilar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := g.LookupKey("loc=A").ID
-	b := g.LookupKey("loc=B").ID
-	c := g.LookupKey("loc=C").ID
+	a, _ := g.LookupID([]byte("loc=A"))
+	b, _ := g.LookupID([]byte("loc=B"))
+	c, _ := g.LookupID([]byte("loc=C"))
 	cfg := DefaultConfig()
 	simErr := Combined(g, a, []int{b}, cfg)
 	disErr := Combined(g, a, []int{c}, cfg)

@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"os"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -19,7 +20,6 @@ import (
 	"testing"
 	"time"
 
-	"cubefc/internal/core"
 	"cubefc/internal/cube"
 	"cubefc/internal/f2db"
 	"cubefc/internal/fclient"
@@ -29,11 +29,12 @@ import (
 	"cubefc/internal/workload"
 )
 
-// twinEngines builds a small 2-dimensional cube, runs the advisor once, and
-// clones the engine through a snapshot into two independent instances: one
-// served over the wire to concurrent writers and one sequential reference. The model
-// configuration is frozen (Strategy Never) so forecasts are a pure function
-// of the series state both engines should agree on.
+// twinEngines builds a small 2-dimensional cube, loads its pinned
+// configuration, and clones the engine through a snapshot into two
+// independent instances: one served over the wire to concurrent writers and
+// one sequential reference. The model configuration is frozen (Strategy
+// Never) so forecasts are a pure function of the series state both engines
+// should agree on.
 func twinEngines(t testing.TB) (served, twin *f2db.DB, g *cube.Graph) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
@@ -59,7 +60,13 @@ func twinEngines(t testing.TB) (served, twin *f2db.DB, g *cube.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := core.Run(g, core.Options{Seed: 5})
+	// The configuration f2db's tests pin for this same cube (f2db's
+	// TestPinnedConfigurations), so every run serves the same engine.
+	pinned, err := os.ReadFile("../f2db/testdata/testengine-36.cfg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := f2db.LoadConfiguration(bytes.NewReader(pinned), g)
 	if err != nil {
 		t.Fatal(err)
 	}
