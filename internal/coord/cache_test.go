@@ -199,11 +199,8 @@ func ask(rc *readCache, p *f2db.Planner, q string, fetch func() ([]byte, error))
 }
 
 // route plans sql into a table entry, as AppendQuery does.
-func route(p *f2db.Planner, sql string) func(**f2db.Plan) error {
-	return func(pl **f2db.Plan) (err error) {
-		*pl, err = p.RouteQuery(sql)
-		return err
-	}
+func route(p *f2db.Planner, sql string) func(*f2db.Plan) error {
+	return func(pl *f2db.Plan) error { return p.PlanInto(pl, sql) }
 }
 
 // same reports whether two payloads are one slice — the table hands out
@@ -301,7 +298,7 @@ func TestReadCacheRouteMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e1 != e2 || e1.Plan != e2.Plan {
+	if e1 != e2 || &e1.Plan != &e2.Plan {
 		t.Fatal("memoized plan is not pointer-identical")
 	}
 	if m.RouteMemoHits.Load() != 1 {
@@ -327,12 +324,12 @@ func TestReadCacheRouteMemo(t *testing.T) {
 		t.Fatal("filled entry not served")
 	}
 	epoch.Add(1)
-	plan, hits := e1.Plan, m.RouteMemoHits.Load()
+	plan, hits := &e1.Plan, m.RouteMemoHits.Load()
 	e3, got, hit, err := rc.Lookup(key, route(p, sql))
 	if err != nil || hit || got != nil {
 		t.Fatalf("stale result served after the write: %v, %v", got, err)
 	}
-	if e3 != e1 || e3.Plan != plan {
+	if e3 != e1 || &e3.Plan != plan {
 		t.Fatal("the write made the statement re-plan")
 	}
 	if m.CacheInvalidations.Load() != 1 || m.RouteMemoHits.Load() != hits+1 {

@@ -474,18 +474,17 @@ func (c *Coordinator) placeLocked(s *shard, info wire.Info) bool {
 // the reference the twin tests compare the table against.
 func (c *Coordinator) AppendQuery(dst []byte, sql string) ([]byte, error) {
 	if c.cache == nil {
-		plan, err := c.planner.RouteQuery(sql)
-		if err != nil {
+		var plan f2db.Plan
+		if err := c.planner.PlanInto(&plan, sql); err != nil {
 			return dst, err
 		}
 		c.met.Queries.Add(1)
-		res, err := c.runPlan(plan, sql)
+		res, err := c.runPlan(&plan, sql)
 		return append(dst, res...), err
 	}
 	key := f2db.NormalizeSQL(sql)
-	ent, res, hit, err := c.cache.Lookup(key, func(p **f2db.Plan) (err error) {
-		*p, err = c.planner.RouteQuery(sql)
-		return err
+	ent, res, hit, err := c.cache.Lookup(key, func(p *f2db.Plan) error {
+		return c.planner.PlanInto(p, sql)
 	})
 	if err != nil {
 		return dst, err
@@ -493,7 +492,7 @@ func (c *Coordinator) AppendQuery(dst []byte, sql string) ([]byte, error) {
 	c.met.Queries.Add(1)
 	if !hit {
 		res, err = c.cache.Fill(key, ent, func() ([]byte, error) {
-			return c.runPlan(ent.Plan, sql)
+			return c.runPlan(&ent.Plan, sql)
 		})
 	}
 	return append(dst, res...), err

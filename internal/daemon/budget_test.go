@@ -48,8 +48,9 @@ import (
 // tiers add up to the end-to-end column exactly. Within a process the
 // servers and the coordinator are told apart by the stack of every
 // allocation (runtime.MemProfileRate = 1), and the engine tier is the rest:
-// the shard process's allocations outside its servers, and the
-// coordinator's route plan, which is f2db code. (The profile counts a tiny
+// the shard process's allocations outside its servers, and what the
+// coordinator's planning allocates (a drill-down's node and member lists),
+// which is f2db code. (The profile counts a tiny
 // block of small pointer-free objects once, so only tiers that allocate
 // none are taken from it.) No row includes what MemFS allocates (it stands
 // in for the disk) or what the runtime allocates on its own (no frame of
@@ -205,8 +206,16 @@ func TestCountBudgets(t *testing.T) {
 	// Budgets, recorded when this table was made; the drill-down's engine
 	// tier was re-recorded (29.80 → 19.12) when the forecasts of all its
 	// groups became one allocation in the engine's read table. The
-	// coordinator keeps a cold read's entry and its copy of the shard's
-	// answer; a hot read copies the cached answer into the front's buffer. An
+	// coordinator keeps a cold read's entry, its plan planned inside it, and
+	// its copy of the shard's answer; a hot read copies the cached answer
+	// into the front's buffer. The client keeps the decoded Result and its
+	// strings; the engine its entry, keys, answer and Result. When a
+	// one-group Result became one block (client and engine 2 objects fewer)
+	// and the coordinator's plan moved into its entry (the engine tier one
+	// fewer), the cold read went 4/7/15 (client/engine/total) → 2/4/10 and
+	// the hot read 4/5 → 2/3; with that and a drill-down's members sorted
+	// without an interface value (one object per planning), the
+	// drill-down's engine tier went 19.12 → 16.12. An
 	// INSERT is the front server's copy of the statement, then per time point
 	// (two statements) the coordinator's one rendered log entry and one copy
 	// in each shard server. Its row was coordinator 0.08, shard 2 and total
@@ -220,9 +229,9 @@ func TestCountBudgets(t *testing.T) {
 		r                                                      budgetRow
 		client, front, coordinator, shard, engine, total, wire float64
 	}{
-		{coldRow, 4, 1, 2, 1, 7, 15, 500},
-		{drillRow, 4.02, 1, 2.11, 1.18, 19.15, 27.45, 2774},
-		{hotRow, 4, 1, 0, 0, 0, 5, 163},
+		{coldRow, 2, 1, 2, 1, 4, 10, 500},
+		{drillRow, 4.02, 1, 2.11, 1.18, 16.15, 24.45, 2774},
+		{hotRow, 2, 1, 0, 0, 0, 3, 163},
 		{insertRow, 0, 1, 0.58, 1, 0.15, 2.72, 21620},
 	} {
 		over(b.r.name+", client", b.r.client, b.client)

@@ -61,37 +61,6 @@ func benchEngineOpts(b *testing.B, opts Options) (*DB, *cube.Graph) {
 	return db, g
 }
 
-// BenchmarkForecastNodeSerial is the single-goroutine baseline.
-func BenchmarkForecastNodeSerial(b *testing.B) {
-	db, g := benchEngine(b, nil)
-	n := g.NumNodes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.ForecastNode(i%n, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkForecastNodeParallel measures read throughput scaling: all
-// goroutines issue forecast queries with no writer present. Under the
-// seed's single mutex this cannot beat the serial path; under the
-// reader/writer design it scales with cores.
-func BenchmarkForecastNodeParallel(b *testing.B) {
-	db, g := benchEngine(b, nil)
-	n := g.NumNodes()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := rand.Int()
-		for pb.Next() {
-			i++
-			if _, err := db.ForecastNode(i%n, 4); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkQuerySQLParallel exercises the full query processor (parse →
 // rewrite → derive) concurrently.
 func BenchmarkQuerySQLParallel(b *testing.B) {
@@ -226,36 +195,6 @@ func BenchmarkPlanCacheThrash(b *testing.B) {
 	b.StopTimer()
 	if h := db.Metrics().PlanCacheHits; h != 0 {
 		b.Fatalf("thrash pattern hit the cache %d times", h)
-	}
-}
-
-// BenchmarkInsertBase advances one full maintenance batch per op through
-// the per-point API: one lock round-trip per base value.
-func BenchmarkInsertBase(b *testing.B) {
-	db, g := benchEngine(b, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, id := range g.BaseIDs {
-			if err := db.InsertBase(id, 50+float64(i%10)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkInsertBatch advances one full maintenance batch per op through
-// InsertBatch: the engine write lock is taken once for the whole batch.
-func BenchmarkInsertBatch(b *testing.B) {
-	db, g := benchEngine(b, nil)
-	batch := make(map[int]float64, len(g.BaseIDs))
-	for _, id := range g.BaseIDs {
-		batch[id] = 50
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := db.InsertBatch(batch); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"cubefc/internal/core"
 	"cubefc/internal/cube"
@@ -42,6 +44,20 @@ func oracleGroupNodes(g *cube.Graph, coord cube.Coord, groupDim, groupLvl int, g
 	sort.Sort(byMember{ids, members})
 	return ids, members, nil
 }
+
+// byMember sorts parallel node/member slices by member value, as
+// Plan.resolve did before it sorted the node IDs by their member.
+type byMember struct {
+	ids     []int
+	members []string
+}
+
+func (b byMember) Len() int { return len(b.ids) }
+func (b byMember) Swap(i, j int) {
+	b.ids[i], b.ids[j] = b.ids[j], b.ids[i]
+	b.members[i], b.members[j] = b.members[j], b.members[i]
+}
+func (b byMember) Less(i, j int) bool { return b.members[i] < b.members[j] }
 
 // TestResolveNodesTwin holds the child-index GROUP BY resolution to the
 // full-scan resolver on every (grouped level × WHERE combination) of the
@@ -189,18 +205,19 @@ const (
 
 // TestQueryMissAllocs is the allocation gate of the cold read: with the read
 // table off every Query parses, plans, derives and builds its rows. The
-// statement is parsed into its one Plan; the forecasts of all groups are one
-// slice that also holds their source forecasts; the rows of all groups are
-// one slab and their keys one string.
+// statement is parsed into its one Plan, in the entry; its keys are one
+// string; the forecasts of all groups are one slice that also holds their
+// source forecasts; the Result is NewResult's: one object for a single node
+// of up to inlineRows steps, else three, the rows of all groups one slab.
 func TestQueryMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	db, _ := missEngine(t, Options{PlanCacheSize: -1})
-	measure := func(sql string, groups int) float64 {
+	measure := func(sql string, groups, rows int) float64 {
 		res, err := db.Query(sql)
-		if err != nil || len(res.Groups) != groups || len(res.Rows) != 3 {
-			t.Fatalf("%s: %d groups, %v; want %d", sql, len(res.Groups), err, groups)
+		if err != nil || len(res.Groups) != groups || len(res.Rows) != rows {
+			t.Fatalf("%s: %d groups of %d rows, %v; want %d of %d", sql, len(res.Groups), len(res.Rows), err, groups, rows)
 		}
 		return testing.AllocsPerRun(16, func() {
 			if _, err := db.Query(sql); err != nil {
@@ -211,11 +228,46 @@ func TestQueryMissAllocs(t *testing.T) {
 	// Before the one-slab miss path these read 21 and 279; before the
 	// statement was parsed into its Plan and forecasts written into the
 	// caller's slice, 20 and 122; before all groups' forecasts shared one
-	// allocation, 6 and 64.
-	single, drill := measure(missSingle, 1), measure(missDrill, 49)
-	t.Logf("single-node miss %v allocations, 49-group drill-down miss %v", single, drill)
-	if single > 8 || drill > 18 {
-		t.Fatalf("a single-node miss allocates %v times and a 49-group drill-down miss %v; want ≤ 8 and ≤ 18", single, drill)
+	// allocation, 6 and 64; before a one-group Result was one block and the
+	// members were sorted without an interface value, 6 and 16.
+	long := strings.Replace(missSingle, "'3 steps'", fmt.Sprintf("'%d steps'", inlineRows+1), 1)
+	single, over, drill := measure(missSingle, 1, 3), measure(long, 1, inlineRows+1), measure(missDrill, 49, 3)
+	t.Logf("single-node miss %v allocations, %d steps %v, 49-group drill-down miss %v", single, inlineRows+1, over, drill)
+	if single > 4 || over > 6 || drill > 18 {
+		t.Fatalf("a single-node miss allocates %v times, one of %d steps %v and a 49-group drill-down miss %v; want ≤ 4, ≤ 6 and ≤ 18",
+			single, inlineRows+1, over, drill)
+	}
+}
+
+// resultSink and rowsSink keep what NewResult returns on the heap.
+var (
+	resultSink *Result
+	rowsSink   []QueryRow
+)
+
+// TestNewResultShapes: one group of up to inlineRows rows is one object,
+// which fills its malloc size class (416 bytes) exactly; every other shape
+// is three, or two when there are no rows to hold. Rows come
+// capacity-capped either way.
+func TestNewResultShapes(t *testing.T) {
+	if n := unsafe.Sizeof(resultBlock{}); n != 416 {
+		t.Fatalf("a one-group block is %d bytes: pick inlineRows so it fills a size class", n)
+	}
+	for _, c := range []struct{ groups, rows, objects int }{
+		{1, 0, 1}, {1, 3, 1}, {1, inlineRows, 1}, {1, inlineRows + 1, 3}, {2, 2, 3}, {49, 147, 3}, {0, 0, 1}, {3, 0, 2},
+	} {
+		res, rows := NewResult(c.groups, c.rows)
+		if len(res.Groups) != c.groups || res.Groups == nil || len(rows) != c.rows || cap(rows) != c.rows {
+			t.Fatalf("NewResult(%d, %d): %d groups, rows len %d cap %d", c.groups, c.rows, len(res.Groups), len(rows), cap(rows))
+		}
+		if !reflect.DeepEqual(*res, Result{Groups: make([]Group, c.groups)}) {
+			t.Fatalf("NewResult(%d, %d) is not zero: %+v", c.groups, c.rows, res)
+		}
+		if !raceEnabled {
+			if n := testing.AllocsPerRun(50, func() { resultSink, rowsSink = NewResult(c.groups, c.rows) }); int(n) != c.objects {
+				t.Errorf("NewResult(%d, %d) allocates %v objects, want %d", c.groups, c.rows, n, c.objects)
+			}
+		}
 	}
 }
 

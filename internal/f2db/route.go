@@ -41,6 +41,10 @@ func (db *DB) Planner() *Planner { return db.planner }
 // needs no engine lock: it reads only the graph structure, fixed after
 // construction. Only the engine fills the rendered node keys; a coordinator
 // routes by Nodes alone and pays nothing for them.
+//
+// A Plan is self-referential: a one-node plan's slices and the statement's
+// predicates live in its own arrays. Plan into the memory the plan will
+// stay in — a read table entry, a local — and do not copy it afterwards.
 type Plan struct {
 	stmt selectStmt
 	// Nodes holds the described graph node IDs, one per result group, in
@@ -62,12 +66,13 @@ type Plan struct {
 	oneMember, oneKey [1]string
 }
 
-// plan is the single resolver: parse, resolve the described nodes and
-// their members, translate the horizon. Every planning rejection in the
-// system is produced here, in this order. The statement is parsed into pl
-// itself, so a plan of one node is one allocation: the Plan, or the read
-// table entry that holds it.
-func (p *Planner) plan(pl *Plan, sql string) error {
+// PlanInto is the single resolver: parse, resolve the described nodes and
+// their members, translate the horizon, into pl. Every planning rejection
+// in the system is produced here, in this order, so a coordinator
+// rejecting a statement is indistinguishable from a shard rejecting it.
+// The statement is parsed into pl itself, so a plan of one node allocates
+// nothing. It is unmemoised: the read tables plan into their entries.
+func (p *Planner) PlanInto(pl *Plan, sql string) error {
 	if err := parseQuery(sql, &pl.stmt); err != nil {
 		return err
 	}
@@ -84,14 +89,10 @@ func (p *Planner) plan(pl *Plan, sql string) error {
 	return nil
 }
 
-// RouteQuery plans a SELECT for routing: the statement goes whole to the
-// owner of Nodes[0]. It is an unmemoised planning call — callers that want
-// a statement planned once keep the plan. Errors are the engine's planning
-// errors byte-for-byte, so a coordinator rejecting a statement is
-// indistinguishable from a shard rejecting it.
+// RouteQuery is PlanInto into a Plan of its own, one allocation.
 func (p *Planner) RouteQuery(sql string) (*Plan, error) {
 	pl := new(Plan)
-	if err := p.plan(pl, sql); err != nil {
+	if err := p.PlanInto(pl, sql); err != nil {
 		return nil, err
 	}
 	return pl, nil

@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// TestRouteQueryAllocs: planning a single-node statement allocates the Plan
-// and nothing else — the statement is parsed into it and its node, member
-// and key slices are its own arrays.
+// TestRouteQueryAllocs: planning a single-node statement into a caller's
+// Plan allocates nothing — the statement is parsed into it and its node,
+// member and key slices are its own arrays — and RouteQuery allocates only
+// the Plan.
 func TestRouteQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -17,8 +18,12 @@ func TestRouteQueryAllocs(t *testing.T) {
 	_, g, _ := testEngine(t, nil)
 	p := NewPlanner(g, 0)
 	const q = "SELECT time, SUM(sales) FROM facts WHERE product = 'P1' AND city = 'C2' GROUP BY time AS OF now() + '3 days' WITH INTERVAL 95"
-	if pl, err := p.RouteQuery(q); err != nil || len(pl.Nodes) != 1 {
+	pl := new(Plan)
+	if err := p.PlanInto(pl, q); err != nil || len(pl.Nodes) != 1 {
 		t.Fatalf("%s: %v", q, err)
+	}
+	if n := testing.AllocsPerRun(50, func() { _ = p.PlanInto(pl, q) }); n != 0 {
+		t.Fatalf("PlanInto allocates %v times for one node, want 0", n)
 	}
 	if n := testing.AllocsPerRun(50, func() { _, _ = p.RouteQuery(q) }); n != 1 {
 		t.Fatalf("RouteQuery allocates %v times for one node, want 1 (the Plan)", n)

@@ -3,7 +3,6 @@ package f2db
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -51,7 +50,7 @@ type Group struct {
 	Rows []QueryRow
 }
 
-// Result is the output of a query.
+// Result is the output of a query. NewResult builds every one.
 type Result struct {
 	// Node, NodeKey and Rows describe the first (often only) group, kept
 	// as convenience accessors.
@@ -64,6 +63,29 @@ type Result struct {
 	Forecast bool
 	// Plan describes the derivation used (EXPLAIN output).
 	Plan string
+}
+
+// inlineRows is the row count of a one-group resultBlock: 96 bytes of
+// Result, 64 of Group and 8 × 32 of rows fill a 416-byte size class.
+const inlineRows = 8
+
+type resultBlock struct {
+	res  Result
+	grp  [1]Group
+	rows [inlineRows]QueryRow
+}
+
+// NewResult returns a Result of groups zero Groups and rows zero rows for
+// the caller to carve into their capacity-capped Rows. One group of up to
+// inlineRows rows is one object, as a Plan holds a one-node plan's slices;
+// any other shape is three: the Result, its Groups and the rows.
+func NewResult(groups, rows int) (*Result, []QueryRow) {
+	if groups == 1 && rows <= inlineRows {
+		b := new(resultBlock)
+		b.res.Groups = b.grp[:]
+		return &b.res, b.rows[:rows:rows]
+	}
+	return &Result{Groups: make([]Group, groups)}, make([]QueryRow, rows)
 }
 
 // Exec executes a statement that is not a query. Supported:
@@ -216,7 +238,7 @@ func collapseSpace(sql string) string {
 
 // planInto plans a statement into pl and renders its node keys.
 func (db *DB) planInto(pl *Plan, sql string) error {
-	if err := db.planner.plan(pl, sql); err != nil {
+	if err := db.planner.PlanInto(pl, sql); err != nil {
 		return err
 	}
 	pl.keys = db.renderKeys(pl.oneKey[:0], pl.Nodes)
@@ -322,8 +344,8 @@ func (db *DB) deriveAnswer(plan *Plan) (answer, error) {
 // answer, so it needs no engine lock.
 func (db *DB) forecastResult(plan *Plan, ans answer) *Result {
 	h, stride := plan.horizon, plan.stride()
-	res := &Result{Node: plan.Nodes[0], NodeKey: plan.keys[0], Forecast: true, Groups: make([]Group, len(plan.Nodes))}
-	slab := make([]QueryRow, h*len(plan.Nodes))
+	res, slab := NewResult(len(plan.Nodes), h*len(plan.Nodes))
+	res.Node, res.NodeKey, res.Forecast = plan.Nodes[0], plan.keys[0], true
 	for i, id := range plan.Nodes {
 		rows, v, scale := slab[i*h:(i+1)*h:(i+1)*h], ans.vals[i*stride:(i+1)*stride], db.scale(&plan.stmt, id)
 		for j := range rows {
@@ -341,13 +363,15 @@ func (db *DB) forecastResult(plan *Plan, ans answer) *Result {
 // history answers an EXPLAIN, or a statement without AS OF with the stored
 // history of every group, under the caller's shared lock.
 func (db *DB) history(plan *Plan) *Result {
-	res := &Result{Node: plan.Nodes[0], NodeKey: plan.keys[0], Plan: db.explainNode(plan.Nodes[0])}
+	groups, per := len(plan.Nodes), db.graph.Length
+	if plan.Explain {
+		groups = 0
+	}
+	res, slab := NewResult(groups, per*groups)
+	res.Node, res.NodeKey, res.Plan = plan.Nodes[0], plan.keys[0], db.explainNode(plan.Nodes[0])
 	if plan.Explain {
 		return res
 	}
-	per := db.graph.Length
-	slab := make([]QueryRow, per*len(plan.Nodes))
-	res.Groups = make([]Group, len(plan.Nodes))
 	for i, id := range plan.Nodes {
 		rows, scale := slab[i*per:(i+1)*per:(i+1)*per], db.scale(&plan.stmt, id)
 		for t, v := range db.graph.Node(id).Series.Values[:per] {
@@ -461,27 +485,16 @@ func (pl *Plan) resolve(g *cube.Graph) error {
 	if len(ids) == 0 {
 		return fmt.Errorf("f2db: no time series match GROUP BY %s", stmt.groupLevel)
 	}
+	slices.SortFunc(ids, func(a, b int) int {
+		return strings.Compare(g.CellOf(a, groupDim).Value, g.CellOf(b, groupDim).Value)
+	})
 	members := make([]string, len(ids))
 	for i, id := range ids {
 		members[i] = g.CellOf(id, groupDim).Value
 	}
-	sort.Sort(byMember{ids, members})
 	pl.Nodes, pl.Members = ids, members
 	return nil
 }
-
-// byMember sorts parallel node/member slices by member value.
-type byMember struct {
-	ids     []int
-	members []string
-}
-
-func (b byMember) Len() int { return len(b.ids) }
-func (b byMember) Swap(i, j int) {
-	b.ids[i], b.ids[j] = b.ids[j], b.ids[i]
-	b.members[i], b.members[j] = b.members[j], b.members[i]
-}
-func (b byMember) Less(i, j int) bool { return b.members[i] < b.members[j] }
 
 // maxHorizon bounds an AS OF horizon, in steps: a query's rows are
 // allocated before they are derived.

@@ -351,9 +351,14 @@ func TestFamilySet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := core.Run(g, core.Options{Seed: 5})
+	// γ and the worker count pinned, as the benchmark's advisor runs: no
+	// clock or CPU count decides the configuration under the test.
+	cfg, err := core.Run(g, core.Options{Seed: 5, FixedGamma: true, Gamma0: 0.5, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := cfg.NumModels(); n < 2 {
+		t.Fatalf("the pinned advisor run keeps %d models, want at least 2", n)
 	}
 	opts := f2db.Options{Strategy: f2db.Never{}}
 	dur, err := f2db.OpenDurable(f2db.DurableOptions{Dir: "d", FS: segment.NewMemFS()}, opts,

@@ -73,8 +73,8 @@ func BenchmarkRemoteQueryParallel(b *testing.B) {
 
 // BenchmarkRemoteInsert executes one full-batch multi-row INSERT per op
 // over loopback: every op delivers a value for each base series and
-// completes one maintenance batch advance — the remote analogue of
-// BenchmarkInsertBatch.
+// completes one maintenance batch advance — the remote analogue of f2db's
+// BenchmarkInsertParallel/writers=1.
 func BenchmarkRemoteInsert(b *testing.B) {
 	cl, g := benchClient(b, 1)
 	gen := workload.New(g, 1)

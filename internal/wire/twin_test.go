@@ -145,53 +145,72 @@ func TestDecodeResultExplain(t *testing.T) {
 	}
 }
 
+// inlineRows is f2db.NewResult's limit: one group of at most this many rows
+// is decoded into one block with its Result.
+const inlineRows = 8
+
 // TestDecodeResultTwin is the differential gate for the slab decoder: on
-// generated results (1–100 groups, 0–8 rows, empty and non-ASCII strings)
-// it must return exactly what the replaced decoder returns — for the valid
-// payload, for its truncation at every byte, with trailing bytes, and with
-// each count field inflated.
+// generated results (1–100 groups, 0–8 rows, empty and non-ASCII strings),
+// and on one-group answers of inlineRows and inlineRows+1 forecast rows and
+// of a short history — NewResult's two layouts — it must return exactly
+// what the replaced decoder returns, and re-encode to the same bytes: for
+// the valid payload, for its truncation at every byte, with trailing bytes,
+// and with each count field inflated.
 func TestDecodeResultTwin(t *testing.T) {
+	history := shapedResult(1, 5)
+	history.Forecast = false
+	for i := range history.Rows {
+		history.Rows[i] = f2db.QueryRow{T: i, Value: float64(40 + i)}
+	}
+	for _, want := range []*f2db.Result{shapedResult(1, inlineRows), shapedResult(1, inlineRows+1), history} {
+		checkPayloadTwin(t, fmt.Sprintf("%d rows", len(want.Rows)), want)
+	}
 	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		want := randResult(rng)
-		valid := AppendResult(nil, want)
-		got, err := checkDecodeTwin(t, valid)
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: round trip: %v\n got %+v\nwant %+v", seed, err, got, want)
-		}
-		for cut := 0; cut < len(valid); cut++ {
-			if _, err := checkDecodeTwin(t, valid[:cut]); err == nil {
-				t.Fatalf("seed %d: truncation at %d accepted", seed, cut)
-			}
-		}
-		for _, tail := range [][]byte{{0}, {0xFF}, valid} {
-			if _, err := checkDecodeTwin(t, append(append([]byte(nil), valid...), tail...)); err == nil {
-				t.Fatalf("seed %d: %d trailing bytes accepted", seed, len(tail))
-			}
-		}
-		// Inflate the group count and the first group's row count: the
-		// header is flags, plan, numGroups, then node, key, member, numRows.
-		planLen, n := binary.Uvarint(valid[1:])
-		groupsAt := 1 + n + int(planLen)
-		for _, bump := range []uint64{1, 1000, 1 << 40} {
-			checkDecodeTwin(t, spliceUvarint(valid, groupsAt, bump))
-		}
-		at := groupsAt
-		_, n = binary.Uvarint(valid[at:]) // numGroups
-		at += n
-		_, n = binary.Uvarint(valid[at:]) // node
-		at += n
-		for i := 0; i < 2; i++ { // key, member
-			l, n := binary.Uvarint(valid[at:])
-			at += n + int(l)
-		}
-		for _, bump := range []uint64{1, 1000, 1 << 40} {
-			checkDecodeTwin(t, spliceUvarint(valid, at, bump))
-		}
+		checkPayloadTwin(t, fmt.Sprintf("seed %d", seed), randResult(rand.New(rand.NewSource(seed))))
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// checkPayloadTwin runs the decoder twin on want's encoding, its
+// truncations, its trailing bytes and its inflated counts.
+func checkPayloadTwin(t *testing.T, name string, want *f2db.Result) {
+	t.Helper()
+	valid := AppendResult(nil, want)
+	got, err := checkDecodeTwin(t, valid)
+	if err != nil || !reflect.DeepEqual(got, want) || !bytes.Equal(AppendResult(nil, got), valid) {
+		t.Fatalf("%s: round trip: %v\n got %+v\nwant %+v", name, err, got, want)
+	}
+	for cut := 0; cut < len(valid); cut++ {
+		if _, err := checkDecodeTwin(t, valid[:cut]); err == nil {
+			t.Fatalf("%s: truncation at %d accepted", name, cut)
+		}
+	}
+	for _, tail := range [][]byte{{0}, {0xFF}, valid} {
+		if _, err := checkDecodeTwin(t, append(append([]byte(nil), valid...), tail...)); err == nil {
+			t.Fatalf("%s: %d trailing bytes accepted", name, len(tail))
+		}
+	}
+	// Inflate the group count and the first group's row count: the header
+	// is flags, plan, numGroups, then node, key, member, numRows.
+	planLen, n := binary.Uvarint(valid[1:])
+	groupsAt := 1 + n + int(planLen)
+	for _, bump := range []uint64{1, 1000, 1 << 40} {
+		checkDecodeTwin(t, spliceUvarint(valid, groupsAt, bump))
+	}
+	at := groupsAt
+	_, n = binary.Uvarint(valid[at:]) // numGroups
+	at += n
+	_, n = binary.Uvarint(valid[at:]) // node
+	at += n
+	for i := 0; i < 2; i++ { // key, member
+		l, n := binary.Uvarint(valid[at:])
+		at += n + int(l)
+	}
+	for _, bump := range []uint64{1, 1000, 1 << 40} {
+		checkDecodeTwin(t, spliceUvarint(valid, at, bump))
 	}
 }
 
@@ -218,27 +237,26 @@ func TestDecodeResultRowsIsolated(t *testing.T) {
 	}
 }
 
-// TestDecodeResultAllocs pins the decoder's allocation count: the Result,
-// its []Group, the string slab and the row slab — four objects, and the
-// same four for a 1-, 17- and 83-group answer (the replaced decoder: 4, 53
-// and 251).
+// TestDecodeResultAllocs pins the decoder's allocation count, whatever the
+// group count: a one-group answer of up to inlineRows rows is two objects
+// (its block and the string slab), any other shape four (the Result, its
+// []Group, the row slab and the string slab). The replaced decoder: 6, 54
+// and 252 for 1, 17 and 83 groups of 3 rows. Before the one-group block,
+// every shape was four.
 func TestDecodeResultAllocs(t *testing.T) {
-	var counts []float64
-	for _, groups := range []int{1, 17, 83} {
-		payload := AppendResult(nil, shapedResult(groups, 3))
+	for _, c := range []struct{ groups, rows, want int }{
+		{1, 3, 2}, {1, inlineRows, 2}, {1, inlineRows + 1, 4}, {17, 3, 4}, {83, 3, 4}, {83, inlineRows + 1, 4},
+	} {
+		payload := AppendResult(nil, shapedResult(c.groups, c.rows))
 		n := testing.AllocsPerRun(200, func() {
 			if _, err := DecodeResult(payload); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%d groups: %.0f allocs (oracle: %.0f)", groups, n,
+		t.Logf("%d groups of %d rows: %.0f allocs (oracle: %.0f)", c.groups, c.rows, n,
 			testing.AllocsPerRun(50, func() { oracleDecodeResult(payload) }))
-		if n > 4 {
-			t.Errorf("%d groups: DecodeResult allocates %.0f objects, want <= 4", groups, n)
+		if n != float64(c.want) {
+			t.Errorf("%d groups of %d rows: DecodeResult allocates %.0f objects, want %d", c.groups, c.rows, n, c.want)
 		}
-		counts = append(counts, n)
-	}
-	if counts[0] != counts[1] || counts[1] != counts[2] {
-		t.Errorf("allocation count depends on the group count: %v", counts)
 	}
 }

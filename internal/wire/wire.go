@@ -535,11 +535,11 @@ func CheckResult(payload []byte) error {
 	return err
 }
 
-// DecodeResult decodes a TResult payload into four objects whatever the
-// group count: the Result, its []Group, one string slab holding the plan,
-// key and member bytes (and nothing of the payload's numeric part, so a
-// retained Result does not pin it) and one []QueryRow slab. The payload is
-// not referenced after return.
+// DecodeResult decodes a TResult payload into f2db.NewResult's objects and
+// one string slab holding the plan, key and member bytes (and nothing of
+// the payload's numeric part, so a retained Result does not pin it): two
+// objects for one group of up to eight rows, four for any other shape,
+// whatever the group count. The payload is not referenced after return.
 func DecodeResult(payload []byte) (*f2db.Result, error) {
 	var scratch f2db.Result
 	size := resultDecoder{buf: payload}
@@ -549,8 +549,8 @@ func DecodeResult(payload []byte) (*f2db.Result, error) {
 	}
 	d := resultDecoder{buf: payload, fill: true}
 	d.strs.Grow(size.strBytes)
-	res := &f2db.Result{Groups: make([]f2db.Group, numGroups)}
-	if _, _, err := d.walk(res, make([]f2db.QueryRow, numRows)); err != nil {
+	res, rows := f2db.NewResult(numGroups, numRows)
+	if _, _, err := d.walk(res, rows); err != nil {
 		return nil, err
 	}
 	if numGroups > 0 {

@@ -20,9 +20,14 @@ func testDB(t *testing.T) (*f2db.DB, *Generator, *cube.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := core.Run(g, core.Options{Seed: 1})
+	// γ and the worker count pinned, as the benchmark's advisor runs: no
+	// clock or CPU count decides the configuration under the test.
+	cfg, err := core.Run(g, core.Options{Seed: 1, FixedGamma: true, Gamma0: 0.5, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := cfg.NumModels(); n < 2 {
+		t.Fatalf("the pinned advisor run keeps %d models, want at least 2", n)
 	}
 	db, err := f2db.Open(g, cfg, f2db.Options{})
 	if err != nil {
