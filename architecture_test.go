@@ -537,7 +537,7 @@ func citedTestsExist(fsys fs.FS) error {
 // Legibility budget: non-test Go lines under internal/ and cmd/, and the
 // lines of the two documents a newcomer reads first. A change that needs
 // more re-records the number here and says why in CHANGES.md.
-const goLineBudget = 16555
+const goLineBudget = 16595
 
 var docLineBudget = map[string]int{"DESIGN.md": 1230, "README.md": 499}
 

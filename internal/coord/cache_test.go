@@ -3,10 +3,14 @@ package coord
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +20,7 @@ import (
 	"cubefc/internal/cube"
 	"cubefc/internal/f2db"
 	"cubefc/internal/timeseries"
+	"cubefc/internal/wire"
 )
 
 // TestNormalizeSQLSharedKeying proves both tiers key their caches with the
@@ -74,13 +79,139 @@ func TestNormalizeSQLSharedKeying(t *testing.T) {
 	if co.cache.Len() != 1 {
 		t.Fatalf("read table holds %d entries, want 1", co.cache.Len())
 	}
+}
 
-	// A coordinator hit is one lock, one table lookup and one copy into the
-	// caller's buffer: it allocates nothing (the engine's plan-hit gate is
-	// in f2db's TestCachePlanReuse).
-	buf := make([]byte, 0, 4<<10)
-	if n := testing.AllocsPerRun(200, func() { buf, _ = co.AppendQuery(buf[:0], canon) }); n != 0 {
-		t.Fatalf("coordinator cached hit allocates %v times, want 0", n)
+// TestCoordinatorHitAllocs: a coordinator hit is one lock, one table lookup
+// and one copy into the caller's buffer. Through the byte entry a front
+// server calls it allocates nothing — not even the statement's string,
+// which only a miss makes, for the table to keep — and neither does the
+// string body in-process callers reach (the engine's plan-hit gate is in
+// f2db's TestCachePlanReuse). The collector is off for the counted runs,
+// as in the daemon's count table.
+func TestCoordinatorHitAllocs(t *testing.T) {
+	g, data := buildCube(t)
+	s0 := startShardOn(t, data, "127.0.0.1:0")
+	defer s0.stop(t)
+	opts := testCoordOpts(t)
+	opts.CacheSize = 16
+	co, err := New(f2db.NewPlanner(g, 0), []string{s0.addr}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	const q = "SELECT time, SUM(sales) FROM facts WHERE region = 'R1' GROUP BY time AS OF now() + '2 steps'"
+	sql := []byte(q)
+	buf, err := co.AppendQuery(make([]byte, 0, 4<<10), sql) // the miss that fills the entry
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if n := testing.AllocsPerRun(200, func() { buf, _ = co.AppendQuery(buf[:0], sql) }); n != 0 {
+		t.Errorf("a hit through the byte entry allocates %v objects, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { buf, _ = co.appendQuery(buf[:0], q) }); n != 0 {
+		t.Errorf("a hit through the string body allocates %v objects, want 0", n)
+	}
+	// AllocsPerRun runs its function once more than it counts.
+	if m := co.Metrics(); m.CacheHits.Load() != 402 || m.CacheMisses.Load() != 1 {
+		t.Fatalf("hits=%d misses=%d, want 402 and 1: the counted runs were not all hits",
+			m.CacheHits.Load(), m.CacheMisses.Load())
+	}
+}
+
+// TestCoordinatorHitTwin runs one seeded program on two cached coordinators,
+// each over its own shard: one takes every statement as a front server
+// hands it over, as bytes (AppendQuery), the other as a string (the body
+// in-process callers reach). The program mixes normalized statements with
+// whitespace variants, mixed-case keywords, unplannable text, EXPLAINs and
+// drill-downs, and lands time points between them; a table of 4 statements
+// evicts. Answer bytes and errors, and every read-table counter, must
+// agree: what the byte entry serves is the string path's hit, and what it
+// does not serve is counted as the string path counts it.
+func TestCoordinatorHitTwin(t *testing.T) {
+	g, data := buildCube(t)
+	sa, sb := startShardOn(t, data, "127.0.0.1:0"), startShardOn(t, data, "127.0.0.1:0")
+	defer sa.stop(t)
+	defer sb.stop(t)
+	opts := testCoordOpts(t)
+	opts.CacheSize = 4
+	byBytes, err := New(f2db.NewPlanner(g, 0), []string{sa.addr}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer byBytes.Close()
+	byString, err := New(f2db.NewPlanner(g, 0), []string{sb.addr}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer byString.Close()
+
+	stmts := []string{
+		querySQLFor(g, g.TopID),
+		querySQLFor(g, g.BaseIDs[3]),
+		"SELECT time, SUM(sales) FROM facts WHERE region = 'R2' AS OF now() + '2 steps'",
+		"SELECT time, SUM(sales) FROM facts GROUP BY time, city AS OF now() + '2 steps'",
+		"SELECT time, SUM(sales) FROM facts WHERE product = 'P2' GROUP BY time, region WITH INTERVAL 95",
+		"EXPLAIN SELECT time, SUM(sales) FROM facts WHERE region = 'R1'",
+		"EXPLAIN SELECT time, SUM(sales) FROM facts GROUP BY time, region",
+		"SELECT time, SUM(sales) FROM facts WHERE city = 'C 1'",
+		"SELECT time, sales FROM facts WHERE planet = 'X'",
+		"SELECT time, SUM(sales) FROM facts WHERE region = 'R1",
+		"SELEC time",
+		"",
+	}
+	// variant renders a statement as a client might send it.
+	variant := func(rng *rand.Rand, q string) string {
+		switch rng.Intn(8) {
+		case 0: // spaces doubled, up to one inside a literal
+			if n := strings.Count(q, " "); n > 0 {
+				return strings.Replace(q, " ", "  ", 1+rng.Intn(n))
+			}
+		case 1: // odd whitespace at either end and inside
+			return " \t" + strings.Replace(q, " ", "\n", 1) + "\r\n"
+		case 2: // mixed-case keywords
+			return strings.NewReplacer("SELECT", "select", "FROM", "From", "WHERE", "wHeRe").Replace(q)
+		}
+		return q
+	}
+	rng := rand.New(rand.NewSource(58))
+	val := 0
+	for op := 0; op < 600; op++ {
+		if rng.Intn(10) == 0 {
+			val++
+			ins := batchInsertSQL(val * 10)
+			ea, eb := byBytes.Exec(ins), byString.Exec(ins)
+			if ea != nil || eb != nil {
+				t.Fatalf("op %d: exec: %v / %v", op, ea, eb)
+			}
+			continue
+		}
+		q := variant(rng, stmts[rng.Intn(len(stmts))])
+		if k := f2db.NormalizeSQL(q); f2db.NormalizeSQL(k) != k {
+			t.Fatalf("op %d: NormalizeSQL is not idempotent on %q: %q, then %q", op, q, k, f2db.NormalizeSQL(k))
+		}
+		ga, ea := byBytes.AppendQuery(nil, []byte(q))
+		gb, eb := byString.appendQuery(nil, q)
+		if !bytes.Equal(ga, gb) || fmt.Sprint(ea) != fmt.Sprint(eb) {
+			t.Fatalf("op %d %q: byte entry %d bytes, %v; string path %d bytes, %v", op, q, len(ga), ea, len(gb), eb)
+		}
+	}
+	ma, mb := byBytes.Metrics(), byString.Metrics()
+	for _, c := range []struct {
+		name string
+		a, b *atomic.Int64
+	}{
+		{"Queries", &ma.Queries, &mb.Queries},
+		{"RouteMemoHits", &ma.RouteMemoHits, &mb.RouteMemoHits},
+		{"CacheHits", &ma.CacheHits, &mb.CacheHits},
+		{"CacheMisses", &ma.CacheMisses, &mb.CacheMisses},
+		{"CacheEvictions", &ma.CacheEvictions, &mb.CacheEvictions},
+		{"CacheInvalidations", &ma.CacheInvalidations, &mb.CacheInvalidations},
+	} {
+		if a, b := c.a.Load(), c.b.Load(); a != b || a == 0 {
+			t.Errorf("%s: byte entry %d, string path %d; want equal and above 0", c.name, a, b)
+		}
 	}
 }
 
@@ -546,10 +677,12 @@ func TestCoordCacheQuickInterleavings(t *testing.T) {
 // TestCoordCacheTwinRace is the tentpole -race proof: a cache-on
 // coordinator under concurrent identical queries racing live writes stays
 // bit-exact — once quiesced — with a cache-off coordinator over its own
-// shard and with the single-process twin. Queries that race an in-flight
+// shard and with the single-process twin. Half the readers, and one of the
+// quiesced reads, go through the byte entry a front server calls, so its
+// hit races fills and epoch bumps too. Queries that race an in-flight
 // write may legitimately see either side, so the racing burst asserts only
-// that every answer arrives without error; the bit-exact comparison runs
-// at each write boundary.
+// that every answer arrives without error and decodes; the bit-exact
+// comparison runs at each write boundary.
 func TestCoordCacheTwinRace(t *testing.T) {
 	g, data := buildCube(t)
 	twin := loadEngine(t, data)
@@ -587,9 +720,13 @@ func TestCoordCacheTwinRace(t *testing.T) {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
+				query := cached.Query
+				if r%2 == 1 {
+					query = func(q string) (*f2db.Result, error) { return queryBytes(cached, q) }
+				}
 				for i := 0; i < readsPer; i++ {
 					q := queries[(r+i)%len(queries)]
-					if _, err := cached.Query(q); err != nil {
+					if _, err := query(q); err != nil {
 						t.Errorf("racing query %q: %v", q, err)
 					}
 				}
@@ -613,6 +750,10 @@ func TestCoordCacheTwinRace(t *testing.T) {
 			if err != nil {
 				t.Fatalf("phase %d cached %q: %v", phase, q, err)
 			}
+			gb, err := queryBytes(cached, q)
+			if err != nil {
+				t.Fatalf("phase %d cached byte entry %q: %v", phase, q, err)
+			}
 			gu, err := uncached.Query(q)
 			if err != nil {
 				t.Fatalf("phase %d uncached %q: %v", phase, q, err)
@@ -622,6 +763,7 @@ func TestCoordCacheTwinRace(t *testing.T) {
 				t.Fatalf("phase %d twin %q: %v", phase, q, err)
 			}
 			sameResult(t, "cached vs twin: "+q, gc, w)
+			sameResult(t, "cached byte entry vs twin: "+q, gb, w)
 			sameResult(t, "uncached vs twin: "+q, gu, w)
 		}
 	}
@@ -630,4 +772,13 @@ func TestCoordCacheTwinRace(t *testing.T) {
 		t.Fatalf("race run left the cache unexercised: hits=%d misses=%d invalidations=%d",
 			m.CacheHits.Load(), m.CacheMisses.Load(), m.CacheInvalidations.Load())
 	}
+}
+
+// queryBytes asks through the byte entry and decodes the answer.
+func queryBytes(co *Coordinator, q string) (*f2db.Result, error) {
+	res, err := co.AppendQuery(nil, []byte(q))
+	if err != nil {
+		return nil, err
+	}
+	return wire.DecodeResult(res)
 }

@@ -735,8 +735,8 @@ func (b *garbledBackend) Counts() (uint64, uint64) {
 	return uint64(st.Inserts), uint64(st.Batches)
 }
 
-func (b *garbledBackend) AppendQuery(dst []byte, sql string) ([]byte, error) {
-	res, err := b.db.Query(sql)
+func (b *garbledBackend) AppendQuery(dst, sql []byte) ([]byte, error) {
+	res, err := b.db.Query(string(sql))
 	if err != nil {
 		return dst, err
 	}
@@ -773,7 +773,7 @@ func TestShardAnswersGarbage(t *testing.T) {
 
 	q := querySQLFor(g, g.BaseIDs[0])
 	start := time.Now()
-	if _, err := co.AppendQuery(nil, q); err == nil || fclient.IsRetryable(err) || !errors.Is(err, fclient.ErrMalformed) {
+	if _, err := co.AppendQuery(nil, []byte(q)); err == nil || fclient.IsRetryable(err) || !errors.Is(err, fclient.ErrMalformed) {
 		t.Fatalf("garbled answer: err = %v, want a non-retryable fclient.ErrMalformed", err)
 	}
 	if d := time.Since(start); d > queryWait/2 {

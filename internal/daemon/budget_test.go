@@ -215,7 +215,12 @@ func TestCountBudgets(t *testing.T) {
 	// fewer), the cold read went 4/7/15 (client/engine/total) → 2/4/10 and
 	// the hot read 4/5 → 2/3; with that and a drill-down's members sorted
 	// without an interface value (one object per planning), the
-	// drill-down's engine tier went 19.12 → 16.12. An
+	// drill-down's engine tier went 19.12 → 16.12. A read's statement is
+	// copied only where it is kept: once the front server handed the
+	// coordinator the frame's bytes instead of a string, a hit copies
+	// nothing (hot read front 1 → 0, total 3 → 2) and a miss makes the
+	// table's key in the coordinator (cold read and drill-down front 1 → 0,
+	// coordinator 2 → 3 and 2.11 → 3.11, totals unchanged). An
 	// INSERT is the front server's copy of the statement, then per time point
 	// (two statements) the coordinator's one rendered log entry and one copy
 	// in each shard server. Its row was coordinator 0.08, shard 2 and total
@@ -229,9 +234,9 @@ func TestCountBudgets(t *testing.T) {
 		r                                                      budgetRow
 		client, front, coordinator, shard, engine, total, wire float64
 	}{
-		{coldRow, 2, 1, 2, 1, 4, 10, 500},
-		{drillRow, 4.02, 1, 2.11, 1.18, 16.15, 24.45, 2774},
-		{hotRow, 2, 1, 0, 0, 0, 3, 163},
+		{coldRow, 2, 0, 3, 1, 4, 10, 500},
+		{drillRow, 4.02, 0, 3.11, 1.18, 16.15, 24.45, 2774},
+		{hotRow, 2, 0, 0, 0, 0, 2, 163},
 		{insertRow, 0, 1, 0.58, 1, 0.15, 2.72, 21620},
 	} {
 		over(b.r.name+", client", b.r.client, b.client)
@@ -244,6 +249,12 @@ func TestCountBudgets(t *testing.T) {
 		// The engine tier is what the processes' counts leave once the
 		// profiled tiers are taken out: it cannot be negative.
 		over(b.r.name+", profiled tiers beyond the processes' counts", -b.r.engine, 0.5)
+	}
+	// A hot read is a read-table hit: no server tier copies the statement
+	// and the coordinator serves it from the frame's bytes, so the client's
+	// decoded Result is all it costs.
+	if n := hotRow.front + hotRow.coordinator; n != 0 {
+		t.Errorf("hot read, front server and coordinator: %.3f, want exactly 0", n)
 	}
 	// SyncAlways: one WAL fsync per time point and nothing else between
 	// seals. A row is its 8-byte value plus its share of the record's

@@ -50,9 +50,14 @@ func benchEngineOpts(b *testing.B, opts Options) (*DB, *cube.Graph) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg, err := core.Run(g, core.Options{Seed: 7})
+	// γ and the worker count pinned, as the benchmark's advisor runs: no
+	// clock or CPU count decides the configuration under the benchmark.
+	cfg, err := core.Run(g, core.Options{Seed: 7, FixedGamma: true, Gamma0: 0.5, Parallelism: 2})
 	if err != nil {
 		b.Fatal(err)
+	}
+	if n := cfg.NumModels(); n < 2 {
+		b.Fatalf("the pinned advisor run keeps %d models, want at least 2", n)
 	}
 	db, err := Open(g, cfg, opts)
 	if err != nil {

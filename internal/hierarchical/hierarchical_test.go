@@ -214,9 +214,15 @@ func TestBaselinesOrderingOnCorrelatedCube(t *testing.T) {
 func TestTrainRatioRespected(t *testing.T) {
 	g := testCube(t, 8)
 	want := core.TrainLen(g.Length)
-	adv, err := core.Run(g, core.Options{Seed: 8, MaxIterations: 1})
+	// γ and the worker count pinned, as the benchmark's advisor runs: no
+	// clock or CPU count decides the configuration under the test. The run
+	// is no longer cut at one iteration, which kept one model whatever γ.
+	adv, err := core.Run(g, core.Options{Seed: 8, FixedGamma: true, Gamma0: 0.5, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := adv.NumModels(); n < 2 {
+		t.Fatalf("the pinned advisor run keeps %d models, want at least 2", n)
 	}
 	if adv.TrainLen != want {
 		t.Fatalf("advisor train len = %d, want %d", adv.TrainLen, want)

@@ -3,6 +3,7 @@ package lru
 import (
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -165,4 +166,101 @@ func TestHitDoesNotAllocate(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Put at capacity allocates %v times per run, want 0", n)
 	}
+	// A table hit looks its key up by the caller's bytes, never a string
+	// made of them.
+	tab, _ := newHitTable()
+	ent, _, _, _ := tab.Lookup("k", func(*int) error { return nil })
+	tab.Fill("k", ent, func() (string, error) { return "K", nil })
+	text := []byte("k")
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := tab.Hit(text); !ok {
+			t.Fatal("Hit missed a current answer")
+		}
+	}); n != 0 {
+		t.Fatalf("Table.Hit allocates %v times per run, want 0", n)
+	}
+}
+
+// newHitTable returns a 2-statement table and a reading of its meters
+// (PlanHits, Hits, Misses, Evictions, Invalidations) and epoch.
+func newHitTable() (*Table[int, string], func() [6]int64) {
+	var epoch atomic.Uint64
+	var m [5]atomic.Int64
+	tab := NewTable[int, string](2, &epoch, Meters{&m[0], &m[1], &m[2], &m[3], &m[4]})
+	return tab, func() [6]int64 {
+		return [6]int64{m[0].Load(), m[1].Load(), m[2].Load(), m[3].Load(), m[4].Load(), int64(epoch.Load())}
+	}
+}
+
+// TestTableHit is Hit's oracle case: it serves only text that is a key
+// byte for byte, and only while that key's answer was fetched at the
+// current epoch. On anything else it changes nothing — no meter, no
+// recency, no stale answer cleared — so the Lookup a caller then makes
+// counts exactly as if Hit had not run.
+func TestTableHit(t *testing.T) {
+	tab, meters := newHitTable()
+	noPlan := func(*int) error { return nil }
+	fetch := func(v string) func() (string, error) { return func() (string, error) { return v, nil } }
+	// unchanged asserts that Hit(text) misses and leaves table and meters be.
+	unchanged := func(text string) {
+		t.Helper()
+		before, order := meters(), keys(tab.tab)
+		if res, ok := tab.Hit([]byte(text)); ok || res != "" {
+			t.Fatalf("Hit(%q) = %q, %v; want a miss", text, res, ok)
+		}
+		if after := meters(); after != before || !reflect.DeepEqual(keys(tab.tab), order) {
+			t.Fatalf("a missed Hit(%q) moved the table: meters %v → %v, keys %v → %v", text, before, after, order, keys(tab.tab))
+		}
+	}
+	hit := func(text, answer string) {
+		t.Helper()
+		before := meters()
+		if res, ok := tab.Hit([]byte(text)); !ok || res != answer {
+			t.Fatalf("Hit(%q) = %q, %v; want %q", text, res, ok, answer)
+		}
+		want := before
+		want[0]++ // one plan found
+		want[1]++ // one answer served
+		if got := meters(); got != want {
+			t.Fatalf("Hit(%q) moved meters %v → %v, want %v", text, before, got, want)
+		}
+		if k := keys(tab.tab); k[0] != text {
+			t.Fatalf("Hit(%q) left keys %v; a hit marks its entry most recently used", text, k)
+		}
+	}
+
+	unchanged("a") // no entry
+	a, _, _, _ := tab.Lookup("a", noPlan)
+	unchanged("a") // planned, no answer yet
+	tab.Fill("a", a, fetch("A"))
+	for _, near := range []string{"", " a", "a ", "A", "aa", "a\x00"} {
+		unchanged(near) // not the key byte for byte
+	}
+	hit("a", "A")
+	b, _, _, _ := tab.Lookup("b", noPlan)
+	tab.Fill("b", b, fetch("B"))
+	hit("a", "A") // the older entry moves to the front
+	hit("b", "B")
+
+	// A write overtakes both answers: Hit neither serves nor clears them,
+	// so the Lookup after it finds the stale answer and counts the
+	// invalidation itself.
+	tab.epoch.Add(1)
+	unchanged("a")
+	if !a.ok {
+		t.Fatal("a missed Hit cleared the stale answer")
+	}
+	before := meters()
+	if _, _, ok, _ := tab.Lookup("a", noPlan); ok {
+		t.Fatal("Lookup served a stale answer")
+	}
+	if got := meters(); got[0] != before[0]+1 || got[4] != before[4]+1 || got[1] != before[1] {
+		t.Fatalf("Lookup after a missed Hit: meters %v → %v, want one plan hit and one invalidation", before, got)
+	}
+	// An answer fetched across a write is not stored, so not served.
+	tab.Fill("a", a, func() (string, error) { tab.epoch.Add(1); return "A1", nil })
+	unchanged("a")
+	tab.Fill("a", a, fetch("A2"))
+	hit("a", "A2")
+	unchanged("b") // still stale
 }

@@ -65,17 +65,45 @@ func NewTable[P, R any](capacity int, epoch *atomic.Uint64, met Meters) *Table[P
 	return &Table[P, R]{epoch: epoch, met: met, tab: New[string, *Entry[P, R]](capacity)}
 }
 
-// freshLocked samples the epoch and returns it with the entry's answer if
-// that is still current, clearing an answer a write has overtaken. Callers
-// hold t.mu.
-func (t *Table[P, R]) freshLocked(ent *Entry[P, R]) (uint64, R, bool) {
+// currentLocked is the hit rule: it samples the epoch and reports whether
+// the entry holds an answer fetched under it. Callers hold t.mu.
+func (t *Table[P, R]) currentLocked(ent *Entry[P, R]) (uint64, bool) {
 	st := t.epoch.Load()
-	if ent.ok && ent.st != st {
+	return st, ent.ok && ent.st == st
+}
+
+// freshLocked returns the sampled epoch and the entry's answer if that is
+// still current, clearing an answer a write has overtaken. Callers hold
+// t.mu.
+func (t *Table[P, R]) freshLocked(ent *Entry[P, R]) (uint64, R, bool) {
+	st, cur := t.currentLocked(ent)
+	if ent.ok && !cur {
 		var zero R
 		ent.res, ent.ok = zero, false
 		t.met.Invalidations.Add(1)
 	}
 	return st, ent.res, ent.ok
+}
+
+// Hit serves a current answer for text that is a key byte for byte, without
+// making a string of it. Keys are NormalizeSQL output, which is idempotent,
+// so such text finds the entry Lookup would. Anything else changes nothing
+// (meters, recency, a stale answer), so a Lookup after it counts as usual.
+func (t *Table[P, R]) Hit(text []byte) (res R, ok bool) {
+	t.mu.Lock()
+	if n := t.tab.items[string(text)]; n != nil {
+		if _, ok = t.currentLocked(n.val); ok {
+			t.tab.unlink(n)
+			t.tab.pushFront(n)
+			res = n.val.res
+		}
+	}
+	t.mu.Unlock()
+	if ok {
+		t.met.PlanHits.Add(1)
+		t.met.Hits.Add(1)
+	}
+	return res, ok
 }
 
 // Lookup is the hot path: one lock, one table lookup. It returns the

@@ -129,7 +129,7 @@ const (
 type Server struct {
 	backend Backend
 	// query answers TQuery by appending the encoded RESULT to dst.
-	query func(dst []byte, sql string) ([]byte, error)
+	query func(dst, sql []byte) ([]byte, error)
 	opts  Options
 	met   Metrics
 	// applyMu serializes TApply requests, so each one decides against the
@@ -164,8 +164,8 @@ func New(db *f2db.DB, opts Options) *Server {
 // NewBackend returns a server over an arbitrary backend (an engine
 // adapter, or a cluster coordinator); see New. A backend with an
 // AppendQuery method (the coordinator, which holds its shard's answers
-// encoded) answers queries through it; any other has Query's answers
-// encoded.
+// encoded) answers queries through it from the request's bytes, which it
+// copies to keep; any other gets a string and has Query's answers encoded.
 func NewBackend(b Backend, opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
@@ -175,12 +175,12 @@ func NewBackend(b Backend, opts Options) *Server {
 		conns:   make(map[*conn]struct{}),
 	}
 	if a, ok := b.(interface {
-		AppendQuery(dst []byte, sql string) ([]byte, error)
+		AppendQuery(dst, sql []byte) ([]byte, error)
 	}); ok {
 		s.query = a.AppendQuery
 	} else {
-		s.query = func(dst []byte, sql string) ([]byte, error) {
-			res, err := b.Query(sql)
+		s.query = func(dst, sql []byte) ([]byte, error) {
+			res, err := b.Query(string(sql))
 			if err != nil {
 				return dst, err
 			}
@@ -437,7 +437,7 @@ func (s *Server) process(t wire.Type, payload, buf []byte) response {
 		return response{wire.TInfoData, wire.AppendInfo(buf, wire.Info{Inserts: inserts, Batches: batches})}
 	case wire.TQuery:
 		s.met.Queries.Add(1)
-		out, err := s.query(buf, string(payload))
+		out, err := s.query(buf, payload)
 		if err != nil {
 			s.met.Errors.Add(1)
 			return response{wire.TError, wire.AppendError(buf, wire.CodeQuery, err.Error())}
