@@ -49,7 +49,7 @@ import (
 // servers and the coordinator are told apart by the stack of every
 // allocation (runtime.MemProfileRate = 1), and the engine tier is the rest:
 // the shard process's allocations outside its servers, and what the
-// coordinator's planning allocates (a drill-down's node and member lists),
+// coordinator's planning allocates (a drill-down's node list),
 // which is f2db code. (The profile counts a tiny
 // block of small pointer-free objects once, so only tiers that allocate
 // none are taken from it.) No row includes what MemFS allocates (it stands
@@ -220,7 +220,12 @@ func TestCountBudgets(t *testing.T) {
 	// coordinator the frame's bytes instead of a string, a hit copies
 	// nothing (hot read front 1 → 0, total 3 → 2) and a miss makes the
 	// table's key in the coordinator (cold read and drill-down front 1 → 0,
-	// coordinator 2 → 3 and 2.11 → 3.11, totals unchanged). An
+	// coordinator 2 → 3 and 2.11 → 3.11, totals unchanged). Once a
+	// drill-down's planning became its node list alone — one descent to
+	// count the groups and one to fill a list of that size, the members read
+	// from the graph, the keys one string grown once — in the coordinator
+	// and in the engine, the drill-down's engine tier went 16.12 → 9.00 and
+	// its total 24.41 → 17.29. An
 	// INSERT is the front server's copy of the statement, then per time point
 	// (two statements) the coordinator's one rendered log entry and one copy
 	// in each shard server. Its row was coordinator 0.08, shard 2 and total
@@ -235,7 +240,7 @@ func TestCountBudgets(t *testing.T) {
 		client, front, coordinator, shard, engine, total, wire float64
 	}{
 		{coldRow, 2, 0, 3, 1, 4, 10, 500},
-		{drillRow, 4.02, 0, 3.11, 1.18, 16.15, 24.45, 2774},
+		{drillRow, 4.02, 0, 3.11, 1.18, 9.03, 17.33, 2774},
 		{hotRow, 2, 0, 0, 0, 0, 2, 163},
 		{insertRow, 0, 1, 0.58, 1, 0.15, 2.72, 21620},
 	} {

@@ -80,11 +80,13 @@ func TestCachePlanReuse(t *testing.T) {
 		t.Fatalf("read table size = %d, want 1", m.TableEntries)
 	}
 	sameRows(t, r2, r1)
-	// A table hit allocates only the Result it hands out: the Result, its
-	// Groups and its rows — 3; a plan hit on a memoized forecast was 4
-	// before the plan cache and the memo became one table.
-	if n := testing.AllocsPerRun(200, func() { _, _ = db.Query(q) }); n > 3 {
-		t.Fatalf("table-hit Query allocates %v times, want <= 3", n)
+	// A table hit allocates only the Result it hands out: for one group of
+	// at most inlineRows steps one block (NewResult). It was 3 — the Result,
+	// its Groups and its rows — before that block, and a plan hit on a
+	// memoized forecast was 4 before the plan cache and the memo became one
+	// table.
+	if n := testing.AllocsPerRun(200, func() { _, _ = db.Query(q) }); n != 1 {
+		t.Fatalf("table-hit Query allocates %v times, want exactly 1", n)
 	}
 	// Parse errors are not cached.
 	if _, err := db.Query("SELECT FROM nothing"); err == nil {

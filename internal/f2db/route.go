@@ -35,12 +35,11 @@ func NewPlanner(g *cube.Graph, step time.Duration) *Planner {
 func (db *DB) Planner() *Planner { return db.planner }
 
 // Plan is a fully resolved SELECT: the parsed statement, the graph nodes
-// it describes, the grouping member per node and the forecast horizon in
-// steps. Every field is immutable once the plan is handed out, so a cached
-// plan is safe to execute or route from any number of goroutines. Planning
-// needs no engine lock: it reads only the graph structure, fixed after
-// construction. Only the engine fills the rendered node keys; a coordinator
-// routes by Nodes alone and pays nothing for them.
+// it describes and the forecast horizon in steps. Every field is immutable
+// once the plan is handed out, so a cached plan is safe to execute or route
+// from any number of goroutines. Planning needs no engine lock: it reads
+// only the graph structure, fixed after construction. Only the engine fills
+// the rendered node keys; a coordinator routes by Nodes alone.
 //
 // A Plan is self-referential: a one-node plan's slices and the statement's
 // predicates live in its own arrays. Plan into the memory the plan will
@@ -50,28 +49,35 @@ type Plan struct {
 	// Nodes holds the described graph node IDs, one per result group, in
 	// result-group order.
 	Nodes []int
-	// Members holds the grouping member per node ("" for single-node
-	// statements), parallel to Nodes.
-	Members []string
 	// Forecast marks AS OF statements.
 	Forecast bool
 	// Explain marks EXPLAIN statements.
 	Explain bool
 
-	horizon int      // forecast steps; 0 for historical and EXPLAIN statements
-	keys    []string // engine only: node coordinate keys, rendered once (Coord.Key is hot)
-	// oneNode, oneMember and oneKey back Nodes, Members and keys of a
-	// one-node plan, so that planning it allocates nothing but the Plan.
-	oneNode           [1]int
-	oneMember, oneKey [1]string
+	horizon  int      // forecast steps; 0 for historical and EXPLAIN statements
+	groupDim int      // the GROUP BY <level> dimension; -1 for a single node
+	keys     []string // engine only: node coordinate keys, rendered once (Coord.Key is hot)
+	// oneNode and oneKey back Nodes and keys of a one-node plan, so that
+	// planning it allocates nothing but the Plan.
+	oneNode [1]int
+	oneKey  [1]string
 }
 
-// PlanInto is the single resolver: parse, resolve the described nodes and
-// their members, translate the horizon, into pl. Every planning rejection
-// in the system is produced here, in this order, so a coordinator
-// rejecting a statement is indistinguishable from a shard rejecting it.
-// The statement is parsed into pl itself, so a plan of one node allocates
-// nothing. It is unmemoised: the read tables plan into their entries.
+// member is the grouping member of node id: its value in the grouped
+// dimension, "" for a single-node statement.
+func (pl *Plan) member(g *cube.Graph, id int) string {
+	if pl.groupDim < 0 {
+		return ""
+	}
+	return g.CellOf(id, pl.groupDim).Value
+}
+
+// PlanInto is the single resolver: parse, resolve the described nodes,
+// translate the horizon, into pl. Every planning rejection in the system is
+// produced here, in this order, so a coordinator rejecting a statement is
+// indistinguishable from a shard rejecting it. The statement is parsed into
+// pl itself, so a plan of one node allocates nothing and a drill-down only
+// its node list. It is unmemoised: the read tables plan into their entries.
 func (p *Planner) PlanInto(pl *Plan, sql string) error {
 	if err := parseQuery(sql, &pl.stmt); err != nil {
 		return err

@@ -3,14 +3,23 @@ package f2db
 import (
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
+
+	"cubefc/internal/core"
+	"cubefc/internal/cube"
+	"cubefc/internal/timeseries"
 )
 
 // TestRouteQueryAllocs: planning a single-node statement into a caller's
-// Plan allocates nothing — the statement is parsed into it and its node,
-// member and key slices are its own arrays — and RouteQuery allocates only
-// the Plan.
+// Plan allocates nothing — the statement is parsed into it and its node and
+// key slices are its own arrays — and RouteQuery allocates only the Plan.
+// A drill-down allocates its node list alone: one descent counts the
+// groups, a second fills a list of exactly that size, and the members are
+// read from the graph. This city drill-down (two levels below ALL) was 5
+// objects while the descent made a list per level and the plan kept a
+// member list of its own.
 func TestRouteQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -28,10 +37,18 @@ func TestRouteQueryAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(50, func() { _, _ = p.RouteQuery(q) }); n != 1 {
 		t.Fatalf("RouteQuery allocates %v times for one node, want 1 (the Plan)", n)
 	}
+	const drill = "SELECT time, SUM(sales) FROM facts GROUP BY time, city AS OF now() + '3 days'"
+	if err := p.PlanInto(pl, drill); err != nil || len(pl.Nodes) < 2 {
+		t.Fatalf("%s: %d nodes, %v", drill, len(pl.Nodes), err)
+	}
+	if n := testing.AllocsPerRun(50, func() { _ = p.PlanInto(pl, drill) }); n != 1 {
+		t.Fatalf("PlanInto allocates %v times for a drill-down, want 1 (the node list)", n)
+	}
 }
 
 // TestRouteQueryMatchesEngine: the planner must describe exactly the nodes
-// (and member order) the engine's own rewrite produces.
+// (and member order) the engine's own rewrite produces, and every group
+// carries its own node's key.
 func TestRouteQueryMatchesEngine(t *testing.T) {
 	db, g, _ := testEngine(t, nil)
 	p := NewPlanner(g, 0)
@@ -56,13 +73,47 @@ func TestRouteQueryMatchesEngine(t *testing.T) {
 			t.Fatalf("%s: route has %d nodes, engine %d groups", q, len(route.Nodes), len(res.Groups))
 		}
 		for i, grp := range res.Groups {
-			if route.Nodes[i] != grp.Node || route.Members[i] != grp.Member {
+			if member := route.member(g, route.Nodes[i]); route.Nodes[i] != grp.Node || member != grp.Member {
 				t.Fatalf("%s: group %d: route (%d, %q), engine (%d, %q)",
-					q, i, route.Nodes[i], route.Members[i], grp.Node, grp.Member)
+					q, i, route.Nodes[i], member, grp.Node, grp.Member)
+			}
+			if want := g.KeyOf(grp.Node); grp.NodeKey != want {
+				t.Fatalf("%s: group %d has key %q, its node %q", q, i, grp.NodeKey, want)
 			}
 		}
 		if route.Forecast != res.Forecast {
 			t.Fatalf("%s: route forecast %v, engine %v", q, route.Forecast, res.Forecast)
+		}
+	}
+}
+
+// TestDrillDownKeysOutgrowBuffer: a drill-down's keys are rendered into one
+// buffer sized from the first key, and each key is taken as it is written,
+// so a later, longer key that regrows the buffer must leave every key whole.
+func TestDrillDownKeysOutgrowBuffer(t *testing.T) {
+	series := func() *timeseries.Series { return timeseries.New([]float64{1, 2, 3, 4}, 0) }
+	g, err := cube.NewGraph([]cube.Dimension{cube.NewDimension("loc", "loc")}, []cube.BaseSeries{
+		{Members: []string{"A"}, Series: series()},
+		{Members: []string{"B" + strings.Repeat("b", 40)}, Series: series()},
+		{Members: []string{"C"}, Series: series()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(g, core.NewConfiguration(g, g.Length), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query("SELECT time, SUM(m) FROM facts GROUP BY time, loc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Groups) != 3 {
+		t.Fatalf("%d groups, want 3", len(res.Groups))
+	}
+	for i, grp := range res.Groups {
+		if want := g.KeyOf(grp.Node); grp.NodeKey != want || "loc="+grp.Member != want {
+			t.Fatalf("group %d: key %q, member %q; its node is %q", i, grp.NodeKey, grp.Member, want)
 		}
 	}
 }
@@ -91,7 +142,8 @@ func TestRouteSubQueriesBitExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, member := range route.Members {
+		for i, id := range route.Nodes {
+			member := route.member(g, id)
 			stmt := route.stmt
 			stmt.preds = append(append([]predicate(nil), route.stmt.preds...),
 				predicate{attr: route.stmt.groupLevel, value: member})

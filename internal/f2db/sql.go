@@ -236,39 +236,25 @@ func collapseSpace(sql string) string {
 	return b.String()
 }
 
-// planInto plans a statement into pl and renders its node keys.
+// planInto plans a statement into pl and renders its node keys as substrings
+// of one string, held in pl's own array for one node. A builder never
+// rewrites its bytes, so a key taken as written stays right if it regrows.
 func (db *DB) planInto(pl *Plan, sql string) error {
 	if err := db.planner.PlanInto(pl, sql); err != nil {
 		return err
 	}
-	pl.keys = db.renderKeys(pl.oneKey[:0], pl.Nodes)
-	return nil
-}
-
-// renderKeys renders the nodes' coordinate keys into one buffer and returns
-// them, in keys' memory when it has room, as substrings of the one string
-// made from it: a drill-down plan pays for its keys once, not once per group.
-func (db *DB) renderKeys(keys []string, nodes []int) []string {
-	keys = slices.Grow(keys[:0], len(nodes))[:len(nodes)]
-	var endBuf [64]int
+	pl.keys = slices.Grow(pl.oneKey[:0], len(pl.Nodes))[:len(pl.Nodes)]
 	var keyBuf [64]byte
-	ends, buf := endBuf[:0], keyBuf[:0]
-	if len(nodes) > len(endBuf) {
-		ends = make([]int, 0, len(nodes))
-	}
-	for i, id := range nodes {
-		buf = db.graph.AppendKey(buf, id)
-		if i == 0 {
-			// Sibling keys differ only in one member value.
-			buf = slices.Grow(buf, (len(buf)+8)*(len(nodes)-1))
+	var b strings.Builder
+	for i, id := range pl.Nodes {
+		key := db.graph.AppendKey(keyBuf[:0], id)
+		if i == 0 { // sibling keys differ only in one member value
+			b.Grow(len(key) + (len(key)+8)*(len(pl.Nodes)-1))
 		}
-		ends = append(ends, len(buf))
+		b.Write(key)
+		pl.keys[i] = b.String()[b.Len()-len(key):]
 	}
-	all, start := string(buf), 0
-	for i, end := range ends {
-		keys[i], start = all[start:end], end
-	}
-	return keys
+	return nil
 }
 
 // answer is an AS OF statement's derived forecasts: per group, Plan.stride
@@ -340,8 +326,8 @@ func (db *DB) deriveAnswer(plan *Plan) (answer, error) {
 }
 
 // forecastResult builds a forecast statement's Result from its answer, the
-// rows of all groups carved from one slab. It reads only the plan and the
-// answer, so it needs no engine lock.
+// rows of all groups carved from one slab. It reads only the plan, the
+// answer and the immutable graph structure, so it needs no engine lock.
 func (db *DB) forecastResult(plan *Plan, ans answer) *Result {
 	h, stride := plan.horizon, plan.stride()
 	res, slab := NewResult(len(plan.Nodes), h*len(plan.Nodes))
@@ -354,7 +340,7 @@ func (db *DB) forecastResult(plan *Plan, ans answer) *Result {
 				rows[j].Lo, rows[j].Hi = v[h+j]*scale, v[2*h+j]*scale
 			}
 		}
-		res.Groups[i] = Group{Node: id, NodeKey: plan.keys[i], Member: plan.Members[i], Rows: rows}
+		res.Groups[i] = Group{Node: id, NodeKey: plan.keys[i], Member: plan.member(db.graph, id), Rows: rows}
 	}
 	res.Rows = res.Groups[0].Rows
 	return res
@@ -377,7 +363,7 @@ func (db *DB) history(plan *Plan) *Result {
 		for t, v := range db.graph.Node(id).Series.Values[:per] {
 			rows[t] = QueryRow{T: t, Value: v * scale}
 		}
-		res.Groups[i] = Group{Node: id, NodeKey: plan.keys[i], Member: plan.Members[i], Rows: rows}
+		res.Groups[i] = Group{Node: id, NodeKey: plan.keys[i], Member: plan.member(db.graph, id), Rows: rows}
 	}
 	res.Rows = res.Groups[0].Rows
 	return res
@@ -407,10 +393,10 @@ func (db *DB) explainNode(id int) string {
 
 // resolve rewrites the plan's parsed SELECT into the graph nodes it
 // describes (Section V: "a query is rewritten to the referenced node of the
-// time series graph") and the grouping member of each: Nodes and Members.
-// The WHERE clause becomes a graph coordinate: every predicate attribute
-// must name a hierarchy level of some dimension; unconstrained dimensions
-// aggregate to ALL.
+// time series graph"), Nodes, and the grouped dimension, which holds each
+// group's member. The WHERE clause becomes a graph coordinate: every
+// predicate attribute must name a hierarchy level of some dimension;
+// unconstrained dimensions aggregate to ALL.
 // Without a GROUP BY <level> that coordinate is the one described node;
 // with it, the named level must belong to a dimension the WHERE clause
 // leaves free, and one node per member value at that level is returned,
@@ -459,28 +445,24 @@ func (pl *Plan) resolve(g *cube.Graph) error {
 			return fmt.Errorf("f2db: unknown attribute %q in WHERE clause", p.attr)
 		}
 	}
+	pl.groupDim = groupDim
 	if groupDim < 0 {
 		id, ok := g.LookupCoord(coord)
 		if !ok {
 			return fmt.Errorf("f2db: no time series for %s", coord.Key(dims))
 		}
 		pl.oneNode[0] = id
-		pl.Nodes, pl.Members = pl.oneNode[:], pl.oneMember[:]
+		pl.Nodes = pl.oneNode[:]
 		return nil
 	}
 	// The members are the descendants, at the requested level, of the
 	// coordinate with the grouped dimension at ALL: walk that dimension's
-	// child edges down, one level per edge.
+	// child edges down, once to count them and once into their one list.
 	var ids []int
 	if top, ok := g.LookupCoord(coord); ok {
-		ids = []int{top}
-	}
-	for lvl := dims[groupDim].AllLevel(); lvl > groupLvl && len(ids) > 0; lvl-- {
-		var next []int
-		for _, id := range ids {
-			next = cube.AppendIDs(next, g.ChildrenAlong(id, groupDim))
-		}
-		ids = next
+		levels := dims[groupDim].AllLevel() - groupLvl
+		_, n := descend(g, nil, top, groupDim, levels)
+		ids, _ = descend(g, make([]int, 0, n), top, groupDim, levels)
 	}
 	if len(ids) == 0 {
 		return fmt.Errorf("f2db: no time series match GROUP BY %s", stmt.groupLevel)
@@ -488,12 +470,24 @@ func (pl *Plan) resolve(g *cube.Graph) error {
 	slices.SortFunc(ids, func(a, b int) int {
 		return strings.Compare(g.CellOf(a, groupDim).Value, g.CellOf(b, groupDim).Value)
 	})
-	members := make([]string, len(ids))
-	for i, id := range ids {
-		members[i] = g.CellOf(id, groupDim).Value
-	}
-	pl.Nodes, pl.Members = ids, members
+	pl.Nodes = ids
 	return nil
+}
+
+// descend appends to ids, while it has room, the nodes levels child edges
+// below id along dimension d, and returns ids and the number of those nodes.
+func descend(g *cube.Graph, ids []int, id, d, levels int) ([]int, int) {
+	n := 0
+	for _, kid := range g.ChildrenAlong(id, d) {
+		k := 1
+		if levels > 1 {
+			ids, k = descend(g, ids, int(kid), d, levels-1)
+		} else if len(ids) < cap(ids) {
+			ids = append(ids, int(kid))
+		}
+		n += k
+	}
+	return ids, n
 }
 
 // maxHorizon bounds an AS OF horizon, in steps: a query's rows are
